@@ -69,6 +69,10 @@ class Table:
 
 def _fmt(value: object) -> str:
     if isinstance(value, float):
+        if 0 < abs(value) < 1:
+            # Three significant digits: at ".2f" a 2.22x kernel win read
+            # "0.03" vs "0.02" ms/query.
+            return f"{value:#.3g}"
         return f"{value:.2f}"
     return str(value)
 

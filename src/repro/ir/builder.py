@@ -9,13 +9,12 @@ another constant — so ADD/MULTIPLY nodes always involve a ciphertext.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import CompileError
-from repro.fhe.ciphertext import coerce_bits
-from repro.ir.nodes import IrGraph, IrOp
+from repro.ir.nodes import IrGraph, IrOp, const_bits, pack_const, roll_payload
 
 
 class IrBuilder:
@@ -23,6 +22,10 @@ class IrBuilder:
 
     def __init__(self) -> None:
         self.graph = IrGraph()
+        # Payload pool: equal constants of one graph share one ``bytes``
+        # object, so CSE's key comparison is a pointer check and pickle
+        # writes the payload once.
+        self._payloads: Dict[bytes, bytes] = {}
 
     # ------------------------------------------------------------------
     # Inputs and constants
@@ -43,12 +46,17 @@ class IrBuilder:
         return node_id
 
     def const(self, bits) -> int:
-        arr = coerce_bits(bits)
+        return self.const_packed(pack_const(bits))
+
+    def const_packed(self, payload: bytes) -> int:
+        """A constant from a payload :func:`~repro.ir.nodes.pack_const`
+        already validated (emitters that reuse one mask many times)."""
+        payload = self._payloads.setdefault(payload, payload)
         return self.graph.add(
             IrOp.CONST_PT,
             (),
-            attr=tuple(int(b) for b in arr),
-            width=arr.size,
+            attr=payload,
+            width=len(payload),
             is_cipher=False,
         )
 
@@ -75,14 +83,13 @@ class IrBuilder:
         node = self.graph.node(node_id)
         if node.op is not IrOp.CONST_PT:
             return None
-        return np.array(node.attr, dtype=np.uint8)
+        return const_bits(node)
 
     def xor(self, a: int, b: int) -> int:
         width = self._check_widths(a, b)
         na, nb = self.graph.node(a), self.graph.node(b)
-        ca, cb = self._const_bits(a), self._const_bits(b)
-        if ca is not None and cb is not None:
-            return self.const(np.bitwise_xor(ca, cb))
+        if na.op is IrOp.CONST_PT and nb.op is IrOp.CONST_PT:
+            return self.const(np.bitwise_xor(const_bits(na), const_bits(nb)))
         if na.is_cipher and nb.is_cipher:
             return self.graph.add(IrOp.ADD, _ordered(a, b), width=width)
         if na.is_cipher:
@@ -97,9 +104,8 @@ class IrBuilder:
     def and_(self, a: int, b: int) -> int:
         width = self._check_widths(a, b)
         na, nb = self.graph.node(a), self.graph.node(b)
-        ca, cb = self._const_bits(a), self._const_bits(b)
-        if ca is not None and cb is not None:
-            return self.const(np.bitwise_and(ca, cb))
+        if na.op is IrOp.CONST_PT and nb.op is IrOp.CONST_PT:
+            return self.const(np.bitwise_and(const_bits(na), const_bits(nb)))
         if na.is_cipher and nb.is_cipher:
             return self.graph.add(IrOp.MULTIPLY, _ordered(a, b), width=width)
         if na.is_cipher:
@@ -123,9 +129,8 @@ class IrBuilder:
         if node.op is IrOp.ROTATE:
             inner_amount = node.attr[0]
             return self.rotate(node.args[0], inner_amount + amount)
-        ca = self._const_bits(a)
-        if ca is not None:
-            return self.const(np.roll(ca, -amount))
+        if node.op is IrOp.CONST_PT:
+            return self.const_packed(roll_payload(node.attr, -amount))
         return self.graph.add(
             IrOp.ROTATE, (a,), attr=(amount,), width=width,
             is_cipher=node.is_cipher,

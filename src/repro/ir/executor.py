@@ -21,7 +21,7 @@ from repro.errors import CompileError, RuntimeProtocolError, ValidationError
 from repro.fhe.backend import FheBackend
 from repro.fhe.ciphertext import Ciphertext, PlainVector
 from repro.fhe.context import Vector
-from repro.ir.nodes import IrGraph, IrOp
+from repro.ir.nodes import IrGraph, IrOp, const_bits
 
 
 def tile_plain_extend(arr: np.ndarray, length: int, source: str) -> np.ndarray:
@@ -84,9 +84,7 @@ def _run(graph: IrGraph, ctx: FheBackend, bindings) -> Dict[str, Vector]:
     # Plaintext constants are immutable and identical across executions,
     # so each graph encodes them once and reuses the PlainVectors on
     # every subsequent run (plans execute per batch, graphs are shared).
-    consts: Dict[int, PlainVector] = graph.__dict__.setdefault(
-        "_const_cache", {}
-    )
+    consts: Dict[int, PlainVector] = graph._const_cache
 
     for node in graph.nodes:
         if node.op is IrOp.INPUT_CT:
@@ -116,7 +114,7 @@ def _run(graph: IrGraph, ctx: FheBackend, bindings) -> Dict[str, Vector]:
         elif node.op is IrOp.CONST_PT:
             value = consts.get(node.node_id)
             if value is None:
-                value = ctx.encode(list(node.attr))
+                value = ctx.encode(const_bits(node))
                 consts[node.node_id] = value
             values[node.node_id] = value
         elif node.op in (IrOp.ADD, IrOp.CONST_ADD):
@@ -173,9 +171,7 @@ def _run_profiled(
     report uses for tapes.
     """
     values: List[Optional[Vector]] = [None] * graph.num_nodes
-    consts: Dict[int, PlainVector] = graph.__dict__.setdefault(
-        "_const_cache", {}
-    )
+    consts: Dict[int, PlainVector] = graph._const_cache
     tracker = ctx.tracker
     timer = profiler.timer
     profiler.begin_run()
@@ -185,7 +181,7 @@ def _run_profiled(
             if node.op is IrOp.CONST_PT:
                 value = consts.get(node.node_id)
                 if value is None:
-                    value = ctx.encode(list(node.attr))
+                    value = ctx.encode(const_bits(node))
                     consts[node.node_id] = value
             else:
                 value = bindings[node.attr[0]]

@@ -11,7 +11,8 @@ Node kinds:
 =============  ==========================================================
 INPUT_CT       named ciphertext input (bound at execution time)
 INPUT_PT       named plaintext input
-CONST_PT       plaintext constant baked into the graph (``attr`` = bits)
+CONST_PT       plaintext constant baked into the graph (``attr`` = packed
+               payload; see *Constant representation* below)
 ADD            ciphertext XOR ciphertext
 CONST_ADD      ciphertext XOR plaintext
 MULTIPLY       ciphertext AND ciphertext
@@ -23,15 +24,31 @@ TRUNCATE       logical-width restriction (``attr`` = new width)
 
 ``is_cipher`` tracks whether a node's value is encrypted; plaintext-only
 arithmetic never appears as ADD/MULTIPLY nodes (the builder folds it).
+
+Constant representation
+-----------------------
+A ``CONST_PT`` node's ``attr`` is an immutable ``bytes`` payload, one
+byte per slot.  CPython hashes it once and caches the hash, compares it
+with ``memcmp``, and ``np.frombuffer`` reads it without a copy — a gather
+mask is hundreds of slots wide and a lowering emits thousands of them,
+so boxing each slot into a Python ``int`` dominated staging.  The
+payload is private to this module's three accessors: :func:`pack_const`
+validates bits into a payload, :func:`const_bits` views a node's payload
+as a read-only ``uint8`` array, :func:`roll_payload` rotates one.
+Builder, passes, tape compiler and executor go through them and never
+index, iterate or convert ``attr`` of a constant themselves.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple, Union
+
+import numpy as np
 
 from repro.errors import CompileError
+from repro.fhe.ciphertext import BitsLike, coerce_bits
 
 
 class IrOp(enum.Enum):
@@ -64,7 +81,9 @@ class IrNode:
     node_id: int
     op: IrOp
     args: Tuple[int, ...]
-    attr: Tuple = ()
+    #: A tuple (input name, rotation amount, target width) — or, for
+    #: CONST_PT, the packed ``bytes`` payload.
+    attr: Union[Tuple, bytes] = ()
     width: int = 0
     is_cipher: bool = True
 
@@ -81,6 +100,16 @@ class IrGraph:
     nodes: List[IrNode] = field(default_factory=list)
     outputs: Dict[str, int] = field(default_factory=dict)
     inputs: Dict[str, int] = field(default_factory=dict)
+    #: The graph executor's encoded constants (node id -> PlainVector),
+    #: filled on the first run.  Derived state: not compared, not pickled.
+    _const_cache: Dict[int, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_const_cache"] = {}
+        return state
 
     def node(self, node_id: int) -> IrNode:
         return self.nodes[node_id]
@@ -97,7 +126,7 @@ class IrGraph:
             node_id=len(self.nodes),
             op=op,
             args=tuple(args),
-            attr=tuple(attr),
+            attr=attr if type(attr) is bytes else tuple(attr),
             width=width,
             is_cipher=is_cipher,
         )
@@ -129,6 +158,24 @@ class IrGraph:
             f"ir graph: nodes={self.num_nodes} outputs={len(self.outputs)} "
             f"depth={analyze_depth(self)} [{summary}]"
         )
+
+
+def pack_const(bits: BitsLike) -> bytes:
+    """Validate ``bits`` (non-empty, 1-D, every slot 0 or 1) and pack them
+    into a ``CONST_PT`` payload."""
+    return coerce_bits(bits).tobytes()
+
+
+def const_bits(node: IrNode) -> np.ndarray:
+    """The slots of ``CONST_PT`` ``node``: a zero-copy, read-only
+    ``uint8`` view of its payload."""
+    return np.frombuffer(node.attr, dtype=np.uint8)
+
+
+def roll_payload(payload: bytes, shift: int) -> bytes:
+    """``np.roll`` over a payload: slot ``i`` moves to ``i + shift``."""
+    shift %= len(payload)
+    return payload[-shift:] + payload[:-shift] if shift else payload
 
 
 def validate_graph(graph: IrGraph) -> None:

@@ -1,7 +1,9 @@
 """Optimizer passes and analyses over IR graphs.
 
-All passes are pure graph-to-graph functions; ``optimize`` runs the
-standard pipeline (rotation fusion -> CSE -> DCE) to a fixed point.
+All passes are pure graph-to-graph functions; ``optimize`` is the
+standard pipeline (rotation fusion -> CSE -> DCE) as one sweep: the three
+passes below, composed to a fixed point, are its specification and stay
+individually importable and tested.
 
 * **fuse_rotations** — ``rot(rot(x, a), b)`` becomes ``rot(x, a+b mod w)``
   and zero rotations disappear (HElib would pay two key switches for the
@@ -33,7 +35,8 @@ standard pipeline (rotation fusion -> CSE -> DCE) to a fixed point.
   multiplicative depth.
 
 Analyses: ``analyze_counts`` (ops by kind, the Section 6 work measure),
-``analyze_depth`` (multiplicative depth), ``analyze_cost`` (simulated ms
+``analyze_depth`` (multiplicative depth) — both read off one
+``analyze_profile`` walk — and ``analyze_cost`` (simulated ms
 under a :class:`~repro.fhe.costmodel.CostModel`).
 """
 
@@ -41,12 +44,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.fhe.backend import fold_balanced
 from repro.fhe.costmodel import CostModel
 from repro.fhe.tracker import OpKind
-from repro.ir.nodes import IrGraph, IrNode, IrOp
+from repro.ir.nodes import IrGraph, IrNode, IrOp, roll_payload
 
 
 def _rebuild(graph: IrGraph, remap: Dict[int, int], nodes: List[IrNode]) -> IrGraph:
@@ -63,7 +64,7 @@ def fuse_rotations(graph: IrGraph) -> IrGraph:
 
     def emit(op, args, attr, width, is_cipher) -> int:
         node_id = len(nodes)
-        nodes.append(IrNode(node_id, op, tuple(args), tuple(attr), width, is_cipher))
+        nodes.append(IrNode(node_id, op, tuple(args), attr, width, is_cipher))
         return node_id
 
     for node in graph.nodes:
@@ -175,10 +176,10 @@ def collect_xor_tree(
 
 def _collect_gather_tree(
     graph: IrGraph, root: int, uses: List[int], pinned: set
-) -> Optional[Tuple[int, List[Tuple[int, Tuple[int, ...]]], List[int]]]:
+) -> Optional[Tuple[int, List[Tuple[int, bytes]], List[int]]]:
     """Match one masked-gather combine tree rooted at ADD node ``root``.
 
-    Returns ``(source, [(amount, mask_bits), ...], interior_ids)`` when
+    Returns ``(source, [(amount, mask_payload), ...], interior_ids)`` when
     the whole XOR tree under ``root`` consists of single-use
     ``CONST_MULT(rot(v, a), mask)`` leaves over one ciphertext source
     ``v`` (interior XORs single-use and unobservable), else ``None``.
@@ -187,7 +188,7 @@ def _collect_gather_tree(
     if len(leaves) < 2:
         return None
     source = None
-    terms: List[Tuple[int, Tuple[int, ...]]] = []
+    terms: List[Tuple[int, bytes]] = []
     for leaf in leaves:
         node = graph.node(leaf)
         if node.op is not IrOp.CONST_MULT or uses[leaf] != 1:
@@ -223,7 +224,7 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
     uses = _use_counts(graph)
     pinned = set(graph.outputs.values()) | set(graph.inputs.values())
 
-    matched: Dict[int, Tuple[int, List[Tuple[int, Tuple[int, ...]]]]] = {}
+    matched: Dict[int, Tuple[int, List[Tuple[int, bytes]]]] = {}
     consumed: set = set()
     # Reverse order: a tree's root has the highest node id, so it is
     # visited before its interior XORs (which are then skipped).
@@ -246,9 +247,7 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
 
     def emit(op, args, attr, width, is_cipher) -> int:
         node_id = len(nodes)
-        nodes.append(
-            IrNode(node_id, op, tuple(args), tuple(attr), width, is_cipher)
-        )
+        nodes.append(IrNode(node_id, op, args, attr, width, is_cipher))
         return node_id
 
     def emit_xor_tree(items: List[int], width: int) -> int:
@@ -264,20 +263,26 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
         nid = node.node_id
         hit = matched.get(nid)
         if hit is None:
-            remap[nid] = emit(
-                node.op,
-                tuple(remap[a] for a in node.args),
-                node.attr,
-                node.width,
-                node.is_cipher,
-            )
+            if len(nodes) == nid:
+                # No gather rewritten yet (each emits several nodes), so
+                # ids still line up: keep the object.
+                nodes.append(node)
+                remap[nid] = nid
+            else:
+                remap[nid] = emit(
+                    node.op,
+                    tuple(remap[a] for a in node.args),
+                    node.attr,
+                    node.width,
+                    node.is_cipher,
+                )
             continue
         source, terms = hit
         width = node.width
         src = remap[source]
         pivot = min(a for a, _ in terms)
         parts: List[int] = []
-        for amount, mask_bits in terms:
+        for amount, mask_payload in terms:
             residual = amount - pivot
             if residual == 0:
                 value = src
@@ -289,15 +294,9 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
                     )
                     residual_cache[(src, residual)] = value
             # rot(mask, -pivot): free at compile time for plaintext.
-            rolled = np.roll(
-                np.array(mask_bits, dtype=np.uint8), pivot
-            )
             mask = emit(
-                IrOp.CONST_PT,
-                (),
-                tuple(int(b) for b in rolled),
-                width,
-                False,
+                IrOp.CONST_PT, (), roll_payload(mask_payload, pivot),
+                width, False,
             )
             parts.append(
                 emit(IrOp.CONST_MULT, (value, mask), (), width, True)
@@ -311,16 +310,98 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
     return _rebuild(graph, remap, nodes)
 
 
+def _sweep(graph: IrGraph) -> IrGraph:
+    """One fuse -> CSE -> DCE iteration with a single rebuild.
+
+    A forward walk resolves every node to its *representative* — the
+    earliest node computing the same value once rotation chains are
+    collapsed and equal ``(op, args, attr)`` keys merged — in the ids of
+    ``graph`` itself; a backward walk marks the representatives reachable
+    from the interface; only then are nodes renumbered and built.  The
+    survivors keep their relative order, so the result is node-for-node
+    what the three reference passes produce.  Returns ``graph`` itself
+    when nothing was rewritten, and reuses every ``IrNode`` whose id and
+    arguments did not move.
+    """
+    old = graph.nodes
+    rep: List[int] = []                 # node id -> representative id
+    defs: List[tuple] = []              # node id -> (op, args, attr)
+    seen: Dict[tuple, int] = {}
+    rewritten = False
+    for node in old:
+        nid = node.node_id
+        op, attr = node.op, node.attr
+        args = tuple(map(rep.__getitem__, node.args))
+        if op is IrOp.ROTATE:
+            target, amount = args[0], attr[0]
+            inner_op, inner_args, inner_attr = defs[target]
+            if inner_op is IrOp.ROTATE:
+                # Representatives never rotate a rotation: one step.
+                target, amount = inner_args[0], amount + inner_attr[0]
+            amount %= old[target].width or 1
+            if amount == 0:
+                rep.append(target)
+                defs.append(defs[target])
+                rewritten = True
+                continue
+            if amount != attr[0]:
+                attr = (amount,)
+            args = (target,)
+        key = (op, args, attr)
+        first = seen.setdefault(key, nid)
+        rep.append(first)
+        defs.append(key)
+        if first != nid or args != node.args or attr is not node.attr:
+            rewritten = True
+
+    live = [False] * len(old)
+    for nid in graph.outputs.values():
+        live[rep[nid]] = True
+    for nid in graph.inputs.values():
+        live[rep[nid]] = True
+    for nid in range(len(old) - 1, -1, -1):
+        if live[nid]:
+            for a in defs[nid][1]:
+                live[a] = True
+    if not rewritten and all(live):
+        return graph
+
+    remap: Dict[int, int] = {}
+    nodes: List[IrNode] = []
+    for node in old:
+        nid = node.node_id
+        if not live[nid]:
+            continue
+        op, args, attr = defs[nid]
+        args = tuple(map(remap.__getitem__, args))
+        new_id = len(nodes)
+        if new_id == nid and args == node.args and attr is node.attr:
+            nodes.append(node)
+        else:
+            nodes.append(
+                IrNode(new_id, op, args, attr, node.width, node.is_cipher)
+            )
+        remap[nid] = new_id
+    interface = (*graph.outputs.values(), *graph.inputs.values())
+    return _rebuild(graph, {nid: remap[rep[nid]] for nid in interface}, nodes)
+
+
 def optimize(graph: IrGraph, max_iterations: int = 8) -> IrGraph:
-    """Run fuse -> CSE -> DCE to a fixed point."""
+    """Run fuse -> CSE -> DCE to a fixed point.
+
+    Equivalent to iterating :func:`fuse_rotations`,
+    :func:`common_subexpression_elimination` and
+    :func:`dead_code_elimination` until the graph stops changing (the
+    lowered-graph tests hold it to that), but each iteration is one
+    :func:`_sweep` and the loop ends when a sweep rewrites nothing —
+    which costs two list walks, not three rebuilds.
+    """
     current = graph
     for _ in range(max_iterations):
-        before = current.num_nodes
-        current = dead_code_elimination(
-            common_subexpression_elimination(fuse_rotations(current))
-        )
-        if current.num_nodes == before:
+        swept = _sweep(current)
+        if swept is current:
             break
+        current = swept
     return current
 
 
@@ -341,30 +422,40 @@ _COST_KIND = {
 }
 
 
+#: Ops that never count as work: bindings, constants, and the free
+#: logical-width restriction.
+_UNCOUNTED_OPS = (IrOp.INPUT_CT, IrOp.CONST_PT, IrOp.INPUT_PT, IrOp.TRUNCATE)
+
+
+def analyze_profile(graph: IrGraph) -> Tuple[Dict[IrOp, int], int]:
+    """``(analyze_counts, analyze_depth)`` of ``graph`` in one walk."""
+    counts: Dict[IrOp, int] = {}
+    depth = [0] * graph.num_nodes
+    best = 0
+    for node in graph.nodes:
+        op = node.op
+        d = 0
+        for a in node.args:
+            if depth[a] > d:
+                d = depth[a]
+        if op is IrOp.MULTIPLY:
+            d += 1
+            if d > best:
+                best = d
+        depth[node.node_id] = d
+        if node.is_cipher and op not in _UNCOUNTED_OPS:
+            counts[op] = counts.get(op, 0) + 1
+    return counts, best
+
+
 def analyze_counts(graph: IrGraph) -> Dict[IrOp, int]:
     """Operation counts by kind (ciphertext operations only)."""
-    counts: Dict[IrOp, int] = {}
-    for node in graph.nodes:
-        if not node.is_cipher:
-            continue
-        if node.op in (IrOp.INPUT_CT, IrOp.CONST_PT, IrOp.INPUT_PT,
-                       IrOp.TRUNCATE):
-            continue
-        counts[node.op] = counts.get(node.op, 0) + 1
-    return counts
+    return analyze_profile(graph)[0]
 
 
 def analyze_depth(graph: IrGraph) -> int:
     """Multiplicative depth of the graph."""
-    depth = [0] * graph.num_nodes
-    best = 0
-    for node in graph.nodes:
-        d = max((depth[a] for a in node.args), default=0)
-        if node.op is IrOp.MULTIPLY:
-            d += 1
-        depth[node.node_id] = d
-        best = max(best, d)
-    return best
+    return analyze_profile(graph)[1]
 
 
 def cost_of_counts(counts: Dict[IrOp, int], cost_model: CostModel) -> float:

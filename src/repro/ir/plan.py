@@ -53,13 +53,8 @@ from repro.ir.copse_ir import (
     build_inference_graph,
 )
 from repro.ir.executor import execute
-from repro.ir.nodes import IrGraph, IrOp
-from repro.ir.passes import (
-    analyze_counts,
-    analyze_depth,
-    cost_of_counts,
-    optimize,
-)
+from repro.ir.nodes import IrGraph, IrOp, pack_const
+from repro.ir.passes import analyze_profile, cost_of_counts, optimize
 
 __all__ = [
     "GraphProfile",
@@ -152,11 +147,8 @@ class GraphProfile:
 
     @classmethod
     def of(cls, graph: IrGraph) -> "GraphProfile":
-        return cls(
-            num_nodes=graph.num_nodes,
-            depth=analyze_depth(graph),
-            counts=analyze_counts(graph),
-        )
+        counts, depth = analyze_profile(graph)
+        return cls(num_nodes=graph.num_nodes, depth=depth, counts=counts)
 
     def count(self, op: IrOp) -> int:
         return self.counts.get(op, 0)
@@ -402,9 +394,21 @@ def gather_segments(shift: int, width: int, rows: int) -> List[Tuple[int, int, i
 
 
 def _emit_gather(
-    b: IrBuilder, layout, vector: int, shift: int, width: int, rows: int
+    b: IrBuilder,
+    layout,
+    masks: Dict[Tuple[int, int], bytes],
+    vector: int,
+    shift: int,
+    width: int,
+    rows: int,
 ) -> int:
-    """Emit ``out[k*S+t] = v[k*S + (t+shift) % width]`` for every block."""
+    """Emit ``out[k*S+t] = v[k*S + (t+shift) % width]`` for every block.
+
+    ``masks`` is the graph's block-mask cache: the selection mask of
+    offsets ``[lo, hi)`` is tiled and validated once per graph, however
+    many (level, diagonal) gathers select that range — each use is still
+    its own CONST_PT node, so the naive emission is unchanged.
+    """
     if not 0 <= shift < width:
         raise CompileError(
             f"gather shift {shift} outside the logical width {width}"
@@ -422,16 +426,20 @@ def _emit_gather(
     terms: List[int] = []
     for amount, lo, hi in segments:
         rotated = b.rotate(vector, amount)
-        block = np.zeros(layout.stride, dtype=np.uint8)
-        block[lo:hi] = 1
-        mask = b.const(np.tile(block, layout.capacity))
-        terms.append(b.and_(rotated, mask))
+        payload = masks.get((lo, hi))
+        if payload is None:
+            block = np.zeros(layout.stride, dtype=np.uint8)
+            block[lo:hi] = 1
+            payload = pack_const(np.tile(block, layout.capacity))
+            masks[(lo, hi)] = payload
+        terms.append(b.and_(rotated, b.const_packed(payload)))
     return b.xor_all(terms)
 
 
 def _emit_batched_matvec(
     b: IrBuilder,
     layout,
+    masks: Dict[Tuple[int, int], bytes],
     diagonals: Sequence[int],
     rows: int,
     cols: int,
@@ -439,7 +447,9 @@ def _emit_batched_matvec(
 ) -> int:
     """Halevi-Shoup product applied independently inside every block."""
     products = [
-        b.and_(diagonal, _emit_gather(b, layout, vector, i, cols, rows))
+        b.and_(
+            diagonal, _emit_gather(b, layout, masks, vector, i, cols, rows)
+        )
         for i, diagonal in enumerate(diagonals)
     ]
     return b.xor_all(products)
@@ -463,6 +473,7 @@ def build_batched_inference_graph(
     if variant not in SECCOMP_VARIANTS:
         raise CompileError(f"unknown SecComp variant {variant!r}")
     b = IrBuilder()
+    masks: Dict[Tuple[int, int], bytes] = {}
     width = layout.stride * layout.capacity
     p = compiled.precision
 
@@ -492,6 +503,7 @@ def build_batched_inference_graph(
     branches = _emit_batched_matvec(
         b,
         layout,
+        masks,
         reshuffle_diags,
         rows=compiled.branching,
         cols=compiled.quantized_branching,
@@ -510,6 +522,7 @@ def build_batched_inference_graph(
         product = _emit_batched_matvec(
             b,
             layout,
+            masks,
             diags,
             rows=compiled.num_labels,
             cols=compiled.branching,

@@ -46,7 +46,7 @@ from repro.fhe.ciphertext import Ciphertext, PlainVector
 from repro.fhe.context import Vector
 from repro.fhe.tracker import OpKind
 from repro.ir.executor import tile_plain_extend
-from repro.ir.nodes import IrGraph, IrOp
+from repro.ir.nodes import IrGraph, IrOp, const_bits
 from repro.ir.passes import (
     _use_counts,
     collect_xor_tree,
@@ -635,7 +635,7 @@ def compile_tape(
     for node in graph.nodes:
         nid = node.node_id
         if node.op is IrOp.CONST_PT:
-            consts[nid] = PlainVector(np.array(node.attr, dtype=np.uint8))
+            consts[nid] = PlainVector(const_bits(node))
             continue
         if node.op in (IrOp.INPUT_CT, IrOp.INPUT_PT):
             input_nodes.append(nid)

@@ -1619,7 +1619,7 @@ class ClusterService:
                     "ship", worker, self.router.epochs[worker], name,
                     round(now, 9),
                 )
-                self._conns[worker].send((MSG_LOAD, envelope))
+                self._send_locked(worker, (MSG_LOAD, envelope))
 
     # -- control-plane seams --------------------------------------------
 
@@ -1774,11 +1774,24 @@ class ClusterService:
 
     # -- engine internals ----------------------------------------------
 
+    def _send_locked(self, worker: int, message) -> None:
+        """Send to a worker; a dead pipe is the receive loop's to handle.
+
+        A worker that died leaves EOF on its pipe, which the receive
+        loop turns into the crash path (epoch bump, ship ledger cleared,
+        in-flight batch re-placed) — so a failed send here loses
+        nothing, and no raw ``OSError`` reaches ``submit``/``preload``.
+        """
+        try:
+            self._conns[worker].send(message)
+        except (OSError, ValueError):  # BrokenPipeError is an OSError
+            pass
+
     def _dispatch_locked(self, now: float) -> None:
         for action in self.router.dispatch(now):
             if isinstance(action, ShipAction):
-                self._conns[action.worker].send(
-                    (MSG_LOAD, self._envelopes[action.model])
+                self._send_locked(
+                    action.worker, (MSG_LOAD, self._envelopes[action.model])
                 )
                 continue
             assignment = action.assignment
@@ -1799,10 +1812,7 @@ class ClusterService:
             # carry (worker, epoch), so either replica can resolve it.
             self._inflight[assignment.batch_id] = (assignment,
                                                    action.epoch)
-            try:
-                self._conns[worker].send((MSG_EVAL, request))
-            except (OSError, ValueError, BrokenPipeError):
-                pass  # the pipe just died; EOF handling crashes it
+            self._send_locked(worker, (MSG_EVAL, request))
 
     def _receive_loop(self) -> None:
         from multiprocessing.connection import wait as conn_wait
@@ -1848,12 +1858,8 @@ class ClusterService:
                 if now - last_ping >= self.heartbeat_interval_s:
                     last_ping = now
                     for worker, conn in enumerate(self._conns):
-                        if conn is None:
-                            continue  # retired worker
-                        try:
-                            conn.send((MSG_PING,))
-                        except (OSError, ValueError, BrokenPipeError):
-                            pass
+                        if conn is not None:  # None: retired worker
+                            self._send_locked(worker, (MSG_PING,))
                 self._dispatch_locked(now)
                 failures = self.router.drain_failures()
                 self._completion.notify_all()

@@ -161,8 +161,11 @@ class ServiceStats:
 
     @property
     def throughput_qps(self) -> float:
-        """Simulated queries/second with batches spread over the pool.
+        """Queries per *simulated* second with batches spread over the pool.
 
+        Derived from cost-model milliseconds (``inference_ms``), not from
+        wall-clock: it is the paper's throughput figure, not what a host
+        running this simulator serves (``perf/run.py`` measures that).
         Batches are the scheduling unit, so the pool's makespan is
         ``ceil(batches / threads)`` rounds of the mean batch time: a
         single batch gains nothing from idle workers, and a remainder
@@ -181,8 +184,8 @@ class ServiceStats:
             f"  batches evaluated   : {self.batches}",
             f"  avg batch fill      : {self.avg_batch_fill:.2f}",
             f"  amortized ms/query  : {self.amortized_ms_per_query:.2f}",
-            f"  throughput (q/s)    : {self.throughput_qps:.1f} "
-            f"({self.threads} workers)",
+            f"  sim throughput (q/s): {self.throughput_qps:.1f} "
+            f"({self.threads} workers; from simulated ms)",
             f"  one-time setup ms   : {self.setup_ms:.2f}",
             f"  batch encrypt ms    : {self.data_encrypt_ms:.2f}",
             f"  oracle failures     : {self.oracle_failures}",

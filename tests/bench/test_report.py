@@ -60,6 +60,17 @@ class TestTableRendering:
         header_len = len(lines[2])
         assert all(len(l) <= header_len + 2 for l in lines[3:])
 
+    def test_sub_unit_floats_keep_three_significant_digits(self):
+        """Bugfix lock: ".2f" printed the 2.22x megakernel row as 0.03
+        vs 0.02 ms/query."""
+        t = Table(title="X", columns=["engine", "wall_ms_per_query"])
+        t.add_row("tape", 0.0333)
+        t.add_row("megakernel", 0.015)
+        t.add_row("zero", 0.0)
+        t.add_row("unit", 1.0)
+        cells = [line.split()[-1] for line in t.render().splitlines()[4:]]
+        assert cells == ["0.0333", "0.0150", "0.00", "1.00"]
+
     def test_render_all(self):
         a = Table(title="A", columns=["c"])
         a.add_row(1)

@@ -28,6 +28,7 @@ from repro import (
 from repro.errors import CompileError, RuntimeProtocolError
 from repro.core.seccomp import VARIANT_ALOUFI, VARIANT_OPTIMIZED
 from repro.forest.synthetic import random_forest
+from repro.ir.nodes import const_bits
 
 
 class TestBuilder:
@@ -36,12 +37,12 @@ class TestBuilder:
         c = b.xor(b.const([1, 0, 1]), b.const([1, 1, 0]))
         node = b.graph.node(c)
         assert node.op is IrOp.CONST_PT
-        assert node.attr == (0, 1, 1)
+        assert const_bits(node).tolist() == [0, 1, 1]
 
     def test_and_constant_folding(self):
         b = IrBuilder()
         c = b.and_(b.const([1, 0, 1]), b.const([1, 1, 0]))
-        assert b.graph.node(c).attr == (1, 0, 0)
+        assert const_bits(b.graph.node(c)).tolist() == [1, 0, 0]
 
     def test_rotate_zero_is_identity(self):
         b = IrBuilder()
@@ -61,7 +62,7 @@ class TestBuilder:
     def test_rotate_constant_folds(self):
         b = IrBuilder()
         r = b.rotate(b.const([1, 0, 0]), 1)
-        assert b.graph.node(r).attr == (0, 0, 1)
+        assert const_bits(b.graph.node(r)).tolist() == [0, 0, 1]
 
     def test_width_mismatch_rejected(self):
         b = IrBuilder()

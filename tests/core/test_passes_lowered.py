@@ -7,8 +7,13 @@ full single-query and batched inference lowerings of compiled models.
 Properties: ``optimize`` reaches a fixed point within its iteration
 budget, is idempotent (a second run changes nothing), never increases
 multiplicative depth (or analyzed cost), and preserves executor output
-bit-for-bit on randomized inputs.
+bit-for-bit on randomized inputs.  Its one-rebuild sweep is held
+node-for-node to its specification — ``fuse_rotations`` ->
+``common_subexpression_elimination`` -> ``dead_code_elimination``
+composed to a fixed point — and the constant payload to its accessors.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -17,18 +22,25 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import (
     CopseCompiler,
     FheContext,
+    IrBuilder,
     analyze_cost,
     analyze_depth,
+    common_subexpression_elimination,
+    dead_code_elimination,
     execute,
+    fuse_rotations,
     lower_batched_inference,
     lower_inference,
     optimize,
+    schedule_rotations,
 )
+from repro.errors import DomainError
 from repro.core.runtime import DataOwner, ModelOwner
 from repro.fhe.costmodel import CostModel
 from repro.fhe.params import EncryptionParams
 from repro.forest.synthetic import random_forest
 from repro.ir.copse_ir import OUTPUT_LABELS, build_inference_graph
+from repro.ir.nodes import IrOp, const_bits, pack_const, roll_payload
 from repro.ir.plan import build_batched_inference_graph
 from repro.serve import plan_layout
 from repro.serve.batched_runtime import encrypt_batch
@@ -79,6 +91,182 @@ def graph_signature(graph):
         dict(graph.inputs),
         dict(graph.outputs),
     )
+
+
+def reference_optimize(graph):
+    """``optimize``'s specification: the three individually tested
+    passes, iterated until the graph stops changing."""
+    current = graph
+    for _ in range(8):
+        nxt = dead_code_elimination(
+            common_subexpression_elimination(fuse_rotations(current))
+        )
+        if graph_signature(nxt) == graph_signature(current):
+            return nxt
+        current = nxt
+    raise AssertionError("reference pipeline did not converge")
+
+
+class TestSweepMatchesReference:
+    """The one-rebuild sweep is an implementation of the three passes,
+    not a new optimizer: same nodes, same order, same interface."""
+
+    def test_same_signature_as_composed_reference_passes(
+        self, compiled, layout
+    ):
+        for name, raw in lowered_graphs(compiled, layout).items():
+            once = optimize(raw)
+            assert graph_signature(once) == graph_signature(
+                reference_optimize(raw)
+            ), name
+            # ... and on the tape compiler's second call site, after
+            # the rotation scheduler rewrote the gathers.
+            scheduled = schedule_rotations(once)
+            assert graph_signature(optimize(scheduled)) == graph_signature(
+                reference_optimize(scheduled)
+            ), name
+
+    def test_fixed_point_is_returned_as_is(self, compiled, layout):
+        """"Nothing rewritten" is a signal, not a node-count comparison:
+        a graph already at the fixed point comes back as the same object,
+        at any iteration budget."""
+        for name, raw in lowered_graphs(compiled, layout).items():
+            once = optimize(raw)
+            assert optimize(once) is once, name
+            assert optimize(once, max_iterations=1) is once, name
+
+    def test_unmoved_nodes_are_reused(self, compiled, layout):
+        _, model = compiled
+        raw = build_inference_graph(model, encrypted_model=True)
+        once = optimize(raw)
+        kept = sum(1 for n in once.nodes if raw.node(n.node_id) is n)
+        assert kept > 0
+        for node in once.nodes:  # reuse never smuggles in a stale id
+            assert once.node(node.node_id) is node
+
+    def test_rotation_chains_and_zero_rotations(self):
+        b = IrBuilder()
+        x = b.input_ct("x", 8)
+        g = b.graph
+        # Hand-built (the builder would fuse these itself).
+        r3 = g.add(IrOp.ROTATE, (x,), attr=(3,), width=8)
+        r5 = g.add(IrOp.ROTATE, (r3,), attr=(5,), width=8)   # == x
+        r2 = g.add(IrOp.ROTATE, (r3,), attr=(7,), width=8)   # rot(x, 2)
+        dup = g.add(IrOp.ROTATE, (x,), attr=(10,), width=8)  # rot(x, 2)
+        b.output("same", b.xor(r5, r2))
+        b.output("dup", dup)
+        graph = b.build()
+        opt = optimize(graph)
+        assert graph_signature(opt) == graph_signature(
+            reference_optimize(graph)
+        )
+        assert [n.op for n in opt.nodes] == [
+            IrOp.INPUT_CT, IrOp.ROTATE, IrOp.ADD
+        ]
+        assert opt.node(1).attr == (2,)
+        assert opt.outputs == {"same": 2, "dup": 1}
+
+
+BITS = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
+
+
+class TestConstantPayload:
+    """CONST_PT payloads are touched only through ``repro.ir.nodes``."""
+
+    @given(bits=BITS, shift=st.integers(min_value=-200, max_value=200))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, bits, shift):
+        b = IrBuilder()
+        node = b.graph.node(b.const(bits))
+        assert node.op is IrOp.CONST_PT and node.width == len(bits)
+        assert node.attr == pack_const(bits)
+        view = const_bits(node)
+        assert view.dtype == np.uint8 and not view.flags.writeable
+        assert view.tolist() == bits
+        assert np.frombuffer(
+            roll_payload(node.attr, shift), dtype=np.uint8
+        ).tolist() == np.roll(bits, shift).tolist()
+        # The builder's rotation convention is the context's: left.
+        rolled = b.graph.node(b.rotate(node.node_id, shift))
+        assert const_bits(rolled).tolist() == np.roll(bits, -shift).tolist()
+
+    @given(bits=BITS)
+    @settings(max_examples=30, deadline=None)
+    def test_equal_bits_share_one_payload_per_graph(self, bits):
+        b = IrBuilder()
+        first = b.const(bits)
+        again = b.const(np.array(bits, dtype=np.uint8))
+        folded = b.xor(first, b.const([0] * len(bits)))
+        nodes = [b.graph.node(i) for i in (first, again, folded)]
+        assert first != again  # still one node per emission
+        assert nodes[0].attr is nodes[1].attr is nodes[2].attr
+
+    @pytest.mark.parametrize(
+        "bad", [[], [0, 2, 1], [-1], [0.0, 1.0], [[0, 1]], np.zeros((2, 2))]
+    )
+    def test_domain_errors_still_raised(self, bad):
+        with pytest.raises(DomainError):
+            IrBuilder().const(bad)
+        with pytest.raises(DomainError):
+            pack_const(bad)
+
+
+class TestPickledPlans:
+    """What the cluster ships: a reloaded plan/tape is the same program,
+    and running a plan leaves nothing behind in its pickle."""
+
+    def _session(self, compiled, layout):
+        from repro.serve.batched_runtime import build_batched_model
+
+        forest, model = compiled
+        rng = np.random.default_rng(11)
+        queries = [
+            [int(v) for v in rng.integers(0, 1 << PRECISION, 3)]
+            for _ in range(layout.capacity)
+        ]
+
+        def run(program):
+            ctx = FheContext()
+            keys = ctx.keygen()
+            batched = build_batched_model(
+                ctx, model, layout, public_key=keys.public
+            )
+            query = encrypt_batch(ctx, layout, queries, keys)
+            out = program.run(ctx, batched, query)
+            return (
+                ctx.decrypt_bits(out, keys.secret),
+                ctx.tracker.total_counts(),
+                ctx.tracker.multiplicative_depth(),
+                out.noise,
+            )
+
+        return run
+
+    def test_reloaded_plan_and_tape_are_the_same_program(
+        self, compiled, layout
+    ):
+        _, model = compiled
+        run = self._session(compiled, layout)
+        plan = lower_batched_inference(model, layout)
+        for program in (plan, plan.compile_tape()):
+            clone = pickle.loads(
+                pickle.dumps(program, pickle.HIGHEST_PROTOCOL)
+            )
+            assert run(clone) == run(program), type(program).__name__
+        clone = pickle.loads(pickle.dumps(plan))
+        assert graph_signature(clone.graph) == graph_signature(plan.graph)
+
+    def test_running_a_plan_does_not_grow_its_pickle(self, compiled, layout):
+        """Bugfix lock: the executor's encoded-constant cache used to
+        ride along in ``IrGraph.__dict__``, so a plan that had run once
+        shipped every constant twice."""
+        _, model = compiled
+        plan = lower_batched_inference(model, layout)
+        before = len(pickle.dumps(plan))
+        self._session(compiled, layout)(plan)
+        assert plan.graph._const_cache  # the run did fill the cache
+        assert len(pickle.dumps(plan)) == before
+        assert pickle.loads(pickle.dumps(plan)).graph._const_cache == {}
 
 
 class TestFixedPoint:

@@ -560,6 +560,60 @@ class TestRealCluster:
         kinds = {d[0] for d in decisions}
         assert "crash" in kinds and "restart" in kinds
 
+    def test_real_worker_dead_before_first_ship_takes_crash_path(
+        self, example_forest
+    ):
+        """Bugfix lock: the ``MSG_LOAD`` sends were unguarded, so a pool
+        that died before a model's first ship leaked a raw
+        ``BrokenPipeError`` out of ``preload()`` / ``submit()``.
+
+        The receive loop is parked inside a done-callback (which it runs
+        outside the service lock), so it cannot notice the deaths first:
+        both ships below are guaranteed to hit dead pipes."""
+        import threading
+
+        from repro.errors import CopseError
+
+        queries = real_queries(example_forest, 5, seed=17)
+        parked, gate = threading.Event(), threading.Event()
+        with ClusterService(workers=2, backend="vector",
+                            max_retries=3) as service:
+            for name in ("warm", "cold-preload", "cold-submit"):
+                service.register_model(
+                    name, example_forest, precision=8, max_batch_size=4
+                )
+            warm = service.submit("warm", queries[0])
+            warm.add_done_callback(
+                lambda _: (parked.set(), gate.wait(timeout=60))
+            )
+            service.flush("warm")
+            assert parked.wait(timeout=60)
+            try:
+                for proc in list(service._procs):
+                    proc.kill()
+                    proc.join(timeout=10)
+                service.preload("cold-preload")
+                futures = [
+                    service.submit("cold-submit", q) for q in queries[1:]
+                ]
+                service.flush("cold-submit")
+            finally:
+                gate.set()
+            for features, future in zip(queries[1:], futures):
+                try:
+                    res = future.result(timeout=120)
+                except CopseError:
+                    continue  # a typed failure is an accounted outcome
+                assert res.bitvector == example_forest.label_bitvector(
+                    features
+                )
+            assert service.drain(timeout=60)
+            stats = service.stats()
+            decisions = service.decisions
+        assert_conserved(stats)
+        assert stats.submitted == 5
+        assert "crash" in {d[0] for d in decisions}
+
     def test_real_sigstop_worker_detected_by_heartbeat(
         self, example_forest
     ):
