@@ -89,6 +89,23 @@ def _workloads(names: Optional[Sequence[str]]) -> List[Workload]:
     return cached_workloads(names)
 
 
+def _best_of(run, repeats: int) -> float:
+    """Best wall-clock seconds of ``repeats`` runs, after one warm run
+    (plans, masks, flyweights, the megakernel's capture) outside the
+    timing."""
+    import time
+
+    run()
+    best = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        elapsed = time.perf_counter() - start
+        if best is None or elapsed < best:
+            best = elapsed
+    return best
+
+
 def _append_geomeans(table: Table, speedup_col: str) -> None:
     """Add the paper's micro / real-world geomean summary rows."""
     idx = table.columns.index(speedup_col)
@@ -667,11 +684,8 @@ def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
     work per query.
     """
     from repro.errors import ValidationError
-    from repro.core.runtime import (
-        INFERENCE_PHASES,
-        PHASE_PLAN,
-        secure_inference,
-    )
+    from repro.core.engines import engine_row
+    from repro.core.runtime import INFERENCE_PHASES, secure_inference
     from repro.fhe.costmodel import CostModel
     from repro.fhe.tracker import OpKind
     from repro.ir.plan import lower_inference
@@ -691,37 +705,32 @@ def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
             tracker.phase_stats(p).counts.get(kind, 0) for p in phases
         )
 
-    eager_ms: List[float] = []
-    plan_ms: List[float] = []
-    eager_rotations = eager_multiplies = 0
-    plan_rotations = plan_multiplies = 0
+    # engine -> (its tracker phases, the prebuilt artifact it runs)
+    runs = {
+        "eager": (INFERENCE_PHASES, {}),
+        "plan": (engine_row("plan").phases, {"plan": plan}),
+    }
+    ms: Dict[str, List[float]] = {engine: [] for engine in runs}
+    rotations = dict.fromkeys(runs, 0)
+    multiplies = dict.fromkeys(runs, 0)
     oracle_ok = True
     for features in workload.query_features(queries):
         expected = workload.forest.label_bitvector(features)
-
-        eager = secure_inference(compiled, features)
-        oracle_ok &= eager.result.bitvector == expected
-        eager_ms.append(
-            cost_model.sequential_ms(eager.tracker, phases=INFERENCE_PHASES)
-        )
-        eager_rotations = phase_count(
-            eager.tracker, INFERENCE_PHASES, OpKind.ROTATE
-        )
-        eager_multiplies = phase_count(
-            eager.tracker, INFERENCE_PHASES, OpKind.MULTIPLY
-        )
-
-        planned = secure_inference(compiled, features, engine="plan", plan=plan)
-        oracle_ok &= planned.result.bitvector == expected
-        plan_ms.append(
-            cost_model.sequential_ms(planned.tracker, phases=(PHASE_PLAN,))
-        )
-        plan_rotations = phase_count(
-            planned.tracker, (PHASE_PLAN,), OpKind.ROTATE
-        )
-        plan_multiplies = phase_count(
-            planned.tracker, (PHASE_PLAN,), OpKind.MULTIPLY
-        )
+        for engine, (phases, artifact) in runs.items():
+            outcome = secure_inference(
+                compiled, features, engine=engine, **artifact
+            )
+            oracle_ok &= outcome.result.bitvector == expected
+            ms[engine].append(
+                cost_model.sequential_ms(outcome.tracker, phases=phases)
+            )
+            rotations[engine] = phase_count(
+                outcome.tracker, phases, OpKind.ROTATE
+            )
+            multiplies[engine] = phase_count(
+                outcome.tracker, phases, OpKind.MULTIPLY
+            )
+    eager_ms, plan_ms = ms["eager"], ms["plan"]
 
     def median(values: List[float]) -> float:
         ranked = sorted(values)
@@ -733,8 +742,8 @@ def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
     )
     table.add_row(
         "eager",
-        eager_rotations,
-        eager_multiplies,
+        rotations["eager"],
+        multiplies["eager"],
         median(eager_ms),
         "ok" if oracle_ok else "MISMATCH",
     )
@@ -747,8 +756,8 @@ def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
     )
     table.add_row(
         "plan",
-        plan_rotations,
-        plan_multiplies,
+        rotations["plan"],
+        multiplies["plan"],
         median(plan_ms),
         "ok" if oracle_ok else "MISMATCH",
     )
@@ -759,6 +768,56 @@ def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
             f"rotations over the naive lowering ({plan.describe()})"
         )
     return table
+
+
+def _time_engine_batches(artifact, workload_name, engine, modes, repeats,
+                        backend):
+    """Register ``workload_name`` under ``engine`` and time one
+    full-capacity batch per mode through the serve pipeline.
+
+    ``modes(registered)`` lists ``(label, engine, model)`` rows.
+    Returns ``(registered, batch size, {label: (wall ms per query, the
+    engine phases' op counts by kind name, oracle agreement)})`` — each
+    time the best of ``repeats``.
+    """
+    from repro.errors import ValidationError
+    from repro.core.engines import engine_row
+    from repro.serve.batched_runtime import evaluate_registered_batch
+    from repro.serve.registry import ModelRegistry
+
+    if repeats < 1:
+        raise ValidationError(
+            f"{artifact} needs at least one repeat, got {repeats}"
+        )
+    workload = _workloads([workload_name])[0]
+    registered = ModelRegistry().register(
+        f"{artifact}-{workload_name}", workload.compiled,
+        params=EncryptionParams.paper_defaults(),
+        backend=backend, engine=engine,
+    )
+    queries = workload.query_features(registered.layout.capacity)
+    oracle = [workload.forest.label_bitvector(f) for f in queries]
+    results = {}
+    for label, mode_engine, model in modes(registered):
+        counts: Dict[str, int] = {}
+        bits_ok = True
+
+        def run_batch():
+            nonlocal bits_ok
+            evaluation = evaluate_registered_batch(
+                model, queries, engine=mode_engine
+            )
+            bits_ok = bits_ok and evaluation.bitvectors == oracle
+            counts.clear()
+            for phase in engine_row(mode_engine).phases:
+                stats = evaluation.tracker.phase_stats(phase)
+                for kind, n in stats.counts.items():
+                    if n:
+                        counts[kind.name] = counts.get(kind.name, 0) + n
+
+        best = _best_of(run_batch, repeats)
+        results[label] = (best * 1000.0 / len(queries), counts, bits_ok)
+    return registered, len(queries), results
 
 
 # ---------------------------------------------------------------------------
@@ -792,74 +851,30 @@ def tape_speedup(
     from the tracker (the plan baseline guard pins the tape's strictly
     below the plan's).
     """
-    import time
+    from dataclasses import replace
 
-    from repro.errors import ValidationError
-    from repro.fhe.context import FheContext
-    from repro.fhe.tracker import OpKind
-    from repro.serve.batched_runtime import BatchedCopseServer, encrypt_batch
-    from repro.serve.packing import demux_bitvectors
-    from repro.serve.registry import ModelRegistry
-
-    if repeats < 1:
-        raise ValidationError(
-            f"tape_speedup needs at least one repeat, got {repeats}"
+    def modes(registered):
+        defused = replace(
+            registered, tape=registered.plan.compile_tape(fuse=False)
         )
-    workload = _workloads([workload_name])[0]
-    compiled = workload.compiled
-    params = EncryptionParams.paper_defaults()
-    registered = ModelRegistry().register(
-        f"tape-bench-{workload_name}", compiled, params=params,
-        backend=backend, engine="tape",
-    )
-    layout = registered.layout
-    queries = workload.query_features(layout.capacity)
-    oracle = [workload.forest.label_bitvector(f) for f in queries]
-    defused = registered.plan.compile_tape(fuse=False)
-
-    modes = (
-        ("plan", "plan", registered.plan, None, "plan_inference"),
-        ("tape", "tape", None, registered.tape, "tape_inference"),
-        ("tape (de-fused)", "tape", None, defused, "tape_inference"),
-    )
-    results = {}
-    for label, engine, plan, tape, phase in modes:
-        rotations = 0
-        bits_ok = True
-
-        def run_batch():
-            nonlocal rotations, bits_ok
-            ctx = FheContext(params, backend=backend)
-            server = BatchedCopseServer(
-                ctx, engine=engine, plan=plan, tape=tape
-            )
-            query = encrypt_batch(ctx, layout, queries, registered.keys)
-            encrypted = server.classify_batch(
-                registered.batched_model, query
-            )
-            bits = ctx.decrypt_bits(encrypted, registered.keys.secret)
-            demuxed = demux_bitvectors(layout, bits, len(queries))
-            bits_ok = bits_ok and demuxed == oracle
-            rotations = ctx.tracker.phase_stats(phase).counts.get(
-                OpKind.ROTATE, 0
-            )
-
-        run_batch()  # warm caches (masks, flyweights, index matrices)
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run_batch()
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        results[label] = (
-            best * 1000.0 / len(queries), rotations, bits_ok,
+        return (
+            ("plan", "plan", registered),
+            ("tape", "tape", registered),
+            ("tape (de-fused)", "tape", defused),
         )
+
+    registered, batch_size, timed = _time_engine_batches(
+        "tape_speedup", workload_name, "tape", modes, repeats, backend
+    )
+    results = {
+        label: (ms, counts.get("ROTATE", 0), ok)
+        for label, (ms, counts, ok) in timed.items()
+    }
 
     table = Table(
         title=(
             f"Tape speedup — {workload_name} batched serve "
-            f"({len(queries)}-query batches, {backend} backend, "
+            f"({batch_size}-query batches, {backend} backend, "
             f"best of {repeats})"
         ),
         columns=["engine", "rotations", "wall_ms_per_query", "speedup",
@@ -921,79 +936,24 @@ def megakernel_speedup(
     bit-identity witness; op counts come from the tracker and must
     match between rows.
     """
-    import time
-
-    from repro.errors import ValidationError
-    from repro.fhe.context import FheContext
-    from repro.serve.batched_runtime import BatchedCopseServer, encrypt_batch
-    from repro.serve.packing import demux_bitvectors
-    from repro.serve.registry import ModelRegistry
-
-    if repeats < 1:
-        raise ValidationError(
-            f"megakernel_speedup needs at least one repeat, got {repeats}"
-        )
-    workload = _workloads([workload_name])[0]
-    compiled = workload.compiled
-    params = EncryptionParams.paper_defaults()
-    registered = ModelRegistry().register(
-        f"megakernel-bench-{workload_name}", compiled, params=params,
-        backend=backend, engine="megakernel",
+    registered, batch_size, results = _time_engine_batches(
+        "megakernel_speedup", workload_name, "megakernel",
+        lambda registered: [
+            (engine, engine, registered) for engine in ("tape", "megakernel")
+        ],
+        repeats, backend,
     )
-    layout = registered.layout
-    queries = workload.query_features(layout.capacity)
-    oracle = [workload.forest.label_bitvector(f) for f in queries]
-
-    modes = (
-        ("tape", "tape", registered.tape, None, "tape_inference"),
-        ("megakernel", "megakernel", None, registered.megakernel,
-         "megakernel_inference"),
-    )
-    results = {}
-    counts = {}
-    for label, engine, tape, kernel, phase in modes:
-        bits_ok = True
-
-        def run_batch():
-            nonlocal bits_ok
-            ctx = FheContext(params, backend=backend)
-            server = BatchedCopseServer(
-                ctx, engine=engine, tape=tape, megakernel=kernel
-            )
-            query = encrypt_batch(ctx, layout, queries, registered.keys)
-            encrypted = server.classify_batch(
-                registered.batched_model, query
-            )
-            bits = ctx.decrypt_bits(encrypted, registered.keys.secret)
-            demuxed = demux_bitvectors(layout, bits, len(queries))
-            bits_ok = bits_ok and demuxed == oracle
-            counts[label] = {
-                kind.name: n
-                for kind, n in
-                ctx.tracker.phase_stats(phase).counts.items()
-                if n
-            }
-
-        run_batch()  # warm caches (and the megakernel's capture run)
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run_batch()
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        results[label] = (best * 1000.0 / len(queries), bits_ok)
 
     table = Table(
         title=(
             f"Megakernel speedup — {workload_name} batched serve "
-            f"({len(queries)}-query batches, {backend} backend, "
+            f"({batch_size}-query batches, {backend} backend, "
             f"best of {repeats})"
         ),
         columns=["engine", "wall_ms_per_query", "speedup", "oracle"],
     )
     tape_ms = results["tape"][0]
-    for label, (ms, ok) in results.items():
+    for label, (ms, _, ok) in results.items():
         table.add_row(
             label,
             ms,
@@ -1001,7 +961,7 @@ def megakernel_speedup(
             "ok" if ok else "MISMATCH",
         )
     kernel = registered.megakernel
-    counts_ok = counts.get("tape") == counts.get("megakernel")
+    counts_ok = results["tape"][1] == results["megakernel"][1]
     table.add_note(
         f"megakernel vs tape: "
         f"{tape_ms / results['megakernel'][0]:.2f}x wall-clock "
@@ -1045,8 +1005,6 @@ def tracing_overhead(
     contract against ``plan_baseline.json``); the traced/profiled rows
     document what opting in costs.
     """
-    import time
-
     from repro.errors import ValidationError
     from repro.ir.plan import bind_model_query
     from repro.obs.profiler import TapeProfiler
@@ -1068,15 +1026,7 @@ def tracing_overhead(
     queries = workload.query_features(registered.layout.capacity)
 
     def best_of(run) -> float:
-        run()  # warm caches outside the timing
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run()
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        return best * 1000.0
+        return _best_of(run, repeats) * 1000.0
 
     def batch_run(tracer, clock):
         batcher = QueryBatcher(
@@ -1183,14 +1133,12 @@ def backend_speedup(
     ``queries`` queries (full batches for the batched modes), and every
     decrypted bitvector is checked against the plaintext oracle.
     """
-    import time
-
     from repro.errors import ValidationError
     from repro.core.runtime import CopseServer, DataOwner, ModelOwner
     from repro.fhe.backend import available_backends
     from repro.fhe.context import FheContext
-    from repro.serve.batched_runtime import BatchedCopseServer, encrypt_batch
-    from repro.serve.packing import demux_bitvectors, plan_layout
+    from repro.serve.batched_runtime import evaluate_registered_batch
+    from repro.serve.packing import plan_layout
     from repro.serve.registry import ModelRegistry
 
     if queries < 1:
@@ -1221,15 +1169,7 @@ def backend_speedup(
 
     def best_ms(run, per_run_queries: int) -> float:
         """Best-of-``repeats`` wall-clock ms per query for one mode."""
-        run()  # warm caches (plans, masks, flyweights) outside the timing
-        best = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run()
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        return best * 1000.0 / per_run_queries
+        return _best_of(run, repeats) * 1000.0 / per_run_queries
 
     results = {}
     for backend in backends:
@@ -1258,29 +1198,18 @@ def backend_speedup(
         registered = ModelRegistry().register(
             f"bench-{backend}", compiled, params=params, backend=backend
         )
-        layout = registered.layout
-
-        for mode, engine, plan in (
-            ("batched/plan", "plan", registered.plan),
-            ("batched/eager", "eager", None),
-        ):
-            batch_ctx = FheContext(params, backend=backend)
-            server = BatchedCopseServer(batch_ctx, engine=engine, plan=plan)
+        for engine in ("plan", "eager"):
+            mode = f"batched/{engine}"
             oracle_ok = True
 
             def run_batch():
                 nonlocal oracle_ok
-                query = encrypt_batch(
-                    batch_ctx, layout, batch_queries, registered.keys
+                evaluation = evaluate_registered_batch(
+                    registered, batch_queries, engine=engine
                 )
-                encrypted = server.classify_batch(
-                    registered.batched_model, query
+                oracle_ok = oracle_ok and (
+                    evaluation.bitvectors == batch_oracle
                 )
-                bits = batch_ctx.decrypt_bits(
-                    encrypted, registered.keys.secret
-                )
-                demuxed = demux_bitvectors(layout, bits, len(batch_queries))
-                oracle_ok = oracle_ok and demuxed == batch_oracle
 
             results[(backend, mode)] = (
                 best_ms(run_batch, len(batch_queries)), oracle_ok,

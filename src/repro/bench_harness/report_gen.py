@@ -242,30 +242,21 @@ def engine_profiles(workload_name: str = "width78") -> List[Dict]:
             },
         )
 
-    single = lower_inference(compiled)
-    profile_record("single", "plan", single.optimized)
-    single_tape = single.compile_tape()
-    profile_record(
-        "single", "tape", single_tape.profile,
-        {
-            "peak_live": single_tape.peak_live,
-            "slots": single_tape.num_slots,
-            "instructions": single_tape.num_instructions,
-        },
-    )
-    megakernel_record("single", single_tape)
-    batched = lower_batched_inference(compiled, layout)
-    profile_record("batched", "plan", batched.optimized)
-    batched_tape = batched.compile_tape()
-    profile_record(
-        "batched", "tape", batched_tape.profile,
-        {
-            "peak_live": batched_tape.peak_live,
-            "slots": batched_tape.num_slots,
-            "instructions": batched_tape.num_instructions,
-        },
-    )
-    megakernel_record("batched", batched_tape)
+    for shape, plan in (
+        ("single", lower_inference(compiled)),
+        ("batched", lower_batched_inference(compiled, layout)),
+    ):
+        profile_record(shape, "plan", plan.optimized)
+        tape = plan.compile_tape()
+        profile_record(
+            shape, "tape", tape.profile,
+            {
+                "peak_live": tape.peak_live,
+                "slots": tape.num_slots,
+                "instructions": tape.num_instructions,
+            },
+        )
+        megakernel_record(shape, tape)
     return records
 
 

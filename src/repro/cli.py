@@ -38,6 +38,7 @@ from typing import List, Optional
 from repro.errors import CopseError
 from repro.core.codegen import generate_module_source
 from repro.core.compiler import CopseCompiler
+from repro.core.engines import ENGINES
 from repro.core.runtime import secure_inference
 from repro.forest.serialize import loads_forest
 
@@ -72,12 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_opts = argparse.ArgumentParser(add_help=False, parents=[backend_opts])
     run_opts.add_argument(
         "--engine",
-        choices=["eager", "plan", "tape", "megakernel"],
+        choices=list(ENGINES),
         default=None,
         help="execution path: the eager Algorithm 1 interpreter, the "
-        "optimized IR inference plan, or the compiled tape (linearized "
-        "plan with register reuse and fused kernels; default: eager for "
-        "classify, tape for the batched commands)",
+        "optimized IR inference plan, the compiled tape (linearized "
+        "plan with register reuse and fused kernels), or the megakernel "
+        "(the tape compiled into zero-dispatch vectorized segments; "
+        "default: eager for classify, tape for the batched commands)",
     )
 
     seed_opts = argparse.ArgumentParser(add_help=False)

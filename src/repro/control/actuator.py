@@ -115,7 +115,10 @@ class ClusterPlant:
         elif isinstance(proposal, SetAdmissionLimit):
             svc.set_admission_limit(proposal.queue, proposal.limit)
         elif isinstance(proposal, SwitchEngine):
-            svc.set_model_engine(proposal.model, proposal.engine)
+            svc.set_model_engine(
+                proposal.model, proposal.engine,
+                expected_fingerprint=proposal.expected_fingerprint,
+            )
         else:
             # Backend switches re-encrypt the model; the cluster ships
             # compiled bundles and would need a coordinated re-ship +

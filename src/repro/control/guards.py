@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.errors import ValidationError
+from repro.core.engines import ENGINES as _ENGINES
 from repro.control.policy import (
     AdjustTenantWeight,
     Proposal,
@@ -43,9 +44,6 @@ from repro.control.policy import (
 from repro.control.signals import ControlSnapshot
 
 __all__ = ["GuardConfig", "GuardRail"]
-
-#: Engines a switch proposal may target (mirrors repro.core.runtime).
-_ENGINES = ("eager", "plan", "tape", "megakernel")
 
 
 @dataclass(frozen=True)

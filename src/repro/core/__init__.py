@@ -11,6 +11,8 @@
 * :mod:`repro.core.matmul` — Halevi-Shoup diagonal matrix-vector product;
 * :mod:`repro.core.compiler` — the COPSE compiler: forest -> CompiledModel;
 * :mod:`repro.core.codegen` — staging back end emitting specialized source;
+* :mod:`repro.core.engines` — the engine table: what each execution
+  engine runs, where its work is booked, and the one checked path;
 * :mod:`repro.core.runtime` — Maurice / Diane / Sally and Algorithm 1;
 * :mod:`repro.core.complexity` — the analytic op counts of Tables 1 and 2;
 * :mod:`repro.core.extensions` — the Section 7.2 privacy/performance knobs.

@@ -28,6 +28,19 @@ import numpy as np
 
 from repro.errors import RuntimeProtocolError
 from repro.core.compiler import CompiledModel
+from repro.core.engines import (
+    ENGINE_EAGER,
+    PHASE_ACCUMULATE,
+    PHASE_BOOTSTRAP,
+    PHASE_COMPARISON,
+    PHASE_DATA_ENCRYPT,
+    PHASE_LEVELS,
+    PHASE_MODEL_ENCRYPT,
+    PHASE_RESHUFFLE,
+    engine_row,
+    ensure_artifacts,
+    run_artifact,
+)
 from repro.core.matmul import halevi_shoup_matvec
 from repro.core.seccomp import VARIANT_ALOUFI, secure_compare
 from repro.fhe.ciphertext import Ciphertext, PlainVector
@@ -36,28 +49,6 @@ from repro.fhe.keys import KeyPair, PublicKey, SecretKey
 from repro.fhe.params import EncryptionParams
 from repro.fhe.simd import replicate, to_bitplanes
 
-#: Tracker phase names, in execution order.
-PHASE_MODEL_ENCRYPT = "model_encrypt"
-PHASE_DATA_ENCRYPT = "data_encrypt"
-PHASE_COMPARISON = "comparison"
-PHASE_BOOTSTRAP = "bootstrap"
-PHASE_RESHUFFLE = "reshuffle"
-PHASE_LEVELS = "levels"
-PHASE_ACCUMULATE = "accumulate"
-
-#: Phase recorded by the plan engine: the whole optimized pipeline (plus
-#: the Aloufi all-ones helper encryption) executes as one IR graph, so it
-#: cannot be split across the four eager stage phases.
-PHASE_PLAN = "plan_inference"
-
-#: Phase recorded by the tape engine (the compiled, register-allocated
-#: execution tier of :mod:`repro.ir.tape`), mirroring ``plan_inference``.
-PHASE_TAPE = "tape_inference"
-
-#: Phase recorded by the megakernel engine (the zero-dispatch compiled
-#: tier of :mod:`repro.ir.megakernel`), mirroring ``tape_inference``.
-PHASE_MEGAKERNEL = "megakernel_inference"
-
 INFERENCE_PHASES = (
     PHASE_COMPARISON,
     PHASE_BOOTSTRAP,
@@ -65,23 +56,6 @@ INFERENCE_PHASES = (
     PHASE_LEVELS,
     PHASE_ACCUMULATE,
 )
-
-#: Execution engines: ``eager`` interprets Algorithm 1 stage by stage;
-#: ``plan`` executes a cached, optimizer-processed
-#: :class:`~repro.ir.plan.InferencePlan` lowering of the same pipeline;
-#: ``tape`` executes the plan's compiled
-#: :class:`~repro.ir.tape.CompiledTape` — linearized instructions with
-#: register reuse, scheduled rotations, and fused kernels (the serve
-#: default); ``megakernel`` executes the tape's
-#: :class:`~repro.ir.megakernel.MegaKernel` compilation — the whole
-#: instruction stream as precomputed gather/mask planes with no
-#: per-instruction Python dispatch, falling back to the tape loop on
-#: backends without the ``megakernel_ops`` capability.
-ENGINE_EAGER = "eager"
-ENGINE_PLAN = "plan"
-ENGINE_TAPE = "tape"
-ENGINE_MEGAKERNEL = "megakernel"
-ENGINES = (ENGINE_EAGER, ENGINE_PLAN, ENGINE_TAPE, ENGINE_MEGAKERNEL)
 
 
 @dataclass(frozen=True)
@@ -302,6 +276,27 @@ class DataOwner:
         )
 
 
+def compare_stage(
+    ctx: FheContext, query: EncryptedQuery, thresholds, variant: str
+) -> Ciphertext:
+    """Algorithm 1's comparison stage (single-query and batched alike:
+    SecComp is slot-wise, so packing does not change it)."""
+    with ctx.tracker.phase(PHASE_COMPARISON):
+        not_one = None
+        if variant == VARIANT_ALOUFI:
+            if query.public_key is None:
+                raise RuntimeProtocolError(
+                    "the Aloufi SecComp variant needs the query's "
+                    "public key to encrypt the all-ones helper"
+                )
+            not_one = ctx.encrypt(
+                ctx.ones(query.width).to_array(), query.public_key
+            )
+        return secure_compare(
+            ctx, query.planes, thresholds, variant=variant, not_one=not_one
+        )
+
+
 class CopseServer:
     """Sally: executes the vectorized inference of Algorithm 1.
 
@@ -338,11 +333,7 @@ class CopseServer:
         tape=None,
         megakernel=None,
     ):
-        if engine not in ENGINES:
-            raise RuntimeProtocolError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        if engine != ENGINE_EAGER and auto_bootstrap:
+        if engine_row(engine).artifact is not None and auto_bootstrap:
             raise RuntimeProtocolError(
                 "the plan/tape/megakernel engines have no bootstrap node; "
                 "use engine='eager' with auto_bootstrap, or parameters "
@@ -370,31 +361,16 @@ class CopseServer:
                 f"quantized branching {model.quantized_branching}; was the "
                 f"feature vector replicated with the right multiplicity?"
             )
-        if self.engine == ENGINE_PLAN:
-            return self._classify_plan(model, query)
-        if self.engine == ENGINE_TAPE:
-            return self._classify_tape(model, query)
-        if self.engine == ENGINE_MEGAKERNEL:
-            return self._classify_megakernel(model, query)
-
-        with ctx.tracker.phase(PHASE_COMPARISON):
-            not_one = None
-            if self.seccomp_variant == VARIANT_ALOUFI:
-                if query.public_key is None:
-                    raise RuntimeProtocolError(
-                        "the Aloufi SecComp variant needs the query's "
-                        "public key to encrypt the all-ones helper"
-                    )
-                not_one = ctx.encrypt(
-                    ctx.ones(query.width).to_array(), query.public_key
-                )
-            decisions = secure_compare(
-                ctx,
-                query.planes,
-                model.threshold_planes,
-                variant=self.seccomp_variant,
-                not_one=not_one,
+        row = engine_row(self.engine)
+        if row.artifact is not None:
+            return run_artifact(
+                row, getattr(self, row.artifact), ctx, model, query,
+                self.seccomp_variant,
             )
+
+        decisions = compare_stage(
+            ctx, query, model.threshold_planes, self.seccomp_variant
+        )
 
         if self.auto_bootstrap:
             import math
@@ -427,77 +403,6 @@ class CopseServer:
         if not isinstance(result, Ciphertext):  # pragma: no cover
             raise RuntimeProtocolError("inference result must be encrypted")
         return result
-
-    def _classify_plan(
-        self, model: EncryptedModel, query: EncryptedQuery
-    ) -> Ciphertext:
-        """Execute the cached single-query plan against this query."""
-        plan = self.plan
-        if plan is None:
-            raise RuntimeProtocolError(
-                "engine='plan' needs an InferencePlan; lower one with "
-                "repro.ir.plan.lower_inference (or call "
-                "secure_inference(engine='plan'), which does)"
-            )
-        if plan.batched:
-            raise RuntimeProtocolError(
-                "a batched plan cannot serve the single-query server; "
-                "lower with lower_inference instead"
-            )
-        if plan.variant != self.seccomp_variant:
-            raise RuntimeProtocolError(
-                f"plan was lowered with SecComp variant {plan.variant!r} "
-                f"but the server runs {self.seccomp_variant!r}"
-            )
-        return plan.run(self.ctx, model, query)
-
-    def _classify_tape(
-        self, model: EncryptedModel, query: EncryptedQuery
-    ) -> Ciphertext:
-        """Execute the cached single-query compiled tape."""
-        tape = self.tape
-        if tape is None:
-            raise RuntimeProtocolError(
-                "engine='tape' needs a CompiledTape; compile one with "
-                "InferencePlan.compile_tape (or call "
-                "secure_inference(engine='tape'), which does)"
-            )
-        if tape.batched:
-            raise RuntimeProtocolError(
-                "a batched tape cannot serve the single-query server; "
-                "compile from a lower_inference plan instead"
-            )
-        if tape.variant != self.seccomp_variant:
-            raise RuntimeProtocolError(
-                f"tape was compiled with SecComp variant {tape.variant!r} "
-                f"but the server runs {self.seccomp_variant!r}"
-            )
-        return tape.run(self.ctx, model, query)
-
-    def _classify_megakernel(
-        self, model: EncryptedModel, query: EncryptedQuery
-    ) -> Ciphertext:
-        """Execute the cached single-query megakernel."""
-        kernel = self.megakernel
-        if kernel is None:
-            raise RuntimeProtocolError(
-                "engine='megakernel' needs a MegaKernel; compile one with "
-                "repro.ir.megakernel.compile_megakernel over a "
-                "InferencePlan.compile_tape tape (or call "
-                "secure_inference(engine='megakernel'), which does)"
-            )
-        if kernel.batched:
-            raise RuntimeProtocolError(
-                "a batched megakernel cannot serve the single-query "
-                "server; compile from a lower_inference plan instead"
-            )
-        if kernel.variant != self.seccomp_variant:
-            raise RuntimeProtocolError(
-                f"megakernel was compiled with SecComp variant "
-                f"{kernel.variant!r} but the server runs "
-                f"{self.seccomp_variant!r}"
-            )
-        return kernel.run(self.ctx, model, query)
 
     def _process_levels(
         self, model: EncryptedModel, branches: Vector
@@ -603,23 +508,17 @@ def secure_inference(
     if keys is None:
         keys = ctx.keygen()
 
-    needs_tape = (
-        engine == ENGINE_TAPE and tape is None
-    ) or (engine == ENGINE_MEGAKERNEL and megakernel is None and tape is None)
-    needs_plan = engine == ENGINE_PLAN or needs_tape
-    if needs_plan and plan is None:
+    def lower():
         # Imported lazily: repro.ir.plan stages through this module.
         from repro.ir.plan import lower_inference
 
-        plan = lower_inference(
+        return lower_inference(
             compiled, encrypted_model=encrypted_model, variant=seccomp_variant
         )
-    if needs_tape:
-        tape = plan.compile_tape()
-    if engine == ENGINE_MEGAKERNEL and megakernel is None:
-        from repro.ir.megakernel import compile_megakernel
 
-        megakernel = compile_megakernel(tape)
+    artifacts = ensure_artifacts(
+        engine, lower, {"plan": plan, "tape": tape, "megakernel": megakernel}
+    )
 
     maurice = ModelOwner(compiled)
     diane = DataOwner(maurice.query_spec(), keys)
@@ -628,9 +527,7 @@ def secure_inference(
         seccomp_variant=seccomp_variant,
         auto_bootstrap=auto_bootstrap,
         engine=engine,
-        plan=plan,
-        tape=tape,
-        megakernel=megakernel,
+        **artifacts,
     )
 
     if encrypted_model:

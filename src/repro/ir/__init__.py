@@ -10,7 +10,7 @@ plan-compiled execution path it is the layer the *live* inference
 pipeline runs through: :mod:`repro.ir.plan` lowers a compiled model
 (single-query or batched) into an :class:`~repro.ir.plan.InferencePlan`
 that :class:`~repro.core.runtime.CopseServer` and the serve registry
-execute with ``engine="plan"`` (the serve default):
+execute with ``engine="plan"`` (the serve default is ``"tape"``, below):
 
 * :mod:`repro.ir.nodes` — a small SSA graph over packed vectors: inputs
   (ciphertext or plaintext), constants, XOR/AND (with constant-operand

@@ -356,7 +356,7 @@ class MegaKernel:
         the work to this engine on every backend (including tape-loop
         fallbacks).
         """
-        from repro.core.runtime import PHASE_MEGAKERNEL
+        from repro.core.engines import PHASE_MEGAKERNEL
         from repro.ir.plan import OUTPUT_LABELS
 
         if phase is None:

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import CompileError, RuntimeProtocolError
 from repro.core.compiler import CompiledModel
-from repro.core.runtime import PHASE_PLAN
+from repro.core.engines import PHASE_PLAN
 from repro.core.seccomp import SECCOMP_VARIANTS, VARIANT_ALOUFI
 from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.context import FheContext, Vector

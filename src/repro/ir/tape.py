@@ -273,7 +273,7 @@ class CompiledTape:
         per-instruction attribution; ``None`` keeps the hot loop
         instrumentation-free.
         """
-        from repro.core.runtime import PHASE_TAPE
+        from repro.core.engines import PHASE_TAPE
         from repro.ir.plan import OUTPUT_LABELS, bind_model_query
 
         if phase is None:

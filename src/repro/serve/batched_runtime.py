@@ -30,36 +30,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import RuntimeProtocolError
 from repro.core.compiler import CompiledModel
-from repro.core.runtime import (
+from repro.core.engines import (
     ENGINE_EAGER,
-    ENGINE_MEGAKERNEL,
-    ENGINE_PLAN,
-    ENGINE_TAPE,
-    ENGINES,
-    EncryptedQuery,
     PHASE_ACCUMULATE,
-    PHASE_COMPARISON,
     PHASE_DATA_ENCRYPT,
     PHASE_LEVELS,
-    PHASE_MEGAKERNEL,
     PHASE_MODEL_ENCRYPT,
-    PHASE_PLAN,
     PHASE_RESHUFFLE,
-    PHASE_TAPE,
+    artifacts_of,
+    engine_row,
+    run_artifact,
 )
-from repro.core.seccomp import VARIANT_ALOUFI, secure_compare
+from repro.core.runtime import EncryptedQuery, compare_stage
+from repro.core.seccomp import VARIANT_ALOUFI
 from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.context import FheContext, Vector
 from repro.fhe.keys import KeyPair, PublicKey
+from repro.fhe.tracker import OpTracker
 # The segment decomposition is shared with the batched IR lowering so the
 # two execution engines cannot drift apart.
 from repro.ir.plan import gather_segments
 from repro.serve.packing import (
     BatchLayout,
+    demux_bitvectors,
     pack_query_planes,
     segment_mask,
     tile_model_vector,
@@ -71,12 +68,7 @@ from repro.serve.packing import (
 PHASE_MODEL_CACHE = "model_cache"
 
 #: The inference phases of the batched pipeline, in execution order.
-BATCH_INFERENCE_PHASES = (
-    PHASE_COMPARISON,
-    PHASE_RESHUFFLE,
-    PHASE_LEVELS,
-    PHASE_ACCUMULATE,
-)
+BATCH_INFERENCE_PHASES = engine_row(ENGINE_EAGER).phases
 
 
 @dataclass
@@ -345,10 +337,7 @@ class BatchedCopseServer:
         tape=None,
         megakernel=None,
     ):
-        if engine not in ENGINES:
-            raise RuntimeProtocolError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        engine_row(engine)  # refuses an unknown name
         self.ctx = ctx
         self.seccomp_variant = seccomp_variant
         self.engine = engine
@@ -373,31 +362,17 @@ class BatchedCopseServer:
                 f"with the model's layout?"
             )
         local = model.adopt_into(ctx)
-        if self.engine == ENGINE_PLAN:
-            return self._classify_batch_plan(local, query)
-        if self.engine == ENGINE_TAPE:
-            return self._classify_batch_tape(local, query)
-        if self.engine == ENGINE_MEGAKERNEL:
-            return self._classify_batch_megakernel(local, query)
-
-        with ctx.tracker.phase(PHASE_COMPARISON):
-            not_one = None
-            if self.seccomp_variant == VARIANT_ALOUFI:
-                if query.public_key is None:
-                    raise RuntimeProtocolError(
-                        "the Aloufi SecComp variant needs the batch's "
-                        "public key to encrypt the all-ones helper"
-                    )
-                not_one = ctx.encrypt(
-                    ctx.ones(query.width).to_array(), query.public_key
-                )
-            decisions = secure_compare(
-                ctx,
-                query.planes,
-                local.threshold_planes,
-                variant=self.seccomp_variant,
-                not_one=not_one,
+        row = engine_row(self.engine)
+        if row.artifact is not None:
+            return run_artifact(
+                row, getattr(self, row.artifact), ctx, local, query,
+                self.seccomp_variant,
+                batch_shape=(layout.stride, layout.capacity),
             )
+
+        decisions = compare_stage(
+            ctx, query, local.threshold_planes, self.seccomp_variant
+        )
 
         with ctx.tracker.phase(PHASE_RESHUFFLE):
             branches = batched_matvec(
@@ -418,98 +393,6 @@ class BatchedCopseServer:
         if not isinstance(result, Ciphertext):  # pragma: no cover
             raise RuntimeProtocolError("batched result must be encrypted")
         return result
-
-    def _classify_batch_plan(
-        self, local: BatchedEncryptedModel, query: EncryptedQuery
-    ) -> Ciphertext:
-        """Execute the cached batched plan against an adopted model."""
-        plan = self.plan
-        if plan is None:
-            raise RuntimeProtocolError(
-                "engine='plan' needs a batched InferencePlan; lower one "
-                "with repro.ir.plan.lower_batched_inference (the serve "
-                "registry caches it per model)"
-            )
-        if not plan.batched:
-            raise RuntimeProtocolError(
-                "a single-query plan cannot serve the batched server; "
-                "lower with lower_batched_inference for this layout"
-            )
-        layout = local.layout
-        if plan.batch_shape != (layout.stride, layout.capacity):
-            raise RuntimeProtocolError(
-                f"plan batch shape {plan.batch_shape} does not match the "
-                f"layout ({layout.stride}, {layout.capacity})"
-            )
-        if plan.variant != self.seccomp_variant:
-            raise RuntimeProtocolError(
-                f"plan was lowered with SecComp variant {plan.variant!r} "
-                f"but the server runs {self.seccomp_variant!r}"
-            )
-        return plan.run(self.ctx, local, query, phase=PHASE_PLAN)
-
-    def _classify_batch_tape(
-        self, local: BatchedEncryptedModel, query: EncryptedQuery
-    ) -> Ciphertext:
-        """Execute the cached batched compiled tape against an adopted
-        model."""
-        tape = self.tape
-        if tape is None:
-            raise RuntimeProtocolError(
-                "engine='tape' needs a batched CompiledTape; compile one "
-                "with InferencePlan.compile_tape (the serve registry "
-                "caches it per model)"
-            )
-        if not tape.batched:
-            raise RuntimeProtocolError(
-                "a single-query tape cannot serve the batched server; "
-                "compile from a lower_batched_inference plan for this "
-                "layout"
-            )
-        layout = local.layout
-        if tape.batch_shape != (layout.stride, layout.capacity):
-            raise RuntimeProtocolError(
-                f"tape batch shape {tape.batch_shape} does not match the "
-                f"layout ({layout.stride}, {layout.capacity})"
-            )
-        if tape.variant != self.seccomp_variant:
-            raise RuntimeProtocolError(
-                f"tape was compiled with SecComp variant {tape.variant!r} "
-                f"but the server runs {self.seccomp_variant!r}"
-            )
-        return tape.run(self.ctx, local, query, phase=PHASE_TAPE)
-
-    def _classify_batch_megakernel(
-        self, local: BatchedEncryptedModel, query: EncryptedQuery
-    ) -> Ciphertext:
-        """Execute the cached batched megakernel against an adopted
-        model."""
-        kernel = self.megakernel
-        if kernel is None:
-            raise RuntimeProtocolError(
-                "engine='megakernel' needs a batched MegaKernel; compile "
-                "one with repro.ir.megakernel.compile_megakernel (the "
-                "serve registry caches it per model)"
-            )
-        if not kernel.batched:
-            raise RuntimeProtocolError(
-                "a single-query megakernel cannot serve the batched "
-                "server; compile from a lower_batched_inference plan for "
-                "this layout"
-            )
-        layout = local.layout
-        if kernel.batch_shape != (layout.stride, layout.capacity):
-            raise RuntimeProtocolError(
-                f"megakernel batch shape {kernel.batch_shape} does not "
-                f"match the layout ({layout.stride}, {layout.capacity})"
-            )
-        if kernel.variant != self.seccomp_variant:
-            raise RuntimeProtocolError(
-                f"megakernel was compiled with SecComp variant "
-                f"{kernel.variant!r} but the server runs "
-                f"{self.seccomp_variant!r}"
-            )
-        return kernel.run(self.ctx, local, query, phase=PHASE_MEGAKERNEL)
 
     def _process_levels(
         self, model: BatchedEncryptedModel, branches: Vector
@@ -542,3 +425,95 @@ class BatchedCopseServer:
             level_decisions = ctx.xor_all(products)
             results.append(ctx.xor_any(level_decisions, mask))
         return results
+
+
+# ---------------------------------------------------------------------------
+# The one batch-evaluation routine
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class BatchEvaluation:
+    """What one evaluated batch produced, before anyone is told."""
+
+    engine: str
+    bitvectors: List[List[int]]
+    #: Cost-model ms per phase: ``data_encrypt`` plus the engine's own.
+    phase_ms: Dict[str, float]
+    inference_ms: float
+    #: Per-query oracle agreement (None when verification was off or the
+    #: model has no source forest).
+    oracle_ok: Optional[List[bool]]
+    tracker: OpTracker
+
+    @property
+    def data_encrypt_ms(self) -> float:
+        return self.phase_ms[PHASE_DATA_ENCRYPT]
+
+
+def evaluate_registered_batch(
+    registered,
+    features: List[List[int]],
+    engine: Optional[str] = None,
+    verify_oracle: bool = False,
+    on_stage: Optional[Callable[[str], None]] = None,
+) -> BatchEvaluation:
+    """Run one batch of validated features through the whole pipeline.
+
+    Pack + encrypt, execute, decrypt, demux, cost-model phase
+    attribution, oracle — on a fresh :class:`FheContext` built on the
+    registered model's backend, so concurrent evaluations never share
+    tracker state.  Every caller that evaluates a batch (the in-process
+    batcher, the cluster worker, the bench experiments) goes through
+    here; ``engine`` overrides the registered engine (the worker's
+    degradation ladder), and ``on_stage`` is told ``"pack"`` /
+    ``"execute"`` / ``"demux"`` / ``"resolve"`` as each stage begins
+    (the batcher's trace spans).
+    """
+    # One consistent snapshot of the mutable registration fields: the
+    # control plane may flip engine/backend between batches
+    # (registry.set_engine / switch_backend), and a batch must run
+    # entirely under one configuration.
+    if engine is None:
+        engine = registered.engine
+    keys = registered.keys
+    batched_model = registered.batched_model
+    layout = registered.layout
+    ctx = FheContext(registered.params, backend=registered.backend)
+    server = BatchedCopseServer(
+        ctx,
+        seccomp_variant=registered.seccomp_variant,
+        engine=engine,
+        **artifacts_of(registered),
+    )
+
+    stage = on_stage if on_stage is not None else (lambda name: None)
+    stage("pack")
+    query = encrypt_batch(ctx, layout, features, keys)
+    stage("execute")
+    encrypted = server.classify_batch(batched_model, query)
+    stage("demux")
+    bits = ctx.decrypt_bits(encrypted, keys.secret)
+    bitvectors = demux_bitvectors(layout, bits, len(features))
+    stage("resolve")
+
+    cost = registered.cost_model
+    inference_phases = engine_row(engine).phases
+    phase_ms = {
+        phase: cost.phase_sequential_ms(ctx.tracker, phase)
+        for phase in (PHASE_DATA_ENCRYPT,) + inference_phases
+    }
+    oracle_ok: Optional[List[bool]] = None
+    if verify_oracle and registered.forest is not None:
+        oracle_ok = [
+            bitvectors[k] == registered.forest.label_bitvector(f)
+            for k, f in enumerate(features)
+        ]
+    return BatchEvaluation(
+        engine=engine,
+        bitvectors=bitvectors,
+        phase_ms=phase_ms,
+        inference_ms=sum(phase_ms[p] for p in inference_phases),
+        oracle_ok=oracle_ok,
+        tracker=ctx.tracker,
+    )

@@ -11,22 +11,24 @@ amortized pipeline:
    and encrypt them once per plane (``data_encrypt``),
 2. run the batched Algorithm 1 against the model's cached, once-encrypted
    :class:`~repro.serve.batched_runtime.BatchedEncryptedModel` — through
-   the registered model's cached compiled
-   :class:`~repro.ir.tape.CompiledTape` (``engine="tape"``, the serve
-   default), its graph-walking
-   :class:`~repro.ir.plan.InferencePlan` (``engine="plan"``), or the
-   hand-scheduled interpreter (``engine="eager"``),
+   whichever of the four engines of :mod:`repro.core.engines` the model
+   is registered under: its cached
+   :class:`~repro.ir.megakernel.MegaKernel` (``engine="megakernel"``),
+   compiled :class:`~repro.ir.tape.CompiledTape` (``engine="tape"``, the
+   serve default), graph-walking :class:`~repro.ir.plan.InferencePlan`
+   (``engine="plan"``), or the hand-scheduled interpreter
+   (``engine="eager"``),
 3. decrypt the single result ciphertext and demultiplex the slot blocks
    back into per-query label bitvectors,
 4. optionally verify every bitvector against the plaintext oracle
    (``forest.label_bitvector``), and
 5. resolve each query's future with a :class:`ClassificationResult`.
 
-Every batch evaluation uses a fresh :class:`~repro.fhe.context.FheContext`
-built on the registered model's FHE backend (same parameters, private
-tracker), so concurrent workers never share mutable tracker state; the
-per-batch tracker travels in the :class:`BatchRecord` for thread-safe
-aggregation by the service.
+Steps 1-4 are
+:func:`~repro.serve.batched_runtime.evaluate_registered_batch`, the one
+batch-evaluation routine the cluster worker runs too; this module adds
+the futures, the stage spans and the :class:`BatchRecord`, whose
+per-batch tracker travels to the service for thread-safe aggregation.
 """
 
 from __future__ import annotations
@@ -36,25 +38,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ValidationError
-from repro.core.runtime import (
-    ENGINE_MEGAKERNEL,
-    ENGINE_PLAN,
-    ENGINE_TAPE,
-    InferenceResult,
-    PHASE_DATA_ENCRYPT,
-    PHASE_MEGAKERNEL,
-    PHASE_PLAN,
-    PHASE_TAPE,
-)
-from repro.core.seccomp import VARIANT_ALOUFI
-from repro.fhe.context import FheContext
+from repro.core.runtime import InferenceResult
 from repro.fhe.tracker import OpTracker
-from repro.serve.batched_runtime import (
-    BATCH_INFERENCE_PHASES,
-    BatchedCopseServer,
-    encrypt_batch,
-)
-from repro.serve.packing import demux_bitvectors, validate_features
+from repro.serve.batched_runtime import evaluate_registered_batch
+from repro.serve.packing import validate_features
 from repro.serve.registry import RegisteredModel
 
 
@@ -80,6 +67,40 @@ class ClassificationResult:
 
     def plurality_name(self) -> str:
         return self.result.plurality_name()
+
+
+def classification_results(
+    registered: RegisteredModel,
+    batch_id: int,
+    features: List[List[int]],
+    bitvectors,
+    inference_ms: float,
+    oracle_ok,
+) -> List[ClassificationResult]:
+    """One :class:`ClassificationResult` per query of an evaluated batch.
+
+    ``oracle_ok`` is the per-query verdict sequence, or None when
+    verification was off.
+    """
+    spec = registered.spec
+    size = len(features)
+    return [
+        ClassificationResult(
+            model=registered.name,
+            features=list(query),
+            result=InferenceResult(
+                bitvector=list(bitvectors[k]),
+                codebook=list(spec.codebook),
+                label_names=list(spec.label_names),
+            ),
+            batch_id=batch_id,
+            batch_fill=size,
+            batch_capacity=registered.layout.capacity,
+            amortized_ms=inference_ms / size if size else 0.0,
+            oracle_ok=None if oracle_ok is None else bool(oracle_ok[k]),
+        )
+        for k, query in enumerate(features)
+    ]
 
 
 @dataclass
@@ -131,13 +152,11 @@ class QueryBatcher:
     def __init__(
         self,
         registered: RegisteredModel,
-        seccomp_variant: str = VARIANT_ALOUFI,
         verify_oracle: bool = True,
         tracer=None,
         clock=None,
     ):
         self.registered = registered
-        self.seccomp_variant = seccomp_variant
         self.verify_oracle = verify_oracle and registered.forest is not None
         #: Optional span tracer + clock: when both are set, evaluation
         #: emits pack / execute / demux / resolve stage spans parented
@@ -194,129 +213,62 @@ class QueryBatcher:
         :class:`~repro.serve.scheduler.Assignment`) parent the stage
         spans a tracing-enabled batcher emits.
         """
-        try:
-            return self._evaluate(batch, parent_span, worker)
-        except BaseException as exc:
-            for entry in batch.entries:
-                if not entry.future.done():
-                    entry.future.set_exception(exc)
-            raise
-
-    def _evaluate(
-        self,
-        batch: CutBatch,
-        parent_span: Optional[int] = None,
-        worker: Optional[int] = None,
-    ) -> BatchRecord:
         entries = batch.entries
         registered = self.registered
-        layout = registered.layout
+        features = [e.features for e in entries]
+        engine = registered.engine
         tracer = self.tracer if self.clock is not None else None
+        on_stage = None
+        open_span = None  # (span id, the attributes it ends with)
         if tracer is not None:
             track = "batcher" if worker is None else f"worker:{worker}"
+            ends_with = {"pack": {"size": len(entries)},
+                         "execute": {"engine": engine}}
 
-            def stage(name: str):
-                return tracer.begin(
+            def on_stage(name: str) -> None:
+                nonlocal open_span
+                if open_span is not None:
+                    tracer.end(
+                        open_span[0], self.clock.now(), **open_span[1]
+                    )
+                span = tracer.begin(
                     name, self.clock.now(), parent=parent_span,
                     track=track, batch_id=batch.batch_id,
                 )
+                open_span = (span, ends_with.get(name, {}))
 
-        # One consistent snapshot of the mutable registration fields:
-        # the control plane may flip engine/backend between batches
-        # (registry.set_engine / switch_backend), and a batch must run
-        # entirely under one configuration.
-        engine = registered.engine
-        backend = registered.backend
-        keys = registered.keys
-        batched_model = registered.batched_model
-
-        ctx = FheContext(registered.params, backend=backend)
-        server = BatchedCopseServer(
-            ctx,
-            seccomp_variant=self.seccomp_variant,
-            engine=engine,
-            plan=registered.plan,
-            tape=registered.tape,
-            megakernel=registered.megakernel,
-        )
-
-        if tracer is not None:
-            span = stage("pack")
-        query = encrypt_batch(
-            ctx, layout, [e.features for e in entries], keys
-        )
-        if tracer is not None:
-            tracer.end(span, self.clock.now(), size=len(entries))
-            span = stage("execute")
-        encrypted = server.classify_batch(batched_model, query)
+        try:
+            evaluation = evaluate_registered_batch(
+                registered, features, engine=engine,
+                verify_oracle=self.verify_oracle, on_stage=on_stage,
+            )
+            results = classification_results(
+                registered, batch.batch_id, features, evaluation.bitvectors,
+                evaluation.inference_ms, evaluation.oracle_ok,
+            )
+            for entry, result in zip(entries, results):
+                entry.future.set_result(result)
+        except BaseException as exc:
+            for entry in entries:
+                if not entry.future.done():
+                    entry.future.set_exception(exc)
+            raise
+        oracle_failures: Optional[int] = None
+        if evaluation.oracle_ok is not None:
+            oracle_failures = evaluation.oracle_ok.count(False)
         if tracer is not None:
             tracer.end(
-                span, self.clock.now(), engine=engine
-            )
-            span = stage("demux")
-        bits = ctx.decrypt_bits(encrypted, keys.secret)
-        bitvectors = demux_bitvectors(layout, bits, len(entries))
-        if tracer is not None:
-            tracer.end(span, self.clock.now())
-            span = stage("resolve")
-
-        cost = registered.cost_model
-        if engine == ENGINE_TAPE:
-            inference_phases = (PHASE_TAPE,)
-        elif engine == ENGINE_MEGAKERNEL:
-            inference_phases = (PHASE_MEGAKERNEL,)
-        elif engine == ENGINE_PLAN:
-            inference_phases = (PHASE_PLAN,)
-        else:
-            inference_phases = BATCH_INFERENCE_PHASES
-        phase_ms = {
-            phase: cost.phase_sequential_ms(ctx.tracker, phase)
-            for phase in (PHASE_DATA_ENCRYPT,) + inference_phases
-        }
-        inference_ms = sum(phase_ms[p] for p in inference_phases)
-        batch_id = batch.batch_id
-
-        oracle_failures: Optional[int] = 0 if self.verify_oracle else None
-        spec = registered.spec
-        size = len(entries)
-        for k, entry in enumerate(entries):
-            result = InferenceResult(
-                bitvector=bitvectors[k],
-                codebook=list(spec.codebook),
-                label_names=list(spec.label_names),
-            )
-            oracle_ok: Optional[bool] = None
-            if self.verify_oracle:
-                expected = registered.forest.label_bitvector(entry.features)
-                oracle_ok = bitvectors[k] == expected
-                if not oracle_ok:
-                    oracle_failures += 1
-            entry.future.set_result(
-                ClassificationResult(
-                    model=registered.name,
-                    features=list(entry.features),
-                    result=result,
-                    batch_id=batch_id,
-                    batch_fill=size,
-                    batch_capacity=layout.capacity,
-                    amortized_ms=inference_ms / size,
-                    oracle_ok=oracle_ok,
-                )
-            )
-        record = BatchRecord(
-            model=registered.name,
-            batch_id=batch_id,
-            size=size,
-            capacity=layout.capacity,
-            tracker=ctx.tracker,
-            phase_ms=phase_ms,
-            inference_ms=inference_ms,
-            data_encrypt_ms=phase_ms[PHASE_DATA_ENCRYPT],
-            oracle_failures=oracle_failures,
-        )
-        if tracer is not None:
-            tracer.end(
-                span, self.clock.now(),
+                open_span[0], self.clock.now(),
                 oracle_failures=oracle_failures or 0,
             )
-        return record
+        return BatchRecord(
+            model=registered.name,
+            batch_id=batch.batch_id,
+            size=len(entries),
+            capacity=registered.layout.capacity,
+            tracker=evaluation.tracker,
+            phase_ms=evaluation.phase_ms,
+            inference_ms=evaluation.inference_ms,
+            data_encrypt_ms=evaluation.data_encrypt_ms,
+            oracle_failures=oracle_failures,
+        )

@@ -1590,13 +1590,17 @@ class ClusterService:
         registered = self.registry.register(name, model, **kwargs)
         envelope = ShippedModel.from_registered(registered)
         with self._lock:
-            self.router.add_model(
-                name,
-                capacity=registered.layout.capacity,
-                max_pending=self.max_queue,
-                service_ms=registered.estimated_batch_ms,
-                fingerprint=envelope.fingerprint,
-            )
+            try:
+                self.router.add_model(
+                    name,
+                    capacity=registered.layout.capacity,
+                    max_pending=self.max_queue,
+                    service_ms=registered.estimated_batch_ms,
+                    fingerprint=envelope.fingerprint,
+                )
+            except ValidationError:
+                self.registry.unregister(name)
+                raise
             self._envelopes[name] = envelope
             self._registered[name] = registered
         return registered
@@ -1678,20 +1682,25 @@ class ClusterService:
             if proc.is_alive():
                 proc.terminate()
 
-    def set_model_engine(self, name: str, engine: str) -> None:
+    def set_model_engine(self, name: str, engine: str,
+                         expected_fingerprint: Optional[str] = None
+                         ) -> None:
         """Flip a model's execution engine across the cluster, live.
 
         Drains in-flight work first (a torn batch must not straddle the
         flip), mutates the registry entry, and publishes a fresh ship
         key through :meth:`RouterCore.redeploy_model` — the compiled
         fingerprint is engine-independent, so the key is suffixed with
-        the engine to force every worker ledger stale.
+        the engine to force every worker ledger stale.  A mismatched
+        ``expected_fingerprint`` fails closed before anything changes.
         """
         self.flush()
         self.drain()
         now = self.clock.now()
         with self._lock:
-            registered = self.registry.set_engine(name, engine)
+            registered = self.registry.set_engine(
+                name, engine, expected_fingerprint=expected_fingerprint
+            )
             envelope = ShippedModel.from_registered(registered)
             self._envelopes[name] = envelope
             self.router.redeploy_model(
@@ -1926,33 +1935,14 @@ class ClusterService:
         tickets = list(assignment.tickets)
 
         def resolve() -> None:
-            from repro.core.runtime import InferenceResult
-            from repro.serve.batcher import ClassificationResult
+            from repro.serve.batcher import classification_results
 
-            spec = registered.spec
-            size = len(tickets)
-            for k, ticket in enumerate(tickets):
-                bits = list(result.bitvectors[k])
-                oracle_ok = (
-                    None if result.oracle_ok is None
-                    else bool(result.oracle_ok[k])
-                )
-                outcome = ClassificationResult(
-                    model=registered.name,
-                    features=list(ticket.payload.features),
-                    result=InferenceResult(
-                        bitvector=bits,
-                        codebook=list(spec.codebook),
-                        label_names=list(spec.label_names),
-                    ),
-                    batch_id=result.batch_id,
-                    batch_fill=size,
-                    batch_capacity=registered.layout.capacity,
-                    amortized_ms=(
-                        result.inference_ms / size if size else 0.0
-                    ),
-                    oracle_ok=oracle_ok,
-                )
+            outcomes = classification_results(
+                registered, result.batch_id,
+                [ticket.payload.features for ticket in tickets],
+                result.bitvectors, result.inference_ms, result.oracle_ok,
+            )
+            for ticket, outcome in zip(tickets, outcomes):
                 future = ticket.payload.future
                 if not future.done():
                     future.set_result(outcome)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
+from repro.core.engines import ENGINES
 from repro.serve.simclock import MS
 
 __all__ = [
@@ -353,31 +354,25 @@ class DeadLetterQueue:
 # ---------------------------------------------------------------------------
 
 #: Fastest-first engine chain a worker walks when an engine raises.
-ENGINE_LADDER = ("megakernel", "tape", "plan", "eager")
+ENGINE_LADDER = tuple(reversed(ENGINES))
 #: Backend fallback: the vectorized backend degrades to the reference.
 BACKEND_LADDER = ("vector", "reference")
 
 
+def _next_rung(ladder: Tuple[str, ...], name: str) -> Optional[str]:
+    if name not in ladder[:-1]:
+        return None
+    return ladder[ladder.index(name) + 1]
+
+
 def degrade_engine(engine: str) -> Optional[str]:
     """The next engine down the ladder, or None at the bottom."""
-    try:
-        index = ENGINE_LADDER.index(engine)
-    except ValueError:
-        return None
-    if index + 1 >= len(ENGINE_LADDER):
-        return None
-    return ENGINE_LADDER[index + 1]
+    return _next_rung(ENGINE_LADDER, engine)
 
 
 def degrade_backend(backend: str) -> Optional[str]:
     """The next backend down the ladder, or None at the bottom."""
-    try:
-        index = BACKEND_LADDER.index(backend)
-    except ValueError:
-        return None
-    if index + 1 >= len(BACKEND_LADDER):
-        return None
-    return BACKEND_LADDER[index + 1]
+    return _next_rung(BACKEND_LADDER, backend)
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,14 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import ValidationError
 from repro.core.compiler import CompiledModel, CopseCompiler
-from repro.core.runtime import (
-    ENGINE_MEGAKERNEL,
-    ENGINE_PLAN,
+from repro.core.engines import (
+    ARTIFACTS,
     ENGINE_TAPE,
-    ENGINES,
-    ModelOwner,
-    QuerySpec,
+    artifacts_of,
+    engine_row,
+    ensure_artifacts,
 )
+from repro.core.runtime import ModelOwner, QuerySpec
 from repro.core.seccomp import VARIANT_ALOUFI
 from repro.fhe.backend import canonical_backend_name
 from repro.fhe.context import FheContext
@@ -50,7 +50,7 @@ from repro.fhe.costmodel import CostModel
 from repro.fhe.keys import KeyPair
 from repro.fhe.params import EncryptionParams
 from repro.forest.forest import DecisionForest
-from repro.ir.megakernel import MegaKernel, compile_megakernel
+from repro.ir.megakernel import MegaKernel
 from repro.ir.plan import InferencePlan, lower_batched_inference
 from repro.ir.tape import CompiledTape
 from repro.serve.batched_runtime import BatchedEncryptedModel, build_batched_model
@@ -88,6 +88,9 @@ class RegisteredModel:
     #: The tape's zero-dispatch megakernel compilation, cached next to
     #: the plan and tape (None unless ``engine="megakernel"``).
     megakernel: Optional[MegaKernel] = field(default=None, repr=False)
+    #: SecComp variant the cached artifacts were lowered under and every
+    #: batch of this model evaluates with.
+    seccomp_variant: str = VARIANT_ALOUFI
 
     @property
     def batch_capacity(self) -> int:
@@ -119,13 +122,26 @@ class RegisteredModel:
             f"batch {self.layout.describe()}; {self.params.describe()}; "
             f"backend {self.backend}"
         )
-        if self.plan is not None:
-            base += f"; {self.plan.describe()}"
-        if self.tape is not None:
-            base += f"; {self.tape.describe()}"
-        if self.megakernel is not None:
-            base += f"; {self.megakernel.describe()}"
+        for artifact in artifacts_of(self).values():
+            if artifact is not None:
+                base += f"; {artifact.describe()}"
         return base
+
+    def ensure_engine_artifacts(self, engine: str) -> None:
+        """Lower/compile (under the recorded SecComp variant) whatever
+        ``engine`` executes that is not cached yet."""
+        built = ensure_artifacts(
+            engine,
+            lambda: lower_batched_inference(
+                self.compiled,
+                self.layout,
+                encrypted_model=self.encrypted_model,
+                variant=self.seccomp_variant,
+            ),
+            artifacts_of(self),
+        )
+        for kind in ARTIFACTS:
+            setattr(self, kind, built[kind])
 
 
 class ModelRegistry:
@@ -187,8 +203,10 @@ class ModelRegistry:
         :class:`~repro.ir.tape.CompiledTape` (scheduled rotations,
         register reuse, fused kernels) that every batch executes;
         ``engine="plan"`` stops at the graph-walking plan executor;
-        ``engine="eager"`` keeps the hand-scheduled interpreter.  The
-        plan/tape must match the batcher's SecComp ``seccomp_variant``.
+        ``engine="megakernel"`` compiles the tape once more;
+        ``engine="eager"`` keeps the hand-scheduled interpreter.
+        ``seccomp_variant`` is recorded on the entry: the artifacts are
+        lowered under it and every batch evaluates with it.
 
         ``backend`` picks the FHE backend this model is encrypted under
         and every batch is evaluated on (a registered name; default
@@ -197,10 +215,7 @@ class ModelRegistry:
         """
         if not name:
             raise ValidationError("a registered model needs a non-empty name")
-        if engine not in ENGINES:
-            raise ValidationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        engine_row(engine, error=ValidationError)
         backend = canonical_backend_name(backend)
         with self._lock:
             # Fail before the expensive compile/encrypt pipeline; the
@@ -242,21 +257,6 @@ class ModelRegistry:
         )
         setup_ms = cost_model.sequential_ms(ctx.tracker)
 
-        plan: Optional[InferencePlan] = None
-        tape: Optional[CompiledTape] = None
-        megakernel: Optional[MegaKernel] = None
-        if engine in (ENGINE_PLAN, ENGINE_TAPE, ENGINE_MEGAKERNEL):
-            plan = lower_batched_inference(
-                compiled,
-                layout,
-                encrypted_model=encrypted_model,
-                variant=seccomp_variant,
-            )
-        if engine in (ENGINE_TAPE, ENGINE_MEGAKERNEL):
-            tape = plan.compile_tape()
-        if engine == ENGINE_MEGAKERNEL:
-            megakernel = compile_megakernel(tape)
-
         registered = RegisteredModel(
             name=name,
             compiled=compiled,
@@ -271,10 +271,9 @@ class ModelRegistry:
             setup_ms=setup_ms,
             engine=engine,
             backend=backend,
-            plan=plan,
-            tape=tape,
-            megakernel=megakernel,
+            seccomp_variant=seccomp_variant,
         )
+        registered.ensure_engine_artifacts(engine)
         with self._lock:
             if name in self._models:
                 raise ValidationError(
@@ -326,35 +325,17 @@ class ModelRegistry:
         registered entry, so the flip takes effect on the next cut — no
         re-encryption and no restart.  Missing derived artifacts are
         compiled lazily: flipping an eager model to ``plan``/``tape``
-        lowers the batched pipeline now (under the default SecComp
-        variant), and flipping to ``tape`` compiles the cached plan's
-        tape.  ``expected_fingerprint`` makes the flip fail closed
+        lowers the batched pipeline now (under the model's recorded
+        SecComp variant), and flipping to ``tape`` compiles the cached
+        plan's tape.  ``expected_fingerprint`` makes the flip fail closed
         against a concurrently replaced model.
         """
-        if engine not in ENGINES:
-            raise ValidationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        engine_row(engine, error=ValidationError)
         registered = self._checked_for_update(name, expected_fingerprint)
         with self._lock:
             if registered.engine == engine:
                 return registered
-            if engine in (ENGINE_PLAN, ENGINE_TAPE, ENGINE_MEGAKERNEL):
-                if registered.plan is None:
-                    registered.plan = lower_batched_inference(
-                        registered.compiled,
-                        registered.layout,
-                        encrypted_model=registered.encrypted_model,
-                        variant=VARIANT_ALOUFI,
-                    )
-                if engine in (ENGINE_TAPE, ENGINE_MEGAKERNEL) \
-                        and registered.tape is None:
-                    registered.tape = registered.plan.compile_tape()
-                if engine == ENGINE_MEGAKERNEL \
-                        and registered.megakernel is None:
-                    registered.megakernel = compile_megakernel(
-                        registered.tape
-                    )
+            registered.ensure_engine_artifacts(engine)
             registered.engine = engine
         if self.metrics is not None:
             self.metrics.counter(

@@ -33,18 +33,11 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry
 from repro.core.compiler import CompiledModel
-from repro.core.runtime import (
-    ENGINE_TAPE,
-    ENGINES,
-    PHASE_MEGAKERNEL,
-    PHASE_PLAN,
-    PHASE_TAPE,
-)
+from repro.core.engines import ENGINE_TAPE, engine_row
 from repro.core.seccomp import VARIANT_ALOUFI
 from repro.fhe.backend import canonical_backend_name
 from repro.fhe.params import EncryptionParams
 from repro.forest.forest import DecisionForest
-from repro.serve.batched_runtime import BATCH_INFERENCE_PHASES
 from repro.serve.batcher import (
     BatchRecord,
     ClassificationResult,
@@ -101,46 +94,16 @@ class ServiceStats:
         """Queries refused by admission control."""
         return self.scheduler.rejected if self.scheduler else 0
 
-    @property
-    def plan_ms(self) -> float:
-        """Simulated inference ms spent in the plan engine."""
-        return self.phase_ms.get(PHASE_PLAN, 0.0)
+    def engine_ms(self, engine: str) -> float:
+        """Simulated inference ms spent in ``engine``'s tracker phases."""
+        return sum(
+            self.phase_ms.get(p, 0.0) for p in engine_row(engine).phases
+        )
 
-    @property
-    def tape_ms(self) -> float:
-        """Simulated inference ms spent in the compiled-tape engine."""
-        return self.phase_ms.get(PHASE_TAPE, 0.0)
-
-    @property
-    def megakernel_ms(self) -> float:
-        """Simulated inference ms spent in the megakernel engine."""
-        return self.phase_ms.get(PHASE_MEGAKERNEL, 0.0)
-
-    @property
-    def eager_ms(self) -> float:
-        """Simulated inference ms spent in the eager four-stage engine."""
-        return sum(self.phase_ms.get(p, 0.0) for p in BATCH_INFERENCE_PHASES)
-
-    @property
-    def plan_op_counts(self) -> Dict[str, int]:
-        """Operation counts recorded by plan-engine batches."""
-        return dict(self.phase_op_counts.get(PHASE_PLAN, {}))
-
-    @property
-    def tape_op_counts(self) -> Dict[str, int]:
-        """Operation counts recorded by tape-engine batches."""
-        return dict(self.phase_op_counts.get(PHASE_TAPE, {}))
-
-    @property
-    def megakernel_op_counts(self) -> Dict[str, int]:
-        """Operation counts recorded by megakernel-engine batches."""
-        return dict(self.phase_op_counts.get(PHASE_MEGAKERNEL, {}))
-
-    @property
-    def eager_op_counts(self) -> Dict[str, int]:
-        """Operation counts recorded by eager-engine batches."""
+    def engine_op_counts(self, engine: str) -> Dict[str, int]:
+        """Operation counts recorded by ``engine``'s batches."""
         merged: Dict[str, int] = {}
-        for phase in BATCH_INFERENCE_PHASES:
+        for phase in engine_row(engine).phases:
             for kind, n in self.phase_op_counts.get(phase, {}).items():
                 merged[kind] = merged.get(kind, 0) + n
         return merged
@@ -305,8 +268,10 @@ class CopseService:
     :class:`~repro.ir.plan.InferencePlan` per model, compiles it into a
     :class:`~repro.ir.tape.CompiledTape` (linearized instructions,
     scheduled rotations, register reuse, fused kernels), and executes
-    every batch through the tape; ``"plan"`` stops at the graph-walking
-    plan executor; ``"eager"`` keeps the hand-scheduled interpreter.
+    every batch through the tape; ``"megakernel"`` compiles the tape
+    once more into a zero-dispatch kernel; ``"plan"`` stops at the
+    graph-walking plan executor; ``"eager"`` keeps the hand-scheduled
+    interpreter.
     ``register_model`` can override per model.
 
     Scheduling knobs: ``default_deadline_ms`` applies a relative
@@ -336,10 +301,7 @@ class CopseService:
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        if engine not in ENGINES:
-            raise ValidationError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        engine_row(engine, error=ValidationError)
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ValidationError(
                 f"default_deadline_ms must be > 0, got {default_deadline_ms}"
@@ -413,7 +375,6 @@ class CopseService:
         )
         batcher = QueryBatcher(
             registered,
-            seccomp_variant=self.seccomp_variant,
             verify_oracle=self.verify_oracle,
             tracer=self.tracer,
             clock=self.scheduler.clock,

@@ -30,10 +30,12 @@ a multi-megabyte envelope without a send/send deadlock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ServeError
+from repro.core.engines import artifacts_of
+from repro.core.seccomp import VARIANT_ALOUFI
 
 __all__ = [
     "ShippedModel",
@@ -66,8 +68,9 @@ MSG_RESULT = "result"    #: ("result", BatchResult)
 class ShippedModel:
     """A registered model, packaged for one-shot shipment to a worker.
 
-    Field-for-field the picklable core of
-    :class:`~repro.serve.registry.RegisteredModel`.  ``fingerprint`` is
+    Field-for-field :class:`~repro.serve.registry.RegisteredModel`
+    (both conversions copy by field name, so a field recorded there
+    cannot be dropped here) plus ``fingerprint``, which is
     the :meth:`CompiledModel.fingerprint` recorded at packaging time;
     :meth:`verify` is the fail-closed gate every receiver runs before
     rebuilding a worker-side registered model.
@@ -90,28 +93,17 @@ class ShippedModel:
     megakernel: Optional[object] = field(default=None, repr=False)
     forest: Optional[object] = field(default=None, repr=False)
     setup_ms: float = 0.0
+    seccomp_variant: str = VARIANT_ALOUFI
 
     @classmethod
     def from_registered(cls, registered) -> "ShippedModel":
         """Package a :class:`RegisteredModel` (fingerprint recorded now)."""
         return cls(
-            name=registered.name,
             fingerprint=registered.compiled.fingerprint(),
-            compiled=registered.compiled,
-            params=registered.params,
-            layout=registered.layout,
-            spec=registered.spec,
-            keys=registered.keys,
-            batched_model=registered.batched_model,
-            cost_model=registered.cost_model,
-            encrypted_model=registered.encrypted_model,
-            engine=registered.engine,
-            backend=registered.backend,
-            plan=registered.plan,
-            tape=registered.tape,
-            megakernel=registered.megakernel,
-            forest=registered.forest,
-            setup_ms=registered.setup_ms,
+            **{
+                f.name: getattr(registered, f.name)
+                for f in fields(registered)
+            },
         )
 
     def verify(self) -> str:
@@ -131,17 +123,14 @@ class ShippedModel:
                 f"envelope fingerprint {self.fingerprint} != compiled "
                 f"model fingerprint {actual}"
             )
-        checks = (
+        checks = [
             ("batched model", getattr(self.batched_model, "fingerprint",
                                       None)),
-            ("plan", getattr(self.plan, "model_fingerprint", None)
-             if self.plan is not None else actual),
-            ("tape", getattr(self.tape, "model_fingerprint", None)
-             if self.tape is not None else actual),
-            ("megakernel",
-             getattr(self.megakernel, "model_fingerprint", None)
-             if self.megakernel is not None else actual),
-        )
+        ] + [
+            (kind, getattr(artifact, "model_fingerprint", None))
+            for kind, artifact in artifacts_of(self).items()
+            if artifact is not None
+        ]
         for what, fp in checks:
             if fp != actual:
                 raise ServeError(
@@ -157,22 +146,7 @@ class ShippedModel:
 
         self.verify()
         return RegisteredModel(
-            name=self.name,
-            compiled=self.compiled,
-            params=self.params,
-            layout=self.layout,
-            spec=self.spec,
-            keys=self.keys,
-            batched_model=self.batched_model,
-            cost_model=self.cost_model,
-            encrypted_model=self.encrypted_model,
-            forest=self.forest,
-            setup_ms=self.setup_ms,
-            engine=self.engine,
-            backend=self.backend,
-            plan=self.plan,
-            tape=self.tape,
-            megakernel=self.megakernel,
+            **{f.name: getattr(self, f.name) for f in fields(RegisteredModel)}
         )
 
 

@@ -9,10 +9,10 @@ lives in the router — and holds no scheduling state at all:
   rebuilt registered model.  The router ships each model at most once
   per (worker, epoch), so this is the only time the multi-megabyte
   bundle crosses the pipe.
-* ``("eval", BatchRequest)`` — run the full amortized pipeline on a
-  fresh per-batch :class:`~repro.fhe.context.FheContext` (pack +
-  encrypt, engine execution, decrypt, demux, optional oracle check) and
-  send back a :class:`~repro.serve.transport.BatchResult` of plain
+* ``("eval", BatchRequest)`` — run the batch through
+  :func:`~repro.serve.batched_runtime.evaluate_registered_batch` (the
+  routine the in-process batcher runs), walking the engine ladder down
+  when an engine raises, and send back a :class:`~repro.serve.transport.BatchResult` of plain
   numbers.  Worker-side failures are caught and returned as an
   ``error`` result — the router decides retry vs. fail, the worker
   never dies on a bad batch.
@@ -28,22 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.runtime import (
-    ENGINE_MEGAKERNEL,
-    ENGINE_PLAN,
-    ENGINE_TAPE,
-    PHASE_DATA_ENCRYPT,
-    PHASE_MEGAKERNEL,
-    PHASE_PLAN,
-    PHASE_TAPE,
-)
-from repro.fhe.context import FheContext
-from repro.serve.batched_runtime import (
-    BATCH_INFERENCE_PHASES,
-    BatchedCopseServer,
-    encrypt_batch,
-)
-from repro.serve.packing import demux_bitvectors
+from repro.serve.batched_runtime import evaluate_registered_batch
 from repro.serve.transport import (
     MSG_EVAL,
     MSG_LOAD,
@@ -68,56 +53,23 @@ def evaluate_batch(
 ) -> Tuple[List[List[int]], dict, float, float, Optional[List[bool]]]:
     """Evaluate one batch of raw features against a registered model.
 
-    The worker-side mirror of
-    :meth:`~repro.serve.batcher.QueryBatcher._evaluate`, minus futures
-    and spans (those live router-side): fresh context, batch encryption,
-    engine execution, decryption, demux, cost-model phase attribution.
-    ``engine`` overrides the registered engine (the degradation ladder
-    re-runs a failed batch on a slower rung).  Returns ``(bitvectors,
-    phase_ms, inference_ms, data_encrypt_ms, oracle_ok)``.
+    :func:`~repro.serve.batched_runtime.evaluate_registered_batch`
+    distilled to the plain numbers a
+    :class:`~repro.serve.transport.BatchResult` carries (futures, spans
+    and the tracker stay router-side).  ``engine`` overrides the
+    registered engine (the degradation ladder re-runs a failed batch on
+    a slower rung).  Returns ``(bitvectors, phase_ms, inference_ms,
+    data_encrypt_ms, oracle_ok)``.
     """
-    if engine is None:
-        engine = registered.engine
-    ctx = FheContext(registered.params, backend=registered.backend)
-    server = BatchedCopseServer(
-        ctx,
-        engine=engine,
-        plan=registered.plan,
-        tape=registered.tape,
-        megakernel=registered.megakernel,
+    evaluation = evaluate_registered_batch(
+        registered, features, engine=engine, verify_oracle=verify_oracle
     )
-    query = encrypt_batch(ctx, registered.layout, features, registered.keys)
-    encrypted = server.classify_batch(registered.batched_model, query)
-    bits = ctx.decrypt_bits(encrypted, registered.keys.secret)
-    bitvectors = demux_bitvectors(registered.layout, bits, len(features))
-
-    cost = registered.cost_model
-    if engine == ENGINE_MEGAKERNEL:
-        inference_phases = (PHASE_MEGAKERNEL,)
-    elif engine == ENGINE_TAPE:
-        inference_phases = (PHASE_TAPE,)
-    elif engine == ENGINE_PLAN:
-        inference_phases = (PHASE_PLAN,)
-    else:
-        inference_phases = BATCH_INFERENCE_PHASES
-    phase_ms = {
-        phase: cost.phase_sequential_ms(ctx.tracker, phase)
-        for phase in (PHASE_DATA_ENCRYPT,) + inference_phases
-    }
-    inference_ms = sum(phase_ms[p] for p in inference_phases)
-
-    oracle_ok: Optional[List[bool]] = None
-    if verify_oracle and registered.forest is not None:
-        oracle_ok = [
-            bitvectors[k] == registered.forest.label_bitvector(f)
-            for k, f in enumerate(features)
-        ]
     return (
-        bitvectors,
-        phase_ms,
-        inference_ms,
-        phase_ms[PHASE_DATA_ENCRYPT],
-        oracle_ok,
+        evaluation.bitvectors,
+        evaluation.phase_ms,
+        evaluation.inference_ms,
+        evaluation.data_encrypt_ms,
+        evaluation.oracle_ok,
     )
 
 
@@ -139,7 +91,7 @@ def _eval_result(
         engine = registered.engine
         while True:
             # The degradation ladder: when an engine raises, retry the
-            # batch one rung down (megakernel -> tape -> plan -> eager)
+            # batch one rung down faults.ENGINE_LADDER (fastest first)
             # instead of failing it — a broken fast path degrades to a
             # slower correct one, and the router audits the fallback.
             try:

@@ -519,6 +519,108 @@ class TestRealCluster:
         assert_conserved(stats)
         assert stats.completed == 9
 
+    def test_real_optimized_variant_serves_on_its_registered_engine(
+        self, example_forest
+    ):
+        """Bugfix lock: the worker's copy of the batch pipeline never
+        passed the SecComp variant to its server, so a model registered
+        with ``seccomp_variant="optimized"`` was refused by tape/plan
+        and silently degraded every batch to the eager rung."""
+        from repro.serve import CopseService
+
+        queries = real_queries(example_forest, 7, seed=3)
+        with ClusterService(workers=1, engine="tape",
+                            backend="vector") as service:
+            registered = service.register_model(
+                "m", example_forest, precision=8, max_batch_size=4,
+                seccomp_variant="optimized",
+            )
+            results = service.classify_many("m", queries)
+            assert service.drain(timeout=60)
+            stats = service.stats()
+            decisions = service.decisions
+        assert [d for d in decisions if d[0] == "degrade"] == []
+        assert all(res.oracle_ok is True for res in results)
+        assert_conserved(stats)
+        assert registered.seccomp_variant == "optimized"
+        with CopseService(threads=1, engine="tape", backend="vector",
+                          seccomp_variant="optimized") as local:
+            local.register_model(
+                "m", example_forest, precision=8, max_batch_size=4
+            )
+            expected = local.classify_many("m", queries)
+        assert [r.amortized_ms for r in results] == [
+            r.amortized_ms for r in expected
+        ]
+        assert [r.bitvector for r in results] == [
+            r.bitvector for r in expected
+        ]
+
+    def test_real_rejected_registration_rolls_back(self, example_forest):
+        """Bugfix lock: a registration the router rejected used to stay
+        in the registry, so every retry failed 'already registered'."""
+        with ClusterService(workers=1, backend="vector",
+                            max_queue=0) as service:
+            for _ in range(2):
+                with pytest.raises(ValidationError, match="max_pending"):
+                    service.register_model(
+                        "m", example_forest, precision=8
+                    )
+                assert "m" not in service.registry
+            service.max_queue = None
+            service.register_model(
+                "m", example_forest, precision=8, max_batch_size=4
+            )
+            res = service.classify_many(
+                "m", real_queries(example_forest, 2)
+            )
+        assert all(r.oracle_ok is True for r in res)
+
+    def test_real_engine_flip_fails_closed_on_fingerprint(
+        self, example_forest
+    ):
+        """Parity with the threaded service: a flip carrying the wrong
+        fingerprint changes nothing — engine, envelope, ship key — via
+        the service seam and via ``ClusterPlant`` alike."""
+        from repro.control import ClusterPlant, SwitchEngine
+
+        with ClusterService(workers=1, engine="tape",
+                            backend="vector") as service:
+            registered = service.register_model(
+                "m", example_forest, precision=8, max_batch_size=4
+            )
+            envelope = service._envelopes["m"]
+            fingerprint = registered.compiled.fingerprint()
+            with pytest.raises(ValidationError, match="does not match"):
+                service.set_model_engine(
+                    "m", "eager", expected_fingerprint="spoofed"
+                )
+            plant = ClusterPlant(service)
+            with pytest.raises(ValidationError, match="does not match"):
+                plant.apply(
+                    SwitchEngine(model="m", engine="eager",
+                                 expected_fingerprint="spoofed",
+                                 reason="attack"),
+                    0.0,
+                )
+            assert registered.engine == "tape"
+            assert service._envelopes["m"] is envelope
+            assert "redeploy" not in {d[0] for d in service.decisions}
+
+            plant.apply(
+                SwitchEngine(model="m", engine="eager",
+                             expected_fingerprint=fingerprint,
+                             reason="test"),
+                0.0,
+            )
+            assert registered.engine == "eager"
+            assert service._envelopes["m"].engine == "eager"
+            assert "redeploy" in {d[0] for d in service.decisions}
+            res = service.classify_many(
+                "m", real_queries(example_forest, 3)
+            )
+        assert all(r.oracle_ok is True for r in res)
+
     def test_real_one_vs_two_workers_identical_bits(self, example_forest):
         queries = real_queries(example_forest, 12, seed=5)
         bits = {}

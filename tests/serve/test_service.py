@@ -279,15 +279,17 @@ class TestStats:
         if engine == "plan":
             # The whole optimized pipeline records under one phase.
             assert stats.phase_ms["plan_inference"] > 0
-            assert stats.plan_ms > 0 and stats.eager_ms == 0
-            assert stats.plan_op_counts["multiply"] > 0
-            assert stats.eager_op_counts == {}
+            assert stats.engine_ms("plan") > 0
+            assert stats.engine_ms("eager") == 0
+            assert stats.engine_op_counts("plan")["multiply"] > 0
+            assert stats.engine_op_counts("eager") == {}
         else:
             for phase in ("comparison", "reshuffle", "levels", "accumulate"):
                 assert stats.phase_ms[phase] > 0
-            assert stats.eager_ms > 0 and stats.plan_ms == 0
-            assert stats.eager_op_counts["multiply"] > 0
-            assert stats.plan_op_counts == {}
+            assert stats.engine_ms("eager") > 0
+            assert stats.engine_ms("plan") == 0
+            assert stats.engine_op_counts("eager")["multiply"] > 0
+            assert stats.engine_op_counts("plan") == {}
         assert stats.op_counts["multiply"] > 0
         assert "CopseService stats" in stats.render()
 
@@ -320,10 +322,38 @@ class TestStats:
         assert tape_stats.oracle_failures == 0
         assert plan_stats.oracle_failures == 0
         assert eager_stats.oracle_failures == 0
-        assert tape_stats.tape_ms > 0 and tape_stats.plan_ms == 0
-        assert tape_stats.tape_op_counts["multiply"] > 0
+        assert tape_stats.engine_ms("tape") > 0
+        assert tape_stats.engine_ms("plan") == 0
+        assert tape_stats.engine_op_counts("tape")["multiply"] > 0
         assert tape_stats.inference_ms < plan_stats.inference_ms
         assert plan_stats.inference_ms < eager_stats.inference_ms
+
+    def test_engine_flips_keep_the_recorded_seccomp_variant(
+        self, example_forest
+    ):
+        """Bugfix lock: ``ModelRegistry.set_engine`` lowered under the
+        default SecComp variant, so on an ``"optimized"`` service the
+        first batch after ``eager -> tape`` raised a variant refusal."""
+        with CopseService(threads=1, seccomp_variant="optimized",
+                          engine="eager") as service:
+            registered = service.register_model(
+                "m", example_forest, max_batch_size=4
+            )
+            for engine in ("eager", "tape", "megakernel"):
+                service.set_model_engine("m", engine)
+                results = service.classify_many(
+                    "m", queries_for(example_forest, 5)
+                )
+                assert all(r.oracle_ok is True for r in results)
+                if engine != "eager":  # the artifact is named after it
+                    assert getattr(registered, engine).variant == "optimized"
+            stats = service.stats()
+        assert registered.seccomp_variant == "optimized"
+        assert stats.oracle_failures == 0
+        for engine in ("eager", "tape", "megakernel"):
+            assert stats.engine_ms(engine) > 0
+            assert stats.engine_op_counts(engine)["multiply"] > 0
+        assert stats.engine_ms("plan") == 0
 
     def test_oracle_failures_counted_per_query(self, example_forest):
         """Regression: a bad batch used to count as one failure."""
