@@ -238,6 +238,7 @@ def engine_profiles(workload_name: str = "width78") -> List[Dict]:
                 "steps": kernel.num_blocks,
                 "register_rows": kernel.num_rows,
                 "live_rows": kernel.data_rows,
+                "resident_rows": kernel.resident_rows,
                 "supported": kernel.supported,
             },
         )

@@ -137,3 +137,12 @@ class PoisonQueryError(ServeError):
         self.tenant = tenant
         self.seq = seq
         self.attempts = attempts
+
+
+class WorkerPoolExhaustedError(ServeError):
+    """No cluster worker is left to run this query.
+
+    Raised on a query's future when the last worker of the pool was
+    given up on — its replacements kept dying before reporting ready,
+    past the respawn budget — so the query could never be placed.
+    """

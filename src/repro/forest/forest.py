@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.forest.node import Branch, Leaf
@@ -35,6 +35,11 @@ class DecisionForest:
     label_names: List[str]
     n_features: int
     feature_names: List[str] = field(default_factory=list)
+    #: Lazy oracle table (see :meth:`_walk_table`): never compared, and
+    #: dropped by ``__getstate__`` so a shipped forest pickles as before.
+    _walks: Optional[Tuple[tuple, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.trees:
@@ -83,13 +88,48 @@ class DecisionForest:
         is 1 exactly when its leaf is the one its tree selects.
         """
         self._check_features(features)
-        bits: List[int] = []
-        for tree in self.trees:
-            chosen = self._chosen_leaf_position(tree, features)
-            bits.extend(
-                1 if i == chosen else 0 for i in range(tree.num_leaves)
-            )
+        roots, width = self._walk_table()
+        bits = [0] * width
+        for node in roots:
+            while type(node) is tuple:
+                node = node[2] if features[node[0]] < node[1] else node[3]
+            bits[node] = 1
         return bits
+
+    def _walk_table(self) -> Tuple[tuple, int]:
+        """``(per-tree walk roots, bitvector width)``, built once.
+
+        Each tree becomes nested ``(feature, threshold, true, false)``
+        tuples whose leaves are their forest-wide preorder positions, so
+        a query costs one root-to-leaf walk per tree — O(depth), not the
+        O(model) preorder enumerations of :meth:`_chosen_leaf_position`
+        (kept as the tested specification).  Memoised like
+        ``DecisionTree._levels``: the trees are not expected to change
+        after construction.
+        """
+        table = self._walks
+        if table is None:
+            position = 0
+
+            def lower(node):
+                nonlocal position
+                if isinstance(node, Branch):
+                    true_side = lower(node.true_child)
+                    return (
+                        node.feature, node.threshold, true_side,
+                        lower(node.false_child),
+                    )
+                position += 1
+                return position - 1
+
+            roots = tuple(lower(tree.root) for tree in self.trees)
+            table = self._walks = (roots, position)
+        return table
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_walks"] = None
+        return state
 
     @staticmethod
     def _chosen_leaf_position(tree: DecisionTree, features: Sequence[int]) -> int:

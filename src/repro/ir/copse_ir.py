@@ -55,6 +55,12 @@ NOT_ONE = "not_one"
 OUTPUT_LABELS = "labels"
 
 
+def is_query_input(name: str) -> bool:
+    """True for the inputs a query supplies (feature planes and the
+    Aloufi all-ones helper); every other input is a per-model constant."""
+    return name == NOT_ONE or name.startswith(FEATURE_PLANE.format(i=""))
+
+
 def build_inference_graph(
     model: CompiledModel,
     encrypted_model: bool = True,

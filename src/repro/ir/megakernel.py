@@ -12,10 +12,23 @@ Python dispatch**:
   instruction stream is rewritten into SSA values, scheduled by
   dependency level, and a linear-scan allocator reuses rows the moment
   their last reader has run, so ``rows`` tracks the peak number of
-  simultaneously live values (plus a deduplicated constant pool and an
-  all-ones row), not the instruction count.  The plane and the step
-  scratch buffers persist across runs per thread — steady-state
-  execution allocates nothing;
+  simultaneously live values (plus the resident model inputs, a
+  deduplicated constant pool and an all-ones row), not the instruction
+  count.  The plane and the step scratch buffers persist across runs
+  per thread — steady-state execution allocates nothing;
+* **resident model rows** — the model is known long before any query,
+  so what a run does to it is staged too.  The inputs a query supplies
+  (:func:`~repro.ir.copse_ir.is_query_input`) take the plane's first
+  rows and are seated every run; every other input is a per-model
+  constant and gets a *permanent* row, like the constant pool, seated
+  once per (thread, bundle).  :meth:`MegaKernel.run` recognises a
+  bundle it has already seated by the identity of its plane containers
+  — only immutable ones qualify, i.e. the tuples of the adopted view
+  that ``BatchedEncryptedModel.adopt_into`` memoises — and then binds,
+  signs and seats the query alone.  A new thread, an unpickled kernel,
+  another bundle, or a call through :meth:`MegaKernel.execute` takes
+  the full seat.  Only data placement is remembered: the fail-closed
+  refusals below run on every bind;
 * **segment grammar** — SSA scheduling collapses the stream into one
   *segment* per dependency level, far fewer than the tape's hazard
   breaks allow (register reuse in the tape forces a new segment at every
@@ -42,7 +55,9 @@ Python dispatch**:
   the tape by construction: the bookkeeping *is* the tape's, recorded
   in bulk.  Key ids are canonicalized in the signature (serve mints
   fresh keys per batch; only the partition affects behavior), so the
-  capture cost amortizes across a whole serve session.
+  capture cost amortizes across a whole serve session; the model
+  inputs' share of the signature is an interned id, computed once per
+  seated bundle.
 
 The megakernel is an **optional backend capability**, discovered like
 ``fused_ops``: ``getattr(ctx, "megakernel_ops", None)``.  The vector
@@ -56,8 +71,8 @@ under the caller's phase, so engine-labelled serve stats hold on every
 backend.
 
 A kernel carries its tape's model fingerprint and performs the same
-fail-closed bind check through
-:func:`~repro.ir.plan.bind_model_query`; pickling (cluster
+fail-closed bind check as :func:`~repro.ir.plan.bind_model_query` on
+every run, resident or not; pickling (cluster
 ``ShippedModel`` shipment) ships only the tape — the compiled gather
 planes, the bookkeeping cache, and the per-thread register planes
 rebuild lazily on first worker-side execution, mirroring
@@ -199,28 +214,26 @@ class MegaKernel:
     """
 
     def __init__(self, tape: CompiledTape):
+        from repro.ir.copse_ir import is_query_input
+
         self.tape = tape
         self._lock = threading.Lock()
         self._local = threading.local()
         self._plan: Optional[_Plan] = None
         self._unsupported: Optional[str] = None
-        self._input_names = sorted(tape.input_slots)
         self._input_set = frozenset(tape.input_slots)
+        #: Inputs a query supplies, seated every run, vs. the per-model
+        #: constants that stay resident in the plane (module docstring).
+        self._query_names = sorted(filter(is_query_input, tape.input_slots))
+        self._model_names = sorted(self._input_set.difference(self._query_names))
         #: input-signature -> :class:`_Book`.  Plain dict: a racing
         #: duplicate capture is benign (identical value), a torn read is
         #: impossible (single assignment).
         self._book: Dict[Tuple, _Book] = {}
-        #: Binding-layout cache: the input names of
-        #: :func:`~repro.ir.plan.bind_model_query` depend only on the
-        #: model/query *structure* (how many planes of each kind), not
-        #: on the objects — and serve adopts the cached model into a
-        #: fresh context every batch, so object identity is useless as
-        #: a key.  The first bind records ``(structure, seats)``; later
-        #: binds with the same structure seat the planes through the
-        #: precomputed name map instead of re-formatting ~a hundred
-        #: input names per batch.  The fail-closed fingerprint and
-        #: encryption-shape checks still run on *every* bind.
-        self._bound_layout = None
+        #: Model-input metadata tuple -> small id standing for it in the
+        #: signature, so a resident bundle's share of the book key is one
+        #: int instead of a re-hashed tuple of every plane's metadata.
+        self._fragments: Dict[Tuple, int] = {}
 
     # -- tape metadata passthrough (one source of truth) ----------------
 
@@ -287,16 +300,23 @@ class MegaKernel:
 
     @property
     def num_rows(self) -> int:
-        """Rows of the register plane (live values + constant pool)."""
+        """Rows of the register plane (live values + resident model
+        inputs + constant pool)."""
         self.ensure_compiled()
         return self._plan.rows if self._plan else 0
 
     @property
     def data_rows(self) -> int:
-        """Peak simultaneously-live values (the liveness allocator's
-        high-water mark; ``num_rows`` minus the constant pool)."""
+        """Peak simultaneously-live per-run values (the liveness
+        allocator's high-water mark: query inputs and intermediates)."""
         self.ensure_compiled()
         return self._plan.data_rows if self._plan else 0
+
+    @property
+    def resident_rows(self) -> int:
+        """Permanent rows holding the model inputs."""
+        self.ensure_compiled()
+        return len(self._plan.model_seats[0]) if self._plan else 0
 
     @property
     def lanes(self) -> int:
@@ -325,7 +345,8 @@ class MegaKernel:
             f"megakernel: {self.num_instructions} instructions -> "
             f"{self.num_segments} segments ({self.num_blocks} steps) "
             f"over a {self.num_rows}x{self.lanes} register plane "
-            f"({self.data_rows} live rows + constant pool), rotations "
+            f"({self.data_rows} live rows + {self.resident_rows} resident "
+            f"model rows + constant pool), rotations "
             f"{self.rotations}, depth {self.profile.depth}"
         )
 
@@ -355,153 +376,56 @@ class MegaKernel:
         phase defaults to the megakernel phase so serve stats attribute
         the work to this engine on every backend (including tape-loop
         fallbacks).
+
+        When this thread's plane already holds ``model``'s planes (see
+        :meth:`_resident_for`) only the query is bound, signed and
+        seated; the encryption-shape and fingerprint refusals are
+        **not** cached and run on every call with the messages of
+        :func:`~repro.ir.plan.bind_model_query`, so an impostor bundle
+        is rejected identically on the first batch and the millionth.
         """
         from repro.core.engines import PHASE_MEGAKERNEL
-        from repro.ir.plan import OUTPUT_LABELS
+        from repro.ir.plan import (
+            OUTPUT_LABELS,
+            bind_model_query,
+            bind_query_inputs,
+        )
 
         if phase is None:
             phase = PHASE_MEGAKERNEL
-        bindings = self._bindings_for(ctx, model, query)
-        outputs = self.execute(ctx, bindings, phase=phase, profiler=profiler)
+        ops = getattr(ctx, "megakernel_ops", None)
+        direct = profiler is None and ops is not None and self.ensure_compiled()
+        resident = self._resident_for(model, query) if direct else None
+        if resident is not None:
+            self._check_bundle(model)
+            outputs = self._execute(
+                ctx, ops,
+                bind_query_inputs(ctx, self.input_widths, query),
+                phase, resident,
+            )
+        else:
+            bindings = bind_model_query(
+                ctx,
+                self.input_widths,
+                self.encrypted_model,
+                self.model_fingerprint,
+                model,
+                query,
+            )
+            if direct:
+                self._require_bound(bindings)
+                outputs = self._execute(
+                    ctx, ops, bindings, phase,
+                    holder=self._holder_of(model, query),
+                )
+            else:
+                outputs = self.tape.execute(
+                    ctx, bindings, phase=phase, profiler=profiler
+                )
         result = outputs[OUTPUT_LABELS]
         if not isinstance(result, Ciphertext):  # pragma: no cover
             raise RuntimeProtocolError("megakernel result must be encrypted")
         return result
-
-    def _bindings_for(self, ctx, model, query):
-        """Bind with the full fail-closed checks, layout-cached.
-
-        First contact goes through
-        :func:`~repro.ir.plan.bind_model_query` — the single source of
-        the binding rules and their exact error messages.  The *name
-        layout* it produced (which input name seats which model/query
-        plane) depends only on the bundle's structure — plane counts
-        per kind — so it is cached against that structure and replayed
-        without re-formatting ~a hundred input names per batch.  The
-        fail-closed checks are **not** cached: every bind re-verifies
-        the encryption shape and the model fingerprint with the same
-        refusal messages, so an impostor bundle is rejected identically
-        on the first batch and the millionth.
-        """
-        from repro.ir.plan import (
-            FEATURE_PLANE,
-            LEVEL_DIAG,
-            LEVEL_MASK,
-            NOT_ONE,
-            RESHUFFLE_DIAG,
-            THRESHOLD_PLANE,
-            bind_model_query,
-        )
-
-        encrypted_model = self.encrypted_model
-        planes = query.planes
-        structure = None
-        if model is not None:
-            if encrypted_model:
-                structure = (
-                    len(planes),
-                    len(model.threshold_planes),
-                    len(model.reshuffle_diagonals),
-                    tuple(len(level) for level in model.level_diagonals),
-                    len(model.level_masks),
-                )
-            else:
-                structure = (len(planes),)
-
-        cached = self._bound_layout
-        if cached is not None and cached[0] == structure:
-            (_, feature_seats, model_seats, not_one_width) = cached
-            if model.is_encrypted != encrypted_model:
-                raise RuntimeProtocolError(
-                    f"plan was lowered for an "
-                    f"{'encrypted' if encrypted_model else 'plaintext'} "
-                    f"model but received the opposite"
-                )
-            fingerprint = self.model_fingerprint
-            if fingerprint is not None:
-                model_fp = getattr(model, "fingerprint", None)
-                if model_fp != fingerprint:
-                    raise RuntimeProtocolError(
-                        f"plan was lowered for model {fingerprint} "
-                        f"but received model {model_fp}; lower a plan "
-                        f"for this model (or register it, which does)"
-                    )
-            bindings = {}
-            for name, i in feature_seats:
-                bindings[name] = planes[i]
-            if not_one_width:
-                if query.public_key is None:
-                    raise RuntimeProtocolError(
-                        "the Aloufi SecComp variant needs the query's "
-                        "public key to encrypt the all-ones helper"
-                    )
-                bindings[NOT_ONE] = ctx.encrypt(
-                    [1] * not_one_width, query.public_key
-                )
-            if model_seats is not None:
-                threshold_seats, reshuffle_seats, diag_seats, \
-                    mask_seats = model_seats
-                tp = model.threshold_planes
-                for name, i in threshold_seats:
-                    bindings[name] = tp[i]
-                rd = model.reshuffle_diagonals
-                for name, i in reshuffle_seats:
-                    bindings[name] = rd[i]
-                ld = model.level_diagonals
-                for name, lv, i in diag_seats:
-                    bindings[name] = ld[lv][i]
-                lm = model.level_masks
-                for name, lv in mask_seats:
-                    bindings[name] = lm[lv]
-            return bindings
-
-        bindings = bind_model_query(
-            ctx,
-            self.input_widths,
-            encrypted_model,
-            self.model_fingerprint,
-            model,
-            query,
-        )
-        if structure is not None:
-            widths = self.input_widths
-            feature_seats = tuple(
-                (FEATURE_PLANE.format(i=i), i)
-                for i in range(len(planes))
-                if FEATURE_PLANE.format(i=i) in widths
-            )
-            model_seats = None
-            if encrypted_model:
-                model_seats = (
-                    tuple(
-                        (THRESHOLD_PLANE.format(i=i), i)
-                        for i in range(len(model.threshold_planes))
-                        if THRESHOLD_PLANE.format(i=i) in widths
-                    ),
-                    tuple(
-                        (RESHUFFLE_DIAG.format(i=i), i)
-                        for i in range(len(model.reshuffle_diagonals))
-                        if RESHUFFLE_DIAG.format(i=i) in widths
-                    ),
-                    tuple(
-                        (LEVEL_DIAG.format(level=lv, i=i), lv, i)
-                        for lv, level in enumerate(model.level_diagonals)
-                        for i in range(len(level))
-                        if LEVEL_DIAG.format(level=lv, i=i) in widths
-                    ),
-                    tuple(
-                        (LEVEL_MASK.format(level=lv), lv)
-                        for lv in range(len(model.level_masks))
-                        if LEVEL_MASK.format(level=lv) in widths
-                    ),
-                )
-            self._bound_layout = (
-                structure,
-                feature_seats,
-                model_seats,
-                widths.get(NOT_ONE, 0),
-            )
-        return bindings
 
     def execute(
         self,
@@ -516,23 +440,112 @@ class MegaKernel:
         ``megakernel_ops`` capability, when a profiler wants
         per-instruction attribution, or when the tape's shape escapes
         the gather grammar — identical bits and bookkeeping either way.
+        Every input is seated; nothing is taken as resident.
         """
         ops = getattr(ctx, "megakernel_ops", None)
         if profiler is not None or ops is None or not self.ensure_compiled():
             return self.tape.execute(
                 ctx, bindings, phase=phase, profiler=profiler
             )
+        self._require_bound(bindings)
+        return self._execute(ctx, ops, bindings, phase)
 
+    # -- residency: what a thread's plane already holds -------------------
+
+    def _holder_of(self, model, query):
+        """What identifies ``model``'s planes for residency, or None.
+
+        Only *immutable* plane containers qualify — the tuples of an
+        adopted view (:meth:`BatchedEncryptedModel.adopt_into
+        <repro.serve.batched_runtime.BatchedEncryptedModel.adopt_into>`)
+        — because residency is decided by their identity alone: a list
+        could change under the same identity.  A plaintext-model kernel
+        has no model inputs, so nothing of the bundle is held.
+        """
+        containers = ()
+        if self.encrypted_model:
+            containers = _plane_containers(model)
+            if not all(
+                type(planes) is tuple
+                for planes in (*containers, *containers[2])
+            ):
+                return None
+        elif self._model_names:
+            return None
+        return containers, len(query.planes)
+
+    def _resident_for(self, model, query):
+        """This thread's :class:`_Resident` if it holds ``model``.
+
+        Holds means: the plane was fully seated from these very
+        container objects (kept alive by the record, so the identities
+        cannot be recycled) for a query of this many planes.  A new
+        thread, an unpickled kernel, another bundle object or a bundle
+        whose containers were replaced all miss and take the full seat.
+        """
+        state = getattr(self._local, "state", None)
+        resident = state.resident if state is not None else None
+        if resident is None or resident.num_planes != len(query.planes):
+            return None
+        if self.encrypted_model:
+            for held, planes in zip(
+                resident.containers, _plane_containers(model)
+            ):
+                if held is not planes:
+                    return None
+        return resident
+
+    def _check_bundle(self, model) -> None:
+        """The uncached refusals of :func:`~repro.ir.plan.bind_model_query`."""
+        if model is None:
+            return
+        encrypted_model = self.encrypted_model
+        if model.is_encrypted != encrypted_model:
+            raise RuntimeProtocolError(
+                f"plan was lowered for an "
+                f"{'encrypted' if encrypted_model else 'plaintext'} "
+                f"model but received the opposite"
+            )
+        fingerprint = self.model_fingerprint
+        if fingerprint is not None:
+            model_fp = getattr(model, "fingerprint", None)
+            if model_fp != fingerprint:
+                raise RuntimeProtocolError(
+                    f"plan was lowered for model {fingerprint} "
+                    f"but received model {model_fp}; lower a plan "
+                    f"for this model (or register it, which does)"
+                )
+
+    def _require_bound(self, bindings) -> None:
         if not bindings.keys() >= self._input_set:
             missing = self._input_set - bindings.keys()
             raise RuntimeProtocolError(
                 f"unbound IR inputs: {sorted(missing)}"
             )
 
-        signature, keys = self._signature(ctx, bindings)
+    # -- the kernel proper -------------------------------------------------
+
+    def _execute(self, ctx, ops, bindings, phase, resident=None, holder=None):
+        """Book, seat, run the steps, wrap the outputs.
+
+        With ``resident`` the model rows are already seated and
+        ``bindings`` carries the query inputs only.  Otherwise
+        ``bindings`` is complete and every input row is seated; if
+        ``holder`` identifies where the model planes came from
+        (:meth:`_holder_of`), the thread records them as resident.
+        """
+        plan = self._plan
+        state = self._buffer(plan)
+        fragment = (
+            resident.fragment if resident is not None
+            else self._model_fragment(bindings)
+        )
+        signature, keys = self._signature(ctx, bindings, fragment)
         book = self._book.get(signature)
         if book is None:
-            book = self._capture(ops, bindings, phase)
+            if resident is not None:
+                bindings = {**resident.bindings, **bindings}
+            book = self._capture(ops, bindings, phase, keys)
             self._book[signature] = book
 
         # Bookkeeping first, exactly as the tape would have produced it:
@@ -548,10 +561,19 @@ class MegaKernel:
         if book.error is not None:
             raise book.error
 
-        plan = self._plan
-        R, program = self._buffer(plan)
-        self._bind(R, plan, bindings)
-        for step in program:
+        R = state.plane
+        if resident is None:
+            # Forget first: a refusal half-way through must not leave a
+            # record claiming rows it did not finish seating.
+            state.resident = None
+            _seat(R, plan.model_seats, bindings)
+            if holder is not None:
+                state.resident = _Resident(
+                    holder[0], holder[1], fragment,
+                    {name: bindings[name] for name in self._model_names},
+                )
+        _seat(R, plan.query_seats, bindings)
+        for step in state.program:
             step()
 
         outputs = {}
@@ -573,25 +595,20 @@ class MegaKernel:
 
     # -- per-run plumbing ------------------------------------------------
 
-    def _signature(self, ctx, bindings):
-        """(cache key, canonical key list) for the current bindings.
+    @staticmethod
+    def _describe_inputs(names, bindings, keys: List[int]) -> List:
+        """Flat metadata of ``names``' bindings, key ids canonicalized.
 
-        The key covers everything the bookkeeping depends on — backend
-        class, parameters, and per-input metadata — with key ids
-        *canonicalized* to their first-appearance index: operations only
-        ever compare keys for equality, so two binding sets with the
-        same key partition produce identical counts, noise, and failure
-        behavior even though serve mints fresh keys per batch.
+        ``keys`` is the canonical key list so far and grows by first
+        appearance.  Input order is fixed by ``names`` and a "c"/"p"
+        marker leads each entry, so positions stay unambiguous without
+        hashing name strings and nested tuples.
         """
-        canon: Dict[int, int] = {}
-        keys: List[int] = []
-        # One flat tuple: input order is fixed by ``_input_names`` and a
-        # "c"/"p" marker leads each entry, so positions stay unambiguous
-        # without hashing a hundred name strings and nested tuples.
-        items: List = [type(ctx).__name__, ctx.params]
+        canon = {key_id: index for index, key_id in enumerate(keys)}
+        items: List = []
         extend = items.extend
         canon_get = canon.get
-        for name in self._input_names:
+        for name in names:
             value = bindings[name]
             if isinstance(value, Ciphertext):
                 key_id = value._key_id
@@ -605,10 +622,47 @@ class MegaKernel:
                 )
             else:
                 extend(("p", value.length))
+        return items
+
+    def _model_fragment(self, bindings) -> Tuple[int, Tuple[int, ...]]:
+        """``(interned id, key list)`` of the model inputs' metadata.
+
+        The id stands for the exact metadata tuple (one id per distinct
+        tuple, per kernel), so a signature built from it is as
+        injective as one spelling the tuple out — and a resident bundle
+        reuses it instead of re-walking every plane.
+        """
+        keys: List[int] = []
+        items = tuple(self._describe_inputs(self._model_names, bindings, keys))
+        with self._lock:  # len() and insert must not interleave
+            ident = self._fragments.setdefault(items, len(self._fragments))
+        return ident, tuple(keys)
+
+    def _signature(self, ctx, bindings, fragment):
+        """(cache key, canonical key list) for the current bindings.
+
+        The key covers everything the bookkeeping depends on — backend
+        class, parameters, and per-input metadata — with key ids
+        *canonicalized* to their first-appearance index, model inputs
+        first (``fragment``, from :meth:`_model_fragment`) and query
+        inputs after: operations only ever compare keys for equality,
+        so two binding sets with the same key partition produce
+        identical counts, noise, and failure behavior even though serve
+        mints fresh keys per batch.
+        """
+        ident, model_keys = fragment
+        keys = list(model_keys)
+        items = [type(ctx).__name__, ctx.params, ident]
+        items += self._describe_inputs(self._query_names, bindings, keys)
         return tuple(items), keys
 
-    def _capture(self, ops, bindings, phase) -> _Book:
-        """Run the tape once on a scratch context and harvest its books."""
+    def _capture(self, ops, bindings, phase, keys) -> _Book:
+        """Run the tape once on a scratch context and harvest its books.
+
+        ``keys`` is the signature's canonical key list: output metadata
+        stores indices into it, resolved against the current run's list
+        at replay.
+        """
         scratch = ops.scratch_context()
         tracker = scratch.tracker
         outputs = None
@@ -625,7 +679,6 @@ class MegaKernel:
             kind: n for kind, n in tracker.total_counts().items() if n
         }
         depth = tracker.multiplicative_depth()
-        _, keys = self._signature(scratch, bindings)
         canon = {key_id: index for index, key_id in enumerate(keys)}
         meta = {}
         if outputs is not None:
@@ -642,7 +695,7 @@ class MegaKernel:
                     meta[name] = ("p", value.length)
         return _Book(counts, depth, meta, error)
 
-    def _buffer(self, plan):
+    def _buffer(self, plan) -> "_ThreadState":
         """Per-thread register plane + compiled step closures.
 
         Constant and ones rows are seated once — no step ever writes a
@@ -658,51 +711,91 @@ class MegaKernel:
             if plan.ones_row is not None:
                 R[plan.ones_row, :] = 1
             program = [_bind_step(R, spec) for spec in plan.steps]
-            state = (R, program)
-            self._local.state = state
+            state = self._local.state = _ThreadState(R, program)
         return state
 
-    def _bind(self, R, plan, bindings) -> None:
-        """Validate bindings with the tape's exact errors; seat the bits.
 
-        When the allocator gave the inputs rows ``0..n-1`` at full lane
-        width (``bind_contig``, the common batched-serve shape), all
-        input slots land with a single ``np.concatenate`` into a flat
-        view of the plane's top rows instead of a hundred row stores.
-        """
-        arrs = []
-        append = arrs.append
-        for name, row, width, is_cipher in plan.bind_specs:
-            value = bindings[name]
-            if is_cipher:
-                if not isinstance(value, Ciphertext):
-                    raise RuntimeProtocolError(
-                        f"input {name!r} must be a ciphertext"
-                    )
-                length = value._length
-            elif isinstance(value, PlainVector):
-                length = value._slots.shape[0]
-            else:
+def _plane_containers(model):
+    return (
+        model.threshold_planes,
+        model.reshuffle_diagonals,
+        model.level_diagonals,
+        model.level_masks,
+    )
+
+
+class _Resident:
+    """What one thread's plane holds in its model rows, and from where.
+
+    ``containers`` are the bundle's (immutable) plane containers the
+    rows were seated from — held strongly, compared by identity;
+    ``fragment`` is their share of the signature and ``bindings`` the
+    name -> plane map, kept for the rare capture of a new signature.
+    """
+
+    __slots__ = ("containers", "num_planes", "fragment", "bindings")
+
+    def __init__(self, containers, num_planes, fragment, bindings):
+        self.containers = containers
+        self.num_planes = num_planes
+        self.fragment = fragment
+        self.bindings = bindings
+
+
+class _ThreadState:
+    """One thread's register plane, step closures and residency record."""
+
+    __slots__ = ("plane", "program", "resident")
+
+    def __init__(self, plane, program):
+        self.plane = plane
+        self.program = program
+        self.resident: Optional[_Resident] = None
+
+
+def _seat(R, seats, bindings) -> None:
+    """Validate one input group with the tape's exact errors; seat the bits.
+
+    ``seats`` is ``(specs, start)`` from :func:`_seat_group`: when the
+    group occupies consecutive full-lane rows from ``start`` (the common
+    batched-serve shape), all its slots land with a single
+    ``np.concatenate`` into a flat view of those rows instead of one
+    row store each.
+    """
+    specs, start = seats
+    arrs = []
+    append = arrs.append
+    for name, row, width, is_cipher in specs:
+        value = bindings[name]
+        if is_cipher:
+            if not isinstance(value, Ciphertext):
                 raise RuntimeProtocolError(
-                    f"input {name!r} must be a plaintext vector"
+                    f"input {name!r} must be a ciphertext"
                 )
-            if length != width:
-                raise RuntimeProtocolError(
-                    f"input {name!r} has width {length}, "
-                    f"declared {width}"
-                )
-            slots = value._slots
-            append(slots if slots.shape[0] == width else slots[:width])
-        if plan.bind_contig:
-            try:
-                np.concatenate(
-                    arrs, out=R[: len(arrs)].reshape(-1)
-                )
-                return
-            except (TypeError, ValueError):
-                pass  # exotic dtype: fall back to per-row casts
-        for spec, slots in zip(plan.bind_specs, arrs):
-            R[spec[1], : spec[2]] = slots
+            length = value._length
+        elif isinstance(value, PlainVector):
+            length = value._slots.shape[0]
+        else:
+            raise RuntimeProtocolError(
+                f"input {name!r} must be a plaintext vector"
+            )
+        if length != width:
+            raise RuntimeProtocolError(
+                f"input {name!r} has width {length}, "
+                f"declared {width}"
+            )
+        slots = value._slots
+        append(slots if slots.shape[0] == width else slots[:width])
+    if start is not None:
+        try:
+            np.concatenate(
+                arrs, out=R[start : start + len(arrs)].reshape(-1)
+            )
+            return
+        except (TypeError, ValueError):
+            pass  # exotic dtype: fall back to per-row casts
+    for spec, slots in zip(specs, arrs):
+        R[spec[1], : spec[2]] = slots
 
 
 def compile_megakernel(tape: CompiledTape) -> MegaKernel:
@@ -730,27 +823,25 @@ class _Plan:
 
     __slots__ = (
         "rows", "lanes", "steps", "const_seats", "ones_row",
-        "input_rows", "output_rows", "num_segments", "data_rows",
-        "bind_specs", "bind_contig",
+        "output_rows", "num_segments", "data_rows",
+        "query_seats", "model_seats",
     )
 
     def __init__(self, rows, lanes, steps, const_seats, ones_row,
-                 input_rows, output_rows, num_segments, data_rows,
-                 bind_specs, bind_contig):
+                 output_rows, num_segments, data_rows,
+                 query_seats, model_seats):
         self.rows = rows
         self.lanes = lanes
         self.steps = steps
         self.const_seats = const_seats
         self.ones_row = ones_row
-        self.input_rows = input_rows
         self.output_rows = output_rows
         self.num_segments = num_segments
         self.data_rows = data_rows
-        #: ``(name, row, width, is_cipher)`` in allocation order.
-        self.bind_specs = bind_specs
-        #: True when inputs occupy rows ``0..n-1`` in order at full lane
-        #: width, letting ``_bind`` seat them all with one concatenate.
-        self.bind_contig = bind_contig
+        #: Seating of the query inputs (every run) and of the model
+        #: inputs (once per resident bundle); see :func:`_seat_group`.
+        self.query_seats = query_seats
+        self.model_seats = model_seats
 
 
 class _Value:
@@ -912,9 +1003,18 @@ def _compile_plan(tape: CompiledTape) -> _Plan:
     if has_operand[0]:
         ones_value = new_value(1, 0)
 
+    from repro.ir.copse_ir import is_query_input
+
+    query_values = {
+        name: v for name, v in input_values.items() if is_query_input(name)
+    }
+    model_values = {
+        name: v for name, v in input_values.items()
+        if name not in query_values
+    }
     return _schedule(
         tape, values, instrs, const_arrays, const_values, ones_value,
-        input_values, output_values,
+        query_values, model_values, output_values,
     )
 
 
@@ -974,9 +1074,40 @@ def _needs_gather(values, term: _Term, width: int) -> bool:
     return (term.amount % src_width != 0) or src_width < width
 
 
+def _seat_group(tape, values, lanes, inputs):
+    """``(specs, start)`` for seating one group of inputs.
+
+    ``specs`` are ``(name, row, width, is_cipher)`` in row order;
+    ``start`` is the first row when the group occupies
+    consecutive rows at full lane width — one concatenate then seats
+    it — and ``None`` otherwise.
+    """
+    input_cipher = tape.input_cipher
+    specs = tuple(sorted(
+        (
+            (name, values[v].row, values[v].width, input_cipher[name])
+            for name, v in inputs.items()
+        ),
+        key=lambda spec: spec[1],
+    ))
+    start = specs[0][1] if specs else None
+    if not all(
+        spec[1] == start + i and spec[2] == lanes
+        for i, spec in enumerate(specs)
+    ):
+        start = None
+    return specs, start
+
+
 def _schedule(tape, values, instrs, const_arrays, const_values,
-              ones_value, input_values, output_values) -> _Plan:
-    """Level-schedule instructions, run liveness, materialize steps."""
+              ones_value, query_values, model_values,
+              output_values) -> _Plan:
+    """Level-schedule instructions, run liveness, materialize steps.
+
+    Row layout, top to bottom: the query inputs (rows ``0..q-1``), the
+    recycled rows of the intermediates, then the permanent rows — model
+    inputs in binding order, the constant pool, the all-ones row.
+    """
     # -- group instructions by dependency level -------------------------
     by_level: Dict[int, List[_Instr]] = {}
     for instr in instrs:
@@ -1026,6 +1157,9 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
     if ones_value is not None:
         permanent.add(ones_value)
     permanent.update(output_values.values())
+    # Model inputs are seated once per bundle, not once per run, so no
+    # intermediate may ever take over their rows.
+    permanent.update(model_values.values())
 
     # -- linear scan: rows recycle the step after their last read.
     #    Reads of step s complete before its writes, so a value last
@@ -1046,7 +1180,7 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
         next_row[0] += 1
         return row
 
-    for v in input_values.values():
+    for v in query_values.values():
         values[v].row = alloc_row()
     for s, step in enumerate(steps):
         freed = [values[v].row for v in free_at.get(s, ())]
@@ -1067,8 +1201,14 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
                 values[v].row = alloc_row()
 
     data_rows = next_row[0]
-    # inputs never read (degenerate tapes) still need their seats kept.
+    # Model inputs take rows in the order the steps first read them, so
+    # the diagonals a block consumes form one run it can read in place.
     row = data_rows
+    resident = set(model_values.values())
+    read_order = [v for step in steps for v in step.reads if v in resident]
+    for v in dict.fromkeys(read_order + list(model_values.values())):
+        values[v].row = row
+        row += 1
     const_seats: List[Tuple[int, np.ndarray]] = []
     for v, arr in zip(const_values, const_arrays):
         values[v].row = row
@@ -1126,24 +1266,14 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
             )
             specs.append(("block", s1, s2, n, k, dests))
 
-    input_rows = {
-        name: values[v].row for name, v in input_values.items()
-    }
     output_rows = {
         name: values[v].row for name, v in output_values.items()
     }
-    input_cipher = tape.input_cipher
-    bind_specs = tuple(
-        (name, values[v].row, values[v].width, input_cipher[name])
-        for name, v in input_values.items()
-    )
-    bind_contig = bool(bind_specs) and all(
-        spec[1] == i and spec[2] == lanes
-        for i, spec in enumerate(bind_specs)
-    )
     return _Plan(
-        rows, lanes, specs, const_seats, ones_row, input_rows,
-        output_rows, len(by_level), data_rows, bind_specs, bind_contig,
+        rows, lanes, specs, const_seats, ones_row, output_rows,
+        len(by_level), data_rows,
+        _seat_group(tape, values, lanes, query_values),
+        _seat_group(tape, values, lanes, model_values),
     )
 
 
@@ -1213,18 +1343,40 @@ def _bind_step(R: np.ndarray, spec):
                 np.bitwise_xor.reduce(g3, axis=1, out=out)
                 R[dests] = out
         return step
-    g2 = np.empty((n * k, lanes), dtype=np.uint8)
+    # Rows that form one run of the plane — a matrix's resident model
+    # diagonals, allocated in the order this block reads them — are read
+    # in place; the AND lands in ``g1`` either way, so no plane row is
+    # written before every read of the step is done.
+    a = _row_run(R, s1)
+    b = _row_run(R, s2)
+    gather1, gather2 = a is None, b is None
+    if gather1:
+        a = g1
+    if gather2:
+        b = np.empty((n * k, lanes), dtype=np.uint8)
     if k == 1:
         def step():
-            take_rows(s1, axis=0, out=g1)
-            take_rows(s2, axis=0, out=g2)
-            np.bitwise_and(g1, g2, out=g1)
+            if gather1:
+                take_rows(s1, axis=0, out=a)
+            if gather2:
+                take_rows(s2, axis=0, out=b)
+            np.bitwise_and(a, b, out=g1)
             R[dests] = g1
     else:
         def step():
-            take_rows(s1, axis=0, out=g1)
-            take_rows(s2, axis=0, out=g2)
-            np.bitwise_and(g1, g2, out=g1)
+            if gather1:
+                take_rows(s1, axis=0, out=a)
+            if gather2:
+                take_rows(s2, axis=0, out=b)
+            np.bitwise_and(a, b, out=g1)
             np.bitwise_xor.reduce(g3, axis=1, out=out)
             R[dests] = out
     return step
+
+
+def _row_run(R: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:
+    """A view of ``rows`` when they are consecutive, else ``None``."""
+    first = int(rows[0])
+    if np.array_equal(rows, np.arange(first, first + len(rows))):
+        return R[first : first + len(rows)]
+    return None

@@ -60,12 +60,35 @@ __all__ = [
     "GraphProfile",
     "InferencePlan",
     "bind_model_query",
+    "bind_query_inputs",
     "build_batched_inference_graph",
     "gather_segments",
     "lower_batched_inference",
     "lower_inference",
     "tile_blocks",
 ]
+
+
+def bind_query_inputs(
+    ctx: FheContext, input_widths: Dict[str, int], query
+) -> Dict[str, Vector]:
+    """The inputs a query supplies: its feature planes and, for the
+    Aloufi variant, the all-ones helper encrypted under its public key
+    (the query's share of :func:`bind_model_query`)."""
+    bindings: Dict[str, Vector] = {}
+    for i, plane in enumerate(query.planes):
+        name = FEATURE_PLANE.format(i=i)
+        if name in input_widths:
+            bindings[name] = plane
+    if NOT_ONE in input_widths:
+        if query.public_key is None:
+            raise RuntimeProtocolError(
+                "the Aloufi SecComp variant needs the query's public "
+                "key to encrypt the all-ones helper"
+            )
+        width = input_widths[NOT_ONE]
+        bindings[NOT_ONE] = ctx.encrypt([1] * width, query.public_key)
+    return bindings
 
 
 def bind_model_query(
@@ -104,17 +127,7 @@ def bind_model_query(
                 f"but received model {model_fp}; lower a plan for this "
                 f"model (or register it, which does)"
             )
-    bindings: Dict[str, Vector] = {}
-    for i, plane in enumerate(query.planes):
-        bindings[FEATURE_PLANE.format(i=i)] = plane
-    if NOT_ONE in input_widths:
-        if query.public_key is None:
-            raise RuntimeProtocolError(
-                "the Aloufi SecComp variant needs the query's public "
-                "key to encrypt the all-ones helper"
-            )
-        width = input_widths[NOT_ONE]
-        bindings[NOT_ONE] = ctx.encrypt([1] * width, query.public_key)
+    bindings = bind_query_inputs(ctx, input_widths, query)
     if encrypted_model:
         for i, vec in enumerate(model.threshold_planes):
             bindings[THRESHOLD_PLANE.format(i=i)] = vec

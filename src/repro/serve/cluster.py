@@ -72,6 +72,7 @@ from repro.errors import (
     RejectedQuery,
     ServeError,
     ValidationError,
+    WorkerPoolExhaustedError,
 )
 from repro.serve.faults import (
     CircuitBreaker,
@@ -121,6 +122,12 @@ __all__ = [
 #: evaluating a batch cannot answer pings until it finishes — pipe EOF,
 #: not the heartbeat, is the fast path for real process death.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 60.0
+
+#: Respawn budget: :class:`ClusterService` gives up on a worker slot
+#: once this many incarnations in a row died before their first
+#: ``MSG_READY`` (a broken environment, an unimportable ``__main__``
+#: under spawn) — respawning such a worker again would crash-loop.
+MAX_STARTUP_DEATHS = 3
 
 
 @dataclass(frozen=True)
@@ -878,6 +885,47 @@ class RouterCore:
             )
         return self.epochs[worker]
 
+    def abandon_worker(self, worker: int, deaths: int,
+                       now: float) -> None:
+        """Give up on a crashed worker instead of restarting it.
+
+        The engine calls this in place of :meth:`restart_worker` when
+        ``deaths`` replacements in a row died at start-up.  The worker
+        stays dead (its id is never reused) and the decision is
+        recorded.  If it was the last one, the pool is exhausted:
+        admission closes and every queued, parked and quarantined
+        ticket fails with :class:`WorkerPoolExhaustedError` — nothing
+        is left waiting for a worker that will never come, and
+        conservation holds.
+        """
+        self.last_heartbeat[worker] = None
+        self._retires.inc()
+        self._record("abandon", worker, self.epochs[worker], deaths,
+                     round(now, 9))
+        if self.tracer is not None:
+            self.tracer.event(
+                "abandon", now, track=f"worker:{worker}", deaths=deaths,
+            )
+        if self.live_workers:
+            self.core.remove_worker(worker)
+            return
+        self.core.close()
+        waiting = [ticket for _, _, ticket in self._parked]
+        for _, _, cohort in self._cohorts:
+            waiting.extend(cohort["tickets"])
+        self._parked.clear()
+        self._cohorts.clear()
+        for ticket in waiting:
+            self.core.requeue(ticket)
+        self.core.fail_pending(
+            lambda ticket: WorkerPoolExhaustedError(
+                f"query seq={ticket.seq} (model {ticket.queue!r}) has no "
+                f"worker left to run on: worker {worker}, the last of "
+                f"the pool, died at start-up {deaths} times in a row"
+            ),
+            now,
+        )
+
     def drain(self, worker: int, now: float) -> None:
         """Stop placing new batches on a worker (in-flight work finishes)."""
         if not self.draining[worker]:
@@ -1490,6 +1538,9 @@ class ClusterService:
         self._inflight: Dict[int, Tuple[Assignment, int]] = {}
         self._procs: List[object] = [None] * workers
         self._conns: List[object] = [None] * workers
+        #: Per worker slot, incarnations spawned since one last reported
+        #: ``MSG_READY`` (see :data:`MAX_STARTUP_DEATHS`).
+        self._unready_spawns: List[int] = [0] * workers
         self._closed = False
         now = self.clock.now()
         for worker in range(workers):
@@ -1525,6 +1576,7 @@ class ClusterService:
         child.close()
         self._procs[worker] = proc
         self._conns[worker] = parent
+        self._unready_spawns[worker] += 1
         self.router.worker_started(worker, now)
 
     def close(self) -> None:
@@ -1650,6 +1702,7 @@ class ClusterService:
             while len(self._procs) <= worker:
                 self._procs.append(None)
                 self._conns.append(None)
+                self._unready_spawns.append(0)
             self._spawn(worker, self.router.epochs[worker], now)
             self._dispatch_locked(now)
         return worker
@@ -1881,7 +1934,9 @@ class ClusterService:
         if tag == MSG_RESULT:
             return self._handle_result_locked(message[1], now)
         if tag in (MSG_READY, MSG_PONG):
-            self.router.heartbeat(worker, message[2], now)
+            current = self.router.heartbeat(worker, message[2], now)
+            if current and tag == MSG_READY:
+                self._unready_spawns[worker] = 0
         # MSG_LOADED is informational; the ledger was updated at ship time.
         return None
 
@@ -1961,7 +2016,9 @@ class ClusterService:
         quarantine-bisect, promote a hedge replica); this engine only
         drops the dead inflight entry and respawns the process.  A
         None return means the batch survives on its hedge replica, so
-        the inflight entry stays.
+        the inflight entry stays.  A slot whose last
+        :data:`MAX_STARTUP_DEATHS` incarnations all died before
+        reporting ready is abandoned, not respawned.
         """
         if not self.router.alive[worker]:
             return
@@ -1978,6 +2035,12 @@ class ClusterService:
             if proc.is_alive():
                 proc.terminate()
         if self._closed:
+            return
+        deaths = self._unready_spawns[worker]
+        if deaths >= MAX_STARTUP_DEATHS:
+            self._conns[worker] = None
+            self._procs[worker] = None
+            self.router.abandon_worker(worker, deaths, now)
             return
         epoch = self.router.restart_worker(worker, now)
         # restart_worker reset the liveness clock; _spawn re-seeds it

@@ -408,6 +408,20 @@ class SchedulerCore:
             failed += 1
         return failed
 
+    def fail_pending(self, exc_for: Callable[[QueryTicket], Exception],
+                     now: float) -> int:
+        """Fail every queued ticket of every queue (the queues stay).
+        Returns the number of tickets failed."""
+        failed = 0
+        for queue in self._queues.values():
+            for _, ticket in queue.heap:
+                self._fail_ticket(ticket, exc_for(ticket), now=now)
+                failed += 1
+            queue.heap.clear()
+            queue.flush_pending = False
+            queue.invalidate_cut_cache()
+        return failed
+
     def queue_names(self) -> List[str]:
         return sorted(self._queues)
 

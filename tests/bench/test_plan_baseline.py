@@ -75,6 +75,7 @@ def _plan_entry(plan, cost_model):
             "steps": kernel.num_blocks,
             "register_rows": kernel.num_rows,
             "live_rows": kernel.data_rows,
+            "resident_rows": kernel.resident_rows,
         },
     }
 
@@ -212,11 +213,14 @@ def test_tape_never_loses_to_plan(current, key):
 def test_no_megakernel_regression(baseline, current, key):
     """Every baselined tape must keep compiling into the gather grammar
     (no silent tape-loop fallback), and the compiled plane may only
-    shrink: fewer or equal segments, steps, and register rows."""
+    shrink: fewer or equal segments, steps, and register rows (live
+    per-run rows and resident model rows alike)."""
     base = baseline[key]["megakernel"]
     cur = current[key]["megakernel"]
     assert cur["supported"], f"{key}: megakernel fell back to the tape loop"
-    for metric in ("segments", "steps", "register_rows", "live_rows"):
+    for metric in (
+        "segments", "steps", "register_rows", "live_rows", "resident_rows"
+    ):
         assert cur[metric] <= base[metric], (
             f"{key}: megakernel {metric} regressed "
             f"{base[metric]} -> {cur[metric]}"
@@ -228,12 +232,13 @@ def test_no_megakernel_regression(baseline, current, key):
     list(SINGLE_WORKLOADS) + [f"{n}@batched" for n in BATCHED_WORKLOADS],
 )
 def test_megakernel_plane_bounded_by_liveness(current, key):
-    """The register plane is liveness-sized: live rows bounded by the
-    plane, strictly below one-row-per-instruction, and the schedule
+    """The register plane is liveness-sized: live rows (the per-run
+    working set) plus the resident model rows bounded by the plane,
+    live rows strictly below one-row-per-instruction, and the schedule
     never exceeds one step per instruction."""
     mk = current[key]["megakernel"]
     tape = current[key]["tape"]
-    assert mk["live_rows"] <= mk["register_rows"]
+    assert mk["live_rows"] + mk["resident_rows"] <= mk["register_rows"]
     assert mk["live_rows"] < tape["instructions"], key
     assert mk["segments"] <= mk["steps"] <= tape["instructions"], key
 

@@ -1,7 +1,10 @@
 """Tests for forest-level statistics and inference."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
 from repro.forest.forest import DecisionForest
@@ -124,3 +127,86 @@ class TestInference:
             assert sum(bits) == forest.n_trees
             chosen = [codebook[i] for i, b in enumerate(bits) if b]
             assert chosen == forest.classify_per_tree(feats)
+
+
+# ---------------------------------------------------------------------------
+# The O(depth) oracle walk equals its O(model) specification
+# ---------------------------------------------------------------------------
+
+N_FEATURES = 3
+LEAVES = st.builds(Leaf, st.integers(0, 2))
+FEATURE = st.integers(0, N_FEATURES - 1)
+THRESHOLD = st.integers(0, 16)
+
+
+def chain(true_side):
+    """One-sided chains: every branch hangs its subtree on one side."""
+
+    def grow(steps):
+        node = Leaf(0)
+        for feature, threshold, label in steps:
+            children = (node, Leaf(label))
+            if not true_side:
+                children = children[::-1]
+            node = Branch(feature, threshold, *children)
+        return node
+
+    return st.lists(
+        st.tuples(FEATURE, THRESHOLD, st.integers(0, 2)),
+        min_size=1, max_size=12,
+    ).map(grow)
+
+
+ROOTS = st.one_of(
+    LEAVES,  # a tree that is a single label
+    st.builds(Branch, FEATURE, THRESHOLD, LEAVES, LEAVES),  # single branch
+    chain(true_side=True),
+    chain(true_side=False),
+    st.recursive(
+        LEAVES,
+        lambda kids: st.builds(Branch, FEATURE, THRESHOLD, kids, kids),
+        max_leaves=24,
+    ),
+)
+
+
+def specified_bitvector(forest, features):
+    """``label_bitvector`` as first written: two preorder walks per tree."""
+    bits = []
+    for tree in forest.trees:
+        chosen = DecisionForest._chosen_leaf_position(tree, features)
+        bits.extend(1 if i == chosen else 0 for i in range(tree.num_leaves))
+    return bits
+
+
+@settings(settings.get_profile("repro-plan-ci"))
+@given(
+    roots=st.lists(ROOTS, min_size=1, max_size=4),
+    queries=st.lists(
+        st.lists(st.integers(0, 17), min_size=N_FEATURES,
+                 max_size=N_FEATURES),
+        min_size=1, max_size=6,
+    ),
+)
+def test_oracle_walk_equals_specification(roots, queries):
+    forest = DecisionForest(
+        trees=[DecisionTree(root=root) for root in roots],
+        label_names=["a", "b", "c"],
+        n_features=N_FEATURES,
+    )
+    for features in queries:
+        assert forest.label_bitvector(features) == specified_bitvector(
+            forest, features
+        )
+
+
+def test_oracle_table_is_not_pickled(example_forest):
+    """The walk table is a lazy cache: a forest that has answered a
+    query ships exactly the bytes of one that has not."""
+    cold = pickle.dumps(example_forest)
+    expected = example_forest.label_bitvector([33, 99])
+    assert example_forest._walks is not None
+    assert pickle.dumps(example_forest) == cold
+    clone = pickle.loads(cold)
+    assert clone._walks is None
+    assert clone.label_bitvector([33, 99]) == expected

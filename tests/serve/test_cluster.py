@@ -24,7 +24,11 @@ import pickle
 
 import pytest
 
-from repro.errors import ServeError, ValidationError
+from repro.errors import (
+    ServeError,
+    ValidationError,
+    WorkerPoolExhaustedError,
+)
 from repro.serve import (
     ClusterService,
     ClusterSimRunner,
@@ -245,6 +249,44 @@ class TestRouterCore:
         assert router.check_health(11.0) == [1]
         assert router.heartbeat(1, 0, 11.5) is True
         assert router.check_health(12.0) == []
+
+    def test_abandoned_worker_leaves_placement_to_the_survivor(self):
+        router = self.make(workers=2)
+        full_batch(router)
+        router.crash_worker(0, 1.0)
+        router.abandon_worker(0, 3, 1.0)
+        assert router.decisions[-1] == ("abandon", 0, 1, 3, 1.0)
+        assert router.alive == [False, True]
+        assert router.core.workers == 1
+        assigned = [
+            a for a in router.dispatch(2.0) if isinstance(a, AssignAction)
+        ]
+        assert [a.assignment.worker for a in assigned] == [1]
+
+    def test_abandoning_the_last_worker_fails_everything_typed(self):
+        """Pool exhausted: queued *and* parked tickets fail with the
+        typed error, admission closes, conservation holds."""
+        router = self.make(workers=1, max_retries=3)
+        running = [FakeQuery(), FakeQuery()]
+        for query in running:
+            router.submit("m", query, 0.0)
+        assert len(router.dispatch(0.0)) == 2  # ship + assign
+        queued = FakeQuery()
+        router.submit("m", queued, 0.5)
+        router.crash_worker(0, 1.0)  # the running pair parks for retry
+        assert len(router._parked) == 2
+        router.abandon_worker(0, 3, 1.0)
+        failures = router.drain_failures()
+        assert len(failures) == 3
+        for _, exc in failures:
+            assert isinstance(exc, WorkerPoolExhaustedError)
+            assert "died at start-up 3 times" in str(exc)
+        assert router.outstanding == 0
+        stats = router.stats()
+        assert_conserved(stats)
+        assert stats.failed == 3
+        with pytest.raises(ServeError):
+            router.submit("m", FakeQuery(), 2.0)
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValidationError):
@@ -479,7 +521,59 @@ def real_queries(forest, count, seed=21, precision=8):
     ]
 
 
+def dies_at_startup(conn, worker, epoch):
+    """A pool worker whose start-up raises before ``MSG_READY``."""
+    raise SystemExit(3)
+
+
 class TestRealCluster:
+    def test_real_startup_crash_loop_is_bounded(self, example_forest):
+        """Defect lock: a worker that died before its first
+        ``MSG_READY`` was respawned forever.  Now each slot is given up
+        on after MAX_STARTUP_DEATHS incarnations, with a decision
+        record; once none is left the waiting queries fail typed."""
+        from repro.serve.cluster import MAX_STARTUP_DEATHS
+
+        queries = real_queries(example_forest, 3, seed=5)
+        # Retries outlast the pool, so no query is blamed as poison for
+        # the crashes: all of them are still waiting when it runs dry.
+        with ClusterService(workers=2, backend="vector", max_retries=10,
+                            worker_entry=dies_at_startup) as service:
+            service.register_model(
+                "doomed", example_forest, precision=8, max_batch_size=4
+            )
+            futures = []
+            for q in queries:
+                try:
+                    futures.append(service.submit("doomed", q))
+                except ServeError:
+                    pass  # the pool was already exhausted: refused typed
+            try:
+                service.flush("doomed")
+            except ServeError:
+                pass
+            for future in futures:
+                with pytest.raises(WorkerPoolExhaustedError):
+                    future.result(timeout=120)
+            assert service.drain(timeout=120)
+            assert service.workers == 0
+            with pytest.raises(ServeError):
+                service.submit("doomed", queries[0])
+            stats = service.stats()
+            decisions = service.decisions
+        assert_conserved(stats)
+        assert stats.failed == len(futures)
+        abandoned = [d for d in decisions if d[0] == "abandon"]
+        assert sorted(d[1] for d in abandoned) == [0, 1]
+        assert all(d[3] == MAX_STARTUP_DEATHS for d in abandoned)
+        # Bounded: every slot crashed exactly its budget, then stopped.
+        assert sum(d[0] == "crash" for d in decisions) == (
+            2 * MAX_STARTUP_DEATHS
+        )
+        assert sum(d[0] == "restart" for d in decisions) == (
+            2 * (MAX_STARTUP_DEATHS - 1)
+        )
+
     def test_real_two_worker_round_trip(self, example_forest):
         """The acceptance smoke: 2 workers, >= 32 queries, every result
         oracle-exact, accounting conserved."""
