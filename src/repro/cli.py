@@ -149,7 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(engine="tape")
     serve.add_argument("model")
     serve.add_argument("--queries", type=int, default=32)
-    serve.add_argument("--threads", type=int, default=2)
+    serve.add_argument(
+        "--threads", type=int, default=2,
+        help="worker slots of the in-process scheduler and of the "
+        "simulated-cost book; one thread evaluates them (wall-clock "
+        "parallelism is --workers)",
+    )
     serve.add_argument(
         "--workers", type=int, default=None,
         help="serve from a multi-process cluster with this many worker "

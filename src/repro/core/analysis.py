@@ -63,6 +63,15 @@ class ModelAnalysis:
         for tree in forest.trees:
             self._compute_levels(tree.root)
         self._ancestors = self._compute_ancestors()
+        for leaf_idx, ancestors in enumerate(self._ancestors):
+            if not ancestors:
+                raise CompileError(
+                    f"label {leaf_idx} has no ancestor branches: its tree "
+                    f"is a bare leaf, and the paper's level-matrix "
+                    f"construction selects one controlling branch per "
+                    f"label per level — a limit of that construction, not "
+                    f"of the input format (the plaintext walk answers it)"
+                )
         self._slot_of_branch = self._assign_threshold_slots()
 
     # ------------------------------------------------------------------
@@ -192,10 +201,8 @@ class ModelAnalysis:
             else:
                 if above is None or lvl < self.branch_level(above.branch_index):
                     above = SelectedBranch(branch_idx, under_true)
-        chosen = exact or below or above
-        if chosen is None:  # pragma: no cover - every leaf has >= 1 ancestor
-            raise CompileError(f"label {leaf_idx} has no ancestor branches")
-        return chosen
+        # Never None: the constructor refused any label without ancestors.
+        return exact or below or above
 
     # ------------------------------------------------------------------
     # Internal traversals

@@ -15,7 +15,9 @@ Python dispatch**:
   simultaneously live values (plus the resident model inputs, a
   deduplicated constant pool and an all-ones row), not the instruction
   count.  The plane and the step scratch buffers persist across runs
-  per thread — steady-state execution allocates nothing;
+  per thread — steady-state execution allocates only the gathered
+  windows of a multi-destination gather step (numpy's index select has
+  no ``out=``);
 * **resident model rows** — the model is known long before any query,
   so what a run does to it is staged too.  The inputs a query supplies
   (:func:`~repro.ir.copse_ir.is_query_input`) take the plane's first
@@ -36,11 +38,16 @@ Python dispatch**:
   ``rot(src, amount) [& operand]``: adds contribute two bare terms,
   constant adds and multiplies read a constant-pool row, Halevi-Shoup
   products pair source and operand rows, and rotations / cyclic extends
-  fold into precomputed fancy indices (``(lane + amount) % width``).  A
-  level executes as a handful of *steps*: one small element-gather for
-  the rotated terms, then per ``(width, terms-per-instruction)`` block
-  one bulk row-gather, one AND against the stacked operand rows, and
-  one ``bitwise_xor.reduce`` over the term axis — single-instruction
+  become *window reads*: ``rot(src, a)`` at width ``w`` is ``w``
+  contiguous bytes at offset ``a % sw`` of ``src[:sw]`` tiled
+  periodically.  A level executes as a handful of *steps*: one gather
+  that tiles each distinct rotated source once into a per-thread
+  buffer and copies every destination out as one window (row
+  ``memcpy`` calls; no per-element index exists), then per ``(width,
+  terms-per-instruction)`` block one AND of the source rows against
+  the operand rows — a side that repeats under every instruction is
+  held once and broadcast, a side that forms a run of the plane is
+  read in place — and one XOR over the term axis; single-instruction
   levels compile to a single in-place ufunc call on row views;
 * **bulk bookkeeping** — noise states, tracker op counts,
   multiplicative depth, and noise-*failure* points do not depend on
@@ -85,6 +92,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import RuntimeProtocolError
 from repro.fhe.ciphertext import Ciphertext, PlainVector
@@ -156,11 +164,11 @@ class _Instr:
 
 
 class _GatherStep:
-    """One element-gather step: rotated/tiled terms of one level+width.
+    """One gather step: rotated/tiled terms of one level+width.
 
     ``specs`` is a list of ``(src_value, amount, dest_value)`` — the
-    materializer turns it into one flat-index matrix; execution is one
-    ``np.take`` plus one row store.
+    materializer (:func:`_window_spec`) turns it into a tiling of the
+    distinct sources plus one window start per destination.
     """
 
     __slots__ = ("width", "specs")
@@ -701,7 +709,7 @@ class MegaKernel:
         Constant and ones rows are seated once — no step ever writes a
         constant-pool row, so they survive every run.  The closures bind
         this thread's plane and exact-size scratch buffers, so the
-        steady-state loop is pure ufunc calls with no allocation.
+        steady-state loop is ufunc and copy calls on fixed views.
         """
         state = getattr(self._local, "state", None)
         if state is None:
@@ -1113,9 +1121,9 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
     for instr in instrs:
         by_level.setdefault(instr.level, []).append(instr)
 
-    # -- build abstract steps: per level, an element-gather for rotated /
-    #    tiled terms (direct to the instruction's value when it is the
-    #    whole instruction), then blocks grouped by (width, k).
+    # -- build abstract steps: per level, a gather for rotated / tiled
+    #    terms (direct to the instruction's value when it is the whole
+    #    instruction), then blocks grouped by (width, k).
     steps: List = []
     for level in sorted(by_level):
         gathers: Dict[int, List[Tuple[int, int, int]]] = {}
@@ -1185,10 +1193,10 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
     for s, step in enumerate(steps):
         freed = [values[v].row for v in free_at.get(s, ())]
         if isinstance(step, _GatherStep):
-            # Element gathers may write a destination row view in the
-            # same ``np.take`` that reads the plane, so their writes
-            # must not reuse a row this step still reads; rows read
-            # here free for the *next* step instead.
+            # A single-destination gather copies from its source row
+            # straight into its destination row (no buffer between),
+            # so a gather's writes must not reuse a row this step still
+            # reads; rows read here free for the *next* step instead.
             for v in step.writes:
                 values[v].row = alloc_row()
             free_rows.extend(freed)
@@ -1227,17 +1235,7 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
     specs = []
     for step in steps:
         if isinstance(step, _GatherStep):
-            w = step.width
-            base = np.arange(w, dtype=np.intp)
-            idx = np.stack([
-                values[src].row * lanes
-                + (base + amount) % values[src].width
-                for src, amount, _ in step.specs
-            ])
-            dests = np.array(
-                [values[d].row for _, _, d in step.specs], dtype=np.intp
-            )
-            specs.append(("gather", idx, dests, w))
+            specs.append(_window_spec(values, step))
         else:
             n, k = len(step.instrs), step.k
             s1 = np.array(
@@ -1277,35 +1275,107 @@ def _schedule(tape, values, instrs, const_arrays, const_values,
     )
 
 
+def _window_spec(values, step: _GatherStep):
+    """``("gather", fills, starts, dests, w, size)`` for one gather step.
+
+    ``rot(src, a)`` read at width ``w`` is the ``w`` bytes at offset
+    ``a % sw`` of ``src[:sw]`` laid out periodically.  So each
+    *distinct* source gets ``sw - 1 + w`` bytes of a flat per-thread
+    buffer — sources of one width side by side, ``fills`` holding
+    ``(source rows, sw, buffer offset)`` per width — and every
+    destination is one contiguous window of it, ``starts`` holding
+    where each begins.  No per-element index exists: the plan carries
+    one integer per destination and one per distinct source.
+    """
+    w = step.width
+    groups: Dict[int, Dict[int, None]] = {}  # sw -> sources, first-read order
+    for src, _, _ in step.specs:
+        groups.setdefault(values[src].width, {})[src] = None
+    fills, tile_at, size = [], {}, 0
+    for sw, members in groups.items():
+        fills.append((
+            np.array([values[src].row for src in members], dtype=np.intp),
+            sw, size,
+        ))
+        for src in members:
+            tile_at[src] = size
+            size += sw - 1 + w
+    starts = np.array(
+        [
+            tile_at[src] + amount % values[src].width
+            for src, amount, _ in step.specs
+        ],
+        dtype=np.intp,
+    )
+    dests = np.array(
+        [values[d].row for _, _, d in step.specs], dtype=np.intp
+    )
+    return ("gather", tuple(fills), starts, dests, w, size)
+
+
 def _bind_step(R: np.ndarray, spec):
     """Compile one step spec into a zero-arg closure over this thread's
     plane.
 
-    Rows past a value's width hold don't-care bytes: element gathers
-    index ``% source width`` and so never read them, row reads only
+    Rows past a value's width hold don't-care bytes: gathers tile from
+    ``src[:source width]`` only and so never read them, row reads only
     ever feed instructions at most as wide as their source, and outputs
     slice ``[:length]`` — so every fast path below runs full-lane
-    in-place ufuncs with no per-run slicing or allocation.
+    in-place ufuncs with no per-run slicing.
     """
-    flat = R.reshape(-1)
     lanes = R.shape[1]
     tag = spec[0]
-    take_flat = flat.take  # bound methods skip the np.take dispatch
-    take_rows = R.take
+    take_rows = R.take  # bound method skips the np.take dispatch
+    copyto = np.copyto
     if tag == "gather":
-        _, idx, dests, w = spec
+        _, fills, starts, dests, w, size = spec
+        copies = []  # (dst, src) fixed views, run in order
         if len(dests) == 1:
-            out = R[dests[0], :w]
-            idx0 = idx[0]
+            # One destination: its window goes straight from the source
+            # row to the destination row — the period's two pieces,
+            # then doubling within the destination — because tiling a
+            # buffer for one read measurably loses (3.7 vs 2.3 us for
+            # the old element take at 960 lanes; this form: 1.6).  The
+            # allocator never hands a gather a row the step still
+            # reads, so the two rows are distinct.
+            sw, at = fills[0][1], int(starts[0])
+            src, out = R[fills[0][0][0]], R[dests[0]]
+            head = min(sw - at, w)
+            wrap = min(at, w - head)
+            copies.append((out[:head], src[at : at + head]))
+            if wrap:
+                copies.append((out[head : head + wrap], src[:wrap]))
+            _extend(copies, out, head + wrap, w)
 
             def step():
-                take_flat(idx0, out=out)
-        else:
-            g = np.empty((len(dests), w), dtype=np.uint8)
+                for dst, src in copies:
+                    copyto(dst, src)
+            return step
+        buf = np.empty(size, dtype=np.uint8)
+        windows = sliding_window_view(buf, w)
+        seeds = []  # (tile[:, :sw], source rows): rows that form no run
+        for rows, sw, offset in fills:
+            pitch = sw - 1 + w
+            tile = buf[offset : offset + pitch * len(rows)].reshape(-1, pitch)
+            run = _row_run(R, rows)
+            if run is None:
+                seeds.append((tile[:, :sw], rows))
+            else:
+                copies.append((tile[:, :sw], run[:, :sw]))
+            _extend(copies, tile, sw, pitch)
+        out = _row_run(R, dests)
+        if out is not None:
+            out = out[:, :w]
 
-            def step():
-                take_flat(idx, out=g)
-                R[dests, :w] = g
+        def step():
+            for dst, rows in seeds:
+                dst[...] = R[rows, : dst.shape[1]]
+            for dst, src in copies:
+                copyto(dst, src)
+            if out is None:
+                R[dests, :w] = windows[starts]
+            else:
+                out[...] = windows[starts]
         return step
 
     _, s1, s2, n, k, dests = spec
@@ -1314,7 +1384,7 @@ def _bind_step(R: np.ndarray, spec):
         a = R[s1[0]]
         if s2 is None:
             def step():
-                np.copyto(out, a)
+                copyto(out, a)
         else:
             b = R[s2[0]]
 
@@ -1329,49 +1399,66 @@ def _bind_step(R: np.ndarray, spec):
             np.bitwise_xor(a, b, out=out)
         return step
 
-    g1 = np.empty((n * k, lanes), dtype=np.uint8)
-    g3 = g1.reshape(n, k, lanes)
-    out = np.empty((n, lanes), dtype=np.uint8)
-    if s2 is None:
-        if k == 1:
-            def step():
-                take_rows(s1, axis=0, out=g1)
-                R[dests] = g1
-        else:
-            def step():
-                take_rows(s1, axis=0, out=g1)
-                np.bitwise_xor.reduce(g3, axis=1, out=out)
-                R[dests] = out
-        return step
-    # Rows that form one run of the plane — a matrix's resident model
-    # diagonals, allocated in the order this block reads them — are read
-    # in place; the AND lands in ``g1`` either way, so no plane row is
-    # written before every read of the step is done.
-    a = _row_run(R, s1)
-    b = _row_run(R, s2)
-    gather1, gather2 = a is None, b is None
-    if gather1:
-        a = g1
-    if gather2:
-        b = np.empty((n * k, lanes), dtype=np.uint8)
-    if k == 1:
-        def step():
-            if gather1:
-                take_rows(s1, axis=0, out=a)
-            if gather2:
-                take_rows(s2, axis=0, out=b)
-            np.bitwise_and(a, b, out=g1)
-            R[dests] = g1
-    else:
-        def step():
-            if gather1:
-                take_rows(s1, axis=0, out=a)
-            if gather2:
-                take_rows(s2, axis=0, out=b)
-            np.bitwise_and(a, b, out=g1)
-            np.bitwise_xor.reduce(g3, axis=1, out=out)
-            R[dests] = out
+    # ``terms`` is what the XOR reduces: the source rows themselves, or
+    # their AND with the operand rows landed in ``g3`` — so no plane row
+    # is written before every read of the step is done.
+    g3 = None if s2 is None else np.empty((n, k, lanes), dtype=np.uint8)
+    terms, rows1 = _operand(R, s1, n, k, g3)
+    gathers = [] if rows1 is None else [(rows1, terms.reshape(-1, lanes))]
+    a = b = None
+    if s2 is not None:
+        b, rows2 = _operand(R, s2, n, k)
+        if rows2 is not None:
+            gathers.append((rows2, b.reshape(-1, lanes)))
+        a, terms = terms, g3
+    out = (
+        terms[:, 0] if k == 1
+        else np.empty((len(terms), lanes), dtype=np.uint8)
+    )
+
+    def step():
+        for rows, into in gathers:
+            take_rows(rows, axis=0, out=into)
+        if b is not None:
+            np.bitwise_and(a, b, out=g3)
+        if k == 2:  # half the cost of a reduce over an axis of two
+            np.bitwise_xor(terms[:, 0], terms[:, 1], out=out)
+        elif k > 2:
+            np.bitwise_xor.reduce(terms, axis=1, out=out)
+        R[dests] = out
     return step
+
+
+def _extend(copies: List, row: np.ndarray, done: int, total: int) -> None:
+    """Append the copies that continue ``row[..., :done]`` periodically
+    up to ``total`` bytes, doubling what is there each time."""
+    while done < total:
+        more = min(done, total - done)
+        copies.append((row[..., done : done + more], row[..., :more]))
+        done += more
+
+
+def _operand(R: np.ndarray, rows: np.ndarray, n: int, k: int, scratch=None):
+    """One side of a block step as ``(array, rows to gather or None)``.
+
+    The array broadcasts against ``(n, k, lanes)``.  Three arms: rows
+    that form one run of the plane — a matrix's resident model
+    diagonals, allocated in the order the block reads them — are viewed
+    in place; the same ``k`` rows under every one of the ``n``
+    instructions (one rotated vector against ``n`` matrices) are held
+    once, as ``(1, k, lanes)``, and broadcast; anything else is
+    gathered whole, into ``scratch`` when the caller lends one.
+    """
+    lanes = R.shape[1]
+    grid = rows.reshape(n, k)
+    if n > 1 and (grid == grid[0]).all():
+        rows, n, scratch = grid[0], 1, None
+    run = _row_run(R, rows)
+    if run is not None:
+        return run.reshape(n, k, lanes), None
+    if scratch is None:
+        scratch = np.empty((n, k, lanes), dtype=np.uint8)
+    return scratch, rows
 
 
 def _row_run(R: np.ndarray, rows: np.ndarray) -> Optional[np.ndarray]:

@@ -64,6 +64,7 @@ import itertools
 import threading
 import zlib
 from concurrent.futures import Future
+from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,6 +87,7 @@ from repro.serve.loadgen import (
     ModelProfile,
     SimReport,
 )
+from repro.serve.packing import validate_features
 from repro.serve.scheduler import (
     OUTCOME_ERROR,
     OUTCOME_OK,
@@ -1772,10 +1774,16 @@ class ClusterService:
                priority: int = 0) -> "Future":
         """Admit one query; returns a future of its
         :class:`~repro.serve.batcher.ClassificationResult`."""
-        from repro.serve.packing import validate_features
+        layout = self.registry.get(name).layout
+        return self._admit(
+            name, validate_features(layout, features), tenant, deadline_ms,
+            priority,
+        )
 
-        registered = self.registry.get(name)
-        validated = validate_features(registered.layout, features)
+    def _admit(self, name: str, validated, tenant: str = "default",
+               deadline_ms: Optional[float] = None,
+               priority: int = 0) -> "Future":
+        """Hand one validated query to the router; returns its future."""
         payload = _ClusterQuery(validated)
         future = payload.future  # retries chain new futures onto this one
         effective = (
@@ -1796,8 +1804,21 @@ class ClusterService:
 
     def classify_many(self, name: str, queries,
                       tenant: str = "default") -> List:
-        futures = [self.submit(name, q, tenant=tenant) for q in queries]
-        self.flush(name)
+        """Submit many queries, dispatch, and return results in order.
+
+        Validates the whole request before admitting any of it; when
+        admission control refuses one part-way, what was admitted is
+        still served before the refusal propagates.
+        """
+        layout = self.registry.get(name).layout
+        validated = [validate_features(layout, q) for q in queries]
+        futures = []
+        try:
+            for features in validated:
+                futures.append(self._admit(name, features, tenant))
+        finally:
+            self.flush(name)
+            wait_futures(futures)
         return [f.result() for f in futures]
 
     def flush(self, name: Optional[str] = None) -> None:
@@ -1814,6 +1835,11 @@ class ClusterService:
             return self._completion.wait_for(
                 lambda: self.router.outstanding == 0, timeout=timeout
             )
+
+    def pending(self, name: Optional[str] = None) -> int:
+        """Admitted queries still queued (not yet cut into a batch)."""
+        with self._lock:
+            return self.router.core.pending(name)
 
     def stats(self) -> SchedulerStats:
         with self._lock:

@@ -165,13 +165,27 @@ def pack_query_planes(
             f"{len(queries)} queries exceed the batch capacity "
             f"{layout.capacity}"
         )
-    validated = [validate_features(layout, f) for f in queries]
     p = layout.precision
     q = layout.quantized_branching
-    # One vectorized pass over the whole batch: replicate every query's
-    # features to multiplicity K (np.repeat) and slice all bit planes
-    # with shifts — no per-query or per-slot Python loops.
-    values = np.asarray(validated, dtype=np.int64)
+    # One vectorized pass over the whole batch: check the block with one
+    # comparison, replicate every query's features to multiplicity K
+    # (np.repeat) and slice all bit planes with shifts — no per-query
+    # or per-slot Python loops.
+    try:
+        values = np.asarray(queries, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):  # ragged or not ints
+        values = None
+    if (
+        values is None
+        or values.shape != (len(queries), layout.n_features)
+        # as unsigned, a negative value is a huge one
+        or (values.view(np.uint64) >= 1 << p).any()
+    ):
+        # Walk the queries only now, so the refusal names the first
+        # offending value exactly as a single submission's would.
+        values = np.asarray(
+            [validate_features(layout, f) for f in queries], dtype=np.int64
+        )
     replicated = np.repeat(values, layout.max_multiplicity, axis=1)  # (B, q)
     shifts = np.arange(p - 1, -1, -1, dtype=np.int64)  # MSB-first
     bits = ((replicated[:, None, :] >> shifts[None, :, None]) & 1).astype(

@@ -32,8 +32,8 @@ scheduling problem:
 
 The design splits into a **pure decision core** (:class:`SchedulerCore`:
 no threads, no clock ownership — every method takes ``now``) and thin
-execution engines.  :class:`Scheduler` here drives the core with real
-worker threads and a :class:`~repro.serve.simclock.Clock`;
+execution engines.  :class:`Scheduler` here drives the core with one
+evaluator thread and a :class:`~repro.serve.simclock.Clock`;
 :mod:`repro.serve.loadgen` drives the *same* core from a deterministic
 discrete-event loop under a :class:`~repro.serve.simclock.VirtualClock`.
 Because every scheduling decision lives in the core and depends only on
@@ -1136,14 +1136,22 @@ def _replace_future(old):
 
 
 class Scheduler:
-    """Worker threads driving a :class:`SchedulerCore` in real time.
+    """One evaluator thread driving a :class:`SchedulerCore` in real time.
 
-    ``evaluate`` callbacks are registered per queue (by
-    :meth:`add_queue`); each worker repeatedly asks the core for an
-    assignment, runs the queue's evaluator outside the lock, and reports
-    the outcome.  Waiting workers wake on submissions, flushes, *and* on
-    the earliest pending slack-cut deadline, so deadline-forced partial
-    batches dispatch without any caller involvement.
+    ``threads`` is the number of worker *slots* the core schedules over
+    — what the stats, the control plane and the simulated-cost book mean
+    by it — not a number of host threads.  Batch evaluation holds the
+    GIL between its numpy calls, so two evaluating threads only
+    interleave, and every GIL release becomes a hand-off
+    (``serve.scheduler.parallel_speedup`` read 0.63 with two); one
+    thread therefore *leads*: it alone asks the core for assignments,
+    runs the queue's evaluator (registered by :meth:`add_queue`) outside
+    the lock, and reports the outcome.  Wall-clock parallelism is worker
+    processes (:class:`~repro.serve.cluster.ClusterService`).
+
+    The lead wakes on submissions, flushes, *and* on the earliest
+    pending slack-cut deadline, so deadline-forced partial batches
+    dispatch without any caller involvement.
     """
 
     def __init__(
@@ -1159,7 +1167,6 @@ class Scheduler:
             raise ValidationError(f"threads must be >= 1, got {threads}")
         self.threads = threads
         self.clock: Clock = clock if clock is not None else RealClock()
-        self._name = name
         self._core = SchedulerCore(
             workers=threads, max_retries=max_retries,
             tracer=tracer, metrics=metrics,
@@ -1167,23 +1174,10 @@ class Scheduler:
         self._evaluators: Dict[str, Callable[[Assignment], None]] = {}
         self._cond = threading.Condition()
         self._stopping = False
-        #: Worker ids retired by :meth:`remove_worker`; their threads
-        #: exit on next wake (the core has already forgotten the id, so
-        #: they must never call ``assign`` again).
-        self._retired: set = set()
-        self._workers: List[threading.Thread] = []
-        for i in range(threads):
-            self._spawn_worker(i)
-
-    def _spawn_worker(self, worker_id: int) -> None:
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(worker_id,),
-            name=f"{self._name}-worker-{worker_id}",
-            daemon=True,
+        self._lead = threading.Thread(
+            target=self._lead_loop, name=f"{name}-lead", daemon=True
         )
-        worker.start()
-        self._workers.append(worker)
+        self._lead.start()
 
     # ------------------------------------------------------------------
 
@@ -1279,21 +1273,18 @@ class Scheduler:
             return self._core.set_max_pending(name, limit)
 
     def add_worker(self) -> int:
-        """Grow the pool by one live worker thread; returns its id."""
+        """Grow the pool by one worker slot; returns its id."""
         with self._cond:
-            worker_id = self._core.add_worker()
-            self._spawn_worker(worker_id)
-            self._cond.notify_all()
-            return worker_id
+            return self._core.add_worker()
 
     def remove_worker(self) -> int:
-        """Retire one idle worker (the highest-numbered); returns its id.
+        """Retire one idle worker slot (the highest-numbered); returns
+        its id.
 
-        Raises :class:`~repro.errors.ValidationError` when every worker
+        Raises :class:`~repro.errors.ValidationError` when every slot
         is busy or the pool is at one — callers (the control plane's
         guards) are expected to check first; the mechanism still fails
-        closed.  The retired thread exits on its next wake; in-flight
-        work elsewhere is untouched.
+        closed.  In-flight work is untouched.
         """
         with self._cond:
             idle = self._core.idle_workers()
@@ -1302,15 +1293,12 @@ class Scheduler:
                     "no idle worker to retire (all workers have batches "
                     "in flight)"
                 )
-            worker_id = idle[-1]
-            self._core.remove_worker(worker_id)
-            self._retired.add(worker_id)
-            self._cond.notify_all()
-            return worker_id
+            self._core.remove_worker(idle[-1])
+            return idle[-1]
 
     @property
     def workers(self) -> int:
-        """Current pool size (live, non-retired workers)."""
+        """Current pool size (worker slots)."""
         with self._cond:
             return self._core.workers
 
@@ -1333,41 +1321,37 @@ class Scheduler:
             return self._core.closed
 
     def close(self) -> None:
-        """Stop admission, finish admitted work, stop workers.
+        """Stop admission, finish admitted work, stop the lead.
 
-        Idempotent: the second and every later call returns immediately.
-        ``submit()`` after (or during) close raises
+        Idempotent: the second and every later call finds nothing left
+        to do.  ``submit()`` after (or during) close raises
         :class:`~repro.errors.ServeError`.
         """
         with self._cond:
-            if self._core.closed:
-                if not self._workers:
-                    return  # fully closed already
-            else:
+            if not self._core.closed:
                 self._core.close()
                 self._core.flush()
-            self._cond.notify_all()
+                self._cond.notify_all()
         self.drain()
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
-            workers, self._workers = self._workers, []
-        for worker in workers:
-            worker.join()
+        self._lead.join()
 
     # ------------------------------------------------------------------
 
-    def _worker_loop(self, worker_id: int) -> None:
+    def _lead_loop(self) -> None:
         while True:
             with self._cond:
                 assignment = None
                 while assignment is None:
-                    if self._stopping or worker_id in self._retired:
+                    if self._stopping:
                         return
-                    assignment = self._core.assign(
-                        self.clock.now(), worker=worker_id
-                    )
+                    assignment = self._core.assign(self.clock.now())
                     if assignment is None:
+                        # Out of work: the only moment drain() can be
+                        # done, so the only one that wakes its callers.
+                        self._cond.notify_all()
                         cut_at = self._core.next_cut_time()
                         timeout = None
                         if cut_at is not None:
@@ -1383,14 +1367,13 @@ class Scheduler:
                     evaluate(assignment)
                 except BaseException:
                     # The evaluator owns error delivery to futures; a bad
-                    # batch must not take the worker down with it.
+                    # batch must not take the lead down with it.
                     outcome = OUTCOME_ERROR
             with self._cond:
                 self._core.complete(
                     assignment, self.clock.now(), outcome
                 )
                 failures = self._core.drain_failures()
-                self._cond.notify_all()
             # Failure futures resolve outside the lock: a caller's
             # done-callback may legitimately call back into the
             # scheduler (stats, another query's result()).

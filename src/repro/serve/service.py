@@ -274,6 +274,14 @@ class CopseService:
     interpreter.
     ``register_model`` can override per model.
 
+    ``threads`` is the number of worker *slots*: what the scheduler's
+    stats, the control plane (``add_worker`` / ``remove_worker``) and
+    the simulated-cost book (:attr:`ServiceStats.threads`, the paper's
+    multithreading) count.  One host thread evaluates all of them —
+    batch evaluations holding the GIL only interleave, and measured
+    slower than serial — so wall-clock parallelism is worker processes
+    (:class:`~repro.serve.cluster.ClusterService`).
+
     Scheduling knobs: ``default_deadline_ms`` applies a relative
     deadline to every query that does not bring its own (deadline slack
     also forces partial-batch cuts); ``max_queue`` bounds each model's
@@ -451,8 +459,12 @@ class CopseService:
         at its bound and :class:`~repro.errors.ServeError` after
         :meth:`close`.
         """
-        batcher = self._batcher(model_name)
-        entry = batcher.prepare(features)
+        entry = self._batcher(model_name).prepare(features)
+        return self._admit(model_name, entry, tenant, deadline_ms, priority)
+
+    def _admit(self, model_name, entry, tenant="default", deadline_ms=None,
+               priority=0):
+        """Hand one validated query to the scheduler; returns its future."""
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
         self.scheduler.submit(
@@ -502,9 +514,22 @@ class CopseService:
     def classify_many(
         self, model_name: str, feature_lists: Sequence[Sequence[int]]
     ) -> List[ClassificationResult]:
-        """Submit many queries, dispatch, and return results in order."""
-        futures = [self.submit(model_name, f) for f in feature_lists]
-        self.flush(model_name)
+        """Submit many queries, dispatch, and return results in order.
+
+        The whole request is validated before any of it is admitted, so
+        an arity/domain refusal admits nothing; an admission-control
+        refusal part-way still serves what was admitted before it
+        propagates — no ticket is left queued behind a future nobody
+        holds.
+        """
+        batcher = self._batcher(model_name)
+        entries = [batcher.prepare(f) for f in feature_lists]
+        futures = []
+        try:
+            for entry in entries:
+                futures.append(self._admit(model_name, entry))
+        finally:
+            self.flush(model_name)
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------
@@ -528,11 +553,11 @@ class CopseService:
         return self.scheduler.set_admission_limit(name, limit)
 
     def add_worker(self) -> int:
-        """Grow the worker pool by one thread; returns its fresh id."""
+        """Grow the worker pool by one slot; returns its fresh id."""
         return self.scheduler.add_worker()
 
     def remove_worker(self) -> int:
-        """Retire one idle worker thread (never below one).
+        """Retire one idle worker slot (never below one).
 
         Raises :class:`~repro.errors.ValidationError` when every worker
         has a batch in flight — the in-flight safety invariant the

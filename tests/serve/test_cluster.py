@@ -574,6 +574,61 @@ class TestRealCluster:
             2 * (MAX_STARTUP_DEATHS - 1)
         )
 
+    def test_real_classify_many_leaves_nothing_queued(self, example_forest):
+        """Defect lock (the in-process twin is in test_service.py): a
+        request refused part-way left its admitted head queued behind
+        futures nobody held.  An invalid query now admits nothing; an
+        admission-control refusal serves what was admitted first."""
+        from repro.errors import RejectedQuery
+
+        queries = real_queries(example_forest, 5)
+        with ClusterService(workers=1, backend="vector",
+                            max_queue=2) as service:
+            service.register_model(
+                "m", example_forest, precision=8, max_batch_size=8
+            )
+            for bad in ([1], [0, 999]):
+                with pytest.raises(ValidationError) as many:
+                    service.classify_many("m", [queries[0], bad, queries[1]])
+                with pytest.raises(ValidationError) as single:
+                    service.submit("m", bad)
+                assert str(many.value) == str(single.value)
+            assert service.pending("m") == 0
+            assert service.stats().submitted == 0
+
+            with pytest.raises(RejectedQuery) as excinfo:
+                service.classify_many("m", queries)
+            assert excinfo.value.queue_depth == 2
+            assert service.pending("m") == 0
+            assert service.drain(timeout=120)
+            stats = service.stats()
+        assert_conserved(stats)
+        # What three submit calls record: two admitted, one refused.
+        assert (stats.submitted, stats.rejected, stats.completed) == (3, 1, 2)
+
+    @pytest.mark.parametrize("text", [
+        "labels: A B\nfeatures: 1\nl 0\n",
+        "labels: A B\nfeatures: 1\nl 0\nl 1\n",
+        "labels: A B\nfeatures: 1\nb 0 5 l 0 l 1\nl 1\n",
+    ])
+    def test_real_all_leaf_forest_refused_at_registration(self, text):
+        """Known-defect lock: a raw ``ValueError`` (``max()`` over zero
+        branches) escaped ``register_model``.  Typed, at registration,
+        on every engine — and nothing is announced to the router."""
+        from repro.errors import CompileError
+        from repro.forest.serialize import loads_forest
+
+        forest = loads_forest(text)
+        with ClusterService(workers=1, backend="vector") as service:
+            for engine in ("eager", "plan", "tape", "megakernel"):
+                with pytest.raises(
+                    CompileError, match="level-matrix construction"
+                ):
+                    service.register_model("leafy", forest, engine=engine)
+                assert "leafy" not in service.registry
+                with pytest.raises(ValidationError):
+                    service.submit("leafy", [3])
+
     def test_real_two_worker_round_trip(self, example_forest):
         """The acceptance smoke: 2 workers, >= 32 queries, every result
         oracle-exact, accounting conserved."""

@@ -98,6 +98,41 @@ class TestPackQueryPlanes:
         with pytest.raises(ValidationError):
             pack_query_planes(layout, too_many)
 
+    # The block is checked with one array comparison; a refusal must
+    # still read exactly as validate_features words it for the first
+    # offending query (these strings are what callers match on).
+
+    @pytest.mark.parametrize("bad,message", [
+        ([0, 256], "feature value 256 does not fit in 8 unsigned bits"),
+        ([-1, 0], "feature value -1 does not fit in 8 unsigned bits"),
+        ([1 << 70, 0],
+         f"feature value {1 << 70} does not fit in 8 unsigned bits"),
+        ([1, 2, 3], "model expects 2 features, got 3"),
+        ([7], "model expects 2 features, got 1"),
+    ])
+    def test_refusal_text_is_validate_features(self, layout, bad, message):
+        with pytest.raises(ValidationError) as single:
+            validate_features(layout, bad)
+        assert str(single.value) == message
+        for queries in ([bad], [[1, 2], bad], [[1, 2], bad, [0, 999]]):
+            with pytest.raises(ValidationError) as packed:
+                pack_query_planes(layout, queries)
+            assert str(packed.value) == message
+
+    def test_first_offender_is_named(self, layout):
+        with pytest.raises(ValidationError, match="value 300 "):
+            pack_query_planes(layout, [[1, 2], [300, 2], [1, 2, 3], [-5, 0]])
+
+    def test_tuple_and_numpy_int_queries_pack_alike(self, layout):
+        queries = [[40, 200], [17, 3], [0, 255]]
+        wanted = pack_query_planes(layout, queries)
+        for variant in (
+            [tuple(q) for q in queries],
+            [list(np.asarray(q)) for q in queries],
+            list(np.asarray(queries)),
+        ):
+            assert (pack_query_planes(layout, variant) == wanted).all()
+
 
 class TestTileAndMask:
     def test_tile_pads_and_repeats(self, layout):

@@ -7,6 +7,8 @@ stick to lifecycle (close/idempotence/submit-after-close) and use
 generous timeouts on futures, never wall-clock assertions.
 """
 
+import threading
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -450,3 +452,124 @@ class TestClocks:
             clock.advance(-0.1)
         with pytest.raises(ValidationError):
             clock.advance_to(1.0)
+
+
+class TestLeadEvaluator:
+    """``threads`` is worker *slots*; one thread evaluates (clock-free:
+    nothing here asserts a duration)."""
+
+    class Recorder:
+        """An evaluator that records who ran it and how many at once."""
+
+        def __init__(self):
+            self._lock = threading.Lock()
+            self.in_flight = 0
+            self.peak = 0
+            self.threads = set()
+            self.batches = 0
+
+        def __call__(self, assignment):
+            with self._lock:
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+                self.threads.add(threading.get_ident())
+                self.batches += 1
+            time.sleep(0.001)  # releases the GIL: an overlap would show
+            for ticket in assignment.tickets:
+                ticket.future.set_result(assignment.worker)
+            with self._lock:
+                self.in_flight -= 1
+
+    def test_at_most_one_evaluation_in_flight(self):
+        record = self.Recorder()
+        scheduler = Scheduler(threads=3)
+        scheduler.add_queue("a", capacity=1, evaluate=record)
+        scheduler.add_queue("b", capacity=2, evaluate=record)
+        tickets = [
+            scheduler.submit("ab"[i % 2], Payload()) for i in range(40)
+        ]
+        scheduler.flush()
+        slots = {t.future.result(timeout=30) for t in tickets}
+        scheduler.close()
+        assert record.peak == 1
+        assert len(record.threads) == 1
+        assert record.batches == 20 + 10
+        assert slots <= {0, 1, 2}
+        stats = scheduler.stats()
+        assert stats.completed == stats.submitted == 40
+        assert stats.batches == 30
+        assert scheduler.workers == 3
+
+    def test_lead_survives_worker_cycles(self):
+        record = self.Recorder()
+        scheduler = Scheduler(threads=3)
+        scheduler.add_queue("m", capacity=2, evaluate=record)
+        baseline = threading.active_count()
+        slots = [0, 1, 2]
+        for cycle in range(3):
+            retired = [scheduler.remove_worker(), scheduler.remove_worker()]
+            assert retired == slots[:0:-1]  # highest idle slot first
+            assert scheduler.workers == 1
+            with pytest.raises(ValidationError, match="last worker"):
+                scheduler.remove_worker()
+            tickets = [scheduler.submit("m", Payload()) for _ in range(5)]
+            scheduler.flush()
+            for ticket in tickets:
+                ticket.future.result(timeout=30)
+            fresh = [scheduler.add_worker(), scheduler.add_worker()]
+            # ids are never reused, exactly as the core numbers them
+            assert fresh == [3 + 2 * cycle, 4 + 2 * cycle]
+            slots = [0] + fresh
+            assert scheduler.workers == 3
+            assert threading.active_count() == baseline
+        assert scheduler.stats().completed == 15
+        assert len(record.threads) == 1
+        scheduler.close()
+        assert threading.active_count() == baseline - 1
+
+    def test_close_joins_everything(self):
+        scheduler = Scheduler(threads=4, name="joined")
+        scheduler.add_queue("m", capacity=3, evaluate=self.Recorder())
+        scheduler.add_worker()
+        tickets = [scheduler.submit("m", Payload()) for _ in range(7)]
+        scheduler.close()
+        assert all(t.future.done() for t in tickets)
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("joined")
+        ]
+        scheduler.close()  # and again: nothing left to join
+
+    def test_a_retired_slot_is_never_assigned(self):
+        """``remove_worker`` used to need the retired thread to notice;
+        now the core simply stops handing the slot out."""
+        record = self.Recorder()
+        scheduler = Scheduler(threads=2)
+        scheduler.add_queue("m", capacity=1, evaluate=record)
+        assert scheduler.remove_worker() == 1
+        tickets = [scheduler.submit("m", Payload()) for _ in range(6)]
+        assert {t.future.result(timeout=30) for t in tickets} == {0}
+        scheduler.close()
+
+    def test_service_and_control_plane_read_slots(self, example_forest):
+        from repro.control import ScaleWorkers, ServicePlant
+        from repro.serve import CopseService
+
+        with CopseService(threads=3) as service:
+            service.register_model("m", example_forest, max_batch_size=2)
+            baseline = threading.active_count()
+            plant = ServicePlant(service)
+            assert plant.observe(0.0).live_workers == 3
+            plant.apply(ScaleWorkers(delta=2, reason="up"), 0.0)
+            assert service.workers == 5
+            assert plant.observe(1.0).live_workers == 5
+            plant.apply(ScaleWorkers(delta=-4, reason="down"), 1.0)
+            assert service.workers == 1
+            assert threading.active_count() == baseline
+            results = service.classify_many(
+                "m", [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]
+            )
+            assert all(r.oracle_ok for r in results)
+            stats = service.stats()
+        assert stats.threads == 3  # the cost book's divisor, as built
+        assert stats.scheduler.completed == 5
+        assert stats.batches == 3

@@ -161,6 +161,93 @@ class TestErrors:
         service.close()
 
 
+def conserved(stats):
+    return stats.submitted == (
+        stats.completed + stats.rejected + stats.failed + stats.cancelled
+        + stats.dead_lettered
+    )
+
+
+class TestClassifyManyLeavesNothingQueued:
+    """Defect lock: ``classify_many`` admitted queries ``0..k-1``,
+    raised at ``k`` and returned without a flush — ``k`` tickets sat in
+    the queue behind futures nobody held."""
+
+    @pytest.mark.parametrize("bad", [[1], [0, 999]])
+    def test_invalid_query_admits_nothing(self, example_forest, bad):
+        with CopseService(threads=1) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            with pytest.raises(ValidationError) as many:
+                service.classify_many("m", [[1, 2], [3, 4], bad, [5, 6]])
+            assert service.pending("m") == 0
+            with pytest.raises(ValidationError) as single:
+                service.submit("m", bad)
+            assert str(many.value) == str(single.value)
+            stats = service.stats().scheduler
+            assert stats.submitted == stats.rejected == 0
+            # and the service still serves
+            assert len(service.classify_many("m", [[1, 2], [3, 4]])) == 2
+
+    def test_refused_admission_serves_what_was_admitted(
+        self, example_forest
+    ):
+        from repro.errors import RejectedQuery
+
+        queries = queries_for(example_forest, 5)
+        with CopseService(threads=1, max_queue=2) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            with pytest.raises(RejectedQuery) as excinfo:
+                service.classify_many("m", queries)
+            assert excinfo.value.queue_depth == 2
+            assert service.pending("m") == 0
+            stats = service.stats().scheduler
+        # The twin makes the same three submit calls by hand.
+        with CopseService(threads=1, max_queue=2) as twin:
+            twin.register_model("m", example_forest, max_batch_size=8)
+            futures = [twin.submit("m", q) for q in queries[:2]]
+            with pytest.raises(RejectedQuery):
+                twin.submit("m", queries[2])
+            twin.flush("m")
+            assert all(f.result().oracle_ok for f in futures)
+            twin_stats = twin.stats().scheduler
+        assert conserved(stats)
+        assert (stats.submitted, stats.rejected, stats.completed) == (3, 1, 2)
+        assert (stats.submitted, stats.rejected, stats.completed) == (
+            twin_stats.submitted, twin_stats.rejected, twin_stats.completed
+        )
+
+
+#: Forests the paper's level matrices cannot express: no branch above a
+#: label.  Typed refusal at registration on every engine — never a raw
+#: ``ValueError`` (``max()`` over zero branches), never at first query.
+ALL_LEAF_FORESTS = {
+    "one bare leaf": "labels: A B\nfeatures: 1\nl 0\n",
+    "two bare leaves": "labels: A B\nfeatures: 1\nl 0\nl 1\n",
+    "bare leaf beside a branching tree":
+        "labels: A B\nfeatures: 1\nb 0 5 l 0 l 1\nl 1\n",
+}
+
+
+class TestAllLeafForestRefused:
+    @pytest.mark.parametrize("engine", ["eager", "plan", "tape", "megakernel"])
+    @pytest.mark.parametrize("shape", sorted(ALL_LEAF_FORESTS))
+    def test_compile_error_at_registration(self, engine, shape):
+        from repro.errors import CompileError
+        from repro.forest.serialize import loads_forest
+
+        forest = loads_forest(ALL_LEAF_FORESTS[shape])
+        # the plaintext walk answers it: the refusal is the compiler's
+        assert len(forest.label_bitvector([3])) == len(forest.all_leaves())
+        with CopseService(engine=engine, backend="vector") as service:
+            with pytest.raises(CompileError) as excinfo:
+                service.register_model("leafy", forest)
+            assert "leafy" not in service.registry
+        message = str(excinfo.value)
+        assert "has no ancestor branches" in message
+        assert "level-matrix construction" in message
+        assert "not of the input format" in message
+
+
 class TestFlushAndWidthEdgeCases:
     def test_flush_empty_queue_is_noop(self, example_forest):
         """Regression: flushing with nothing pending must not dispatch
