@@ -52,10 +52,9 @@ def report_sink():
     """Collects rendered tables and prints them at the end of the
     session (visible with ``-s``).
 
-    The benchmark suite deliberately does **not** write
-    ``benchmark_report.txt`` anymore: the checked-in report is
-    regenerated only by the deterministic single entry point
-    ``PYTHONPATH=src python -m repro bench report`` (see
+    The benchmark suite writes no file: the checked-in record
+    (``tests/bench/paper_record.json``) has one writer,
+    ``PYTHONPATH=src python -m repro bench report --out`` (see
     ``repro.bench_harness.report_gen``), so its content can never
     depend on which benchmarks ran or in what order."""
     tables = []

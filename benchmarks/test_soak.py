@@ -1,7 +1,7 @@
 """Soak: deadline-aware scheduling under simulated multi-tenant load.
 
-Unlike the figure benchmarks (simulated FHE ms) and backend-speedup
-(wall-clock), the artifact here is *scheduling* behavior: p50/p99
+Unlike the figure benchmarks (simulated FHE ms), the artifact here is
+*scheduling* behavior: p50/p99
 latency and deadline-miss rate versus offered load, from the
 deterministic virtual-clock simulation in `repro.serve.loadgen`.  The
 pytest-benchmark wall-clock number measures the simulator's own cost of

@@ -7,7 +7,9 @@
 * :mod:`repro.bench_harness.experiments` — one entry point per paper
   artifact (``figure6()`` ... ``figure10()``, ``table1()`` ...
   ``table6()``);
-* :mod:`repro.bench_harness.report` — plain-text table/series rendering.
+* :mod:`repro.bench_harness.report` — plain-text table rendering;
+* :mod:`repro.bench_harness.report_gen` — the ``ARTIFACTS`` table and
+  the paper record built from it (``repro bench report``).
 """
 
 from repro.bench_harness.workloads import (

@@ -43,7 +43,7 @@ from repro.core.complexity import (
 from repro.core.compiler import CopseCompiler
 from repro.fhe.backend import canonical_backend_name
 from repro.fhe.params import EncryptionParams, parameter_grid
-from repro.bench_harness.report import Series, Table, geometric_mean
+from repro.bench_harness.report import Table, geometric_mean
 from repro.bench_harness.runner import (
     ExperimentRecord,
     InferenceRunner,
@@ -87,23 +87,6 @@ def _run(
 
 def _workloads(names: Optional[Sequence[str]]) -> List[Workload]:
     return cached_workloads(names)
-
-
-def _best_of(run, repeats: int) -> float:
-    """Best wall-clock seconds of ``repeats`` runs, after one warm run
-    (plans, masks, flyweights, the megakernel's capture) outside the
-    timing."""
-    import time
-
-    run()
-    best = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best
 
 
 def _append_geomeans(table: Table, speedup_col: str) -> None:
@@ -280,23 +263,6 @@ def figure10(queries: int = 1) -> List[Table]:
             table.add_row(workload.name, *phases, sum(phases))
         tables.append(table)
     return tables
-
-
-def figure10_series(queries: int = 1) -> List[Series]:
-    """The same data as :func:`figure10`, one series per (family, phase)."""
-    series: List[Series] = []
-    for family, names in _FIG10_FAMILIES.items():
-        for phase in _COPSE_PHASE_COLUMNS:
-            s = Series(
-                name=f"fig10{family}:{phase}",
-                x_label=family,
-                y_label="ms",
-            )
-            for workload in _workloads(names):
-                record = _run(workload, SYSTEM_COPSE, queries)
-                s.add_point(workload.name, record.phase_ms[phase])
-            series.append(s)
-    return series
 
 
 # ---------------------------------------------------------------------------
@@ -770,591 +736,6 @@ def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
     return table
 
 
-def _time_engine_batches(artifact, workload_name, engine, modes, repeats,
-                        backend):
-    """Register ``workload_name`` under ``engine`` and time one
-    full-capacity batch per mode through the serve pipeline.
-
-    ``modes(registered)`` lists ``(label, engine, model)`` rows.
-    Returns ``(registered, batch size, {label: (wall ms per query, the
-    engine phases' op counts by kind name, oracle agreement)})`` — each
-    time the best of ``repeats``.
-    """
-    from repro.errors import ValidationError
-    from repro.core.engines import engine_row
-    from repro.serve.batched_runtime import evaluate_registered_batch
-    from repro.serve.registry import ModelRegistry
-
-    if repeats < 1:
-        raise ValidationError(
-            f"{artifact} needs at least one repeat, got {repeats}"
-        )
-    workload = _workloads([workload_name])[0]
-    registered = ModelRegistry().register(
-        f"{artifact}-{workload_name}", workload.compiled,
-        params=EncryptionParams.paper_defaults(),
-        backend=backend, engine=engine,
-    )
-    queries = workload.query_features(registered.layout.capacity)
-    oracle = [workload.forest.label_bitvector(f) for f in queries]
-    results = {}
-    for label, mode_engine, model in modes(registered):
-        counts: Dict[str, int] = {}
-        bits_ok = True
-
-        def run_batch():
-            nonlocal bits_ok
-            evaluation = evaluate_registered_batch(
-                model, queries, engine=mode_engine
-            )
-            bits_ok = bits_ok and evaluation.bitvectors == oracle
-            counts.clear()
-            for phase in engine_row(mode_engine).phases:
-                stats = evaluation.tracker.phase_stats(phase)
-                for kind, n in stats.counts.items():
-                    if n:
-                        counts[kind.name] = counts.get(kind.name, 0) + n
-
-        best = _best_of(run_batch, repeats)
-        results[label] = (best * 1000.0 / len(queries), counts, bits_ok)
-    return registered, len(queries), results
-
-
-# ---------------------------------------------------------------------------
-# Tape speedup: compiled-tape engine vs the plan engine, wall clock
-# ---------------------------------------------------------------------------
-
-
-def tape_speedup(
-    workload_name: str = "width78",
-    repeats: int = 5,
-    backend: str = "vector",
-) -> Table:
-    """Wall-clock of the compiled-tape engine vs the plan engine on the
-    batched serve pipeline (the ISSUE 5 acceptance artifact).
-
-    One full-capacity batch of ``workload_name`` queries is evaluated
-    end to end — per-batch context, cached-model adoption, batch
-    encryption, engine execution, decryption — under ``backend``
-    (default ``vector``, the fast serve configuration).  Three rows:
-
-    * ``plan`` — the graph-walking plan executor (the previous serve
-      default);
-    * ``tape`` — the compiled tape: linearized instructions, scheduled
-      rotations, register reuse, fused kernels;
-    * ``tape (de-fused)`` — the same tape with fusion disabled, to
-      split the win between instruction compilation and fused kernels.
-
-    Each row is the best of ``repeats`` runs; decrypted bitvectors are
-    checked against the plaintext oracle *and* against each other, so
-    the table doubles as a bit-identity witness.  Rotation counts come
-    from the tracker (the plan baseline guard pins the tape's strictly
-    below the plan's).
-    """
-    from dataclasses import replace
-
-    def modes(registered):
-        defused = replace(
-            registered, tape=registered.plan.compile_tape(fuse=False)
-        )
-        return (
-            ("plan", "plan", registered),
-            ("tape", "tape", registered),
-            ("tape (de-fused)", "tape", defused),
-        )
-
-    registered, batch_size, timed = _time_engine_batches(
-        "tape_speedup", workload_name, "tape", modes, repeats, backend
-    )
-    results = {
-        label: (ms, counts.get("ROTATE", 0), ok)
-        for label, (ms, counts, ok) in timed.items()
-    }
-
-    table = Table(
-        title=(
-            f"Tape speedup — {workload_name} batched serve "
-            f"({batch_size}-query batches, {backend} backend, "
-            f"best of {repeats})"
-        ),
-        columns=["engine", "rotations", "wall_ms_per_query", "speedup",
-                 "oracle"],
-    )
-    plan_ms = results["plan"][0]
-    for label, (ms, rotations, ok) in results.items():
-        table.add_row(
-            label,
-            rotations,
-            ms,
-            plan_ms / ms if ms > 0 else float("inf"),
-            "ok" if ok else "MISMATCH",
-        )
-    tape = registered.tape
-    table.add_note(
-        f"tape vs plan: {plan_ms / results['tape'][0]:.2f}x wall-clock "
-        f"(target >= 1.5x); rotations "
-        f"{results['plan'][1]} -> {results['tape'][1]} "
-        f"(strictly below the plan baseline); {tape.describe()}"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Megakernel speedup: zero-dispatch executor vs the compiled-tape engine
-# ---------------------------------------------------------------------------
-
-
-def megakernel_speedup(
-    workload_name: str = "width78",
-    repeats: int = 5,
-    backend: str = "vector",
-) -> Table:
-    """Wall-clock of the megakernel engine vs the compiled-tape engine
-    on the batched serve pipeline (the ISSUE 9 acceptance artifact).
-
-    One full-capacity batch of ``workload_name`` queries is evaluated
-    end to end — per-batch context, cached-model adoption, batch
-    encryption, engine execution, decryption — under ``backend``
-    (default ``vector``, the only backend granting the megakernel
-    capability).  Two rows:
-
-    * ``tape`` — the compiled tape: linearized instructions, scheduled
-      rotations, register reuse, fused kernels, but one Python dispatch
-      per instruction;
-    * ``megakernel`` — the same tape compiled once more into vectorized
-      segments over a preallocated register plane: mega-gathers, stacked
-      mask/operand planes, ``xor.reduceat`` combines, and *no*
-      per-instruction Python dispatch.  Tracker bookkeeping is captured
-      on a scratch context the first time each input signature appears
-      and replayed in bulk thereafter.
-
-    Each row is the best of ``repeats`` runs after a warm run (which,
-    for the megakernel, is the capture run — serve batches after the
-    first hit the cached book, exactly the steady state the serve loop
-    lives in).  Decrypted bitvectors are checked against the plaintext
-    oracle *and* against each other, so the table doubles as a
-    bit-identity witness; op counts come from the tracker and must
-    match between rows.
-    """
-    registered, batch_size, results = _time_engine_batches(
-        "megakernel_speedup", workload_name, "megakernel",
-        lambda registered: [
-            (engine, engine, registered) for engine in ("tape", "megakernel")
-        ],
-        repeats, backend,
-    )
-
-    table = Table(
-        title=(
-            f"Megakernel speedup — {workload_name} batched serve "
-            f"({batch_size}-query batches, {backend} backend, "
-            f"best of {repeats})"
-        ),
-        columns=["engine", "wall_ms_per_query", "speedup", "oracle"],
-    )
-    tape_ms = results["tape"][0]
-    for label, (ms, _, ok) in results.items():
-        table.add_row(
-            label,
-            ms,
-            tape_ms / ms if ms > 0 else float("inf"),
-            "ok" if ok else "MISMATCH",
-        )
-    kernel = registered.megakernel
-    counts_ok = results["tape"][1] == results["megakernel"][1]
-    table.add_note(
-        f"megakernel vs tape: "
-        f"{tape_ms / results['megakernel'][0]:.2f}x wall-clock "
-        f"(target >= 2x); op counts "
-        f"{'identical' if counts_ok else 'DIVERGED'}; "
-        f"{kernel.describe()}"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Tracing overhead: the observability layer's zero-cost contract
-# ---------------------------------------------------------------------------
-
-
-def tracing_overhead(
-    workload_name: str = "width78",
-    repeats: int = 3,
-    backend: str = "vector",
-) -> Table:
-    """Wall-clock cost of the observability layer on the serve hot path.
-
-    Four rows over one full-capacity batched tape evaluation (the serve
-    default configuration) under ``backend``:
-
-    * ``batch (untraced)`` — :class:`~repro.serve.batcher.QueryBatcher`
-      with ``tracer=None``: the production default, whose hot path must
-      contain no instrumentation at all;
-    * ``batch (traced)`` — the same evaluation with a
-      :class:`~repro.obs.trace.Tracer` emitting the pack / execute /
-      demux / resolve stage spans;
-    * ``tape (unprofiled)`` — the bare compiled-tape execution;
-    * ``tape (profiled)`` — the same tape through the instrumented
-      loop with a :class:`~repro.obs.profiler.TapeProfiler` (per
-      instruction: two tracker snapshots, two timer reads, one sample).
-
-    ``overhead_pct`` is each row's wall time against its baseline row.
-    The zero-cost contract is the *untraced* rows: DESIGN.md commits to
-    tracing-disabled serve staying within 3 % of the uninstrumented
-    cost (the ``tests/obs`` guard pins the simulated-cost half of that
-    contract against ``plan_baseline.json``); the traced/profiled rows
-    document what opting in costs.
-    """
-    from repro.errors import ValidationError
-    from repro.ir.plan import bind_model_query
-    from repro.obs.profiler import TapeProfiler
-    from repro.obs.trace import Tracer
-    from repro.serve.batcher import CutBatch, QueryBatcher
-    from repro.serve.registry import ModelRegistry
-    from repro.serve.simclock import VirtualClock
-
-    if repeats < 1:
-        raise ValidationError(
-            f"tracing_overhead needs at least one repeat, got {repeats}"
-        )
-    workload = _workloads([workload_name])[0]
-    params = EncryptionParams.paper_defaults()
-    registered = ModelRegistry().register(
-        f"trace-bench-{workload_name}", workload.compiled, params=params,
-        backend=backend, engine="tape",
-    )
-    queries = workload.query_features(registered.layout.capacity)
-
-    def best_of(run) -> float:
-        return _best_of(run, repeats) * 1000.0
-
-    def batch_run(tracer, clock):
-        batcher = QueryBatcher(
-            registered, verify_oracle=False, tracer=tracer, clock=clock,
-        )
-
-        def run():
-            batch = CutBatch(
-                batch_id=0,
-                entries=[batcher.prepare(f) for f in queries],
-            )
-            batcher.evaluate(batch)
-
-        return run
-
-    tracer = Tracer()
-    results = {
-        "batch (untraced)": best_of(batch_run(None, None)),
-        "batch (traced)": best_of(batch_run(tracer, VirtualClock())),
-    }
-
-    from repro.fhe.context import FheContext
-
-    def tape_run(profiler):
-        def run():
-            ctx = FheContext(params, backend=backend)
-            from repro.serve.batched_runtime import encrypt_batch
-
-            query = encrypt_batch(
-                ctx, registered.layout, queries, registered.keys
-            )
-            bindings = bind_model_query(
-                ctx,
-                registered.tape.input_widths,
-                registered.tape.encrypted_model,
-                registered.tape.model_fingerprint,
-                registered.batched_model,
-                query,
-            )
-            registered.tape.execute(ctx, bindings, profiler=profiler)
-
-        return run
-
-    profiler = TapeProfiler()
-    results["tape (unprofiled)"] = best_of(tape_run(None))
-    results["tape (profiled)"] = best_of(tape_run(profiler))
-
-    baselines = {
-        "batch (untraced)": "batch (untraced)",
-        "batch (traced)": "batch (untraced)",
-        "tape (unprofiled)": "tape (unprofiled)",
-        "tape (profiled)": "tape (unprofiled)",
-    }
-    table = Table(
-        title=(
-            f"Tracing overhead — {workload_name} batched serve "
-            f"({len(queries)}-query batches, {backend} backend, "
-            f"best of {repeats})"
-        ),
-        columns=["config", "wall_ms_per_batch", "overhead_pct"],
-    )
-    for label, ms in results.items():
-        base = results[baselines[label]]
-        overhead = 100.0 * (ms / base - 1.0) if base > 0 else 0.0
-        table.add_row(label, ms, round(overhead, 2))
-    table.add_note(
-        f"opt-in instrumentation: {len(tracer.spans())} stage spans "
-        f"traced, {len(profiler.samples)} instruction samples profiled; "
-        f"the disabled configurations carry no callbacks or timestamps "
-        f"(the <3% disabled-overhead guard runs in tests/obs)"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Backend speedup: wall-clock per FHE backend
-# ---------------------------------------------------------------------------
-
-
-def backend_speedup(
-    workload_name: str = "width78",
-    queries: int = 8,
-    repeats: int = 3,
-    backends: Optional[Sequence[str]] = None,
-) -> Table:
-    """Wall-clock ms/query per FHE backend, single-query and batched.
-
-    Unlike every other artifact here, this one measures **wall-clock**
-    time of the simulator itself, not simulated FHE milliseconds: the
-    backends execute identical circuits (same operation counts, same
-    bits — the conformance suite locks that), so the cost model prices
-    them identically and only real execution time can tell them apart.
-    Three modes per backend:
-
-    * ``single`` — the eager per-query pipeline (query encrypt,
-      classify, decrypt) against a once-encrypted model;
-    * ``batched/plan`` — the serve pipeline (pack + encrypt the batch,
-      run the cached optimized plan, decrypt, demux), the service
-      default;
-    * ``batched/eager`` — the hand-scheduled batched interpreter on the
-      same cached model.
-
-    Each (backend, mode) cell is the best of ``repeats`` runs over
-    ``queries`` queries (full batches for the batched modes), and every
-    decrypted bitvector is checked against the plaintext oracle.
-    """
-    from repro.errors import ValidationError
-    from repro.core.runtime import CopseServer, DataOwner, ModelOwner
-    from repro.fhe.backend import available_backends
-    from repro.fhe.context import FheContext
-    from repro.serve.batched_runtime import evaluate_registered_batch
-    from repro.serve.packing import plan_layout
-    from repro.serve.registry import ModelRegistry
-
-    if queries < 1:
-        raise ValidationError(
-            f"backend_speedup needs at least one query, got {queries}"
-        )
-    if repeats < 1:
-        raise ValidationError(
-            f"backend_speedup needs at least one repeat, got {repeats}"
-        )
-    if backends is None:
-        preferred = ("reference", "vector", "plaintext")
-        registered = set(available_backends())
-        backends = [b for b in preferred if b in registered]
-    if "reference" not in backends:
-        raise ValidationError(
-            "backend_speedup needs the reference backend as its baseline"
-        )
-
-    workload = _workloads([workload_name])[0]
-    compiled = workload.compiled
-    params = EncryptionParams.paper_defaults()
-    feature_lists = workload.query_features(queries)
-    oracle = [workload.forest.label_bitvector(f) for f in feature_lists]
-    capacity = plan_layout(compiled, params).capacity
-    batch_queries = workload.query_features(capacity)
-    batch_oracle = [workload.forest.label_bitvector(f) for f in batch_queries]
-
-    def best_ms(run, per_run_queries: int) -> float:
-        """Best-of-``repeats`` wall-clock ms per query for one mode."""
-        return _best_of(run, repeats) * 1000.0 / per_run_queries
-
-    results = {}
-    for backend in backends:
-        # Single-query eager pipeline against a once-encrypted model.
-        ctx = FheContext(params, backend=backend)
-        keys = ctx.keygen()
-        maurice = ModelOwner(compiled)
-        diane = DataOwner(maurice.query_spec(), keys)
-        model = maurice.encrypt_model(ctx, keys.public)
-        sally = CopseServer(ctx)
-        oracle_ok = True
-
-        def run_single():
-            nonlocal oracle_ok
-            for feats, expected in zip(feature_lists, oracle):
-                query = diane.prepare_query(ctx, feats)
-                encrypted = sally.classify(model, query)
-                bits = ctx.decrypt_bits(encrypted, keys.secret)
-                oracle_ok = oracle_ok and bits == expected
-
-        results[(backend, "single")] = (
-            best_ms(run_single, queries), oracle_ok,
-        )
-
-        # Batched pipeline against the serve registry's cached model.
-        registered = ModelRegistry().register(
-            f"bench-{backend}", compiled, params=params, backend=backend
-        )
-        for engine in ("plan", "eager"):
-            mode = f"batched/{engine}"
-            oracle_ok = True
-
-            def run_batch():
-                nonlocal oracle_ok
-                evaluation = evaluate_registered_batch(
-                    registered, batch_queries, engine=engine
-                )
-                oracle_ok = oracle_ok and (
-                    evaluation.bitvectors == batch_oracle
-                )
-
-            results[(backend, mode)] = (
-                best_ms(run_batch, len(batch_queries)), oracle_ok,
-            )
-
-    table = Table(
-        title=f"Backend speedup — {workload.name} "
-        f"(wall-clock, best of {repeats})",
-        columns=["backend", "mode", "wall_ms_per_query", "speedup", "oracle"],
-    )
-    modes = ("single", "batched/plan", "batched/eager")
-    for backend in backends:
-        for mode in modes:
-            ms, ok = results[(backend, mode)]
-            ref_ms, _ = results[("reference", mode)]
-            table.add_row(
-                backend,
-                mode,
-                ms,
-                ref_ms / ms if ms > 0 else float("inf"),
-                "ok" if ok else "MISMATCH",
-            )
-    if "vector" in backends:
-        batch_ms, _ = results[("vector", "batched/eager")]
-        batch_ref, _ = results[("reference", "batched/eager")]
-        single_ms, _ = results[("vector", "single")]
-        single_ref, _ = results[("reference", "single")]
-        table.add_note(
-            f"vector vs reference: {single_ref / single_ms:.2f}x single, "
-            f"{batch_ref / batch_ms:.2f}x batched (eager) on "
-            f"{capacity}-query batches; identical bits and simulated "
-            f"cost, the difference is pure bookkeeping overhead"
-        )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Cluster speedup: multi-process serving vs a single worker
-# ---------------------------------------------------------------------------
-
-
-def cluster_speedup(
-    workload_name: str = "width78",
-    workers: Sequence[int] = (1, 2, 4),
-    batches: int = 4,
-    backend: str = "vector",
-) -> Table:
-    """Wall-clock of the multi-process serve cluster by pool size.
-
-    For each pool size a fresh :class:`~repro.serve.cluster.ClusterService`
-    registers ``workload_name`` once, warms the pool (one throwaway batch
-    per worker, so model shipping and worker-side cache builds are off
-    the clock), then serves ``batches`` full-capacity batches of seeded
-    queries end to end — router placement, pipe transport, worker-side
-    encrypt/evaluate/decrypt, oracle verification.  One row per pool
-    size: wall clock, queries/s, speedup over the 1-worker row, oracle
-    agreement, and the batch/crash accounting from the router.
-
-    Speedup comes from genuine process parallelism, so it is bounded by
-    the host's core count (recorded in the note): on a single-core host
-    every pool size serializes and the larger pools only measure
-    transport overhead.
-    """
-    import os as _os
-    import time
-
-    from repro.errors import ValidationError
-    from repro.serve.cluster import ClusterService
-
-    workers = tuple(workers)
-    if not workers or min(workers) < 1:
-        raise ValidationError(
-            f"cluster_speedup needs pool sizes >= 1, got {workers!r}"
-        )
-    if batches < 1:
-        raise ValidationError(
-            f"cluster_speedup needs at least one batch, got {batches}"
-        )
-    workload = _workloads([workload_name])[0]
-    params = EncryptionParams.paper_defaults()
-
-    results = {}
-    capacity = None
-    for pool in workers:
-        with ClusterService(workers=pool, backend=backend) as service:
-            registered = service.register_model(
-                f"cluster-bench-{workload_name}", workload.compiled,
-                params=params,
-            )
-            capacity = registered.layout.capacity
-            name = registered.name
-            queries = workload.query_features(capacity * batches)
-            # Warm every worker: preload ships the envelope, one batch
-            # per worker builds the lazy gather caches off the clock.
-            service.preload(name)
-            warm = [
-                service.submit(name, q)
-                for q in queries[: capacity * pool]
-            ]
-            service.flush(name)
-            for future in warm:
-                future.result()
-
-            start = time.perf_counter()
-            futures = [service.submit(name, q) for q in queries]
-            service.flush(name)
-            outcomes = [f.result() for f in futures]
-            wall_s = time.perf_counter() - start
-            stats = service.stats()
-
-        oracle_ok = all(r.oracle_ok for r in outcomes)
-        results[pool] = (wall_s, len(queries), oracle_ok, stats)
-
-    table = Table(
-        title=(
-            f"Cluster speedup — {workload_name} over real worker "
-            f"processes ({batches} x {capacity}-query batches, "
-            f"{backend} backend)"
-        ),
-        columns=["workers", "wall_s", "queries_per_s", "speedup",
-                 "batches", "crashes", "oracle"],
-    )
-    base_wall = results[workers[0]][0]
-    for pool in workers:
-        wall_s, n_queries, oracle_ok, stats = results[pool]
-        table.add_row(
-            pool,
-            wall_s,
-            n_queries / wall_s if wall_s > 0 else float("inf"),
-            base_wall / wall_s if wall_s > 0 else float("inf"),
-            stats.batches,
-            stats.worker_crashes,
-            "ok" if oracle_ok else "MISMATCH",
-        )
-    cores = _os.cpu_count() or 1
-    table.add_note(
-        f"speedup is vs the {workers[0]}-worker pool on this host "
-        f"({cores} core{'s' if cores != 1 else ''}); process "
-        f"parallelism cannot beat the core count — identical decrypted "
-        f"bits at every pool size is the invariant, the speedup is "
-        f"host-dependent"
-    )
-    return table
-
-
 # ---------------------------------------------------------------------------
 # Autoscale: the control plane vs a static pool on a three-phase ramp
 # ---------------------------------------------------------------------------
@@ -1719,8 +1100,8 @@ def chaos(
     served must carry bit-identical results, and exactly the poison
     queries must land in the dead-letter queue with their bisection
     trail in the decision log.  The checks note renders ``ok`` /
-    ``FAIL`` per property; CI greps the regenerated report for
-    ``FAIL``.
+    ``FAIL`` per property; the paper record holds every cell and note
+    of this table, all-``ok`` included.
     """
     import json as _json
 

@@ -1,10 +1,10 @@
-"""Plain-text rendering of benchmark tables and series."""
+"""Plain-text rendering of benchmark tables."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 def geometric_mean(values: Sequence[float]) -> float:
@@ -75,32 +75,3 @@ def _fmt(value: object) -> str:
             return f"{value:#.3g}"
         return f"{value:.2f}"
     return str(value)
-
-
-@dataclass
-class Series:
-    """A named (x, y) series, for the Figure 10 style breakdowns."""
-
-    name: str
-    x_label: str
-    y_label: str
-    points: List[tuple] = field(default_factory=list)
-
-    def add_point(self, x: object, y: float) -> None:
-        self.points.append((x, y))
-
-    def ys(self) -> List[float]:
-        return [y for _, y in self.points]
-
-    def render(self) -> str:
-        body = ", ".join(f"{x}={y:.2f}" for x, y in self.points)
-        return f"{self.name} [{self.y_label} vs {self.x_label}]: {body}"
-
-
-def render_all(tables: Sequence[Table], title: Optional[str] = None) -> str:
-    parts = []
-    if title:
-        parts.append(f"### {title} ###")
-    for table in tables:
-        parts.append(table.render())
-    return "\n\n".join(parts)

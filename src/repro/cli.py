@@ -11,10 +11,7 @@ evaluation harness::
         --deadline-ms 250 --max-queue 128
     python -m repro bench fig6 --workloads depth4,width78
     python -m repro bench plan-speedup         # eager vs plan engine
-    python -m repro bench tape-speedup         # plan vs compiled-tape engine
-    python -m repro bench megakernel-speedup   # tape vs megakernel engine
-    python -m repro bench report               # regenerate benchmark_report.txt + BENCH_<n>.json
-    python -m repro bench backend-speedup      # wall-clock per FHE backend
+    python -m repro bench report               # every table of the paper record
     python -m repro bench soak                 # simulated load vs deadlines
     python -m repro sweep                      # Table 5 parameter sweep
 
@@ -44,6 +41,7 @@ from repro.forest.serialize import loads_forest
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench_harness.report_gen import ARTIFACTS
     from repro.fhe.backend import available_backends
 
     parser = argparse.ArgumentParser(
@@ -272,34 +270,21 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", parents=[backend_opts],
         help="regenerate a paper figure/table",
     )
-    bench.add_argument(
-        "artifact",
-        choices=[
-            "fig6", "fig7", "fig8", "fig9", "fig10",
-            "table1", "table2", "table6", "throughput", "plan-speedup",
-            "tape-speedup", "megakernel-speedup", "backend-speedup",
-            "soak", "cluster-speedup",
-            "autoscale", "chaos", "trajectory", "report",
-        ],
-    )
+    bench.add_argument("artifact", choices=[*ARTIFACTS, "report"])
     bench.add_argument(
         "--workloads",
-        help="comma-separated workload names (default: microbenchmarks "
-        "for figures, width78 for table2)",
+        help="comma-separated workload names (default: every workload "
+        "for figures, width78 for the single-workload artifacts)",
     )
     bench.add_argument(
         "--queries", type=int, default=None,
-        help="queries per run (default: 1, or 16 for throughput)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="for 'report': trim to the quick suite (also triggered by "
-        "REPRO_BENCH_QUICK=1); annotated in the regenerated report",
+        help="queries per run (default: what the paper record uses, "
+        "e.g. 1 for figures, 16 for throughput)",
     )
     bench.add_argument(
         "--out", default=None,
-        help="for 'report': path of the JSON perf-trajectory artifact "
-        "(default: BENCH_<n>.json for the current trajectory index)",
+        help="for 'report': also write the record JSON here (the "
+        "checked-in reference is tests/bench/paper_record.json)",
     )
 
     sub.add_parser("sweep", help="run the Table 5 parameter sweep")
@@ -647,150 +632,30 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    import os
+    from repro.bench_harness import report_gen
+    from repro.fhe.backend import canonical_backend_name
 
-    from repro.fhe.backend import BACKEND_ENV_VAR
-
-    if args.backend is None:
-        return _cmd_bench_inner(args)
-    # The figure/table pipelines build many contexts internally; the
-    # process-default mechanism threads the choice everywhere.  Restored
-    # afterwards so in-process callers (tests) see no leaked default.
-    previous = os.environ.get(BACKEND_ENV_VAR)
-    os.environ[BACKEND_ENV_VAR] = args.backend
-    try:
-        return _cmd_bench_inner(args)
-    finally:
-        if previous is None:
-            os.environ.pop(BACKEND_ENV_VAR, None)
-        else:
-            os.environ[BACKEND_ENV_VAR] = previous
-
-
-def _cmd_bench_inner(args) -> int:
-    from repro.bench_harness import experiments
-
-    names: Optional[List[str]] = None
-    if args.workloads:
-        names = args.workloads.split(",")
-    queries = args.queries if args.queries is not None else 1
-
-    if args.artifact == "soak":
-        workload = names[0] if names else "width78"
-        print(
-            experiments.soak(
-                workload_name=workload,
-                queries=args.queries if args.queries is not None else 2000,
-            ).render()
-        )
+    if args.artifact in report_gen.ARTIFACTS:
+        names = args.workloads.split(",") if args.workloads else None
+        with report_gen.pinned_backend(canonical_backend_name(args.backend)):
+            tables = report_gen.build_section(
+                args.artifact, names, args.queries
+            )
+        print("\n\n".join(table.render() for table in tables))
         return 0
-    if args.artifact == "backend-speedup":
-        workload = names[0] if names else "width78"
-        print(
-            experiments.backend_speedup(
-                workload_name=workload,
-                queries=args.queries if args.queries is not None else 8,
-            ).render()
-        )
-        return 0
-    if args.artifact == "table1":
-        workload = names[0] if names else "width78"
-        for table in experiments.table1(
-            workload_name=workload, queries=queries
-        ):
-            print(table.render())
-            print()
-        return 0
-    if args.artifact == "throughput":
-        workload = names[0] if names else "width78"
-        print(
-            experiments.throughput(
-                workload_name=workload,
-                queries=args.queries if args.queries is not None else 16,
-            ).render()
-        )
-        return 0
-    if args.artifact == "plan-speedup":
-        workload = names[0] if names else "width78"
-        print(
-            experiments.plan_speedup(
-                workload_name=workload,
-                queries=args.queries if args.queries is not None else 2,
-            ).render()
-        )
-        return 0
-    if args.artifact == "tape-speedup":
-        workload = names[0] if names else "width78"
-        print(experiments.tape_speedup(workload_name=workload).render())
-        return 0
-    if args.artifact == "megakernel-speedup":
-        workload = names[0] if names else "width78"
-        print(
-            experiments.megakernel_speedup(workload_name=workload).render()
-        )
-        return 0
-    if args.artifact == "cluster-speedup":
-        workload = names[0] if names else "width78"
-        print(experiments.cluster_speedup(workload_name=workload).render())
-        return 0
-    if args.artifact == "autoscale":
-        workload = names[0] if names else "width78"
-        print(experiments.autoscale(workload_name=workload).render())
-        return 0
-    if args.artifact == "chaos":
-        workload = names[0] if names else "width78"
-        print(experiments.chaos(workload_name=workload).render())
-        return 0
-    if args.artifact == "trajectory":
-        from repro.bench_harness.report_gen import (
-            TRAJECTORY_JSON_PATH,
-            generate_trajectory,
-        )
-
-        out = args.out if args.out is not None else TRAJECTORY_JSON_PATH
-        path, table = generate_trajectory(json_path=out)
-        print(table.render())
-        print(f"wrote {path}")
-        return 0
-    if args.artifact == "report":
-        from repro.bench_harness.report_gen import (
-            BENCH_JSON_PATH,
-            generate_report,
-        )
-
-        quick = args.quick or None  # None: honor $REPRO_BENCH_QUICK
-        json_path = args.out if args.out is not None else BENCH_JSON_PATH
-        paths = generate_report(quick=quick, json_path=json_path)
-        for path in paths:
-            print(f"wrote {path}")
-        return 0
-    if args.artifact == "fig10":
-        for table in experiments.figure10(queries=queries):
-            print(table.render())
-            print()
-        return 0
-    if args.artifact == "table2":
-        workload = names[0] if names else "width78"
-        print(experiments.table2(workload_name=workload).render())
-        return 0
-    if args.artifact == "table6":
-        print(experiments.table6().render())
-        return 0
-
-    fn = {
-        "fig6": experiments.figure6,
-        "fig7": experiments.figure7,
-        "fig8": experiments.figure8,
-        "fig9": experiments.figure9,
-    }[args.artifact]
-    print(fn(queries=queries, workload_names=names).render())
+    # "report": every section, with the record's own arguments and backend.
+    sections = report_gen.build_sections()
+    print(report_gen.render_report(sections), end="")
+    if args.out is not None:
+        report_gen.write_record(report_gen.build_record(sections), args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_sweep(_args) -> int:
-    from repro.bench_harness import experiments
+    from repro.bench_harness import report_gen
 
-    print(experiments.table5().render())
+    print(report_gen.build_section("table5")[0].render())
     return 0
 
 

@@ -22,8 +22,8 @@ timestamp.  Samples accumulate across runs (a serve worker can profile
 every batch of a soak); aggregation is per opcode
 (:meth:`TapeProfiler.by_opcode`) and per instruction range
 (:meth:`TapeProfiler.range_totals`), surfaced by ``repro trace tape``
-(:meth:`TapeProfiler.report`) and folded into ``BENCH_*.json``
-(:meth:`TapeProfiler.as_dict`).
+(:meth:`TapeProfiler.report`; ``--json`` writes
+:meth:`TapeProfiler.as_dict`).
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ class TapeProfiler:
         return "\n".join(lines)
 
     def as_dict(self) -> Dict:
-        """JSON-able record for ``bench report``'s BENCH_*.json."""
+        """JSON-able record (``repro trace tape --json``)."""
         opcodes = {}
         for name, totals in self.by_opcode().items():
             opcodes[name] = {

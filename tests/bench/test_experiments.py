@@ -101,11 +101,6 @@ class TestFigure10:
         levels = prec_table.column("levels_ms")
         assert levels[0] == pytest.approx(levels[1], rel=0.01)
 
-    def test_series_view(self):
-        series = experiments.figure10_series(queries=1)
-        assert len(series) == 12  # 3 families x 4 phases
-        assert all(s.points for s in series)
-
 
 class TestComplexityTables:
     def test_table1_structure(self):
@@ -211,41 +206,6 @@ class TestPlanSpeedup:
     def test_plan_reduces_rotations_below_eager(self, table):
         assert table.row("plan")[1] < table.row("eager")[1]
         assert any("cheaper per query" in n for n in table.notes)
-
-
-class TestBackendSpeedup:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return experiments.backend_speedup(
-            workload_name="width55", queries=2, repeats=1
-        )
-
-    def test_covers_every_builtin_backend_and_mode(self, table):
-        pairs = {(r[0], r[1]) for r in table.rows}
-        for backend in ("reference", "vector", "plaintext"):
-            for mode in ("single", "batched/plan", "batched/eager"):
-                assert (backend, mode) in pairs
-
-    def test_all_backends_oracle_exact(self, table):
-        assert all(ok == "ok" for ok in table.column("oracle"))
-
-    def test_reference_is_the_unit_baseline(self, table):
-        for row in table.rows:
-            if row[0] == "reference":
-                assert row[3] == pytest.approx(1.0)
-
-    def test_wall_clock_positive(self, table):
-        assert all(ms > 0 for ms in table.column("wall_ms_per_query"))
-
-    def test_rejects_bad_arguments(self):
-        from repro.errors import ValidationError
-
-        with pytest.raises(ValidationError):
-            experiments.backend_speedup(queries=0)
-        with pytest.raises(ValidationError):
-            experiments.backend_speedup(repeats=0)
-        with pytest.raises(ValidationError):
-            experiments.backend_speedup(backends=["vector"])  # no baseline
 
 
 class TestReportHelpers:

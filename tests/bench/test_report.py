@@ -1,23 +1,14 @@
 """Tests for report rendering helpers, experiment-cache behaviour, and
-the deterministic `repro bench report` regeneration entry point."""
+section lookup (the record itself: ``test_paper_record.py``)."""
 
 import math
-from pathlib import Path
 
 import pytest
 
 from repro.bench_harness import experiments
-from repro.bench_harness.report import Series, Table, geometric_mean, render_all
-from repro.bench_harness.report_gen import (
-    MODE_INDEPENDENT_SECTIONS,
-    SECTION_KEYS,
-    generate_report,
-    render_report,
-    report_structure,
-)
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-CHECKED_IN_REPORT = REPO_ROOT / "benchmark_report.txt"
+from repro.bench_harness.report import Table, geometric_mean
+from repro.bench_harness.report_gen import ARTIFACTS, build_section
+from repro.errors import ValidationError
 
 
 class TestGeometricMean:
@@ -35,16 +26,6 @@ class TestGeometricMean:
         values = [1.5, 2.5, 10.0, 0.3]
         expected = math.exp(sum(math.log(v) for v in values) / len(values))
         assert geometric_mean(values) == pytest.approx(expected)
-
-
-class TestSeries:
-    def test_points_and_render(self):
-        s = Series(name="levels", x_label="depth", y_label="ms")
-        s.add_point("d4", 22.0)
-        s.add_point("d5", 27.5)
-        assert s.ys() == [22.0, 27.5]
-        text = s.render()
-        assert "levels" in text and "d4=22.00" in text
 
 
 class TestTableRendering:
@@ -71,15 +52,6 @@ class TestTableRendering:
         cells = [line.split()[-1] for line in t.render().splitlines()[4:]]
         assert cells == ["0.0333", "0.0150", "0.00", "1.00"]
 
-    def test_render_all(self):
-        a = Table(title="A", columns=["c"])
-        a.add_row(1)
-        b = Table(title="B", columns=["c"])
-        b.add_row(2)
-        text = render_all([a, b], title="both")
-        assert "### both ###" in text
-        assert "A" in text and "B" in text
-
 
 class TestExperimentCache:
     def test_records_are_memoized(self):
@@ -96,54 +68,7 @@ class TestExperimentCache:
 
 
 class TestReportRegeneration:
-    """The checked-in benchmark_report.txt must match what the single
-    entry point regenerates: same section banners in the same order,
-    and — for mode-independent sections — identical table structure.
-    This is the lock against the regeneration drift that used to creep
-    in when the benchmark suite rewrote the file in collection order."""
-
-    def test_checked_in_report_has_canonical_structure(self):
-        assert CHECKED_IN_REPORT.exists(), (
-            "benchmark_report.txt is missing; regenerate with "
-            "`PYTHONPATH=src python -m repro bench report`"
-        )
-        structure = report_structure(CHECKED_IN_REPORT.read_text())
-        assert [banner for banner, _ in structure] == list(SECTION_KEYS)
-
-    def test_quick_regeneration_matches_checked_in_structure(self):
-        """Regenerate the cheap, mode-independent sections in quick mode
-        and compare banner + title verbatim against the checked-in
-        file (full regeneration is exercised by `repro bench report`)."""
-        checked_in = dict(report_structure(CHECKED_IN_REPORT.read_text()))
-        from repro.bench_harness.report_gen import build_section
-
-        sections = {
-            key: build_section(key, quick=True)
-            for key in MODE_INDEPENDENT_SECTIONS
-        }
-        text = render_report(sections, quick=True)
-        for banner, title in report_structure(text):
-            assert checked_in[banner] == title, (
-                f"section {banner!r}: checked-in title "
-                f"{checked_in[banner]!r} != regenerated {title!r}"
-            )
-
-    def test_partial_regeneration_never_writes_trajectory(self, tmp_path):
-        """A partial section run must not publish a partial BENCH json."""
-        report = tmp_path / "report.txt"
-        bench = tmp_path / "BENCH.json"
-        written = generate_report(
-            quick=True,
-            sections=("table6",),
-            report_path=str(report),
-            json_path=str(bench),
-        )
-        assert written == [str(report)]
-        assert report.exists() and not bench.exists()
-        structure = report_structure(report.read_text())
-        assert [b for b, _ in structure] == ["table6"]
-
     def test_unknown_section_rejected(self):
-        with pytest.raises(KeyError, match="unknown report sections"):
-            generate_report(quick=True, sections=("nope",),
-                            report_path=None, json_path=None)
+        with pytest.raises(ValidationError, match="unknown section") as info:
+            build_section("nope")
+        assert all(name in str(info.value) for name in ARTIFACTS)

@@ -203,3 +203,41 @@ class TestNullTracer:
         assert null.to_chrome()["traceEvents"]
         assert null.dropped == 0
         assert null.open_spans == 0
+
+
+def test_traced_batch_emits_its_stage_spans(example_forest):
+    """A real batch through ``QueryBatcher`` with a tracer and a clock
+    closes exactly the four stage spans, in pipeline order, each with
+    the attributes it ends with; an untraced batcher emits none."""
+    from repro.serve.batcher import CutBatch, QueryBatcher
+    from repro.serve.registry import ModelRegistry
+    from repro.serve.simclock import VirtualClock
+
+    registered = ModelRegistry().register(
+        "m", example_forest, max_batch_size=4
+    )
+    features = [[40, 200], [0, 255], [130, 7]]
+
+    def run(tracer, clock):
+        batcher = QueryBatcher(registered, tracer=tracer, clock=clock)
+        batch = CutBatch(
+            batch_id=5, entries=[batcher.prepare(f) for f in features]
+        )
+        batcher.evaluate(batch)
+        return [e.future.result(timeout=0).bitvector for e in batch.entries]
+
+    tracer = Tracer()
+    traced_bits = run(tracer, VirtualClock())
+    spans = tracer.spans()
+    assert [s.name for s in spans] == ["pack", "execute", "demux", "resolve"]
+    assert tracer.open_spans == 0
+    assert all(
+        s.track == "batcher" and s.attrs["batch_id"] == 5 for s in spans
+    )
+    assert spans[0].attrs["size"] == 3
+    assert spans[1].attrs["engine"] == registered.engine
+    assert spans[3].attrs["oracle_failures"] == 0
+
+    idle = Tracer()
+    assert run(idle, None) == traced_bits  # no clock: tracing is off
+    assert idle.spans() == []

@@ -472,16 +472,6 @@ class TestBackendFlag:
         assert "backend vector" in out  # registered.describe()
         assert "oracle agreement: ok" in out
 
-    def test_bench_backend_speedup(self, capsys):
-        assert main(
-            ["bench", "backend-speedup", "--workloads", "width55",
-             "--queries", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Backend speedup" in out
-        assert "vector" in out
-        assert "MISMATCH" not in out
-
     def test_bench_backend_forwarded_and_restored(self, capsys, monkeypatch):
         import os
 
