@@ -533,8 +533,9 @@ def soak(
     :class:`~repro.serve.loadgen.ModelProfile` — then each row replays
     ``queries`` seeded arrivals (three tenants: two Poisson, one
     bursty, all with deadline ``deadline_factor`` x the batch service
-    time) through the production scheduler core under a virtual clock,
-    with a mid-run worker crash and periodic slow batches injected.
+    time) through the production router and scheduler cores under a
+    virtual clock, with a mid-run worker crash (its batch parks behind
+    the default retry backoff) and periodic slow batches injected.
 
     Everything is virtual-clock deterministic: same seed, same table,
     byte for byte.  The miss-rate curve has three regimes worth reading:
@@ -607,7 +608,7 @@ def soak(
         arrivals = generate_arrivals(tenants, seed=seed,
                                      total_queries=queries)
         crash_at = arrivals[len(arrivals) // 2].time
-        report = SimRunner([profile], threads=threads).run(
+        report = SimRunner([profile], workers=threads).run(
             arrivals,
             FaultPlan(worker_crashes=(crash_at,), slow_every=13,
                       slow_factor=2.0),
@@ -748,12 +749,12 @@ def autoscale_run(
     seed: int = 777,
     autoscale: bool = True,
 ):
-    """One seeded three-phase ramp through the cluster simulator.
+    """One seeded three-phase ramp through the simulator.
 
     Builds the canonical control-plane scenario — underload steady
     state, a burst that overloads the starting pool, then a decay tail
     — with one worker crash injected mid-burst, and replays it through
-    :class:`~repro.serve.cluster.ClusterSimRunner` either with a
+    :class:`~repro.serve.loadgen.SimRunner` either with a
     :class:`~repro.control.Controller` (``autoscale=True``) or as the
     static ``workers_start``-pool baseline.
 
@@ -766,20 +767,20 @@ def autoscale_run(
     """
     from repro.control import (
         AutoscalePolicy,
-        ClusterSimPlant,
         Controller,
         GuardConfig,
         GuardRail,
+        Plant,
     )
     from repro.errors import ValidationError
     from repro.serve import (
         FaultPlan,
         ModelProfile,
         RetryPolicy,
+        SimRunner,
         TenantSpec,
         generate_arrivals,
     )
-    from repro.serve.cluster import ClusterSimRunner
     from repro.serve.registry import ModelRegistry
     from repro.serve.simclock import MS
     import dataclasses
@@ -856,7 +857,7 @@ def autoscale_run(
     # Immediate retries, as when this scenario was calibrated: the ramp
     # measures scaling behavior, and backoff delays on the mid-burst
     # crash's retries would shift its latency tail for unrelated reasons.
-    runner = ClusterSimRunner(
+    runner = SimRunner(
         [profile],
         workers=workers_start,
         controller=controller,
@@ -864,7 +865,7 @@ def autoscale_run(
         retry_policy=RetryPolicy.immediate(),
     )
     if controller is not None:
-        controller.plant = ClusterSimPlant(runner)
+        controller.plant = Plant(runner)
     report = runner.run(arrivals, faults)
     scenario = {
         "workload": workload.name,
@@ -992,7 +993,7 @@ def chaos_run(
     workers: int = 4,
     faulted: bool = True,
 ):
-    """One seeded chaos soak through the cluster simulator.
+    """One seeded chaos soak through the simulator.
 
     Derives the load shape from the workload's registered profile (two
     Poisson tenants plus a bursty one at moderate total load) and, when
@@ -1010,10 +1011,10 @@ def chaos_run(
         FaultPlan,
         ModelProfile,
         RetryPolicy,
+        SimRunner,
         TenantSpec,
         generate_arrivals,
     )
-    from repro.serve.cluster import ClusterSimRunner
     from repro.serve.registry import ModelRegistry
     from repro.serve.simclock import MS
 
@@ -1059,7 +1060,7 @@ def chaos_run(
         )
     else:
         faults = FaultPlan()
-    runner = ClusterSimRunner(
+    runner = SimRunner(
         [profile],
         workers=workers,
         max_retries=2,

@@ -521,22 +521,17 @@ def _cmd_serve(args) -> int:
 
             from repro.control import (
                 AutoscalePolicy,
-                ClusterPlant,
                 Controller,
                 GuardConfig,
                 GuardRail,
-                ServicePlant,
+                Plant,
             )
 
-            plant = (
-                ClusterPlant(service) if clustered
-                else ServicePlant(service)
-            )
             autoscale_policy = AutoscalePolicy(
                 slo_p99_ms=args.deadline_ms
             )
             controller = Controller(
-                plant,
+                Plant(service),
                 [autoscale_policy],
                 GuardRail(GuardConfig(
                     workers_min=args.workers_min,
@@ -766,7 +761,7 @@ def _cmd_trace_sim(args) -> int:
     )
     crash_at = arrivals[len(arrivals) // 2].time
     tracer = Tracer()
-    runner = SimRunner([profile], threads=args.threads, tracer=tracer)
+    runner = SimRunner([profile], workers=args.threads, tracer=tracer)
     report = runner.run(
         arrivals,
         FaultPlan(worker_crashes=(crash_at,), slow_every=13,

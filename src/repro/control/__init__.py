@@ -17,25 +17,24 @@ on it.  Split in the established pure-core style:
   safety, bounded weight steps, fingerprint-matched switches, per-kind
   cooldowns) before actuation; rejections are recorded with reasons,
   never dropped — the rail fails closed;
-* :mod:`repro.control.actuator` — plants: the actuation seams over
-  :class:`~repro.serve.service.CopseService`,
-  :class:`~repro.serve.cluster.ClusterService`, and both simulators;
+* :mod:`repro.control.actuator` — :class:`Plant`: the one actuation
+  seam over :class:`~repro.serve.service.CopseService`,
+  :class:`~repro.serve.cluster.ClusterService` and the simulator;
 * :mod:`repro.control.loop` — :class:`Controller`: the caller-clocked
   observe -> propose -> guard -> actuate cycle, emitting the ordered
   auditable decision log that is the determinism witness (byte-identical
-  per seed against the discrete-event simulators).
+  per seed against the discrete-event simulator).
 
 Quickstart (simulated)::
 
     from repro.control import (
-        AutoscalePolicy, ClusterSimPlant, Controller, GuardConfig,
-        GuardRail,
+        AutoscalePolicy, Controller, GuardConfig, GuardRail, Plant,
     )
-    from repro.serve import ClusterSimRunner
+    from repro.serve import SimRunner
 
-    runner = ClusterSimRunner(profiles, workers=2)
+    runner = SimRunner(profiles, workers=2)
     controller = Controller(
-        ClusterSimPlant(runner),
+        Plant(runner),
         [AutoscalePolicy(slo_p99_ms=250.0)],
         GuardRail(GuardConfig(workers_min=1, workers_max=6)),
     )
@@ -65,12 +64,7 @@ from repro.control.policy import (
     WeightBalancePolicy,
 )
 from repro.control.guards import GuardConfig, GuardRail
-from repro.control.actuator import (
-    ClusterPlant,
-    ClusterSimPlant,
-    ServicePlant,
-    SimPlant,
-)
+from repro.control.actuator import Plant
 from repro.control.loop import Controller
 
 __all__ = [
@@ -90,9 +84,6 @@ __all__ = [
     "DegradationPolicy",
     "GuardConfig",
     "GuardRail",
-    "ServicePlant",
-    "ClusterPlant",
-    "SimPlant",
-    "ClusterSimPlant",
+    "Plant",
     "Controller",
 ]

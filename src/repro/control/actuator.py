@@ -1,4 +1,4 @@
-"""Plants: the actuation seams the controller drives.
+"""The plant: the actuation seam the controller drives.
 
 A *plant* is whatever the controller observes and actuates — the
 protocol is two methods:
@@ -10,17 +10,25 @@ protocol is two methods:
   refuses (the controller records that as a failed apply — the guards
   *and* the mechanism both fail closed).
 
-Four adapters cover the serve stack: the threaded
-:class:`~repro.serve.service.CopseService` and multi-process
-:class:`~repro.serve.cluster.ClusterService` for production, and the
-two discrete-event simulators for deterministic soaks.  Scale-downs
-always retire the *highest-id* idle worker — a deterministic choice
-that also keeps low worker ids (the crc32 placement anchors) stable.
+One :class:`Plant` covers the serve stack, because its three targets —
+the threaded :class:`~repro.serve.service.CopseService`, the
+multi-process :class:`~repro.serve.cluster.ClusterService` and the
+discrete-event :class:`~repro.serve.loadgen.SimRunner` — share one
+actuation surface: ``stats()``, ``metrics``, ``add_worker()``,
+``remove_worker()`` (retire the *highest-id* idle worker — a
+deterministic choice that also keeps low worker ids, the crc32 placement
+anchors, stable), ``set_tenant_weight``, ``set_admission_limit`` and,
+where the target has engines or backends to switch,
+``set_model_engine`` / ``set_model_backend``.  A target without the
+method a proposal needs cannot apply it: backend switches re-encrypt the
+model, which on the cluster would need a coordinated re-ship + re-key
+across every worker; the simulator's service times are fixed model
+profiles with nothing to switch.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, Tuple
 
 from repro.errors import ValidationError
 from repro.control.policy import (
@@ -33,164 +41,45 @@ from repro.control.policy import (
 )
 from repro.control.signals import ControlSnapshot
 
-__all__ = [
-    "ServicePlant",
-    "ClusterPlant",
-    "SimPlant",
-    "ClusterSimPlant",
-]
+__all__ = ["Plant"]
+
+#: Proposal kind -> (target method, the proposal fields it is called
+#: with, in order).  :class:`ScaleWorkers` is the one kind not here: its
+#: method depends on the delta's sign and runs once per worker.
+ACTUATIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    AdjustTenantWeight.kind: ("set_tenant_weight", ("queue", "weight")),
+    SetAdmissionLimit.kind: ("set_admission_limit", ("queue", "limit")),
+    SwitchEngine.kind: (
+        "set_model_engine", ("model", "engine", "expected_fingerprint"),
+    ),
+    SwitchBackend.kind: (
+        "set_model_backend", ("model", "backend", "expected_fingerprint"),
+    ),
+}
 
 
-def _unsupported(proposal: Proposal, plant: str) -> ValidationError:
-    return ValidationError(
-        f"{plant} cannot apply {proposal.kind!r} proposals"
-    )
+class Plant:
+    """Observe and actuate one serve target (service, cluster or sim)."""
 
-
-class ServicePlant:
-    """Actuate a threaded :class:`~repro.serve.service.CopseService`."""
-
-    def __init__(self, service):
-        self.service = service
+    def __init__(self, target):
+        self.target = target
 
     def observe(self, now: float) -> ControlSnapshot:
-        self.service.scheduler.stats()  # refresh point-in-time gauges
-        return ControlSnapshot.capture(self.service.metrics, now)
+        self.target.stats()  # refresh point-in-time gauges
+        return ControlSnapshot.capture(self.target.metrics, now)
 
     def apply(self, proposal: Proposal, now: float) -> None:
-        svc = self.service
-        if isinstance(proposal, ScaleWorkers):
-            if proposal.delta > 0:
-                for _ in range(proposal.delta):
-                    svc.add_worker()
-            else:
-                for _ in range(-proposal.delta):
-                    svc.remove_worker()
-        elif isinstance(proposal, AdjustTenantWeight):
-            svc.set_tenant_weight(proposal.queue, proposal.weight)
-        elif isinstance(proposal, SetAdmissionLimit):
-            svc.set_admission_limit(proposal.queue, proposal.limit)
-        elif isinstance(proposal, SwitchEngine):
-            svc.set_model_engine(
-                proposal.model, proposal.engine,
-                expected_fingerprint=proposal.expected_fingerprint,
+        if proposal.kind == ScaleWorkers.kind:
+            name = "add_worker" if proposal.delta > 0 else "remove_worker"
+            calls = [()] * abs(proposal.delta)
+        else:
+            name, fields = ACTUATIONS.get(proposal.kind, ("", ()))
+            calls = [tuple(getattr(proposal, f) for f in fields)]
+        method = getattr(self.target, name, None)
+        if method is None:
+            raise ValidationError(
+                f"{type(self.target).__name__} cannot apply "
+                f"{proposal.kind!r} proposals"
             )
-        elif isinstance(proposal, SwitchBackend):
-            svc.set_model_backend(
-                proposal.model, proposal.backend,
-                expected_fingerprint=proposal.expected_fingerprint,
-            )
-        else:
-            raise _unsupported(proposal, "ServicePlant")
-
-
-class ClusterPlant:
-    """Actuate a multi-process :class:`~repro.serve.cluster.ClusterService`."""
-
-    def __init__(self, service):
-        self.service = service
-
-    def observe(self, now: float) -> ControlSnapshot:
-        self.service.stats()  # refresh point-in-time gauges
-        return ControlSnapshot.capture(
-            self.service.router.metrics, now
-        )
-
-    def apply(self, proposal: Proposal, now: float) -> None:
-        svc = self.service
-        if isinstance(proposal, ScaleWorkers):
-            if proposal.delta > 0:
-                for _ in range(proposal.delta):
-                    svc.add_worker()
-            else:
-                for _ in range(-proposal.delta):
-                    idle = svc.router.idle_live_workers()
-                    if not idle:
-                        raise ValidationError(
-                            "no idle worker to retire"
-                        )
-                    svc.retire_worker(idle[-1])
-        elif isinstance(proposal, AdjustTenantWeight):
-            svc.set_tenant_weight(proposal.queue, proposal.weight)
-        elif isinstance(proposal, SetAdmissionLimit):
-            svc.set_admission_limit(proposal.queue, proposal.limit)
-        elif isinstance(proposal, SwitchEngine):
-            svc.set_model_engine(
-                proposal.model, proposal.engine,
-                expected_fingerprint=proposal.expected_fingerprint,
-            )
-        else:
-            # Backend switches re-encrypt the model; the cluster ships
-            # compiled bundles and would need a coordinated re-ship +
-            # re-key across every worker — not an autonomous actuation.
-            raise _unsupported(proposal, "ClusterPlant")
-
-
-class SimPlant:
-    """Actuate the single-process :class:`~repro.serve.loadgen.SimRunner`."""
-
-    def __init__(self, runner):
-        self.runner = runner
-
-    def observe(self, now: float) -> ControlSnapshot:
-        self.runner.core.stats()  # refresh point-in-time gauges
-        return ControlSnapshot.capture(self.runner.core.metrics, now)
-
-    def apply(self, proposal: Proposal, now: float) -> None:
-        runner = self.runner
-        if isinstance(proposal, ScaleWorkers):
-            if proposal.delta > 0:
-                for _ in range(proposal.delta):
-                    runner.add_worker()
-            else:
-                for _ in range(-proposal.delta):
-                    idle: List[int] = runner.core.idle_workers()
-                    if not idle:
-                        raise ValidationError(
-                            "no idle worker to retire"
-                        )
-                    runner.remove_worker(idle[-1])
-        elif isinstance(proposal, AdjustTenantWeight):
-            runner.core.set_weight(proposal.queue, proposal.weight)
-        elif isinstance(proposal, SetAdmissionLimit):
-            runner.core.set_max_pending(proposal.queue, proposal.limit)
-        else:
-            # The simulator has no real engines/backends to switch —
-            # service times are fixed model profiles.
-            raise _unsupported(proposal, "SimPlant")
-
-
-class ClusterSimPlant:
-    """Actuate the :class:`~repro.serve.cluster.ClusterSimRunner`."""
-
-    def __init__(self, runner):
-        self.runner = runner
-
-    def observe(self, now: float) -> ControlSnapshot:
-        self.runner.router.stats()  # refresh point-in-time gauges
-        return ControlSnapshot.capture(
-            self.runner.router.metrics, now
-        )
-
-    def apply(self, proposal: Proposal, now: float) -> None:
-        runner = self.runner
-        router = runner.router
-        if isinstance(proposal, ScaleWorkers):
-            if proposal.delta > 0:
-                for _ in range(proposal.delta):
-                    runner.add_worker(now)
-            else:
-                for _ in range(-proposal.delta):
-                    idle = router.idle_live_workers()
-                    if not idle:
-                        raise ValidationError(
-                            "no idle worker to retire"
-                        )
-                    runner.retire_worker(idle[-1], now)
-        elif isinstance(proposal, AdjustTenantWeight):
-            router.set_weight(proposal.queue, proposal.weight, now)
-        elif isinstance(proposal, SetAdmissionLimit):
-            router.set_admission_limit(proposal.queue, proposal.limit,
-                                       now)
-        else:
-            raise _unsupported(proposal, "ClusterSimPlant")
+        for args in calls:
+            method(*args)

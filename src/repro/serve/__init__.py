@@ -25,22 +25,23 @@ stream:
 * :mod:`repro.serve.scheduler` — the event-driven, deadline-aware,
   multi-tenant scheduler: per-model bounded queues with admission
   control, adaptive batch cutting (full *or* out of deadline slack),
-  weighted fair sharing, crash retries.  A pure decision core
-  (:class:`SchedulerCore`) drives both the threaded :class:`Scheduler`
-  and the simulator;
+  weighted fair sharing.  A pure decision core
+  (:class:`SchedulerCore`) sits under the threaded :class:`Scheduler`
+  and under the cluster router;
 * :mod:`repro.serve.simclock` — the :class:`Clock` seam (real vs
   :class:`VirtualClock`) that makes scheduling decisions simulable;
 * :mod:`repro.serve.loadgen` — seeded open-loop load generation
-  (Poisson + bursts, heterogeneous tenants), fault injection, and the
-  deterministic discrete-event :class:`SimRunner`;
+  (Poisson + bursts, heterogeneous tenants), the :class:`FaultPlan`
+  chaos matrix, and :class:`SimRunner`, the one deterministic
+  discrete-event simulator (it drives :class:`RouterCore`);
 * :mod:`repro.serve.service` — :class:`CopseService`: the
   ``register_model`` / ``submit`` / ``stats`` facade;
 * :mod:`repro.serve.cluster` — the multi-process serve cluster:
   :class:`RouterCore` (pure placement/failover over the scheduler core:
   ship-once model distribution keyed by compiled-model fingerprints,
-  worker epochs, heartbeats, draining restarts),
-  :class:`ClusterSimRunner` (deterministic soaks with injected worker
-  crashes), and :class:`ClusterService` (real ``multiprocessing``
+  worker epochs, heartbeats, draining restarts, and the one crash
+  policy: park -> backoff -> quarantine -> dead-letter) and
+  :class:`ClusterService` (real ``multiprocessing``
   workers behind :mod:`repro.serve.transport` pipes, each running
   :func:`repro.serve.worker.worker_main`);
 * :mod:`repro.serve.faults` — fault-domain hardening policies:
@@ -98,11 +99,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.service import CopseService, ServiceStats
 from repro.serve.transport import BatchRequest, BatchResult, ShippedModel
-from repro.serve.cluster import (
-    ClusterService,
-    ClusterSimRunner,
-    RouterCore,
-)
+from repro.serve.cluster import ClusterService, RouterCore
 from repro.serve.faults import (
     BACKEND_LADDER,
     ENGINE_LADDER,
@@ -151,7 +148,6 @@ __all__ = [
     "BatchRequest",
     "BatchResult",
     "RouterCore",
-    "ClusterSimRunner",
     "ClusterService",
     "RetryPolicy",
     "CircuitBreaker",

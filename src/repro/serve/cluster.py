@@ -7,22 +7,18 @@ one pure decision core, thin engines:
 
 * :class:`RouterCore` — the pure front end.  It wraps the existing
   :class:`~repro.serve.scheduler.SchedulerCore` (bounded queues,
-  fair-share batch cutting, requeue-at-original-seq crash retries) and
-  adds the cluster concerns: deterministic model->worker **placement**
-  (each model prefers a stable rotation of the pool), **ship-once**
-  tracking (a worker receives a model's
+  fair-share batch cutting, requeue at the original seq) and adds the
+  cluster concerns: deterministic model->worker **placement** (each
+  model prefers a stable rotation of the pool), **ship-once** tracking
+  (a worker receives a model's
   :class:`~repro.serve.transport.ShippedModel` envelope exactly once
   per (worker, epoch), keyed by the compiled model's fingerprint),
   **worker epochs** (a crash bumps the epoch; completions that echo a
-  stale epoch are dropped, generalizing the simulator's epoch guard to
-  real processes), **heartbeat liveness**, and **draining restarts**
-  for redeploys.  Every method takes an explicit ``now`` and every
-  choice lands in an ordered decision record — the determinism witness.
-* :class:`ClusterSimRunner` — the discrete-event engine: replays a
-  seeded arrival timeline with injected worker crashes under a
-  :class:`~repro.serve.simclock.VirtualClock`.  A 10^5-query soak with
-  mid-run crashes replays with byte-identical routing decisions and
-  stats per seed.
+  stale epoch are dropped), **heartbeat liveness**, and **draining
+  restarts** for redeploys.  Every method takes an explicit ``now`` and
+  every choice lands in an ordered decision record — the determinism
+  witness.  :class:`~repro.serve.loadgen.SimRunner` drives this core
+  from a discrete-event loop under a virtual clock.
 * :class:`ClusterService` — the thin real engine: actual
   ``multiprocessing`` (spawn) workers behind pipes, a receiver thread
   that completes batches, detects dead pipes, respawns crashed workers
@@ -66,11 +62,10 @@ import zlib
 from concurrent.futures import Future
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     PoisonQueryError,
-    RejectedQuery,
     ServeError,
     ValidationError,
     WorkerPoolExhaustedError,
@@ -80,12 +75,6 @@ from repro.serve.faults import (
     DeadLetter,
     DeadLetterQueue,
     RetryPolicy,
-)
-from repro.serve.loadgen import (
-    Arrival,
-    FaultPlan,
-    ModelProfile,
-    SimReport,
 )
 from repro.serve.packing import validate_features
 from repro.serve.scheduler import (
@@ -97,7 +86,7 @@ from repro.serve.scheduler import (
     SchedulerStats,
     deliver_failures,
 )
-from repro.serve.simclock import MS, RealClock, VirtualClock
+from repro.serve.simclock import MS, RealClock
 from repro.serve.transport import (
     MSG_EVAL,
     MSG_LOAD,
@@ -115,7 +104,6 @@ __all__ = [
     "AssignAction",
     "HedgeAction",
     "RouterCore",
-    "ClusterSimRunner",
     "ClusterService",
 ]
 
@@ -207,24 +195,30 @@ class RouterCore:
             raise ValidationError(
                 f"cluster workers must be >= 1, got {workers}"
             )
+        if max_retries < 0:
+            raise ValidationError(
+                f"max_retries must be >= 0, got {max_retries}"
+            )
         if heartbeat_timeout_s <= 0:
             raise ValidationError(
                 f"heartbeat_timeout_s must be > 0, got "
                 f"{heartbeat_timeout_s}"
             )
         self.core = SchedulerCore(
-            workers=workers,
-            max_retries=max_retries,
-            record_decisions=False,  # the router keeps the richer log
-            tracer=tracer,
-            metrics=metrics,
+            workers=workers, tracer=tracer, metrics=metrics,
         )
         self.workers = workers
+        #: Backoff-parked retries a ticket gets before its next crash
+        #: sends it to quarantine.
+        self.max_retries = max_retries
         self.tracer = tracer
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.epochs: List[int] = [0] * workers
         self.alive: List[bool] = [True] * workers
         self.draining: List[bool] = [False] * workers
+        #: Ids retired or abandoned for good: the scheduler core has
+        #: forgotten them, so they never restart.
+        self.retired: set = set()
         #: Last heartbeat per worker (None until the engine reports one).
         self.last_heartbeat: List[Optional[float]] = [None] * workers
         #: Per-worker map of model name -> shipped fingerprint, reset on
@@ -766,7 +760,7 @@ class RouterCore:
             return
         exhausted: List[QueryTicket] = []
         for ticket in tickets:
-            if ticket.retries >= self.core.max_retries:
+            if ticket.retries >= self.max_retries:
                 exhausted.append(ticket)
                 continue
             self.core.prepare_retry(ticket, now)
@@ -867,6 +861,11 @@ class RouterCore:
         nothing until the router ships it — and the new epoch is
         returned for the engine to hand to the spawned process.
         """
+        if worker in self.retired:
+            raise ValidationError(
+                f"cannot restart worker {worker}: it was retired or "
+                f"abandoned and its id is never reused"
+            )
         if worker in self._busy:
             raise ValidationError(
                 f"cannot restart worker {worker} with batch "
@@ -901,6 +900,7 @@ class RouterCore:
         conservation holds.
         """
         self.last_heartbeat[worker] = None
+        self.retired.add(worker)
         self._retires.inc()
         self._record("abandon", worker, self.epochs[worker], deaths,
                      round(now, 9))
@@ -1014,6 +1014,7 @@ class RouterCore:
                 "cannot retire the last live worker"
             )
         self.core.remove_worker(worker)
+        self.retired.add(worker)
         self.epochs[worker] += 1
         self.alive[worker] = False
         self.draining[worker] = False
@@ -1035,407 +1036,20 @@ class RouterCore:
             and w not in self._busy
         ]
 
+    def retirable_worker(self) -> int:
+        """The worker a scale-down retires: the highest-id idle one.
+
+        A deterministic choice that keeps low worker ids (the crc32
+        placement anchors) stable.
+        """
+        idle = self.idle_live_workers()
+        if not idle:
+            raise ValidationError("no idle worker to retire")
+        return idle[-1]
+
     @property
     def live_workers(self) -> int:
         return sum(1 for a in self.alive if a)
-
-
-# ---------------------------------------------------------------------------
-# Discrete-event engine (the determinism harness)
-# ---------------------------------------------------------------------------
-
-#: Event kinds, in processing order at equal timestamps (mirrors
-#: :mod:`repro.serve.loadgen`): completions free workers before crashes,
-#: arrivals, timers, control ticks, health checks, and hangs look at
-#: the pool.
-_COMPLETION, _CRASH, _ARRIVAL, _TIMER, _CONTROL, _HEALTH, _HANG = (
-    0, 1, 2, 3, 4, 5, 6
-)
-
-#: Completion-event fault flags (decided deterministically at schedule
-#: time from the FaultPlan's counters).
-_F_CORRUPT, _F_DROP, _F_DUP = 1, 2, 4
-
-
-class _SimQuery:
-    """Minimal router payload: just a future."""
-
-    __slots__ = ("future",)
-
-    def __init__(self):
-        self.future: "Future" = Future()
-
-
-class ClusterSimRunner:
-    """Discrete-event execution of a :class:`RouterCore`.
-
-    The cluster-shaped sibling of
-    :class:`~repro.serve.loadgen.SimRunner`: same seeded arrival
-    timelines and :class:`~repro.serve.loadgen.FaultPlan`, but crashes
-    go through the router's epoch protocol (crash -> immediate respawn
-    under a new epoch -> re-ship on next placement), and every routing
-    decision — ship, assign, crash, restart, stale-drop — lands in the
-    report's decision log.  ``ship_ms`` charges a simulated one-time
-    shipping latency to the first batch a (worker, epoch) runs per
-    model.
-    """
-
-    def __init__(
-        self,
-        profiles: Sequence[ModelProfile],
-        workers: int = 2,
-        max_retries: int = 1,
-        tracer=None,
-        metrics=None,
-        ship_ms: float = 0.0,
-        controller=None,
-        control_interval_s: float = 1.0,
-        retry_policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        heartbeat_interval_s: float = 1.0,
-        heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
-        dlq_limit: int = 64,
-    ):
-        if not profiles:
-            raise ValidationError(
-                "ClusterSimRunner needs at least one profile"
-            )
-        if ship_ms < 0:
-            raise ValidationError(f"ship_ms must be >= 0, got {ship_ms}")
-        if controller is not None and control_interval_s <= 0:
-            raise ValidationError(
-                f"control_interval_s must be > 0, got {control_interval_s}"
-            )
-        if heartbeat_interval_s <= 0:
-            raise ValidationError(
-                f"heartbeat_interval_s must be > 0, got "
-                f"{heartbeat_interval_s}"
-            )
-        self.profiles: Dict[str, ModelProfile] = {
-            p.name: p for p in profiles
-        }
-        self.workers = workers
-        self.ship_ms = ship_ms
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.clock = VirtualClock()
-        self.tracer = tracer
-        self.router = RouterCore(
-            workers=workers,
-            max_retries=max_retries,
-            record_decisions=True,
-            tracer=tracer,
-            metrics=metrics,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            retry_policy=retry_policy,
-            breaker=breaker,
-            dlq_limit=dlq_limit,
-        )
-        for profile in profiles:
-            self.router.add_model(
-                profile.name,
-                capacity=profile.capacity,
-                weight=profile.weight,
-                max_pending=profile.max_pending,
-                service_ms=profile.service_ms,
-            )
-        #: Optional control plane (``repro.control.Controller``): ticked
-        #: every ``control_interval_s`` of virtual time while the run
-        #: has work, between event processing and dispatch — so an
-        #: actuation (scale-up, weight change) affects the very next
-        #: placement decision, deterministically.
-        self.controller = controller
-        self.control_interval_s = control_interval_s
-        self._used = False
-
-    # -- controller actuation seams (used by repro.control plants) ------
-
-    def add_worker(self, now: float) -> int:
-        """Grow the simulated pool mid-run; returns the new worker id."""
-        worker = self.router.add_worker(now)
-        self.router.worker_started(worker, now)
-        return worker
-
-    def retire_worker(self, worker: int, now: float) -> None:
-        """Retire an idle simulated worker mid-run."""
-        self.router.retire_worker(worker, now)
-
-    def run(self, arrivals: Sequence[Arrival],
-            faults: FaultPlan = FaultPlan()) -> SimReport:
-        if self._used:
-            raise ValidationError(
-                "a ClusterSimRunner runs once; build a fresh one per run"
-            )
-        self._used = True
-        clock, router = self.clock, self.router
-        for worker in range(self.workers):
-            router.worker_started(worker, 0.0)
-
-        events: List[Tuple[float, int, int, object]] = []
-        order = itertools.count()
-
-        def push(time: float, kind: int, data: object) -> None:
-            heapq.heappush(events, (time, kind, next(order), data))
-
-        for index, arrival in enumerate(arrivals):
-            push(arrival.time, _ARRIVAL, (index, arrival))
-        for k, crash_time in enumerate(faults.worker_crashes):
-            push(crash_time, _CRASH, k % self.workers)
-        for k, hang_time in enumerate(faults.worker_hangs):
-            push(hang_time, _HANG, k % self.workers)
-        if faults.worker_hangs:
-            push(self.heartbeat_interval_s, _HEALTH, None)
-        if self.controller is not None:
-            push(self.control_interval_s, _CONTROL, None)
-
-        batch_counter = 0
-        slow_hits = 0
-        ship_counter = 0
-        completion_counter = 0
-        service_ms_total = 0.0
-        capacity_total = 0
-        packed_order: Dict[str, List[int]] = {}
-        timers_scheduled: set = set()
-        remaining_arrivals = len(arrivals)
-        flushed = False
-        last_completion_t = 0.0
-        poison_indices = set(faults.poison_queries)
-        poison_seqs: set = set()
-        #: ticket seq -> arrival index (the bit-identity key).
-        seq_value: Dict[int, int] = {}
-        results: Dict[int, int] = {}
-        hung: set = set()
-        dropped_batches: set = set()
-
-        def sim_result(queue: str, index: int) -> int:
-            # The simulated "bits": a pure function of (model, query),
-            # so a faulted run must reproduce the fault-free values
-            # exactly or the identity check fails.
-            return zlib.crc32(f"{queue}:{index}".encode())
-
-        def crash_and_respawn(worker: int, now: float) -> None:
-            router.crash_worker(worker, now)
-            # The pool keeps its size: the replacement spawns
-            # immediately under the bumped epoch with an empty ship
-            # ledger (its first batch per model pays ship_ms again).
-            router.restart_worker(worker, now)
-            hung.discard(worker)
-
-        def dispatch(now: float) -> None:
-            nonlocal batch_counter, slow_hits, ship_counter
-            nonlocal completion_counter, service_ms_total, capacity_total
-            ship_delay: Dict[int, float] = {}
-            corrupted_ship: set = set()
-            for action in router.dispatch(now):
-                if isinstance(action, ShipAction):
-                    ship_delay[action.worker] = (
-                        ship_delay.get(action.worker, 0.0) + self.ship_ms
-                    )
-                    if faults.corrupt_ship_every:
-                        ship_counter += 1
-                        if ship_counter % faults.corrupt_ship_every == 0:
-                            corrupted_ship.add(action.worker)
-                    continue
-                assignment = action.assignment
-                worker = (
-                    action.worker if isinstance(action, HedgeAction)
-                    else assignment.worker
-                )
-                batch_counter += 1
-                profile = self.profiles[assignment.queue]
-                service_ms = profile.service_ms
-                if (
-                    faults.slow_every
-                    and batch_counter % faults.slow_every == 0
-                ):
-                    # Optionally ramp: each hit is slower than the last.
-                    service_ms *= (
-                        faults.slow_factor + faults.slow_ramp * slow_hits
-                    )
-                    slow_hits += 1
-                service_ms += ship_delay.pop(worker, 0.0)
-                service_ms_total += service_ms
-                if not isinstance(action, HedgeAction):
-                    capacity_total += profile.capacity
-                    for ticket in assignment.tickets:
-                        packed_order.setdefault(
-                            ticket.tenant, []
-                        ).append(ticket.seq)
-                if worker in corrupted_ship:
-                    # The envelope arrived corrupted: the worker's
-                    # fail-closed verify kills it at load time.
-                    corrupted_ship.discard(worker)
-                    push(now + service_ms * MS, _CRASH,
-                         (worker, router.epochs[worker]))
-                    continue
-                if any(t.seq in poison_seqs
-                       for t in assignment.tickets):
-                    # Poison: the worker dies mid-batch, no completion.
-                    push(now + 0.5 * service_ms * MS, _CRASH,
-                         (worker, router.epochs[worker]))
-                    continue
-                flags = 0
-                completion_counter += 1
-                n = completion_counter
-                if (
-                    faults.corrupt_completion_every
-                    and n % faults.corrupt_completion_every == 0
-                ):
-                    flags |= _F_CORRUPT
-                if (
-                    faults.drop_completion_every
-                    and n % faults.drop_completion_every == 0
-                ):
-                    flags |= _F_DROP
-                if (
-                    faults.duplicate_completion_every
-                    and n % faults.duplicate_completion_every == 0
-                ):
-                    flags |= _F_DUP
-                push(
-                    now + service_ms * MS,
-                    _COMPLETION,
-                    (assignment, action.epoch, worker, flags),
-                )
-            wake_at = router.next_wake_time(now)
-            if wake_at is not None and wake_at > now:
-                key = round(wake_at, 9)
-                if key not in timers_scheduled:
-                    timers_scheduled.add(key)
-                    push(wake_at, _TIMER, None)
-
-        while events or router.outstanding:
-            if not events:
-                # Only partial batches remain and nothing will ever cut
-                # them: the end-of-run flush.
-                router.flush()
-                dispatch(clock.now())
-                if not events:
-                    break  # every remaining future is terminal
-                continue
-            time, kind, _, data = heapq.heappop(events)
-            now = clock.advance_to(time)
-            if kind == _COMPLETION:
-                assignment, epoch, worker, flags = data
-                if worker in hung and router.epochs[worker] == epoch:
-                    pass  # frozen mid-batch: the result never arrives
-                elif (
-                    flags & _F_DROP
-                    and assignment.batch_id not in dropped_batches
-                ):
-                    # Lost completion: at most once per batch, so the
-                    # hedge replica's result can still land.
-                    dropped_batches.add(assignment.batch_id)
-                elif flags & _F_CORRUPT:
-                    # Corrupted completion envelope: fail-closed — the
-                    # engine treats the sender as faulty and crashes it
-                    # (the batch takes the normal park/quarantine path).
-                    if (
-                        router.epochs[worker] == epoch
-                        and router.alive[worker]
-                    ):
-                        crash_and_respawn(worker, now)
-                else:
-                    accepted = router.complete(
-                        assignment, epoch, now, OUTCOME_OK,
-                        worker=worker,
-                    )
-                    if accepted:
-                        last_completion_t = now
-                        for ticket in assignment.tickets:
-                            index = seq_value.get(ticket.seq)
-                            if index is not None:
-                                results[index] = sim_result(
-                                    assignment.queue, index
-                                )
-                    if flags & _F_DUP:
-                        # The duplicate arrives on the heels of the
-                        # first copy and must drop as stale.
-                        router.complete(
-                            assignment, epoch, now, OUTCOME_OK,
-                            worker=worker,
-                        )
-                # else: a superseded incarnation's batch — dropped and
-                # recorded; the crash path already parked its tickets.
-            elif kind == _CRASH:
-                if isinstance(data, tuple):
-                    # Dynamic (fault-induced) crash, epoch-guarded: a
-                    # respawned incarnation must not die for its
-                    # predecessor's poison.
-                    worker, guard_epoch = data
-                    if (
-                        router.alive[worker]
-                        and router.epochs[worker] == guard_epoch
-                    ):
-                        crash_and_respawn(worker, now)
-                else:
-                    crash_and_respawn(data, now)
-            elif kind == _ARRIVAL:
-                index, arrival = data
-                remaining_arrivals -= 1
-                deadline = (
-                    None if arrival.deadline_ms is None
-                    else now + arrival.deadline_ms * MS
-                )
-                try:
-                    ticket = router.submit(
-                        arrival.model,
-                        _SimQuery(),
-                        now,
-                        tenant=arrival.tenant,
-                        deadline=deadline,
-                        priority=arrival.priority,
-                    )
-                except RejectedQuery:
-                    pass  # counted by the core; open-loop load sheds
-                else:
-                    seq_value[ticket.seq] = index
-                    if index in poison_indices:
-                        poison_seqs.add(ticket.seq)
-            elif kind == _CONTROL:
-                self.controller.tick(now)
-                # Re-arm only while the run still has work: an idle
-                # control loop must not keep the simulation alive.
-                if remaining_arrivals > 0 or router.outstanding > 0:
-                    push(now + self.control_interval_s, _CONTROL, None)
-            elif kind == _HEALTH:
-                for worker in range(router.workers):
-                    if router.alive[worker] and worker not in hung:
-                        router.heartbeat(
-                            worker, router.epochs[worker], now
-                        )
-                for worker in router.check_health(now):
-                    crash_and_respawn(worker, now)
-                if remaining_arrivals > 0 or router.outstanding > 0:
-                    push(now + self.heartbeat_interval_s, _HEALTH, None)
-            elif kind == _HANG:
-                # The router is NOT told: a hung worker looks alive
-                # until its heartbeats go silent past the timeout.
-                hung.add(data)
-            # _TIMER carries no state: popping it (advancing the clock)
-            # makes due cuts/parks/hedges visible to dispatch().
-            if remaining_arrivals == 0 and not flushed:
-                router.flush()
-                flushed = True
-            dispatch(now)
-            deliver_failures(router.drain_failures())
-
-        deliver_failures(router.drain_failures())
-        first_t = arrivals[0].time if arrivals else 0.0
-        return SimReport(
-            stats=router.stats(),
-            decisions=list(router.decisions or []),
-            duration_s=max(0.0, last_completion_t - first_t),
-            service_ms_total=service_ms_total,
-            capacity_total=capacity_total,
-            threads=self.workers,
-            packed_order=packed_order,
-            results=results,
-            dead_letters=[
-                dict(entry.as_dict(),
-                     value=seq_value.get(entry.seq))
-                for entry in router.dlq.entries()
-            ],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1709,15 +1323,17 @@ class ClusterService:
             self._dispatch_locked(now)
         return worker
 
-    def retire_worker(self, worker: int) -> None:
-        """Permanently stop one **idle** worker (the id is never reused).
+    def remove_worker(self) -> int:
+        """Permanently stop the highest-id **idle** worker; returns its
+        id (never reused).
 
-        Refuses (via the router) while the worker has a batch in flight
-        or when it is the last live worker — the in-flight epoch-safety
-        invariant the control plane's guards also enforce.
+        Refuses (via the router) while every worker has a batch in
+        flight or when it is the last live worker — the in-flight
+        epoch-safety invariant the control plane's guards also enforce.
         """
         now = self.clock.now()
         with self._lock:
+            worker = self.router.retirable_worker()
             self.router.retire_worker(worker, now)
             conn = self._conns[worker]
             proc = self._procs[worker]
@@ -1736,6 +1352,7 @@ class ClusterService:
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
+        return worker
 
     def set_model_engine(self, name: str, engine: str,
                          expected_fingerprint: Optional[str] = None
@@ -1844,6 +1461,10 @@ class ClusterService:
     def stats(self) -> SchedulerStats:
         with self._lock:
             return self.router.stats()
+
+    @property
+    def metrics(self):
+        return self.router.metrics
 
     def metrics_snapshot(self) -> Dict:
         with self._lock:

@@ -1,42 +1,53 @@
-"""Deterministic load generation + discrete-event scheduler simulation.
+"""Deterministic load generation + the discrete-event serve simulator.
 
-The scheduler's interesting behaviors — deadline-forced cuts, admission
-rejections, fair sharing under skew, crash retries — only show up under
-sustained, bursty, multi-tenant load, which wall-clock tests cannot
-exercise without flakiness.  This module replays exactly that load under
-a :class:`~repro.serve.simclock.VirtualClock`:
+The serve stack's interesting behaviors — deadline-forced cuts,
+admission rejections, fair sharing under skew, crash backoff, quarantine
+— only show up under sustained, bursty, multi-tenant load, which
+wall-clock tests cannot exercise without flakiness.  This module replays
+exactly that load under a :class:`~repro.serve.simclock.VirtualClock`:
 
 * :func:`generate_arrivals` — a seeded open-loop arrival schedule:
   per-tenant Poisson processes (``rate_qps``) plus periodic bursts,
   merged into one deterministic timeline;
-* :class:`FaultPlan` — injected worker crashes (at fixed virtual times)
-  and slowed batches (every Nth batch takes ``slow_factor`` longer);
-* :class:`SimRunner` — a discrete-event loop driving the *same*
-  :class:`~repro.serve.scheduler.SchedulerCore` production uses, with
-  per-model service times taken from the cost model (the circuits are
+* :class:`FaultPlan` — the chaos matrix: worker crashes and hangs at
+  fixed virtual times, slowed batches, corrupted ships and completions,
+  lost and duplicated completions, poison queries;
+* :class:`SimRunner` — the one simulator: a discrete-event loop driving
+  the *same* :class:`~repro.serve.cluster.RouterCore` (and, under it,
+  :class:`~repro.serve.scheduler.SchedulerCore`) the real
+  :class:`~repro.serve.cluster.ClusterService` runs, with per-model
+  service times taken from the cost model (the circuits are
   input-independent, so a batch's simulated cost is a constant of the
-  model — no FHE evaluation is needed to know how long it takes).
+  model — no FHE evaluation is needed to know how long it takes).  Each
+  event kind is one handler method behind :data:`EVENT_TABLE`.
 
 Everything is seeded and the virtual clock never sleeps, so a
-5,000-query soak with mixed tenants, bursts, and a mid-run worker crash
-replays in well under ten seconds of real time and makes *identical*
-scheduling decisions (and byte-identical stats) on every run.
+10^5-query soak with mixed tenants, bursts, and mid-run worker crashes
+replays in seconds of real time and makes *identical* routing decisions
+(and byte-identical stats) on every run.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RejectedQuery, ValidationError
+from repro.serve.cluster import (
+    DEFAULT_HEARTBEAT_TIMEOUT_S,
+    HedgeAction,
+    RouterCore,
+    ShipAction,
+)
+from repro.serve.faults import CircuitBreaker, RetryPolicy
 from repro.serve.scheduler import (
     OUTCOME_OK,
-    SchedulerCore,
     SchedulerStats,
     deliver_failures,
 )
@@ -136,19 +147,17 @@ class TenantSpec:
 class FaultPlan:
     """Deterministic fault injection for one simulation run.
 
-    The chaos matrix.  ``worker_crashes``/``slow_every`` are honored by
-    both :class:`~repro.serve.loadgen.SimRunner` and
-    :class:`~repro.serve.cluster.ClusterSimRunner`; the remaining kinds
-    (hangs, transport corruption, completion loss/duplication, poison
-    queries) need the cluster's epoch/quarantine machinery and are
-    cluster-sim only.  Everything is counter- or timeline-based, never
-    random: two runs of the same plan inject byte-identical faults.
+    The chaos matrix :class:`SimRunner` injects.  Everything is
+    counter- or timeline-based, never random: two runs of the same plan
+    inject byte-identical faults.
     """
 
     #: Virtual times at which a worker dies mid-whatever-it-is-doing.
-    #: The k-th crash hits worker ``k % threads``; the worker restarts
-    #: immediately (the pool keeps its size) but its in-flight batch
-    #: takes the crash/retry path.
+    #: The k-th crash hits worker ``k % workers`` (the pool size the
+    #: run started with); the worker restarts immediately under a new
+    #: epoch (the pool keeps its size) but its in-flight batch parks
+    #: behind the retry backoff.  A worker the controller has retired
+    #: by then is skipped.
     worker_crashes: Tuple[float, ...] = ()
     #: Every Nth dispatched batch takes ``slow_factor`` times its normal
     #: service time (0 disables).  Models stragglers/GC pauses.
@@ -159,7 +168,8 @@ class FaultPlan:
     slow_ramp: float = 0.0
     #: Virtual times at which a worker freezes *silently*: no EOF, no
     #: completions, no heartbeats.  Only the heartbeat-liveness path
-    #: can detect it.  The k-th hang hits worker ``k % threads``.
+    #: can detect it.  The k-th hang hits worker ``k % workers``;
+    #: a worker retired by then is skipped.
     worker_hangs: Tuple[float, ...] = ()
     #: Every Nth shipped model envelope arrives corrupted; the worker's
     #: fail-closed verify kills it at load time (0 disables).
@@ -319,7 +329,7 @@ def offered_load(
 
 
 class _SimQuery:
-    """Minimal scheduler payload: just a future."""
+    """Minimal router payload: just a future."""
 
     __slots__ = ("future",)
 
@@ -332,8 +342,8 @@ class SimReport:
     """Everything one simulation run produced."""
 
     stats: SchedulerStats
-    #: The decision log: (batch_id, queue, worker, size, first_seq,
-    #: cut_time) per dispatched batch — the determinism witness.
+    #: The router's decision log, ``(kind, ...)`` tuples in emission
+    #: order (see :mod:`repro.serve.cluster`) — the determinism witness.
     decisions: List[Tuple]
     #: Virtual seconds from first arrival to last completion.
     duration_s: float
@@ -341,14 +351,15 @@ class SimReport:
     service_ms_total: float
     #: Slots available across all dispatched batches (for fill rate).
     capacity_total: int
+    #: The pool size the run started with.
     threads: int
     #: The order queries were packed into batches: tenant -> seq list.
     #: FIFO-within-tenant holds iff each list is sorted.
     packed_order: Dict[str, List[int]] = field(default_factory=dict)
     #: Simulated per-query "bits": arrival index -> deterministic result
-    #: hash (cluster sim only; the bit-identity key of chaos soaks).
+    #: hash (the bit-identity key of chaos soaks).
     results: Dict[int, int] = field(default_factory=dict)
-    #: Dead-lettered (quarantined) queries, as dicts (cluster sim only).
+    #: Dead-lettered (quarantined) queries, as dicts.
     dead_letters: List[Dict] = field(default_factory=list)
 
     def service_stats(self):
@@ -376,84 +387,174 @@ class SimReport:
         )
 
 
-#: Event kinds, in processing order at equal timestamps: completions
-#: free workers before crashes/arrivals/timers look at the pool, and
-#: control ticks observe a fully-settled instant.
-_COMPLETION, _CRASH, _ARRIVAL, _TIMER, _CONTROL = 0, 1, 2, 3, 4
+#: Completion-event fault flags (decided deterministically at schedule
+#: time from the FaultPlan's counters), by the plan field that sets each.
+_F_CORRUPT, _F_DROP, _F_DUP = 1, 2, 4
+_COMPLETION_FAULTS = (
+    ("corrupt_completion_every", _F_CORRUPT),
+    ("drop_completion_every", _F_DROP),
+    ("duplicate_completion_every", _F_DUP),
+)
+
+
+def _sim_result(queue: str, index: int) -> int:
+    # The simulated "bits": a pure function of (model, query), so a
+    # faulted run must reproduce the fault-free values exactly or the
+    # identity check fails.
+    return zlib.crc32(f"{queue}:{index}".encode())
 
 
 class SimRunner:
-    """Discrete-event execution of a :class:`SchedulerCore`.
+    """Discrete-event execution of a :class:`RouterCore`.
 
-    One instance runs one simulation (the core's counters are
+    One instance runs one simulation (the router's counters are
     cumulative).  ``run`` replays an arrival list against the given
     model profiles, injecting the fault plan, and returns a
-    :class:`SimReport`.
+    :class:`SimReport`.  Crashes go through the router's epoch protocol
+    (crash -> immediate respawn under a new epoch -> re-ship on next
+    placement), and every routing decision — ship, assign, crash,
+    restart, park, stale-drop — lands in the report's decision log.
+    ``ship_ms`` charges a simulated one-time shipping latency to the
+    first batch a (worker, epoch) runs per model.
+
+    The runner is also a control-plane target
+    (:class:`~repro.control.actuator.Plant`): ``stats`` / ``metrics``
+    to observe, ``add_worker`` / ``remove_worker`` /
+    ``set_tenant_weight`` / ``set_admission_limit`` to actuate, all at
+    the virtual clock's current instant.  It has no engines or backends
+    to switch — service times are fixed model profiles.
     """
 
     def __init__(
         self,
         profiles: Sequence[ModelProfile],
-        threads: int = 2,
+        workers: int = 2,
         max_retries: int = 1,
         tracer=None,
         metrics=None,
+        ship_ms: float = 0.0,
         controller=None,
         control_interval_s: float = 1.0,
+        retry_policy: Optional[RetryPolicy] = None,
+        breaker: Optional[CircuitBreaker] = None,
+        heartbeat_interval_s: float = 1.0,
+        heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
+        dlq_limit: int = 64,
     ):
         if not profiles:
             raise ValidationError("SimRunner needs at least one profile")
+        if ship_ms < 0:
+            raise ValidationError(f"ship_ms must be >= 0, got {ship_ms}")
         if controller is not None and control_interval_s <= 0:
-            raise ValidationError("control_interval_s must be > 0")
+            raise ValidationError(
+                f"control_interval_s must be > 0, got {control_interval_s}"
+            )
+        if heartbeat_interval_s <= 0:
+            raise ValidationError(
+                f"heartbeat_interval_s must be > 0, got "
+                f"{heartbeat_interval_s}"
+            )
         self.profiles: Dict[str, ModelProfile] = {
             p.name: p for p in profiles
         }
-        self.threads = threads
+        #: The pool size the run starts with (scheduled crashes and
+        #: hangs rotate over it).
+        self.workers = workers
+        self.ship_ms = ship_ms
+        self.heartbeat_interval_s = heartbeat_interval_s
         self.clock = VirtualClock()
         #: Optional span tracer threaded into the core.  Every event the
         #: simulation processes is timestamped by the virtual clock, so a
         #: traced run exports byte-identical JSONL/Chrome traces per
         #: seed (the trace-determinism soak locks exactly this).
         self.tracer = tracer
-        self.core = SchedulerCore(
-            workers=threads,
+        self.router = RouterCore(
+            workers=workers,
             max_retries=max_retries,
             record_decisions=True,
             tracer=tracer,
             metrics=metrics,
+            heartbeat_timeout_s=heartbeat_timeout_s,
+            retry_policy=retry_policy,
+            breaker=breaker,
+            dlq_limit=dlq_limit,
         )
         for profile in profiles:
-            self.core.add_queue(
+            self.router.add_model(
                 profile.name,
                 capacity=profile.capacity,
                 weight=profile.weight,
                 max_pending=profile.max_pending,
                 service_ms=profile.service_ms,
             )
-        #: Optional control plane: ``controller.tick(now)`` runs every
-        #: ``control_interval_s`` of virtual time while the run still
-        #: has work, between event processing and dispatch.
+        #: Optional control plane (``repro.control.Controller``): ticked
+        #: every ``control_interval_s`` of virtual time while the run
+        #: has work, between event processing and dispatch — so an
+        #: actuation (scale-up, weight change) affects the very next
+        #: placement decision, deterministically.
         self.controller = controller
         self.control_interval_s = control_interval_s
-        #: Per-worker epoch, keyed by worker id (ids grow and are never
-        #: reused under elastic scaling): bumped on crash so the stale
-        #: completion of an interrupted batch is ignored when it pops.
-        self._epochs: Dict[int, int] = {w: 0 for w in range(threads)}
-        self._removed: set = set()
         self._used = False
+        # -- run state (one run per instance) --------------------------
+        self._faults = FaultPlan()
+        self._events: List[Tuple[float, int, int, object]] = []
+        self._order = itertools.count()
+        self._timers_scheduled: set = set()
+        self._remaining_arrivals = 0
+        self._last_completion_t = 0.0
+        self._service_ms_total = 0.0
+        self._capacity_total = 0
+        self._packed_order: Dict[str, List[int]] = {}
+        #: Fault counters: dispatched batches, slowed batches so far,
+        #: shipped envelopes, scheduled completions.
+        self._batch_counter = 0
+        self._slow_hits = 0
+        self._ship_counter = 0
+        self._completion_counter = 0
+        #: ticket seq -> arrival index (the bit-identity key).
+        self._seq_value: Dict[int, int] = {}
+        self._results: Dict[int, int] = {}
+        self._poison_seqs: set = set()
+        self._hung: set = set()
+        self._dropped_batches: set = set()
 
-    # -- control-plane seams ------------------------------------------
+    # -- the actuation surface (see repro.control.actuator.Plant) -------
+
+    @property
+    def metrics(self):
+        return self.router.metrics
+
+    def stats(self) -> SchedulerStats:
+        return self.router.stats()
 
     def add_worker(self) -> int:
-        """Grow the simulated pool; returns the new worker's id."""
-        worker = self.core.add_worker()
-        self._epochs[worker] = 0
+        """Grow the simulated pool mid-run; returns the new worker id."""
+        now = self.clock.now()
+        worker = self.router.add_worker(now)
+        self.router.worker_started(worker, now)
         return worker
 
-    def remove_worker(self, worker: int) -> None:
-        """Retire an idle simulated worker (id is never reused)."""
-        self.core.remove_worker(worker)
-        self._removed.add(worker)
+    def remove_worker(self) -> int:
+        """Retire the highest-id idle simulated worker; returns its id."""
+        worker = self.router.retirable_worker()
+        self.router.retire_worker(worker, self.clock.now())
+        return worker
+
+    def set_tenant_weight(self, name: str, weight: float) -> float:
+        return self.router.set_weight(name, weight, self.clock.now())
+
+    def set_admission_limit(self, name: str,
+                            limit: Optional[int]) -> Optional[int]:
+        return self.router.set_admission_limit(
+            name, limit, self.clock.now()
+        )
+
+    # -- the event loop --------------------------------------------------
+
+    def _push(self, time: float, kind: str, data: object) -> None:
+        heapq.heappush(
+            self._events, (time, _RANK[kind], next(self._order), data)
+        )
 
     def run(self, arrivals: Sequence[Arrival],
             faults: FaultPlan = FaultPlan()) -> SimReport:
@@ -462,129 +563,265 @@ class SimRunner:
                 "a SimRunner runs once; build a fresh one per run"
             )
         self._used = True
-        clock, core = self.clock, self.core
+        self._faults = faults
+        clock, router = self.clock, self.router
+        for worker in range(self.workers):
+            router.worker_started(worker, 0.0)
 
-        events: List[Tuple[float, int, int, object]] = []
-        order = itertools.count()
-
-        def push(time: float, kind: int, data: object) -> None:
-            heapq.heappush(events, (time, kind, next(order), data))
-
-        for arrival in arrivals:
-            push(arrival.time, _ARRIVAL, arrival)
+        for index, arrival in enumerate(arrivals):
+            self._push(arrival.time, "arrival", (index, arrival))
         for k, crash_time in enumerate(faults.worker_crashes):
-            push(crash_time, _CRASH, k % self.threads)
+            self._push(crash_time, "crash", (k % self.workers, None))
+        for k, hang_time in enumerate(faults.worker_hangs):
+            self._push(hang_time, "hang", k % self.workers)
+        if faults.worker_hangs:
+            self._push(self.heartbeat_interval_s, "health", None)
         if self.controller is not None:
-            push(self.control_interval_s, _CONTROL, None)
-
-        epochs = self._epochs
-        batch_counter = 0
-        service_ms_total = 0.0
-        capacity_total = 0
-        packed_order: Dict[str, List[int]] = {}
-        timers_scheduled: set = set()
-        remaining_arrivals = len(arrivals)
+            self._push(self.control_interval_s, "control", None)
+        self._remaining_arrivals = len(arrivals)
         flushed = False
-        last_completion_t = 0.0
 
-        def dispatch(now: float) -> None:
-            nonlocal batch_counter, service_ms_total, capacity_total
-            while True:
-                assignment = core.assign(now)
-                if assignment is None:
-                    break
-                batch_counter += 1
-                profile = self.profiles[assignment.queue]
-                service_ms = profile.service_ms
-                if (
-                    faults.slow_every
-                    and batch_counter % faults.slow_every == 0
-                ):
-                    service_ms *= faults.slow_factor
-                service_ms_total += service_ms
-                capacity_total += profile.capacity
-                for ticket in assignment.tickets:
-                    packed_order.setdefault(ticket.tenant, []).append(
-                        ticket.seq
-                    )
-                push(
-                    now + service_ms * MS,
-                    _COMPLETION,
-                    (assignment, epochs[assignment.worker]),
-                )
-            cut_at = core.next_cut_time()
-            if cut_at is not None and cut_at > now:
-                key = round(cut_at, 9)
-                if key not in timers_scheduled:
-                    timers_scheduled.add(key)
-                    push(cut_at, _TIMER, None)
-
-        while events or core.outstanding:
-            if not events:
+        while self._events or router.outstanding:
+            if not self._events:
                 # Only partial batches remain and nothing will ever cut
                 # them: the end-of-run flush (mirrors service.flush()).
-                core.flush()
-                dispatch(clock.now())
-                if not events:
+                router.flush()
+                self._dispatch(clock.now())
+                if not self._events:
                     break  # every remaining future is terminal
                 continue
-            time, kind, _, data = heapq.heappop(events)
+            time, rank, _, data = heapq.heappop(self._events)
             now = clock.advance_to(time)
-            if kind == _COMPLETION:
-                assignment, epoch = data
-                if epochs[assignment.worker] != epoch:
-                    continue  # interrupted by a crash; already requeued
-                core.complete(assignment, now, OUTCOME_OK)
-                last_completion_t = now
-            elif kind == _CRASH:
-                worker = data
-                if worker in self._removed:
-                    continue  # retired before its scheduled crash
-                epochs[worker] += 1
-                core.crash_worker(worker, now)
-            elif kind == _ARRIVAL:
-                arrival = data
-                remaining_arrivals -= 1
-                deadline = (
-                    None if arrival.deadline_ms is None
-                    else now + arrival.deadline_ms * MS
-                )
-                try:
-                    core.submit(
-                        arrival.model,
-                        _SimQuery(),
-                        now,
-                        tenant=arrival.tenant,
-                        deadline=deadline,
-                        priority=arrival.priority,
-                    )
-                except RejectedQuery:
-                    pass  # counted by the core; open-loop load sheds
-            elif kind == _CONTROL:
-                self.controller.tick(now)
-                # Re-arm only while the run still has work: an idle
-                # control loop must not keep the simulation alive.
-                if remaining_arrivals > 0 or core.outstanding:
-                    push(now + self.control_interval_s, _CONTROL, None)
-            # _TIMER carries no state: popping it (advancing the clock)
-            # is what makes the due slack cut visible to dispatch().
-            if remaining_arrivals == 0 and not flushed:
-                core.flush()
+            EVENT_TABLE[rank][1](self, data, now)
+            if self._remaining_arrivals == 0 and not flushed:
+                router.flush()
                 flushed = True
-            dispatch(now)
-            # Resolve retry-exhaustion failures as they happen (the sim
-            # is single-threaded, so "outside the lock" is trivially
-            # satisfied here).
-            deliver_failures(core.drain_failures())
+            self._dispatch(now)
+            # The sim is single-threaded, so "outside the lock" is
+            # trivially satisfied here.
+            deliver_failures(router.drain_failures())
 
-        deliver_failures(core.drain_failures())
+        deliver_failures(router.drain_failures())
         first_t = arrivals[0].time if arrivals else 0.0
         return SimReport(
-            stats=core.stats(),
-            decisions=list(core.decisions or []),
-            duration_s=max(0.0, last_completion_t - first_t),
-            service_ms_total=service_ms_total,
-            capacity_total=capacity_total,
-            threads=self.threads,
-            packed_order=packed_order,
+            stats=router.stats(),
+            decisions=list(router.decisions or []),
+            duration_s=max(0.0, self._last_completion_t - first_t),
+            service_ms_total=self._service_ms_total,
+            capacity_total=self._capacity_total,
+            threads=self.workers,
+            packed_order=self._packed_order,
+            results=self._results,
+            dead_letters=[
+                dict(entry.as_dict(),
+                     value=self._seq_value.get(entry.seq))
+                for entry in router.dlq.entries()
+            ],
         )
+
+    def _has_work(self) -> bool:
+        # Periodic events re-arm only while the run still has work: an
+        # idle control or health loop must not keep the simulation alive.
+        return self._remaining_arrivals > 0 or self.router.outstanding > 0
+
+    def _crash_and_respawn(self, worker: int, now: float) -> None:
+        self.router.crash_worker(worker, now)
+        # The pool keeps its size: the replacement spawns immediately
+        # under the bumped epoch with an empty ship ledger (its first
+        # batch per model pays ship_ms again).
+        self.router.restart_worker(worker, now)
+        self._hung.discard(worker)
+
+    def _dispatch(self, now: float) -> None:
+        faults, router = self._faults, self.router
+        ship_delay: Dict[int, float] = {}
+        corrupted_ship: set = set()
+        for action in router.dispatch(now):
+            if isinstance(action, ShipAction):
+                ship_delay[action.worker] = (
+                    ship_delay.get(action.worker, 0.0) + self.ship_ms
+                )
+                if faults.corrupt_ship_every:
+                    self._ship_counter += 1
+                    if self._ship_counter % faults.corrupt_ship_every == 0:
+                        corrupted_ship.add(action.worker)
+                continue
+            assignment = action.assignment
+            hedge = isinstance(action, HedgeAction)
+            worker = action.worker if hedge else assignment.worker
+            self._batch_counter += 1
+            profile = self.profiles[assignment.queue]
+            service_ms = profile.service_ms
+            if (
+                faults.slow_every
+                and self._batch_counter % faults.slow_every == 0
+            ):
+                # Optionally ramp: each hit is slower than the last.
+                service_ms *= (
+                    faults.slow_factor + faults.slow_ramp * self._slow_hits
+                )
+                self._slow_hits += 1
+            service_ms += ship_delay.pop(worker, 0.0)
+            self._service_ms_total += service_ms
+            if not hedge:
+                self._capacity_total += profile.capacity
+                for ticket in assignment.tickets:
+                    self._packed_order.setdefault(
+                        ticket.tenant, []
+                    ).append(ticket.seq)
+            if worker in corrupted_ship:
+                # The envelope arrived corrupted: the worker's
+                # fail-closed verify kills it at load time.
+                corrupted_ship.discard(worker)
+                self._push(now + service_ms * MS, "crash",
+                           (worker, router.epochs[worker]))
+            elif any(t.seq in self._poison_seqs
+                     for t in assignment.tickets):
+                # Poison: the worker dies mid-batch, no completion.
+                self._push(now + 0.5 * service_ms * MS, "crash",
+                           (worker, router.epochs[worker]))
+            else:
+                self._push(
+                    now + service_ms * MS, "completion",
+                    (assignment, action.epoch, worker,
+                     self._completion_flags()),
+                )
+        wake_at = router.next_wake_time(now)
+        if wake_at is not None and wake_at > now:
+            key = round(wake_at, 9)
+            if key not in self._timers_scheduled:
+                self._timers_scheduled.add(key)
+                self._push(wake_at, "timer", None)
+
+    def _completion_flags(self) -> int:
+        """The transit faults the next scheduled completion suffers."""
+        self._completion_counter += 1
+        flags = 0
+        for field_name, flag in _COMPLETION_FAULTS:
+            every = getattr(self._faults, field_name)
+            if every and self._completion_counter % every == 0:
+                flags |= flag
+        return flags
+
+    # -- event handlers (one per row of EVENT_TABLE) ---------------------
+
+    def _on_completion(self, data, now: float) -> None:
+        assignment, epoch, worker, flags = data
+        router = self.router
+        if worker in self._hung and router.epochs[worker] == epoch:
+            return  # frozen mid-batch: the result never arrives
+        if (
+            flags & _F_DROP
+            and assignment.batch_id not in self._dropped_batches
+        ):
+            # Lost completion: at most once per batch, so the hedge
+            # replica's result can still land.
+            self._dropped_batches.add(assignment.batch_id)
+            return
+        if flags & _F_CORRUPT:
+            # Corrupted completion envelope: fail-closed — the engine
+            # treats the sender as faulty and crashes it (the batch
+            # takes the normal park/quarantine path).
+            if router.epochs[worker] == epoch and router.alive[worker]:
+                self._crash_and_respawn(worker, now)
+            return
+        # A superseded incarnation's batch is dropped and recorded by
+        # the router; the crash path already parked its tickets.
+        if router.complete(assignment, epoch, now, OUTCOME_OK,
+                           worker=worker):
+            self._last_completion_t = now
+            for ticket in assignment.tickets:
+                index = self._seq_value.get(ticket.seq)
+                if index is not None:
+                    self._results[index] = _sim_result(
+                        assignment.queue, index
+                    )
+        if flags & _F_DUP:
+            # The duplicate arrives on the heels of the first copy and
+            # must drop as stale.
+            router.complete(assignment, epoch, now, OUTCOME_OK,
+                            worker=worker)
+
+    def _on_crash(self, data, now: float) -> None:
+        worker, guard_epoch = data
+        router = self.router
+        if guard_epoch is None:
+            # Scheduled by the fault plan: a worker the controller has
+            # retired meanwhile is gone, not restartable.
+            if worker in router.retired:
+                return
+        elif (
+            not router.alive[worker]
+            or router.epochs[worker] != guard_epoch
+        ):
+            # Fault-induced, epoch-guarded: a respawned incarnation must
+            # not die for its predecessor's poison.
+            return
+        self._crash_and_respawn(worker, now)
+
+    def _on_arrival(self, data, now: float) -> None:
+        index, arrival = data
+        self._remaining_arrivals -= 1
+        deadline = (
+            None if arrival.deadline_ms is None
+            else now + arrival.deadline_ms * MS
+        )
+        try:
+            ticket = self.router.submit(
+                arrival.model,
+                _SimQuery(),
+                now,
+                tenant=arrival.tenant,
+                deadline=deadline,
+                priority=arrival.priority,
+            )
+        except RejectedQuery:
+            return  # counted by the core; open-loop load sheds
+        self._seq_value[ticket.seq] = index
+        if index in self._faults.poison_queries:
+            self._poison_seqs.add(ticket.seq)
+
+    def _on_timer(self, data, now: float) -> None:
+        # Carries no state: popping it (advancing the clock) is what
+        # makes due cuts/parks/hedges visible to the dispatch that
+        # follows every event.
+        pass
+
+    def _on_control(self, data, now: float) -> None:
+        self.controller.tick(now)
+        if self._has_work():
+            self._push(now + self.control_interval_s, "control", None)
+
+    def _on_health(self, data, now: float) -> None:
+        router = self.router
+        for worker in range(router.workers):
+            if router.alive[worker] and worker not in self._hung:
+                router.heartbeat(worker, router.epochs[worker], now)
+        for worker in router.check_health(now):
+            self._crash_and_respawn(worker, now)
+        if self._has_work():
+            self._push(now + self.heartbeat_interval_s, "health", None)
+
+    def _on_hang(self, worker, now: float) -> None:
+        # The router is NOT told: a hung worker looks alive until its
+        # heartbeats go silent past the timeout.
+        if worker not in self.router.retired:
+            self._hung.add(worker)
+
+
+#: Event kind -> handler.  Row order is processing order at equal
+#: timestamps: completions free workers before crashes, arrivals,
+#: timers, control ticks (which observe a fully-settled instant), health
+#: checks, and hangs look at the pool.
+EVENT_TABLE: Tuple[Tuple[str, Callable], ...] = (
+    ("completion", SimRunner._on_completion),
+    ("crash", SimRunner._on_crash),
+    ("arrival", SimRunner._on_arrival),
+    ("timer", SimRunner._on_timer),
+    ("control", SimRunner._on_control),
+    ("health", SimRunner._on_health),
+    ("hang", SimRunner._on_hang),
+)
+_RANK: Dict[str, int] = {
+    kind: rank for rank, (kind, _) in enumerate(EVENT_TABLE)
+}

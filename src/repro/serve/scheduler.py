@@ -20,22 +20,22 @@ scheduling problem:
 * **Priorities and FIFO-within-tenant.**  Within a queue, queries order
   by descending priority then submission order, so equal-priority
   queries of one tenant are always packed in the order they arrived.
-* **Retry on worker failure.**  A crashed worker's batch is requeued
-  (bounded by ``max_retries``) at its original queue position; queries
-  that exhaust their retries fail loudly with
-  :class:`~repro.errors.ServeError`.  "Crash" means the worker died
-  mid-batch (``crash_worker`` — the fault-injection harness today, a
-  lost remote/process worker in a distributed deployment).  A batch
-  whose *evaluation raises* is deliberately not retried: the pipeline
-  is deterministic, so a retry would fail identically — those queries
-  fail immediately with the original exception.
+* **Failure seams, not failure policy.**  A batch whose *evaluation
+  raises* is deliberately not retried: the pipeline is deterministic,
+  so a retry would fail identically — those queries fail immediately
+  with the original exception.  A worker that *dies* mid-batch is the
+  router's to judge (:class:`~repro.serve.cluster.RouterCore`: park
+  behind a backoff, quarantine, dead-letter); the core only hands the
+  tickets back (:meth:`SchedulerCore.release_crashed`) and requeues a
+  retried ticket at its original queue position.
 
 The design splits into a **pure decision core** (:class:`SchedulerCore`:
 no threads, no clock ownership — every method takes ``now``) and thin
 execution engines.  :class:`Scheduler` here drives the core with one
 evaluator thread and a :class:`~repro.serve.simclock.Clock`;
-:mod:`repro.serve.loadgen` drives the *same* core from a deterministic
-discrete-event loop under a :class:`~repro.serve.simclock.VirtualClock`.
+:mod:`repro.serve.loadgen` drives the *same* core (under the cluster
+router) from a deterministic discrete-event loop under a
+:class:`~repro.serve.simclock.VirtualClock`.
 Because every scheduling decision lives in the core and depends only on
 (queue state, time, free workers), the simulated decisions are exactly
 the decisions production would make.
@@ -67,7 +67,6 @@ LATENCY_WINDOW = 65536
 #: ``complete()`` outcomes.
 OUTCOME_OK = "ok"          #: batch evaluated, futures resolved
 OUTCOME_ERROR = "error"    #: evaluation raised — deterministic, no retry
-OUTCOME_CRASH = "crash"    #: worker died mid-batch — requeue and retry
 
 
 @dataclass
@@ -306,18 +305,11 @@ class SchedulerCore:
     identical.
     """
 
-    def __init__(self, workers: int, max_retries: int = 1,
-                 record_decisions: bool = False,
-                 tracer=None,
+    def __init__(self, workers: int, tracer=None,
                  metrics: Optional[MetricsRegistry] = None):
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
-        if max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
         self.workers = workers
-        self.max_retries = max_retries
         self._queues: Dict[str, _ModelQueue] = {}
         self._free: List[int] = list(range(workers))
         self._running: Dict[int, Assignment] = {}
@@ -327,11 +319,6 @@ class SchedulerCore:
         self._seq = itertools.count()
         self._batch_ids = itertools.count(1)
         self._closed = False
-        #: Optional audit log of (batch_id, queue, worker, size,
-        #: first_seq, cut_time) — the determinism witness.
-        self.decisions: Optional[List[Tuple]] = (
-            [] if record_decisions else None
-        )
         #: Span tracer (``repro.obs.trace.Tracer``), or None.  Every
         #: tracer call is guarded by ``is not None`` so a traceless core
         #: pays nothing, and every call passes the caller's explicit
@@ -730,15 +717,6 @@ class SchedulerCore:
                         ticket.wait_span = None
             self._running[worker] = assignment
             self._batches.inc()
-            if self.decisions is not None:
-                self.decisions.append((
-                    assignment.batch_id,
-                    chosen.name,
-                    worker,
-                    len(tickets),
-                    tickets[0].seq,
-                    round(now, 9),
-                ))
             return assignment
 
     # ------------------------------------------------------------------
@@ -752,8 +730,8 @@ class SchedulerCore:
         ``"ok"``: count completions, latencies, deadline misses.
         ``"error"``: the evaluation raised — deterministic, so the
         tickets fail (their futures already carry the exception).
-        ``"crash"``: the worker died mid-batch — requeue every ticket at
-        its original position, up to ``max_retries`` attempts each.
+        A worker that died mid-batch never completes: see
+        :meth:`release_crashed`.
         """
         if self._running.get(assignment.worker) is not assignment:
             raise ValidationError(
@@ -798,33 +776,8 @@ class SchedulerCore:
                 self._fail_ticket(ticket, ServeError(
                     f"batch {assignment.batch_id} evaluation failed"
                 ), now=now)
-        elif outcome == OUTCOME_CRASH:
-            self._worker_crashes.inc()
-            queue = self._queues.get(assignment.queue)
-            for ticket in assignment.tickets:
-                if queue is not None and ticket.retries < self.max_retries:
-                    self.prepare_retry(ticket, now)
-                    queue.push(ticket)
-                else:
-                    self._fail_ticket(ticket, ServeError(
-                        f"query from tenant {ticket.tenant!r} failed "
-                        f"{ticket.retries + 1} worker crash(es) on model "
-                        f"{ticket.queue!r} (max_retries="
-                        f"{self.max_retries})"
-                    ), now=now)
         else:
             raise ValidationError(f"unknown completion outcome {outcome!r}")
-
-    def crash_worker(self, worker: int, now: float) -> Optional[Assignment]:
-        """Simulate a worker dying.  Its in-flight batch (if any) takes
-        the crash path; an idle worker just restarts.  Returns the
-        interrupted assignment, if there was one."""
-        assignment = self._running.get(worker)
-        if assignment is None:
-            self._worker_crashes.inc()
-            return None
-        self.complete(assignment, now, OUTCOME_CRASH)
-        return assignment
 
     # ------------------------------------------------------------------
     # Fault-domain seams (the cluster router's crash/quarantine surface)
@@ -834,13 +787,12 @@ class SchedulerCore:
                         now: float) -> List[QueryTicket]:
         """Free a crashed worker WITHOUT deciding its tickets' fate.
 
-        The immediate-requeue crash path in :meth:`complete` is the
-        right policy for thread pools; the cluster router instead parks
-        retries behind a deterministic backoff and quarantines repeat
-        offenders, so it takes the raw tickets back and owns the
-        decision.  Counts the crash, ends the batch span, returns the
-        tickets (still holding their RUNNING futures — the router calls
-        :meth:`prepare_retry` / :meth:`dead_letter_ticket` per ticket).
+        The cluster router parks retries behind a deterministic backoff
+        and quarantines repeat offenders, so it takes the raw tickets
+        back and owns the decision.  Counts the crash, ends the batch
+        span, returns the tickets (still holding their RUNNING futures
+        — the router calls :meth:`prepare_retry` /
+        :meth:`dead_letter_ticket` per ticket).
         """
         if self._running.get(assignment.worker) is not assignment:
             raise ValidationError(
@@ -862,8 +814,7 @@ class SchedulerCore:
     def prepare_retry(self, ticket: QueryTicket, now: float) -> None:
         """Account one retry attempt and re-arm the ticket's future.
 
-        Does NOT requeue: immediate-requeue callers push to the queue
-        themselves; the router parks the ticket and calls
+        Does NOT requeue: the router parks the ticket and calls
         :meth:`requeue` when its backoff expires.
         """
         ticket.retries += 1
@@ -963,15 +914,6 @@ class SchedulerCore:
                     ticket.wait_span = None
         self._running[worker] = assignment
         self._batches.inc()
-        if self.decisions is not None:
-            self.decisions.append((
-                assignment.batch_id,
-                queue_name,
-                worker,
-                len(live),
-                live[0].seq,
-                round(now, 9),
-            ))
         return assignment
 
     def rebind(self, assignment: Assignment, new_worker: int) -> None:
@@ -1159,7 +1101,6 @@ class Scheduler:
         threads: int = 2,
         clock: Optional[Clock] = None,
         name: str = "copse-serve",
-        max_retries: int = 1,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -1168,8 +1109,7 @@ class Scheduler:
         self.threads = threads
         self.clock: Clock = clock if clock is not None else RealClock()
         self._core = SchedulerCore(
-            workers=threads, max_retries=max_retries,
-            tracer=tracer, metrics=metrics,
+            workers=threads, tracer=tracer, metrics=metrics,
         )
         self._evaluators: Dict[str, Callable[[Assignment], None]] = {}
         self._cond = threading.Condition()

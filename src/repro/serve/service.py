@@ -286,12 +286,10 @@ class CopseService:
     deadline to every query that does not bring its own (deadline slack
     also forces partial-batch cuts); ``max_queue`` bounds each model's
     pending queue (admission control — :class:`RejectedQuery` on
-    overflow); ``max_retries`` bounds retry attempts per query when a
-    *worker dies mid-batch* (the fault-injection harness today;
-    deterministic evaluation errors are never retried — they fail the
-    batch's futures immediately); ``clock`` injects a time source (a
+    overflow); ``clock`` injects a time source (a
     :class:`~repro.serve.simclock.VirtualClock` makes deadline behavior
-    unit-testable without sleeps).
+    unit-testable without sleeps).  Evaluation errors are deterministic
+    and never retried — they fail the batch's futures immediately.
     """
 
     def __init__(
@@ -305,7 +303,6 @@ class CopseService:
         clock: Optional[Clock] = None,
         default_deadline_ms: Optional[float] = None,
         max_queue: Optional[int] = None,
-        max_retries: int = 1,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -328,7 +325,7 @@ class CopseService:
             default_params=params, metrics=self.metrics
         )
         self.scheduler = Scheduler(
-            threads=threads, clock=clock, max_retries=max_retries,
+            threads=threads, clock=clock,
             tracer=tracer, metrics=self.metrics,
         )
         self.seccomp_variant = seccomp_variant

@@ -1,4 +1,4 @@
-"""Acceptance: the seeded autoscale soak against ClusterSimRunner.
+"""Acceptance: the seeded autoscale soak against SimRunner.
 
 The canonical three-phase ramp (underload -> burst -> decay, one worker
 crash mid-burst) from :func:`repro.bench_harness.experiments.autoscale_run`:

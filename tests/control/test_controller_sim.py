@@ -1,4 +1,4 @@
-"""The controller closed over the discrete-event simulators.
+"""The controller closed over the discrete-event simulator.
 
 The determinism witness of the whole control plane: same seed, same
 policies, same guard config => byte-identical decision log (compared
@@ -13,13 +13,12 @@ import pytest
 
 from repro.control import (
     AutoscalePolicy,
-    ClusterSimPlant,
     Controller,
     GuardConfig,
     GuardRail,
+    Plant,
     Policy,
     ScaleWorkers,
-    SimPlant,
     SwitchEngine,
 )
 from repro.errors import ValidationError
@@ -30,7 +29,6 @@ from repro.serve import (
     TenantSpec,
     generate_arrivals,
 )
-from repro.serve.cluster import ClusterSimRunner
 
 
 def profile(**kwargs):
@@ -51,7 +49,7 @@ def burst_arrivals(seed=11, queries=900):
     return generate_arrivals(tenants, seed=seed, total_queries=queries)
 
 
-def autoscaled_sim_run(seed=11, cluster=False):
+def autoscaled_sim_run(seed=11):
     guards = GuardRail(GuardConfig(
         workers_min=1, workers_max=6, cooldown_s=0.2,
     ))
@@ -60,18 +58,11 @@ def autoscaled_sim_run(seed=11, cluster=False):
         sustain_up=2, sustain_down=3,
     )
     controller = Controller(None, [policy], guards)
-    if cluster:
-        runner = ClusterSimRunner(
-            [profile()], workers=2, controller=controller,
-            control_interval_s=0.1,
-        )
-        controller.plant = ClusterSimPlant(runner)
-    else:
-        runner = SimRunner(
-            [profile()], threads=2, controller=controller,
-            control_interval_s=0.1,
-        )
-        controller.plant = SimPlant(runner)
+    runner = SimRunner(
+        [profile()], workers=2, controller=controller,
+        control_interval_s=0.1,
+    )
+    controller.plant = Plant(runner)
     faults = FaultPlan(worker_crashes=(1.5,))
     report = runner.run(burst_arrivals(seed=seed), faults)
     return report, controller
@@ -86,21 +77,16 @@ class TestControllerConstruction:
         controller = Controller(
             None, [AutoscalePolicy()], GuardRail(),
         )
-        with pytest.raises(ValidationError):
-            SimRunner([profile()], threads=2, controller=controller,
-                      control_interval_s=0.0)
-        with pytest.raises(ValidationError):
-            ClusterSimRunner([profile()], workers=2,
-                             controller=controller,
-                             control_interval_s=-1.0)
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValidationError):
+                SimRunner([profile()], workers=2, controller=controller,
+                          control_interval_s=interval)
 
 
-@pytest.mark.parametrize("cluster", [False, True],
-                         ids=["threaded-sim", "cluster-sim"])
 class TestDeterminism:
-    def test_decision_log_byte_identical(self, cluster):
-        first_report, first = autoscaled_sim_run(cluster=cluster)
-        second_report, second = autoscaled_sim_run(cluster=cluster)
+    def test_decision_log_byte_identical(self):
+        first_report, first = autoscaled_sim_run()
+        second_report, second = autoscaled_sim_run()
         assert json.dumps(first.decision_log) == json.dumps(
             second.decision_log
         )
@@ -109,24 +95,24 @@ class TestDeterminism:
         # guard-approved actuation.
         assert len(first.applied()) > 0
 
-    def test_different_seeds_diverge(self, cluster):
-        _, first = autoscaled_sim_run(seed=11, cluster=cluster)
-        _, second = autoscaled_sim_run(seed=12, cluster=cluster)
+    def test_different_seeds_diverge(self):
+        _, first = autoscaled_sim_run(seed=11)
+        _, second = autoscaled_sim_run(seed=12)
         assert json.dumps(first.decision_log) != json.dumps(
             second.decision_log
         )
 
-    def test_conservation_under_actuation(self, cluster):
-        report, controller = autoscaled_sim_run(cluster=cluster)
+    def test_conservation_under_actuation(self):
+        report, controller = autoscaled_sim_run()
         stats = report.stats
         assert stats.submitted == (
             stats.completed + stats.rejected + stats.failed
-            + stats.cancelled
+            + stats.cancelled + stats.dead_lettered
         )
         assert stats.completed > 0
 
-    def test_audit_grammar(self, cluster, audit_grammar):
-        _, controller = autoscaled_sim_run(cluster=cluster)
+    def test_audit_grammar(self, audit_grammar):
+        _, controller = autoscaled_sim_run()
         audit_grammar(controller)
         assert controller.ticks > 0
 
@@ -157,10 +143,10 @@ class TestApplyFailurePath:
         ))
         controller = Controller(None, [_AlwaysSwitch()], guards)
         runner = SimRunner(
-            [profile()], threads=2, controller=controller,
+            [profile()], workers=2, controller=controller,
             control_interval_s=0.1,
         )
-        controller.plant = SimPlant(runner)
+        controller.plant = Plant(runner)
         arrivals = generate_arrivals(
             [TenantSpec(name="t", model="m", rate_qps=50.0)],
             seed=3, total_queries=50,
@@ -170,9 +156,9 @@ class TestApplyFailurePath:
             r for r in controller.decision_log if r[0] == "apply_failed"
         ]
         # Every tick retried (the huge cooldown never armed) and every
-        # failure names the refusing plant.
+        # failure names the refusing target.
         assert len(failures) >= 2
-        assert all("SimPlant" in r[3] for r in failures)
+        assert all("SimRunner cannot apply" in r[3] for r in failures)
         assert controller.applied() == []
         audit_grammar(controller)
 
@@ -180,10 +166,10 @@ class TestApplyFailurePath:
         guards = GuardRail(GuardConfig(workers_min=1, workers_max=2))
         controller = Controller(None, [_AlwaysScaleUp()], guards)
         runner = SimRunner(
-            [profile()], threads=2, controller=controller,
+            [profile()], workers=2, controller=controller,
             control_interval_s=0.1,
         )
-        controller.plant = SimPlant(runner)
+        controller.plant = Plant(runner)
         arrivals = generate_arrivals(
             [TenantSpec(name="t", model="m", rate_qps=50.0)],
             seed=3, total_queries=50,
@@ -212,10 +198,10 @@ class TestMetricsAndTracing:
             guards, tracer=tracer, metrics=metrics,
         )
         runner = SimRunner(
-            [profile()], threads=2, controller=controller,
+            [profile()], workers=2, controller=controller,
             control_interval_s=0.1,
         )
-        controller.plant = SimPlant(runner)
+        controller.plant = Plant(runner)
         runner.run(burst_arrivals())
         assert metrics.counter_value("control_ticks") == controller.ticks
         applied = sum(

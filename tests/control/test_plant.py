@@ -1,0 +1,310 @@
+"""Plant conformance: one actuation seam over three serve targets.
+
+The same five proposals go through :class:`~repro.control.Plant` — via
+a Controller and its guards, as in production — over a live
+:class:`~repro.serve.CopseService`, a live 1-worker
+:class:`~repro.serve.ClusterService` and the simulator.  Where a target
+supports an actuation the observable effect is the same (pool +-1 via
+the highest-id idle worker, weight, limit, engine flip with fingerprint
+check, and every query still decrypting to the oracle's bits); where it
+does not, the refusal is the typed "cannot apply" naming the target.
+"""
+
+import contextlib
+import functools
+import threading
+from concurrent.futures import Future
+
+import numpy as np
+import pytest
+
+from repro.control import (
+    AdjustTenantWeight,
+    Controller,
+    GuardConfig,
+    GuardRail,
+    Plant,
+    Policy,
+    ScaleWorkers,
+    SetAdmissionLimit,
+    SwitchBackend,
+    SwitchEngine,
+)
+from repro.errors import ValidationError
+from repro.serve import (
+    ClusterService,
+    CopseService,
+    ModelProfile,
+    SimRunner,
+    TransportFaultPlan,
+    chaos_worker_main,
+)
+
+#: target -> the proposal kinds its mechanism can apply.
+SUPPORTED = {
+    "service": ["scale_workers", "adjust_weight", "set_admission_limit",
+                "switch_engine", "switch_backend"],
+    "cluster": ["scale_workers", "adjust_weight", "set_admission_limit",
+                "switch_engine"],
+    "sim": ["scale_workers", "adjust_weight", "set_admission_limit"],
+}
+
+
+def queries_for(forest, count, seed=21, precision=8):
+    rng = np.random.default_rng(seed)
+    limit = 1 << precision
+    return [
+        [int(v) for v in rng.integers(0, limit, forest.n_features)]
+        for _ in range(count)
+    ]
+
+
+class _Script(Policy):
+    """Emit one fixed proposal list per tick, then go quiet."""
+
+    name = "script"
+
+    def __init__(self, *ticks):
+        self._ticks = [list(proposals) for proposals in ticks]
+
+    def propose(self, snapshot):
+        return self._ticks.pop(0) if self._ticks else []
+
+
+class _Payload:
+    """Minimal router payload for occupying a simulated worker."""
+
+    def __init__(self):
+        self.future = Future()
+
+
+class _Target:
+    """One serve target plus what the test needs to read back from it."""
+
+    def __init__(self, kind, target, fingerprint, registered=None):
+        self.kind = kind
+        self.target = target
+        self.fingerprint = fingerprint
+        self.registered = registered
+
+    def idle_workers(self):
+        if self.kind == "service":
+            return self.target.scheduler._core.idle_workers()
+        return self.target.router.idle_live_workers()
+
+    def occupy(self, forest, gate):
+        """Put a batch in flight on the (one) worker and keep it there
+        until ``gate`` is set; returns the real targets' futures."""
+        if self.kind == "sim":
+            for _ in range(4):
+                self.target.router.submit("m", _Payload(), 0.0)
+            self.target.router.dispatch(0.0)
+            return []
+        if self.kind == "service":
+            batcher = self.target._batchers["m"]
+            evaluate = batcher.evaluate
+
+            def gated(*args, **kwargs):
+                gate.wait(timeout=60)
+                return evaluate(*args, **kwargs)
+
+            batcher.evaluate = gated
+        futures = [
+            self.target.submit("m", q) for q in queries_for(forest, 4)
+        ]
+        for _ in range(200):  # until the lead / router has cut the batch
+            if not self.idle_workers():
+                break
+            gate.wait(0.05)
+        return futures
+
+    def serve(self, forest, count, seed):
+        """Real targets answer ``count`` queries oracle-exactly."""
+        if self.kind == "sim":
+            return
+        results = self.target.classify_many(
+            "m", queries_for(forest, count, seed=seed)
+        )
+        assert all(r.oracle_ok for r in results)
+
+
+def open_target(kind, forest, workers, **cluster_kwargs):
+    """Context manager yielding a fresh :class:`_Target` of ``kind``."""
+
+    @contextlib.contextmanager
+    def opened():
+        if kind == "sim":
+            profile = ModelProfile(name="m", capacity=4, service_ms=50.0)
+            yield _Target(kind, SimRunner([profile], workers=workers),
+                          "sim-fingerprint")
+            return
+        service = (
+            CopseService(threads=workers, engine="eager")
+            if kind == "service"
+            else ClusterService(workers=workers, engine="eager",
+                                **cluster_kwargs)
+        )
+        with service:
+            registered = service.register_model(
+                "m", forest, max_batch_size=4
+            )
+            yield _Target(kind, service,
+                          registered.compiled.fingerprint(), registered)
+
+    return opened()
+
+
+@pytest.mark.parametrize("kind", list(SUPPORTED))
+class TestConformance:
+    def test_five_proposals_then_scale_down(self, kind, example_forest):
+        start = 1 if kind == "cluster" else 2
+        with open_target(kind, example_forest, start) as t:
+            plant = Plant(t.target)
+            t.serve(example_forest, 4, seed=21)
+            before = t.idle_workers()
+            other_backend = (
+                "reference" if getattr(t.registered, "backend", "")
+                == "vector" else "vector"
+            )
+
+            # The mechanism re-checks the fingerprint itself (real
+            # targets) — or has no engines to flip at all (simulator).
+            spoofed = SwitchEngine(model="m", engine="tape",
+                                   expected_fingerprint="spoofed",
+                                   reason="attack")
+            refusal = (
+                "does not match" if "switch_engine" in SUPPORTED[kind]
+                else "SimRunner cannot apply 'switch_engine'"
+            )
+            with pytest.raises(ValidationError, match=refusal):
+                plant.apply(spoofed, 0.0)
+            if t.registered is not None:
+                assert t.registered.engine == "eager"
+
+            guards = GuardRail(GuardConfig(
+                workers_min=1, workers_max=4, cooldown_s=0.0,
+                fingerprints={"m": t.fingerprint},
+            ))
+            controller = Controller(
+                plant,
+                [_Script([
+                    ScaleWorkers(delta=1, reason="warm up"),
+                    AdjustTenantWeight(queue="m", weight=2.0,
+                                       reason="boost"),
+                    SetAdmissionLimit(queue="m", limit=64,
+                                      reason="bound"),
+                    SwitchEngine(model="m", engine="tape",
+                                 expected_fingerprint=t.fingerprint,
+                                 reason="flip"),
+                    SwitchBackend(model="m", backend=other_backend,
+                                  expected_fingerprint=t.fingerprint,
+                                  reason="re-home"),
+                ], [
+                    ScaleWorkers(delta=-1, reason="idle"),
+                ])],
+                guards,
+            )
+            controller.tick(0.0)
+            assert [r[2] for r in controller.applied()] == SUPPORTED[kind]
+            refused = [
+                r for r in controller.decision_log
+                if r[0] == "apply_failed"
+            ]
+            assert [r[2] for r in refused] == [
+                k for k in SUPPORTED["service"]
+                if k not in SUPPORTED[kind]
+            ]
+            name = type(t.target).__name__
+            assert all(
+                r[3] == f"{name} cannot apply {r[2]!r} proposals"
+                for r in refused
+            )
+
+            # Same observable effect on every target that applied it.
+            snapshot = plant.observe(1.0)
+            assert snapshot.live_workers == start + 1
+            assert snapshot.queue("m").weight == 2.0
+            assert snapshot.queue("m").limit == 64
+            assert t.idle_workers() == before + [start]
+            if "switch_engine" in SUPPORTED[kind]:
+                assert t.registered.engine == "tape"
+            if "switch_backend" in SUPPORTED[kind]:
+                assert t.registered.backend == other_backend
+            t.serve(example_forest, 5, seed=9)
+
+            # Scale-down retires the highest-id idle worker: the one
+            # just added, never a placement anchor.
+            controller.tick(2.0)
+            assert controller.applied()[-1][2:4] == ("scale_workers", -1)
+            assert plant.observe(3.0).live_workers == start
+            assert t.idle_workers() == before
+            t.serve(example_forest, 3, seed=5)
+
+    def test_scale_down_with_every_worker_busy_refused(
+        self, kind, example_forest
+    ):
+        """The mechanism fails closed on its own, whatever the guards
+        would have said: no idle worker, nothing retired."""
+        # Every completion is lost in transit, so the cluster's one
+        # worker stays busy from the router's point of view.
+        stuck = dict(
+            backend="vector",
+            worker_entry=functools.partial(
+                chaos_worker_main,
+                TransportFaultPlan(drop_result_every=1),
+            ),
+        ) if kind == "cluster" else {}
+        gate = threading.Event()
+        with open_target(kind, example_forest, 1, **stuck) as t:
+            futures = t.occupy(example_forest, gate)
+            try:
+                assert t.idle_workers() == []
+                plant = Plant(t.target)
+                with pytest.raises(ValidationError,
+                                   match="no idle worker to retire"):
+                    plant.apply(
+                        ScaleWorkers(delta=-1, reason="shrink"), 0.0
+                    )
+                assert plant.observe(0.0).live_workers == 1
+            finally:
+                gate.set()
+            if kind == "service":
+                assert all(
+                    f.result(timeout=60).oracle_ok for f in futures
+                )
+
+
+class TestGuardedOnTheLiveService:
+    def test_observe_reads_live_metrics(self, example_forest):
+        with CopseService(threads=2) as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            service.classify_many("m", queries_for(example_forest, 4))
+            snapshot = Plant(service).observe(1.0)
+        assert snapshot.live_workers == 2
+        assert snapshot.submitted == 4
+        assert snapshot.completed == 4
+        assert [q.name for q in snapshot.queues] == ["m"]
+
+    def test_fingerprint_mismatch_never_reaches_the_registry(
+        self, example_forest
+    ):
+        with CopseService(threads=2, engine="eager") as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            guards = GuardRail(GuardConfig(
+                fingerprints={"m": "not-the-real-fingerprint"},
+            ))
+            controller = Controller(
+                Plant(service),
+                [_Script([
+                    SwitchEngine(model="m", engine="tape",
+                                 expected_fingerprint="spoofed",
+                                 reason="attack"),
+                ])],
+                guards,
+            )
+            service.classify_many("m", queries_for(example_forest, 2))
+            controller.tick(0.0)
+            assert controller.applied() == []
+            rejection = controller.rejections()[0]
+            assert "does not match" in rejection[4]
+            assert service.registry.get("m").engine == "eager"

@@ -47,7 +47,7 @@ def traced_soak(seed: int = 7, queries: int = 600):
     arrivals = generate_arrivals(tenants, seed=seed,
                                  total_queries=queries)
     tracer = Tracer()
-    runner = SimRunner(profiles, threads=3, tracer=tracer)
+    runner = SimRunner(profiles, workers=3, tracer=tracer)
     report = runner.run(arrivals, FAULTS)
     return tracer, report
 

@@ -21,6 +21,8 @@ recovery paths are exercised end-to-end, not just in simulation
 (CI selects these with ``-k real``).
 """
 
+import collections
+import dataclasses
 import functools
 import json
 
@@ -29,10 +31,10 @@ import pytest
 from repro.errors import PoisonQueryError
 from repro.serve import (
     ClusterService,
-    ClusterSimRunner,
     FaultPlan,
     ModelProfile,
     RetryPolicy,
+    SimRunner,
     TenantSpec,
     TransportFaultPlan,
     chaos_worker_main,
@@ -85,7 +87,7 @@ def chaos_soak(faults, queries=SOAK_QUERIES, seed=42, **runner_kwargs):
     kwargs.update(runner_kwargs)
     arrivals = generate_arrivals(TENANTS, seed=seed,
                                  total_queries=queries)
-    return ClusterSimRunner(PROFILES, **kwargs).run(arrivals, faults)
+    return SimRunner(PROFILES, **kwargs).run(arrivals, faults)
 
 
 def assert_conserved(stats):
@@ -208,6 +210,89 @@ class TestChaosFaultKinds:
         assert report.stats.dead_lettered == 1
         assert [e["value"] for e in report.dead_letters] == [100]
         assert_conserved(report.stats)
+
+
+def kinds(report):
+    return collections.Counter(d[0] for d in report.decisions)
+
+
+def slower(report, reference):
+    return report.service_ms_total > reference.service_ms_total
+
+
+HANGS = (8.0, 16.0)
+
+
+def found_by_heartbeat(report, reference):
+    # Nobody tells the router about a hang: each one becomes a
+    # ("crash", worker, epoch, t) only past the 0.6 s heartbeat timeout.
+    crashes = [d for d in report.decisions if d[0] == "crash"]
+    return [d[1] for d in crashes] == [0, 1] and all(
+        d[3] > hang + 0.6 for d, hang in zip(crashes, HANGS)
+    )
+
+
+#: FaultPlan field -> (a plan that sets it, the plan it is read against,
+#: what its docstring says must then show in the run).  The reference is
+#: the same plan without the field, so the evidence is the field's own.
+_SLOW = dict(slow_every=5, slow_factor=2.0)
+FAULT_EVIDENCE = {
+    "worker_crashes": (
+        # t=8.05 is mid-batch on worker 0 (an 8-query fraud batch).
+        dict(worker_crashes=(8.05,)), {},
+        lambda r, ref: kinds(r)["crash"] == kinds(r)["restart"] == 1
+        and kinds(r)["park"] == r.stats.retries == 8,
+    ),
+    "slow_every": (_SLOW, {}, slower),
+    "slow_factor": (dict(_SLOW, slow_factor=4.0), _SLOW, slower),
+    "slow_ramp": (dict(_SLOW, slow_ramp=0.5), _SLOW, slower),
+    "worker_hangs": (dict(worker_hangs=HANGS), {}, found_by_heartbeat),
+    "corrupt_ship_every": (
+        dict(corrupt_ship_every=2), {},
+        lambda r, ref: kinds(r)["crash"] >= 1
+        and kinds(r)["ship"] > kinds(ref)["ship"],
+    ),
+    "corrupt_completion_every": (
+        dict(corrupt_completion_every=50), {},
+        lambda r, ref: kinds(r)["crash"] >= 1 and kinds(r)["park"] >= 1,
+    ),
+    "drop_completion_every": (
+        dict(drop_completion_every=37), {},
+        lambda r, ref: kinds(r)["hedge"] >= 1
+        and kinds(r)["hedge_win"] >= 1,
+    ),
+    "duplicate_completion_every": (
+        dict(duplicate_completion_every=23), {},
+        lambda r, ref: kinds(r)["stale"] == r.stats.batches // 23,
+    ),
+    "poison_queries": (
+        dict(poison_queries=(100,)), {},
+        lambda r, ref: min(
+            kinds(r)[k] for k in ("park", "bisect", "dead_letter")
+        ) >= 1
+        and [e["value"] for e in r.dead_letters] == [100],
+    ),
+}
+
+
+class TestEveryFaultFieldInjects:
+    """No field of the chaos matrix may be silently ignored."""
+
+    def test_every_field_has_a_case(self):
+        assert sorted(FAULT_EVIDENCE) == sorted(
+            f.name for f in dataclasses.fields(FaultPlan)
+        )
+
+    @pytest.mark.parametrize("field", sorted(FAULT_EVIDENCE))
+    def test_field_shows_in_the_decisions(self, field):
+        faulted, reference, shows = FAULT_EVIDENCE[field]
+        report = chaos_soak(FaultPlan(**faulted), queries=1500)
+        ref = chaos_soak(FaultPlan(**reference), queries=1500)
+        # A fault plan that injects nothing is a failure.
+        assert report.decisions != ref.decisions
+        assert shows(report, ref), kinds(report)
+        assert_conserved(report.stats)
+        assert report.stats.failed == 0
 
 
 # ---------------------------------------------------------------------------

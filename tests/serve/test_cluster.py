@@ -5,7 +5,7 @@ Three layers, mirroring the module's pure-core/thin-engine split:
 * **RouterCore unit tests** — placement, ship-once, epochs, stale
   completions, draining restarts, redeploys, heartbeats, all driven
   with explicit timestamps and no engine at all.
-* **Simulated soaks** (:class:`~repro.serve.cluster.ClusterSimRunner`)
+* **Simulated soaks** (:class:`~repro.serve.loadgen.SimRunner`)
   — seeded 10^5-query timelines with injected mid-run worker crashes:
   byte-identical decisions and stats per seed, conservation, and
   1-worker vs N-worker accounting equivalence.  ``REPRO_BENCH_QUICK=1``
@@ -31,12 +31,12 @@ from repro.errors import (
 )
 from repro.serve import (
     ClusterService,
-    ClusterSimRunner,
     FaultPlan,
     ModelProfile,
     ModelRegistry,
     RouterCore,
     ShippedModel,
+    SimRunner,
     TenantSpec,
     generate_arrivals,
 )
@@ -206,6 +206,22 @@ class TestRouterCore:
         with pytest.raises(ValidationError):
             router.restart_worker(actions[-1].assignment.worker, 0.5)
 
+    def test_restart_of_a_retired_or_abandoned_worker_refused(self):
+        """The scheduler core has forgotten the id: flipping ``alive``
+        back on would place batches on a slot that no longer exists."""
+        router = self.make(workers=3)
+        router.retire_worker(2, 0.5)
+        router.crash_worker(1, 0.6)
+        router.abandon_worker(1, 3, 0.6)
+        for gone in (2, 1):
+            with pytest.raises(ValidationError, match="never reused"):
+                router.restart_worker(gone, 1.0)
+        assert router.alive == [True, False, False]
+        assert router.retirable_worker() == 0
+        full_batch(router)
+        (_, assign) = router.dispatch(1.0)
+        assert assign.assignment.worker == 0
+
     def test_draining_restart_reships(self):
         router = self.make(workers=2)
         full_batch(router)
@@ -294,7 +310,7 @@ class TestRouterCore:
         with pytest.raises(ValidationError):
             RouterCore(workers=1, heartbeat_timeout_s=0.0)
         with pytest.raises(ValidationError):
-            ClusterSimRunner([], workers=2)
+            SimRunner([], workers=2)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +343,7 @@ def cluster_soak(seed, queries, workers=3, faults=None, ship_ms=25.0):
         )
     arrivals = generate_arrivals(TENANTS, seed=seed,
                                  total_queries=queries)
-    runner = ClusterSimRunner(PROFILES, workers=workers, max_retries=2,
+    runner = SimRunner(PROFILES, workers=workers, max_retries=2,
                               ship_ms=ship_ms)
     return runner.run(arrivals, faults)
 
@@ -384,7 +400,7 @@ class TestClusterSimulation:
                                      total_queries=2500)
         per_pool = {}
         for workers in (1, 4):
-            runner = ClusterSimRunner(profiles, workers=workers,
+            runner = SimRunner(profiles, workers=workers,
                                       ship_ms=25.0)
             report = runner.run(arrivals, FaultPlan())
             assert_conserved(report.stats)
@@ -405,7 +421,7 @@ class TestClusterSimulation:
         assert a.stats.completed > 0.9 * a.stats.submitted
 
     def test_runner_is_single_use(self):
-        runner = ClusterSimRunner(PROFILES, workers=2)
+        runner = SimRunner(PROFILES, workers=2)
         arrivals = generate_arrivals(TENANTS, seed=1, total_queries=50)
         runner.run(arrivals)
         with pytest.raises(ValidationError):
@@ -730,8 +746,8 @@ class TestRealCluster:
     ):
         """Parity with the threaded service: a flip carrying the wrong
         fingerprint changes nothing — engine, envelope, ship key — via
-        the service seam and via ``ClusterPlant`` alike."""
-        from repro.control import ClusterPlant, SwitchEngine
+        the service seam and via the ``Plant`` alike."""
+        from repro.control import Plant, SwitchEngine
 
         with ClusterService(workers=1, engine="tape",
                             backend="vector") as service:
@@ -744,7 +760,7 @@ class TestRealCluster:
                 service.set_model_engine(
                     "m", "eager", expected_fingerprint="spoofed"
                 )
-            plant = ClusterPlant(service)
+            plant = Plant(service)
             with pytest.raises(ValidationError, match="does not match"):
                 plant.apply(
                     SwitchEngine(model="m", engine="eager",
@@ -915,7 +931,7 @@ class TestClusterGuards:
     def test_sim_rejects_nonpositive_heartbeat_interval(self):
         with pytest.raises(ValidationError,
                            match="heartbeat_interval_s"):
-            ClusterSimRunner(PROFILES, workers=2,
+            SimRunner(PROFILES, workers=2,
                              heartbeat_interval_s=0.0)
 
     def test_service_rejects_nonpositive_heartbeat_interval(self):

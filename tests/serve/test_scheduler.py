@@ -13,9 +13,14 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.errors import RejectedQuery, ServeError, ValidationError
+from repro.errors import (
+    PoisonQueryError,
+    RejectedQuery,
+    ServeError,
+    ValidationError,
+)
+from repro.serve.cluster import AssignAction, RouterCore
 from repro.serve.scheduler import (
-    OUTCOME_CRASH,
     OUTCOME_ERROR,
     OUTCOME_OK,
     Scheduler,
@@ -31,6 +36,18 @@ class Payload:
 
     def __init__(self):
         self.future = Future()
+
+
+def cut_batches(router, now):
+    """Dispatch the router at ``now``; the batches it cut, in order."""
+    return [a for a in router.dispatch(now) if isinstance(a, AssignAction)]
+
+
+def crash_and_restart(router, worker, now):
+    """A worker death as every engine handles it: crash, then respawn."""
+    interrupted = router.crash_worker(worker, now)
+    router.restart_worker(worker, now)
+    return interrupted
 
 
 def submit_n(core, queue, n, now=0.0, tenant="t", deadline=None, priority=0):
@@ -271,46 +288,70 @@ class TestCompletionAccounting:
                 ticket.future.result(timeout=0)
         assert core.drain_failures() == []  # drained exactly once
 
+    # A worker that dies mid-batch is the router's to judge — the core
+    # has no crash policy of its own — so the crash tests drive the
+    # RouterCore: park -> backoff -> quarantine -> dead-letter.
+
     def test_crash_requeues_then_completes(self):
-        core = SchedulerCore(workers=1, max_retries=1)
-        core.add_queue("m", capacity=2)
-        tickets = submit_n(core, "m", 2)
+        router = RouterCore(workers=1, max_retries=1)
+        router.add_model("m", capacity=2)
+        tickets = submit_n(router, "m", 2)
         futures = [t.future for t in tickets]
-        assignment = core.assign(0.0)
-        core.complete(assignment, 0.1, OUTCOME_CRASH)
-        assert core.pending("m") == 2  # both requeued
-        retry = core.assign(0.2)
-        assert [t.seq for t in retry.tickets] == [t.seq for t in tickets]
-        core.complete(retry, 0.3, OUTCOME_OK)
-        for ticket in retry.tickets:
+        (first,) = cut_batches(router, 0.0)
+        assert crash_and_restart(router, 0, 0.1) is first.assignment
+        # Parked behind the backoff, not requeued at the crash instant.
+        assert router.core.pending("m") == 0 and router.outstanding == 2
+        assert cut_batches(router, 0.1) == []
+        # (Backoff jitter is per ticket: wait out the later release.)
+        release = max(d[4] for d in router.decisions if d[0] == "park")
+        assert release >= router.next_wake_time(0.1) > 0.1
+        (retry,) = cut_batches(router, release)
+        # Requeued at the original seq once the park releases.
+        assert [t.seq for t in retry.assignment.tickets] == (
+            [t.seq for t in tickets]
+        )
+        assert router.complete(retry.assignment, retry.epoch,
+                               release + 0.1, OUTCOME_OK)
+        for ticket in retry.assignment.tickets:
             ticket.future.set_result("served")
         # The caller-held (original) futures resolve via propagation.
         assert all(f.result(timeout=1) == "served" for f in futures)
-        stats = core.stats()
+        stats = router.stats()
         assert stats.retries == 2 and stats.completed == 2
         assert stats.worker_crashes == 1
 
     def test_retry_exhaustion_fails_loudly(self):
-        core = SchedulerCore(workers=1, max_retries=1)
-        core.add_queue("m", capacity=1)
-        (ticket,) = submit_n(core, "m", 1, tenant="alice")
+        router = RouterCore(workers=1, max_retries=1)
+        router.add_model("m", capacity=1)
+        (ticket,) = submit_n(router, "m", 1, tenant="alice")
         original = ticket.future
-        for _ in range(2):
-            assignment = core.assign(0.0)
-            core.complete(assignment, 0.1, OUTCOME_CRASH)
-        assert core.pending("m") == 0
-        deliver_failures(core.drain_failures())
-        with pytest.raises(ServeError, match="alice.*crash"):
+        now = 0.0
+        # Crash 1 parks the retry; crash 2 finds the retries exhausted
+        # and quarantines the ticket for a solo re-run; crash 3 convicts
+        # it.  Exhaustion ends in the dead-letter queue, never ``failed``.
+        for _ in range(3):
+            (batch,) = cut_batches(router, now)
+            crash_and_restart(router, batch.assignment.worker, now + 0.01)
+            now = router.next_wake_time(now + 0.01) or now + 0.01
+        assert [d[0] for d in router.decisions if d[0] in (
+            "park", "bisect", "dead_letter",
+        )] == ["park", "bisect", "dead_letter"]
+        assert router.outstanding == 0
+        deliver_failures(router.drain_failures())
+        with pytest.raises(PoisonQueryError, match="crashed 3 workers"):
             original.result(timeout=1)
-        stats = core.stats()
-        assert stats.failed == 1 and stats.retries == 1
-        assert stats.worker_crashes == 2
+        stats = router.stats()
+        assert stats.dead_lettered == 1 and stats.failed == 0
+        assert stats.retries == 2 and stats.worker_crashes == 3
+        assert router.dlq.entries()[0].tenant == "alice"
 
     def test_idle_worker_crash_only_counts(self):
-        core = SchedulerCore(workers=1)
-        core.add_queue("m", capacity=1)
-        assert core.crash_worker(0, 0.0) is None
-        assert core.stats().worker_crashes == 1
+        router = RouterCore(workers=1)
+        router.add_model("m", capacity=1)
+        assert crash_and_restart(router, 0, 0.0) is None
+        stats = router.stats()
+        assert stats.worker_crashes == 1 and stats.retries == 0
+        assert [d[0] for d in router.decisions] == ["crash", "restart"]
 
     def test_remove_queue_fails_pending(self):
         core = SchedulerCore(workers=1)
@@ -328,30 +369,40 @@ class TestCompletionAccounting:
         )
 
     def test_conservation_across_mixed_outcomes(self):
-        core = SchedulerCore(workers=2, max_retries=0)
-        core.add_queue("m", capacity=2, max_pending=4)
+        """All five terminal states at once, at the router."""
+        router = RouterCore(workers=2, max_retries=0)
+        router.add_model("m", capacity=2, max_pending=6)
         accepted = []
-        for _ in range(6):
+        for _ in range(8):
             try:
-                accepted.append(core.submit("m", Payload(), 0.0))
+                accepted.append(router.submit("m", Payload(), 0.0))
             except RejectedQuery:
                 pass
         accepted[0].future.cancel()
-        core.flush("m")
-        first = core.assign(0.0)
-        core.complete(first, 0.1, OUTCOME_OK)
-        second = core.assign(0.1)
-        core.complete(second, 0.2, OUTCOME_CRASH)  # max_retries=0 -> fail
-        stats = core.stats()
-        assert stats.submitted == 6
-        assert stats.rejected == 2
-        assert stats.cancelled == 1
-        assert (
-            stats.submitted
-            == stats.completed + stats.rejected + stats.failed
-            + stats.cancelled
+        router.flush("m")
+        ok, errored = cut_batches(router, 0.0)
+        router.complete(ok.assignment, ok.epoch, 0.1, OUTCOME_OK)
+        router.complete(errored.assignment, errored.epoch, 0.1,
+                        OUTCOME_ERROR)
+        (doomed,) = cut_batches(router, 0.1)
+        assert doomed.assignment.size == 1
+        # max_retries=0: the first crash quarantines, the second convicts.
+        crash_and_restart(router, doomed.assignment.worker, 0.2)
+        (solo,) = cut_batches(router, router.next_wake_time(0.2))
+        crash_and_restart(router, solo.assignment.worker, 0.3)
+        deliver_failures(router.drain_failures())
+        stats = router.stats()
+        assert (stats.submitted, stats.rejected, stats.cancelled) == (
+            8, 2, 1,
         )
-        assert core.outstanding == 0
+        assert (stats.completed, stats.failed, stats.dead_lettered) == (
+            2, 2, 1,
+        )
+        assert stats.submitted == (
+            stats.completed + stats.rejected + stats.failed
+            + stats.cancelled + stats.dead_lettered
+        )
+        assert router.outstanding == 0
 
 
 class TestPercentile:
@@ -551,13 +602,13 @@ class TestLeadEvaluator:
         scheduler.close()
 
     def test_service_and_control_plane_read_slots(self, example_forest):
-        from repro.control import ScaleWorkers, ServicePlant
+        from repro.control import Plant, ScaleWorkers
         from repro.serve import CopseService
 
         with CopseService(threads=3) as service:
             service.register_model("m", example_forest, max_batch_size=2)
             baseline = threading.active_count()
-            plant = ServicePlant(service)
+            plant = Plant(service)
             assert plant.observe(0.0).live_workers == 3
             plant.apply(ScaleWorkers(delta=2, reason="up"), 0.0)
             assert service.workers == 5

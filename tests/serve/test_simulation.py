@@ -1,15 +1,17 @@
 """Scheduler invariants under deterministic simulated load.
 
-Everything here runs the *production* decision core
-(:class:`repro.serve.scheduler.SchedulerCore`) under a virtual clock via
+Everything here runs the *production* decision cores
+(:class:`repro.serve.cluster.RouterCore` over
+:class:`repro.serve.scheduler.SchedulerCore`) under a virtual clock via
 :class:`repro.serve.loadgen.SimRunner` — thousands of queries, bursts,
 crashes, and overload, with zero wall-clock sleeps and zero flakiness.
 The locked invariants:
 
-* **Determinism** — same seed, same fault plan => identical scheduling
+* **Determinism** — same seed, same fault plan => identical routing
   decisions and byte-identical stats.
 * **Conservation** — submitted == completed + rejected + failed +
-  cancelled, always, including under crashes and admission rejections.
+  cancelled + dead_lettered, always, including under crashes and
+  admission rejections.
 * **No starvation** — every tenant's accepted queries complete, even
   when a hot tenant offers 10x the load.
 * **FIFO-within-tenant** — equal-priority queries of one tenant are
@@ -21,8 +23,12 @@ The locked invariants:
 """
 
 import os
+import re
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ValidationError
 from repro.serve import (
@@ -62,12 +68,13 @@ def check_invariants(report):
     stats = report.stats
     assert stats.submitted == (
         stats.completed + stats.rejected + stats.failed + stats.cancelled
+        + stats.dead_lettered
     ), "conservation violated"
     for tenant, seqs in first_pack_order(report).items():
         assert seqs == sorted(seqs), f"FIFO violated within tenant {tenant}"
     # No starvation: every admitted query reached a terminal state.
-    assert stats.completed + stats.failed == stats.submitted - (
-        stats.rejected + stats.cancelled
+    assert stats.completed + stats.failed + stats.dead_lettered == (
+        stats.submitted - (stats.rejected + stats.cancelled)
     )
 
 
@@ -98,7 +105,7 @@ class TestDeterminism:
         def run():
             arrivals = generate_arrivals(tenants, seed=7,
                                          total_queries=800)
-            return SimRunner(profiles, threads=3).run(arrivals, faults)
+            return SimRunner(profiles, workers=3).run(arrivals, faults)
 
         first, second = run(), run()
         assert first.decisions == second.decisions
@@ -114,7 +121,7 @@ class TestDeterminism:
         for seed in (1, 2):
             arrivals = generate_arrivals(tenants, seed=seed,
                                          total_queries=300)
-            runs.append(SimRunner(profiles, threads=2).run(arrivals))
+            runs.append(SimRunner(profiles, workers=2).run(arrivals))
         assert runs[0].decisions != runs[1].decisions
 
     def test_adding_a_tenant_preserves_other_streams(self):
@@ -132,7 +139,7 @@ class TestInvariants:
     def test_invariant_bundle_under_faults(self):
         profiles, tenants = two_model_setup()
         arrivals = generate_arrivals(tenants, seed=11, total_queries=1000)
-        report = SimRunner(profiles, threads=3).run(
+        report = SimRunner(profiles, workers=3).run(
             arrivals,
             FaultPlan(worker_crashes=(0.5, 1.5, 2.5), slow_every=5,
                       slow_factor=3.0),
@@ -153,7 +160,7 @@ class TestInvariants:
                        deadline_ms=400.0),
         ]
         arrivals = generate_arrivals(tenants, seed=5, total_queries=1100)
-        report = SimRunner(profiles, threads=2).run(arrivals)
+        report = SimRunner(profiles, workers=2).run(arrivals)
         check_invariants(report)
         stats = report.stats
         assert stats.per_tenant_completed["minnow"] == (
@@ -177,7 +184,7 @@ class TestInvariants:
             ]
             arrivals = generate_arrivals(tenants, seed=13,
                                          total_queries=600)
-            report = SimRunner(profiles, threads=2).run(arrivals)
+            report = SimRunner(profiles, workers=2).run(arrivals)
             check_invariants(report)
             miss_rates.append(report.stats.deadline_miss_rate)
             loads.append(offered_load(tenants, profiles, threads=2))
@@ -197,7 +204,7 @@ class TestInvariants:
                        deadline_ms=250.0),
         ]
         arrivals = generate_arrivals(tenants, seed=17, total_queries=500)
-        report = SimRunner(profiles, threads=1).run(arrivals)
+        report = SimRunner(profiles, workers=1).run(arrivals)
         check_invariants(report)
         assert report.stats.rejected > 100  # overload actually shed
         assert report.stats.completed > 0
@@ -209,13 +216,22 @@ class TestInvariants:
                        deadline_ms=500.0),
         ]
         arrivals = generate_arrivals(tenants, seed=23, total_queries=400)
-        report = SimRunner(profiles, threads=2, max_retries=1).run(
+        report = SimRunner(profiles, workers=2, max_retries=1).run(
             arrivals,
             FaultPlan(worker_crashes=(0.2, 0.4, 0.6, 0.8, 1.0)),
         )
         check_invariants(report)
-        assert report.stats.worker_crashes == 5
-        assert report.stats.retries > 0
+        stats = report.stats
+        assert stats.worker_crashes == 5
+        assert stats.retries > 0
+        # The one crash policy: every interrupted ticket parks behind
+        # the retry backoff and is served after its release — nothing
+        # is requeued on the spot and nothing fails.
+        kinds = [d[0] for d in report.decisions]
+        assert kinds.count("park") == stats.retries
+        assert kinds.count("crash") == kinds.count("restart") == 5
+        assert stats.failed == 0 and stats.dead_lettered == 0
+        assert stats.completed == stats.submitted
 
     def test_slack_cuts_bound_latency_under_trickle_load(self):
         """A huge batch capacity must not hold a trickle of deadline-
@@ -226,13 +242,70 @@ class TestInvariants:
                        deadline_ms=200.0),
         ]
         arrivals = generate_arrivals(tenants, seed=29, total_queries=100)
-        report = SimRunner(profiles, threads=1).run(arrivals)
+        report = SimRunner(profiles, workers=1).run(arrivals)
         check_invariants(report)
         # Count-only cutting would wait ~13 s to fill 64 slots; the
         # slack cut caps every query's latency at deadline scale.
         assert report.stats.latency_max_ms <= 200.0 + 50.0 + 1e-6
         assert report.stats.deadline_misses == 0
         assert report.stats.batches >= 3  # genuinely partial batches
+
+
+class TestRetiredWorkers:
+    def test_scheduled_faults_skip_a_retired_worker(self):
+        """A fault-plan entry aimed at a worker the controller has
+        retired meanwhile is skipped: the id is gone for good, and
+        resurrecting it would place batches on a slot the scheduler
+        core no longer has."""
+        from repro.control import (
+            Controller, GuardConfig, GuardRail, Plant, Policy,
+            ScaleWorkers,
+        )
+
+        class RetireOnce(Policy):
+            name = "retire_once"
+            done = False
+
+            def propose(self, snapshot):
+                if self.done:
+                    return []
+                self.done = True
+                return [ScaleWorkers(delta=-1, reason="shrink")]
+
+        profiles = [ModelProfile(name="m", capacity=4, service_ms=100.0)]
+        tenants = [TenantSpec(name="t", model="m", rate_qps=50.0)]
+        arrivals = generate_arrivals(tenants, seed=23, total_queries=400)
+        controller = Controller(
+            None, [RetireOnce()],
+            GuardRail(GuardConfig(workers_min=1, workers_max=3)),
+        )
+        # The first tick precedes the first arrival, so the whole pool
+        # is idle and worker 2 — the head of the model's placement
+        # rotation, where a resurrected id would be picked first — goes.
+        runner = SimRunner(
+            profiles, workers=3, controller=controller,
+            control_interval_s=0.02, heartbeat_interval_s=0.25,
+            heartbeat_timeout_s=0.6,
+        )
+        assert runner.router.placement_order("m")[0] == 2
+        controller.plant = Plant(runner)
+        # Entry k targets worker k % 3: the third of each hits worker 2.
+        report = runner.run(arrivals, FaultPlan(
+            worker_crashes=(1.0, 1.0, 1.0),
+            worker_hangs=(2.0, 2.0, 2.0),
+        ))
+        assert report.decisions[0][:2] == ("retire", 2)
+        after = report.decisions[1:]
+        assert not any(
+            d[0] in ("crash", "restart") and d[1] == 2 for d in after
+        )
+        assert not any(d[0] == "assign" and d[3] == 2 for d in after)
+        # The two survivors each took their scheduled crash and hang.
+        assert sorted(d[1] for d in after if d[0] == "crash") == (
+            [0, 0, 1, 1]
+        )
+        check_invariants(report)
+        assert report.stats.completed == report.stats.submitted == 400
 
 
 class TestAcceptanceSoak:
@@ -268,7 +341,7 @@ class TestAcceptanceSoak:
         profiles, tenants, faults = self.build()
         arrivals = generate_arrivals(tenants, seed=4242,
                                      total_queries=SOAK_QUERIES)
-        return SimRunner(profiles, threads=4).run(arrivals, faults)
+        return SimRunner(profiles, workers=4).run(arrivals, faults)
 
     def test_soak_invariants_and_determinism(self):
         import time
@@ -297,6 +370,53 @@ class TestAcceptanceSoak:
         assert stats.batches > SOAK_QUERIES // 12
         assert stats.retries > 0 or stats.failed > 0
         assert stats.latency_p99_ms >= stats.latency_p50_ms > 0
+
+
+class TestOneOfEach:
+    """Source scan: the simulator, its payload class, its event table
+    and the control plant each exist once, and the names of the copies
+    they replaced are gone — a second one is a place to drift."""
+
+    ONCE = {
+        "simulator": r"^class \w*SimRunner\b",
+        "plant": r"^class \w*Plant\b",
+        "future-only payload": r"__slots__ = \(\"future\",\)",
+        "event table": r"^EVENT_TABLE\b.*=",
+    }
+    GONE = re.compile(
+        r"OUTCOME_CRASH|ClusterSimRunner|SimPlant|ServicePlant"
+        r"|ClusterPlant|_COMPLETION\b"
+    )
+
+    def sources(self):
+        root = Path(repro.__file__).parent
+        return {
+            path.relative_to(root).as_posix(): path.read_text()
+            for path in sorted(root.rglob("*.py"))
+        }
+
+    def test_each_occurs_once(self):
+        sources = self.sources()
+        found = {
+            what: [
+                name for name, text in sources.items()
+                for _ in re.finditer(pattern, text, re.MULTILINE)
+            ]
+            for what, pattern in self.ONCE.items()
+        }
+        assert found == {
+            "simulator": ["serve/loadgen.py"],
+            "plant": ["control/actuator.py"],
+            "future-only payload": ["serve/loadgen.py"],
+            "event table": ["serve/loadgen.py"],
+        }
+
+    def test_replaced_names_are_gone(self):
+        sources = self.sources()
+        assert [n for n, t in sources.items() if self.GONE.search(t)] == []
+        # The crash policy has one owner: the router.
+        for name in ("serve/scheduler.py", "serve/service.py"):
+            assert "max_retries" not in sources[name]
 
 
 class TestRealServiceWithVirtualClock:
