@@ -109,16 +109,21 @@ class RejectedQuery(ServeError):
     Raised at ``submit`` time when the target model's pending queue is at
     its configured bound — the overload signal callers are expected to
     handle (back off, shed, or retry elsewhere), instead of the queue
-    growing without bound.
+    growing without bound.  When the refused query was part of a block
+    (``submit_many``), ``admitted`` holds the tickets of the queries
+    admitted ahead of it — they stay queued and are served — each with
+    its ``future``.
     """
 
     def __init__(self, message: str, *, model: str = "",
-                 tenant: str = "", queue_depth: int = 0, limit: int = 0):
+                 tenant: str = "", queue_depth: int = 0, limit: int = 0,
+                 admitted=()):
         super().__init__(message)
         self.model = model
         self.tenant = tenant
         self.queue_depth = queue_depth
         self.limit = limit
+        self.admitted = admitted
 
 
 class PoisonQueryError(ServeError):

@@ -167,6 +167,15 @@ class FheBackend(Protocol):
     # error types.  The vector backend implements it with one bulk
     # tracker record per list; backends without it are adopted one
     # ciphertext at a time.
+    #
+    # ``encrypt_many`` is the fourth, discovered by the serve layer's
+    # per-batch query encryption (``getattr(ctx, "encrypt_many",
+    # None)``).  A non-None value must accept a 2-D block of bit planes
+    # and a public key and behave exactly like encrypting each row in
+    # order — identical ``ENCRYPT`` records, node ids, noise, error
+    # types — while free to check the block once and to adopt its rows
+    # without copying.  ``FheContext`` implements it for every built-in
+    # backend; backends without it are handed one plane at a time.
 
 
 def fold_balanced(items, combine):

@@ -143,6 +143,38 @@ class FheContext:
             node_id=node_id,
         )
 
+    def encrypt_many(
+        self, planes: np.ndarray, public_key: PublicKey
+    ) -> List[Ciphertext]:
+        """Encrypt every row of a bit block the caller just built.
+
+        The bulk-encrypt capability (see :mod:`repro.fhe.backend`):
+        ``[encrypt(row, public_key) for row in planes]`` with the block
+        checked once — dtype, bits, width — instead of once per row, and
+        *adopted* rather than copied, so the caller must hold no other
+        reference it writes through.  The same ENCRYPT records in row
+        order (node ids, tracker phase), the same fresh noise.  Anything
+        but a non-empty 2-D ``uint8`` block of bits goes through
+        :meth:`encrypt` row by row, which words the refusal.
+        """
+        block = np.asarray(planes)
+        if (
+            block.ndim != 2
+            or block.dtype != np.uint8
+            or block.size == 0
+            or block.max() > 1
+        ):
+            return [self.encrypt(row, public_key) for row in block]
+        self._check_width(block.shape[1])
+        block.flags.writeable = False
+        noise = self.noise_model.fresh()
+        key_id = public_key.key_id
+        record = self.tracker.record
+        return [
+            self._wrap(row, key_id, noise, record(OpKind.ENCRYPT))
+            for row in block
+        ]
+
     def encrypt_plain(self, plain: PlainVector, public_key: PublicKey) -> Ciphertext:
         """Encrypt an already-encoded plaintext vector."""
         return self.encrypt(plain.to_array(), public_key)

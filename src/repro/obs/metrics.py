@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 
@@ -46,6 +46,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "bind_children",
     "percentile",
 ]
 
@@ -134,6 +135,27 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """One batch of observations under one lock acquisition.
+
+        Identical to ``for v in values: observe(v)``: the window takes
+        them in order and the sum is accumulated one value at a time,
+        so ``count`` / ``sum`` / ``max`` / the window are bit-for-bit
+        what the loop leaves.
+        """
+        if not values:
+            return
+        with self._lock:
+            self._window.extend(values)
+            self._count += len(values)
+            total = self._sum
+            for value in values:
+                total += value
+            self._sum = total
+            highest = max(values)
+            if highest > self._max:
+                self._max = highest
+
     @property
     def count(self) -> int:
         return self._count
@@ -172,6 +194,28 @@ def _format_labels(key: LabelValues) -> str:
         '{}="{}"'.format(*pair.split("=", 1)) for pair in key
     )
     return "{" + inner + "}"
+
+
+def bind_children(get: Callable, name: str, *label_names: str) -> Callable:
+    """``child(*label_values)`` for one labelled family, memoised.
+
+    ``get`` is a registry's ``counter``, ``gauge`` or ``histogram``.  A
+    per-batch hot path resolves each child once and afterwards pays a
+    dict lookup, not a label-key format plus a locked family walk per
+    update.  Children are still created on first use, so a snapshot
+    never shows a label nobody has counted.
+    """
+    children: Dict[Tuple[str, ...], object] = {}
+
+    def child(*values: str):
+        instrument = children.get(values)
+        if instrument is None:
+            instrument = children[values] = get(
+                name, dict(zip(label_names, values))
+            )
+        return instrument
+
+    return child
 
 
 class MetricsRegistry:

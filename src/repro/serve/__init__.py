@@ -35,7 +35,9 @@ stream:
   chaos matrix, and :class:`SimRunner`, the one deterministic
   discrete-event simulator (it drives :class:`RouterCore`);
 * :mod:`repro.serve.service` — :class:`CopseService`: the
-  ``register_model`` / ``submit`` / ``stats`` facade;
+  ``register_model`` / ``submit_many`` / ``stats`` facade (``submit``
+  is the block of one; a request is validated, admitted, booked and
+  answered per block, not per query);
 * :mod:`repro.serve.cluster` — the multi-process serve cluster:
   :class:`RouterCore` (pure placement/failover over the scheduler core:
   ship-once model distribution keyed by compiled-model fingerprints,
@@ -59,6 +61,9 @@ Quickstart::
     with CopseService(threads=4) as service:
         service.register_model("credit", forest)
         results = service.classify_many("credit", queries)
+        # or keep the futures: one admission for the whole block
+        futures = service.submit_many("credit", queries, tenant="acme")
+        service.flush("credit")
         print(service.stats().render())
 
 See DESIGN.md (serve subsystem inventory) for the architecture and trust

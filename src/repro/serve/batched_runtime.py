@@ -244,11 +244,14 @@ def encrypt_batch(
     batch fill.
     """
     planes = pack_query_planes(layout, queries)
+    encrypt_many = getattr(ctx, "encrypt_many", None)
     with ctx.tracker.phase(PHASE_DATA_ENCRYPT):
-        encrypted = [
-            ctx.encrypt(planes[i], keys.public)
-            for i in range(planes.shape[0])
-        ]
+        if encrypt_many is not None:
+            # The block was built and range-checked a line ago: hand it
+            # over whole instead of re-validating it plane by plane.
+            encrypted = encrypt_many(planes, keys.public)
+        else:
+            encrypted = [ctx.encrypt(plane, keys.public) for plane in planes]
     return EncryptedQuery(planes=encrypted, public_key=keys.public)
 
 

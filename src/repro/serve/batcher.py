@@ -41,7 +41,7 @@ from repro.errors import ValidationError
 from repro.core.runtime import InferenceResult
 from repro.fhe.tracker import OpTracker
 from repro.serve.batched_runtime import evaluate_registered_batch
-from repro.serve.packing import validate_features
+from repro.serve.packing import validate_queries
 from repro.serve.registry import RegisteredModel
 
 
@@ -82,25 +82,38 @@ def classification_results(
     ``oracle_ok`` is the per-query verdict sequence, or None when
     verification was off.
     """
+    # What a batch's results share is built once, as a template (they
+    # hold the same codebook / label-name lists); each result is the
+    # template with what differs filled in.  The frozen dataclass's
+    # ``__init__`` is one ``object.__setattr__`` per field per query;
+    # copying ``__dict__`` builds the identical instance at a third of
+    # the price, in the ``Ciphertext._make`` mould
+    # (``tests/serve/test_batch_routine.py`` holds it to the constructor).
     spec = registered.spec
     size = len(features)
-    return [
-        ClassificationResult(
-            model=registered.name,
-            features=list(query),
-            result=InferenceResult(
-                bitvector=list(bitvectors[k]),
-                codebook=list(spec.codebook),
-                label_names=list(spec.label_names),
-            ),
-            batch_id=batch_id,
-            batch_fill=size,
-            batch_capacity=registered.layout.capacity,
-            amortized_ms=inference_ms / size if size else 0.0,
-            oracle_ok=None if oracle_ok is None else bool(oracle_ok[k]),
-        )
-        for k, query in enumerate(features)
-    ]
+    template = vars(ClassificationResult(
+        model=registered.name,
+        features=[],
+        result=None,
+        batch_id=batch_id,
+        batch_fill=size,
+        batch_capacity=registered.layout.capacity,
+        amortized_ms=inference_ms / size if size else 0.0,
+    ))
+    codebook = list(spec.codebook)
+    label_names = list(spec.label_names)
+    if oracle_ok is None:
+        oracle_ok = [None] * size
+    results = []
+    for query, bits, ok in zip(features, bitvectors, oracle_ok):
+        result = object.__new__(ClassificationResult)
+        fields = result.__dict__
+        fields.update(template)
+        fields["features"] = list(query)
+        fields["result"] = InferenceResult(list(bits), codebook, label_names)
+        fields["oracle_ok"] = None if ok is None else bool(ok)
+        results.append(result)
+    return results
 
 
 @dataclass
@@ -173,12 +186,18 @@ class QueryBatcher:
         return self.registered.layout.capacity
 
     def prepare(self, features) -> PendingQuery:
-        """Validate one query and wrap it for scheduling.
+        """Validate one query and wrap it: the block of one."""
+        return self.prepare_many((features,))[0]
 
-        Fails here — before the query can occupy a queue slot or poison
-        a batch — on arity/domain errors and on the pathological case of
-        a layout whose per-query block is wider than the ciphertext
-        itself (possible only with a hand-built layout, since
+    def prepare_many(self, feature_lists) -> List[PendingQuery]:
+        """Validate a whole request and wrap each query for scheduling.
+
+        Fails here — before any query can occupy a queue slot or poison
+        a batch — on arity/domain errors (the whole block in one array
+        check, the first offender named as a single query's refusal
+        would) and on the pathological case of a layout whose per-query
+        block is wider than the ciphertext itself (possible only with a
+        hand-built layout, since
         :func:`~repro.serve.packing.plan_layout` rejects it at
         registration).
         """
@@ -190,8 +209,8 @@ class QueryBatcher:
                 f"slots of the registered parameters; this model cannot "
                 f"pack even one query per ciphertext"
             )
-        validated = validate_features(layout, features)
-        return PendingQuery(features=validated)
+        validated = validate_queries(layout, feature_lists)
+        return [PendingQuery(features=row) for row in validated]
 
     # ------------------------------------------------------------------
     # Evaluation

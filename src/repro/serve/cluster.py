@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     PoisonQueryError,
+    RejectedQuery,
     ServeError,
     ValidationError,
     WorkerPoolExhaustedError,
@@ -76,7 +77,7 @@ from repro.serve.faults import (
     DeadLetterQueue,
     RetryPolicy,
 )
-from repro.serve.packing import validate_features
+from repro.serve.packing import validate_queries
 from repro.serve.scheduler import (
     OUTCOME_ERROR,
     OUTCOME_OK,
@@ -309,8 +310,15 @@ class RouterCore:
 
     def submit(self, name: str, payload, now: float, tenant="default",
                deadline=None, priority: int = 0):
-        return self.core.submit(
-            name, payload, now, tenant=tenant, deadline=deadline,
+        return self.submit_many(
+            name, (payload,), now, tenant=tenant, deadline=deadline,
+            priority=priority,
+        )[0]
+
+    def submit_many(self, name: str, payloads, now: float,
+                    tenant="default", deadline=None, priority: int = 0):
+        return self.core.submit_many(
+            name, payloads, now, tenant=tenant, deadline=deadline,
             priority=priority,
         )
 
@@ -1390,52 +1398,73 @@ class ClusterService:
                deadline_ms: Optional[float] = None,
                priority: int = 0) -> "Future":
         """Admit one query; returns a future of its
-        :class:`~repro.serve.batcher.ClassificationResult`."""
-        layout = self.registry.get(name).layout
-        return self._admit(
-            name, validate_features(layout, features), tenant, deadline_ms,
-            priority,
-        )
+        :class:`~repro.serve.batcher.ClassificationResult`.  The block
+        of one: see :meth:`submit_many`."""
+        return self.submit_many(
+            name, (features,), tenant, deadline_ms, priority
+        )[0]
 
-    def _admit(self, name: str, validated, tenant: str = "default",
-               deadline_ms: Optional[float] = None,
-               priority: int = 0) -> "Future":
-        """Hand one validated query to the router; returns its future."""
-        payload = _ClusterQuery(validated)
-        future = payload.future  # retries chain new futures onto this one
+    def submit_many(self, name: str, feature_lists, tenant: str = "default",
+                    deadline_ms: Optional[float] = None,
+                    priority: int = 0) -> List["Future"]:
+        """Admit a block of queries; returns their futures, in order.
+
+        The block is validated whole before any of it is admitted, and
+        admitted under one lock hold, one clock read (one
+        ``submit_time`` and deadline for the block) and one dispatch.
+        A :class:`~repro.errors.RejectedQuery` part-way leaves the
+        queries ahead of it admitted (their tickets on the exception's
+        ``admitted``).
+        """
+        layout = self.registry.get(name).layout
+        payloads = [
+            _ClusterQuery(features)
+            for features in validate_queries(layout, feature_lists)
+        ]
+        # Retries chain new futures onto these; callers hold the first.
+        futures = [payload.future for payload in payloads]
         effective = (
             deadline_ms if deadline_ms is not None
             else self.default_deadline_ms
         )
         now = self.clock.now()
+        refusal = None
         with self._lock:
             deadline = None if effective is None else now + effective * MS
-            self.router.submit(
-                name, payload, now, tenant=tenant, deadline=deadline,
-                priority=priority,
-            )
+            try:
+                self.router.submit_many(
+                    name, payloads, now, tenant=tenant, deadline=deadline,
+                    priority=priority,
+                )
+            except RejectedQuery as exc:
+                refusal = exc  # what it admitted still dispatches
             self._dispatch_locked(now)
             failures = self.router.drain_failures()
         deliver_failures(failures)
-        return future
+        if refusal is not None:
+            raise refusal
+        return futures
 
-    def classify_many(self, name: str, queries,
+    def classify_many(self, name: str, feature_lists,
                       tenant: str = "default") -> List:
         """Submit many queries, dispatch, and return results in order.
 
         Validates the whole request before admitting any of it; when
         admission control refuses one part-way, what was admitted is
-        still served before the refusal propagates.
+        still served before the refusal propagates.  An empty request
+        returns ``[]`` without taking the router lock.
         """
-        layout = self.registry.get(name).layout
-        validated = [validate_features(layout, q) for q in queries]
-        futures = []
+        self.registry.get(name)  # name resolution (or raise)
+        if not len(feature_lists):
+            return []
         try:
-            for features in validated:
-                futures.append(self._admit(name, features, tenant))
-        finally:
-            self.flush(name)
-            wait_futures(futures)
+            futures = self.submit_many(name, feature_lists, tenant)
+        except RejectedQuery as refusal:
+            self.flush(name)  # serve what was admitted ahead of it
+            wait_futures([ticket.future for ticket in refusal.admitted])
+            raise
+        self.flush(name)
+        wait_futures(futures)
         return [f.result() for f in futures]
 
     def flush(self, name: Optional[str] = None) -> None:

@@ -129,14 +129,26 @@ def plan_layout(
 
 def validate_features(layout: BatchLayout, features: Sequence[int]) -> List[int]:
     """Check one query's features against the layout's public spec."""
-    if len(features) != layout.n_features:
+    try:
+        arity = len(features)
+    except TypeError:
         raise ValidationError(
-            f"model expects {layout.n_features} features, got {len(features)}"
+            f"a query is a sequence of {layout.n_features} feature "
+            f"values, got {features!r}"
+        ) from None
+    if arity != layout.n_features:
+        raise ValidationError(
+            f"model expects {layout.n_features} features, got {arity}"
         )
     limit = 1 << layout.precision
     out: List[int] = []
     for value in features:
-        v = int(value)
+        try:
+            v = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"feature value {value!r} is not an integer"
+            ) from None
         if not 0 <= v < limit:
             raise ValidationError(
                 f"feature value {value} does not fit in "
@@ -144,6 +156,46 @@ def validate_features(layout: BatchLayout, features: Sequence[int]) -> List[int]
             )
         out.append(v)
     return out
+
+
+def validate_feature_block(
+    layout: BatchLayout, queries: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Check a whole request at once; ``(len(queries), n_features)`` int64.
+
+    One array conversion and one comparison over the block.  On any
+    doubt — ragged, not integers, out of range — the queries are walked
+    one by one instead, so the refusal names the first offending value
+    exactly as a single submission's would.
+    """
+    try:
+        values = np.asarray(queries, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):  # ragged or not ints
+        values = None
+    if (
+        values is None
+        or values.shape != (len(queries), layout.n_features)
+        # as unsigned, a negative value is a huge one
+        or (values.view(np.uint64) >= 1 << layout.precision).any()
+    ):
+        values = np.asarray(
+            [validate_features(layout, f) for f in queries], dtype=np.int64
+        ).reshape(len(queries), layout.n_features)
+    return values
+
+
+def validate_queries(
+    layout: BatchLayout, queries: Sequence[Sequence[int]]
+) -> List[List[int]]:
+    """A request's queries as checked lists of Python ints.
+
+    A block through :func:`validate_feature_block`; a block of one is
+    walked outright, the array round trip costing more than the walk it
+    would save.
+    """
+    if len(queries) == 1:
+        return [validate_features(layout, queries[0])]
+    return validate_feature_block(layout, queries).tolist()
 
 
 def pack_query_planes(
@@ -171,21 +223,7 @@ def pack_query_planes(
     # comparison, replicate every query's features to multiplicity K
     # (np.repeat) and slice all bit planes with shifts — no per-query
     # or per-slot Python loops.
-    try:
-        values = np.asarray(queries, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):  # ragged or not ints
-        values = None
-    if (
-        values is None
-        or values.shape != (len(queries), layout.n_features)
-        # as unsigned, a negative value is a huge one
-        or (values.view(np.uint64) >= 1 << p).any()
-    ):
-        # Walk the queries only now, so the refusal names the first
-        # offending value exactly as a single submission's would.
-        values = np.asarray(
-            [validate_features(layout, f) for f in queries], dtype=np.int64
-        )
+    values = validate_feature_block(layout, queries)
     replicated = np.repeat(values, layout.max_multiplicity, axis=1)  # (B, q)
     shifts = np.arange(p - 1, -1, -1, dtype=np.int64)  # MSB-first
     bits = ((replicated[:, None, :] >> shifts[None, :, None]) & 1).astype(

@@ -47,10 +47,10 @@ import heapq
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RejectedQuery, ServeError, ValidationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, bind_children
 from repro.obs.trace import (
     OUTCOME_CANCELLED,
     OUTCOME_COMPLETED,
@@ -193,15 +193,6 @@ class SchedulerStats:
         return "\n".join(lines)
 
 
-def _percentile(ranked: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list."""
-    if not ranked:
-        return 0.0
-    rank = max(1, -(-int(q * len(ranked) * 100) // 100))  # ceil(q * n)
-    rank = min(rank, len(ranked))
-    return ranked[rank - 1]
-
-
 class _ModelQueue:
     """Pending queries and fair-share bookkeeping for one model."""
 
@@ -246,13 +237,25 @@ class _ModelQueue:
         self._cut_dirty = True
 
     def push(self, ticket: QueryTicket) -> None:
-        heapq.heappush(self.heap, (ticket.sort_key(), ticket))
-        if ticket.deadline is None or self._cut_dirty:
+        self.push_block((ticket,), ticket.deadline)
+
+    def push_block(self, tickets: Sequence[QueryTicket],
+                   deadline: Optional[float]) -> None:
+        """Queue tickets that share one ``deadline`` (a submitted block).
+
+        One heap push per ticket — the heap's array layout, which
+        :meth:`SchedulerCore.fail_pending` walks, stays what N single
+        pushes leave — and one touch of the cut cache for the lot.
+        """
+        heap = self.heap
+        for ticket in tickets:
+            heapq.heappush(heap, (ticket.sort_key(), ticket))
+        if not tickets or deadline is None or self._cut_dirty:
             return  # no new cut pressure / cache already needs a rescan
         # A push can only *advance* the cut frontier, so the cached
         # minimum updates in O(1) — a burst of N submissions must not
         # trigger N full heap rescans from the workers it wakes.
-        cut = ticket.deadline - self.service_s
+        cut = deadline - self.service_s
         self._cut_at = cut if self._cut_at is None else min(self._cut_at, cut)
 
     def invalidate_cut_cache(self) -> None:
@@ -316,7 +319,7 @@ class SchedulerCore:
         #: Worker ids are never reused: a retired worker's id stays dead
         #: (like epochs), so decision logs and traces are unambiguous.
         self._next_worker_id = workers
-        self._seq = itertools.count()
+        self._next_seq = 0
         self._batch_ids = itertools.count(1)
         self._closed = False
         #: Span tracer (``repro.obs.trace.Tracer``), or None.  Every
@@ -350,6 +353,16 @@ class SchedulerCore:
         self._latencies_ms = m.histogram(
             "sched_latency_ms", window=LATENCY_WINDOW
         )
+        #: Labelled children, each resolved through the registry once
+        #: (and still created on first use) — not per ticket.
+        self._tenant_submitted = bind_children(
+            m.counter, "sched_tenant_submitted", "tenant")
+        self._tenant_completed = bind_children(
+            m.counter, "sched_tenant_completed", "tenant")
+        self._queue_completed = bind_children(
+            m.counter, "sched_queue_completed", "queue")
+        self._tenant_latency_ms = bind_children(
+            m.histogram, "sched_tenant_latency_ms", "tenant")
         self._pending_failures: List[Tuple[Any, Exception]] = []
 
     # ------------------------------------------------------------------
@@ -527,11 +540,36 @@ class SchedulerCore:
         deadline: Optional[float] = None,
         priority: int = 0,
     ) -> QueryTicket:
-        """Admit one query (or raise).
+        """Admit one query (or raise): the block of one."""
+        return self.submit_many(
+            name, (payload,), now, tenant=tenant, deadline=deadline,
+            priority=priority,
+        )[0]
+
+    def submit_many(
+        self,
+        name: str,
+        payloads: Sequence[Any],
+        now: float,
+        tenant: str = "default",
+        deadline: Optional[float] = None,
+        priority: int = 0,
+    ) -> List[QueryTicket]:
+        """Admit a block of queries sharing tenant, deadline, priority.
+
+        What N ``submit`` calls at the same ``now`` would do, paid once
+        per block: one closed check, one queue lookup, one admission
+        bound, contiguous ``seq``s in request order, one cut-cache
+        touch, one ``inc`` per counter.  Tickets (and their trace
+        spans) stay per query.
 
         Raises :class:`ServeError` once closed and
-        :class:`RejectedQuery` when the queue is at its bound — the two
-        explicit overload/lifecycle signals.
+        :class:`RejectedQuery` when the queue reaches its bound — the
+        two explicit overload/lifecycle signals.  A bound reached
+        part-way admits the queries ahead of it, counts the first
+        refused one, leaves the rest uncounted (the loop would never
+        have reached them) and carries the admitted tickets on the
+        exception.
         """
         if self._closed:
             raise ServeError(
@@ -539,23 +577,47 @@ class SchedulerCore:
                 "stopped admission (create a new service to keep serving)"
             )
         queue = self._queue_or_raise(name)
-        if (
-            queue.max_pending is not None
-            and len(queue.heap) >= queue.max_pending
-        ):
+        admitted = payloads
+        if queue.max_pending is not None:
+            room = max(0, queue.max_pending - len(queue.heap))
+            if room < len(payloads):
+                admitted = payloads[:room]
+        refused = len(admitted) < len(payloads)
+        tracer = self.tracer
+        track = f"tenant:{tenant}" if tracer is not None else None
+        seq = self._next_seq
+        self._next_seq = seq + len(admitted)
+        tickets: List[QueryTicket] = []
+        for payload in admitted:
+            ticket = QueryTicket(
+                name, tenant, payload, now, deadline, priority, seq
+            )
+            if tracer is not None:
+                ticket.span = tracer.begin(
+                    "query", now, track=track,
+                    queue=name, tenant=tenant, priority=priority, seq=seq,
+                )
+                tracer.event("admit", now, parent=ticket.span, track=track)
+                ticket.wait_span = tracer.begin(
+                    "queue_wait", now, parent=ticket.span, track=track
+                )
+            tickets.append(ticket)
+            seq += 1
+        queue.push_block(tickets, deadline)
+        counted = len(tickets) + refused
+        if counted:
+            self._submitted.inc(counted)
+            self._tenant_submitted(tenant).inc(counted)
+        if refused:
             self._rejected.inc()
-            self._submitted.inc()
-            self.metrics.counter(
-                "sched_tenant_submitted", {"tenant": tenant}
-            ).inc()
-            if self.tracer is not None:
+            if tracer is not None:
                 # Rejected queries still get a (zero-duration) root span
                 # so span conservation covers every submission.
-                span = self.tracer.begin(
-                    "query", now, track=f"tenant:{tenant}",
+                span = tracer.begin(
+                    "query", now, track=track,
                     queue=name, tenant=tenant, priority=priority,
                 )
-                self.tracer.end(span, now, outcome=OUTCOME_REJECTED)
+                tracer.end(span, now, outcome=OUTCOME_REJECTED)
             raise RejectedQuery(
                 f"queue for model {name!r} is full "
                 f"({len(queue.heap)}/{queue.max_pending} pending); "
@@ -564,33 +626,9 @@ class SchedulerCore:
                 tenant=tenant,
                 queue_depth=len(queue.heap),
                 limit=queue.max_pending,
+                admitted=tickets,
             )
-        ticket = QueryTicket(
-            queue=name,
-            tenant=tenant,
-            payload=payload,
-            submit_time=now,
-            deadline=deadline,
-            priority=priority,
-            seq=next(self._seq),
-        )
-        if self.tracer is not None:
-            track = f"tenant:{tenant}"
-            ticket.span = self.tracer.begin(
-                "query", now, track=track,
-                queue=name, tenant=tenant, priority=priority,
-                seq=ticket.seq,
-            )
-            self.tracer.event("admit", now, parent=ticket.span, track=track)
-            ticket.wait_span = self.tracer.begin(
-                "queue_wait", now, parent=ticket.span, track=track
-            )
-        queue.push(ticket)
-        self._submitted.inc()
-        self.metrics.counter(
-            "sched_tenant_submitted", {"tenant": tenant}
-        ).inc()
-        return ticket
+        return tickets
 
     def flush(self, name: Optional[str] = None) -> None:
         """Make partial batches cut-eligible (a no-op on empty queues)."""
@@ -747,30 +785,7 @@ class SchedulerCore:
             finished_queue = self._queues.get(assignment.queue)
             if finished_queue is not None:
                 finished_queue.observe_service(now - assignment.cut_time)
-            for ticket in assignment.tickets:
-                self._completed.inc()
-                latency_ms = (now - ticket.submit_time) / MS
-                self._latencies_ms.observe(latency_ms)
-                missed = ticket.deadline is not None and now > ticket.deadline
-                if missed:
-                    self._deadline_misses.inc()
-                self.metrics.counter(
-                    "sched_tenant_completed", {"tenant": ticket.tenant}
-                ).inc()
-                self.metrics.counter(
-                    "sched_queue_completed", {"queue": ticket.queue}
-                ).inc()
-                self.metrics.histogram(
-                    "sched_tenant_latency_ms", {"tenant": ticket.tenant}
-                ).observe(latency_ms)
-                if tracer is not None and ticket.span is not None:
-                    tracer.end(
-                        ticket.span, now,
-                        outcome=OUTCOME_COMPLETED,
-                        batch_id=assignment.batch_id,
-                        deadline_missed=missed,
-                        retries=ticket.retries,
-                    )
+            self._book_completed(assignment, now)
         elif outcome == OUTCOME_ERROR:
             for ticket in assignment.tickets:
                 self._fail_ticket(ticket, ServeError(
@@ -778,6 +793,47 @@ class SchedulerCore:
                 ), now=now)
         else:
             raise ValidationError(f"unknown completion outcome {outcome!r}")
+
+    def _book_completed(self, assignment: Assignment, now: float) -> None:
+        """Count one evaluated batch: one update per instrument.
+
+        Latencies are observed in ticket order and labelled children
+        resolved once per distinct tenant / queue of the batch, so the
+        registry ends bit-for-bit where per-ticket booking left it.
+        """
+        tracer = self.tracer
+        latencies: List[float] = []
+        by_tenant: Dict[str, List[float]] = {}
+        by_queue: Dict[str, int] = {}
+        misses = 0
+        for ticket in assignment.tickets:
+            latency_ms = (now - ticket.submit_time) / MS
+            latencies.append(latency_ms)
+            missed = ticket.deadline is not None and now > ticket.deadline
+            if missed:
+                misses += 1
+            tenant = by_tenant.get(ticket.tenant)
+            if tenant is None:
+                tenant = by_tenant[ticket.tenant] = []
+            tenant.append(latency_ms)
+            by_queue[ticket.queue] = by_queue.get(ticket.queue, 0) + 1
+            if tracer is not None and ticket.span is not None:
+                tracer.end(
+                    ticket.span, now,
+                    outcome=OUTCOME_COMPLETED,
+                    batch_id=assignment.batch_id,
+                    deadline_missed=missed,
+                    retries=ticket.retries,
+                )
+        self._completed.inc(len(latencies))
+        self._latencies_ms.observe_many(latencies)
+        if misses:
+            self._deadline_misses.inc(misses)
+        for tenant, values in by_tenant.items():
+            self._tenant_completed(tenant).inc(len(values))
+            self._tenant_latency_ms(tenant).observe_many(values)
+        for queue, count in by_queue.items():
+            self._queue_completed(queue).inc(count)
 
     # ------------------------------------------------------------------
     # Fault-domain seams (the cluster router's crash/quarantine surface)
@@ -1008,7 +1064,7 @@ class SchedulerCore:
             m.gauge("sched_queue_limit", labels).set(
                 -1 if queue.max_pending is None else queue.max_pending
             )
-        ranked = sorted(self._latencies_ms.window_values())
+        quantiles = self._latencies_ms.quantiles((0.5, 0.99))
         return SchedulerStats(
             submitted=int(self._submitted.value),
             completed=int(self._completed.value),
@@ -1020,8 +1076,8 @@ class SchedulerCore:
             worker_crashes=int(self._worker_crashes.value),
             dead_lettered=int(self._dead_lettered.value),
             batches=int(self._batches.value),
-            latency_p50_ms=round(_percentile(ranked, 0.50), 6),
-            latency_p99_ms=round(_percentile(ranked, 0.99), 6),
+            latency_p50_ms=round(quantiles[0.5], 6),
+            latency_p99_ms=round(quantiles[0.99], 6),
             latency_max_ms=round(self._latencies_ms.max, 6),
             per_tenant_submitted={
                 tenant: int(count) for tenant, count in
@@ -1157,20 +1213,39 @@ class Scheduler:
         deadline_ms: Optional[float] = None,
         priority: int = 0,
     ) -> QueryTicket:
-        """Admit one query; ``deadline_ms`` is relative to now."""
+        """Admit one query: the block of one."""
+        return self.submit_many(
+            name, (payload,), tenant=tenant, deadline_ms=deadline_ms,
+            priority=priority,
+        )[0]
+
+    def submit_many(
+        self,
+        name: str,
+        payloads: Sequence[Any],
+        tenant: str = "default",
+        deadline_ms: Optional[float] = None,
+        priority: int = 0,
+    ) -> List[QueryTicket]:
+        """Admit a block under one lock hold, one clock read and one
+        wake-up of the lead; ``deadline_ms`` is relative to now and
+        shared by the block."""
         with self._cond:
             now = self.clock.now()
             deadline = None if deadline_ms is None else now + deadline_ms * MS
-            ticket = self._core.submit(
-                name,
-                payload,
-                now,
-                tenant=tenant,
-                deadline=deadline,
-                priority=priority,
-            )
-            self._cond.notify_all()
-            return ticket
+            try:
+                return self._core.submit_many(
+                    name,
+                    payloads,
+                    now,
+                    tenant=tenant,
+                    deadline=deadline,
+                    priority=priority,
+                )
+            finally:
+                # Also on a refusal part-way: what was admitted ahead of
+                # it may have filled a batch.
+                self._cond.notify_all()
 
     def flush(self, name: Optional[str] = None) -> None:
         """Make partial batches dispatchable (no-op on empty queues)."""

@@ -3,8 +3,8 @@
 Composes the registry (compile + encrypt once), the per-model batchers
 (pack / demux / verify), and the deadline-aware scheduler (bounded
 queues, fair sharing, worker pool) behind three calls —
-``register_model`` / ``submit`` / ``stats`` — plus synchronous
-conveniences.  Typical use::
+``register_model`` / ``submit_many`` / ``stats`` (``submit`` is the
+block of one) — plus synchronous conveniences.  Typical use::
 
     with CopseService(threads=4, default_deadline_ms=250.0) as service:
         service.register_model("credit", forest, precision=8)
@@ -30,8 +30,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.errors import ValidationError
-from repro.obs.metrics import MetricsRegistry
+from repro.errors import RejectedQuery, ValidationError
+from repro.obs.metrics import MetricsRegistry, bind_children
 from repro.core.compiler import CompiledModel
 from repro.core.engines import ENGINE_TAPE, engine_row
 from repro.core.seccomp import VARIANT_ALOUFI
@@ -192,6 +192,12 @@ class _StatsAggregator:
         self._setup_ms = m.counter("svc_setup_ms")
         self._oracle_failures = m.counter("svc_oracle_failures")
         self._batch_fill = m.histogram("svc_batch_fill")
+        #: Labelled children, resolved once per (phase, op) — not once
+        #: per batch.
+        self._phase_ms = bind_children(m.counter, "svc_phase_ms", "phase")
+        self._ops = bind_children(m.counter, "svc_ops", "op")
+        self._phase_ops = bind_children(
+            m.counter, "svc_phase_ops", "phase", "op")
         #: model -> backend name: identity metadata, not a metric.
         self._model_backends: Dict[str, str] = {}
 
@@ -201,7 +207,6 @@ class _StatsAggregator:
             self._model_backends[registered.name] = registered.backend
 
     def record_batch(self, record: BatchRecord) -> None:
-        m = self._metrics
         with self._lock:
             self._queries.inc(record.size)
             self._batches.inc()
@@ -209,15 +214,12 @@ class _StatsAggregator:
             if record.capacity:
                 self._batch_fill.observe(record.size / record.capacity)
             for phase, ms in record.phase_ms.items():
-                m.counter("svc_phase_ms", {"phase": phase}).inc(ms)
+                self._phase_ms(phase).inc(ms)
             for phase in record.tracker.phases:
                 counts = record.tracker.phase_stats(phase).counts
                 for kind, n in counts.items():
-                    m.counter("svc_ops", {"op": kind.value}).inc(n)
-                    m.counter(
-                        "svc_phase_ops",
-                        {"phase": phase, "op": kind.value},
-                    ).inc(n)
+                    self._ops(kind.value).inc(n)
+                    self._phase_ops(phase, kind.value).inc(n)
             self._inference_ms.inc(record.inference_ms)
             self._data_encrypt_ms.inc(record.data_encrypt_ms)
             if record.oracle_failures:
@@ -449,29 +451,44 @@ class CopseService:
     ):
         """Enqueue one query; returns a future of ClassificationResult.
 
+        The block of one: see :meth:`submit_many`.
+        """
+        return self.submit_many(
+            model_name, (features,), tenant, deadline_ms, priority
+        )[0]
+
+    def submit_many(
+        self,
+        model_name: str,
+        feature_lists: Sequence[Sequence[int]],
+        tenant: str = "default",
+        deadline_ms: Optional[float] = None,
+        priority: int = 0,
+    ) -> List:
+        """Enqueue a block of queries; returns their futures, in order.
+
+        The block is validated whole, before any of it is admitted, and
+        admitted under one scheduler lock hold with one ``submit_time``
+        and one deadline (N ``submit`` calls each read the clock).
         Full batches dispatch immediately; partial batches dispatch when
         their deadline slack runs out, on :meth:`flush`, or when more
         submissions fill them.  Raises
-        :class:`~repro.errors.RejectedQuery` when the model's queue is
-        at its bound and :class:`~repro.errors.ServeError` after
-        :meth:`close`.
+        :class:`~repro.errors.RejectedQuery` when the model's queue
+        reaches its bound — the queries ahead of the refused one stay
+        admitted, their tickets on the exception's ``admitted`` — and
+        :class:`~repro.errors.ServeError` after :meth:`close`.
         """
-        entry = self._batcher(model_name).prepare(features)
-        return self._admit(model_name, entry, tenant, deadline_ms, priority)
-
-    def _admit(self, model_name, entry, tenant="default", deadline_ms=None,
-               priority=0):
-        """Hand one validated query to the scheduler; returns its future."""
+        entries = self._batcher(model_name).prepare_many(feature_lists)
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
-        self.scheduler.submit(
+        self.scheduler.submit_many(
             model_name,
-            entry,
+            entries,
             tenant=tenant,
             deadline_ms=deadline_ms,
             priority=priority,
         )
-        return entry.future
+        return [entry.future for entry in entries]
 
     def flush(self, model_name: Optional[str] = None) -> None:
         """Dispatch all pending (including partial) batches and wait.
@@ -509,7 +526,10 @@ class CopseService:
         return future.result()
 
     def classify_many(
-        self, model_name: str, feature_lists: Sequence[Sequence[int]]
+        self,
+        model_name: str,
+        feature_lists: Sequence[Sequence[int]],
+        tenant: str = "default",
     ) -> List[ClassificationResult]:
         """Submit many queries, dispatch, and return results in order.
 
@@ -517,16 +537,18 @@ class CopseService:
         an arity/domain refusal admits nothing; an admission-control
         refusal part-way still serves what was admitted before it
         propagates — no ticket is left queued behind a future nobody
-        holds.
+        holds.  An empty request returns ``[]`` without touching the
+        scheduler.
         """
-        batcher = self._batcher(model_name)
-        entries = [batcher.prepare(f) for f in feature_lists]
-        futures = []
+        self._batcher(model_name)  # name resolution (or raise)
+        if not len(feature_lists):
+            return []
         try:
-            for entry in entries:
-                futures.append(self._admit(model_name, entry))
-        finally:
-            self.flush(model_name)
+            futures = self.submit_many(model_name, feature_lists, tenant)
+        except RejectedQuery:
+            self.flush(model_name)  # serve what was admitted ahead of it
+            raise
+        self.flush(model_name)
         return [f.result() for f in futures]
 
     # ------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.errors import ValidationError
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
+    bind_children,
     percentile,
 )
 
@@ -192,3 +193,139 @@ class TestPrometheus:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
+
+
+class TestBatchGranularity:
+    """One update per batch must leave the registry bit-for-bit where
+    one update per ticket left it."""
+
+    #: Sums of these depend on the order of addition in the last digit.
+    VALUES = [0.1, 0.7, 1e-9, 3.3, 2.2, 1e7, 0.30000000000000004, 5.5]
+
+    @pytest.mark.parametrize("window", [3, 5, 8, 64])
+    @pytest.mark.parametrize("block", [0, 1, 3, 8])
+    def test_observe_many_is_n_observes(self, window, block):
+        import threading
+
+        one, many = (Histogram(threading.Lock(), window) for _ in range(2))
+        values = self.VALUES
+        for start in (0, 2):  # the second round straddles the window
+            for v in values[start:start + 2]:
+                one.observe(v)
+                many.observe(v)
+        for v in values[:block]:
+            one.observe(v)
+        many.observe_many(values[:block])
+        assert many.count == one.count
+        assert many.sum == one.sum  # ==, not approx
+        assert many.max == one.max
+        assert many.window_values() == one.window_values()
+        assert many.quantiles((0.5, 0.99)) == one.quantiles((0.5, 0.99))
+
+    def test_observe_many_takes_any_sequence(self):
+        h = MetricsRegistry().histogram("h")
+        h.observe_many((2.0, 1.0))
+        h.observe_many([])
+        assert (h.count, h.sum, h.max) == (2, 3.0, 2.0)
+
+    def test_bound_children_are_the_registry_children(self):
+        reg = MetricsRegistry()
+        ops = bind_children(reg.counter, "ops", "phase", "op")
+        assert reg.names() == []  # nothing exists until it is counted
+        ops("levels", "add").inc(2)
+        assert ops("levels", "add") is reg.counter(
+            "ops", {"op": "add", "phase": "levels"}
+        )
+        assert reg.snapshot()["counters"] == {
+            'ops{op="add",phase="levels"}': 2.0
+        }
+
+    def test_mixed_tenant_batch_books_as_per_ticket_booking_did(self):
+        """Two tenants, two queues, four deadline misses: the snapshot
+        and the raw histogram state pinned from the per-ticket booking
+        of the parent commit (37e7453)."""
+        from concurrent.futures import Future
+
+        from repro.serve.scheduler import SchedulerCore
+
+        class Payload:
+            def __init__(self):
+                self.future = Future()
+
+        core = SchedulerCore(workers=2)
+        core.add_queue("m", capacity=5)
+        core.add_queue("n", capacity=2)
+        for queue, tenant, at, deadline in (
+            ("m", "acme", 0.000, 0.010),
+            ("m", "zeta", 0.001, None),
+            ("m", "acme", 0.0025, 0.004),
+            ("n", "zeta", 0.003, 0.0125),
+            ("m", "zeta", 0.0035, 0.0121),
+            ("m", "acme", 0.0041, None),
+            ("n", "acme", 0.0057, 0.0123),
+        ):
+            core.submit(queue, Payload(), at, tenant=tenant,
+                        deadline=deadline)
+        first = core.assign(0.006)
+        second = core.assign(0.006)
+        core.complete(first, 0.0122)
+        core.complete(second, 0.0124)
+        core.stats()
+        snapshot = core.metrics.snapshot()
+        assert snapshot["counters"] == {
+            "sched_batches": 2.0,
+            "sched_cancelled": 0.0,
+            "sched_completed": 7.0,
+            "sched_dead_lettered": 0.0,
+            "sched_deadline_misses": 4.0,
+            "sched_failed": 0.0,
+            'sched_queue_completed{queue="m"}': 5.0,
+            'sched_queue_completed{queue="n"}': 2.0,
+            "sched_rejected": 0.0,
+            "sched_retries": 0.0,
+            "sched_submitted": 7.0,
+            'sched_tenant_completed{tenant="acme"}': 4.0,
+            'sched_tenant_completed{tenant="zeta"}': 3.0,
+            'sched_tenant_submitted{tenant="acme"}': 4.0,
+            'sched_tenant_submitted{tenant="zeta"}': 3.0,
+            "sched_worker_crashes": 0.0,
+        }
+        assert snapshot["histograms"] == {
+            "sched_latency_ms": {
+                "count": 7, "max": 12.2, "p50": 9.4, "p99": 12.2,
+                "sum": 66.0,
+            },
+            'sched_tenant_latency_ms{tenant="acme"}': {
+                "count": 4, "max": 12.2, "p50": 8.1, "p99": 12.2,
+                "sum": 36.7,
+            },
+            'sched_tenant_latency_ms{tenant="zeta"}': {
+                "count": 3, "max": 11.2, "p50": 9.4, "p99": 11.2,
+                "sum": 29.3,
+            },
+        }
+        assert snapshot["gauges"]['sched_estimated_batch_ms{queue="m"}'] == 6.2
+        raw = {
+            key: (h.sum, h.window_values())
+            for key, h in (
+                ("all", core.metrics.histogram(
+                    "sched_latency_ms", window=65536)),
+                ("acme", core.metrics.histogram(
+                    "sched_tenant_latency_ms", {"tenant": "acme"})),
+                ("zeta", core.metrics.histogram(
+                    "sched_tenant_latency_ms", {"tenant": "zeta"})),
+            )
+        }
+        assert raw == {
+            "all": (66.0, [
+                12.200000000000001, 11.200000000000001, 9.7,
+                8.700000000000001, 8.1, 9.399999999999999,
+                6.699999999999999,
+            ]),
+            "acme": (36.7, [
+                12.200000000000001, 9.7, 8.1, 6.699999999999999,
+            ]),
+            "zeta": (29.3, [
+                11.200000000000001, 8.700000000000001, 9.399999999999999,
+            ]),
+        }

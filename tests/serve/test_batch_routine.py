@@ -13,9 +13,16 @@ import pickle
 import pytest
 
 from repro.core.engines import ENGINES, engine_row
+from repro.core.runtime import InferenceResult
 from repro.core.seccomp import SECCOMP_VARIANTS
+from repro.errors import ValidationError
 from repro.serve.batched_runtime import evaluate_registered_batch
-from repro.serve.batcher import CutBatch, QueryBatcher
+from repro.serve.batcher import (
+    ClassificationResult,
+    CutBatch,
+    QueryBatcher,
+    classification_results,
+)
 from repro.serve.registry import ModelRegistry
 from repro.serve.transport import ShippedModel
 from repro.serve.worker import evaluate_batch
@@ -65,3 +72,81 @@ def test_batcher_and_worker_agree(example_forest, engine, variant):
             record.tracker.phase_stats(phase).counts
             == twin.tracker.phase_stats(phase).counts
         )
+
+
+@pytest.mark.parametrize("oracle_ok", [None, [True, False, True]])
+@pytest.mark.parametrize("wire", [list, tuple])  # the cluster sends tuples
+def test_result_fan_out_equals_the_constructor(example_forest, wire,
+                                               oracle_ok):
+    """``classification_results`` fills the instances directly; each
+    must be what the dataclass constructor builds, field for field and
+    type for type."""
+    registered = ModelRegistry().register(
+        "m", example_forest, max_batch_size=4
+    )
+    spec = registered.spec
+    bitvectors = [wire(example_forest.label_bitvector(f)) for f in FEATURES]
+    built = classification_results(
+        registered, 7, [wire(f) for f in FEATURES], wire(bitvectors), 4.5,
+        oracle_ok,
+    )
+    wanted = [
+        ClassificationResult(
+            model="m",
+            features=list(f),
+            result=InferenceResult(
+                list(bits), list(spec.codebook), list(spec.label_names)
+            ),
+            batch_id=7,
+            batch_fill=3,
+            batch_capacity=4,
+            amortized_ms=1.5,
+            oracle_ok=None if oracle_ok is None else oracle_ok[k],
+        )
+        for k, (f, bits) in enumerate(zip(FEATURES, bitvectors))
+    ]
+    assert built == wanted
+    for result in built:
+        assert type(result.features) is type(result.bitvector) is list
+        assert vars(result).keys() == vars(wanted[0]).keys()
+        with pytest.raises(Exception):  # still frozen
+            result.batch_id = 8
+    assert classification_results(registered, 1, [], [], 0.0, None) == []
+
+
+class TestPrepareMany:
+    """``prepare_many`` is N ``prepare`` calls: the same validated
+    features, the same refusal, worded for the first offender."""
+
+    @pytest.fixture
+    def batcher(self, example_forest):
+        return QueryBatcher(
+            ModelRegistry().register("m", example_forest, max_batch_size=4)
+        )
+
+    def test_same_entries_as_n_prepares(self, batcher):
+        import numpy as np
+
+        for block in (FEATURES, [tuple(f) for f in FEATURES],
+                      np.asarray(FEATURES), FEATURES[:1], []):
+            many = batcher.prepare_many(block)
+            singles = [batcher.prepare(f) for f in block]
+            assert [e.features for e in many] == [
+                e.features for e in singles
+            ]
+            assert all(
+                type(v) is int for e in many for v in e.features
+            )
+            assert len({id(e.future) for e in many}) == len(many)
+
+    @pytest.mark.parametrize("bad", [
+        [1], [0, 999], [-1, 0], [1 << 70, 0], ["x", 1], [None, 1], 5,
+        [float("inf"), 1], [[1], 2],
+    ])
+    def test_refusal_is_the_single_query_refusal(self, batcher, bad):
+        with pytest.raises(ValidationError) as single:
+            batcher.prepare(bad)
+        for block in ([bad], [[1, 2], bad], [[1, 2], bad, [0, 999]]):
+            with pytest.raises(ValidationError) as many:
+                batcher.prepare_many(block)
+            assert str(many.value) == str(single.value)

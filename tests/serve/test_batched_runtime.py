@@ -11,6 +11,7 @@ from repro.fhe.context import FheContext
 from repro.fhe.tracker import OpKind
 from repro.serve.batched_runtime import (
     BatchedCopseServer,
+    PHASE_DATA_ENCRYPT,
     PHASE_MODEL_CACHE,
     batched_matvec,
     block_gather,
@@ -300,3 +301,76 @@ class TestBulkAdoption:
             bulk_ctx.tracker.phase_stats(PHASE_MODEL_CACHE).as_dict()
             == slow_ctx.tracker.phase_stats(PHASE_MODEL_CACHE).as_dict()
         )
+
+
+class TestBulkEncryption:
+    """``encrypt_many`` must be invisible: ``encrypt_batch`` through it
+    and through one ``encrypt`` per plane leave identical tracker state,
+    node ids, noise, key identity and bits — and word refusals alike."""
+
+    BACKENDS = ["reference", "vector", "plaintext"]
+
+    @pytest.fixture
+    def layout(self, compiled_example, params):
+        return plan_layout(compiled_example, params, max_batch_size=4)
+
+    def _contexts(self, params, backend):
+        bulk = FheContext(params, backend=backend)
+
+        class PerPlane(type(bulk)):
+            encrypt_many = None  # hide the capability: per-plane fallback
+
+        return bulk, PerPlane(params)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bulk_matches_per_plane(self, layout, params, backend):
+        bulk_ctx, slow_ctx = self._contexts(params, backend)
+        keys = bulk_ctx.keygen()
+        queries = [[40, 200], [0, 255], [130, 7]]
+        bulk = encrypt_batch(bulk_ctx, layout, queries, keys)
+        slow = encrypt_batch(slow_ctx, layout, queries, keys)
+        for ctx in (bulk_ctx, slow_ctx):
+            assert ctx.tracker.phases == [PHASE_DATA_ENCRYPT]
+        assert (
+            bulk_ctx.tracker.phase_stats(PHASE_DATA_ENCRYPT).as_dict()
+            == slow_ctx.tracker.phase_stats(PHASE_DATA_ENCRYPT).as_dict()
+            == {"encrypt": layout.precision}
+        )
+        assert len(bulk.planes) == len(slow.planes) == layout.precision
+        for got, want in zip(bulk.planes, slow.planes):
+            assert type(got) is type(want)
+            assert got.node_id == want.node_id
+            assert got.key_id == want.key_id == keys.public.key_id
+            assert got.length == want.length == layout.batched_width
+            assert got.noise == want.noise
+            assert not got._slots.flags.writeable
+            assert np.array_equal(
+                bulk_ctx.decrypt(got, keys.secret),
+                slow_ctx.decrypt(want, keys.secret),
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_refusals_are_encrypts_own(self, params, backend):
+        from repro.errors import DomainError, SlotCapacityError
+
+        ctx, _ = self._contexts(params, backend)
+        keys = ctx.keygen()
+        wide = np.zeros((2, params.slot_count + 1), dtype=np.uint8)
+        for block, error in (
+            (np.full((2, 8), 2, dtype=np.uint8), DomainError),
+            (np.zeros((2, 8), dtype=np.float64), DomainError),
+            (np.zeros((2, 0), dtype=np.uint8), DomainError),
+            (wide, SlotCapacityError),
+        ):
+            with pytest.raises(error) as single:
+                ctx.encrypt(block[0], keys.public)
+            with pytest.raises(error) as many:
+                ctx.encrypt_many(block, keys.public)
+            assert str(many.value) == str(single.value)
+        # other integer dtypes and nested lists take the per-row path
+        for block in (np.eye(3, dtype=np.int64), [[0, 1], [1, 1]]):
+            bits = [
+                ctx.decrypt_bits(ct, keys.secret)
+                for ct in ctx.encrypt_many(block, keys.public)
+            ]
+            assert bits == np.asarray(block).tolist()

@@ -622,6 +622,69 @@ class TestRealCluster:
         # What three submit calls record: two admitted, one refused.
         assert (stats.submitted, stats.rejected, stats.completed) == (3, 1, 2)
 
+    def test_real_facades_agree_on_the_edges(self, example_forest):
+        """Facade drift lock: ``submit`` / ``submit_many`` /
+        ``classify_many`` take the same arguments on both facades and
+        behave alike on an empty request, a part-way refusal and a
+        closed service."""
+        import inspect
+
+        from repro.errors import RejectedQuery
+        from repro.serve.service import CopseService
+
+        for method in ("submit", "submit_many", "classify_many"):
+            thread, process = (
+                [(p.name, p.default) for p in inspect.signature(
+                    getattr(facade, method)).parameters.values()][2:]
+                for facade in (CopseService, ClusterService)
+            )
+            assert thread == process, method
+        queries = real_queries(example_forest, 5)
+        for service in (
+            CopseService(threads=1, backend="vector", max_queue=3),
+            ClusterService(workers=1, backend="vector", max_queue=3),
+        ):
+            with service:
+                service.register_model(
+                    "m", example_forest, precision=8, max_batch_size=8
+                )
+                # An empty request neither admits nor dispatches.
+                dispatch = service.flush
+                service.flush = None
+                try:
+                    assert service.classify_many("m", []) == []
+                    assert service.submit_many("m", []) == []
+                finally:
+                    service.flush = dispatch
+                with pytest.raises(ValidationError):
+                    service.classify_many("nope", [])
+                served = service.classify_many("m", queries[:2], "acme")
+                assert [r.oracle_ok for r in served] == [True, True]
+                assert type(served[0].bitvector) is list
+                # A block refused part-way: the head stays admitted, its
+                # futures reachable from the refusal.
+                with pytest.raises(RejectedQuery) as refusal:
+                    service.submit_many("m", queries, tenant="acme")
+                assert refusal.value.queue_depth == 3
+                assert len(refusal.value.admitted) == 3
+                assert service.pending("m") == 3
+                service.flush("m")
+                for ticket, query in zip(refusal.value.admitted, queries):
+                    assert ticket.future.result(timeout=120).features == (
+                        query
+                    )
+                stats = service.stats()
+                stats = getattr(stats, "scheduler", stats)
+                assert (stats.submitted, stats.rejected) == (6, 1)
+                assert stats.per_tenant_submitted == {"acme": 6}
+            for call in (service.submit_many, service.classify_many):
+                with pytest.raises(ServeError, match="closed"):
+                    call("m", queries[:2])
+            closed = service.stats()
+            closed = getattr(closed, "scheduler", closed)
+            assert closed.submitted == 6  # nothing admitted after close
+            assert_conserved(closed)
+
     @pytest.mark.parametrize("text", [
         "labels: A B\nfeatures: 1\nl 0\n",
         "labels: A B\nfeatures: 1\nl 0\nl 1\n",

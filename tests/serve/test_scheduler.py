@@ -12,6 +12,7 @@ import time
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import (
     PoisonQueryError,
@@ -19,13 +20,14 @@ from repro.errors import (
     ServeError,
     ValidationError,
 )
+from repro.obs.metrics import percentile
+from repro.obs.trace import Tracer
 from repro.serve.cluster import AssignAction, RouterCore
 from repro.serve.scheduler import (
     OUTCOME_ERROR,
     OUTCOME_OK,
     Scheduler,
     SchedulerCore,
-    _percentile,
     deliver_failures,
 )
 from repro.serve.simclock import RealClock, VirtualClock
@@ -405,13 +407,233 @@ class TestCompletionAccounting:
         assert router.outstanding == 0
 
 
+# ---------------------------------------------------------------------------
+# Differential: submit_many(block) == N submits at the same ``now``
+# ---------------------------------------------------------------------------
+
+BLOCKS = st.lists(
+    st.fixed_dictionaries({
+        "queue": st.sampled_from(["a", "b"]),
+        "tenant": st.sampled_from(["acme", "zeta"]),
+        "priority": st.integers(0, 2),
+        "deadline": st.one_of(st.none(), st.floats(0.001, 0.05)),
+        "size": st.integers(0, 7),
+        "cancelled": st.sets(st.integers(0, 6)),
+        # after admitting the block: let the workers run (ok / error)?
+        "run": st.sampled_from([None, OUTCOME_OK, OUTCOME_ERROR]),
+    }),
+    min_size=1, max_size=6,
+)
+RUNS = st.fixed_dictionaries({
+    "workers": st.integers(1, 3),
+    "capacity": st.integers(1, 5),
+    "bound": st.one_of(st.none(), st.integers(1, 8)),
+    "traced": st.booleans(),
+    "blocks": BLOCKS,
+})
+
+
+class _Driven:
+    """One core or router driven through a generated run, block-wise
+    or one query at a time; ``transcript`` is everything observable."""
+
+    def __init__(self, run, routed, blockwise):
+        self.tracer = Tracer() if run["traced"] else None
+        self.routed = routed
+        self.blockwise = blockwise
+        if routed:
+            self.engine = RouterCore(
+                workers=run["workers"], tracer=self.tracer
+            )
+            add = self.engine.add_model
+        else:
+            self.engine = SchedulerCore(
+                workers=run["workers"], tracer=self.tracer
+            )
+            add = self.engine.add_queue
+        add("a", capacity=run["capacity"], max_pending=run["bound"])
+        add("b", capacity=run["capacity"] + 1, weight=2.0)
+        self.transcript = []
+
+    def admit(self, block, now):
+        payloads = [Payload() for _ in range(block["size"])]
+        for index in block["cancelled"]:
+            if index < len(payloads):
+                assert payloads[index].future.cancel()
+        deadline = block["deadline"]
+        shared = dict(
+            tenant=block["tenant"], priority=block["priority"],
+            deadline=None if deadline is None else now + deadline,
+        )
+        tickets, refusal = [], None
+        try:
+            if self.blockwise:
+                tickets = self.engine.submit_many(
+                    block["queue"], payloads, now, **shared
+                )
+            else:
+                for payload in payloads:
+                    tickets.append(self.engine.submit(
+                        block["queue"], payload, now, **shared
+                    ))
+        except RejectedQuery as exc:
+            refusal = (str(exc), exc.model, exc.tenant, exc.queue_depth,
+                       exc.limit)
+            if self.blockwise:
+                tickets = list(exc.admitted)
+        assert [t.payload for t in tickets] == payloads[:len(tickets)]
+        self.transcript.append((
+            "admit", refusal,
+            [(t.seq, t.queue, t.tenant, t.priority, t.submit_time,
+              t.deadline) for t in tickets],
+        ))
+
+    def run_workers(self, now, outcome):
+        """Cut and complete until nothing more can run at ``now``."""
+        while True:
+            if self.routed:
+                cut = [
+                    (action.assignment, action.epoch)
+                    for action in self.engine.dispatch(now)
+                    if isinstance(action, AssignAction)
+                ]
+            else:
+                cut = []
+                while True:
+                    assignment = self.engine.assign(now)
+                    if assignment is None:
+                        break
+                    cut.append((assignment, None))
+            if not cut:
+                return now
+            for assignment, epoch in cut:
+                self.transcript.append((
+                    "batch", assignment.batch_id, assignment.queue,
+                    assignment.worker, [t.seq for t in assignment.tickets],
+                ))
+                now += 0.0007
+                if self.routed:
+                    assert self.engine.complete(
+                        assignment, epoch, now, outcome
+                    )
+                else:
+                    self.engine.complete(assignment, now, outcome)
+
+    def finish(self, now):
+        self.engine.flush()
+        self.run_workers(now, OUTCOME_OK)
+        failures = self.engine.drain_failures()
+        deliver_failures(failures)
+        stats = self.engine.stats()
+        assert stats.submitted == (
+            stats.completed + stats.rejected + stats.failed
+            + stats.cancelled + stats.dead_lettered
+        )
+        self.transcript.append(("failures", len(failures)))
+        self.transcript.append(("stats", stats))
+        self.transcript.append(("metrics", self.engine.metrics.snapshot()))
+        if self.routed:
+            self.transcript.append(("decisions", self.engine.decisions))
+        if self.tracer is not None:
+            self.transcript.append(("spans", [
+                span.as_record()
+                for span in self.tracer.spans(include_open=True)
+            ]))
+        return self.transcript
+
+
+class TestBlockAdmissionIsNSubmits:
+    @settings(settings.get_profile("repro-plan-ci"))
+    @given(run=RUNS)
+    @pytest.mark.parametrize("routed", [False, True], ids=["core", "router"])
+    def test_differential(self, routed, run):
+        block_side = _Driven(run, routed, blockwise=True)
+        single_side = _Driven(run, routed, blockwise=False)
+        now = 0.0
+        for block in run["blocks"]:
+            now += 0.003
+            after = now
+            for side in (block_side, single_side):
+                side.admit(block, now)
+                if block["run"] is not None:
+                    after = side.run_workers(now, block["run"])
+            now = after
+        block_said = block_side.finish(now + 1.0)
+        single_said = single_side.finish(now + 1.0)
+        assert len(block_said) == len(single_said)
+        for got, want in zip(block_said, single_said):
+            assert got == want
+
+    def test_refusal_at_query_k(self):
+        """The bound refuses query k of the block: k-1 admitted, the
+        refused one counted once everywhere, the rest uncounted."""
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=8, max_pending=3)
+        core.submit("m", Payload(), 0.0, tenant="acme")
+        payloads = [Payload() for _ in range(5)]
+        with pytest.raises(RejectedQuery) as refusal:
+            core.submit_many("m", payloads, 0.0, tenant="acme")
+        assert refusal.value.queue_depth == refusal.value.limit == 3
+        assert [t.payload for t in refusal.value.admitted] == payloads[:2]
+        assert [t.seq for t in refusal.value.admitted] == [1, 2]
+        assert core.pending("m") == 3
+        stats = core.stats()
+        assert (stats.submitted, stats.rejected) == (4, 1)
+        assert stats.per_tenant_submitted == {"acme": 4}
+        # seqs stay contiguous across the refusal
+        assert core.submit_many("m", [], 0.0) == []
+        core.set_max_pending("m", None)
+        assert core.submit("m", Payload(), 0.0).seq == 3
+
+    def test_empty_block_counts_nothing(self):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=2, max_pending=1)
+        core.submit("m", Payload(), 0.0)
+        assert core.submit_many("m", [], 0.0, tenant="nobody") == []
+        stats = core.stats()
+        assert (stats.submitted, stats.rejected) == (1, 0)
+        assert "nobody" not in stats.per_tenant_submitted
+        with pytest.raises(ValidationError):
+            core.submit_many("nope", [], 0.0)
+        core.close()
+        with pytest.raises(ServeError, match="closed"):
+            core.submit_many("m", [], 0.0)
+
+    def test_threaded_engine_block_shares_submit_time_and_deadline(self):
+        clock = VirtualClock()
+        scheduler = Scheduler(threads=1, clock=clock)
+        done = threading.Event()
+
+        def evaluate(assignment):
+            for ticket in assignment.tickets:
+                ticket.future.set_result(ticket.seq)
+            done.set()
+
+        try:
+            scheduler.add_queue("m", capacity=4, evaluate=evaluate)
+            payloads = [Payload() for _ in range(4)]
+            tickets = scheduler.submit_many(
+                "m", payloads, tenant="acme", deadline_ms=5.0
+            )
+            assert len({(t.submit_time, t.deadline) for t in tickets}) == 1
+            assert tickets[0].deadline == pytest.approx(
+                tickets[0].submit_time + 0.005
+            )
+            assert done.wait(timeout=30)  # the one notify woke the lead
+            assert [p.future.result(timeout=30) for p in payloads] == [
+                0, 1, 2, 3,
+            ]
+        finally:
+            scheduler.close()
+
+
 class TestPercentile:
     def test_nearest_rank(self):
         ranked = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert _percentile(ranked, 0.50) == 3.0
-        assert _percentile(ranked, 0.99) == 5.0
-        assert _percentile([7.0], 0.99) == 7.0
-        assert _percentile([], 0.5) == 0.0
+        assert percentile(ranked, 0.50) == 3.0
+        assert percentile(ranked, 0.99) == 5.0
+        assert percentile([7.0], 0.99) == 7.0
+        assert percentile([], 0.5) == 0.0
 
 
 class TestThreadedLifecycle:

@@ -217,6 +217,47 @@ class TestClassifyManyLeavesNothingQueued:
         )
 
 
+class TestBlockRequestsRefuseLikeSingles:
+    """No raw exception out of ``submit_many`` / ``classify_many``: a
+    ragged, out-of-range, non-integer or non-sequence query is the
+    ``ValidationError`` a single ``submit`` gives, and admits nothing."""
+
+    @pytest.mark.parametrize("bad", [
+        [1], [1, 2, 3], [0, 999], [-1, 0], [1 << 70, 0], ["x", 1],
+        [None, 1], [float("nan"), 1], 7, [[1], 2],
+    ])
+    def test_same_refusal_and_nothing_admitted(self, example_forest, bad):
+        with CopseService(threads=1) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            with pytest.raises(ValidationError) as single:
+                service.submit("m", bad)
+            for call in (service.submit_many, service.classify_many):
+                for block in ([bad], [[1, 2], bad, [3, 4]]):
+                    with pytest.raises(ValidationError) as many:
+                        call("m", block)
+                    assert str(many.value) == str(single.value)
+            assert service.pending("m") == 0
+            assert service.stats().scheduler.submitted == 0
+
+    def test_submit_many_is_n_submits(self, example_forest):
+        queries = queries_for(example_forest, 5)
+        with CopseService(threads=1) as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            futures = service.submit_many(
+                "m", queries, tenant="acme", deadline_ms=1e6, priority=2
+            )
+            assert service.submit_many("m", []) == []
+            service.flush("m")
+            results = [f.result(timeout=30) for f in futures]
+            stats = service.stats().scheduler
+        assert [r.features for r in results] == queries
+        assert all(r.oracle_ok for r in results)
+        # one full batch of four cut at admission, the fifth on flush
+        assert [r.batch_fill for r in results] == [4, 4, 4, 4, 1]
+        assert stats.per_tenant_completed == {"acme": 5}
+        assert conserved(stats)
+
+
 #: Forests the paper's level matrices cannot express: no branch above a
 #: label.  Typed refusal at registration on every engine — never a raw
 #: ``ValueError`` (``max()`` over zero branches), never at first query.
