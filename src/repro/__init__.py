@@ -92,7 +92,6 @@ from repro.serve import (
     ModelProfile,
     ModelRegistry,
     QueryBatcher,
-    Scheduler,
     SchedulerStats,
     ServiceStats,
     SimRunner,
@@ -155,7 +154,6 @@ __all__ = [
     "ModelProfile",
     "ModelRegistry",
     "QueryBatcher",
-    "Scheduler",
     "SchedulerStats",
     "ServiceStats",
     "SimRunner",

@@ -155,10 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=None,
-        help="serve from a multi-process cluster with this many worker "
-        "processes (router ships the compiled model to each worker "
-        "once, crashes respawn under a new epoch); must be >= 1 when "
-        "given; default keeps the in-process threaded service",
+        help="evaluate batches in this many worker processes (the "
+        "router ships the compiled model to each worker once, crashes "
+        "respawn under a new epoch); must be >= 1 when given; default "
+        "evaluates them in-process, on the service's own thread",
     )
     serve.add_argument(
         "--autoscale", action="store_true",
@@ -202,8 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--dlq-out", default=None,
-        help="write the dead-letter queue (quarantined poison queries, "
-        "clustered mode only) as JSON to this path; inspect it with "
+        help="write the dead-letter queue (poison queries quarantined "
+        "after crashing workers; always empty without --workers, where "
+        "no worker can crash) as JSON to this path; inspect it with "
         "'repro dlq'",
     )
 
@@ -480,27 +481,18 @@ def _cmd_serve(args) -> int:
     ]
     rejected = 0
     clustered = args.workers is not None
-    if args.dlq_out is not None and not clustered:
-        raise _FeatureParseError(
-            "--dlq-out requires --workers (the dead-letter queue lives "
-            "in the cluster router)"
-        )
-    if clustered:
-        service_cm = ClusterService(
-            workers=args.workers,
-            engine=args.engine,
-            backend=args.backend,
-            default_deadline_ms=args.deadline_ms,
-            max_queue=args.max_queue,
-        )
-    else:
-        service_cm = CopseService(
-            threads=args.threads,
-            engine=args.engine,
-            backend=args.backend,
-            default_deadline_ms=args.deadline_ms,
-            max_queue=args.max_queue,
-        )
+    # One facade either way: only where a batch is evaluated differs.
+    facade, pool = (
+        (ClusterService, {"workers": args.workers}) if clustered
+        else (CopseService, {"threads": args.threads})
+    )
+    service_cm = facade(
+        engine=args.engine,
+        backend=args.backend,
+        default_deadline_ms=args.deadline_ms,
+        max_queue=args.max_queue,
+        **pool,
+    )
     with service_cm as service:
         registered = service.register_model(
             "cli",
@@ -590,7 +582,7 @@ def _cmd_serve(args) -> int:
         if interval is not None:
             emit_snapshot()
         stats = service.stats()
-        dead_letters = service.dlq() if clustered else []
+        dead_letters = service.dlq()
     failures = sum(1 for r in results if r.oracle_ok is False)
     print(stats.render())
     if args.dlq_out is not None:

@@ -18,8 +18,9 @@ on it.  Split in the established pure-core style:
   cooldowns) before actuation; rejections are recorded with reasons,
   never dropped — the rail fails closed;
 * :mod:`repro.control.actuator` — :class:`Plant`: the one actuation
-  seam over :class:`~repro.serve.service.CopseService`,
-  :class:`~repro.serve.cluster.ClusterService` and the simulator;
+  seam over the live serve facade
+  (:class:`~repro.serve.service.CopseService`, on either transport)
+  and the simulator;
 * :mod:`repro.control.loop` — :class:`Controller`: the caller-clocked
   observe -> propose -> guard -> actuate cycle, emitting the ordered
   auditable decision log that is the determinism witness (byte-identical

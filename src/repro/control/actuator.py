@@ -10,20 +10,19 @@ protocol is two methods:
   refuses (the controller records that as a failed apply — the guards
   *and* the mechanism both fail closed).
 
-One :class:`Plant` covers the serve stack, because its three targets —
-the threaded :class:`~repro.serve.service.CopseService`, the
-multi-process :class:`~repro.serve.cluster.ClusterService` and the
-discrete-event :class:`~repro.serve.loadgen.SimRunner` — share one
-actuation surface: ``stats()``, ``metrics``, ``add_worker()``,
+One :class:`Plant` covers the serve stack, because its targets — the
+live facade (:class:`~repro.serve.service.CopseService`, in-thread or,
+as :class:`~repro.serve.cluster.ClusterService`, over worker processes)
+and the discrete-event :class:`~repro.serve.loadgen.SimRunner` — share
+one actuation surface: ``stats()``, ``metrics``, ``add_worker()``,
 ``remove_worker()`` (retire the *highest-id* idle worker — a
 deterministic choice that also keeps low worker ids, the crc32 placement
 anchors, stable), ``set_tenant_weight``, ``set_admission_limit`` and,
 where the target has engines or backends to switch,
-``set_model_engine`` / ``set_model_backend``.  A target without the
-method a proposal needs cannot apply it: backend switches re-encrypt the
-model, which on the cluster would need a coordinated re-ship + re-key
-across every worker; the simulator's service times are fixed model
-profiles with nothing to switch.
+``set_model_engine`` / ``set_model_backend`` (the facade drains, changes
+the registry entry and re-ships it to every worker).  A target without
+the method a proposal needs cannot apply it: the simulator's service
+times are fixed model profiles with nothing to switch.
 """
 
 from __future__ import annotations

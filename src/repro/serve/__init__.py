@@ -23,29 +23,32 @@ stream:
 * :mod:`repro.serve.batcher` — :class:`QueryBatcher`: validate,
   evaluate, demultiplex, oracle-verify;
 * :mod:`repro.serve.scheduler` — the event-driven, deadline-aware,
-  multi-tenant scheduler: per-model bounded queues with admission
-  control, adaptive batch cutting (full *or* out of deadline slack),
-  weighted fair sharing.  A pure decision core
-  (:class:`SchedulerCore`) sits under the threaded :class:`Scheduler`
-  and under the cluster router;
+  multi-tenant scheduling core (:class:`SchedulerCore`, pure: no
+  threads, no clock): per-model bounded queues with admission control,
+  adaptive batch cutting (full *or* out of deadline slack), weighted
+  fair sharing;
 * :mod:`repro.serve.simclock` — the :class:`Clock` seam (real vs
   :class:`VirtualClock`) that makes scheduling decisions simulable;
 * :mod:`repro.serve.loadgen` — seeded open-loop load generation
   (Poisson + bursts, heterogeneous tenants), the :class:`FaultPlan`
   chaos matrix, and :class:`SimRunner`, the one deterministic
   discrete-event simulator (it drives :class:`RouterCore`);
-* :mod:`repro.serve.service` — :class:`CopseService`: the
-  ``register_model`` / ``submit_many`` / ``stats`` facade (``submit``
-  is the block of one; a request is validated, admitted, booked and
-  answered per block, not per query);
-* :mod:`repro.serve.cluster` — the multi-process serve cluster:
-  :class:`RouterCore` (pure placement/failover over the scheduler core:
-  ship-once model distribution keyed by compiled-model fingerprints,
-  worker epochs, heartbeats, draining restarts, and the one crash
-  policy: park -> backoff -> quarantine -> dead-letter) and
-  :class:`ClusterService` (real ``multiprocessing``
-  workers behind :mod:`repro.serve.transport` pipes, each running
-  :func:`repro.serve.worker.worker_main`);
+* :mod:`repro.serve.cluster` — :class:`RouterCore`: pure
+  placement/failover over the scheduler core (ship-once model
+  distribution keyed by compiled-model fingerprints, worker epochs,
+  heartbeats, draining restarts, and the one crash policy: park ->
+  backoff -> quarantine -> dead-letter);
+* :mod:`repro.serve.transport` — the ``Transport`` seam, *where* a cut
+  batch is evaluated: ``InThreadTransport`` (on the service's own pump
+  thread) or ``ProcessTransport`` (real
+  ``multiprocessing`` workers behind pipes, each running
+  :func:`repro.serve.worker.worker_main`), plus the wire types;
+* :mod:`repro.serve.service` — :class:`CopseService`: the one facade
+  (``register_model`` / ``submit_many`` / ``stats``; ``submit`` is the
+  block of one; a request is validated, admitted, booked and answered
+  per block, not per query) over router, pump and transport.
+  :class:`ClusterService` is the same facade opened over worker
+  processes;
 * :mod:`repro.serve.faults` — fault-domain hardening policies:
   :class:`RetryPolicy` (deterministic exponential backoff + hedged
   re-execution), :class:`CircuitBreaker` (per (model, worker)
@@ -58,7 +61,7 @@ Quickstart::
 
     from repro.serve import CopseService
 
-    with CopseService(threads=4) as service:
+    with CopseService(threads=4) as service:   # or ClusterService(workers=4)
         service.register_model("credit", forest)
         results = service.classify_many("credit", queries)
         # or keep the futures: one admission for the whole block
@@ -88,7 +91,6 @@ from repro.serve.simclock import Clock, RealClock, VirtualClock
 from repro.serve.scheduler import (
     Assignment,
     QueryTicket,
-    Scheduler,
     SchedulerCore,
     SchedulerStats,
 )
@@ -136,7 +138,6 @@ __all__ = [
     "VirtualClock",
     "Assignment",
     "QueryTicket",
-    "Scheduler",
     "SchedulerCore",
     "SchedulerStats",
     "Arrival",

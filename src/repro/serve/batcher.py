@@ -2,10 +2,11 @@
 
 A :class:`QueryBatcher` fronts one registered model.  Submissions are
 validated eagerly (bad queries fail at ``prepare`` time, before they can
-poison a batch); queueing and batch *cutting* belong to the
-deadline-aware :class:`~repro.serve.scheduler.Scheduler`, which hands
-cut batches back here for evaluation.  Evaluating a batch runs the whole
-amortized pipeline:
+poison a batch); queueing and batch *cutting* belong to the router
+(:class:`~repro.serve.cluster.RouterCore` over the deadline-aware
+:class:`~repro.serve.scheduler.SchedulerCore`), whose cut batches the
+in-thread transport hands back here for evaluation.  Evaluating a batch
+runs the whole amortized pipeline:
 
 1. pack the queries' replicated-and-padded bit planes into shared slots
    and encrypt them once per plane (``data_encrypt``),
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.core.runtime import InferenceResult
 from repro.fhe.tracker import OpTracker
-from repro.serve.batched_runtime import evaluate_registered_batch
+from repro.serve.faults import evaluate_down_ladder
 from repro.serve.packing import validate_queries
 from repro.serve.registry import RegisteredModel
 
@@ -124,13 +125,19 @@ class BatchRecord:
     batch_id: int
     size: int
     capacity: int
-    tracker: OpTracker
+    #: The batch's own tracker; None when it was evaluated in a worker
+    #: process (trackers do not cross the pipe, so op counts are booked
+    #: in-thread only).
+    tracker: Optional[OpTracker]
     phase_ms: Dict[str, float]
     inference_ms: float
     data_encrypt_ms: float
     #: Number of queries whose bitvector disagreed with the plaintext
     #: oracle (None when verification was disabled).
     oracle_failures: Optional[int]
+    #: ``(registered engine, engine that answered)`` when the registered
+    #: engine raised and the batch fell down the ladder.
+    degraded: Optional[Tuple[str, str]] = None
 
     @property
     def oracle_ok(self) -> Optional[bool]:
@@ -157,6 +164,30 @@ class CutBatch:
 
     batch_id: int
     entries: List[PendingQuery]
+
+
+def prepare_queries(registered: RegisteredModel,
+                    feature_lists) -> List[PendingQuery]:
+    """Validate a whole request and wrap each query for scheduling.
+
+    Fails here — before any query can occupy a queue slot or poison a
+    batch — on arity/domain errors (the whole block in one array check,
+    the first offender named as a single query's refusal would) and on
+    the pathological case of a layout whose per-query block is wider
+    than the ciphertext itself (possible only with a hand-built layout,
+    since :func:`~repro.serve.packing.plan_layout` rejects it at
+    registration).
+    """
+    layout = registered.layout
+    slots = registered.params.slot_count
+    if layout.stride > slots:
+        raise ValidationError(
+            f"query width {layout.stride} exceeds the {slots} SIMD "
+            f"slots of the registered parameters; this model cannot "
+            f"pack even one query per ciphertext"
+        )
+    validated = validate_queries(layout, feature_lists)
+    return [PendingQuery(features=row) for row in validated]
 
 
 class QueryBatcher:
@@ -190,27 +221,8 @@ class QueryBatcher:
         return self.prepare_many((features,))[0]
 
     def prepare_many(self, feature_lists) -> List[PendingQuery]:
-        """Validate a whole request and wrap each query for scheduling.
-
-        Fails here — before any query can occupy a queue slot or poison
-        a batch — on arity/domain errors (the whole block in one array
-        check, the first offender named as a single query's refusal
-        would) and on the pathological case of a layout whose per-query
-        block is wider than the ciphertext itself (possible only with a
-        hand-built layout, since
-        :func:`~repro.serve.packing.plan_layout` rejects it at
-        registration).
-        """
-        layout = self.registered.layout
-        slots = self.registered.params.slot_count
-        if layout.stride > slots:
-            raise ValidationError(
-                f"query width {layout.stride} exceeds the {slots} SIMD "
-                f"slots of the registered parameters; this model cannot "
-                f"pack even one query per ciphertext"
-            )
-        validated = validate_queries(layout, feature_lists)
-        return [PendingQuery(features=row) for row in validated]
+        """:func:`prepare_queries` against this batcher's model."""
+        return prepare_queries(self.registered, feature_lists)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -224,9 +236,12 @@ class QueryBatcher:
     ) -> BatchRecord:
         """Run one batch end to end and resolve its futures.
 
-        An evaluation failure is propagated through every future in the
-        batch before being re-raised, so submitters always learn the
-        outcome and the failure stays contained to those queries.
+        An engine that raises degrades down the ladder
+        (:func:`~repro.serve.faults.evaluate_down_ladder`, recorded on
+        the :class:`BatchRecord`); a failure past the last rung is
+        propagated through every future in the batch before being
+        re-raised, so submitters always learn the outcome and the
+        failure stays contained to those queries.
 
         ``parent_span``/``worker`` (from the scheduler's
         :class:`~repro.serve.scheduler.Assignment`) parent the stage
@@ -257,8 +272,8 @@ class QueryBatcher:
                 open_span = (span, ends_with.get(name, {}))
 
         try:
-            evaluation = evaluate_registered_batch(
-                registered, features, engine=engine,
+            evaluation, degraded = evaluate_down_ladder(
+                registered, features,
                 verify_oracle=self.verify_oracle, on_stage=on_stage,
             )
             results = classification_results(
@@ -290,4 +305,5 @@ class QueryBatcher:
             inference_ms=evaluation.inference_ms,
             data_encrypt_ms=evaluation.data_encrypt_ms,
             oracle_failures=oracle_failures,
+            degraded=degraded,
         )

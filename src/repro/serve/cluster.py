@@ -1,14 +1,13 @@
-"""Multi-process serve cluster: a placing/verifying router over workers.
+"""The routing core of the serve spine, and the process-pool constructor.
 
-The threaded :class:`~repro.serve.service.CopseService` keeps every
-batch evaluation inside one GIL-bound process.  This module shards the
-same scheduler over a pool of **worker processes** in the PR 4 style —
-one pure decision core, thin engines:
-
-* :class:`RouterCore` — the pure front end.  It wraps the existing
+* :class:`RouterCore` — the pure front end every engine drives: the one
+  facade (:class:`~repro.serve.service.CopseService`, over either
+  :class:`~repro.serve.transport.Transport`) in real time, and
+  :class:`~repro.serve.loadgen.SimRunner` from a discrete-event loop
+  under a virtual clock.  It wraps the
   :class:`~repro.serve.scheduler.SchedulerCore` (bounded queues,
   fair-share batch cutting, requeue at the original seq) and adds the
-  cluster concerns: deterministic model->worker **placement** (each
+  pool concerns: deterministic model->worker **placement** (each
   model prefers a stable rotation of the pool), **ship-once** tracking
   (a worker receives a model's
   :class:`~repro.serve.transport.ShippedModel` envelope exactly once
@@ -17,14 +16,12 @@ one pure decision core, thin engines:
   stale epoch are dropped), **heartbeat liveness**, and **draining
   restarts** for redeploys.  Every method takes an explicit ``now`` and
   every choice lands in an ordered decision record — the determinism
-  witness.  :class:`~repro.serve.loadgen.SimRunner` drives this core
-  from a discrete-event loop under a virtual clock.
-* :class:`ClusterService` — the thin real engine: actual
-  ``multiprocessing`` (spawn) workers behind pipes, a receiver thread
-  that completes batches, detects dead pipes, respawns crashed workers
-  under a new epoch, and re-dispatches.  Queries submitted to a
-  1-worker and an N-worker cluster decrypt to identical bits — the
-  workers are pure functions of (shipped model, features).
+  witness.
+* :class:`ClusterService` — the name that opens the facade over
+  :class:`~repro.serve.transport.ProcessTransport`: actual
+  ``multiprocessing`` (spawn) workers behind pipes.  Queries submitted
+  in-thread, to a 1-worker and to an N-worker pool decrypt to identical
+  bits — the workers are pure functions of (shipped model, features).
 
 The fault-domain layer (:mod:`repro.serve.faults`) rides on the same
 decision core: crashed batches park behind a **deterministic backoff**
@@ -57,17 +54,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import zlib
-from concurrent.futures import Future
-from concurrent.futures import wait as wait_futures
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     PoisonQueryError,
-    RejectedQuery,
-    ServeError,
     ValidationError,
     WorkerPoolExhaustedError,
 )
@@ -77,33 +68,27 @@ from repro.serve.faults import (
     DeadLetterQueue,
     RetryPolicy,
 )
-from repro.serve.packing import validate_queries
 from repro.serve.scheduler import (
-    OUTCOME_ERROR,
     OUTCOME_OK,
     Assignment,
     QueryTicket,
     SchedulerCore,
     SchedulerStats,
-    deliver_failures,
 )
-from repro.serve.simclock import MS, RealClock
+from repro.serve.simclock import RealClock
 from repro.serve.transport import (
-    MSG_EVAL,
-    MSG_LOAD,
-    MSG_PING,
-    MSG_PONG,
-    MSG_READY,
-    MSG_RESULT,
-    MSG_STOP,
-    BatchRequest,
-    ShippedModel,
+    MAX_STARTUP_DEATHS,
+    AssignAction,
+    HedgeAction,
+    ProcessTransport,
+    ShipAction,
 )
 
 __all__ = [
     "ShipAction",
     "AssignAction",
     "HedgeAction",
+    "MAX_STARTUP_DEATHS",
     "RouterCore",
     "ClusterService",
 ]
@@ -113,48 +98,6 @@ __all__ = [
 #: evaluating a batch cannot answer pings until it finishes — pipe EOF,
 #: not the heartbeat, is the fast path for real process death.
 DEFAULT_HEARTBEAT_TIMEOUT_S = 60.0
-
-#: Respawn budget: :class:`ClusterService` gives up on a worker slot
-#: once this many incarnations in a row died before their first
-#: ``MSG_READY`` (a broken environment, an unimportable ``__main__``
-#: under spawn) — respawning such a worker again would crash-loop.
-MAX_STARTUP_DEATHS = 3
-
-
-@dataclass(frozen=True)
-class ShipAction:
-    """Engine instruction: send ``model``'s envelope to ``worker``."""
-
-    worker: int
-    epoch: int
-    model: str
-
-
-@dataclass
-class AssignAction:
-    """Engine instruction: evaluate ``assignment`` on its bound worker."""
-
-    assignment: Assignment
-    epoch: int
-    #: True when a ShipAction for the same worker precedes this batch —
-    #: the simulator charges the ship latency to this batch.
-    newly_shipped: bool = False
-
-
-@dataclass
-class HedgeAction:
-    """Engine instruction: *also* evaluate ``assignment`` on ``worker``.
-
-    Emitted when a batch has been in flight past its hedge threshold:
-    the engine sends the same batch to a second worker and lets the
-    first valid completion win (the loser is dropped by the epoch/busy
-    staleness check).  ``assignment.worker`` still names the primary.
-    """
-
-    assignment: Assignment
-    worker: int
-    epoch: int
-    newly_shipped: bool = False
 
 
 class _Flight:
@@ -184,7 +127,6 @@ class RouterCore:
         self,
         workers: int,
         max_retries: int = 1,
-        record_decisions: bool = True,
         tracer=None,
         metrics=None,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
@@ -228,9 +170,9 @@ class RouterCore:
         self._busy: Dict[int, Assignment] = {}
         #: model name -> current fingerprint (the placement/ship key).
         self._models: Dict[str, str] = {}
-        self.decisions: Optional[List[Tuple]] = (
-            [] if record_decisions else None
-        )
+        #: Every choice, in order: the determinism witness.  (The live
+        #: facade swaps in a bounded window; a list is what replays hash.)
+        self.decisions: List[Tuple] = []
         # -- fault-domain state (see repro.serve.faults) --------------
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
@@ -377,8 +319,7 @@ class RouterCore:
     # ------------------------------------------------------------------
 
     def _record(self, *fields) -> None:
-        if self.decisions is not None:
-            self.decisions.append(fields)
+        self.decisions.append(fields)
 
     # ------------------------------------------------------------------
     # Placement + dispatch
@@ -443,7 +384,21 @@ class RouterCore:
             estimate_s=self.core.service_estimate_s(assignment.queue),
         )
 
-    def dispatch(self, now: float) -> List[object]:
+    def ship_everywhere(self, name: str, now: float) -> List[ShipAction]:
+        """Warm the pool: ship ``name`` to every live worker that does
+        not hold its current fingerprint yet."""
+        if name not in self._models:
+            raise ValidationError(f"no cluster model named {name!r}")
+        actions: List[ShipAction] = []
+        for worker in range(self.workers):
+            if self.alive[worker]:
+                self._ship_if_needed(
+                    name, worker, self.epochs[worker], now, actions
+                )
+        return actions
+
+    def dispatch(self, now: float,
+                 limit: Optional[int] = None) -> List[object]:
         """Cut and place every batch that can run right now.
 
         First releases due backoff parks and quarantine cohorts, then
@@ -456,11 +411,15 @@ class RouterCore:
         itself.  A queue no eligible worker can take is skipped without
         starving the others.  Finally, batches in flight past their
         hedge threshold get a :class:`HedgeAction` (when hedging is on).
+        ``limit`` caps the fresh cuts of this call, for an engine that
+        cannot start them all at once (one in-thread evaluator): what
+        it cannot start yet stays queued, and fills.
         """
         actions: List[object] = []
         self._release_parked(now)
         self._dispatch_cohorts(now, actions)
-        while True:
+        cuts = 0
+        while limit is None or cuts < limit:
             progressed = False
             for name in self.core.ready_queues(now):
                 worker = self._place(name, now)
@@ -486,6 +445,7 @@ class RouterCore:
                     newly_shipped=newly,
                 ))
                 progressed = True
+                cuts += 1
                 break  # re-evaluate fair-share order after every cut
             if not progressed:
                 break
@@ -1061,39 +1021,24 @@ class RouterCore:
 
 
 # ---------------------------------------------------------------------------
-# Real engine: multiprocessing workers behind pipes
+# The facade over worker processes
 # ---------------------------------------------------------------------------
 
-
-class _ClusterQuery:
-    """Router payload for one real query: features plus its future."""
-
-    __slots__ = ("features", "future")
-
-    def __init__(self, features):
-        self.features = features
-        self.future: "Future" = Future()
+# Down here because the facade opens a RouterCore: service.py imports
+# this module when a service is constructed, not when it is loaded.
+from repro.serve.service import CopseService  # noqa: E402
 
 
-class ClusterService:
-    """The ``register / submit / flush / stats`` facade over real workers.
+class ClusterService(CopseService):
+    """:class:`CopseService` over a pool of ``workers`` processes.
 
-    A thin engine in the PR 4 sense: all placement/failover logic lives
-    in the :class:`RouterCore`; this class only moves bytes — spawning
-    ``workers`` processes (``multiprocessing`` *spawn* context, so every
-    shipped object must pickle), sending ship/eval messages from
-    :meth:`RouterCore.dispatch`, and running one receiver thread that
-    completes batches, answers the router's cut timers, pings for
-    heartbeats, and replaces crashed workers under a fresh epoch.
-
-    The registry, session keys, and every query future stay router-side;
-    workers see raw integer features and return plain numbers.
+    Same facade, same router, same pump; only the
+    :class:`~repro.serve.transport.Transport` differs, so what this
+    constructor adds is what only a process pool has: the liveness
+    horizon, the crash policy (``max_retries`` backoff-parked retries,
+    then quarantine; ``retry_policy`` / ``breaker`` / ``dlq_limit``) and
+    ``worker_entry``, the spawn target tests swap for a chaos shim.
     """
-
-    #: Receiver wake-up granularity: the loop re-checks cut timers and
-    #: liveness at least this often (slack cuts in real mode are
-    #: best-effort at this resolution).
-    POLL_INTERVAL_S = 0.05
 
     def __init__(
         self,
@@ -1114,616 +1059,31 @@ class ClusterService:
         dlq_limit: int = 64,
         worker_entry=None,
     ):
-        from multiprocessing import get_context
-
-        from repro.serve.registry import ModelRegistry
-
-        if heartbeat_interval_s <= 0:
-            raise ValidationError(
-                f"heartbeat_interval_s must be > 0, got "
-                f"{heartbeat_interval_s}"
-            )
-        if heartbeat_interval_s >= heartbeat_timeout_s:
-            raise ValidationError(
-                f"heartbeat_interval_s ({heartbeat_interval_s}) must be "
-                f"< heartbeat_timeout_s ({heartbeat_timeout_s}); a "
-                f"worker pinged less often than the liveness horizon "
-                f"would always look dead"
-            )
-        self.clock = clock if clock is not None else RealClock()
-        self.engine = engine
-        self.backend = backend
-        self.verify_oracle = verify_oracle
-        self.default_deadline_ms = default_deadline_ms
-        self.max_queue = max_queue
-        self.heartbeat_interval_s = heartbeat_interval_s
-        #: Spawn target for pool processes; tests swap in a chaos shim
-        #: (see repro.serve.faults.chaos_worker_main).  Must be
-        #: spawn-picklable.
-        self._worker_entry = worker_entry
-        self.router = RouterCore(
-            workers=workers,
-            max_retries=max_retries,
-            record_decisions=True,
+        clock = clock if clock is not None else RealClock()
+        self._open(
+            ProcessTransport(
+                verify_oracle, clock, heartbeat_interval_s, worker_entry
+            ),
+            workers,
+            engine=engine,
+            backend=backend,
+            clock=clock,
+            default_deadline_ms=default_deadline_ms,
+            max_queue=max_queue,
+            verify_oracle=verify_oracle,
             tracer=tracer,
             metrics=metrics,
+            max_retries=max_retries,
             heartbeat_timeout_s=heartbeat_timeout_s,
             retry_policy=retry_policy,
             breaker=breaker,
             dlq_limit=dlq_limit,
         )
-        self.registry = ModelRegistry(metrics=self.router.metrics)
-        self._mp = get_context("spawn")
-        self._lock = threading.Lock()
-        self._completion = threading.Condition(self._lock)
-        self._envelopes: Dict[str, ShippedModel] = {}
-        self._registered: Dict[str, object] = {}
-        #: batch_id -> (assignment, epoch) awaiting a worker result.
-        self._inflight: Dict[int, Tuple[Assignment, int]] = {}
-        self._procs: List[object] = [None] * workers
-        self._conns: List[object] = [None] * workers
-        #: Per worker slot, incarnations spawned since one last reported
-        #: ``MSG_READY`` (see :data:`MAX_STARTUP_DEATHS`).
-        self._unready_spawns: List[int] = [0] * workers
-        self._closed = False
-        now = self.clock.now()
-        for worker in range(workers):
-            self._spawn(worker, self.router.epochs[worker], now)
-        self._receiver = threading.Thread(
-            target=self._receive_loop, name="cluster-receiver", daemon=True
-        )
-        self._receiver.start()
-
-    # -- lifecycle ------------------------------------------------------
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _spawn(self, worker: int, epoch: int, now: float) -> None:
-        from repro.serve.worker import worker_main
-
-        entry = (
-            self._worker_entry if self._worker_entry is not None
-            else worker_main
-        )
-        parent, child = self._mp.Pipe()
-        proc = self._mp.Process(
-            target=entry,
-            args=(child, worker, epoch),
-            daemon=True,
-            name=f"copse-worker-{worker}",
-        )
-        proc.start()
-        child.close()
-        self._procs[worker] = proc
-        self._conns[worker] = parent
-        self._unready_spawns[worker] += 1
-        self.router.worker_started(worker, now)
-
-    def close(self) -> None:
-        """Stop the pool (idempotent).  Pending queries fail loudly.
-
-        A receiver thread that outlives its join timeout is a leak, not
-        a nuisance: it still holds pipe handles and can race a later
-        service in the same process.  The leak is counted
-        (``cluster_receiver_leaked``) and warned about instead of being
-        swallowed.
-        """
-        import warnings
-
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self.router.close()
-            conns = [c for c in self._conns if c is not None]
-        for conn in conns:
-            try:
-                conn.send((MSG_STOP,))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        self._receiver.join(timeout=5.0)
-        if self._receiver.is_alive():
-            self.router.metrics.counter("cluster_receiver_leaked").inc()
-            warnings.warn(
-                "ClusterService receiver thread failed to stop within "
-                "5s of close(); leaking it (pipe handles stay held)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        for proc in self._procs:
-            if proc is not None:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        failures = self.router.drain_failures()
-        deliver_failures(failures)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- registration ---------------------------------------------------
-
-    def register_model(self, name: str, model, **kwargs):
-        """Compile/encrypt once router-side and announce to the router.
-
-        The worker pool receives the resulting
-        :class:`~repro.serve.transport.ShippedModel` lazily, exactly
-        once per (worker, epoch), when placement first assigns the model
-        there.  Accepts :meth:`ModelRegistry.register` keywords.
-        """
-        kwargs.setdefault("engine", self.engine)
-        kwargs.setdefault("backend", self.backend)
-        registered = self.registry.register(name, model, **kwargs)
-        envelope = ShippedModel.from_registered(registered)
-        with self._lock:
-            try:
-                self.router.add_model(
-                    name,
-                    capacity=registered.layout.capacity,
-                    max_pending=self.max_queue,
-                    service_ms=registered.estimated_batch_ms,
-                    fingerprint=envelope.fingerprint,
-                )
-            except ValidationError:
-                self.registry.unregister(name)
-                raise
-            self._envelopes[name] = envelope
-            self._registered[name] = registered
-        return registered
-
-    def preload(self, name: str) -> None:
-        """Eagerly ship ``name`` to every live worker (warm the pool)."""
-        now = self.clock.now()
-        with self._lock:
-            envelope = self._envelopes[name]
-            for worker in range(self.router.workers):
-                if not self.router.alive[worker]:
-                    continue
-                if self.router.shipped[worker].get(name) == (
-                    envelope.fingerprint
-                ):
-                    continue
-                self.router.shipped[worker][name] = envelope.fingerprint
-                self.router._ships.inc()
-                self.router._record(
-                    "ship", worker, self.router.epochs[worker], name,
-                    round(now, 9),
-                )
-                self._send_locked(worker, (MSG_LOAD, envelope))
-
-    # -- control-plane seams --------------------------------------------
-
-    def set_tenant_weight(self, name: str, weight: float) -> float:
-        """Retune a model queue's fair-share weight; returns the old."""
-        now = self.clock.now()
-        with self._lock:
-            return self.router.set_weight(name, weight, now)
-
-    def set_admission_limit(self, name: str,
-                            limit: Optional[int]) -> Optional[int]:
-        """Rebound a model queue's admission limit; returns the old."""
-        now = self.clock.now()
-        with self._lock:
-            return self.router.set_admission_limit(name, limit, now)
-
-    def add_worker(self) -> int:
-        """Grow the pool by one spawned worker; returns its fresh id."""
-        now = self.clock.now()
-        with self._lock:
-            if self._closed:
-                raise ValidationError("cluster is closed")
-            worker = self.router.add_worker(now)
-            while len(self._procs) <= worker:
-                self._procs.append(None)
-                self._conns.append(None)
-                self._unready_spawns.append(0)
-            self._spawn(worker, self.router.epochs[worker], now)
-            self._dispatch_locked(now)
-        return worker
-
-    def remove_worker(self) -> int:
-        """Permanently stop the highest-id **idle** worker; returns its
-        id (never reused).
-
-        Refuses (via the router) while every worker has a batch in
-        flight or when it is the last live worker — the in-flight
-        epoch-safety invariant the control plane's guards also enforce.
-        """
-        now = self.clock.now()
-        with self._lock:
-            worker = self.router.retirable_worker()
-            self.router.retire_worker(worker, now)
-            conn = self._conns[worker]
-            proc = self._procs[worker]
-            self._conns[worker] = None
-            self._procs[worker] = None
-        if conn is not None:
-            try:
-                conn.send((MSG_STOP,))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if proc is not None:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-        return worker
-
-    def set_model_engine(self, name: str, engine: str,
-                         expected_fingerprint: Optional[str] = None
-                         ) -> None:
-        """Flip a model's execution engine across the cluster, live.
-
-        Drains in-flight work first (a torn batch must not straddle the
-        flip), mutates the registry entry, and publishes a fresh ship
-        key through :meth:`RouterCore.redeploy_model` — the compiled
-        fingerprint is engine-independent, so the key is suffixed with
-        the engine to force every worker ledger stale.  A mismatched
-        ``expected_fingerprint`` fails closed before anything changes.
-        """
-        self.flush()
-        self.drain()
-        now = self.clock.now()
-        with self._lock:
-            registered = self.registry.set_engine(
-                name, engine, expected_fingerprint=expected_fingerprint
-            )
-            envelope = ShippedModel.from_registered(registered)
-            self._envelopes[name] = envelope
-            self.router.redeploy_model(
-                name, f"{envelope.fingerprint}:{registered.engine}", now
-            )
-
-    @property
-    def workers(self) -> int:
-        with self._lock:
-            return self.router.live_workers
-
-    # -- serving --------------------------------------------------------
-
-    def submit(self, name: str, features, tenant: str = "default",
-               deadline_ms: Optional[float] = None,
-               priority: int = 0) -> "Future":
-        """Admit one query; returns a future of its
-        :class:`~repro.serve.batcher.ClassificationResult`.  The block
-        of one: see :meth:`submit_many`."""
-        return self.submit_many(
-            name, (features,), tenant, deadline_ms, priority
-        )[0]
-
-    def submit_many(self, name: str, feature_lists, tenant: str = "default",
-                    deadline_ms: Optional[float] = None,
-                    priority: int = 0) -> List["Future"]:
-        """Admit a block of queries; returns their futures, in order.
-
-        The block is validated whole before any of it is admitted, and
-        admitted under one lock hold, one clock read (one
-        ``submit_time`` and deadline for the block) and one dispatch.
-        A :class:`~repro.errors.RejectedQuery` part-way leaves the
-        queries ahead of it admitted (their tickets on the exception's
-        ``admitted``).
-        """
-        layout = self.registry.get(name).layout
-        payloads = [
-            _ClusterQuery(features)
-            for features in validate_queries(layout, feature_lists)
-        ]
-        # Retries chain new futures onto these; callers hold the first.
-        futures = [payload.future for payload in payloads]
-        effective = (
-            deadline_ms if deadline_ms is not None
-            else self.default_deadline_ms
-        )
-        now = self.clock.now()
-        refusal = None
-        with self._lock:
-            deadline = None if effective is None else now + effective * MS
-            try:
-                self.router.submit_many(
-                    name, payloads, now, tenant=tenant, deadline=deadline,
-                    priority=priority,
-                )
-            except RejectedQuery as exc:
-                refusal = exc  # what it admitted still dispatches
-            self._dispatch_locked(now)
-            failures = self.router.drain_failures()
-        deliver_failures(failures)
-        if refusal is not None:
-            raise refusal
-        return futures
-
-    def classify_many(self, name: str, feature_lists,
-                      tenant: str = "default") -> List:
-        """Submit many queries, dispatch, and return results in order.
-
-        Validates the whole request before admitting any of it; when
-        admission control refuses one part-way, what was admitted is
-        still served before the refusal propagates.  An empty request
-        returns ``[]`` without taking the router lock.
-        """
-        self.registry.get(name)  # name resolution (or raise)
-        if not len(feature_lists):
-            return []
-        try:
-            futures = self.submit_many(name, feature_lists, tenant)
-        except RejectedQuery as refusal:
-            self.flush(name)  # serve what was admitted ahead of it
-            wait_futures([ticket.future for ticket in refusal.admitted])
-            raise
-        self.flush(name)
-        wait_futures(futures)
-        return [f.result() for f in futures]
-
-    def flush(self, name: Optional[str] = None) -> None:
-        now = self.clock.now()
-        with self._lock:
-            self.router.flush(name)
-            self._dispatch_locked(now)
-            failures = self.router.drain_failures()
-        deliver_failures(failures)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until no admitted query is queued or in flight."""
-        with self._completion:
-            return self._completion.wait_for(
-                lambda: self.router.outstanding == 0, timeout=timeout
-            )
-
-    def pending(self, name: Optional[str] = None) -> int:
-        """Admitted queries still queued (not yet cut into a batch)."""
-        with self._lock:
-            return self.router.core.pending(name)
 
     def stats(self) -> SchedulerStats:
+        # The one behavioural difference kept: the flat scheduler view,
+        # because perf/layers.py reads ``.stats().retries`` on this name
+        # and ``.stats().scheduler`` on the other.  A [benchmark] PR
+        # that reads one shape retires it.
         with self._lock:
             return self.router.stats()
-
-    @property
-    def metrics(self):
-        return self.router.metrics
-
-    def metrics_snapshot(self) -> Dict:
-        with self._lock:
-            self.router.stats()
-            return self.router.metrics.snapshot()
-
-    @property
-    def decisions(self) -> List[Tuple]:
-        with self._lock:
-            return list(self.router.decisions or [])
-
-    def dlq(self) -> List[Dict]:
-        """The quarantined (dead-lettered) queries, oldest first."""
-        with self._lock:
-            return self.router.dlq.as_dicts()
-
-    # -- engine internals ----------------------------------------------
-
-    def _send_locked(self, worker: int, message) -> None:
-        """Send to a worker; a dead pipe is the receive loop's to handle.
-
-        A worker that died leaves EOF on its pipe, which the receive
-        loop turns into the crash path (epoch bump, ship ledger cleared,
-        in-flight batch re-placed) — so a failed send here loses
-        nothing, and no raw ``OSError`` reaches ``submit``/``preload``.
-        """
-        try:
-            self._conns[worker].send(message)
-        except (OSError, ValueError):  # BrokenPipeError is an OSError
-            pass
-
-    def _dispatch_locked(self, now: float) -> None:
-        for action in self.router.dispatch(now):
-            if isinstance(action, ShipAction):
-                self._send_locked(
-                    action.worker, (MSG_LOAD, self._envelopes[action.model])
-                )
-                continue
-            assignment = action.assignment
-            worker = (
-                action.worker if isinstance(action, HedgeAction)
-                else assignment.worker
-            )
-            request = BatchRequest(
-                batch_id=assignment.batch_id,
-                model=assignment.queue,
-                epoch=action.epoch,
-                features=tuple(
-                    tuple(t.payload.features) for t in assignment.tickets
-                ),
-                verify_oracle=self.verify_oracle,
-            )
-            # A hedge send reuses the primary's inflight entry: results
-            # carry (worker, epoch), so either replica can resolve it.
-            self._inflight[assignment.batch_id] = (assignment,
-                                                   action.epoch)
-            self._send_locked(worker, (MSG_EVAL, request))
-
-    def _receive_loop(self) -> None:
-        from multiprocessing.connection import wait as conn_wait
-
-        last_ping = self.clock.now()
-        while True:
-            with self._lock:
-                if self._closed:
-                    return
-                conns = [c for c in self._conns if c is not None]
-                now = self.clock.now()
-                wake_at = self.router.next_wake_time(now)
-            timeout = self.POLL_INTERVAL_S
-            if wake_at is not None:
-                timeout = min(timeout, max(0.0, wake_at - now))
-            try:
-                ready = conn_wait(conns, timeout)
-            except OSError:
-                ready = []
-            resolutions = []
-            with self._lock:
-                if self._closed:
-                    return
-                now = self.clock.now()
-                for conn in ready:
-                    try:
-                        worker = self._conns.index(conn)
-                    except ValueError:
-                        continue  # replaced while we waited
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        self._handle_crash_locked(worker, now)
-                        continue
-                    resolution = self._handle_message_locked(
-                        worker, message, now
-                    )
-                    if resolution is not None:
-                        resolutions.append(resolution)
-                for worker in self.router.check_health(now):
-                    self._kill_locked(worker)
-                    self._handle_crash_locked(worker, now)
-                if now - last_ping >= self.heartbeat_interval_s:
-                    last_ping = now
-                    for worker, conn in enumerate(self._conns):
-                        if conn is not None:  # None: retired worker
-                            self._send_locked(worker, (MSG_PING,))
-                self._dispatch_locked(now)
-                failures = self.router.drain_failures()
-                self._completion.notify_all()
-            deliver_failures(failures)
-            for resolve in resolutions:
-                resolve()
-
-    def _handle_message_locked(self, worker: int, message, now: float):
-        tag = message[0]
-        if tag == MSG_RESULT:
-            return self._handle_result_locked(message[1], now)
-        if tag in (MSG_READY, MSG_PONG):
-            current = self.router.heartbeat(worker, message[2], now)
-            if current and tag == MSG_READY:
-                self._unready_spawns[worker] = 0
-        # MSG_LOADED is informational; the ledger was updated at ship time.
-        return None
-
-    def _handle_result_locked(self, result, now: float):
-        entry = self._inflight.pop(result.batch_id, None)
-        if entry is None:
-            return None  # duplicated or hedged-and-already-resolved
-        assignment, _ = entry
-        # Trust what the result *says* about its origin, not what the
-        # dispatch remembered: a hedged batch resolves from whichever
-        # replica answered first.
-        worker = result.worker
-        epoch = result.epoch
-        if result.error is not None:
-            # Deterministic worker-side failure: no retry (a second run
-            # would fail identically); every ticket fails loudly.
-            self.router.complete(assignment, epoch, now, OUTCOME_ERROR,
-                                 worker=worker)
-            return None
-        if (
-            result.bitvectors is None
-            or len(result.bitvectors) != assignment.size
-        ):
-            # A truncated/corrupted completion envelope.  Fail closed:
-            # the sender is lying about the batch shape, so treat it as
-            # a worker fault — kill it and take the crash/respawn path
-            # (the batch parks or quarantines; nothing is resolved from
-            # a malformed result).
-            self._inflight[assignment.batch_id] = entry
-            if (
-                worker < len(self.router.epochs)
-                and epoch == self.router.epochs[worker]
-                and self.router.alive[worker]
-            ):
-                self._kill_locked(worker)
-                self._handle_crash_locked(worker, now)
-            return None
-        if result.degraded_engine is not None:
-            registered = self._registered.get(assignment.queue)
-            from_engine = (
-                registered.engine if registered is not None else ""
-            )
-            self.router.record_degrade(
-                assignment.queue, from_engine, result.degraded_engine,
-                now,
-            )
-        if not self.router.complete(assignment, epoch, now, OUTCOME_OK,
-                                    worker=worker):
-            return None  # stale epoch: tickets already requeued
-        registered = self._registered[assignment.queue]
-        tickets = list(assignment.tickets)
-
-        def resolve() -> None:
-            from repro.serve.batcher import classification_results
-
-            outcomes = classification_results(
-                registered, result.batch_id,
-                [ticket.payload.features for ticket in tickets],
-                result.bitvectors, result.inference_ms, result.oracle_ok,
-            )
-            for ticket, outcome in zip(tickets, outcomes):
-                future = ticket.payload.future
-                if not future.done():
-                    future.set_result(outcome)
-
-        return resolve
-
-    def _kill_locked(self, worker: int) -> None:
-        proc = self._procs[worker]
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-
-    def _handle_crash_locked(self, worker: int, now: float) -> None:
-        """Pipe EOF / liveness timeout: crash, respawn, re-place.
-
-        The router decides the batch's fate (park behind backoff,
-        quarantine-bisect, promote a hedge replica); this engine only
-        drops the dead inflight entry and respawns the process.  A
-        None return means the batch survives on its hedge replica, so
-        the inflight entry stays.  A slot whose last
-        :data:`MAX_STARTUP_DEATHS` incarnations all died before
-        reporting ready is abandoned, not respawned.
-        """
-        if not self.router.alive[worker]:
-            return
-        interrupted = self.router.crash_worker(worker, now)
-        if interrupted is not None:
-            self._inflight.pop(interrupted.batch_id, None)
-        try:
-            self._conns[worker].close()
-        except OSError:
-            pass
-        proc = self._procs[worker]
-        if proc is not None:
-            proc.join(timeout=0.5)
-            if proc.is_alive():
-                proc.terminate()
-        if self._closed:
-            return
-        deaths = self._unready_spawns[worker]
-        if deaths >= MAX_STARTUP_DEATHS:
-            self._conns[worker] = None
-            self._procs[worker] = None
-            self.router.abandon_worker(worker, deaths, now)
-            return
-        epoch = self.router.restart_worker(worker, now)
-        # restart_worker reset the liveness clock; _spawn re-seeds it
-        # once the replacement is up.
-        self._spawn(worker, epoch, now)
-
-
-def _check_cluster_args(workers: int) -> None:
-    if workers < 1:
-        raise ValidationError(f"--workers must be >= 1, got {workers}")

@@ -23,9 +23,10 @@ chaos soak replay byte-identical decision logs.
   via ``repro serve`` stats and the ``repro dlq`` CLI.
 * Degradation ladders — the ordered fallback chains
   ``megakernel -> tape -> plan -> eager`` and ``vector -> reference``
-  workers walk when an engine or capability raises, so a broken
-  fast path degrades to a slower correct one instead of failing the
-  batch.
+  walked when an engine or capability raises, so a broken fast path
+  degrades to a slower correct one instead of failing the batch;
+  :func:`evaluate_down_ladder` is the one walk, run by the in-thread
+  batcher and the worker process alike.
 * :class:`TransportFaultPlan` / :func:`chaos_worker_main` — the
   **test-only** transport shim that injects the same chaos matrix the
   simulator models (corrupted envelopes, truncated / dropped /
@@ -43,6 +44,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.core.engines import ENGINES
+from repro.serve.batched_runtime import evaluate_registered_batch
 from repro.serve.simclock import MS
 
 __all__ = [
@@ -57,6 +59,7 @@ __all__ = [
     "BACKEND_LADDER",
     "degrade_engine",
     "degrade_backend",
+    "evaluate_down_ladder",
     "TransportFaultPlan",
     "chaos_worker_main",
 ]
@@ -373,6 +376,36 @@ def degrade_engine(engine: str) -> Optional[str]:
 def degrade_backend(backend: str) -> Optional[str]:
     """The next backend down the ladder, or None at the bottom."""
     return _next_rung(BACKEND_LADDER, backend)
+
+
+def evaluate_down_ladder(registered, features, verify_oracle: bool = False,
+                         on_stage=None):
+    """Evaluate one batch on the registered engine, degrading on failure.
+
+    When an engine raises, the batch is retried one rung down
+    :data:`ENGINE_LADDER` (fastest first) instead of failing — a broken
+    fast path degrades to a slower correct one.  Past the last rung the
+    registered engine's own exception propagates: it is the failure to
+    diagnose, and the last rung's is chained to it as context.  Returns
+    ``(evaluation, degraded)``: ``degraded`` is None, or ``(registered
+    engine, engine that answered)`` for the router to audit
+    (:meth:`~repro.serve.cluster.RouterCore.record_degrade`).
+    """
+    engine = first = registered.engine
+    failure = None
+    while True:
+        try:
+            evaluation = evaluate_registered_batch(
+                registered, features, engine=engine,
+                verify_oracle=verify_oracle, on_stage=on_stage,
+            )
+        except BaseException as exc:
+            failure = failure or exc
+            engine = degrade_engine(engine)
+            if engine is None:
+                raise failure
+            continue
+        return evaluation, None if engine == first else (first, engine)
 
 
 # ---------------------------------------------------------------------------

@@ -471,7 +471,6 @@ class SimRunner:
         self.router = RouterCore(
             workers=workers,
             max_retries=max_retries,
-            record_decisions=True,
             tracer=tracer,
             metrics=metrics,
             heartbeat_timeout_s=heartbeat_timeout_s,
@@ -605,7 +604,7 @@ class SimRunner:
         first_t = arrivals[0].time if arrivals else 0.0
         return SimReport(
             stats=router.stats(),
-            decisions=list(router.decisions or []),
+            decisions=list(router.decisions),
             duration_s=max(0.0, self._last_completion_t - first_t),
             service_ms_total=self._service_ms_total,
             capacity_total=self._capacity_total,

@@ -29,12 +29,14 @@ scheduling problem:
   tickets back (:meth:`SchedulerCore.release_crashed`) and requeues a
   retried ticket at its original queue position.
 
-The design splits into a **pure decision core** (:class:`SchedulerCore`:
-no threads, no clock ownership — every method takes ``now``) and thin
-execution engines.  :class:`Scheduler` here drives the core with one
-evaluator thread and a :class:`~repro.serve.simclock.Clock`;
-:mod:`repro.serve.loadgen` drives the *same* core (under the cluster
-router) from a deterministic discrete-event loop under a
+This module is the **pure decision core** (:class:`SchedulerCore`: no
+threads, no clock ownership — every method takes ``now``); the engines
+that drive it are thin and sit above the router that wraps it
+(:class:`~repro.serve.cluster.RouterCore`).  The serve facade
+(:class:`~repro.serve.service.CopseService`) drives it in real time from
+one pump thread and a :class:`~repro.serve.simclock.Clock`;
+:mod:`repro.serve.loadgen` drives the *same* core from a deterministic
+discrete-event loop under a
 :class:`~repro.serve.simclock.VirtualClock`.
 Because every scheduling decision lives in the core and depends only on
 (queue state, time, free workers), the simulated decisions are exactly
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +58,7 @@ from repro.obs.trace import (
     OUTCOME_FAILED,
     OUTCOME_REJECTED,
 )
-from repro.serve.simclock import MS, Clock, RealClock
+from repro.serve.simclock import MS
 
 #: Completions whose latencies feed the percentile window; older samples
 #: age out so a long-lived service neither grows without bound nor pays
@@ -301,7 +302,7 @@ class _ModelQueue:
 class SchedulerCore:
     """The pure scheduling state machine.
 
-    Thread-unsafe by design: callers (the threaded engine, the
+    Thread-unsafe by design: callers (the serve facade, the
     discrete-event simulator) serialize access.  Every method takes the
     current time explicitly, so the core itself never reads a clock —
     that is what makes simulated and real scheduling decisions
@@ -1013,11 +1014,11 @@ class SchedulerCore:
     def _fail_ticket(self, ticket: QueryTicket, exc: Exception,
                      now: Optional[float] = None) -> None:
         # Deferred delivery: resolving a future can run arbitrary
-        # caller done-callbacks, and the threaded engine invokes core
-        # methods under its condition lock — a callback that touches the
-        # scheduler (stats, result() on a sibling query) would deadlock
-        # the pool.  Counters update here; the future resolves when the
-        # caller drains, outside any lock.
+        # caller done-callbacks, and the serve facade invokes core
+        # methods under its lock — a callback that touches the service
+        # (stats, result() on a sibling query) would deadlock it.
+        # Counters update here; the future resolves when the caller
+        # drains, outside any lock.
         self._failed.inc()
         if self.tracer is not None and ticket.span is not None:
             # Callers without a clock (queue teardown) fall back to the
@@ -1126,270 +1127,3 @@ def _replace_future(old):
 
     fresh.add_done_callback(_propagate)
     return fresh
-
-
-# ---------------------------------------------------------------------------
-# Threaded execution engine
-# ---------------------------------------------------------------------------
-
-
-class Scheduler:
-    """One evaluator thread driving a :class:`SchedulerCore` in real time.
-
-    ``threads`` is the number of worker *slots* the core schedules over
-    — what the stats, the control plane and the simulated-cost book mean
-    by it — not a number of host threads.  Batch evaluation holds the
-    GIL between its numpy calls, so two evaluating threads only
-    interleave, and every GIL release becomes a hand-off
-    (``serve.scheduler.parallel_speedup`` read 0.63 with two); one
-    thread therefore *leads*: it alone asks the core for assignments,
-    runs the queue's evaluator (registered by :meth:`add_queue`) outside
-    the lock, and reports the outcome.  Wall-clock parallelism is worker
-    processes (:class:`~repro.serve.cluster.ClusterService`).
-
-    The lead wakes on submissions, flushes, *and* on the earliest
-    pending slack-cut deadline, so deadline-forced partial batches
-    dispatch without any caller involvement.
-    """
-
-    def __init__(
-        self,
-        threads: int = 2,
-        clock: Optional[Clock] = None,
-        name: str = "copse-serve",
-        tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        if threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {threads}")
-        self.threads = threads
-        self.clock: Clock = clock if clock is not None else RealClock()
-        self._core = SchedulerCore(
-            workers=threads, tracer=tracer, metrics=metrics,
-        )
-        self._evaluators: Dict[str, Callable[[Assignment], None]] = {}
-        self._cond = threading.Condition()
-        self._stopping = False
-        self._lead = threading.Thread(
-            target=self._lead_loop, name=f"{name}-lead", daemon=True
-        )
-        self._lead.start()
-
-    # ------------------------------------------------------------------
-
-    def add_queue(
-        self,
-        name: str,
-        capacity: int,
-        evaluate: Callable[[Assignment], None],
-        weight: float = 1.0,
-        max_pending: Optional[int] = None,
-        service_ms: Optional[float] = None,
-    ) -> None:
-        """Register a model queue and its batch evaluator."""
-        with self._cond:
-            self._core.add_queue(
-                name,
-                capacity=capacity,
-                weight=weight,
-                max_pending=max_pending,
-                service_ms=service_ms,
-            )
-            self._evaluators[name] = evaluate
-
-    def remove_queue(self, name: str) -> int:
-        with self._cond:
-            failed = self._core.remove_queue(name, now=self.clock.now())
-            self._evaluators.pop(name, None)
-            failures = self._core.drain_failures()
-        deliver_failures(failures)  # outside the lock: callbacks may
-        return failed               # re-enter the scheduler
-
-    def submit(
-        self,
-        name: str,
-        payload: Any,
-        tenant: str = "default",
-        deadline_ms: Optional[float] = None,
-        priority: int = 0,
-    ) -> QueryTicket:
-        """Admit one query: the block of one."""
-        return self.submit_many(
-            name, (payload,), tenant=tenant, deadline_ms=deadline_ms,
-            priority=priority,
-        )[0]
-
-    def submit_many(
-        self,
-        name: str,
-        payloads: Sequence[Any],
-        tenant: str = "default",
-        deadline_ms: Optional[float] = None,
-        priority: int = 0,
-    ) -> List[QueryTicket]:
-        """Admit a block under one lock hold, one clock read and one
-        wake-up of the lead; ``deadline_ms`` is relative to now and
-        shared by the block."""
-        with self._cond:
-            now = self.clock.now()
-            deadline = None if deadline_ms is None else now + deadline_ms * MS
-            try:
-                return self._core.submit_many(
-                    name,
-                    payloads,
-                    now,
-                    tenant=tenant,
-                    deadline=deadline,
-                    priority=priority,
-                )
-            finally:
-                # Also on a refusal part-way: what was admitted ahead of
-                # it may have filled a batch.
-                self._cond.notify_all()
-
-    def flush(self, name: Optional[str] = None) -> None:
-        """Make partial batches dispatchable (no-op on empty queues)."""
-        with self._cond:
-            self._core.flush(name)
-            self._cond.notify_all()
-
-    def drain(self) -> None:
-        """Block until no dispatchable or in-flight work remains.
-
-        Partial batches that are neither flushed nor deadline-due stay
-        queued — drain does not wait for future slack cuts.
-        """
-        with self._cond:
-            while (
-                self._core.running
-                or self._core.has_ready(self.clock.now())
-            ):
-                self._cond.wait(timeout=0.05)
-
-    def pending(self, name: Optional[str] = None) -> int:
-        with self._cond:
-            return self._core.pending(name)
-
-    # ------------------------------------------------------------------
-    # Control seams (live actuation by the control plane)
-    # ------------------------------------------------------------------
-
-    def set_weight(self, name: str, weight: float) -> float:
-        """Change a queue's fair-share weight; returns the old one."""
-        with self._cond:
-            old = self._core.set_weight(name, weight)
-            self._cond.notify_all()
-            return old
-
-    def set_admission_limit(self, name: str,
-                            limit: Optional[int]) -> Optional[int]:
-        """Change a queue's admission bound; returns the old one."""
-        with self._cond:
-            return self._core.set_max_pending(name, limit)
-
-    def add_worker(self) -> int:
-        """Grow the pool by one worker slot; returns its id."""
-        with self._cond:
-            return self._core.add_worker()
-
-    def remove_worker(self) -> int:
-        """Retire one idle worker slot (the highest-numbered); returns
-        its id.
-
-        Raises :class:`~repro.errors.ValidationError` when every slot
-        is busy or the pool is at one — callers (the control plane's
-        guards) are expected to check first; the mechanism still fails
-        closed.  In-flight work is untouched.
-        """
-        with self._cond:
-            idle = self._core.idle_workers()
-            if not idle:
-                raise ValidationError(
-                    "no idle worker to retire (all workers have batches "
-                    "in flight)"
-                )
-            self._core.remove_worker(idle[-1])
-            return idle[-1]
-
-    @property
-    def workers(self) -> int:
-        """Current pool size (worker slots)."""
-        with self._cond:
-            return self._core.workers
-
-    def stats(self) -> SchedulerStats:
-        with self._cond:
-            return self._core.stats()
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry backing the core's counters (shared, lock-safe)."""
-        return self._core.metrics
-
-    @property
-    def tracer(self):
-        return self._core.tracer
-
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._core.closed
-
-    def close(self) -> None:
-        """Stop admission, finish admitted work, stop the lead.
-
-        Idempotent: the second and every later call finds nothing left
-        to do.  ``submit()`` after (or during) close raises
-        :class:`~repro.errors.ServeError`.
-        """
-        with self._cond:
-            if not self._core.closed:
-                self._core.close()
-                self._core.flush()
-                self._cond.notify_all()
-        self.drain()
-        with self._cond:
-            self._stopping = True
-            self._cond.notify_all()
-        self._lead.join()
-
-    # ------------------------------------------------------------------
-
-    def _lead_loop(self) -> None:
-        while True:
-            with self._cond:
-                assignment = None
-                while assignment is None:
-                    if self._stopping:
-                        return
-                    assignment = self._core.assign(self.clock.now())
-                    if assignment is None:
-                        # Out of work: the only moment drain() can be
-                        # done, so the only one that wakes its callers.
-                        self._cond.notify_all()
-                        cut_at = self._core.next_cut_time()
-                        timeout = None
-                        if cut_at is not None:
-                            timeout = max(0.0, cut_at - self.clock.now())
-                            timeout = min(timeout, 0.5)
-                        self._cond.wait(timeout)
-                evaluate = self._evaluators.get(assignment.queue)
-            outcome = OUTCOME_OK
-            if evaluate is None:
-                outcome = OUTCOME_ERROR
-            else:
-                try:
-                    evaluate(assignment)
-                except BaseException:
-                    # The evaluator owns error delivery to futures; a bad
-                    # batch must not take the lead down with it.
-                    outcome = OUTCOME_ERROR
-            with self._cond:
-                self._core.complete(
-                    assignment, self.clock.now(), outcome
-                )
-                failures = self._core.drain_failures()
-            # Failure futures resolve outside the lock: a caller's
-            # done-callback may legitimately call back into the
-            # scheduler (stats, another query's result()).
-            deliver_failures(failures)

@@ -1,10 +1,14 @@
 """CopseService: the batched secure-inference facade.
 
-Composes the registry (compile + encrypt once), the per-model batchers
-(pack / demux / verify), and the deadline-aware scheduler (bounded
-queues, fair sharing, worker pool) behind three calls —
-``register_model`` / ``submit_many`` / ``stats`` (``submit`` is the
-block of one) — plus synchronous conveniences.  Typical use::
+One facade over the serve spine: the registry (compile + encrypt once),
+the routing core (:class:`~repro.serve.cluster.RouterCore`: bounded
+queues, fair sharing, placement, the crash policy), one pump thread,
+and a :class:`~repro.serve.transport.Transport` that says where a cut
+batch is evaluated — on the pump thread (this class's constructor) or
+in worker processes (:class:`~repro.serve.cluster.ClusterService`'s).
+Three calls — ``register_model`` / ``submit_many`` / ``stats``
+(``submit`` is the block of one) — plus synchronous conveniences and
+the control plane's seams.  Typical use::
 
     with CopseService(threads=4, default_deadline_ms=250.0) as service:
         service.register_model("credit", forest, precision=8)
@@ -19,16 +23,20 @@ oldest query's deadline slack runs out, or on an explicit ``flush()``
 :class:`~repro.errors.RejectedQuery` at submit time.  Latency and
 throughput metrics come from the existing
 :class:`~repro.fhe.costmodel.CostModel` over each batch's operation DAG,
-aggregated thread-safely across workers; scheduling metrics (wall/virtual
-latency percentiles, deadline misses, rejections, retries) come from the
-scheduler's :class:`~repro.serve.scheduler.SchedulerStats`.
+aggregated per batch; scheduling metrics (wall/virtual latency
+percentiles, deadline misses, rejections, retries) come from the
+scheduler core's :class:`~repro.serve.scheduler.SchedulerStats`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
+import time
+import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RejectedQuery, ValidationError
 from repro.obs.metrics import MetricsRegistry, bind_children
@@ -41,12 +49,28 @@ from repro.forest.forest import DecisionForest
 from repro.serve.batcher import (
     BatchRecord,
     ClassificationResult,
-    CutBatch,
-    QueryBatcher,
+    prepare_queries,
 )
 from repro.serve.registry import ModelRegistry, RegisteredModel
-from repro.serve.scheduler import Assignment, Scheduler, SchedulerStats
-from repro.serve.simclock import Clock
+from repro.serve.scheduler import (
+    OUTCOME_ERROR,
+    OUTCOME_OK,
+    SchedulerStats,
+    deliver_failures,
+)
+from repro.serve.simclock import MS, Clock, RealClock
+from repro.serve.transport import (
+    MAX_STARTUP_DEATHS,
+    Heartbeat,
+    InThreadTransport,
+    Transport,
+    WorkerDied,
+)
+
+#: Router decisions the live service keeps for ``decisions``: a window,
+#: so a long-lived service does not retain one tuple per batch forever
+#: (the simulator keeps its whole log — its replays are hashed).
+DECISION_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -215,8 +239,9 @@ class _StatsAggregator:
                 self._batch_fill.observe(record.size / record.capacity)
             for phase, ms in record.phase_ms.items():
                 self._phase_ms(phase).inc(ms)
-            for phase in record.tracker.phases:
-                counts = record.tracker.phase_stats(phase).counts
+            tracker = record.tracker
+            for phase in tracker.phases if tracker is not None else ():
+                counts = tracker.phase_stats(phase).counts
                 for kind, n in counts.items():
                     self._ops(kind.value).inc(n)
                     self._phase_ops(phase, kind.value).inc(n)
@@ -276,13 +301,15 @@ class CopseService:
     interpreter.
     ``register_model`` can override per model.
 
-    ``threads`` is the number of worker *slots*: what the scheduler's
-    stats, the control plane (``add_worker`` / ``remove_worker``) and
-    the simulated-cost book (:attr:`ServiceStats.threads`, the paper's
-    multithreading) count.  One host thread evaluates all of them —
-    batch evaluations holding the GIL only interleave, and measured
-    slower than serial — so wall-clock parallelism is worker processes
-    (:class:`~repro.serve.cluster.ClusterService`).
+    ``threads`` is the number of worker *slots*: what the router places
+    batches on, the control plane (``add_worker`` / ``remove_worker``)
+    scales and the simulated-cost book (:attr:`ServiceStats.threads`,
+    the paper's multithreading) counts.  One host thread — the pump —
+    evaluates all of them, one batch at a time
+    (:class:`~repro.serve.transport.InThreadTransport` says why), so
+    wall-clock parallelism is worker processes
+    (:class:`~repro.serve.cluster.ClusterService`, the same facade over
+    :class:`~repro.serve.transport.ProcessTransport`).
 
     Scheduling knobs: ``default_deadline_ms`` applies a relative
     deadline to every query that does not bring its own (deadline slack
@@ -291,7 +318,8 @@ class CopseService:
     overflow); ``clock`` injects a time source (a
     :class:`~repro.serve.simclock.VirtualClock` makes deadline behavior
     unit-testable without sleeps).  Evaluation errors are deterministic
-    and never retried — they fail the batch's futures immediately.
+    and never retried — once the engine ladder is exhausted they fail
+    the batch's futures immediately.
     """
 
     def __init__(
@@ -308,39 +336,104 @@ class CopseService:
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
+        clock = clock if clock is not None else RealClock()
+        self._open(
+            InThreadTransport(verify_oracle, tracer, clock),
+            threads,
+            params=params,
+            seccomp_variant=seccomp_variant,
+            verify_oracle=verify_oracle,
+            engine=engine,
+            backend=backend,
+            clock=clock,
+            default_deadline_ms=default_deadline_ms,
+            max_queue=max_queue,
+            tracer=tracer,
+            metrics=metrics,
+        )
+
+    def _open(
+        self,
+        transport: Transport,
+        workers: int,
+        *,
+        engine: str,
+        backend: Optional[str],
+        clock: Clock,
+        default_deadline_ms: Optional[float],
+        max_queue: Optional[int],
+        verify_oracle: bool,
+        tracer,
+        metrics: Optional[MetricsRegistry],
+        params: Optional[EncryptionParams] = None,
+        seccomp_variant: str = VARIANT_ALOUFI,
+        **router_options,
+    ) -> None:
+        """Validate, build the spine over ``transport``, start it.
+
+        Every refusal happens before a worker or the pump is started:
+        a typo fails at construction with nothing to clean up.
+        """
+        from repro.serve.cluster import RouterCore
+
         engine_row(engine, error=ValidationError)
+        #: Default FHE backend for registered models.
+        self.backend = canonical_backend_name(backend)
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ValidationError(
                 f"default_deadline_ms must be > 0, got {default_deadline_ms}"
             )
-        #: One shared registry: the scheduler core's counters, the model
-        #: registry's setup metrics, and the batch aggregates all write
-        #: here, so one snapshot tells the whole story.
-        self.metrics: MetricsRegistry = (
-            metrics if metrics is not None else MetricsRegistry()
+        #: The routing core.  Guarded by ``_lock``, like the transport.
+        self.router = RouterCore(
+            workers=workers, tracer=tracer, metrics=metrics,
+            **router_options,
         )
+        interval = transport.heartbeat_interval_s
+        if (
+            interval is not None
+            and interval >= self.router.heartbeat_timeout_s
+        ):
+            raise ValidationError(
+                f"heartbeat_interval_s ({interval}) must be "
+                f"< heartbeat_timeout_s "
+                f"({self.router.heartbeat_timeout_s}); a worker pinged "
+                f"less often than the liveness horizon would always "
+                f"look dead"
+            )
+        self.router.decisions = deque(maxlen=DECISION_WINDOW)
+        #: One shared registry: the scheduler core's counters, the
+        #: router's, the model registry's setup metrics and the batch
+        #: aggregates all write here, so one snapshot tells the whole
+        #: story.
+        self.metrics: MetricsRegistry = self.router.metrics
         #: Optional span tracer (``repro.obs.trace.Tracer``): threads
-        #: through scheduler (query/batch spans) and batchers (stage
-        #: spans).  None — the default — costs nothing on any hot path.
+        #: through the cores (query/batch spans) and the in-thread
+        #: batchers (stage spans).  None — the default — costs nothing
+        #: on any hot path.
         self.tracer = tracer
+        self.clock = clock
+        self.transport = transport
         self.registry = ModelRegistry(
             default_params=params, metrics=self.metrics
-        )
-        self.scheduler = Scheduler(
-            threads=threads, clock=clock,
-            tracer=tracer, metrics=self.metrics,
         )
         self.seccomp_variant = seccomp_variant
         self.verify_oracle = verify_oracle
         self.engine = engine
         self.default_deadline_ms = default_deadline_ms
         self.max_queue = max_queue
-        #: Default FHE backend for registered models; validated eagerly
-        #: so a typo fails at service construction, not first batch.
-        self.backend = canonical_backend_name(backend)
-        self._batchers: Dict[str, QueryBatcher] = {}
+        self._stats = _StatsAggregator(threads=workers, metrics=self.metrics)
         self._lock = threading.Lock()
-        self._stats = _StatsAggregator(threads=threads, metrics=self.metrics)
+        #: Signalled by the pump whenever nothing is left in flight.
+        self._idle = threading.Condition(self._lock)
+        self._closing = False
+        self._stopping = False
+        now = clock.now()
+        for worker in range(workers):
+            self._start_worker_locked(worker, now)
+        self._pump = threading.Thread(
+            target=self._pump_loop, name="copse-serve-pump", daemon=True
+        )
+        self._pump.start()
 
     # ------------------------------------------------------------------
     # Registration
@@ -359,14 +452,18 @@ class CopseService:
         backend: Optional[str] = None,
         weight: float = 1.0,
         max_queue: Optional[int] = None,
+        seccomp_variant: Optional[str] = None,
     ) -> RegisteredModel:
         """Compile, parameter-select, encrypt, and plan ``model`` once.
 
-        ``engine`` and ``backend`` override the service defaults for
-        this model (per-model backend choice is recorded in
-        :attr:`ServiceStats.model_backends`).  ``weight`` is the model's
-        fair-share weight against other registered models;
+        ``engine``, ``backend`` and ``seccomp_variant`` override the
+        service defaults for this model (per-model backend choice is
+        recorded in :attr:`ServiceStats.model_backends`).  ``weight`` is
+        the model's fair-share weight against other registered models;
         ``max_queue`` overrides the service-wide pending-queue bound.
+        A worker process receives the model lazily, exactly once per
+        (worker, epoch), when placement first assigns it there (or
+        eagerly: :meth:`preload`).
         """
         registered = self.registry.register(
             name,
@@ -377,42 +474,28 @@ class CopseService:
             max_batch_size=max_batch_size,
             encrypted_model=encrypted_model,
             engine=self.engine if engine is None else engine,
-            seccomp_variant=self.seccomp_variant,
+            seccomp_variant=(
+                self.seccomp_variant if seccomp_variant is None
+                else seccomp_variant
+            ),
             backend=self.backend if backend is None else backend,
         )
-        batcher = QueryBatcher(
-            registered,
-            verify_oracle=self.verify_oracle,
-            tracer=self.tracer,
-            clock=self.scheduler.clock,
-        )
-
-        def evaluate(assignment: Assignment) -> None:
-            batch = CutBatch(
-                batch_id=assignment.batch_id,
-                entries=[t.payload for t in assignment.tickets],
-            )
-            record = batcher.evaluate(
-                batch,
-                parent_span=assignment.span,
-                worker=assignment.worker,
-            )
-            self._stats.record_batch(record)
-
         try:
-            self.scheduler.add_queue(
-                name,
-                capacity=registered.layout.capacity,
-                evaluate=evaluate,
-                weight=weight,
-                max_pending=self.max_queue if max_queue is None else max_queue,
-                service_ms=registered.estimated_batch_ms,
-            )
+            with self._lock:
+                self.router.add_model(
+                    name,
+                    capacity=registered.layout.capacity,
+                    weight=weight,
+                    max_pending=(
+                        self.max_queue if max_queue is None else max_queue
+                    ),
+                    service_ms=registered.estimated_batch_ms,
+                    fingerprint=_ship_key(registered),
+                )
+                self.transport.stage(registered)
         except ValidationError:
             self.registry.unregister(name)
             raise
-        with self._lock:
-            self._batchers[name] = batcher
         self._stats.record_setup(registered)
         return registered
 
@@ -424,18 +507,37 @@ class CopseService:
         the outcome; flush first if the answers matter.
         """
         self.registry.unregister(name)
-        self.scheduler.remove_queue(name)
-        with self._lock:
-            self._batchers.pop(name, None)
+        with self._routing() as now:
+            self._stop_serving(name, now)
 
-    def _batcher(self, name: str) -> QueryBatcher:
-        # The registry owns name resolution (and its lookup-or-raise
-        # message); the batcher map only mirrors it, so a model removed
-        # via ``registry.unregister`` stops serving immediately even if
-        # its mirror entry has not been pruned yet.
-        self.registry.get(name)
+    def _stop_serving(self, name: str, now: float) -> None:
+        self.router.remove_model(name, now=now)  # fails what it queued
+        self.transport.unstage(name)
+
+    @contextlib.contextmanager
+    def _routing(self):
+        """Hold the lock over a change to the router; yields ``now``.
+
+        On the way out, what the change made placeable is dispatched
+        and — outside the lock, because a done-callback may re-enter
+        the service — what it failed is delivered.
+        """
         with self._lock:
-            return self._batchers[name]
+            now = self.clock.now()
+            try:
+                yield now
+                self._dispatch_locked(now)
+            finally:
+                failures = self.router.drain_failures()
+        deliver_failures(failures)
+
+    def preload(self, name: str) -> None:
+        """Eagerly ship ``name`` to every live worker (warm the pool)."""
+        self.registry.get(name)  # name resolution (or raise)
+        now = self.clock.now()
+        with self._lock:
+            for action in self.router.ship_everywhere(name, now):
+                self.transport.send(action)
 
     # ------------------------------------------------------------------
     # Submission
@@ -468,53 +570,84 @@ class CopseService:
         """Enqueue a block of queries; returns their futures, in order.
 
         The block is validated whole, before any of it is admitted, and
-        admitted under one scheduler lock hold with one ``submit_time``
-        and one deadline (N ``submit`` calls each read the clock).
-        Full batches dispatch immediately; partial batches dispatch when
-        their deadline slack runs out, on :meth:`flush`, or when more
+        admitted under one lock hold, one clock read (one
+        ``submit_time`` and one deadline for the block; N ``submit``
+        calls each read the clock) and one dispatch.  Full batches
+        dispatch immediately; partial batches dispatch when their
+        deadline slack runs out, on :meth:`flush`, or when more
         submissions fill them.  Raises
         :class:`~repro.errors.RejectedQuery` when the model's queue
         reaches its bound — the queries ahead of the refused one stay
         admitted, their tickets on the exception's ``admitted`` — and
         :class:`~repro.errors.ServeError` after :meth:`close`.
         """
-        entries = self._batcher(model_name).prepare_many(feature_lists)
+        entries = prepare_queries(
+            self.registry.get(model_name), feature_lists
+        )
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
-        self.scheduler.submit_many(
-            model_name,
-            entries,
-            tenant=tenant,
-            deadline_ms=deadline_ms,
-            priority=priority,
-        )
+        refusal = None
+        with self._routing() as now:
+            try:
+                self.router.submit_many(
+                    model_name,
+                    entries,
+                    now,
+                    tenant=tenant,
+                    deadline=(
+                        None if deadline_ms is None
+                        else now + deadline_ms * MS
+                    ),
+                    priority=priority,
+                )
+            except RejectedQuery as exc:
+                refusal = exc  # what it admitted still dispatches
+        self.transport.wake()  # the next cut may be due sooner now
+        if refusal is not None:
+            raise refusal
+        # Retries chain new futures onto these; callers hold the first.
         return [entry.future for entry in entries]
 
     def flush(self, model_name: Optional[str] = None) -> None:
-        """Dispatch all pending (including partial) batches and wait.
+        """Dispatch all pending (including partial) batches and wait
+        until nothing is dispatchable or in flight.
 
-        Flushing a model with nothing pending is a no-op.
+        Flushing a model with nothing pending is a no-op.  Work a crash
+        parked behind a backoff is not waited for — its futures are.
         """
         if model_name is not None:
-            self._batcher(model_name)  # name resolution (or raise)
-        else:
-            with self._lock:
-                # Prune mirrors of models retired directly through the
-                # registry, releasing their cached encrypted structures
-                # (and failing their still-queued queries loudly).
-                stale = [
-                    name for name in self._batchers
-                    if name not in self.registry
-                ]
-                for name in stale:
-                    del self._batchers[name]
-            # Queue removal resolves the orphaned queries' failure
-            # futures, whose done-callbacks may re-enter the service —
-            # so it must run outside self._lock.
-            for name in stale:
-                self.scheduler.remove_queue(name)
-        self.scheduler.flush(model_name)
-        self.scheduler.drain()
+            self.registry.get(model_name)  # name resolution (or raise)
+        with self._routing() as now:
+            if model_name is None:
+                for name in self.router.core.queue_names():
+                    # Retired directly through the registry: it stops
+                    # being served here (its queued queries fail loudly).
+                    if name not in self.registry:
+                        self._stop_serving(name, now)
+            self.router.flush(model_name)
+        core = self.router.core
+        self._wait_until(
+            lambda: not (core.running or core.has_ready(self.clock.now()))
+        )
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Block until no admitted query is queued, parked or in flight
+        (False when ``timeout`` seconds pass first).  A partial batch
+        nobody flushed and no deadline forces is still queued."""
+        return self._wait_until(
+            lambda: self.router.outstanding == 0, timeout
+        )
+
+    def _wait_until(self, done: Callable[[], bool],
+                    timeout: Optional[float] = None) -> bool:
+        give_up = None if timeout is None else time.monotonic() + timeout
+        with self._idle:
+            # The pump signals when it runs out of work; the 50 ms poll
+            # covers what moves without it (the clock, a cancel).
+            while not self._idle.wait_for(done, 0.05):
+                if give_up is not None and time.monotonic() >= give_up:
+                    return False
+        return True
 
     def classify(
         self, model_name: str, features: Sequence[int]
@@ -538,9 +671,9 @@ class CopseService:
         refusal part-way still serves what was admitted before it
         propagates — no ticket is left queued behind a future nobody
         holds.  An empty request returns ``[]`` without touching the
-        scheduler.
+        router.
         """
-        self._batcher(model_name)  # name resolution (or raise)
+        self.registry.get(model_name)  # name resolution (or raise)
         if not len(feature_lists):
             return []
         try:
@@ -551,14 +684,22 @@ class CopseService:
         self.flush(model_name)
         return [f.result() for f in futures]
 
+    def pending(self, model_name: Optional[str] = None) -> int:
+        """Admitted queries still queued (not yet cut into a batch)."""
+        if model_name is not None:
+            self.registry.get(model_name)  # name resolution (or raise)
+        with self._lock:
+            return self.router.core.pending(model_name)
+
     # ------------------------------------------------------------------
     # Control-plane seams (live reconfiguration, no restart)
     # ------------------------------------------------------------------
 
     def set_tenant_weight(self, name: str, weight: float) -> float:
         """Retune a model queue's fair-share weight; returns the old."""
-        self._batcher(name)  # name resolution (or raise)
-        return self.scheduler.set_weight(name, weight)
+        self.registry.get(name)  # name resolution (or raise)
+        with self._lock:
+            return self.router.set_weight(name, weight, self.clock.now())
 
     def set_admission_limit(self, name: str,
                             limit: Optional[int]) -> Optional[int]:
@@ -568,26 +709,41 @@ class CopseService:
         never drops already-admitted queries — only new submissions see
         the new limit.
         """
-        self._batcher(name)  # name resolution (or raise)
-        return self.scheduler.set_admission_limit(name, limit)
+        self.registry.get(name)  # name resolution (or raise)
+        with self._lock:
+            return self.router.set_admission_limit(
+                name, limit, self.clock.now()
+            )
 
     def add_worker(self) -> int:
-        """Grow the worker pool by one slot; returns its fresh id."""
-        return self.scheduler.add_worker()
+        """Grow the pool by one worker; returns its fresh id."""
+        with self._routing() as now:
+            if self._closing:
+                raise ValidationError("the service is closed")
+            worker = self.router.add_worker(now)
+            self._start_worker_locked(worker, now)
+        return worker
 
     def remove_worker(self) -> int:
-        """Retire one idle worker slot (never below one).
+        """Permanently stop the highest-id **idle** worker; returns its
+        id (never reused).
 
-        Raises :class:`~repro.errors.ValidationError` when every worker
-        has a batch in flight — the in-flight safety invariant the
-        control plane's guards also enforce.
+        Raises :class:`~repro.errors.ValidationError` (via the router)
+        while every worker has a batch in flight or when it is the last
+        live one — the in-flight safety invariant the control plane's
+        guards also enforce.
         """
-        return self.scheduler.remove_worker()
+        with self._lock:
+            worker = self.router.retirable_worker()
+            self.router.retire_worker(worker, self.clock.now())
+            self.transport.stop_worker(worker, graceful=True)
+        return worker
 
     @property
     def workers(self) -> int:
-        """Current worker-pool size."""
-        return self.scheduler.workers
+        """Current worker-pool size (live workers)."""
+        with self._lock:
+            return self.router.live_workers
 
     def set_model_engine(self, name: str, engine: str,
                          expected_fingerprint: Optional[str] = None
@@ -595,11 +751,12 @@ class CopseService:
         """Flip a model's execution engine live (next batch uses it).
 
         Drains in-flight work first so no batch straddles the flip;
-        queued queries are unaffected (they are packed per batch).
+        queued queries are unaffected (they are packed per batch).  A
+        mismatched ``expected_fingerprint`` fails closed before anything
+        changes.
         """
-        self.flush(name)
-        return self.registry.set_engine(
-            name, engine, expected_fingerprint=expected_fingerprint
+        return self._redeploy(
+            name, self.registry.set_engine, engine, expected_fingerprint
         )
 
     def set_model_backend(self, name: str, backend: str,
@@ -611,47 +768,216 @@ class CopseService:
         re-encrypts the batched model (a real cost, recorded in
         ``setup_ms``); the drain ensures no batch straddles it.
         """
-        self.flush(name)
-        return self.registry.switch_backend(
-            name, backend, expected_fingerprint=expected_fingerprint
+        return self._redeploy(
+            name, self.registry.switch_backend, backend,
+            expected_fingerprint,
         )
+
+    def _redeploy(self, name: str, change: Callable, value: str,
+                  expected_fingerprint: Optional[str]) -> RegisteredModel:
+        """Drain, change the registry entry, publish a fresh ship key.
+
+        The compiled fingerprint does not depend on engine or backend,
+        so the key carries both: every worker's ledger entry goes stale
+        and the next batch placed there re-ships first.
+        """
+        self.flush(name)
+        with self._lock:
+            registered = change(
+                name, value, expected_fingerprint=expected_fingerprint
+            )
+            self.transport.stage(registered)
+            self.router.redeploy_model(
+                name, _ship_key(registered), self.clock.now()
+            )
+        return registered
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
 
     def stats(self) -> ServiceStats:
-        return self._stats.snapshot(scheduler=self.scheduler.stats())
+        with self._lock:
+            return self._stats.snapshot(scheduler=self.router.stats())
 
     def metrics_snapshot(self) -> Dict:
         """A JSON-able snapshot of the shared metrics registry.
 
-        Calls ``scheduler.stats()`` first so point-in-time gauges
-        (pending/running) are current — this is the payload of every
-        ``repro serve --stats-interval`` JSONL line.
+        Refreshes the point-in-time gauges (pending / running / parked)
+        first — this is the payload of every ``repro serve
+        --stats-interval`` JSONL line.
         """
-        self.scheduler.stats()
-        return self.metrics.snapshot()
+        with self._lock:
+            self.router.stats()
+            return self.metrics.snapshot()
 
     def render_prometheus(self) -> str:
         """The shared registry in Prometheus text exposition format."""
-        self.scheduler.stats()
-        return self.metrics.render_prometheus()
+        with self._lock:
+            self.router.stats()
+            return self.metrics.render_prometheus()
 
-    def pending(self, model_name: str) -> int:
-        self._batcher(model_name)  # name resolution (or raise)
-        return self.scheduler.pending(model_name)
+    @property
+    def decisions(self) -> List[Tuple]:
+        """The router's most recent :data:`DECISION_WINDOW` decisions."""
+        with self._lock:
+            return list(self.router.decisions)
+
+    def dlq(self) -> List[Dict]:
+        """The quarantined (dead-lettered) queries, oldest first."""
+        with self._lock:
+            return self.router.dlq.as_dicts()
+
+    @property
+    def closed(self) -> bool:
+        return self._closing
 
     def close(self) -> None:
-        """Stop admission, finish admitted work, stop the worker pool.
+        """Stop admission, finish admitted work, stop pump and workers.
 
         Idempotent; :meth:`submit` afterwards raises
-        :class:`~repro.errors.ServeError`.
+        :class:`~repro.errors.ServeError`.  How long admitted work is
+        waited for is the transport's to say
+        (:attr:`~repro.serve.transport.Transport.close_grace_s`).  A
+        pump that outlives its join is a leak, not a nuisance — it can
+        race a later service in the same process — so it is counted
+        (``cluster_receiver_leaked``) and warned about instead of being
+        swallowed.
         """
-        self.scheduler.close()
+        with self._routing():
+            if self._closing:
+                return
+            self._closing = True
+            self.router.close()
+            self.router.flush()
+        self.drain(timeout=self.transport.close_grace_s)
+        with self._lock:
+            self._stopping = True
+        self.transport.wake()
+        self._pump.join(timeout=5.0)
+        if self._pump.is_alive():
+            self.metrics.counter("cluster_receiver_leaked").inc()
+            warnings.warn(
+                f"{type(self).__name__} pump thread failed to stop "
+                f"within 5s of close(); leaking it (its transport's "
+                f"handles stay held)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        self.transport.close()
 
     def __enter__(self) -> "CopseService":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+    # ------------------------------------------------------------------
+    # The pump: the one thread that drives the router in real time
+    # ------------------------------------------------------------------
+
+    def _start_worker_locked(self, worker: int, now: float) -> None:
+        self.transport.start_worker(worker, self.router.epochs[worker])
+        if self.transport.heartbeat_interval_s is not None:
+            self.router.worker_started(worker, now)
+
+    def _dispatch_locked(self, now: float) -> None:
+        room = self.transport.room()
+        if room != 0:
+            for action in self.router.dispatch(now, limit=room):
+                self.transport.send(action)
+
+    def _pump_loop(self) -> None:
+        router, transport = self.router, self.transport
+        timeout = 0.0
+        while True:
+            waited = transport.wait(timeout)
+            resolutions: List[Callable[[], None]] = []
+            with self._lock:
+                if self._stopping:
+                    return
+                now = self.clock.now()
+                for event in transport.receive(waited):
+                    self._handle_locked(event, now, resolutions)
+                for worker in router.check_health(now):
+                    self._crash_locked(worker, now)
+                self._dispatch_locked(now)
+                failures = router.drain_failures()
+                wake_at = router.next_wake_time(now)
+                idle = not router.core.running
+                if idle and not resolutions:
+                    self._idle.notify_all()
+            # Futures resolve outside the lock: a caller's done-callback
+            # may legitimately call back into the service (stats,
+            # another query's result()).
+            deliver_failures(failures)
+            for resolve in resolutions:
+                resolve()
+            if idle and resolutions:
+                with self._idle:  # only now: flush() returns to answers
+                    self._idle.notify_all()
+            timeout = transport.poll_interval_s
+            if wake_at is not None:
+                timeout = min(timeout, max(0.0, wake_at - self.clock.now()))
+
+    def _handle_locked(self, event, now: float,
+                       resolutions: List[Callable[[], None]]) -> None:
+        router = self.router
+        if isinstance(event, Heartbeat):
+            router.heartbeat(event.worker, event.epoch, now)
+            return
+        if isinstance(event, WorkerDied):
+            # A malformed result may lie about where it came from.
+            if (
+                event.worker < len(router.epochs)
+                and event.epoch == router.epochs[event.worker]
+            ):
+                self._crash_locked(event.worker, now)
+            return
+        assignment, record = event.assignment, event.record
+        if record is None:
+            router.complete(assignment, event.epoch, now, OUTCOME_ERROR,
+                            worker=event.worker)
+            return
+        if record.degraded is not None:
+            router.record_degrade(assignment.queue, *record.degraded, now)
+        # A stale epoch is refused here: its tickets were already parked.
+        if router.complete(assignment, event.epoch, now, OUTCOME_OK,
+                           worker=event.worker):
+            self._stats.record_batch(record)
+            if event.resolve is not None:
+                resolutions.append(event.resolve)
+
+    def _crash_locked(self, worker: int, now: float) -> None:
+        """A worker is gone (pipe EOF, liveness timeout, malformed
+        result): crash, respawn, re-place.
+
+        The router decides the batch's fate (park behind backoff,
+        quarantine-bisect, promote a hedge replica); here the dead
+        incarnation is reaped and replaced.  A None from
+        ``crash_worker`` means the batch survives on its hedge replica,
+        so the transport keeps waiting for it.  A slot whose last
+        :data:`MAX_STARTUP_DEATHS` incarnations all died before
+        reporting ready is abandoned, not respawned.
+        """
+        router, transport = self.router, self.transport
+        if not router.alive[worker]:
+            return
+        interrupted = router.crash_worker(worker, now)
+        if interrupted is not None:
+            transport.forget(interrupted.batch_id)
+        transport.stop_worker(worker)
+        deaths = transport.startup_deaths(worker)
+        if deaths >= MAX_STARTUP_DEATHS:
+            router.abandon_worker(worker, deaths, now)
+            return
+        router.restart_worker(worker, now)
+        self._start_worker_locked(worker, now)
+
+
+def _ship_key(registered: RegisteredModel) -> str:
+    """What a worker must hold to evaluate ``registered`` as it is now."""
+    return (
+        f"{registered.compiled.fingerprint()}:{registered.engine}:"
+        f"{registered.backend}"
+    )

@@ -1,10 +1,24 @@
-"""Picklable envelopes for the multi-process serve cluster.
+"""The transport seam: wire types, and the two ways a batch is run.
 
-Everything that crosses a router/worker process boundary is defined
-here, and everything here must survive ``pickle`` under the ``spawn``
-start method (no lambdas, locks, futures, open trackers, or lazily
-cached derived state — :class:`~repro.ir.tape.FusedSpec` drops its
-gather caches in ``__getstate__`` for exactly this reason, and
+The serve facade (:class:`~repro.serve.service.CopseService`) owns
+admission, routing and futures; a :class:`Transport` is only what
+differs between evaluating a cut batch **in this process** and in a
+**pool of worker processes** — bring a worker incarnation up or down,
+carry out one of the router's instructions (:class:`ShipAction`,
+:class:`AssignAction`, :class:`HedgeAction`), wait for what happened
+(:class:`Completion`, :class:`WorkerDied`, :class:`Heartbeat`), close:
+
+* :class:`InThreadTransport` evaluates on the facade's pump thread, one
+  batch at a time: nothing is pickled, a ship is a no-op (the model is
+  already here) and a worker cannot die.
+* :class:`ProcessTransport` runs ``multiprocessing`` (spawn) workers
+  behind pipes, each in :func:`repro.serve.worker.worker_main`.
+
+Everything that crosses the process boundary is defined here too, and
+must survive ``pickle`` under the ``spawn`` start method (no lambdas,
+locks, futures, open trackers, or lazily cached derived state —
+:class:`~repro.ir.tape.FusedSpec` drops its gather caches in
+``__getstate__`` for exactly this reason, and
 :class:`~repro.ir.megakernel.MegaKernel` reduces to its tape and
 recompiles lazily on the other side):
 
@@ -30,14 +44,32 @@ a multi-megabyte envelope without a send/send deadlock.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ServeError
+from repro.errors import ServeError, ValidationError
 from repro.core.engines import artifacts_of
 from repro.core.seccomp import VARIANT_ALOUFI
+from repro.serve.batcher import (
+    BatchRecord,
+    CutBatch,
+    QueryBatcher,
+    classification_results,
+)
+from repro.serve.scheduler import Assignment
 
 __all__ = [
+    "ShipAction",
+    "AssignAction",
+    "HedgeAction",
+    "Completion",
+    "WorkerDied",
+    "Heartbeat",
+    "Transport",
+    "InThreadTransport",
+    "ProcessTransport",
+    "MAX_STARTUP_DEATHS",
     "ShippedModel",
     "BatchRequest",
     "BatchResult",
@@ -185,3 +217,460 @@ class BatchResult:
     #: Set when the worker fell down the engine ladder mid-batch: the
     #: engine that actually produced the bitvectors (router audits it).
     degraded_engine: Optional[str] = None
+
+
+# ---------------------------------------------------------------------------
+# Router -> transport instructions, transport -> facade events
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShipAction:
+    """Router instruction: send ``model``'s envelope to ``worker``."""
+
+    worker: int
+    epoch: int
+    model: str
+
+
+@dataclass
+class AssignAction:
+    """Router instruction: evaluate ``assignment`` on its bound worker."""
+
+    assignment: Assignment
+    epoch: int
+    #: True when a ShipAction for the same worker precedes this batch —
+    #: the simulator charges the ship latency to this batch.
+    newly_shipped: bool = False
+
+
+@dataclass
+class HedgeAction:
+    """Router instruction: *also* evaluate ``assignment`` on ``worker``.
+
+    Emitted when a batch has been in flight past its hedge threshold:
+    the engine sends the same batch to a second worker and lets the
+    first valid completion win (the loser is dropped by the epoch/busy
+    staleness check).  ``assignment.worker`` still names the primary.
+    """
+
+    assignment: Assignment
+    worker: int
+    epoch: int
+    newly_shipped: bool = False
+
+
+@dataclass
+class Completion:
+    """A batch came back from ``(worker, epoch)``.
+
+    ``record`` is what the stats aggregator books — None when the
+    evaluation raised (deterministic: failed, never retried).
+    ``resolve`` delivers the results to the futures; the facade runs it
+    outside its lock once the router accepts the completion (None:
+    already resolved, as :meth:`QueryBatcher.evaluate` does in-thread).
+    """
+
+    assignment: Assignment
+    worker: int
+    epoch: int
+    record: Optional[BatchRecord]
+    resolve: Optional[Callable[[], None]] = None
+
+
+@dataclass(frozen=True)
+class WorkerDied:
+    """Incarnation ``epoch`` of ``worker`` is gone (pipe EOF) or must go
+    (it sent a malformed result)."""
+
+    worker: int
+    epoch: int
+
+
+@dataclass(frozen=True)
+class Heartbeat:
+    worker: int
+    epoch: int
+
+
+#: Respawn budget: a worker slot is given up on once this many
+#: incarnations in a row died before their first ``MSG_READY`` (a broken
+#: environment, an unimportable ``__main__`` under spawn) — respawning
+#: such a worker again would crash-loop.
+MAX_STARTUP_DEATHS = 3
+
+
+class Transport:
+    """Where batches are evaluated, as the facade sees it.
+
+    A transport also implements ``stage(registered)`` / ``unstage(name)``
+    (keep what evaluating that model's batches needs; staged again after
+    an engine flip or backend switch), ``send(action)``,
+    ``wait(timeout)`` (block — the one call made *without* the facade's
+    lock — until something happened) and ``receive(waited)`` (the
+    events behind what ``wait`` returned).  The defaults below are the
+    in-thread answers: a worker is a slot, not a process, so there is
+    nothing to start, stop, reap or forget.
+    """
+
+    #: Longest the pump sleeps in ``wait`` before re-reading the timers.
+    poll_interval_s = 0.5
+    #: Seconds between liveness pings; None: workers cannot hang, and
+    #: the router starts no liveness clock for them.
+    heartbeat_interval_s: Optional[float] = None
+    #: How long ``close()`` waits for admitted work; None: all of it.
+    close_grace_s: Optional[float] = None
+
+    def start_worker(self, worker: int, epoch: int) -> None:
+        """Bring up incarnation ``epoch`` of ``worker``."""
+
+    def stop_worker(self, worker: int, graceful: bool = False) -> None:
+        """Take ``worker`` down: asked to (``graceful``: an idle worker
+        being retired), or killed and reaped."""
+
+    def startup_deaths(self, worker: int) -> int:
+        """Incarnations of ``worker`` started since one last came up."""
+        return 0
+
+    def room(self) -> Optional[int]:
+        """New batches that may be cut now (None: the router's own
+        bound, one per free worker)."""
+        return None
+
+    def forget(self, batch_id: int) -> None:
+        """The router gave up on this in-flight batch (its worker died):
+        a late result for it must resolve nothing."""
+
+    def wake(self) -> None:
+        """Cut the current ``wait`` short (a timer may have moved)."""
+
+    def close(self) -> None:
+        """Release everything; the pump has already stopped."""
+
+
+class InThreadTransport(Transport):
+    """Evaluate on the pump thread: no pickle, no process, no crash.
+
+    One batch at a time, and only cut when the evaluator is free
+    (:meth:`room`): batch evaluation holds the GIL between its numpy
+    calls, so a second evaluating thread only interleaves (measured
+    slower than serial), and a batch cut early would age in a list —
+    inflating the service-time estimate the deadline cut subtracts and
+    leaving the slots later arrivals could have filled.
+    """
+
+    def __init__(self, verify_oracle: bool, tracer, clock):
+        self.verify_oracle = verify_oracle
+        self.tracer = tracer
+        self.clock = clock
+        self._batchers: Dict[str, QueryBatcher] = {}
+        self._action: Optional[AssignAction] = None
+        self._wake = threading.Event()
+
+    def stage(self, registered) -> None:
+        self._batchers[registered.name] = QueryBatcher(
+            registered, verify_oracle=self.verify_oracle,
+            tracer=self.tracer, clock=self.clock,
+        )
+
+    def unstage(self, name: str) -> None:
+        self._batchers.pop(name, None)
+
+    def room(self) -> int:
+        return 0 if self._action is not None else 1
+
+    def send(self, action) -> None:
+        if isinstance(action, AssignAction):  # a ship: the model is here
+            self._action = action
+            self._wake.set()
+
+    def wake(self) -> None:
+        self._wake.set()
+
+    def wait(self, timeout: float) -> List[Completion]:
+        if self._action is None:
+            self._wake.wait(timeout)
+        self._wake.clear()
+        action = self._action
+        if action is None:
+            return []
+        assignment = action.assignment
+        record = None
+        try:
+            record = self._batchers[assignment.queue].evaluate(
+                CutBatch(
+                    batch_id=assignment.batch_id,
+                    entries=[t.payload for t in assignment.tickets],
+                ),
+                parent_span=assignment.span,
+                worker=assignment.worker,
+            )
+        except BaseException:
+            # The batcher owns error delivery to the futures (a model
+            # unstaged under the batch leaves that to the router); a
+            # bad batch must not take the pump down with it.
+            pass
+        self._action = None
+        return [Completion(assignment, assignment.worker, action.epoch,
+                           record)]
+
+    def receive(self, waited: List[Completion]) -> List[Completion]:
+        return waited
+
+
+class ProcessTransport(Transport):
+    """``multiprocessing`` (*spawn*) workers behind pipes.
+
+    Only moves bytes: every shipped object must pickle, workers see raw
+    integer features and return plain numbers; the registry, session
+    keys and every query future stay on the facade's side.  A worker
+    that dies leaves EOF on its pipe, which :meth:`receive` reports —
+    so a failed send loses nothing and raises nothing.
+    """
+
+    #: Cut timers and liveness are re-checked at least this often
+    #: (slack cuts across processes are best-effort at this resolution:
+    #: nothing wakes a pipe wait early).
+    poll_interval_s = 0.05
+    #: A result can be lost and a worker can hang, so shutdown does not
+    #: wait for in-flight batches longer than it waits for a join.
+    close_grace_s = 5.0
+
+    def __init__(self, verify_oracle: bool, clock,
+                 heartbeat_interval_s: float, worker_entry=None):
+        from multiprocessing import get_context
+
+        if heartbeat_interval_s <= 0:
+            raise ValidationError(
+                f"heartbeat_interval_s must be > 0, got "
+                f"{heartbeat_interval_s}"
+            )
+        self.verify_oracle = verify_oracle
+        self.clock = clock
+        self.heartbeat_interval_s = heartbeat_interval_s
+        #: Spawn target for pool processes; tests swap in a chaos shim
+        #: (see repro.serve.faults.chaos_worker_main).  Must be
+        #: spawn-picklable.
+        self._worker_entry = worker_entry
+        self._mp = get_context("spawn")
+        #: model name -> the envelope workers are shipped; field for
+        #: field the registered model, so results are built from it too.
+        self._envelopes: Dict[str, ShippedModel] = {}
+        #: batch_id -> assignment awaiting a worker result.
+        self._inflight: Dict[int, Assignment] = {}
+        self._procs: List[object] = []
+        self._conns: List[object] = []
+        #: Per worker slot, the epoch its live incarnation was spawned
+        #: under, and the incarnations spawned since one last reported
+        #: ``MSG_READY`` (see :data:`MAX_STARTUP_DEATHS`).
+        self._epochs: List[int] = []
+        self._unready_spawns: List[int] = []
+        #: The live pipes, as :meth:`wait` (lock-free) reads them.
+        self._listening: Tuple[object, ...] = ()
+        self._last_ping = clock.now()
+
+    def stage(self, registered) -> None:
+        self._envelopes[registered.name] = ShippedModel.from_registered(
+            registered
+        )
+
+    def unstage(self, name: str) -> None:
+        self._envelopes.pop(name, None)
+
+    def _listen(self) -> None:
+        self._listening = tuple(c for c in self._conns if c is not None)
+
+    def start_worker(self, worker: int, epoch: int) -> None:
+        from repro.serve.worker import worker_main
+
+        if worker == len(self._procs):  # a fresh id: one past the last
+            self._procs.append(None)
+            self._conns.append(None)
+            self._epochs.append(0)
+            self._unready_spawns.append(0)
+        entry = (
+            self._worker_entry if self._worker_entry is not None
+            else worker_main
+        )
+        parent, child = self._mp.Pipe()
+        proc = self._mp.Process(
+            target=entry,
+            args=(child, worker, epoch),
+            daemon=True,
+            name=f"copse-worker-{worker}",
+        )
+        proc.start()
+        child.close()
+        self._procs[worker] = proc
+        self._conns[worker] = parent
+        self._epochs[worker] = epoch
+        self._unready_spawns[worker] += 1
+        self._listen()
+
+    def stop_worker(self, worker: int, graceful: bool = False) -> None:
+        conn, proc = self._conns[worker], self._procs[worker]
+        # The process stays listed until a respawn replaces it: a
+        # retired one exits on its own time, and close() reaps it.
+        self._conns[worker] = None
+        self._listen()
+        if graceful:
+            self._send_to(conn, (MSG_STOP,))
+        elif proc.is_alive():
+            proc.terminate()
+        try:
+            conn.close()
+        except OSError:
+            pass
+        if not graceful:
+            proc.join(timeout=0.5)
+
+    def startup_deaths(self, worker: int) -> int:
+        return self._unready_spawns[worker]
+
+    @staticmethod
+    def _send_to(conn, message) -> None:
+        """A dead pipe is :meth:`receive`'s to report, as EOF: the
+        crash path re-places the batch, so a failed send loses nothing
+        and no raw ``OSError`` reaches ``submit`` / ``preload``."""
+        if conn is None:
+            return  # a retired worker's slot
+        try:
+            conn.send(message)
+        except (OSError, ValueError):  # BrokenPipeError is an OSError
+            pass
+
+    def send(self, action) -> None:
+        if isinstance(action, ShipAction):
+            self._send_to(
+                self._conns[action.worker],
+                (MSG_LOAD, self._envelopes[action.model]),
+            )
+            return
+        assignment = action.assignment
+        worker = (
+            action.worker if isinstance(action, HedgeAction)
+            else assignment.worker
+        )
+        request = BatchRequest(
+            batch_id=assignment.batch_id,
+            model=assignment.queue,
+            epoch=action.epoch,
+            features=tuple(
+                tuple(t.payload.features) for t in assignment.tickets
+            ),
+            verify_oracle=self.verify_oracle,
+        )
+        # A hedge send reuses the primary's inflight entry: results
+        # carry (worker, epoch), so either replica can resolve it.
+        self._inflight[assignment.batch_id] = assignment
+        self._send_to(self._conns[worker], (MSG_EVAL, request))
+
+    def forget(self, batch_id: int) -> None:
+        self._inflight.pop(batch_id, None)
+
+    def wait(self, timeout: float):
+        from multiprocessing.connection import wait as conn_wait
+
+        try:
+            return conn_wait(self._listening, timeout)
+        except OSError:
+            return []
+
+    def receive(self, waited) -> List[object]:
+        events: List[object] = []
+        for conn in waited:
+            try:
+                worker = self._conns.index(conn)
+            except ValueError:
+                continue  # replaced while we waited
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):
+                events.append(WorkerDied(worker, self._epochs[worker]))
+                continue
+            tag = message[0]
+            if tag == MSG_RESULT:
+                event = self._result_event(message[1])
+                if event is not None:
+                    events.append(event)
+            elif tag in (MSG_READY, MSG_PONG):
+                if tag == MSG_READY:
+                    self._unready_spawns[worker] = 0
+                events.append(Heartbeat(worker, message[2]))
+            # MSG_LOADED is informational; the router's ledger was
+            # updated at ship time.
+        now = self.clock.now()
+        if now - self._last_ping >= self.heartbeat_interval_s:
+            self._last_ping = now
+            for conn in self._listening:
+                self._send_to(conn, (MSG_PING,))
+        return events
+
+    def _result_event(self, result: "BatchResult"):
+        assignment = self._inflight.pop(result.batch_id, None)
+        if assignment is None:
+            return None  # duplicated or hedged-and-already-resolved
+        # Trust what the result *says* about its origin, not what the
+        # dispatch remembered: a hedged batch resolves from whichever
+        # replica answered first.
+        worker, epoch = result.worker, result.epoch
+        shipped = self._envelopes.get(assignment.queue)
+        if result.error is not None or shipped is None:
+            # Deterministic worker-side failure (or the model was
+            # unregistered under the batch): no retry — a second run
+            # would fail identically; every ticket fails loudly.
+            return Completion(assignment, worker, epoch, None)
+        if (
+            result.bitvectors is None
+            or len(result.bitvectors) != assignment.size
+        ):
+            # A truncated/corrupted completion envelope.  Fail closed:
+            # the sender is lying about the batch shape, so treat it as
+            # a worker fault — the facade kills it and takes the
+            # crash/respawn path (the batch parks or quarantines;
+            # nothing is resolved from a malformed result).
+            self._inflight[assignment.batch_id] = assignment
+            return WorkerDied(worker, epoch)
+        tickets = list(assignment.tickets)
+
+        def resolve() -> None:
+            outcomes = classification_results(
+                shipped, result.batch_id,
+                [ticket.payload.features for ticket in tickets],
+                result.bitvectors, result.inference_ms, result.oracle_ok,
+            )
+            for ticket, outcome in zip(tickets, outcomes):
+                future = ticket.payload.future
+                if not future.done():
+                    future.set_result(outcome)
+
+        degraded = None
+        if result.degraded_engine is not None:
+            degraded = (shipped.engine, result.degraded_engine)
+        record = BatchRecord(
+            model=assignment.queue,
+            batch_id=result.batch_id,
+            size=assignment.size,
+            capacity=shipped.layout.capacity,
+            tracker=None,  # the worker's tracker does not cross the pipe
+            phase_ms=result.phase_ms,
+            inference_ms=result.inference_ms,
+            data_encrypt_ms=result.data_encrypt_ms,
+            oracle_failures=result.oracle_failures,
+            degraded=degraded,
+        )
+        return Completion(assignment, worker, epoch, record, resolve)
+
+    def close(self) -> None:
+        conns = list(self._listening)
+        for conn in conns:
+            self._send_to(conn, (MSG_STOP,))
+        for proc in self._procs:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+        for conn in conns:
+            try:
+                conn.close()
+            except OSError:
+                pass

@@ -10,12 +10,12 @@ lives in the router — and holds no scheduling state at all:
   per (worker, epoch), so this is the only time the multi-megabyte
   bundle crosses the pipe.
 * ``("eval", BatchRequest)`` — run the batch through
-  :func:`~repro.serve.batched_runtime.evaluate_registered_batch` (the
-  routine the in-process batcher runs), walking the engine ladder down
-  when an engine raises, and send back a :class:`~repro.serve.transport.BatchResult` of plain
-  numbers.  Worker-side failures are caught and returned as an
-  ``error`` result — the router decides retry vs. fail, the worker
-  never dies on a bad batch.
+  :func:`~repro.serve.faults.evaluate_down_ladder` (the routine and
+  the engine ladder the in-thread batcher runs), and send back a
+  :class:`~repro.serve.transport.BatchResult` of plain numbers.
+  Worker-side failures are caught and returned as an ``error`` result
+  — the router decides retry vs. fail, the worker never dies on a bad
+  batch.
 * ``("ping",)`` / ``("stop",)`` — heartbeat and shutdown.
 
 Everything a worker computes is a pure function of the shipped model
@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.serve.batched_runtime import evaluate_registered_batch
+from repro.serve.faults import evaluate_down_ladder
 from repro.serve.transport import (
     MSG_EVAL,
     MSG_LOAD,
@@ -57,8 +58,7 @@ def evaluate_batch(
     distilled to the plain numbers a
     :class:`~repro.serve.transport.BatchResult` carries (futures, spans
     and the tracker stay router-side).  ``engine`` overrides the
-    registered engine (the degradation ladder re-runs a failed batch on
-    a slower rung).  Returns ``(bitvectors, phase_ms, inference_ms,
+    registered engine.  Returns ``(bitvectors, phase_ms, inference_ms,
     data_encrypt_ms, oracle_ok)``.
     """
     evaluation = evaluate_registered_batch(
@@ -76,9 +76,6 @@ def evaluate_batch(
 def _eval_result(
     worker_id: int, request: BatchRequest, models
 ) -> BatchResult:
-    from repro.serve.faults import degrade_engine
-
-    degraded: Optional[str] = None
     try:
         registered = models.get(request.model)
         if registered is None:
@@ -87,35 +84,20 @@ def _eval_result(
                 f"loaded (epoch {request.epoch}); the router must ship "
                 f"before it assigns"
             )
-        features = [list(f) for f in request.features]
-        engine = registered.engine
-        while True:
-            # The degradation ladder: when an engine raises, retry the
-            # batch one rung down faults.ENGINE_LADDER (fastest first)
-            # instead of failing it — a broken fast path degrades to a
-            # slower correct one, and the router audits the fallback.
-            try:
-                (bitvectors, phase_ms, inference_ms, data_encrypt_ms,
-                 oracle_ok) = evaluate_batch(
-                    registered, features,
-                    verify_oracle=request.verify_oracle, engine=engine,
-                )
-                break
-            except BaseException:
-                lower = degrade_engine(engine)
-                if lower is None:
-                    raise
-                engine = lower
-                degraded = lower
+        evaluation, degraded = evaluate_down_ladder(
+            registered, [list(f) for f in request.features],
+            verify_oracle=request.verify_oracle,
+        )
+        oracle_ok = evaluation.oracle_ok
         return BatchResult(
             batch_id=request.batch_id,
             model=request.model,
             worker=worker_id,
             epoch=request.epoch,
-            bitvectors=tuple(tuple(b) for b in bitvectors),
-            phase_ms=phase_ms,
-            inference_ms=inference_ms,
-            data_encrypt_ms=data_encrypt_ms,
+            bitvectors=tuple(tuple(b) for b in evaluation.bitvectors),
+            phase_ms=evaluation.phase_ms,
+            inference_ms=evaluation.inference_ms,
+            data_encrypt_ms=evaluation.data_encrypt_ms,
             oracle_ok=(
                 None if oracle_ok is None else tuple(oracle_ok)
             ),
@@ -123,7 +105,7 @@ def _eval_result(
                 None if oracle_ok is None
                 else sum(1 for ok in oracle_ok if not ok)
             ),
-            degraded_engine=degraded,
+            degraded_engine=None if degraded is None else degraded[1],
         )
     except BaseException as exc:  # contained: the router decides
         return BatchResult(

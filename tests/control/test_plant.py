@@ -1,13 +1,14 @@
 """Plant conformance: one actuation seam over three serve targets.
 
 The same five proposals go through :class:`~repro.control.Plant` — via
-a Controller and its guards, as in production — over a live
-:class:`~repro.serve.CopseService`, a live 1-worker
-:class:`~repro.serve.ClusterService` and the simulator.  Where a target
-supports an actuation the observable effect is the same (pool +-1 via
-the highest-id idle worker, weight, limit, engine flip with fingerprint
-check, and every query still decrypting to the oracle's bits); where it
-does not, the refusal is the typed "cannot apply" naming the target.
+a Controller and its guards, as in production — over the live facade on
+each transport (:class:`~repro.serve.CopseService` in-thread, a 1-worker
+:class:`~repro.serve.ClusterService`) and the simulator.  Where a
+target supports an actuation the observable effect is the same (pool
++-1 via the highest-id idle worker, weight, limit, engine flip and
+backend switch with fingerprint check, and every query still decrypting
+to the oracle's bits); where it does not — the simulator has no engines
+or backends — the refusal is the typed "cannot apply" naming it.
 """
 
 import contextlib
@@ -45,7 +46,7 @@ SUPPORTED = {
     "service": ["scale_workers", "adjust_weight", "set_admission_limit",
                 "switch_engine", "switch_backend"],
     "cluster": ["scale_workers", "adjust_weight", "set_admission_limit",
-                "switch_engine"],
+                "switch_engine", "switch_backend"],
     "sim": ["scale_workers", "adjust_weight", "set_admission_limit"],
 }
 
@@ -88,8 +89,6 @@ class _Target:
         self.registered = registered
 
     def idle_workers(self):
-        if self.kind == "service":
-            return self.target.scheduler._core.idle_workers()
         return self.target.router.idle_live_workers()
 
     def occupy(self, forest, gate):
@@ -100,19 +99,14 @@ class _Target:
                 self.target.router.submit("m", _Payload(), 0.0)
             self.target.router.dispatch(0.0)
             return []
-        if self.kind == "service":
-            batcher = self.target._batchers["m"]
-            evaluate = batcher.evaluate
-
-            def gated(*args, **kwargs):
-                gate.wait(timeout=60)
-                return evaluate(*args, **kwargs)
-
-            batcher.evaluate = gated
-        futures = [
-            self.target.submit("m", q) for q in queries_for(forest, 4)
-        ]
-        for _ in range(200):  # until the lead / router has cut the batch
+        queries = queries_for(forest, 4)
+        futures = [self.target.submit("m", q) for q in queries[:3]]
+        # In-thread, a batch stays in flight until its futures are
+        # resolved, which is when their callbacks run: on the pump.
+        # (The cluster target's completions are lost in transit.)
+        futures[0].add_done_callback(lambda _: gate.wait(timeout=60))
+        futures.append(self.target.submit("m", queries[3]))  # it fills
+        for _ in range(200):  # until the router has cut the batch
             if not self.idle_workers():
                 break
             gate.wait(0.05)

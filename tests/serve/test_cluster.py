@@ -590,101 +590,6 @@ class TestRealCluster:
             2 * (MAX_STARTUP_DEATHS - 1)
         )
 
-    def test_real_classify_many_leaves_nothing_queued(self, example_forest):
-        """Defect lock (the in-process twin is in test_service.py): a
-        request refused part-way left its admitted head queued behind
-        futures nobody held.  An invalid query now admits nothing; an
-        admission-control refusal serves what was admitted first."""
-        from repro.errors import RejectedQuery
-
-        queries = real_queries(example_forest, 5)
-        with ClusterService(workers=1, backend="vector",
-                            max_queue=2) as service:
-            service.register_model(
-                "m", example_forest, precision=8, max_batch_size=8
-            )
-            for bad in ([1], [0, 999]):
-                with pytest.raises(ValidationError) as many:
-                    service.classify_many("m", [queries[0], bad, queries[1]])
-                with pytest.raises(ValidationError) as single:
-                    service.submit("m", bad)
-                assert str(many.value) == str(single.value)
-            assert service.pending("m") == 0
-            assert service.stats().submitted == 0
-
-            with pytest.raises(RejectedQuery) as excinfo:
-                service.classify_many("m", queries)
-            assert excinfo.value.queue_depth == 2
-            assert service.pending("m") == 0
-            assert service.drain(timeout=120)
-            stats = service.stats()
-        assert_conserved(stats)
-        # What three submit calls record: two admitted, one refused.
-        assert (stats.submitted, stats.rejected, stats.completed) == (3, 1, 2)
-
-    def test_real_facades_agree_on_the_edges(self, example_forest):
-        """Facade drift lock: ``submit`` / ``submit_many`` /
-        ``classify_many`` take the same arguments on both facades and
-        behave alike on an empty request, a part-way refusal and a
-        closed service."""
-        import inspect
-
-        from repro.errors import RejectedQuery
-        from repro.serve.service import CopseService
-
-        for method in ("submit", "submit_many", "classify_many"):
-            thread, process = (
-                [(p.name, p.default) for p in inspect.signature(
-                    getattr(facade, method)).parameters.values()][2:]
-                for facade in (CopseService, ClusterService)
-            )
-            assert thread == process, method
-        queries = real_queries(example_forest, 5)
-        for service in (
-            CopseService(threads=1, backend="vector", max_queue=3),
-            ClusterService(workers=1, backend="vector", max_queue=3),
-        ):
-            with service:
-                service.register_model(
-                    "m", example_forest, precision=8, max_batch_size=8
-                )
-                # An empty request neither admits nor dispatches.
-                dispatch = service.flush
-                service.flush = None
-                try:
-                    assert service.classify_many("m", []) == []
-                    assert service.submit_many("m", []) == []
-                finally:
-                    service.flush = dispatch
-                with pytest.raises(ValidationError):
-                    service.classify_many("nope", [])
-                served = service.classify_many("m", queries[:2], "acme")
-                assert [r.oracle_ok for r in served] == [True, True]
-                assert type(served[0].bitvector) is list
-                # A block refused part-way: the head stays admitted, its
-                # futures reachable from the refusal.
-                with pytest.raises(RejectedQuery) as refusal:
-                    service.submit_many("m", queries, tenant="acme")
-                assert refusal.value.queue_depth == 3
-                assert len(refusal.value.admitted) == 3
-                assert service.pending("m") == 3
-                service.flush("m")
-                for ticket, query in zip(refusal.value.admitted, queries):
-                    assert ticket.future.result(timeout=120).features == (
-                        query
-                    )
-                stats = service.stats()
-                stats = getattr(stats, "scheduler", stats)
-                assert (stats.submitted, stats.rejected) == (6, 1)
-                assert stats.per_tenant_submitted == {"acme": 6}
-            for call in (service.submit_many, service.classify_many):
-                with pytest.raises(ServeError, match="closed"):
-                    call("m", queries[:2])
-            closed = service.stats()
-            closed = getattr(closed, "scheduler", closed)
-            assert closed.submitted == 6  # nothing admitted after close
-            assert_conserved(closed)
-
     @pytest.mark.parametrize("text", [
         "labels: A B\nfeatures: 1\nl 0\n",
         "labels: A B\nfeatures: 1\nl 0\nl 1\n",
@@ -817,7 +722,7 @@ class TestRealCluster:
             registered = service.register_model(
                 "m", example_forest, precision=8, max_batch_size=4
             )
-            envelope = service._envelopes["m"]
+            envelope = service.transport._envelopes["m"]
             fingerprint = registered.compiled.fingerprint()
             with pytest.raises(ValidationError, match="does not match"):
                 service.set_model_engine(
@@ -832,7 +737,7 @@ class TestRealCluster:
                     0.0,
                 )
             assert registered.engine == "tape"
-            assert service._envelopes["m"] is envelope
+            assert service.transport._envelopes["m"] is envelope
             assert "redeploy" not in {d[0] for d in service.decisions}
 
             plant.apply(
@@ -842,7 +747,7 @@ class TestRealCluster:
                 0.0,
             )
             assert registered.engine == "eager"
-            assert service._envelopes["m"].engine == "eager"
+            assert service.transport._envelopes["m"].engine == "eager"
             assert "redeploy" in {d[0] for d in service.decisions}
             res = service.classify_many(
                 "m", real_queries(example_forest, 3)
@@ -873,7 +778,7 @@ class TestRealCluster:
             )
             futures = [service.submit("kill", q) for q in queries]
             # Kill a live worker process mid-stream, bluntly.
-            victim = service._procs[0]
+            victim = service.transport._procs[0]
             victim.kill()
             service.flush("kill")
             results = [f.result(timeout=120) for f in futures]
@@ -919,16 +824,17 @@ class TestRealCluster:
             service.flush("warm")
             assert parked.wait(timeout=60)
             try:
-                for proc in list(service._procs):
+                for proc in list(service.transport._procs):
                     proc.kill()
                     proc.join(timeout=10)
                 service.preload("cold-preload")
                 futures = [
                     service.submit("cold-submit", q) for q in queries[1:]
                 ]
-                service.flush("cold-submit")
             finally:
                 gate.set()
+            # flush waits for the pump, so only once it is un-parked
+            service.flush("cold-submit")
             for features, future in zip(queries[1:], futures):
                 try:
                     res = future.result(timeout=120)
@@ -960,7 +866,7 @@ class TestRealCluster:
                 "hang", example_forest, precision=8, max_batch_size=4
             )
             futures = [service.submit("hang", q) for q in queries]
-            victim = service._procs[0]
+            victim = service.transport._procs[0]
             os.kill(victim.pid, signal.SIGSTOP)
             service.flush("hang")
             try:
@@ -1018,10 +924,10 @@ class TestClusterGuards:
             def is_alive(self):
                 return True
 
-        real = service._receiver
-        service._receiver = StuckThread()
+        real = service._pump
+        service._pump = StuckThread()
         try:
-            with pytest.warns(RuntimeWarning, match="receiver thread"):
+            with pytest.warns(RuntimeWarning, match="pump thread"):
                 service.close()
             assert service.router.metrics.counter_value(
                 "cluster_receiver_leaked"

@@ -1,10 +1,12 @@
-"""Unit tests for the deadline-aware scheduler (core + threaded engine).
+"""Unit tests for the deadline-aware scheduler (core + the live pump).
 
 The decision core is exercised directly under a
 :class:`~repro.serve.simclock.VirtualClock`-style explicit ``now`` — no
-threads, no sleeps, fully deterministic.  The threaded engine's tests
-stick to lifecycle (close/idempotence/submit-after-close) and use
-generous timeouts on futures, never wall-clock assertions.
+threads, no sleeps, fully deterministic.  The live engine's tests —
+the serve facade's pump thread over the in-thread transport, which is
+what the threaded ``Scheduler`` became — stick to lifecycle
+(close/idempotence/submit-after-close) and to who evaluates what, and
+use generous timeouts on futures, never wall-clock assertions.
 """
 
 import threading
@@ -23,10 +25,11 @@ from repro.errors import (
 from repro.obs.metrics import percentile
 from repro.obs.trace import Tracer
 from repro.serve.cluster import AssignAction, RouterCore
+from repro.serve import CopseService
+from repro.serve.batcher import QueryBatcher
 from repro.serve.scheduler import (
     OUTCOME_ERROR,
     OUTCOME_OK,
-    Scheduler,
     SchedulerCore,
     deliver_failures,
 )
@@ -599,32 +602,29 @@ class TestBlockAdmissionIsNSubmits:
         with pytest.raises(ServeError, match="closed"):
             core.submit_many("m", [], 0.0)
 
-    def test_threaded_engine_block_shares_submit_time_and_deadline(self):
+    def test_threaded_engine_block_shares_submit_time_and_deadline(
+        self, example_forest
+    ):
         clock = VirtualClock()
-        scheduler = Scheduler(threads=1, clock=clock)
-        done = threading.Event()
-
-        def evaluate(assignment):
-            for ticket in assignment.tickets:
-                ticket.future.set_result(ticket.seq)
-            done.set()
-
-        try:
-            scheduler.add_queue("m", capacity=4, evaluate=evaluate)
-            payloads = [Payload() for _ in range(4)]
-            tickets = scheduler.submit_many(
-                "m", payloads, tenant="acme", deadline_ms=5.0
+        with CopseService(threads=1, clock=clock) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            queries = [[i, 2 * i] for i in range(4)]
+            futures = service.submit_many(
+                "m", queries, tenant="acme", deadline_ms=5000.0
             )
+            # white box: the block is still queued (4 < 8, no flush)
+            tickets = [t for _, t in service.router.core._queues["m"].heap]
+            assert [t.future for t in sorted(tickets, key=lambda t: t.seq)
+                    ] == futures
             assert len({(t.submit_time, t.deadline) for t in tickets}) == 1
             assert tickets[0].deadline == pytest.approx(
-                tickets[0].submit_time + 0.005
+                tickets[0].submit_time + 5.0
             )
-            assert done.wait(timeout=30)  # the one notify woke the lead
-            assert [p.future.result(timeout=30) for p in payloads] == [
-                0, 1, 2, 3,
-            ]
-        finally:
-            scheduler.close()
+            # virtual time never reaches the deadline: flush cuts it
+            service.flush("m")
+            assert [f.result(timeout=30).features for f in futures] == (
+                queries
+            )
 
 
 class TestPercentile:
@@ -637,76 +637,76 @@ class TestPercentile:
 
 
 class TestThreadedLifecycle:
-    def run_noop(self, assignment):
-        for ticket in assignment.tickets:
-            ticket.future.set_result("done")
+    def test_close_is_idempotent(self, example_forest):
+        service = CopseService(threads=2)
+        service.register_model("m", example_forest, max_batch_size=2)
+        service.close()
+        assert service.closed
+        service.close()  # regression: second close must not hang/raise
+        service.close()
+        assert service.closed
 
-    def test_close_is_idempotent(self):
-        scheduler = Scheduler(threads=2)
-        scheduler.add_queue("m", capacity=2, evaluate=self.run_noop)
-        scheduler.close()
-        assert scheduler.closed
-        scheduler.close()  # regression: second close must not hang/raise
-        scheduler.close()
-        assert scheduler.closed
-
-    def test_submit_after_close_raises_serve_error(self):
-        scheduler = Scheduler(threads=1)
-        scheduler.add_queue("m", capacity=2, evaluate=self.run_noop)
-        scheduler.close()
+    def test_submit_after_close_raises_serve_error(self, example_forest):
+        service = CopseService(threads=1)
+        service.register_model("m", example_forest, max_batch_size=2)
+        service.close()
         with pytest.raises(ServeError, match="closed scheduler"):
-            scheduler.submit("m", Payload())
+            service.submit("m", [1, 2])
 
-    def test_close_finishes_admitted_work(self):
-        scheduler = Scheduler(threads=2)
-        scheduler.add_queue("m", capacity=8, evaluate=self.run_noop)
-        tickets = [scheduler.submit("m", Payload()) for _ in range(5)]
-        scheduler.close()  # flushes the partial batch before stopping
-        for ticket in tickets:
-            assert ticket.future.result(timeout=30) == "done"
-        assert scheduler.stats().completed == 5
+    def test_close_finishes_admitted_work(self, example_forest):
+        service = CopseService(threads=2)
+        service.register_model("m", example_forest, max_batch_size=8)
+        futures = [service.submit("m", [i, i]) for i in range(5)]
+        service.close()  # flushes the partial batch before stopping
+        for future in futures:
+            assert future.result(timeout=30).batch_fill == 5
+        assert service.stats().scheduler.completed == 5
 
-    def test_deadline_forces_partial_cut_without_flush(self):
-        scheduler = Scheduler(threads=1)
-        scheduler.add_queue(
-            "m", capacity=64, evaluate=self.run_noop, service_ms=1.0
-        )
-        ticket = scheduler.submit("m", Payload(), deadline_ms=30.0)
+    def test_deadline_forces_partial_cut_without_flush(self, example_forest):
+        service = CopseService(threads=1)
+        service.register_model("m", example_forest, max_batch_size=64)
+        future = service.submit("m", [40, 200], deadline_ms=30.0)
         # Never flushed: the slack cut alone must dispatch the batch.
-        assert ticket.future.result(timeout=30) == "done"
-        scheduler.close()
+        assert future.result(timeout=30).batch_fill == 1
+        service.close()
 
-    def test_failure_callback_may_reenter_scheduler(self):
+    def test_failure_callback_may_reenter_scheduler(self, example_forest,
+                                                    monkeypatch):
         """Regression: failure futures used to resolve while the worker
         held the scheduler lock, so a done-callback touching the
         scheduler (stats(), a sibling result()) deadlocked the pool."""
-        scheduler = Scheduler(threads=1)
 
-        def explode(assignment):
-            raise RuntimeError("boom")
+        def explode(self, batch, **where):
+            raise RuntimeError("boom")  # and resolves no future itself
 
-        scheduler.add_queue("m", capacity=1, evaluate=explode)
+        monkeypatch.setattr(QueryBatcher, "evaluate", explode)
+        service = CopseService(threads=1)
+        service.register_model("m", example_forest, max_batch_size=1)
         reentry = []
-        ticket = scheduler.submit("m", Payload())
-        ticket.future.add_done_callback(
-            lambda f: reentry.append(scheduler.stats().failed)
+        future = service.submit("m", [1, 2])
+        future.add_done_callback(
+            lambda f: reentry.append(service.stats().scheduler.failed)
         )
         with pytest.raises(ServeError):
-            ticket.future.result(timeout=30)
-        scheduler.close()
-        assert reentry == [1]  # the callback ran and saw the scheduler
+            future.result(timeout=30)
+        service.close()
+        assert reentry == [1]  # the callback ran and saw the service
 
-    def test_virtual_clock_timestamps(self):
+    def test_virtual_clock_timestamps(self, example_forest):
         clock = VirtualClock(start=100.0)
-        scheduler = Scheduler(threads=1, clock=clock)
-        scheduler.add_queue("m", capacity=1, evaluate=self.run_noop)
-        ticket = scheduler.submit("m", Payload(), deadline_ms=250.0)
-        assert ticket.submit_time == 100.0
-        assert ticket.deadline == pytest.approx(100.25)
-        ticket.future.result(timeout=30)
-        scheduler.close()
-        # Virtual time never moved, so latency is exactly zero.
-        assert scheduler.stats().latency_p50_ms == 0.0
+        tracer = Tracer()
+        service = CopseService(threads=1, clock=clock, tracer=tracer)
+        service.register_model("m", example_forest, max_batch_size=1)
+        future = service.submit("m", [1, 2], deadline_ms=250.0)
+        future.result(timeout=30)
+        service.close()
+        query = [s for s in tracer.spans() if s.name == "query"]
+        assert [(s.start, s.end) for s in query] == [(100.0, 100.0)]
+        # Virtual time never moved, so latency is exactly zero — and
+        # the 250 ms deadline, at 100.25, was not missed.
+        stats = service.stats().scheduler
+        assert stats.latency_p50_ms == 0.0
+        assert (stats.completed, stats.deadline_misses) == (1, 0)
 
 
 class TestClocks:
@@ -728,100 +728,114 @@ class TestClocks:
 
 
 class TestLeadEvaluator:
-    """``threads`` is worker *slots*; one thread evaluates (clock-free:
-    nothing here asserts a duration)."""
+    """``threads`` is worker *slots*; one thread — the pump — evaluates
+    (clock-free: nothing here asserts a duration)."""
 
-    class Recorder:
-        """An evaluator that records who ran it and how many at once."""
+    @pytest.fixture
+    def record(self, monkeypatch):
+        """Wraps ``QueryBatcher.evaluate``: who ran it, how many at
+        once, on which slot each query was answered."""
+        evaluate = QueryBatcher.evaluate
 
-        def __init__(self):
-            self._lock = threading.Lock()
-            self.in_flight = 0
-            self.peak = 0
-            self.threads = set()
-            self.batches = 0
+        class Recorder:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.in_flight = 0
+                self.peak = 0
+                self.threads = set()
+                self.batches = 0
+                self.slots = set()
 
-        def __call__(self, assignment):
-            with self._lock:
-                self.in_flight += 1
-                self.peak = max(self.peak, self.in_flight)
-                self.threads.add(threading.get_ident())
-                self.batches += 1
-            time.sleep(0.001)  # releases the GIL: an overlap would show
-            for ticket in assignment.tickets:
-                ticket.future.set_result(assignment.worker)
-            with self._lock:
-                self.in_flight -= 1
+            def __call__(self, batcher, batch, parent_span=None,
+                         worker=None):
+                with self._lock:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                    self.threads.add(threading.get_ident())
+                    self.batches += 1
+                    self.slots.add(worker)
+                time.sleep(0.001)  # releases the GIL: an overlap shows
+                try:
+                    return evaluate(batcher, batch, parent_span=parent_span,
+                                    worker=worker)
+                finally:
+                    with self._lock:
+                        self.in_flight -= 1
 
-    def test_at_most_one_evaluation_in_flight(self):
-        record = self.Recorder()
-        scheduler = Scheduler(threads=3)
-        scheduler.add_queue("a", capacity=1, evaluate=record)
-        scheduler.add_queue("b", capacity=2, evaluate=record)
-        tickets = [
-            scheduler.submit("ab"[i % 2], Payload()) for i in range(40)
+        recorder = Recorder()
+        monkeypatch.setattr(
+            QueryBatcher, "evaluate",
+            lambda self, *args, **kwargs: recorder(self, *args, **kwargs),
+        )
+        return recorder
+
+    def test_at_most_one_evaluation_in_flight(self, example_forest, record):
+        service = CopseService(threads=3)
+        service.register_model("a", example_forest, max_batch_size=1)
+        service.register_model("b", example_forest, max_batch_size=2)
+        futures = [
+            service.submit("ab"[i % 2], [i, i]) for i in range(40)
         ]
-        scheduler.flush()
-        slots = {t.future.result(timeout=30) for t in tickets}
-        scheduler.close()
+        service.flush()
+        assert all(f.result(timeout=30).oracle_ok for f in futures)
+        service.close()
         assert record.peak == 1
         assert len(record.threads) == 1
         assert record.batches == 20 + 10
-        assert slots <= {0, 1, 2}
-        stats = scheduler.stats()
-        assert stats.completed == stats.submitted == 40
-        assert stats.batches == 30
-        assert scheduler.workers == 3
+        assert record.slots <= {0, 1, 2}
+        stats = service.stats()
+        assert stats.scheduler.completed == stats.scheduler.submitted == 40
+        assert stats.scheduler.batches == stats.batches == 30
+        assert service.workers == 3
 
-    def test_lead_survives_worker_cycles(self):
-        record = self.Recorder()
-        scheduler = Scheduler(threads=3)
-        scheduler.add_queue("m", capacity=2, evaluate=record)
+    def test_lead_survives_worker_cycles(self, example_forest, record):
+        service = CopseService(threads=3)
+        service.register_model("m", example_forest, max_batch_size=2)
         baseline = threading.active_count()
         slots = [0, 1, 2]
         for cycle in range(3):
-            retired = [scheduler.remove_worker(), scheduler.remove_worker()]
+            retired = [service.remove_worker(), service.remove_worker()]
             assert retired == slots[:0:-1]  # highest idle slot first
-            assert scheduler.workers == 1
-            with pytest.raises(ValidationError, match="last worker"):
-                scheduler.remove_worker()
-            tickets = [scheduler.submit("m", Payload()) for _ in range(5)]
-            scheduler.flush()
-            for ticket in tickets:
-                ticket.future.result(timeout=30)
-            fresh = [scheduler.add_worker(), scheduler.add_worker()]
+            assert service.workers == 1
+            with pytest.raises(ValidationError, match="last live worker"):
+                service.remove_worker()
+            futures = [service.submit("m", [i, i]) for i in range(5)]
+            service.flush()
+            for future in futures:
+                future.result(timeout=30)
+            fresh = [service.add_worker(), service.add_worker()]
             # ids are never reused, exactly as the core numbers them
             assert fresh == [3 + 2 * cycle, 4 + 2 * cycle]
             slots = [0] + fresh
-            assert scheduler.workers == 3
+            assert service.workers == 3
             assert threading.active_count() == baseline
-        assert scheduler.stats().completed == 15
+        assert service.stats().scheduler.completed == 15
         assert len(record.threads) == 1
-        scheduler.close()
+        service.close()
         assert threading.active_count() == baseline - 1
 
-    def test_close_joins_everything(self):
-        scheduler = Scheduler(threads=4, name="joined")
-        scheduler.add_queue("m", capacity=3, evaluate=self.Recorder())
-        scheduler.add_worker()
-        tickets = [scheduler.submit("m", Payload()) for _ in range(7)]
-        scheduler.close()
-        assert all(t.future.done() for t in tickets)
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("joined")
-        ]
-        scheduler.close()  # and again: nothing left to join
+    def test_close_joins_everything(self, example_forest, record):
+        baseline = threading.active_count()
+        service = CopseService(threads=4)
+        service.register_model("m", example_forest, max_batch_size=3)
+        service.add_worker()
+        futures = [service.submit("m", [i, i]) for i in range(7)]
+        service.close()
+        assert all(f.done() for f in futures)
+        assert not service._pump.is_alive()
+        assert threading.active_count() == baseline
+        service.close()  # and again: nothing left to join
 
-    def test_a_retired_slot_is_never_assigned(self):
+    def test_a_retired_slot_is_never_assigned(self, example_forest, record):
         """``remove_worker`` used to need the retired thread to notice;
-        now the core simply stops handing the slot out."""
-        record = self.Recorder()
-        scheduler = Scheduler(threads=2)
-        scheduler.add_queue("m", capacity=1, evaluate=record)
-        assert scheduler.remove_worker() == 1
-        tickets = [scheduler.submit("m", Payload()) for _ in range(6)]
-        assert {t.future.result(timeout=30) for t in tickets} == {0}
-        scheduler.close()
+        now the router simply stops placing batches on the slot."""
+        service = CopseService(threads=2)
+        service.register_model("m", example_forest, max_batch_size=1)
+        assert service.remove_worker() == 1
+        futures = [service.submit("m", [i, i]) for i in range(6)]
+        assert all(f.result(timeout=30).oracle_ok for f in futures)
+        assert record.slots == {0}
+        service.close()
 
     def test_service_and_control_plane_read_slots(self, example_forest):
         from repro.control import Plant, ScaleWorkers

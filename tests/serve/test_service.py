@@ -1,11 +1,24 @@
-"""End-to-end tests for the batched secure-inference service."""
+"""End-to-end tests for the batched secure-inference service.
+
+There is one facade (:class:`~repro.serve.CopseService`) over two
+transports.  What must not depend on where a batch is evaluated is
+parametrised over both — ``in-thread`` and ``real-process`` (one worker
+process; ``real`` in the id so CI's ``-k real`` / ``-k "not real"``
+split still selects the tests that spawn).  The rest of the file runs
+in-thread only: it exercises the engines and the cost book, which the
+transport does not touch.
+"""
+
+import inspect
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.errors import ServeError, ValidationError
-from repro.serve import CopseService
-from repro.serve.scheduler import Scheduler
+from repro.errors import RejectedQuery, ServeError, ValidationError
+from repro.serve import ClusterService, CopseService
+
+TRANSPORTS = ["in-thread", "real-process"]
 
 
 def queries_for(forest, count, seed=21, precision=8):
@@ -15,6 +28,471 @@ def queries_for(forest, count, seed=21, precision=8):
         [int(v) for v in rng.integers(0, limit, forest.n_features)]
         for _ in range(count)
     ]
+
+
+def open_service(transport, workers=1, **kwargs):
+    """The facade over ``transport`` (a :data:`TRANSPORTS` id)."""
+    kwargs.setdefault("backend", "vector")
+    if transport == "in-thread":
+        return CopseService(threads=workers, **kwargs)
+    return ClusterService(workers=workers, **kwargs)
+
+
+def scheduler_stats(service):
+    """``ClusterService.stats()`` is the flat view (perf/ reads it)."""
+    stats = service.stats()
+    return getattr(stats, "scheduler", stats)
+
+
+def conserved(stats):
+    return stats.submitted == (
+        stats.completed + stats.rejected + stats.failed + stats.cancelled
+        + stats.dead_lettered
+    )
+
+
+def public_methods(cls):
+    return {
+        name: member for name, member in inspect.getmembers(cls)
+        if not name.startswith("_") and inspect.isfunction(member)
+    }
+
+
+def break_keys(service, name):
+    """Make every batch of ``name`` raise on every engine, on either
+    transport: fresh keys the bundle was not encrypted under (staged
+    again, so a worker process is shipped the broken envelope)."""
+    from repro.fhe.context import FheContext
+
+    registered = service.registry.get(name)
+    registered.keys = FheContext(
+        registered.params, backend=registered.backend
+    ).keygen()
+    service.transport.stage(registered)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestConformance:
+    """One behaviour, wherever the batch is evaluated."""
+
+    def test_round_trip_is_oracle_exact(self, transport, example_forest):
+        queries = queries_for(example_forest, 9)
+        with open_service(transport, workers=2) as service:
+            registered = service.register_model(
+                "rt", example_forest, precision=8, max_batch_size=4
+            )
+            service.preload("rt")
+            results = service.classify_many("rt", queries, "acme")
+            assert service.drain(timeout=60)
+            stats = scheduler_stats(service)
+            counters = service.metrics_snapshot()["counters"]
+            kinds = {d[0] for d in service.decisions}
+        assert registered.batch_capacity == 4
+        for features, res in zip(queries, results):
+            assert res.oracle_ok is True
+            assert res.bitvector == example_forest.label_bitvector(features)
+            assert type(res.bitvector) is list
+        assert [r.features for r in results] == queries
+        assert {r.batch_id for r in results} == {1, 2, 3}  # 4 + 4 + 1
+        assert conserved(stats) and stats.completed == 9
+        assert stats.per_tenant_completed == {"acme": 9}
+        # the one router keeps the one book on both
+        assert counters["cluster_ships"] == 2  # preload: both workers
+        assert counters["svc_queries"] == 9 and counters["svc_batches"] == 3
+        assert {"ship", "assign"} <= kinds
+
+    def test_edges(self, transport, example_forest):
+        """An empty request, an unknown name, a part-way refusal and a
+        closed service (was ``test_real_facades_agree_on_the_edges``,
+        which compared two classes)."""
+        queries = queries_for(example_forest, 5)
+        service = open_service(transport, max_queue=3)
+        with service:
+            service.register_model(
+                "m", example_forest, precision=8, max_batch_size=8
+            )
+            # An empty request neither admits nor dispatches.
+            dispatch = service.flush
+            service.flush = None
+            try:
+                assert service.classify_many("m", []) == []
+                assert service.submit_many("m", []) == []
+            finally:
+                service.flush = dispatch
+            with pytest.raises(ValidationError):
+                service.classify_many("nope", [])
+            served = service.classify_many("m", queries[:2], "acme")
+            assert [r.oracle_ok for r in served] == [True, True]
+            # A block refused part-way: the head stays admitted, its
+            # futures reachable from the refusal.
+            with pytest.raises(RejectedQuery) as refusal:
+                service.submit_many("m", queries, tenant="acme")
+            assert refusal.value.queue_depth == 3
+            assert len(refusal.value.admitted) == 3
+            assert service.pending("m") == service.pending() == 3
+            service.flush("m")
+            for ticket, query in zip(refusal.value.admitted, queries):
+                assert ticket.future.result(timeout=120).features == query
+            stats = scheduler_stats(service)
+            assert (stats.submitted, stats.rejected) == (6, 1)
+            assert stats.per_tenant_submitted == {"acme": 6}
+        assert service.closed
+        for call in (service.submit_many, service.classify_many):
+            with pytest.raises(ServeError, match="closed"):
+                call("m", queries[:2])
+        closed = scheduler_stats(service)
+        assert closed.submitted == 6  # nothing admitted after close
+        assert conserved(closed)
+        service.close()  # idempotent
+
+    def test_unknown_names_are_typed_refusals(self, transport,
+                                              example_forest):
+        """Never a ``KeyError`` / ``TypeError`` / ``0``: the registry's
+        refusal, from every method that takes a model name."""
+        with open_service(transport) as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            calls = {
+                "preload": (),
+                "pending": (),
+                "flush": (),
+                "submit": ([1, 2],),
+                "classify": ([1, 2],),
+                "set_tenant_weight": (2.0,),
+                "set_admission_limit": (8,),
+                "set_model_engine": ("eager",),
+                "set_model_backend": ("reference",),
+            }
+            for method, args in calls.items():
+                with pytest.raises(
+                    ValidationError, match="no registered model named 'ghost'"
+                ):
+                    getattr(service, method)("ghost", *args)
+            assert service.pending("m") == 0
+            service.unregister_model("ghost")  # nothing to retire: no-op
+            assert service.classify("m", [40, 200]).oracle_ok is True
+
+    def test_control_seams(self, transport, example_forest):
+        """Per-model ``weight`` / ``max_queue`` at registration, both
+        live switches returning the entry and re-shipping it, the pool
+        growing and shrinking — with oracle-exact answers throughout."""
+        queries = queries_for(example_forest, 6, seed=3)
+        with open_service(transport, engine="eager", max_queue=1) as service:
+            registered = service.register_model(
+                "m", example_forest, max_batch_size=4, weight=2.0,
+                max_queue=8,
+            )
+            assert service.set_tenant_weight("m", 3.0) == 2.0
+            assert service.set_admission_limit("m", None) == 8
+            assert all(
+                r.oracle_ok for r in service.classify_many("m", queries)
+            )
+            fingerprint = registered.compiled.fingerprint()
+            with pytest.raises(ValidationError, match="does not match"):
+                service.set_model_backend(
+                    "m", "reference", expected_fingerprint="spoofed"
+                )
+            assert service.set_model_engine("m", "tape") is registered
+            assert service.classify("m", queries[0]).oracle_ok is True
+            assert service.set_model_backend(
+                "m", "reference", expected_fingerprint=fingerprint
+            ) is registered
+            assert (registered.engine, registered.backend) == (
+                "tape", "reference"
+            )
+            assert service.add_worker() == 1
+            assert service.workers == 2
+            assert all(
+                r.oracle_ok for r in service.classify_many("m", queries)
+            )
+            assert service.remove_worker() == 1
+            with pytest.raises(ValidationError, match="last live worker"):
+                service.remove_worker()
+            assert service.workers == 1
+            assert all(
+                r.oracle_ok for r in service.classify_many("m", queries)
+            )
+            decisions = service.decisions
+            stats = scheduler_stats(service)
+        assert [d[0] for d in decisions].count("redeploy") == 2
+        # the worker that served throughout was shipped each fresh key
+        # once: at registration, after the flip, after the re-home
+        assert len([d for d in decisions if d[:2] == ("ship", 0)]) == 3
+        assert conserved(stats) and stats.completed == 19
+
+    def test_conservation_over_a_mixed_run(self, transport, example_forest):
+        """ok + evaluation error + cancellation + admission refusal +
+        a model unregistered with queries pending: every query ends in
+        exactly one column."""
+        from concurrent.futures import CancelledError
+
+        queries = queries_for(example_forest, 8, seed=13)
+        with open_service(transport) as service:
+            for name in ("ok", "broken", "doomed"):
+                service.register_model(
+                    name, example_forest, max_batch_size=4, max_queue=3
+                )
+            break_keys(service, "broken")
+            ok = service.submit_many("ok", queries[:3])
+            with pytest.raises(RejectedQuery):
+                service.submit("ok", queries[3])
+            assert ok[1].cancel()
+            broken = service.submit_many("broken", queries[3:5])
+            doomed = service.submit_many("doomed", queries[5:8])
+            service.unregister_model("doomed")
+            service.flush()
+            assert service.drain(timeout=120)
+            for future in doomed:
+                with pytest.raises(ServeError, match="unregistered"):
+                    future.result(timeout=60)
+            for future in broken:
+                # failed once, by the evaluation (in-thread: its own
+                # exception; across the pipe: the typed stand-in)
+                with pytest.raises(Exception):
+                    future.result(timeout=60)
+            with pytest.raises(CancelledError):
+                ok[1].result(timeout=60)
+            assert ok[0].result(timeout=60).oracle_ok is True
+            assert ok[2].result(timeout=60).batch_fill == 2
+            # and the worker survived the bad batch
+            assert service.classify("ok", queries[0]).oracle_ok is True
+            stats = scheduler_stats(service)
+            kinds = [d[0] for d in service.decisions]
+        assert conserved(stats)
+        assert (stats.submitted, stats.completed, stats.rejected,
+                stats.failed, stats.cancelled, stats.retries) == (
+            10, 3, 1, 5, 1, 0
+        )
+        # an evaluation error is deterministic: never retried, and the
+        # ladder's degrades are not booked for a batch that failed
+        assert "park" not in kinds and "degrade" not in kinds
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestClassifyManyLeavesNothingQueued:
+    """Defect lock: ``classify_many`` admitted queries ``0..k-1``,
+    raised at ``k`` and returned without a flush — ``k`` tickets sat in
+    the queue behind futures nobody held."""
+
+    @pytest.mark.parametrize("bad", [[1], [0, 999]])
+    def test_invalid_query_admits_nothing(self, transport, example_forest,
+                                          bad):
+        with open_service(transport) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            with pytest.raises(ValidationError) as many:
+                service.classify_many("m", [[1, 2], [3, 4], bad, [5, 6]])
+            assert service.pending("m") == 0
+            with pytest.raises(ValidationError) as single:
+                service.submit("m", bad)
+            assert str(many.value) == str(single.value)
+            stats = scheduler_stats(service)
+            assert stats.submitted == stats.rejected == 0
+            # and the service still serves
+            assert len(service.classify_many("m", [[1, 2], [3, 4]])) == 2
+
+    def test_refused_admission_serves_what_was_admitted(
+        self, transport, example_forest
+    ):
+        queries = queries_for(example_forest, 5)
+        with open_service(transport, max_queue=2) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            with pytest.raises(RejectedQuery) as excinfo:
+                service.classify_many("m", queries)
+            assert excinfo.value.queue_depth == 2
+            assert service.pending("m") == 0
+            assert service.drain(timeout=120)
+            stats = scheduler_stats(service)
+        # The twin makes the same three submit calls by hand.
+        with open_service(transport, max_queue=2) as twin:
+            twin.register_model("m", example_forest, max_batch_size=8)
+            futures = [twin.submit("m", q) for q in queries[:2]]
+            with pytest.raises(RejectedQuery):
+                twin.submit("m", queries[2])
+            twin.flush("m")
+            assert all(f.result(timeout=120).oracle_ok for f in futures)
+            twin_stats = scheduler_stats(twin)
+        assert conserved(stats)
+        assert (stats.submitted, stats.rejected, stats.completed) == (3, 1, 2)
+        assert (stats.submitted, stats.rejected, stats.completed) == (
+            twin_stats.submitted, twin_stats.rejected, twin_stats.completed
+        )
+
+
+class TestOneFacade:
+    """The locks that keep the two constructions from drifting apart."""
+
+    def test_public_surface_is_one_signature(self):
+        thread, process = (
+            public_methods(cls) for cls in (CopseService, ClusterService)
+        )
+        assert sorted(thread) == sorted(process)
+        assert {"register_model", "unregister_model", "preload", "submit",
+                "submit_many", "classify", "classify_many", "flush",
+                "drain", "pending", "set_tenant_weight",
+                "set_admission_limit", "add_worker", "remove_worker",
+                "set_model_engine", "set_model_backend", "stats",
+                "metrics_snapshot", "render_prometheus", "dlq",
+                "close"} <= set(thread)
+        for name in thread:
+            assert inspect.signature(thread[name]).parameters == (
+                inspect.signature(process[name]).parameters
+            ), name
+        # ... because all but one *are* the same function: the process
+        # pool's name keeps only its flat stats() view.
+        assert [n for n in thread if thread[n] is not process[n]] == [
+            "stats"
+        ]
+
+    def test_real_identical_bits_on_both_transports(self, example_forest):
+        queries = queries_for(example_forest, 11, seed=5)
+        answers = {}
+        for transport in TRANSPORTS:
+            with open_service(transport, workers=2) as service:
+                service.register_model(
+                    "bits", example_forest, precision=8, max_batch_size=4
+                )
+                results = service.classify_many("bits", queries)
+            answers[transport] = [
+                (r.bitvector, r.batch_id, r.batch_fill, r.amortized_ms)
+                for r in results
+            ]
+        assert answers["in-thread"] == answers["real-process"]
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("bad", [
+        {"engine": "tapee"}, {"backend": "nope"},
+        {"default_deadline_ms": 0}, {"default_deadline_ms": -5.0},
+        {"workers": 0},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_bad_constructor_value_refused_before_anything_starts(
+        self, transport, bad
+    ):
+        """A typo used to construct the process pool — after spawning a
+        worker — where the in-process service raised."""
+        import threading
+
+        from repro.errors import ParameterError
+
+        threads = threading.active_count()
+        # (the backend registry's own typed refusal is a ParameterError)
+        with pytest.raises((ValidationError, ParameterError)):
+            open_service(transport, **bad)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_decision_log_is_a_window(self, example_forest, monkeypatch):
+        """The live router's log grew one tuple per batch forever; the
+        simulator keeps its whole log (its replays are hashed)."""
+        from repro.serve import ModelProfile, SimRunner, service
+
+        monkeypatch.setattr(service, "DECISION_WINDOW", 6)
+        with CopseService(threads=1, backend="vector") as live:
+            live.register_model("m", example_forest, max_batch_size=2)
+            live.classify_many("m", queries_for(example_forest, 40))
+            window = live.decisions
+            assert scheduler_stats(live).batches == 20
+        assert len(window) == 6
+        assert [d[0] for d in window] == ["assign"] * 6
+        assert [d[1] for d in window] == list(range(15, 21))  # the latest
+        sim = SimRunner(
+            [ModelProfile(name="m", capacity=4, service_ms=50.0)], workers=1
+        )
+        assert type(sim.router.decisions) is list
+
+
+class TestEngineLadder:
+    """An engine that raises degrades to the next rung — by one walk
+    (``evaluate_down_ladder``), whoever evaluates the batch."""
+
+    @staticmethod
+    def break_engines(monkeypatch, *broken):
+        """Running the cached artifact of a ``broken`` engine's table
+        row now raises."""
+        from repro.errors import RuntimeProtocolError
+        from repro.serve import batched_runtime
+
+        run = batched_runtime.run_artifact
+
+        def run_unless_broken(row, *args, **kwargs):
+            if row.name in broken:
+                raise RuntimeProtocolError(f"engine {row.name!r} is broken")
+            return run(row, *args, **kwargs)
+
+        monkeypatch.setattr(
+            batched_runtime, "run_artifact", run_unless_broken
+        )
+
+    def test_in_thread_degrade_is_recorded_once(self, example_forest,
+                                                monkeypatch):
+        queries = queries_for(example_forest, 10, seed=17)
+        with CopseService(threads=1, engine="tape",
+                          backend="vector") as service:
+            registered = service.register_model(
+                "m", example_forest, max_batch_size=4
+            )
+            self.break_engines(monkeypatch, "tape")
+            results = service.classify_many("m", queries)
+            stats = service.stats()
+            decisions = service.decisions
+            degraded = service.metrics.counter_value(
+                "cluster_degraded", labels={"model": "m"}
+            )
+        assert registered.engine == "tape"  # the registration stands
+        for features, res in zip(queries, results):
+            assert res.oracle_ok is True
+            assert res.bitvector == example_forest.label_bitvector(features)
+        degrades = [d for d in decisions if d[0] == "degrade"]
+        assert [d[:4] for d in degrades] == [("degrade", "m", "tape", "plan")]
+        assert degraded == stats.batches == 3  # every batch, counted
+        assert stats.engine_ms("plan") > 0 and stats.engine_ms("tape") == 0
+        assert stats.scheduler.failed == 0 and conserved(stats.scheduler)
+
+    def test_the_walk(self, example_forest, monkeypatch):
+        """The worker process runs this same function, so its side of
+        the ladder is covered without a spawn-picklable fault."""
+        from repro.errors import RuntimeProtocolError
+        from repro.fhe.context import FheContext
+        from repro.serve import ModelRegistry
+        from repro.serve.faults import evaluate_down_ladder
+        from repro.serve.transport import BatchRequest
+        from repro.serve.worker import _eval_result
+
+        registered = ModelRegistry().register(
+            "m", example_forest, max_batch_size=4, engine="megakernel",
+            backend="vector",
+        )
+        features = queries_for(example_forest, 3)
+        oracle = [example_forest.label_bitvector(f) for f in features]
+        evaluation, degraded = evaluate_down_ladder(registered, features)
+        assert (evaluation.engine, degraded) == ("megakernel", None)
+        assert evaluation.bitvectors == oracle
+
+        self.break_engines(monkeypatch, "megakernel", "tape")
+        evaluation, degraded = evaluate_down_ladder(
+            registered, features, verify_oracle=True
+        )
+        assert degraded == ("megakernel", "plan")
+        assert evaluation.engine == "plan"
+        assert evaluation.bitvectors == oracle
+        assert evaluation.oracle_ok == [True] * 3
+        request = BatchRequest(
+            batch_id=7, model="m", epoch=2,
+            features=tuple(tuple(f) for f in features),
+        )
+        result = _eval_result(0, request, {"m": registered})
+        assert result.degraded_engine == "plan" and result.error is None
+        assert [list(b) for b in result.bitvectors] == oracle
+
+        # Past the last rung: the registered engine's own refusal.
+        self.break_engines(monkeypatch, "plan")
+        # ... and eager meets keys the bundle was not encrypted under
+        registered.keys = FheContext(
+            registered.params, backend=registered.backend
+        ).keygen()
+        with pytest.raises(RuntimeProtocolError, match="'megakernel' is"):
+            evaluate_down_ladder(registered, features)
+        failed = _eval_result(0, request, {"m": registered})
+        assert failed.bitvectors is None
+        assert failed.error.startswith("RuntimeProtocolError")
 
 
 class TestRoundTrip:
@@ -132,15 +610,17 @@ class TestErrors:
             service.registry.unregister("m")
             with pytest.raises(ValidationError):
                 service.submit("m", [1, 2])
-            # flush() prunes the stale mirror, releasing the cached model.
+            # flush() stops serving it, releasing the cached model.
             service.flush()
-            assert "m" not in service._batchers
+            assert service.router.core.queue_names() == []
+            assert service.transport._batchers == {}
 
     def test_unregister_model_releases_batcher(self, example_forest):
         with CopseService(threads=1) as service:
             service.register_model("m", example_forest)
             service.unregister_model("m")
-            assert "m" not in service._batchers
+            assert service.router.core.queue_names() == []
+            assert service.transport._batchers == {}
             with pytest.raises(ValidationError):
                 service.submit("m", [1, 2])
 
@@ -159,62 +639,6 @@ class TestErrors:
         assert future.result(timeout=30).oracle_ok is True
         service.close()  # second close is a no-op
         service.close()
-
-
-def conserved(stats):
-    return stats.submitted == (
-        stats.completed + stats.rejected + stats.failed + stats.cancelled
-        + stats.dead_lettered
-    )
-
-
-class TestClassifyManyLeavesNothingQueued:
-    """Defect lock: ``classify_many`` admitted queries ``0..k-1``,
-    raised at ``k`` and returned without a flush — ``k`` tickets sat in
-    the queue behind futures nobody held."""
-
-    @pytest.mark.parametrize("bad", [[1], [0, 999]])
-    def test_invalid_query_admits_nothing(self, example_forest, bad):
-        with CopseService(threads=1) as service:
-            service.register_model("m", example_forest, max_batch_size=8)
-            with pytest.raises(ValidationError) as many:
-                service.classify_many("m", [[1, 2], [3, 4], bad, [5, 6]])
-            assert service.pending("m") == 0
-            with pytest.raises(ValidationError) as single:
-                service.submit("m", bad)
-            assert str(many.value) == str(single.value)
-            stats = service.stats().scheduler
-            assert stats.submitted == stats.rejected == 0
-            # and the service still serves
-            assert len(service.classify_many("m", [[1, 2], [3, 4]])) == 2
-
-    def test_refused_admission_serves_what_was_admitted(
-        self, example_forest
-    ):
-        from repro.errors import RejectedQuery
-
-        queries = queries_for(example_forest, 5)
-        with CopseService(threads=1, max_queue=2) as service:
-            service.register_model("m", example_forest, max_batch_size=8)
-            with pytest.raises(RejectedQuery) as excinfo:
-                service.classify_many("m", queries)
-            assert excinfo.value.queue_depth == 2
-            assert service.pending("m") == 0
-            stats = service.stats().scheduler
-        # The twin makes the same three submit calls by hand.
-        with CopseService(threads=1, max_queue=2) as twin:
-            twin.register_model("m", example_forest, max_batch_size=8)
-            futures = [twin.submit("m", q) for q in queries[:2]]
-            with pytest.raises(RejectedQuery):
-                twin.submit("m", queries[2])
-            twin.flush("m")
-            assert all(f.result().oracle_ok for f in futures)
-            twin_stats = twin.stats().scheduler
-        assert conserved(stats)
-        assert (stats.submitted, stats.rejected, stats.completed) == (3, 1, 2)
-        assert (stats.submitted, stats.rejected, stats.completed) == (
-            twin_stats.submitted, twin_stats.rejected, twin_stats.completed
-        )
 
 
 class TestBlockRequestsRefuseLikeSingles:
@@ -539,13 +963,13 @@ class TestStats:
 
 
 class TestScheduler:
-    # The scheduler's own behaviors (deadline cuts, fair sharing,
-    # admission, retries, lifecycle) live in test_scheduler.py and
+    # The scheduling behaviors (deadline cuts, fair sharing, admission,
+    # retries, the pump's lifecycle) live in test_scheduler.py and
     # test_simulation.py; here we only keep the service-facing basics.
 
     def test_rejects_bad_thread_count(self):
-        with pytest.raises(ValidationError):
-            Scheduler(threads=0)
+        with pytest.raises(ValidationError, match="workers must be >= 1"):
+            CopseService(threads=0)
 
     def test_failed_batch_does_not_kill_worker(self, example_forest):
         """An evaluation failure fails its own queries and nothing else."""

@@ -385,7 +385,7 @@ class TestOneOfEach:
     }
     GONE = re.compile(
         r"OUTCOME_CRASH|ClusterSimRunner|SimPlant|ServicePlant"
-        r"|ClusterPlant|_COMPLETION\b"
+        r"|ClusterPlant|_COMPLETION\b|class Scheduler\b|_ClusterQuery"
     )
 
     def sources(self):
@@ -417,6 +417,34 @@ class TestOneOfEach:
         # The crash policy has one owner: the router.
         for name in ("serve/scheduler.py", "serve/service.py"):
             assert "max_retries" not in sources[name]
+
+    def test_one_serve_facade(self):
+        """Each serving method is written once: on the facade, over
+        the two cores' (and the batcher's) own."""
+        sources = self.sources()
+
+        def defined(method):
+            return {
+                name: len(re.findall(rf"^    def {method}\(", text, re.M))
+                for name, text in sources.items()
+                if re.search(rf"^    def {method}\(", text, re.M)
+            }
+
+        cores = {"serve/scheduler.py": 1, "serve/cluster.py": 1}
+        assert defined("register_model") == {"serve/service.py": 1}
+        assert defined("classify_many") == {"serve/service.py": 1}
+        assert defined("submit_many") == {**cores, "serve/service.py": 1}
+        assert defined("flush") == {**cores, "serve/service.py": 1}
+        # ... and what is left of the second facade defines none of it.
+        cluster = sources["serve/cluster.py"]
+        below_the_router = cluster[cluster.index("class ClusterService"):]
+        assert re.findall(r"^    def (\w+)\(", below_the_router, re.M) == [
+            "__init__", "stats",
+        ]
+        # One pump, and one place per transport that resolves futures.
+        everything = "\n".join(sources.values())
+        assert everything.count("threading.Thread(") == 1
+        assert everything.count(".set_result(") == 3  # + a retry's chain
 
 
 class TestRealServiceWithVirtualClock:

@@ -642,10 +642,22 @@ class TestMetricsCommand:
 
 
 class TestDlqCommand:
-    def test_serve_dlq_out_requires_workers(self, model_file, capsys):
+    def test_serve_dumps_dlq_in_thread(self, model_file, tmp_path,
+                                       capsys):
+        """``--dlq-out`` used to be refused without ``--workers``; the
+        one facade has one dead-letter queue, empty where no worker can
+        crash, and dumps it all the same."""
+        import json
+
         path, _ = model_file
-        assert main(["serve", path, "--dlq-out", "dlq.json"]) == 2
-        assert "--dlq-out" in capsys.readouterr().err
+        dump = tmp_path / "dlq.json"
+        assert main(
+            ["serve", path, "--queries", "4", "--batch-size", "4",
+             "--dlq-out", str(dump)]
+        ) == 0
+        assert "dead-letter queue: 0 entries" in capsys.readouterr().out
+        assert json.loads(dump.read_text()) == []
+        assert main(["dlq", str(dump)]) == 0
 
     def test_serve_dumps_dlq_and_cli_renders_it(self, model_file,
                                                 tmp_path, capsys):
