@@ -39,6 +39,7 @@ from repro.core.engines import (
     PHASE_RESHUFFLE,
     engine_row,
     ensure_artifacts,
+    result_of,
     run_artifact,
 )
 from repro.core.matmul import halevi_shoup_matvec
@@ -363,10 +364,10 @@ class CopseServer:
             )
         row = engine_row(self.engine)
         if row.artifact is not None:
-            return run_artifact(
-                row, getattr(self, row.artifact), ctx, model, query,
+            return result_of(run_artifact(
+                row, getattr(self, row.artifact), [(ctx, model, query)],
                 self.seccomp_variant,
-            )
+            )[0])
 
         decisions = compare_stage(
             ctx, query, model.threshold_planes, self.seccomp_variant

@@ -9,6 +9,8 @@ layer raises :class:`ModelError` subclasses, and the compiler/runtime raise
 
 from __future__ import annotations
 
+import numbers
+
 
 class CopseError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -151,3 +153,26 @@ class WorkerPoolExhaustedError(ServeError):
     given up on — its replacements kept dying before reporting ready,
     past the respawn budget — so the query could never be placed.
     """
+
+
+# ---------------------------------------------------------------------------
+# Typed refusals of ill-typed arguments
+# ---------------------------------------------------------------------------
+
+
+def require_int(what: str, value) -> None:
+    """Refuse a ``value`` that is not an integer, as a
+    :class:`ValidationError` — before a comparison or a ``range`` turns
+    it into a raw ``TypeError`` somewhere state has already changed."""
+    if not isinstance(value, (int, numbers.Integral)):
+        raise ValidationError(
+            f"{what} must be an integer, got {value!r}"
+        )
+
+
+def require_real(what: str, value) -> None:
+    """Refuse a ``value`` that is not a real number (NaN included)."""
+    if not isinstance(value, (int, float, numbers.Real)) or value != value:
+        raise ValidationError(
+            f"{what} must be a real number, got {value!r}"
+        )

@@ -23,14 +23,28 @@ Python dispatch**:
   (:func:`~repro.ir.copse_ir.is_query_input`) take the plane's first
   rows and are seated every run; every other input is a per-model
   constant and gets a *permanent* row, like the constant pool, seated
-  once per (thread, bundle).  :meth:`MegaKernel.run` recognises a
-  bundle it has already seated by the identity of its plane containers
+  once per (thread, bundle).  :meth:`MegaKernel.run_many` recognises
+  a bundle it has already seated by the identity of its plane containers
   — only immutable ones qualify, i.e. the tuples of the adopted view
   that ``BatchedEncryptedModel.adopt_into`` memoises — and then binds,
   signs and seats the query alone.  A new thread, an unpickled kernel,
   another bundle, or a call through :meth:`MegaKernel.execute` takes
   the full seat.  Only data placement is remembered: the fail-closed
   refusals below run on every bind;
+* **bit-sliced plane** — every step is a bitwise AND / XOR or a byte
+  move (window reads, ``take``, ``copyto``), and none of those mixes
+  the bits of a byte.  So the one plane holds up to eight independent
+  runs of one model bundle at a time, run *j* in bit *j* of every
+  lane, and one pass of the unchanged step program serves them all
+  (:meth:`MegaKernel.run_many`): the queries' rows are shifted to
+  their bit and ORed together, everything every run shares — the
+  resident model rows, the constant pool, the ones row — is seated as
+  a mask (``0x00`` / ``0xFF``), and run *j*'s outputs are bit *j* of
+  the output rows.  A single run is the group of one, in bit 0; there
+  is no second plane and no second program.  Only slot data is shared:
+  binding, signature, book, bulk bookkeeping and every refusal stay
+  per run, on that run's own context.  Eight is what a ``uint8`` lane
+  holds — a wider dtype multiplies the bytes every step moves;
 * **segment grammar** — SSA scheduling collapses the stream into one
   *segment* per dependency level, far fewer than the tape's hazard
   breaks allow (register reuse in the tape forces a new segment at every
@@ -110,7 +124,11 @@ from repro.ir.tape import (
     CompiledTape,
 )
 
-__all__ = ["MegaKernel", "compile_megakernel"]
+__all__ = ["MAX_GROUP", "MegaKernel", "compile_megakernel"]
+
+#: Runs one pass of the step program can serve: the bits of a ``uint8``
+#: lane (module docstring, "bit-sliced plane").
+MAX_GROUP = 8
 
 
 class _Book:
@@ -380,60 +398,152 @@ class MegaKernel:
     ) -> Ciphertext:
         """Execute against a runtime model bundle + encrypted query.
 
-        Binding performs the tape's fail-closed fingerprint check; the
-        phase defaults to the megakernel phase so serve stats attribute
-        the work to this engine on every backend (including tape-loop
+        The group of one of :meth:`run_many`, raising what that run
+        raised.
+        """
+        outcome = self.run_many(((ctx, model, query),), phase, profiler)[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def run_many(
+        self,
+        runs,
+        phase: Optional[str] = None,
+        profiler=None,
+    ) -> List:
+        """Execute up to :data:`MAX_GROUP` ``(ctx, model, query)`` runs
+        of one model bundle in a single pass of the step program.
+
+        Returns, per run and in order, its result ciphertext or the
+        exception that run raised.  Everything but the step program is
+        per run, exactly as ``len(runs)`` calls of :meth:`run` would do
+        it and in that order: the tape's fail-closed fingerprint check,
+        the query binding, the signature and its book (looked up or
+        captured), the bulk bookkeeping under ``phase`` on that run's
+        own tracker, the seat refusals — so a refusal, or a noise
+        failure the book caches, takes out that run alone.  The phase
+        defaults to the megakernel phase so serve stats attribute the
+        work to this engine on every backend (including tape-loop
         fallbacks).
 
-        When this thread's plane already holds ``model``'s planes (see
-        :meth:`_resident_for`) only the query is bound, signed and
-        seated; the encryption-shape and fingerprint refusals are
-        **not** cached and run on every call with the messages of
-        :func:`~repro.ir.plan.bind_model_query`, so an impostor bundle
-        is rejected identically on the first batch and the millionth.
+        When this thread's plane already holds the bundle's planes (see
+        :meth:`_resident_for`) only the queries are bound, signed and
+        seated; otherwise the first run to get that far takes the full
+        seat and the rest find it resident.  The encryption-shape and
+        fingerprint refusals are **not** cached and run on every run
+        with the messages of :func:`~repro.ir.plan.bind_model_query`,
+        so an impostor bundle is rejected identically on the first
+        batch and the millionth.
+
+        Runs that cannot share a pass — a profiler, a backend without
+        ``megakernel_ops``, a tape outside the gather grammar, bundles
+        that differ or whose planes are not resident-able, more runs
+        than a lane has bits — are executed one by one.
         """
         from repro.core.engines import PHASE_MEGAKERNEL
-        from repro.ir.plan import (
-            OUTPUT_LABELS,
-            bind_model_query,
-            bind_query_inputs,
-        )
 
+        runs = list(runs)
         if phase is None:
             phase = PHASE_MEGAKERNEL
-        ops = getattr(ctx, "megakernel_ops", None)
-        direct = profiler is None and ops is not None and self.ensure_compiled()
-        resident = self._resident_for(model, query) if direct else None
+        if not self._shares_pass(runs, profiler):
+            if len(runs) == 1:  # no direct path at all: the tape loop
+                return [self._run_tape(*runs[0], phase, profiler)]
+            return [
+                self.run_many((run,), phase, profiler)[0] for run in runs
+            ]
+        state = self._buffer(self._plan)
+        outcomes: List = [None] * len(runs)
+        seated = []
+        for index, (ctx, model, query) in enumerate(runs):
+            try:
+                seated.append(
+                    (index, *self._enter(state, ctx, model, query, phase))
+                )
+            except Exception as exc:
+                outcomes[index] = exc
+        if seated:
+            self._pass(state, [slots for _, _, _, slots in seated])
+        for bit, (index, book, keys, _) in enumerate(seated):
+            outcomes[index] = _labels_of(
+                self._outputs(state, book, keys, bit)
+            )
+        return outcomes
+
+    def group_limit(self, ctx) -> int:
+        """Runs on ``ctx``'s backend that one pass can serve: a lane's
+        bits where the direct path exists, else one."""
+        if (
+            getattr(ctx, "megakernel_ops", None) is not None
+            and self.ensure_compiled()
+        ):
+            return MAX_GROUP
+        return 1
+
+    def _shares_pass(self, runs, profiler) -> bool:
+        """Whether ``runs`` can go through the plane together."""
+        if profiler is not None or not 1 <= len(runs) <= MAX_GROUP:
+            return False
+        model = runs[0][1]
+        for ctx, other, _ in runs:
+            if (
+                other is not model
+                or getattr(ctx, "megakernel_ops", None) is None
+            ):
+                return False
+        if not self.ensure_compiled():
+            return False
+        # Alone, a run may seat planes nothing can hold on to; in
+        # company the second run must find what the first one seated.
+        return (
+            len(runs) == 1
+            or self._holder_of(model, runs[0][2]) is not None
+        )
+
+    def _bind_all(self, ctx, model, query):
+        """Every input bound, behind the tape's fail-closed checks."""
+        from repro.ir.plan import bind_model_query
+
+        return bind_model_query(
+            ctx,
+            self.input_widths,
+            self.encrypted_model,
+            self.model_fingerprint,
+            model,
+            query,
+        )
+
+    def _run_tape(self, ctx, model, query, phase, profiler):
+        """One run through the tape loop: its outcome."""
+        try:
+            return _labels_of(self.tape.execute(
+                ctx, self._bind_all(ctx, model, query),
+                phase=phase, profiler=profiler,
+            ))
+        except Exception as exc:
+            return exc
+
+    def _enter(self, state, ctx, model, query, phase):
+        """One run up to the pass: bind, book, seat what is its alone.
+
+        Returns ``(book, keys, slots)`` (see :meth:`_seat_run`).
+        """
+        from repro.ir.plan import bind_query_inputs
+
+        resident = self._resident_for(model, query)
         if resident is not None:
             self._check_bundle(model)
-            outputs = self._execute(
-                ctx, ops,
+            return self._seat_run(
+                state, ctx,
                 bind_query_inputs(ctx, self.input_widths, query),
                 phase, resident,
             )
-        else:
-            bindings = bind_model_query(
-                ctx,
-                self.input_widths,
-                self.encrypted_model,
-                self.model_fingerprint,
-                model,
-                query,
-            )
-            if direct:
-                self._require_bound(bindings)
-                outputs = self._execute(
-                    ctx, ops, bindings, phase,
-                    holder=self._holder_of(model, query),
-                )
-            else:
-                outputs = self.tape.execute(
-                    ctx, bindings, phase=phase, profiler=profiler
-                )
-        result = outputs[OUTPUT_LABELS]
-        if not isinstance(result, Ciphertext):  # pragma: no cover
-            raise RuntimeProtocolError("megakernel result must be encrypted")
-        return result
+        bindings = self._bind_all(ctx, model, query)
+        self._require_bound(bindings)
+        return self._seat_run(
+            state, ctx, bindings, phase,
+            holder=self._holder_of(model, query),
+        )
 
     def execute(
         self,
@@ -456,7 +566,10 @@ class MegaKernel:
                 ctx, bindings, phase=phase, profiler=profiler
             )
         self._require_bound(bindings)
-        return self._execute(ctx, ops, bindings, phase)
+        state = self._buffer(self._plan)
+        book, keys, slots = self._seat_run(state, ctx, bindings, phase)
+        self._pass(state, [slots])
+        return self._outputs(state, book, keys, 0)
 
     # -- residency: what a thread's plane already holds -------------------
 
@@ -533,17 +646,20 @@ class MegaKernel:
 
     # -- the kernel proper -------------------------------------------------
 
-    def _execute(self, ctx, ops, bindings, phase, resident=None, holder=None):
-        """Book, seat, run the steps, wrap the outputs.
+    def _seat_run(self, state, ctx, bindings, phase, resident=None,
+                  holder=None):
+        """Book one run and seat everything but its query rows.
 
         With ``resident`` the model rows are already seated and
         ``bindings`` carries the query inputs only.  Otherwise
-        ``bindings`` is complete and every input row is seated; if
+        ``bindings`` is complete and every model row is seated; if
         ``holder`` identifies where the model planes came from
         (:meth:`_holder_of`), the thread records them as resident.
+        Returns ``(book, keys, slots)``: the run's bookkeeping, its
+        canonical key list, and its checked query slots — which
+        :meth:`_pass` seats, beside the other runs of the pass.
         """
         plan = self._plan
-        state = self._buffer(plan)
         fragment = (
             resident.fragment if resident is not None
             else self._model_fragment(bindings)
@@ -553,7 +669,7 @@ class MegaKernel:
         if book is None:
             if resident is not None:
                 bindings = {**resident.bindings, **bindings}
-            book = self._capture(ops, bindings, phase, keys)
+            book = self._capture(ctx.megakernel_ops, bindings, phase, keys)
             self._book[signature] = book
 
         # Bookkeeping first, exactly as the tape would have produced it:
@@ -569,21 +685,33 @@ class MegaKernel:
         if book.error is not None:
             raise book.error
 
-        R = state.plane
         if resident is None:
             # Forget first: a refusal half-way through must not leave a
             # record claiming rows it did not finish seating.
             state.resident = None
-            _seat(R, plan.model_seats, bindings)
+            _seat_masks(state.plane, plan.model_seats, bindings)
             if holder is not None:
                 state.resident = _Resident(
                     holder[0], holder[1], fragment,
                     {name: bindings[name] for name in self._model_names},
                 )
-        _seat(R, plan.query_seats, bindings)
+        return book, keys, _checked_slots(plan.query_seats[0], bindings)
+
+    def _pass(self, state, group) -> None:
+        """Seat the query slots of every run of ``group`` — run ``j`` in
+        bit ``j`` of each lane — and run the step program once."""
+        seats = self._plan.query_seats
+        if len(group) == 1:
+            _store(state.plane, seats, group[0])
+        else:
+            _store_sliced(state.plane, seats, group)
         for step in state.program:
             step()
 
+    def _outputs(self, state, book, keys, bit):
+        """Wrap what the pass left in bit ``bit`` of the output rows."""
+        plan = self._plan
+        R = state.plane
         outputs = {}
         for name, ref in self.tape.output_refs.items():
             if not isinstance(ref, int):
@@ -591,14 +719,18 @@ class MegaKernel:
                 continue
             row = plan.output_rows[name]
             meta = book.outputs[name]
+            length = meta[4] if meta[0] == "c" else meta[1]
+            slots = R[row, :length]
+            if bit:
+                slots = slots >> bit
+            slots = slots & 1  # a fresh array: the plane is reused
             if meta[0] == "c":
                 _, canon_key, noise, node_id, length = meta
                 outputs[name] = Ciphertext._make(
-                    R[row, :length].copy(), length,
-                    keys[canon_key], noise, node_id,
+                    slots, length, keys[canon_key], noise, node_id,
                 )
             else:
-                outputs[name] = PlainVector(R[row, : meta[1]].copy())
+                outputs[name] = PlainVector(slots)
         return outputs
 
     # -- per-run plumbing ------------------------------------------------
@@ -706,8 +838,9 @@ class MegaKernel:
     def _buffer(self, plan) -> "_ThreadState":
         """Per-thread register plane + compiled step closures.
 
-        Constant and ones rows are seated once — no step ever writes a
-        constant-pool row, so they survive every run.  The closures bind
+        Constant and ones rows are seated once, as masks (the same bit
+        for every run of a pass) — no step ever writes a constant-pool
+        row, so they survive every run.  The closures bind
         this thread's plane and exact-size scratch buffers, so the
         steady-state loop is ufunc and copy calls on fixed views.
         """
@@ -715,9 +848,9 @@ class MegaKernel:
         if state is None:
             R = np.zeros((plan.rows, plan.lanes), dtype=np.uint8)
             for row, arr in plan.const_seats:
-                R[row, : arr.size] = arr
+                np.negative(arr, out=R[row, : arr.size])
             if plan.ones_row is not None:
-                R[plan.ones_row, :] = 1
+                R[plan.ones_row, :] = 0xFF
             program = [_bind_step(R, spec) for spec in plan.steps]
             state = self._local.state = _ThreadState(R, program)
         return state
@@ -761,16 +894,23 @@ class _ThreadState:
         self.resident: Optional[_Resident] = None
 
 
-def _seat(R, seats, bindings) -> None:
-    """Validate one input group with the tape's exact errors; seat the bits.
+def _labels_of(outputs) -> Ciphertext:
+    """The result ciphertext among a run's named outputs."""
+    from repro.ir.plan import OUTPUT_LABELS
 
-    ``seats`` is ``(specs, start)`` from :func:`_seat_group`: when the
-    group occupies consecutive full-lane rows from ``start`` (the common
-    batched-serve shape), all its slots land with a single
-    ``np.concatenate`` into a flat view of those rows instead of one
-    row store each.
+    result = outputs[OUTPUT_LABELS]
+    if not isinstance(result, Ciphertext):  # pragma: no cover
+        raise RuntimeProtocolError("megakernel result must be encrypted")
+    return result
+
+
+def _checked_slots(specs, bindings) -> List[np.ndarray]:
+    """Validate one input group with the tape's exact errors.
+
+    ``specs`` are the ``(name, row, width, is_cipher)`` of
+    :func:`_seat_group`; returns each input's slots, cut to its width,
+    in that order.
     """
-    specs, start = seats
     arrs = []
     append = arrs.append
     for name, row, width, is_cipher in specs:
@@ -794,6 +934,19 @@ def _seat(R, seats, bindings) -> None:
             )
         slots = value._slots
         append(slots if slots.shape[0] == width else slots[:width])
+    return arrs
+
+
+def _store(R, seats, arrs) -> None:
+    """Seat one run's checked slots as they are: bit 0 of each lane.
+
+    ``seats`` is ``(specs, start)`` from :func:`_seat_group`: when the
+    group occupies consecutive full-lane rows from ``start`` (the common
+    batched-serve shape), all its slots land with a single
+    ``np.concatenate`` into a flat view of those rows instead of one
+    row store each.
+    """
+    specs, start = seats
     if start is not None:
         try:
             np.concatenate(
@@ -804,6 +957,51 @@ def _seat(R, seats, bindings) -> None:
             pass  # exotic dtype: fall back to per-row casts
     for spec, slots in zip(specs, arrs):
         R[spec[1], : spec[2]] = slots
+
+
+def _store_sliced(R, seats, group) -> None:
+    """Seat the checked slots of several runs, run ``j`` in bit ``j``.
+
+    The same two arms as :func:`_store`: the runs' slots are stacked
+    (one flat row per run, or input by input), run ``j``'s row is
+    shifted left by ``j`` and the rows are ORed together.
+    (``np.packbits`` along the run axis does the same ten times
+    slower: it walks the short axis per output byte.)
+    """
+    specs, start = seats
+    shifts = np.arange(len(group), dtype=np.uint8)[:, None]
+    if start is not None:
+        stack = np.empty((len(group), len(specs) * R.shape[1]), np.uint8)
+        try:
+            for flat, arrs in zip(stack, group):
+                np.concatenate(arrs, out=flat)
+        except (TypeError, ValueError):
+            pass
+        else:
+            np.left_shift(stack, shifts, out=stack)
+            np.bitwise_or.reduce(
+                stack, axis=0,
+                out=R[start : start + len(specs)].reshape(-1),
+            )
+            return
+    for i, spec in enumerate(specs):
+        stack = np.stack([arrs[i] for arrs in group]).astype(np.uint8)
+        np.bitwise_or.reduce(
+            stack << shifts, axis=0, out=R[spec[1], : spec[2]]
+        )
+
+
+def _seat_masks(R, seats, bindings) -> None:
+    """Check and seat one input group as masks — ``0x00`` / ``0xFF``,
+    the same bit for every run a pass holds (the resident model rows)."""
+    specs, start = seats
+    _store(R, seats, _checked_slots(specs, bindings))
+    if start is not None:
+        block = R[start : start + len(specs)]
+        np.negative(block, out=block)
+    else:
+        for _, row, width, _ in specs:
+            np.negative(R[row, :width], out=R[row, :width])
 
 
 def compile_megakernel(tape: CompiledTape) -> MegaKernel:

@@ -87,7 +87,11 @@ def bind_query_inputs(
                 "key to encrypt the all-ones helper"
             )
         width = input_widths[NOT_ONE]
-        bindings[NOT_ONE] = ctx.encrypt([1] * width, query.public_key)
+        # An array, not a list: ``encrypt`` converts a list element by
+        # element, and this runs once per ciphertext on every engine.
+        bindings[NOT_ONE] = ctx.encrypt(
+            np.ones(width, dtype=np.uint8), query.public_key
+        )
     return bindings
 
 

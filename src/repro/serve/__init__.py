@@ -10,8 +10,10 @@ stream:
 * :mod:`repro.serve.batched_runtime` — Algorithm 1 over a packed batch:
   block-local gathers replace cyclic rotations so one comparison /
   reshuffle / levels / accumulate pipeline serves every packed query;
-  and ``evaluate_registered_batch``, the one pack → execute → decrypt
-  → demux → attribute → verify routine batcher and worker both run;
+  and ``evaluate_registered_batches``, the one pack → execute →
+  decrypt → demux → attribute → verify routine batcher and worker both
+  run (the batches of one call share each stage, so the megakernel
+  executes them in one pass);
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`: compile,
   parameter-select, and encrypt each model exactly once — and, with the
   default ``engine="tape"``, lower + optimize its batched pipeline into

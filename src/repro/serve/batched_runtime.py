@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeProtocolError
 from repro.core.compiler import CompiledModel
@@ -43,6 +43,7 @@ from repro.core.engines import (
     PHASE_RESHUFFLE,
     artifacts_of,
     engine_row,
+    result_of,
     run_artifact,
 )
 from repro.core.runtime import EncryptedQuery, compare_stage
@@ -389,7 +390,14 @@ class BatchedCopseServer:
     def classify_batch(
         self, model: BatchedEncryptedModel, query: EncryptedQuery
     ) -> Ciphertext:
-        ctx = self.ctx
+        """One ciphertext of queries through Algorithm 1: the group of
+        one of :func:`classify_batches`."""
+        return result_of(classify_batches([self], model, [query])[0])
+
+    def _admit(
+        self, model: BatchedEncryptedModel, query: EncryptedQuery
+    ) -> BatchedEncryptedModel:
+        """Refuse a batch packed for another layout; adopt the model."""
         layout = model.layout
         if query.precision != layout.precision:
             raise RuntimeProtocolError(
@@ -402,15 +410,14 @@ class BatchedCopseServer:
                 f"width {layout.batched_width}; was the batch packed "
                 f"with the model's layout?"
             )
-        local = model.adopt_into(ctx)
-        row = engine_row(self.engine)
-        if row.artifact is not None:
-            return run_artifact(
-                row, getattr(self, row.artifact), ctx, local, query,
-                self.seccomp_variant,
-                batch_shape=(layout.stride, layout.capacity),
-            )
+        return model.adopt_into(self.ctx)
 
+    def _interpret(
+        self, local: BatchedEncryptedModel, query: EncryptedQuery
+    ) -> Ciphertext:
+        """The hand-scheduled interpreter (``engine="eager"``)."""
+        ctx = self.ctx
+        layout = local.layout
         decisions = compare_stage(
             ctx, query, local.threshold_planes, self.seccomp_variant
         )
@@ -468,6 +475,51 @@ class BatchedCopseServer:
         return results
 
 
+def classify_batches(
+    servers: Sequence[BatchedCopseServer],
+    model: BatchedEncryptedModel,
+    queries: Sequence[EncryptedQuery],
+) -> List:
+    """``servers[i].classify_batch(model, queries[i])`` for every ``i``:
+    each one's result ciphertext, or the exception it raised.
+
+    The servers are one configuration over one context per ciphertext
+    (the first one's engine, artifacts and variant speak for all).
+    Everything is per ciphertext — the layout refusals, the adoption,
+    the interpreter — except the cached artifact's execution, which
+    :func:`~repro.core.engines.run_artifact` is handed whole so the
+    megakernel can share one pass; its own refusals, which depend on
+    the artifact alone, then refuse every ciphertext alike.
+    """
+    first = servers[0]
+    row = engine_row(first.engine)
+    outcomes: List = [None] * len(servers)
+    runs, positions = [], []
+    for position, (server, query) in enumerate(zip(servers, queries)):
+        try:
+            local = server._admit(model, query)
+            if row.artifact is None:
+                outcomes[position] = server._interpret(local, query)
+            else:
+                runs.append((server.ctx, local, query))
+                positions.append(position)
+        except Exception as exc:
+            outcomes[position] = exc
+    if runs:
+        layout = model.layout
+        try:
+            results = run_artifact(
+                row, getattr(first, row.artifact), runs,
+                first.seccomp_variant,
+                batch_shape=(layout.stride, layout.capacity),
+            )
+        except Exception as exc:
+            results = [exc] * len(runs)
+        for position, result in zip(positions, results):
+            outcomes[position] = result
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # The one batch-evaluation routine
 # ---------------------------------------------------------------------------
@@ -499,17 +551,57 @@ def evaluate_registered_batch(
     verify_oracle: bool = False,
     on_stage: Optional[Callable[[str], None]] = None,
 ) -> BatchEvaluation:
-    """Run one batch of validated features through the whole pipeline.
+    """Run one batch of validated features through the whole pipeline:
+    the group of one of :func:`evaluate_registered_batches`."""
+    return result_of(evaluate_registered_batches(
+        registered, [features], engine, verify_oracle, on_stage
+    )[0])
 
-    Pack + encrypt, execute, decrypt, demux, cost-model phase
-    attribution, oracle — on a fresh :class:`FheContext` built on the
-    registered model's backend, so concurrent evaluations never share
-    tracker state.  Every caller that evaluates a batch (the in-process
-    batcher, the cluster worker, the bench experiments) goes through
-    here; ``engine`` overrides the registered engine (the worker's
-    degradation ladder), and ``on_stage`` is told ``"pack"`` /
-    ``"execute"`` / ``"demux"`` / ``"resolve"`` as each stage begins
-    (the batcher's trace spans).
+
+class _InFlight:
+    """One ciphertext of a group on its way through the routine."""
+
+    __slots__ = ("features", "server", "query", "encrypted", "bitvectors",
+                 "outcome")
+
+    def __init__(self, features):
+        self.features = features
+        #: The finished :class:`BatchEvaluation`, or what this
+        #: ciphertext raised (the later stages then skip it).
+        self.outcome = None
+
+    def attempt(self, step: Callable[["_InFlight"], None]) -> None:
+        if self.outcome is None:
+            try:
+                step(self)
+            except Exception as exc:
+                self.outcome = exc
+
+
+def evaluate_registered_batches(
+    registered,
+    batches: Sequence[List[List[int]]],
+    engine: Optional[str] = None,
+    verify_oracle: bool = False,
+    on_stage: Optional[Callable[[str], None]] = None,
+) -> List:
+    """Run batches of validated features through the whole pipeline.
+
+    Per batch (one ciphertext of up to ``capacity`` queries): pack +
+    encrypt, execute, decrypt, demux, cost-model phase attribution,
+    oracle — on a fresh :class:`FheContext` built on the registered
+    model's backend, so evaluations never share tracker state.  The
+    batches of one call go through each stage together, so an engine
+    that can (the megakernel) executes them in one pass; a batch that
+    raises drops out and the others go on.  Returns, per batch, its
+    :class:`BatchEvaluation` or the exception it raised.
+
+    Every caller that evaluates a batch (the in-process batcher, the
+    cluster worker, the bench experiments) goes through here;
+    ``engine`` overrides the registered engine (the degradation
+    ladder), and ``on_stage`` is told ``"pack"`` / ``"execute"`` /
+    ``"demux"`` / ``"resolve"`` as each stage begins (the batcher's
+    trace spans).
     """
     # One consistent snapshot of the mutable registration fields: the
     # control plane may flip engine/backend between batches
@@ -520,41 +612,84 @@ def evaluate_registered_batch(
     keys = registered.keys
     batched_model = registered.batched_model
     layout = registered.layout
-    ctx = FheContext(registered.params, backend=registered.backend)
-    server = BatchedCopseServer(
-        ctx,
-        seccomp_variant=registered.seccomp_variant,
-        engine=engine,
-        **artifacts_of(registered),
-    )
-
-    stage = on_stage if on_stage is not None else (lambda name: None)
-    stage("pack")
-    query = encrypt_batch(ctx, layout, features, keys)
-    stage("execute")
-    encrypted = server.classify_batch(batched_model, query)
-    stage("demux")
-    bits = ctx.decrypt_bits(encrypted, keys.secret)
-    bitvectors = demux_bitvectors(layout, bits, len(features))
-    stage("resolve")
-
     cost = registered.cost_model
     inference_phases = engine_row(engine).phases
-    phase_ms = {
-        phase: cost.phase_sequential_ms(ctx.tracker, phase)
-        for phase in (PHASE_DATA_ENCRYPT,) + inference_phases
-    }
-    oracle_ok: Optional[List[bool]] = None
-    if verify_oracle and registered.forest is not None:
-        oracle_ok = [
-            bitvectors[k] == registered.forest.label_bitvector(f)
-            for k, f in enumerate(features)
-        ]
-    return BatchEvaluation(
-        engine=engine,
-        bitvectors=bitvectors,
-        phase_ms=phase_ms,
-        inference_ms=sum(phase_ms[p] for p in inference_phases),
-        oracle_ok=oracle_ok,
-        tracker=ctx.tracker,
+    artifacts = artifacts_of(registered)
+    forest = registered.forest if verify_oracle else None
+    stage = on_stage if on_stage is not None else (lambda name: None)
+    flights = [_InFlight(features) for features in batches]
+
+    def pack(flight):
+        ctx = FheContext(registered.params, backend=registered.backend)
+        flight.server = BatchedCopseServer(
+            ctx,
+            seccomp_variant=registered.seccomp_variant,
+            engine=engine,
+            **artifacts,
+        )
+        flight.query = encrypt_batch(ctx, layout, flight.features, keys)
+
+    def demux(flight):
+        bits = flight.server.ctx.decrypt_bits(flight.encrypted, keys.secret)
+        flight.bitvectors = demux_bitvectors(
+            layout, bits, len(flight.features)
+        )
+
+    def resolve(flight):
+        tracker = flight.server.ctx.tracker
+        phase_ms = {
+            phase: cost.phase_sequential_ms(tracker, phase)
+            for phase in (PHASE_DATA_ENCRYPT,) + inference_phases
+        }
+        oracle_ok: Optional[List[bool]] = None
+        if forest is not None:
+            oracle_ok = [
+                flight.bitvectors[k] == forest.label_bitvector(f)
+                for k, f in enumerate(flight.features)
+            ]
+        flight.outcome = BatchEvaluation(
+            engine=engine,
+            bitvectors=flight.bitvectors,
+            phase_ms=phase_ms,
+            inference_ms=sum(phase_ms[p] for p in inference_phases),
+            oracle_ok=oracle_ok,
+            tracker=tracker,
+        )
+
+    stage("pack")
+    for flight in flights:
+        flight.attempt(pack)
+    stage("execute")
+    packed = [flight for flight in flights if flight.outcome is None]
+    if packed:
+        results = classify_batches(
+            [flight.server for flight in packed], batched_model,
+            [flight.query for flight in packed],
+        )
+        for flight, result in zip(packed, results):
+            if isinstance(result, Exception):
+                flight.outcome = result
+            else:
+                flight.encrypted = result
+    stage("demux")
+    for flight in flights:
+        flight.attempt(demux)
+    stage("resolve")
+    for flight in flights:
+        flight.attempt(resolve)
+    return [flight.outcome for flight in flights]
+
+
+def shared_pass_lanes(registered) -> int:
+    """Batches of ``registered`` one in-process evaluation runs in one
+    go: as many as its engine's cached artifact can share a pass
+    between on the model's backend (``group_limit`` — the megakernel's
+    eight on a backend with ``megakernel_ops``), else one."""
+    kind = engine_row(registered.engine).artifact
+    artifact = getattr(registered, kind) if kind is not None else None
+    group_limit = getattr(artifact, "group_limit", None)
+    if group_limit is None:
+        return 1
+    return group_limit(
+        FheContext(registered.params, backend=registered.backend)
     )

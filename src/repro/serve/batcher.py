@@ -26,22 +26,25 @@ runs the whole amortized pipeline:
 5. resolve each query's future with a :class:`ClassificationResult`.
 
 Steps 1-4 are
-:func:`~repro.serve.batched_runtime.evaluate_registered_batch`, the one
-batch-evaluation routine the cluster worker runs too; this module adds
-the futures, the stage spans and the :class:`BatchRecord`, whose
+:func:`~repro.serve.batched_runtime.evaluate_registered_batches`, the
+one batch-evaluation routine the cluster worker runs too; this module
+adds the futures, the stage spans and the :class:`BatchRecord`, whose
 per-batch tracker travels to the service for thread-safe aggregation.
+The batches of one assignment (:meth:`QueryBatcher.evaluate_group`) go
+through the steps together, so the megakernel runs them in one pass.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
+from repro.core.engines import result_of
 from repro.core.runtime import InferenceResult
 from repro.fhe.tracker import OpTracker
-from repro.serve.faults import evaluate_down_ladder
+from repro.serve.faults import evaluate_batches_down_ladder
 from repro.serve.packing import validate_queries
 from repro.serve.registry import RegisteredModel
 
@@ -234,30 +237,43 @@ class QueryBatcher:
         parent_span: Optional[int] = None,
         worker: Optional[int] = None,
     ) -> BatchRecord:
-        """Run one batch end to end and resolve its futures.
+        """Run one batch end to end and resolve its futures: the group
+        of one of :meth:`evaluate_group`, raising what it raised."""
+        return result_of(self.evaluate_group([batch], parent_span, worker)[0])
 
-        An engine that raises degrades down the ladder
-        (:func:`~repro.serve.faults.evaluate_down_ladder`, recorded on
-        the :class:`BatchRecord`); a failure past the last rung is
-        propagated through every future in the batch before being
-        re-raised, so submitters always learn the outcome and the
-        failure stays contained to those queries.
+    def evaluate_group(
+        self,
+        batches: Sequence[CutBatch],
+        parent_span: Optional[int] = None,
+        worker: Optional[int] = None,
+    ) -> List:
+        """Run the batches of one assignment end to end, together, and
+        resolve their futures.
+
+        Returns, per batch, its :class:`BatchRecord` or the exception
+        its evaluation raised.  An engine that raises degrades down the
+        ladder, batch by batch
+        (:func:`~repro.serve.faults.evaluate_batches_down_ladder`,
+        recorded on the :class:`BatchRecord`); a failure past the last
+        rung is propagated through every future of that batch, so
+        submitters always learn the outcome and the failure stays
+        contained to those queries.
 
         ``parent_span``/``worker`` (from the scheduler's
         :class:`~repro.serve.scheduler.Assignment`) parent the stage
-        spans a tracing-enabled batcher emits.
+        spans a tracing-enabled batcher emits: one pack / execute /
+        demux / resolve per group, however many ciphertexts it holds.
         """
-        entries = batch.entries
         registered = self.registered
-        features = [e.features for e in entries]
+        features = [[e.features for e in batch.entries] for batch in batches]
         engine = registered.engine
         tracer = self.tracer if self.clock is not None else None
         on_stage = None
         open_span = None  # (span id, the attributes it ends with)
         if tracer is not None:
             track = "batcher" if worker is None else f"worker:{worker}"
-            ends_with = {"pack": {"size": len(entries)},
-                         "execute": {"engine": engine}}
+            ends_with = {"execute": {"engine": engine}}
+            size = sum(len(batch.entries) for batch in batches)
 
             def on_stage(name: str) -> None:
                 nonlocal open_span
@@ -267,43 +283,59 @@ class QueryBatcher:
                     )
                 span = tracer.begin(
                     name, self.clock.now(), parent=parent_span,
-                    track=track, batch_id=batch.batch_id,
+                    track=track, batch_id=batches[0].batch_id,
+                    size=size, ciphertexts=len(batches),
                 )
                 open_span = (span, ends_with.get(name, {}))
 
+        records: List = []
         try:
-            evaluation, degraded = evaluate_down_ladder(
+            outcomes = evaluate_batches_down_ladder(
                 registered, features,
                 verify_oracle=self.verify_oracle, on_stage=on_stage,
             )
-            results = classification_results(
-                registered, batch.batch_id, features, evaluation.bitvectors,
-                evaluation.inference_ms, evaluation.oracle_ok,
-            )
-            for entry, result in zip(entries, results):
-                entry.future.set_result(result)
+            for batch, queries, outcome in zip(batches, features, outcomes):
+                if isinstance(outcome, BaseException):
+                    for entry in batch.entries:
+                        if not entry.future.done():
+                            entry.future.set_exception(outcome)
+                    records.append(outcome)
+                    continue
+                evaluation, degraded = outcome
+                results = classification_results(
+                    registered, batch.batch_id, queries,
+                    evaluation.bitvectors, evaluation.inference_ms,
+                    evaluation.oracle_ok,
+                )
+                for entry, result in zip(batch.entries, results):
+                    entry.future.set_result(result)
+                oracle_failures: Optional[int] = None
+                if evaluation.oracle_ok is not None:
+                    oracle_failures = evaluation.oracle_ok.count(False)
+                records.append(BatchRecord(
+                    model=registered.name,
+                    batch_id=batch.batch_id,
+                    size=len(batch.entries),
+                    capacity=registered.layout.capacity,
+                    tracker=evaluation.tracker,
+                    phase_ms=evaluation.phase_ms,
+                    inference_ms=evaluation.inference_ms,
+                    data_encrypt_ms=evaluation.data_encrypt_ms,
+                    oracle_failures=oracle_failures,
+                    degraded=degraded,
+                ))
         except BaseException as exc:
-            for entry in entries:
-                if not entry.future.done():
-                    entry.future.set_exception(exc)
+            for batch in batches:
+                for entry in batch.entries:
+                    if not entry.future.done():
+                        entry.future.set_exception(exc)
             raise
-        oracle_failures: Optional[int] = None
-        if evaluation.oracle_ok is not None:
-            oracle_failures = evaluation.oracle_ok.count(False)
         if tracer is not None:
             tracer.end(
                 open_span[0], self.clock.now(),
-                oracle_failures=oracle_failures or 0,
+                oracle_failures=sum(
+                    record.oracle_failures or 0 for record in records
+                    if isinstance(record, BatchRecord)
+                ),
             )
-        return BatchRecord(
-            model=registered.name,
-            batch_id=batch.batch_id,
-            size=len(entries),
-            capacity=registered.layout.capacity,
-            tracker=evaluation.tracker,
-            phase_ms=evaluation.phase_ms,
-            inference_ms=evaluation.inference_ms,
-            data_encrypt_ms=evaluation.data_encrypt_ms,
-            oracle_failures=oracle_failures,
-            degraded=degraded,
-        )
+        return records

@@ -61,6 +61,7 @@ from repro.errors import (
     PoisonQueryError,
     ValidationError,
     WorkerPoolExhaustedError,
+    require_int,
 )
 from repro.serve.faults import (
     CircuitBreaker,
@@ -134,6 +135,8 @@ class RouterCore:
         breaker: Optional[CircuitBreaker] = None,
         dlq_limit: int = 64,
     ):
+        require_int("cluster workers", workers)
+        require_int("max_retries", max_retries)
         if workers < 1:
             raise ValidationError(
                 f"cluster workers must be >= 1, got {workers}"
@@ -170,6 +173,8 @@ class RouterCore:
         self._busy: Dict[int, Assignment] = {}
         #: model name -> current fingerprint (the placement/ship key).
         self._models: Dict[str, str] = {}
+        #: model name -> its placement rotation, until the pool changes.
+        self._placements: Dict[str, List[int]] = {}
         #: Every choice, in order: the determinism witness.  (The live
         #: facade swaps in a bounded window; a list is what replays hash.)
         self.decisions: List[Tuple] = []
@@ -246,6 +251,7 @@ class RouterCore:
     def remove_model(self, name: str,
                      now: Optional[float] = None) -> int:
         self._models.pop(name, None)
+        self._placements.pop(name, None)
         for ledger in self.shipped:
             ledger.pop(name, None)
         return self.core.remove_queue(name, now=now)
@@ -308,6 +314,11 @@ class RouterCore:
         )
         return old
 
+    def set_lanes(self, name: str, lanes: int) -> None:
+        """How many batches of ``name`` its evaluator runs in one go
+        (:meth:`SchedulerCore.set_lanes`)."""
+        self.core.set_lanes(name, lanes)
+
     def next_cut_time(self) -> Optional[float]:
         return self.core.next_cut_time()
 
@@ -333,10 +344,17 @@ class RouterCore:
         pile onto worker 0) while keeping each model's batches sticky to
         the same few workers — which is what makes the ship-once ledger
         pay off.  Salted hashes (``hash``) are banned here: placement
-        must replay across processes and runs.
+        must replay across processes and runs.  Memoised per model
+        until the pool's index space or membership changes; callers
+        must not mutate the list.
         """
-        start = zlib.crc32(model.encode()) % self.workers
-        return [(start + k) % self.workers for k in range(self.workers)]
+        order = self._placements.get(model)
+        if order is None:
+            start = zlib.crc32(model.encode()) % self.workers
+            order = self._placements[model] = [
+                (start + k) % self.workers for k in range(self.workers)
+            ]
+        return order
 
     def _place(self, model: str, now: float,
                exclude: Tuple[int, ...] = ()) -> Optional[int]:
@@ -571,8 +589,10 @@ class RouterCore:
 
     def complete(self, assignment: Assignment, epoch: int, now: float,
                  outcome: str = OUTCOME_OK,
-                 worker: Optional[int] = None) -> bool:
-        """Account one finished batch — unless its worker epoch is stale.
+                 worker: Optional[int] = None,
+                 failed=()) -> bool:
+        """Account one finished assignment — unless its worker epoch is
+        stale.
 
         A completion echoing an epoch the router has since bumped comes
         from a superseded worker incarnation: its tickets were already
@@ -580,7 +600,10 @@ class RouterCore:
         Counting it would double-complete queries, so it is dropped and
         recorded.  ``worker`` identifies the delivering worker when it
         may differ from the binding (hedged batches); it defaults to
-        ``assignment.worker``.  Returns True when accepted.
+        ``assignment.worker``.  ``failed`` lists the positions of the
+        assignment's batches whose evaluation raised while the others
+        were answered (:meth:`SchedulerCore.complete`).  Returns True
+        when accepted.
         """
         if worker is None:
             worker = assignment.worker
@@ -613,7 +636,7 @@ class RouterCore:
             if healed is not None:
                 self._record("breaker", assignment.queue, worker,
                              healed, round(now, 9))
-        self.core.complete(assignment, now, outcome)
+        self.core.complete(assignment, now, outcome, failed)
         return True
 
     # ------------------------------------------------------------------
@@ -869,6 +892,7 @@ class RouterCore:
         """
         self.last_heartbeat[worker] = None
         self.retired.add(worker)
+        self._placements.clear()
         self._retires.inc()
         self._record("abandon", worker, self.epochs[worker], deaths,
                      round(now, 9))
@@ -944,6 +968,7 @@ class RouterCore:
             self.last_heartbeat.append(None)
             self.shipped.append({})
         self.workers = len(self.epochs)
+        self._placements.clear()
         self._scale_ups.inc()
         self.metrics.gauge("cluster_workers").set(self.workers)
         self._record("add_worker", worker, round(now, 9))
@@ -983,6 +1008,7 @@ class RouterCore:
             )
         self.core.remove_worker(worker)
         self.retired.add(worker)
+        self._placements.clear()
         self.epochs[worker] += 1
         self.alive[worker] = False
         self.draining[worker] = False

@@ -25,8 +25,8 @@ chaos soak replay byte-identical decision logs.
   ``megakernel -> tape -> plan -> eager`` and ``vector -> reference``
   walked when an engine or capability raises, so a broken fast path
   degrades to a slower correct one instead of failing the batch;
-  :func:`evaluate_down_ladder` is the one walk, run by the in-thread
-  batcher and the worker process alike.
+  :func:`evaluate_batches_down_ladder` is the one walk, run by the
+  in-thread batcher and the worker process alike.
 * :class:`TransportFaultPlan` / :func:`chaos_worker_main` — the
   **test-only** transport shim that injects the same chaos matrix the
   simulator models (corrupted envelopes, truncated / dropped /
@@ -43,8 +43,8 @@ from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
-from repro.core.engines import ENGINES
-from repro.serve.batched_runtime import evaluate_registered_batch
+from repro.core.engines import ENGINES, result_of
+from repro.serve.batched_runtime import evaluate_registered_batches
 from repro.serve.simclock import MS
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "degrade_engine",
     "degrade_backend",
     "evaluate_down_ladder",
+    "evaluate_batches_down_ladder",
     "TransportFaultPlan",
     "chaos_worker_main",
 ]
@@ -380,32 +381,56 @@ def degrade_backend(backend: str) -> Optional[str]:
 
 def evaluate_down_ladder(registered, features, verify_oracle: bool = False,
                          on_stage=None):
-    """Evaluate one batch on the registered engine, degrading on failure.
+    """Evaluate one batch on the registered engine, degrading on
+    failure: the group of one of :func:`evaluate_batches_down_ladder`.
+    Returns ``(evaluation, degraded)`` or raises."""
+    return result_of(evaluate_batches_down_ladder(
+        registered, [features], verify_oracle, on_stage
+    )[0])
 
-    When an engine raises, the batch is retried one rung down
-    :data:`ENGINE_LADDER` (fastest first) instead of failing — a broken
-    fast path degrades to a slower correct one.  Past the last rung the
-    registered engine's own exception propagates: it is the failure to
-    diagnose, and the last rung's is chained to it as context.  Returns
-    ``(evaluation, degraded)``: ``degraded`` is None, or ``(registered
-    engine, engine that answered)`` for the router to audit
-    (:meth:`~repro.serve.cluster.RouterCore.record_degrade`).
+
+def evaluate_batches_down_ladder(registered, batches,
+                                 verify_oracle: bool = False,
+                                 on_stage=None) -> List:
+    """Evaluate batches on the registered engine, degrading on failure.
+
+    The batches go through
+    :func:`~repro.serve.batched_runtime.evaluate_registered_batches`
+    together.  When an engine raises for one of them, that batch is
+    retried one rung down :data:`ENGINE_LADDER` (fastest first) instead
+    of failing — a broken fast path degrades to a slower correct one —
+    beside whichever others failed with it; the rest are answered.
+    Past the last rung the registered engine's own exception stands:
+    it is the failure to diagnose, and the last rung's is chained to
+    it as context.  Returns, per batch, ``(evaluation, degraded)`` —
+    ``degraded`` is None, or ``(registered engine, engine that
+    answered)`` for the router to audit
+    (:meth:`~repro.serve.cluster.RouterCore.record_degrade`) — or that
+    exception.
     """
     engine = first = registered.engine
-    failure = None
-    while True:
-        try:
-            evaluation = evaluate_registered_batch(
-                registered, features, engine=engine,
-                verify_oracle=verify_oracle, on_stage=on_stage,
-            )
-        except BaseException as exc:
-            failure = failure or exc
-            engine = degrade_engine(engine)
-            if engine is None:
-                raise failure
-            continue
-        return evaluation, None if engine == first else (first, engine)
+    outcomes: List = [None] * len(batches)
+    pending = list(range(len(batches)))
+    while pending and engine is not None:
+        evaluations = evaluate_registered_batches(
+            registered, [batches[i] for i in pending], engine=engine,
+            verify_oracle=verify_oracle, on_stage=on_stage,
+        )
+        failed = []
+        for i, evaluation in zip(pending, evaluations):
+            if not isinstance(evaluation, BaseException):
+                outcomes[i] = (
+                    evaluation, None if engine == first else (first, engine)
+                )
+                continue
+            failed.append(i)
+            if engine == first:
+                outcomes[i] = evaluation
+            else:
+                outcomes[i].__context__ = evaluation
+        pending = failed
+        engine = degrade_engine(engine)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

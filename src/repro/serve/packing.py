@@ -26,7 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.errors import CompileError, ValidationError
+from repro.errors import CompileError, ValidationError, require_int
 from repro.core.compiler import CompiledModel
 from repro.fhe.params import EncryptionParams
 from repro.ir.plan import tile_blocks
@@ -105,6 +105,7 @@ def plan_layout(
         )
     capacity = params.slot_count // stride
     if max_batch_size is not None:
+        require_int("max_batch_size", max_batch_size)
         if max_batch_size < 1:
             raise ValidationError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"

@@ -13,7 +13,10 @@ scheduling problem:
 * **Adaptive batch cutting.**  A batch is cut when it fills *or* when the
   oldest queued query's slack runs out (its deadline minus the model's
   estimated batch service time), not only on a count trigger.  Partial
-  batches with no deadline pressure wait for an explicit flush.
+  batches with no deadline pressure wait for an explicit flush.  One
+  cut takes every batch of the queue that is ready by that rule, up to
+  the queue's ``lanes`` — the batches its evaluator can run in one go
+  (:meth:`SchedulerCore.set_lanes`; 1 unless an engine says otherwise).
 * **Weighted fair sharing across models.**  Queues carry weights; ready
   queues are served in virtual-time order (served queries divided by
   weight), so a hot model cannot starve a cold one.
@@ -46,11 +49,16 @@ the decisions production would make.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import RejectedQuery, ServeError, ValidationError
+from repro.errors import (
+    RejectedQuery,
+    ServeError,
+    ValidationError,
+    require_int,
+    require_real,
+)
 from repro.obs.metrics import MetricsRegistry, bind_children
 from repro.obs.trace import (
     OUTCOME_CANCELLED,
@@ -105,13 +113,18 @@ class QueryTicket:
 
 @dataclass
 class Assignment:
-    """A cut batch bound to a worker, ready to evaluate."""
+    """What one worker evaluates in one go: one placement, one flight,
+    one completion — of one batch (ciphertext), or of the several a
+    queue with ``lanes`` had ready at the cut."""
 
+    #: The first batch's id; batch ``j`` is ``batch_id + j``.
     batch_id: int
     queue: str
     worker: int
     tickets: List[QueryTicket]
     cut_time: float
+    #: Tickets in each batch, in ticket order.
+    fills: Tuple[int, ...]
     #: ``batch`` span id, linked to member query spans (None when
     #: tracing is disabled) — evaluators parent their stage spans on it.
     span: Optional[int] = None
@@ -119,6 +132,16 @@ class Assignment:
     @property
     def size(self) -> int:
         return len(self.tickets)
+
+    def batches(self) -> List[Tuple[int, List[QueryTicket]]]:
+        """``(batch id, tickets)`` of each batch of the assignment."""
+        if len(self.fills) == 1:
+            return [(self.batch_id, self.tickets)]
+        out, at = [], 0
+        for offset, fill in enumerate(self.fills):
+            out.append((self.batch_id + offset, self.tickets[at : at + fill]))
+            at += fill
+        return out
 
 
 @dataclass(frozen=True)
@@ -199,11 +222,15 @@ class _ModelQueue:
 
     __slots__ = (
         "name", "capacity", "weight", "max_pending", "service_s",
-        "heap", "flush_pending", "vtime", "_cut_at", "_cut_dirty",
+        "heap", "flush_pending", "vtime", "_cut_at", "_cut_dirty", "lanes",
     )
 
     def __init__(self, name: str, capacity: int, weight: float,
                  max_pending: Optional[int], service_ms: Optional[float]):
+        require_int(f"queue {name!r}: batch capacity", capacity)
+        require_real(f"queue {name!r}: fair-share weight", weight)
+        if max_pending is not None:
+            require_int(f"queue {name!r}: max_pending", max_pending)
         if capacity < 1:
             raise ValidationError(
                 f"queue {name!r}: batch capacity must be >= 1, got "
@@ -223,11 +250,14 @@ class _ModelQueue:
         self.capacity = capacity
         self.weight = weight
         self.max_pending = max_pending
-        #: Estimated batch service time in seconds, for slack cuts.
+        #: Batches one cut may take (:meth:`SchedulerCore.set_lanes`).
+        self.lanes = 1
+        #: Estimated service time of one assignment in seconds, for
+        #: slack cuts.
         #: Seeded from the caller's estimate (the plan's analyzed cost,
         #: whose simulated ms are *not* wall ms) and then refined by
-        #: :meth:`observe_service` with each completed batch's measured
-        #: duration in the engine's own clock units — so the real-clock
+        #: :meth:`observe_service` with each completed assignment's
+        #: measured duration in the engine's own clock units — so the real-clock
         #: engine converges on wall time and the simulator stays exact.
         self.service_s = (service_ms or 0.0) * MS
         self.heap: List[Tuple[Tuple[int, int], QueryTicket]] = []
@@ -311,6 +341,7 @@ class SchedulerCore:
 
     def __init__(self, workers: int, tracer=None,
                  metrics: Optional[MetricsRegistry] = None):
+        require_int("workers", workers)
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
@@ -321,7 +352,7 @@ class SchedulerCore:
         #: (like epochs), so decision logs and traces are unambiguous.
         self._next_worker_id = workers
         self._next_seq = 0
-        self._batch_ids = itertools.count(1)
+        self._next_batch_id = 1
         self._closed = False
         #: Span tracer (``repro.obs.trace.Tracer``), or None.  Every
         #: tracer call is guarded by ``is not None`` so a traceless core
@@ -438,6 +469,7 @@ class SchedulerCore:
         does not replay the past).
         """
         queue = self._queue_or_raise(name)
+        require_real(f"queue {name!r}: fair-share weight", weight)
         if weight <= 0:
             raise ValidationError(
                 f"queue {name!r}: fair-share weight must be > 0, got "
@@ -456,13 +488,31 @@ class SchedulerCore:
         never drops accepted work.
         """
         queue = self._queue_or_raise(name)
-        if limit is not None and limit < 1:
-            raise ValidationError(
-                f"queue {name!r}: max_pending must be >= 1, got {limit}"
-            )
+        if limit is not None:
+            require_int(f"queue {name!r}: max_pending", limit)
+            if limit < 1:
+                raise ValidationError(
+                    f"queue {name!r}: max_pending must be >= 1, got {limit}"
+                )
         old = queue.max_pending
         queue.max_pending = limit
         return old
+
+    def set_lanes(self, name: str, lanes: int) -> None:
+        """Say how many batches of ``name`` one evaluation can run.
+
+        One cut then takes up to that many *ready* batches as a single
+        :class:`Assignment`.  Derived by whoever evaluates (the
+        transport, when it stages the model), never a tuning knob: a
+        queue nobody spoke for keeps 1.
+        """
+        queue = self._queue_or_raise(name)
+        require_int(f"queue {name!r}: lanes", lanes)
+        if lanes < 1:
+            raise ValidationError(
+                f"queue {name!r}: lanes must be >= 1, got {lanes}"
+            )
+        queue.lanes = lanes
 
     def add_worker(self) -> int:
         """Grow the pool by one idle worker; returns its (fresh) id."""
@@ -570,7 +620,8 @@ class SchedulerCore:
         part-way admits the queries ahead of it, counts the first
         refused one, leaves the rest uncounted (the loop would never
         have reached them) and carries the admitted tickets on the
-        exception.
+        exception.  An ill-typed ``tenant`` / ``priority`` / ``deadline``
+        is a :class:`ValidationError` and admits nothing.
         """
         if self._closed:
             raise ServeError(
@@ -578,6 +629,17 @@ class SchedulerCore:
                 "stopped admission (create a new service to keep serving)"
             )
         queue = self._queue_or_raise(name)
+        # Before anything is queued or counted: an ill-typed field that
+        # surfaced later (a label lookup, a heap comparison) would leave
+        # a queued ticket nobody holds.
+        if not isinstance(tenant, str):
+            raise ValidationError(
+                f"tenant must be a string, got {tenant!r}"
+            )
+        if type(priority) is not int:  # the usual case, without a call
+            require_int("priority", priority)
+        if deadline is not None:
+            require_real("deadline", deadline)
         admitted = payloads
         if queue.max_pending is not None:
             room = max(0, queue.max_pending - len(queue.heap))
@@ -683,7 +745,8 @@ class SchedulerCore:
     def assign(self, now: float,
                worker: Optional[int] = None,
                queue: Optional[str] = None) -> Optional[Assignment]:
-        """Cut the next batch and bind it to a free worker, if possible.
+        """Cut the next batch — every ready batch of one queue, up to its
+        ``lanes`` — and bind it to a free worker, if possible.
 
         Among ready queues the one with the smallest fair-share virtual
         time wins (name-ordered tiebreak, so decisions are total-ordered
@@ -708,69 +771,94 @@ class SchedulerCore:
                 return None
             chosen = min(ready, key=lambda q: (q.vtime, q.name))
             tickets: List[QueryTicket] = []
-            while chosen.heap and len(tickets) < chosen.capacity:
-                _, ticket = heapq.heappop(chosen.heap)
-                if ticket.future.set_running_or_notify_cancel():
-                    tickets.append(ticket)
-                else:
-                    self._cancelled.inc()
-                    if self.tracer is not None and ticket.span is not None:
-                        if ticket.wait_span is not None:
-                            self.tracer.end(ticket.wait_span, now)
-                            ticket.wait_span = None
-                        self.tracer.end(
-                            ticket.span, now, outcome=OUTCOME_CANCELLED
-                        )
-            chosen.invalidate_cut_cache()
-            if not chosen.heap:
-                chosen.flush_pending = False
+            fills: List[int] = []
+            # Every batch that is ready by the queue's own rule, one at
+            # a time exactly as successive cuts would take them, up to
+            # what one evaluation can run.
+            while len(fills) < chosen.lanes and chosen.ready(now):
+                cut = self._cut_one(chosen, now)
+                if cut:
+                    chosen.vtime += len(cut) / chosen.weight
+                    tickets += cut
+                    fills.append(len(cut))
             if not tickets:
                 continue  # the whole cut was cancelled; look again
-            chosen.vtime += len(tickets) / chosen.weight
             if worker is None:
                 worker = heapq.heappop(self._free)
             else:
                 self._free.remove(worker)
-            assignment = Assignment(
-                batch_id=next(self._batch_ids),
-                queue=chosen.name,
-                worker=worker,
-                tickets=tickets,
-                cut_time=now,
+            return self._bind(chosen.name, worker, tickets, fills, now)
+
+    def _cut_one(self, queue: _ModelQueue, now: float) -> List[QueryTicket]:
+        """Pop one batch's worth of live tickets off ``queue``."""
+        tickets: List[QueryTicket] = []
+        while queue.heap and len(tickets) < queue.capacity:
+            _, ticket = heapq.heappop(queue.heap)
+            if ticket.future.set_running_or_notify_cancel():
+                tickets.append(ticket)
+            else:
+                self._drop_cancelled(ticket, now)
+        queue.invalidate_cut_cache()
+        if not queue.heap:
+            queue.flush_pending = False
+        return tickets
+
+    def _drop_cancelled(self, ticket: QueryTicket, now: float) -> None:
+        """Count a ticket its caller cancelled while it was queued."""
+        self._cancelled.inc()
+        if self.tracer is not None and ticket.span is not None:
+            if ticket.wait_span is not None:
+                self.tracer.end(ticket.wait_span, now)
+                ticket.wait_span = None
+            self.tracer.end(ticket.span, now, outcome=OUTCOME_CANCELLED)
+
+    def _bind(self, queue: str, worker: int, tickets: List[QueryTicket],
+              fills: Sequence[int], now: float) -> Assignment:
+        """The cut tickets as one running :class:`Assignment`: one
+        consecutive batch id (and one ``sched_batches``) per batch."""
+        assignment = Assignment(
+            batch_id=self._next_batch_id,
+            queue=queue,
+            worker=worker,
+            tickets=tickets,
+            cut_time=now,
+            fills=tuple(fills),
+        )
+        self._next_batch_id += len(fills)
+        if self.tracer is not None:
+            assignment.span = self.tracer.begin(
+                "batch", now, track=f"worker:{worker}",
+                queue=queue, batch_id=assignment.batch_id,
+                size=len(tickets),
+                members=[t.span for t in tickets if t.span is not None],
             )
-            if self.tracer is not None:
-                assignment.span = self.tracer.begin(
-                    "batch", now, track=f"worker:{worker}",
-                    queue=chosen.name, batch_id=assignment.batch_id,
-                    size=len(tickets),
-                    members=[
-                        t.span for t in tickets if t.span is not None
-                    ],
-                )
-                for ticket in tickets:
+            for batch_id, members in assignment.batches():
+                for ticket in members:
                     if ticket.wait_span is not None:
                         self.tracer.end(
-                            ticket.wait_span, now,
-                            batch_id=assignment.batch_id,
+                            ticket.wait_span, now, batch_id=batch_id
                         )
                         ticket.wait_span = None
-            self._running[worker] = assignment
-            self._batches.inc()
-            return assignment
+        self._running[worker] = assignment
+        self._batches.inc(len(fills))
+        return assignment
 
     # ------------------------------------------------------------------
     # Completion / failure
     # ------------------------------------------------------------------
 
     def complete(self, assignment: Assignment, now: float,
-                 outcome: str = OUTCOME_OK) -> None:
-        """Return a worker and account for its batch's outcome.
+                 outcome: str = OUTCOME_OK,
+                 failed: Sequence[int] = ()) -> None:
+        """Return a worker and account for its assignment's outcome.
 
-        ``"ok"``: count completions, latencies, deadline misses.
-        ``"error"``: the evaluation raised — deterministic, so the
-        tickets fail (their futures already carry the exception).
-        A worker that died mid-batch never completes: see
-        :meth:`release_crashed`.
+        ``"ok"``: count completions, latencies, deadline misses —
+        except for the batches whose positions are in ``failed``, whose
+        evaluation raised while the rest of the assignment was
+        answered.  ``"error"``: every batch's evaluation raised —
+        deterministic, so the tickets fail (their futures already carry
+        the exception).  A worker that died mid-batch never completes:
+        see :meth:`release_crashed`.
         """
         if self._running.get(assignment.worker) is not assignment:
             raise ValidationError(
@@ -786,46 +874,56 @@ class SchedulerCore:
             finished_queue = self._queues.get(assignment.queue)
             if finished_queue is not None:
                 finished_queue.observe_service(now - assignment.cut_time)
-            self._book_completed(assignment, now)
         elif outcome == OUTCOME_ERROR:
-            for ticket in assignment.tickets:
-                self._fail_ticket(ticket, ServeError(
-                    f"batch {assignment.batch_id} evaluation failed"
-                ), now=now)
+            failed = range(len(assignment.fills))
         else:
             raise ValidationError(f"unknown completion outcome {outcome!r}")
+        self._book_completed(assignment, now, failed)
 
-    def _book_completed(self, assignment: Assignment, now: float) -> None:
-        """Count one evaluated batch: one update per instrument.
+    def _book_completed(self, assignment: Assignment, now: float,
+                        failed: Sequence[int]) -> None:
+        """Count one evaluated assignment: one update per instrument.
 
         Latencies are observed in ticket order and labelled children
-        resolved once per distinct tenant / queue of the batch, so the
-        registry ends bit-for-bit where per-ticket booking left it.
+        resolved once per distinct tenant / queue of the assignment, so
+        the registry ends bit-for-bit where per-ticket booking left it.
+        The tickets of a batch whose position is in ``failed`` fail.
         """
         tracer = self.tracer
         latencies: List[float] = []
         by_tenant: Dict[str, List[float]] = {}
         by_queue: Dict[str, int] = {}
         misses = 0
-        for ticket in assignment.tickets:
-            latency_ms = (now - ticket.submit_time) / MS
-            latencies.append(latency_ms)
-            missed = ticket.deadline is not None and now > ticket.deadline
-            if missed:
-                misses += 1
-            tenant = by_tenant.get(ticket.tenant)
-            if tenant is None:
-                tenant = by_tenant[ticket.tenant] = []
-            tenant.append(latency_ms)
-            by_queue[ticket.queue] = by_queue.get(ticket.queue, 0) + 1
-            if tracer is not None and ticket.span is not None:
-                tracer.end(
-                    ticket.span, now,
-                    outcome=OUTCOME_COMPLETED,
-                    batch_id=assignment.batch_id,
-                    deadline_missed=missed,
-                    retries=ticket.retries,
+        for position, (batch_id, tickets) in enumerate(assignment.batches()):
+            if position in failed:
+                for ticket in tickets:
+                    self._fail_ticket(ticket, ServeError(
+                        f"batch {batch_id} evaluation failed"
+                    ), now=now)
+                continue
+            for ticket in tickets:
+                latency_ms = (now - ticket.submit_time) / MS
+                latencies.append(latency_ms)
+                missed = (
+                    ticket.deadline is not None and now > ticket.deadline
                 )
+                if missed:
+                    misses += 1
+                tenant = by_tenant.get(ticket.tenant)
+                if tenant is None:
+                    tenant = by_tenant[ticket.tenant] = []
+                tenant.append(latency_ms)
+                by_queue[ticket.queue] = by_queue.get(ticket.queue, 0) + 1
+                if tracer is not None and ticket.span is not None:
+                    tracer.end(
+                        ticket.span, now,
+                        outcome=OUTCOME_COMPLETED,
+                        batch_id=batch_id,
+                        deadline_missed=missed,
+                        retries=ticket.retries,
+                    )
+        if not latencies:
+            return
         self._completed.inc(len(latencies))
         self._latencies_ms.observe_many(latencies)
         if misses:
@@ -933,14 +1031,7 @@ class SchedulerCore:
             if ticket.future.set_running_or_notify_cancel():
                 live.append(ticket)
             else:
-                self._cancelled.inc()
-                if self.tracer is not None and ticket.span is not None:
-                    if ticket.wait_span is not None:
-                        self.tracer.end(ticket.wait_span, now)
-                        ticket.wait_span = None
-                    self.tracer.end(
-                        ticket.span, now, outcome=OUTCOME_CANCELLED
-                    )
+                self._drop_cancelled(ticket, now)
         if not live:
             return None
         queue = self._queues.get(queue_name)
@@ -948,30 +1039,7 @@ class SchedulerCore:
             queue.vtime += len(live) / queue.weight
         self._free.remove(worker)
         heapq.heapify(self._free)
-        assignment = Assignment(
-            batch_id=next(self._batch_ids),
-            queue=queue_name,
-            worker=worker,
-            tickets=live,
-            cut_time=now,
-        )
-        if self.tracer is not None:
-            assignment.span = self.tracer.begin(
-                "batch", now, track=f"worker:{worker}",
-                queue=queue_name, batch_id=assignment.batch_id,
-                size=len(live),
-                members=[t.span for t in live if t.span is not None],
-            )
-            for ticket in live:
-                if ticket.wait_span is not None:
-                    self.tracer.end(
-                        ticket.wait_span, now,
-                        batch_id=assignment.batch_id,
-                    )
-                    ticket.wait_span = None
-        self._running[worker] = assignment
-        self._batches.inc()
-        return assignment
+        return self._bind(queue_name, worker, live, (len(live),), now)
 
     def rebind(self, assignment: Assignment, new_worker: int) -> None:
         """Move a running batch's binding to another worker.

@@ -18,7 +18,10 @@ the control plane's seams.  Typical use::
 Dispatch policy: a full batch is scheduled the moment the pending queue
 reaches the layout's capacity; a *partial* batch dispatches when its
 oldest query's deadline slack runs out, or on an explicit ``flush()``
-(``classify``/``classify_many`` flush for you).  Queues are bounded when
+(``classify``/``classify_many`` flush for you).  One cut hands the
+evaluator every batch of the model that is ready by that rule, up to
+the number it runs in one go (``lanes``: derived from the staged engine
+and backend, never configured).  Queues are bounded when
 ``max_queue`` is set — an over-admission raises
 :class:`~repro.errors.RejectedQuery` at submit time.  Latency and
 throughput metrics come from the existing
@@ -38,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import RejectedQuery, ValidationError
+from repro.errors import RejectedQuery, ValidationError, require_real
 from repro.obs.metrics import MetricsRegistry, bind_children
 from repro.core.compiler import CompiledModel
 from repro.core.engines import ENGINE_TAPE, engine_row
@@ -305,11 +308,15 @@ class CopseService:
     batches on, the control plane (``add_worker`` / ``remove_worker``)
     scales and the simulated-cost book (:attr:`ServiceStats.threads`,
     the paper's multithreading) counts.  One host thread — the pump —
-    evaluates all of them, one batch at a time
-    (:class:`~repro.serve.transport.InThreadTransport` says why), so
-    wall-clock parallelism is worker processes
+    evaluates all of them, one assignment at a time
+    (:class:`~repro.serve.transport.InThreadTransport` says why): one
+    batch, or — under ``engine="megakernel"`` on a backend with
+    ``megakernel_ops`` — up to eight ready batches of a model sharing
+    one kernel pass, each still booked, numbered and answered as its
+    own batch.  Wall-clock parallelism is worker processes
     (:class:`~repro.serve.cluster.ClusterService`, the same facade over
-    :class:`~repro.serve.transport.ProcessTransport`).
+    :class:`~repro.serve.transport.ProcessTransport`, one batch per
+    assignment).
 
     Scheduling knobs: ``default_deadline_ms`` applies a relative
     deadline to every query that does not bring its own (deadline slack
@@ -379,10 +386,13 @@ class CopseService:
         engine_row(engine, error=ValidationError)
         #: Default FHE backend for registered models.
         self.backend = canonical_backend_name(backend)
-        if default_deadline_ms is not None and default_deadline_ms <= 0:
-            raise ValidationError(
-                f"default_deadline_ms must be > 0, got {default_deadline_ms}"
-            )
+        if default_deadline_ms is not None:
+            require_real("default_deadline_ms", default_deadline_ms)
+            if default_deadline_ms <= 0:
+                raise ValidationError(
+                    f"default_deadline_ms must be > 0, got "
+                    f"{default_deadline_ms}"
+                )
         #: The routing core.  Guarded by ``_lock``, like the transport.
         self.router = RouterCore(
             workers=workers, tracer=tracer, metrics=metrics,
@@ -492,7 +502,7 @@ class CopseService:
                     service_ms=registered.estimated_batch_ms,
                     fingerprint=_ship_key(registered),
                 )
-                self.transport.stage(registered)
+                self.router.set_lanes(name, self.transport.stage(registered))
         except ValidationError:
             self.registry.unregister(name)
             raise
@@ -579,13 +589,17 @@ class CopseService:
         :class:`~repro.errors.RejectedQuery` when the model's queue
         reaches its bound — the queries ahead of the refused one stay
         admitted, their tickets on the exception's ``admitted`` — and
-        :class:`~repro.errors.ServeError` after :meth:`close`.
+        :class:`~repro.errors.ServeError` after :meth:`close`.  An
+        ill-typed ``tenant`` / ``deadline_ms`` / ``priority`` is a
+        :class:`~repro.errors.ValidationError` that admits nothing.
         """
         entries = prepare_queries(
             self.registry.get(model_name), feature_lists
         )
         if deadline_ms is None:
             deadline_ms = self.default_deadline_ms
+        else:
+            require_real("deadline_ms", deadline_ms)
         refusal = None
         with self._routing() as now:
             try:
@@ -786,7 +800,7 @@ class CopseService:
             registered = change(
                 name, value, expected_fingerprint=expected_fingerprint
             )
-            self.transport.stage(registered)
+            self.router.set_lanes(name, self.transport.stage(registered))
             self.router.redeploy_model(
                 name, _ship_key(registered), self.clock.now()
             )
@@ -934,17 +948,26 @@ class CopseService:
             ):
                 self._crash_locked(event.worker, now)
             return
-        assignment, record = event.assignment, event.record
-        if record is None:
+        assignment = event.assignment
+        answered = [r for r in event.records if r is not None]
+        if not answered:
             router.complete(assignment, event.epoch, now, OUTCOME_ERROR,
                             worker=event.worker)
             return
-        if record.degraded is not None:
-            router.record_degrade(assignment.queue, *record.degraded, now)
+        for record in answered:
+            if record.degraded is not None:
+                router.record_degrade(
+                    assignment.queue, *record.degraded, now
+                )
+        failed = [
+            position for position, record in enumerate(event.records)
+            if record is None
+        ]  # batches that raised while the rest were answered
         # A stale epoch is refused here: its tickets were already parked.
         if router.complete(assignment, event.epoch, now, OUTCOME_OK,
-                           worker=event.worker):
-            self._stats.record_batch(record)
+                           worker=event.worker, failed=failed):
+            for record in answered:
+                self._stats.record_batch(record)
             if event.resolve is not None:
                 resolutions.append(event.resolve)
 

@@ -9,8 +9,8 @@ carry out one of the router's instructions (:class:`ShipAction`,
 (:class:`Completion`, :class:`WorkerDied`, :class:`Heartbeat`), close:
 
 * :class:`InThreadTransport` evaluates on the facade's pump thread, one
-  batch at a time: nothing is pickled, a ship is a no-op (the model is
-  already here) and a worker cannot die.
+  assignment at a time: nothing is pickled, a ship is a no-op (the
+  model is already here) and a worker cannot die.
 * :class:`ProcessTransport` runs ``multiprocessing`` (spawn) workers
   behind pipes, each in :func:`repro.serve.worker.worker_main`.
 
@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ServeError, ValidationError
 from repro.core.engines import artifacts_of
 from repro.core.seccomp import VARIANT_ALOUFI
+from repro.serve.batched_runtime import shared_pass_lanes
 from repro.serve.batcher import (
     BatchRecord,
     CutBatch,
@@ -262,19 +263,21 @@ class HedgeAction:
 
 @dataclass
 class Completion:
-    """A batch came back from ``(worker, epoch)``.
+    """An assignment came back from ``(worker, epoch)``.
 
-    ``record`` is what the stats aggregator books — None when the
-    evaluation raised (deterministic: failed, never retried).
+    ``records`` holds, per batch of the assignment, what the stats
+    aggregator books — None where the evaluation raised
+    (deterministic: failed, never retried).
     ``resolve`` delivers the results to the futures; the facade runs it
     outside its lock once the router accepts the completion (None:
-    already resolved, as :meth:`QueryBatcher.evaluate` does in-thread).
+    already resolved, as :meth:`QueryBatcher.evaluate_group` does
+    in-thread).
     """
 
     assignment: Assignment
     worker: int
     epoch: int
-    record: Optional[BatchRecord]
+    records: List[Optional[BatchRecord]]
     resolve: Optional[Callable[[], None]] = None
 
 
@@ -304,8 +307,9 @@ class Transport:
     """Where batches are evaluated, as the facade sees it.
 
     A transport also implements ``stage(registered)`` / ``unstage(name)``
-    (keep what evaluating that model's batches needs; staged again after
-    an engine flip or backend switch), ``send(action)``,
+    (keep what evaluating that model's batches needs, and say how many
+    of them one evaluation can run — the queue's ``lanes``; staged
+    again after an engine flip or backend switch), ``send(action)``,
     ``wait(timeout)`` (block — the one call made *without* the facade's
     lock — until something happened) and ``receive(waited)`` (the
     events behind what ``wait`` returned).  The defaults below are the
@@ -351,12 +355,16 @@ class Transport:
 class InThreadTransport(Transport):
     """Evaluate on the pump thread: no pickle, no process, no crash.
 
-    One batch at a time, and only cut when the evaluator is free
+    One assignment at a time, and only cut when the evaluator is free
     (:meth:`room`): batch evaluation holds the GIL between its numpy
     calls, so a second evaluating thread only interleaves (measured
     slower than serial), and a batch cut early would age in a list —
     inflating the service-time estimate the deadline cut subtracts and
-    leaving the slots later arrivals could have filled.
+    leaving the slots later arrivals could have filled.  What is
+    already *ready* when the evaluator frees up is another matter: an
+    engine that can run several ciphertexts in one go (the megakernel:
+    eight to a kernel pass) is handed every ready batch of the queue
+    as one assignment — :meth:`stage` reports how many it takes.
     """
 
     def __init__(self, verify_oracle: bool, tracer, clock):
@@ -367,11 +375,12 @@ class InThreadTransport(Transport):
         self._action: Optional[AssignAction] = None
         self._wake = threading.Event()
 
-    def stage(self, registered) -> None:
+    def stage(self, registered) -> int:
         self._batchers[registered.name] = QueryBatcher(
             registered, verify_oracle=self.verify_oracle,
             tracer=self.tracer, clock=self.clock,
         )
+        return shared_pass_lanes(registered)
 
     def unstage(self, name: str) -> None:
         self._batchers.pop(name, None)
@@ -395,16 +404,23 @@ class InThreadTransport(Transport):
         if action is None:
             return []
         assignment = action.assignment
-        record = None
+        records: List[Optional[BatchRecord]] = [None] * len(assignment.fills)
+        cuts = [
+            CutBatch(batch_id, [t.payload for t in tickets])
+            for batch_id, tickets in assignment.batches()
+        ]
+        where = {"parent_span": assignment.span, "worker": assignment.worker}
         try:
-            record = self._batchers[assignment.queue].evaluate(
-                CutBatch(
-                    batch_id=assignment.batch_id,
-                    entries=[t.payload for t in assignment.tickets],
-                ),
-                parent_span=assignment.span,
-                worker=assignment.worker,
-            )
+            batcher = self._batchers[assignment.queue]
+            if len(cuts) == 1:
+                # ``evaluate`` is the one-batch entry everything else
+                # drives (and tests substitute); it raises its failure.
+                records = [batcher.evaluate(cuts[0], **where)]
+            else:
+                records = [
+                    outcome if isinstance(outcome, BatchRecord) else None
+                    for outcome in batcher.evaluate_group(cuts, **where)
+                ]
         except BaseException:
             # The batcher owns error delivery to the futures (a model
             # unstaged under the batch leaves that to the router); a
@@ -412,7 +428,7 @@ class InThreadTransport(Transport):
             pass
         self._action = None
         return [Completion(assignment, assignment.worker, action.epoch,
-                           record)]
+                           records)]
 
     def receive(self, waited: List[Completion]) -> List[Completion]:
         return waited
@@ -469,10 +485,13 @@ class ProcessTransport(Transport):
         self._listening: Tuple[object, ...] = ()
         self._last_ping = clock.now()
 
-    def stage(self, registered) -> None:
+    def stage(self, registered) -> int:
         self._envelopes[registered.name] = ShippedModel.from_registered(
             registered
         )
+        # One ciphertext per request: the wire format carries at most
+        # ``capacity`` features (ROADMAP, "lanes on ProcessTransport").
+        return 1
 
     def unstage(self, name: str) -> None:
         self._envelopes.pop(name, None)
@@ -619,7 +638,7 @@ class ProcessTransport(Transport):
             # Deterministic worker-side failure (or the model was
             # unregistered under the batch): no retry — a second run
             # would fail identically; every ticket fails loudly.
-            return Completion(assignment, worker, epoch, None)
+            return Completion(assignment, worker, epoch, [None])
         if (
             result.bitvectors is None
             or len(result.bitvectors) != assignment.size
@@ -659,7 +678,7 @@ class ProcessTransport(Transport):
             oracle_failures=result.oracle_failures,
             degraded=degraded,
         )
-        return Completion(assignment, worker, epoch, record, resolve)
+        return Completion(assignment, worker, epoch, [record], resolve)
 
     def close(self) -> None:
         conns = list(self._listening)

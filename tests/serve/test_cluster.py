@@ -85,6 +85,27 @@ class TestRouterCore:
         # Stable across router instances (zlib.crc32, not hash()).
         assert order == self.make(workers=4).placement_order("m")
 
+    def test_placement_order_is_memoised_until_the_pool_changes(self):
+        """The rotation is computed once per model, and again after
+        anything that could change it; decisions are what they were."""
+        router = self.make(workers=3)
+        order = router.placement_order("m")
+        assert router.placement_order("m") is order
+        assert order == [
+            (order[0] + k) % 3 for k in range(3)
+        ]
+        fresh = router.add_worker(0.0)
+        grown = router.placement_order("m")
+        assert grown is not order and sorted(grown) == [0, 1, 2, fresh]
+        router.retire_worker(fresh, 0.1)
+        assert router.placement_order("m") is not grown
+        kept = router.placement_order("m")
+        router.crash_worker(0, 0.2)
+        router.abandon_worker(0, 3, 0.3)
+        assert router.placement_order("m") is not kept
+        router.remove_model("m")
+        assert "m" not in router._placements
+
     def test_dispatch_ships_then_assigns(self):
         router = self.make()
         full_batch(router)

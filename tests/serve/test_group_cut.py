@@ -1,0 +1,412 @@
+"""One cut takes every ciphertext that is ready (ISSUE 23).
+
+A queue whose evaluator runs several batches in one go (``lanes``: the
+megakernel's eight to a kernel pass, in-thread) hands them over as one
+:class:`~repro.serve.scheduler.Assignment` — one placement, one flight,
+one completion — while everything counted per batch (ids, fills,
+``sched_batches``, records) reads as it did one batch at a time.
+"ready" is the old rule applied batch after batch, so ``lanes = 1``
+*is* the old scheduler and nothing is ever cut earlier than before.
+"""
+
+from concurrent.futures import CancelledError, Future
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import RuntimeProtocolError, ServeError, ValidationError
+from repro.ir.megakernel import MAX_GROUP, MegaKernel
+from repro.obs.trace import Tracer
+from repro.serve import CopseService, ModelProfile, SimRunner
+from repro.serve.scheduler import OUTCOME_ERROR, SchedulerCore
+from repro.serve.simclock import RealClock
+from repro.serve.transport import ProcessTransport
+
+
+class Payload:
+    def __init__(self):
+        self.future = Future()
+
+
+def core_with(lanes, capacity=3, workers=4, **queue):
+    core = SchedulerCore(workers=workers)
+    core.add_queue("m", capacity=capacity, **queue)
+    core.set_lanes("m", lanes)
+    return core
+
+
+def conserved(stats):
+    return stats.submitted == (
+        stats.completed + stats.rejected + stats.failed + stats.cancelled
+        + stats.dead_lettered
+    )
+
+
+class TestCutRule:
+    def test_a_block_of_full_ciphertexts_is_one_assignment(self):
+        core = core_with(lanes=8)
+        tickets = core.submit_many("m", [Payload() for _ in range(15)], 0.0)
+        assignment = core.assign(0.0)
+        assert assignment.batch_id == 1 and assignment.fills == (3,) * 5
+        assert assignment.tickets == tickets
+        assert [batch_id for batch_id, _ in assignment.batches()] == [
+            1, 2, 3, 4, 5,
+        ]
+        assert [t.seq for _, members in assignment.batches()
+                for t in members] == list(range(15))
+        assert core.stats().batches == 5
+        assert core.pending("m") == 0 and core.running == 15
+        assert core.idle_workers() == [1, 2, 3]  # one placement
+        core.complete(assignment, 1.0)
+        stats = core.stats()
+        assert stats.completed == 15 and conserved(stats)
+        # the next cut's ids go on from the reserved ones
+        core.submit_many("m", [Payload() for _ in range(3)], 2.0)
+        assert core.assign(2.0).batch_id == 6
+
+    def test_no_more_than_lanes_and_the_rest_stays(self):
+        core = core_with(lanes=2)
+        core.submit_many("m", [Payload() for _ in range(9)], 0.0)
+        first = core.assign(0.0)
+        assert first.fills == (3, 3) and core.pending("m") == 3
+        second = core.assign(0.0)
+        assert (second.batch_id, second.fills) == (3, (3,))
+
+    def test_a_remainder_not_yet_due_stays_queued(self):
+        core = core_with(lanes=8, service_ms=10.0)
+        core.submit_many(
+            "m", [Payload() for _ in range(8)], 0.0, deadline=1.0
+        )
+        assignment = core.assign(0.0)
+        assert assignment.fills == (3, 3)
+        assert core.pending("m") == 2  # neither full, flushed, nor due
+        assert core.assign(0.5) is None
+        late = core.assign(0.995)  # deadline - service estimate passed
+        assert late.fills == (2,) and late.batch_id == 3
+
+    def test_a_due_or_flushed_remainder_rides_along(self):
+        for due in ("slack", "flush"):
+            core = core_with(lanes=8, service_ms=10.0)
+            core.submit_many(
+                "m", [Payload() for _ in range(8)], 0.0,
+                deadline=1.0 if due == "slack" else None,
+            )
+            if due == "flush":
+                core.flush("m")
+            assignment = core.assign(0.995)
+            assert assignment.fills == (3, 3, 2), due
+            assert core.pending("m") == 0
+
+    def test_a_cancelled_ticket_takes_no_slot_in_any_ciphertext(self):
+        core = core_with(lanes=8)
+        tickets = core.submit_many("m", [Payload() for _ in range(9)], 0.0)
+        assert tickets[4].future.cancel()
+        core.flush("m")
+        assignment = core.assign(0.0)
+        assert assignment.fills == (3, 3, 2)
+        assert tickets[4] not in assignment.tickets
+        core.complete(assignment, 1.0)
+        stats = core.stats()
+        assert (stats.completed, stats.cancelled) == (8, 1)
+        assert conserved(stats)
+
+    def test_a_batch_that_failed_fails_alone(self):
+        core = core_with(lanes=8)
+        tickets = core.submit_many("m", [Payload() for _ in range(9)], 0.0)
+        assignment = core.assign(0.0)
+        core.complete(assignment, 1.0, failed=[1])
+        stats = core.stats()
+        assert (stats.completed, stats.failed) == (6, 3) and conserved(stats)
+        failures = core.drain_failures()
+        assert [f for f, _ in failures] == [t.future for t in tickets[3:6]]
+        assert all(
+            isinstance(exc, ServeError) and "batch 2 " in str(exc)
+            for _, exc in failures
+        )
+        assert core.idle_workers() == [0, 1, 2, 3]
+
+    def test_an_errored_assignment_fails_every_batch(self):
+        core = core_with(lanes=8)
+        core.submit_many("m", [Payload() for _ in range(6)], 0.0)
+        core.complete(core.assign(0.0), 1.0, outcome=OUTCOME_ERROR)
+        stats = core.stats()
+        assert (stats.completed, stats.failed) == (0, 6) and conserved(stats)
+        assert [str(exc) for _, exc in core.drain_failures()] == (
+            ["batch 1 evaluation failed"] * 3
+            + ["batch 2 evaluation failed"] * 3
+        )
+
+    def test_lanes_are_validated_and_default_to_one(self):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=2)
+        core.submit_many("m", [Payload() for _ in range(4)], 0.0)
+        assert core.assign(0.0).fills == (2,)
+        for bad in (0, -1, 1.5, "8"):
+            with pytest.raises(ValidationError, match="lanes"):
+                core.set_lanes("m", bad)
+        with pytest.raises(ValidationError, match="no scheduler queue"):
+            core.set_lanes("ghost", 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 4),
+        lanes=st.integers(1, MAX_GROUP),
+        blocks=st.lists(
+            st.tuples(
+                st.integers(1, 9),            # queries in the block
+                st.integers(0, 2),            # priority
+                st.sampled_from([None, 0.02, 0.2]),  # relative deadline
+                st.lists(st.integers(0, 8), max_size=2),  # cancelled
+                st.booleans(),                # flush after it
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_a_group_is_the_cuts_lanes_of_one_would_make(
+        self, capacity, lanes, blocks
+    ):
+        """Ticket for ticket and id for id: one cut of a queue with
+        ``lanes`` is the next ``lanes`` cuts of the same queue at
+        ``lanes = 1``."""
+        grouped = core_with(lanes, capacity, workers=1, service_ms=5.0)
+        single = core_with(1, capacity, workers=lanes, service_ms=5.0)
+        now = 0.0
+        for count, priority, deadline, cancelled, flush in blocks:
+            now += 0.01
+            sides = []
+            for core in (grouped, single):
+                tickets = core.submit_many(
+                    "m", [Payload() for _ in range(count)], now,
+                    priority=priority,
+                    deadline=None if deadline is None else now + deadline,
+                )
+                for index in cancelled:
+                    if index < count:
+                        tickets[index].future.cancel()
+                if flush:
+                    core.flush("m")
+                sides.append(tickets)
+            group = grouped.assign(now)
+            cuts = []
+            for _ in range(lanes):
+                cut = single.assign(now)
+                if cut is None:
+                    break
+                cuts.append(cut)
+            if group is None:
+                assert cuts == []
+                continue
+            seqs = lambda members: [t.seq for t in members]
+            assert [
+                (batch_id, seqs(members))
+                for batch_id, members in group.batches()
+            ] == [(cut.batch_id, seqs(cut.tickets)) for cut in cuts]
+            assert grouped.pending("m") == single.pending("m")
+            grouped.complete(group, now)
+            for cut in cuts:
+                single.complete(cut, now)
+            a, b = grouped.stats(), single.stats()
+            assert (a.batches, a.completed, a.cancelled) == (
+                b.batches, b.completed, b.cancelled
+            )
+
+
+def queries_for(forest, count, seed=21):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 256, (count, forest.n_features)).tolist()
+
+
+def open_grouping_service(example_forest, **kwargs):
+    service = CopseService(
+        threads=2, engine="megakernel", backend="vector", **kwargs
+    )
+    service.register_model("m", example_forest, max_batch_size=4)
+    return service
+
+
+def lanes_of(service, name="m"):
+    return service.router.core._queues[name].lanes
+
+
+class TestLanesAreDerived:
+    def test_from_what_the_transport_staged(self, example_forest):
+        with CopseService(threads=1, backend="vector") as service:
+            service.register_model("tape", example_forest)
+            service.register_model(
+                "mega", example_forest, engine="megakernel"
+            )
+            service.register_model(
+                "slow", example_forest, engine="megakernel",
+                backend="reference",
+            )
+            assert [lanes_of(service, n) for n in ("tape", "mega", "slow")] \
+                == [1, MAX_GROUP, 1]
+            # ... and read again on every restage
+            service.set_model_engine("tape", "megakernel")
+            service.set_model_engine("mega", "plan")
+            service.set_model_backend("slow", "vector")
+            assert [lanes_of(service, n) for n in ("tape", "mega", "slow")] \
+                == [MAX_GROUP, 1, MAX_GROUP]
+            for name in ("tape", "mega", "slow"):
+                assert service.classify(name, [40, 200]).oracle_ok is True
+
+    def test_worker_processes_take_one_ciphertext(self, example_forest):
+        from repro.serve.registry import ModelRegistry
+
+        registered = ModelRegistry().register(
+            "m", example_forest, engine="megakernel", backend="vector"
+        )
+        transport = ProcessTransport(False, RealClock(), 5.0)  # spawns none
+        assert transport.stage(registered) == 1
+
+    def test_the_simulator_keeps_one(self):
+        runner = SimRunner(
+            [ModelProfile(name="m", capacity=4, service_ms=50.0)], workers=2
+        )
+        assert runner.router.core._queues["m"].lanes == 1
+
+
+class TestGroupsThroughTheFacade:
+    def test_the_full_batches_of_a_request_are_one_assignment(
+        self, example_forest, monkeypatch
+    ):
+        passes = []
+        run_pass = MegaKernel._pass
+        monkeypatch.setattr(
+            MegaKernel, "_pass",
+            lambda self, state, group: (
+                passes.append(len(group)), run_pass(self, state, group)
+            )[1],
+        )
+        queries = queries_for(example_forest, 30)
+        with open_grouping_service(example_forest) as service:
+            results = service.classify_many("m", queries, "acme")
+            stats = service.stats()
+            counters = service.metrics_snapshot()["counters"]
+            assigns = [d for d in service.decisions if d[0] == "assign"]
+        for features, res in zip(queries, results):
+            assert res.oracle_ok is True
+            assert res.bitvector == example_forest.label_bitvector(features)
+        # per ciphertext, everything reads as it did one batch at a time
+        assert [r.batch_id for r in results] == [
+            1 + k // 4 for k in range(30)
+        ]
+        assert [r.batch_fill for r in results] == [4] * 28 + [2] * 2
+        assert {r.batch_capacity for r in results} == {4}
+        assert len({r.amortized_ms for r in results[:28]}) == 1
+        assert results[-1].amortized_ms == pytest.approx(
+            2 * results[0].amortized_ms
+        )
+        assert stats.batches == stats.scheduler.batches == 8
+        assert counters["svc_batches"] == 8
+        assert stats.avg_batch_fill == pytest.approx(30 / 32)
+        # ... through one placement and one kernel pass for the seven
+        # that were full at admission; the remainder waited for the
+        # flush, as it always did
+        assert [(d[1], d[5], d[6]) for d in assigns] == [
+            (1, 28, 0), (8, 2, 28),
+        ]
+        assert passes == [7, 1]
+        assert conserved(stats.scheduler)
+
+    def test_conservation_over_ok_error_and_cancel_inside_a_group(
+        self, example_forest, monkeypatch
+    ):
+        """One ciphertext of the group cannot be evaluated on any
+        engine, one query was cancelled while queued: the other
+        ciphertexts are answered, and every query ends in exactly one
+        column."""
+        from repro.serve import batched_runtime
+
+        queries = queries_for(example_forest, 16, seed=5)
+        poison = queries[5]
+        encrypt = batched_runtime.encrypt_batch
+
+        def encrypt_unless_poisoned(ctx, layout, features, keys):
+            if poison in features:
+                raise RuntimeProtocolError("this ciphertext is poison")
+            return encrypt(ctx, layout, features, keys)
+
+        monkeypatch.setattr(
+            batched_runtime, "encrypt_batch", encrypt_unless_poisoned
+        )
+        with open_grouping_service(example_forest) as service:
+            # Three wait for a fourth; one of them gives up; the other
+            # thirteen then arrive at once: twelve live queries are cut
+            # as one group of three ciphertexts, the poison in the
+            # second of them.
+            futures = service.submit_many("m", queries[:3])
+            assert futures[1].cancel()
+            futures += service.submit_many("m", queries[3:])
+            service.flush("m")
+            assert service.drain(timeout=60)
+            stats = service.stats()
+            assigns = [d for d in service.decisions if d[0] == "assign"]
+            pump_alive = service._pump.is_alive()
+            assert service.classify("m", queries[0]).oracle_ok is True
+        assert [(d[1], d[5]) for d in assigns[:2]] == [(1, 12), (4, 3)]
+        with pytest.raises(CancelledError):
+            futures[1].result(timeout=0)
+        failed = [
+            k for k, f in enumerate(futures)
+            if k != 1 and f.exception(timeout=0) is not None
+        ]
+        assert failed == [5, 6, 7, 8]  # the poisoned ciphertext, alone
+        for k in failed:
+            assert "poison" in str(futures[k].exception(timeout=0))
+        for k in set(range(16)) - {1, *failed}:
+            result = futures[k].result(timeout=0)
+            assert result.oracle_ok is True
+            assert result.bitvector == example_forest.label_bitvector(
+                queries[k]
+            )
+        assert [futures[k].result(timeout=0).batch_id
+                for k in (0, 2, 3, 4, 9, 12, 13, 15)] == [
+            1, 1, 1, 1, 3, 3, 4, 4,
+        ]
+        sched = stats.scheduler
+        assert (sched.submitted, sched.completed, sched.failed,
+                sched.cancelled) == (16, 11, 4, 1)
+        assert conserved(sched) and pump_alive
+        assert stats.batches == 3 and sched.batches == 4
+        assert stats.oracle_failures == 0
+
+    def test_tracing_stays_on_the_fast_path(self, example_forest,
+                                            monkeypatch):
+        """With a tracer attached a group is still one kernel pass, and
+        its four stage spans are per assignment."""
+        passes = []
+        run_pass = MegaKernel._pass
+        monkeypatch.setattr(
+            MegaKernel, "_pass",
+            lambda self, state, group: (
+                passes.append(len(group)), run_pass(self, state, group)
+            )[1],
+        )
+        tracer = Tracer()
+        queries = queries_for(example_forest, 24, seed=9)
+        with open_grouping_service(example_forest, tracer=tracer) as service:
+            results = service.classify_many("m", queries)
+        assert all(r.oracle_ok for r in results)
+        assert passes == [6]
+        stages = [
+            s for s in tracer.spans()
+            if s.name in ("pack", "execute", "demux", "resolve")
+        ]
+        assert [s.name for s in stages] == [
+            "pack", "execute", "demux", "resolve",
+        ]
+        for span in stages:
+            assert span.attrs["ciphertexts"] == 6
+            assert span.attrs["size"] == 24
+            assert span.attrs["batch_id"] == 1
+        assert stages[1].attrs["engine"] == "megakernel"
+        assert stages[3].attrs["oracle_failures"] == 0
+        batch = [s for s in tracer.spans() if s.name == "batch"]
+        assert len(batch) == 1 and batch[0].attrs["size"] == 24
+        queries_spans = [s for s in tracer.spans() if s.name == "query"]
+        assert sorted(s.attrs["batch_id"] for s in queries_spans) == [
+            1 + k // 4 for k in range(24)
+        ]
+        assert tracer.open_spans == 0

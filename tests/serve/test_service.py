@@ -171,6 +171,51 @@ class TestConformance:
             service.unregister_model("ghost")  # nothing to retire: no-op
             assert service.classify("m", [40, 200]).oracle_ok is True
 
+    def test_ill_typed_arguments_are_typed_refusals(self, transport,
+                                                     example_forest):
+        """Regression: ``tenant=[]`` raised a raw ``TypeError`` after
+        the ticket was queued and counted; the batch that later carried
+        it killed the pump and every request after it hung.  Ill-typed
+        fields are refused before anything is queued or counted."""
+        with open_service(transport) as service:
+            service.register_model("m", example_forest, max_batch_size=2)
+            for kwargs, word in (
+                ({"tenant": []}, "tenant"),
+                ({"tenant": None}, "tenant"),
+                ({"priority": "x"}, "priority"),
+                ({"priority": 1.5}, "priority"),
+                ({"deadline_ms": "x"}, "deadline_ms"),
+                ({"deadline_ms": float("nan")}, "deadline_ms"),
+            ):
+                for call in (service.submit, service.submit_many):
+                    query = [1, 2] if call == service.submit else [[1, 2]]
+                    with pytest.raises(ValidationError, match=word):
+                        call("m", query, **kwargs)
+                assert service.pending() == 0
+            with pytest.raises(ValidationError, match="max_pending"):
+                service.set_admission_limit("m", "a")
+            with pytest.raises(ValidationError, match="weight"):
+                service.set_tenant_weight("m", "a")
+            for kwargs, word in (
+                ({"weight": "a"}, "weight"),
+                ({"max_queue": "a"}, "max_pending"),
+                ({"max_batch_size": 1.5}, "max_batch_size"),
+            ):
+                with pytest.raises(ValidationError, match=word):
+                    service.register_model("n", example_forest, **kwargs)
+                assert "n" not in service.registry
+            assert scheduler_stats(service).submitted == 0
+            assert service._pump.is_alive()
+            # ... and the next request is answered
+            assert service.classify("m", [40, 200]).oracle_ok is True
+            stats = scheduler_stats(service)
+            assert conserved(stats) and stats.completed == 1
+        for workers in ("2", 1.5, None):
+            with pytest.raises(ValidationError, match="workers"):
+                open_service(transport, workers=workers)
+        with pytest.raises(ValidationError, match="default_deadline_ms"):
+            open_service(transport, default_deadline_ms="soon")
+
     def test_control_seams(self, transport, example_forest):
         """Per-model ``weight`` / ``max_queue`` at registration, both
         live switches returning the entry and re-shipping it, the pool
