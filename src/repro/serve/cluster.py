@@ -64,6 +64,7 @@ from repro.errors import (
     require_int,
 )
 from repro.serve.faults import (
+    BREAKER_CLOSED,
     CircuitBreaker,
     DeadLetter,
     DeadLetterQueue,
@@ -376,6 +377,16 @@ class RouterCore:
                     return worker
         return None
 
+    def _free_beside(self, model: str, worker: int) -> int:
+        """Idle workers other than ``worker`` that a cut of ``model``
+        could go to now.  A pair whose breaker is not closed is not
+        counted: whether it may probe is :meth:`_place`'s to decide."""
+        return sum(
+            1 for other in self.idle_live_workers()
+            if other != worker
+            and self.breaker.state((model, other)) == BREAKER_CLOSED
+        )
+
     def _ship_if_needed(self, name: str, worker: int, epoch: int,
                         now: float,
                         actions: List[object]) -> bool:
@@ -432,6 +443,14 @@ class RouterCore:
         ``limit`` caps the fresh cuts of this call, for an engine that
         cannot start them all at once (one in-thread evaluator): what
         it cannot start yet stays queued, and fills.
+
+        A pool has several evaluators where the pump thread has one, so
+        a queue with ``lanes`` does not hand everything it has ready to
+        the first of them: a cut made with other eligible workers free
+        (and cuts left under ``limit``) takes its share of the ready
+        batches and leaves them theirs (:meth:`SchedulerCore.assign`,
+        ``among``) — one client's eight ciphertexts are 4 + 4 on two
+        idle workers, and all eight on the only idle one.
         """
         actions: List[object] = []
         self._release_parked(now)
@@ -443,8 +462,13 @@ class RouterCore:
                 worker = self._place(name, now)
                 if worker is None:
                     continue
+                among = 1
+                if self.core.lanes(name) > 1:
+                    among += self._free_beside(name, worker)
+                    if limit is not None:
+                        among = min(among, limit - cuts)
                 assignment = self.core.assign(now, worker=worker,
-                                              queue=name)
+                                              queue=name, among=among)
                 if assignment is None:
                     self.breaker.release_probe((name, worker))
                     continue  # the whole cut was cancelled

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
-from repro.core.engines import ENGINES, result_of
+from repro.core.engines import ENGINES
 from repro.serve.batched_runtime import evaluate_registered_batches
 from repro.serve.simclock import MS
 
@@ -59,7 +59,6 @@ __all__ = [
     "BACKEND_LADDER",
     "degrade_engine",
     "degrade_backend",
-    "evaluate_down_ladder",
     "evaluate_batches_down_ladder",
     "TransportFaultPlan",
     "chaos_worker_main",
@@ -377,16 +376,6 @@ def degrade_engine(engine: str) -> Optional[str]:
 def degrade_backend(backend: str) -> Optional[str]:
     """The next backend down the ladder, or None at the bottom."""
     return _next_rung(BACKEND_LADDER, backend)
-
-
-def evaluate_down_ladder(registered, features, verify_oracle: bool = False,
-                         on_stage=None):
-    """Evaluate one batch on the registered engine, degrading on
-    failure: the group of one of :func:`evaluate_batches_down_ladder`.
-    Returns ``(evaluation, degraded)`` or raises."""
-    return result_of(evaluate_batches_down_ladder(
-        registered, [features], verify_oracle, on_stage
-    )[0])
 
 
 def evaluate_batches_down_ladder(registered, batches,

@@ -16,7 +16,8 @@ scheduling problem:
   batches with no deadline pressure wait for an explicit flush.  One
   cut takes every batch of the queue that is ready by that rule, up to
   the queue's ``lanes`` — the batches its evaluator can run in one go
-  (:meth:`SchedulerCore.set_lanes`; 1 unless an engine says otherwise).
+  (:meth:`SchedulerCore.set_lanes`; 1 unless an engine says otherwise)
+  — or, cut for one of several idle evaluators, its share of them.
 * **Weighted fair sharing across models.**  Queues carry weights; ready
   queues are served in virtual-time order (served queries divided by
   weight), so a hot model cannot starve a cold one.
@@ -328,6 +329,17 @@ class _ModelQueue:
         cut_at = self.cut_deadline()
         return cut_at is not None and cut_at <= now
 
+    def ready_batches(self, now: float) -> int:
+        """Batches a cut could take now, counted from the queue's
+        length: the full ones, and the remainder when a flush (or, with
+        no full batch ahead of it, its slack) makes it due.  A count for
+        sharing work out, not a promise: cancelled tickets still count,
+        and a remainder due by slack behind full batches does not."""
+        if not self.ready(now):
+            return 0
+        full, rest = divmod(len(self.heap), self.capacity)
+        return full + (1 if rest and (self.flush_pending or not full) else 0)
+
 
 class SchedulerCore:
     """The pure scheduling state machine.
@@ -513,6 +525,10 @@ class SchedulerCore:
                 f"queue {name!r}: lanes must be >= 1, got {lanes}"
             )
         queue.lanes = lanes
+
+    def lanes(self, name: str) -> int:
+        """What :meth:`set_lanes` last said for ``name``."""
+        return self._queues[name].lanes
 
     def add_worker(self) -> int:
         """Grow the pool by one idle worker; returns its (fresh) id."""
@@ -744,7 +760,8 @@ class SchedulerCore:
 
     def assign(self, now: float,
                worker: Optional[int] = None,
-               queue: Optional[str] = None) -> Optional[Assignment]:
+               queue: Optional[str] = None,
+               among: int = 1) -> Optional[Assignment]:
         """Cut the next batch — every ready batch of one queue, up to its
         ``lanes`` — and bind it to a free worker, if possible.
 
@@ -753,6 +770,9 @@ class SchedulerCore:
         and deterministic).  ``worker`` pins the cut to a specific free
         worker; ``queue`` pins it to a specific ready queue (the cluster
         router uses both to couple placement with fair-share order).
+        ``among`` is how many free workers the caller is cutting this
+        queue for, this one included: above one, the cut leaves the
+        others their share and takes ``ceil(ready batches / among)``.
         Cancelled tickets are dropped here — a caller's cancel never
         occupies a batch slot.
         """
@@ -770,12 +790,15 @@ class SchedulerCore:
             if not ready:
                 return None
             chosen = min(ready, key=lambda q: (q.vtime, q.name))
+            lanes = chosen.lanes
+            if among > 1 and lanes > 1:
+                lanes = min(lanes, -(-chosen.ready_batches(now) // among))
             tickets: List[QueryTicket] = []
             fills: List[int] = []
             # Every batch that is ready by the queue's own rule, one at
             # a time exactly as successive cuts would take them, up to
             # what one evaluation can run.
-            while len(fills) < chosen.lanes and chosen.ready(now):
+            while len(fills) < lanes and chosen.ready(now):
                 cut = self._cut_one(chosen, now)
                 if cut:
                     chosen.vtime += len(cut) / chosen.weight
@@ -1018,13 +1041,16 @@ class SchedulerCore:
 
     def assign_direct(self, queue_name: str, tickets: List[QueryTicket],
                       worker: int, now: float) -> Optional[Assignment]:
-        """Bind an explicit ticket cohort to a free worker as one batch.
+        """Bind an explicit ticket cohort to a free worker as one
+        assignment, cut into batches of the queue's capacity.
 
         The quarantine path: bisected halves must re-execute with
         exactly their membership (a heap cut could mix in fresh
         queries and re-poison them), so the router hands the cohort
-        straight in.  Cancelled tickets are dropped like in
-        :meth:`assign`; returns None when every ticket was cancelled.
+        straight in — more than one ciphertext of it, when what crashed
+        was an assignment of several.  Cancelled tickets are dropped
+        like in :meth:`assign`; returns None when every ticket was
+        cancelled.
         """
         live: List[QueryTicket] = []
         for ticket in tickets:
@@ -1035,11 +1061,17 @@ class SchedulerCore:
         if not live:
             return None
         queue = self._queues.get(queue_name)
+        capacity = len(live)  # a queue that is gone: its worker refuses
         if queue is not None:
             queue.vtime += len(live) / queue.weight
+            capacity = queue.capacity
+        fills = [
+            min(capacity, len(live) - at)
+            for at in range(0, len(live), capacity)
+        ]
         self._free.remove(worker)
         heapq.heapify(self._free)
-        return self._bind(queue_name, worker, live, (len(live),), now)
+        return self._bind(queue_name, worker, live, fills, now)
 
     def rebind(self, assignment: Assignment, new_worker: int) -> None:
         """Move a running batch's binding to another worker.

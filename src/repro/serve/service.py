@@ -21,7 +21,9 @@ oldest query's deadline slack runs out, or on an explicit ``flush()``
 (``classify``/``classify_many`` flush for you).  One cut hands the
 evaluator every batch of the model that is ready by that rule, up to
 the number it runs in one go (``lanes``: derived from the staged engine
-and backend, never configured).  Queues are bounded when
+and backend, never configured) — shared out between the evaluators
+that are idle, where there are several (worker processes).  Queues are
+bounded when
 ``max_queue`` is set — an over-admission raises
 :class:`~repro.errors.RejectedQuery` at submit time.  Latency and
 throughput metrics come from the existing

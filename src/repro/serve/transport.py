@@ -30,11 +30,12 @@ recompiles lazily on the other side):
   carries the fingerprint it was shipped under, and :meth:`verify`
   recomputes and cross-checks it against every cached artifact before
   the worker will evaluate a single batch.
-* :class:`BatchRequest` / :class:`BatchResult` — one cut batch's raw
-  integer features out, and its distilled measurements back (decrypted
-  bitvectors, phase milliseconds, oracle verdicts).  The worker's
-  :class:`~repro.fhe.tracker.OpTracker` never crosses the boundary —
-  results carry plain numbers only.
+* :class:`BatchRequest` / :class:`BatchResult` — one assignment's raw
+  integer features out (with the ``fills`` that cut them into batches),
+  and its distilled measurements back: the decrypted bitvectors and
+  oracle verdicts flat, batch after batch, and a :class:`BatchPart` of
+  plain numbers per batch.  The worker's
+  :class:`~repro.fhe.tracker.OpTracker` never crosses the boundary.
 
 Messages are ``(tag, payload...)`` tuples; the tags are the protocol
 constants below.  Every message except ``MSG_LOAD`` is small; a worker
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ServeError, ValidationError
 from repro.core.engines import artifacts_of
@@ -73,6 +74,7 @@ __all__ = [
     "MAX_STARTUP_DEATHS",
     "ShippedModel",
     "BatchRequest",
+    "BatchPart",
     "BatchResult",
     "MSG_LOAD",
     "MSG_EVAL",
@@ -185,7 +187,7 @@ class ShippedModel:
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """One cut batch, router -> worker: raw integer features only."""
+    """One assignment, router -> worker: raw integer features only."""
 
     batch_id: int
     model: str
@@ -195,29 +197,66 @@ class BatchRequest:
     epoch: int
     features: Tuple[Tuple[int, ...], ...]
     verify_oracle: bool = False
+    #: Features in each batch of the assignment, in order (empty: they
+    #: are all one batch).
+    fills: Tuple[int, ...] = ()
+
+    def batches(self) -> List[List[List[int]]]:
+        """The features of each batch, as the evaluation routine takes
+        them."""
+        out, at = [], 0
+        for fill in self.fills or (len(self.features),):
+            out.append([list(f) for f in self.features[at : at + fill]])
+            at += fill
+        return out
+
+
+class BatchPart(NamedTuple):
+    """What one batch of an assignment measured, worker -> router."""
+
+    phase_ms: Dict[str, float]
+    inference_ms: float
+    data_encrypt_ms: float
+    #: Queries the oracle disagreed with (None: verification was off).
+    oracle_failures: Optional[int] = None
+    #: repr of the worker-side exception, when this batch's evaluation
+    #: failed past the engine ladder (it then has no bitvectors).
+    error: Optional[str] = None
+    #: Set when the worker fell down the engine ladder mid-batch: the
+    #: engine that actually produced the bitvectors (router audits it).
+    degraded_engine: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class BatchResult:
-    """One evaluated batch, worker -> router: distilled numbers only."""
+    """One evaluated assignment, worker -> router: distilled numbers
+    only.  The :class:`BatchPart` fields below are the first batch's
+    (``batch_id``); ``rest`` holds those of the batches after it."""
 
     batch_id: int
     model: str
     worker: int
     epoch: int
-    #: Per-query decrypted label bitvectors (None when ``error`` is set).
+    #: Per-query decrypted label bitvectors of the batches that were
+    #: answered, batch after batch (None when none was).
     bitvectors: Optional[Tuple[Tuple[int, ...], ...]]
     phase_ms: Dict[str, float]
     inference_ms: float
     data_encrypt_ms: float
-    #: Per-query oracle agreement (None when verification was off).
+    #: Per-query oracle agreement, flat like ``bitvectors`` (None when
+    #: verification was off).
     oracle_ok: Optional[Tuple[bool, ...]] = None
     oracle_failures: Optional[int] = None
-    #: repr of the worker-side exception, when evaluation failed.
     error: Optional[str] = None
-    #: Set when the worker fell down the engine ladder mid-batch: the
-    #: engine that actually produced the bitvectors (router audits it).
     degraded_engine: Optional[str] = None
+    rest: Tuple[BatchPart, ...] = ()
+
+    def parts(self) -> Tuple[BatchPart, ...]:
+        """One :class:`BatchPart` per batch of the assignment."""
+        return (BatchPart(
+            self.phase_ms, self.inference_ms, self.data_encrypt_ms,
+            self.oracle_failures, self.error, self.degraded_engine,
+        ),) + self.rest
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +528,9 @@ class ProcessTransport(Transport):
         self._envelopes[registered.name] = ShippedModel.from_registered(
             registered
         )
-        # One ciphertext per request: the wire format carries at most
-        # ``capacity`` features (ROADMAP, "lanes on ProcessTransport").
-        return 1
+        # The worker evaluates with the routine the pump thread runs,
+        # on the same artifact: what shares a pass here does there.
+        return shared_pass_lanes(registered)
 
     def unstage(self, name: str) -> None:
         self._envelopes.pop(name, None)
@@ -578,6 +617,7 @@ class ProcessTransport(Transport):
                 tuple(t.payload.features) for t in assignment.tickets
             ),
             verify_oracle=self.verify_oracle,
+            fills=assignment.fills,
         )
         # A hedge send reuses the primary's inflight entry: results
         # carry (worker, epoch), so either replica can resolve it.
@@ -634,51 +674,76 @@ class ProcessTransport(Transport):
         # replica answered first.
         worker, epoch = result.worker, result.epoch
         shipped = self._envelopes.get(assignment.queue)
-        if result.error is not None or shipped is None:
-            # Deterministic worker-side failure (or the model was
-            # unregistered under the batch): no retry — a second run
-            # would fail identically; every ticket fails loudly.
-            return Completion(assignment, worker, epoch, [None])
+        batches = assignment.batches()
+        if shipped is None:
+            # The model was unregistered under the assignment: every
+            # ticket fails loudly, nothing is retried.
+            return Completion(assignment, worker, epoch,
+                              [None] * len(batches))
+        parts = result.parts()
+        bitvectors = result.bitvectors or ()
+        verdicts = result.oracle_ok
+        answered = sum(
+            fill for fill, part in zip(assignment.fills, parts)
+            if part.error is None
+        )
         if (
-            result.bitvectors is None
-            or len(result.bitvectors) != assignment.size
+            len(parts) != len(batches)
+            or len(bitvectors) != answered
+            or (verdicts is not None and len(verdicts) != answered)
         ):
             # A truncated/corrupted completion envelope.  Fail closed:
-            # the sender is lying about the batch shape, so treat it as
-            # a worker fault — the facade kills it and takes the
-            # crash/respawn path (the batch parks or quarantines;
+            # the sender is lying about the assignment's shape, so treat
+            # it as a worker fault — the facade kills it and takes the
+            # crash/respawn path (the tickets park or quarantine;
             # nothing is resolved from a malformed result).
             self._inflight[assignment.batch_id] = assignment
             return WorkerDied(worker, epoch)
-        tickets = list(assignment.tickets)
+        records: List[Optional[BatchRecord]] = []
+        deliveries = []  # (batch id, tickets, inference ms, their bitvectors)
+        at = 0
+        for (batch_id, tickets), part in zip(batches, parts):
+            if part.error is not None:
+                # Deterministic worker-side failure: no retry — a
+                # second run would fail identically; the batch's
+                # tickets fail, the others are answered.
+                records.append(None)
+                continue
+            degraded = None
+            if part.degraded_engine is not None:
+                degraded = (shipped.engine, part.degraded_engine)
+            records.append(BatchRecord(
+                model=assignment.queue,
+                batch_id=batch_id,
+                size=len(tickets),
+                capacity=shipped.layout.capacity,
+                tracker=None,  # the worker's tracker does not cross the pipe
+                phase_ms=part.phase_ms,
+                inference_ms=part.inference_ms,
+                data_encrypt_ms=part.data_encrypt_ms,
+                oracle_failures=part.oracle_failures,
+                degraded=degraded,
+            ))
+            upto = at + len(tickets)
+            deliveries.append(
+                (batch_id, list(tickets), part.inference_ms, slice(at, upto))
+            )
+            at = upto
 
         def resolve() -> None:
-            outcomes = classification_results(
-                shipped, result.batch_id,
-                [ticket.payload.features for ticket in tickets],
-                result.bitvectors, result.inference_ms, result.oracle_ok,
-            )
-            for ticket, outcome in zip(tickets, outcomes):
-                future = ticket.payload.future
-                if not future.done():
-                    future.set_result(outcome)
+            for batch_id, tickets, inference_ms, span in deliveries:
+                outcomes = classification_results(
+                    shipped, batch_id,
+                    [ticket.payload.features for ticket in tickets],
+                    bitvectors[span], inference_ms,
+                    None if verdicts is None else verdicts[span],
+                )
+                for ticket, outcome in zip(tickets, outcomes):
+                    future = ticket.payload.future
+                    if not future.done():
+                        future.set_result(outcome)
 
-        degraded = None
-        if result.degraded_engine is not None:
-            degraded = (shipped.engine, result.degraded_engine)
-        record = BatchRecord(
-            model=assignment.queue,
-            batch_id=result.batch_id,
-            size=assignment.size,
-            capacity=shipped.layout.capacity,
-            tracker=None,  # the worker's tracker does not cross the pipe
-            phase_ms=result.phase_ms,
-            inference_ms=result.inference_ms,
-            data_encrypt_ms=result.data_encrypt_ms,
-            oracle_failures=result.oracle_failures,
-            degraded=degraded,
-        )
-        return Completion(assignment, worker, epoch, [record], resolve)
+        return Completion(assignment, worker, epoch, records, resolve)
 
     def close(self) -> None:
         conns = list(self._listening)

@@ -9,13 +9,14 @@ lives in the router — and holds no scheduling state at all:
   rebuilt registered model.  The router ships each model at most once
   per (worker, epoch), so this is the only time the multi-megabyte
   bundle crosses the pipe.
-* ``("eval", BatchRequest)`` — run the batch through
-  :func:`~repro.serve.faults.evaluate_down_ladder` (the routine and
-  the engine ladder the in-thread batcher runs), and send back a
+* ``("eval", BatchRequest)`` — run the assignment's batches together
+  through :func:`~repro.serve.faults.evaluate_batches_down_ladder` (the
+  routine and the engine ladder the in-thread batcher runs: one kernel
+  pass when the engine can share one), and send back a
   :class:`~repro.serve.transport.BatchResult` of plain numbers.
-  Worker-side failures are caught and returned as an ``error`` result
-  — the router decides retry vs. fail, the worker never dies on a bad
-  batch.
+  Worker-side failures are caught and returned per batch as an
+  ``error`` — the router decides retry vs. fail, the worker never dies
+  on a bad batch.
 * ``("ping",)`` / ``("stop",)`` — heartbeat and shutdown.
 
 Everything a worker computes is a pure function of the shipped model
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.serve.batched_runtime import evaluate_registered_batch
-from repro.serve.faults import evaluate_down_ladder
+from repro.serve.faults import evaluate_batches_down_ladder
 from repro.serve.transport import (
     MSG_EVAL,
     MSG_LOAD,
@@ -39,6 +40,7 @@ from repro.serve.transport import (
     MSG_READY,
     MSG_RESULT,
     MSG_STOP,
+    BatchPart,
     BatchRequest,
     BatchResult,
 )
@@ -76,6 +78,7 @@ def evaluate_batch(
 def _eval_result(
     worker_id: int, request: BatchRequest, models
 ) -> BatchResult:
+    groups = request.batches()
     try:
         registered = models.get(request.model)
         if registered is None:
@@ -84,41 +87,45 @@ def _eval_result(
                 f"loaded (epoch {request.epoch}); the router must ship "
                 f"before it assigns"
             )
-        evaluation, degraded = evaluate_down_ladder(
-            registered, [list(f) for f in request.features],
-            verify_oracle=request.verify_oracle,
-        )
-        oracle_ok = evaluation.oracle_ok
-        return BatchResult(
-            batch_id=request.batch_id,
-            model=request.model,
-            worker=worker_id,
-            epoch=request.epoch,
-            bitvectors=tuple(tuple(b) for b in evaluation.bitvectors),
-            phase_ms=evaluation.phase_ms,
-            inference_ms=evaluation.inference_ms,
-            data_encrypt_ms=evaluation.data_encrypt_ms,
-            oracle_ok=(
-                None if oracle_ok is None else tuple(oracle_ok)
-            ),
-            oracle_failures=(
-                None if oracle_ok is None
-                else sum(1 for ok in oracle_ok if not ok)
-            ),
-            degraded_engine=None if degraded is None else degraded[1],
+        outcomes = evaluate_batches_down_ladder(
+            registered, groups, verify_oracle=request.verify_oracle,
         )
     except BaseException as exc:  # contained: the router decides
-        return BatchResult(
-            batch_id=request.batch_id,
-            model=request.model,
-            worker=worker_id,
-            epoch=request.epoch,
-            bitvectors=None,
-            phase_ms={},
-            inference_ms=0.0,
-            data_encrypt_ms=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        outcomes = [exc] * len(groups)
+    bitvectors: List[Tuple[int, ...]] = []
+    verdicts: List[bool] = []
+    parts: List[BatchPart] = []
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            parts.append(BatchPart(
+                {}, 0.0, 0.0,
+                error=f"{type(outcome).__name__}: {outcome}",
+            ))
+            continue
+        evaluation, degraded = outcome
+        bitvectors.extend(tuple(b) for b in evaluation.bitvectors)
+        oracle_failures = None
+        if evaluation.oracle_ok is not None:
+            verdicts.extend(evaluation.oracle_ok)
+            oracle_failures = evaluation.oracle_ok.count(False)
+        parts.append(BatchPart(
+            evaluation.phase_ms,
+            evaluation.inference_ms,
+            evaluation.data_encrypt_ms,
+            oracle_failures,
+            degraded_engine=None if degraded is None else degraded[1],
+        ))
+    return BatchResult(
+        batch_id=request.batch_id,
+        model=request.model,
+        worker=worker_id,
+        epoch=request.epoch,
+        bitvectors=tuple(bitvectors) or None,
+        # Every answered batch of a verified model has verdicts.
+        oracle_ok=tuple(verdicts) or None,
+        rest=tuple(parts[1:]),
+        **parts[0]._asdict(),
+    )
 
 
 def worker_main(conn, worker_id: int, epoch: int) -> None:

@@ -359,6 +359,57 @@ class TestRealChaos:
         kinds = {d[0] for d in decisions}
         assert {"crash", "park", "bisect", "dead_letter"} <= kinds
 
+    def test_real_poison_in_a_four_batch_assignment_is_bisected_out(
+        self, example_forest
+    ):
+        """A worker dies holding four ciphertexts whose tickets are out
+        of retries.  The cohorts quarantine bisects them into are larger
+        than a batch until the third round, so each re-executes as an
+        assignment of several (``assign_direct`` bound any cohort as
+        one batch, which a worker can only refuse: sixteen innocent
+        queries would have failed with the poison)."""
+        queries = real_queries(example_forest, 32, seed=11)
+        poison = [(1 << 8) - 1] * example_forest.n_features
+        queries[21] = poison
+        plan = TransportFaultPlan(poison_feature=tuple(poison))
+        with chaos_service(
+            plan, engine="megakernel", max_retries=0
+        ) as service:
+            service.register_model(
+                "toxic", example_forest, precision=8, max_batch_size=4
+            )
+            futures = service.submit_many("toxic", queries)
+            assert service.drain(timeout=180)
+            stats = service.stats()
+            decisions = service.decisions
+            dlq = service.dlq()
+        for k, future in enumerate(futures):
+            if k == 21:
+                with pytest.raises(PoisonQueryError):
+                    future.result(timeout=0)
+            else:
+                assert future.result(timeout=0).bitvector == (
+                    example_forest.label_bitvector(queries[k])
+                )
+        assert (stats.completed, stats.dead_lettered, stats.failed) == (
+            31, 1, 0
+        )
+        assert_conserved(stats)
+        assert [entry["seq"] for entry in dlq] == [21]
+        # 4 + 4 on the two workers; the second four die with the poison
+        assigns = [d for d in decisions if d[0] == "assign"]
+        assert sorted((d[1], d[5], d[6]) for d in assigns[:2]) == [
+            (1, 16, 0), (5, 16, 16),
+        ]
+        # ... and are narrowed 16 -> 8 -> 4 -> 2 -> 1, every cohort of
+        # more than a batch cut into batches of four
+        bisects = [d for d in decisions if d[0] == "bisect"]
+        assert [d[3] for d in bisects] == [16, 8, 4, 2]
+        assert {d[5] for d in assigns[2:]} == {8, 4, 2, 1}
+        # ids: 8 batches, then one per batch of each cohort (2+2, 1+1,
+        # 1+1, 1+1)
+        assert stats.batches == 8 + 4 + 2 + 2 + 2
+
     def test_real_corrupt_and_duplicate_results_recover(
         self, example_forest
     ):

@@ -23,6 +23,7 @@ import os
 import pickle
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import (
     ServeError,
@@ -540,6 +541,263 @@ class TestShippedModelPickle:
         )
         with pytest.raises(ServeError, match="tape fingerprint"):
             franken.verify()
+
+
+# ---------------------------------------------------------------------------
+# The assignment on the wire: request out, result back, nothing spawned
+# ---------------------------------------------------------------------------
+
+
+class PipeEnd:
+    """What a worker's pipe received, pickled as the pipe would."""
+
+    def __init__(self):
+        self.blobs = []
+
+    def send(self, message):
+        self.blobs.append(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+    def received(self):
+        return pickle.loads(self.blobs[-1])
+
+
+class TestAssignmentOnTheWire:
+    """:class:`ProcessTransport` and the worker's ``_eval_result`` joined
+    back to back in this process, every message through ``pickle``."""
+
+    CAPACITY = 4
+
+    @pytest.fixture()
+    def registered(self, example_forest):
+        return ModelRegistry().register(
+            "m", example_forest, precision=8, max_batch_size=self.CAPACITY,
+            engine="megakernel", backend="vector",
+        )
+
+    def wire(self, registered, verify_oracle=True):
+        from repro.serve.simclock import RealClock
+        from repro.serve.transport import ProcessTransport
+
+        transport = ProcessTransport(verify_oracle, RealClock(), 5.0)
+        transport.stage(registered)
+        transport._conns = [PipeEnd()]  # worker 0, never spawned
+        return transport
+
+    def assignment(self, registered, fills, seed=0, batch_id=7):
+        import numpy as np
+
+        from repro.serve.batcher import prepare_queries
+        from repro.serve.scheduler import Assignment, QueryTicket
+
+        rng = np.random.default_rng(seed)
+        features = rng.integers(
+            0, 256, (sum(fills), registered.layout.n_features)
+        ).tolist()
+        tickets = [
+            QueryTicket("m", "acme", payload, 0.0, None, 0, seq)
+            for seq, payload in enumerate(
+                prepare_queries(registered, features)
+            )
+        ]
+        return Assignment(
+            batch_id=batch_id, queue="m", worker=0, tickets=tickets,
+            cut_time=0.0, fills=tuple(fills),
+        )
+
+    def round_trip(self, transport, registered, assignment):
+        """Send, evaluate as the worker would, and carry the result
+        back: ``(request, result)`` as their receivers unpickled them."""
+        from repro.serve.transport import MSG_EVAL
+        from repro.serve.worker import _eval_result
+
+        transport.send(AssignAction(assignment=assignment, epoch=3))
+        tag, request = transport._conns[0].received()
+        assert tag == MSG_EVAL
+        result = _eval_result(0, request, {"m": registered})
+        return request, pickle.loads(
+            pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        )
+
+    # (the registered model is read, never changed, by an example)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        fills=st.lists(st.integers(1, CAPACITY), min_size=1, max_size=8),
+        verify=st.booleans(),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_request_and_result_round_trip_under_pickle(
+        self, registered, example_forest, fills, verify, seed
+    ):
+        transport = self.wire(registered, verify_oracle=verify)
+        assignment = self.assignment(registered, fills, seed)
+        request, result = self.round_trip(transport, registered, assignment)
+        features = [t.payload.features for t in assignment.tickets]
+        assert request.fills == assignment.fills
+        assert [list(f) for f in request.features] == features
+        assert [len(batch) for batch in request.batches()] == fills
+        assert sum(request.batches(), []) == features
+        assert (request.batch_id, request.epoch, request.verify_oracle) == (
+            7, 3, verify
+        )
+        parts = result.parts()
+        assert len(parts) == len(fills) and len(result.rest) == len(fills) - 1
+        assert [list(b) for b in result.bitvectors] == [
+            example_forest.label_bitvector(f) for f in features
+        ]
+        assert result.oracle_ok == ((True,) * sum(fills) if verify else None)
+        assert all(
+            part.error is None and part.degraded_engine is None
+            and part.oracle_failures == (0 if verify else None)
+            for part in parts
+        )
+        completion = transport._result_event(result)
+        assert (completion.worker, completion.epoch) == (0, 3)
+        assert transport._inflight == {}
+        assert [
+            (r.batch_id, r.size, r.capacity, r.tracker, r.oracle_failures)
+            for r in completion.records
+        ] == [
+            (7 + j, fill, self.CAPACITY, None, 0 if verify else None)
+            for j, fill in enumerate(fills)
+        ]
+        assert [
+            (r.phase_ms, r.inference_ms, r.data_encrypt_ms)
+            for r in completion.records
+        ] == [
+            (p.phase_ms, p.inference_ms, p.data_encrypt_ms) for p in parts
+        ]
+        assert not any(t.future.done() for t in assignment.tickets)
+        completion.resolve()
+        at = 0
+        for (batch_id, tickets), part in zip(assignment.batches(), parts):
+            for ticket in tickets:
+                answer = ticket.future.result(timeout=0)
+                assert answer.features == ticket.payload.features
+                assert answer.bitvector == list(result.bitvectors[at])
+                assert (answer.batch_id, answer.batch_fill) == (
+                    batch_id, len(tickets)
+                )
+                assert answer.amortized_ms == part.inference_ms / len(tickets)
+                assert answer.oracle_ok is (True if verify else None)
+                at += 1
+
+    @pytest.mark.parametrize("lie", ["parts", "bitvectors", "oracle"])
+    def test_a_result_of_another_shape_is_a_worker_fault(self, registered,
+                                                         lie):
+        """Fail closed: nothing is resolved from it, and the assignment
+        stays in flight for the crash path to re-place."""
+        from repro.serve.transport import WorkerDied
+
+        transport = self.wire(registered)
+        assignment = self.assignment(registered, (4, 4, 2))
+        _, result = self.round_trip(transport, registered, assignment)
+        forged = dataclasses.replace(result, **{
+            "parts": {"rest": result.rest[:-1]},
+            "bitvectors": {"bitvectors": result.bitvectors[:-1]},
+            "oracle": {"oracle_ok": result.oracle_ok + (True,)},
+        }[lie])
+        assert transport._result_event(forged) == WorkerDied(0, 3)
+        assert transport._inflight == {7: assignment}
+        assert not any(t.future.done() for t in assignment.tickets)
+        # ... and the honest result still resolves it (a hedge replica)
+        transport._result_event(result).resolve()
+        assert all(t.future.done() for t in assignment.tickets)
+
+    def test_a_batch_the_worker_could_not_evaluate_has_no_record(
+        self, registered, monkeypatch
+    ):
+        from repro.errors import RuntimeProtocolError
+        from repro.serve import batched_runtime
+
+        assignment = self.assignment(registered, (4, 4, 3))
+        poison = assignment.tickets[5].payload.features
+        encrypt = batched_runtime.encrypt_batch
+
+        def encrypt_unless_poisoned(ctx, layout, features, keys):
+            if poison in features:
+                raise RuntimeProtocolError("this ciphertext is poison")
+            return encrypt(ctx, layout, features, keys)
+
+        monkeypatch.setattr(
+            batched_runtime, "encrypt_batch", encrypt_unless_poisoned
+        )
+        transport = self.wire(registered)
+        _, result = self.round_trip(transport, registered, assignment)
+        assert [part.error is None for part in result.parts()] == [
+            True, False, True,
+        ]
+        assert result.parts()[1].error.startswith("RuntimeProtocolError")
+        assert len(result.bitvectors) == len(result.oracle_ok) == 7
+        completion = transport._result_event(result)
+        assert [r and r.batch_id for r in completion.records] == [7, None, 9]
+        completion.resolve()
+        assert [t.future.done() for t in assignment.tickets] == (
+            [True] * 4 + [False] * 4 + [True] * 3
+        )
+        assert assignment.tickets[-1].future.result(timeout=0).batch_fill == 3
+
+    def test_a_model_the_worker_does_not_hold_fails_every_batch(
+        self, registered
+    ):
+        from repro.serve.worker import _eval_result
+
+        transport = self.wire(registered)
+        assignment = self.assignment(registered, (4, 1))
+        request, _ = self.round_trip(transport, registered, assignment)
+        result = _eval_result(0, request, {})
+        assert result.bitvectors is None and result.oracle_ok is None
+        assert [p.error.split(":")[0] for p in result.parts()] == [
+            "KeyError"] * 2
+        completion = transport._result_event(result)
+        assert completion.records == [None, None]
+
+    def test_one_batch_by_the_keywords_the_benchmark_uses(self, registered):
+        """``perf/layers.py`` builds both wire types by keyword, with no
+        ``fills`` and no ``rest``: that spelling is one full batch, and
+        what the transport makes of it is what it made of a batch before
+        assignments could hold several."""
+        from repro.serve.batcher import BatchRecord, classification_results
+        from repro.serve.transport import BatchRequest, BatchResult
+        from repro.serve.worker import _eval_result, evaluate_batch
+
+        assignment = self.assignment(registered, (self.CAPACITY,), batch_id=1)
+        features = [t.payload.features for t in assignment.tickets]
+        bitvectors, phase_ms, inference_ms, encrypt_ms, oracle_ok = (
+            evaluate_batch(registered, features, verify_oracle=True)
+        )
+        request = BatchRequest(
+            batch_id=1, model=registered.name, epoch=0,
+            features=tuple(tuple(f) for f in features), verify_oracle=True,
+        )
+        result = BatchResult(
+            batch_id=1, model=registered.name, worker=0, epoch=0,
+            bitvectors=tuple(tuple(b) for b in bitvectors), phase_ms=phase_ms,
+            inference_ms=inference_ms, data_encrypt_ms=encrypt_ms,
+            oracle_ok=tuple(oracle_ok), oracle_failures=0,
+        )
+        for message in (request, result):
+            assert pickle.loads(pickle.dumps(message)) == message
+        assert request.batches() == [features]
+        # the worker answers that request with that result
+        assert _eval_result(0, request, {registered.name: registered}) == (
+            result
+        )
+        transport = self.wire(registered)
+        transport._inflight[1] = assignment
+        completion = transport._result_event(result)
+        assert completion.records == [BatchRecord(
+            model="m", batch_id=1, size=self.CAPACITY,
+            capacity=self.CAPACITY, tracker=None, phase_ms=phase_ms,
+            inference_ms=inference_ms, data_encrypt_ms=encrypt_ms,
+            oracle_failures=0, degraded=None,
+        )]
+        completion.resolve()
+        assert [
+            t.future.result(timeout=0) for t in assignment.tickets
+        ] == classification_results(
+            registered, 1, features, bitvectors, inference_ms, oracle_ok
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
-"""One cut takes every ciphertext that is ready (ISSUE 23).
+"""One cut takes every ciphertext that is ready (ISSUE 23) — or, in a
+pool, its share of them (ISSUE 24).
 
 A queue whose evaluator runs several batches in one go (``lanes``: the
-megakernel's eight to a kernel pass, in-thread) hands them over as one
+megakernel's eight to a kernel pass, on the pump thread or in a worker
+process) hands them over as one
 :class:`~repro.serve.scheduler.Assignment` — one placement, one flight,
 one completion — while everything counted per batch (ids, fills,
 ``sched_batches``, records) reads as it did one batch at a time.
 "ready" is the old rule applied batch after batch, so ``lanes = 1``
 *is* the old scheduler and nothing is ever cut earlier than before.
+Where several evaluators are idle the ready batches are shared out
+between them.  The tests that spawn worker processes have ``real`` in
+their names (CI's ``-k real``).
 """
 
+import functools
+import os
 from concurrent.futures import CancelledError, Future
 
 import numpy as np
@@ -18,10 +25,20 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import RuntimeProtocolError, ServeError, ValidationError
 from repro.ir.megakernel import MAX_GROUP, MegaKernel
 from repro.obs.trace import Tracer
-from repro.serve import CopseService, ModelProfile, SimRunner
+from repro.serve import (
+    ClusterService,
+    CopseService,
+    ModelProfile,
+    RouterCore,
+    SimRunner,
+)
 from repro.serve.scheduler import OUTCOME_ERROR, SchedulerCore
 from repro.serve.simclock import RealClock
-from repro.serve.transport import ProcessTransport
+from repro.serve.transport import (
+    MSG_EVAL,
+    AssignAction,
+    ProcessTransport,
+)
 
 
 class Payload:
@@ -162,13 +179,15 @@ class TestCutRule:
             ),
             min_size=1, max_size=5,
         ),
+        free=st.integers(1, 4),
     )
     def test_a_group_is_the_cuts_lanes_of_one_would_make(
-        self, capacity, lanes, blocks
+        self, capacity, lanes, blocks, free
     ):
         """Ticket for ticket and id for id: one cut of a queue with
         ``lanes`` is the next ``lanes`` cuts of the same queue at
-        ``lanes = 1``."""
+        ``lanes = 1`` — however many free workers those are made among
+        (a queue of one lane has nothing to share out)."""
         grouped = core_with(lanes, capacity, workers=1, service_ms=5.0)
         single = core_with(1, capacity, workers=lanes, service_ms=5.0)
         now = 0.0
@@ -190,7 +209,7 @@ class TestCutRule:
             group = grouped.assign(now)
             cuts = []
             for _ in range(lanes):
-                cut = single.assign(now)
+                cut = single.assign(now, among=free)
                 if cut is None:
                     break
                 cuts.append(cut)
@@ -210,6 +229,91 @@ class TestCutRule:
             assert (a.batches, a.completed, a.cancelled) == (
                 b.batches, b.completed, b.cancelled
             )
+
+
+def router_with(lanes, workers=2, capacity=3, **kwargs):
+    router = RouterCore(workers=workers, **kwargs)
+    router.add_model("m", capacity=capacity, service_ms=10.0)
+    router.set_lanes("m", lanes)
+    return router
+
+
+def fills_of(actions):
+    return [
+        a.assignment.fills for a in actions if isinstance(a, AssignAction)
+    ]
+
+
+class TestTheReadyBatchesAreSharedOut:
+    """A pool has several evaluators: a cut made with other eligible
+    workers idle takes ``ceil(ready / free)`` batches, not all of them."""
+
+    @pytest.mark.parametrize("batches, workers, expected", [
+        (8, 2, [4, 4]),
+        (8, 1, [8]),
+        (3, 2, [2, 1]),
+        (2, 4, [1, 1]),
+        (20, 2, [8, 8]),  # never more than the lanes; the rest waits
+    ])
+    def test_each_free_worker_takes_its_share(self, batches, workers,
+                                              expected):
+        router = router_with(MAX_GROUP, workers=workers)
+        tickets = router.submit_many(
+            "m", [Payload() for _ in range(3 * batches)], 0.0
+        )
+        actions = router.dispatch(0.0)
+        assert fills_of(actions) == [(3,) * n for n in expected]
+        assigned = [
+            t.seq for a in actions if isinstance(a, AssignAction)
+            for t in a.assignment.tickets
+        ]  # in submission order, across the assignments
+        assert assigned == [t.seq for t in tickets[:len(assigned)]]
+        assert router.core.pending("m") == 3 * (batches - sum(expected))
+
+    def test_a_flushed_remainder_counts_as_a_batch(self):
+        router = router_with(MAX_GROUP)
+        router.submit_many("m", [Payload() for _ in range(8)], 0.0)
+        router.flush("m")
+        assert fills_of(router.dispatch(0.0)) == [(3, 3), (2,)]
+
+    def test_a_busy_draining_dead_or_tripped_worker_is_not_counted(self):
+        for sideline in ("busy", "drain", "crash", "breaker"):
+            router = router_with(MAX_GROUP, workers=3)
+            first, second, third = router.placement_order("m")
+            if sideline == "busy":
+                router.submit_many("m", [Payload() for _ in range(3)], 0.0)
+                assert fills_of(router.dispatch(0.0, limit=1)) == [(3,)]
+            elif sideline == "drain":
+                router.drain(first, 0.0)
+            elif sideline == "crash":
+                router.crash_worker(first, 0.0)
+            else:
+                for _ in range(router.breaker.failure_threshold):
+                    router.breaker.record_failure(("m", first), 0.0)
+            router.submit_many("m", [Payload() for _ in range(24)], 0.0)
+            actions = [
+                a for a in router.dispatch(0.0)
+                if isinstance(a, AssignAction)
+            ]
+            # eight batches between the two workers that can take them
+            assert [
+                (a.assignment.worker, a.assignment.fills) for a in actions
+            ] == [(second, (3,) * 4), (third, (3,) * 4)], sideline
+
+    def test_no_more_shares_than_cuts_this_dispatch_may_make(self):
+        """The in-thread transport cuts one assignment at a time
+        (``limit = room() = 1``) whatever its slot count: it takes all
+        that is ready, as before."""
+        router = router_with(MAX_GROUP, workers=4)
+        router.submit_many("m", [Payload() for _ in range(24)], 0.0)
+        assert fills_of(router.dispatch(0.0, limit=1)) == [(3,) * 8]
+
+    def test_a_queue_of_one_lane_cuts_as_it_always_did(self):
+        """The simulator, a bare core, a tape or reference model."""
+        router = router_with(1, workers=3)
+        router.submit_many("m", [Payload() for _ in range(12)], 0.0)
+        assert fills_of(router.dispatch(0.0)) == [(3,), (3,), (3,)]
+        assert router.core.pending("m") == 3
 
 
 def queries_for(forest, count, seed=21):
@@ -251,14 +355,30 @@ class TestLanesAreDerived:
             for name in ("tape", "mega", "slow"):
                 assert service.classify(name, [40, 200]).oracle_ok is True
 
-    def test_worker_processes_take_one_ciphertext(self, example_forest):
+    def test_worker_processes_take_what_shares_a_pass(self, example_forest):
+        """A worker runs the pump thread's routine on the shipped
+        artifact, so the process transport derives what the in-thread
+        one does — and derives it again when the engine is flipped."""
         from repro.serve.registry import ModelRegistry
 
-        registered = ModelRegistry().register(
-            "m", example_forest, engine="megakernel", backend="vector"
-        )
+        registry = ModelRegistry()
         transport = ProcessTransport(False, RealClock(), 5.0)  # spawns none
-        assert transport.stage(registered) == 1
+        lanes = {
+            (engine, backend): transport.stage(registry.register(
+                f"{engine}-{backend}", example_forest, engine=engine,
+                backend=backend,
+            ))
+            for engine in ("megakernel", "tape")
+            for backend in ("vector", "reference")
+        }
+        assert lanes == {
+            ("megakernel", "vector"): MAX_GROUP,
+            ("megakernel", "reference"): 1,
+            ("tape", "vector"): 1,
+            ("tape", "reference"): 1,
+        }
+        registry.set_engine("tape-vector", "megakernel")
+        assert transport.stage(registry.get("tape-vector")) == MAX_GROUP
 
     def test_the_simulator_keeps_one(self):
         runner = SimRunner(
@@ -410,3 +530,77 @@ class TestGroupsThroughTheFacade:
             1 + k // 4 for k in range(24)
         ]
         assert tracer.open_spans == 0
+
+
+# ---------------------------------------------------------------------------
+# Real worker processes (CI selects with -k real)
+# ---------------------------------------------------------------------------
+
+
+def pass_logging_worker_main(log_dir, conn, worker_id, epoch):
+    """The production worker, writing the size of every kernel pass it
+    runs to ``log_dir/worker-<id>`` (spawn-picklable through
+    ``functools.partial``)."""
+    from repro.serve.worker import worker_main
+
+    run_pass = MegaKernel._pass
+
+    def logged_pass(self, state, group):
+        with open(os.path.join(log_dir, f"worker-{worker_id}"), "a") as log:
+            log.write(f"{len(group)}\n")
+        return run_pass(self, state, group)
+
+    MegaKernel._pass = logged_pass
+    worker_main(conn, worker_id, epoch)
+
+
+class TestRealGroupsCrossThePipe:
+    def test_real_request_of_eight_ciphertexts_is_two_assignments(
+        self, example_forest, tmp_path
+    ):
+        """One ``classify_many`` of eight full batches on two idle
+        workers: 4 + 4, one request and one result each over the pipes,
+        one kernel pass per worker — and every per-batch figure reads
+        as the in-thread service's one assignment of eight."""
+        queries = queries_for(example_forest, 32, seed=3)
+        with open_grouping_service(example_forest) as service:
+            expected = service.classify_many("m", queries)
+        sent, results = [], []
+        with ClusterService(
+            workers=2, engine="megakernel", backend="vector",
+            worker_entry=functools.partial(
+                pass_logging_worker_main, str(tmp_path)
+            ),
+        ) as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            assert lanes_of(service) == MAX_GROUP
+            transport = service.transport
+            send_to, result_event = transport._send_to, transport._result_event
+            transport._send_to = lambda conn, message: (
+                sent.append(message[0]), send_to(conn, message)
+            )[1]
+            transport._result_event = lambda result: (
+                results.append(result), result_event(result)
+            )[1]
+            answers = service.classify_many("m", queries)
+            stats = service.stats()
+            assigns = [d for d in service.decisions if d[0] == "assign"]
+            service.set_model_engine("m", "tape")
+            assert lanes_of(service) == 1  # derived again on a flip
+        view = lambda rs: [
+            (r.bitvector, r.oracle_ok, r.batch_id, r.batch_fill,
+             r.batch_capacity, r.amortized_ms) for r in rs
+        ]
+        assert view(answers) == view(expected)
+        assert [r.batch_id for r in answers] == [1 + k // 4 for k in range(32)]
+        # (first batch id, worker, tickets, first seq) of each assignment
+        assert sorted((d[1], d[5], d[6]) for d in assigns) == [
+            (1, 16, 0), (5, 16, 16),
+        ]
+        assert {d[3] for d in assigns} == {0, 1}
+        assert sent.count(MSG_EVAL) == 2 and len(results) == 2
+        assert sorted(len(r.parts()) for r in results) == [4, 4]
+        assert stats.batches == 8 and conserved(stats)
+        for worker in (0, 1):
+            passes = (tmp_path / f"worker-{worker}").read_text().split()
+            assert passes == ["4"], worker

@@ -311,6 +311,53 @@ class TestConformance:
         # ladder's degrades are not booked for a batch that failed
         assert "park" not in kinds and "degrade" not in kinds
 
+    def test_a_batch_of_a_group_that_fails_fails_alone(
+        self, transport, example_forest, monkeypatch
+    ):
+        """Three ciphertexts go to the evaluator as one assignment and
+        the second cannot be evaluated on any engine (a query outside
+        the model's domain, let past admission here so that it is the
+        evaluation that refuses it): its four queries fail, the other
+        eight are answered, and the evaluator lives on."""
+        from repro.serve import batcher
+
+        monkeypatch.setattr(
+            batcher, "validate_queries",
+            lambda layout, queries: [list(q) for q in queries],
+        )
+        queries = queries_for(example_forest, 12, seed=17)
+        queries[5] = [1 << 12] * example_forest.n_features
+        with open_service(transport, engine="megakernel") as service:
+            service.register_model(
+                "m", example_forest, precision=8, max_batch_size=4
+            )
+            futures = service.submit_many("m", queries)
+            assert service.drain(timeout=120)
+            stats = scheduler_stats(service)
+            counters = service.metrics_snapshot()["counters"]
+            decisions = service.decisions
+            monkeypatch.undo()
+            assert service.classify("m", queries[0]).oracle_ok is True
+        assigns = [d for d in decisions if d[0] == "assign"]
+        assert [(d[1], d[5]) for d in assigns] == [(1, 12)]
+        for k, future in enumerate(futures):
+            if 4 <= k < 8:
+                # in-thread: the evaluation's own refusal; across the
+                # pipe: the typed stand-in naming the batch
+                with pytest.raises(Exception, match="does not fit|batch 2 "):
+                    future.result(timeout=0)
+                continue
+            result = future.result(timeout=0)
+            assert result.oracle_ok is True
+            assert result.bitvector == example_forest.label_bitvector(
+                queries[k]
+            )
+            assert (result.batch_id, result.batch_fill) == (1 + k // 4, 4)
+        assert conserved(stats)
+        assert (stats.completed, stats.failed, stats.retries) == (8, 4, 0)
+        assert stats.batches == 3 and counters["svc_batches"] == 2
+        assert "park" not in {d[0] for d in decisions}
+
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestClassifyManyLeavesNothingQueued:
@@ -446,7 +493,7 @@ class TestOneFacade:
 
 class TestEngineLadder:
     """An engine that raises degrades to the next rung — by one walk
-    (``evaluate_down_ladder``), whoever evaluates the batch."""
+    (``evaluate_batches_down_ladder``), whoever evaluates the batch."""
 
     @staticmethod
     def break_engines(monkeypatch, *broken):
@@ -497,7 +544,8 @@ class TestEngineLadder:
         from repro.errors import RuntimeProtocolError
         from repro.fhe.context import FheContext
         from repro.serve import ModelRegistry
-        from repro.serve.faults import evaluate_down_ladder
+        from repro.core.engines import result_of
+        from repro.serve.faults import evaluate_batches_down_ladder
         from repro.serve.transport import BatchRequest
         from repro.serve.worker import _eval_result
 
@@ -507,14 +555,16 @@ class TestEngineLadder:
         )
         features = queries_for(example_forest, 3)
         oracle = [example_forest.label_bitvector(f) for f in features]
-        evaluation, degraded = evaluate_down_ladder(registered, features)
+        evaluation, degraded = result_of(
+            evaluate_batches_down_ladder(registered, [features])[0]
+        )
         assert (evaluation.engine, degraded) == ("megakernel", None)
         assert evaluation.bitvectors == oracle
 
         self.break_engines(monkeypatch, "megakernel", "tape")
-        evaluation, degraded = evaluate_down_ladder(
-            registered, features, verify_oracle=True
-        )
+        evaluation, degraded = result_of(evaluate_batches_down_ladder(
+            registered, [features], verify_oracle=True
+        )[0])
         assert degraded == ("megakernel", "plan")
         assert evaluation.engine == "plan"
         assert evaluation.bitvectors == oracle
@@ -534,7 +584,9 @@ class TestEngineLadder:
             registered.params, backend=registered.backend
         ).keygen()
         with pytest.raises(RuntimeProtocolError, match="'megakernel' is"):
-            evaluate_down_ladder(registered, features)
+            result_of(
+                evaluate_batches_down_ladder(registered, [features])[0]
+            )
         failed = _eval_result(0, request, {"m": registered})
         assert failed.bitvectors is None
         assert failed.error.startswith("RuntimeProtocolError")
