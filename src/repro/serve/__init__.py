@@ -11,7 +11,7 @@ stream:
   block-local gathers replace cyclic rotations so one comparison /
   reshuffle / levels / accumulate pipeline serves every packed query;
   and ``evaluate_registered_batches``, the one pack → execute →
-  decrypt → demux → attribute → verify routine batcher and worker both
+  decrypt → demux → attribute → verify routine both transports
   run (the batches of one call share each stage, so the megakernel
   executes them in one pass);
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`: compile,
@@ -22,8 +22,8 @@ stream:
   rotation-scheduled) that every batch executes (``engine="plan"``
   keeps the graph-walking executor, ``engine="eager"`` the
   hand-scheduled interpreter);
-* :mod:`repro.serve.batcher` — :class:`QueryBatcher`: validate,
-  evaluate, demultiplex, oracle-verify;
+* :mod:`repro.serve.batcher` — query validation, what a batch answers
+  and books, and :class:`QueryBatcher` (batches outside a service);
 * :mod:`repro.serve.scheduler` — the event-driven, deadline-aware,
   multi-tenant scheduling core (:class:`SchedulerCore`, pure: no
   threads, no clock): per-model bounded queues with admission control,

@@ -596,12 +596,12 @@ def evaluate_registered_batches(
     raises drops out and the others go on.  Returns, per batch, its
     :class:`BatchEvaluation` or the exception it raised.
 
-    Every caller that evaluates a batch (the in-process batcher, the
-    cluster worker, the bench experiments) goes through here;
+    Every caller that evaluates a batch (the worker's reduce function,
+    on either transport, and the bench experiments) goes through here;
     ``engine`` overrides the registered engine (the degradation
     ladder), and ``on_stage`` is told ``"pack"`` / ``"execute"`` /
-    ``"demux"`` / ``"resolve"`` as each stage begins (the batcher's
-    trace spans).
+    ``"demux"`` / ``"resolve"`` as each stage begins (the in-thread
+    transport's trace spans).
     """
     # One consistent snapshot of the mutable registration fields: the
     # control plane may flip engine/backend between batches

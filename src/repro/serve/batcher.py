@@ -1,12 +1,17 @@
-"""Query batching: validate submissions, evaluate batches, demultiplex.
+"""Query batching: validate submissions, and what a batch answers.
 
-A :class:`QueryBatcher` fronts one registered model.  Submissions are
-validated eagerly (bad queries fail at ``prepare`` time, before they can
-poison a batch); queueing and batch *cutting* belong to the router
-(:class:`~repro.serve.cluster.RouterCore` over the deadline-aware
-:class:`~repro.serve.scheduler.SchedulerCore`), whose cut batches the
-in-thread transport hands back here for evaluation.  Evaluating a batch
-runs the whole amortized pipeline:
+Submissions are validated eagerly (:func:`prepare_queries`: bad queries
+fail before they can poison a batch); queueing and batch *cutting*
+belong to the router (:class:`~repro.serve.cluster.RouterCore` over the
+deadline-aware :class:`~repro.serve.scheduler.SchedulerCore`), and
+evaluation to a :class:`~repro.serve.transport.Transport`.  This module
+holds what both ends share: the :class:`PendingQuery` a ticket carries,
+the :class:`ClassificationResult` each query is answered with
+(:func:`classification_results`, the one place one is built) and the
+:class:`BatchRecord` the stats aggregator books per batch.  A
+:class:`QueryBatcher` fronts one registered model outside a service —
+``prepare`` a batch, ``evaluate`` it by the pump thread's path.
+Evaluating a batch runs the whole amortized pipeline:
 
 1. pack the queries' replicated-and-padded bit planes into shared slots
    and encrypt them once per plane (``data_encrypt``),
@@ -26,27 +31,30 @@ runs the whole amortized pipeline:
 5. resolve each query's future with a :class:`ClassificationResult`.
 
 Steps 1-4 are
-:func:`~repro.serve.batched_runtime.evaluate_registered_batches`, the
-one batch-evaluation routine the cluster worker runs too; this module
-adds the futures, the stage spans and the :class:`BatchRecord`, whose
-per-batch tracker travels to the service for thread-safe aggregation.
-The batches of one assignment (:meth:`QueryBatcher.evaluate_group`) go
-through the steps together, so the megakernel runs them in one pass.
+:func:`~repro.serve.batched_runtime.evaluate_registered_batches`, which
+the one reduce function (:func:`repro.serve.worker._eval_result`) runs
+on a whole assignment — in a worker process or on the pump thread —
+so the megakernel runs its batches in one pass; step 5 is the
+transport's one completion handler, after the router has accepted the
+result.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
-from repro.core.engines import result_of
 from repro.core.runtime import InferenceResult
-from repro.fhe.tracker import OpTracker
-from repro.serve.faults import evaluate_batches_down_ladder
 from repro.serve.packing import validate_queries
 from repro.serve.registry import RegisteredModel
+from repro.serve.scheduler import (
+    Assignment,
+    QueryTicket,
+    deliver_failures,
+    evaluation_failure,
+)
 
 
 @dataclass(frozen=True)
@@ -128,10 +136,9 @@ class BatchRecord:
     batch_id: int
     size: int
     capacity: int
-    #: The batch's own tracker; None when it was evaluated in a worker
-    #: process (trackers do not cross the pipe, so op counts are booked
-    #: in-thread only).
-    tracker: Optional[OpTracker]
+    #: Operation counts per tracker phase, ``{phase: {op: n}}`` — plain
+    #: data, so a worker process sends them too.
+    phase_op_counts: Dict[str, Dict[str, int]]
     phase_ms: Dict[str, float]
     inference_ms: float
     data_encrypt_ms: float
@@ -141,16 +148,6 @@ class BatchRecord:
     #: ``(registered engine, engine that answered)`` when the registered
     #: engine raised and the batch fell down the ladder.
     degraded: Optional[Tuple[str, str]] = None
-
-    @property
-    def oracle_ok(self) -> Optional[bool]:
-        if self.oracle_failures is None:
-            return None
-        return self.oracle_failures == 0
-
-    @property
-    def amortized_ms(self) -> float:
-        return self.inference_ms / self.size if self.size else 0.0
 
 
 @dataclass
@@ -203,21 +200,19 @@ class QueryBatcher:
         tracer=None,
         clock=None,
     ):
+        from repro.serve.transport import InThreadTransport
+
         self.registered = registered
         self.verify_oracle = verify_oracle and registered.forest is not None
-        #: Optional span tracer + clock: when both are set, evaluation
-        #: emits pack / execute / demux / resolve stage spans parented
-        #: on the scheduler's batch span (zero-cost when None).
-        self.tracer = tracer
-        self.clock = clock
+        #: The pump thread's path, for this model alone: with a tracer
+        #: and a clock, evaluation emits pack / execute / demux /
+        #: resolve stage spans (zero-cost when None).
+        self._transport = InThreadTransport(self.verify_oracle, tracer, clock)
+        self._transport.stage(registered)
 
     # ------------------------------------------------------------------
     # Submission-time validation
     # ------------------------------------------------------------------
-
-    @property
-    def capacity(self) -> int:
-        return self.registered.layout.capacity
 
     def prepare(self, features) -> PendingQuery:
         """Validate one query and wrap it: the block of one."""
@@ -237,105 +232,26 @@ class QueryBatcher:
         parent_span: Optional[int] = None,
         worker: Optional[int] = None,
     ) -> BatchRecord:
-        """Run one batch end to end and resolve its futures: the group
-        of one of :meth:`evaluate_group`, raising what it raised."""
-        return result_of(self.evaluate_group([batch], parent_span, worker)[0])
+        """Run one batch end to end and resolve its futures: the pump
+        thread's path, with no router around it.  A batch that fails
+        past the engine ladder fails its futures with the service's
+        :class:`~repro.errors.ServeError`, and raises it."""
+        from repro.serve.transport import AssignAction
 
-    def evaluate_group(
-        self,
-        batches: Sequence[CutBatch],
-        parent_span: Optional[int] = None,
-        worker: Optional[int] = None,
-    ) -> List:
-        """Run the batches of one assignment end to end, together, and
-        resolve their futures.
-
-        Returns, per batch, its :class:`BatchRecord` or the exception
-        its evaluation raised.  An engine that raises degrades down the
-        ladder, batch by batch
-        (:func:`~repro.serve.faults.evaluate_batches_down_ladder`,
-        recorded on the :class:`BatchRecord`); a failure past the last
-        rung is propagated through every future of that batch, so
-        submitters always learn the outcome and the failure stays
-        contained to those queries.
-
-        ``parent_span``/``worker`` (from the scheduler's
-        :class:`~repro.serve.scheduler.Assignment`) parent the stage
-        spans a tracing-enabled batcher emits: one pack / execute /
-        demux / resolve per group, however many ciphertexts it holds.
-        """
-        registered = self.registered
-        features = [[e.features for e in batch.entries] for batch in batches]
-        engine = registered.engine
-        tracer = self.tracer if self.clock is not None else None
-        on_stage = None
-        open_span = None  # (span id, the attributes it ends with)
-        if tracer is not None:
-            track = "batcher" if worker is None else f"worker:{worker}"
-            ends_with = {"execute": {"engine": engine}}
-            size = sum(len(batch.entries) for batch in batches)
-
-            def on_stage(name: str) -> None:
-                nonlocal open_span
-                if open_span is not None:
-                    tracer.end(
-                        open_span[0], self.clock.now(), **open_span[1]
-                    )
-                span = tracer.begin(
-                    name, self.clock.now(), parent=parent_span,
-                    track=track, batch_id=batches[0].batch_id,
-                    size=size, ciphertexts=len(batches),
-                )
-                open_span = (span, ends_with.get(name, {}))
-
-        records: List = []
-        try:
-            outcomes = evaluate_batches_down_ladder(
-                registered, features,
-                verify_oracle=self.verify_oracle, on_stage=on_stage,
-            )
-            for batch, queries, outcome in zip(batches, features, outcomes):
-                if isinstance(outcome, BaseException):
-                    for entry in batch.entries:
-                        if not entry.future.done():
-                            entry.future.set_exception(outcome)
-                    records.append(outcome)
-                    continue
-                evaluation, degraded = outcome
-                results = classification_results(
-                    registered, batch.batch_id, queries,
-                    evaluation.bitvectors, evaluation.inference_ms,
-                    evaluation.oracle_ok,
-                )
-                for entry, result in zip(batch.entries, results):
-                    entry.future.set_result(result)
-                oracle_failures: Optional[int] = None
-                if evaluation.oracle_ok is not None:
-                    oracle_failures = evaluation.oracle_ok.count(False)
-                records.append(BatchRecord(
-                    model=registered.name,
-                    batch_id=batch.batch_id,
-                    size=len(batch.entries),
-                    capacity=registered.layout.capacity,
-                    tracker=evaluation.tracker,
-                    phase_ms=evaluation.phase_ms,
-                    inference_ms=evaluation.inference_ms,
-                    data_encrypt_ms=evaluation.data_encrypt_ms,
-                    oracle_failures=oracle_failures,
-                    degraded=degraded,
-                ))
-        except BaseException as exc:
-            for batch in batches:
-                for entry in batch.entries:
-                    if not entry.future.done():
-                        entry.future.set_exception(exc)
-            raise
-        if tracer is not None:
-            tracer.end(
-                open_span[0], self.clock.now(),
-                oracle_failures=sum(
-                    record.oracle_failures or 0 for record in records
-                    if isinstance(record, BatchRecord)
-                ),
-            )
-        return records
+        name, entries = self.registered.name, batch.entries
+        tickets = [
+            QueryTicket(name, "default", entry, 0.0, None, 0, seq)
+            for seq, entry in enumerate(entries)
+        ]
+        self._transport.send(AssignAction(Assignment(
+            batch.batch_id, name, worker, tickets, 0.0, (len(entries),),
+            span=parent_span,
+        ), epoch=0))
+        (completion,) = self._transport.receive(self._transport.wait(0.0))
+        (record,) = completion.records
+        if record is None:
+            error = evaluation_failure(batch.batch_id, completion.failed[0])
+            deliver_failures([(entry.future, error) for entry in entries])
+            raise error
+        completion.resolve()
+        return record

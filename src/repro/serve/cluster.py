@@ -614,7 +614,7 @@ class RouterCore:
     def complete(self, assignment: Assignment, epoch: int, now: float,
                  outcome: str = OUTCOME_OK,
                  worker: Optional[int] = None,
-                 failed=()) -> bool:
+                 failed=None) -> bool:
         """Account one finished assignment — unless its worker epoch is
         stale.
 
@@ -624,9 +624,9 @@ class RouterCore:
         Counting it would double-complete queries, so it is dropped and
         recorded.  ``worker`` identifies the delivering worker when it
         may differ from the binding (hedged batches); it defaults to
-        ``assignment.worker``.  ``failed`` lists the positions of the
-        assignment's batches whose evaluation raised while the others
-        were answered (:meth:`SchedulerCore.complete`).  Returns True
+        ``assignment.worker``.  ``failed`` maps the positions of the
+        assignment's batches whose evaluation raised to the cause their
+        futures quote (:meth:`SchedulerCore.complete`).  Returns True
         when accepted.
         """
         if worker is None:

@@ -26,7 +26,8 @@ chaos soak replay byte-identical decision logs.
   walked when an engine or capability raises, so a broken fast path
   degrades to a slower correct one instead of failing the batch;
   :func:`evaluate_batches_down_ladder` is the one walk, run by the
-  in-thread batcher and the worker process alike.
+  worker's reduce function in a worker process and on the in-process
+  pump thread alike.
 * :class:`TransportFaultPlan` / :func:`chaos_worker_main` — the
   **test-only** transport shim that injects the same chaos matrix the
   simulator models (corrupted envelopes, truncated / dropped /
@@ -272,12 +273,6 @@ class CircuitBreaker:
             return BREAKER_CLOSED
         entry.failures = 0
         return None
-
-    def open_keys(self) -> List[Tuple]:
-        return sorted(
-            key for key, entry in self._states.items()
-            if entry.state == BREAKER_OPEN
-        )
 
     def next_transition_time(self) -> Optional[float]:
         """Earliest moment any open breaker becomes probe-eligible."""

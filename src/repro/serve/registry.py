@@ -321,7 +321,7 @@ class ModelRegistry:
                    ) -> RegisteredModel:
         """Flip a registered model's execution engine in place.
 
-        The batcher builds its evaluation server per batch from the
+        The evaluation routine builds its server per batch from the
         registered entry, so the flip takes effect on the next cut — no
         re-encryption and no restart.  Missing derived artifacts are
         compiled lazily: flipping an eager model to ``plan``/``tape``

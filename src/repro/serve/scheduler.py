@@ -872,16 +872,17 @@ class SchedulerCore:
 
     def complete(self, assignment: Assignment, now: float,
                  outcome: str = OUTCOME_OK,
-                 failed: Sequence[int] = ()) -> None:
+                 failed: Optional[Dict[int, Optional[str]]] = None
+                 ) -> None:
         """Return a worker and account for its assignment's outcome.
 
         ``"ok"``: count completions, latencies, deadline misses —
-        except for the batches whose positions are in ``failed``, whose
-        evaluation raised while the rest of the assignment was
-        answered.  ``"error"``: every batch's evaluation raised —
-        deterministic, so the tickets fail (their futures already carry
-        the exception).  A worker that died mid-batch never completes:
-        see :meth:`release_crashed`.
+        except for the batches whose positions key ``failed``: their
+        evaluation raised, and their tickets fail with
+        :func:`evaluation_failure` quoting the cause it maps them to.
+        ``"error"``: every batch's evaluation raised — deterministic,
+        so every ticket fails.  A worker that died mid-batch never
+        completes: see :meth:`release_crashed`.
         """
         if self._running.get(assignment.worker) is not assignment:
             raise ValidationError(
@@ -893,18 +894,19 @@ class SchedulerCore:
         tracer = self.tracer
         if tracer is not None and assignment.span is not None:
             tracer.end(assignment.span, now, outcome=outcome)
+        failed = failed or {}
         if outcome == OUTCOME_OK:
             finished_queue = self._queues.get(assignment.queue)
             if finished_queue is not None:
                 finished_queue.observe_service(now - assignment.cut_time)
         elif outcome == OUTCOME_ERROR:
-            failed = range(len(assignment.fills))
+            failed = {j: failed.get(j) for j in range(len(assignment.fills))}
         else:
             raise ValidationError(f"unknown completion outcome {outcome!r}")
         self._book_completed(assignment, now, failed)
 
     def _book_completed(self, assignment: Assignment, now: float,
-                        failed: Sequence[int]) -> None:
+                        failed: Dict[int, Optional[str]]) -> None:
         """Count one evaluated assignment: one update per instrument.
 
         Latencies are observed in ticket order and labelled children
@@ -920,8 +922,8 @@ class SchedulerCore:
         for position, (batch_id, tickets) in enumerate(assignment.batches()):
             if position in failed:
                 for ticket in tickets:
-                    self._fail_ticket(ticket, ServeError(
-                        f"batch {batch_id} evaluation failed"
+                    self._fail_ticket(ticket, evaluation_failure(
+                        batch_id, failed[position]
                     ), now=now)
                 continue
             for ticket in tickets:
@@ -1193,6 +1195,12 @@ class SchedulerCore:
                 m.labeled_values("sched_queue_completed").items()
             },
         )
+
+
+def evaluation_failure(batch_id: int, cause: Optional[str]) -> ServeError:
+    """A failed batch's one refusal, quoting the evaluator's cause."""
+    suffix = f": {cause}" if cause else ""
+    return ServeError(f"batch {batch_id} evaluation failed{suffix}")
 
 
 def deliver_failures(failures: List[Tuple[Any, Exception]]) -> None:

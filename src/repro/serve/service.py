@@ -244,12 +244,10 @@ class _StatsAggregator:
                 self._batch_fill.observe(record.size / record.capacity)
             for phase, ms in record.phase_ms.items():
                 self._phase_ms(phase).inc(ms)
-            tracker = record.tracker
-            for phase in tracker.phases if tracker is not None else ():
-                counts = tracker.phase_stats(phase).counts
-                for kind, n in counts.items():
-                    self._ops(kind.value).inc(n)
-                    self._phase_ops(phase, kind.value).inc(n)
+            for phase, counts in record.phase_op_counts.items():
+                for op, n in counts.items():
+                    self._ops(op).inc(n)
+                    self._phase_ops(phase, op).inc(n)
             self._inference_ms.inc(record.inference_ms)
             self._data_encrypt_ms.inc(record.data_encrypt_ms)
             if record.oracle_failures:
@@ -317,8 +315,9 @@ class CopseService:
     one kernel pass, each still booked, numbered and answered as its
     own batch.  Wall-clock parallelism is worker processes
     (:class:`~repro.serve.cluster.ClusterService`, the same facade over
-    :class:`~repro.serve.transport.ProcessTransport`, one batch per
-    assignment).
+    :class:`~repro.serve.transport.ProcessTransport`: the ready batches
+    are shared out between the idle workers, each worker's share one
+    assignment and one kernel pass, by the same routine).
 
     Scheduling knobs: ``default_deadline_ms`` applies a relative
     deadline to every query that does not bring its own (deadline slack
@@ -328,7 +327,9 @@ class CopseService:
     :class:`~repro.serve.simclock.VirtualClock` makes deadline behavior
     unit-testable without sleeps).  Evaluation errors are deterministic
     and never retried — once the engine ladder is exhausted they fail
-    the batch's futures immediately.
+    the batch's futures with one
+    :class:`~repro.errors.ServeError` naming the batch and quoting the
+    evaluator's ``Type: message``.
     """
 
     def __init__(
@@ -420,7 +421,7 @@ class CopseService:
         self.metrics: MetricsRegistry = self.router.metrics
         #: Optional span tracer (``repro.obs.trace.Tracer``): threads
         #: through the cores (query/batch spans) and the in-thread
-        #: batchers (stage spans).  None — the default — costs nothing
+        #: transport (stage spans).  None — the default — costs nothing
         #: on any hot path.
         self.tracer = tracer
         self.clock = clock
@@ -437,6 +438,8 @@ class CopseService:
         self._lock = threading.Lock()
         #: Signalled by the pump whenever nothing is left in flight.
         self._idle = threading.Condition(self._lock)
+        #: The pump is answering, outside the lock, what it just booked.
+        self._delivering = False
         self._closing = False
         self._stopping = False
         now = clock.now()
@@ -663,6 +666,9 @@ class CopseService:
             while not self._idle.wait_for(done, 0.05):
                 if give_up is not None and time.monotonic() >= give_up:
                     return False
+            # ... and answers what it booked outside the lock: wait for
+            # that too, unless a done-callback holds the pump up.
+            self._idle.wait_for(lambda: not self._delivering, 0.05)
         return True
 
     def classify(
@@ -921,16 +927,16 @@ class CopseService:
                 failures = router.drain_failures()
                 wake_at = router.next_wake_time(now)
                 idle = not router.core.running
-                if idle and not resolutions:
-                    self._idle.notify_all()
+                self._delivering = bool(failures or resolutions)
             # Futures resolve outside the lock: a caller's done-callback
             # may legitimately call back into the service (stats,
             # another query's result()).
             deliver_failures(failures)
             for resolve in resolutions:
                 resolve()
-            if idle and resolutions:
+            if idle or self._delivering:
                 with self._idle:  # only now: flush() returns to answers
+                    self._delivering = False
                     self._idle.notify_all()
             timeout = transport.poll_interval_s
             if wake_at is not None:
@@ -952,26 +958,18 @@ class CopseService:
             return
         assignment = event.assignment
         answered = [r for r in event.records if r is not None]
-        if not answered:
-            router.complete(assignment, event.epoch, now, OUTCOME_ERROR,
-                            worker=event.worker)
-            return
         for record in answered:
             if record.degraded is not None:
-                router.record_degrade(
-                    assignment.queue, *record.degraded, now
-                )
-        failed = [
-            position for position, record in enumerate(event.records)
-            if record is None
-        ]  # batches that raised while the rest were answered
+                router.record_degrade(assignment.queue, *record.degraded, now)
         # A stale epoch is refused here: its tickets were already parked.
-        if router.complete(assignment, event.epoch, now, OUTCOME_OK,
-                           worker=event.worker, failed=failed):
+        if router.complete(
+            assignment, event.epoch, now,
+            OUTCOME_OK if answered else OUTCOME_ERROR,
+            worker=event.worker, failed=event.failed,
+        ):
             for record in answered:
                 self._stats.record_batch(record)
-            if event.resolve is not None:
-                resolutions.append(event.resolve)
+            resolutions.append(event.resolve)
 
     def _crash_locked(self, worker: int, now: float) -> None:
         """A worker is gone (pipe EOF, liveness timeout, malformed

@@ -8,11 +8,13 @@ carry out one of the router's instructions (:class:`ShipAction`,
 :class:`AssignAction`, :class:`HedgeAction`), wait for what happened
 (:class:`Completion`, :class:`WorkerDied`, :class:`Heartbeat`), close:
 
-* :class:`InThreadTransport` evaluates on the facade's pump thread, one
-  assignment at a time: nothing is pickled, a ship is a no-op (the
-  model is already here) and a worker cannot die.
+* :class:`InThreadTransport` is a worker without a pipe: the pump
+  thread runs the worker's routine, one assignment at a time; nothing
+  is pickled, a ship is a no-op and a worker cannot die.
 * :class:`ProcessTransport` runs ``multiprocessing`` (spawn) workers
   behind pipes, each in :func:`repro.serve.worker.worker_main`.
+
+Both hand back one :class:`BatchResult` per assignment to one handler.
 
 Everything that crosses the process boundary is defined here too, and
 must survive ``pickle`` under the ``spawn`` start method (no lambdas,
@@ -34,8 +36,8 @@ recompiles lazily on the other side):
   integer features out (with the ``fills`` that cut them into batches),
   and its distilled measurements back: the decrypted bitvectors and
   oracle verdicts flat, batch after batch, and a :class:`BatchPart` of
-  plain numbers per batch.  The worker's
-  :class:`~repro.fhe.tracker.OpTracker` never crosses the boundary.
+  plain numbers per batch (operation counts included: the worker's
+  :class:`~repro.fhe.tracker.OpTracker` never crosses the boundary).
 
 Messages are ``(tag, payload...)`` tuples; the tags are the protocol
 constants below.  Every message except ``MSG_LOAD`` is small; a worker
@@ -46,19 +48,15 @@ a multi-megabyte envelope without a send/send deadlock.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import InvalidStateError
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ServeError, ValidationError
 from repro.core.engines import artifacts_of
 from repro.core.seccomp import VARIANT_ALOUFI
 from repro.serve.batched_runtime import shared_pass_lanes
-from repro.serve.batcher import (
-    BatchRecord,
-    CutBatch,
-    QueryBatcher,
-    classification_results,
-)
+from repro.serve.batcher import BatchRecord, classification_results
 from repro.serve.scheduler import Assignment
 
 __all__ = [
@@ -195,18 +193,18 @@ class BatchRequest:
     #: the result so a completion from a superseded worker incarnation
     #: is recognized and dropped.
     epoch: int
-    features: Tuple[Tuple[int, ...], ...]
+    #: One feature list per query, flat (the tickets' own lists).
+    features: Sequence[Sequence[int]]
     verify_oracle: bool = False
     #: Features in each batch of the assignment, in order (empty: they
     #: are all one batch).
     fills: Tuple[int, ...] = ()
 
-    def batches(self) -> List[List[List[int]]]:
-        """The features of each batch, as the evaluation routine takes
-        them."""
+    def batches(self) -> List[Sequence[Sequence[int]]]:
+        """The features of each batch, as the routine takes them."""
         out, at = [], 0
         for fill in self.fills or (len(self.features),):
-            out.append([list(f) for f in self.features[at : at + fill]])
+            out.append(self.features[at : at + fill])
             at += fill
         return out
 
@@ -219,12 +217,14 @@ class BatchPart(NamedTuple):
     data_encrypt_ms: float
     #: Queries the oracle disagreed with (None: verification was off).
     oracle_failures: Optional[int] = None
-    #: repr of the worker-side exception, when this batch's evaluation
-    #: failed past the engine ladder (it then has no bitvectors).
+    #: ``Type: message`` of the worker-side exception, when this batch's
+    #: evaluation failed past the engine ladder (no bitvectors then).
     error: Optional[str] = None
     #: Set when the worker fell down the engine ladder mid-batch: the
     #: engine that actually produced the bitvectors (router audits it).
     degraded_engine: Optional[str] = None
+    #: Operation counts per tracker phase: ``{phase: {op: count}}``.
+    phase_op_counts: Dict[str, Dict[str, int]] = {}
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class BatchResult:
     epoch: int
     #: Per-query decrypted label bitvectors of the batches that were
     #: answered, batch after batch (None when none was).
-    bitvectors: Optional[Tuple[Tuple[int, ...], ...]]
+    bitvectors: Optional[Sequence[Sequence[int]]]
     phase_ms: Dict[str, float]
     inference_ms: float
     data_encrypt_ms: float
@@ -250,12 +250,14 @@ class BatchResult:
     error: Optional[str] = None
     degraded_engine: Optional[str] = None
     rest: Tuple[BatchPart, ...] = ()
+    phase_op_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def parts(self) -> Tuple[BatchPart, ...]:
         """One :class:`BatchPart` per batch of the assignment."""
         return (BatchPart(
             self.phase_ms, self.inference_ms, self.data_encrypt_ms,
             self.oracle_failures, self.error, self.degraded_engine,
+            self.phase_op_counts,
         ),) + self.rest
 
 
@@ -306,18 +308,18 @@ class Completion:
 
     ``records`` holds, per batch of the assignment, what the stats
     aggregator books — None where the evaluation raised
-    (deterministic: failed, never retried).
+    (deterministic: failed, never retried); ``failed`` maps those
+    batches' positions to the worker-side ``Type: message``.
     ``resolve`` delivers the results to the futures; the facade runs it
-    outside its lock once the router accepts the completion (None:
-    already resolved, as :meth:`QueryBatcher.evaluate_group` does
-    in-thread).
+    outside its lock once the router accepts the completion.
     """
 
     assignment: Assignment
     worker: int
     epoch: int
     records: List[Optional[BatchRecord]]
-    resolve: Optional[Callable[[], None]] = None
+    resolve: Callable[[], None]
+    failed: Dict[int, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -345,15 +347,14 @@ MAX_STARTUP_DEATHS = 3
 class Transport:
     """Where batches are evaluated, as the facade sees it.
 
-    A transport also implements ``stage(registered)`` / ``unstage(name)``
-    (keep what evaluating that model's batches needs, and say how many
-    of them one evaluation can run — the queue's ``lanes``; staged
-    again after an engine flip or backend switch), ``send(action)``,
-    ``wait(timeout)`` (block — the one call made *without* the facade's
-    lock — until something happened) and ``receive(waited)`` (the
-    events behind what ``wait`` returned).  The defaults below are the
-    in-thread answers: a worker is a slot, not a process, so there is
-    nothing to start, stop, reap or forget.
+    A transport implements ``send(action)`` and ``wait(timeout)`` (block
+    — the one call made *without* the facade's lock — until something
+    happened).  The rest is written once: ``stage`` / ``unstage`` (keep
+    what evaluating a model's batches needs; report the queue's
+    ``lanes``, how many of them one evaluation runs), the in-flight map
+    and ``receive`` (every :class:`BatchResult` through the one
+    completion handler, :meth:`_result_event`).  The lifecycle defaults
+    are the in-thread answers: a worker is a slot, not a process.
     """
 
     #: Longest the pump sleeps in ``wait`` before re-reading the timers.
@@ -363,6 +364,36 @@ class Transport:
     heartbeat_interval_s: Optional[float] = None
     #: How long ``close()`` waits for admitted work; None: all of it.
     close_grace_s: Optional[float] = None
+
+    def __init__(self, verify_oracle: bool, clock):
+        self.verify_oracle = verify_oracle
+        self.clock = clock
+        #: model name -> what its batches are evaluated and answered
+        #: against: the registered model, or its field-for-field envelope.
+        self._staged: Dict[str, object] = {}
+        #: batch_id -> assignment awaiting its result.
+        self._inflight: Dict[int, Assignment] = {}
+
+    #: What :meth:`stage` keeps of a registered model: itself, here.
+    _package = staticmethod(lambda registered: registered)
+
+    def stage(self, registered) -> int:
+        self._staged[registered.name] = self._package(registered)
+        # A worker process runs the pump thread's routine on the shipped
+        # artifact: what shares a pass here does there.
+        return shared_pass_lanes(registered)
+
+    def unstage(self, name: str) -> None:
+        self._staged.pop(name, None)
+
+    def _request(self, assignment: Assignment, epoch: int) -> BatchRequest:
+        """``assignment`` as its evaluator takes it, now in flight."""
+        self._inflight[assignment.batch_id] = assignment
+        return BatchRequest(
+            assignment.batch_id, assignment.queue, epoch,
+            [t.payload.features for t in assignment.tickets],
+            self.verify_oracle, assignment.fills,
+        )
 
     def start_worker(self, worker: int, epoch: int) -> None:
         """Bring up incarnation ``epoch`` of ``worker``."""
@@ -383,6 +414,7 @@ class Transport:
     def forget(self, batch_id: int) -> None:
         """The router gave up on this in-flight batch (its worker died):
         a late result for it must resolve nothing."""
+        self._inflight.pop(batch_id, None)
 
     def wake(self) -> None:
         """Cut the current ``wait`` short (a timer may have moved)."""
@@ -390,9 +422,104 @@ class Transport:
     def close(self) -> None:
         """Release everything; the pump has already stopped."""
 
+    def _arrivals(self, waited) -> List[object]:
+        """What ``wait`` returned, as results and events."""
+        return waited
+
+    def receive(self, waited) -> List[object]:
+        events = (
+            self._result_event(arrival) if isinstance(arrival, BatchResult)
+            else arrival for arrival in self._arrivals(waited)
+        )
+        return [event for event in events if event is not None]
+
+    def _result_event(self, result: BatchResult):
+        """The one completion handler: the :class:`Completion` of an
+        evaluated assignment — None for a duplicate, a
+        :class:`WorkerDied` for a result of the wrong shape."""
+        assignment = self._inflight.pop(result.batch_id, None)
+        if assignment is None:
+            return None  # duplicated or hedged-and-already-resolved
+        # Trust what the result *says* about its origin, not what the
+        # dispatch remembered: a hedged batch resolves from whichever
+        # replica answered first.
+        worker, epoch = result.worker, result.epoch
+        staged = self._staged.get(assignment.queue)
+        batches = assignment.batches()
+        if staged is None:
+            # The model was unregistered under the assignment: every
+            # ticket fails loudly, nothing is retried.
+            return Completion(assignment, worker, epoch,
+                              [None] * len(batches), lambda: None)
+        parts = result.parts()
+        bitvectors = result.bitvectors or ()
+        verdicts = result.oracle_ok
+        answered = sum(
+            fill for fill, part in zip(assignment.fills, parts)
+            if part.error is None
+        )
+        if (
+            len(parts) != len(batches)
+            or len(bitvectors) != answered
+            or (verdicts is not None and len(verdicts) != answered)
+        ):
+            # A truncated/corrupted completion envelope.  Fail closed:
+            # the sender is lying about the assignment's shape, so treat
+            # it as a worker fault — the facade kills it and takes the
+            # crash/respawn path (the tickets park or quarantine;
+            # nothing is resolved from a malformed result).
+            self._inflight[assignment.batch_id] = assignment
+            return WorkerDied(worker, epoch)
+        records: List[Optional[BatchRecord]] = []
+        failed: Dict[int, str] = {}
+        deliveries = []  # (batch id, tickets, inference ms, their bitvectors)
+        at = 0
+        for position, ((batch_id, tickets), part) in enumerate(
+            zip(batches, parts)
+        ):
+            if part.error is not None:
+                # Deterministic evaluation failure: no retry — a second
+                # run would fail identically; the batch's tickets fail
+                # quoting it, the others are answered.
+                records.append(None)
+                failed[position] = part.error
+                continue
+            degraded = None
+            if part.degraded_engine is not None:
+                degraded = (staged.engine, part.degraded_engine)
+            records.append(BatchRecord(
+                model=assignment.queue, batch_id=batch_id,
+                size=len(tickets), capacity=staged.layout.capacity,
+                phase_op_counts=part.phase_op_counts, phase_ms=part.phase_ms,
+                inference_ms=part.inference_ms,
+                data_encrypt_ms=part.data_encrypt_ms,
+                oracle_failures=part.oracle_failures, degraded=degraded,
+            ))
+            upto = at + len(tickets)
+            deliveries.append(
+                (batch_id, tickets, part.inference_ms, slice(at, upto))
+            )
+            at = upto
+
+        def resolve() -> None:
+            for batch_id, tickets, inference_ms, span in deliveries:
+                outcomes = classification_results(
+                    staged, batch_id,
+                    [ticket.payload.features for ticket in tickets],
+                    bitvectors[span], inference_ms,
+                    None if verdicts is None else verdicts[span],
+                )
+                for ticket, outcome in zip(tickets, outcomes):
+                    try:
+                        ticket.payload.future.set_result(outcome)
+                    except InvalidStateError:  # a replica answered it
+                        pass
+
+        return Completion(assignment, worker, epoch, records, resolve, failed)
+
 
 class InThreadTransport(Transport):
-    """Evaluate on the pump thread: no pickle, no process, no crash.
+    """A worker without a pipe: the pump thread evaluates.
 
     One assignment at a time, and only cut when the evaluator is free
     (:meth:`room`): batch evaluation holds the GIL between its numpy
@@ -407,22 +534,10 @@ class InThreadTransport(Transport):
     """
 
     def __init__(self, verify_oracle: bool, tracer, clock):
-        self.verify_oracle = verify_oracle
-        self.tracer = tracer
-        self.clock = clock
-        self._batchers: Dict[str, QueryBatcher] = {}
+        super().__init__(verify_oracle, clock)
+        self.tracer = tracer  # with a clock: ``wait`` emits stage spans
         self._action: Optional[AssignAction] = None
         self._wake = threading.Event()
-
-    def stage(self, registered) -> int:
-        self._batchers[registered.name] = QueryBatcher(
-            registered, verify_oracle=self.verify_oracle,
-            tracer=self.tracer, clock=self.clock,
-        )
-        return shared_pass_lanes(registered)
-
-    def unstage(self, name: str) -> None:
-        self._batchers.pop(name, None)
 
     def room(self) -> int:
         return 0 if self._action is not None else 1
@@ -435,7 +550,12 @@ class InThreadTransport(Transport):
     def wake(self) -> None:
         self._wake.set()
 
-    def wait(self, timeout: float) -> List[Completion]:
+    def wait(self, timeout: float) -> List[BatchResult]:
+        """Evaluate the held assignment through the worker's routine
+        (the tickets' feature lists as they are; traced, one span per
+        stage however many ciphertexts), or sleep until woken."""
+        from repro.serve.worker import _eval_result
+
         if self._action is None:
             self._wake.wait(timeout)
         self._wake.clear()
@@ -443,34 +563,36 @@ class InThreadTransport(Transport):
         if action is None:
             return []
         assignment = action.assignment
-        records: List[Optional[BatchRecord]] = [None] * len(assignment.fills)
-        cuts = [
-            CutBatch(batch_id, [t.payload for t in tickets])
-            for batch_id, tickets in assignment.batches()
-        ]
-        where = {"parent_span": assignment.span, "worker": assignment.worker}
-        try:
-            batcher = self._batchers[assignment.queue]
-            if len(cuts) == 1:
-                # ``evaluate`` is the one-batch entry everything else
-                # drives (and tests substitute); it raises its failure.
-                records = [batcher.evaluate(cuts[0], **where)]
-            else:
-                records = [
-                    outcome if isinstance(outcome, BatchRecord) else None
-                    for outcome in batcher.evaluate_group(cuts, **where)
-                ]
-        except BaseException:
-            # The batcher owns error delivery to the futures (a model
-            # unstaged under the batch leaves that to the router); a
-            # bad batch must not take the pump down with it.
-            pass
-        self._action = None
-        return [Completion(assignment, assignment.worker, action.epoch,
-                           records)]
+        tracer, clock = self.tracer, self.clock
+        opened = []  # the open stage span: (span id, what it ends with)
 
-    def receive(self, waited: List[Completion]) -> List[Completion]:
-        return waited
+        def on_stage(name: str) -> None:
+            if opened:
+                span, attrs = opened.pop()
+                tracer.end(span, clock.now(), **attrs)
+            worker = assignment.worker
+            span = tracer.begin(
+                name, clock.now(), parent=assignment.span,
+                track="batcher" if worker is None else f"worker:{worker}",
+                batch_id=assignment.batch_id, size=assignment.size,
+                ciphertexts=len(assignment.fills),
+            )
+            staged = self._staged.get(assignment.queue)
+            opened.append((span, {"engine": getattr(staged, "engine", None)}
+                           if name == "execute" else {}))
+
+        traced = tracer is not None and clock is not None
+        result = _eval_result(
+            assignment.worker, self._request(assignment, action.epoch),
+            self._staged, on_stage if traced else None,
+        )
+        if opened:
+            tracer.end(opened[0][0], clock.now(), oracle_failures=sum(
+                part.oracle_failures or 0 for part in result.parts()
+                if part.error is None
+            ))
+        self._action = None
+        return [result]
 
 
 class ProcessTransport(Transport):
@@ -490,6 +612,8 @@ class ProcessTransport(Transport):
     #: A result can be lost and a worker can hang, so shutdown does not
     #: wait for in-flight batches longer than it waits for a join.
     close_grace_s = 5.0
+    #: Workers are shipped the envelope, and results are built from it.
+    _package = staticmethod(ShippedModel.from_registered)
 
     def __init__(self, verify_oracle: bool, clock,
                  heartbeat_interval_s: float, worker_entry=None):
@@ -500,19 +624,13 @@ class ProcessTransport(Transport):
                 f"heartbeat_interval_s must be > 0, got "
                 f"{heartbeat_interval_s}"
             )
-        self.verify_oracle = verify_oracle
-        self.clock = clock
+        super().__init__(verify_oracle, clock)
         self.heartbeat_interval_s = heartbeat_interval_s
         #: Spawn target for pool processes; tests swap in a chaos shim
         #: (see repro.serve.faults.chaos_worker_main).  Must be
         #: spawn-picklable.
         self._worker_entry = worker_entry
         self._mp = get_context("spawn")
-        #: model name -> the envelope workers are shipped; field for
-        #: field the registered model, so results are built from it too.
-        self._envelopes: Dict[str, ShippedModel] = {}
-        #: batch_id -> assignment awaiting a worker result.
-        self._inflight: Dict[int, Assignment] = {}
         self._procs: List[object] = []
         self._conns: List[object] = []
         #: Per worker slot, the epoch its live incarnation was spawned
@@ -523,17 +641,6 @@ class ProcessTransport(Transport):
         #: The live pipes, as :meth:`wait` (lock-free) reads them.
         self._listening: Tuple[object, ...] = ()
         self._last_ping = clock.now()
-
-    def stage(self, registered) -> int:
-        self._envelopes[registered.name] = ShippedModel.from_registered(
-            registered
-        )
-        # The worker evaluates with the routine the pump thread runs,
-        # on the same artifact: what shares a pass here does there.
-        return shared_pass_lanes(registered)
-
-    def unstage(self, name: str) -> None:
-        self._envelopes.pop(name, None)
 
     def _listen(self) -> None:
         self._listening = tuple(c for c in self._conns if c is not None)
@@ -601,7 +708,7 @@ class ProcessTransport(Transport):
         if isinstance(action, ShipAction):
             self._send_to(
                 self._conns[action.worker],
-                (MSG_LOAD, self._envelopes[action.model]),
+                (MSG_LOAD, self._staged[action.model]),
             )
             return
         assignment = action.assignment
@@ -609,23 +716,12 @@ class ProcessTransport(Transport):
             action.worker if isinstance(action, HedgeAction)
             else assignment.worker
         )
-        request = BatchRequest(
-            batch_id=assignment.batch_id,
-            model=assignment.queue,
-            epoch=action.epoch,
-            features=tuple(
-                tuple(t.payload.features) for t in assignment.tickets
-            ),
-            verify_oracle=self.verify_oracle,
-            fills=assignment.fills,
-        )
         # A hedge send reuses the primary's inflight entry: results
         # carry (worker, epoch), so either replica can resolve it.
-        self._inflight[assignment.batch_id] = assignment
-        self._send_to(self._conns[worker], (MSG_EVAL, request))
-
-    def forget(self, batch_id: int) -> None:
-        self._inflight.pop(batch_id, None)
+        self._send_to(
+            self._conns[worker],
+            (MSG_EVAL, self._request(assignment, action.epoch)),
+        )
 
     def wait(self, timeout: float):
         from multiprocessing.connection import wait as conn_wait
@@ -635,8 +731,8 @@ class ProcessTransport(Transport):
         except OSError:
             return []
 
-    def receive(self, waited) -> List[object]:
-        events: List[object] = []
+    def _arrivals(self, waited) -> List[object]:
+        arrivals: List[object] = []
         for conn in waited:
             try:
                 worker = self._conns.index(conn)
@@ -645,17 +741,15 @@ class ProcessTransport(Transport):
             try:
                 message = conn.recv()
             except (EOFError, OSError):
-                events.append(WorkerDied(worker, self._epochs[worker]))
+                arrivals.append(WorkerDied(worker, self._epochs[worker]))
                 continue
             tag = message[0]
             if tag == MSG_RESULT:
-                event = self._result_event(message[1])
-                if event is not None:
-                    events.append(event)
+                arrivals.append(message[1])
             elif tag in (MSG_READY, MSG_PONG):
                 if tag == MSG_READY:
                     self._unready_spawns[worker] = 0
-                events.append(Heartbeat(worker, message[2]))
+                arrivals.append(Heartbeat(worker, message[2]))
             # MSG_LOADED is informational; the router's ledger was
             # updated at ship time.
         now = self.clock.now()
@@ -663,87 +757,7 @@ class ProcessTransport(Transport):
             self._last_ping = now
             for conn in self._listening:
                 self._send_to(conn, (MSG_PING,))
-        return events
-
-    def _result_event(self, result: "BatchResult"):
-        assignment = self._inflight.pop(result.batch_id, None)
-        if assignment is None:
-            return None  # duplicated or hedged-and-already-resolved
-        # Trust what the result *says* about its origin, not what the
-        # dispatch remembered: a hedged batch resolves from whichever
-        # replica answered first.
-        worker, epoch = result.worker, result.epoch
-        shipped = self._envelopes.get(assignment.queue)
-        batches = assignment.batches()
-        if shipped is None:
-            # The model was unregistered under the assignment: every
-            # ticket fails loudly, nothing is retried.
-            return Completion(assignment, worker, epoch,
-                              [None] * len(batches))
-        parts = result.parts()
-        bitvectors = result.bitvectors or ()
-        verdicts = result.oracle_ok
-        answered = sum(
-            fill for fill, part in zip(assignment.fills, parts)
-            if part.error is None
-        )
-        if (
-            len(parts) != len(batches)
-            or len(bitvectors) != answered
-            or (verdicts is not None and len(verdicts) != answered)
-        ):
-            # A truncated/corrupted completion envelope.  Fail closed:
-            # the sender is lying about the assignment's shape, so treat
-            # it as a worker fault — the facade kills it and takes the
-            # crash/respawn path (the tickets park or quarantine;
-            # nothing is resolved from a malformed result).
-            self._inflight[assignment.batch_id] = assignment
-            return WorkerDied(worker, epoch)
-        records: List[Optional[BatchRecord]] = []
-        deliveries = []  # (batch id, tickets, inference ms, their bitvectors)
-        at = 0
-        for (batch_id, tickets), part in zip(batches, parts):
-            if part.error is not None:
-                # Deterministic worker-side failure: no retry — a
-                # second run would fail identically; the batch's
-                # tickets fail, the others are answered.
-                records.append(None)
-                continue
-            degraded = None
-            if part.degraded_engine is not None:
-                degraded = (shipped.engine, part.degraded_engine)
-            records.append(BatchRecord(
-                model=assignment.queue,
-                batch_id=batch_id,
-                size=len(tickets),
-                capacity=shipped.layout.capacity,
-                tracker=None,  # the worker's tracker does not cross the pipe
-                phase_ms=part.phase_ms,
-                inference_ms=part.inference_ms,
-                data_encrypt_ms=part.data_encrypt_ms,
-                oracle_failures=part.oracle_failures,
-                degraded=degraded,
-            ))
-            upto = at + len(tickets)
-            deliveries.append(
-                (batch_id, list(tickets), part.inference_ms, slice(at, upto))
-            )
-            at = upto
-
-        def resolve() -> None:
-            for batch_id, tickets, inference_ms, span in deliveries:
-                outcomes = classification_results(
-                    shipped, batch_id,
-                    [ticket.payload.features for ticket in tickets],
-                    bitvectors[span], inference_ms,
-                    None if verdicts is None else verdicts[span],
-                )
-                for ticket, outcome in zip(tickets, outcomes):
-                    future = ticket.payload.future
-                    if not future.done():
-                        future.set_result(outcome)
-
-        return Completion(assignment, worker, epoch, records, resolve)
+        return arrivals
 
     def close(self) -> None:
         conns = list(self._listening)

@@ -9,11 +9,11 @@ lives in the router — and holds no scheduling state at all:
   rebuilt registered model.  The router ships each model at most once
   per (worker, epoch), so this is the only time the multi-megabyte
   bundle crosses the pipe.
-* ``("eval", BatchRequest)`` — run the assignment's batches together
-  through :func:`~repro.serve.faults.evaluate_batches_down_ladder` (the
-  routine and the engine ladder the in-thread batcher runs: one kernel
-  pass when the engine can share one), and send back a
-  :class:`~repro.serve.transport.BatchResult` of plain numbers.
+* ``("eval", BatchRequest)`` — :func:`_eval_result`: run the batches
+  together through :func:`~repro.serve.faults.evaluate_batches_down_ladder`
+  (one kernel pass when the engine can share one) and send back a
+  :class:`~repro.serve.transport.BatchResult` of plain numbers — what an
+  in-process service's pump thread runs too, without the pipe.
   Worker-side failures are caught and returned per batch as an
   ``error`` — the router decides retry vs. fail, the worker never dies
   on a bad batch.
@@ -58,8 +58,8 @@ def evaluate_batch(
 
     :func:`~repro.serve.batched_runtime.evaluate_registered_batch`
     distilled to the plain numbers a
-    :class:`~repro.serve.transport.BatchResult` carries (futures, spans
-    and the tracker stay router-side).  ``engine`` overrides the
+    :class:`~repro.serve.transport.BatchResult` carries (futures and
+    spans stay with the facade).  ``engine`` overrides the
     registered engine.  Returns ``(bitvectors, phase_ms, inference_ms,
     data_encrypt_ms, oracle_ok)``.
     """
@@ -76,8 +76,10 @@ def evaluate_batch(
 
 
 def _eval_result(
-    worker_id: int, request: BatchRequest, models
+    worker_id: int, request: BatchRequest, models, on_stage=None
 ) -> BatchResult:
+    """Reduce one assignment to its :class:`BatchResult` against
+    ``models`` (name -> model); ``on_stage`` is the routine's hook."""
     groups = request.batches()
     try:
         registered = models.get(request.model)
@@ -89,10 +91,11 @@ def _eval_result(
             )
         outcomes = evaluate_batches_down_ladder(
             registered, groups, verify_oracle=request.verify_oracle,
+            on_stage=on_stage,
         )
     except BaseException as exc:  # contained: the router decides
         outcomes = [exc] * len(groups)
-    bitvectors: List[Tuple[int, ...]] = []
+    bitvectors: List[List[int]] = []
     verdicts: List[bool] = []
     parts: List[BatchPart] = []
     for outcome in outcomes:
@@ -103,7 +106,8 @@ def _eval_result(
             ))
             continue
         evaluation, degraded = outcome
-        bitvectors.extend(tuple(b) for b in evaluation.bitvectors)
+        stats = evaluation.tracker.phase_stats
+        bitvectors.extend(evaluation.bitvectors)
         oracle_failures = None
         if evaluation.oracle_ok is not None:
             verdicts.extend(evaluation.oracle_ok)
@@ -114,6 +118,10 @@ def _eval_result(
             evaluation.data_encrypt_ms,
             oracle_failures,
             degraded_engine=None if degraded is None else degraded[1],
+            phase_op_counts={
+                phase: {k.value: n for k, n in stats(phase).counts.items()}
+                for phase in evaluation.tracker.phases
+            },
         ))
     return BatchResult(
         batch_id=request.batch_id,

@@ -655,18 +655,20 @@ class TestAssignmentOnTheWire:
         assert (completion.worker, completion.epoch) == (0, 3)
         assert transport._inflight == {}
         assert [
-            (r.batch_id, r.size, r.capacity, r.tracker, r.oracle_failures)
+            (r.batch_id, r.size, r.capacity, r.oracle_failures)
             for r in completion.records
         ] == [
-            (7 + j, fill, self.CAPACITY, None, 0 if verify else None)
+            (7 + j, fill, self.CAPACITY, 0 if verify else None)
             for j, fill in enumerate(fills)
         ]
         assert [
-            (r.phase_ms, r.inference_ms, r.data_encrypt_ms)
+            (r.phase_ms, r.inference_ms, r.data_encrypt_ms, r.phase_op_counts)
             for r in completion.records
         ] == [
-            (p.phase_ms, p.inference_ms, p.data_encrypt_ms) for p in parts
+            (p.phase_ms, p.inference_ms, p.data_encrypt_ms, p.phase_op_counts)
+            for p in parts
         ]
+        assert all(p.phase_op_counts for p in parts)
         assert not any(t.future.done() for t in assignment.tickets)
         completion.resolve()
         at = 0
@@ -778,17 +780,23 @@ class TestAssignmentOnTheWire:
         )
         for message in (request, result):
             assert pickle.loads(pickle.dumps(message)) == message
-        assert request.batches() == [features]
-        # the worker answers that request with that result
-        assert _eval_result(0, request, {registered.name: registered}) == (
-            result
-        )
+        assert [[list(f) for f in b] for b in request.batches()] == [
+            features
+        ]
+        # the worker answers that request with that result, plus the
+        # batch's op counts (bitvectors as the lists the routine made)
+        answer = _eval_result(0, request, {registered.name: registered})
+        assert answer.phase_op_counts
+        assert dataclasses.replace(
+            answer, phase_op_counts={},
+            bitvectors=tuple(tuple(b) for b in answer.bitvectors),
+        ) == result
         transport = self.wire(registered)
         transport._inflight[1] = assignment
         completion = transport._result_event(result)
         assert completion.records == [BatchRecord(
             model="m", batch_id=1, size=self.CAPACITY,
-            capacity=self.CAPACITY, tracker=None, phase_ms=phase_ms,
+            capacity=self.CAPACITY, phase_op_counts={}, phase_ms=phase_ms,
             inference_ms=inference_ms, data_encrypt_ms=encrypt_ms,
             oracle_failures=0, degraded=None,
         )]
@@ -1001,7 +1009,7 @@ class TestRealCluster:
             registered = service.register_model(
                 "m", example_forest, precision=8, max_batch_size=4
             )
-            envelope = service.transport._envelopes["m"]
+            envelope = service.transport._staged["m"]
             fingerprint = registered.compiled.fingerprint()
             with pytest.raises(ValidationError, match="does not match"):
                 service.set_model_engine(
@@ -1016,7 +1024,7 @@ class TestRealCluster:
                     0.0,
                 )
             assert registered.engine == "tape"
-            assert service.transport._envelopes["m"] is envelope
+            assert service.transport._staged["m"] is envelope
             assert "redeploy" not in {d[0] for d in service.decisions}
 
             plant.apply(
@@ -1026,7 +1034,7 @@ class TestRealCluster:
                 0.0,
             )
             assert registered.engine == "eager"
-            assert service.transport._envelopes["m"].engine == "eager"
+            assert service.transport._staged["m"].engine == "eager"
             assert "redeploy" in {d[0] for d in service.decisions}
             res = service.classify_many(
                 "m", real_queries(example_forest, 3)

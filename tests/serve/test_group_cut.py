@@ -132,13 +132,14 @@ class TestCutRule:
         core = core_with(lanes=8)
         tickets = core.submit_many("m", [Payload() for _ in range(9)], 0.0)
         assignment = core.assign(0.0)
-        core.complete(assignment, 1.0, failed=[1])
+        core.complete(assignment, 1.0, failed={1: "RuntimeError: boom"})
         stats = core.stats()
         assert (stats.completed, stats.failed) == (6, 3) and conserved(stats)
         failures = core.drain_failures()
         assert [f for f, _ in failures] == [t.future for t in tickets[3:6]]
         assert all(
-            isinstance(exc, ServeError) and "batch 2 " in str(exc)
+            isinstance(exc, ServeError)
+            and str(exc) == "batch 2 evaluation failed: RuntimeError: boom"
             for _, exc in failures
         )
         assert core.idle_workers() == [0, 1, 2, 3]
@@ -474,7 +475,11 @@ class TestGroupsThroughTheFacade:
         ]
         assert failed == [5, 6, 7, 8]  # the poisoned ciphertext, alone
         for k in failed:
-            assert "poison" in str(futures[k].exception(timeout=0))
+            exc = futures[k].exception(timeout=0)
+            assert isinstance(exc, ServeError) and str(exc) == (
+                "batch 2 evaluation failed: RuntimeProtocolError: "
+                "this ciphertext is poison"
+            )
         for k in set(range(16)) - {1, *failed}:
             result = futures[k].result(timeout=0)
             assert result.oracle_ok is True

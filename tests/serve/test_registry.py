@@ -134,7 +134,7 @@ class TestFingerprintParity:
         )
 
     def messages_for(self, backend, example_forest):
-        from repro.errors import RuntimeProtocolError
+        from repro.errors import ServeError
         from repro.serve import CopseService
 
         twin = self.shape_twin(example_forest)
@@ -145,7 +145,10 @@ class TestFingerprintParity:
             assert a.layout == b.layout  # genuinely shape-identical
             # Cross the wires: model a's cached plan, model b's bundle.
             a.batched_model = b.batched_model
-            with pytest.raises(RuntimeProtocolError) as excinfo:
+            # (the batch's futures quote the evaluation's own refusal)
+            with pytest.raises(ServeError, match=(
+                r"^batch 1 evaluation failed: RuntimeProtocolError: "
+            )) as excinfo:
                 service.classify("a", [40, 200])
             return str(excinfo.value)
 

@@ -26,7 +26,7 @@ from repro.obs.metrics import percentile
 from repro.obs.trace import Tracer
 from repro.serve.cluster import AssignAction, RouterCore
 from repro.serve import CopseService
-from repro.serve.batcher import QueryBatcher
+from repro.serve import worker as serve_worker
 from repro.serve.scheduler import (
     OUTCOME_ERROR,
     OUTCOME_OK,
@@ -676,10 +676,12 @@ class TestThreadedLifecycle:
         held the scheduler lock, so a done-callback touching the
         scheduler (stats(), a sibling result()) deadlocked the pool."""
 
-        def explode(self, batch, **where):
+        def explode(*args, **kwargs):
             raise RuntimeError("boom")  # and resolves no future itself
 
-        monkeypatch.setattr(QueryBatcher, "evaluate", explode)
+        monkeypatch.setattr(
+            serve_worker, "evaluate_batches_down_ladder", explode
+        )
         service = CopseService(threads=1)
         service.register_model("m", example_forest, max_batch_size=1)
         reentry = []
@@ -687,8 +689,9 @@ class TestThreadedLifecycle:
         future.add_done_callback(
             lambda f: reentry.append(service.stats().scheduler.failed)
         )
-        with pytest.raises(ServeError):
+        with pytest.raises(ServeError) as failure:
             future.result(timeout=30)
+        assert "boom" in str(failure.value)
         service.close()
         assert reentry == [1]  # the callback ran and saw the service
 
@@ -733,9 +736,10 @@ class TestLeadEvaluator:
 
     @pytest.fixture
     def record(self, monkeypatch):
-        """Wraps ``QueryBatcher.evaluate``: who ran it, how many at
-        once, on which slot each query was answered."""
-        evaluate = QueryBatcher.evaluate
+        """Wraps ``worker._eval_result``, the one routine the pump
+        thread runs: who ran it, how many at once, on which slot each
+        assignment was evaluated."""
+        evaluate = serve_worker._eval_result
 
         class Recorder:
             def __init__(self):
@@ -746,27 +750,22 @@ class TestLeadEvaluator:
                 self.batches = 0
                 self.slots = set()
 
-            def __call__(self, batcher, batch, parent_span=None,
-                         worker=None):
+            def __call__(self, worker, request, models, on_stage=None):
                 with self._lock:
                     self.in_flight += 1
                     self.peak = max(self.peak, self.in_flight)
                     self.threads.add(threading.get_ident())
-                    self.batches += 1
+                    self.batches += len(request.batches())
                     self.slots.add(worker)
                 time.sleep(0.001)  # releases the GIL: an overlap shows
                 try:
-                    return evaluate(batcher, batch, parent_span=parent_span,
-                                    worker=worker)
+                    return evaluate(worker, request, models, on_stage)
                 finally:
                     with self._lock:
                         self.in_flight -= 1
 
         recorder = Recorder()
-        monkeypatch.setattr(
-            QueryBatcher, "evaluate",
-            lambda self, *args, **kwargs: recorder(self, *args, **kwargs),
-        )
+        monkeypatch.setattr(serve_worker, "_eval_result", recorder)
         return recorder
 
     def test_at_most_one_evaluation_in_flight(self, example_forest, record):

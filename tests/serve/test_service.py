@@ -290,9 +290,10 @@ class TestConformance:
                 with pytest.raises(ServeError, match="unregistered"):
                     future.result(timeout=60)
             for future in broken:
-                # failed once, by the evaluation (in-thread: its own
-                # exception; across the pipe: the typed stand-in)
-                with pytest.raises(Exception):
+                # failed once, by the evaluation, quoting its cause
+                with pytest.raises(
+                    ServeError, match=r"^batch \d+ evaluation failed: \w+"
+                ):
                     future.result(timeout=60)
             with pytest.raises(CancelledError):
                 ok[1].result(timeout=60)
@@ -342,9 +343,12 @@ class TestConformance:
         assert [(d[1], d[5]) for d in assigns] == [(1, 12)]
         for k, future in enumerate(futures):
             if 4 <= k < 8:
-                # in-thread: the evaluation's own refusal; across the
-                # pipe: the typed stand-in naming the batch
-                with pytest.raises(Exception, match="does not fit|batch 2 "):
+                # one refusal on both transports: the batch named, the
+                # evaluation's own diagnosis quoted
+                with pytest.raises(ServeError, match=(
+                    r"^batch 2 evaluation failed: ValidationError: "
+                    r".*does not fit"
+                )):
                     future.result(timeout=0)
                 continue
             result = future.result(timeout=0)
@@ -357,6 +361,145 @@ class TestConformance:
         assert (stats.completed, stats.failed, stats.retries) == (8, 4, 0)
         assert stats.batches == 3 and counters["svc_batches"] == 2
         assert "park" not in {d[0] for d in decisions}
+
+    def test_drain_returns_to_answers(self, transport, example_forest):
+        """Futures are answered after the router books the batch, outside
+        the lock: a ``drain`` (or ``flush``) that finds nothing in
+        flight while the pump is still answering waits for the answers
+        — here, while a done-callback holds the pump up for less than a
+        poll."""
+        import threading
+        import time
+
+        queries = queries_for(example_forest, 4, seed=37)
+        answering = threading.Event()
+        with open_service(transport) as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            futures = service.submit_many("m", queries)  # a full batch
+            futures[0].add_done_callback(
+                lambda _: (answering.set(), time.sleep(0.03))
+            )
+            assert answering.wait(timeout=60)
+            assert service.drain(timeout=60)
+            assert [f.done() for f in futures] == [True] * 4
+
+    def test_op_counts_are_booked_alike(self, transport, example_forest):
+        """``svc_ops`` / ``svc_phase_ops`` and the per-engine view are
+        the sum of what the routine's trackers counted, batch by batch
+        — on the process pool too, where the counts cross the pipe."""
+        from repro.serve.batched_runtime import evaluate_registered_batch
+
+        queries = queries_for(example_forest, 9, seed=29)
+        with open_service(transport) as service:
+            registered = service.register_model(
+                "m", example_forest, max_batch_size=4
+            )
+            service.classify_many("m", queries)
+            counters = service.metrics_snapshot()["counters"]
+            stats = CopseService.stats(service)  # the ServiceStats view
+        expected_ops, expected_phase_ops = {}, {}
+        for at in (0, 4, 8):  # the batches the request was cut into
+            tracker = evaluate_registered_batch(
+                registered, queries[at : at + 4]
+            ).tracker
+            for phase in tracker.phases:
+                for kind, n in tracker.phase_stats(phase).counts.items():
+                    op = kind.value
+                    expected_ops[op] = expected_ops.get(op, 0) + n
+                    key = (phase, op)
+                    expected_phase_ops[key] = (
+                        expected_phase_ops.get(key, 0) + n
+                    )
+        assert {
+            key: value for key, value in counters.items()
+            if key.startswith("svc_ops{")
+        } == {f'svc_ops{{op="{op}"}}': n for op, n in expected_ops.items()}
+        assert {
+            key: value for key, value in counters.items()
+            if key.startswith("svc_phase_ops{")
+        } == {
+            f'svc_phase_ops{{op="{op}",phase="{phase}"}}': n
+            for (phase, op), n in expected_phase_ops.items()
+        }
+        assert stats.op_counts == expected_ops
+        tape_ops = {
+            op: n for (phase, op), n in expected_phase_ops.items()
+            if phase == "tape_inference"
+        }
+        assert tape_ops and stats.engine_op_counts("tape") == tape_ops
+
+    def test_one_reduce_function(self, transport, example_forest):
+        """The path an assignment takes to its ``BatchResult`` —
+        in-thread, the pump thread's ``wait``; across the pipe, the
+        request and the result through ``pickle`` around the worker's
+        own call — returns what ``worker._eval_result`` returns, down
+        to a batch that fails, save the worker id."""
+        import dataclasses
+        import pickle
+
+        from repro.serve import ModelRegistry
+        from repro.serve.batcher import PendingQuery
+        from repro.serve.scheduler import Assignment, QueryTicket
+        from repro.serve.simclock import RealClock
+        from repro.serve.transport import (
+            AssignAction,
+            BatchRequest,
+            InThreadTransport,
+            ProcessTransport,
+        )
+        from repro.serve.worker import _eval_result
+
+        registered = ModelRegistry().register(
+            "m", example_forest, max_batch_size=4, engine="megakernel",
+            backend="vector",
+        )
+        features = queries_for(example_forest, 10, seed=31)
+        features[5] = [1 << 12] * example_forest.n_features  # batch 2 fails
+        assignment = Assignment(
+            batch_id=3, queue="m", worker=1,
+            tickets=[
+                QueryTicket("m", "acme", PendingQuery(f), 0.0, None, 0, seq)
+                for seq, f in enumerate(features)
+            ],
+            cut_time=0.0, fills=(4, 4, 2),
+        )
+        direct = _eval_result(
+            0,
+            BatchRequest(
+                batch_id=3, model="m", epoch=2, features=features,
+                verify_oracle=True, fills=(4, 4, 2),
+            ),
+            {"m": registered},
+        )
+        if transport == "in-thread":
+            side = InThreadTransport(True, None, None)
+            side.stage(registered)
+            side.send(AssignAction(assignment=assignment, epoch=2))
+            (result,) = side.wait(0.0)
+        else:
+            side = ProcessTransport(True, RealClock(), 5.0)  # spawns none
+            side.stage(registered)
+            sent = []
+            side._conns = [None, None]
+            side._send_to = lambda conn, message: sent.append(
+                pickle.dumps(message)
+            )
+            side.send(AssignAction(assignment=assignment, epoch=2))
+            _, request = pickle.loads(sent[-1])
+            result = pickle.loads(pickle.dumps(
+                _eval_result(1, request, {"m": registered})
+            ))
+        assert result.worker == 1
+        assert dataclasses.replace(result, worker=0) == direct
+        assert [p.error is None for p in direct.parts()] == [
+            True, False, True,
+        ]
+        assert direct.parts()[1].error.startswith("ValidationError: ")
+        assert all(p.phase_op_counts for p in direct.parts() if not p.error)
+        # ... and the one completion handler answers it
+        completion = side._result_event(result)
+        assert completion.failed == {1: direct.parts()[1].error}
+        assert [r and r.batch_id for r in completion.records] == [3, None, 5]
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -433,6 +576,24 @@ class TestOneFacade:
         assert [n for n in thread if thread[n] is not process[n]] == [
             "stats"
         ]
+
+    def test_one_answer_path(self):
+        """Both transports reduce an assignment with the one worker
+        function and answer it with the one completion handler: one
+        call of each in ``transport.py``, and no second evaluation path
+        left in the batcher."""
+        import pathlib
+
+        import repro.serve
+
+        root = pathlib.Path(repro.serve.__file__).parent
+        transport = (root / "transport.py").read_text()
+        batcher = (root / "batcher.py").read_text()
+        assert transport.count("_eval_result(") == 1
+        assert transport.count("._result_event(") == 1
+        assert transport.count("def receive(") == 1
+        assert "evaluate_group" not in batcher
+        assert "evaluate_batches_down_ladder" not in batcher
 
     def test_real_identical_bits_on_both_transports(self, example_forest):
         queries = queries_for(example_forest, 11, seed=5)
@@ -539,15 +700,11 @@ class TestEngineLadder:
         assert stats.scheduler.failed == 0 and conserved(stats.scheduler)
 
     def test_the_walk(self, example_forest, monkeypatch):
-        """The worker process runs this same function, so its side of
-        the ladder is covered without a spawn-picklable fault."""
         from repro.errors import RuntimeProtocolError
         from repro.fhe.context import FheContext
         from repro.serve import ModelRegistry
         from repro.core.engines import result_of
         from repro.serve.faults import evaluate_batches_down_ladder
-        from repro.serve.transport import BatchRequest
-        from repro.serve.worker import _eval_result
 
         registered = ModelRegistry().register(
             "m", example_forest, max_batch_size=4, engine="megakernel",
@@ -569,13 +726,6 @@ class TestEngineLadder:
         assert evaluation.engine == "plan"
         assert evaluation.bitvectors == oracle
         assert evaluation.oracle_ok == [True] * 3
-        request = BatchRequest(
-            batch_id=7, model="m", epoch=2,
-            features=tuple(tuple(f) for f in features),
-        )
-        result = _eval_result(0, request, {"m": registered})
-        assert result.degraded_engine == "plan" and result.error is None
-        assert [list(b) for b in result.bitvectors] == oracle
 
         # Past the last rung: the registered engine's own refusal.
         self.break_engines(monkeypatch, "plan")
@@ -587,9 +737,6 @@ class TestEngineLadder:
             result_of(
                 evaluate_batches_down_ladder(registered, [features])[0]
             )
-        failed = _eval_result(0, request, {"m": registered})
-        assert failed.bitvectors is None
-        assert failed.error.startswith("RuntimeProtocolError")
 
 
 class TestRoundTrip:
@@ -710,14 +857,14 @@ class TestErrors:
             # flush() stops serving it, releasing the cached model.
             service.flush()
             assert service.router.core.queue_names() == []
-            assert service.transport._batchers == {}
+            assert service.transport._staged == {}
 
     def test_unregister_model_releases_batcher(self, example_forest):
         with CopseService(threads=1) as service:
             service.register_model("m", example_forest)
             service.unregister_model("m")
             assert service.router.core.queue_names() == []
-            assert service.transport._batchers == {}
+            assert service.transport._staged == {}
             with pytest.raises(ValidationError):
                 service.submit("m", [1, 2])
 
