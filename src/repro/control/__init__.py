@@ -7,20 +7,18 @@ on it.  Split in the established pure-core style:
 * :mod:`repro.control.signals` — :class:`ControlSnapshot`: one frozen,
   deterministic observation per tick, read exclusively from the shared
   metrics registry (the same source of truth ``repro metrics`` reads);
-* :mod:`repro.control.policy` — pluggable policies producing typed
-  :class:`Proposal`\\ s (:class:`ScaleWorkers`,
-  :class:`AdjustTenantWeight`, :class:`SetAdmissionLimit`,
-  :class:`SwitchEngine`/:class:`SwitchBackend`), each with sustain-count
-  hysteresis so decisions do not flap;
+* :mod:`repro.control.policy` — :class:`AutoscalePolicy`, the one
+  :class:`Policy`: SLO/backlog pressure in, typed :class:`ScaleWorkers`
+  :class:`Proposal`\\ s out, with sustain-count hysteresis so decisions
+  do not flap;
 * :mod:`repro.control.guards` — :class:`GuardRail`: every proposal is
   verified against declared invariants (worker bounds, in-flight epoch
-  safety, bounded weight steps, fingerprint-matched switches, per-kind
-  cooldowns) before actuation; rejections are recorded with reasons,
-  never dropped — the rail fails closed;
+  safety, per-kind cooldowns) before actuation; rejections are
+  recorded with reasons, never dropped — the rail fails closed;
 * :mod:`repro.control.actuator` — :class:`Plant`: the one actuation
   seam over the live serve facade
   (:class:`~repro.serve.service.CopseService`, on either transport)
-  and the simulator;
+  and the simulator: it grows and shrinks the worker pool;
 * :mod:`repro.control.loop` — :class:`Controller`: the caller-clocked
   observe -> propose -> guard -> actuate cycle, emitting the ordered
   auditable decision log that is the determinism witness (byte-identical
@@ -49,20 +47,12 @@ experiment.  See DESIGN.md ("Control plane") for the dataflow and the
 determinism contract.
 """
 
-from repro.control.signals import ControlSnapshot, QueueSignal
+from repro.control.signals import ControlSnapshot
 from repro.control.policy import (
-    AdjustTenantWeight,
-    AdmissionReliefPolicy,
     AutoscalePolicy,
-    DegradationPolicy,
-    EngineDriftPolicy,
     Policy,
     Proposal,
     ScaleWorkers,
-    SetAdmissionLimit,
-    SwitchBackend,
-    SwitchEngine,
-    WeightBalancePolicy,
 )
 from repro.control.guards import GuardConfig, GuardRail
 from repro.control.actuator import Plant
@@ -70,19 +60,10 @@ from repro.control.loop import Controller
 
 __all__ = [
     "ControlSnapshot",
-    "QueueSignal",
     "Proposal",
     "ScaleWorkers",
-    "AdjustTenantWeight",
-    "SetAdmissionLimit",
-    "SwitchEngine",
-    "SwitchBackend",
     "Policy",
     "AutoscalePolicy",
-    "WeightBalancePolicy",
-    "AdmissionReliefPolicy",
-    "EngineDriftPolicy",
-    "DegradationPolicy",
     "GuardConfig",
     "GuardRail",
     "Plant",

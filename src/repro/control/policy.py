@@ -10,9 +10,9 @@ and everything unsafe about it is someone else's veto.
 
 Determinism contract: ``propose`` must be a pure function of the
 snapshot sequence it has seen (no clocks, no randomness, no ambient
-reads), so the decision log replays byte-identically per seed.  All
-built-in policies carry only sustain counters and previous-snapshot
-values as state.
+reads), so the decision log replays byte-identically per seed.
+:class:`AutoscalePolicy`, the one built-in policy, carries only sustain
+counters and the previous snapshot's miss count as state.
 
 Hysteresis shows up twice, on purpose: policies require a condition to
 *sustain* for N consecutive ticks before proposing (so one noisy sample
@@ -32,16 +32,8 @@ from repro.control.signals import ControlSnapshot
 __all__ = [
     "Proposal",
     "ScaleWorkers",
-    "AdjustTenantWeight",
-    "SetAdmissionLimit",
-    "SwitchEngine",
-    "SwitchBackend",
     "Policy",
     "AutoscalePolicy",
-    "WeightBalancePolicy",
-    "AdmissionReliefPolicy",
-    "EngineDriftPolicy",
-    "DegradationPolicy",
 ]
 
 
@@ -73,63 +65,6 @@ class ScaleWorkers(Proposal):
 
     def log_fields(self) -> Tuple:
         return (self.kind, self.delta)
-
-
-@dataclass(frozen=True)
-class AdjustTenantWeight(Proposal):
-    """Retune one model queue's fair-share weight."""
-
-    queue: str = ""
-    weight: float = 1.0
-    kind = "adjust_weight"
-
-    def log_fields(self) -> Tuple:
-        return (self.kind, self.queue, round(self.weight, 9))
-
-
-@dataclass(frozen=True)
-class SetAdmissionLimit(Proposal):
-    """Rebound one model queue's admission limit (None = unbounded)."""
-
-    queue: str = ""
-    limit: Optional[int] = None
-    kind = "set_admission_limit"
-
-    def log_fields(self) -> Tuple:
-        return (self.kind, self.queue,
-                -1 if self.limit is None else self.limit)
-
-
-@dataclass(frozen=True)
-class SwitchEngine(Proposal):
-    """Flip one model's execution engine (megakernel / tape / plan /
-    eager).
-
-    ``expected_fingerprint`` is mandatory context: the guards refuse
-    any switch whose fingerprint does not match their declared one, and
-    the registry re-verifies it at apply time — fail closed twice.
-    """
-
-    model: str = ""
-    engine: str = ""
-    expected_fingerprint: Optional[str] = None
-    kind = "switch_engine"
-
-    def log_fields(self) -> Tuple:
-        return (self.kind, self.model, self.engine)
-
-
-@dataclass(frozen=True)
-class SwitchBackend(Proposal):
-    """Re-home one model onto a different FHE backend (re-encrypts)."""
-
-    model: str = ""
-    backend: str = ""
-    expected_fingerprint: Optional[str] = None
-    kind = "switch_backend"
-
-    def log_fields(self) -> Tuple:
-        return (self.kind, self.model, self.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -250,226 +185,3 @@ class AutoscalePolicy(Policy):
             )]
         return []
 
-
-class WeightBalancePolicy(Policy):
-    """Boost the fair-share weight of a disproportionately backlogged queue.
-
-    When one queue holds more than ``imbalance`` times the mean backlog
-    for ``sustain`` consecutive ticks, propose multiplying its weight by
-    ``boost`` (the guards bound the per-step change and the absolute
-    range).  Only ever proposes for the single worst queue per tick.
-    """
-
-    name = "weight_balance"
-
-    def __init__(self, imbalance: float = 3.0, boost: float = 2.0,
-                 sustain: int = 3, max_weight: float = 8.0):
-        if imbalance <= 1.0:
-            raise ValidationError("imbalance must be > 1")
-        if boost <= 1.0:
-            raise ValidationError("boost must be > 1")
-        self.imbalance = imbalance
-        self.boost = boost
-        self.sustain = sustain
-        self.max_weight = max_weight
-        self._streaks: dict = {}
-
-    def propose(self, s: ControlSnapshot) -> List[Proposal]:
-        if len(s.queues) < 2 or not s.total_depth:
-            self._streaks.clear()
-            return []
-        mean = s.total_depth / len(s.queues)
-        worst = max(s.queues, key=lambda q: (q.depth, q.name))
-        hot = worst.depth > self.imbalance * mean
-        for q in s.queues:
-            if q.name == worst.name and hot:
-                self._streaks[q.name] = self._streaks.get(q.name, 0) + 1
-            else:
-                self._streaks.pop(q.name, None)
-        if not hot or self._streaks.get(worst.name, 0) < self.sustain:
-            return []
-        self._streaks.pop(worst.name, None)
-        target = min(round(worst.weight * self.boost, 9), self.max_weight)
-        if target <= worst.weight:
-            return []
-        return [AdjustTenantWeight(
-            queue=worst.name,
-            weight=target,
-            reason=(
-                f"queue {worst.name!r} backlog {worst.depth} > "
-                f"{self.imbalance}x mean {round(mean, 9)} for "
-                f"{self.sustain} ticks"
-            ),
-        )]
-
-
-class AdmissionReliefPolicy(Policy):
-    """Widen a queue's admission bound while rejections are the failure mode.
-
-    If a queue rejected new work since the last tick while overall
-    deadline misses stayed low, its bound is the bottleneck — propose
-    doubling it (up to ``max_limit``).  The inverse (tightening under
-    sustained misses) is deliberately left to operators: shrinking a
-    bound sheds real traffic and should not happen autonomously.
-    """
-
-    name = "admission_relief"
-
-    def __init__(self, max_limit: int = 4096,
-                 miss_rate_ceiling: float = 0.05):
-        if max_limit < 1:
-            raise ValidationError("max_limit must be >= 1")
-        self.max_limit = max_limit
-        self.miss_rate_ceiling = miss_rate_ceiling
-        self._last_rejected: Optional[int] = None
-
-    def propose(self, s: ControlSnapshot) -> List[Proposal]:
-        prev = self._last_rejected
-        self._last_rejected = s.rejected
-        if prev is None or s.rejected <= prev:
-            return []
-        if s.deadline_miss_rate > self.miss_rate_ceiling:
-            return []  # latency is the failure mode; admitting more hurts
-        proposals: List[Proposal] = []
-        for q in s.queues:
-            if q.limit is None:
-                continue
-            if q.depth < q.limit:
-                continue  # this queue is not the one rejecting
-            target = min(q.limit * 2, self.max_limit)
-            if target <= q.limit:
-                continue
-            proposals.append(SetAdmissionLimit(
-                queue=q.name,
-                limit=target,
-                reason=(
-                    f"{s.rejected - prev} rejections since last tick "
-                    f"with queue {q.name!r} at bound {q.limit}"
-                ),
-            ))
-        return proposals
-
-
-class EngineDriftPolicy(Policy):
-    """Flip a model's engine when its live batch cost drifts from plan.
-
-    Each watched model declares the cost the current engine was chosen
-    for (``reference_ms``), the engine to fall over to, and the compiled
-    fingerprint the decision was made about.  When the scheduler's
-    EWMA-refined estimate exceeds ``drift_factor`` times the reference
-    for ``sustain`` consecutive ticks, propose the switch — once (the
-    model is then dropped from the watch list; flip-flopping engines on
-    a noisy estimate is exactly what this must not do).
-    """
-
-    name = "engine_drift"
-
-    def __init__(self, watch: dict, drift_factor: float = 1.5,
-                 sustain: int = 3):
-        """``watch``: model -> (reference_ms, target_engine, fingerprint)."""
-        if drift_factor <= 1.0:
-            raise ValidationError("drift_factor must be > 1")
-        self.watch = dict(watch)
-        self.drift_factor = drift_factor
-        self.sustain = sustain
-        self._streaks: dict = {}
-
-    def propose(self, s: ControlSnapshot) -> List[Proposal]:
-        proposals: List[Proposal] = []
-        for model in sorted(self.watch):
-            reference_ms, engine, fingerprint = self.watch[model]
-            q = s.queue(model)
-            if q is None or q.estimated_batch_ms <= 0:
-                continue
-            drifted = (
-                q.estimated_batch_ms > self.drift_factor * reference_ms
-            )
-            if not drifted:
-                self._streaks.pop(model, None)
-                continue
-            streak = self._streaks.get(model, 0) + 1
-            self._streaks[model] = streak
-            if streak < self.sustain:
-                continue
-            del self._streaks[model]
-            del self.watch[model]
-            proposals.append(SwitchEngine(
-                model=model,
-                engine=engine,
-                expected_fingerprint=fingerprint,
-                reason=(
-                    f"estimated_batch_ms {q.estimated_batch_ms} > "
-                    f"{self.drift_factor}x reference {reference_ms} "
-                    f"for {self.sustain} ticks"
-                ),
-            ))
-        return proposals
-
-
-class DegradationPolicy(Policy):
-    """Pin a model one rung down its engine ladder when workers keep
-    falling off it.
-
-    Workers already degrade per batch (megakernel -> tape -> plan ->
-    eager) when an engine raises, and the router counts each audited
-    fallback in the labeled ``cluster_degraded`` metric.  Per-batch
-    degradation retries the broken rung on every batch, though — if the
-    fast path stays broken, that is a steady tax of one failed attempt
-    per batch.  This policy watches the counter and, once fallbacks for
-    a model keep accruing for ``sustain`` consecutive ticks, proposes a
-    guard-checked :class:`SwitchEngine` that re-registers the model one
-    rung down — making the degradation sticky, auditable, and subject
-    to the same fingerprint fail-closed checks as every other switch.
-    Each watched model proposes at most once (recovery — climbing back
-    up the ladder — is an operator decision, not an autonomous one).
-    """
-
-    name = "degradation"
-
-    def __init__(self, watch: dict, sustain: int = 2):
-        """``watch``: model -> (current_engine, fingerprint)."""
-        from repro.serve.faults import degrade_engine
-
-        if sustain < 1:
-            raise ValidationError("sustain must be >= 1")
-        for model, (engine, _) in sorted(watch.items()):
-            if degrade_engine(engine) is None:
-                raise ValidationError(
-                    f"model {model!r} engine {engine!r} has no lower "
-                    f"rung to degrade to"
-                )
-        self.watch = dict(watch)
-        self.sustain = sustain
-        self._streaks: dict = {}
-        self._last_counts: dict = {}
-
-    def propose(self, s: ControlSnapshot) -> List[Proposal]:
-        from repro.serve.faults import degrade_engine
-
-        proposals: List[Proposal] = []
-        for model in sorted(self.watch):
-            engine, fingerprint = self.watch[model]
-            count = s.degraded_count(model)
-            previous = self._last_counts.get(model, 0)
-            self._last_counts[model] = count
-            if count <= previous:
-                self._streaks.pop(model, None)
-                continue
-            streak = self._streaks.get(model, 0) + 1
-            self._streaks[model] = streak
-            if streak < self.sustain:
-                continue
-            del self._streaks[model]
-            del self.watch[model]
-            target = degrade_engine(engine)
-            proposals.append(SwitchEngine(
-                model=model,
-                engine=target,
-                expected_fingerprint=fingerprint,
-                reason=(
-                    f"{count} batches degraded off engine {engine!r} "
-                    f"({count - previous} new) for {self.sustain} "
-                    f"consecutive ticks; pinning {target!r}"
-                ),
-            ))
-        return proposals

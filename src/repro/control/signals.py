@@ -8,33 +8,17 @@ that).  This keeps one source of truth: if a signal is not a metric, the
 controller cannot act on it, and anything the controller acted on can be
 inspected after the fact with the standard observability tooling.
 
-A :class:`ControlSnapshot` is frozen and built from sorted registry
-families, so two runs that produced identical metric values produce
+A :class:`ControlSnapshot` is frozen and built from unlabeled registry
+values, so two runs that produced identical metric values produce
 identical snapshots — the first link in the control loop's determinism
 chain (snapshot -> policy -> guard -> actuation, each pure).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
 
-__all__ = ["QueueSignal", "ControlSnapshot"]
-
-
-@dataclass(frozen=True)
-class QueueSignal:
-    """One model queue's control-relevant state at a tick."""
-
-    name: str
-    #: Queries currently pending (the backlog the policy reacts to).
-    depth: int
-    #: The scheduler's live (EWMA-refined) batch-cost estimate, ms.
-    estimated_batch_ms: float
-    #: Current fair-share weight.
-    weight: float
-    #: Current admission bound (None = unbounded).
-    limit: Optional[int]
+__all__ = ["ControlSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -43,14 +27,14 @@ class ControlSnapshot:
 
     Counter fields are cumulative (policies needing rates keep the
     previous snapshot and difference them); gauges and percentiles are
-    point-in-time.  ``queues`` and ``tenant_p99_ms`` are sorted by name
-    so iteration order — and therefore every downstream decision — is
-    deterministic.
+    point-in-time.
     """
 
     now: float
     live_workers: int
     free_workers: int
+    #: Queries pending across every queue (the backlog).
+    total_depth: int
     submitted: int
     completed: int
     rejected: int
@@ -59,14 +43,6 @@ class ControlSnapshot:
     worker_crashes: int
     latency_p50_ms: float
     latency_p99_ms: float
-    queues: Tuple[QueueSignal, ...] = ()
-    #: tenant name -> windowed p99 completion latency, ms (sorted).
-    tenant_p99_ms: Tuple[Tuple[str, float], ...] = ()
-    #: Queries isolated as poison by quarantine bisection (cumulative).
-    dead_lettered: int = 0
-    #: model -> batches that fell down the engine degradation ladder
-    #: (cumulative, sorted by model name).
-    degraded: Tuple[Tuple[str, int], ...] = ()
 
     @classmethod
     def capture(cls, metrics, now: float) -> "ControlSnapshot":
@@ -74,8 +50,8 @@ class ControlSnapshot:
 
         The caller must refresh point-in-time gauges first (the plants'
         ``observe`` call ``stats()`` before capturing, which is what
-        writes ``sched_queue_depth`` / ``sched_live_workers`` / the
-        per-queue EWMA cost gauges).
+        writes ``sched_pending`` / ``sched_live_workers`` /
+        ``sched_free_workers``).
         """
         def gauge(name: str) -> float:
             family = metrics.family(name)
@@ -85,47 +61,12 @@ class ControlSnapshot:
         def counter(name: str) -> int:
             return int(metrics.counter_value(name))
 
-        depths = metrics.labeled_values("sched_queue_depth")
-        costs = metrics.labeled_values("sched_estimated_batch_ms")
-        weights = metrics.labeled_values("sched_queue_weight")
-        limits = metrics.labeled_values("sched_queue_limit")
-        queues = tuple(
-            QueueSignal(
-                name=name,
-                depth=int(depth),
-                estimated_batch_ms=costs.get(name, 0.0),
-                weight=weights.get(name, 1.0),
-                limit=(
-                    None
-                    if limits.get(name, -1.0) < 0
-                    else int(limits[name])
-                ),
-            )
-            for name, depth in sorted(depths.items())
-        )
-
-        degraded = tuple(
-            sorted(
-                (model, int(count))
-                for model, count in metrics.labeled_values(
-                    "cluster_degraded"
-                ).items()
-            )
-        )
         latency = metrics.family("sched_latency_ms").get(())
-        tenant_p99 = tuple(
-            sorted(
-                (key[0].split("=", 1)[1], round(hist.percentile(0.99), 9))
-                for key, hist in metrics.family(
-                    "sched_tenant_latency_ms"
-                ).items()
-                if key
-            )
-        )
         return cls(
             now=round(now, 9),
             live_workers=int(gauge("sched_live_workers")),
             free_workers=int(gauge("sched_free_workers")),
+            total_depth=int(gauge("sched_pending")),
             submitted=counter("sched_submitted"),
             completed=counter("sched_completed"),
             rejected=counter("sched_rejected"),
@@ -138,44 +79,11 @@ class ControlSnapshot:
             latency_p99_ms=(
                 round(latency.percentile(0.99), 9) if latency else 0.0
             ),
-            queues=queues,
-            tenant_p99_ms=tenant_p99,
-            dead_lettered=counter("sched_dead_lettered"),
-            degraded=degraded,
         )
 
     # -- derived views -------------------------------------------------
 
     @property
-    def total_depth(self) -> int:
-        """Queries pending across every queue."""
-        return sum(q.depth for q in self.queues)
-
-    @property
     def backlog_per_worker(self) -> float:
         """Pending queries per live worker — the scale pressure signal."""
         return self.total_depth / max(1, self.live_workers)
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        if not self.completed:
-            return 0.0
-        return self.deadline_misses / self.completed
-
-    def queue(self, name: str) -> Optional[QueueSignal]:
-        for q in self.queues:
-            if q.name == name:
-                return q
-        return None
-
-    def tenant_p99(self, tenant: str) -> Optional[float]:
-        for name, p99 in self.tenant_p99_ms:
-            if name == tenant:
-                return p99
-        return None
-
-    def degraded_count(self, model: str) -> int:
-        for name, count in self.degraded:
-            if name == model:
-                return count
-        return 0

@@ -38,7 +38,7 @@ stream:
 * :mod:`repro.serve.cluster` — :class:`RouterCore`: pure
   placement/failover over the scheduler core (ship-once model
   distribution keyed by compiled-model fingerprints, worker epochs,
-  heartbeats, draining restarts, and the one crash policy: park ->
+  heartbeats, and the one crash policy: park ->
   backoff -> quarantine -> dead-letter);
 * :mod:`repro.serve.transport` — the ``Transport`` seam, *where* a cut
   batch is evaluated: ``InThreadTransport`` (on the service's own pump

@@ -13,10 +13,9 @@
   :class:`~repro.serve.transport.ShippedModel` envelope exactly once
   per (worker, epoch), keyed by the compiled model's fingerprint),
   **worker epochs** (a crash bumps the epoch; completions that echo a
-  stale epoch are dropped), **heartbeat liveness**, and **draining
-  restarts** for redeploys.  Every method takes an explicit ``now`` and
-  every choice lands in an ordered decision record — the determinism
-  witness.
+  stale epoch are dropped) and **heartbeat liveness**.  Every method
+  takes an explicit ``now`` and every choice lands in an ordered
+  decision record — the determinism witness.
 * :class:`ClusterService` — the name that opens the facade over
   :class:`~repro.serve.transport.ProcessTransport`: actual
   ``multiprocessing`` (spawn) workers behind pipes.  Queries submitted
@@ -37,7 +36,7 @@ Decision records are ``(kind, ...)`` tuples ordered by emission:
 ``("ship", worker, epoch, model, t)``,
 ``("assign", batch_id, queue, worker, epoch, size, first_seq, t)``,
 ``("crash", worker, new_epoch, t)``, ``("restart", worker, epoch, t)``,
-``("drain", worker, t)``, ``("redeploy", model, fingerprint, t)``,
+``("redeploy", model, fingerprint, t)``,
 ``("stale", batch_id, worker, epoch, t)``, plus the fault-domain kinds:
 ``("park", queue, seq, attempt, release_t, t)``,
 ``("bisect", origin_batch, queue, size, left, right, release_t, t)``,
@@ -162,7 +161,6 @@ class RouterCore:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.epochs: List[int] = [0] * workers
         self.alive: List[bool] = [True] * workers
-        self.draining: List[bool] = [False] * workers
         #: Ids retired or abandoned for good: the scheduler core has
         #: forgotten them, so they never restart.
         self.retired: set = set()
@@ -202,7 +200,6 @@ class RouterCore:
         self._ships = m.counter("cluster_ships")
         self._crashes = m.counter("cluster_crashes")
         self._restarts = m.counter("cluster_restarts")
-        self._drains = m.counter("cluster_drains")
         self._heartbeats = m.counter("cluster_heartbeats")
         self._stale = m.counter("cluster_epoch_invalidated")
         self._redeploys = m.counter("cluster_redeploys")
@@ -362,11 +359,7 @@ class RouterCore:
         for worker in self.placement_order(model):
             if worker in exclude:
                 continue
-            if (
-                self.alive[worker]
-                and not self.draining[worker]
-                and worker not in self._busy
-            ):
+            if self.alive[worker] and worker not in self._busy:
                 allowed, transition = self.breaker.allow(
                     (model, worker), now
                 )
@@ -620,7 +613,7 @@ class RouterCore:
 
         A completion echoing an epoch the router has since bumped comes
         from a superseded worker incarnation: its tickets were already
-        requeued (crash) or belong to a drained-and-restarted worker.
+        requeued (crash) or belong to a retired worker.
         Counting it would double-complete queries, so it is dropped and
         recorded.  ``worker`` identifies the delivering worker when it
         may differ from the binding (hedged batches); it defaults to
@@ -664,7 +657,7 @@ class RouterCore:
         return True
 
     # ------------------------------------------------------------------
-    # Liveness: heartbeats, crashes, restarts, draining
+    # Liveness: heartbeats, crashes, restarts
     # ------------------------------------------------------------------
 
     def worker_started(self, worker: int, now: float) -> None:
@@ -717,7 +710,6 @@ class RouterCore:
         """
         self.epochs[worker] += 1
         self.alive[worker] = False
-        self.draining[worker] = False
         self.shipped[worker] = {}
         assignment = self._busy.pop(worker, None)
         self._crashes.inc()
@@ -856,8 +848,8 @@ class RouterCore:
                        to_engine: str, now: float) -> None:
         """Account a worker-reported engine degradation (auditable).
 
-        The per-model counter rises on every degraded batch (the
-        control plane's signal); the decision record lands once per
+        The per-model counter rises on every degraded batch (what
+        ``repro metrics`` reports); the decision record lands once per
         (model, to_engine) so a long soak's log stays readable.
         """
         self.metrics.counter(
@@ -871,10 +863,9 @@ class RouterCore:
     def restart_worker(self, worker: int, now: float) -> int:
         """Bring a worker (back) into placement under a fresh epoch.
 
-        Used both to replace a crashed worker and to finish a draining
-        redeploy.  The ship ledger is cleared — the new incarnation owns
-        nothing until the router ships it — and the new epoch is
-        returned for the engine to hand to the spawned process.
+        Replaces a crashed worker.  The ship ledger is cleared — the new
+        incarnation owns nothing until the router ships it — and the new
+        epoch is returned for the engine to hand to the spawned process.
         """
         if worker in self.retired:
             raise ValidationError(
@@ -884,11 +875,10 @@ class RouterCore:
         if worker in self._busy:
             raise ValidationError(
                 f"cannot restart worker {worker} with batch "
-                f"{self._busy[worker].batch_id} in flight; drain first"
+                f"{self._busy[worker].batch_id} in flight; crash it first"
             )
         self.epochs[worker] += 1
         self.alive[worker] = True
-        self.draining[worker] = False
         self.shipped[worker] = {}
         self.last_heartbeat[worker] = now
         self._restarts.inc()
@@ -944,24 +934,13 @@ class RouterCore:
             now,
         )
 
-    def drain(self, worker: int, now: float) -> None:
-        """Stop placing new batches on a worker (in-flight work finishes)."""
-        if not self.draining[worker]:
-            self.draining[worker] = True
-            self._drains.inc()
-            self._record("drain", worker, round(now, 9))
-
-    def drained(self, worker: int) -> bool:
-        return worker not in self._busy
-
     def redeploy_model(self, name: str, fingerprint: str,
                        now: float) -> None:
         """Publish a new fingerprint for ``name``.
 
         Every worker's ledger entry is now stale, so the next batch
         placed on each worker re-ships the new envelope first — a
-        rolling redeploy with no restart needed.  (Engines that must
-        also replace worker *code* drain + restart each worker instead.)
+        rolling redeploy with no restart needed.
         """
         if name not in self._models:
             raise ValidationError(f"no cluster model named {name!r}")
@@ -988,7 +967,6 @@ class RouterCore:
         while len(self.epochs) <= worker:
             self.epochs.append(0)
             self.alive.append(True)
-            self.draining.append(False)
             self.last_heartbeat.append(None)
             self.shipped.append({})
         self.workers = len(self.epochs)
@@ -1009,8 +987,8 @@ class RouterCore:
         worker never comes back: its id stays dead, its epoch is bumped
         so any straggling completion from it is dropped as stale, and
         the scheduler core forgets it.  Refuses while a batch is in
-        flight (drain first — in-flight epoch safety) and refuses to
-        retire the last live worker.
+        flight (in-flight epoch safety) and refuses to retire the last
+        live worker.
         """
         if not self.alive[worker]:
             raise ValidationError(
@@ -1020,7 +998,7 @@ class RouterCore:
         if worker in self._busy:
             raise ValidationError(
                 f"cannot retire worker {worker} with batch "
-                f"{self._busy[worker].batch_id} in flight; drain first"
+                f"{self._busy[worker].batch_id} in flight"
             )
         live = sum(
             1 for w in range(self.workers)
@@ -1035,7 +1013,6 @@ class RouterCore:
         self._placements.clear()
         self.epochs[worker] += 1
         self.alive[worker] = False
-        self.draining[worker] = False
         self.shipped[worker] = {}
         self.last_heartbeat[worker] = None
         self._retires.inc()
@@ -1047,11 +1024,10 @@ class RouterCore:
             )
 
     def idle_live_workers(self) -> List[int]:
-        """Live, non-draining workers with no batch in flight."""
+        """Live workers with no batch in flight."""
         return [
             w for w in range(self.workers)
-            if self.alive[w] and not self.draining[w]
-            and w not in self._busy
+            if self.alive[w] and w not in self._busy
         ]
 
     def retirable_worker(self) -> int:

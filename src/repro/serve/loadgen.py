@@ -419,10 +419,8 @@ class SimRunner:
 
     The runner is also a control-plane target
     (:class:`~repro.control.actuator.Plant`): ``stats`` / ``metrics``
-    to observe, ``add_worker`` / ``remove_worker`` /
-    ``set_tenant_weight`` / ``set_admission_limit`` to actuate, all at
-    the virtual clock's current instant.  It has no engines or backends
-    to switch — service times are fixed model profiles.
+    to observe, ``add_worker`` / ``remove_worker`` to actuate, at the
+    virtual clock's current instant.
     """
 
     def __init__(
@@ -489,7 +487,7 @@ class SimRunner:
         #: Optional control plane (``repro.control.Controller``): ticked
         #: every ``control_interval_s`` of virtual time while the run
         #: has work, between event processing and dispatch — so an
-        #: actuation (scale-up, weight change) affects the very next
+        #: actuation (a scale-up or -down) affects the very next
         #: placement decision, deterministically.
         self.controller = controller
         self.control_interval_s = control_interval_s
@@ -538,15 +536,6 @@ class SimRunner:
         worker = self.router.retirable_worker()
         self.router.retire_worker(worker, self.clock.now())
         return worker
-
-    def set_tenant_weight(self, name: str, weight: float) -> float:
-        return self.router.set_weight(name, weight, self.clock.now())
-
-    def set_admission_limit(self, name: str,
-                            limit: Optional[int]) -> Optional[int]:
-        return self.router.set_admission_limit(
-            name, limit, self.clock.now()
-        )
 
     # -- the event loop --------------------------------------------------
 

@@ -1150,7 +1150,9 @@ class SchedulerCore:
         # Point-in-time queue state rides along in the registry so a
         # metrics snapshot sees it without a SchedulerStats in hand —
         # and so the control plane's ControlSnapshot reads the same
-        # source of truth as ``repro metrics``.
+        # source of truth as ``repro metrics``: the totals below.  The
+        # per-queue gauges are for ``repro metrics`` alone, and a
+        # removed queue's last values stay in the registry.
         m.gauge("sched_pending").set(self.pending())
         m.gauge("sched_running").set(self.running)
         m.gauge("sched_live_workers").set(self.workers)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control import ControlSnapshot, QueueSignal
+from repro.control import ControlSnapshot
 
 
 def check_audit_grammar(controller):
@@ -39,6 +39,7 @@ def make_snapshot():
         now=0.0,
         live_workers=2,
         free_workers=1,
+        total_depth=0,
         submitted=0,
         completed=0,
         rejected=0,
@@ -47,14 +48,12 @@ def make_snapshot():
         worker_crashes=0,
         latency_p50_ms=0.0,
         latency_p99_ms=0.0,
-        queues=(),
-        dead_lettered=0,
-        degraded=(),
     ):
         return ControlSnapshot(
             now=now,
             live_workers=live_workers,
             free_workers=free_workers,
+            total_depth=total_depth,
             submitted=submitted,
             completed=completed,
             rejected=rejected,
@@ -63,24 +62,7 @@ def make_snapshot():
             worker_crashes=worker_crashes,
             latency_p50_ms=latency_p50_ms,
             latency_p99_ms=latency_p99_ms,
-            queues=tuple(queues),
-            dead_lettered=dead_lettered,
-            degraded=tuple(degraded),
         )
 
     return build
 
-
-@pytest.fixture
-def make_queue():
-    def build(name="q", depth=0, estimated_batch_ms=50.0, weight=1.0,
-              limit=None):
-        return QueueSignal(
-            name=name,
-            depth=depth,
-            estimated_batch_ms=estimated_batch_ms,
-            weight=weight,
-            limit=limit,
-        )
-
-    return build

@@ -8,6 +8,7 @@ rejection carrying a reason — holding on every run.
 """
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.control import (
     Plant,
     Policy,
     ScaleWorkers,
-    SwitchEngine,
 )
 from repro.errors import ValidationError
 from repro.serve import (
@@ -29,6 +29,7 @@ from repro.serve import (
     TenantSpec,
     generate_arrivals,
 )
+from repro.serve.transport import AssignAction
 
 
 def profile(**kwargs):
@@ -117,14 +118,11 @@ class TestDeterminism:
         assert controller.ticks > 0
 
 
-class _AlwaysSwitch(Policy):
-    name = "always_switch"
+class _Payload:
+    """Minimal router payload (just the future the core resolves)."""
 
-    def propose(self, snapshot):
-        return [SwitchEngine(
-            model="m", engine="tape", expected_fingerprint="fp",
-            reason="test",
-        )]
+    def __init__(self):
+        self.future = Future()
 
 
 class _AlwaysScaleUp(Policy):
@@ -137,29 +135,47 @@ class _AlwaysScaleUp(Policy):
 class TestApplyFailurePath:
     def test_mechanism_refusal_recorded_not_cooled_down(self, audit_grammar):
         """A guard-approved proposal the plant cannot apply becomes an
-        ``apply_failed`` record and does NOT arm the cooldown."""
-        guards = GuardRail(GuardConfig(
-            cooldown_s=1e9, fingerprints={"m": "fp"},
-        ))
-        controller = Controller(None, [_AlwaysSwitch()], guards)
-        runner = SimRunner(
-            [profile()], workers=2, controller=controller,
-            control_interval_s=0.1,
+        ``apply_failed`` record and does NOT arm the cooldown: the next
+        tick applies the same kind inside the window."""
+        runner = SimRunner([profile()], workers=2)
+        router = runner.router
+        in_flight = []
+
+        class ShrinkBehindABurst(Policy):
+            """Scale down on a snapshot with idle workers, after a burst
+            has taken both of them: the observation is stale by the time
+            the plant acts."""
+
+            name = "shrink"
+
+            def propose(self, snapshot):
+                if not in_flight:
+                    router.submit_many(
+                        "m", [_Payload() for _ in range(8)], 0.0
+                    )
+                    in_flight.extend(
+                        a for a in router.dispatch(0.0)
+                        if isinstance(a, AssignAction)
+                    )
+                return [ScaleWorkers(delta=-1, reason="idle")]
+
+        controller = Controller(
+            Plant(runner), [ShrinkBehindABurst()],
+            GuardRail(GuardConfig(cooldown_s=1e9)),
         )
-        controller.plant = Plant(runner)
-        arrivals = generate_arrivals(
-            [TenantSpec(name="t", model="m", rate_qps=50.0)],
-            seed=3, total_queries=50,
+        controller.tick(0.0)
+        assert len(in_flight) == 2
+        assert controller.decision_log[-1] == (
+            "apply_failed", 0, "scale_workers", "no idle worker to retire",
+            0.0,
         )
-        runner.run(arrivals)
-        failures = [
-            r for r in controller.decision_log if r[0] == "apply_failed"
+        for action in in_flight:
+            assert router.complete(action.assignment, action.epoch, 0.5)
+        controller.tick(1.0)  # far inside the cooldown window
+        assert controller.applied() == [
+            ("applied", 1, "scale_workers", -1, 1.0),
         ]
-        # Every tick retried (the huge cooldown never armed) and every
-        # failure names the refusing target.
-        assert len(failures) >= 2
-        assert all("SimRunner cannot apply" in r[3] for r in failures)
-        assert controller.applied() == []
+        assert router.live_workers == 1
         audit_grammar(controller)
 
     def test_guard_rejections_carry_reasons(self, audit_grammar):

@@ -1,14 +1,13 @@
 """Plant conformance: one actuation seam over three serve targets.
 
-The same five proposals go through :class:`~repro.control.Plant` — via
-a Controller and its guards, as in production — over the live facade on
+The same proposals go through :class:`~repro.control.Plant` — via a
+Controller and its guards, as in production — over the live facade on
 each transport (:class:`~repro.serve.CopseService` in-thread, a 1-worker
-:class:`~repro.serve.ClusterService`) and the simulator.  Where a
-target supports an actuation the observable effect is the same (pool
-+-1 via the highest-id idle worker, weight, limit, engine flip and
-backend switch with fingerprint check, and every query still decrypting
-to the oracle's bits); where it does not — the simulator has no engines
-or backends — the refusal is the typed "cannot apply" naming it.
+:class:`~repro.serve.ClusterService`) and the simulator.  The observable
+effect is the same on all three: the pool grows by one and shrinks again
+via the highest-id idle worker, and every query still decrypts to the
+oracle's bits.  A proposal kind the plant does not know is refused with
+the typed "cannot apply" naming the target.
 """
 
 import contextlib
@@ -20,35 +19,27 @@ import numpy as np
 import pytest
 
 from repro.control import (
-    AdjustTenantWeight,
+    AutoscalePolicy,
     Controller,
     GuardConfig,
     GuardRail,
     Plant,
     Policy,
+    Proposal,
     ScaleWorkers,
-    SetAdmissionLimit,
-    SwitchBackend,
-    SwitchEngine,
 )
 from repro.errors import ValidationError
 from repro.serve import (
     ClusterService,
     CopseService,
     ModelProfile,
+    RouterCore,
     SimRunner,
     TransportFaultPlan,
     chaos_worker_main,
 )
 
-#: target -> the proposal kinds its mechanism can apply.
-SUPPORTED = {
-    "service": ["scale_workers", "adjust_weight", "set_admission_limit",
-                "switch_engine", "switch_backend"],
-    "cluster": ["scale_workers", "adjust_weight", "set_admission_limit",
-                "switch_engine", "switch_backend"],
-    "sim": ["scale_workers", "adjust_weight", "set_admission_limit"],
-}
+TARGETS = ["service", "cluster", "sim"]
 
 
 def queries_for(forest, count, seed=21, precision=8):
@@ -72,6 +63,12 @@ class _Script(Policy):
         return self._ticks.pop(0) if self._ticks else []
 
 
+class _Mystery(Proposal):
+    """A proposal kind no plant applies."""
+
+    kind = "mystery"
+
+
 class _Payload:
     """Minimal router payload for occupying a simulated worker."""
 
@@ -82,11 +79,9 @@ class _Payload:
 class _Target:
     """One serve target plus what the test needs to read back from it."""
 
-    def __init__(self, kind, target, fingerprint, registered=None):
+    def __init__(self, kind, target):
         self.kind = kind
         self.target = target
-        self.fingerprint = fingerprint
-        self.registered = registered
 
     def idle_workers(self):
         return self.target.router.idle_live_workers()
@@ -129,8 +124,7 @@ def open_target(kind, forest, workers, **cluster_kwargs):
     def opened():
         if kind == "sim":
             profile = ModelProfile(name="m", capacity=4, service_ms=50.0)
-            yield _Target(kind, SimRunner([profile], workers=workers),
-                          "sim-fingerprint")
+            yield _Target(kind, SimRunner([profile], workers=workers))
             return
         service = (
             CopseService(threads=workers, engine="eager")
@@ -139,91 +133,47 @@ def open_target(kind, forest, workers, **cluster_kwargs):
                                 **cluster_kwargs)
         )
         with service:
-            registered = service.register_model(
-                "m", forest, max_batch_size=4
-            )
-            yield _Target(kind, service,
-                          registered.compiled.fingerprint(), registered)
+            service.register_model("m", forest, max_batch_size=4)
+            yield _Target(kind, service)
 
     return opened()
 
 
-@pytest.mark.parametrize("kind", list(SUPPORTED))
+@pytest.mark.parametrize("kind", TARGETS)
 class TestConformance:
-    def test_five_proposals_then_scale_down(self, kind, example_forest):
+    def test_scale_up_then_down(self, kind, example_forest):
         start = 1 if kind == "cluster" else 2
         with open_target(kind, example_forest, start) as t:
             plant = Plant(t.target)
             t.serve(example_forest, 4, seed=21)
             before = t.idle_workers()
-            other_backend = (
-                "reference" if getattr(t.registered, "backend", "")
-                == "vector" else "vector"
-            )
 
-            # The mechanism re-checks the fingerprint itself (real
-            # targets) — or has no engines to flip at all (simulator).
-            spoofed = SwitchEngine(model="m", engine="tape",
-                                   expected_fingerprint="spoofed",
-                                   reason="attack")
-            refusal = (
-                "does not match" if "switch_engine" in SUPPORTED[kind]
-                else "SimRunner cannot apply 'switch_engine'"
-            )
-            with pytest.raises(ValidationError, match=refusal):
-                plant.apply(spoofed, 0.0)
-            if t.registered is not None:
-                assert t.registered.engine == "eager"
+            # The plant refuses a kind it does not know, typed.
+            name = type(t.target).__name__
+            with pytest.raises(
+                ValidationError,
+                match=f"{name} cannot apply 'mystery' proposals",
+            ):
+                plant.apply(_Mystery(reason="r"), 0.0)
 
             guards = GuardRail(GuardConfig(
                 workers_min=1, workers_max=4, cooldown_s=0.0,
-                fingerprints={"m": t.fingerprint},
             ))
             controller = Controller(
                 plant,
                 [_Script([
                     ScaleWorkers(delta=1, reason="warm up"),
-                    AdjustTenantWeight(queue="m", weight=2.0,
-                                       reason="boost"),
-                    SetAdmissionLimit(queue="m", limit=64,
-                                      reason="bound"),
-                    SwitchEngine(model="m", engine="tape",
-                                 expected_fingerprint=t.fingerprint,
-                                 reason="flip"),
-                    SwitchBackend(model="m", backend=other_backend,
-                                  expected_fingerprint=t.fingerprint,
-                                  reason="re-home"),
                 ], [
                     ScaleWorkers(delta=-1, reason="idle"),
                 ])],
                 guards,
             )
             controller.tick(0.0)
-            assert [r[2] for r in controller.applied()] == SUPPORTED[kind]
-            refused = [
-                r for r in controller.decision_log
-                if r[0] == "apply_failed"
-            ]
-            assert [r[2] for r in refused] == [
-                k for k in SUPPORTED["service"]
-                if k not in SUPPORTED[kind]
-            ]
-            name = type(t.target).__name__
-            assert all(
-                r[3] == f"{name} cannot apply {r[2]!r} proposals"
-                for r in refused
-            )
+            assert controller.applied()[-1][2:4] == ("scale_workers", 1)
 
-            # Same observable effect on every target that applied it.
-            snapshot = plant.observe(1.0)
-            assert snapshot.live_workers == start + 1
-            assert snapshot.queue("m").weight == 2.0
-            assert snapshot.queue("m").limit == 64
+            # Same observable effect on every target.
+            assert plant.observe(1.0).live_workers == start + 1
             assert t.idle_workers() == before + [start]
-            if "switch_engine" in SUPPORTED[kind]:
-                assert t.registered.engine == "tape"
-            if "switch_backend" in SUPPORTED[kind]:
-                assert t.registered.backend == other_backend
             t.serve(example_forest, 5, seed=9)
 
             # Scale-down retires the highest-id idle worker: the one
@@ -277,28 +227,42 @@ class TestGuardedOnTheLiveService:
         assert snapshot.live_workers == 2
         assert snapshot.submitted == 4
         assert snapshot.completed == 4
-        assert [q.name for q in snapshot.queues] == ["m"]
+        assert snapshot.total_depth == 0
 
     def test_fingerprint_mismatch_never_reaches_the_registry(
         self, example_forest
     ):
+        """An engine flip decided about another model version is refused
+        by the facade itself; the live entry and its answers are left
+        as they were."""
         with CopseService(threads=2, engine="eager") as service:
             service.register_model("m", example_forest, max_batch_size=4)
-            guards = GuardRail(GuardConfig(
-                fingerprints={"m": "not-the-real-fingerprint"},
-            ))
-            controller = Controller(
-                Plant(service),
-                [_Script([
-                    SwitchEngine(model="m", engine="tape",
-                                 expected_fingerprint="spoofed",
-                                 reason="attack"),
-                ])],
-                guards,
-            )
-            service.classify_many("m", queries_for(example_forest, 2))
-            controller.tick(0.0)
-            assert controller.applied() == []
-            rejection = controller.rejections()[0]
-            assert "does not match" in rejection[4]
+            with pytest.raises(ValidationError, match="does not match"):
+                service.set_model_engine(
+                    "m", "tape", expected_fingerprint="spoofed"
+                )
             assert service.registry.get("m").engine == "eager"
+            results = service.classify_many(
+                "m", queries_for(example_forest, 2)
+            )
+            assert all(r.oracle_ok for r in results)
+            assert "redeploy" not in {d[0] for d in service.decisions}
+
+
+class TestBacklogSignal:
+    def test_a_removed_model_leaves_no_backlog(self):
+        """The backlog is what is pending now.  A model unregistered
+        with queries queued leaves its last per-queue depth gauge in the
+        registry; that stale depth must not keep the autoscaler's
+        backlog up."""
+        router = RouterCore(workers=1)
+        router.add_model("a", capacity=8)
+        router.add_model("b", capacity=8)
+        router.submit_many("b", [_Payload() for _ in range(5)], 0.0)
+        plant = Plant(router)
+        assert plant.observe(0.0).total_depth == 5
+        router.remove_model("b", now=0.5)
+        snapshot = plant.observe(1.0)
+        assert snapshot.total_depth == 0
+        policy = AutoscalePolicy(backlog_high=2.0, sustain_up=1)
+        assert policy.propose(snapshot) == []

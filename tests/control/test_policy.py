@@ -1,21 +1,13 @@
-"""Policy behavior: hysteresis, windowed signals, single-fire switches.
+"""Policy behavior: hysteresis and windowed signals.
 
-Policies are pure functions of the snapshot sequence they have seen —
-each test drives one with hand-built snapshots and checks exactly when
-(and what) it proposes.
+A policy is a pure function of the snapshot sequence it has seen — each
+test drives the autoscaler with hand-built snapshots and checks exactly
+when (and what) it proposes.
 """
 
 import pytest
 
-from repro.control import (
-    AdmissionReliefPolicy,
-    AutoscalePolicy,
-    DegradationPolicy,
-    EngineDriftPolicy,
-    ScaleWorkers,
-    SwitchEngine,
-    WeightBalancePolicy,
-)
+from repro.control import AutoscalePolicy, ScaleWorkers
 from repro.errors import ValidationError
 
 
@@ -30,13 +22,97 @@ class TestAutoscalePolicy:
         with pytest.raises(ValidationError):
             AutoscalePolicy(step=0)
 
-    def test_backlog_scale_up_needs_sustain(self, make_snapshot,
-                                            make_queue):
-        policy = AutoscalePolicy(backlog_high=4.0, sustain_up=2)
-        hot = make_snapshot(
-            live_workers=2,
-            queues=[make_queue(name="q", depth=10)],
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slo_p99_ms": -5.0},
+            {"backlog_high": 2.0, "backlog_low": 2.0},  # no dead band
+            {"sustain_down": 0},
+            {"step": -1},
+        ],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            AutoscalePolicy(**kwargs)
+
+    def test_step_sets_both_deltas(self, make_snapshot):
+        policy = AutoscalePolicy(sustain_up=1, sustain_down=1, step=3)
+        up = policy.propose(make_snapshot(live_workers=1, total_depth=9))
+        down = policy.propose(
+            make_snapshot(live_workers=6, free_workers=5)
         )
+        assert [p.delta for p in up + down] == [3, -3]
+
+    def test_backlog_high_is_inclusive(self, make_snapshot):
+        policy = AutoscalePolicy(backlog_high=4.0, sustain_up=1)
+        at = make_snapshot(live_workers=2, total_depth=8)
+        assert [p.delta for p in policy.propose(at)] == [1]
+        below = make_snapshot(live_workers=2, total_depth=7)
+        assert policy.propose(below) == []
+
+    def test_middle_band_resets_both_streaks(self, make_snapshot):
+        """Backlog between the thresholds is neither pressure: it breaks
+        an up streak and a down streak alike."""
+        policy = AutoscalePolicy(
+            backlog_high=4.0, backlog_low=0.5,
+            sustain_up=2, sustain_down=2,
+        )
+        hot = make_snapshot(live_workers=2, total_depth=10)
+        idle = make_snapshot(live_workers=2, free_workers=1)
+        middle = make_snapshot(live_workers=2, total_depth=4)
+        for streak in (hot, idle):
+            assert policy.propose(streak) == []
+            assert policy.propose(middle) == []
+            assert policy.propose(streak) == []
+
+    def test_fresh_misses_veto_scale_down(self, make_snapshot):
+        """An empty queue with deadlines still being missed is not
+        spare capacity."""
+        policy = AutoscalePolicy(sustain_down=2)
+        quiet = make_snapshot(live_workers=3, free_workers=2,
+                              deadline_misses=1)
+        missing = make_snapshot(live_workers=3, free_workers=2,
+                                deadline_misses=2)
+        assert policy.propose(quiet) == []  # first tick: no window
+        assert policy.propose(missing) == []  # a miss: streak broken
+        assert policy.propose(missing) == []  # streak restarts at one
+        assert [p.delta for p in policy.propose(missing)] == [-1]
+
+    def test_without_an_slo_latency_never_scales_up(self, make_snapshot):
+        policy = AutoscalePolicy(sustain_up=1)
+        for misses in (0, 5, 10):
+            slow = make_snapshot(live_workers=2, free_workers=0,
+                                 latency_p99_ms=1e6,
+                                 deadline_misses=misses)
+            assert policy.propose(slow) == []
+
+    def test_same_snapshots_same_proposals(self, make_snapshot):
+        """The determinism contract: two policies fed the same sequence
+        propose the same things, reasons included."""
+        sequence = [
+            make_snapshot(live_workers=2, total_depth=depth,
+                          free_workers=free, latency_p99_ms=p99,
+                          deadline_misses=misses)
+            for depth, free, p99, misses in [
+                (10, 0, 50.0, 0), (12, 0, 150.0, 2), (9, 0, 150.0, 4),
+                (10, 0, 150.0, 5), (0, 1, 150.0, 5), (0, 2, 150.0, 5),
+                (0, 2, 150.0, 5), (0, 2, 150.0, 5),
+            ]
+        ]
+        runs = []
+        for _ in range(2):
+            policy = AutoscalePolicy(slo_p99_ms=100.0)
+            runs.append([
+                (p.kind, p.delta, p.reason)
+                for snapshot in sequence
+                for p in policy.propose(snapshot)
+            ])
+        assert runs[0] == runs[1]
+        assert [delta for _, delta, _ in runs[0]] == [1, 1, -1]
+
+    def test_backlog_scale_up_needs_sustain(self, make_snapshot):
+        policy = AutoscalePolicy(backlog_high=4.0, sustain_up=2)
+        hot = make_snapshot(live_workers=2, total_depth=10)
         assert policy.propose(hot) == []  # one tick is noise
         proposals = policy.propose(hot)  # second consecutive tick fires
         assert len(proposals) == 1
@@ -46,38 +122,29 @@ class TestAutoscalePolicy:
         # The counter reset after proposing: no double-fire.
         assert policy.propose(hot) == []
 
-    def test_noisy_tick_resets_sustain(self, make_snapshot, make_queue):
+    def test_noisy_tick_resets_sustain(self, make_snapshot):
         policy = AutoscalePolicy(backlog_high=4.0, sustain_up=2)
-        hot = make_snapshot(
-            live_workers=2, queues=[make_queue(name="q", depth=10)],
-        )
-        calm = make_snapshot(
-            live_workers=2, queues=[make_queue(name="q", depth=2)],
-        )
+        hot = make_snapshot(live_workers=2, total_depth=10)
+        calm = make_snapshot(live_workers=2, total_depth=2)
         assert policy.propose(hot) == []
         assert policy.propose(calm) == []
         assert policy.propose(hot) == []  # streak restarted
 
-    def test_slo_gate_is_windowed_by_fresh_misses(self, make_snapshot,
-                                                  make_queue):
+    def test_slo_gate_is_windowed_by_fresh_misses(self, make_snapshot):
         """Cumulative p99 above the SLO only counts while misses accrue.
 
         After a burst the latency histogram keeps its historical tail
         forever; without fresh deadline misses that must read as
         healthy, not as chronic overload."""
         policy = AutoscalePolicy(slo_p99_ms=100.0, sustain_up=1)
-        queues = [make_queue(name="q", depth=0)]
         burst = make_snapshot(
             live_workers=2, latency_p99_ms=250.0, deadline_misses=5,
-            queues=queues,
         )
         after = make_snapshot(
             live_workers=2, latency_p99_ms=250.0, deadline_misses=9,
-            queues=queues,
         )
         calm = make_snapshot(
             live_workers=2, latency_p99_ms=250.0, deadline_misses=9,
-            queues=queues,
         )
         assert policy.propose(burst) == []  # first tick has no window
         up = policy.propose(after)  # misses accrued: live overload
@@ -86,15 +153,13 @@ class TestAutoscalePolicy:
         # Same elevated p99, but no new misses: not overload anymore.
         assert policy.propose(calm) == []
 
-    def test_scale_down_needs_idle_and_quiet(self, make_snapshot,
-                                             make_queue):
+    def test_scale_down_needs_idle_and_quiet(self, make_snapshot):
         policy = AutoscalePolicy(
             backlog_low=0.5, sustain_down=2, slo_p99_ms=100.0,
         )
         idle = make_snapshot(
             live_workers=3, free_workers=2, latency_p99_ms=250.0,
             deadline_misses=7,
-            queues=[make_queue(name="q", depth=0)],
         )
         assert policy.propose(idle) == []
         down = policy.propose(idle)
@@ -102,164 +167,7 @@ class TestAutoscalePolicy:
         # No idle head-room: never propose a scale-down.
         busy = make_snapshot(
             live_workers=3, free_workers=0, deadline_misses=7,
-            queues=[make_queue(name="q", depth=0)],
         )
         assert policy.propose(busy) == []
         assert policy.propose(busy) == []
 
-
-class TestWeightBalancePolicy:
-    def test_boosts_sustained_hot_queue_only(self, make_snapshot,
-                                             make_queue):
-        policy = WeightBalancePolicy(imbalance=2.0, boost=2.0, sustain=2)
-        skewed = make_snapshot(queues=[
-            make_queue(name="cold", depth=1, weight=1.0),
-            make_queue(name="cool", depth=1, weight=1.0),
-            make_queue(name="hot", depth=20, weight=1.0),
-        ])
-        assert policy.propose(skewed) == []
-        proposals = policy.propose(skewed)
-        assert len(proposals) == 1
-        assert proposals[0].queue == "hot"
-        assert proposals[0].weight == 2.0
-
-    def test_balanced_queues_reset_streak(self, make_snapshot,
-                                          make_queue):
-        policy = WeightBalancePolicy(imbalance=2.0, sustain=2)
-        skewed = make_snapshot(queues=[
-            make_queue(name="a", depth=1), make_queue(name="b", depth=1),
-            make_queue(name="c", depth=20),
-        ])
-        even = make_snapshot(queues=[
-            make_queue(name="a", depth=5), make_queue(name="b", depth=5),
-            make_queue(name="c", depth=5),
-        ])
-        assert policy.propose(skewed) == []
-        assert policy.propose(even) == []
-        assert policy.propose(skewed) == []  # streak restarted
-
-    def test_capped_at_max_weight(self, make_snapshot, make_queue):
-        policy = WeightBalancePolicy(
-            imbalance=2.0, boost=2.0, sustain=1, max_weight=4.0,
-        )
-        at_cap = make_snapshot(queues=[
-            make_queue(name="cold", depth=0, weight=1.0),
-            make_queue(name="cool", depth=0, weight=1.0),
-            make_queue(name="hot", depth=20, weight=4.0),
-        ])
-        assert policy.propose(at_cap) == []  # no headroom: no proposal
-
-
-class TestAdmissionReliefPolicy:
-    def test_doubles_bound_of_rejecting_queue(self, make_snapshot,
-                                              make_queue):
-        policy = AdmissionReliefPolicy(max_limit=64)
-        before = make_snapshot(rejected=0, queues=[
-            make_queue(name="q", depth=16, limit=16),
-        ])
-        after = make_snapshot(rejected=5, completed=100, queues=[
-            make_queue(name="q", depth=16, limit=16),
-        ])
-        assert policy.propose(before) == []
-        proposals = policy.propose(after)
-        assert len(proposals) == 1
-        assert proposals[0].queue == "q" and proposals[0].limit == 32
-
-    def test_misses_veto_relief(self, make_snapshot, make_queue):
-        # Latency is the failure mode: admitting more would hurt.
-        policy = AdmissionReliefPolicy(miss_rate_ceiling=0.05)
-        queues = [make_queue(name="q", depth=16, limit=16)]
-        policy.propose(make_snapshot(rejected=0, queues=queues))
-        missing = make_snapshot(
-            rejected=5, completed=100, deadline_misses=20, queues=queues,
-        )
-        assert policy.propose(missing) == []
-
-    def test_unbounded_queues_skipped(self, make_snapshot, make_queue):
-        policy = AdmissionReliefPolicy()
-        queues = [make_queue(name="q", depth=50, limit=None)]
-        policy.propose(make_snapshot(rejected=0, queues=queues))
-        assert policy.propose(
-            make_snapshot(rejected=5, queues=queues)
-        ) == []
-
-
-class TestEngineDriftPolicy:
-    def test_switches_once_after_sustained_drift(self, make_snapshot,
-                                                 make_queue):
-        policy = EngineDriftPolicy(
-            watch={"m": (50.0, "plan", "fp")},
-            drift_factor=1.5, sustain=2,
-        )
-        drifted = make_snapshot(queues=[
-            make_queue(name="m", estimated_batch_ms=120.0),
-        ])
-        assert policy.propose(drifted) == []
-        proposals = policy.propose(drifted)
-        assert len(proposals) == 1
-        switch = proposals[0]
-        assert isinstance(switch, SwitchEngine)
-        assert switch.model == "m" and switch.engine == "plan"
-        assert switch.expected_fingerprint == "fp"
-        # Single-fire: the model left the watch list.
-        assert policy.propose(drifted) == []
-
-    def test_recovery_resets_streak(self, make_snapshot, make_queue):
-        policy = EngineDriftPolicy(
-            watch={"m": (50.0, "plan", "fp")}, sustain=2,
-        )
-        drifted = make_snapshot(queues=[
-            make_queue(name="m", estimated_batch_ms=120.0),
-        ])
-        fine = make_snapshot(queues=[
-            make_queue(name="m", estimated_batch_ms=55.0),
-        ])
-        assert policy.propose(drifted) == []
-        assert policy.propose(fine) == []
-        assert policy.propose(drifted) == []  # streak restarted
-
-
-class TestDegradationPolicy:
-    def test_pins_lower_engine_after_sustained_fallbacks(
-        self, make_snapshot
-    ):
-        policy = DegradationPolicy(
-            watch={"m": ("megakernel", "fp")}, sustain=2,
-        )
-        # Tick 1 establishes the baseline count; accrual starts after.
-        assert policy.propose(
-            make_snapshot(degraded=[("m", 3)])
-        ) == []  # count rose 0 -> 3: streak 1
-        proposals = policy.propose(
-            make_snapshot(degraded=[("m", 5)])
-        )  # rose again: streak 2 fires
-        assert len(proposals) == 1
-        switch = proposals[0]
-        assert isinstance(switch, SwitchEngine)
-        assert switch.model == "m" and switch.engine == "tape"
-        assert switch.expected_fingerprint == "fp"
-        # Single-fire: the model left the watch list.
-        assert policy.propose(
-            make_snapshot(degraded=[("m", 9)])
-        ) == []
-
-    def test_stalled_count_resets_streak(self, make_snapshot):
-        policy = DegradationPolicy(
-            watch={"m": ("tape", "fp")}, sustain=2,
-        )
-        assert policy.propose(
-            make_snapshot(degraded=[("m", 1)])
-        ) == []
-        # No new fallbacks this tick: the fast path recovered.
-        assert policy.propose(
-            make_snapshot(degraded=[("m", 1)])
-        ) == []
-        assert policy.propose(
-            make_snapshot(degraded=[("m", 2)])
-        ) == []  # streak restarted at 1
-
-    def test_bottom_rung_is_unwatchable(self):
-        with pytest.raises(ValidationError, match="lower"):
-            DegradationPolicy(watch={"m": ("eager", "fp")})
-        with pytest.raises(ValidationError, match="sustain"):
-            DegradationPolicy(watch={"m": ("tape", "fp")}, sustain=0)

@@ -3,7 +3,7 @@
 Three layers, mirroring the module's pure-core/thin-engine split:
 
 * **RouterCore unit tests** — placement, ship-once, epochs, stale
-  completions, draining restarts, redeploys, heartbeats, all driven
+  completions, crash restarts, redeploys, heartbeats, all driven
   with explicit timestamps and no engine at all.
 * **Simulated soaks** (:class:`~repro.serve.loadgen.SimRunner`)
   — seeded 10^5-query timelines with injected mid-run worker crashes:
@@ -225,7 +225,7 @@ class TestRouterCore:
         router = self.make()
         full_batch(router)
         actions = router.dispatch(0.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="crash it first"):
             router.restart_worker(actions[-1].assignment.worker, 0.5)
 
     def test_restart_of_a_retired_or_abandoned_worker_refused(self):
@@ -244,29 +244,80 @@ class TestRouterCore:
         (_, assign) = router.dispatch(1.0)
         assert assign.assignment.worker == 0
 
-    def test_draining_restart_reships(self):
+    def test_restart_after_a_crash_reships(self):
+        router = self.make(workers=1)
+        full_batch(router)
+        first = router.dispatch(0.0)
+        router.complete(first[-1].assignment, 0, 0.1)
+        router.crash_worker(0, 0.2)
+        assert router.restart_worker(0, 0.3) == 2  # crash + restart
+        assert router.shipped[0] == {}  # ledger cleared: re-ship
+        full_batch(router, now=0.4)
+        second = router.dispatch(0.4)
+        assert [type(a) for a in second] == [ShipAction, AssignAction]
+        assert second[0].epoch == second[1].epoch == 2
+        decisions = [d[0] for d in router.decisions]
+        assert decisions.count("ship") == 2 and "restart" in decisions
+
+    def test_add_worker_takes_a_fresh_id_and_ships_on_first_use(self):
+        router = self.make(workers=1)
+        fresh = router.add_worker(0.5)
+        assert fresh == 1
+        assert (router.epochs[fresh], router.shipped[fresh]) == (0, {})
+        assert router.idle_live_workers() == [0, 1]
+        assert router.metrics.family("cluster_workers")[()].value == 2
+        assert router.decisions[-1] == ("add_worker", 1, 0.5)
+        full_batch(router, now=1.0)
+        full_batch(router, now=1.0)
+        ships = [
+            a.worker for a in router.dispatch(1.0)
+            if isinstance(a, ShipAction)
+        ]
+        assert sorted(ships) == [0, 1]
+
+    def test_retirable_worker_is_the_highest_idle_id(self):
+        router = self.make(workers=3)
+        assert router.retirable_worker() == 2
+        full_batch(router)
+        busy = router.dispatch(0.0)[-1].assignment.worker
+        assert router.retirable_worker() == max({0, 1, 2} - {busy})
+        full_batch(router, now=0.1)
+        full_batch(router, now=0.1)
+        router.dispatch(0.1)
+        assert router.idle_live_workers() == []
+        with pytest.raises(ValidationError, match="no idle worker"):
+            router.retirable_worker()
+
+    def test_retire_refuses_a_busy_dead_or_last_worker(self):
         router = self.make(workers=2)
         full_batch(router)
-        actions = router.dispatch(0.0)
-        assignment = actions[-1].assignment
-        target = assignment.worker
-        router.drain(target, 0.2)
-        assert not router.drained(target)
-        # Draining: no new placements on the target, others still serve.
-        full_batch(router, now=0.3)
-        second = [
-            a for a in router.dispatch(0.3)
-            if isinstance(a, AssignAction)
-        ]
-        assert second and second[0].assignment.worker != target
-        router.complete(assignment, 0, 0.5)
-        router.complete(second[0].assignment, second[0].epoch, 0.5)
-        assert router.drained(target)
-        new_epoch = router.restart_worker(target, 0.6)
-        assert new_epoch == 1
-        assert router.shipped[target] == {}  # ledger cleared: re-ship
-        decisions = [d[0] for d in router.decisions]
-        assert "drain" in decisions and "restart" in decisions
+        assignment = router.dispatch(0.0)[-1].assignment
+        busy = assignment.worker
+        with pytest.raises(ValidationError, match="in flight"):
+            router.retire_worker(busy, 0.1)
+        router.crash_worker(1 - busy, 0.2)
+        with pytest.raises(ValidationError, match="not alive"):
+            router.retire_worker(1 - busy, 0.3)
+        assert router.complete(assignment, 0, 0.4) is True
+        with pytest.raises(ValidationError, match="last live worker"):
+            router.retire_worker(busy, 0.5)
+        assert router.alive[busy] and not router.retired
+
+    def test_a_retired_worker_is_never_placed_again(self):
+        router = self.make(workers=2)
+        router.retire_worker(1, 0.0)
+        assert router.decisions[-1] == ("retire", 1, 1, 0.0)
+        assert (router.alive, router.retired) == ([True, False], {1})
+        assert router.core.workers == 1
+        for k in range(1, 4):
+            full_batch(router, now=float(k))
+            (assign,) = [
+                a for a in router.dispatch(float(k))
+                if isinstance(a, AssignAction)
+            ]
+            assert assign.assignment.worker == 0
+            assert router.complete(assign.assignment, assign.epoch,
+                                   k + 0.5) is True
 
     def test_redeploy_reships_new_fingerprint(self):
         router = self.make(workers=1)
@@ -1000,10 +1051,7 @@ class TestRealCluster:
         self, example_forest
     ):
         """Parity with the threaded service: a flip carrying the wrong
-        fingerprint changes nothing — engine, envelope, ship key — via
-        the service seam and via the ``Plant`` alike."""
-        from repro.control import Plant, SwitchEngine
-
+        fingerprint changes nothing — engine, envelope, ship key."""
         with ClusterService(workers=1, engine="tape",
                             backend="vector") as service:
             registered = service.register_model(
@@ -1015,23 +1063,12 @@ class TestRealCluster:
                 service.set_model_engine(
                     "m", "eager", expected_fingerprint="spoofed"
                 )
-            plant = Plant(service)
-            with pytest.raises(ValidationError, match="does not match"):
-                plant.apply(
-                    SwitchEngine(model="m", engine="eager",
-                                 expected_fingerprint="spoofed",
-                                 reason="attack"),
-                    0.0,
-                )
             assert registered.engine == "tape"
             assert service.transport._staged["m"] is envelope
             assert "redeploy" not in {d[0] for d in service.decisions}
 
-            plant.apply(
-                SwitchEngine(model="m", engine="eager",
-                             expected_fingerprint=fingerprint,
-                             reason="test"),
-                0.0,
+            service.set_model_engine(
+                "m", "eager", expected_fingerprint=fingerprint
             )
             assert registered.engine == "eager"
             assert service.transport._staged["m"].engine == "eager"

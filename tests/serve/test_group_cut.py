@@ -277,15 +277,13 @@ class TestTheReadyBatchesAreSharedOut:
         router.flush("m")
         assert fills_of(router.dispatch(0.0)) == [(3, 3), (2,)]
 
-    def test_a_busy_draining_dead_or_tripped_worker_is_not_counted(self):
-        for sideline in ("busy", "drain", "crash", "breaker"):
+    def test_a_busy_dead_or_tripped_worker_is_not_counted(self):
+        for sideline in ("busy", "crash", "breaker"):
             router = router_with(MAX_GROUP, workers=3)
             first, second, third = router.placement_order("m")
             if sideline == "busy":
                 router.submit_many("m", [Payload() for _ in range(3)], 0.0)
                 assert fills_of(router.dispatch(0.0, limit=1)) == [(3,)]
-            elif sideline == "drain":
-                router.drain(first, 0.0)
             elif sideline == "crash":
                 router.crash_worker(first, 0.0)
             else:

@@ -285,7 +285,7 @@ class TestCompletionAccounting:
         stats = core.stats()
         assert stats.failed == 2 and stats.completed == 0
         # Delivery is deferred: the core never resolves futures itself
-        # (an engine could be holding a lock); draining delivers.
+        # (an engine could be holding a lock); drain_failures delivers.
         assert not any(t.future.done() for t in tickets)
         deliver_failures(core.drain_failures())
         for ticket in tickets:

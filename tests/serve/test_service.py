@@ -236,6 +236,7 @@ class TestConformance:
                 service.set_model_backend(
                     "m", "reference", expected_fingerprint="spoofed"
                 )
+            assert service.registry.get("m").backend == "vector"
             assert service.set_model_engine("m", "tape") is registered
             assert service.classify("m", queries[0]).oracle_ok is True
             assert service.set_model_backend(
