@@ -41,7 +41,7 @@ result.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -51,6 +51,7 @@ from repro.serve.packing import validate_queries
 from repro.serve.registry import RegisteredModel
 from repro.serve.scheduler import (
     Assignment,
+    QueryFuture,
     QueryTicket,
     deliver_failures,
     evaluation_failure,
@@ -155,7 +156,7 @@ class PendingQuery:
     """A validated submission waiting to be packed into a batch."""
 
     features: List[int]
-    future: "Future[ClassificationResult]" = field(default_factory=Future)
+    future: QueryFuture = field(default_factory=QueryFuture)
 
 
 @dataclass
@@ -164,6 +165,12 @@ class CutBatch:
 
     batch_id: int
     entries: List[PendingQuery]
+
+
+def query_block(feature_lists):
+    """A request that can be indexed: an iterator is read once, here."""
+    indexed = hasattr(feature_lists, "__getitem__")
+    return feature_lists if indexed else list(feature_lists)
 
 
 def prepare_queries(registered: RegisteredModel,
@@ -178,6 +185,7 @@ def prepare_queries(registered: RegisteredModel,
     since :func:`~repro.serve.packing.plan_layout` rejects it at
     registration).
     """
+    feature_lists = query_block(feature_lists)
     layout = registered.layout
     slots = registered.params.slot_count
     if layout.stride > slots:
@@ -187,7 +195,8 @@ def prepare_queries(registered: RegisteredModel,
             f"pack even one query per ciphertext"
         )
     validated = validate_queries(layout, feature_lists)
-    return [PendingQuery(features=row) for row in validated]
+    condition = threading.Condition()  # one per block (QueryFuture)
+    return [PendingQuery(row, QueryFuture(condition)) for row in validated]
 
 
 class QueryBatcher:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import zlib
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +47,7 @@ from repro.serve.cluster import (
 from repro.serve.faults import CircuitBreaker, RetryPolicy
 from repro.serve.scheduler import (
     OUTCOME_OK,
+    QueryFuture,
     SchedulerStats,
     deliver_failures,
 )
@@ -334,7 +334,7 @@ class _SimQuery:
     __slots__ = ("future",)
 
     def __init__(self):
-        self.future: "Future" = Future()
+        self.future = QueryFuture()
 
 
 @dataclass

@@ -50,7 +50,10 @@ the decisions production would make.
 from __future__ import annotations
 
 import heapq
+import threading
+from concurrent.futures import CancelledError, Future, TimeoutError, _base
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -84,8 +87,8 @@ class QueryTicket:
     """One admitted query: its payload plus scheduling metadata.
 
     ``payload`` is opaque to the scheduler except for a ``future``
-    attribute (a :class:`concurrent.futures.Future`), which the scheduler
-    uses to drop cancelled work and to deliver scheduling failures.
+    attribute (a :class:`QueryFuture`), which the scheduler uses to drop
+    cancelled work and to deliver scheduling failures.
     ``deadline`` is absolute clock seconds (None = best-effort).
     """
 
@@ -194,27 +197,16 @@ class SchedulerStats:
             f"  latency p50 / p99 ms : {self.latency_p50_ms:.3f} / "
             f"{self.latency_p99_ms:.3f}",
         ]
-        if self.per_tenant_submitted:
-            tenants = ", ".join(
-                f"{t}={n}" for t, n in sorted(
-                    self.per_tenant_submitted.items()
+        for label, counts in (
+            ("submitted per tenant", self.per_tenant_submitted),
+            ("completed per tenant", self.per_tenant_completed),
+            ("completed per queue", self.per_queue_completed),
+        ):
+            if counts:
+                joined = ", ".join(
+                    f"{key}={n}" for key, n in sorted(counts.items())
                 )
-            )
-            lines.append(f"  submitted per tenant : {tenants}")
-        if self.per_tenant_completed:
-            tenants = ", ".join(
-                f"{t}={n}" for t, n in sorted(
-                    self.per_tenant_completed.items()
-                )
-            )
-            lines.append(f"  completed per tenant : {tenants}")
-        if self.per_queue_completed:
-            queues = ", ".join(
-                f"{q}={n}" for q, n in sorted(
-                    self.per_queue_completed.items()
-                )
-            )
-            lines.append(f"  completed per queue  : {queues}")
+                lines.append(f"  {label:<20} : {joined}")
         return "\n".join(lines)
 
 
@@ -267,9 +259,6 @@ class _ModelQueue:
         self.vtime = 0.0
         self._cut_at: Optional[float] = None
         self._cut_dirty = True
-
-    def push(self, ticket: QueryTicket) -> None:
-        self.push_block((ticket,), ticket.deadline)
 
     def push_block(self, tickets: Sequence[QueryTicket],
                    deadline: Optional[float]) -> None:
@@ -817,23 +806,30 @@ class SchedulerCore:
         tickets: List[QueryTicket] = []
         while queue.heap and len(tickets) < queue.capacity:
             _, ticket = heapq.heappop(queue.heap)
-            if ticket.future.set_running_or_notify_cancel():
+            if self._live(ticket, now):
                 tickets.append(ticket)
-            else:
-                self._drop_cancelled(ticket, now)
         queue.invalidate_cut_cache()
         if not queue.heap:
             queue.flush_pending = False
         return tickets
 
-    def _drop_cancelled(self, ticket: QueryTicket, now: float) -> None:
-        """Count a ticket its caller cancelled while it was queued."""
+    def _live(self, ticket: QueryTicket, now: float) -> bool:
+        """Start a cut ticket's future; False, counted as cancelled, when
+        its caller cancelled it while it was queued."""
+        if ticket.future.set_running_or_notify_cancel():
+            return True
         self._cancelled.inc()
+        self._end_spans(ticket, now, OUTCOME_CANCELLED)
+        return False
+
+    def _end_spans(self, ticket: QueryTicket, now: float,
+                   outcome: str) -> None:
+        """End a terminal ticket's open ``queue_wait`` and root spans."""
         if self.tracer is not None and ticket.span is not None:
             if ticket.wait_span is not None:
                 self.tracer.end(ticket.wait_span, now)
                 ticket.wait_span = None
-            self.tracer.end(ticket.span, now, outcome=OUTCOME_CANCELLED)
+            self.tracer.end(ticket.span, now, outcome=outcome)
 
     def _bind(self, queue: str, worker: int, tickets: List[QueryTicket],
               fills: Sequence[int], now: float) -> Assignment:
@@ -992,16 +988,15 @@ class SchedulerCore:
         self._worker_crashes.inc()
 
     def prepare_retry(self, ticket: QueryTicket, now: float) -> None:
-        """Account one retry attempt and re-arm the ticket's future.
+        """Account one retry attempt.  The ticket keeps its future, still
+        RUNNING: a parked retry cannot be cancelled, and is live at its
+        next cut.
 
         Does NOT requeue: the router parks the ticket and calls
         :meth:`requeue` when its backoff expires.
         """
         ticket.retries += 1
         self._retries.inc()
-        # A fresh future: the old one is already RUNNING and
-        # cannot re-enter the cancelled/pending protocol.
-        ticket.payload.future = _replace_future(ticket.payload.future)
         if self.tracer is not None and ticket.span is not None:
             track = f"tenant:{ticket.tenant}"
             self.tracer.event(
@@ -1022,7 +1017,7 @@ class SchedulerCore:
                 f"was parked"
             ))
             return False
-        queue.push(ticket)
+        queue.push_block((ticket,), ticket.deadline)
         return True
 
     def dead_letter_ticket(self, ticket: QueryTicket, exc: Exception,
@@ -1034,11 +1029,7 @@ class SchedulerCore:
         conservation ledger books it under ``dead_lettered``.
         """
         self._dead_lettered.inc()
-        if self.tracer is not None and ticket.span is not None:
-            if ticket.wait_span is not None:
-                self.tracer.end(ticket.wait_span, now)
-                ticket.wait_span = None
-            self.tracer.end(ticket.span, now, outcome=OUTCOME_FAILED)
+        self._end_spans(ticket, now, OUTCOME_FAILED)
         self._pending_failures.append((ticket.future, exc))
 
     def assign_direct(self, queue_name: str, tickets: List[QueryTicket],
@@ -1054,12 +1045,7 @@ class SchedulerCore:
         like in :meth:`assign`; returns None when every ticket was
         cancelled.
         """
-        live: List[QueryTicket] = []
-        for ticket in tickets:
-            if ticket.future.set_running_or_notify_cancel():
-                live.append(ticket)
-            else:
-                self._drop_cancelled(ticket, now)
+        live = [ticket for ticket in tickets if self._live(ticket, now)]
         if not live:
             return None
         queue = self._queues.get(queue_name)
@@ -1115,21 +1101,15 @@ class SchedulerCore:
 
     def _fail_ticket(self, ticket: QueryTicket, exc: Exception,
                      now: Optional[float] = None) -> None:
-        # Deferred delivery: resolving a future can run arbitrary
-        # caller done-callbacks, and the serve facade invokes core
-        # methods under its lock — a callback that touches the service
-        # (stats, result() on a sibling query) would deadlock it.
-        # Counters update here; the future resolves when the caller
-        # drains, outside any lock.
+        # Deferred: resolving runs the caller's done-callbacks, which may
+        # re-enter the service whose lock is held around the core; the
+        # future resolves when the caller drains, outside any lock.
         self._failed.inc()
-        if self.tracer is not None and ticket.span is not None:
-            # Callers without a clock (queue teardown) fall back to the
-            # submit time: the span still terminates, with zero wait.
-            at = now if now is not None else ticket.submit_time
-            if ticket.wait_span is not None:
-                self.tracer.end(ticket.wait_span, at)
-                ticket.wait_span = None
-            self.tracer.end(ticket.span, at, outcome=OUTCOME_FAILED)
+        # Callers without a clock (queue teardown) fall back to the
+        # submit time: the span still terminates, with zero wait.
+        self._end_spans(
+            ticket, ticket.submit_time if now is None else now, OUTCOME_FAILED
+        )
         self._pending_failures.append((ticket.future, exc))
 
     def drain_failures(self) -> List[Tuple[Any, Exception]]:
@@ -1205,35 +1185,95 @@ def evaluation_failure(batch_id: int, cause: Optional[str]) -> ServeError:
     return ServeError(f"batch {batch_id} evaluation failed{suffix}")
 
 
+_DONE = (_base.CANCELLED, _base.CANCELLED_AND_NOTIFIED, _base.FINISHED)
+
+
+class QueryFuture(Future):
+    """One query's future: a slot of its own, the lock of its block.
+
+    State, outcome, waiters and done-callbacks (both lists made when
+    first needed) are per query; the condition is shared by one
+    submitted block's queries (None: a private one).  A sibling's
+    ``notify_all`` wakes this future's waiters too, so :meth:`result`
+    and :meth:`exception` wait until *this* future is done.
+    """
+
+    _waiter_list: Optional[List[Any]] = None
+    _done_callbacks: Sequence[Callable] = ()
+
+    def __init__(self, condition: Optional[threading.Condition] = None):
+        # Future.__init__ would build a Condition and an RLock per query.
+        self._condition = condition or threading.Condition()
+        self._state = _base.PENDING
+        self._result = self._exception = None
+
+    @property
+    def _waiters(self) -> List[Any]:  # read under the condition
+        if self._waiter_list is None:
+            self._waiter_list = []
+        return self._waiter_list
+
+    def add_done_callback(self, fn: Callable) -> None:
+        with self._condition:  # the first callback makes the list
+            self._done_callbacks = list(self._done_callbacks)
+        super().add_done_callback(fn)
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        if self._state == _base.FINISHED:  # final: read without the lock
+            return
+        with self._condition:
+            self._condition.wait_for(lambda: self._state in _DONE, timeout)
+        if self._state != _base.FINISHED:
+            raise CancelledError() if self._state in _DONE else TimeoutError()
+
+    def result(self, timeout: Optional[float] = None):
+        self._wait(timeout)
+        if self._exception is not None:
+            try:
+                raise self._exception
+            finally:
+                self = None  # no cycle through the traceback's frame
+        return self._result
+
+    def exception(self, timeout: Optional[float] = None):
+        self._wait(timeout)
+        return self._exception
+
+    def set_running_or_notify_cancel(self) -> bool:
+        # A crash retry reaches its next cut still RUNNING: it is live.
+        return (self._state == _base.RUNNING
+                or super().set_running_or_notify_cancel())
+
+
+def settle(futures: Sequence[QueryFuture], outcomes: Sequence[Any]) -> None:
+    """Resolve each future with its outcome, an exception failing it
+    (call with no locks held).  A block's queries sit together in ticket
+    order, so its condition is taken once: every state is set, then one
+    ``notify_all``; the done-callbacks run after, outside it, in the
+    order given.  A future already done is skipped: a hedge replica
+    answered it, or its caller cancelled it while it was queued."""
+    settled = []
+    pairs = zip(futures, outcomes)
+    for condition, run in groupby(pairs, lambda pair: pair[0]._condition):
+        with condition:
+            for future, outcome in run:
+                if future._state in _DONE:
+                    continue
+                if isinstance(outcome, BaseException):
+                    future._exception, notify = outcome, "add_exception"
+                else:
+                    future._result, notify = outcome, "add_result"
+                future._state = _base.FINISHED
+                for waiter in future._waiter_list or ():
+                    getattr(waiter, notify)(future)
+                settled.append(future)
+            condition.notify_all()
+    for future in settled:
+        if future._done_callbacks:
+            future._invoke_callbacks()
+
+
 def deliver_failures(failures: List[Tuple[Any, Exception]]) -> None:
     """Resolve drained failure deliveries (call with no locks held)."""
-    for future, exc in failures:
-        if not future.done():
-            try:
-                future.set_exception(exc)
-            except Exception:  # already transitioned under our feet
-                pass
-
-
-def _replace_future(old):
-    """A fresh, cancelled-unaware future carrying the old one's waiters.
-
-    concurrent.futures has no public "reset to pending", so a retried
-    ticket gets a new future and the old future is resolved from the new
-    one when it completes (callers hold the *old* future).
-    """
-    from concurrent.futures import Future
-
-    fresh: "Future" = Future()
-
-    def _propagate(done: "Future") -> None:
-        if old.done():
-            return
-        exc = done.exception()
-        if exc is not None:
-            old.set_exception(exc)
-        else:
-            old.set_result(done.result())
-
-    fresh.add_done_callback(_propagate)
-    return fresh
+    if failures:
+        settle(*zip(*failures))

@@ -55,6 +55,7 @@ from repro.serve.batcher import (
     BatchRecord,
     ClassificationResult,
     prepare_queries,
+    query_block,
 )
 from repro.serve.registry import ModelRegistry, RegisteredModel
 from repro.serve.scheduler import (
@@ -584,10 +585,10 @@ class CopseService:
     ) -> List:
         """Enqueue a block of queries; returns their futures, in order.
 
-        The block is validated whole, before any of it is admitted, and
-        admitted under one lock hold, one clock read (one
-        ``submit_time`` and one deadline for the block; N ``submit``
-        calls each read the clock) and one dispatch.  Full batches
+        The block (an iterator is read once) is validated whole, before
+        any of it is admitted, and admitted under one lock hold, one
+        clock read (one ``submit_time`` and one deadline for the block;
+        N ``submit`` calls each read the clock) and one dispatch.  Full batches
         dispatch immediately; partial batches dispatch when their
         deadline slack runs out, on :meth:`flush`, or when more
         submissions fill them.  Raises
@@ -624,7 +625,6 @@ class CopseService:
         self.transport.wake()  # the next cut may be due sooner now
         if refusal is not None:
             raise refusal
-        # Retries chain new futures onto these; callers hold the first.
         return [entry.future for entry in entries]
 
     def flush(self, model_name: Optional[str] = None) -> None:
@@ -674,11 +674,8 @@ class CopseService:
     def classify(
         self, model_name: str, features: Sequence[int]
     ) -> ClassificationResult:
-        """Synchronous single query (submits, flushes, waits)."""
-        future = self.submit(model_name, features)
-        if not future.done():
-            self.flush(model_name)
-        return future.result()
+        """Synchronous single query: :meth:`classify_many` of one."""
+        return self.classify_many(model_name, (features,))[0]
 
     def classify_many(
         self,
@@ -696,6 +693,7 @@ class CopseService:
         router.
         """
         self.registry.get(model_name)  # name resolution (or raise)
+        feature_lists = query_block(feature_lists)
         if not len(feature_lists):
             return []
         try:

@@ -48,7 +48,6 @@ a multi-megabyte envelope without a send/send deadlock.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import InvalidStateError
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,7 +56,7 @@ from repro.core.engines import artifacts_of
 from repro.core.seccomp import VARIANT_ALOUFI
 from repro.serve.batched_runtime import shared_pass_lanes
 from repro.serve.batcher import BatchRecord, classification_results
-from repro.serve.scheduler import Assignment
+from repro.serve.scheduler import Assignment, settle
 
 __all__ = [
     "ShipAction",
@@ -472,8 +471,7 @@ class Transport:
             return WorkerDied(worker, epoch)
         records: List[Optional[BatchRecord]] = []
         failed: Dict[int, str] = {}
-        deliveries = []  # (batch id, tickets, inference ms, their bitvectors)
-        at = 0
+        answered = []  # (batch id, tickets, inference ms)
         for position, ((batch_id, tickets), part) in enumerate(
             zip(batches, parts)
         ):
@@ -495,25 +493,20 @@ class Transport:
                 data_encrypt_ms=part.data_encrypt_ms,
                 oracle_failures=part.oracle_failures, degraded=degraded,
             ))
-            upto = at + len(tickets)
-            deliveries.append(
-                (batch_id, tickets, part.inference_ms, slice(at, upto))
-            )
-            at = upto
+            answered.append((batch_id, tickets, part.inference_ms))
 
         def resolve() -> None:
-            for batch_id, tickets, inference_ms, span in deliveries:
-                outcomes = classification_results(
+            futures, outcomes, at = [], [], 0
+            for batch_id, tickets, inference_ms in answered:
+                span, at = slice(at, at + len(tickets)), at + len(tickets)
+                outcomes += classification_results(
                     staged, batch_id,
                     [ticket.payload.features for ticket in tickets],
                     bitvectors[span], inference_ms,
                     None if verdicts is None else verdicts[span],
                 )
-                for ticket, outcome in zip(tickets, outcomes):
-                    try:
-                        ticket.payload.future.set_result(outcome)
-                    except InvalidStateError:  # a replica answered it
-                        pass
+                futures += [ticket.payload.future for ticket in tickets]
+            settle(futures, outcomes)  # a replica's second answer: skipped
 
         return Completion(assignment, worker, epoch, records, resolve, failed)
 

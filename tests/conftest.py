@@ -1,11 +1,13 @@
 """Shared fixtures, the CI hypothesis profile, and the suite timeout cap.
 
-Besides the model fixtures, this file centralizes two pieces of suite
+Besides the model fixtures, this file centralizes three pieces of suite
 infrastructure:
 
 * the ``repro-plan-ci`` hypothesis profile (derandomized, scaled by
   ``$REPRO_DIFF_EXAMPLES``) — registered once here so every
   property-based suite shares the same fixed CI case set;
+* :func:`bench_quick`, the one reading of CI's ``$REPRO_BENCH_QUICK``
+  for the test suites (``benchmarks/conftest.py`` keeps its own);
 * a suite-wide per-test timeout.  With the ``pytest-timeout`` plugin
   installed (CI does) the ``timeout`` ini option applies; without it, a
   SIGALRM fallback below enforces the same cap, so a hung scheduler
@@ -107,6 +109,14 @@ def pytest_configure(config):
             "platform; install pytest-timeout (the 'test' extra "
             "includes it)"
         )
+
+
+def bench_quick() -> bool:
+    """CI's quick mode: ``REPRO_BENCH_QUICK`` set to anything but empty,
+    "0", "false" or "no" trims the big simulated soaks."""
+    return os.environ.get("REPRO_BENCH_QUICK", "").lower() not in (
+        "", "0", "false", "no",
+    )
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ rejection carrying a reason — holding on every run.
 """
 
 import json
-from concurrent.futures import Future
 
 import pytest
 
@@ -29,6 +28,7 @@ from repro.serve import (
     TenantSpec,
     generate_arrivals,
 )
+from repro.serve.scheduler import QueryFuture
 from repro.serve.transport import AssignAction
 
 
@@ -122,7 +122,7 @@ class _Payload:
     """Minimal router payload (just the future the core resolves)."""
 
     def __init__(self):
-        self.future = Future()
+        self.future = QueryFuture()
 
 
 class _AlwaysScaleUp(Policy):

@@ -13,7 +13,6 @@ the typed "cannot apply" naming the target.
 import contextlib
 import functools
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from repro.serve import (
     TransportFaultPlan,
     chaos_worker_main,
 )
+from repro.serve.scheduler import QueryFuture
 
 TARGETS = ["service", "cluster", "sim"]
 
@@ -73,7 +73,7 @@ class _Payload:
     """Minimal router payload for occupying a simulated worker."""
 
     def __init__(self):
-        self.future = Future()
+        self.future = QueryFuture()
 
 
 class _Target:

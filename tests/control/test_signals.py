@@ -7,18 +7,18 @@ and an empty registry.
 """
 
 import dataclasses
-from concurrent.futures import Future
 
 import pytest
 
 from repro.control import ControlSnapshot, Plant
 from repro.obs import MetricsRegistry
 from repro.serve import RouterCore
+from repro.serve.scheduler import QueryFuture
 
 
 class _Payload:
     def __init__(self):
-        self.future = Future()
+        self.future = QueryFuture()
 
 
 class TestCapture:

@@ -141,6 +141,13 @@ class TestPrepareMany:
             )
             assert len({id(e.future) for e in many}) == len(many)
 
+    def test_an_iterator_is_read_once(self, batcher):
+        """Regression: an iterator of queries died in ``len()`` with a
+        raw ``TypeError``."""
+        wanted = [e.features for e in batcher.prepare_many(FEATURES)]
+        for block in (iter(FEATURES), (list(f) for f in FEATURES)):
+            assert [e.features for e in batcher.prepare_many(block)] == wanted
+
     @pytest.mark.parametrize("bad", [
         [1], [0, 999], [-1, 0], [1 << 70, 0], ["x", 1], [None, 1], 5,
         [float("inf"), 1], [[1], 2],

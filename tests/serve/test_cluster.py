@@ -42,14 +42,11 @@ from repro.serve import (
     generate_arrivals,
 )
 from repro.serve.cluster import AssignAction, ShipAction
-from repro.serve.scheduler import OUTCOME_OK
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "").lower() not in (
-    "", "0", "false", "no",
-)
+from repro.serve.scheduler import OUTCOME_OK, QueryFuture
+from tests.conftest import bench_quick
 
 #: The acceptance soak: 10^5 queries full, trimmed for CI replays.
-SOAK_QUERIES = 20_000 if QUICK else 100_000
+SOAK_QUERIES = 20_000 if bench_quick() else 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +58,7 @@ class FakeQuery:
     """Minimal router payload (just the future the core resolves)."""
 
     def __init__(self):
-        from concurrent.futures import Future
-
-        self.future = Future()
+        self.future = QueryFuture()
 
 
 def full_batch(router, name="m", now=0.0, capacity=2):

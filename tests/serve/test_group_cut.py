@@ -16,7 +16,7 @@ their names (CI's ``-k real``).
 
 import functools
 import os
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from repro.serve import (
     RouterCore,
     SimRunner,
 )
-from repro.serve.scheduler import OUTCOME_ERROR, SchedulerCore
+from repro.serve.scheduler import OUTCOME_ERROR, QueryFuture, SchedulerCore
 from repro.serve.simclock import RealClock
 from repro.serve.transport import (
     MSG_EVAL,
@@ -43,7 +43,7 @@ from repro.serve.transport import (
 
 class Payload:
     def __init__(self):
-        self.future = Future()
+        self.future = QueryFuture()
 
 
 def core_with(lanes, capacity=3, workers=4, **queue):

@@ -11,7 +11,6 @@ use generous timeouts on futures, never wall-clock assertions.
 
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +29,7 @@ from repro.serve import worker as serve_worker
 from repro.serve.scheduler import (
     OUTCOME_ERROR,
     OUTCOME_OK,
+    QueryFuture,
     SchedulerCore,
     deliver_failures,
 )
@@ -40,7 +40,7 @@ class Payload:
     """Minimal scheduler payload (the batcher's PendingQuery stand-in)."""
 
     def __init__(self):
-        self.future = Future()
+        self.future = QueryFuture()
 
 
 def cut_batches(router, now):
@@ -319,7 +319,8 @@ class TestCompletionAccounting:
                                release + 0.1, OUTCOME_OK)
         for ticket in retry.assignment.tickets:
             ticket.future.set_result("served")
-        # The caller-held (original) futures resolve via propagation.
+        # The retry kept the caller's own futures.
+        assert [t.future for t in retry.assignment.tickets] == futures
         assert all(f.result(timeout=1) == "served" for f in futures)
         stats = router.stats()
         assert stats.retries == 2 and stats.completed == 2

@@ -145,6 +145,23 @@ class TestConformance:
         assert conserved(closed)
         service.close()  # idempotent
 
+    def test_an_iterator_of_queries_is_a_request(self, transport,
+                                                 example_forest):
+        """Regression: ``submit_many`` / ``classify_many`` of an iterator
+        or a generator raised a raw ``TypeError`` from ``len()``."""
+        queries = queries_for(example_forest, 6)
+        with open_service(transport) as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            futures = service.submit_many("m", iter(queries), "acme")
+            service.flush("m")
+            streamed = service.classify_many("m", (q for q in queries))
+            assert service.classify_many("m", iter([])) == []
+            stats = scheduler_stats(service)
+        assert [f.result(timeout=60).features for f in futures] == queries
+        assert [r.features for r in streamed] == queries
+        assert all(r.oracle_ok for r in streamed)
+        assert conserved(stats) and stats.completed == 12
+
     def test_unknown_names_are_typed_refusals(self, transport,
                                               example_forest):
         """Never a ``KeyError`` / ``TypeError`` / ``0``: the registry's

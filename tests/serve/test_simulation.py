@@ -22,7 +22,6 @@ The locked invariants:
 ``REPRO_BENCH_QUICK=1`` (the CI quick mode) trims the big soak.
 """
 
-import os
 import re
 from pathlib import Path
 
@@ -39,13 +38,10 @@ from repro.serve import (
     generate_arrivals,
     offered_load,
 )
-
-QUICK = os.environ.get("REPRO_BENCH_QUICK", "").lower() not in (
-    "", "0", "false", "no",
-)
+from tests.conftest import bench_quick
 
 #: The acceptance soak's size (quick mode trims it for CI replays).
-SOAK_QUERIES = 1500 if QUICK else 5000
+SOAK_QUERIES = 1500 if bench_quick() else 5000
 
 
 def first_pack_order(report):
@@ -442,10 +438,13 @@ class TestOneOfEach:
             "__init__", "stats",
         ]
         # One pump, and one place that resolves futures, whichever
-        # transport evaluated the batch.
+        # transport evaluated the batch: ``settle``, called by the
+        # completion handler and by ``deliver_failures``.
         everything = "\n".join(sources.values())
         assert everything.count("threading.Thread(") == 1
-        assert everything.count(".set_result(") == 2  # + a retry's chain
+        assert everything.count(".set_result(") == 0
+        assert everything.count(".set_exception(") == 0
+        assert len(re.findall(r"\bsettle\(", everything)) == 3
 
 
 class TestRealServiceWithVirtualClock:
