@@ -5,8 +5,10 @@ side — the service's ``_StatsAggregator``, the scheduler core's loose
 counter attributes, and the batcher's per-phase timing dicts.  Each had
 its own locking, its own snapshot shape, and no export format.  The
 :class:`MetricsRegistry` replaces all three as the single store the
-serve path writes through: :class:`~repro.serve.scheduler.SchedulerCore`
-backs every scheduling counter with it and
+serve path writes through: the decision core
+(:class:`~repro.serve.cluster.RouterCore`, a
+:class:`~repro.serve.scheduler.SchedulerCore`) backs every scheduling
+(``sched_*``) and routing (``cluster_*``) counter with it and
 :class:`~repro.serve.service.CopseService` backs every evaluation
 aggregate with it, so ``ServiceStats``/``SchedulerStats`` are now pure
 *views* over one source of truth.

@@ -28,18 +28,18 @@ stream:
   multi-tenant scheduling core (:class:`SchedulerCore`, pure: no
   threads, no clock): per-model bounded queues with admission control,
   adaptive batch cutting (full *or* out of deadline slack), weighted
-  fair sharing;
+  fair sharing, the worker pool and the one in-flight map;
 * :mod:`repro.serve.simclock` — the :class:`Clock` seam (real vs
   :class:`VirtualClock`) that makes scheduling decisions simulable;
 * :mod:`repro.serve.loadgen` — seeded open-loop load generation
   (Poisson + bursts, heterogeneous tenants), the :class:`FaultPlan`
   chaos matrix, and :class:`SimRunner`, the one deterministic
   discrete-event simulator (it drives :class:`RouterCore`);
-* :mod:`repro.serve.cluster` — :class:`RouterCore`: pure
-  placement/failover over the scheduler core (ship-once model
-  distribution keyed by compiled-model fingerprints, worker epochs,
-  heartbeats, and the one crash policy: park ->
-  backoff -> quarantine -> dead-letter);
+* :mod:`repro.serve.cluster` — :class:`RouterCore`: the decision core
+  every engine drives, a :class:`SchedulerCore` that also places and
+  fails over (ship-once model distribution keyed by compiled-model
+  fingerprints, worker epochs, heartbeats, and the one crash policy:
+  park -> backoff -> quarantine -> dead-letter);
 * :mod:`repro.serve.transport` — the ``Transport`` seam, *where* a cut
   batch is evaluated: ``InThreadTransport`` (on the service's own pump
   thread) or ``ProcessTransport`` (real

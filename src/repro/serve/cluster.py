@@ -1,21 +1,23 @@
-"""The routing core of the serve spine, and the process-pool constructor.
+"""The decision core every engine drives, and the process-pool constructor.
 
-* :class:`RouterCore` — the pure front end every engine drives: the one
-  facade (:class:`~repro.serve.service.CopseService`, over either
-  :class:`~repro.serve.transport.Transport`) in real time, and
-  :class:`~repro.serve.loadgen.SimRunner` from a discrete-event loop
-  under a virtual clock.  It wraps the
-  :class:`~repro.serve.scheduler.SchedulerCore` (bounded queues,
-  fair-share batch cutting, requeue at the original seq) and adds the
-  pool concerns: deterministic model->worker **placement** (each
-  model prefers a stable rotation of the pool), **ship-once** tracking
-  (a worker receives a model's
+* :class:`RouterCore` — a :class:`~repro.serve.scheduler.SchedulerCore`
+  (bounded queues, fair-share batch cutting, the booking, the worker
+  pool and the one in-flight map) that also places: deterministic
+  model->worker **placement** (each model prefers a stable rotation of
+  the pool), **ship-once** tracking (a worker receives a model's
   :class:`~repro.serve.transport.ShippedModel` envelope exactly once
   per (worker, epoch), keyed by the compiled model's fingerprint),
   **worker epochs** (a crash bumps the epoch; completions that echo a
-  stale epoch are dropped) and **heartbeat liveness**.  Every method
-  takes an explicit ``now`` and every choice lands in an ordered
-  decision record — the determinism witness.
+  stale epoch are dropped) and **heartbeat liveness**.  One object holds
+  each fact once: which worker runs which assignment is ``_running``
+  (a hedge replica is a second key on the same assignment), which
+  workers exist is ``alive`` / ``epochs`` / ``retired``.  The one
+  facade (:class:`~repro.serve.service.CopseService`, over either
+  :class:`~repro.serve.transport.Transport`) drives it in real time,
+  :class:`~repro.serve.loadgen.SimRunner` from a discrete-event loop
+  under a virtual clock.  Every method takes an explicit ``now`` and
+  every choice lands in an ordered decision record — the determinism
+  witness.
 * :class:`ClusterService` — the name that opens the facade over
   :class:`~repro.serve.transport.ProcessTransport`: actual
   ``multiprocessing`` (spawn) workers behind pipes.  Queries submitted
@@ -30,7 +32,7 @@ instead of requeueing immediately, a batch that keeps killing workers is
 steer placement away from failing pairs, and (when enabled) a batch in
 flight past ``k x`` its cost estimate is **hedged** onto a second worker
 — first valid completion wins, the loser is discarded by the existing
-epoch/busy staleness check.
+epoch / in-flight staleness check.
 
 Decision records are ``(kind, ...)`` tuples ordered by emission:
 ``("ship", worker, epoch, model, t)``,
@@ -61,6 +63,7 @@ from repro.errors import (
     ValidationError,
     WorkerPoolExhaustedError,
     require_int,
+    require_real,
 )
 from repro.serve.faults import (
     BREAKER_CLOSED,
@@ -104,22 +107,21 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 60.0
 class _Flight:
     """Hedge bookkeeping for one in-flight batch (hedging enabled only)."""
 
-    __slots__ = ("assignment", "started", "estimate_s", "hedge_worker",
-                 "hedge_epoch")
+    __slots__ = ("assignment", "started", "estimate_s", "hedge_worker")
 
     def __init__(self, assignment: Assignment, started: float,
                  estimate_s: float):
         self.assignment = assignment
         self.started = started
         self.estimate_s = estimate_s
+        #: The replica's worker; ``_running`` maps it to the assignment.
         self.hedge_worker: Optional[int] = None
-        self.hedge_epoch: Optional[int] = None
 
 
-class RouterCore:
-    """Pure cluster placement/failover over a :class:`SchedulerCore`.
+class RouterCore(SchedulerCore):
+    """The scheduler core, placing its cuts on a pool that can fail.
 
-    Thread-unsafe by design, like the scheduler core it wraps: engines
+    Thread-unsafe by design, like the core it extends: engines
     serialize access and pass ``now`` explicitly, so simulated and real
     clusters make identical routing decisions from identical inputs.
     """
@@ -135,41 +137,30 @@ class RouterCore:
         breaker: Optional[CircuitBreaker] = None,
         dlq_limit: int = 64,
     ):
-        require_int("cluster workers", workers)
         require_int("max_retries", max_retries)
-        if workers < 1:
-            raise ValidationError(
-                f"cluster workers must be >= 1, got {workers}"
-            )
         if max_retries < 0:
             raise ValidationError(
                 f"max_retries must be >= 0, got {max_retries}"
             )
+        require_real("heartbeat_timeout_s", heartbeat_timeout_s)
         if heartbeat_timeout_s <= 0:
             raise ValidationError(
                 f"heartbeat_timeout_s must be > 0, got "
                 f"{heartbeat_timeout_s}"
             )
-        self.core = SchedulerCore(
-            workers=workers, tracer=tracer, metrics=metrics,
-        )
-        self.workers = workers
+        super().__init__(workers, tracer=tracer, metrics=metrics)
         #: Backoff-parked retries a ticket gets before its next crash
         #: sends it to quarantine.
         self.max_retries = max_retries
-        self.tracer = tracer
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.epochs: List[int] = [0] * workers
-        self.alive: List[bool] = [True] * workers
-        #: Ids retired or abandoned for good: the scheduler core has
-        #: forgotten them, so they never restart.
+        #: Ids retired or abandoned for good: never placed or restarted.
         self.retired: set = set()
         #: Last heartbeat per worker (None until the engine reports one).
         self.last_heartbeat: List[Optional[float]] = [None] * workers
         #: Per-worker map of model name -> shipped fingerprint, reset on
         #: every epoch change: the ship-exactly-once ledger.
         self.shipped: List[Dict[str, str]] = [{} for _ in range(workers)]
-        self._busy: Dict[int, Assignment] = {}
         #: model name -> current fingerprint (the placement/ship key).
         self._models: Dict[str, str] = {}
         #: model name -> its placement rotation, until the pool changes.
@@ -214,12 +205,8 @@ class RouterCore:
         m.gauge("cluster_workers").set(workers)
 
     # ------------------------------------------------------------------
-    # Shared surface (delegated to the scheduler core)
+    # Models, and what the core's stats leave out
     # ------------------------------------------------------------------
-
-    @property
-    def metrics(self):
-        return self.core.metrics
 
     def add_model(
         self,
@@ -230,12 +217,12 @@ class RouterCore:
         service_ms: Optional[float] = None,
         fingerprint: Optional[str] = None,
     ) -> None:
-        """Register one served model (queue + placement identity).
+        """Register one served model: its queue plus its identity.
 
         ``fingerprint`` keys the ship-once ledger; profile-only callers
         (the simulator) may omit it and get a synthetic stand-in.
         """
-        self.core.add_queue(
+        self.add_queue(
             name,
             capacity=capacity,
             weight=weight,
@@ -248,84 +235,72 @@ class RouterCore:
 
     def remove_model(self, name: str,
                      now: Optional[float] = None) -> int:
+        """Stop serving ``name``: its queue (failing what it held) and
+        its identity.  Returns the number of tickets failed."""
         self._models.pop(name, None)
         self._placements.pop(name, None)
         for ledger in self.shipped:
             ledger.pop(name, None)
-        return self.core.remove_queue(name, now=now)
-
-    def submit(self, name: str, payload, now: float, tenant="default",
-               deadline=None, priority: int = 0):
-        return self.submit_many(
-            name, (payload,), now, tenant=tenant, deadline=deadline,
-            priority=priority,
-        )[0]
-
-    def submit_many(self, name: str, payloads, now: float,
-                    tenant="default", deadline=None, priority: int = 0):
-        return self.core.submit_many(
-            name, payloads, now, tenant=tenant, deadline=deadline,
-            priority=priority,
-        )
-
-    def flush(self, name: Optional[str] = None) -> None:
-        self.core.flush(name)
-
-    def drain_failures(self):
-        return self.core.drain_failures()
+        return self.remove_queue(name, now=now)
 
     def stats(self) -> SchedulerStats:
-        stats = self.core.stats()
-        self.metrics.gauge("cluster_workers_alive").set(
-            sum(1 for a in self.alive if a)
-        )
+        stats = super().stats()
+        self.metrics.gauge("cluster_workers_alive").set(self.live_workers)
         self.metrics.gauge("cluster_dlq_depth").set(len(self.dlq))
-        self.metrics.gauge("cluster_parked").set(
-            len(self._parked)
-            + sum(len(c["tickets"]) for _, _, c in self._cohorts)
-        )
+        self.metrics.gauge("cluster_parked").set(self._waiting())
         return stats
 
     @property
     def outstanding(self) -> int:
-        # Parked tickets and quarantine cohorts left the scheduler's
-        # queues but still owe their callers a resolution.
-        return (
-            self.core.outstanding
-            + len(self._parked)
-            + sum(len(c["tickets"]) for _, _, c in self._cohorts)
+        # Parked tickets and quarantine cohorts left the queues but
+        # still owe their callers a resolution.
+        return super().outstanding + self._waiting()
+
+    def _waiting(self) -> int:
+        """Tickets parked behind a backoff or in a quarantine cohort."""
+        return len(self._parked) + sum(
+            len(c["tickets"]) for _, _, c in self._cohorts
         )
 
     def set_weight(self, name: str, weight: float, now: float) -> float:
-        """Retune a model's fair-share weight; returns the old one."""
-        old = self.core.set_weight(name, weight)
+        """Retune a model's fair-share weight; returns the old one.
+
+        Takes effect on the next cut: virtual time already accrued is
+        kept (a weight change re-prices *future* service, it does not
+        replay the past).
+        """
+        queue = self._queue_or_raise(name)
+        require_real(f"queue {name!r}: fair-share weight", weight)
+        if weight <= 0:
+            raise ValidationError(
+                f"queue {name!r}: fair-share weight must be > 0, got "
+                f"{weight}"
+            )
+        old, queue.weight = queue.weight, weight
         self._record("set_weight", name, round(weight, 9), round(now, 9))
         return old
 
     def set_admission_limit(self, name: str, limit: Optional[int],
                             now: float) -> Optional[int]:
-        """Rebound a model's admission limit; returns the old one."""
-        old = self.core.set_max_pending(name, limit)
+        """Rebound a model's admission limit; returns the old one.
+
+        ``None`` removes the bound.  Queries already admitted above a
+        tightened bound stay queued — the bound gates *admission*, it
+        never drops accepted work.
+        """
+        queue = self._queue_or_raise(name)
+        if limit is not None:
+            require_int(f"queue {name!r}: max_pending", limit)
+            if limit < 1:
+                raise ValidationError(
+                    f"queue {name!r}: max_pending must be >= 1, got {limit}"
+                )
+        old, queue.max_pending = queue.max_pending, limit
         self._record(
             "set_admission_limit", name,
             -1 if limit is None else limit, round(now, 9),
         )
         return old
-
-    def set_lanes(self, name: str, lanes: int) -> None:
-        """How many batches of ``name`` its evaluator runs in one go
-        (:meth:`SchedulerCore.set_lanes`)."""
-        self.core.set_lanes(name, lanes)
-
-    def next_cut_time(self) -> Optional[float]:
-        return self.core.next_cut_time()
-
-    def close(self) -> None:
-        self.core.close()
-
-    # ------------------------------------------------------------------
-    # Decision recording
-    # ------------------------------------------------------------------
 
     def _record(self, *fields) -> None:
         self.decisions.append(fields)
@@ -359,7 +334,7 @@ class RouterCore:
         for worker in self.placement_order(model):
             if worker in exclude:
                 continue
-            if self.alive[worker] and worker not in self._busy:
+            if self.alive[worker] and worker not in self._running:
                 allowed, transition = self.breaker.allow(
                     (model, worker), now
                 )
@@ -375,7 +350,7 @@ class RouterCore:
         could go to now.  A pair whose breaker is not closed is not
         counted: whether it may probe is :meth:`_place`'s to decide."""
         return sum(
-            1 for other in self.idle_live_workers()
+            1 for other in self.idle_workers()
             if other != worker
             and self.breaker.state((model, other)) == BREAKER_CLOSED
         )
@@ -398,13 +373,26 @@ class RouterCore:
         actions.append(ShipAction(worker=worker, epoch=epoch, model=name))
         return True
 
-    def _track_flight(self, assignment: Assignment, now: float) -> None:
-        if not self.retry_policy.hedging_enabled:
-            return
-        self._flights[assignment.batch_id] = _Flight(
-            assignment, started=now,
-            estimate_s=self.core.service_estimate_s(assignment.queue),
+    def _placed(self, assignment: Assignment, now: float,
+                actions: List[object]) -> None:
+        """Ship if needed, arm the hedge clock, record and emit one
+        freshly bound assignment."""
+        name, worker = assignment.queue, assignment.worker
+        epoch = self.epochs[worker]
+        newly = self._ship_if_needed(name, worker, epoch, now, actions)
+        if self.retry_policy.hedging_enabled:
+            queue = self._queues.get(name)
+            self._flights[assignment.batch_id] = _Flight(
+                assignment, started=now,
+                estimate_s=queue.service_s if queue is not None else 0.0,
+            )
+        self._record(
+            "assign", assignment.batch_id, name, worker, epoch,
+            assignment.size, assignment.tickets[0].seq, round(now, 9),
         )
+        actions.append(AssignAction(
+            assignment=assignment, epoch=epoch, newly_shipped=newly,
+        ))
 
     def ship_everywhere(self, name: str, now: float) -> List[ShipAction]:
         """Warm the pool: ship ``name`` to every live worker that does
@@ -424,11 +412,11 @@ class RouterCore:
         """Cut and place every batch that can run right now.
 
         First releases due backoff parks and quarantine cohorts, then
-        walks the scheduler's ready queues in fair-share order, pins
-        each cut to the first eligible worker of the model's placement
-        rotation (circuit breakers veto failing (model, worker) pairs),
-        and emits the engine's work list: a :class:`ShipAction` the
-        first time a (worker, epoch) sees a model (or a redeployed
+        walks the ready queues in fair-share order, pins each cut to the
+        first eligible worker of the model's placement rotation
+        (circuit breakers veto failing (model, worker) pairs), and
+        emits the engine's work list: a :class:`ShipAction` the first
+        time a (worker, epoch) sees a model (or a redeployed
         fingerprint), then the :class:`AssignAction` for the batch
         itself.  A queue no eligible worker can take is skipped without
         starving the others.  Finally, batches in flight past their
@@ -451,34 +439,21 @@ class RouterCore:
         cuts = 0
         while limit is None or cuts < limit:
             progressed = False
-            for name in self.core.ready_queues(now):
+            for name in self.ready_queues(now):
                 worker = self._place(name, now)
                 if worker is None:
                     continue
                 among = 1
-                if self.core.lanes(name) > 1:
+                if self.lanes(name) > 1:
                     among += self._free_beside(name, worker)
                     if limit is not None:
                         among = min(among, limit - cuts)
-                assignment = self.core.assign(now, worker=worker,
-                                              queue=name, among=among)
+                assignment = self.assign(now, worker=worker, queue=name,
+                                         among=among)
                 if assignment is None:
                     self.breaker.release_probe((name, worker))
                     continue  # the whole cut was cancelled
-                epoch = self.epochs[worker]
-                newly = self._ship_if_needed(name, worker, epoch, now,
-                                             actions)
-                self._busy[worker] = assignment
-                self._track_flight(assignment, now)
-                self._record(
-                    "assign", assignment.batch_id, name, worker, epoch,
-                    assignment.size, assignment.tickets[0].seq,
-                    round(now, 9),
-                )
-                actions.append(AssignAction(
-                    assignment=assignment, epoch=epoch,
-                    newly_shipped=newly,
-                ))
+                self._placed(assignment, now, actions)
                 progressed = True
                 cuts += 1
                 break  # re-evaluate fair-share order after every cut
@@ -497,13 +472,13 @@ class RouterCore:
         released: List[str] = []
         while self._parked and self._parked[0][0] <= now:
             _, _, ticket = heapq.heappop(self._parked)
-            if self.core.requeue(ticket):
+            if self.requeue(ticket, now):
                 released.append(ticket.queue)
         for name in dict.fromkeys(released):
             # The crashed tickets were already cut once; re-flush so a
             # requeued partial batch re-cuts now instead of waiting for
             # a flush nobody will send again.
-            self.core.flush(name)
+            self.flush(name)
 
     def _dispatch_cohorts(self, now: float,
                           actions: List[object]) -> None:
@@ -512,39 +487,39 @@ class RouterCore:
         while self._cohorts and self._cohorts[0][0] <= now:
             release_t, order, cohort = heapq.heappop(self._cohorts)
             name = cohort["queue"]
+            if name not in self._models:
+                # Unregistered while the cohort waited: nowhere to ship
+                # it, so its tickets fail as a parked retry's would.
+                for ticket in cohort["tickets"]:
+                    self.requeue(ticket, now)
+                continue
             worker = self._place(name, now)
             if worker is None:
                 deferred.append((release_t, order, cohort))
                 continue
-            assignment = self.core.assign_direct(
+            assignment = self.assign_direct(
                 name, cohort["tickets"], worker, now
             )
             if assignment is None:
                 self.breaker.release_probe((name, worker))
                 continue  # every cohort ticket was cancelled meanwhile
-            epoch = self.epochs[worker]
-            newly = self._ship_if_needed(name, worker, epoch, now,
-                                         actions)
-            self._busy[worker] = assignment
             self._quarantined[assignment.batch_id] = cohort["origin"]
-            self._track_flight(assignment, now)
-            self._record(
-                "assign", assignment.batch_id, name, worker, epoch,
-                assignment.size, assignment.tickets[0].seq,
-                round(now, 9),
-            )
-            actions.append(AssignAction(
-                assignment=assignment, epoch=epoch, newly_shipped=newly,
-            ))
+            self._placed(assignment, now, actions)
         for entry in deferred:
             heapq.heappush(self._cohorts, entry)
 
+    def _unhedged(self) -> List[_Flight]:
+        """Flights that may still earn a hedge, in batch order: no
+        replica yet, and a model still served to ship it to."""
+        return [
+            flight for _, flight in sorted(self._flights.items())
+            if flight.hedge_worker is None
+            and flight.assignment.queue in self._models
+        ]
+
     def _check_hedges(self, now: float, actions: List[object]) -> None:
         """Speculatively re-place batches stuck past the hedge threshold."""
-        for batch_id in sorted(self._flights):
-            flight = self._flights[batch_id]
-            if flight.hedge_worker is not None:
-                continue
+        for flight in self._unhedged():
             threshold = self.retry_policy.hedge_after_s(flight.estimate_s)
             if now - flight.started < threshold:
                 continue
@@ -554,16 +529,14 @@ class RouterCore:
                                  exclude=(assignment.worker,))
             if worker is None:
                 continue
-            self.core.reserve_worker(worker)
             epoch = self.epochs[worker]
             newly = self._ship_if_needed(name, worker, epoch, now,
                                          actions)
-            self._busy[worker] = assignment
+            self._running[worker] = assignment
             flight.hedge_worker = worker
-            flight.hedge_epoch = epoch
             self._hedges.inc()
-            self._record("hedge", batch_id, assignment.worker, worker,
-                         epoch, round(now, 9))
+            self._record("hedge", assignment.batch_id, assignment.worker,
+                         worker, epoch, round(now, 9))
             actions.append(HedgeAction(
                 assignment=assignment, worker=worker, epoch=epoch,
                 newly_shipped=newly,
@@ -578,7 +551,7 @@ class RouterCore:
         seam, so parked work can never stall a run.
         """
         times: List[float] = []
-        cut = self.core.next_cut_time()
+        cut = self.next_cut_time()
         if cut is not None:
             times.append(cut)
         if self._parked:
@@ -586,14 +559,11 @@ class RouterCore:
         if self._cohorts:
             times.append(self._cohorts[0][0])
         if self.retry_policy.hedging_enabled:
-            for flight in self._flights.values():
-                if flight.hedge_worker is None:
-                    times.append(
-                        flight.started
-                        + self.retry_policy.hedge_after_s(
-                            flight.estimate_s
-                        )
-                    )
+            for flight in self._unhedged():
+                times.append(
+                    flight.started
+                    + self.retry_policy.hedge_after_s(flight.estimate_s)
+                )
         if self._parked or self._cohorts:
             reopen = self.breaker.next_transition_time()
             if reopen is not None:
@@ -626,7 +596,7 @@ class RouterCore:
             worker = assignment.worker
         if (
             epoch != self.epochs[worker]
-            or self._busy.get(worker) is not assignment
+            or self._running.get(worker) is not assignment
         ):
             self._stale.inc()
             self._record("stale", assignment.batch_id, worker, epoch,
@@ -634,17 +604,16 @@ class RouterCore:
             return False
         flight = self._flights.pop(assignment.batch_id, None)
         if flight is not None and flight.hedge_worker is not None:
-            # Two executors raced; settle the loser before accounting.
+            # Two executors raced: the loser leaves the in-flight map
+            # and the winner is the worker of record.
             if worker == flight.hedge_worker:
-                self._busy.pop(assignment.worker, None)
-                self.core.rebind(assignment, worker)
+                del self._running[assignment.worker]
+                assignment.worker = worker
                 self._hedge_wins.inc()
             else:
-                self._busy.pop(flight.hedge_worker, None)
-                self.core.release_worker(flight.hedge_worker)
+                del self._running[flight.hedge_worker]
             self._record("hedge_win", assignment.batch_id, worker,
                          round(now, 9))
-        del self._busy[worker]
         self._quarantined.pop(assignment.batch_id, None)
         if outcome == OUTCOME_OK:
             healed = self.breaker.record_success(
@@ -653,7 +622,7 @@ class RouterCore:
             if healed is not None:
                 self._record("breaker", assignment.queue, worker,
                              healed, round(now, 9))
-        self.core.complete(assignment, now, outcome, failed)
+        super().complete(assignment, now, outcome, failed)
         return True
 
     # ------------------------------------------------------------------
@@ -711,8 +680,9 @@ class RouterCore:
         self.epochs[worker] += 1
         self.alive[worker] = False
         self.shipped[worker] = {}
-        assignment = self._busy.pop(worker, None)
+        assignment = self._running.pop(worker, None)
         self._crashes.inc()
+        self._worker_crashes.inc()
         self._record("crash", worker, self.epochs[worker], round(now, 9))
         if self.tracer is not None:
             self.tracer.event(
@@ -720,7 +690,6 @@ class RouterCore:
                 epoch=self.epochs[worker],
             )
         if assignment is None:
-            self.core.count_crash()
             return None
         trip = self.breaker.record_failure(
             (assignment.queue, worker), now
@@ -731,32 +700,29 @@ class RouterCore:
                          round(now, 9))
         flight = self._flights.get(assignment.batch_id)
         if flight is not None and flight.hedge_worker is not None:
-            self.core.count_crash()
             if worker == flight.hedge_worker:
                 # The hedge replica died; the primary runs on.
-                self.core.release_worker(worker)
                 self._record("hedge_drop", assignment.batch_id, worker,
                              round(now, 9))
             else:
-                # The primary died; promote the hedge to sole executor.
-                survivor = flight.hedge_worker
-                self.core.rebind(assignment, survivor)
+                # The primary died; the replica is the sole executor.
+                assignment.worker = flight.hedge_worker
                 self._record("hedge_promote", assignment.batch_id,
-                             worker, survivor, round(now, 9))
+                             worker, flight.hedge_worker, round(now, 9))
             flight.hedge_worker = None
-            flight.hedge_epoch = None
             flight.started = now  # re-arm the hedge window
             return None
         self._flights.pop(assignment.batch_id, None)
-        tickets = self.core.release_crashed(assignment, now)
-        self._handle_crashed_tickets(assignment, tickets, now)
+        if self.tracer is not None and assignment.span is not None:
+            self.tracer.end(assignment.span, now, outcome="crash")
+        self._handle_crashed_tickets(assignment, now)
         return assignment
 
     def _handle_crashed_tickets(self, assignment: Assignment,
-                                tickets: List[QueryTicket],
                                 now: float) -> None:
-        """Decide the fate of every ticket freed by a worker crash."""
-        queue = assignment.queue
+        """Decide the fate of every ticket freed by a worker crash (their
+        futures stay RUNNING: a parked retry is live at its next cut)."""
+        queue, tickets = assignment.queue, assignment.tickets
         origin = self._quarantined.pop(assignment.batch_id, None)
         if origin is not None:
             # A quarantine cohort crashed again: narrow further.
@@ -770,7 +736,7 @@ class RouterCore:
             if ticket.retries >= self.max_retries:
                 exhausted.append(ticket)
                 continue
-            self.core.prepare_retry(ticket, now)
+            self.prepare_retry(ticket, now)
             release = now + self.retry_policy.backoff_s(
                 ticket.retries, key=f"{queue}:{ticket.seq}"
             )
@@ -799,7 +765,7 @@ class RouterCore:
         )
         for half in halves:
             for ticket in half:
-                self.core.prepare_retry(ticket, now)
+                self.prepare_retry(ticket, now)
             heapq.heappush(
                 self._cohorts,
                 (release, next(self._park_order),
@@ -836,7 +802,7 @@ class RouterCore:
                 "dead_letter", now, track=f"tenant:{ticket.tenant}",
                 model=queue, seq=ticket.seq,
             )
-        self.core.dead_letter_ticket(ticket, PoisonQueryError(
+        self.dead_letter_ticket(ticket, PoisonQueryError(
             f"query seq={ticket.seq} (model {queue!r}) crashed "
             f"{attempts} workers and was quarantined to the "
             f"dead-letter queue",
@@ -872,10 +838,11 @@ class RouterCore:
                 f"cannot restart worker {worker}: it was retired or "
                 f"abandoned and its id is never reused"
             )
-        if worker in self._busy:
+        if worker in self._running:
             raise ValidationError(
                 f"cannot restart worker {worker} with batch "
-                f"{self._busy[worker].batch_id} in flight; crash it first"
+                f"{self._running[worker].batch_id} in flight; crash it "
+                f"first"
             )
         self.epochs[worker] += 1
         self.alive[worker] = True
@@ -904,6 +871,11 @@ class RouterCore:
         is left waiting for a worker that will never come, and
         conservation holds.
         """
+        if self.alive[worker] or worker in self.retired:
+            raise ValidationError(
+                f"cannot abandon worker {worker}: only a crashed worker "
+                f"is given up on"
+            )
         self.last_heartbeat[worker] = None
         self.retired.add(worker)
         self._placements.clear()
@@ -915,17 +887,16 @@ class RouterCore:
                 "abandon", now, track=f"worker:{worker}", deaths=deaths,
             )
         if self.live_workers:
-            self.core.remove_worker(worker)
             return
-        self.core.close()
+        self.close()
         waiting = [ticket for _, _, ticket in self._parked]
         for _, _, cohort in self._cohorts:
             waiting.extend(cohort["tickets"])
         self._parked.clear()
         self._cohorts.clear()
         for ticket in waiting:
-            self.core.requeue(ticket)
-        self.core.fail_pending(
+            self.requeue(ticket, now)
+        self.fail_pending(
             lambda ticket: WorkerPoolExhaustedError(
                 f"query seq={ticket.seq} (model {ticket.queue!r}) has no "
                 f"worker left to run on: worker {worker}, the last of "
@@ -961,15 +932,11 @@ class RouterCore:
         placement rotation — deterministically, since the rotation is a
         pure function of (model, pool size).
         """
-        worker = self.core.add_worker()
-        # Core ids and router index space only ever grow together, so
-        # the fresh id always lands exactly one past the current lists.
-        while len(self.epochs) <= worker:
-            self.epochs.append(0)
-            self.alive.append(True)
-            self.last_heartbeat.append(None)
-            self.shipped.append({})
-        self.workers = len(self.epochs)
+        worker = self.workers
+        self.alive.append(True)
+        self.epochs.append(0)
+        self.last_heartbeat.append(None)
+        self.shipped.append({})
         self._placements.clear()
         self._scale_ups.inc()
         self.metrics.gauge("cluster_workers").set(self.workers)
@@ -984,31 +951,25 @@ class RouterCore:
         """Permanently remove an **idle** worker from placement.
 
         Unlike :meth:`crash_worker` (which expects a restart), a retired
-        worker never comes back: its id stays dead, its epoch is bumped
-        so any straggling completion from it is dropped as stale, and
-        the scheduler core forgets it.  Refuses while a batch is in
-        flight (in-flight epoch safety) and refuses to retire the last
-        live worker.
+        worker never comes back: its id stays dead and its epoch is
+        bumped so any straggling completion from it is dropped as stale.
+        Refuses while a batch is in flight (in-flight epoch safety) and
+        refuses to retire the last live worker.
         """
         if not self.alive[worker]:
             raise ValidationError(
                 f"worker {worker} is not alive; only live idle workers "
                 f"can be retired"
             )
-        if worker in self._busy:
+        if worker in self._running:
             raise ValidationError(
                 f"cannot retire worker {worker} with batch "
-                f"{self._busy[worker].batch_id} in flight"
+                f"{self._running[worker].batch_id} in flight"
             )
-        live = sum(
-            1 for w in range(self.workers)
-            if self.alive[w] and w != worker
-        )
-        if live < 1:
+        if self.live_workers < 2:
             raise ValidationError(
                 "cannot retire the last live worker"
             )
-        self.core.remove_worker(worker)
         self.retired.add(worker)
         self._placements.clear()
         self.epochs[worker] += 1
@@ -1023,27 +984,16 @@ class RouterCore:
                 epoch=self.epochs[worker],
             )
 
-    def idle_live_workers(self) -> List[int]:
-        """Live workers with no batch in flight."""
-        return [
-            w for w in range(self.workers)
-            if self.alive[w] and w not in self._busy
-        ]
-
     def retirable_worker(self) -> int:
         """The worker a scale-down retires: the highest-id idle one.
 
         A deterministic choice that keeps low worker ids (the crc32
         placement anchors) stable.
         """
-        idle = self.idle_live_workers()
+        idle = self.idle_workers()
         if not idle:
             raise ValidationError("no idle worker to retire")
         return idle[-1]
-
-    @property
-    def live_workers(self) -> int:
-        return sum(1 for a in self.alive if a)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ValidationError
+from repro.errors import ValidationError, require_int, require_real
 from repro.core.engines import ENGINES
 from repro.serve.batched_runtime import evaluate_registered_batches
 from repro.serve.simclock import MS
@@ -99,6 +99,9 @@ class RetryPolicy:
     hedge_min_ms: float = 50.0
 
     def __post_init__(self) -> None:
+        for name in ("base_delay_ms", "multiplier", "max_delay_ms",
+                     "jitter", "hedge_factor", "hedge_min_ms"):
+            require_real(name, getattr(self, name))
         if self.base_delay_ms < 0:
             raise ValidationError(
                 f"base_delay_ms must be >= 0, got {self.base_delay_ms}"
@@ -188,6 +191,8 @@ class CircuitBreaker:
     """
 
     def __init__(self, failure_threshold: int = 3, open_s: float = 2.0):
+        require_int("failure_threshold", failure_threshold)
+        require_real("open_s", open_s)
         if failure_threshold < 1:
             raise ValidationError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
@@ -324,6 +329,7 @@ class DeadLetterQueue:
     """
 
     def __init__(self, limit: int = 64):
+        require_int("dlq_limit", limit)
         if limit < 1:
             raise ValidationError(f"dlq limit must be >= 1, got {limit}")
         self.limit = limit

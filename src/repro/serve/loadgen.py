@@ -13,7 +13,7 @@ exactly that load under a :class:`~repro.serve.simclock.VirtualClock`:
   fixed virtual times, slowed batches, corrupted ships and completions,
   lost and duplicated completions, poison queries;
 * :class:`SimRunner` — the one simulator: a discrete-event loop driving
-  the *same* :class:`~repro.serve.cluster.RouterCore` (and, under it,
+  the *same* decision core (:class:`~repro.serve.cluster.RouterCore`, a
   :class:`~repro.serve.scheduler.SchedulerCore`) the real
   :class:`~repro.serve.cluster.ClusterService` runs, with per-model
   service times taken from the cost model (the circuits are

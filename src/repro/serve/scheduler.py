@@ -29,18 +29,20 @@ scheduling problem:
   so a retry would fail identically — those queries fail immediately
   with the original exception.  A worker that *dies* mid-batch is the
   router's to judge (:class:`~repro.serve.cluster.RouterCore`: park
-  behind a backoff, quarantine, dead-letter); the core only hands the
-  tickets back (:meth:`SchedulerCore.release_crashed`) and requeues a
+  behind a backoff, quarantine, dead-letter); the core requeues a
   retried ticket at its original queue position.
 
 This module is the **pure decision core** (:class:`SchedulerCore`: no
-threads, no clock ownership — every method takes ``now``); the engines
-that drive it are thin and sit above the router that wraps it
-(:class:`~repro.serve.cluster.RouterCore`).  The serve facade
-(:class:`~repro.serve.service.CopseService`) drives it in real time from
-one pump thread and a :class:`~repro.serve.simclock.Clock`;
-:mod:`repro.serve.loadgen` drives the *same* core from a deterministic
-discrete-event loop under a
+threads, no clock ownership — every method takes ``now``): the queues,
+the cut, the booking, the worker pool (``alive``, one flag per id ever
+issued) and the one in-flight map (``_running``, worker -> the
+assignment it runs).  :class:`~repro.serve.cluster.RouterCore` *is* a
+``SchedulerCore`` — the same object, with placement, epochs, liveness
+and the fault domain on top — and it is what every engine drives.  The
+serve facade (:class:`~repro.serve.service.CopseService`) drives it in
+real time from one pump thread and a
+:class:`~repro.serve.simclock.Clock`; :mod:`repro.serve.loadgen` drives
+the *same* core from a deterministic discrete-event loop under a
 :class:`~repro.serve.simclock.VirtualClock`.
 Because every scheduling decision lives in the core and depends only on
 (queue state, time, free workers), the simulated decisions are exactly
@@ -345,13 +347,14 @@ class SchedulerCore:
         require_int("workers", workers)
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         self._queues: Dict[str, _ModelQueue] = {}
-        self._free: List[int] = list(range(workers))
+        #: One flag per worker id ever issued.  Ids are never reused: a
+        #: retired worker's id stays dead, so decision logs and traces
+        #: are unambiguous.
+        self.alive: List[bool] = [True] * workers
+        #: The one in-flight map: worker -> the assignment it runs.  A
+        #: hedge replica's worker maps to the assignment it shares.
         self._running: Dict[int, Assignment] = {}
-        #: Worker ids are never reused: a retired worker's id stays dead
-        #: (like epochs), so decision logs and traces are unambiguous.
-        self._next_worker_id = workers
         self._next_seq = 0
         self._next_batch_id = 1
         self._closed = False
@@ -458,47 +461,6 @@ class SchedulerCore:
     def queue_names(self) -> List[str]:
         return sorted(self._queues)
 
-    # ------------------------------------------------------------------
-    # Control seams: live policy actuation, no restart required
-    # ------------------------------------------------------------------
-
-    def set_weight(self, name: str, weight: float) -> float:
-        """Change a queue's fair-share weight; returns the old weight.
-
-        Takes effect on the next :meth:`assign`: virtual time already
-        accrued is kept (a weight change re-prices *future* service, it
-        does not replay the past).
-        """
-        queue = self._queue_or_raise(name)
-        require_real(f"queue {name!r}: fair-share weight", weight)
-        if weight <= 0:
-            raise ValidationError(
-                f"queue {name!r}: fair-share weight must be > 0, got "
-                f"{weight}"
-            )
-        old = queue.weight
-        queue.weight = weight
-        return old
-
-    def set_max_pending(self, name: str,
-                        limit: Optional[int]) -> Optional[int]:
-        """Change a queue's admission bound; returns the old bound.
-
-        ``None`` removes the bound.  Queries already admitted above a
-        tightened bound stay queued — the bound gates *admission*, it
-        never drops accepted work.
-        """
-        queue = self._queue_or_raise(name)
-        if limit is not None:
-            require_int(f"queue {name!r}: max_pending", limit)
-            if limit < 1:
-                raise ValidationError(
-                    f"queue {name!r}: max_pending must be >= 1, got {limit}"
-                )
-        old = queue.max_pending
-        queue.max_pending = limit
-        return old
-
     def set_lanes(self, name: str, lanes: int) -> None:
         """Say how many batches of ``name`` one evaluation can run.
 
@@ -519,45 +481,22 @@ class SchedulerCore:
         """What :meth:`set_lanes` last said for ``name``."""
         return self._queues[name].lanes
 
-    def add_worker(self) -> int:
-        """Grow the pool by one idle worker; returns its (fresh) id."""
-        worker = self._next_worker_id
-        self._next_worker_id += 1
-        self.workers += 1
-        heapq.heappush(self._free, worker)
-        return worker
+    @property
+    def workers(self) -> int:
+        """Worker ids issued so far (retired and crashed ones included)."""
+        return len(self.alive)
 
-    def remove_worker(self, worker: int) -> None:
-        """Retire an **idle** worker from the pool.
-
-        Refuses to retire a worker with a batch in flight (the caller
-        must drain it first — in-flight work is never abandoned), to
-        retire an unknown/already-retired id, and to shrink below one
-        worker.  The id is never reused.
-        """
-        if self.workers <= 1:
-            raise ValidationError(
-                "cannot retire the last worker (the pool must keep at "
-                "least one)"
-            )
-        if worker in self._running:
-            raise ValidationError(
-                f"cannot retire worker {worker} with batch "
-                f"{self._running[worker].batch_id} in flight; drain it "
-                f"first"
-            )
-        if worker not in self._free:
-            raise ValidationError(
-                f"worker {worker} is not in the pool (retired already, "
-                f"or never existed)"
-            )
-        self._free.remove(worker)
-        heapq.heapify(self._free)
-        self.workers -= 1
+    @property
+    def live_workers(self) -> int:
+        """The pool's size: workers that can take an assignment."""
+        return sum(self.alive)
 
     def idle_workers(self) -> List[int]:
-        """Ids of workers with no batch in flight (ascending)."""
-        return sorted(self._free)
+        """Live workers with nothing in flight (ascending ids)."""
+        return [
+            w for w, live in enumerate(self.alive)
+            if live and w not in self._running
+        ]
 
     def pending(self, name: Optional[str] = None) -> int:
         if name is not None:
@@ -567,8 +506,10 @@ class SchedulerCore:
 
     @property
     def running(self) -> int:
-        """Tickets currently being evaluated on workers."""
-        return sum(a.size for a in self._running.values())
+        """Tickets currently being evaluated (a hedged one once)."""
+        return sum(
+            a.size for w, a in self._running.items() if a.worker == w
+        )
 
     @property
     def outstanding(self) -> int:
@@ -765,8 +706,11 @@ class SchedulerCore:
         Cancelled tickets are dropped here — a caller's cancel never
         occupies a batch slot.
         """
-        if not self._free:
-            return None
+        if worker is None:
+            idle = self.idle_workers()
+            if not idle:
+                return None
+            worker = idle[0]
         while True:
             if queue is not None:
                 target = self._queues.get(queue)
@@ -795,10 +739,6 @@ class SchedulerCore:
                     fills.append(len(cut))
             if not tickets:
                 continue  # the whole cut was cancelled; look again
-            if worker is None:
-                worker = heapq.heappop(self._free)
-            else:
-                self._free.remove(worker)
             return self._bind(chosen.name, worker, tickets, fills, now)
 
     def _cut_one(self, queue: _ModelQueue, now: float) -> List[QueryTicket]:
@@ -878,7 +818,7 @@ class SchedulerCore:
         :func:`evaluation_failure` quoting the cause it maps them to.
         ``"error"``: every batch's evaluation raised — deterministic,
         so every ticket fails.  A worker that died mid-batch never
-        completes: see :meth:`release_crashed`.
+        completes: the router decides its tickets' fate.
         """
         if self._running.get(assignment.worker) is not assignment:
             raise ValidationError(
@@ -886,7 +826,6 @@ class SchedulerCore:
                 f"{assignment.batch_id}"
             )
         del self._running[assignment.worker]
-        heapq.heappush(self._free, assignment.worker)
         tracer = self.tracer
         if tracer is not None and assignment.span is not None:
             tracer.end(assignment.span, now, outcome=outcome)
@@ -956,36 +895,8 @@ class SchedulerCore:
             self._queue_completed(queue).inc(count)
 
     # ------------------------------------------------------------------
-    # Fault-domain seams (the cluster router's crash/quarantine surface)
+    # Fault-domain seams (what the router's crash policy does to tickets)
     # ------------------------------------------------------------------
-
-    def release_crashed(self, assignment: Assignment,
-                        now: float) -> List[QueryTicket]:
-        """Free a crashed worker WITHOUT deciding its tickets' fate.
-
-        The cluster router parks retries behind a deterministic backoff
-        and quarantines repeat offenders, so it takes the raw tickets
-        back and owns the decision.  Counts the crash, ends the batch
-        span, returns the tickets (still holding their RUNNING futures
-        — the router calls :meth:`prepare_retry` /
-        :meth:`dead_letter_ticket` per ticket).
-        """
-        if self._running.get(assignment.worker) is not assignment:
-            raise ValidationError(
-                f"worker {assignment.worker} is not running batch "
-                f"{assignment.batch_id}"
-            )
-        del self._running[assignment.worker]
-        heapq.heappush(self._free, assignment.worker)
-        self._worker_crashes.inc()
-        if self.tracer is not None and assignment.span is not None:
-            self.tracer.end(assignment.span, now, outcome="crash")
-        return list(assignment.tickets)
-
-    def count_crash(self) -> None:
-        """Count a worker crash that interrupted no batch of its own
-        (e.g. a hedge worker dying while the primary still runs)."""
-        self._worker_crashes.inc()
 
     def prepare_retry(self, ticket: QueryTicket, now: float) -> None:
         """Account one retry attempt.  The ticket keeps its future, still
@@ -1007,15 +918,15 @@ class SchedulerCore:
                 "queue_wait", now, parent=ticket.span, track=track,
             )
 
-    def requeue(self, ticket: QueryTicket) -> bool:
+    def requeue(self, ticket: QueryTicket, now: float) -> bool:
         """Return a parked ticket to its queue (False if the queue is
-        gone, in which case the ticket is failed)."""
+        gone, in which case the ticket fails at ``now``)."""
         queue = self._queues.get(ticket.queue)
         if queue is None:
             self._fail_ticket(ticket, ServeError(
                 f"model {ticket.queue!r} was unregistered while a retry "
                 f"was parked"
-            ))
+            ), now=now)
             return False
         queue.push_block((ticket,), ticket.deadline)
         return True
@@ -1057,47 +968,7 @@ class SchedulerCore:
             min(capacity, len(live) - at)
             for at in range(0, len(live), capacity)
         ]
-        self._free.remove(worker)
-        heapq.heapify(self._free)
         return self._bind(queue_name, worker, live, fills, now)
-
-    def rebind(self, assignment: Assignment, new_worker: int) -> None:
-        """Move a running batch's binding to another worker.
-
-        Hedging bookkeeping: when the hedge replica wins (or the
-        primary dies with a hedge in flight), the batch's surviving
-        executor becomes its worker of record.  The old worker returns
-        to the free heap; the new worker must already be reserved
-        (absent from it).
-        """
-        old = assignment.worker
-        if self._running.get(old) is not assignment:
-            raise ValidationError(
-                f"worker {old} is not running batch "
-                f"{assignment.batch_id}; cannot rebind"
-            )
-        del self._running[old]
-        self._running[new_worker] = assignment
-        assignment.worker = new_worker
-        heapq.heappush(self._free, old)
-
-    def reserve_worker(self, worker: int) -> None:
-        """Take a worker out of the free heap (hedge dispatch)."""
-        if worker not in self._free:
-            raise ValidationError(
-                f"worker {worker} is not free; cannot reserve it"
-            )
-        self._free.remove(worker)
-        heapq.heapify(self._free)
-
-    def release_worker(self, worker: int) -> None:
-        """Return a reserved worker to the free heap."""
-        heapq.heappush(self._free, worker)
-
-    def service_estimate_s(self, name: str) -> float:
-        """The queue's live (EWMA) batch service estimate, seconds."""
-        queue = self._queues.get(name)
-        return queue.service_s if queue is not None else 0.0
 
     def _fail_ticket(self, ticket: QueryTicket, exc: Exception,
                      now: Optional[float] = None) -> None:
@@ -1135,8 +1006,8 @@ class SchedulerCore:
         # removed queue's last values stay in the registry.
         m.gauge("sched_pending").set(self.pending())
         m.gauge("sched_running").set(self.running)
-        m.gauge("sched_live_workers").set(self.workers)
-        m.gauge("sched_free_workers").set(len(self._free))
+        m.gauge("sched_live_workers").set(self.live_workers)
+        m.gauge("sched_free_workers").set(len(self.idle_workers()))
         for name, queue in sorted(self._queues.items()):
             labels = {"queue": name}
             m.gauge("sched_queue_depth", labels).set(len(queue.heap))

@@ -638,15 +638,15 @@ class CopseService:
             self.registry.get(model_name)  # name resolution (or raise)
         with self._routing() as now:
             if model_name is None:
-                for name in self.router.core.queue_names():
+                for name in self.router.queue_names():
                     # Retired directly through the registry: it stops
                     # being served here (its queued queries fail loudly).
                     if name not in self.registry:
                         self._stop_serving(name, now)
             self.router.flush(model_name)
-        core = self.router.core
+        router = self.router
         self._wait_until(
-            lambda: not (core.running or core.has_ready(self.clock.now()))
+            lambda: not (router.running or router.has_ready(self.clock.now()))
         )
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -709,7 +709,7 @@ class CopseService:
         if model_name is not None:
             self.registry.get(model_name)  # name resolution (or raise)
         with self._lock:
-            return self.router.core.pending(model_name)
+            return self.router.pending(model_name)
 
     # ------------------------------------------------------------------
     # Control-plane seams (live reconfiguration, no restart)
@@ -924,7 +924,7 @@ class CopseService:
                 self._dispatch_locked(now)
                 failures = router.drain_failures()
                 wake_at = router.next_wake_time(now)
-                idle = not router.core.running
+                idle = not router.running
                 self._delivering = bool(failures or resolutions)
             # Futures resolve outside the lock: a caller's done-callback
             # may legitimately call back into the service (stats,

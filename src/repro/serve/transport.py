@@ -51,7 +51,7 @@ import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import ServeError, ValidationError
+from repro.errors import ServeError, ValidationError, require_real
 from repro.core.engines import artifacts_of
 from repro.core.seccomp import VARIANT_ALOUFI
 from repro.serve.batched_runtime import shared_pass_lanes
@@ -612,6 +612,7 @@ class ProcessTransport(Transport):
                  heartbeat_interval_s: float, worker_entry=None):
         from multiprocessing import get_context
 
+        require_real("heartbeat_interval_s", heartbeat_interval_s)
         if heartbeat_interval_s <= 0:
             raise ValidationError(
                 f"heartbeat_interval_s must be > 0, got "

@@ -84,7 +84,7 @@ class _Target:
         self.target = target
 
     def idle_workers(self):
-        return self.target.router.idle_live_workers()
+        return self.target.router.idle_workers()
 
     def occupy(self, forest, gate):
         """Put a batch in flight on the (one) worker and keep it there

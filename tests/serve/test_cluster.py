@@ -233,6 +233,10 @@ class TestRouterCore:
         for gone in (2, 1):
             with pytest.raises(ValidationError, match="never reused"):
                 router.restart_worker(gone, 1.0)
+        # ... and only a crashed, not yet given-up worker is abandoned
+        for worker in (0, 1, 2):
+            with pytest.raises(ValidationError, match="only a crashed"):
+                router.abandon_worker(worker, 3, 1.0)
         assert router.alive == [True, False, False]
         assert router.retirable_worker() == 0
         full_batch(router)
@@ -259,7 +263,7 @@ class TestRouterCore:
         fresh = router.add_worker(0.5)
         assert fresh == 1
         assert (router.epochs[fresh], router.shipped[fresh]) == (0, {})
-        assert router.idle_live_workers() == [0, 1]
+        assert router.idle_workers() == [0, 1]
         assert router.metrics.family("cluster_workers")[()].value == 2
         assert router.decisions[-1] == ("add_worker", 1, 0.5)
         full_batch(router, now=1.0)
@@ -279,7 +283,7 @@ class TestRouterCore:
         full_batch(router, now=0.1)
         full_batch(router, now=0.1)
         router.dispatch(0.1)
-        assert router.idle_live_workers() == []
+        assert router.idle_workers() == []
         with pytest.raises(ValidationError, match="no idle worker"):
             router.retirable_worker()
 
@@ -303,7 +307,7 @@ class TestRouterCore:
         router.retire_worker(1, 0.0)
         assert router.decisions[-1] == ("retire", 1, 1, 0.0)
         assert (router.alive, router.retired) == ([True, False], {1})
-        assert router.core.workers == 1
+        assert router.live_workers == 1
         for k in range(1, 4):
             full_batch(router, now=float(k))
             (assign,) = [
@@ -341,7 +345,7 @@ class TestRouterCore:
         router.abandon_worker(0, 3, 1.0)
         assert router.decisions[-1] == ("abandon", 0, 1, 3, 1.0)
         assert router.alive == [False, True]
-        assert router.core.workers == 1
+        assert router.live_workers == 1
         assigned = [
             a for a in router.dispatch(2.0) if isinstance(a, AssignAction)
         ]

@@ -12,6 +12,7 @@ the degradation ladders.
 import pytest
 
 from repro.errors import ValidationError
+from repro.serve.cluster import RouterCore
 from repro.serve.faults import (
     BACKEND_LADDER,
     BREAKER_CLOSED,
@@ -25,6 +26,8 @@ from repro.serve.faults import (
     degrade_backend,
     degrade_engine,
 )
+from repro.serve.simclock import RealClock
+from repro.serve.transport import ProcessTransport
 
 
 class TestRetryPolicy:
@@ -177,6 +180,29 @@ class TestDeadLetterQueue:
     def test_limit_validation(self):
         with pytest.raises(ValidationError, match="limit"):
             DeadLetterQueue(limit=0)
+
+
+ILL_TYPED = [
+    ("heartbeat_timeout_s",
+     lambda: RouterCore(workers=1, heartbeat_timeout_s="60")),
+    ("dlq_limit", lambda: RouterCore(workers=1, dlq_limit="64")),
+    ("base_delay_ms", lambda: RetryPolicy(base_delay_ms="25")),
+    ("max_delay_ms", lambda: RetryPolicy(max_delay_ms=None)),
+    ("open_s", lambda: CircuitBreaker(open_s="1")),
+    ("failure_threshold", lambda: CircuitBreaker(failure_threshold="3")),
+    ("heartbeat_interval_s",
+     lambda: ProcessTransport(False, RealClock(), "5")),
+]
+
+
+@pytest.mark.parametrize("argument, build", ILL_TYPED,
+                         ids=[argument for argument, _ in ILL_TYPED])
+def test_ill_typed_liveness_and_fault_values_are_typed_refusals(
+    argument, build
+):
+    """Each raised a raw ``TypeError`` from its first comparison."""
+    with pytest.raises(ValidationError, match=argument):
+        build()
 
 
 class TestDegradationLadders:

@@ -269,7 +269,7 @@ class TestTheReadyBatchesAreSharedOut:
             for t in a.assignment.tickets
         ]  # in submission order, across the assignments
         assert assigned == [t.seq for t in tickets[:len(assigned)]]
-        assert router.core.pending("m") == 3 * (batches - sum(expected))
+        assert router.pending("m") == 3 * (batches - sum(expected))
 
     def test_a_flushed_remainder_counts_as_a_batch(self):
         router = router_with(MAX_GROUP)
@@ -312,7 +312,7 @@ class TestTheReadyBatchesAreSharedOut:
         router = router_with(1, workers=3)
         router.submit_many("m", [Payload() for _ in range(12)], 0.0)
         assert fills_of(router.dispatch(0.0)) == [(3,), (3,), (3,)]
-        assert router.core.pending("m") == 3
+        assert router.pending("m") == 3
 
 
 def queries_for(forest, count, seed=21):
@@ -329,7 +329,7 @@ def open_grouping_service(example_forest, **kwargs):
 
 
 def lanes_of(service, name="m"):
-    return service.router.core._queues[name].lanes
+    return service.router.lanes(name)
 
 
 class TestLanesAreDerived:
@@ -383,7 +383,7 @@ class TestLanesAreDerived:
         runner = SimRunner(
             [ModelProfile(name="m", capacity=4, service_ms=50.0)], workers=2
         )
-        assert runner.router.core._queues["m"].lanes == 1
+        assert runner.router.lanes("m") == 1
 
 
 class TestGroupsThroughTheFacade:

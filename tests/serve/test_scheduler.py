@@ -305,7 +305,7 @@ class TestCompletionAccounting:
         (first,) = cut_batches(router, 0.0)
         assert crash_and_restart(router, 0, 0.1) is first.assignment
         # Parked behind the backoff, not requeued at the crash instant.
-        assert router.core.pending("m") == 0 and router.outstanding == 2
+        assert router.pending("m") == 0 and router.outstanding == 2
         assert cut_batches(router, 0.1) == []
         # (Backoff jitter is per ticket: wait out the later release.)
         release = max(d[4] for d in router.decisions if d[0] == "park")
@@ -571,8 +571,8 @@ class TestBlockAdmissionIsNSubmits:
     def test_refusal_at_query_k(self):
         """The bound refuses query k of the block: k-1 admitted, the
         refused one counted once everywhere, the rest uncounted."""
-        core = SchedulerCore(workers=1)
-        core.add_queue("m", capacity=8, max_pending=3)
+        core = RouterCore(workers=1)
+        core.add_model("m", capacity=8, max_pending=3)
         core.submit("m", Payload(), 0.0, tenant="acme")
         payloads = [Payload() for _ in range(5)]
         with pytest.raises(RejectedQuery) as refusal:
@@ -586,7 +586,7 @@ class TestBlockAdmissionIsNSubmits:
         assert stats.per_tenant_submitted == {"acme": 4}
         # seqs stay contiguous across the refusal
         assert core.submit_many("m", [], 0.0) == []
-        core.set_max_pending("m", None)
+        assert core.set_admission_limit("m", None, 0.0) == 3
         assert core.submit("m", Payload(), 0.0).seq == 3
 
     def test_empty_block_counts_nothing(self):
@@ -614,7 +614,7 @@ class TestBlockAdmissionIsNSubmits:
                 "m", queries, tenant="acme", deadline_ms=5000.0
             )
             # white box: the block is still queued (4 < 8, no flush)
-            tickets = [t for _, t in service.router.core._queues["m"].heap]
+            tickets = [t for _, t in service.router._queues["m"].heap]
             assert [t.future for t in sorted(tickets, key=lambda t: t.seq)
                     ] == futures
             assert len({(t.submit_time, t.deadline) for t in tickets}) == 1

@@ -650,6 +650,21 @@ class TestOneFacade:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("bad", [
+        {"heartbeat_interval_s": "5"}, {"heartbeat_timeout_s": "60"},
+        {"dlq_limit": "64"},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_ill_typed_pool_value_refused_before_anything_starts(self, bad):
+        """The pool's own liveness / fault-domain values used to raise a
+        raw ``TypeError`` from their first comparison."""
+        import threading
+
+        threads = threading.active_count()
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            ClusterService(workers=1, **bad)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
     def test_decision_log_is_a_window(self, example_forest, monkeypatch):
         """The live router's log grew one tuple per batch forever; the
         simulator keeps its whole log (its replays are hashed)."""
@@ -874,14 +889,14 @@ class TestErrors:
                 service.submit("m", [1, 2])
             # flush() stops serving it, releasing the cached model.
             service.flush()
-            assert service.router.core.queue_names() == []
+            assert service.router.queue_names() == []
             assert service.transport._staged == {}
 
     def test_unregister_model_releases_batcher(self, example_forest):
         with CopseService(threads=1) as service:
             service.register_model("m", example_forest)
             service.unregister_model("m")
-            assert service.router.core.queue_names() == []
+            assert service.router.queue_names() == []
             assert service.transport._staged == {}
             with pytest.raises(ValidationError):
                 service.submit("m", [1, 2])

@@ -416,7 +416,8 @@ class TestOneOfEach:
 
     def test_one_serve_facade(self):
         """Each serving method is written once: on the facade, over
-        the two cores' (and the batcher's) own."""
+        the one core's (and the batcher's) own — ``RouterCore``
+        inherits the ``SchedulerCore``'s."""
         sources = self.sources()
 
         def defined(method):
@@ -426,11 +427,11 @@ class TestOneOfEach:
                 if re.search(rf"^    def {method}\(", text, re.M)
             }
 
-        cores = {"serve/scheduler.py": 1, "serve/cluster.py": 1}
+        core = {"serve/scheduler.py": 1}
         assert defined("register_model") == {"serve/service.py": 1}
         assert defined("classify_many") == {"serve/service.py": 1}
-        assert defined("submit_many") == {**cores, "serve/service.py": 1}
-        assert defined("flush") == {**cores, "serve/service.py": 1}
+        assert defined("submit_many") == {**core, "serve/service.py": 1}
+        assert defined("flush") == {**core, "serve/service.py": 1}
         # ... and what is left of the second facade defines none of it.
         cluster = sources["serve/cluster.py"]
         below_the_router = cluster[cluster.index("class ClusterService"):]
