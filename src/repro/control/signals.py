@@ -72,7 +72,7 @@ class ControlSnapshot:
             rejected=counter("sched_rejected"),
             failed=counter("sched_failed"),
             deadline_misses=counter("sched_deadline_misses"),
-            worker_crashes=counter("sched_worker_crashes"),
+            worker_crashes=counter("cluster_crashes"),
             latency_p50_ms=(
                 round(latency.percentile(0.5), 9) if latency else 0.0
             ),

@@ -158,9 +158,9 @@ class OpTracker:
     def counts_snapshot(self) -> Dict[OpKind, int]:
         """A point-in-time copy of the total counts, safe to diff later.
 
-        The tape profiler (:mod:`repro.obs.profiler`) brackets each
-        instruction with two snapshots and stores the delta, so summing
-        its samples reconciles exactly with :meth:`total_counts`.
+        The tape profiler (:mod:`repro.obs.profiler`) takes one snapshot
+        per instruction and stores the delta from the previous one, so
+        summing its samples reconciles exactly with :meth:`total_counts`.
         """
         return self.total_counts()
 

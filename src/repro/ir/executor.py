@@ -8,7 +8,8 @@ context is consumed purely through the protocol surface (``encode`` /
 vector backend, or any registered engine, and every cost and noise
 effect is accounted by that backend exactly as in the direct runtime
 path.  Inputs are bound by name; outputs come back as a name-to-vector
-dictionary.
+dictionary.  The walk is not profiled: per-instruction attribution is
+the compiled tape's (:class:`~repro.obs.profiler.TapeProfiler`).
 """
 
 from __future__ import annotations
@@ -50,17 +51,13 @@ def execute(
     ctx: FheBackend,
     bindings: Dict[str, Vector],
     phase: Optional[str] = None,
-    profiler=None,
 ) -> Dict[str, Vector]:
     """Run ``graph`` with the given input bindings.
 
     Every named input must be bound; ciphertext inputs must be bound to
     ciphertexts of the declared width (plaintext inputs to plain
     vectors).  When ``phase`` is given, all operations are recorded under
-    that tracker phase.  ``profiler`` (a
-    :class:`~repro.obs.profiler.TapeProfiler`) opts into per-node
-    attribution through a separate instrumented walk — the default
-    ``None`` leaves the hot path untouched.
+    that tracker phase.
     """
     missing = set(graph.inputs) - set(bindings)
     if missing:
@@ -68,11 +65,6 @@ def execute(
             f"unbound IR inputs: {sorted(missing)}"
         )
 
-    if profiler is not None:
-        if phase is not None:
-            with ctx.tracker.phase(phase):
-                return _run_profiled(graph, ctx, bindings, profiler)
-        return _run_profiled(graph, ctx, bindings, profiler)
     if phase is not None:
         with ctx.tracker.phase(phase):
             return _run(graph, ctx, bindings)
@@ -148,96 +140,6 @@ def _run(graph: IrGraph, ctx: FheBackend, bindings) -> Dict[str, Vector]:
                 )
         else:  # pragma: no cover - enum is closed
             raise CompileError(f"unknown IR op {node.op!r}")
-
-    return {
-        name: values[node_id] for name, node_id in graph.outputs.items()
-    }
-
-
-#: Ops that bind or cache values without touching the backend — the
-#: profiled walk skips them so its samples are pure compute.
-_BINDING_OPS = (IrOp.INPUT_CT, IrOp.INPUT_PT, IrOp.CONST_PT)
-
-
-def _run_profiled(
-    graph: IrGraph, ctx: FheBackend, bindings, profiler
-) -> Dict[str, Vector]:
-    """:func:`_run` with per-node attribution for the tape profiler.
-
-    Each compute node is bracketed by a timer read and a tracker counts
-    snapshot; binding nodes (inputs, cached constants) execute through
-    the plain walk.  Sample indices are graph node ids, opcodes the
-    lowercased :class:`IrOp` names — the same vocabulary the profiler
-    report uses for tapes.
-    """
-    values: List[Optional[Vector]] = [None] * graph.num_nodes
-    consts: Dict[int, PlainVector] = graph._const_cache
-    tracker = ctx.tracker
-    timer = profiler.timer
-    profiler.begin_run()
-
-    for node in graph.nodes:
-        if node.op in _BINDING_OPS:
-            if node.op is IrOp.CONST_PT:
-                value = consts.get(node.node_id)
-                if value is None:
-                    value = ctx.encode(const_bits(node))
-                    consts[node.node_id] = value
-            else:
-                value = bindings[node.attr[0]]
-                wants = (
-                    Ciphertext if node.op is IrOp.INPUT_CT else PlainVector
-                )
-                if not isinstance(value, wants):
-                    kind = (
-                        "a ciphertext" if wants is Ciphertext
-                        else "a plaintext vector"
-                    )
-                    raise RuntimeProtocolError(
-                        f"input {node.attr[0]!r} must be {kind}"
-                    )
-                if value.length != node.width:
-                    raise RuntimeProtocolError(
-                        f"input {node.attr[0]!r} has width {value.length}, "
-                        f"declared {node.width}"
-                    )
-            values[node.node_id] = value
-            continue
-        before = tracker.counts_snapshot()
-        t0 = timer()
-        if node.op in (IrOp.ADD, IrOp.CONST_ADD):
-            a, b = (values[i] for i in node.args)
-            value = ctx.xor_any(a, b)
-        elif node.op in (IrOp.MULTIPLY, IrOp.CONST_MULT):
-            a, b = (values[i] for i in node.args)
-            value = ctx.and_any(a, b)
-        elif node.op is IrOp.ROTATE:
-            value = ctx.rotate_any(values[node.args[0]], node.attr[0])
-        elif node.op is IrOp.EXTEND:
-            source = values[node.args[0]]
-            if isinstance(source, Ciphertext):
-                value = ctx.cyclic_extend(source, node.attr[0])
-            else:
-                value = PlainVector(
-                    tile_plain_extend(
-                        source.to_array(), node.attr[0],
-                        f"IR node {node.args[0]}",
-                    )
-                )
-        elif node.op is IrOp.TRUNCATE:
-            source = values[node.args[0]]
-            if isinstance(source, Ciphertext):
-                value = ctx.truncate(source, node.attr[0])
-            else:
-                value = PlainVector(source.to_array()[: node.attr[0]])
-        else:  # pragma: no cover - enum is closed
-            raise CompileError(f"unknown IR op {node.op!r}")
-        wall_s = timer() - t0
-        profiler.instruction(
-            node.node_id, node.op.name.lower(), wall_s, before,
-            tracker.counts_snapshot(), value,
-        )
-        values[node.node_id] = value
 
     return {
         name: values[node_id] for name, node_id in graph.outputs.items()

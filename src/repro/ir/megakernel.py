@@ -85,9 +85,8 @@ The megakernel is an **optional backend capability**, discovered like
 backend implements it (scratch-context minting, gated on its native
 :class:`~repro.fhe.tracker.CountingTracker`); the reference and
 plaintext backends leave it ``None`` and the kernel transparently falls
-back to the tape loop — as it also does under a profiler (per-
-instruction attribution needs per-instruction execution) and for the
-rare tape shapes the gather grammar does not cover.  Either path runs
+back to the tape loop — as it also does for the rare tape shapes the
+gather grammar does not cover.  Either path runs
 under the caller's phase, so engine-labelled serve stats hold on every
 backend.
 
@@ -394,24 +393,18 @@ class MegaKernel:
         model,
         query,
         phase: Optional[str] = None,
-        profiler=None,
     ) -> Ciphertext:
         """Execute against a runtime model bundle + encrypted query.
 
         The group of one of :meth:`run_many`, raising what that run
         raised.
         """
-        outcome = self.run_many(((ctx, model, query),), phase, profiler)[0]
+        outcome = self.run_many(((ctx, model, query),), phase)[0]
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
-    def run_many(
-        self,
-        runs,
-        phase: Optional[str] = None,
-        profiler=None,
-    ) -> List:
+    def run_many(self, runs, phase: Optional[str] = None) -> List:
         """Execute up to :data:`MAX_GROUP` ``(ctx, model, query)`` runs
         of one model bundle in a single pass of the step program.
 
@@ -436,7 +429,7 @@ class MegaKernel:
         so an impostor bundle is rejected identically on the first
         batch and the millionth.
 
-        Runs that cannot share a pass — a profiler, a backend without
+        Runs that cannot share a pass — a backend without
         ``megakernel_ops``, a tape outside the gather grammar, bundles
         that differ or whose planes are not resident-able, more runs
         than a lane has bits — are executed one by one.
@@ -446,12 +439,10 @@ class MegaKernel:
         runs = list(runs)
         if phase is None:
             phase = PHASE_MEGAKERNEL
-        if not self._shares_pass(runs, profiler):
+        if not self._shares_pass(runs):
             if len(runs) == 1:  # no direct path at all: the tape loop
-                return [self._run_tape(*runs[0], phase, profiler)]
-            return [
-                self.run_many((run,), phase, profiler)[0] for run in runs
-            ]
+                return [self._run_tape(*runs[0], phase)]
+            return [self.run_many((run,), phase)[0] for run in runs]
         state = self._buffer(self._plan)
         outcomes: List = [None] * len(runs)
         seated = []
@@ -480,9 +471,9 @@ class MegaKernel:
             return MAX_GROUP
         return 1
 
-    def _shares_pass(self, runs, profiler) -> bool:
+    def _shares_pass(self, runs) -> bool:
         """Whether ``runs`` can go through the plane together."""
-        if profiler is not None or not 1 <= len(runs) <= MAX_GROUP:
+        if not 1 <= len(runs) <= MAX_GROUP:
             return False
         model = runs[0][1]
         for ctx, other, _ in runs:
@@ -513,12 +504,11 @@ class MegaKernel:
             query,
         )
 
-    def _run_tape(self, ctx, model, query, phase, profiler):
+    def _run_tape(self, ctx, model, query, phase):
         """One run through the tape loop: its outcome."""
         try:
             return _labels_of(self.tape.execute(
-                ctx, self._bind_all(ctx, model, query),
-                phase=phase, profiler=profiler,
+                ctx, self._bind_all(ctx, model, query), phase=phase,
             ))
         except Exception as exc:
             return exc
@@ -545,26 +535,17 @@ class MegaKernel:
             holder=self._holder_of(model, query),
         )
 
-    def execute(
-        self,
-        ctx,
-        bindings,
-        phase: Optional[str] = None,
-        profiler=None,
-    ):
+    def execute(self, ctx, bindings, phase: Optional[str] = None):
         """Run with named input bindings (the tape executor API).
 
         Falls back to the tape loop when the backend lacks the
-        ``megakernel_ops`` capability, when a profiler wants
-        per-instruction attribution, or when the tape's shape escapes
+        ``megakernel_ops`` capability or when the tape's shape escapes
         the gather grammar — identical bits and bookkeeping either way.
         Every input is seated; nothing is taken as resident.
         """
         ops = getattr(ctx, "megakernel_ops", None)
-        if profiler is not None or ops is None or not self.ensure_compiled():
-            return self.tape.execute(
-                ctx, bindings, phase=phase, profiler=profiler
-            )
+        if ops is None or not self.ensure_compiled():
+            return self.tape.execute(ctx, bindings, phase=phase)
         self._require_bound(bindings)
         state = self._buffer(self._plan)
         book, keys, slots = self._seat_run(state, ctx, bindings, phase)

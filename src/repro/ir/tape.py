@@ -261,17 +261,13 @@ class CompiledTape:
         model,
         query,
         phase: Optional[str] = None,
-        profiler=None,
     ) -> Ciphertext:
         """Execute against a runtime model bundle + encrypted query.
 
         Binding performs the same fail-closed fingerprint check as
         :meth:`~repro.ir.plan.InferencePlan.bindings_for`: a bundle that
         cannot prove it is the model this tape was compiled for is
-        refused.  ``phase`` defaults to the tape phase.  ``profiler``
-        (a :class:`~repro.obs.profiler.TapeProfiler`) opts into
-        per-instruction attribution; ``None`` keeps the hot loop
-        instrumentation-free.
+        refused.  ``phase`` defaults to the tape phase.
         """
         from repro.core.engines import PHASE_TAPE
         from repro.ir.plan import OUTPUT_LABELS, bind_model_query
@@ -286,7 +282,7 @@ class CompiledTape:
             model,
             query,
         )
-        outputs = self.execute(ctx, bindings, phase=phase, profiler=profiler)
+        outputs = self.execute(ctx, bindings, phase=phase)
         result = outputs[OUTPUT_LABELS]
         if not isinstance(result, Ciphertext):  # pragma: no cover
             raise RuntimeProtocolError("tape result must be encrypted")
@@ -301,24 +297,19 @@ class CompiledTape:
     ) -> Dict[str, Vector]:
         """Run the tape with named input bindings (the executor API).
 
-        A ``profiler`` branches to a separate instrumented loop
-        (:meth:`_execute_profiled`); the un-profiled :meth:`_execute`
-        hot loop carries no callbacks or timestamps.
+        ``profiler`` (a :class:`~repro.obs.profiler.TapeProfiler`) is
+        told about each instruction as :meth:`_execute` finishes it; the
+        default ``None`` costs the loop one test per instruction.
         """
         missing = set(self.input_slots) - set(bindings)
         if missing:
             raise RuntimeProtocolError(
                 f"unbound IR inputs: {sorted(missing)}"
             )
-        if profiler is not None:
-            if phase is not None:
-                with ctx.tracker.phase(phase):
-                    return self._execute_profiled(ctx, bindings, profiler)
-            return self._execute_profiled(ctx, bindings, profiler)
         if phase is not None:
             with ctx.tracker.phase(phase):
-                return self._execute(ctx, bindings)
-        return self._execute(ctx, bindings)
+                return self._execute(ctx, bindings, profiler)
+        return self._execute(ctx, bindings, profiler)
 
     def _bind_inputs(self, bindings) -> List:
         """Validate input bindings and seat them in a fresh register file."""
@@ -342,7 +333,9 @@ class CompiledTape:
             regs[slot] = value
         return regs
 
-    def _execute(self, ctx: FheBackend, bindings) -> Dict[str, Vector]:
+    def _execute(
+        self, ctx: FheBackend, bindings, profiler=None
+    ) -> Dict[str, Vector]:
         regs = self._bind_inputs(bindings)
         fused = getattr(ctx, "fused_ops", None) if self.fused else None
         add = ctx.add
@@ -350,7 +343,9 @@ class CompiledTape:
         multiply = ctx.multiply
         const_mult = ctx.const_mult
         rotate = ctx.rotate
-        for ins in self.instructions:
+        if profiler is not None:
+            profiler.begin_run(ctx.tracker)
+        for index, ins in enumerate(self.instructions):
             op = ins[0]
             if op == OP_MUL:
                 value = multiply(regs[ins[2]], regs[ins[3]])
@@ -394,78 +389,8 @@ class CompiledTape:
             if frees:
                 for slot in frees:
                     regs[slot] = None
-        return {
-            name: (regs[ref] if isinstance(ref, int) else ref)
-            for name, ref in self.output_refs.items()
-        }
-
-    def _execute_profiled(
-        self, ctx: FheBackend, bindings, profiler
-    ) -> Dict[str, Vector]:
-        """:meth:`_execute` with per-instruction attribution.
-
-        A separate loop so the un-profiled path pays nothing: each
-        instruction here is bracketed by a timer read and a tracker
-        counts snapshot, and the delta plus the produced value's noise
-        read-out go to the profiler.  Dispatch goes through the same
-        opcode chain, so results are bit-identical to :meth:`_execute`.
-        """
-        regs = self._bind_inputs(bindings)
-        fused = getattr(ctx, "fused_ops", None) if self.fused else None
-        tracker = ctx.tracker
-        timer = profiler.timer
-        profiler.begin_run()
-        for index, ins in enumerate(self.instructions):
-            op = ins[0]
-            before = tracker.counts_snapshot()
-            t0 = timer()
-            if op == OP_MUL:
-                value = ctx.multiply(regs[ins[2]], regs[ins[3]])
-            elif op == OP_CMUL:
-                value = ctx.const_mult(regs[ins[2]], ins[3])
-            elif op == OP_ADD:
-                value = ctx.add(regs[ins[2]], regs[ins[3]])
-            elif op == OP_CADD:
-                value = ctx.const_add(regs[ins[2]], ins[3])
-            elif op == OP_FUSED:
-                spec = ins[2]
-                if fused is not None:
-                    value = fused.execute(spec, regs)
-                else:
-                    value = _defused(ctx, spec, regs)
-            elif op == OP_ROT:
-                value = ctx.rotate(regs[ins[2]], ins[3])
-            elif op == OP_EXT:
-                source = regs[ins[2]]
-                if isinstance(source, Ciphertext):
-                    value = ctx.cyclic_extend(source, ins[3])
-                else:
-                    value = PlainVector(
-                        tile_plain_extend(
-                            source.to_array(), ins[3],
-                            f"tape register {ins[2]}",
-                        )
-                    )
-            elif op == OP_TRUNC:
-                source = regs[ins[2]]
-                if isinstance(source, Ciphertext):
-                    value = ctx.truncate(source, ins[3])
-                else:
-                    value = PlainVector(source.to_array()[: ins[3]])
-            elif op == OP_ANY:
-                value = _run_any(ctx, regs, ins[2], ins[3])
-            else:  # pragma: no cover - opcode set is closed
-                raise CompileError(f"unknown tape opcode {op}")
-            wall_s = timer() - t0
-            profiler.instruction(
-                index, OPCODE_NAMES[op], wall_s, before,
-                tracker.counts_snapshot(), value,
-            )
-            regs[ins[1]] = value
-            frees = ins[4]
-            if frees:
-                for slot in frees:
-                    regs[slot] = None
+            if profiler is not None:
+                profiler.instruction(index, OPCODE_NAMES[op], value)
         return {
             name: (regs[ref] if isinstance(ref, int) else ref)
             for name, ref in self.output_refs.items()

@@ -9,7 +9,7 @@ deterministic exports):
   counters/gauges/histograms backing ``ServiceStats`` and
   ``SchedulerStats``, with Prometheus-text and JSON snapshot exports;
 * :mod:`repro.obs.profiler` — :class:`TapeProfiler`, the opt-in
-  per-instruction attribution hook of the tape/graph executors.
+  per-instruction attribution hook of the compiled tape's loop.
 """
 
 from repro.obs.metrics import (

@@ -1,25 +1,26 @@
-"""Opt-in tape/executor profiling: wall time, ops, and noise per opcode.
+"""Opt-in tape profiling: wall time, ops, and noise per opcode.
 
 A :class:`TapeProfiler` is handed to
-:meth:`repro.ir.tape.CompiledTape.execute` (or the graph executor of
-:mod:`repro.ir.executor`) and receives one callback per executed
-instruction carrying:
+:meth:`repro.ir.tape.CompiledTape.execute`, whose one dispatch loop
+calls :meth:`TapeProfiler.begin_run` before the first instruction and
+:meth:`TapeProfiler.instruction` after each one, with the instruction
+index, the opcode name and the produced value.  On each call the
+profiler reads its clock and the tracker's primitive-op counts once and
+stores what elapsed since the previous read:
 
-* the instruction index and opcode name,
-* the measured wall time of that single instruction,
-* the tracker's primitive-op counts immediately before and after (the
-  profiler stores the *delta*, so summing every sample reconciles
-  **exactly** with the tracker's own totals — the acceptance check in
-  ``tests/obs/test_profiler.py``),
-* the produced value, from which the noise read-out
+* the wall time — the instruction, its dispatch and its register frees,
+  so a run's samples add up exactly to the loop's wall;
+* the op-count *delta*, so summing every sample reconciles **exactly**
+  with the tracker's own totals (the acceptance check in
+  ``tests/obs/test_profiler.py``);
+* the noise read-out of the produced value
   (:attr:`~repro.fhe.noise.NoiseState.effective_depth` of the result
-  ciphertext) is taken.
+  ciphertext).
 
-Profiling is opt-in by construction: the executors take ``profiler=None``
-and branch to a separate instrumented loop only when one is given, so
-the un-profiled hot path contains no callback, no snapshot, and no
-timestamp.  Samples accumulate across runs (a serve worker can profile
-every batch of a soak); aggregation is per opcode
+Profiling is opt-in: the tape takes ``profiler=None``, and without one
+its loop pays one ``is not None`` test per instruction — no callback, no
+snapshot, no clock read.  Samples accumulate across runs (a serve
+worker can profile every batch of a soak); aggregation is per opcode
 (:meth:`TapeProfiler.by_opcode`) and per instruction range
 (:meth:`TapeProfiler.range_totals`), surfaced by ``repro trace tape``
 (:meth:`TapeProfiler.report`; ``--json`` writes
@@ -28,7 +29,6 @@ every batch of a soak); aggregation is per opcode
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -82,44 +82,44 @@ class OpcodeTotals:
 class TapeProfiler:
     """Accumulates per-instruction samples across profiled executions.
 
-    ``clock`` threads the caller's :class:`~repro.serve.simclock.Clock`
-    into the instruction timer: a run driven by a ``VirtualClock``
-    profiles in virtual time, so its samples (and the ``as_dict()``
-    record folded into trace/bench artifacts) are byte-identical per
-    seed instead of mixing nondeterministic wall time into an otherwise
-    deterministic export.  Without a clock, ``timer`` defaults to
-    :func:`time.perf_counter` (real wall time — the measurement a
-    ``repro trace tape`` profile wants); tests may inject a fake timer
-    directly.  The profiler itself never reads the timer mid-run — the
-    executor brackets each instruction and reports the elapsed time,
-    keeping the measurement as close to the dispatch as possible.
+    ``clock`` (a :class:`~repro.serve.simclock.Clock`, default
+    :class:`~repro.serve.simclock.RealClock`) is the one time source: a
+    run driven by a ``VirtualClock`` profiles in virtual time, so its
+    samples (and the ``as_dict()`` record folded into trace/bench
+    artifacts) are byte-identical per seed instead of mixing
+    nondeterministic wall time into an otherwise deterministic export.
     """
 
-    def __init__(self, timer=None, clock=None):
-        if timer is None:
-            timer = clock.now if clock is not None else time.perf_counter
+    def __init__(self, clock=None):
+        if clock is None:
+            from repro.serve.simclock import RealClock
+
+            clock = RealClock()
         self.clock = clock
-        self.timer = timer
         self.samples: List[InstructionSample] = []
         self.runs = 0
+        self._tracker = None
+        self._last_s = 0.0
+        self._last_counts: Dict[OpKind, int] = {}
 
     # ------------------------------------------------------------------
-    # Recording (called by the instrumented executor loops)
+    # Recording (called by the tape's dispatch loop)
     # ------------------------------------------------------------------
 
-    def begin_run(self) -> None:
+    def begin_run(self, tracker) -> None:
+        """Start a run on ``tracker``: the first sample's reference."""
         self.runs += 1
+        self._tracker = tracker
+        self._last_counts = tracker.counts_snapshot()
+        self._last_s = self.clock.now()
 
-    def instruction(
-        self,
-        index: int,
-        opcode: str,
-        wall_s: float,
-        before: Dict[OpKind, int],
-        after: Dict[OpKind, int],
-        result,
-    ) -> None:
-        """Record one instruction from its before/after tracker snapshots."""
+    def instruction(self, index: int, opcode: str, result) -> None:
+        """Record everything since the previous call as one instruction."""
+        now = self.clock.now()
+        after = self._tracker.counts_snapshot()
+        before = self._last_counts
+        wall_s = now - self._last_s
+        self._last_s, self._last_counts = now, after
         delta = {
             kind: after[kind] - before.get(kind, 0)
             for kind in after

@@ -110,7 +110,6 @@ from repro.serve.service import CopseService, ServiceStats
 from repro.serve.transport import BatchRequest, BatchResult, ShippedModel
 from repro.serve.cluster import ClusterService, RouterCore
 from repro.serve.faults import (
-    BACKEND_LADDER,
     ENGINE_LADDER,
     CircuitBreaker,
     DeadLetter,
@@ -118,7 +117,6 @@ from repro.serve.faults import (
     RetryPolicy,
     TransportFaultPlan,
     chaos_worker_main,
-    degrade_backend,
     degrade_engine,
 )
 
@@ -162,9 +160,7 @@ __all__ = [
     "DeadLetter",
     "DeadLetterQueue",
     "ENGINE_LADDER",
-    "BACKEND_LADDER",
     "degrade_engine",
-    "degrade_backend",
     "TransportFaultPlan",
     "chaos_worker_main",
 ]

@@ -245,7 +245,6 @@ class RouterCore(SchedulerCore):
 
     def stats(self) -> SchedulerStats:
         stats = super().stats()
-        self.metrics.gauge("cluster_workers_alive").set(self.live_workers)
         self.metrics.gauge("cluster_dlq_depth").set(len(self.dlq))
         self.metrics.gauge("cluster_parked").set(self._waiting())
         return stats
@@ -682,7 +681,6 @@ class RouterCore(SchedulerCore):
         self.shipped[worker] = {}
         assignment = self._running.pop(worker, None)
         self._crashes.inc()
-        self._worker_crashes.inc()
         self._record("crash", worker, self.epochs[worker], round(now, 9))
         if self.tracer is not None:
             self.tracer.event(

@@ -21,10 +21,10 @@ chaos soak replay byte-identical decision logs.
 * :class:`DeadLetterQueue` — the bounded terminal parking lot for
   queries that quarantine bisection isolated as poison.  Inspectable
   via ``repro serve`` stats and the ``repro dlq`` CLI.
-* Degradation ladders — the ordered fallback chains
-  ``megakernel -> tape -> plan -> eager`` and ``vector -> reference``
-  walked when an engine or capability raises, so a broken fast path
-  degrades to a slower correct one instead of failing the batch;
+* The degradation ladder — the ordered engine fallback chain
+  ``megakernel -> tape -> plan -> eager`` walked when an engine
+  raises, so a broken fast path degrades to a slower correct one
+  instead of failing the batch;
   :func:`evaluate_batches_down_ladder` is the one walk, run by the
   worker's reduce function in a worker process and on the in-process
   pump thread alike.
@@ -57,9 +57,7 @@ __all__ = [
     "DeadLetter",
     "DeadLetterQueue",
     "ENGINE_LADDER",
-    "BACKEND_LADDER",
     "degrade_engine",
-    "degrade_backend",
     "evaluate_batches_down_ladder",
     "TransportFaultPlan",
     "chaos_worker_main",
@@ -354,29 +352,18 @@ class DeadLetterQueue:
 
 
 # ---------------------------------------------------------------------------
-# Degradation ladders
+# The degradation ladder
 # ---------------------------------------------------------------------------
 
 #: Fastest-first engine chain a worker walks when an engine raises.
 ENGINE_LADDER = tuple(reversed(ENGINES))
-#: Backend fallback: the vectorized backend degrades to the reference.
-BACKEND_LADDER = ("vector", "reference")
-
-
-def _next_rung(ladder: Tuple[str, ...], name: str) -> Optional[str]:
-    if name not in ladder[:-1]:
-        return None
-    return ladder[ladder.index(name) + 1]
 
 
 def degrade_engine(engine: str) -> Optional[str]:
     """The next engine down the ladder, or None at the bottom."""
-    return _next_rung(ENGINE_LADDER, engine)
-
-
-def degrade_backend(backend: str) -> Optional[str]:
-    """The next backend down the ladder, or None at the bottom."""
-    return _next_rung(BACKEND_LADDER, backend)
+    if engine not in ENGINE_LADDER[:-1]:
+        return None
+    return ENGINE_LADDER[ENGINE_LADDER.index(engine) + 1]
 
 
 def evaluate_batches_down_ladder(registered, batches,

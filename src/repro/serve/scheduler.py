@@ -168,6 +168,7 @@ class SchedulerStats:
     cancelled: int = 0
     retries: int = 0
     deadline_misses: int = 0
+    #: The router's ``cluster_crashes`` counter (0 on a bare core).
     worker_crashes: int = 0
     #: Queries quarantine isolated as poison (terminal, not in failed).
     dead_lettered: int = 0
@@ -379,7 +380,6 @@ class SchedulerCore:
         self._cancelled = m.counter("sched_cancelled")
         self._retries = m.counter("sched_retries")
         self._deadline_misses = m.counter("sched_deadline_misses")
-        self._worker_crashes = m.counter("sched_worker_crashes")
         self._dead_lettered = m.counter("sched_dead_lettered")
         self._batches = m.counter("sched_batches")
         #: Latency percentiles are computed over a sliding window of the
@@ -1029,7 +1029,7 @@ class SchedulerCore:
             cancelled=int(self._cancelled.value),
             retries=int(self._retries.value),
             deadline_misses=int(self._deadline_misses.value),
-            worker_crashes=int(self._worker_crashes.value),
+            worker_crashes=int(m.counter_value("cluster_crashes")),
             dead_lettered=int(self._dead_lettered.value),
             batches=int(self._batches.value),
             latency_p50_ms=round(quantiles[0.5], 6),

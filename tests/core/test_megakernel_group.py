@@ -381,7 +381,7 @@ class TestFallBackToSingles:
             return runs
 
         runs = mixed()
-        assert not kernel._shares_pass(runs, None)
+        assert not kernel._shares_pass(runs)
         alone = mixed()
         assert observed(
             registered, runs, kernel.run_many(runs), chunks
@@ -394,7 +394,7 @@ class TestFallBackToSingles:
         kernel = registered.megakernel
         chunks = feature_chunks(registered, [4, 2], seed=14)
         runs = make_runs(registered, chunks, tracker=OpTracker)
-        assert not kernel._shares_pass(runs, None)
+        assert not kernel._shares_pass(runs)
         assert_group_equals_singles(registered, chunks, tracker=OpTracker)
 
     def test_unadopted_planes_and_oversize_groups(self):
@@ -402,7 +402,7 @@ class TestFallBackToSingles:
         kernel = registered.megakernel
         chunks = feature_chunks(registered, [4] * (MAX_GROUP + 1), seed=15)
         too_many = make_runs(registered, chunks)
-        assert not kernel._shares_pass(too_many, None)
+        assert not kernel._shares_pass(too_many)
         assert len(kernel.run_many(too_many)) == MAX_GROUP + 1
         # Lists can change under the same identity: nothing is held
         # resident from them, so two such runs cannot share a seat.
@@ -416,8 +416,8 @@ class TestFallBackToSingles:
             (ctx, loose, query)
             for ctx, _, query in make_runs(registered, chunks[:2])
         ]
-        assert not kernel._shares_pass(runs, None)
-        assert kernel._shares_pass(runs[:1], None)
+        assert not kernel._shares_pass(runs)
+        assert kernel._shares_pass(runs[:1])
         outcomes = kernel.run_many(runs)
         assert [
             demux_bitvectors(

@@ -288,7 +288,6 @@ class TestBatchGranularity:
             'sched_tenant_completed{tenant="zeta"}': 3.0,
             'sched_tenant_submitted{tenant="acme"}': 4.0,
             'sched_tenant_submitted{tenant="zeta"}': 3.0,
-            "sched_worker_crashes": 0.0,
         }
         assert snapshot["histograms"] == {
             "sched_latency_ms": {

@@ -1,18 +1,24 @@
-"""Tests for the opt-in tape/executor profiler.
+"""Tests for the opt-in tape profiler.
 
 The acceptance bar: per-instruction op-count deltas must reconcile
 **exactly** with the tracker's own totals over the profiled execution
-window, and profiling must not change results (the instrumented loop is
-a separate walk, not a behavioral fork).
+window, a run's sample walls must add up to the loop's wall, and
+profiling must not change results (the profiler rides the tape's one
+dispatch loop, so there is no second walk to drift).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.fhe.backend import available_backends
+from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.tracker import OpKind
-from repro.ir import executor
-from repro.ir.plan import bind_model_query, lower_inference
-from repro.obs.profiler import InstructionSample, TapeProfiler
+from repro.ir.plan import bind_model_query
+from repro.ir.tape import OP_FUSED
+from repro.obs.profiler import TapeProfiler
+from repro.serve.simclock import VirtualClock
 
 
 def random_features(rng, n, precision=8):
@@ -27,9 +33,10 @@ def _counts_delta(before, after):
     }
 
 
-@pytest.fixture(scope="module")
-def batched_setup():
-    """A registered batched tape plus live bindings, built once."""
+@pytest.fixture(scope="module", params=available_backends())
+def batched_setup(request):
+    """A registered batched tape plus live bindings, built once per
+    backend."""
     from repro.core.compiler import CopseCompiler
     from repro.fhe.context import FheContext
     from repro.forest.synthetic import random_forest
@@ -40,7 +47,9 @@ def batched_setup():
         np.random.default_rng(7), branches_per_tree=[7, 8], max_depth=5
     )
     compiled = CopseCompiler(precision=8).compile(forest)
-    registered = ModelRegistry().register("prof", compiled, engine="tape")
+    registered = ModelRegistry().register(
+        "prof", compiled, engine="tape", backend=request.param
+    )
     tape = registered.tape
     ctx = FheContext(registered.params, backend=registered.backend)
     rng = np.random.default_rng(3)
@@ -62,7 +71,28 @@ def batched_setup():
     return ctx, tape, bindings, registered.keys
 
 
+class SteppingClock(VirtualClock):
+    """A virtual clock that advances by ``step`` on every read."""
+
+    def __init__(self, step: float):
+        super().__init__()
+        self.step = step
+        self.reads = []
+
+    def now(self) -> float:
+        self.reads.append(self.advance(self.step))
+        return self.reads[-1]
+
+
 class TestTapeReconciliation:
+    def test_fused_instructions_take_the_backends_path(self, batched_setup):
+        """``vector`` executes fused instructions through ``fused_ops``;
+        every other backend through the de-fused op sequence."""
+        ctx, tape, bindings, keys = batched_setup
+        assert any(ins[0] == OP_FUSED for ins in tape.instructions)
+        has_fused = getattr(ctx, "fused_ops", None) is not None
+        assert has_fused == (ctx.backend_name == "vector")
+
     def test_samples_reconcile_exactly_with_tracker(self, batched_setup):
         ctx, tape, bindings, keys = batched_setup
         profiler = TapeProfiler()
@@ -119,63 +149,55 @@ class TestTapeReconciliation:
             kind: n for kind, n in phase.counts.items() if n
         }
 
-
-def single_query_bindings(compiled, ctx, keys):
-    from repro.core.runtime import DataOwner, ModelOwner
-
-    maurice = ModelOwner(compiled)
-    diane = DataOwner(maurice.query_spec(), keys)
-    rng = np.random.default_rng(11)
-    query = diane.prepare_query(
-        ctx, random_features(rng, compiled.n_features)
-    )
-    model = maurice.encrypt_model(ctx, keys.public)
-    plan = lower_inference(compiled)
-    return plan, plan.bindings_for(ctx, model, query)
+    def test_sample_walls_add_up_to_the_loop_wall(self, batched_setup):
+        """One clock read per instruction: every step the clock takes
+        between ``begin_run`` and the last instruction lands in exactly
+        one sample."""
+        ctx, tape, bindings, keys = batched_setup
+        clock = SteppingClock(step=0.25)
+        profiler = TapeProfiler(clock=clock)
+        tape.execute(ctx, bindings, profiler=profiler)
+        assert len(clock.reads) == tape.num_instructions + 1
+        assert profiler.total_wall_s == clock.reads[-1] - clock.reads[0]
+        assert {s.wall_s for s in profiler.samples} == {0.25}
 
 
-class TestExecutorReconciliation:
-    def test_graph_walk_reconciles(self, compiled_example, ctx, keys):
-        plan, bindings = single_query_bindings(compiled_example, ctx, keys)
-        profiler = TapeProfiler()
-        before = ctx.tracker.counts_snapshot()
-        profiled = executor.execute(
-            plan.graph, ctx, bindings, profiler=profiler
-        )
-        after = ctx.tracker.counts_snapshot()
-        assert profiler.op_totals() == _counts_delta(before, after)
-        plain = executor.execute(plan.graph, ctx, bindings)
-        for name in plain:
-            np.testing.assert_array_equal(
-                ctx.decrypt(plain[name], keys.secret),
-                ctx.decrypt(profiled[name], keys.secret),
-            )
+class FakeTracker:
+    """Hands out cumulative op counts, one snapshot per read."""
 
-    def test_binding_nodes_are_not_sampled(self, compiled_example, ctx,
-                                           keys):
-        plan, bindings = single_query_bindings(compiled_example, ctx, keys)
-        profiler = TapeProfiler()
-        executor.execute(
-            plan.graph, ctx, bindings, profiler=profiler
-        )
-        assert profiler.samples
-        opcodes = {s.opcode for s in profiler.samples}
-        assert not opcodes & {"input_ct", "input_pt", "const_pt"}
+    def __init__(self, *snapshots):
+        self._snapshots = iter(snapshots)
+
+    def counts_snapshot(self):
+        return dict(next(self._snapshots))
+
+
+def ciphertext_of_depth(depth: int):
+    result = mock.Mock(spec=Ciphertext)
+    result.noise.effective_depth = depth
+    return result
 
 
 class TestAggregation:
     def _fake(self):
-        profiler = TapeProfiler(timer=lambda: 0.0)
-        profiler.begin_run()
         samples = [
             (0, "mul", 0.002, {OpKind.MULTIPLY: 1}),
             (1, "mul", 0.004, {OpKind.MULTIPLY: 1}),
             (2, "rotate", 0.001, {OpKind.ROTATE: 1}),
             (3, "fused", 0.010, {OpKind.MULTIPLY: 2, OpKind.ADD: 3}),
         ]
-        for index, opcode, wall, counts in samples:
-            profiler.samples.append(
-                InstructionSample(index, opcode, wall, counts, index + 1)
+        cumulative, snapshots = {}, [{}]
+        for _, _, _, counts in samples:
+            for kind, n in counts.items():
+                cumulative[kind] = cumulative.get(kind, 0) + n
+            snapshots.append(dict(cumulative))
+        clock = VirtualClock()
+        profiler = TapeProfiler(clock=clock)
+        profiler.begin_run(FakeTracker(*snapshots))
+        for index, opcode, wall, _ in samples:
+            clock.advance(wall)
+            profiler.instruction(
+                index, opcode, ciphertext_of_depth(index + 1)
             )
         return profiler
 
@@ -223,12 +245,11 @@ class TestAggregation:
     def test_instruction_delta_and_depth_capture(self, ctx, keys):
         profiler = TapeProfiler()
         ct = ctx.encrypt([1, 0, 1], keys.public)
-        squared = ctx.multiply(ct, ct)
-        profiler.instruction(
-            0, "mul", 0.001,
+        profiler.begin_run(FakeTracker(
             {OpKind.MULTIPLY: 3}, {OpKind.MULTIPLY: 5, OpKind.ADD: 0},
-            squared,
-        )
+        ))
+        squared = ctx.multiply(ct, ct)
+        profiler.instruction(0, "mul", squared)
         (sample,) = profiler.samples
         assert sample.op_counts == {OpKind.MULTIPLY: 2}
         assert sample.depth == squared.noise.effective_depth
@@ -236,6 +257,6 @@ class TestAggregation:
 
     def test_plaintext_result_has_no_depth(self):
         profiler = TapeProfiler()
-        profiler.instruction(0, "const_add", 0.0, {}, {OpKind.ADD: 1},
-                             "not-a-ciphertext")
+        profiler.begin_run(FakeTracker({}, {OpKind.ADD: 1}))
+        profiler.instruction(0, "const_add", "not-a-ciphertext")
         assert profiler.samples[0].depth is None

@@ -76,12 +76,11 @@ class TestByteIdenticalExports:
 class TestProfilerClockDeterminism:
     """The profiler half of the byte-identity contract.
 
-    ``TapeProfiler`` used to default its instruction timer to
-    ``time.perf_counter`` even when the caller drove everything else
-    off a :class:`~repro.serve.simclock.VirtualClock`, smuggling
-    nondeterministic wall time into otherwise replayable artifacts.
-    With ``clock=`` threaded through, a virtual-clock profile of the
-    same execution is byte-identical across runs.
+    ``TapeProfiler`` reads its ``clock=`` and nothing else, so a
+    profile of a run driven by a
+    :class:`~repro.serve.simclock.VirtualClock` carries no
+    nondeterministic wall time: the same execution is byte-identical
+    across runs.
     """
 
     @staticmethod
@@ -139,21 +138,14 @@ class TestProfilerClockDeterminism:
         assert first.total_wall_s == 0.0
         assert first.op_totals()
 
-    def test_clock_threads_through_to_timer(self):
+    def test_clock_is_the_one_time_source(self):
         from repro.obs.profiler import TapeProfiler
-        from repro.serve import VirtualClock
+        from repro.serve import RealClock, VirtualClock
 
         clock = VirtualClock()
-        profiler = TapeProfiler(clock=clock)
-        assert profiler.timer == clock.now  # same bound method
-        clock.advance_to(2.5)
-        assert profiler.timer() == 2.5
-        # Explicit timer wins; no clock means real wall time.
-        import time
-
-        assert TapeProfiler().timer is time.perf_counter
-        fake = lambda: 1.0  # noqa: E731
-        assert TapeProfiler(timer=fake, clock=clock).timer is fake
+        assert TapeProfiler(clock=clock).clock is clock
+        # No clock means real wall time.
+        assert isinstance(TapeProfiler().clock, RealClock)
 
 
 class TestSpanConservation:

@@ -6,7 +6,7 @@ chaos soaks assert byte-identical replays, and any live randomness or
 clock here would break them.  These tests pin that purity down
 directly: backoff with seeded jitter, the breaker state machine
 (including the probe-release healing path), dead-letter bounding, and
-the degradation ladders.
+the degradation ladder.
 """
 
 import pytest
@@ -14,7 +14,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.serve.cluster import RouterCore
 from repro.serve.faults import (
-    BACKEND_LADDER,
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
@@ -23,7 +22,6 @@ from repro.serve.faults import (
     DeadLetter,
     DeadLetterQueue,
     RetryPolicy,
-    degrade_backend,
     degrade_engine,
 )
 from repro.serve.simclock import RealClock
@@ -214,11 +212,5 @@ class TestDegradationLadders:
             engine = degrade_engine(engine)
         assert chain == ["megakernel", "tape", "plan", "eager"]
 
-    def test_backend_ladder(self):
-        assert BACKEND_LADDER == ("vector", "reference")
-        assert degrade_backend("vector") == "reference"
-        assert degrade_backend("reference") is None
-
     def test_unknown_rungs_have_no_fallback(self):
         assert degrade_engine("warp-drive") is None
-        assert degrade_backend("abacus") is None
