@@ -509,7 +509,7 @@ def _cmd_serve(args) -> int:
         controller = None
         last_tick = None
         if args.autoscale:
-            import time as _time
+            import time
 
             from repro.control import (
                 AutoscalePolicy,
@@ -530,8 +530,19 @@ def _cmd_serve(args) -> int:
                     workers_max=args.workers_max,
                 )),
             )
-            last_tick = _time.monotonic()
+            last_tick = time.monotonic()
             controller.tick(last_tick)
+
+        def control_tick(due: bool = False) -> None:
+            """Tick the controller, if any, once the interval has passed
+            (or now, when ``due``)."""
+            nonlocal last_tick
+            if controller is None:
+                return
+            now = time.monotonic()
+            if due or now - last_tick >= args.control_interval:
+                controller.tick(now)
+                last_tick = now
 
         def emit_snapshot() -> None:
             print(json.dumps(service.metrics_snapshot(), sort_keys=True))
@@ -546,24 +557,12 @@ def _cmd_serve(args) -> int:
                 rejected += 1
             if interval is not None and i % interval == 0:
                 emit_snapshot()
-            if controller is not None:
-                import time as _time
-
-                now = _time.monotonic()
-                if now - last_tick >= args.control_interval:
-                    controller.tick(now)
-                    last_tick = now
+            control_tick()
         service.flush("cli")
         results = []
         for f in futures:
             results.append(f.result())
-            if controller is not None:
-                import time as _time
-
-                now = _time.monotonic()
-                if now - last_tick >= args.control_interval:
-                    controller.tick(now)
-                    last_tick = now
+            control_tick()
         if controller is not None:
             # The drained system is the half of the story the policy
             # could never see from inside the submit loop: once load
@@ -573,12 +572,8 @@ def _cmd_serve(args) -> int:
             # post-drain ticks lets the policy observe the idle plant
             # long enough to propose (and the guard rail to actuate) a
             # scale-down before the report prints.
-            import time as _time
-
             for _ in range(autoscale_policy.sustain_down + 1):
-                now = _time.monotonic()
-                controller.tick(now)
-                last_tick = now
+                control_tick(due=True)
         if interval is not None:
             emit_snapshot()
         stats = service.stats()

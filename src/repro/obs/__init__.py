@@ -3,8 +3,9 @@
 Three instruments, one discipline (explicit clocks, bounded memory,
 deterministic exports):
 
-* :mod:`repro.obs.trace` — :class:`Tracer` spans over the query
-  lifecycle with JSONL and Chrome trace-event (Perfetto) exporters;
+* :mod:`repro.obs.trace` — :class:`Tracer` spans over batches and
+  the router's decisions, with JSONL and Chrome trace-event (Perfetto)
+  exporters;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`
   counters/gauges/histograms backing ``ServiceStats`` and
   ``SchedulerStats``, with Prometheus-text and JSON snapshot exports;
@@ -21,12 +22,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.profiler import InstructionSample, OpcodeTotals, TapeProfiler
 from repro.obs.trace import (
-    NullTracer,
-    OUTCOME_CANCELLED,
-    OUTCOME_COMPLETED,
-    OUTCOME_FAILED,
-    OUTCOME_REJECTED,
-    QUERY_OUTCOMES,
     Span,
     Tracer,
     chrome_json,
@@ -43,15 +38,9 @@ __all__ = [
     "InstructionSample",
     "OpcodeTotals",
     "TapeProfiler",
-    "NullTracer",
     "Span",
     "Tracer",
     "chrome_json",
     "export_chrome",
     "export_jsonl",
-    "OUTCOME_COMPLETED",
-    "OUTCOME_REJECTED",
-    "OUTCOME_FAILED",
-    "OUTCOME_CANCELLED",
-    "QUERY_OUTCOMES",
 ]

@@ -18,28 +18,25 @@ attribute dict.  Two properties make it fit this codebase:
   :attr:`Tracer.dropped`, so a long-lived traced service degrades to a
   tail window instead of growing without bound.
 
-The query lifecycle the serve path records (see
-``repro.serve.scheduler`` / ``repro.serve.batcher``)::
+What the serve path records (see ``repro.serve.scheduler`` /
+``repro.serve.cluster``) is traced once per batch, not per query::
 
-    query                          # root: submit -> terminal outcome
-      submit / admit / reject      # instant events
-      queue-wait                   # admit -> batch-cut (per attempt)
-      execute                      # batch-cut -> completion
-    batch                          # cut -> worker completion, links=members
-      pack / execute(tape) / demux / resolve   # real-engine sub-stages
+    batch                  # worker:<k>, cut -> completion or crash
+      pack / execute / demux / resolve    # in-thread stage spans
+    reject / cancel / fail                # tenant:<name> instants
+    ship / assign / park / bisect / ...   # router instants, one per
+                                          # decision record
 
-Every root ``query`` span ends with an ``outcome`` attribute in
-{``completed``, ``rejected``, ``failed``, ``cancelled``} — the span-level
-mirror of the scheduler's conservation invariant.
+A batch span's ``members`` are its queries' seqs and ``submitted``
+their submit times; it ends with its ``outcome``, the ``failed`` batch
+positions and its ``deadline_misses``.
 
 Exporters (module functions, pure over a span list):
 
 * :func:`export_jsonl` — one sorted-key JSON object per span line;
 * :func:`export_chrome` — Chrome trace-event JSON (the ``traceEvents``
-  array), loadable in Perfetto / ``chrome://tracing``: batch and stage
-  spans export as complete (``"X"``) events on per-track tids, query
-  lifecycle spans as async (``"b"``/``"e"``) events so overlapping
-  queries of one tenant render as separate nested tracks.
+  array), loadable in Perfetto / ``chrome://tracing``: every span is a
+  complete (``"X"``) event on its track's tid.
 """
 
 from __future__ import annotations
@@ -47,36 +44,13 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import ValidationError
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NullTracer",
-    "export_jsonl",
-    "export_chrome",
-    "chrome_json",
-    "OUTCOME_COMPLETED",
-    "OUTCOME_REJECTED",
-    "OUTCOME_FAILED",
-    "OUTCOME_CANCELLED",
-    "QUERY_OUTCOMES",
-]
+__all__ = ["Span", "Tracer", "export_jsonl", "export_chrome", "chrome_json"]
 
-#: Terminal outcomes a root ``query`` span may end with — the span-level
-#: conservation alphabet (submitted == completed+rejected+failed+cancelled).
-OUTCOME_COMPLETED = "completed"
-OUTCOME_REJECTED = "rejected"
-OUTCOME_FAILED = "failed"
-OUTCOME_CANCELLED = "cancelled"
-QUERY_OUTCOMES = (
-    OUTCOME_COMPLETED, OUTCOME_REJECTED, OUTCOME_FAILED, OUTCOME_CANCELLED,
-)
-
-#: Default finished-span ring size (a 5k-query soak records ~4 spans per
-#: query; the default holds an order of magnitude more).
+#: Default finished-span ring size.
 DEFAULT_MAX_SPANS = 262144
 
 
@@ -119,7 +93,7 @@ class Tracer:
     Span ids are a per-tracer counter starting at 1 (deterministic for
     deterministic call orders — the simulator's case).  ``max_spans``
     bounds the *finished* ring; open spans are tracked separately and
-    are expected to be few (one per in-flight query/batch).
+    are expected to be few (one per in-flight batch or stage).
     """
 
     def __init__(self, max_spans: int = DEFAULT_MAX_SPANS):
@@ -188,13 +162,6 @@ class Tracer:
             self._finish(span)
             return span_id
 
-    def annotate(self, span_id: int, **attrs) -> None:
-        """Attach attributes to a still-open span."""
-        with self._lock:
-            span = self._open.get(span_id)
-            if span is not None:
-                span.attrs.update(attrs)
-
     def _finish(self, span: Span) -> None:
         self._finished.append(span)
         while len(self._finished) > self._max_spans:
@@ -225,39 +192,6 @@ class Tracer:
         return export_chrome(self.spans())
 
 
-class NullTracer:
-    """The do-nothing tracer: every method is a constant-return stub.
-
-    The serve path guards instrumentation with ``if tracer is not
-    None`` (strictly zero-cost when disabled); NullTracer exists for
-    call sites that want an unconditional tracer object instead.
-    """
-
-    dropped = 0
-    open_spans = 0
-
-    def begin(self, name, now, parent=None, track="", **attrs) -> int:
-        return 0
-
-    def end(self, span_id, now, **attrs) -> None:
-        pass
-
-    def event(self, name, now, parent=None, track="", **attrs) -> int:
-        return 0
-
-    def annotate(self, span_id, **attrs) -> None:
-        pass
-
-    def spans(self, include_open: bool = False) -> List[Span]:
-        return []
-
-    def to_jsonl(self) -> str:
-        return ""
-
-    def to_chrome(self) -> Dict:
-        return export_chrome([])
-
-
 # ---------------------------------------------------------------------------
 # Exporters
 # ---------------------------------------------------------------------------
@@ -283,10 +217,8 @@ def _microseconds(t: float) -> float:
 def export_chrome(spans: List[Span]) -> Dict:
     """Chrome trace-event JSON (Perfetto-loadable) for a span list.
 
-    Tracks become tids (named via thread_name metadata).  Spans on the
-    ``query`` lifecycle tracks (``tenant:*``) export as async b/e pairs
-    keyed by span id — overlapping queries of one tenant stay legible —
-    while worker/batch/stage spans export as complete ``"X"`` events.
+    Tracks become tids (named via thread_name metadata); every span
+    exports as a complete ``"X"`` event (an instant with ``dur`` 0).
     """
     tids: Dict[str, int] = {}
 
@@ -304,30 +236,16 @@ def export_chrome(spans: List[Span]) -> Dict:
         if span.parent is not None:
             args["parent"] = span.parent
         end = span.end if span.end is not None else span.start
-        base = {
+        events.append({
             "name": span.name,
             "cat": track.split(":", 1)[0],
+            "ph": "X",
             "pid": 1,
             "tid": tid,
+            "ts": _microseconds(span.start),
+            "dur": _microseconds(end - span.start),
             "args": args,
-        }
-        if track.startswith("tenant:"):
-            begin = dict(base)
-            begin.update(
-                ph="b", id=span.span_id, ts=_microseconds(span.start)
-            )
-            finish = dict(base)
-            finish.update(ph="e", id=span.span_id, ts=_microseconds(end))
-            events.append(begin)
-            events.append(finish)
-        else:
-            complete = dict(base)
-            complete.update(
-                ph="X",
-                ts=_microseconds(span.start),
-                dur=_microseconds(end - span.start),
-            )
-            events.append(complete)
+        })
 
     metadata = [
         {

@@ -48,7 +48,8 @@ Decision records are ``(kind, ...)`` tuples ordered by emission:
 ``("hedge_win", batch_id, winner, t)``,
 ``("hedge_promote", batch_id, dead, survivor, t)``,
 ``("hedge_drop", batch_id, dead, t)`` and
-``("degrade", model, from_engine, to_engine, t)``.
+``("degrade", model, from_engine, to_engine, t)``.  Traced, each record
+is also the router's trace event: an instant on the ``router`` track.
 """
 
 from __future__ import annotations
@@ -233,15 +234,14 @@ class RouterCore(SchedulerCore):
             fingerprint if fingerprint is not None else f"profile:{name}"
         )
 
-    def remove_model(self, name: str,
-                     now: Optional[float] = None) -> int:
+    def remove_model(self, name: str, now: float) -> int:
         """Stop serving ``name``: its queue (failing what it held) and
         its identity.  Returns the number of tickets failed."""
         self._models.pop(name, None)
         self._placements.pop(name, None)
         for ledger in self.shipped:
             ledger.pop(name, None)
-        return self.remove_queue(name, now=now)
+        return self.remove_queue(name, now)
 
     def stats(self) -> SchedulerStats:
         stats = super().stats()
@@ -302,7 +302,13 @@ class RouterCore(SchedulerCore):
         return old
 
     def _record(self, *fields) -> None:
+        """Log one decision; traced, it is also an instant on the
+        ``router`` track, named by its kind and timed by its last field
+        (always ``round(now, 9)``)."""
         self.decisions.append(fields)
+        if self.tracer is not None:
+            self.tracer.event(fields[0], fields[-1], track="router",
+                              fields=fields[1:-1])
 
     # ------------------------------------------------------------------
     # Placement + dispatch
@@ -364,11 +370,6 @@ class RouterCore(SchedulerCore):
         self.shipped[worker][name] = fingerprint
         self._ships.inc()
         self._record("ship", worker, epoch, name, round(now, 9))
-        if self.tracer is not None:
-            self.tracer.event(
-                "ship", now, track=f"worker:{worker}",
-                model=name, epoch=epoch,
-            )
         actions.append(ShipAction(worker=worker, epoch=epoch, model=name))
         return True
 
@@ -682,11 +683,6 @@ class RouterCore(SchedulerCore):
         assignment = self._running.pop(worker, None)
         self._crashes.inc()
         self._record("crash", worker, self.epochs[worker], round(now, 9))
-        if self.tracer is not None:
-            self.tracer.event(
-                "crash", now, track=f"worker:{worker}",
-                epoch=self.epochs[worker],
-            )
         if assignment is None:
             return None
         trip = self.breaker.record_failure(
@@ -711,7 +707,7 @@ class RouterCore(SchedulerCore):
             flight.started = now  # re-arm the hedge window
             return None
         self._flights.pop(assignment.batch_id, None)
-        if self.tracer is not None and assignment.span is not None:
+        if assignment.span is not None:
             self.tracer.end(assignment.span, now, outcome="crash")
         self._handle_crashed_tickets(assignment, now)
         return assignment
@@ -734,7 +730,8 @@ class RouterCore(SchedulerCore):
             if ticket.retries >= self.max_retries:
                 exhausted.append(ticket)
                 continue
-            self.prepare_retry(ticket, now)
+            ticket.retries += 1
+            self._retries.inc()
             release = now + self.retry_policy.backoff_s(
                 ticket.retries, key=f"{queue}:{ticket.seq}"
             )
@@ -763,7 +760,8 @@ class RouterCore(SchedulerCore):
         )
         for half in halves:
             for ticket in half:
-                self.prepare_retry(ticket, now)
+                ticket.retries += 1
+                self._retries.inc()
             heapq.heappush(
                 self._cohorts,
                 (release, next(self._park_order),
@@ -795,18 +793,15 @@ class RouterCore(SchedulerCore):
         ))
         self._record("dead_letter", queue, ticket.tenant, ticket.seq,
                      origin, round(now, 9))
-        if self.tracer is not None:
-            self.tracer.event(
-                "dead_letter", now, track=f"tenant:{ticket.tenant}",
-                model=queue, seq=ticket.seq,
-            )
-        self.dead_letter_ticket(ticket, PoisonQueryError(
+        # Counted apart from failed; resolved when the engine drains.
+        self._dead_lettered.inc()
+        self._pending_failures.append((ticket.future, PoisonQueryError(
             f"query seq={ticket.seq} (model {queue!r}) crashed "
             f"{attempts} workers and was quarantined to the "
             f"dead-letter queue",
             model=queue, tenant=ticket.tenant, seq=ticket.seq,
             attempts=attempts,
-        ), now)
+        )))
 
     def record_degrade(self, model: str, from_engine: str,
                        to_engine: str, now: float) -> None:
@@ -849,11 +844,6 @@ class RouterCore(SchedulerCore):
         self._restarts.inc()
         self._record("restart", worker, self.epochs[worker],
                      round(now, 9))
-        if self.tracer is not None:
-            self.tracer.event(
-                "restart", now, track=f"worker:{worker}",
-                epoch=self.epochs[worker],
-            )
         return self.epochs[worker]
 
     def abandon_worker(self, worker: int, deaths: int,
@@ -880,10 +870,6 @@ class RouterCore(SchedulerCore):
         self._retires.inc()
         self._record("abandon", worker, self.epochs[worker], deaths,
                      round(now, 9))
-        if self.tracer is not None:
-            self.tracer.event(
-                "abandon", now, track=f"worker:{worker}", deaths=deaths,
-            )
         if self.live_workers:
             return
         self.close()
@@ -939,10 +925,6 @@ class RouterCore(SchedulerCore):
         self._scale_ups.inc()
         self.metrics.gauge("cluster_workers").set(self.workers)
         self._record("add_worker", worker, round(now, 9))
-        if self.tracer is not None:
-            self.tracer.event(
-                "add_worker", now, track=f"worker:{worker}",
-            )
         return worker
 
     def retire_worker(self, worker: int, now: float) -> None:
@@ -976,11 +958,6 @@ class RouterCore(SchedulerCore):
         self.last_heartbeat[worker] = None
         self._retires.inc()
         self._record("retire", worker, self.epochs[worker], round(now, 9))
-        if self.tracer is not None:
-            self.tracer.event(
-                "retire", now, track=f"worker:{worker}",
-                epoch=self.epochs[worker],
-            )
 
     def retirable_worker(self) -> int:
         """The worker a scale-down retires: the highest-id idle one.

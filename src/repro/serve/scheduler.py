@@ -47,6 +47,13 @@ the *same* core from a deterministic discrete-event loop under a
 Because every scheduling decision lives in the core and depends only on
 (queue state, time, free workers), the simulated decisions are exactly
 the decisions production would make.
+
+Traced, the core records the unit it works in: one ``batch`` span per
+assignment, from the cut to its completion (or crash), naming its
+queries by ``seq`` with their submit times.  Admission makes no tracer
+call; what ends a query outside a batch — a refused block, a ticket
+cancelled at a cut, a failure — is one ``reject`` / ``cancel`` /
+``fail`` instant.
 """
 
 from __future__ import annotations
@@ -66,12 +73,6 @@ from repro.errors import (
     require_real,
 )
 from repro.obs.metrics import MetricsRegistry, bind_children
-from repro.obs.trace import (
-    OUTCOME_CANCELLED,
-    OUTCOME_COMPLETED,
-    OUTCOME_FAILED,
-    OUTCOME_REJECTED,
-)
 from repro.serve.simclock import MS
 
 #: Completions whose latencies feed the percentile window; older samples
@@ -102,10 +103,6 @@ class QueryTicket:
     priority: int
     seq: int
     retries: int = 0
-    #: Root ``query`` span id (None when tracing is disabled).
-    span: Optional[int] = None
-    #: The currently-open ``queue_wait`` child span (one per attempt).
-    wait_span: Optional[int] = None
 
     @property
     def future(self):
@@ -131,7 +128,7 @@ class Assignment:
     cut_time: float
     #: Tickets in each batch, in ticket order.
     fills: Tuple[int, ...]
-    #: ``batch`` span id, linked to member query spans (None when
+    #: ``batch`` span id, its members named by ``seq`` (None when
     #: tracing is disabled) — evaluators parent their stage spans on it.
     span: Optional[int] = None
 
@@ -424,8 +421,7 @@ class SchedulerCore:
             queue.vtime = min(q.vtime for q in self._queues.values())
         self._queues[name] = queue
 
-    def remove_queue(self, name: str,
-                     now: Optional[float] = None) -> int:
+    def remove_queue(self, name: str, now: float) -> int:
         """Drop a queue, failing its still-pending tickets.  Returns the
         number of tickets failed."""
         queue = self._queues.pop(name, None)
@@ -439,7 +435,7 @@ class SchedulerCore:
                     f"model {name!r} was unregistered with the query "
                     f"still queued"
                 ),
-                now=now,
+                now,
             )
             failed += 1
         return failed
@@ -451,7 +447,7 @@ class SchedulerCore:
         failed = 0
         for queue in self._queues.values():
             for _, ticket in queue.heap:
-                self._fail_ticket(ticket, exc_for(ticket), now=now)
+                self._fail_ticket(ticket, exc_for(ticket), now)
                 failed += 1
             queue.heap.clear()
             queue.flush_pending = False
@@ -557,8 +553,7 @@ class SchedulerCore:
         What N ``submit`` calls at the same ``now`` would do, paid once
         per block: one closed check, one queue lookup, one admission
         bound, contiguous ``seq``s in request order, one cut-cache
-        touch, one ``inc`` per counter.  Tickets (and their trace
-        spans) stay per query.
+        touch, one ``inc`` per counter.  Tickets stay per query.
 
         Raises :class:`ServeError` once closed and
         :class:`RejectedQuery` when the queue reaches its bound — the
@@ -592,26 +587,13 @@ class SchedulerCore:
             if room < len(payloads):
                 admitted = payloads[:room]
         refused = len(admitted) < len(payloads)
-        tracer = self.tracer
-        track = f"tenant:{tenant}" if tracer is not None else None
         seq = self._next_seq
         self._next_seq = seq + len(admitted)
-        tickets: List[QueryTicket] = []
-        for payload in admitted:
-            ticket = QueryTicket(
-                name, tenant, payload, now, deadline, priority, seq
-            )
-            if tracer is not None:
-                ticket.span = tracer.begin(
-                    "query", now, track=track,
-                    queue=name, tenant=tenant, priority=priority, seq=seq,
-                )
-                tracer.event("admit", now, parent=ticket.span, track=track)
-                ticket.wait_span = tracer.begin(
-                    "queue_wait", now, parent=ticket.span, track=track
-                )
-            tickets.append(ticket)
-            seq += 1
+        tickets = [
+            QueryTicket(name, tenant, payload, now, deadline, priority,
+                        seq + k)
+            for k, payload in enumerate(admitted)
+        ]
         queue.push_block(tickets, deadline)
         counted = len(tickets) + refused
         if counted:
@@ -619,14 +601,9 @@ class SchedulerCore:
             self._tenant_submitted(tenant).inc(counted)
         if refused:
             self._rejected.inc()
-            if tracer is not None:
-                # Rejected queries still get a (zero-duration) root span
-                # so span conservation covers every submission.
-                span = tracer.begin(
-                    "query", now, track=track,
-                    queue=name, tenant=tenant, priority=priority,
-                )
-                tracer.end(span, now, outcome=OUTCOME_REJECTED)
+            if self.tracer is not None:
+                self.tracer.event("reject", now, track=f"tenant:{tenant}",
+                                  queue=name)
             raise RejectedQuery(
                 f"queue for model {name!r} is full "
                 f"({len(queue.heap)}/{queue.max_pending} pending); "
@@ -759,17 +736,14 @@ class SchedulerCore:
         if ticket.future.set_running_or_notify_cancel():
             return True
         self._cancelled.inc()
-        self._end_spans(ticket, now, OUTCOME_CANCELLED)
+        self._instant("cancel", ticket, now)
         return False
 
-    def _end_spans(self, ticket: QueryTicket, now: float,
-                   outcome: str) -> None:
-        """End a terminal ticket's open ``queue_wait`` and root spans."""
-        if self.tracer is not None and ticket.span is not None:
-            if ticket.wait_span is not None:
-                self.tracer.end(ticket.wait_span, now)
-                ticket.wait_span = None
-            self.tracer.end(ticket.span, now, outcome=outcome)
+    def _instant(self, name: str, ticket: QueryTicket, now: float) -> None:
+        """Trace one query's outcome outside a batch (when traced)."""
+        if self.tracer is not None:
+            self.tracer.event(name, now, track=f"tenant:{ticket.tenant}",
+                              seq=ticket.seq)
 
     def _bind(self, queue: str, worker: int, tickets: List[QueryTicket],
               fills: Sequence[int], now: float) -> Assignment:
@@ -785,19 +759,14 @@ class SchedulerCore:
         )
         self._next_batch_id += len(fills)
         if self.tracer is not None:
+            # A member's wait is ``t0 - submitted[i]``.
             assignment.span = self.tracer.begin(
                 "batch", now, track=f"worker:{worker}",
                 queue=queue, batch_id=assignment.batch_id,
-                size=len(tickets),
-                members=[t.span for t in tickets if t.span is not None],
+                size=len(tickets), fills=assignment.fills,
+                members=[t.seq for t in tickets],
+                submitted=[round(t.submit_time, 9) for t in tickets],
             )
-            for batch_id, members in assignment.batches():
-                for ticket in members:
-                    if ticket.wait_span is not None:
-                        self.tracer.end(
-                            ticket.wait_span, now, batch_id=batch_id
-                        )
-                        ticket.wait_span = None
         self._running[worker] = assignment
         self._batches.inc(len(fills))
         return assignment
@@ -826,9 +795,6 @@ class SchedulerCore:
                 f"{assignment.batch_id}"
             )
         del self._running[assignment.worker]
-        tracer = self.tracer
-        if tracer is not None and assignment.span is not None:
-            tracer.end(assignment.span, now, outcome=outcome)
         failed = failed or {}
         if outcome == OUTCOME_OK:
             finished_queue = self._queues.get(assignment.queue)
@@ -838,18 +804,21 @@ class SchedulerCore:
             failed = {j: failed.get(j) for j in range(len(assignment.fills))}
         else:
             raise ValidationError(f"unknown completion outcome {outcome!r}")
-        self._book_completed(assignment, now, failed)
+        misses = self._book_completed(assignment, now, failed)
+        if assignment.span is not None:
+            self.tracer.end(assignment.span, now, outcome=outcome,
+                            failed=sorted(failed), deadline_misses=misses)
 
     def _book_completed(self, assignment: Assignment, now: float,
-                        failed: Dict[int, Optional[str]]) -> None:
+                        failed: Dict[int, Optional[str]]) -> int:
         """Count one evaluated assignment: one update per instrument.
 
         Latencies are observed in ticket order and labelled children
         resolved once per distinct tenant / queue of the assignment, so
         the registry ends bit-for-bit where per-ticket booking left it.
         The tickets of a batch whose position is in ``failed`` fail.
+        Returns the deadline misses.
         """
-        tracer = self.tracer
         latencies: List[float] = []
         by_tenant: Dict[str, List[float]] = {}
         by_queue: Dict[str, int] = {}
@@ -859,7 +828,7 @@ class SchedulerCore:
                 for ticket in tickets:
                     self._fail_ticket(ticket, evaluation_failure(
                         batch_id, failed[position]
-                    ), now=now)
+                    ), now)
                 continue
             for ticket in tickets:
                 latency_ms = (now - ticket.submit_time) / MS
@@ -874,16 +843,8 @@ class SchedulerCore:
                     tenant = by_tenant[ticket.tenant] = []
                 tenant.append(latency_ms)
                 by_queue[ticket.queue] = by_queue.get(ticket.queue, 0) + 1
-                if tracer is not None and ticket.span is not None:
-                    tracer.end(
-                        ticket.span, now,
-                        outcome=OUTCOME_COMPLETED,
-                        batch_id=batch_id,
-                        deadline_missed=missed,
-                        retries=ticket.retries,
-                    )
         if not latencies:
-            return
+            return 0
         self._completed.inc(len(latencies))
         self._latencies_ms.observe_many(latencies)
         if misses:
@@ -893,30 +854,11 @@ class SchedulerCore:
             self._tenant_latency_ms(tenant).observe_many(values)
         for queue, count in by_queue.items():
             self._queue_completed(queue).inc(count)
+        return misses
 
     # ------------------------------------------------------------------
     # Fault-domain seams (what the router's crash policy does to tickets)
     # ------------------------------------------------------------------
-
-    def prepare_retry(self, ticket: QueryTicket, now: float) -> None:
-        """Account one retry attempt.  The ticket keeps its future, still
-        RUNNING: a parked retry cannot be cancelled, and is live at its
-        next cut.
-
-        Does NOT requeue: the router parks the ticket and calls
-        :meth:`requeue` when its backoff expires.
-        """
-        ticket.retries += 1
-        self._retries.inc()
-        if self.tracer is not None and ticket.span is not None:
-            track = f"tenant:{ticket.tenant}"
-            self.tracer.event(
-                "retry", now, parent=ticket.span, track=track,
-                attempt=ticket.retries,
-            )
-            ticket.wait_span = self.tracer.begin(
-                "queue_wait", now, parent=ticket.span, track=track,
-            )
 
     def requeue(self, ticket: QueryTicket, now: float) -> bool:
         """Return a parked ticket to its queue (False if the queue is
@@ -926,22 +868,10 @@ class SchedulerCore:
             self._fail_ticket(ticket, ServeError(
                 f"model {ticket.queue!r} was unregistered while a retry "
                 f"was parked"
-            ), now=now)
+            ), now)
             return False
         queue.push_block((ticket,), ticket.deadline)
         return True
-
-    def dead_letter_ticket(self, ticket: QueryTicket, exc: Exception,
-                           now: float) -> None:
-        """Terminally quarantine one ticket (counted apart from failed).
-
-        Same deferred-future protocol as :meth:`_fail_ticket` — the
-        exception reaches the caller when the engine drains — but the
-        conservation ledger books it under ``dead_lettered``.
-        """
-        self._dead_lettered.inc()
-        self._end_spans(ticket, now, OUTCOME_FAILED)
-        self._pending_failures.append((ticket.future, exc))
 
     def assign_direct(self, queue_name: str, tickets: List[QueryTicket],
                       worker: int, now: float) -> Optional[Assignment]:
@@ -971,16 +901,12 @@ class SchedulerCore:
         return self._bind(queue_name, worker, live, fills, now)
 
     def _fail_ticket(self, ticket: QueryTicket, exc: Exception,
-                     now: Optional[float] = None) -> None:
+                     now: float) -> None:
         # Deferred: resolving runs the caller's done-callbacks, which may
         # re-enter the service whose lock is held around the core; the
         # future resolves when the caller drains, outside any lock.
         self._failed.inc()
-        # Callers without a clock (queue teardown) fall back to the
-        # submit time: the span still terminates, with zero wait.
-        self._end_spans(
-            ticket, ticket.submit_time if now is None else now, OUTCOME_FAILED
-        )
+        self._instant("fail", ticket, now)
         self._pending_failures.append((ticket.future, exc))
 
     def drain_failures(self) -> List[Tuple[Any, Exception]]:

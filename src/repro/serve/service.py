@@ -421,7 +421,7 @@ class CopseService:
         #: story.
         self.metrics: MetricsRegistry = self.router.metrics
         #: Optional span tracer (``repro.obs.trace.Tracer``): threads
-        #: through the cores (query/batch spans) and the in-thread
+        #: through the core (batch spans, router instants) and the in-thread
         #: transport (stage spans).  None — the default — costs nothing
         #: on any hot path.
         self.tracer = tracer

@@ -5,14 +5,7 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.obs.trace import (
-    NullTracer,
-    QUERY_OUTCOMES,
-    Tracer,
-    chrome_json,
-    export_chrome,
-    export_jsonl,
-)
+from repro.obs.trace import Tracer, chrome_json, export_chrome, export_jsonl
 
 
 class TestTracer:
@@ -24,17 +17,17 @@ class TestTracer:
 
     def test_begin_end_records_interval(self):
         tracer = Tracer()
-        sid = tracer.begin("query", now=1.0, track="tenant:t", seq=4)
-        tracer.end(sid, now=3.5, outcome="completed")
+        sid = tracer.begin("batch", now=1.0, track="worker:0", members=[4])
+        tracer.end(sid, now=3.5, outcome="ok")
         (span,) = tracer.spans()
-        assert span.name == "query"
-        assert span.track == "tenant:t"
+        assert span.name == "batch"
+        assert span.track == "worker:0"
         assert (span.start, span.end, span.duration) == (1.0, 3.5, 2.5)
-        assert span.attrs == {"seq": 4, "outcome": "completed"}
+        assert span.attrs == {"members": [4], "outcome": "ok"}
 
     def test_event_is_instant(self):
         tracer = Tracer()
-        tracer.event("admit", now=2.0, parent=7)
+        tracer.event("reject", now=2.0, parent=7)
         (span,) = tracer.spans()
         assert span.duration == 0.0
         assert span.parent == 7
@@ -47,14 +40,6 @@ class TestTracer:
         tracer.end(sid, now=2.0)  # double end: second ignored
         (span,) = tracer.spans()
         assert span.end == 1.0
-
-    def test_annotate_open_span(self):
-        tracer = Tracer()
-        sid = tracer.begin("a", now=0.0)
-        tracer.annotate(sid, batch_id=3)
-        tracer.annotate(999, nope=True)  # unknown id: no-op
-        tracer.end(sid, now=1.0)
-        assert tracer.spans()[0].attrs == {"batch_id": 3}
 
     def test_open_spans_excluded_by_default(self):
         tracer = Tracer()
@@ -78,21 +63,18 @@ class TestTracer:
         with pytest.raises(ValidationError):
             Tracer(max_spans=0)
 
-    def test_outcome_alphabet(self):
-        assert QUERY_OUTCOMES == (
-            "completed", "rejected", "failed", "cancelled",
-        )
-
 
 def _sample_tracer() -> Tracer:
+    """The serve path's shape: a router decision, a batch naming its
+    query by seq, a stage span under it, and a refusal."""
     tracer = Tracer()
-    q = tracer.begin("query", now=0.001, track="tenant:acme", seq=0)
-    tracer.event("admit", now=0.001, parent=q, track="tenant:acme")
-    w = tracer.begin("queue_wait", now=0.001, parent=q, track="tenant:acme")
-    b = tracer.begin("batch", now=0.002, track="worker:0", members=[q])
-    tracer.end(w, now=0.002)
-    tracer.end(b, now=0.005, size=1)
-    tracer.end(q, now=0.005, outcome="completed")
+    tracer.event("assign", now=0.002, track="router", fields=(1, "m", 0))
+    b = tracer.begin("batch", now=0.002, track="worker:0", members=[0],
+                     submitted=[0.001])
+    s = tracer.begin("pack", now=0.002, parent=b, track="worker:0")
+    tracer.end(s, now=0.003)
+    tracer.end(b, now=0.005, outcome="ok")
+    tracer.event("reject", now=0.006, track="tenant:acme", queue="m")
     return tracer
 
 
@@ -107,15 +89,15 @@ class TestJsonlExport:
         assert _sample_tracer().to_jsonl() == _sample_tracer().to_jsonl()
 
     def test_record_shape(self):
-        record = json.loads(_sample_tracer().to_jsonl().splitlines()[0])
+        record = json.loads(_sample_tracer().to_jsonl().splitlines()[1])
         assert record == {
-            "span": 1,
+            "span": 2,
             "parent": None,
-            "name": "query",
-            "track": "tenant:acme",
-            "t0": 0.001,
+            "name": "batch",
+            "track": "worker:0",
+            "t0": 0.002,
             "t1": 0.005,
-            "attrs": {"outcome": "completed", "seq": 0},
+            "attrs": {"members": [0], "outcome": "ok", "submitted": [0.001]},
         }
 
     def test_keys_sorted_within_record(self):
@@ -133,7 +115,7 @@ class TestChromeExport:
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         assert doc["displayTimeUnit"] == "ms"
         phases = {e["ph"] for e in doc["traceEvents"]}
-        assert phases == {"M", "b", "e", "X"}
+        assert phases == {"M", "X"}
 
     def test_metadata_names_process_and_tracks(self):
         doc = _sample_tracer().to_chrome()
@@ -143,19 +125,20 @@ class TestChromeExport:
         tracks = [
             e["args"]["name"] for e in meta if e["name"] == "thread_name"
         ]
-        assert sorted(tracks) == ["tenant:acme", "worker:0"]
+        assert tracks == ["router", "worker:0", "tenant:acme"]
 
-    def test_tenant_tracks_export_async_pairs(self):
+    def test_instants_export_as_zero_length_slices(self):
         doc = _sample_tracer().to_chrome()
-        pairs = [
+        instants = [
             e for e in doc["traceEvents"]
-            if e["ph"] in ("b", "e") and e["name"] == "query"
+            if e.get("name") in ("assign", "reject")
         ]
-        assert [e["ph"] for e in pairs] == ["b", "e"]
-        assert pairs[0]["id"] == pairs[1]["id"] == 1
+        assert [(e["ph"], e["dur"], e["cat"]) for e in instants] == [
+            ("X", 0.0, "router"), ("X", 0.0, "tenant"),
+        ]
         # Timestamps are microseconds of the span's second-valued clock.
-        assert pairs[0]["ts"] == 1000.0
-        assert pairs[1]["ts"] == 5000.0
+        assert [e["ts"] for e in instants] == [2000.0, 6000.0]
+        assert instants[0]["args"]["fields"] == (1, "m", 0)
 
     def test_worker_tracks_export_complete_events(self):
         doc = _sample_tracer().to_chrome()
@@ -166,16 +149,15 @@ class TestChromeExport:
         assert batch["ts"] == 2000.0
         assert batch["dur"] == 3000.0
         assert batch["cat"] == "worker"
-        assert batch["args"]["members"] == [1]
-        assert batch["args"]["span"] == 4
+        assert batch["args"]["members"] == [0]
+        assert batch["args"]["span"] == 2
 
     def test_parent_links_survive_in_args(self):
         doc = _sample_tracer().to_chrome()
-        (wait_b,) = [
-            e for e in doc["traceEvents"]
-            if e.get("name") == "queue_wait" and e["ph"] == "b"
+        (pack,) = [
+            e for e in doc["traceEvents"] if e.get("name") == "pack"
         ]
-        assert wait_b["args"]["parent"] == 1
+        assert pack["args"]["parent"] == 2
 
     def test_chrome_json_is_deterministic_and_loadable(self):
         a = chrome_json(_sample_tracer().spans())
@@ -189,20 +171,6 @@ class TestChromeExport:
         doc = export_chrome([])
         assert doc["traceEvents"][0]["name"] == "process_name"
         json.dumps(doc)
-
-
-class TestNullTracer:
-    def test_all_methods_are_stubs(self):
-        null = NullTracer()
-        assert null.begin("a", now=0.0) == 0
-        null.end(0, now=1.0)
-        assert null.event("b", now=0.0) == 0
-        null.annotate(0, k=1)
-        assert null.spans() == []
-        assert null.to_jsonl() == ""
-        assert null.to_chrome()["traceEvents"]
-        assert null.dropped == 0
-        assert null.open_spans == 0
 
 
 def test_traced_batch_emits_its_stage_spans(example_forest):

@@ -99,7 +99,7 @@ class TestRouterCore:
         router.crash_worker(0, 0.2)
         router.abandon_worker(0, 3, 0.3)
         assert router.placement_order("m") is not kept
-        router.remove_model("m")
+        router.remove_model("m", 0.4)
         assert "m" not in router._placements
 
     def test_dispatch_ships_then_assigns(self):

@@ -526,12 +526,9 @@ class TestGroupsThroughTheFacade:
             assert span.attrs["batch_id"] == 1
         assert stages[1].attrs["engine"] == "megakernel"
         assert stages[3].attrs["oracle_failures"] == 0
-        batch = [s for s in tracer.spans() if s.name == "batch"]
-        assert len(batch) == 1 and batch[0].attrs["size"] == 24
-        queries_spans = [s for s in tracer.spans() if s.name == "query"]
-        assert sorted(s.attrs["batch_id"] for s in queries_spans) == [
-            1 + k // 4 for k in range(24)
-        ]
+        (batch,) = [s for s in tracer.spans() if s.name == "batch"]
+        assert batch.attrs["size"] == 24 and batch.attrs["fills"] == (4,) * 6
+        assert batch.attrs["members"] == list(range(24))
         assert tracer.open_spans == 0
 
 

@@ -231,7 +231,7 @@ class TestFailureAndHedge:
         core.submit_many("m", entries, 0.0)
         calls = []
         entries[2].future.add_done_callback(calls.append)
-        assert core.remove_queue("m") == 4
+        assert core.remove_queue("m", 0.0) == 4
         assert not any(e.future.done() for e in entries)  # deferred
         deliver_failures(core.drain_failures())
         for entry in entries:

@@ -16,7 +16,8 @@ model, and close.  After every step it checks what must always hold:
 * epochs only grow, retired ids only accumulate and never run again;
 * every breaker is in a legal state;
 * no exception but a typed :mod:`repro.errors` one escapes a call;
-* every span ends at or after it began.
+* every span ends at or after it began;
+* the ``router``-track instants are the decision records, in order.
 
 Teardown drains the core to quiescence: every parked ticket is
 eventually released or failed, and every admitted future is done.
@@ -361,6 +362,14 @@ class RouterMachine(RuleBasedStateMachine):
         for span in self.tracer.spans():
             assert span.end >= span.start, span.as_record()
 
+    @invariant()
+    def router_instants_are_the_decisions(self):
+        instants = [
+            (span.name, *span.attrs["fields"], span.start)
+            for span in self.tracer.spans() if span.track == "router"
+        ]
+        assert instants == self.router.decisions
+
     def teardown(self):
         router = self.router
         if router is None:
@@ -380,6 +389,7 @@ class RouterMachine(RuleBasedStateMachine):
         assert router.outstanding == 0
         self.conservation()
         self.spans_end_after_they_begin()
+        self.router_instants_are_the_decisions()
         assert all(future.done() for future in self.admitted)
 
 
@@ -396,6 +406,7 @@ INVARIANTS = (
     RouterMachine.epochs_grow_and_retired_stay_retired,
     RouterMachine.breakers_legal,
     RouterMachine.spans_end_after_they_begin,
+    RouterMachine.router_instants_are_the_decisions,
 )
 
 
@@ -420,8 +431,8 @@ class TestSeededCounterExamples:
                   tenant="acme", priority=0, deadline=None, cancel=False)
 
     def test_a_parked_retry_of_a_removed_model_fails_when_it_wakes(self):
-        """Its ``queue_wait`` span ran from the crash back to the
-        submission (1.0 -> 0.0): the failure had no clock."""
+        """Its failure was timed at the submission (0.0), before the
+        crash (1.0) that parked it: the failure had no clock."""
         state = self.opened(workers=1, hedged=False, max_retries=1)
         self.block(state, "a", 2)
         self.step(state, "dispatch", dt=0.0, limit=None)
@@ -431,8 +442,10 @@ class TestSeededCounterExamples:
         state.now = 1.5
         self.step(state, "remove_model", name="a")
         self.step(state, "dispatch", dt=3.5, limit=None)
-        waits = [s for s in state.tracer.spans() if s.name == "queue_wait"]
-        assert [(s.start, s.end) for s in waits[-2:]] == [(1.0, 5.0)] * 2
+        fails = [s for s in state.tracer.spans() if s.name == "fail"]
+        assert sorted((s.start, s.attrs["seq"]) for s in fails) == [
+            (5.0, 0), (5.0, 1),
+        ]
         assert state.router.stats().failed == 2
         state.teardown()
 

@@ -363,7 +363,7 @@ class TestCompletionAccounting:
         core = SchedulerCore(workers=1)
         core.add_queue("m", capacity=4)
         tickets = submit_n(core, "m", 2)
-        assert core.remove_queue("m") == 2
+        assert core.remove_queue("m", 0.0) == 2
         deliver_failures(core.drain_failures())
         for ticket in tickets:
             with pytest.raises(ServeError, match="unregistered"):
@@ -409,6 +409,98 @@ class TestCompletionAccounting:
             + stats.cancelled + stats.dead_lettered
         )
         assert router.outstanding == 0
+
+
+def traced_core(capacity, **queue):
+    tracer = Tracer()
+    core = SchedulerCore(workers=1, tracer=tracer)
+    core.add_queue("m", capacity=capacity, **queue)
+    return core, tracer
+
+
+def named(tracer, name):
+    return [s for s in tracer.spans(include_open=True) if s.name == name]
+
+
+class TestTraceShape:
+    """A batch is traced once: admission is silent, the batch span names
+    its queries by seq, and outcomes outside a batch are instants on the
+    tenant's track carrying the seq and the caller's ``now``."""
+
+    def test_admission_makes_no_tracer_call(self):
+        core, tracer = traced_core(capacity=4)
+        submit_n(core, "m", 3)
+        core.submit_many("m", [Payload(), Payload()], 0.5)
+        assert tracer.spans(include_open=True) == []
+
+    def test_a_refused_block_emits_one_reject_instant(self):
+        core, tracer = traced_core(capacity=4, max_pending=2)
+        with pytest.raises(RejectedQuery) as excinfo:
+            core.submit_many(
+                "m", [Payload() for _ in range(5)], 0.25, tenant="acme"
+            )
+        assert len(excinfo.value.admitted) == 2
+        (reject,) = tracer.spans(include_open=True)
+        assert (reject.name, reject.track, reject.start) == (
+            "reject", "tenant:acme", 0.25,
+        )
+        assert reject.attrs == {"queue": "m"}
+        assert core.stats().rejected == 1
+
+    def test_the_batch_span_names_its_queries_and_its_misses(self):
+        core, tracer = traced_core(capacity=2)
+        core.submit("m", Payload(), 0.0, tenant="a", deadline=0.25)
+        core.submit("m", Payload(), 0.1, tenant="b", deadline=2.0)
+        assignment = core.assign(0.2)
+        assert tracer.open_spans == 1
+        core.complete(assignment, 0.5, OUTCOME_OK)
+        (batch,) = tracer.spans()
+        assert (batch.name, batch.track) == ("batch", "worker:0")
+        assert (batch.start, batch.end) == (0.2, 0.5)
+        assert batch.attrs["members"] == [0, 1]
+        assert batch.attrs["submitted"] == [0.0, 0.1]
+        assert batch.attrs["outcome"] == OUTCOME_OK
+        assert batch.attrs["failed"] == []
+        assert batch.attrs["deadline_misses"] == 1
+
+    def test_a_failed_position_ends_in_fail_instants(self):
+        core, tracer = traced_core(capacity=1)
+        core.set_lanes("m", 2)
+        tickets = submit_n(core, "m", 2, tenant="acme")
+        assignment = core.assign(0.0)
+        assert assignment.fills == (1, 1)
+        core.complete(assignment, 0.3, OUTCOME_OK, failed={1: "boom"})
+        (batch,) = named(tracer, "batch")
+        assert batch.attrs["members"] == [t.seq for t in tickets]
+        assert batch.attrs["failed"] == [1]
+        (fail,) = named(tracer, "fail")
+        assert (fail.track, fail.start, fail.attrs) == (
+            "tenant:acme", 0.3, {"seq": tickets[1].seq},
+        )
+        stats = core.stats()
+        assert (stats.completed, stats.failed) == (1, 1)
+
+    def test_a_cancelled_ticket_emits_cancel_at_the_cut(self):
+        core, tracer = traced_core(capacity=2)
+        tickets = submit_n(core, "m", 3, tenant="acme")
+        assert tickets[0].future.cancel()
+        core.assign(0.4)
+        (cancel,) = named(tracer, "cancel")
+        assert (cancel.track, cancel.start, cancel.attrs) == (
+            "tenant:acme", 0.4, {"seq": tickets[0].seq},
+        )
+        (batch,) = named(tracer, "batch")
+        assert batch.attrs["members"] == [t.seq for t in tickets[1:]]
+
+    def test_a_removed_queue_fails_pending_at_the_given_time(self):
+        core, tracer = traced_core(capacity=4)
+        tickets = submit_n(core, "m", 2, tenant="acme")
+        assert core.remove_queue("m", 5.0) == 2
+        fails = named(tracer, "fail")
+        assert sorted((s.start, s.attrs["seq"]) for s in fails) == [
+            (5.0, t.seq) for t in tickets
+        ]
+        assert {s.track for s in fails} == {"tenant:acme"}
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +796,9 @@ class TestThreadedLifecycle:
         future = service.submit("m", [1, 2], deadline_ms=250.0)
         future.result(timeout=30)
         service.close()
-        query = [s for s in tracer.spans() if s.name == "query"]
-        assert [(s.start, s.end) for s in query] == [(100.0, 100.0)]
+        (batch,) = [s for s in tracer.spans() if s.name == "batch"]
+        assert (batch.start, batch.end) == (100.0, 100.0)
+        assert batch.attrs["submitted"] == [100.0]
         # Virtual time never moved, so latency is exactly zero — and
         # the 250 ms deadline, at 100.25, was not missed.
         stats = service.stats().scheduler

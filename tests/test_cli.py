@@ -548,7 +548,8 @@ class TestTrace:
         assert "simulated 40 submissions" in out
         doc = json.loads(out_path.read_text())
         assert doc["displayTimeUnit"] == "ms"
-        assert any(e["ph"] == "b" for e in doc["traceEvents"])
+        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert {e["name"] for e in slices} >= {"batch", "assign"}
 
     def test_trace_sim_jsonl_export(self, model_file, tmp_path, capsys):
         import json
