@@ -1,11 +1,11 @@
 """Ablation: the EVA-style IR optimizer vs the hand-scheduled runtime.
 
 The paper's stated future work is lowering COPSE onto an optimizing FHE
-IR.  This benchmark measures what that buys on our substrate: the
-optimizer's CSE discovers that the cyclic extensions of the rotated
-branch vector are shared across all ``d`` level matrices — something the
-hand-written runtime recomputes — cutting the rotation count below even
-the paper's ``q + d*b``.
+IR.  This benchmark measures what that buys on our substrate: the IR
+builder's shared emission finds that the cyclic extensions of the
+rotated branch vector are the same across all ``d`` level matrices —
+something the hand-written runtime recomputes — cutting the rotation
+count below even the paper's ``q + d*b``.
 """
 
 import pytest
@@ -15,10 +15,9 @@ from repro.fhe.costmodel import CostModel
 from repro.fhe.params import EncryptionParams
 from repro.fhe.tracker import OpKind
 from repro.ir import (
-    analyze_counts,
-    analyze_depth,
     build_inference_graph,
     ir_secure_inference,
+    lower_inference,
     optimize,
 )
 from repro.ir.nodes import IrOp
@@ -74,19 +73,20 @@ def test_ablation_ir_vs_runtime(benchmark, name, report_sink):
 
 
 def test_ir_optimizer_statistics(benchmark):
-    """Optimizer effect on the raw graph: extensions collapse d*b -> b."""
+    """Sharing's effect on the naive emission: extensions collapse
+    d*b -> b (the plan's raw profile is the builder's tally of one node
+    per combinator call)."""
     w = workload("width78")
     compiled = w.compiled
 
-    def build_and_optimize():
-        raw = build_inference_graph(compiled)
-        return raw, optimize(raw)
-
-    raw, opt = benchmark.pedantic(build_and_optimize, rounds=1, iterations=1)
+    plan = benchmark.pedantic(
+        lower_inference, args=(compiled,), rounds=1, iterations=1
+    )
+    raw, opt = plan.raw, plan.optimized
     d, b = compiled.max_depth, compiled.branching
-    assert analyze_counts(raw)[IrOp.EXTEND] == d * b
-    assert analyze_counts(opt)[IrOp.EXTEND] == b
-    assert analyze_depth(raw) == analyze_depth(opt)
+    assert raw.count(IrOp.EXTEND) == d * b
+    assert opt.count(IrOp.EXTEND) == b
+    assert raw.depth == opt.depth
     assert opt.num_nodes < raw.num_nodes
     benchmark.extra_info["raw_nodes"] = raw.num_nodes
     benchmark.extra_info["optimized_nodes"] = opt.num_nodes

@@ -17,7 +17,8 @@ execute with ``engine="plan"`` (the serve default is ``"tape"``, below):
   forms), rotation, cyclic extension, truncation;
 * :mod:`repro.ir.builder` — graph construction with the same combinator
   vocabulary as :class:`~repro.fhe.context.FheContext`, folding
-  plaintext-only operations at build time;
+  plaintext-only operations, sharing equal nodes and fusing rotation
+  chains at build time, and tallying the naive emission's profile;
 * :mod:`repro.ir.passes` — the optimizer: rotation fusion, common
   subexpression elimination, dead-code elimination, plus op-count and
   multiplicative-depth analyses;
@@ -37,9 +38,9 @@ execute with ``engine="plan"`` (the serve default is ``"tape"``, below):
   vector backend executes as single numpy passes (``engine="tape"``,
   the serve default).
 
-The headline win (measured in ``benchmarks/test_ablation_ir.py``): CSE
-discovers that the cyclic extensions of the rotated branch vector are
-identical across all ``d`` level matrices and shares them, saving
+The headline win (measured in ``benchmarks/test_ablation_ir.py``): the
+cyclic extensions of the rotated branch vector are identical across all
+``d`` level matrices, and the builder's sharing emits them once, saving
 ``(d-1) * b`` rotations beyond even the hand-scheduled runtime.
 """
 

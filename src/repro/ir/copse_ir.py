@@ -2,23 +2,23 @@
 
 ``build_inference_graph`` emits the whole of Algorithm 1 — SecComp,
 reshuffle product, level products with masks, accumulation — as a single
-graph.  The emission is deliberately *naive about scheduling* (each level
-matrix rotates and extends the branch vector itself, as a direct
-transliteration of the algorithm would); the optimizer then recovers and
-surpasses the hand-written runtime's sharing:
+graph.  The emission is written as a direct transliteration of the
+algorithm: each level matrix rotates and extends the branch vector
+itself.  The builder's hash-consing shares that work as it is emitted,
+and so recovers and surpasses the hand-written runtime's sharing:
 
-* CSE unifies the per-level rotations of the branch vector (the runtime
+* the per-level rotations of the branch vector are one set (the runtime
   shares these by hand), and
-* CSE also unifies the per-level *cyclic extensions* of those rotated
-  vectors — which the hand-written runtime recomputes per level —
-  saving ``(d - 1) * b`` rotations.
+* so are the per-level *cyclic extensions* of those rotated vectors —
+  which the hand-written runtime recomputes per level — saving
+  ``(d - 1) * b`` rotations.
 
-``ir_secure_inference`` runs the whole pipeline: build, optimize,
+``ir_secure_inference`` runs the whole pipeline: build, drop dead code,
 encrypt inputs, execute, decrypt; its results are bit-identical to
 :func:`repro.core.runtime.secure_inference`.
 
 :mod:`repro.ir.plan` builds on this emission: ``lower_inference`` wraps
-the (optimized) graph and its binding spec into a cached
+the graph, the emission tally and its binding spec into a cached
 :class:`~repro.ir.plan.InferencePlan`, the unit the live servers execute
 with ``engine="plan"`` — the input-name templates below are the shared
 contract between the two modules.
@@ -43,7 +43,7 @@ from repro.fhe.simd import replicate, to_bitplanes
 from repro.ir.builder import IrBuilder
 from repro.ir.executor import execute
 from repro.ir.nodes import IrGraph
-from repro.ir.passes import optimize
+from repro.ir.passes import dead_code_elimination
 
 #: Input-name templates shared by the graph builder and the binder.
 FEATURE_PLANE = "feat_plane_{i}"
@@ -66,7 +66,17 @@ def build_inference_graph(
     encrypted_model: bool = True,
     variant: str = VARIANT_ALOUFI,
 ) -> IrGraph:
-    """Emit Algorithm 1 for ``model`` as an (unoptimized) IR graph."""
+    """Emit Algorithm 1 for ``model`` as an IR graph: shared and
+    rotation-fused as built, possibly with dead nodes."""
+    return _emit_inference(model, encrypted_model, variant).build()
+
+
+def _emit_inference(
+    model: CompiledModel,
+    encrypted_model: bool = True,
+    variant: str = VARIANT_ALOUFI,
+) -> IrBuilder:
+    """:func:`build_inference_graph`'s builder, with its emission tally."""
     if variant not in SECCOMP_VARIANTS:
         raise CompileError(f"unknown SecComp variant {variant!r}")
     b = IrBuilder()
@@ -115,7 +125,7 @@ def build_inference_graph(
         level_results.append(b.xor(product, mask))
 
     b.output(OUTPUT_LABELS, b.and_all(level_results))
-    return b.build()
+    return b
 
 
 def _emit_seccomp(
@@ -230,8 +240,9 @@ def ir_secure_inference(
 ) -> IrInferenceOutcome:
     """Secure inference through the IR pipeline.
 
-    Pass a prebuilt ``graph`` to amortize building/optimizing across
-    queries (the staging pattern: optimize once per model).
+    Pass a prebuilt ``graph`` to amortize building across queries (the
+    staging pattern: stage once per model).  ``optimize_graph=False``
+    keeps the dead nodes of the build.
     """
     if params is None:
         params = EncryptionParams.paper_defaults()
@@ -239,7 +250,7 @@ def ir_secure_inference(
     if graph is None:
         graph = build_inference_graph(compiled, encrypted_model, variant)
         if optimize_graph:
-            graph = optimize(graph)
+            graph = dead_code_elimination(graph)
 
     ctx = FheContext(params)
     keys = ctx.keygen()

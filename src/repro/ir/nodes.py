@@ -63,6 +63,11 @@ class IrOp(enum.Enum):
     EXTEND = "extend"
     TRUNCATE = "truncate"
 
+    # Members are singletons compared by identity; hash them by identity
+    # too.  ``Enum.__hash__`` is a Python-level call, and every
+    # hash-consing key and op-count lookup of staging holds an op.
+    __hash__ = object.__hash__
+
 
 #: Ops whose result is a ciphertext whenever they appear in a graph.
 _CIPHER_OPS = {
@@ -72,6 +77,18 @@ _CIPHER_OPS = {
     IrOp.MULTIPLY,
     IrOp.CONST_MULT,
 }
+
+#: Ops that count as ciphertext work when their result is encrypted —
+#: every op but the bindings, constants, and the free logical-width
+#: restriction (TRUNCATE).
+COUNTED_OPS = frozenset({
+    IrOp.ADD,
+    IrOp.CONST_ADD,
+    IrOp.MULTIPLY,
+    IrOp.CONST_MULT,
+    IrOp.ROTATE,
+    IrOp.EXTEND,
+})
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,21 @@
 All passes are pure graph-to-graph functions; ``optimize`` is the
 standard pipeline (rotation fusion -> CSE -> DCE) as one sweep: the three
 passes below, composed to a fixed point, are its specification and stay
-individually importable and tested.
+individually importable and tested.  Staging itself needs little of it:
+:class:`~repro.ir.builder.IrBuilder` shares and fuses as it emits, so a
+lowering is finished by :func:`dead_code_elimination` alone, and
+``optimize`` is for graphs built through bare :meth:`IrGraph.add`.
 
 * **fuse_rotations** — ``rot(rot(x, a), b)`` becomes ``rot(x, a+b mod w)``
   and zero rotations disappear (HElib would pay two key switches for the
   nested form);
 * **common_subexpression_elimination** — nodes with identical
   ``(op, args, attr)`` merge; commutative ops were argument-ordered by
-  the builder, so ``a XOR b`` and ``b XOR a`` share a key.  This is the
-  pass that discovers COPSE's cross-level sharing: every level matrix
-  extends the same rotated branch vectors, so the per-level extensions
-  collapse to one set;
+  the builder, so ``a XOR b`` and ``b XOR a`` share a key.  It is the
+  specification of the builder's hash-consing, which is what shares
+  COPSE's cross-level work at emission: every level matrix extends the
+  same rotated branch vectors, and the per-level extensions are one set
+  from the start;
 * **dead_code_elimination** — drops everything unreachable from outputs;
 * **schedule_rotations** — the baby-step/giant-step-style rotation
   scheduler for masked gathers (not part of ``optimize``; the tape
@@ -28,11 +32,11 @@ individually importable and tested.
   ``rot(v, a_m - p)`` and one pivot rotation per group cost anything —
   and the residuals are translation-invariant: every per-shift gather of
   the same source produces the same residual set ``{0, w, 2w, ...}``,
-  which CSE then shares across all of them.  The per-(level, diagonal)
-  gather rotations of the batched lowering collapse from one rotation
-  per (shift, segment) pair to one per shift plus a handful of shared
-  residuals — strictly fewer rotations at identical bits and unchanged
-  multiplicative depth.
+  which the pass's shared re-emission merges across all of them.  The
+  per-(level, diagonal) gather rotations of the batched lowering
+  collapse from one rotation per (shift, segment) pair to one per shift
+  plus a handful of shared residuals — strictly fewer rotations at
+  identical bits and unchanged multiplicative depth.
 
 Analyses: ``analyze_counts`` (ops by kind, the Section 6 work measure),
 ``analyze_depth`` (multiplicative depth) — both read off one
@@ -47,7 +51,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.fhe.backend import fold_balanced
 from repro.fhe.costmodel import CostModel
 from repro.fhe.tracker import OpKind
-from repro.ir.nodes import IrGraph, IrNode, IrOp, roll_payload
+from repro.ir.builder import IrBuilder
+from repro.ir.nodes import COUNTED_OPS, IrGraph, IrNode, IrOp, roll_payload
 
 
 def _rebuild(graph: IrGraph, remap: Dict[int, int], nodes: List[IrNode]) -> IrGraph:
@@ -114,22 +119,39 @@ def common_subexpression_elimination(graph: IrGraph) -> IrGraph:
 
 def dead_code_elimination(graph: IrGraph) -> IrGraph:
     """Drop nodes unreachable from the outputs (inputs are kept: they are
-    part of the graph's interface even if unused)."""
-    live = set(graph.outputs.values()) | set(graph.inputs.values())
-    for node in reversed(graph.nodes):
-        if node.node_id in live:
-            live.update(node.args)
+    part of the graph's interface even if unused).
+
+    Returns ``graph`` itself when nothing is dead, and reuses every
+    ``IrNode`` whose id and arguments did not move.
+    """
+    old = graph.nodes
+    live = [False] * len(old)
+    for nid in graph.outputs.values():
+        live[nid] = True
+    for nid in graph.inputs.values():
+        live[nid] = True
+    for node in reversed(old):
+        if live[node.node_id]:
+            for a in node.args:
+                live[a] = True
+    if all(live):
+        return graph
     remap: Dict[int, int] = {}
     nodes: List[IrNode] = []
-    for node in graph.nodes:
-        if node.node_id not in live:
+    for node in old:
+        nid = node.node_id
+        if not live[nid]:
             continue
-        args = tuple(remap[a] for a in node.args)
-        node_id = len(nodes)
-        nodes.append(
-            IrNode(node_id, node.op, args, node.attr, node.width, node.is_cipher)
-        )
-        remap[node.node_id] = node_id
+        args = tuple(map(remap.__getitem__, node.args))
+        new_id = len(nodes)
+        if new_id == nid:
+            nodes.append(node)  # nothing before it was dropped
+        else:
+            nodes.append(
+                IrNode(new_id, node.op, args, node.attr, node.width,
+                       node.is_cipher)
+            )
+        remap[nid] = new_id
     return _rebuild(graph, remap, nodes)
 
 
@@ -142,25 +164,29 @@ def _use_counts(graph: IrGraph) -> List[int]:
 
 
 def collect_xor_tree(
-    graph: IrGraph, root: int, uses: List[int], pinned
-) -> Tuple[List[int], List[int]]:
+    graph: IrGraph, root: int, uses: List[int], pinned, leaf=None
+) -> Optional[Tuple[List[int], List[int]]]:
     """Expand the maximal XOR-accumulation tree rooted at ADD ``root``.
 
     Interior nodes are ADDs that are single-use and unobservable (not
     pinned as a graph input/output); everything else is a leaf.
     Returns ``(leaves, interior)`` with leaves in the tree's
-    left-to-right order, so rewrites are deterministic.  The single
-    definition of tree eligibility shared by the rotation scheduler and
-    the tape compiler's kernel fuser — the scheduler rewrites gathers
-    into exactly the shape the fuser then matches, so the two must
-    never drift.
+    left-to-right order, so rewrites are deterministic.  ``leaf``, when
+    given, sees each leaf id in that order as it is reached; a false
+    answer abandons the walk and the result is ``None`` (a matcher
+    rejects a big tree at its first bad leaf, not after expanding it).
+    The single definition of tree eligibility shared by the rotation
+    scheduler and the tape compiler's kernel fuser — the scheduler
+    rewrites gathers into exactly the shape the fuser then matches, so
+    the two must never drift.
     """
+    nodes = graph.nodes
     leaves: List[int] = []
     interior: List[int] = []
     stack = [(root, True)]
     while stack:
         nid, is_root = stack.pop()
-        node = graph.node(nid)
+        node = nodes[nid]
         if node.op is IrOp.ADD and (
             is_root or (uses[nid] == 1 and nid not in pinned)
         ):
@@ -170,6 +196,8 @@ def collect_xor_tree(
             for a in reversed(node.args):
                 stack.append((a, False))
             continue
+        if leaf is not None and not leaf(nid):
+            return None
         leaves.append(nid)
     return leaves, interior
 
@@ -184,43 +212,53 @@ def _collect_gather_tree(
     ``CONST_MULT(rot(v, a), mask)`` leaves over one ciphertext source
     ``v`` (interior XORs single-use and unobservable), else ``None``.
     """
-    leaves, interior = collect_xor_tree(graph, root, uses, pinned)
-    if len(leaves) < 2:
-        return None
+    nodes = graph.nodes
     source = None
     terms: List[Tuple[int, bytes]] = []
-    for leaf in leaves:
-        node = graph.node(leaf)
+
+    def take(leaf: int) -> bool:
+        nonlocal source
+        node = nodes[leaf]
         if node.op is not IrOp.CONST_MULT or uses[leaf] != 1:
-            return None
+            return False
         value, const = node.args
-        mask = graph.node(const)
+        mask = nodes[const]
         if mask.op is not IrOp.CONST_PT:
-            return None
-        rot = graph.node(value)
+            return False
+        rot = nodes[value]
         if rot.op is IrOp.ROTATE:
             # The rotation must feed this gather exclusively, or the
             # rewrite would duplicate work another consumer still pays.
             if uses[value] != 1:
-                return None
+                return False
             src, amount = rot.args[0], rot.attr[0]
         else:
             src, amount = value, 0
-        if not graph.node(src).is_cipher:
-            return None
+        if not nodes[src].is_cipher:
+            return False
         if source is None:
             source = src
         elif source != src:
-            return None
+            return False
         terms.append((amount, mask.attr))
-    return source, terms, interior
+        return True
+
+    hit = collect_xor_tree(graph, root, uses, pinned, take)
+    if hit is None or len(terms) < 2:
+        return None
+    return source, terms, hit[1]
 
 
 def schedule_rotations(graph: IrGraph) -> IrGraph:
     """Regroup masked-gather rotations around shared pivots (see module
-    docstring).  Run CSE + DCE afterwards: the rewrite leaves the old
-    rotations/masks dead and emits residual rotations per group that CSE
-    merges across groups."""
+    docstring).
+
+    The result is re-emitted whole through one :class:`IrBuilder`, so it
+    is shared and rotation-fused like a fresh build: the residual
+    rotations merge across groups as they are emitted.  The rewritten
+    gathers' old rotations and masks are left dead — run
+    :func:`dead_code_elimination` afterwards.
+    """
     uses = _use_counts(graph)
     pinned = set(graph.outputs.values()) | set(graph.inputs.values())
 
@@ -239,75 +277,33 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
             continue  # one shared amount: nothing to schedule
         matched[node.node_id] = (source, terms)
         consumed.update(interior)
-    if not matched:
-        return graph
-
-    remap: Dict[int, int] = {}
-    nodes: List[IrNode] = []
-
-    def emit(op, args, attr, width, is_cipher) -> int:
-        node_id = len(nodes)
-        nodes.append(IrNode(node_id, op, args, attr, width, is_cipher))
-        return node_id
-
-    def emit_xor_tree(items: List[int], width: int) -> int:
-        def combine(a: int, b: int) -> int:
-            if b < a:
-                a, b = b, a  # canonical argument order (helps CSE)
-            return emit(IrOp.ADD, (a, b), (), width, True)
-
-        return fold_balanced(items, combine)
-
-    residual_cache: Dict[Tuple[int, int], int] = {}
+    # Re-emit through a shared builder: the residual rotations and
+    # rolled masks of different groups merge as they are emitted, and
+    # every other node is re-shared and rotation-fused on the way, so
+    # only the replaced gathers are left behind (dead).
+    b = IrBuilder()
+    remap: List[int] = []
     for node in graph.nodes:
-        nid = node.node_id
-        hit = matched.get(nid)
+        hit = matched.get(node.node_id)
         if hit is None:
-            if len(nodes) == nid:
-                # No gather rewritten yet (each emits several nodes), so
-                # ids still line up: keep the object.
-                nodes.append(node)
-                remap[nid] = nid
-            else:
-                remap[nid] = emit(
-                    node.op,
-                    tuple(remap[a] for a in node.args),
-                    node.attr,
-                    node.width,
-                    node.is_cipher,
-                )
+            remap.append(b.copy(node, tuple(map(remap.__getitem__, node.args))))
             continue
         source, terms = hit
-        width = node.width
         src = remap[source]
         pivot = min(a for a, _ in terms)
-        parts: List[int] = []
-        for amount, mask_payload in terms:
-            residual = amount - pivot
-            if residual == 0:
-                value = src
-            else:
-                value = residual_cache.get((src, residual))
-                if value is None:
-                    value = emit(
-                        IrOp.ROTATE, (src,), (residual,), width, True
-                    )
-                    residual_cache[(src, residual)] = value
+        parts = [
             # rot(mask, -pivot): free at compile time for plaintext.
-            mask = emit(
-                IrOp.CONST_PT, (), roll_payload(mask_payload, pivot),
-                width, False,
+            b.and_(
+                b.rotate(src, amount - pivot),
+                b.const_packed(roll_payload(mask_payload, pivot)),
             )
-            parts.append(
-                emit(IrOp.CONST_MULT, (value, mask), (), width, True)
-            )
-        combined = emit_xor_tree(parts, width)
-        if pivot:
-            combined = emit(
-                IrOp.ROTATE, (combined,), (pivot,), width, True
-            )
-        remap[nid] = combined
-    return _rebuild(graph, remap, nodes)
+            for amount, mask_payload in terms
+        ]
+        remap.append(b.rotate(fold_balanced(parts, b.xor), pivot))
+    out = b.graph
+    out.outputs = {name: remap[nid] for name, nid in graph.outputs.items()}
+    out.inputs = {name: remap[nid] for name, nid in graph.inputs.items()}
+    return out
 
 
 def _sweep(graph: IrGraph) -> IrGraph:
@@ -422,11 +418,6 @@ _COST_KIND = {
 }
 
 
-#: Ops that never count as work: bindings, constants, and the free
-#: logical-width restriction.
-_UNCOUNTED_OPS = (IrOp.INPUT_CT, IrOp.CONST_PT, IrOp.INPUT_PT, IrOp.TRUNCATE)
-
-
 def analyze_profile(graph: IrGraph) -> Tuple[Dict[IrOp, int], int]:
     """``(analyze_counts, analyze_depth)`` of ``graph`` in one walk."""
     counts: Dict[IrOp, int] = {}
@@ -443,7 +434,7 @@ def analyze_profile(graph: IrGraph) -> Tuple[Dict[IrOp, int], int]:
             if d > best:
                 best = d
         depth[node.node_id] = d
-        if node.is_cipher and op not in _UNCOUNTED_OPS:
+        if node.is_cipher and op in COUNTED_OPS:
             counts[op] = counts.get(op, 0) + 1
     return counts, best
 

@@ -3,23 +3,27 @@
 ``lower_inference`` / ``lower_batched_inference`` stage a compiled COPSE
 model's *entire* live pipeline — SecComp bit-plane comparison, reshuffle
 matmul, level products, label accumulation — into one
-:class:`~repro.ir.nodes.IrGraph`, run the standard pass pipeline
-(rotation fusion -> CSE -> DCE) over it, and wrap the result in an
+:class:`~repro.ir.nodes.IrGraph`, and wrap it in an
 :class:`InferencePlan`: the optimized graph, its input-binding spec, and
 the raw-vs-optimized analyses (op counts, multiplicative depth, and
-cost-model milliseconds).
+cost-model milliseconds).  Staging is one pass: the
+:class:`~repro.ir.builder.IrBuilder` shares and fuses as it emits, so
+only dead code elimination is left to run, and the *raw* analyses are
+its emission tally — the profile of one node per combinator call —
+without a naive graph ever being built.
 
 A plan is compiled **once per model** and executed per query (or per
 batch): :class:`~repro.serve.registry.ModelRegistry` caches a batched
 plan next to the encrypted model ciphertexts, and
 :class:`~repro.core.runtime.CopseServer` /
 :class:`~repro.serve.batched_runtime.BatchedCopseServer` select it with
-``engine="plan"``.  The batched lowering emits the block-local masked
-gathers of :mod:`repro.serve.batched_runtime` *naively* — one gather per
-(level, diagonal) — and relies on CSE to discover the cross-level
-sharing, so the optimizer does on the real serving workload what the
-batched runtime schedules by hand (and the regression guard in
-``tests/bench/test_plan_baseline.py`` holds it there).
+``engine="plan"``.  The batched lowering asks for the block-local
+masked gathers of :mod:`repro.serve.batched_runtime` once per (level,
+diagonal), as the algorithm reads; a gather already emitted is replayed
+from the builder's memo, so every level shares one set — what the
+batched runtime schedules by hand — while the raw tally still counts
+each request (the regression guard in ``tests/bench/test_plan_baseline.py``
+holds both).
 
 This module deliberately imports nothing from :mod:`repro.serve`: the
 batch geometry is consumed duck-typed (``stride`` / ``capacity`` / the
@@ -49,12 +53,16 @@ from repro.ir.copse_ir import (
     OUTPUT_LABELS,
     RESHUFFLE_DIAG,
     THRESHOLD_PLANE,
+    _emit_inference,
     _emit_seccomp,
-    build_inference_graph,
 )
 from repro.ir.executor import execute
 from repro.ir.nodes import IrGraph, IrOp, pack_const
-from repro.ir.passes import analyze_profile, cost_of_counts, optimize
+from repro.ir.passes import (
+    analyze_profile,
+    cost_of_counts,
+    dead_code_elimination,
+)
 
 __all__ = [
     "GraphProfile",
@@ -167,6 +175,13 @@ class GraphProfile:
         counts, depth = analyze_profile(graph)
         return cls(num_nodes=graph.num_nodes, depth=depth, counts=counts)
 
+    @classmethod
+    def emitted(cls, builder: IrBuilder) -> "GraphProfile":
+        """The profile of every combinator call ``builder`` was asked
+        for: :meth:`of` the graph a build that never shares would make."""
+        nodes, counts, depth = builder.emitted()
+        return cls(num_nodes=nodes, depth=depth, counts=counts)
+
     def count(self, op: IrOp) -> int:
         return self.counts.get(op, 0)
 
@@ -193,9 +208,10 @@ class GraphProfile:
 class InferencePlan:
     """An optimized, executable lowering of one model's inference pipeline.
 
-    ``graph`` is the (optimized) IR; ``raw`` / ``optimized`` profile the
-    graph before and after the pass pipeline, so callers can report what
-    the optimizer bought without re-lowering.  The input-binding spec is
+    ``graph`` is the (optimized) IR; ``raw`` profiles the naive emission
+    (one node per combinator call, tallied by the builder) and
+    ``optimized`` the graph itself, so callers can report what sharing
+    bought without re-lowering.  The input-binding spec is
     the graph's named-input table: :meth:`bindings_for` maps a runtime
     model bundle (:class:`~repro.core.runtime.EncryptedModel` or the
     batched equivalent — both expose ``threshold_planes`` /
@@ -350,22 +366,31 @@ def lower_inference(
 ) -> InferencePlan:
     """Lower one model's full single-query pipeline into a plan.
 
-    The emission is :func:`~repro.ir.copse_ir.build_inference_graph`'s
-    deliberately naive schedule; ``optimize_graph=False`` keeps it that
-    way (for ablations), otherwise the pass pipeline recovers — and
-    surpasses — the hand-written runtime's sharing.
+    The emission is :func:`~repro.ir.copse_ir.build_inference_graph`'s,
+    shared as it is built; ``optimize_graph=False`` keeps its dead nodes
+    (the plan's ``optimized`` profile is then that graph's).
     """
-    raw_graph = build_inference_graph(compiled, encrypted_model, variant)
-    raw = GraphProfile.of(raw_graph)
-    graph = optimize(raw_graph) if optimize_graph else raw_graph
-    return InferencePlan(
-        graph=graph,
+    return _plan(
+        _emit_inference(compiled, encrypted_model, variant),
+        optimize_graph,
         variant=variant,
         encrypted_model=encrypted_model,
-        raw=raw,
-        optimized=GraphProfile.of(graph) if optimize_graph else raw,
         width=compiled.num_labels,
         model_fingerprint=compiled.fingerprint(),
+    )
+
+
+def _plan(b: IrBuilder, optimize_graph: bool, **fields) -> InferencePlan:
+    """A plan of ``b``'s build: raw = its emission tally, optimized = the
+    graph it keeps (dead code dropped unless ``optimize_graph`` is off)."""
+    graph = b.build()
+    if optimize_graph:
+        graph = dead_code_elimination(graph)
+    return InferencePlan(
+        graph=graph,
+        raw=GraphProfile.emitted(b),
+        optimized=GraphProfile.of(graph),
+        **fields,
     )
 
 
@@ -421,36 +446,43 @@ def _emit_gather(
 ) -> int:
     """Emit ``out[k*S+t] = v[k*S + (t+shift) % width]`` for every block.
 
+    Memoized per ``(vector, shift, width, rows)`` in ``b``
+    (:meth:`~repro.ir.builder.IrBuilder.replay`): the level matvecs ask
+    for the same gathers of the branch vector at every level, and a
+    repeat returns the first one's node, tallied as if re-emitted.
     ``masks`` is the graph's block-mask cache: the selection mask of
     offsets ``[lo, hi)`` is tiled and validated once per graph, however
-    many (level, diagonal) gathers select that range — each use is still
-    its own CONST_PT node, so the naive emission is unchanged.
+    many gathers select that range.
     """
-    if not 0 <= shift < width:
-        raise CompileError(
-            f"gather shift {shift} outside the logical width {width}"
-        )
-    if rows < 1 or rows > layout.stride or width > layout.stride:
-        raise CompileError(
-            f"gather shape rows={rows} width={width} exceeds the "
-            f"stride {layout.stride}"
-        )
-    segments = gather_segments(shift, width, rows)
-    if len(segments) == 1:
-        # One segment needs no selection mask: the caller's diagonal
-        # product zeroes everything outside the consumed offsets.
-        return b.rotate(vector, segments[0][0])
-    terms: List[int] = []
-    for amount, lo, hi in segments:
-        rotated = b.rotate(vector, amount)
-        payload = masks.get((lo, hi))
-        if payload is None:
-            block = np.zeros(layout.stride, dtype=np.uint8)
-            block[lo:hi] = 1
-            payload = pack_const(np.tile(block, layout.capacity))
-            masks[(lo, hi)] = payload
-        terms.append(b.and_(rotated, b.const_packed(payload)))
-    return b.xor_all(terms)
+
+    def emit() -> int:
+        if not 0 <= shift < width:
+            raise CompileError(
+                f"gather shift {shift} outside the logical width {width}"
+            )
+        if rows < 1 or rows > layout.stride or width > layout.stride:
+            raise CompileError(
+                f"gather shape rows={rows} width={width} exceeds the "
+                f"stride {layout.stride}"
+            )
+        segments = gather_segments(shift, width, rows)
+        if len(segments) == 1:
+            # One segment needs no selection mask: the caller's diagonal
+            # product zeroes everything outside the consumed offsets.
+            return b.rotate(vector, segments[0][0])
+        terms: List[int] = []
+        for amount, lo, hi in segments:
+            rotated = b.rotate(vector, amount)
+            payload = masks.get((lo, hi))
+            if payload is None:
+                block = np.zeros(layout.stride, dtype=np.uint8)
+                block[lo:hi] = 1
+                payload = pack_const(np.tile(block, layout.capacity))
+                masks[(lo, hi)] = payload
+            terms.append(b.and_(rotated, b.const_packed(payload)))
+        return b.xor_all(terms)
+
+    return b.replay(("gather", vector, shift, width, rows), emit)
 
 
 def _emit_batched_matvec(
@@ -478,15 +510,25 @@ def build_batched_inference_graph(
     encrypted_model: bool = True,
     variant: str = VARIANT_ALOUFI,
 ) -> IrGraph:
-    """Emit the batched Algorithm 1 for ``model`` as an unoptimized graph.
+    """Emit the batched Algorithm 1 for ``model`` as an IR graph.
 
     ``layout`` is a :class:`~repro.serve.packing.BatchLayout` (duck-typed:
     ``stride``/``capacity`` plus the per-stage widths).  Every vector
     spans ``stride * capacity`` slots; cyclic accesses are the batched
-    runtime's masked-rotation gathers, emitted once per (level, diagonal)
-    so the optimizer — not the emitter — discovers the cross-level
-    sharing.
+    runtime's masked-rotation gathers, requested once per (level,
+    diagonal) and emitted once per distinct gather, so the graph shares
+    the cross-level work as built (dead nodes may remain).
     """
+    return _emit_batched(compiled, layout, encrypted_model, variant).build()
+
+
+def _emit_batched(
+    compiled: CompiledModel,
+    layout,
+    encrypted_model: bool = True,
+    variant: str = VARIANT_ALOUFI,
+) -> IrBuilder:
+    """:func:`build_batched_inference_graph`'s builder, with its tally."""
     if variant not in SECCOMP_VARIANTS:
         raise CompileError(f"unknown SecComp variant {variant!r}")
     b = IrBuilder()
@@ -551,7 +593,7 @@ def build_batched_inference_graph(
         level_results.append(b.xor(product, mask))
 
     b.output(OUTPUT_LABELS, b.and_all(level_results))
-    return b.build()
+    return b
 
 
 def lower_batched_inference(
@@ -562,17 +604,11 @@ def lower_batched_inference(
     optimize_graph: bool = True,
 ) -> InferencePlan:
     """Lower one model's batched pipeline (for ``layout``) into a plan."""
-    raw_graph = build_batched_inference_graph(
-        compiled, layout, encrypted_model, variant
-    )
-    raw = GraphProfile.of(raw_graph)
-    graph = optimize(raw_graph) if optimize_graph else raw_graph
-    return InferencePlan(
-        graph=graph,
+    return _plan(
+        _emit_batched(compiled, layout, encrypted_model, variant),
+        optimize_graph,
         variant=variant,
         encrypted_model=encrypted_model,
-        raw=raw,
-        optimized=GraphProfile.of(graph) if optimize_graph else raw,
         width=layout.stride * layout.capacity,
         batch_shape=(layout.stride, layout.capacity),
         model_fingerprint=compiled.fingerprint(),

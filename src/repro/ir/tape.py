@@ -16,7 +16,7 @@ intermediate ciphertext alive until the run ends.  A
   number of simultaneously live ciphertexts is computed at compile time
   (:attr:`CompiledTape.peak_live`) and regression-tested;
 * **rotation scheduling** — the tape pipeline runs
-  :func:`~repro.ir.passes.schedule_rotations` (plus CSE/DCE) over the
+  :func:`~repro.ir.passes.schedule_rotations` (plus DCE) over the
   plan's graph, so the per-(level, diagonal) masked-gather rotations
   collapse into shared pivot/residual chains: strictly fewer rotations
   than the plan executes, at identical bits;
@@ -50,7 +50,7 @@ from repro.ir.nodes import IrGraph, IrOp, const_bits
 from repro.ir.passes import (
     _use_counts,
     collect_xor_tree,
-    optimize,
+    dead_code_elimination,
     schedule_rotations,
 )
 
@@ -461,6 +461,11 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
             a, b = node.args
             if not (graph.node(a).is_cipher and graph.node(b).is_cipher):
                 return None
+            # The more-shared factor is the operand: the level products
+            # AND every matrix with the same rotations, and the
+            # megakernel holds a side that repeats under a block once.
+            if uses[b] < uses[a]:
+                a, b = b, a
             # Prefer folding a single-use rotation operand into the term.
             value, operand = a, ("cipher", b)
             rot = graph.node(b)
@@ -532,7 +537,9 @@ def compile_tape(
 ) -> CompiledTape:
     """Lower an (optimized) graph into a :class:`CompiledTape`.
 
-    ``schedule`` runs the rotation scheduler (plus CSE/DCE) first;
+    ``schedule`` runs the rotation scheduler (its shared re-emission
+    also merges and fuses whatever ``graph`` left unshared) and DCE
+    first;
     ``fuse`` emits fused accumulation instructions — disable it to get a
     tape whose every instruction is one primitive op (used by the parity
     tests; execution results are byte-identical either way).
@@ -540,7 +547,7 @@ def compile_tape(
     from repro.ir.plan import GraphProfile
 
     if schedule:
-        graph = optimize(schedule_rotations(graph))
+        graph = dead_code_elimination(schedule_rotations(graph))
     profile = GraphProfile.of(graph)
 
     uses = _use_counts(graph)

@@ -23,12 +23,15 @@ from repro import (
     execute,
     fuse_rotations,
     ir_secure_inference,
+    lower_inference,
     optimize,
 )
 from repro.errors import CompileError, RuntimeProtocolError
 from repro.core.seccomp import VARIANT_ALOUFI, VARIANT_OPTIMIZED
 from repro.forest.synthetic import random_forest
+from repro.fhe.ciphertext import PlainVector
 from repro.ir.nodes import const_bits
+from repro.ir.plan import GraphProfile
 
 
 class TestBuilder:
@@ -277,6 +280,132 @@ class TestPasses:
         )
 
 
+class _BareBuilder(IrBuilder):
+    """The same combinators with one node per call: every emission goes
+    through bare ``IrGraph.add`` and a replay always re-emits."""
+
+    def _emit(self, op, args, attr, width, is_cipher):
+        return self.graph.add(
+            op, args, attr=attr, width=width, is_cipher=is_cipher
+        )
+
+    def replay(self, key, emit):
+        return emit()
+
+
+_STEP = st.tuples(
+    st.sampled_from(
+        ["xor", "and", "rotate", "negate", "const", "extend", "truncate",
+         "gather", "repeat"]
+    ),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=15),
+)
+
+
+def _run_program(b, steps, width=4):
+    """Interpret ``steps`` on builder ``b``; returns every value made.
+
+    Operands are picked by position in per-width pools, so a shared and
+    a bare builder make the same calls; ``repeat`` re-issues an earlier
+    call with the same operands.
+    """
+    pools = {width: [b.input_ct("x", width), b.input_ct("y", width),
+                     b.input_pt("p", width)], 2 * width: []}
+    made = []
+    calls = []
+
+    def call(kind, i, j, amount):
+        w = 2 * width if kind == "truncate" or (
+            kind in ("xor", "and", "rotate") and amount % 2 and pools[2 * width]
+        ) else width
+        pool = pools[w]
+        if not pool:
+            return None
+        a, c = pool[i % len(pool)], pool[j % len(pool)]
+        if kind == "xor":
+            value = b.xor(a, c)
+        elif kind == "and":
+            value = b.and_(a, c)
+        elif kind == "rotate":
+            value = b.rotate(a, amount)
+        elif kind == "negate":
+            value = b.negate(a)
+        elif kind == "const":
+            value = b.const([(amount >> k) & 1 for k in range(width)])
+        elif kind == "extend":
+            value = b.extend(a, 2 * width)
+        elif kind == "truncate":
+            value = b.truncate(a, width)
+        else:  # a masked gather, memoized per (vector, amount)
+            def emit():
+                terms = [
+                    b.and_(b.rotate(a, shift), b.const(
+                        [int(k % 3 == shift % 3) for k in range(width)]
+                    ))
+                    for shift in (amount, amount + 1, amount + 3)
+                ]
+                return b.xor_all(terms)
+
+            value = b.replay(("gather", a, amount), emit)
+        pools[b.graph.node(value).width].append(value)
+        return value
+
+    for kind, i, j, amount in steps:
+        if kind == "repeat":
+            if not calls:
+                continue
+            kind, i, j, amount = calls[i % len(calls)]
+        value = call(kind, i, j, amount)
+        if value is not None:
+            calls.append((kind, i, j, amount))
+            made.append(value)
+    return made
+
+
+class TestEmissionTally:
+    """The shared builder's tally is the profile of the graph the same
+    calls make one node at a time, and the shared graph computes the
+    same bits as that one."""
+
+    @given(steps=st.lists(_STEP, min_size=1, max_size=40),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_tally_is_the_bare_profile(self, steps, seed):
+        shared, bare = IrBuilder(), _BareBuilder()
+        made = _run_program(shared, steps)
+        made_bare = _run_program(bare, steps)
+        assert len(made) == len(made_bare)
+        for k, (value, value_bare) in enumerate(zip(made, made_bare)):
+            shared.output(f"v{k}", value)
+            bare.output(f"v{k}", value_bare)
+        graph, bare_graph = shared.build(), bare.build()
+
+        assert GraphProfile.emitted(shared) == GraphProfile.of(bare_graph)
+        assert len({n.key for n in graph.nodes}) == graph.num_nodes
+
+        rng = np.random.default_rng(seed)
+        ctx = FheContext()
+        keys = ctx.keygen()
+        bindings = {
+            "x": ctx.encrypt(rng.integers(0, 2, 4), keys.public),
+            "y": ctx.encrypt(rng.integers(0, 2, 4), keys.public),
+            "p": PlainVector(rng.integers(0, 2, 4)),
+        }
+        got = execute(graph, ctx, dict(bindings))
+        want = execute(bare_graph, ctx, dict(bindings))
+
+        def bits(value):
+            if isinstance(value, PlainVector):
+                return value.bits()
+            return ctx.decrypt_bits(value, keys.secret)
+
+        assert {k: bits(v) for k, v in got.items()} == {
+            k: bits(v) for k, v in want.items()
+        }
+
+
 class TestCopseIr:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -305,13 +434,14 @@ class TestCopseIr:
         assert out.result.bitvector == forest.label_bitvector([7, 9])
 
     def test_optimizer_shares_level_extensions(self, setup):
-        """The headline: CSE collapses per-level extensions to one set,
-        beating the hand-scheduled runtime by (d-1)*b rotations."""
+        """The headline: sharing collapses per-level extensions to one
+        set, beating the hand-scheduled runtime by (d-1)*b rotations.
+        The naive emission's counts are the plan's raw tally."""
         _, compiled = setup
         raw = build_inference_graph(compiled)
         opt = optimize(raw)
         d, b = compiled.max_depth, compiled.branching
-        raw_counts = analyze_counts(raw)
+        raw_counts = lower_inference(compiled).raw.counts
         opt_counts = analyze_counts(opt)
         assert raw_counts[IrOp.EXTEND] == d * b
         assert opt_counts[IrOp.EXTEND] == b

@@ -41,7 +41,7 @@ from repro.fhe.params import EncryptionParams
 from repro.forest.synthetic import random_forest
 from repro.ir.copse_ir import OUTPUT_LABELS, build_inference_graph
 from repro.ir.nodes import IrOp, const_bits, pack_const, roll_payload
-from repro.ir.plan import build_batched_inference_graph
+from repro.ir.plan import GraphProfile, build_batched_inference_graph
 from repro.serve import plan_layout
 from repro.serve.batched_runtime import encrypt_batch
 
@@ -170,6 +170,45 @@ class TestSweepMatchesReference:
 BITS = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 
 
+class TestSharedEmission:
+    """A lowering is shared and fused as it is emitted: staging finishes
+    it with dead code elimination alone, and its raw profile is the
+    builder's tally rather than a graph."""
+
+    def test_dce_is_the_whole_optimizer_on_lowered_graphs(
+        self, compiled, layout
+    ):
+        for name, built in lowered_graphs(compiled, layout).items():
+            assert graph_signature(
+                dead_code_elimination(built)
+            ) == graph_signature(reference_optimize(built)), name
+
+    def test_scheduled_tape_graph_needs_only_dce(self, compiled, layout):
+        """The scheduler's re-emission shares and fuses as it goes."""
+        for name, built in lowered_graphs(compiled, layout).items():
+            scheduled = schedule_rotations(dead_code_elimination(built))
+            assert graph_signature(
+                dead_code_elimination(scheduled)
+            ) == graph_signature(optimize(scheduled)), name
+
+    def test_unoptimized_plan_profiles_the_graph_it_returns(
+        self, compiled, layout
+    ):
+        _, model = compiled
+        pairs = [
+            (lower_inference(model, optimize_graph=False),
+             lower_inference(model)),
+            (lower_batched_inference(model, layout, optimize_graph=False),
+             lower_batched_inference(model, layout)),
+        ]
+        for bare, optimized in pairs:
+            assert bare.optimized == GraphProfile.of(bare.graph)
+            assert bare.raw == optimized.raw
+            # Shared at emission: fewer nodes than the naive tally.
+            assert bare.optimized.num_nodes < bare.raw.num_nodes
+            assert optimized.optimized.num_nodes <= bare.optimized.num_nodes
+
+
 class TestConstantPayload:
     """CONST_PT payloads are touched only through ``repro.ir.nodes``."""
 
@@ -198,7 +237,7 @@ class TestConstantPayload:
         again = b.const(np.array(bits, dtype=np.uint8))
         folded = b.xor(first, b.const([0] * len(bits)))
         nodes = [b.graph.node(i) for i in (first, again, folded)]
-        assert first != again  # still one node per emission
+        assert first == again == folded  # one node per value
         assert nodes[0].attr is nodes[1].attr is nodes[2].attr
 
     @pytest.mark.parametrize(
