@@ -142,11 +142,11 @@ def dead_code_elimination(graph: IrGraph) -> IrGraph:
         nid = node.node_id
         if not live[nid]:
             continue
-        args = tuple(map(remap.__getitem__, node.args))
         new_id = len(nodes)
         if new_id == nid:
             nodes.append(node)  # nothing before it was dropped
         else:
+            args = tuple(map(remap.__getitem__, node.args))
             nodes.append(
                 IrNode(new_id, node.op, args, node.attr, node.width,
                        node.is_cipher)

@@ -461,11 +461,6 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
             a, b = node.args
             if not (graph.node(a).is_cipher and graph.node(b).is_cipher):
                 return None
-            # The more-shared factor is the operand: the level products
-            # AND every matrix with the same rotations, and the
-            # megakernel holds a side that repeats under a block once.
-            if uses[b] < uses[a]:
-                a, b = b, a
             # Prefer folding a single-use rotation operand into the term.
             value, operand = a, ("cipher", b)
             rot = graph.node(b)
@@ -518,10 +513,34 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
             products += 1
         if not ok or products < _MIN_FUSED_PRODUCTS:
             continue
-        matched[rid] = terms
+        matched[rid] = _orient_products(terms, uses)
         folded.update(interior)
         folded.update(absorbed_all)
     return matched, folded
+
+
+def _orient_products(terms, uses):
+    """Orient the unrotated ciphertext products ``value & operand`` of
+    one fused tree (their factors commute).
+
+    Beside rotated products (a Halevi-Shoup product ``XOR_i rot(v, i) &
+    d_i``) the graph's order stands: vector, then diagonal, as the
+    lowering emits them.  In a tree of unrotated products the
+    more-shared factor is the operand: the level products AND every
+    matrix with the same rotations, and the megakernel holds a side
+    that repeats under a block once.
+    """
+    if any(amount for amount, _, _ in terms):
+        return terms
+    oriented = []
+    for term in terms:
+        _, value, operand = term
+        if operand is not None and operand[0] == "cipher":
+            other = operand[1]
+            if uses[other] < uses[value]:
+                term = (0, other, ("cipher", value))
+        oriented.append(term)
+    return oriented
 
 
 def compile_tape(
