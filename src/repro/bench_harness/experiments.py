@@ -646,9 +646,9 @@ def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
     cost: what naive staging would pay), and the optimized
     :class:`~repro.ir.plan.InferencePlan` (measured per-query ms over its
     ``plan_inference`` phase, which covers the identical work).  The
-    optimizer's CSE shares the per-level cyclic extensions the eager
-    runtime recomputes, so the plan engine does strictly less rotation
-    work per query.
+    IR builder's shared emission makes the per-level cyclic extensions
+    the eager runtime recomputes once, so the plan engine does strictly
+    less rotation work per query.
     """
     from repro.errors import ValidationError
     from repro.core.engines import engine_row
