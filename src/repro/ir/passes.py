@@ -1,9 +1,8 @@
 """Optimizer passes and analyses over IR graphs.
 
 All passes are pure graph-to-graph functions; ``optimize`` is the
-standard pipeline (rotation fusion -> CSE -> DCE) as one sweep: the three
-passes below, composed to a fixed point, are its specification and stay
-individually importable and tested.  Staging itself needs little of it:
+standard pipeline (rotation fusion -> CSE -> DCE) iterated to a fixed
+point.  Staging itself needs little of it:
 :class:`~repro.ir.builder.IrBuilder` shares and fuses as it emits, so a
 lowering is finished by :func:`dead_code_elimination` alone, and
 ``optimize`` is for graphs built through bare :meth:`IrGraph.add`.
@@ -164,21 +163,18 @@ def _use_counts(graph: IrGraph) -> List[int]:
 
 
 def collect_xor_tree(
-    graph: IrGraph, root: int, uses: List[int], pinned, leaf=None
-) -> Optional[Tuple[List[int], List[int]]]:
+    graph: IrGraph, root: int, uses: List[int], pinned
+) -> Tuple[List[int], List[int]]:
     """Expand the maximal XOR-accumulation tree rooted at ADD ``root``.
 
     Interior nodes are ADDs that are single-use and unobservable (not
     pinned as a graph input/output); everything else is a leaf.
     Returns ``(leaves, interior)`` with leaves in the tree's
-    left-to-right order, so rewrites are deterministic.  ``leaf``, when
-    given, sees each leaf id in that order as it is reached; a false
-    answer abandons the walk and the result is ``None`` (a matcher
-    rejects a big tree at its first bad leaf, not after expanding it).
-    The single definition of tree eligibility shared by the rotation
-    scheduler and the tape compiler's kernel fuser — the scheduler
-    rewrites gathers into exactly the shape the fuser then matches, so
-    the two must never drift.
+    left-to-right order, so rewrites are deterministic.  The single
+    definition of tree eligibility shared by the rotation scheduler and
+    the tape compiler's kernel fuser — the scheduler rewrites gathers
+    into exactly the shape the fuser then matches, so the two must
+    never drift.
     """
     nodes = graph.nodes
     leaves: List[int] = []
@@ -196,8 +192,6 @@ def collect_xor_tree(
             for a in reversed(node.args):
                 stack.append((a, False))
             continue
-        if leaf is not None and not leaf(nid):
-            return None
         leaves.append(nid)
     return leaves, interior
 
@@ -212,41 +206,36 @@ def _collect_gather_tree(
     ``CONST_MULT(rot(v, a), mask)`` leaves over one ciphertext source
     ``v`` (interior XORs single-use and unobservable), else ``None``.
     """
-    nodes = graph.nodes
+    leaves, interior = collect_xor_tree(graph, root, uses, pinned)
+    if len(leaves) < 2:
+        return None
     source = None
     terms: List[Tuple[int, bytes]] = []
-
-    def take(leaf: int) -> bool:
-        nonlocal source
-        node = nodes[leaf]
+    for leaf in leaves:
+        node = graph.node(leaf)
         if node.op is not IrOp.CONST_MULT or uses[leaf] != 1:
-            return False
+            return None
         value, const = node.args
-        mask = nodes[const]
+        mask = graph.node(const)
         if mask.op is not IrOp.CONST_PT:
-            return False
-        rot = nodes[value]
+            return None
+        rot = graph.node(value)
         if rot.op is IrOp.ROTATE:
             # The rotation must feed this gather exclusively, or the
             # rewrite would duplicate work another consumer still pays.
             if uses[value] != 1:
-                return False
+                return None
             src, amount = rot.args[0], rot.attr[0]
         else:
             src, amount = value, 0
-        if not nodes[src].is_cipher:
-            return False
+        if not graph.node(src).is_cipher:
+            return None
         if source is None:
             source = src
         elif source != src:
-            return False
+            return None
         terms.append((amount, mask.attr))
-        return True
-
-    hit = collect_xor_tree(graph, root, uses, pinned, take)
-    if hit is None or len(terms) < 2:
-        return None
-    return source, terms, hit[1]
+    return source, terms, interior
 
 
 def schedule_rotations(graph: IrGraph) -> IrGraph:
@@ -306,98 +295,16 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
     return out
 
 
-def _sweep(graph: IrGraph) -> IrGraph:
-    """One fuse -> CSE -> DCE iteration with a single rebuild.
-
-    A forward walk resolves every node to its *representative* — the
-    earliest node computing the same value once rotation chains are
-    collapsed and equal ``(op, args, attr)`` keys merged — in the ids of
-    ``graph`` itself; a backward walk marks the representatives reachable
-    from the interface; only then are nodes renumbered and built.  The
-    survivors keep their relative order, so the result is node-for-node
-    what the three reference passes produce.  Returns ``graph`` itself
-    when nothing was rewritten, and reuses every ``IrNode`` whose id and
-    arguments did not move.
-    """
-    old = graph.nodes
-    rep: List[int] = []                 # node id -> representative id
-    defs: List[tuple] = []              # node id -> (op, args, attr)
-    seen: Dict[tuple, int] = {}
-    rewritten = False
-    for node in old:
-        nid = node.node_id
-        op, attr = node.op, node.attr
-        args = tuple(map(rep.__getitem__, node.args))
-        if op is IrOp.ROTATE:
-            target, amount = args[0], attr[0]
-            inner_op, inner_args, inner_attr = defs[target]
-            if inner_op is IrOp.ROTATE:
-                # Representatives never rotate a rotation: one step.
-                target, amount = inner_args[0], amount + inner_attr[0]
-            amount %= old[target].width or 1
-            if amount == 0:
-                rep.append(target)
-                defs.append(defs[target])
-                rewritten = True
-                continue
-            if amount != attr[0]:
-                attr = (amount,)
-            args = (target,)
-        key = (op, args, attr)
-        first = seen.setdefault(key, nid)
-        rep.append(first)
-        defs.append(key)
-        if first != nid or args != node.args or attr is not node.attr:
-            rewritten = True
-
-    live = [False] * len(old)
-    for nid in graph.outputs.values():
-        live[rep[nid]] = True
-    for nid in graph.inputs.values():
-        live[rep[nid]] = True
-    for nid in range(len(old) - 1, -1, -1):
-        if live[nid]:
-            for a in defs[nid][1]:
-                live[a] = True
-    if not rewritten and all(live):
-        return graph
-
-    remap: Dict[int, int] = {}
-    nodes: List[IrNode] = []
-    for node in old:
-        nid = node.node_id
-        if not live[nid]:
-            continue
-        op, args, attr = defs[nid]
-        args = tuple(map(remap.__getitem__, args))
-        new_id = len(nodes)
-        if new_id == nid and args == node.args and attr is node.attr:
-            nodes.append(node)
-        else:
-            nodes.append(
-                IrNode(new_id, op, args, attr, node.width, node.is_cipher)
-            )
-        remap[nid] = new_id
-    interface = (*graph.outputs.values(), *graph.inputs.values())
-    return _rebuild(graph, {nid: remap[rep[nid]] for nid in interface}, nodes)
-
-
 def optimize(graph: IrGraph, max_iterations: int = 8) -> IrGraph:
-    """Run fuse -> CSE -> DCE to a fixed point.
-
-    Equivalent to iterating :func:`fuse_rotations`,
-    :func:`common_subexpression_elimination` and
-    :func:`dead_code_elimination` until the graph stops changing (the
-    lowered-graph tests hold it to that), but each iteration is one
-    :func:`_sweep` and the loop ends when a sweep rewrites nothing —
-    which costs two list walks, not three rebuilds.
-    """
+    """Run fuse -> CSE -> DCE until a round drops no node."""
     current = graph
     for _ in range(max_iterations):
-        swept = _sweep(current)
-        if swept is current:
+        before = current.num_nodes
+        current = dead_code_elimination(
+            common_subexpression_elimination(fuse_rotations(current))
+        )
+        if current.num_nodes == before:
             break
-        current = swept
     return current
 
 

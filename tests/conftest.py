@@ -1,7 +1,8 @@
 """Shared fixtures, the CI hypothesis profile, and the suite timeout cap.
 
-Besides the model fixtures, this file centralizes three pieces of suite
-infrastructure:
+Besides the model fixtures and the naive IR emission the lowering tests
+compare against (:class:`BareBuilder`, :func:`bare_emission`), this
+file centralizes three pieces of suite infrastructure:
 
 * the ``repro-plan-ci`` hypothesis profile (derandomized, scaled by
   ``$REPRO_DIFF_EXAMPLES``) — registered once here so every
@@ -16,6 +17,7 @@ infrastructure:
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import os
 import signal
@@ -32,6 +34,8 @@ from repro.forest.forest import DecisionForest
 from repro.forest.node import Branch, Leaf
 from repro.forest.synthetic import random_forest
 from repro.forest.tree import DecisionTree
+from repro.ir import copse_ir, plan as ir_plan
+from repro.ir.builder import IrBuilder
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +113,31 @@ def pytest_configure(config):
             "platform; install pytest-timeout (the 'test' extra "
             "includes it)"
         )
+
+
+class BareBuilder(IrBuilder):
+    """:class:`IrBuilder`'s combinators with one node per call: every
+    emission goes through bare ``IrGraph.add`` and a replay always
+    re-emits.  Its graph is the naive build whose profile the shared
+    builder tallies."""
+
+    def _emit(self, op, args, attr, width, is_cipher, like=None):
+        return self.graph.add(
+            op, args, attr=attr, width=width, is_cipher=is_cipher
+        )
+
+    def replay(self, key, emit):
+        return emit()
+
+
+@contextlib.contextmanager
+def bare_emission():
+    """Lowerings made inside the block build through :class:`BareBuilder`:
+    the naive graph, with nothing shared at emission."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(copse_ir, "IrBuilder", BareBuilder)
+        patch.setattr(ir_plan, "IrBuilder", BareBuilder)
+        yield
 
 
 def bench_quick() -> bool:

@@ -32,6 +32,7 @@ from repro.forest.synthetic import random_forest
 from repro.fhe.ciphertext import PlainVector
 from repro.ir.nodes import const_bits
 from repro.ir.plan import GraphProfile
+from tests.conftest import BareBuilder
 
 
 class TestBuilder:
@@ -280,19 +281,6 @@ class TestPasses:
         )
 
 
-class _BareBuilder(IrBuilder):
-    """The same combinators with one node per call: every emission goes
-    through bare ``IrGraph.add`` and a replay always re-emits."""
-
-    def _emit(self, op, args, attr, width, is_cipher):
-        return self.graph.add(
-            op, args, attr=attr, width=width, is_cipher=is_cipher
-        )
-
-    def replay(self, key, emit):
-        return emit()
-
-
 _STEP = st.tuples(
     st.sampled_from(
         ["xor", "and", "rotate", "negate", "const", "extend", "truncate",
@@ -373,7 +361,7 @@ class TestEmissionTally:
            seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=80, deadline=None)
     def test_tally_is_the_bare_profile(self, steps, seed):
-        shared, bare = IrBuilder(), _BareBuilder()
+        shared, bare = IrBuilder(), BareBuilder()
         made = _run_program(shared, steps)
         made_bare = _run_program(bare, steps)
         assert len(made) == len(made_bare)

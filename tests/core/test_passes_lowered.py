@@ -2,15 +2,18 @@
 
 The pass pipeline became load-bearing with the plan-compiled execution
 path, so its contract is pinned on the graphs it actually optimizes:
-full single-query and batched inference lowerings of compiled models.
+full single-query and batched inference lowerings of compiled models,
+emitted naively (one node per combinator call, through the suite's
+:class:`~tests.conftest.BareBuilder`) so CSE and rotation fusion have
+real work to do.
 
 Properties: ``optimize`` reaches a fixed point within its iteration
 budget, is idempotent (a second run changes nothing), never increases
 multiplicative depth (or analyzed cost), and preserves executor output
-bit-for-bit on randomized inputs.  Its one-rebuild sweep is held
-node-for-node to its specification — ``fuse_rotations`` ->
-``common_subexpression_elimination`` -> ``dead_code_elimination``
-composed to a fixed point — and the constant payload to its accessors.
+bit-for-bit on randomized inputs.  Staging itself shares and fuses at
+emission: its lowering needs dead code elimination alone, its tallied
+raw profile is the naive graph's, and it computes the naive graph's
+bits.  The constant payload is held to its accessors.
 """
 
 import pickle
@@ -44,6 +47,7 @@ from repro.ir.nodes import IrOp, const_bits, pack_const, roll_payload
 from repro.ir.plan import GraphProfile, build_batched_inference_graph
 from repro.serve import plan_layout
 from repro.serve.batched_runtime import encrypt_batch
+from tests.conftest import bare_emission
 
 PRECISION = 6
 
@@ -70,7 +74,14 @@ def layout(compiled):
 
 
 def lowered_graphs(compiled, layout):
-    """Every live lowering shape: single/batched x encrypted/plaintext."""
+    """Every live lowering shape (single/batched x encrypted/plaintext),
+    emitted naively: one node per combinator call."""
+    with bare_emission():
+        return shared_graphs(compiled, layout)
+
+
+def shared_graphs(compiled, layout):
+    """The same shapes as staging emits them: shared and fused."""
     _, model = compiled
     return {
         "single/enc": build_inference_graph(model, encrypted_model=True),
@@ -108,41 +119,19 @@ def reference_optimize(graph):
 
 
 class TestSweepMatchesReference:
-    """The one-rebuild sweep is an implementation of the three passes,
-    not a new optimizer: same nodes, same order, same interface."""
-
-    def test_same_signature_as_composed_reference_passes(
-        self, compiled, layout
-    ):
-        for name, raw in lowered_graphs(compiled, layout).items():
-            once = optimize(raw)
-            assert graph_signature(once) == graph_signature(
-                reference_optimize(raw)
-            ), name
-            # ... and on the tape compiler's second call site, after
-            # the rotation scheduler rewrote the gathers.
-            scheduled = schedule_rotations(once)
-            assert graph_signature(optimize(scheduled)) == graph_signature(
-                reference_optimize(scheduled)
-            ), name
-
-    def test_fixed_point_is_returned_as_is(self, compiled, layout):
-        """"Nothing rewritten" is a signal, not a node-count comparison:
-        a graph already at the fixed point comes back as the same object,
-        at any iteration budget."""
-        for name, raw in lowered_graphs(compiled, layout).items():
-            once = optimize(raw)
-            assert optimize(once) is once, name
-            assert optimize(once, max_iterations=1) is once, name
+    """A sweep is one fuse -> CSE -> DCE round; ``optimize`` repeats it
+    and finishes where the composed reference passes do."""
 
     def test_unmoved_nodes_are_reused(self, compiled, layout):
-        _, model = compiled
-        raw = build_inference_graph(model, encrypted_model=True)
-        once = optimize(raw)
-        kept = sum(1 for n in once.nodes if raw.node(n.node_id) is n)
-        assert kept > 0
-        for node in once.nodes:  # reuse never smuggles in a stale id
-            assert once.node(node.node_id) is node
+        """DCE returns a graph with nothing dead as is, and otherwise
+        keeps every node whose id did not move."""
+        for name, raw in lowered_graphs(compiled, layout).items():
+            pruned = dead_code_elimination(raw)
+            assert dead_code_elimination(pruned) is pruned, name
+            kept = sum(1 for n in pruned.nodes if raw.node(n.node_id) is n)
+            assert kept > 0, name
+            for node in pruned.nodes:  # reuse never smuggles in a stale id
+                assert pruned.node(node.node_id) is node, name
 
     def test_rotation_chains_and_zero_rotations(self):
         b = IrBuilder()
@@ -178,14 +167,14 @@ class TestSharedEmission:
     def test_dce_is_the_whole_optimizer_on_lowered_graphs(
         self, compiled, layout
     ):
-        for name, built in lowered_graphs(compiled, layout).items():
+        for name, built in shared_graphs(compiled, layout).items():
             assert graph_signature(
                 dead_code_elimination(built)
             ) == graph_signature(reference_optimize(built)), name
 
     def test_scheduled_tape_graph_needs_only_dce(self, compiled, layout):
         """The scheduler's re-emission shares and fuses as it goes."""
-        for name, built in lowered_graphs(compiled, layout).items():
+        for name, built in shared_graphs(compiled, layout).items():
             scheduled = schedule_rotations(dead_code_elimination(built))
             assert graph_signature(
                 dead_code_elimination(scheduled)
@@ -207,6 +196,25 @@ class TestSharedEmission:
             # Shared at emission: fewer nodes than the naive tally.
             assert bare.optimized.num_nodes < bare.raw.num_nodes
             assert optimized.optimized.num_nodes <= bare.optimized.num_nodes
+
+
+    def test_shared_lowering_is_the_naive_lowering_shared(
+        self, compiled, layout
+    ):
+        """The replay-memoized, hash-consed emission tallies exactly the
+        naive graph's profile and optimizes to the same profile."""
+        _, model = compiled
+        lowerings = [(lower_inference, ()), (lower_batched_inference, (layout,))]
+        for encrypted in (True, False):
+            for lower, args in lowerings:
+                kwargs = dict(encrypted_model=encrypted, optimize_graph=False)
+                shared = lower(model, *args, **kwargs)
+                with bare_emission():
+                    naive = lower(model, *args, **kwargs).graph
+                assert shared.raw == GraphProfile.of(naive)
+                assert GraphProfile.of(
+                    dead_code_elimination(shared.graph)
+                ) == GraphProfile.of(optimize(naive))
 
 
 class TestConstantPayload:
@@ -339,6 +347,17 @@ class TestFixedPoint:
             assert set(opt.outputs) == set(raw.outputs), name
 
 
+@pytest.fixture(scope="module")
+def naive_plans(compiled, layout):
+    """Single-query and batched plans of the naive emission."""
+    _, model = compiled
+    with bare_emission():
+        return (
+            lower_inference(model, optimize_graph=False),
+            lower_batched_inference(model, layout, optimize_graph=False),
+        )
+
+
 class TestSemanticPreservation:
     @given(st.lists(
         st.integers(min_value=0, max_value=(1 << PRECISION) - 1),
@@ -348,11 +367,14 @@ class TestSemanticPreservation:
         max_examples=20, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_single_query_lowering(self, compiled, layout, features):
-        """Raw and optimized lowered graphs compute identical bits (and
-        match the oracle) on randomized feature vectors."""
+    def test_single_query_lowering(
+        self, compiled, layout, naive_plans, features
+    ):
+        """The naive lowering and the staged one (shared at emission,
+        then DCE) compute identical bits (and match the oracle) on
+        randomized feature vectors."""
         forest, model = compiled
-        plan_raw = lower_inference(model, optimize_graph=False)
+        plan_raw = naive_plans[0]
         plan_opt = lower_inference(model)
 
         ctx = FheContext()
@@ -376,12 +398,13 @@ class TestSemanticPreservation:
         max_examples=10, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_batched_lowering(self, compiled, layout, query_seed):
-        """Raw and optimized batched lowerings agree slot-for-slot."""
+    def test_batched_lowering(
+        self, compiled, layout, naive_plans, query_seed
+    ):
+        """The naive batched lowering and the staged one (its gathers
+        replayed, its nodes shared) agree slot-for-slot."""
         forest, model = compiled
-        plan_raw = lower_batched_inference(
-            model, layout, optimize_graph=False
-        )
+        plan_raw = naive_plans[1]
         plan_opt = lower_batched_inference(model, layout)
 
         rng = np.random.default_rng(query_seed)
