@@ -440,9 +440,10 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
     matched: Dict[int, List[Tuple[int, int, object]]] = {}
     folded: set = set()
 
-    def leaf_term(nid: int):
+    def leaf_term(nid: int, unrotated: bool):
         """(amount, src, operand, absorbed_ids) for a product leaf, or
-        None when the leaf must stay a bare materialized value."""
+        None when the leaf must stay a bare materialized value.
+        ``unrotated``: no product of the leaf's tree folds a rotation."""
         node = graph.node(nid)
         if (
             node.op not in (IrOp.MULTIPLY, IrOp.CONST_MULT)
@@ -461,15 +462,17 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
             a, b = node.args
             if not (graph.node(a).is_cipher and graph.node(b).is_cipher):
                 return None
-            # Prefer folding a single-use rotation operand into the term.
+            # The factors commute.  A single-use rotation is folded into
+            # the term as its source.  Beside rotated products (a
+            # Halevi-Shoup ``XOR_i rot(v, i) & d_i``) the graph's order
+            # stands, so the diagonals stay one run the megakernel reads
+            # in place.  In an unrotated tree the more-shared factor is
+            # the operand: the level products AND every matrix with the
+            # same gathers, and the megakernel holds a side that repeats
+            # under a block once.
             value, operand = a, ("cipher", b)
-            rot = graph.node(b)
-            if (
-                rot.op is IrOp.ROTATE
-                and uses[b] == 1
-                and b not in pinned
-                and graph.node(rot.args[0]).is_cipher
-                and not _foldable_rotate(a)
+            if not _foldable_rotate(a) and (
+                _foldable_rotate(b) or (unrotated and uses[b] < uses[a])
             ):
                 value, operand = b, ("cipher", a)
         amount = 0
@@ -494,12 +497,16 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
         if root.op is not IrOp.ADD or rid in folded or not root.is_cipher:
             continue
         leaves, interior = collect_xor_tree(graph, rid, uses, pinned)
+        # Most trees are unrotated; a rotated one is oriented again.
+        # (Orientation never moves a rotation, so the test is sound.)
+        hits = [leaf_term(leaf, True) for leaf in leaves]
+        if any(hit is not None and hit[0] for hit in hits):
+            hits = [leaf_term(leaf, False) for leaf in leaves]
         terms: List[Tuple[int, int, object]] = []
         absorbed_all: List[int] = []
         products = 0
         ok = True
-        for leaf in leaves:
-            hit = leaf_term(leaf)
+        for leaf, hit in zip(leaves, hits):
             if hit is None:
                 node = graph.node(leaf)
                 if not node.is_cipher:
@@ -513,34 +520,10 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
             products += 1
         if not ok or products < _MIN_FUSED_PRODUCTS:
             continue
-        matched[rid] = _orient_products(terms, uses)
+        matched[rid] = terms
         folded.update(interior)
         folded.update(absorbed_all)
     return matched, folded
-
-
-def _orient_products(terms, uses):
-    """Orient the unrotated ciphertext products ``value & operand`` of
-    one fused tree (their factors commute).
-
-    Beside rotated products (a Halevi-Shoup product ``XOR_i rot(v, i) &
-    d_i``) the graph's order stands: vector, then diagonal, as the
-    lowering emits them.  In a tree of unrotated products the
-    more-shared factor is the operand: the level products AND every
-    matrix with the same rotations, and the megakernel holds a side
-    that repeats under a block once.
-    """
-    if any(amount for amount, _, _ in terms):
-        return terms
-    oriented = []
-    for term in terms:
-        _, value, operand = term
-        if operand is not None and operand[0] == "cipher":
-            other = operand[1]
-            if uses[other] < uses[value]:
-                term = (0, other, ("cipher", value))
-        oriented.append(term)
-    return oriented
 
 
 def compile_tape(
