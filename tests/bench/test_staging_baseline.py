@@ -14,11 +14,10 @@ The canonical stream is the tape up to commutative operand order: the
 two operand slots of a binary ADD or MULTIPLY are sorted, and so is the
 ``(src, operand)`` pair of a fused term whose rotation amount is 0 and
 whose operand is a register slot (``rot(src, 0) & operand`` is an AND
-of two ciphertexts).  A fused instruction XORs its terms, so its terms
-are hashed as a sorted multiset: the order of an XOR tree's leaves is
-the commutative order of its ADDs.  Everything else — opcodes,
-destinations, amounts, inline constants, frees, the binding and output
-tables — is hashed as compiled.  A change to how staging works must
+of two ciphertexts).  Everything else — opcodes, destinations, the
+order of a fused instruction's terms (it fixes the pairing of the
+balanced XOR, hence noise growth), amounts, inline constants, frees,
+the binding and output tables — is hashed as compiled.  A change to how staging works must
 leave every entry identical; a change to what it produces regenerates
 the file with::
 
@@ -81,8 +80,7 @@ def _canonical_instruction(ins):
     if opcode in (OP_ADD, OP_MUL):
         a, b = sorted((a, b))
     elif opcode == OP_FUSED:
-        terms = [_canonical_term(t) for t in a.terms]
-        a = [a.width, sorted(terms, key=json.dumps)]
+        a = [a.width, [_canonical_term(t) for t in a.terms]]
     elif not isinstance(a, int):  # OP_ANY: (IrOp, resolved args)
         a = a.value
         b = [_ref(x) for x in b]
@@ -156,8 +154,8 @@ def test_staging_is_pinned(baseline, case):
 
 
 def test_canonical_stream_ignores_commutative_order_only():
-    """Swapping a commutative pair or reordering a fused XOR's terms
-    keeps the hash; any other edit moves it."""
+    """Swapping a commutative pair keeps the hash; any other edit,
+    reordering a fused XOR's terms included, moves it."""
     from types import SimpleNamespace
 
     from repro.ir.tape import OP_ROT, FusedSpec
@@ -197,7 +195,7 @@ def test_canonical_stream_ignores_commutative_order_only():
         (OP_ROT, 4, 3, 2, (0, 1, 3)),
     ]))
     assert swapped == base
-    assert terms_reordered == base
+    assert terms_reordered != base
     assert rotated_term_swapped != base
     assert amount_moved != base
 
