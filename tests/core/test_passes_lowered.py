@@ -197,7 +197,6 @@ class TestSharedEmission:
             assert bare.optimized.num_nodes < bare.raw.num_nodes
             assert optimized.optimized.num_nodes <= bare.optimized.num_nodes
 
-
     def test_shared_lowering_is_the_naive_lowering_shared(
         self, compiled, layout
     ):
