@@ -8,7 +8,13 @@ the model both encrypted and in plaintext:
   (node count, multiplicative depth, ciphertext op counts);
 * the tape's register count, peak live ciphertexts and instruction
   count, and the megakernel's compiled shape;
-* a sha256 of the tape's canonical instruction stream.
+* a sha256 of the tape's canonical instruction stream;
+* the compiled model's fingerprint;
+* a sha256 of the batched model :func:`build_batched_model` makes of
+  it — every plane's bits, length and noise, in bundle order, leaving
+  out the key ids (a fresh key pair is minted per build);
+* the megakernel's captured book for one fixed full batch: op counts,
+  multiplicative depth and the noise of every ciphertext output.
 
 The canonical stream is the tape up to commutative operand order: the
 two operand slots of a binary ADD or MULTIPLY are sorted, and so is the
@@ -28,16 +34,19 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.compiler import CopseCompiler
-from repro.fhe.ciphertext import PlainVector
+from repro.fhe.ciphertext import Ciphertext, PlainVector
+from repro.fhe.context import FheContext
 from repro.fhe.params import EncryptionParams
 from repro.forest.serialize import loads_forest
 from repro.ir.megakernel import compile_megakernel
 from repro.ir.plan import lower_batched_inference
 from repro.ir.tape import OP_ADD, OP_FUSED, OP_MUL
 from repro.serve import plan_layout
+from repro.serve.batched_runtime import build_batched_model, encrypt_batch
 
 BASELINE_PATH = Path(__file__).parent / "staging_baseline.json"
 MODELS_DIR = Path(__file__).resolve().parents[2] / "perf" / "models"
@@ -101,6 +110,56 @@ def canonical_stream_sha256(tape) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _noise(noise):
+    return [noise.level, noise.slack]
+
+
+def batched_model_sha256(ctx, batched, secret_key) -> str:
+    """sha256 of every plane of ``batched`` in bundle order: its bits,
+    length and (for a ciphertext) noise — not its key id."""
+    planes = [
+        *batched.threshold_planes,
+        *batched.reshuffle_diagonals,
+        *(plane for level in batched.level_diagonals for plane in level),
+        *batched.level_masks,
+    ]
+    digest = hashlib.sha256()
+    for plane in planes:
+        if isinstance(plane, Ciphertext):
+            bits = ctx.decrypt(plane, secret_key)
+            meta = ["c", plane.length, _noise(plane.noise)]
+        else:
+            bits = plane.to_array()
+            meta = ["p", plane.length]
+        digest.update(json.dumps(meta).encode())
+        digest.update(np.ascontiguousarray(bits, dtype=np.uint8).tobytes())
+    return digest.hexdigest()
+
+
+def megakernel_book(kernel, forest, layout, params, batched, keys):
+    """The book ``kernel`` captures for one fixed full batch."""
+    rng = np.random.default_rng(0)
+    features = rng.integers(
+        0, 1 << layout.precision, (layout.capacity, forest.n_features)
+    ).tolist()
+    ctx = FheContext(params, backend="vector")
+    query = encrypt_batch(ctx, layout, features, keys)
+    kernel.run(ctx, batched.adopt_into(ctx), query)
+    (book,) = kernel._book.values()
+    return {
+        "counts": {
+            kind.value: n
+            for kind, n in sorted(book.counts.items(), key=lambda kv: kv[0].value)
+        },
+        "depth": book.depth,
+        "output_noise": {
+            name: _noise(meta[2])
+            for name, meta in sorted(book.outputs.items())
+            if meta[0] == "c"
+        },
+    }
+
+
 def stage_entry(name: str, encrypted: bool):
     """Stage one frozen model the way ``ModelRegistry.register`` does
     and describe everything the lock pins."""
@@ -108,11 +167,22 @@ def stage_entry(name: str, encrypted: bool):
     compiled = CopseCompiler(precision=int(MANIFEST[name]["precision"])).compile(
         forest
     )
-    layout = plan_layout(compiled, EncryptionParams.paper_defaults())
+    params = EncryptionParams.paper_defaults()
+    layout = plan_layout(compiled, params)
     plan = lower_batched_inference(compiled, layout, encrypted_model=encrypted)
     tape = plan.compile_tape()
     kernel = compile_megakernel(tape)
+    ctx = FheContext(params, backend="vector")
+    keys = ctx.keygen()
+    batched = build_batched_model(
+        ctx, compiled, layout, public_key=keys.public if encrypted else None
+    )
     return {
+        "fingerprint": compiled.fingerprint(),
+        "batched_model_sha256": batched_model_sha256(ctx, batched, keys.secret),
+        "megakernel_book": megakernel_book(
+            kernel, forest, layout, params, batched, keys
+        ),
         "raw": _profile(plan.raw),
         "optimized": _profile(plan.optimized),
         "tape": _profile(tape.profile),
