@@ -179,7 +179,10 @@ class IrBuilder:
     # ------------------------------------------------------------------
 
     def _width(self, node_id: int) -> int:
-        return self.graph.node(node_id).width
+        nodes = self.graph.nodes
+        if not 0 <= node_id < len(nodes):  # every combinator asks first
+            raise CompileError(f"IR node {node_id} out of range")
+        return nodes[node_id].width
 
     def _check_widths(self, a: int, b: int) -> int:
         wa, wb = self._width(a), self._width(b)

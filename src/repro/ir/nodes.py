@@ -2,9 +2,9 @@
 
 The IR is a flat SSA graph: every node is an operation producing one
 packed vector; arguments are node ids of earlier nodes (topological by
-construction).  Nodes are immutable and hashable by their semantic key
-``(op, args, attr)`` — which is exactly what common-subexpression
-elimination deduplicates on.
+construction).  Nodes are immutable records, and their semantic key
+``(op, args, attr)`` is exactly what common-subexpression elimination
+deduplicates on.
 
 Node kinds:
 
@@ -91,18 +91,32 @@ COUNTED_OPS = frozenset({
 })
 
 
-@dataclass(frozen=True)
 class IrNode:
-    """One SSA operation."""
+    """One SSA operation: an immutable slotted record, equal by fields
+    (DESIGN.md, "Constant representation and the optimizer")."""
 
-    node_id: int
-    op: IrOp
-    args: Tuple[int, ...]
-    #: A tuple (input name, rotation amount, target width) — or, for
-    #: CONST_PT, the packed ``bytes`` payload.
-    attr: Union[Tuple, bytes] = ()
-    width: int = 0
-    is_cipher: bool = True
+    __slots__ = ("node_id", "op", "args", "attr", "width", "is_cipher")
+
+    # ``attr``: a tuple (input name, rotation amount, target width) — or,
+    # for CONST_PT, the packed ``bytes`` payload.
+    def __init__(self, node_id, op, args, attr=(), width=0, is_cipher=True):
+        self.node_id, self.op, self.args = node_id, op, args
+        self.attr, self.width, self.is_cipher = attr, width, is_cipher
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not IrNode:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._fields())
+        return "IrNode(" + ", ".join(f"{k}={v!r}" for k, v in fields) + ")"
 
     @property
     def key(self):
@@ -153,7 +167,8 @@ class IrGraph:
     def mark_output(self, name: str, node_id: int) -> None:
         if name in self.outputs:
             raise CompileError(f"duplicate output name {name!r}")
-        self.node(node_id)  # range check
+        if not 0 <= node_id < len(self.nodes):
+            raise CompileError(f"output {name!r} out of range")
         self.outputs[name] = node_id
 
     def mark_input(self, name: str, node_id: int) -> None:
@@ -196,14 +211,14 @@ def roll_payload(payload: bytes, shift: int) -> bytes:
 
 
 def validate_graph(graph: IrGraph) -> None:
-    """Structural validation: topological args, outputs in range, input
-    nodes actually being input ops."""
-    for node in graph.nodes:
+    """Structural validation: ids are positions, args name earlier nodes,
+    outputs in range, input nodes actually being input ops."""
+    for position, node in enumerate(graph.nodes):
+        if node.node_id != position:
+            raise CompileError(f"node {node.node_id} at position {position}")
         for a in node.args:
-            if a >= node.node_id:
-                raise CompileError(
-                    f"node {node.node_id} references later node {a}"
-                )
+            if not 0 <= a < position:
+                raise CompileError(f"node {position} references node {a}")
     for name, node_id in graph.outputs.items():
         if not 0 <= node_id < graph.num_nodes:
             raise CompileError(f"output {name!r} out of range")

@@ -45,7 +45,7 @@ under a :class:`~repro.fhe.costmodel.CostModel`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fhe.backend import fold_balanced
 from repro.fhe.costmodel import CostModel
@@ -54,7 +54,7 @@ from repro.ir.builder import IrBuilder
 from repro.ir.nodes import COUNTED_OPS, IrGraph, IrNode, IrOp, roll_payload
 
 
-def _rebuild(graph: IrGraph, remap: Dict[int, int], nodes: List[IrNode]) -> IrGraph:
+def _rebuild(graph: IrGraph, remap, nodes: List[IrNode]) -> IrGraph:
     out = IrGraph(nodes=nodes)
     out.outputs = {name: remap[nid] for name, nid in graph.outputs.items()}
     out.inputs = {name: remap[nid] for name, nid in graph.inputs.items()}
@@ -170,11 +170,10 @@ def collect_xor_tree(
     Interior nodes are ADDs that are single-use and unobservable (not
     pinned as a graph input/output); everything else is a leaf.
     Returns ``(leaves, interior)`` with leaves in the tree's
-    left-to-right order, so rewrites are deterministic.  The single
-    definition of tree eligibility shared by the rotation scheduler and
-    the tape compiler's kernel fuser — the scheduler rewrites gathers
-    into exactly the shape the fuser then matches, so the two must
-    never drift.
+    left-to-right order, so rewrites are deterministic.  With
+    :func:`fold_xor_trees`, the definition of a tree the rotation
+    scheduler and the tape compiler's kernel fuser share: the scheduler
+    rewrites gathers into exactly the shape the fuser then matches.
     """
     nodes = graph.nodes
     leaves: List[int] = []
@@ -196,30 +195,41 @@ def collect_xor_tree(
     return leaves, interior
 
 
-def _collect_gather_tree(
-    graph: IrGraph, root: int, uses: List[int], pinned: set
-) -> Optional[Tuple[int, List[Tuple[int, bytes]], List[int]]]:
-    """Match one masked-gather combine tree rooted at ADD node ``root``.
+def fold_xor_trees(graph: IrGraph, uses, pinned, leaf, join) -> list:
+    """One forward walk: ``out[n]`` of (binary) ADD ``n`` folds ``join``
+    over ``leaf(l)`` for exactly the leaves ``l`` :func:`collect_xor_tree`
+    returns for ``n``, in order; ``None`` absorbs, and is every other
+    node's entry.  A matcher then expands only the trees it takes."""
+    nodes = graph.nodes
+    out: list = [None] * len(nodes)
+    for node in nodes:
+        if node.op is IrOp.ADD:
+            left, right = [
+                out[a] if nodes[a].op is IrOp.ADD and uses[a] == 1
+                and a not in pinned else leaf(a) for a in node.args
+            ]
+            out[node.node_id] = left and right and join(left, right)
+    return out
 
-    Returns ``(source, [(amount, mask_payload), ...], interior_ids)`` when
-    the whole XOR tree under ``root`` consists of single-use
-    ``CONST_MULT(rot(v, a), mask)`` leaves over one ciphertext source
-    ``v`` (interior XORs single-use and unobservable), else ``None``.
-    """
-    leaves, interior = collect_xor_tree(graph, root, uses, pinned)
-    if len(leaves) < 2:
-        return None
-    source = None
-    terms: List[Tuple[int, bytes]] = []
-    for leaf in leaves:
-        node = graph.node(leaf)
-        if node.op is not IrOp.CONST_MULT or uses[leaf] != 1:
+
+def _match_gathers(graph: IrGraph, uses, pinned) -> Dict[int, tuple]:
+    """Masked-gather trees worth scheduling, taken from the highest root
+    down: root -> ``(source, pivot, [(amount, mask_payload), ...])``.  A
+    gather's XOR tree has only single-use ``CONST_MULT(rot(v, a), mask)``
+    leaves over one ciphertext source ``v``; it is worth it when its
+    amounts differ."""
+    nodes = graph.nodes
+
+    def term(nid: int):
+        """A gather leaf's ``(source, amount, amount, mask_payload)``."""
+        node = nodes[nid]
+        if node.op is not IrOp.CONST_MULT or uses[nid] != 1:
             return None
         value, const = node.args
-        mask = graph.node(const)
+        mask = nodes[const]
         if mask.op is not IrOp.CONST_PT:
             return None
-        rot = graph.node(value)
+        rot = nodes[value]
         if rot.op is IrOp.ROTATE:
             # The rotation must feed this gather exclusively, or the
             # rewrite would duplicate work another consumer still pays.
@@ -228,58 +238,69 @@ def _collect_gather_tree(
             src, amount = rot.args[0], rot.attr[0]
         else:
             src, amount = value, 0
-        if not graph.node(src).is_cipher:
+        if not nodes[src].is_cipher:
             return None
-        if source is None:
-            source = src
-        elif source != src:
-            return None
-        terms.append((amount, mask.attr))
-    return source, terms, interior
+        return src, amount, amount, mask.attr
+
+    def join(left, right):
+        """(source, least amount, greatest amount) of a one-source tree."""
+        if left[0] == right[0]:
+            return left[0], min(left[1], right[1]), max(left[2], right[2])
+
+    trees = fold_xor_trees(graph, uses, pinned, term, join)
+    matched: Dict[int, tuple] = {}
+    consumed: set = set()
+    for nid in range(len(nodes) - 1, -1, -1):
+        tree = trees[nid]
+        if tree is None or tree[1] == tree[2] or nid in consumed:
+            continue  # not a gather, or one shared amount
+        leaves, interior = collect_xor_tree(graph, nid, uses, pinned)
+        matched[nid] = (*tree[:2], [term(leaf)[2:] for leaf in leaves])
+        consumed.update(interior)
+    return matched
 
 
 def schedule_rotations(graph: IrGraph) -> IrGraph:
     """Regroup masked-gather rotations around shared pivots (see module
     docstring).
 
-    The result is re-emitted whole through one :class:`IrBuilder`, so it
-    is shared and rotation-fused like a fresh build: the residual
-    rotations merge across groups as they are emitted.  The rewritten
-    gathers' old rotations and masks are left dead — run
-    :func:`dead_code_elimination` afterwards.
+    The result is re-emitted through one :class:`IrBuilder`, so it is
+    shared and rotation-fused like a fresh build.  Only what it reaches is
+    emitted, by one reverse liveness walk over the input: a rewritten
+    gather reads just its source (with pivot 0 it is rewritten into its
+    own nodes), and an old mask a rolled mask asks for stays.  On a
+    lowering, :func:`dead_code_elimination` afterwards finds nothing.
     """
     uses = _use_counts(graph)
     pinned = set(graph.outputs.values()) | set(graph.inputs.values())
-
-    matched: Dict[int, Tuple[int, List[Tuple[int, bytes]]]] = {}
-    consumed: set = set()
-    # Reverse order: a tree's root has the highest node id, so it is
-    # visited before its interior XORs (which are then skipped).
+    matched = _match_gathers(graph, uses, pinned)
+    rolled = {
+        roll_payload(mask_payload, pivot)
+        for _, pivot, terms in matched.values() for _, mask_payload in terms
+    }
+    live = [nid in pinned for nid in range(graph.num_nodes)]
     for node in reversed(graph.nodes):
-        if node.op is not IrOp.ADD or node.node_id in consumed:
-            continue
-        hit = _collect_gather_tree(graph, node.node_id, uses, pinned)
-        if hit is None:
-            continue
-        source, terms, interior = hit
-        if len({a for a, _ in terms}) < 2:
-            continue  # one shared amount: nothing to schedule
-        matched[node.node_id] = (source, terms)
-        consumed.update(interior)
-    # Re-emit through a shared builder: the residual rotations and
-    # rolled masks of different groups merge as they are emitted, and
-    # every other node is re-shared and rotation-fused on the way, so
-    # only the replaced gathers are left behind (dead).
+        nid = node.node_id
+        hit = matched.get(nid)
+        if live[nid]:
+            for a in (hit[0],) if hit and hit[1] else node.args:
+                live[a] = True
+        elif node.op is IrOp.CONST_PT and node.attr in rolled:
+            live[nid] = True
+    # Re-emit through a shared builder: the residual rotations and rolled
+    # masks of different groups merge as they are emitted.
     b = IrBuilder()
     remap: List[int] = []
     for node in graph.nodes:
         hit = matched.get(node.node_id)
+        if not live[node.node_id]:
+            remap.append(-1)
+            continue
         if hit is None:
             remap.append(b.copy(node, tuple(map(remap.__getitem__, node.args))))
             continue
-        source, terms = hit
+        source, pivot, terms = hit
         src = remap[source]
-        pivot = min(a for a, _ in terms)
         parts = [
             # rot(mask, -pivot): free at compile time for plaintext.
             b.and_(
@@ -289,10 +310,7 @@ def schedule_rotations(graph: IrGraph) -> IrGraph:
             for amount, mask_payload in terms
         ]
         remap.append(b.rotate(fold_balanced(parts, b.xor), pivot))
-    out = b.graph
-    out.outputs = {name: remap[nid] for name, nid in graph.outputs.items()}
-    out.inputs = {name: remap[nid] for name, nid in graph.inputs.items()}
-    return out
+    return _rebuild(graph, remap, b.graph.nodes)
 
 
 def optimize(graph: IrGraph, max_iterations: int = 8) -> IrGraph:

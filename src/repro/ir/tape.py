@@ -51,6 +51,7 @@ from repro.ir.passes import (
     _use_counts,
     collect_xor_tree,
     dead_code_elimination,
+    fold_xor_trees,
     schedule_rotations,
 )
 
@@ -437,6 +438,7 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
     is the set of node ids absorbed into fused instructions (interior
     XORs, product leaves, single-use rotations).
     """
+    nodes = graph.nodes
     matched: Dict[int, List[Tuple[int, int, object]]] = {}
     folded: set = set()
 
@@ -444,7 +446,7 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
         """(amount, src, operand, absorbed_ids) for a product leaf, or
         None when the leaf must stay a bare materialized value.
         ``unrotated``: no product of the leaf's tree folds a rotation."""
-        node = graph.node(nid)
+        node = nodes[nid]
         if (
             node.op not in (IrOp.MULTIPLY, IrOp.CONST_MULT)
             or uses[nid] != 1
@@ -455,12 +457,12 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
         absorbed = [nid]
         if node.op is IrOp.CONST_MULT:
             value, const = node.args
-            if graph.node(const).op is not IrOp.CONST_PT:
+            if nodes[const].op is not IrOp.CONST_PT:
                 return None
             operand: object = ("const", const)
         else:
             a, b = node.args
-            if not (graph.node(a).is_cipher and graph.node(b).is_cipher):
+            if not (nodes[a].is_cipher and nodes[b].is_cipher):
                 return None
             # The factors commute.  A single-use rotation is folded into
             # the term as its source.  Beside rotated products (a
@@ -477,52 +479,54 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
                 value, operand = b, ("cipher", a)
         amount = 0
         if _foldable_rotate(value):
-            rot = graph.node(value)
+            rot = nodes[value]
             absorbed.append(value)
             value, amount = rot.args[0], rot.attr[0]
         return amount, value, operand, absorbed
 
     def _foldable_rotate(nid: int) -> bool:
-        node = graph.node(nid)
+        node = nodes[nid]
         return (
             node.op is IrOp.ROTATE
             and uses[nid] == 1
             and nid not in pinned
             and node.is_cipher
-            and graph.node(node.args[0]).is_cipher
+            and nodes[node.args[0]].is_cipher
         )
 
+    unrotated: Dict[int, tuple] = {}  # product leaf -> leaf_term(leaf, True)
+
+    def leaf(nid: int):
+        """(products, any rotated), or None: plain bare leaves stay unfused."""
+        hit = leaf_term(nid, True)
+        if hit is None:
+            return (0, False) if nodes[nid].is_cipher else None
+        unrotated[nid] = hit
+        return 1, bool(hit[0])
+
+    trees = fold_xor_trees(
+        graph, uses, pinned, leaf,
+        lambda left, right: (left[0] + right[0], left[1] or right[1]),
+    )
     for root in reversed(graph.nodes):
         rid = root.node_id
-        if root.op is not IrOp.ADD or rid in folded or not root.is_cipher:
+        tree = trees[rid] if root.is_cipher else None
+        if not tree or tree[0] < _MIN_FUSED_PRODUCTS or rid in folded:
             continue
         leaves, interior = collect_xor_tree(graph, rid, uses, pinned)
         # Most trees are unrotated; a rotated one is oriented again.
-        # (Orientation never moves a rotation, so the test is sound.)
-        hits = [leaf_term(leaf, True) for leaf in leaves]
-        if any(hit is not None and hit[0] for hit in hits):
-            hits = [leaf_term(leaf, False) for leaf in leaves]
+        # (Orientation never moves a rotation, so the flag is sound.)
         terms: List[Tuple[int, int, object]] = []
-        absorbed_all: List[int] = []
-        products = 0
-        ok = True
-        for leaf, hit in zip(leaves, hits):
+        for nid in leaves:
+            hit = leaf_term(nid, False) if tree[1] else unrotated.get(nid)
             if hit is None:
-                node = graph.node(leaf)
-                if not node.is_cipher:
-                    ok = False  # plain leaves take the unfused path
-                    break
-                terms.append((0, leaf, None))
+                terms.append((0, nid, None))
                 continue
             amount, value, operand, absorbed = hit
             terms.append((amount, value, operand))
-            absorbed_all.extend(absorbed)
-            products += 1
-        if not ok or products < _MIN_FUSED_PRODUCTS:
-            continue
+            folded.update(absorbed)
         matched[rid] = terms
         folded.update(interior)
-        folded.update(absorbed_all)
     return matched, folded
 
 

@@ -30,7 +30,7 @@ from repro.errors import CompileError, RuntimeProtocolError
 from repro.core.seccomp import VARIANT_ALOUFI, VARIANT_OPTIMIZED
 from repro.forest.synthetic import random_forest
 from repro.fhe.ciphertext import PlainVector
-from repro.ir.nodes import const_bits
+from repro.ir.nodes import IrNode, const_bits, validate_graph
 from repro.ir.plan import GraphProfile
 from tests.conftest import BareBuilder
 
@@ -101,6 +101,56 @@ class TestBuilder:
         b = IrBuilder()
         with pytest.raises(CompileError):
             b.xor_all([])
+
+    @pytest.mark.parametrize("bad", [-1, -2, 3, 99])
+    def test_ids_naming_no_node_rejected(self, bad):
+        """A negative id used to wrap around the node list: ``xor(y, -2)``
+        built ``ADD(-2, 1)``, a program nobody asked for."""
+        b = IrBuilder()
+        b.input_ct("x", 4)
+        y = b.input_ct("y", 4)
+        b.ones(4)
+        calls = [
+            lambda: b.xor(y, bad), lambda: b.xor(bad, y),
+            lambda: b.and_(y, bad), lambda: b.negate(bad),
+            lambda: b.rotate(bad, 1), lambda: b.extend(bad, 8),
+            lambda: b.truncate(bad, 2), lambda: b.xor_all([y, bad]),
+            lambda: b.and_all([bad, y]), lambda: b.output("out", bad),
+        ]
+        for call in calls:
+            with pytest.raises(CompileError):
+                call()
+        assert b.graph.num_nodes == 3
+        assert b.graph.outputs == {}
+
+
+class TestValidateGraph:
+    """``validate_graph`` holds every node to ``0 <= arg < node_id`` and
+    ``node_id == position``."""
+
+    def _graph(self):
+        b = IrBuilder()
+        x = b.input_ct("x", 4)
+        b.output("out", b.xor(x, b.input_ct("y", 4)))
+        return b.graph
+
+    def test_builder_graphs_validate(self):
+        validate_graph(self._graph())
+
+    @pytest.mark.parametrize("args", [(-2, 1), (0, 2), (1, 5)])
+    def test_arguments_outside_the_earlier_nodes_rejected(self, args):
+        graph = self._graph()
+        add = graph.nodes[2]
+        graph.nodes[2] = IrNode(2, add.op, args, add.attr, add.width)
+        with pytest.raises(CompileError):
+            validate_graph(graph)
+
+    def test_ids_that_are_not_positions_rejected(self):
+        graph = self._graph()
+        x = graph.nodes[0]
+        graph.nodes[0] = IrNode(7, x.op, x.args, x.attr, x.width)
+        with pytest.raises(CompileError):
+            validate_graph(graph)
 
 
 class TestExecutor:
