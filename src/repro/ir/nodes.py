@@ -107,12 +107,13 @@ class IrNode:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
-        if type(other) is not IrNode:
-            return NotImplemented
-        return self._fields() == other._fields()
+        return type(other) is IrNode and self._fields() == other._fields()
 
     def __hash__(self):
         return hash(self._fields())
+
+    def __reduce__(self):
+        return IrNode, self._fields()
 
     def __repr__(self):
         fields = zip(self.__slots__, self._fields())
@@ -216,9 +217,8 @@ def validate_graph(graph: IrGraph) -> None:
     for position, node in enumerate(graph.nodes):
         if node.node_id != position:
             raise CompileError(f"node {node.node_id} at position {position}")
-        for a in node.args:
-            if not 0 <= a < position:
-                raise CompileError(f"node {position} references node {a}")
+        if not all(0 <= a < position for a in node.args):
+            raise CompileError(f"node {position} has args {node.args}")
     for name, node_id in graph.outputs.items():
         if not 0 <= node_id < graph.num_nodes:
             raise CompileError(f"output {name!r} out of range")

@@ -353,12 +353,3 @@ def test_frozen_lowerings_match_the_oracle(name, monkeypatch):
         assert dead_code_elimination(scheduled) is scheduled
         assert same_graph(scheduled, oracle_schedule_rotations(graph))
 
-
-def test_the_visit_bound_catches_rewalking(monkeypatch):
-    """The visit bound fails the oracle, which re-walks every ADD."""
-    graph = _lowerings("depth4")[0]
-    uses = _use_counts(graph)
-    pinned = set(graph.outputs.values()) | set(graph.inputs.values())
-    visits = _Visits(monkeypatch)
-    oracle_match_gathers(graph, uses, pinned)
-    assert visits.count > graph.num_nodes
