@@ -93,13 +93,15 @@ COUNTED_OPS = frozenset({
 
 class IrNode:
     """One SSA operation: an immutable slotted record, equal by fields
-    (DESIGN.md, "Constant representation and the optimizer")."""
+    (DESIGN.md, "Constant representation and the optimizer").  ``attr``
+    is a tuple (input name, rotation amount, target width) — or, for
+    CONST_PT, the packed ``bytes`` payload."""
 
     __slots__ = ("node_id", "op", "args", "attr", "width", "is_cipher")
 
-    # ``attr``: a tuple (input name, rotation amount, target width) — or,
-    # for CONST_PT, the packed ``bytes`` payload.
-    def __init__(self, node_id, op, args, attr=(), width=0, is_cipher=True):
+    def __init__(self, node_id: int, op: IrOp, args: Tuple[int, ...],
+                 attr: Union[Tuple, bytes] = (), width: int = 0,
+                 is_cipher: bool = True):
         self.node_id, self.op, self.args = node_id, op, args
         self.attr, self.width, self.is_cipher = attr, width, is_cipher
 

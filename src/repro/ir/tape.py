@@ -504,10 +504,8 @@ def _find_fusable_trees(graph: IrGraph, uses, pinned):
         unrotated[nid] = hit
         return 1, bool(hit[0])
 
-    trees = fold_xor_trees(
-        graph, uses, pinned, leaf,
-        lambda left, right: (left[0] + right[0], left[1] or right[1]),
-    )
+    trees = fold_xor_trees(graph, uses, pinned, leaf, lambda a, b: (
+        a[0] + b[0], a[1] or b[1]))
     for root in reversed(graph.nodes):
         rid = root.node_id
         tree = trees[rid] if root.is_cipher else None
