@@ -179,10 +179,9 @@ class IrBuilder:
     # ------------------------------------------------------------------
 
     def _width(self, node_id: int) -> int:
-        nodes = self.graph.nodes
-        if not 0 <= node_id < len(nodes):  # every combinator asks first
+        if not 0 <= node_id < len(self.graph.nodes):  # every combinator asks
             raise CompileError(f"IR node {node_id} out of range")
-        return nodes[node_id].width
+        return self.graph.nodes[node_id].width
 
     def _check_widths(self, a: int, b: int) -> int:
         wa, wb = self._width(a), self._width(b)

@@ -219,8 +219,9 @@ def validate_graph(graph: IrGraph) -> None:
     for position, node in enumerate(graph.nodes):
         if node.node_id != position:
             raise CompileError(f"node {node.node_id} at position {position}")
-        if not all(0 <= a < position for a in node.args):
-            raise CompileError(f"node {position} has args {node.args}")
+        for a in node.args:
+            if not 0 <= a < position:
+                raise CompileError(f"node {position} references node {a}")
     for name, node_id in graph.outputs.items():
         if not 0 <= node_id < graph.num_nodes:
             raise CompileError(f"output {name!r} out of range")
