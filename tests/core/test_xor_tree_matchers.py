@@ -52,7 +52,7 @@ MANIFEST = json.loads((MODELS_DIR / "MANIFEST.json").read_text())
 
 
 def _oracle_gather_tree(graph, root, uses, pinned):
-    leaves, interior = passes.collect_xor_tree(graph, root, uses, pinned)
+    leaves, interior = collect_xor_tree(graph, root, uses, pinned)
     if len(leaves) < 2:
         return None
     source = None
