@@ -16,16 +16,19 @@ out of one pass over the forest:
 
 Branch selection rule (Section 4.2.3): the unique ancestor branch at
 exactly that level when one exists; otherwise the highest ancestor branch
-*not exceeding* the level; otherwise (a label so shallow that even its
-parent is above the level... impossible, but also when every ancestor sits
-above the level) the lowest ancestor — the paper notes the choice is
-arbitrary as long as every branch appears in at least one level, which the
-exact-match case guarantees.
+*not exceeding* the level; otherwise (every ancestor sits above the level)
+the lowest ancestor — the paper notes the choice is arbitrary as long as
+every branch appears in at least one level, which the exact-match case
+guarantees.  A parent's level is one more than its higher child's, so
+levels strictly fall from root to leaf and the rule reads: the *first*
+ancestor at level <= L, else the deepest ancestor — one walk down a
+label's ancestors selects its branch at every level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import CompileError
@@ -98,10 +101,10 @@ class ModelAnalysis:
         """``q = K * n_features``."""
         return self.forest.quantized_branching
 
-    @property
+    @cached_property
     def max_depth(self) -> int:
         """``d`` — maximum level over the forest."""
-        return max(self.branch_level(i) for i in range(self.branching))
+        return max(self._levels[id(branch)] for branch in self._branches)
 
     def branch_level(self, branch_index: int) -> int:
         """Level of a branch by forest-wide preorder index."""
@@ -175,34 +178,32 @@ class ModelAnalysis:
     # Level selection (Sections 4.2.3, 4.2.4)
     # ------------------------------------------------------------------
 
-    def selected_branches(self, level: int) -> List[SelectedBranch]:
+    def selected_branches(self, level: int) -> Tuple[SelectedBranch, ...]:
         """For every label, the branch controlling it at ``level``."""
         if not 1 <= level <= self.max_depth:
             raise CompileError(
                 f"level {level} outside the forest's range 1..{self.max_depth}"
             )
-        out: List[SelectedBranch] = []
-        for leaf_idx in range(self.num_labels):
-            out.append(self._select_for_label(leaf_idx, level))
-        return out
+        return self._selections[level - 1]
 
-    def _select_for_label(self, leaf_idx: int, level: int) -> SelectedBranch:
-        ancestors = self._ancestors[leaf_idx]  # root -> parent order
-        exact = None
-        below = None  # highest level strictly less than `level`
-        above = None  # lowest level strictly greater than `level`
-        for branch_idx, under_true in ancestors:
-            lvl = self.branch_level(branch_idx)
-            if lvl == level:
-                exact = SelectedBranch(branch_idx, under_true)
-            elif lvl < level:
-                if below is None or lvl > self.branch_level(below.branch_index):
-                    below = SelectedBranch(branch_idx, under_true)
-            else:
-                if above is None or lvl < self.branch_level(above.branch_index):
-                    above = SelectedBranch(branch_idx, under_true)
-        # Never None: the constructor refused any label without ancestors.
-        return exact or below or above
+    @cached_property
+    def _selections(self) -> List[Tuple[SelectedBranch, ...]]:
+        """The level x label table: an ancestor controls its own level up
+        to the level below its parent's (the root: up to ``d``), and the
+        deepest one every level below its own too."""
+        d = self.max_depth
+        table = [[None] * self.num_labels for _ in range(d)]
+        for leaf_idx, ancestors in enumerate(self._ancestors):
+            top = d
+            for branch_idx, under_true in ancestors:
+                selected = SelectedBranch(branch_idx, under_true)
+                lvl = self.branch_level(branch_idx)
+                for level in range(lvl, top + 1):
+                    table[level - 1][leaf_idx] = selected
+                top = lvl - 1
+            for level in range(1, top + 1):
+                table[level - 1][leaf_idx] = selected
+        return [tuple(row) for row in table]
 
     # ------------------------------------------------------------------
     # Internal traversals

@@ -45,14 +45,16 @@ class DiagonalMatrix:
     @staticmethod
     def from_dense(dense: np.ndarray) -> "DiagonalMatrix":
         """Convert a dense 0/1 matrix to generalized diagonals."""
-        dense = np.asarray(dense, dtype=np.uint8)
+        dense = np.asarray(dense)
         if dense.ndim != 2:
             raise CompileError(f"expected a matrix, got shape {dense.shape}")
+        if np.any((dense != 0) & (dense != 1)):
+            raise CompileError("a diagonal matrix's entries must be bits (0 or 1)")
         m, n = dense.shape
-        diagonals = np.empty((n, m), dtype=np.uint8)
         rows = np.arange(m)
-        for i in range(n):
-            diagonals[i] = dense[rows, (rows + i) % n]
+        # Row i of the index is diagonal i: column (j + i) mod n of row j.
+        cols = (rows + np.arange(n)[:, None]) % n
+        diagonals = dense.astype(np.uint8)[rows, cols]
         return DiagonalMatrix(rows=m, cols=n, diagonals=diagonals)
 
     def to_dense(self) -> np.ndarray:
@@ -119,10 +121,11 @@ def build_level_dense(analysis: ModelAnalysis, level: int) -> np.ndarray:
     each row has exactly one 1, and column ``j``'s popcount equals the
     width of branch ``j`` at its own level.
     """
-    num_labels = analysis.num_labels
-    dense = np.zeros((num_labels, analysis.branching), dtype=np.uint8)
-    for label_idx, selected in enumerate(analysis.selected_branches(level)):
-        dense[label_idx, selected.branch_index] = 1
+    selections = analysis.selected_branches(level)
+    dense = np.zeros((len(selections), analysis.branching), dtype=np.uint8)
+    dense[
+        np.arange(len(selections)), [sel.branch_index for sel in selections]
+    ] = 1
     return dense
 
 

@@ -405,17 +405,18 @@ def tile_blocks(vector, stride: int, capacity: int) -> np.ndarray:
     The canonical tiling both the batched lowering and
     :func:`repro.serve.packing.tile_model_vector` use (serve delegates
     here, so the plan's baked constants and the eager runtime's tiled
-    vectors cannot drift apart).
+    vectors cannot drift apart).  A 2-D block tiles each of its rows.
     """
     arr = np.asarray(vector, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size == 0 or arr.size > stride:
+    width = arr.shape[-1] if arr.ndim in (1, 2) else arr.size
+    if arr.ndim not in (1, 2) or arr.size == 0 or width > stride:
         raise CompileError(
-            f"model vector of length {arr.size} does not fit the "
+            f"model vector of length {width} does not fit the "
             f"stride {stride}"
         )
-    padded = np.zeros(stride, dtype=np.uint8)
-    padded[: arr.size] = arr
-    return np.tile(padded, capacity)
+    padded = np.zeros(arr.shape[:-1] + (stride,), dtype=np.uint8)
+    padded[..., :width] = arr
+    return np.tile(padded, (1,) * (arr.ndim - 1) + (capacity,))
 
 
 def gather_segments(shift: int, width: int, rows: int) -> List[Tuple[int, int, int]]:

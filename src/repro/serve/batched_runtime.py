@@ -30,9 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import RuntimeProtocolError
+import numpy as np
+
+from repro.errors import RuntimeProtocolError, ValidationError
 from repro.core.compiler import CompiledModel
 from repro.core.engines import (
     ENGINE_EAGER,
@@ -199,28 +202,44 @@ def build_batched_model(
     the resulting ciphertexts are cached for the model's lifetime.
     Without it the model stays in plaintext packed vectors (the
     Maurice-equals-Sally configuration).
+
+    The structures' rows (threshold planes, reshuffle diagonals, each
+    level's diagonals, level masks) form one block, padded to the stride,
+    tiled once and encrypted by one ``encrypt_many`` where the backend
+    has it, row by row otherwise: the same records in the same order.
     """
+    parts = [
+        compiled.threshold_planes,
+        compiled.reshuffle.diagonals,
+        *(matrix.diagonals for matrix in compiled.level_matrices),
+        compiled.level_masks,
+    ]
+    block = np.zeros((sum(map(len, parts)), layout.stride), dtype=np.uint8)
+    top = 0
+    for part in parts:
+        part = np.asarray(part, dtype=np.uint8)
+        height, width = part.shape
+        if not 0 < width <= layout.stride:  # the first misfit, as per vector
+            raise ValidationError(
+                f"model vector of length {width} does not fit the "
+                f"stride {layout.stride}"
+            )
+        block[top : top + height, :width] = part
+        top += height
+    block = tile_model_vector(layout, block)
 
-    def _pack(vector) -> Vector:
-        tiled = tile_model_vector(layout, vector)
-        if public_key is not None:
-            return ctx.encrypt(tiled, public_key)
-        return ctx.encode(tiled)
-
+    encrypt_many = getattr(ctx, "encrypt_many", None)
     with ctx.tracker.phase(PHASE_MODEL_ENCRYPT):
-        thresholds = [_pack(plane) for plane in compiled.threshold_planes]
-        reshuffle = [
-            _pack(compiled.reshuffle.diagonal(i))
-            for i in range(compiled.reshuffle.num_diagonals)
-        ]
-        levels = [
-            [
-                _pack(matrix.diagonal(i))
-                for i in range(matrix.num_diagonals)
-            ]
-            for matrix in compiled.level_matrices
-        ]
-        masks = [_pack(mask) for mask in compiled.level_masks]
+        if public_key is None:
+            vectors = [ctx.encode(row) for row in block]
+        elif encrypt_many is not None:
+            vectors = encrypt_many(block, public_key)
+        else:
+            vectors = [ctx.encrypt(row, public_key) for row in block]
+    rows = iter(vectors)
+    thresholds, reshuffle, *levels, masks = [
+        list(islice(rows, len(part))) for part in parts
+    ]
     return BatchedEncryptedModel(
         layout=layout,
         threshold_planes=thresholds,

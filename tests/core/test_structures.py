@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CompileError
 from repro.core.analysis import ModelAnalysis
@@ -57,15 +57,43 @@ class TestDiagonalMatrix:
         with pytest.raises(CompileError):
             DiagonalMatrix(rows=2, cols=3, diagonals=np.zeros((2, 2), np.uint8))
 
-    @given(
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=0, max_value=2**31 - 1),
+
+    @pytest.mark.parametrize(
+        "dense",
+        [
+            [[0, 2], [1, 0]],  # kept as a diagonal entry before
+            np.array([[256, 0], [0, 1]], dtype=np.int64),  # wrapped to 0
+            [[256, 0], [0, 1]],  # a raw OverflowError
+            [[-1, 0], [0, 1]],  # a raw OverflowError
+            np.array([[1, 0], [0, 255]], dtype=np.uint8),
+        ],
+        ids=["two", "int64-256", "int-256", "int-minus-1", "uint8-255"],
     )
-    @settings(max_examples=60, deadline=None)
+    def test_non_bit_entries_rejected(self, dense):
+        with pytest.raises(CompileError, match="bits"):
+            DiagonalMatrix.from_dense(dense)
+
+    @settings(settings.get_profile("repro-plan-ci"))
+    @example(m=1, n=1, seed=0)
+    @example(m=2, n=5, seed=1)
+    @example(m=5, n=2, seed=2)
+    @given(
+        m=st.integers(min_value=1, max_value=12),
+        n=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
     def test_roundtrip_property(self, m, n, seed):
-        dense = np.random.default_rng(seed).integers(0, 2, (m, n)).astype(np.uint8)
-        assert np.array_equal(DiagonalMatrix.from_dense(dense).to_dense(), dense)
+        """Every diagonal entry is ``d_i[j] = A[j][(j + i) mod n]``, read
+        one element at a time, and the matrix round-trips."""
+        dense = np.random.default_rng(seed).integers(0, 2, (m, n))
+        dm = DiagonalMatrix.from_dense(dense)
+        assert dm.diagonals.dtype == np.uint8
+        assert (dm.rows, dm.cols, dm.num_diagonals) == (m, n, n)
+        for i in range(n):
+            assert dm.diagonal(i).tolist() == [
+                dense[j][(j + i) % n] for j in range(m)
+            ]
+        assert np.array_equal(dm.to_dense(), dense)
 
     @given(
         st.integers(min_value=1, max_value=10),

@@ -39,6 +39,29 @@ class TestCoerceBits:
         with pytest.raises(DomainError):
             coerce_bits([0, 1, 2])
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64, bool])
+    @pytest.mark.parametrize("value", [2, -1, 256, 0, 1])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_bit_check_matches_the_slotwise_test(self, dtype, value, at):
+        """The max/min check refuses exactly what testing every slot
+        against 0 and 1 refused, in the same words: a value the dtype
+        holds (2, -1, 256 as its wrapped image) anywhere in the vector."""
+        values = np.array([1, 0, 1], dtype=np.int64)
+        values[at] = value
+        arr = values.astype(dtype)
+        if np.any((arr != 0) & (arr != 1)):
+            with pytest.raises(DomainError, match=r"^plaintext slots must be bits \(0 or 1\)$"):
+                coerce_bits(arr)
+        else:
+            out = coerce_bits(arr)
+            assert out.dtype == np.uint8
+            assert out.tolist() == arr.astype(np.uint8).tolist()
+
+    @pytest.mark.parametrize("values", [[0, 1, 2], [0, -1], [256], [1, 1 << 40]])
+    def test_rejects_non_bit_ints(self, values):
+        with pytest.raises(DomainError, match="must be bits"):
+            coerce_bits(values)
+
     def test_rejects_floats(self):
         with pytest.raises(DomainError):
             coerce_bits(np.array([0.5, 1.0]))
