@@ -104,7 +104,7 @@ class ModelAnalysis:
     @cached_property
     def max_depth(self) -> int:
         """``d`` — maximum level over the forest."""
-        return max(self._levels[id(branch)] for branch in self._branches)
+        return max(self.branch_level(i) for i in range(self.branching))
 
     def branch_level(self, branch_index: int) -> int:
         """Level of a branch by forest-wide preorder index."""
@@ -201,6 +201,8 @@ class ModelAnalysis:
                 for level in range(lvl, top + 1):
                     table[level - 1][leaf_idx] = selected
                 top = lvl - 1
+            # `selected` is the deepest ancestor (the constructor refused
+            # any label without one).
             for level in range(1, top + 1):
                 table[level - 1][leaf_idx] = selected
         return [tuple(row) for row in table]

@@ -54,7 +54,7 @@ class DiagonalMatrix:
         rows = np.arange(m)
         # Row i of the index is diagonal i: column (j + i) mod n of row j.
         cols = (rows + np.arange(n)[:, None]) % n
-        diagonals = dense.astype(np.uint8)[rows, cols]
+        diagonals = dense[rows, cols].astype(np.uint8, copy=False)
         return DiagonalMatrix(rows=m, cols=n, diagonals=diagonals)
 
     def to_dense(self) -> np.ndarray:

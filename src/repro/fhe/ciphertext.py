@@ -47,8 +47,8 @@ def coerce_bits(values: BitsLike) -> np.ndarray:
         return arr.astype(np.uint8)
     if not np.issubdtype(arr.dtype, np.integer):
         raise DomainError(f"bit vectors must be integral, got dtype {arr.dtype}")
-    # A max (plus a min for signed dtypes) costs a fifth of the two
-    # comparisons and the AND that test every slot against 0 and 1.
+    # One reduction (two for a signed dtype): far cheaper on a long
+    # vector than testing every slot against both 0 and 1.
     if arr.max() > 1 or (arr.dtype.kind == "i" and arr.min() < 0):
         raise DomainError("plaintext slots must be bits (0 or 1)")
     return arr.astype(np.uint8)
