@@ -36,7 +36,8 @@ from repro.serve.batched_runtime import (
 from repro.serve.packing import plan_layout, tile_model_vector
 
 MODELS_DIR = Path(__file__).resolve().parents[2] / "perf" / "models"
-FROZEN = sorted(json.loads((MODELS_DIR / "MANIFEST.json").read_text()))
+MANIFEST = json.loads((MODELS_DIR / "MANIFEST.json").read_text())
+FROZEN = sorted(MANIFEST)
 PARAMS = EncryptionParams.paper_defaults()
 
 
@@ -84,11 +85,10 @@ def compiled_model(name):
             np.random.default_rng(11), [6, 9, 4], max_depth=5, n_features=3
         )
         return CopseCompiler(precision=8).compile(forest)
-    precision = json.loads((MODELS_DIR / "MANIFEST.json").read_text())[name][
-        "precision"
-    ]
     forest = loads_forest((MODELS_DIR / f"{name}.txt").read_text())
-    return CopseCompiler(precision=int(precision)).compile(forest)
+    return CopseCompiler(precision=int(MANIFEST[name]["precision"])).compile(
+        forest
+    )
 
 
 def make_context(backend):
