@@ -264,9 +264,8 @@ class _ModelQueue:
                    deadline: Optional[float]) -> None:
         """Queue tickets that share one ``deadline`` (a submitted block).
 
-        One heap push per ticket — the heap's array layout, which
-        :meth:`SchedulerCore.fail_pending` walks, stays what N single
-        pushes leave — and one touch of the cut cache for the lot.
+        One heap push per ticket and one touch of the cut cache for the
+        lot.
         """
         heap = self.heap
         for ticket in tickets:
@@ -428,7 +427,7 @@ class SchedulerCore:
         if queue is None:
             return 0
         failed = 0
-        for _, ticket in queue.heap:
+        for _, ticket in sorted(queue.heap):  # the order a cut takes
             self._fail_ticket(
                 ticket,
                 ServeError(
@@ -446,7 +445,7 @@ class SchedulerCore:
         Returns the number of tickets failed."""
         failed = 0
         for queue in self._queues.values():
-            for _, ticket in queue.heap:
+            for _, ticket in sorted(queue.heap):  # the order a cut takes
                 self._fail_ticket(ticket, exc_for(ticket), now)
                 failed += 1
             queue.heap.clear()
