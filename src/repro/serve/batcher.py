@@ -5,8 +5,8 @@ fail before they can poison a batch); queueing and batch *cutting*
 belong to the router (:class:`~repro.serve.cluster.RouterCore` over the
 deadline-aware :class:`~repro.serve.scheduler.SchedulerCore`), and
 evaluation to a :class:`~repro.serve.transport.Transport`.  This module
-holds what both ends share: the :class:`PendingQuery` a ticket carries,
-the :class:`ClassificationResult` each query is answered with
+holds what both ends share: a request's validated rows and futures
+(:func:`admit_block`), the :class:`ClassificationResult` each query is answered with
 (:func:`classification_results`, the one place one is built) and the
 :class:`BatchRecord` the stats aggregator books per batch.  A
 :class:`QueryBatcher` fronts one registered model outside a service —
@@ -41,16 +41,19 @@ result.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ValidationError
 from repro.core.runtime import InferenceResult
-from repro.serve.packing import validate_queries
+from repro.serve.packing import validate_feature_block
 from repro.serve.registry import RegisteredModel
 from repro.serve.scheduler import (
     Assignment,
+    BlockCondition,
+    PendingQuery,
     QueryFuture,
     QueryTicket,
     deliver_failures,
@@ -152,14 +155,6 @@ class BatchRecord:
 
 
 @dataclass
-class PendingQuery:
-    """A validated submission waiting to be packed into a batch."""
-
-    features: List[int]
-    future: QueryFuture = field(default_factory=QueryFuture)
-
-
-@dataclass
 class CutBatch:
     """A batch cut from the pending queue, ready for evaluation."""
 
@@ -173,9 +168,10 @@ def query_block(feature_lists):
     return feature_lists if indexed else list(feature_lists)
 
 
-def prepare_queries(registered: RegisteredModel,
-                    feature_lists) -> List[PendingQuery]:
-    """Validate a whole request and wrap each query for scheduling.
+def admit_block(registered: RegisteredModel,
+                feature_lists) -> Tuple[np.ndarray, List[QueryFuture]]:
+    """Validate a whole request: its ``(n, features)`` int64 rows, and
+    one future per query, sharing the block's condition.
 
     Fails here — before any query can occupy a queue slot or poison a
     batch — on arity/domain errors (the whole block in one array check,
@@ -194,9 +190,16 @@ def prepare_queries(registered: RegisteredModel,
             f"slots of the registered parameters; this model cannot "
             f"pack even one query per ciphertext"
         )
-    validated = validate_queries(layout, feature_lists)
-    condition = threading.Condition()  # one per block (QueryFuture)
-    return [PendingQuery(row, QueryFuture(condition)) for row in validated]
+    rows = validate_feature_block(layout, feature_lists)
+    condition = BlockCondition()  # one per block (QueryFuture)
+    return rows, [QueryFuture(condition) for _ in range(len(rows))]
+
+
+def prepare_queries(registered: RegisteredModel,
+                    feature_lists) -> List[PendingQuery]:
+    """:func:`admit_block`, each query wrapped with its future."""
+    rows, futures = admit_block(registered, feature_lists)
+    return list(map(PendingQuery, rows.tolist(), futures))
 
 
 class QueryBatcher:

@@ -388,7 +388,7 @@ class RouterCore(SchedulerCore):
             )
         self._record(
             "assign", assignment.batch_id, name, worker, epoch,
-            assignment.size, assignment.tickets[0].seq, round(now, 9),
+            assignment.size, assignment.parts[0][0].seq, round(now, 9),
         )
         actions.append(AssignAction(
             assignment=assignment, epoch=epoch, newly_shipped=newly,

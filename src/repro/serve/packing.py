@@ -185,20 +185,6 @@ def validate_feature_block(
     return values
 
 
-def validate_queries(
-    layout: BatchLayout, queries: Sequence[Sequence[int]]
-) -> List[List[int]]:
-    """A request's queries as checked lists of Python ints.
-
-    A block through :func:`validate_feature_block`; a block of one is
-    walked outright, the array round trip costing more than the walk it
-    would save.
-    """
-    if len(queries) == 1:
-        return [validate_features(layout, queries[0])]
-    return validate_feature_block(layout, queries).tolist()
-
-
 def pack_query_planes(
     layout: BatchLayout, queries: Sequence[Sequence[int]]
 ) -> np.ndarray:
@@ -211,7 +197,7 @@ def pack_query_planes(
 
     Returns a ``(precision, stride * capacity)`` uint8 array.
     """
-    if not queries:
+    if not len(queries):
         raise ValidationError("cannot pack an empty batch")
     if len(queries) > layout.capacity:
         raise ValidationError(

@@ -62,8 +62,11 @@ import heapq
 import threading
 from concurrent.futures import CancelledError, Future, TimeoutError, _base
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, islice
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import (
     RejectedQuery,
@@ -86,8 +89,16 @@ OUTCOME_ERROR = "error"    #: evaluation raised — deterministic, no retry
 
 
 @dataclass
+class PendingQuery:
+    """A validated query with its future, as one payload."""
+
+    features: List[int]
+    future: "QueryFuture" = field(default_factory=lambda: QueryFuture())
+
+
+@dataclass
 class QueryTicket:
-    """One admitted query: its payload plus scheduling metadata.
+    """One query handled on its own: its payload plus scheduling metadata.
 
     ``payload`` is opaque to the scheduler except for a ``future``
     attribute (a :class:`QueryFuture`), which the scheduler uses to drop
@@ -108,43 +119,115 @@ class QueryTicket:
     def future(self):
         return self.payload.future
 
+
+@dataclass(eq=False)
+class QueryRun:
+    """Queued queries of one admitted block: what a queue holds and a
+    cut slices.  Member ``k`` is query ``seq + k``; all share tenant,
+    submit time, deadline and priority.  ``rows`` is their ``(n,
+    features)`` array (None: the tickets' payloads hold them);
+    ``tickets`` exist only where a query is handled alone or the caller
+    admitted tickets; ``condition`` is the one their futures share (None:
+    each has its own)."""
+
+    __slots__ = ("queue", "tenant", "submit_time", "deadline", "priority",
+                 "seq", "futures", "rows", "tickets", "condition")
+    queue: str
+    tenant: str
+    submit_time: float
+    deadline: Optional[float]
+    priority: int
+    seq: int
+    futures: List["QueryFuture"]
+    rows: Any
+    tickets: Optional[List[QueryTicket]]
+    condition: Optional[threading.Condition]
+
+    @classmethod
+    def of(cls, ticket: QueryTicket) -> "QueryRun":
+        """One ticket as a run of one (a retry, a cohort member)."""
+        return cls(ticket.queue, ticket.tenant, ticket.submit_time,
+                   ticket.deadline, ticket.priority, ticket.seq,
+                   [ticket.future], None, [ticket], None)
+
+    def __len__(self) -> int:
+        return len(self.futures)
+
     def sort_key(self) -> Tuple[int, int]:
         # Higher priority first; FIFO (submission order) within a
         # priority level — which makes FIFO-within-tenant structural.
         return (-self.priority, self.seq)
 
+    def piece(self, lo: int, hi: int) -> "QueryRun":
+        """Members ``lo`` to ``hi`` as a run of their own."""
+        rows, tickets = self.rows, self.tickets
+        return QueryRun(
+            self.queue, self.tenant, self.submit_time, self.deadline,
+            self.priority, self.seq + lo, self.futures[lo:hi],
+            None if rows is None else rows[lo:hi],
+            None if tickets is None else tickets[lo:hi], self.condition,
+        )
 
-@dataclass
+    def member_tickets(self) -> List[QueryTicket]:
+        """One ticket per member, made once."""
+        if self.tickets is None:
+            self.tickets = [
+                QueryTicket(self.queue, self.tenant, PendingQuery(row, f),
+                            self.submit_time, self.deadline, self.priority,
+                            self.seq + k)
+                for k, (row, f) in enumerate(zip(self.rows.tolist(),
+                                                 self.futures))
+            ]
+        return self.tickets
+
+
 class Assignment:
     """What one worker evaluates in one go: one placement, one flight,
     one completion — of one batch (ciphertext), or of the several a
-    queue with ``lanes`` had ready at the cut."""
+    queue with ``lanes`` had ready at the cut.  ``parts`` holds each
+    batch's runs (built from ``tickets``: a run per ticket, a batch per
+    fill); ``batch_id`` is the first batch's, batch ``j`` is
+    ``batch_id + j``; ``span`` is the ``batch`` span naming its members
+    by ``seq`` (None untraced), which evaluators parent stages on."""
 
-    #: The first batch's id; batch ``j`` is ``batch_id + j``.
-    batch_id: int
-    queue: str
-    worker: int
-    tickets: List[QueryTicket]
-    cut_time: float
-    #: Tickets in each batch, in ticket order.
-    fills: Tuple[int, ...]
-    #: ``batch`` span id, its members named by ``seq`` (None when
-    #: tracing is disabled) — evaluators parent their stage spans on it.
-    span: Optional[int] = None
+    def __init__(self, batch_id: int, queue: str, worker: int,
+                 tickets: Sequence[QueryTicket], cut_time: float,
+                 fills: Sequence[int], span: Optional[int] = None,
+                 parts: Optional[List[List[QueryRun]]] = None):
+        if parts is None:
+            runs = iter([QueryRun.of(ticket) for ticket in tickets])
+            parts = [list(islice(runs, fill)) for fill in fills]
+        self.batch_id, self.queue, self.worker = batch_id, queue, worker
+        self.cut_time, self.span, self.parts = cut_time, span, parts
+        #: Queries in each batch, in order.
+        self.fills = tuple(sum(map(len, part)) for part in parts)
+        self.size = sum(self.fills)
 
     @property
-    def size(self) -> int:
-        return len(self.tickets)
+    def tickets(self) -> List[QueryTicket]:
+        """Every query's ticket, in order (made on first use)."""
+        return [t for _, tickets in self.batches() for t in tickets]
 
     def batches(self) -> List[Tuple[int, List[QueryTicket]]]:
         """``(batch id, tickets)`` of each batch of the assignment."""
-        if len(self.fills) == 1:
-            return [(self.batch_id, self.tickets)]
-        out, at = [], 0
-        for offset, fill in enumerate(self.fills):
-            out.append((self.batch_id + offset, self.tickets[at : at + fill]))
-            at += fill
-        return out
+        return [
+            (self.batch_id + j,
+             [t for run in part for t in run.member_tickets()])
+            for j, part in enumerate(self.parts)
+        ]
+
+    def features(self):
+        """Every query's features, in order: one array when each run
+        holds its block's rows (a lone run's without a copy)."""
+        rows = [
+            [t.payload.features for t in run.tickets] if run.rows is None
+            else run.rows for part in self.parts for run in part
+        ]
+        if len(rows) == 1:
+            return rows[0]
+        if all(isinstance(block, np.ndarray) for block in rows):
+            return np.concatenate(rows)
+        return [row for block in rows for row in block]
 
 
 @dataclass(frozen=True)
@@ -215,7 +298,8 @@ class _ModelQueue:
 
     __slots__ = (
         "name", "capacity", "weight", "max_pending", "service_s",
-        "heap", "flush_pending", "vtime", "_cut_at", "_cut_dirty", "lanes",
+        "heap", "count", "flush_pending", "vtime", "_cut_at", "_cut_dirty",
+        "lanes",
     )
 
     def __init__(self, name: str, capacity: int, weight: float,
@@ -253,24 +337,22 @@ class _ModelQueue:
         #: measured duration in the engine's own clock units — so the real-clock
         #: engine converges on wall time and the simulator stays exact.
         self.service_s = (service_ms or 0.0) * MS
-        self.heap: List[Tuple[Tuple[int, int], QueryTicket]] = []
+        #: The queued runs, keyed ``(-priority, first seq)``.
+        self.heap: List[Tuple[Tuple[int, int], QueryRun]] = []
+        #: Queries queued (a cancelled one until a cut drops it).
+        self.count = 0
         self.flush_pending = False
         #: Fair-share virtual time: served queries / weight.
         self.vtime = 0.0
         self._cut_at: Optional[float] = None
         self._cut_dirty = True
 
-    def push_block(self, tickets: Sequence[QueryTicket],
-                   deadline: Optional[float]) -> None:
-        """Queue tickets that share one ``deadline`` (a submitted block).
-
-        One heap push per ticket and one touch of the cut cache for the
-        lot.
-        """
-        heap = self.heap
-        for ticket in tickets:
-            heapq.heappush(heap, (ticket.sort_key(), ticket))
-        if not tickets or deadline is None or self._cut_dirty:
+    def push(self, run: QueryRun) -> None:
+        """Queue a run: one heap push and one touch of the cut cache."""
+        heapq.heappush(self.heap, (run.sort_key(), run))
+        self.count += len(run)
+        deadline = run.deadline
+        if deadline is None or self._cut_dirty:
             return  # no new cut pressure / cache already needs a rescan
         # A push can only *advance* the cut frontier, so the cached
         # minimum updates in O(1) — a burst of N submissions must not
@@ -301,9 +383,9 @@ class _ModelQueue:
         """
         if self._cut_dirty:
             times = [
-                t.deadline - self.service_s
-                for _, t in self.heap
-                if t.deadline is not None
+                run.deadline - self.service_s
+                for _, run in self.heap
+                if run.deadline is not None
             ]
             self._cut_at = min(times) if times else None
             self._cut_dirty = False
@@ -312,7 +394,7 @@ class _ModelQueue:
     def ready(self, now: float) -> bool:
         if not self.heap:
             return False
-        if len(self.heap) >= self.capacity or self.flush_pending:
+        if self.count >= self.capacity or self.flush_pending:
             return True
         cut_at = self.cut_deadline()
         return cut_at is not None and cut_at <= now
@@ -325,7 +407,7 @@ class _ModelQueue:
         and a remainder due by slack behind full batches does not."""
         if not self.ready(now):
             return 0
-        full, rest = divmod(len(self.heap), self.capacity)
+        full, rest = divmod(self.count, self.capacity)
         return full + (1 if rest and (self.flush_pending or not full) else 0)
 
 
@@ -426,8 +508,8 @@ class SchedulerCore:
         queue = self._queues.pop(name, None)
         if queue is None:
             return 0
-        failed = 0
-        for _, ticket in sorted(queue.heap):  # the order a cut takes
+        tickets = self._queued_tickets(queue)
+        for ticket in tickets:
             self._fail_ticket(
                 ticket,
                 ServeError(
@@ -436,8 +518,7 @@ class SchedulerCore:
                 ),
                 now,
             )
-            failed += 1
-        return failed
+        return len(tickets)
 
     def fail_pending(self, exc_for: Callable[[QueryTicket], Exception],
                      now: float) -> int:
@@ -445,13 +526,22 @@ class SchedulerCore:
         Returns the number of tickets failed."""
         failed = 0
         for queue in self._queues.values():
-            for _, ticket in sorted(queue.heap):  # the order a cut takes
+            for ticket in self._queued_tickets(queue):
                 self._fail_ticket(ticket, exc_for(ticket), now)
                 failed += 1
             queue.heap.clear()
+            queue.count = 0
             queue.flush_pending = False
             queue.invalidate_cut_cache()
         return failed
+
+    @staticmethod
+    def _queued_tickets(queue: _ModelQueue) -> List[QueryTicket]:
+        """A queue's queries as tickets, in the order a cut takes them."""
+        return [
+            ticket for _, run in sorted(queue.heap)
+            for ticket in run.member_tickets()
+        ]
 
     def queue_names(self) -> List[str]:
         return sorted(self._queues)
@@ -496,8 +586,8 @@ class SchedulerCore:
     def pending(self, name: Optional[str] = None) -> int:
         if name is not None:
             queue = self._queues.get(name)
-            return len(queue.heap) if queue else 0
-        return sum(len(q.heap) for q in self._queues.values())
+            return queue.count if queue else 0
+        return sum(q.count for q in self._queues.values())
 
     @property
     def running(self) -> int:
@@ -547,12 +637,33 @@ class SchedulerCore:
         deadline: Optional[float] = None,
         priority: int = 0,
     ) -> List[QueryTicket]:
-        """Admit a block of queries sharing tenant, deadline, priority.
+        """Admit a block of payloads (each with a ``future``), one ticket
+        each: :meth:`submit_block`, with the tickets returned."""
+        return self.submit_block(
+            name, payloads, now, tenant=tenant, deadline=deadline,
+            priority=priority, rows=None,
+        ).tickets
 
-        What N ``submit`` calls at the same ``now`` would do, paid once
-        per block: one closed check, one queue lookup, one admission
-        bound, contiguous ``seq``s in request order, one cut-cache
-        touch, one ``inc`` per counter.  Tickets stay per query.
+    def submit_block(
+        self,
+        name: str,
+        members: Sequence[Any],
+        now: float,
+        tenant: str = "default",
+        deadline: Optional[float] = None,
+        priority: int = 0,
+        rows=None,
+    ) -> QueryRun:
+        """Admit a block of queries sharing tenant, deadline, priority,
+        as one :class:`QueryRun`.
+
+        With ``rows`` (their ``(n, features)`` array), ``members`` are
+        the block's futures, sharing one condition, and no ticket is
+        made; without, they are payloads, one ticket each.  What N
+        ``submit`` calls at the same ``now`` would do, paid once per
+        block: one closed check, one queue lookup, one admission bound,
+        contiguous ``seq``s in request order, one heap push, one
+        cut-cache touch, one ``inc`` per counter.
 
         Raises :class:`ServeError` once closed and
         :class:`RejectedQuery` when the queue reaches its bound — the
@@ -580,21 +691,30 @@ class SchedulerCore:
             require_int("priority", priority)
         if deadline is not None:
             require_real("deadline", deadline)
-        admitted = payloads
+        admitted = len(members)
         if queue.max_pending is not None:
-            room = max(0, queue.max_pending - len(queue.heap))
-            if room < len(payloads):
-                admitted = payloads[:room]
-        refused = len(admitted) < len(payloads)
+            admitted = min(admitted, max(0, queue.max_pending - queue.count))
+        refused = admitted < len(members)
+        if refused:
+            members = members[:admitted]
+            rows = None if rows is None else rows[:admitted]
         seq = self._next_seq
-        self._next_seq = seq + len(admitted)
-        tickets = [
-            QueryTicket(name, tenant, payload, now, deadline, priority,
-                        seq + k)
-            for k, payload in enumerate(admitted)
-        ]
-        queue.push_block(tickets, deadline)
-        counted = len(tickets) + refused
+        self._next_seq = seq + admitted
+        tickets = condition = None
+        if rows is None:
+            tickets = [
+                QueryTicket(name, tenant, payload, now, deadline, priority,
+                            seq + k)
+                for k, payload in enumerate(members)
+            ]
+            members = [ticket.future for ticket in tickets]
+        elif admitted:
+            condition = members[0]._condition
+        run = QueryRun(name, tenant, now, deadline, priority, seq, members,
+                       rows, tickets, condition)
+        if admitted:
+            queue.push(run)
+        counted = admitted + refused
         if counted:
             self._submitted.inc(counted)
             self._tenant_submitted(tenant).inc(counted)
@@ -605,15 +725,15 @@ class SchedulerCore:
                                   queue=name)
             raise RejectedQuery(
                 f"queue for model {name!r} is full "
-                f"({len(queue.heap)}/{queue.max_pending} pending); "
+                f"({queue.count}/{queue.max_pending} pending); "
                 f"query from tenant {tenant!r} rejected",
                 model=name,
                 tenant=tenant,
-                queue_depth=len(queue.heap),
+                queue_depth=queue.count,
                 limit=queue.max_pending,
-                admitted=tickets,
+                admitted=run.member_tickets() if admitted else [],
             )
-        return tickets
+        return run
 
     def flush(self, name: Optional[str] = None) -> None:
         """Make partial batches cut-eligible (a no-op on empty queues)."""
@@ -702,72 +822,90 @@ class SchedulerCore:
             lanes = chosen.lanes
             if among > 1 and lanes > 1:
                 lanes = min(lanes, -(-chosen.ready_batches(now) // among))
-            tickets: List[QueryTicket] = []
-            fills: List[int] = []
+            parts: List[List[QueryRun]] = []
             # Every batch that is ready by the queue's own rule, one at
             # a time exactly as successive cuts would take them, up to
             # what one evaluation can run.
-            while len(fills) < lanes and chosen.ready(now):
+            while len(parts) < lanes and chosen.ready(now):
                 cut = self._cut_one(chosen, now)
                 if cut:
-                    chosen.vtime += len(cut) / chosen.weight
-                    tickets += cut
-                    fills.append(len(cut))
-            if not tickets:
+                    chosen.vtime += sum(map(len, cut)) / chosen.weight
+                    parts.append(cut)
+            if not parts:
                 continue  # the whole cut was cancelled; look again
-            return self._bind(chosen.name, worker, tickets, fills, now)
+            return self._bind(chosen.name, worker, parts, now)
 
-    def _cut_one(self, queue: _ModelQueue, now: float) -> List[QueryTicket]:
-        """Pop one batch's worth of live tickets off ``queue``."""
-        tickets: List[QueryTicket] = []
-        while queue.heap and len(tickets) < queue.capacity:
-            _, ticket = heapq.heappop(queue.heap)
-            if self._live(ticket, now):
-                tickets.append(ticket)
+    def _cut_one(self, queue: _ModelQueue, now: float) -> List[QueryRun]:
+        """Slice one batch's worth of live queries off the front of
+        ``queue``: the runs it took, in order."""
+        heap, runs, taken = queue.heap, [], 0
+        while heap and taken < queue.capacity:
+            run = heap[0][1]
+            need = queue.capacity - taken
+            if len(run) > need:
+                rest = run.piece(need, len(run))
+                heap[0] = (rest.sort_key(), rest)  # still the least key
+                run = run.piece(0, need)
+            else:
+                heapq.heappop(heap)
+            queue.count -= len(run)
+            for live in self._start(run, now):
+                runs.append(live)
+                taken += len(live)
         queue.invalidate_cut_cache()
-        if not queue.heap:
+        if not heap:
             queue.flush_pending = False
-        return tickets
+        return runs
 
-    def _live(self, ticket: QueryTicket, now: float) -> bool:
-        """Start a cut ticket's future; False, counted as cancelled, when
-        its caller cancelled it while it was queued."""
-        if ticket.future.set_running_or_notify_cancel():
-            return True
-        self._cancelled.inc()
-        self._instant("cancel", ticket, now)
-        return False
+    def _start(self, run: QueryRun, now: float) -> List[QueryRun]:
+        """Start a cut run's futures: its live stretches.  A member its
+        caller cancelled while queued is counted as cancelled and
+        dropped; with none in its block, one hold of the block's
+        condition starts them all."""
+        condition = run.condition
+        if condition is not None:
+            with condition:
+                if not condition.cancelled:
+                    for future in run.futures:
+                        future._state = _base.RUNNING
+                    return [run]
+        live, start = [], 0
+        for k, future in enumerate(run.futures):
+            if not future.set_running_or_notify_cancel():
+                self._cancelled.inc()
+                self._instant("cancel", run.tenant, run.seq + k, now)
+                if k > start:
+                    live.append(run.piece(start, k))
+                start = k + 1
+        if start < len(run):
+            live.append(run if start == 0 else run.piece(start, len(run)))
+        return live
 
-    def _instant(self, name: str, ticket: QueryTicket, now: float) -> None:
+    def _instant(self, name: str, tenant: str, seq: int, now: float) -> None:
         """Trace one query's outcome outside a batch (when traced)."""
         if self.tracer is not None:
-            self.tracer.event(name, now, track=f"tenant:{ticket.tenant}",
-                              seq=ticket.seq)
+            self.tracer.event(name, now, track=f"tenant:{tenant}", seq=seq)
 
-    def _bind(self, queue: str, worker: int, tickets: List[QueryTicket],
-              fills: Sequence[int], now: float) -> Assignment:
-        """The cut tickets as one running :class:`Assignment`: one
+    def _bind(self, queue: str, worker: int, parts: List[List[QueryRun]],
+              now: float) -> Assignment:
+        """The cut runs as one running :class:`Assignment`: one
         consecutive batch id (and one ``sched_batches``) per batch."""
-        assignment = Assignment(
-            batch_id=self._next_batch_id,
-            queue=queue,
-            worker=worker,
-            tickets=tickets,
-            cut_time=now,
-            fills=tuple(fills),
-        )
-        self._next_batch_id += len(fills)
+        assignment = Assignment(self._next_batch_id, queue, worker, (), now,
+                                (), parts=parts)
+        self._next_batch_id += len(parts)
         if self.tracer is not None:
             # A member's wait is ``t0 - submitted[i]``.
+            runs = [run for part in parts for run in part]
             assignment.span = self.tracer.begin(
                 "batch", now, track=f"worker:{worker}",
                 queue=queue, batch_id=assignment.batch_id,
-                size=len(tickets), fills=assignment.fills,
-                members=[t.seq for t in tickets],
-                submitted=[round(t.submit_time, 9) for t in tickets],
+                size=assignment.size, fills=assignment.fills,
+                members=[k for r in runs for k in range(r.seq, r.seq + len(r))],
+                submitted=[round(r.submit_time, 9) for r in runs
+                           for _ in r.futures],
             )
         self._running[worker] = assignment
-        self._batches.inc(len(fills))
+        self._batches.inc(len(parts))
         return assignment
 
     # ------------------------------------------------------------------
@@ -822,26 +960,22 @@ class SchedulerCore:
         by_tenant: Dict[str, List[float]] = {}
         by_queue: Dict[str, int] = {}
         misses = 0
-        for position, (batch_id, tickets) in enumerate(assignment.batches()):
+        for position, part in enumerate(assignment.parts):
             if position in failed:
-                for ticket in tickets:
-                    self._fail_ticket(ticket, evaluation_failure(
-                        batch_id, failed[position]
-                    ), now)
+                for run in part:
+                    for ticket in run.member_tickets():
+                        self._fail_ticket(ticket, evaluation_failure(
+                            assignment.batch_id + position, failed[position]
+                        ), now)
                 continue
-            for ticket in tickets:
-                latency_ms = (now - ticket.submit_time) / MS
-                latencies.append(latency_ms)
-                missed = (
-                    ticket.deadline is not None and now > ticket.deadline
-                )
-                if missed:
-                    misses += 1
-                tenant = by_tenant.get(ticket.tenant)
-                if tenant is None:
-                    tenant = by_tenant[ticket.tenant] = []
-                tenant.append(latency_ms)
-                by_queue[ticket.queue] = by_queue.get(ticket.queue, 0) + 1
+            for run in part:  # one latency, deadline and tenant per run
+                size = len(run)
+                latency_ms = [(now - run.submit_time) / MS] * size
+                latencies += latency_ms
+                if run.deadline is not None and now > run.deadline:
+                    misses += size
+                by_tenant.setdefault(run.tenant, []).extend(latency_ms)
+                by_queue[run.queue] = by_queue.get(run.queue, 0) + size
         if not latencies:
             return 0
         self._completed.inc(len(latencies))
@@ -869,7 +1003,7 @@ class SchedulerCore:
                 f"was parked"
             ), now)
             return False
-        queue.push_block((ticket,), ticket.deadline)
+        queue.push(QueryRun.of(ticket))
         return True
 
     def assign_direct(self, queue_name: str, tickets: List[QueryTicket],
@@ -885,7 +1019,7 @@ class SchedulerCore:
         like in :meth:`assign`; returns None when every ticket was
         cancelled.
         """
-        live = [ticket for ticket in tickets if self._live(ticket, now)]
+        live = [t for t in tickets if self._start(QueryRun.of(t), now)]
         if not live:
             return None
         queue = self._queues.get(queue_name)
@@ -893,11 +1027,10 @@ class SchedulerCore:
         if queue is not None:
             queue.vtime += len(live) / queue.weight
             capacity = queue.capacity
-        fills = [
-            min(capacity, len(live) - at)
-            for at in range(0, len(live), capacity)
-        ]
-        return self._bind(queue_name, worker, live, fills, now)
+        runs = [QueryRun.of(ticket) for ticket in live]
+        return self._bind(queue_name, worker, [
+            runs[at : at + capacity] for at in range(0, len(runs), capacity)
+        ], now)
 
     def _fail_ticket(self, ticket: QueryTicket, exc: Exception,
                      now: float) -> None:
@@ -905,7 +1038,7 @@ class SchedulerCore:
         # re-enter the service whose lock is held around the core; the
         # future resolves when the caller drains, outside any lock.
         self._failed.inc()
-        self._instant("fail", ticket, now)
+        self._instant("fail", ticket.tenant, ticket.seq, now)
         self._pending_failures.append((ticket.future, exc))
 
     def drain_failures(self) -> List[Tuple[Any, Exception]]:
@@ -935,7 +1068,7 @@ class SchedulerCore:
         m.gauge("sched_free_workers").set(len(self.idle_workers()))
         for name, queue in sorted(self._queues.items()):
             labels = {"queue": name}
-            m.gauge("sched_queue_depth", labels).set(len(queue.heap))
+            m.gauge("sched_queue_depth", labels).set(queue.count)
             m.gauge("sched_estimated_batch_ms", labels).set(
                 round(queue.service_s / MS, 9)
             )
@@ -984,6 +1117,14 @@ def evaluation_failure(batch_id: int, cause: Optional[str]) -> ServeError:
 _DONE = (_base.CANCELLED, _base.CANCELLED_AND_NOTIFIED, _base.FINISHED)
 
 
+class BlockCondition(threading.Condition):
+    """The condition one submitted block's futures share, counting the
+    members cancelled while queued (:meth:`QueryFuture.cancel`): a cut
+    that reads 0 under it starts the block's futures in one hold."""
+
+    cancelled = 0
+
+
 class QueryFuture(Future):
     """One query's future: a slot of its own, the lock of its block.
 
@@ -999,7 +1140,7 @@ class QueryFuture(Future):
 
     def __init__(self, condition: Optional[threading.Condition] = None):
         # Future.__init__ would build a Condition and an RLock per query.
-        self._condition = condition or threading.Condition()
+        self._condition = condition or BlockCondition()
         self._state = _base.PENDING
         self._result = self._exception = None
 
@@ -1035,6 +1176,13 @@ class QueryFuture(Future):
         self._wait(timeout)
         return self._exception
 
+    def cancel(self) -> bool:
+        condition = self._condition
+        with condition:  # counted while PENDING: a cut reading 0 is sure
+            if self._state == _base.PENDING:
+                condition.cancelled = getattr(condition, "cancelled", 0) + 1
+        return super().cancel()
+
     def set_running_or_notify_cancel(self) -> bool:
         # A crash retry reaches its next cut still RUNNING: it is live.
         return (self._state == _base.RUNNING
@@ -1048,11 +1196,10 @@ def settle(futures: Sequence[QueryFuture], outcomes: Sequence[Any]) -> None:
     ``notify_all``; the done-callbacks run after, outside it, in the
     order given.  A future already done is skipped: a hedge replica
     answered it, or its caller cancelled it while it was queued."""
-    settled = []
-    pairs = zip(futures, outcomes)
-    for condition, run in groupby(pairs, lambda pair: pair[0]._condition):
+    called, outcomes = [], iter(outcomes)  # zip takes ``run`` first
+    for condition, run in groupby(futures, attrgetter("_condition")):
         with condition:
-            for future, outcome in run:
+            for future, outcome in zip(run, outcomes):
                 if future._state in _DONE:
                     continue
                 if isinstance(outcome, BaseException):
@@ -1062,11 +1209,11 @@ def settle(futures: Sequence[QueryFuture], outcomes: Sequence[Any]) -> None:
                 future._state = _base.FINISHED
                 for waiter in future._waiter_list or ():
                     getattr(waiter, notify)(future)
-                settled.append(future)
+                if future._done_callbacks:  # read under the condition
+                    called.append(future)
             condition.notify_all()
-    for future in settled:
-        if future._done_callbacks:
-            future._invoke_callbacks()
+    for future in called:
+        future._invoke_callbacks()
 
 
 def deliver_failures(failures: List[Tuple[Any, Exception]]) -> None:

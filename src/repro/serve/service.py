@@ -54,7 +54,7 @@ from repro.forest.forest import DecisionForest
 from repro.serve.batcher import (
     BatchRecord,
     ClassificationResult,
-    prepare_queries,
+    admit_block,
     query_block,
 )
 from repro.serve.registry import ModelRegistry, RegisteredModel
@@ -599,7 +599,7 @@ class CopseService:
         ill-typed ``tenant`` / ``deadline_ms`` / ``priority`` is a
         :class:`~repro.errors.ValidationError` that admits nothing.
         """
-        entries = prepare_queries(
+        rows, futures = admit_block(
             self.registry.get(model_name), feature_lists
         )
         if deadline_ms is None:
@@ -609,9 +609,9 @@ class CopseService:
         refusal = None
         with self._routing() as now:
             try:
-                self.router.submit_many(
+                self.router.submit_block(
                     model_name,
-                    entries,
+                    futures,
                     now,
                     tenant=tenant,
                     deadline=(
@@ -619,13 +619,14 @@ class CopseService:
                         else now + deadline_ms * MS
                     ),
                     priority=priority,
+                    rows=rows,
                 )
             except RejectedQuery as exc:
                 refusal = exc  # what it admitted still dispatches
         self.transport.wake()  # the next cut may be due sooner now
         if refusal is not None:
             raise refusal
-        return [entry.future for entry in entries]
+        return futures
 
     def flush(self, model_name: Optional[str] = None) -> None:
         """Dispatch all pending (including partial) batches and wait

@@ -33,7 +33,8 @@ recompiles lazily on the other side):
   recomputes and cross-checks it against every cached artifact before
   the worker will evaluate a single batch.
 * :class:`BatchRequest` / :class:`BatchResult` — one assignment's raw
-  integer features out (with the ``fills`` that cut them into batches),
+  integer features out, as one array (with the ``fills`` that cut them
+  into batches),
   and its distilled measurements back: the decrypted bitvectors and
   oracle verdicts flat, batch after batch, and a :class:`BatchPart` of
   plain numbers per batch (operation counts included: the worker's
@@ -50,6 +51,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ServeError, ValidationError, require_real
 from repro.core.engines import artifacts_of
@@ -192,7 +195,9 @@ class BatchRequest:
     #: the result so a completion from a superseded worker incarnation
     #: is recognized and dropped.
     epoch: int
-    #: One feature list per query, flat (the tickets' own lists).
+    #: Every query's features, flat: the admitted blocks' rows as one
+    #: ``(n, features)`` array (a list per query where tickets were
+    #: handled alone).
     features: Sequence[Sequence[int]]
     verify_oracle: bool = False
     #: Features in each batch of the assignment, in order (empty: they
@@ -390,8 +395,7 @@ class Transport:
         self._inflight[assignment.batch_id] = assignment
         return BatchRequest(
             assignment.batch_id, assignment.queue, epoch,
-            [t.payload.features for t in assignment.tickets],
-            self.verify_oracle, assignment.fills,
+            assignment.features(), self.verify_oracle, assignment.fills,
         )
 
     def start_worker(self, worker: int, epoch: int) -> None:
@@ -444,12 +448,11 @@ class Transport:
         # replica answered first.
         worker, epoch = result.worker, result.epoch
         staged = self._staged.get(assignment.queue)
-        batches = assignment.batches()
         if staged is None:
             # The model was unregistered under the assignment: every
             # ticket fails loudly, nothing is retried.
             return Completion(assignment, worker, epoch,
-                              [None] * len(batches), lambda: None)
+                              [None] * len(assignment.fills), lambda: None)
         parts = result.parts()
         bitvectors = result.bitvectors or ()
         verdicts = result.oracle_ok
@@ -458,7 +461,7 @@ class Transport:
             if part.error is None
         )
         if (
-            len(parts) != len(batches)
+            len(parts) != len(assignment.fills)
             or len(bitvectors) != answered
             or (verdicts is not None and len(verdicts) != answered)
         ):
@@ -471,10 +474,12 @@ class Transport:
             return WorkerDied(worker, epoch)
         records: List[Optional[BatchRecord]] = []
         failed: Dict[int, str] = {}
-        answered = []  # (batch id, tickets, inference ms)
-        for position, ((batch_id, tickets), part) in enumerate(
-            zip(batches, parts)
+        answered = []  # (batch id, runs, first query, inference ms)
+        at = 0
+        for position, (runs, fill, part) in enumerate(
+            zip(assignment.parts, assignment.fills, parts)
         ):
+            at, first = at + fill, at
             if part.error is not None:
                 # Deterministic evaluation failure: no retry — a second
                 # run would fail identically; the batch's tickets fail
@@ -485,27 +490,31 @@ class Transport:
             degraded = None
             if part.degraded_engine is not None:
                 degraded = (staged.engine, part.degraded_engine)
+            batch_id = assignment.batch_id + position
             records.append(BatchRecord(
                 model=assignment.queue, batch_id=batch_id,
-                size=len(tickets), capacity=staged.layout.capacity,
+                size=fill, capacity=staged.layout.capacity,
                 phase_op_counts=part.phase_op_counts, phase_ms=part.phase_ms,
                 inference_ms=part.inference_ms,
                 data_encrypt_ms=part.data_encrypt_ms,
                 oracle_failures=part.oracle_failures, degraded=degraded,
             ))
-            answered.append((batch_id, tickets, part.inference_ms))
+            answered.append((batch_id, runs, first, part.inference_ms))
 
         def resolve() -> None:
+            features = assignment.features()
+            if isinstance(features, np.ndarray):
+                features = features.tolist()  # one list per query, at once
             futures, outcomes, at = [], [], 0
-            for batch_id, tickets, inference_ms in answered:
-                span, at = slice(at, at + len(tickets)), at + len(tickets)
+            for batch_id, runs, first, inference_ms in answered:
+                size = sum(map(len, runs))
+                span, at = slice(at, at + size), at + size
                 outcomes += classification_results(
-                    staged, batch_id,
-                    [ticket.payload.features for ticket in tickets],
+                    staged, batch_id, features[first : first + size],
                     bitvectors[span], inference_ms,
                     None if verdicts is None else verdicts[span],
                 )
-                futures += [ticket.payload.future for ticket in tickets]
+                futures += [f for run in runs for f in run.futures]
             settle(futures, outcomes)  # a replica's second answer: skipped
 
         return Completion(assignment, worker, epoch, records, resolve, failed)

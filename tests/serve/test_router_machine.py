@@ -68,7 +68,10 @@ class Payload:
 
 
 def queued_tickets(router):
-    return [t for q in router._queues.values() for _, t in q.heap]
+    return [
+        t for q in router._queues.values() for _, run in q.heap
+        for t in run.member_tickets()
+    ]
 
 
 def running_assignments(router):

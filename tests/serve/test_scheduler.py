@@ -705,14 +705,12 @@ class TestBlockAdmissionIsNSubmits:
             futures = service.submit_many(
                 "m", queries, tenant="acme", deadline_ms=5000.0
             )
-            # white box: the block is still queued (4 < 8, no flush)
-            tickets = [t for _, t in service.router._queues["m"].heap]
-            assert [t.future for t in sorted(tickets, key=lambda t: t.seq)
-                    ] == futures
-            assert len({(t.submit_time, t.deadline) for t in tickets}) == 1
-            assert tickets[0].deadline == pytest.approx(
-                tickets[0].submit_time + 5.0
-            )
+            # white box: the block is still queued (4 < 8, no flush), as
+            # one run with no ticket made
+            (run,) = [run for _, run in service.router._queues["m"].heap]
+            assert run.futures == futures and run.tickets is None
+            assert run.rows.tolist() == queries
+            assert run.deadline == pytest.approx(run.submit_time + 5.0)
             # virtual time never reaches the deadline: flush cuts it
             service.flush("m")
             assert [f.result(timeout=30).features for f in futures] == (

@@ -338,11 +338,13 @@ class TestConformance:
         the model's domain, let past admission here so that it is the
         evaluation that refuses it): its four queries fail, the other
         eight are answered, and the evaluator lives on."""
+        import numpy as np
+
         from repro.serve import batcher
 
         monkeypatch.setattr(
-            batcher, "validate_queries",
-            lambda layout, queries: [list(q) for q in queries],
+            batcher, "validate_feature_block",
+            lambda layout, queries: np.asarray(queries, dtype=np.int64),
         )
         queries = queries_for(example_forest, 12, seed=17)
         queries[5] = [1 << 12] * example_forest.n_features
