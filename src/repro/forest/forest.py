@@ -22,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.forest.node import Branch, Leaf
 from repro.forest.tree import DecisionTree
@@ -38,6 +40,10 @@ class DecisionForest:
     #: Lazy oracle table (see :meth:`_walk_table`): never compared, and
     #: dropped by ``__getstate__`` so a shipped forest pickles as before.
     _walks: Optional[Tuple[tuple, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Lazy node arrays (see :meth:`label_bitvectors`), kept the same way.
+    _arrays: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -96,6 +102,57 @@ class DecisionForest:
             bits[node] = 1
         return bits
 
+    def label_bitvectors(self, rows) -> np.ndarray:
+        """:meth:`label_bitvector` of every row of a checked
+        ``(n, n_features)`` block, as an ``(n, leaves)`` uint8 array.
+
+        Still a walk of every tree, not COPSE's matrices: all the trees
+        for all the rows at once, one numpy step per level of the
+        deepest tree, over the forest's node arrays (a leaf is its own
+        child, so a walk that reached one stays there).
+        """
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.n_features)
+        if self._arrays is None:
+            self._arrays = self._node_arrays()
+        feature, threshold, true, false, position, roots, depth, width = (
+            self._arrays
+        )
+        who = np.arange(len(rows))[:, None]
+        node = np.broadcast_to(roots, (len(rows), len(roots)))
+        for _ in range(depth):
+            node = np.where(rows[who, feature[node]] < threshold[node],
+                            true[node], false[node])
+        bits = np.zeros((len(rows), width), dtype=np.uint8)
+        bits[who, position[node]] = 1
+        return bits
+
+    def _node_arrays(self) -> tuple:
+        """Every node of the walk table as array entries: ``feature``,
+        ``threshold``, ``true`` / ``false`` child and, for a leaf, its
+        bitvector ``position``; plus the roots, the depth and the width."""
+        roots, width = self._walk_table()
+        columns: List[List[int]] = [[], [], [], [], []]
+        depth = 0
+
+        def add(node, level: int) -> int:
+            nonlocal depth
+            at = len(columns[0])
+            for column in columns:
+                column.append(0)
+            if type(node) is tuple:
+                columns[0][at], columns[1][at] = node[0], node[1]
+                columns[2][at] = add(node[2], level + 1)
+                columns[3][at] = add(node[3], level + 1)
+            else:  # 0 < 0 is never true: the false side, itself
+                columns[2][at] = columns[3][at] = at
+                columns[4][at] = node
+                depth = max(depth, level)
+            return at
+
+        starts = [add(root, 0) for root in roots]
+        return (*(np.asarray(c, dtype=np.int64) for c in columns),
+                np.asarray(starts, dtype=np.int64), depth, width)
+
     def _walk_table(self) -> Tuple[tuple, int]:
         """``(per-tree walk roots, bitvector width)``, built once.
 
@@ -128,7 +185,7 @@ class DecisionForest:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_walks"] = None
+        state["_walks"] = state["_arrays"] = None
         return state
 
     @staticmethod

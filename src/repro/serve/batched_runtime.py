@@ -581,10 +581,11 @@ class _InFlight:
     """One ciphertext of a group on its way through the routine."""
 
     __slots__ = ("features", "server", "query", "encrypted", "bitvectors",
-                 "outcome")
+                 "oracle_ok", "outcome")
 
     def __init__(self, features):
         self.features = features
+        self.oracle_ok = None
         #: The finished :class:`BatchEvaluation`, or what this
         #: ciphertext raised (the later stages then skip it).
         self.outcome = None
@@ -649,7 +650,7 @@ def evaluate_registered_batches(
         flight.query = encrypt_batch(ctx, layout, flight.features, keys)
 
     def demux(flight):
-        bits = flight.server.ctx.decrypt_bits(flight.encrypted, keys.secret)
+        bits = flight.server.ctx.decrypt(flight.encrypted, keys.secret)
         flight.bitvectors = demux_bitvectors(
             layout, bits, len(flight.features)
         )
@@ -660,18 +661,12 @@ def evaluate_registered_batches(
             phase: cost.phase_sequential_ms(tracker, phase)
             for phase in (PHASE_DATA_ENCRYPT,) + inference_phases
         }
-        oracle_ok: Optional[List[bool]] = None
-        if forest is not None:
-            oracle_ok = [
-                flight.bitvectors[k] == forest.label_bitvector(f)
-                for k, f in enumerate(flight.features)
-            ]
         flight.outcome = BatchEvaluation(
             engine=engine,
             bitvectors=flight.bitvectors,
             phase_ms=phase_ms,
             inference_ms=sum(phase_ms[p] for p in inference_phases),
-            oracle_ok=oracle_ok,
+            oracle_ok=flight.oracle_ok,
             tracker=tracker,
         )
 
@@ -694,6 +689,18 @@ def evaluate_registered_batches(
     for flight in flights:
         flight.attempt(demux)
     stage("resolve")
+    answered = [flight for flight in flights if flight.outcome is None]
+    if forest is not None and answered:
+        # One walk of the plaintext forest for every answered query of
+        # the call (they passed the packer's checks), not one per batch.
+        expected = iter(forest.label_bitvectors(np.concatenate([
+            np.asarray(flight.features, dtype=np.int64)
+            for flight in answered
+        ])).tolist())
+        for flight in answered:
+            flight.oracle_ok = [
+                bits == want for bits, want in zip(flight.bitvectors, expected)
+            ]
     for flight in flights:
         flight.attempt(resolve)
     return [flight.outcome for flight in flights]

@@ -275,11 +275,5 @@ def demux_bitvectors(
         raise ValidationError(
             f"result has {len(bits)} slots, expected {layout.batched_width}"
         )
-    if isinstance(bits, np.ndarray):
-        bits = bits.tolist()
-    out: List[List[int]] = []
-    for k in range(count):
-        start = k * layout.stride
-        block = bits[start : start + layout.num_labels]
-        out.append(block if isinstance(block, list) else [int(b) for b in block])
-    return out
+    blocks = np.asarray(bits)[: count * layout.stride]
+    return blocks.reshape(count, layout.stride)[:, : layout.num_labels].tolist()

@@ -210,3 +210,37 @@ def test_oracle_table_is_not_pickled(example_forest):
     clone = pickle.loads(cold)
     assert clone._walks is None
     assert clone.label_bitvector([33, 99]) == expected
+
+
+@settings(settings.get_profile("repro-plan-ci"))
+@given(
+    roots=st.lists(ROOTS, min_size=1, max_size=4),
+    queries=st.lists(
+        st.lists(st.integers(0, 17), min_size=N_FEATURES,
+                 max_size=N_FEATURES),
+        min_size=1, max_size=6,
+    ),
+)
+def test_block_oracle_equals_the_scalar_walk(roots, queries):
+    """``label_bitvectors`` walks every tree for a whole block at once,
+    one numpy step per level; row for row it is ``label_bitvector``, on
+    single labels, single branches, one-sided chains and mixed depths."""
+    forest = DecisionForest(
+        trees=[DecisionTree(root=root) for root in roots],
+        label_names=["a", "b", "c"],
+        n_features=N_FEATURES,
+    )
+    block = forest.label_bitvectors(np.asarray(queries, dtype=np.int64))
+    assert block.dtype == np.uint8
+    assert block.tolist() == [forest.label_bitvector(q) for q in queries]
+
+
+def test_block_oracle_of_no_rows_and_its_arrays_not_pickled(example_forest):
+    cold = pickle.dumps(example_forest)
+    empty = example_forest.label_bitvectors(np.zeros((0, 2), dtype=np.int64))
+    assert empty.shape == (0, example_forest.num_leaves)
+    assert example_forest._arrays is not None
+    assert pickle.dumps(example_forest) == cold
+    assert example_forest.label_bitvectors([[33, 99]]).tolist() == [
+        example_forest.label_bitvector([33, 99])
+    ]

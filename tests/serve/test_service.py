@@ -1193,9 +1193,9 @@ class TestStats:
             def __init__(self, forest):
                 self._forest = forest
 
-            def label_bitvector(self, features):
-                real = self._forest.label_bitvector(features)
-                return [1 - b for b in real]  # always disagrees
+            def label_bitvectors(self, rows):
+                real = self._forest.label_bitvectors(rows)
+                return 1 - real  # always disagrees
 
         with CopseService(threads=1) as service:
             registered = service.register_model(
