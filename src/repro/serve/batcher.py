@@ -98,13 +98,15 @@ def classification_results(
     ``oracle_ok`` is the per-query verdict sequence, or None when
     verification was off.
     """
-    # What a batch's results share is built once, as a template (they
-    # hold the same codebook / label-name lists); each result is the
-    # template with what differs filled in.  The frozen dataclass's
-    # ``__init__`` is one ``object.__setattr__`` per field per query;
-    # copying ``__dict__`` builds the identical instance at a third of
-    # the price, in the ``Ciphertext._make`` mould
-    # (``tests/serve/test_batch_routine.py`` holds it to the constructor).
+    # What a batch's results share is built once: a template of the
+    # fields they have in common (and one codebook / label-name list).
+    # Each result is a copy of it with its own features, bitvector and
+    # verdict, set as the instance's ``__dict__`` — the frozen
+    # dataclass's ``__init__`` is one ``object.__setattr__`` per field
+    # per query, and a ``__slots__`` class built slot by slot measured
+    # slower than this copy (``tests/serve/test_batch_routine.py``
+    # holds it to the constructor).  A query's features and bitvector
+    # lists become its result's own: they arrive fresh from the batch.
     spec = registered.spec
     size = len(features)
     template = vars(ClassificationResult(
@@ -120,14 +122,21 @@ def classification_results(
     label_names = list(spec.label_names)
     if oracle_ok is None:
         oracle_ok = [None] * size
+    # A frozen dataclass refuses its own ``__setattr__``.
+    new, set_field = object.__new__, object.__setattr__
     results = []
     for query, bits, ok in zip(features, bitvectors, oracle_ok):
-        result = object.__new__(ClassificationResult)
-        fields = result.__dict__
-        fields.update(template)
-        fields["features"] = list(query)
-        fields["result"] = InferenceResult(list(bits), codebook, label_names)
+        answer = new(InferenceResult)
+        answer.__dict__ = {
+            "bitvector": bits if type(bits) is list else list(bits),
+            "codebook": codebook, "label_names": label_names,
+        }
+        fields = template.copy()
+        fields["features"] = query if type(query) is list else list(query)
+        fields["result"] = answer
         fields["oracle_ok"] = None if ok is None else bool(ok)
+        result = new(ClassificationResult)
+        set_field(result, "__dict__", fields)
         results.append(result)
     return results
 
