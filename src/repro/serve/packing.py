@@ -22,6 +22,7 @@ label bitvectors: query ``k`` owns slots ``[k*S, k*S + labels)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import List, Sequence
 
 import numpy as np
@@ -144,12 +145,11 @@ def validate_features(layout: BatchLayout, features: Sequence[int]) -> List[int]
     limit = 1 << layout.precision
     out: List[int] = []
     for value in features:
-        try:
-            v = int(value)
-        except (TypeError, ValueError, OverflowError):
+        if not isinstance(value, Integral):  # never coerced: 2.7 is no 2
             raise ValidationError(
                 f"feature value {value!r} is not an integer"
-            ) from None
+            )
+        v = int(value)
         if not 0 <= v < limit:
             raise ValidationError(
                 f"feature value {value} does not fit in "
@@ -164,15 +164,23 @@ def validate_feature_block(
 ) -> np.ndarray:
     """Check a whole request at once; ``(len(queries), n_features)`` int64.
 
-    One array conversion and one comparison over the block.  On any
-    doubt — ragged, not integers, out of range — the queries are walked
-    one by one instead, so the refusal names the first offending value
-    exactly as a single submission's would.
+    One array conversion and one comparison over the block; an array of
+    integers passes without a copy.  On any doubt — ragged, an array
+    whose dtype is not an integer kind, out of range — the queries are
+    walked one by one instead, so the refusal names the first offending
+    value exactly as a single submission's would.  A block of one is
+    walked outright: the array round trip would cost more.
     """
-    try:
-        values = np.asarray(queries, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):  # ragged or not ints
-        values = None
+    values = None
+    if len(queries) != 1:
+        try:
+            values = np.asarray(queries)
+        except (TypeError, ValueError, OverflowError):  # ragged
+            pass
+        if values is not None and values.dtype.kind in "iu":
+            values = values.astype(np.int64, copy=False)
+        else:
+            values = None
     if (
         values is None
         or values.shape != (len(queries), layout.n_features)

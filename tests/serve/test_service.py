@@ -522,6 +522,40 @@ class TestConformance:
         assert [r and r.batch_id for r in completion.records] == [3, None, 5]
 
 
+class TestNonIntegerFeaturesAreRefused:
+    """Defect lock: admission coerced a feature value with ``int`` (and
+    a block with an int64 ``asarray``), so ``[2.7, 1]`` was served as
+    ``[2, 1]`` and the oracle, seeing the coerced query, agreed.  A
+    value that is not an integer is refused, on every admission path,
+    before anything is admitted."""
+
+    @pytest.mark.parametrize("bad", [
+        [2.7, 1], [1.5, 2], ["3", 2], [np.float64(2.0), 1],
+        np.array([2.0, 1.0]),
+    ], ids=repr)
+    @pytest.mark.parametrize("call", ["submit", "submit_many",
+                                      "classify_many"])
+    def test_refused_not_coerced(self, example_forest, call, bad):
+        with CopseService(threads=1) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            request = {
+                "submit": lambda: service.submit("m", bad),
+                "submit_many": lambda: service.submit_many(
+                    "m", [[1, 2], bad, [3, 4]]),
+                "classify_many": lambda: service.classify_many(
+                    "m", [[1, 2], [3, 4], bad]),
+            }[call]
+            with pytest.raises(ValidationError, match="is not an integer"):
+                request()
+            assert service.pending("m") == 0
+            assert scheduler_stats(service).submitted == 0
+            # whole numbers of an integer type still pass
+            answer = service.classify_many(
+                "m", [[np.int64(2), 1], np.array([1, 2])])
+            assert [a.features for a in answer] == [[2, 1], [1, 2]]
+            assert all(type(v) is int for a in answer for v in a.features)
+
+
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestClassifyManyLeavesNothingQueued:
     """Defect lock: ``classify_many`` admitted queries ``0..k-1``,
