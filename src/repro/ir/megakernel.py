@@ -109,10 +109,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import RuntimeProtocolError
 from repro.fhe.ciphertext import Ciphertext, PlainVector
-from repro.ir.nodes import IrOp
 from repro.ir.tape import (
     OP_ADD,
-    OP_ANY,
     OP_CADD,
     OP_CMUL,
     OP_EXT,
@@ -1173,11 +1171,6 @@ def _compile_plan(tape: CompiledTape) -> _Plan:
                     # masks apply after rotation; keep the amount
                     terms[-1].amount = amount
             emit(dest, w, terms)
-        elif op == OP_ANY:
-            width, terms = _lower_any(
-                ins[2], ins[3], values, value_of, const_value, mul_term
-            )
-            emit(dest, width, terms)
         else:
             raise _Unsupported(f"unknown opcode {op}")
 
@@ -1203,56 +1196,6 @@ def _compile_plan(tape: CompiledTape) -> _Plan:
         tape, values, instrs, const_arrays, const_values, ones_value,
         query_values, model_values, output_values,
     )
-
-
-def _lower_any(ir_op, args, values, value_of, const_value, mul_term):
-    """Lower one OP_ANY instruction (mixed plain/cipher) to terms.
-
-    Args mirror :func:`repro.ir.tape._run_any`: register slots or
-    inline :class:`PlainVector` constants, with the rotation amount
-    appended for ROTATE.  Plain-plain products and plain rotations
-    resolve at compile time into pooled constant rows.
-    """
-
-    def resolve(ref):
-        return value_of(ref) if isinstance(ref, int) else None
-
-    def resolved_width(ref, v):
-        return values[v].width if v is not None else ref.length
-
-    if ir_op in (IrOp.ADD, IrOp.CONST_ADD):
-        a, b = args
-        va, vb = resolve(a), resolve(b)
-        w = resolved_width(a, va)
-        if resolved_width(b, vb) != w:
-            raise _Unsupported("mixed ADD width mismatch")
-        terms = []
-        for ref, v in ((a, va), (b, vb)):
-            if v is None:
-                v = const_value(ref.to_array())
-            terms.append(_Term(v, 0))
-        return w, terms
-    if ir_op in (IrOp.MULTIPLY, IrOp.CONST_MULT):
-        a, b = args
-        va, vb = resolve(a), resolve(b)
-        w = resolved_width(a, va)
-        if resolved_width(b, vb) != w:
-            raise _Unsupported("mixed MUL width mismatch")
-        if va is None and vb is None:
-            return w, [_Term(const_value(a.to_array() & b.to_array()), 0)]
-        if va is None:
-            va = const_value(a.to_array())
-        if vb is None:
-            vb = const_value(b.to_array())
-        return w, [mul_term(va, vb, w)]
-    if ir_op is IrOp.ROTATE:
-        ref, amount = args[0], args[1]
-        v = resolve(ref)
-        if v is not None:
-            return values[v].width, [_Term(v, amount)]
-        row = const_value(np.roll(ref.to_array(), -amount))
-        return ref.length, [_Term(row, 0)]
-    raise _Unsupported(f"mixed op {ir_op!r}")
 
 
 def _needs_gather(values, term: _Term, width: int) -> bool:

@@ -73,13 +73,12 @@ OP_ROT = 4       # dest = rotate(cipher, amount)
 OP_EXT = 5       # dest = cyclic_extend(value, length)
 OP_TRUNC = 6     # dest = truncate(value, length)
 OP_FUSED = 7     # dest = fused accumulation (see FusedSpec)
-OP_ANY = 8       # mixed plain/cipher fallback (rare: INPUT_PT graphs)
 
 #: Human-readable opcode names, indexed by opcode — the profiler's and
 #: report generator's vocabulary.
 OPCODE_NAMES = (
     "add", "const_add", "mul", "const_mul", "rotate",
-    "extend", "truncate", "fused", "any",
+    "extend", "truncate", "fused",
 )
 
 #: Minimum product terms before an XOR tree is worth fusing (a two-term
@@ -381,8 +380,6 @@ class CompiledTape:
                     value = ctx.truncate(source, ins[3])
                 else:
                     value = PlainVector(source.to_array()[: ins[3]])
-            elif op == OP_ANY:
-                value = _run_any(ctx, regs, ins[2], ins[3])
             else:  # pragma: no cover - opcode set is closed
                 raise CompileError(f"unknown tape opcode {op}")
             regs[ins[1]] = value
@@ -396,21 +393,6 @@ class CompiledTape:
             name: (regs[ref] if isinstance(ref, int) else ref)
             for name, ref in self.output_refs.items()
         }
-
-
-def _run_any(ctx: FheBackend, regs, ir_op: IrOp, args) -> Vector:
-    """Mixed plain/cipher fallback, mirroring the graph executor."""
-
-    def resolve(ref):
-        return regs[ref] if isinstance(ref, int) else ref
-
-    if ir_op in (IrOp.ADD, IrOp.CONST_ADD):
-        return ctx.xor_any(resolve(args[0]), resolve(args[1]))
-    if ir_op in (IrOp.MULTIPLY, IrOp.CONST_MULT):
-        return ctx.and_any(resolve(args[0]), resolve(args[1]))
-    if ir_op is IrOp.ROTATE:
-        return ctx.rotate_any(resolve(args[0]), args[1])
-    raise CompileError(f"unsupported mixed op {ir_op!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +640,7 @@ def compile_tape(
         # cleared after the instruction writes it.
         frees = tuple(s for s in frees if s != dest)
         instructions.append(
-            _concretize(ins, dest, resolved, consts, frees)
+            _concretize(ins, dest, resolved, frees)
         )
 
     output_refs: Dict[str, Union[int, PlainVector]] = {}
@@ -715,17 +697,12 @@ def _make_abstract(graph: IrGraph, node, consts) -> _AbstractInstr:
         return _AbstractInstr(OP_EXT, nid, [args[0]], node.attr[0])
     if node.op is IrOp.TRUNCATE:
         return _AbstractInstr(OP_TRUNC, nid, [args[0]], node.attr[0])
-    # Mixed plain/cipher arithmetic (INPUT_PT operands): generic path.
-    if node.op in (
-        IrOp.ADD, IrOp.CONST_ADD, IrOp.MULTIPLY, IrOp.CONST_MULT,
-        IrOp.ROTATE,
-    ):
-        refs = [a for a in args if a not in consts]
-        return _AbstractInstr(OP_ANY, nid, refs, node)
+    # No lowering mixes a plaintext input into ciphertext arithmetic
+    # (model constants are CONST_PT), so the tape has no opcode for it.
     raise CompileError(f"cannot compile IR op {node.op!r} to a tape")
 
 
-def _concretize(ins: _AbstractInstr, dest, slot_of, consts, frees) -> Tuple:
+def _concretize(ins: _AbstractInstr, dest, slot_of, frees) -> Tuple:
     """Resolve an abstract instruction's node ids to register slots."""
     if ins.opcode == OP_FUSED:
         terms = tuple(
@@ -742,16 +719,4 @@ def _concretize(ins: _AbstractInstr, dest, slot_of, consts, frees) -> Tuple:
             ins.opcode, dest, slot_of[ins.refs[0]], slot_of[ins.refs[1]],
             frees,
         )
-    if ins.opcode in (OP_CADD, OP_CMUL, OP_ROT, OP_EXT, OP_TRUNC):
-        return (ins.opcode, dest, slot_of[ins.refs[0]], ins.attr, frees)
-    # OP_ANY: resolve each original argument to a slot or inline const.
-    node = ins.attr
-    resolved = []
-    for a in node.args:
-        if a in consts:
-            resolved.append(consts[a])
-        else:
-            resolved.append(slot_of[a])
-    if node.op is IrOp.ROTATE:
-        resolved.append(node.attr[0])
-    return (OP_ANY, dest, node.op, tuple(resolved), frees)
+    return (ins.opcode, dest, slot_of[ins.refs[0]], ins.attr, frees)

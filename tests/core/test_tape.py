@@ -12,7 +12,7 @@ it was not compiled for.
 import numpy as np
 import pytest
 
-from repro.errors import RuntimeProtocolError
+from repro.errors import CompileError, RuntimeProtocolError
 from repro.core.compiler import CopseCompiler
 from repro.core.runtime import (
     CopseServer,
@@ -130,6 +130,28 @@ class TestScheduleRotations:
         plan = lower_inference(small_compiled())
         tape = plan.compile_tape()
         assert tape.rotations == plan.optimized.rotations
+
+
+class TestMixedOperandsAreRefused:
+    """No lowering mixes a plaintext *input* into ciphertext arithmetic
+    (model constants are ``CONST_PT``), so the tape has no opcode for
+    it: a hand-built graph that does is refused at compile time, by
+    name, for each op the old fallback took."""
+
+    @pytest.mark.parametrize("combine", [
+        lambda b, x, p: b.xor(x, p),
+        lambda b, x, p: b.and_(x, p),
+        lambda b, x, p: b.and_(p, x),
+        lambda b, x, p: b.rotate(p, 1),
+    ], ids=["xor", "and", "and-plain-first", "rotate-plain"])
+    def test_a_plain_input_in_cipher_arithmetic(self, combine):
+        b = IrBuilder()
+        x, p = b.input_ct("x", 4), b.input_pt("p", 4)
+        b.output("out", combine(b, x, p))
+        with pytest.raises(CompileError, match="cannot compile IR op"):
+            compile_tape(b.build(), schedule=False, fuse=False)
+        with pytest.raises(CompileError, match="cannot compile IR op"):
+            compile_tape(b.build())
 
 
 class TestRegisterAllocation:
