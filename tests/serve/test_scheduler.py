@@ -12,6 +12,7 @@ use generous timeouts on futures, never wall-clock assertions.
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,9 +28,11 @@ from repro.serve.cluster import AssignAction, RouterCore
 from repro.serve import CopseService
 from repro.serve import worker as serve_worker
 from repro.serve.scheduler import (
+    BlockCondition,
     OUTCOME_ERROR,
     OUTCOME_OK,
     QueryFuture,
+    QueryTicket,
     SchedulerCore,
     deliver_failures,
 )
@@ -531,7 +534,9 @@ RUNS = st.fixed_dictionaries({
 
 class _Driven:
     """One core or router driven through a generated run, block-wise
-    or one query at a time; ``transcript`` is everything observable."""
+    (``"rows"``: as the service admits, one run of futures sharing a
+    condition, with the block's rows and no ticket) or one query at a
+    time; ``transcript`` is everything observable."""
 
     def __init__(self, run, routed, blockwise):
         self.tracer = Tracer() if run["traced"] else None
@@ -550,9 +555,15 @@ class _Driven:
         add("a", capacity=run["capacity"], max_pending=run["bound"])
         add("b", capacity=run["capacity"] + 1, weight=2.0)
         self.transcript = []
+        #: id(future) -> seq, to name what a failure delivers.
+        self.seq_of = {}
 
     def admit(self, block, now):
         payloads = [Payload() for _ in range(block["size"])]
+        if self.blockwise == "rows":
+            condition = BlockCondition()
+            for payload in payloads:
+                payload.future = QueryFuture(condition)
         for index in block["cancelled"]:
             if index < len(payloads):
                 assert payloads[index].future.cancel()
@@ -563,7 +574,20 @@ class _Driven:
         )
         tickets, refusal = [], None
         try:
-            if self.blockwise:
+            if self.blockwise == "rows":
+                futures = [payload.future for payload in payloads]
+                run = self.engine.submit_block(
+                    block["queue"], futures, now, **shared,
+                    rows=np.arange(2 * len(futures)).reshape(-1, 2),
+                )
+                assert run.tickets is None and run.futures == futures
+                tickets = [  # what each ticket would have said
+                    QueryTicket(run.queue, run.tenant, payload,
+                                run.submit_time, run.deadline,
+                                run.priority, run.seq + k)
+                    for k, payload in enumerate(payloads)
+                ]
+            elif self.blockwise:
                 tickets = self.engine.submit_many(
                     block["queue"], payloads, now, **shared
                 )
@@ -577,7 +601,12 @@ class _Driven:
                        exc.limit)
             if self.blockwise:
                 tickets = list(exc.admitted)
+                if self.blockwise == "rows":  # made for the refusal
+                    for ticket, payload in zip(tickets, payloads):
+                        assert ticket.future is payload.future
+                        ticket.payload = payload
         assert [t.payload for t in tickets] == payloads[:len(tickets)]
+        self.seq_of.update((id(t.future), t.seq) for t in tickets)
         self.transcript.append((
             "admit", refusal,
             [(t.seq, t.queue, t.tenant, t.priority, t.submit_time,
@@ -616,6 +645,12 @@ class _Driven:
                     self.engine.complete(assignment, now, outcome)
 
     def finish(self, now):
+        # What is still queued in "b" fails, in the order a cut takes it.
+        self.engine.remove_queue("b", now)
+        self.transcript.append(("removed", [
+            self.seq_of[id(future)]
+            for future, _ in self.engine.drain_failures()
+        ]))
         self.engine.flush()
         self.run_workers(now, OUTCOME_OK)
         failures = self.engine.drain_failures()
@@ -641,9 +676,15 @@ class _Driven:
 class TestBlockAdmissionIsNSubmits:
     @settings(settings.get_profile("repro-plan-ci"))
     @given(run=RUNS)
+    @pytest.mark.parametrize("blockwise", [True, "rows"],
+                             ids=["tickets", "run-queue"])
     @pytest.mark.parametrize("routed", [False, True], ids=["core", "router"])
-    def test_differential(self, routed, run):
-        block_side = _Driven(run, routed, blockwise=True)
+    def test_differential(self, routed, blockwise, run):
+        """A block admitted whole — as tickets, or as the service admits
+        it, one run with no ticket — is cut, booked, cancelled and
+        failed query for query as N one-query submits are: the run
+        queue against a heap of single tickets."""
+        block_side = _Driven(run, routed, blockwise=blockwise)
         single_side = _Driven(run, routed, blockwise=False)
         now = 0.0
         for block in run["blocks"]:
