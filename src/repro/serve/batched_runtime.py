@@ -376,17 +376,11 @@ class BatchedCopseServer:
     comparison, reshuffle, levels, accumulate — recorded under the same
     tracker phases so every existing per-phase report applies unchanged.
 
-    ``engine="plan"`` executes a cached batched
-    :class:`~repro.ir.plan.InferencePlan` (from
-    :func:`~repro.ir.plan.lower_batched_inference`, lowered for the same
-    layout) instead — one optimized IR graph, recorded under the
-    ``plan_inference`` phase.  ``engine="tape"`` (the serve default)
-    executes the plan's compiled :class:`~repro.ir.tape.CompiledTape`
-    under ``tape_inference`` — the same bits with scheduled rotations,
-    register reuse, and fused kernels.  ``engine="megakernel"`` executes
-    the tape's :class:`~repro.ir.megakernel.MegaKernel` compilation
-    under ``megakernel_inference`` — zero per-instruction dispatch on
-    capable backends, the tape loop elsewhere, same bits everywhere.
+    ``engine="plan"`` / ``"tape"`` / ``"megakernel"`` instead execute
+    the model's cached batched :class:`~repro.ir.plan.InferencePlan`,
+    its :class:`~repro.ir.tape.CompiledTape` or that tape's
+    :class:`~repro.ir.megakernel.MegaKernel`, each under its own tracker
+    phase (:mod:`repro.core.engines`): the same bits everywhere.
     """
 
     def __init__(
@@ -608,20 +602,15 @@ def evaluate_registered_batches(
     """Run batches of validated features through the whole pipeline.
 
     Per batch (one ciphertext of up to ``capacity`` queries): pack +
-    encrypt, execute, decrypt, demux, cost-model phase attribution,
-    oracle — on a fresh :class:`FheContext` built on the registered
-    model's backend, so evaluations never share tracker state.  The
-    batches of one call go through each stage together, so an engine
-    that can (the megakernel) executes them in one pass; a batch that
-    raises drops out and the others go on.  Returns, per batch, its
-    :class:`BatchEvaluation` or the exception it raised.
-
-    Every caller that evaluates a batch (the worker's reduce function,
-    on either transport, and the bench experiments) goes through here;
-    ``engine`` overrides the registered engine (the degradation
-    ladder), and ``on_stage`` is told ``"pack"`` / ``"execute"`` /
-    ``"demux"`` / ``"resolve"`` as each stage begins (the in-thread
-    transport's trace spans).
+    encrypt, execute, decrypt, demux and cost-model phase attribution,
+    on a fresh :class:`FheContext` of the model's backend.  The batches
+    of one call go through each stage together, so the megakernel
+    executes them in one pass, and the plaintext oracle walks all their
+    queries at once; a batch that raises drops out and the others go
+    on.  Returns, per batch, its :class:`BatchEvaluation` or the
+    exception it raised.  ``engine`` overrides the registered engine
+    (the degradation ladder); ``on_stage`` is told ``"pack"`` /
+    ``"execute"`` / ``"demux"`` / ``"resolve"`` as each stage begins.
     """
     # One consistent snapshot of the mutable registration fields: the
     # control plane may flip engine/backend between batches

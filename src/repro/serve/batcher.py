@@ -1,42 +1,18 @@
 """Query batching: validate submissions, and what a batch answers.
 
-Submissions are validated eagerly (:func:`prepare_queries`: bad queries
-fail before they can poison a batch); queueing and batch *cutting*
-belong to the router (:class:`~repro.serve.cluster.RouterCore` over the
-deadline-aware :class:`~repro.serve.scheduler.SchedulerCore`), and
-evaluation to a :class:`~repro.serve.transport.Transport`.  This module
-holds what both ends share: a request's validated rows and futures
-(:func:`admit_block`), the :class:`ClassificationResult` each query is answered with
-(:func:`classification_results`, the one place one is built) and the
-:class:`BatchRecord` the stats aggregator books per batch.  A
+A request is validated whole before any of it is admitted
+(:func:`admit_block`: its ``(n, features)`` rows and one future per
+query); queueing and cutting belong to the router, evaluation to a
+:class:`~repro.serve.transport.Transport` running
+:func:`~repro.serve.batched_runtime.evaluate_registered_batches` (pack
+and encrypt, execute on the model's engine, decrypt, demux, verify
+against the plaintext oracle).  This module holds what both ends share:
+the :class:`ClassificationResult` each query is answered with
+(:func:`classification_results`, the one place one is built, by the
+transport's completion handler once the router accepts a result) and
+the :class:`BatchRecord` the stats aggregator books per batch.  A
 :class:`QueryBatcher` fronts one registered model outside a service —
 ``prepare`` a batch, ``evaluate`` it by the pump thread's path.
-Evaluating a batch runs the whole amortized pipeline:
-
-1. pack the queries' replicated-and-padded bit planes into shared slots
-   and encrypt them once per plane (``data_encrypt``),
-2. run the batched Algorithm 1 against the model's cached, once-encrypted
-   :class:`~repro.serve.batched_runtime.BatchedEncryptedModel` — through
-   whichever of the four engines of :mod:`repro.core.engines` the model
-   is registered under: its cached
-   :class:`~repro.ir.megakernel.MegaKernel` (``engine="megakernel"``),
-   compiled :class:`~repro.ir.tape.CompiledTape` (``engine="tape"``, the
-   serve default), graph-walking :class:`~repro.ir.plan.InferencePlan`
-   (``engine="plan"``), or the hand-scheduled interpreter
-   (``engine="eager"``),
-3. decrypt the single result ciphertext and demultiplex the slot blocks
-   back into per-query label bitvectors,
-4. optionally verify every bitvector against the plaintext oracle
-   (``forest.label_bitvector``), and
-5. resolve each query's future with a :class:`ClassificationResult`.
-
-Steps 1-4 are
-:func:`~repro.serve.batched_runtime.evaluate_registered_batches`, which
-the one reduce function (:func:`repro.serve.worker._eval_result`) runs
-on a whole assignment — in a worker process or on the pump thread —
-so the megakernel runs its batches in one pass; step 5 is the
-transport's one completion handler, after the router has accepted the
-result.
 """
 
 from __future__ import annotations

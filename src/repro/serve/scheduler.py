@@ -1,15 +1,11 @@
 """Event-driven, deadline-aware, multi-tenant batch scheduler.
 
-The first serve iteration was a FIFO thread pool: callers cut batches
-themselves and workers drained a job queue.  That shape cannot express
-the regimes a production service actually lives in — deadlines, tenant
-fairness, overload, worker failure — so the scheduler now owns the whole
-scheduling problem:
-
 * **Per-model bounded queues with admission control.**  Every registered
   model gets a queue with an optional ``max_pending`` bound; a submit
   against a full queue raises :class:`~repro.errors.RejectedQuery`
-  instead of growing without bound.
+  instead of growing without bound.  A queue holds *runs*: one admitted
+  block each (:class:`QueryRun`), which a cut slices; a query gets a
+  :class:`QueryTicket` of its own only where it is handled alone.
 * **Adaptive batch cutting.**  A batch is cut when it fills *or* when the
   oldest queued query's slack runs out (its deadline minus the model's
   estimated batch service time), not only on a count trigger.  Partial
@@ -161,12 +157,11 @@ class QueryRun:
     def piece(self, lo: int, hi: int) -> "QueryRun":
         """Members ``lo`` to ``hi`` as a run of their own."""
         rows, tickets = self.rows, self.tickets
-        return QueryRun(
-            self.queue, self.tenant, self.submit_time, self.deadline,
-            self.priority, self.seq + lo, self.futures[lo:hi],
-            None if rows is None else rows[lo:hi],
-            None if tickets is None else tickets[lo:hi], self.condition,
-        )
+        return QueryRun(self.queue, self.tenant, self.submit_time,
+                        self.deadline, self.priority, self.seq + lo,
+                        self.futures[lo:hi],
+                        None if rows is None else rows[lo:hi],
+                        tickets and tickets[lo:hi], self.condition)
 
     def member_tickets(self) -> List[QueryTicket]:
         """One ticket per member, made once."""
@@ -400,11 +395,9 @@ class _ModelQueue:
         return cut_at is not None and cut_at <= now
 
     def ready_batches(self, now: float) -> int:
-        """Batches a cut could take now, counted from the queue's
-        length: the full ones, and the remainder when a flush (or, with
-        no full batch ahead of it, its slack) makes it due.  A count for
-        sharing work out, not a promise: cancelled tickets still count,
-        and a remainder due by slack behind full batches does not."""
+        """Batches a cut could take now: the full ones, and the remainder
+        when a flush (or, with no full batch ahead, its slack) makes it
+        due.  A count for sharing work out, not a promise."""
         if not self.ready(now):
             return 0
         full, rest = divmod(self.count, self.capacity)
@@ -508,7 +501,8 @@ class SchedulerCore:
         queue = self._queues.pop(name, None)
         if queue is None:
             return 0
-        tickets = self._queued_tickets(queue)
+        tickets = [t for _, run in sorted(queue.heap)  # the cut's order
+                   for t in run.member_tickets()]
         for ticket in tickets:
             self._fail_ticket(
                 ticket,
@@ -526,7 +520,8 @@ class SchedulerCore:
         Returns the number of tickets failed."""
         failed = 0
         for queue in self._queues.values():
-            for ticket in self._queued_tickets(queue):
+            for ticket in [t for _, run in sorted(queue.heap)
+                           for t in run.member_tickets()]:
                 self._fail_ticket(ticket, exc_for(ticket), now)
                 failed += 1
             queue.heap.clear()
@@ -534,14 +529,6 @@ class SchedulerCore:
             queue.flush_pending = False
             queue.invalidate_cut_cache()
         return failed
-
-    @staticmethod
-    def _queued_tickets(queue: _ModelQueue) -> List[QueryTicket]:
-        """A queue's queries as tickets, in the order a cut takes them."""
-        return [
-            ticket for _, run in sorted(queue.heap)
-            for ticket in run.member_tickets()
-        ]
 
     def queue_names(self) -> List[str]:
         return sorted(self._queues)
@@ -628,21 +615,13 @@ class SchedulerCore:
             priority=priority,
         )[0]
 
-    def submit_many(
-        self,
-        name: str,
-        payloads: Sequence[Any],
-        now: float,
-        tenant: str = "default",
-        deadline: Optional[float] = None,
-        priority: int = 0,
-    ) -> List[QueryTicket]:
-        """Admit a block of payloads (each with a ``future``), one ticket
-        each: :meth:`submit_block`, with the tickets returned."""
+    def submit_many(self, name: str, payloads: Sequence[Any], now: float,
+                    tenant: str = "default", deadline: Optional[float] = None,
+                    priority: int = 0) -> List[QueryTicket]:
+        """:meth:`submit_block` of payloads (each with a ``future``): one
+        ticket each, returned."""
         return self.submit_block(
-            name, payloads, now, tenant=tenant, deadline=deadline,
-            priority=priority, rows=None,
-        ).tickets
+            name, payloads, now, tenant, deadline, priority).tickets
 
     def submit_block(
         self,
@@ -792,15 +771,12 @@ class SchedulerCore:
         ``lanes`` — and bind it to a free worker, if possible.
 
         Among ready queues the one with the smallest fair-share virtual
-        time wins (name-ordered tiebreak, so decisions are total-ordered
-        and deterministic).  ``worker`` pins the cut to a specific free
-        worker; ``queue`` pins it to a specific ready queue (the cluster
-        router uses both to couple placement with fair-share order).
-        ``among`` is how many free workers the caller is cutting this
-        queue for, this one included: above one, the cut leaves the
-        others their share and takes ``ceil(ready batches / among)``.
-        Cancelled tickets are dropped here — a caller's cancel never
-        occupies a batch slot.
+        time wins (name-ordered tiebreak: deterministic).  ``worker`` /
+        ``queue`` pin the cut to a free worker / a ready queue (the
+        router couples placement with fair-share order so).  ``among``
+        is how many free workers the caller cuts this queue for: above
+        one, the cut takes ``ceil(ready batches / among)``.  A query
+        cancelled while queued is dropped here, never taking a slot.
         """
         if worker is None:
             idle = self.idle_workers()
@@ -1009,16 +985,11 @@ class SchedulerCore:
     def assign_direct(self, queue_name: str, tickets: List[QueryTicket],
                       worker: int, now: float) -> Optional[Assignment]:
         """Bind an explicit ticket cohort to a free worker as one
-        assignment, cut into batches of the queue's capacity.
-
-        The quarantine path: bisected halves must re-execute with
-        exactly their membership (a heap cut could mix in fresh
-        queries and re-poison them), so the router hands the cohort
-        straight in — more than one ciphertext of it, when what crashed
-        was an assignment of several.  Cancelled tickets are dropped
-        like in :meth:`assign`; returns None when every ticket was
-        cancelled.
-        """
+        assignment, cut into batches of the queue's capacity: the
+        quarantine path, where bisected halves must re-execute with
+        exactly their membership (a cut could mix in fresh queries).
+        Cancelled tickets are dropped like in :meth:`assign`; returns
+        None when every ticket was cancelled."""
         live = [t for t in tickets if self._start(QueryRun.of(t), now)]
         if not live:
             return None

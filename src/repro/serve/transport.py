@@ -18,27 +18,17 @@ Both hand back one :class:`BatchResult` per assignment to one handler.
 
 Everything that crosses the process boundary is defined here too, and
 must survive ``pickle`` under the ``spawn`` start method (no lambdas,
-locks, futures, open trackers, or lazily cached derived state —
-:class:`~repro.ir.tape.FusedSpec` drops its gather caches in
-``__getstate__`` for exactly this reason, and
-:class:`~repro.ir.megakernel.MegaKernel` reduces to its tape and
-recompiles lazily on the other side):
+locks, futures, open trackers or lazily cached derived state):
 
 * :class:`ShippedModel` — the compiled model bundle a worker receives
-  **exactly once** per (worker, epoch): the registered model's cached
-  parameters, layout, keys, once-encrypted batched model, and compiled
-  plan/tape/megakernel.  Binding is fail-closed by the existing
-  :meth:`~repro.core.compiler.CompiledModel.fingerprint`: the envelope
-  carries the fingerprint it was shipped under, and :meth:`verify`
-  recomputes and cross-checks it against every cached artifact before
-  the worker will evaluate a single batch.
-* :class:`BatchRequest` / :class:`BatchResult` — one assignment's raw
-  integer features out, as one array (with the ``fills`` that cut them
-  into batches),
-  and its distilled measurements back: the decrypted bitvectors and
-  oracle verdicts flat, batch after batch, and a :class:`BatchPart` of
-  plain numbers per batch (operation counts included: the worker's
-  :class:`~repro.fhe.tracker.OpTracker` never crosses the boundary).
+  **exactly once** per (worker, epoch), bound fail-closed by the
+  compiled model's fingerprint (:meth:`ShippedModel.verify` checks it
+  against every cached artifact before a single batch is evaluated).
+* :class:`BatchRequest` / :class:`BatchResult` — one assignment's
+  features out as one array (with the ``fills`` that cut them into
+  batches), and back the decrypted bitvectors and oracle verdicts flat,
+  with a :class:`BatchPart` of plain numbers per batch (operation
+  counts included: no tracker crosses the boundary).
 
 Messages are ``(tag, payload...)`` tuples; the tags are the protocol
 constants below.  Every message except ``MSG_LOAD`` is small; a worker
@@ -474,7 +464,7 @@ class Transport:
             return WorkerDied(worker, epoch)
         records: List[Optional[BatchRecord]] = []
         failed: Dict[int, str] = {}
-        answered = []  # (batch id, runs, first query, inference ms)
+        answered = []  # (batch id, runs, first query, size, inference ms)
         at = 0
         for position, (runs, fill, part) in enumerate(
             zip(assignment.parts, assignment.fills, parts)
@@ -499,15 +489,14 @@ class Transport:
                 data_encrypt_ms=part.data_encrypt_ms,
                 oracle_failures=part.oracle_failures, degraded=degraded,
             ))
-            answered.append((batch_id, runs, first, part.inference_ms))
+            answered.append((batch_id, runs, first, fill, part.inference_ms))
 
         def resolve() -> None:
             features = assignment.features()
             if isinstance(features, np.ndarray):
                 features = features.tolist()  # one list per query, at once
             futures, outcomes, at = [], [], 0
-            for batch_id, runs, first, inference_ms in answered:
-                size = sum(map(len, runs))
+            for batch_id, runs, first, size, inference_ms in answered:
                 span, at = slice(at, at + size), at + size
                 outcomes += classification_results(
                     staged, batch_id, features[first : first + size],
