@@ -42,10 +42,6 @@ class DecisionForest:
     _walks: Optional[Tuple[tuple, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Lazy node arrays (see :meth:`label_bitvectors`), kept the same way.
-    _arrays: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.trees:
@@ -112,10 +108,11 @@ class DecisionForest:
         child, so a walk that reached one stays there).
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.n_features)
-        if self._arrays is None:
-            self._arrays = self._node_arrays()
+        arrays = self.__dict__.get("_arrays")  # lazy, never pickled
+        if arrays is None:
+            arrays = self._arrays = self._node_arrays()
         feature, threshold, true, false, position, roots, depth, width = (
-            self._arrays
+            arrays
         )
         who = np.arange(len(rows))[:, None]
         node = np.broadcast_to(roots, (len(rows), len(roots)))
@@ -185,7 +182,8 @@ class DecisionForest:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_walks"] = state["_arrays"] = None
+        state["_walks"] = None
+        state.pop("_arrays", None)
         return state
 
     @staticmethod
