@@ -222,7 +222,8 @@ class Assignment:
             return rows[0]
         if all(isinstance(block, np.ndarray) for block in rows):
             return np.concatenate(rows)
-        return [row for block in rows for row in block]
+        return [row for block in rows for row in (
+            block.tolist() if isinstance(block, np.ndarray) else block)]
 
 
 @dataclass(frozen=True)

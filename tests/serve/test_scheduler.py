@@ -992,3 +992,35 @@ class TestLeadEvaluator:
         assert stats.threads == 3  # the cost book's divisor, as built
         assert stats.scheduler.completed == 5
         assert stats.batches == 3
+
+
+class TestAssignmentFeatures:
+    """What the transport sends: one array when every run carries its
+    block's rows, Python lists of ints when a ticket handled alone (a
+    re-queued retry) rides beside them."""
+
+    def block_run(self, core, rows):
+        condition = BlockCondition()
+        return core.submit_block(
+            "m", [QueryFuture(condition) for _ in rows], 0.0,
+            rows=np.asarray(rows, dtype=np.int64),
+        )
+
+    def test_blocks_are_one_array_and_a_retry_makes_lists(self):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=4)
+        self.block_run(core, [[1, 2], [3, 4], [5, 6]])
+        self.block_run(core, [[7, 8], [9, 10]])
+        (cut,) = [core.assign(0.0)]
+        features = cut.features()
+        assert isinstance(features, np.ndarray)
+        assert features.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
+        retry = cut.tickets[1]  # as a crash would re-queue it
+        assert retry.payload.features == [3, 4]
+        core.complete(cut, 0.1)
+        assert core.requeue(retry, 0.1)
+        core.flush("m")
+        (again,) = [core.assign(0.2)]
+        mixed = again.features()
+        assert mixed == [[3, 4], [9, 10]]
+        assert all(type(v) is int for row in mixed for v in row)
