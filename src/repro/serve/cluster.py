@@ -411,18 +411,27 @@ class RouterCore(SchedulerCore):
                  limit: Optional[int] = None) -> List[object]:
         """Cut and place every batch that can run right now.
 
-        Releases due backoff parks and quarantine cohorts, then walks the
-        ready queues in fair-share order, pins each cut to the first
-        eligible worker of the model's placement rotation (breakers veto
-        failing (model, worker) pairs) and emits a :class:`ShipAction`
-        the first time a (worker, epoch) sees a model's fingerprint, then
-        the :class:`AssignAction`.  A queue no eligible worker can take
-        is skipped; batches in flight past their hedge threshold get a
-        :class:`HedgeAction`.  ``limit`` caps the fresh cuts (one
-        in-thread evaluator): what cannot start yet stays queued, and
-        fills.  A cut made with other eligible workers free takes its
-        share of the ready batches (:meth:`SchedulerCore.assign`,
-        ``among``): eight ciphertexts are 4 + 4 on two idle workers.
+        First releases due backoff parks and quarantine cohorts, then
+        walks the ready queues in fair-share order, pins each cut to the
+        first eligible worker of the model's placement rotation
+        (circuit breakers veto failing (model, worker) pairs), and
+        emits the engine's work list: a :class:`ShipAction` the first
+        time a (worker, epoch) sees a model (or a redeployed
+        fingerprint), then the :class:`AssignAction` for the batch
+        itself.  A queue no eligible worker can take is skipped without
+        starving the others.  Finally, batches in flight past their
+        hedge threshold get a :class:`HedgeAction` (when hedging is on).
+        ``limit`` caps the fresh cuts of this call, for an engine that
+        cannot start them all at once (one in-thread evaluator): what
+        it cannot start yet stays queued, and fills.
+
+        A pool has several evaluators where the pump thread has one, so
+        a queue with ``lanes`` does not hand everything it has ready to
+        the first of them: a cut made with other eligible workers free
+        (and cuts left under ``limit``) takes its share of the ready
+        batches and leaves them theirs (:meth:`SchedulerCore.assign`,
+        ``among``) — one client's eight ciphertexts are 4 + 4 on two
+        idle workers, and all eight on the only idle one.
         """
         actions: List[object] = []
         self._release_parked(now)
@@ -653,17 +662,20 @@ class RouterCore(SchedulerCore):
                      now: float) -> Optional[Assignment]:
         """Declare a worker dead: bump its epoch, park its batch.
 
-        The epoch bump invalidates any completion the dead incarnation
-        still delivers.  The in-flight batch's queries, each now a ticket
-        of its own, take the fault-domain path: with retries left they
-        **park** behind the deterministic backoff; past ``max_retries``
-        they enter **quarantine**, bisected into cohorts until the poison
-        query is isolated in the dead-letter queue.  A hedged batch
-        survives by promoting the other replica.  The worker stays out of
-        placement until :meth:`restart_worker`; the breaker records the
-        failure.  Returns the interrupted assignment when its tickets
-        left the worker, None when it survives on a replica or the worker
-        was idle.
+        The epoch bump is what invalidates any completion the dead
+        incarnation still manages to deliver.  The in-flight batch (if
+        any) takes the fault-domain path: tickets with retries left
+        **park** behind the policy's deterministic backoff; tickets
+        that exhausted ``max_retries`` enter **quarantine** — bisected
+        into cohorts that re-execute independently until the poison
+        query is isolated in the dead-letter queue.  Hedged batches
+        survive a single crash by promoting the other replica.  The
+        worker stays out of placement until :meth:`restart_worker`, and
+        the (model, worker) breaker records the failure.
+
+        Returns the interrupted assignment when its tickets left the
+        worker (parked/quarantined), or None when the batch survives on
+        a hedge replica or the worker was idle.
         """
         self.epochs[worker] += 1
         self.alive[worker] = False

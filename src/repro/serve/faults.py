@@ -2,8 +2,10 @@
 
 Everything here is a *pure policy*: deterministic state machines the
 :class:`~repro.serve.cluster.RouterCore` consults when a worker fails,
-with no clocks, threads or randomness of their own, so a chaos soak
-replays byte-identical decision logs.
+with no clocks, threads, or randomness of their own — the PR 4
+decision-core discipline.  Given the same inputs at the same ``now``
+values, every object here makes the same choices, which is what lets a
+chaos soak replay byte-identical decision logs.
 
 * :class:`RetryPolicy` — exponential backoff with **deterministic
   seeded jitter** (a crc32 hash of ``(seed, key, attempt)``, not a live
@@ -17,11 +19,15 @@ replays byte-identical decision logs.
   router places that model elsewhere); after ``open_s`` one half-open
   probe is allowed, and its outcome decides closed vs. re-open.
 * :class:`DeadLetterQueue` — the bounded terminal parking lot for
-  queries that quarantine bisection isolated as poison.
-* The degradation ladder — ``megakernel -> tape -> plan -> eager``,
-  walked when an engine raises (:func:`evaluate_batches_down_ladder`,
-  on both transports), so a broken fast path degrades to a slower
-  correct one instead of failing the batch.
+  queries that quarantine bisection isolated as poison.  Inspectable
+  via ``repro serve`` stats and the ``repro dlq`` CLI.
+* The degradation ladder — the ordered engine fallback chain
+  ``megakernel -> tape -> plan -> eager`` walked when an engine
+  raises, so a broken fast path degrades to a slower correct one
+  instead of failing the batch;
+  :func:`evaluate_batches_down_ladder` is the one walk, run by the
+  worker's reduce function in a worker process and on the in-process
+  pump thread alike.
 * :class:`TransportFaultPlan` / :func:`chaos_worker_main` — the
   **test-only** transport shim that injects the same chaos matrix the
   simulator models (corrupted envelopes, truncated / dropped /

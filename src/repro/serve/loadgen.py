@@ -1,8 +1,10 @@
 """Deterministic load generation + the discrete-event serve simulator.
 
-Deadline cuts, rejections, fair sharing, crash backoff and quarantine
-only show up under sustained, bursty, multi-tenant load; this module
-replays such load under a :class:`~repro.serve.simclock.VirtualClock`:
+The serve stack's interesting behaviors — deadline-forced cuts,
+admission rejections, fair sharing under skew, crash backoff, quarantine
+— only show up under sustained, bursty, multi-tenant load, which
+wall-clock tests cannot exercise without flakiness.  This module replays
+exactly that load under a :class:`~repro.serve.simclock.VirtualClock`:
 
 * :func:`generate_arrivals` — a seeded open-loop arrival schedule:
   per-tenant Poisson processes (``rate_qps``) plus periodic bursts,
@@ -19,8 +21,10 @@ replays such load under a :class:`~repro.serve.simclock.VirtualClock`:
   model — no FHE evaluation is needed to know how long it takes).  Each
   event kind is one handler method behind :data:`EVENT_TABLE`.
 
-Everything is seeded and the virtual clock never sleeps, so a soak
-replays in seconds and makes identical decisions on every run.
+Everything is seeded and the virtual clock never sleeps, so a
+10^5-query soak with mixed tenants, bursts, and mid-run worker crashes
+replays in seconds of real time and makes *identical* routing decisions
+(and byte-identical stats) on every run.
 """
 
 from __future__ import annotations

@@ -197,11 +197,14 @@ class ModelRegistry:
         ``encrypted_model=False`` keeps the model in plaintext on the
         server (Maurice = Sally).
 
-        ``engine="tape"`` (the default) also lowers, optimizes and
-        compiles the batched pipeline into a cached
-        :class:`~repro.ir.tape.CompiledTape`; ``engine="plan"`` stops at
-        the plan executor; ``engine="megakernel"`` compiles the tape once
-        more; ``engine="eager"`` keeps the hand-scheduled interpreter.
+        ``engine="tape"`` (the default) also lowers the batched pipeline
+        onto the IR, optimizes it, and compiles the resulting
+        :class:`~repro.ir.plan.InferencePlan` into a cached
+        :class:`~repro.ir.tape.CompiledTape` (scheduled rotations,
+        register reuse, fused kernels) that every batch executes;
+        ``engine="plan"`` stops at the graph-walking plan executor;
+        ``engine="megakernel"`` compiles the tape once more;
+        ``engine="eager"`` keeps the hand-scheduled interpreter.
         ``seccomp_variant`` is recorded on the entry: the artifacts are
         lowered under it and every batch evaluates with it.
 

@@ -15,12 +15,22 @@ the control plane's seams.  Typical use::
         results = service.classify_many("credit", feature_lists)
         print(service.stats().render())
 
-A full batch dispatches the moment the queue reaches the layout's
-capacity, a partial one when its oldest query's deadline slack runs out
-or on ``flush()`` (``classify_many`` flushes for you); one cut takes
-every ready batch up to the evaluator's ``lanes``.  Simulated cost comes
-from the :class:`~repro.fhe.costmodel.CostModel`, aggregated per batch;
-scheduling metrics from :class:`~repro.serve.scheduler.SchedulerStats`.
+Dispatch policy: a full batch is scheduled the moment the pending queue
+reaches the layout's capacity; a *partial* batch dispatches when its
+oldest query's deadline slack runs out, or on an explicit ``flush()``
+(``classify``/``classify_many`` flush for you).  One cut hands the
+evaluator every batch of the model that is ready by that rule, up to
+the number it runs in one go (``lanes``: derived from the staged engine
+and backend, never configured) — shared out between the evaluators
+that are idle, where there are several (worker processes).  Queues are
+bounded when
+``max_queue`` is set — an over-admission raises
+:class:`~repro.errors.RejectedQuery` at submit time.  Latency and
+throughput metrics come from the existing
+:class:`~repro.fhe.costmodel.CostModel` over each batch's operation DAG,
+aggregated per batch; scheduling metrics (wall/virtual latency
+percentiles, deadline misses, rejections, retries) come from the
+scheduler core's :class:`~repro.serve.scheduler.SchedulerStats`.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from repro.forest.forest import DecisionForest
 from repro.serve.batcher import (
     BatchRecord,
     ClassificationResult,
-    admit_block,
+    prepare_queries,
     query_block,
 )
 from repro.serve.registry import ModelRegistry, RegisteredModel
@@ -284,21 +294,31 @@ class _StatsAggregator:
 class CopseService:
     """Batched secure-inference service over the COPSE stack.
 
-    ``engine`` selects the default execution path for registered models
-    (one of :data:`~repro.core.engines.ENGINES`: ``"tape"`` by default,
-    ``"megakernel"``, ``"plan"`` or ``"eager"``); ``register_model`` can
-    override it per model.
+    ``engine`` selects the default execution path for registered models:
+    ``"tape"`` (the default) lowers and optimizes an
+    :class:`~repro.ir.plan.InferencePlan` per model, compiles it into a
+    :class:`~repro.ir.tape.CompiledTape` (linearized instructions,
+    scheduled rotations, register reuse, fused kernels), and executes
+    every batch through the tape; ``"megakernel"`` compiles the tape
+    once more into a zero-dispatch kernel; ``"plan"`` stops at the
+    graph-walking plan executor; ``"eager"`` keeps the hand-scheduled
+    interpreter.
+    ``register_model`` can override per model.
 
     ``threads`` is the number of worker *slots*: what the router places
-    batches on, the control plane scales and the simulated-cost book
-    (:attr:`ServiceStats.threads`) counts.  One host thread — the pump —
+    batches on, the control plane (``add_worker`` / ``remove_worker``)
+    scales and the simulated-cost book (:attr:`ServiceStats.threads`,
+    the paper's multithreading) counts.  One host thread — the pump —
     evaluates all of them, one assignment at a time
     (:class:`~repro.serve.transport.InThreadTransport` says why): one
-    batch, or up to ``lanes`` ready batches of a model sharing one
-    kernel pass, each still booked, numbered and answered as its own
-    batch.  Wall-clock parallelism is worker processes
+    batch, or — under ``engine="megakernel"`` on a backend with
+    ``megakernel_ops`` — up to eight ready batches of a model sharing
+    one kernel pass, each still booked, numbered and answered as its
+    own batch.  Wall-clock parallelism is worker processes
     (:class:`~repro.serve.cluster.ClusterService`, the same facade over
-    :class:`~repro.serve.transport.ProcessTransport`).
+    :class:`~repro.serve.transport.ProcessTransport`: the ready batches
+    are shared out between the idle workers, each worker's share one
+    assignment and one kernel pass, by the same routine).
 
     Scheduling knobs: ``default_deadline_ms`` applies a relative
     deadline to every query that does not bring its own (deadline slack
@@ -566,9 +586,12 @@ class CopseService:
         """Enqueue a block of queries; returns their futures, in order.
 
         The block (an iterator is read once) is validated whole, before
-        any of it is admitted, and admitted as one run under one lock
-        hold, one clock read (one ``submit_time`` and one deadline) and
-        one dispatch.  Raises
+        any of it is admitted, and admitted under one lock hold, one
+        clock read (one ``submit_time`` and one deadline for the block;
+        N ``submit`` calls each read the clock) and one dispatch.  Full batches
+        dispatch immediately; partial batches dispatch when their
+        deadline slack runs out, on :meth:`flush`, or when more
+        submissions fill them.  Raises
         :class:`~repro.errors.RejectedQuery` when the model's queue
         reaches its bound — the queries ahead of the refused one stay
         admitted, their tickets on the exception's ``admitted`` — and
@@ -576,7 +599,7 @@ class CopseService:
         ill-typed ``tenant`` / ``deadline_ms`` / ``priority`` is a
         :class:`~repro.errors.ValidationError` that admits nothing.
         """
-        rows, futures = admit_block(
+        entries = prepare_queries(
             self.registry.get(model_name), feature_lists
         )
         if deadline_ms is None:
@@ -586,9 +609,9 @@ class CopseService:
         refusal = None
         with self._routing() as now:
             try:
-                self.router.submit_block(
+                self.router.submit_many(
                     model_name,
-                    futures,
+                    entries,
                     now,
                     tenant=tenant,
                     deadline=(
@@ -596,14 +619,13 @@ class CopseService:
                         else now + deadline_ms * MS
                     ),
                     priority=priority,
-                    rows=rows,
                 )
             except RejectedQuery as exc:
                 refusal = exc  # what it admitted still dispatches
         self.transport.wake()  # the next cut may be due sooner now
         if refusal is not None:
             raise refusal
-        return futures
+        return [entry.future for entry in entries]
 
     def flush(self, model_name: Optional[str] = None) -> None:
         """Dispatch all pending (including partial) batches and wait
@@ -834,10 +856,13 @@ class CopseService:
         """Stop admission, finish admitted work, stop pump and workers.
 
         Idempotent; :meth:`submit` afterwards raises
-        :class:`~repro.errors.ServeError`.  Admitted work is waited for
-        up to :attr:`~repro.serve.transport.Transport.close_grace_s`.  A
-        pump that outlives its join could race a later service, so it is
-        counted (``cluster_receiver_leaked``) and warned about.
+        :class:`~repro.errors.ServeError`.  How long admitted work is
+        waited for is the transport's to say
+        (:attr:`~repro.serve.transport.Transport.close_grace_s`).  A
+        pump that outlives its join is a leak, not a nuisance — it can
+        race a later service in the same process — so it is counted
+        (``cluster_receiver_leaked``) and warned about instead of being
+        swallowed.
         """
         with self._routing():
             if self._closing:

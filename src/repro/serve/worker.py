@@ -4,18 +4,25 @@
 worker is deliberately dumb — the detect/schedule/verify intelligence
 lives in the router — and holds no scheduling state at all:
 
-* ``("load", ShippedModel)`` — verify the envelope fail-closed and
-  cache the rebuilt registered model (once per (worker, epoch): the only
-  time the multi-megabyte bundle crosses the pipe).
+* ``("load", ShippedModel)`` — verify the envelope fail-closed
+  (:meth:`~repro.serve.transport.ShippedModel.verify`) and cache the
+  rebuilt registered model.  The router ships each model at most once
+  per (worker, epoch), so this is the only time the multi-megabyte
+  bundle crosses the pipe.
 * ``("eval", BatchRequest)`` — :func:`_eval_result`: run the batches
-  together down the engine ladder and send back a
-  :class:`~repro.serve.transport.BatchResult` of plain numbers — what the
-  in-process pump thread runs too.  A failure is returned per batch as
-  an ``error``: the router decides, the worker never dies on a batch.
+  together through :func:`~repro.serve.faults.evaluate_batches_down_ladder`
+  (one kernel pass when the engine can share one) and send back a
+  :class:`~repro.serve.transport.BatchResult` of plain numbers — what an
+  in-process service's pump thread runs too, without the pipe.
+  Worker-side failures are caught and returned per batch as an
+  ``error`` — the router decides retry vs. fail, the worker never dies
+  on a bad batch.
 * ``("ping",)`` / ``("stop",)`` — heartbeat and shutdown.
 
-What a worker computes is a pure function of the shipped model and the
-features, so 1-worker and N-worker clusters are bit-identical.
+Everything a worker computes is a pure function of the shipped model
+and the batch's features, which is what makes 1-worker and N-worker
+clusters bit-identical: the same batches produce the same bitvectors no
+matter which process evaluates them.
 """
 
 from __future__ import annotations
