@@ -1,18 +1,44 @@
 """Query batching: validate submissions, and what a batch answers.
 
-A request is validated whole before any of it is admitted
-(:func:`admit_block`: its ``(n, features)`` rows and one future per
-query); queueing and cutting belong to the router, evaluation to a
-:class:`~repro.serve.transport.Transport` running
-:func:`~repro.serve.batched_runtime.evaluate_registered_batches` (pack
-and encrypt, execute on the model's engine, decrypt, demux, verify
-against the plaintext oracle).  This module holds what both ends share:
-the :class:`ClassificationResult` each query is answered with
-(:func:`classification_results`, the one place one is built, by the
-transport's completion handler once the router accepts a result) and
-the :class:`BatchRecord` the stats aggregator books per batch.  A
+Submissions are validated eagerly (:func:`admit_block`: a request's
+``(n, features)`` rows and one future per query; bad queries fail
+before they can poison a batch); queueing and batch *cutting*
+belong to the router (:class:`~repro.serve.cluster.RouterCore` over the
+deadline-aware :class:`~repro.serve.scheduler.SchedulerCore`), and
+evaluation to a :class:`~repro.serve.transport.Transport`.  This module
+holds what both ends share: the :class:`ClassificationResult` each
+query is answered with (:func:`classification_results`, the one place
+one is built) and the
+:class:`BatchRecord` the stats aggregator books per batch.  A
 :class:`QueryBatcher` fronts one registered model outside a service —
 ``prepare`` a batch, ``evaluate`` it by the pump thread's path.
+Evaluating a batch runs the whole amortized pipeline:
+
+1. pack the queries' replicated-and-padded bit planes into shared slots
+   and encrypt them once per plane (``data_encrypt``),
+2. run the batched Algorithm 1 against the model's cached, once-encrypted
+   :class:`~repro.serve.batched_runtime.BatchedEncryptedModel` — through
+   whichever of the four engines of :mod:`repro.core.engines` the model
+   is registered under: its cached
+   :class:`~repro.ir.megakernel.MegaKernel` (``engine="megakernel"``),
+   compiled :class:`~repro.ir.tape.CompiledTape` (``engine="tape"``, the
+   serve default), graph-walking :class:`~repro.ir.plan.InferencePlan`
+   (``engine="plan"``), or the hand-scheduled interpreter
+   (``engine="eager"``),
+3. decrypt the single result ciphertext and demultiplex the slot blocks
+   back into per-query label bitvectors,
+4. optionally verify every bitvector against the plaintext oracle
+   (``forest.label_bitvectors``, once for all the queries of the call),
+   and
+5. resolve each query's future with a :class:`ClassificationResult`.
+
+Steps 1-4 are
+:func:`~repro.serve.batched_runtime.evaluate_registered_batches`, which
+the one reduce function (:func:`repro.serve.worker._eval_result`) runs
+on a whole assignment — in a worker process or on the pump thread —
+so the megakernel runs its batches in one pass; step 5 is the
+transport's one completion handler, after the router has accepted the
+result.
 """
 
 from __future__ import annotations
@@ -64,15 +90,16 @@ class ClassificationResult:
 def classification_results(
     registered: RegisteredModel,
     batch_id: int,
-    features: List[List[int]],
+    features,
     bitvectors,
     inference_ms: float,
     oracle_ok,
 ) -> List[ClassificationResult]:
     """One :class:`ClassificationResult` per query of an evaluated batch.
 
-    ``oracle_ok`` is the per-query verdict sequence, or None when
-    verification was off.
+    ``features`` is the batch's ``(n, features)`` rows; ``oracle_ok``
+    is the per-query verdict sequence, or None when verification was
+    off.
     """
     # What a batch's results share is built once: a template of the
     # fields they have in common (and one codebook / label-name list).
@@ -81,8 +108,9 @@ def classification_results(
     # dataclass's ``__init__`` is one ``object.__setattr__`` per field
     # per query, and a ``__slots__`` class built slot by slot measured
     # slower than this copy (``tests/serve/test_batch_routine.py``
-    # holds it to the constructor).  A query's features and bitvector
-    # lists become its result's own: they arrive fresh from the batch.
+    # holds it to the constructor).  A result's features come from one
+    # ``tolist()`` of the batch's rows, so they are its own; its
+    # bitvector list is the evaluation's own, never a caller's.
     spec = registered.spec
     size = len(features)
     template = vars(ClassificationResult(
@@ -101,14 +129,15 @@ def classification_results(
     # A frozen dataclass refuses its own ``__setattr__``.
     new, set_field = object.__new__, object.__setattr__
     results = []
-    for query, bits, ok in zip(features, bitvectors, oracle_ok):
+    for query, bits, ok in zip(np.asarray(features).tolist(), bitvectors,
+                               oracle_ok):
         answer = new(InferenceResult)
         answer.__dict__ = {
             "bitvector": bits if type(bits) is list else list(bits),
             "codebook": codebook, "label_names": label_names,
         }
         fields = template.copy()
-        fields["features"] = query if type(query) is list else list(query)
+        fields["features"] = query
         fields["result"] = answer
         fields["oracle_ok"] = None if ok is None else bool(ok)
         result = new(ClassificationResult)

@@ -164,17 +164,18 @@ def validate_feature_block(
 ) -> np.ndarray:
     """Check a whole request at once; ``(len(queries), n_features)`` int64.
 
-    One array conversion and one comparison over the block; an array of
-    integers passes without a copy.  On any doubt — ragged, an array
-    whose dtype is not an integer kind, out of range — the queries are
-    walked one by one instead, so the refusal names the first offending
-    value exactly as a single submission's would.  A block of one is
-    walked outright: the array round trip would cost more.
+    One array conversion and one comparison over the block.  The rows
+    are always a new array, never the caller's: a caller may refill its
+    buffer once this returns.  On any doubt — ragged, an array whose
+    dtype is not an integer kind, out of range — the queries are walked
+    one by one instead, so the refusal names the first offending value
+    exactly as a single submission's would.  A block of one is walked
+    outright: the array round trip would cost more.
     """
     values = None
     if len(queries) != 1:
         try:
-            values = np.asarray(queries)
+            values = np.array(queries)  # a copy, even of an int64 array
         except (TypeError, ValueError, OverflowError):  # ragged
             pass
         if values is not None and values.dtype.kind in "iu":

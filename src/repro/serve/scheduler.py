@@ -1,5 +1,11 @@
 """Event-driven, deadline-aware, multi-tenant batch scheduler.
 
+The first serve iteration was a FIFO thread pool: callers cut batches
+themselves and workers drained a job queue.  That shape cannot express
+the regimes a production service actually lives in — deadlines, tenant
+fairness, overload, worker failure — so the scheduler now owns the whole
+scheduling problem:
+
 * **Per-model bounded queues with admission control.**  Every registered
   model gets a queue with an optional ``max_pending`` bound; a submit
   against a full queue raises :class:`~repro.errors.RejectedQuery`
@@ -121,10 +127,10 @@ class QueryRun:
     """Queued queries of one admitted block: what a queue holds and a
     cut slices.  Member ``k`` is query ``seq + k``; all share tenant,
     submit time, deadline and priority.  ``rows`` is their ``(n,
-    features)`` array (None: the tickets' payloads hold them);
-    ``tickets`` exist only where a query is handled alone or the caller
-    admitted tickets; ``condition`` is the one their futures share (None:
-    each has its own)."""
+    features)`` array (:meth:`block`); ``tickets`` exist only where a
+    query is handled alone or the caller admitted tickets;
+    ``condition`` is the one their futures share (None: each has its
+    own)."""
 
     __slots__ = ("queue", "tenant", "submit_time", "deadline", "priority",
                  "seq", "futures", "rows", "tickets", "condition")
@@ -162,6 +168,15 @@ class QueryRun:
                         self.futures[lo:hi],
                         None if rows is None else rows[lo:hi],
                         tickets and tickets[lo:hi], self.condition)
+
+    def block(self) -> np.ndarray:
+        """The members' ``(n, features)`` int64 rows: a run of tickets
+        reads them off its payloads, once."""
+        if self.rows is None:
+            self.rows = np.array(
+                [t.payload.features for t in self.tickets], dtype=np.int64
+            ).reshape(len(self), -1)
+        return self.rows
 
     def member_tickets(self) -> List[QueryTicket]:
         """One ticket per member, made once."""
@@ -212,18 +227,14 @@ class Assignment:
         ]
 
     def features(self):
-        """Every query's features, in order: one array when each run
-        holds its block's rows (a lone run's without a copy)."""
-        rows = [
-            [t.payload.features for t in run.tickets] if run.rows is None
-            else run.rows for part in self.parts for run in part
-        ]
-        if len(rows) == 1:
-            return rows[0]
-        if all(isinstance(block, np.ndarray) for block in rows):
-            return np.concatenate(rows)
-        return [row for block in rows for row in (
-            block.tolist() if isinstance(block, np.ndarray) else block)]
+        """Every query's ``(n, features)`` rows, in order, as one array
+        (a lone run's without a copy); for an assignment of tickets
+        alone (the ticket API's), their payloads' own lists."""
+        runs = [run for part in self.parts for run in part]
+        if all(run.rows is None for run in runs):
+            return [t.payload.features for run in runs for t in run.tickets]
+        blocks = [run.block() for run in runs]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @dataclass(frozen=True)
@@ -396,9 +407,11 @@ class _ModelQueue:
         return cut_at is not None and cut_at <= now
 
     def ready_batches(self, now: float) -> int:
-        """Batches a cut could take now: the full ones, and the remainder
-        when a flush (or, with no full batch ahead, its slack) makes it
-        due.  A count for sharing work out, not a promise."""
+        """Batches a cut could take now, counted from the queue's
+        length: the full ones, and the remainder when a flush (or, with
+        no full batch ahead of it, its slack) makes it due.  A count for
+        sharing work out, not a promise: cancelled queries still count,
+        and a remainder due by slack behind full batches does not."""
         if not self.ready(now):
             return 0
         full, rest = divmod(self.count, self.capacity)
@@ -616,33 +629,48 @@ class SchedulerCore:
             priority=priority,
         )[0]
 
-    def submit_many(self, name: str, payloads: Sequence[Any], now: float,
-                    tenant: str = "default", deadline: Optional[float] = None,
-                    priority: int = 0) -> List[QueryTicket]:
-        """:meth:`submit_block` of payloads (each with a ``future``): one
-        ticket each, returned."""
-        return self.submit_block(
-            name, payloads, now, tenant, deadline, priority).tickets
-
-    def submit_block(
+    def submit_many(
         self,
         name: str,
-        members: Sequence[Any],
+        payloads: Sequence[Any],
         now: float,
         tenant: str = "default",
         deadline: Optional[float] = None,
         priority: int = 0,
-        rows=None,
+    ) -> List[QueryTicket]:
+        """Admit a block of payloads (each with a ``future``) as one run
+        of tickets, one per payload, returned: :meth:`submit_block` for
+        a caller that queues its own payloads."""
+        queue, seq, admitted = self._admit(name, len(payloads), tenant,
+                                           deadline, priority)
+        tickets = [
+            QueryTicket(name, tenant, payload, now, deadline, priority,
+                        seq + k)
+            for k, payload in zip(range(admitted), payloads)
+        ]
+        self._enqueue(queue, QueryRun(
+            name, tenant, now, deadline, priority, seq,
+            [ticket.future for ticket in tickets], None, tickets, None,
+        ), admitted < len(payloads), now)
+        return tickets
+
+    def submit_block(
+        self,
+        name: str,
+        futures: Sequence["QueryFuture"],
+        now: float,
+        rows: np.ndarray,
+        tenant: str = "default",
+        deadline: Optional[float] = None,
+        priority: int = 0,
     ) -> QueryRun:
         """Admit a block of queries sharing tenant, deadline, priority,
-        as one :class:`QueryRun`.
+        as one :class:`QueryRun`: their futures, which share one
+        condition, and their ``(n, features)`` rows.  No ticket is made.
 
-        With ``rows`` (their ``(n, features)`` array), ``members`` are
-        the block's futures, sharing one condition, and no ticket is
-        made; without, they are payloads, one ticket each.  What N
-        ``submit`` calls at the same ``now`` would do, paid once per
-        block: one closed check, one queue lookup, one admission bound,
-        contiguous ``seq``s in request order, one heap push, one
+        What N ``submit`` calls at the same ``now`` would do, paid once
+        per block: one closed check, one queue lookup, one admission
+        bound, contiguous ``seq``s in request order, one heap push, one
         cut-cache touch, one ``inc`` per counter.
 
         Raises :class:`ServeError` once closed and
@@ -654,6 +682,21 @@ class SchedulerCore:
         exception.  An ill-typed ``tenant`` / ``priority`` / ``deadline``
         is a :class:`ValidationError` and admits nothing.
         """
+        queue, seq, admitted = self._admit(name, len(futures), tenant,
+                                           deadline, priority)
+        refused = admitted < len(futures)
+        if refused:
+            futures, rows = futures[:admitted], rows[:admitted]
+        return self._enqueue(queue, QueryRun(
+            name, tenant, now, deadline, priority, seq, futures, rows, None,
+            futures[0]._condition if admitted else None,
+        ), refused, now)
+
+    def _admit(self, name: str, asked: int, tenant: str,
+               deadline: Optional[float],
+               priority: int) -> Tuple[_ModelQueue, int, int]:
+        """Check a block of ``asked`` queries against the queue and its
+        bound: ``(queue, first seq, how many are admitted)``."""
         if self._closed:
             raise ServeError(
                 "cannot submit to a closed scheduler: close() has already "
@@ -671,27 +714,18 @@ class SchedulerCore:
             require_int("priority", priority)
         if deadline is not None:
             require_real("deadline", deadline)
-        admitted = len(members)
+        admitted = asked
         if queue.max_pending is not None:
             admitted = min(admitted, max(0, queue.max_pending - queue.count))
-        refused = admitted < len(members)
-        if refused:
-            members = members[:admitted]
-            rows = None if rows is None else rows[:admitted]
         seq = self._next_seq
         self._next_seq = seq + admitted
-        tickets = condition = None
-        if rows is None:
-            tickets = [
-                QueryTicket(name, tenant, payload, now, deadline, priority,
-                            seq + k)
-                for k, payload in enumerate(members)
-            ]
-            members = [ticket.future for ticket in tickets]
-        elif admitted:
-            condition = members[0]._condition
-        run = QueryRun(name, tenant, now, deadline, priority, seq, members,
-                       rows, tickets, condition)
+        return queue, seq, admitted
+
+    def _enqueue(self, queue: _ModelQueue, run: QueryRun, refused: bool,
+                 now: float) -> QueryRun:
+        """Queue an admitted run and count it, and the refused query
+        after it, if any (raised, with the admitted tickets)."""
+        admitted, name, tenant = len(run), run.queue, run.tenant
         if admitted:
             queue.push(run)
         counted = admitted + refused
@@ -772,12 +806,15 @@ class SchedulerCore:
         ``lanes`` — and bind it to a free worker, if possible.
 
         Among ready queues the one with the smallest fair-share virtual
-        time wins (name-ordered tiebreak: deterministic).  ``worker`` /
-        ``queue`` pin the cut to a free worker / a ready queue (the
-        router couples placement with fair-share order so).  ``among``
-        is how many free workers the caller cuts this queue for: above
-        one, the cut takes ``ceil(ready batches / among)``.  A query
-        cancelled while queued is dropped here, never taking a slot.
+        time wins (name-ordered tiebreak, so decisions are total-ordered
+        and deterministic).  ``worker`` pins the cut to a specific free
+        worker; ``queue`` pins it to a specific ready queue (the cluster
+        router uses both to couple placement with fair-share order).
+        ``among`` is how many free workers the caller is cutting this
+        queue for, this one included: above one, the cut leaves the
+        others their share and takes ``ceil(ready batches / among)``.
+        Cancelled queries are dropped here — a caller's cancel never
+        occupies a batch slot.
         """
         if worker is None:
             idle = self.idle_workers()
@@ -841,8 +878,8 @@ class SchedulerCore:
         condition starts them all."""
         condition = run.condition
         if condition is not None:
-            with condition:
-                if not condition.cancelled:
+            with condition:  # a plain Condition has no count: none
+                if not getattr(condition, "cancelled", 0):
                     for future in run.futures:
                         future._state = _base.RUNNING
                     return [run]
@@ -986,20 +1023,25 @@ class SchedulerCore:
     def assign_direct(self, queue_name: str, tickets: List[QueryTicket],
                       worker: int, now: float) -> Optional[Assignment]:
         """Bind an explicit ticket cohort to a free worker as one
-        assignment, cut into batches of the queue's capacity: the
-        quarantine path, where bisected halves must re-execute with
-        exactly their membership (a cut could mix in fresh queries).
-        Cancelled tickets are dropped like in :meth:`assign`; returns
-        None when every ticket was cancelled."""
-        live = [t for t in tickets if self._start(QueryRun.of(t), now)]
-        if not live:
+        assignment, cut into batches of the queue's capacity.
+
+        The quarantine path: bisected halves must re-execute with
+        exactly their membership (a heap cut could mix in fresh
+        queries and re-poison them), so the router hands the cohort
+        straight in — more than one ciphertext of it, when what crashed
+        was an assignment of several.  Cancelled tickets are dropped
+        like in :meth:`assign`; returns None when every ticket was
+        cancelled.
+        """
+        runs = [live for ticket in tickets
+                for live in self._start(QueryRun.of(ticket), now)]
+        if not runs:
             return None
         queue = self._queues.get(queue_name)
-        capacity = len(live)  # a queue that is gone: its worker refuses
+        capacity = len(runs)  # a queue that is gone: its worker refuses
         if queue is not None:
-            queue.vtime += len(live) / queue.weight
+            queue.vtime += len(runs) / queue.weight
             capacity = queue.capacity
-        runs = [QueryRun.of(ticket) for ticket in live]
         return self._bind(queue_name, worker, [
             runs[at : at + capacity] for at in range(0, len(runs), capacity)
         ], now)

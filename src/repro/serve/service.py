@@ -54,7 +54,7 @@ from repro.forest.forest import DecisionForest
 from repro.serve.batcher import (
     BatchRecord,
     ClassificationResult,
-    prepare_queries,
+    admit_block,
     query_block,
 )
 from repro.serve.registry import ModelRegistry, RegisteredModel
@@ -586,8 +586,8 @@ class CopseService:
         """Enqueue a block of queries; returns their futures, in order.
 
         The block (an iterator is read once) is validated whole, before
-        any of it is admitted, and admitted under one lock hold, one
-        clock read (one ``submit_time`` and one deadline for the block;
+        any of it is admitted, and admitted as one run under one lock
+        hold, one clock read (one ``submit_time`` and one deadline for the block;
         N ``submit`` calls each read the clock) and one dispatch.  Full batches
         dispatch immediately; partial batches dispatch when their
         deadline slack runs out, on :meth:`flush`, or when more
@@ -599,7 +599,7 @@ class CopseService:
         ill-typed ``tenant`` / ``deadline_ms`` / ``priority`` is a
         :class:`~repro.errors.ValidationError` that admits nothing.
         """
-        entries = prepare_queries(
+        rows, futures = admit_block(
             self.registry.get(model_name), feature_lists
         )
         if deadline_ms is None:
@@ -609,10 +609,11 @@ class CopseService:
         refusal = None
         with self._routing() as now:
             try:
-                self.router.submit_many(
+                self.router.submit_block(
                     model_name,
-                    entries,
+                    futures,
                     now,
+                    rows,
                     tenant=tenant,
                     deadline=(
                         None if deadline_ms is None
@@ -625,7 +626,7 @@ class CopseService:
         self.transport.wake()  # the next cut may be due sooner now
         if refusal is not None:
             raise refusal
-        return [entry.future for entry in entries]
+        return futures
 
     def flush(self, model_name: Optional[str] = None) -> None:
         """Dispatch all pending (including partial) batches and wait

@@ -18,17 +18,27 @@ Both hand back one :class:`BatchResult` per assignment to one handler.
 
 Everything that crosses the process boundary is defined here too, and
 must survive ``pickle`` under the ``spawn`` start method (no lambdas,
-locks, futures, open trackers or lazily cached derived state):
+locks, futures, open trackers, or lazily cached derived state —
+:class:`~repro.ir.tape.FusedSpec` drops its gather caches in
+``__getstate__`` for exactly this reason, and
+:class:`~repro.ir.megakernel.MegaKernel` reduces to its tape and
+recompiles lazily on the other side):
 
 * :class:`ShippedModel` — the compiled model bundle a worker receives
-  **exactly once** per (worker, epoch), bound fail-closed by the
-  compiled model's fingerprint (:meth:`ShippedModel.verify` checks it
-  against every cached artifact before a single batch is evaluated).
-* :class:`BatchRequest` / :class:`BatchResult` — one assignment's
-  features out as one array (with the ``fills`` that cut them into
-  batches), and back the decrypted bitvectors and oracle verdicts flat,
-  with a :class:`BatchPart` of plain numbers per batch (operation
-  counts included: no tracker crosses the boundary).
+  **exactly once** per (worker, epoch): the registered model's cached
+  parameters, layout, keys, once-encrypted batched model, and compiled
+  plan/tape/megakernel.  Binding is fail-closed by the existing
+  :meth:`~repro.core.compiler.CompiledModel.fingerprint`: the envelope
+  carries the fingerprint it was shipped under, and :meth:`verify`
+  recomputes and cross-checks it against every cached artifact before
+  the worker will evaluate a single batch.
+* :class:`BatchRequest` / :class:`BatchResult` — one assignment's raw
+  integer features out as one ``(n, features)`` array (with the
+  ``fills`` that cut them into batches),
+  and its distilled measurements back: the decrypted bitvectors and
+  oracle verdicts flat, batch after batch, and a :class:`BatchPart` of
+  plain numbers per batch (operation counts included: the worker's
+  :class:`~repro.fhe.tracker.OpTracker` never crosses the boundary).
 
 Messages are ``(tag, payload...)`` tuples; the tags are the protocol
 constants below.  Every message except ``MSG_LOAD`` is small; a worker
@@ -41,8 +51,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ServeError, ValidationError, require_real
 from repro.core.engines import artifacts_of
@@ -185,9 +193,7 @@ class BatchRequest:
     #: the result so a completion from a superseded worker incarnation
     #: is recognized and dropped.
     epoch: int
-    #: Every query's features, flat: the admitted blocks' rows as one
-    #: ``(n, features)`` array (a list per query where tickets were
-    #: handled alone).
+    #: Every query's features, flat: one ``(n, features)`` array.
     features: Sequence[Sequence[int]]
     verify_oracle: bool = False
     #: Features in each batch of the assignment, in order (empty: they
@@ -493,8 +499,6 @@ class Transport:
 
         def resolve() -> None:
             features = assignment.features()
-            if isinstance(features, np.ndarray):
-                features = features.tolist()  # one list per query, at once
             futures, outcomes, at = [], [], 0
             for batch_id, runs, first, size, inference_ms in answered:
                 span, at = slice(at, at + size), at + size

@@ -20,6 +20,7 @@ from repro.serve.batched_runtime import evaluate_registered_batch
 from repro.serve.batcher import (
     ClassificationResult,
     CutBatch,
+    PendingQuery,
     QueryBatcher,
     classification_results,
 )
@@ -114,6 +115,19 @@ def test_result_fan_out_equals_the_constructor(example_forest, wire,
         with pytest.raises(Exception):  # still frozen
             result.batch_id = 8
     assert classification_results(registered, 1, [], [], 0.0, None) == []
+
+
+def test_result_features_are_not_the_callers_list(example_forest):
+    """A result's features are its own list, not the one the caller
+    queued (which it may go on to change)."""
+    batcher = QueryBatcher(
+        ModelRegistry().register("m", example_forest, max_batch_size=4)
+    )
+    mine = list(FEATURES[0])
+    entry = PendingQuery(mine)
+    batcher.evaluate(CutBatch(batch_id=1, entries=[entry]))
+    result = entry.future.result(timeout=0)
+    assert result.features == mine and result.features is not mine
 
 
 class TestPrepareMany:

@@ -29,6 +29,7 @@ from repro.serve import CopseService
 from repro.serve import worker as serve_worker
 from repro.serve.scheduler import (
     BlockCondition,
+    PendingQuery,
     OUTCOME_ERROR,
     OUTCOME_OK,
     QueryFuture,
@@ -994,19 +995,48 @@ class TestLeadEvaluator:
         assert stats.batches == 3
 
 
+class TestBlockCondition:
+    """A block's futures share one condition.  A plain
+    ``threading.Condition`` carries no cancel count: the cut reads it
+    as none cancelled, and one that was cancelled is still dropped."""
+
+    def submit(self, core, futures):
+        return core.submit_block(
+            "m", futures, 0.0, np.zeros((len(futures), 2), dtype=np.int64)
+        )
+
+    @pytest.mark.parametrize("cancel", [None, 1])
+    def test_plain_condition(self, cancel):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=4)
+        condition = threading.Condition()
+        futures = [QueryFuture(condition) for _ in range(3)]
+        self.submit(core, futures)
+        if cancel is not None:
+            assert futures[cancel].cancel()
+        core.flush("m")
+        cut = core.assign(0.0)
+        live = [f for k, f in enumerate(futures) if k != cancel]
+        assert cut.size == len(live)
+        assert [f for part in cut.parts for run in part
+                for f in run.futures] == live
+        assert all(f.running() for f in live)
+        assert core.stats().cancelled == (cancel is not None)
+
+
 class TestAssignmentFeatures:
-    """What the transport sends: one array when every run carries its
-    block's rows, Python lists of ints when a ticket handled alone (a
-    re-queued retry) rides beside them."""
+    """What the transport sends: one ``(n, features)`` array, also when
+    a ticket handled alone (a re-queued retry) rides beside a block;
+    the tickets' own lists when only tickets were admitted."""
 
     def block_run(self, core, rows):
         condition = BlockCondition()
         return core.submit_block(
             "m", [QueryFuture(condition) for _ in rows], 0.0,
-            rows=np.asarray(rows, dtype=np.int64),
+            np.asarray(rows, dtype=np.int64),
         )
 
-    def test_blocks_are_one_array_and_a_retry_makes_lists(self):
+    def test_blocks_and_a_retry_are_one_array(self):
         core = SchedulerCore(workers=1)
         core.add_queue("m", capacity=4)
         self.block_run(core, [[1, 2], [3, 4], [5, 6]])
@@ -1022,5 +1052,15 @@ class TestAssignmentFeatures:
         core.flush("m")
         (again,) = [core.assign(0.2)]
         mixed = again.features()
-        assert mixed == [[3, 4], [9, 10]]
-        assert all(type(v) is int for row in mixed for v in row)
+        assert mixed.dtype == np.int64
+        assert mixed.tolist() == [[3, 4], [9, 10]]
+
+    def test_tickets_alone_send_their_lists(self):
+        core = SchedulerCore(workers=1)
+        core.add_queue("m", capacity=4)
+        payloads = [PendingQuery([1, 2]), PendingQuery([3, 4])]
+        core.submit_many("m", payloads, 0.0)
+        core.flush("m")
+        features = core.assign(0.0).features()
+        assert features == [[1, 2], [3, 4]]
+        assert features[0] is payloads[0].features

@@ -556,6 +556,33 @@ class TestNonIntegerFeaturesAreRefused:
             assert all(type(v) is int for a in answer for v in a.features)
 
 
+class TestAdmittedBlockIsTheServices:
+    """Defect lock: an int64 array given to ``submit_many`` was queued
+    as it was, not copied, and its rows were read again at the cut, the
+    oracle and the answer.  A caller that refilled its buffer before
+    the futures resolved got answers to the new rows, and the oracle,
+    reading the same rows, agreed."""
+
+    def test_refilled_buffer_changes_no_answer(self, example_forest):
+        queries = queries_for(example_forest, 6, seed=3)
+        refill = [0] * example_forest.n_features
+        wanted = [example_forest.label_bitvector(q) for q in queries]
+        assert example_forest.label_bitvector(refill) in wanted
+        assert any(bits != example_forest.label_bitvector(refill)
+                   for bits in wanted)
+        block = np.array(queries, dtype=np.int64)
+        with CopseService(threads=1) as service:
+            service.register_model("m", example_forest, max_batch_size=8)
+            futures = service.submit_many("m", block)
+            assert service.pending("m") == 6  # nothing cut yet
+            block[:] = refill
+            service.flush("m")
+            results = [future.result(timeout=60) for future in futures]
+        assert [r.features for r in results] == queries
+        assert [r.bitvector for r in results] == wanted
+        assert all(r.oracle_ok for r in results)
+
+
 @pytest.mark.parametrize("transport", TRANSPORTS)
 class TestClassifyManyLeavesNothingQueued:
     """Defect lock: ``classify_many`` admitted queries ``0..k-1``,
