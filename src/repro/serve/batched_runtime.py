@@ -376,11 +376,17 @@ class BatchedCopseServer:
     comparison, reshuffle, levels, accumulate — recorded under the same
     tracker phases so every existing per-phase report applies unchanged.
 
-    ``engine="plan"`` / ``"tape"`` / ``"megakernel"`` instead execute
-    the model's cached batched :class:`~repro.ir.plan.InferencePlan`,
-    its :class:`~repro.ir.tape.CompiledTape` or that tape's
-    :class:`~repro.ir.megakernel.MegaKernel`, each under its own tracker
-    phase (:mod:`repro.core.engines`): the same bits everywhere.
+    ``engine="plan"`` executes a cached batched
+    :class:`~repro.ir.plan.InferencePlan` (from
+    :func:`~repro.ir.plan.lower_batched_inference`, lowered for the same
+    layout) instead — one optimized IR graph, recorded under the
+    ``plan_inference`` phase.  ``engine="tape"`` (the serve default)
+    executes the plan's compiled :class:`~repro.ir.tape.CompiledTape`
+    under ``tape_inference`` — the same bits with scheduled rotations,
+    register reuse, and fused kernels.  ``engine="megakernel"`` executes
+    the tape's :class:`~repro.ir.megakernel.MegaKernel` compilation
+    under ``megakernel_inference`` — zero per-instruction dispatch on
+    capable backends, the tape loop elsewhere, same bits everywhere.
     """
 
     def __init__(
@@ -602,15 +608,21 @@ def evaluate_registered_batches(
     """Run batches of validated features through the whole pipeline.
 
     Per batch (one ciphertext of up to ``capacity`` queries): pack +
-    encrypt, execute, decrypt, demux and cost-model phase attribution,
-    on a fresh :class:`FheContext` of the model's backend.  The batches
-    of one call go through each stage together, so the megakernel
-    executes them in one pass, and the plaintext oracle walks all their
-    queries at once; a batch that raises drops out and the others go
-    on.  Returns, per batch, its :class:`BatchEvaluation` or the
-    exception it raised.  ``engine`` overrides the registered engine
-    (the degradation ladder); ``on_stage`` is told ``"pack"`` /
-    ``"execute"`` / ``"demux"`` / ``"resolve"`` as each stage begins.
+    encrypt, execute, decrypt, demux, cost-model phase attribution,
+    oracle — on a fresh :class:`FheContext` built on the registered
+    model's backend, so evaluations never share tracker state.  The
+    batches of one call go through each stage together, so an engine
+    that can (the megakernel) executes them in one pass and the oracle
+    walks all their queries at once; a batch that raises (its oracle
+    walk included) drops out and the others go on.  Returns, per batch, its
+    :class:`BatchEvaluation` or the exception it raised.
+
+    Every caller that evaluates a batch (the worker's reduce function,
+    on either transport, and the bench experiments) goes through here;
+    ``engine`` overrides the registered engine (the degradation
+    ladder), and ``on_stage`` is told ``"pack"`` / ``"execute"`` /
+    ``"demux"`` / ``"resolve"`` as each stage begins (the in-thread
+    transport's trace spans).
     """
     # One consistent snapshot of the mutable registration fields: the
     # control plane may flip engine/backend between batches
@@ -643,6 +655,13 @@ def evaluate_registered_batches(
         flight.bitvectors = demux_bitvectors(
             layout, bits, len(flight.features)
         )
+
+    def verify(flight, expected=None):
+        if expected is None:
+            expected = forest.label_bitvectors(flight.features).tolist()
+        flight.oracle_ok = [
+            bits == want for bits, want in zip(flight.bitvectors, expected)
+        ]
 
     def resolve(flight):
         tracker = flight.server.ctx.tracker
@@ -682,14 +701,19 @@ def evaluate_registered_batches(
     if forest is not None and answered:
         # One walk of the plaintext forest for every answered query of
         # the call (they passed the packer's checks), not one per batch.
-        expected = iter(forest.label_bitvectors(np.concatenate([
-            np.asarray(flight.features, dtype=np.int64)
-            for flight in answered
-        ])).tolist())
-        for flight in answered:
-            flight.oracle_ok = [
-                bits == want for bits, want in zip(flight.bitvectors, expected)
-            ]
+        # Should it raise, each batch walks alone, so the error fails
+        # only the batch it comes from.
+        try:
+            expected = iter(forest.label_bitvectors(np.concatenate([
+                np.asarray(flight.features, dtype=np.int64)
+                for flight in answered
+            ])).tolist())
+        except Exception:
+            for flight in answered:
+                flight.attempt(verify)
+        else:
+            for flight in answered:
+                verify(flight, expected)
     for flight in flights:
         flight.attempt(resolve)
     return [flight.outcome for flight in flights]

@@ -10,13 +10,17 @@ engine and SecComp variant.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.engines import ENGINES, engine_row
 from repro.core.runtime import InferenceResult
 from repro.core.seccomp import SECCOMP_VARIANTS
 from repro.errors import ValidationError
-from repro.serve.batched_runtime import evaluate_registered_batch
+from repro.serve.batched_runtime import (
+    evaluate_registered_batch,
+    evaluate_registered_batches,
+)
 from repro.serve.batcher import (
     ClassificationResult,
     CutBatch,
@@ -128,6 +132,34 @@ def test_result_features_are_not_the_callers_list(example_forest):
     batcher.evaluate(CutBatch(batch_id=1, entries=[entry]))
     result = entry.future.result(timeout=0)
     assert result.features == mine and result.features is not mine
+
+
+def test_an_oracle_error_fails_only_its_batch(example_forest):
+    """The oracle walks all the batches of a call at once; when that
+    walk raises, each batch walks alone, so the error fails the batch
+    it comes from and the others are answered and verified."""
+    registered = ModelRegistry().register(
+        "m", example_forest, max_batch_size=4
+    )
+
+    class PoisonedOracle:
+        def label_bitvectors(self, rows):
+            rows = np.asarray(rows, dtype=np.int64)
+            if (rows == 13).any():
+                raise RuntimeError("oracle broke on 13")
+            return example_forest.label_bitvectors(rows)
+
+    registered.forest = PoisonedOracle()
+    good, bad = FEATURES[:2], [[13, 7]]
+    outcomes = evaluate_registered_batches(
+        registered, [good, bad, good], verify_oracle=True
+    )
+    assert isinstance(outcomes[1], RuntimeError)
+    for outcome in (outcomes[0], outcomes[2]):
+        assert outcome.oracle_ok == [True, True]
+        assert outcome.bitvectors == [
+            example_forest.label_bitvector(f) for f in good
+        ]
 
 
 class TestPrepareMany:
