@@ -614,8 +614,8 @@ def evaluate_registered_batches(
     batches of one call go through each stage together, so an engine
     that can (the megakernel) executes them in one pass and the oracle
     walks all their queries at once; a batch that raises (its oracle
-    walk included) drops out and the others go on.  Returns, per batch, its
-    :class:`BatchEvaluation` or the exception it raised.
+    walk included) drops out and the others go on.  Returns, per batch,
+    its :class:`BatchEvaluation` or the exception it raised.
 
     Every caller that evaluates a batch (the worker's reduce function,
     on either transport, and the bench experiments) goes through here;

@@ -8,10 +8,10 @@ deadline-aware :class:`~repro.serve.scheduler.SchedulerCore`), and
 evaluation to a :class:`~repro.serve.transport.Transport`.  This module
 holds what both ends share: the :class:`ClassificationResult` each
 query is answered with (:func:`classification_results`, the one place
-one is built) and the
-:class:`BatchRecord` the stats aggregator books per batch.  A
-:class:`QueryBatcher` fronts one registered model outside a service —
-``prepare`` a batch, ``evaluate`` it by the pump thread's path.
+one is built) and the :class:`BatchRecord` the stats aggregator books
+per batch.  A :class:`QueryBatcher` fronts one registered model outside
+a service — ``prepare`` a batch, ``evaluate`` it by the pump thread's
+path.
 Evaluating a batch runs the whole amortized pipeline:
 
 1. pack the queries' replicated-and-padded bit planes into shared slots

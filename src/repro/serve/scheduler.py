@@ -914,7 +914,8 @@ class SchedulerCore:
                 "batch", now, track=f"worker:{worker}",
                 queue=queue, batch_id=assignment.batch_id,
                 size=assignment.size, fills=assignment.fills,
-                members=[k for r in runs for k in range(r.seq, r.seq + len(r))],
+                members=[k for r in runs
+                         for k in range(r.seq, r.seq + len(r))],
                 submitted=[round(r.submit_time, 9) for r in runs
                            for _ in r.futures],
             )

@@ -587,11 +587,11 @@ class CopseService:
 
         The block (an iterator is read once) is validated whole, before
         any of it is admitted, and admitted as one run under one lock
-        hold, one clock read (one ``submit_time`` and one deadline for the block;
-        N ``submit`` calls each read the clock) and one dispatch.  Full batches
-        dispatch immediately; partial batches dispatch when their
-        deadline slack runs out, on :meth:`flush`, or when more
-        submissions fill them.  Raises
+        hold, one clock read (one ``submit_time`` and one deadline for
+        the block; N ``submit`` calls each read the clock) and one
+        dispatch.  Full batches dispatch immediately; partial batches
+        dispatch when their deadline slack runs out, on :meth:`flush`,
+        or when more submissions fill them.  Raises
         :class:`~repro.errors.RejectedQuery` when the model's queue
         reaches its bound — the queries ahead of the refused one stay
         admitted, their tickets on the exception's ``admitted`` — and
