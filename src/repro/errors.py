@@ -112,9 +112,8 @@ class RejectedQuery(ServeError):
     its configured bound — the overload signal callers are expected to
     handle (back off, shed, or retry elsewhere), instead of the queue
     growing without bound.  When the refused query was part of a block
-    (``submit_many``), ``admitted`` holds the tickets of the queries
-    admitted ahead of it — they stay queued and are served — each with
-    its ``future``.
+    (``submit_many``), ``admitted`` holds the futures of the queries
+    admitted ahead of it, in order — they stay queued and are served.
     """
 
     def __init__(self, message: str, *, model: str = "",
@@ -168,6 +167,13 @@ def require_int(what: str, value) -> None:
         raise ValidationError(
             f"{what} must be an integer, got {value!r}"
         )
+
+
+def require_at_least(what: str, value, low: int) -> None:
+    """:func:`require_int`, and refuse a ``value`` below ``low``."""
+    require_int(what, value)
+    if value < low:
+        raise ValidationError(f"{what} must be >= {low}, got {value}")
 
 
 def require_real(what: str, value) -> None:

@@ -232,7 +232,6 @@ class IrInferenceOutcome:
 def ir_secure_inference(
     compiled: CompiledModel,
     features: Sequence[int],
-    optimize_graph: bool = True,
     encrypted_model: bool = True,
     variant: str = VARIANT_ALOUFI,
     params: Optional[EncryptionParams] = None,
@@ -241,16 +240,15 @@ def ir_secure_inference(
     """Secure inference through the IR pipeline.
 
     Pass a prebuilt ``graph`` to amortize building across queries (the
-    staging pattern: stage once per model).  ``optimize_graph=False``
-    keeps the dead nodes of the build.
+    staging pattern: stage once per model), or to run one as built.
     """
     if params is None:
         params = EncryptionParams.paper_defaults()
     compiled.check_parameters(params)
     if graph is None:
-        graph = build_inference_graph(compiled, encrypted_model, variant)
-        if optimize_graph:
-            graph = dead_code_elimination(graph)
+        graph = dead_code_elimination(
+            build_inference_graph(compiled, encrypted_model, variant)
+        )
 
     ctx = FheContext(params)
     keys = ctx.keygen()

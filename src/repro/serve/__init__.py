@@ -92,7 +92,7 @@ from repro.serve.batcher import (
 from repro.serve.simclock import Clock, RealClock, VirtualClock
 from repro.serve.scheduler import (
     Assignment,
-    QueryTicket,
+    QueryRun,
     SchedulerCore,
     SchedulerStats,
 )
@@ -137,7 +137,7 @@ __all__ = [
     "RealClock",
     "VirtualClock",
     "Assignment",
-    "QueryTicket",
+    "QueryRun",
     "SchedulerCore",
     "SchedulerStats",
     "Arrival",

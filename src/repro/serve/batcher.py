@@ -57,7 +57,7 @@ from repro.serve.scheduler import (
     BlockCondition,
     PendingQuery,
     QueryFuture,
-    QueryTicket,
+    QueryRun,
     deliver_failures,
     evaluation_failure,
 )
@@ -265,13 +265,11 @@ class QueryBatcher:
         from repro.serve.transport import AssignAction
 
         name, entries = self.registered.name, batch.entries
-        tickets = [
-            QueryTicket(name, "default", entry, 0.0, None, 0, seq)
-            for seq, entry in enumerate(entries)
-        ]
+        run = QueryRun(name, "default", 0.0, None, 0, 0,
+                       [entry.future for entry in entries], None, entries,
+                       None, 0)
         self._transport.send(AssignAction(Assignment(
-            batch.batch_id, name, worker, tickets, 0.0, (len(entries),),
-            span=parent_span,
+            batch.batch_id, name, worker, [[run]], 0.0, span=parent_span,
         ), epoch=0))
         (completion,) = self._transport.receive(self._transport.wait(0.0))
         (record,) = completion.records

@@ -63,7 +63,7 @@ from repro.errors import (
     PoisonQueryError,
     ValidationError,
     WorkerPoolExhaustedError,
-    require_int,
+    require_at_least,
     require_real,
 )
 from repro.serve.faults import (
@@ -76,7 +76,7 @@ from repro.serve.faults import (
 from repro.serve.scheduler import (
     OUTCOME_OK,
     Assignment,
-    QueryTicket,
+    QueryRun,
     SchedulerCore,
     SchedulerStats,
 )
@@ -138,11 +138,7 @@ class RouterCore(SchedulerCore):
         breaker: Optional[CircuitBreaker] = None,
         dlq_limit: int = 64,
     ):
-        require_int("max_retries", max_retries)
-        if max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
+        require_at_least("max_retries", max_retries, 0)
         require_real("heartbeat_timeout_s", heartbeat_timeout_s)
         if heartbeat_timeout_s <= 0:
             raise ValidationError(
@@ -150,7 +146,7 @@ class RouterCore(SchedulerCore):
                 f"{heartbeat_timeout_s}"
             )
         super().__init__(workers, tracer=tracer, metrics=metrics)
-        #: Backoff-parked retries a ticket gets before its next crash
+        #: Backoff-parked retries a query gets before its next crash
         #: sends it to quarantine.
         self.max_retries = max_retries
         self.heartbeat_timeout_s = heartbeat_timeout_s
@@ -175,10 +171,10 @@ class RouterCore(SchedulerCore):
         )
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.dlq = DeadLetterQueue(limit=dlq_limit)
-        #: Tickets waiting out a crash backoff: (release_t, order, ticket).
-        self._parked: List[Tuple[float, int, QueryTicket]] = []
-        #: Quarantine cohorts awaiting solo re-execution:
-        #: (release_t, order, {"queue", "tickets", "origin"}).
+        #: Runs of one waiting out a crash backoff: (release_t, order, run).
+        self._parked: List[Tuple[float, int, QueryRun]] = []
+        #: Quarantine cohorts (runs of one) awaiting solo re-execution:
+        #: (release_t, order, {"queue", "runs", "origin"}).
         self._cohorts: List[Tuple[float, int, dict]] = []
         self._park_order = itertools.count()
         #: batch_id -> origin batch_id for in-flight quarantine cohorts.
@@ -236,7 +232,7 @@ class RouterCore(SchedulerCore):
 
     def remove_model(self, name: str, now: float) -> int:
         """Stop serving ``name``: its queue (failing what it held) and
-        its identity.  Returns the number of tickets failed."""
+        its identity.  Returns the number of queries failed."""
         self._models.pop(name, None)
         self._placements.pop(name, None)
         for ledger in self.shipped:
@@ -251,14 +247,14 @@ class RouterCore(SchedulerCore):
 
     @property
     def outstanding(self) -> int:
-        # Parked tickets and quarantine cohorts left the queues but
+        # Parked queries and quarantine cohorts left the queues but
         # still owe their callers a resolution.
         return super().outstanding + self._waiting()
 
     def _waiting(self) -> int:
-        """Tickets parked behind a backoff or in a quarantine cohort."""
+        """Queries parked behind a backoff or in a quarantine cohort."""
         return len(self._parked) + sum(
-            len(c["tickets"]) for _, _, c in self._cohorts
+            len(c["runs"]) for _, _, c in self._cohorts
         )
 
     def set_weight(self, name: str, weight: float, now: float) -> float:
@@ -289,11 +285,7 @@ class RouterCore(SchedulerCore):
         """
         queue = self._queue_or_raise(name)
         if limit is not None:
-            require_int(f"queue {name!r}: max_pending", limit)
-            if limit < 1:
-                raise ValidationError(
-                    f"queue {name!r}: max_pending must be >= 1, got {limit}"
-                )
+            require_at_least(f"queue {name!r}: max_pending", limit, 1)
         old, queue.max_pending = queue.max_pending, limit
         self._record(
             "set_admission_limit", name,
@@ -468,14 +460,14 @@ class RouterCore(SchedulerCore):
     # ------------------------------------------------------------------
 
     def _release_parked(self, now: float) -> None:
-        """Requeue parked tickets whose backoff has elapsed."""
+        """Requeue parked queries whose backoff has elapsed."""
         released: List[str] = []
         while self._parked and self._parked[0][0] <= now:
-            _, _, ticket = heapq.heappop(self._parked)
-            if self.requeue(ticket, now):
-                released.append(ticket.queue)
+            _, _, single = heapq.heappop(self._parked)
+            if self.requeue(single, now):
+                released.append(single.queue)
         for name in dict.fromkeys(released):
-            # The crashed tickets were already cut once; re-flush so a
+            # The crashed queries were already cut once; re-flush so a
             # requeued partial batch re-cuts now instead of waiting for
             # a flush nobody will send again.
             self.flush(name)
@@ -489,20 +481,20 @@ class RouterCore(SchedulerCore):
             name = cohort["queue"]
             if name not in self._models:
                 # Unregistered while the cohort waited: nowhere to ship
-                # it, so its tickets fail as a parked retry's would.
-                for ticket in cohort["tickets"]:
-                    self.requeue(ticket, now)
+                # it, so its queries fail as a parked retry's would.
+                for single in cohort["runs"]:
+                    self.requeue(single, now)
                 continue
             worker = self._place(name, now)
             if worker is None:
                 deferred.append((release_t, order, cohort))
                 continue
             assignment = self.assign_direct(
-                name, cohort["tickets"], worker, now
+                name, cohort["runs"], worker, now
             )
             if assignment is None:
                 self.breaker.release_probe((name, worker))
-                continue  # every cohort ticket was cancelled meanwhile
+                continue  # every cohort query was cancelled meanwhile
             self._quarantined[assignment.batch_id] = cohort["origin"]
             self._placed(assignment, now, actions)
         for entry in deferred:
@@ -582,7 +574,7 @@ class RouterCore(SchedulerCore):
         stale.
 
         A completion echoing an epoch the router has since bumped comes
-        from a superseded worker incarnation: its tickets were already
+        from a superseded worker incarnation: its queries were already
         requeued (crash) or belong to a retired worker.
         Counting it would double-complete queries, so it is dropped and
         recorded.  ``worker`` identifies the delivering worker when it
@@ -664,8 +656,8 @@ class RouterCore(SchedulerCore):
 
         The epoch bump is what invalidates any completion the dead
         incarnation still manages to deliver.  The in-flight batch (if
-        any) takes the fault-domain path: tickets with retries left
-        **park** behind the policy's deterministic backoff; tickets
+        any) takes the fault-domain path: queries with retries left
+        **park** behind the policy's deterministic backoff; queries
         that exhausted ``max_retries`` enter **quarantine** — bisected
         into cohorts that re-execute independently until the poison
         query is isolated in the dead-letter queue.  Hedged batches
@@ -673,7 +665,7 @@ class RouterCore(SchedulerCore):
         worker stays out of placement until :meth:`restart_worker`, and
         the (model, worker) breaker records the failure.
 
-        Returns the interrupted assignment when its tickets left the
+        Returns the interrupted assignment when its queries left the
         worker (parked/quarantined), or None when the batch survives on
         a hedge replica or the worker was idle.
         """
@@ -709,80 +701,80 @@ class RouterCore(SchedulerCore):
         self._flights.pop(assignment.batch_id, None)
         if assignment.span is not None:
             self.tracer.end(assignment.span, now, outcome="crash")
-        self._handle_crashed_tickets(assignment, now)
+        self._handle_crashed(assignment, now)
         return assignment
 
-    def _handle_crashed_tickets(self, assignment: Assignment,
-                                now: float) -> None:
-        """Decide the fate of every ticket freed by a worker crash (their
-        futures stay RUNNING: a parked retry is live at its next cut)."""
-        queue, tickets = assignment.queue, assignment.tickets
+    def _handle_crashed(self, assignment: Assignment, now: float) -> None:
+        """Decide the fate of every query freed by a worker crash, as runs
+        of one (their futures stay RUNNING: a retry is live at its cut)."""
+        queue = assignment.queue
+        singles = [one for run in assignment.runs() for one in run.singles()]
         origin = self._quarantined.pop(assignment.batch_id, None)
         if origin is not None:
             # A quarantine cohort crashed again: narrow further.
-            if len(tickets) == 1:
-                self._dead_letter(queue, tickets[0], origin, now)
+            if len(singles) == 1:
+                self._dead_letter(queue, singles[0], origin, now)
             else:
-                self._quarantine(queue, tickets, origin, now)
+                self._quarantine(queue, singles, origin, now)
             return
-        exhausted: List[QueryTicket] = []
-        for ticket in tickets:
-            if ticket.retries >= self.max_retries:
-                exhausted.append(ticket)
+        exhausted: List[QueryRun] = []
+        for single in singles:
+            if single.retries >= self.max_retries:
+                exhausted.append(single)
                 continue
-            ticket.retries += 1
+            single.retries += 1
             self._retries.inc()
             release = now + self.retry_policy.backoff_s(
-                ticket.retries, key=f"{queue}:{ticket.seq}"
+                single.retries, key=f"{queue}:{single.seq}"
             )
             heapq.heappush(
                 self._parked,
-                (release, next(self._park_order), ticket),
+                (release, next(self._park_order), single),
             )
             self._parks.inc()
-            self._record("park", queue, ticket.seq, ticket.retries,
+            self._record("park", queue, single.seq, single.retries,
                          round(release, 9), round(now, 9))
         if exhausted:
             self._quarantine(queue, exhausted, assignment.batch_id, now)
 
-    def _quarantine(self, queue: str, tickets: List[QueryTicket],
+    def _quarantine(self, queue: str, singles: List[QueryRun],
                     origin: int, now: float) -> None:
-        """Bisect a worker-killing ticket group into re-execution cohorts.
+        """Bisect a worker-killing query group into re-execution cohorts.
 
         A group of one gets a single solo cohort (its last chance); a
         larger group splits in half, so log2(size) crash rounds isolate
         one poison query while every innocent neighbor completes.
         """
-        mid = len(tickets) // 2
-        halves = [h for h in (tickets[:mid], tickets[mid:]) if h]
+        mid = len(singles) // 2
+        halves = [h for h in (singles[:mid], singles[mid:]) if h]
         release = now + self.retry_policy.backoff_s(
-            1, key=f"bisect:{origin}:{len(tickets)}"
+            1, key=f"bisect:{origin}:{len(singles)}"
         )
         for half in halves:
-            for ticket in half:
-                ticket.retries += 1
+            for single in half:
+                single.retries += 1
                 self._retries.inc()
             heapq.heappush(
                 self._cohorts,
                 (release, next(self._park_order),
-                 {"queue": queue, "tickets": half, "origin": origin}),
+                 {"queue": queue, "runs": half, "origin": origin}),
             )
         self._bisections.inc()
         self._record(
-            "bisect", origin, queue, len(tickets), len(halves[0]),
+            "bisect", origin, queue, len(singles), len(halves[0]),
             len(halves[-1]) if len(halves) > 1 else 0,
             round(release, 9), round(now, 9),
         )
 
-    def _dead_letter(self, queue: str, ticket: QueryTicket,
+    def _dead_letter(self, queue: str, single: QueryRun,
                      origin: int, now: float) -> None:
         """Terminally isolate one bisection-convicted poison query."""
-        attempts = ticket.retries + 1
+        attempts = single.retries + 1
         self._dead_letters.inc()
         self.dlq.append(DeadLetter(
             model=queue,
-            tenant=ticket.tenant,
-            seq=ticket.seq,
+            tenant=single.tenant,
+            seq=single.seq,
             origin_batch=origin,
             attempts=attempts,
             reason=(
@@ -791,15 +783,15 @@ class RouterCore(SchedulerCore):
             ),
             time=round(now, 9),
         ))
-        self._record("dead_letter", queue, ticket.tenant, ticket.seq,
+        self._record("dead_letter", queue, single.tenant, single.seq,
                      origin, round(now, 9))
         # Counted apart from failed; resolved when the engine drains.
         self._dead_lettered.inc()
-        self._pending_failures.append((ticket.future, PoisonQueryError(
-            f"query seq={ticket.seq} (model {queue!r}) crashed "
+        self._pending_failures.append((single.futures[0], PoisonQueryError(
+            f"query seq={single.seq} (model {queue!r}) crashed "
             f"{attempts} workers and was quarantined to the "
             f"dead-letter queue",
-            model=queue, tenant=ticket.tenant, seq=ticket.seq,
+            model=queue, tenant=single.tenant, seq=single.seq,
             attempts=attempts,
         )))
 
@@ -855,7 +847,7 @@ class RouterCore(SchedulerCore):
         stays dead (its id is never reused) and the decision is
         recorded.  If it was the last one, the pool is exhausted:
         admission closes and every queued, parked and quarantined
-        ticket fails with :class:`WorkerPoolExhaustedError` — nothing
+        query fails with :class:`WorkerPoolExhaustedError` — nothing
         is left waiting for a worker that will never come, and
         conservation holds.
         """
@@ -873,16 +865,16 @@ class RouterCore(SchedulerCore):
         if self.live_workers:
             return
         self.close()
-        waiting = [ticket for _, _, ticket in self._parked]
+        waiting = [single for _, _, single in self._parked]
         for _, _, cohort in self._cohorts:
-            waiting.extend(cohort["tickets"])
+            waiting.extend(cohort["runs"])
         self._parked.clear()
         self._cohorts.clear()
-        for ticket in waiting:
-            self.requeue(ticket, now)
+        for single in waiting:
+            self.requeue(single, now)
         self.fail_pending(
-            lambda ticket: WorkerPoolExhaustedError(
-                f"query seq={ticket.seq} (model {ticket.queue!r}) has no "
+            lambda single: WorkerPoolExhaustedError(
+                f"query seq={single.seq} (model {single.queue!r}) has no "
                 f"worker left to run on: worker {worker}, the last of "
                 f"the pool, died at start-up {deaths} times in a row"
             ),

@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import RejectedQuery, ValidationError
+from repro.errors import RejectedQuery, ValidationError, require_at_least
 from repro.serve.cluster import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     HedgeAction,
@@ -137,9 +138,15 @@ class TenantSpec:
                 f"tenant {self.name!r} generates no traffic: give it a "
                 f"rate_qps or a burst"
             )
-        if self.burst_size and not self.burst_every_s:
+        # Either would keep generate_arrivals from returning (a NaN
+        # period is not > 0 either).
+        if self.burst_size < 0 or (
+            self.burst_size and not (self.burst_every_s or 0) > 0
+        ):
             raise ValidationError(
-                f"tenant {self.name!r}: burst_size needs burst_every_s"
+                f"tenant {self.name!r}: a burst needs burst_size > 0 and "
+                f"burst_every_s > 0, got {self.burst_size} every "
+                f"{self.burst_every_s}"
             )
 
 
@@ -213,6 +220,12 @@ class FaultPlan:
             raise ValidationError(
                 "poison_queries are arrival indices and must be >= 0"
             )
+        for name in ("worker_crashes", "worker_hangs"):
+            if not all(0 <= at < math.inf for at in getattr(self, name)):
+                raise ValidationError(  # NaN is not 0 <= at either
+                    f"{name} must be finite virtual times >= 0, got "
+                    f"{getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -243,6 +256,8 @@ def generate_arrivals(
         raise ValidationError(
             "generate_arrivals needs total_queries or duration_s"
         )
+    if total_queries is not None:
+        require_at_least("total_queries", total_queries, 1)
     if not tenants:
         raise ValidationError("generate_arrivals needs at least one tenant")
 
@@ -261,18 +276,11 @@ def generate_arrivals(
             if nxt_burst is not None and (
                 nxt_poisson is None or nxt_burst <= nxt_poisson
             ):
-                for _ in range(spec.burst_size):
-                    yield Arrival(
-                        time=nxt_burst,
-                        tenant=spec.name,
-                        model=spec.model,
-                        deadline_ms=spec.deadline_ms,
-                        priority=spec.priority,
-                    )
+                t, size = nxt_burst, spec.burst_size
                 burst_k += 1
-                t = nxt_burst
             else:
-                t = nxt_poisson
+                t, size = nxt_poisson, 1
+            for _ in range(size):
                 yield Arrival(
                     time=t,
                     tenant=spec.name,
@@ -317,10 +325,16 @@ def offered_load(
     costing ``service_ms``; dividing by the pool size gives the classic
     rho.  Bursts add load on top, so treat this as a lower bound.
     """
+    require_at_least("threads", threads, 1)
     by_model = {p.name: p for p in profiles}
     rho = 0.0
     for spec in tenants:
-        profile = by_model[spec.model]
+        profile = by_model.get(spec.model)
+        if profile is None:
+            raise ValidationError(
+                f"tenant {spec.name!r} names model {spec.model!r}, which "
+                f"has no profile (profiled: {', '.join(sorted(by_model))})"
+            )
         rate = spec.rate_qps
         if spec.burst_size and spec.burst_every_s:
             rate += spec.burst_size / spec.burst_every_s
@@ -508,7 +522,7 @@ class SimRunner:
         self._slow_hits = 0
         self._ship_counter = 0
         self._completion_counter = 0
-        #: ticket seq -> arrival index (the bit-identity key).
+        #: query seq -> arrival index (the bit-identity key).
         self._seq_value: Dict[int, int] = {}
         self._results: Dict[int, int] = {}
         self._poison_seqs: set = set()
@@ -653,18 +667,18 @@ class SimRunner:
             self._service_ms_total += service_ms
             if not hedge:
                 self._capacity_total += profile.capacity
-                for ticket in assignment.tickets:
+                for run in assignment.runs():
                     self._packed_order.setdefault(
-                        ticket.tenant, []
-                    ).append(ticket.seq)
+                        run.tenant, []
+                    ).extend(run.seqs())
             if worker in corrupted_ship:
                 # The envelope arrived corrupted: the worker's
                 # fail-closed verify kills it at load time.
                 corrupted_ship.discard(worker)
                 self._push(now + service_ms * MS, "crash",
                            (worker, router.epochs[worker]))
-            elif any(t.seq in self._poison_seqs
-                     for t in assignment.tickets):
+            elif any(seq in self._poison_seqs
+                     for run in assignment.runs() for seq in run.seqs()):
                 # Poison: the worker dies mid-batch, no completion.
                 self._push(now + 0.5 * service_ms * MS, "crash",
                            (worker, router.epochs[worker]))
@@ -714,12 +728,12 @@ class SimRunner:
                 self._crash_and_respawn(worker, now)
             return
         # A superseded incarnation's batch is dropped and recorded by
-        # the router; the crash path already parked its tickets.
+        # the router; the crash path already parked its queries.
         if router.complete(assignment, epoch, now, OUTCOME_OK,
                            worker=worker):
             self._last_completion_t = now
-            for ticket in assignment.tickets:
-                index = self._seq_value.get(ticket.seq)
+            for seq in [k for run in assignment.runs() for k in run.seqs()]:
+                index = self._seq_value.get(seq)
                 if index is not None:
                     self._results[index] = _sim_result(
                         assignment.queue, index
@@ -755,7 +769,7 @@ class SimRunner:
             else now + arrival.deadline_ms * MS
         )
         try:
-            ticket = self.router.submit(
+            run = self.router.submit(
                 arrival.model,
                 _SimQuery(),
                 now,
@@ -765,9 +779,9 @@ class SimRunner:
             )
         except RejectedQuery:
             return  # counted by the core; open-loop load sheds
-        self._seq_value[ticket.seq] = index
+        self._seq_value[run.seq] = index
         if index in self._faults.poison_queries:
-            self._poison_seqs.add(ticket.seq)
+            self._poison_seqs.add(run.seq)
 
     def _on_timer(self, data, now: float) -> None:
         # Carries no state: popping it (advancing the clock) is what

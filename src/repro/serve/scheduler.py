@@ -10,8 +10,8 @@ scheduling problem:
   model gets a queue with an optional ``max_pending`` bound; a submit
   against a full queue raises :class:`~repro.errors.RejectedQuery`
   instead of growing without bound.  A queue holds *runs*: one admitted
-  block each (:class:`QueryRun`), which a cut slices; a query gets a
-  :class:`QueryTicket` of its own only where it is handled alone.
+  block each (:class:`QueryRun`), which a cut slices; a query handled
+  alone is a run of one.
 * **Adaptive batch cutting.**  A batch is cut when it fills *or* when the
   oldest queued query's slack runs out (its deadline minus the model's
   estimated batch service time), not only on a count trigger.  Partial
@@ -32,7 +32,7 @@ scheduling problem:
   with the original exception.  A worker that *dies* mid-batch is the
   router's to judge (:class:`~repro.serve.cluster.RouterCore`: park
   behind a backoff, quarantine, dead-letter); the core requeues a
-  retried ticket at its original queue position.
+  retried query at its original queue position.
 
 This module is the **pure decision core** (:class:`SchedulerCore`: no
 threads, no clock ownership — every method takes ``now``): the queues,
@@ -53,7 +53,7 @@ the decisions production would make.
 Traced, the core records the unit it works in: one ``batch`` span per
 assignment, from the cut to its completion (or crash), naming its
 queries by ``seq`` with their submit times.  Admission makes no tracer
-call; what ends a query outside a batch — a refused block, a ticket
+call; what ends a query outside a batch — a refused block, a query
 cancelled at a cut, a failure — is one ``reject`` / ``cancel`` /
 ``fail`` instant.
 """
@@ -64,7 +64,7 @@ import heapq
 import threading
 from concurrent.futures import CancelledError, Future, TimeoutError, _base
 from dataclasses import dataclass, field
-from itertools import groupby, islice
+from itertools import groupby
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,6 +74,7 @@ from repro.errors import (
     RejectedQuery,
     ServeError,
     ValidationError,
+    require_at_least,
     require_int,
     require_real,
 )
@@ -98,42 +99,20 @@ class PendingQuery:
     future: "QueryFuture" = field(default_factory=lambda: QueryFuture())
 
 
-@dataclass
-class QueryTicket:
-    """One query handled on its own: its payload plus scheduling metadata.
-
-    ``payload`` is opaque to the scheduler except for a ``future``
-    attribute (a :class:`QueryFuture`), which the scheduler uses to drop
-    cancelled work and to deliver scheduling failures.
-    ``deadline`` is absolute clock seconds (None = best-effort).
-    """
-
-    queue: str
-    tenant: str
-    payload: Any
-    submit_time: float
-    deadline: Optional[float]
-    priority: int
-    seq: int
-    retries: int = 0
-
-    @property
-    def future(self):
-        return self.payload.future
-
-
 @dataclass(eq=False)
 class QueryRun:
-    """Queued queries of one admitted block: what a queue holds and a
-    cut slices.  Member ``k`` is query ``seq + k``; all share tenant,
-    submit time, deadline and priority.  ``rows`` is their ``(n,
-    features)`` array (:meth:`block`); ``tickets`` exist only where a
-    query is handled alone or the caller admitted tickets;
-    ``condition`` is the one their futures share (None: each has its
-    own)."""
+    """Queued queries of one admitted block: the one unit of queued
+    work, which a cut slices.  Member ``k`` is query ``seq + k``; all
+    share tenant, submit time, deadline, priority and ``retries`` (the
+    crashes survived: a query handled alone is a run of one,
+    :meth:`singles`).  ``rows`` is their ``(n, features)`` array
+    (:meth:`block`); ``payloads`` are the payload API's, each with a
+    ``future`` (None for a block of futures); ``condition`` is the one
+    their futures share (None: each has its own)."""
 
     __slots__ = ("queue", "tenant", "submit_time", "deadline", "priority",
-                 "seq", "futures", "rows", "tickets", "condition")
+                 "seq", "futures", "rows", "payloads", "condition",
+                 "retries")
     queue: str
     tenant: str
     submit_time: float
@@ -142,15 +121,9 @@ class QueryRun:
     seq: int
     futures: List["QueryFuture"]
     rows: Any
-    tickets: Optional[List[QueryTicket]]
+    payloads: Optional[List[Any]]
     condition: Optional[threading.Condition]
-
-    @classmethod
-    def of(cls, ticket: QueryTicket) -> "QueryRun":
-        """One ticket as a run of one (a retry, a cohort member)."""
-        return cls(ticket.queue, ticket.tenant, ticket.submit_time,
-                   ticket.deadline, ticket.priority, ticket.seq,
-                   [ticket.future], None, [ticket], None)
+    retries: int
 
     def __len__(self) -> int:
         return len(self.futures)
@@ -160,80 +133,59 @@ class QueryRun:
         # priority level — which makes FIFO-within-tenant structural.
         return (-self.priority, self.seq)
 
+    def seqs(self) -> range:
+        """The members' ``seq``s, in order."""
+        return range(self.seq, self.seq + len(self))
+
     def piece(self, lo: int, hi: int) -> "QueryRun":
         """Members ``lo`` to ``hi`` as a run of their own."""
-        rows, tickets = self.rows, self.tickets
+        rows, payloads = self.rows, self.payloads
         return QueryRun(self.queue, self.tenant, self.submit_time,
                         self.deadline, self.priority, self.seq + lo,
                         self.futures[lo:hi],
                         None if rows is None else rows[lo:hi],
-                        tickets and tickets[lo:hi], self.condition)
+                        payloads and payloads[lo:hi], self.condition,
+                        self.retries)
+
+    def singles(self) -> List["QueryRun"]:
+        """Each member as a run of one."""
+        return [self.piece(k, k + 1) for k in range(len(self))]
 
     def block(self) -> np.ndarray:
-        """The members' ``(n, features)`` int64 rows: a run of tickets
+        """The members' ``(n, features)`` int64 rows: a run of payloads
         reads them off its payloads, once."""
         if self.rows is None:
             self.rows = np.array(
-                [t.payload.features for t in self.tickets], dtype=np.int64
+                [p.features for p in self.payloads], dtype=np.int64
             ).reshape(len(self), -1)
         return self.rows
-
-    def member_tickets(self) -> List[QueryTicket]:
-        """One ticket per member, made once."""
-        if self.tickets is None:
-            self.tickets = [
-                QueryTicket(self.queue, self.tenant, PendingQuery(row, f),
-                            self.submit_time, self.deadline, self.priority,
-                            self.seq + k)
-                for k, (row, f) in enumerate(zip(self.rows.tolist(),
-                                                 self.futures))
-            ]
-        return self.tickets
 
 
 class Assignment:
     """What one worker evaluates in one go: one placement, one flight,
     one completion — of one batch (ciphertext), or of the several a
     queue with ``lanes`` had ready at the cut.  ``parts`` holds each
-    batch's runs (built from ``tickets``: a run per ticket, a batch per
-    fill); ``batch_id`` is the first batch's, batch ``j`` is
+    batch's runs; ``batch_id`` is the first batch's, batch ``j`` is
     ``batch_id + j``; ``span`` is the ``batch`` span naming its members
     by ``seq`` (None untraced), which evaluators parent stages on."""
 
     def __init__(self, batch_id: int, queue: str, worker: int,
-                 tickets: Sequence[QueryTicket], cut_time: float,
-                 fills: Sequence[int], span: Optional[int] = None,
-                 parts: Optional[List[List[QueryRun]]] = None):
-        if parts is None:
-            runs = iter([QueryRun.of(ticket) for ticket in tickets])
-            parts = [list(islice(runs, fill)) for fill in fills]
+                 parts: List[List[QueryRun]], cut_time: float,
+                 span: Optional[int] = None):
         self.batch_id, self.queue, self.worker = batch_id, queue, worker
         self.cut_time, self.span, self.parts = cut_time, span, parts
         #: Queries in each batch, in order.
         self.fills = tuple(sum(map(len, part)) for part in parts)
         self.size = sum(self.fills)
 
-    @property
-    def tickets(self) -> List[QueryTicket]:
-        """Every query's ticket, in order (made on first use)."""
-        return [t for _, tickets in self.batches() for t in tickets]
+    def runs(self) -> List[QueryRun]:
+        """Every batch's runs, in order."""
+        return [run for part in self.parts for run in part]
 
-    def batches(self) -> List[Tuple[int, List[QueryTicket]]]:
-        """``(batch id, tickets)`` of each batch of the assignment."""
-        return [
-            (self.batch_id + j,
-             [t for run in part for t in run.member_tickets()])
-            for j, part in enumerate(self.parts)
-        ]
-
-    def features(self):
-        """Every query's ``(n, features)`` rows, in order, as one array
-        (a lone run's without a copy); for an assignment of tickets
-        alone (the ticket API's), their payloads' own lists."""
-        runs = [run for part in self.parts for run in part]
-        if all(run.rows is None for run in runs):
-            return [t.payload.features for run in runs for t in run.tickets]
-        blocks = [run.block() for run in runs]
+    def features(self) -> np.ndarray:
+        """Every query's ``(n, features)`` int64 rows, in order, as one
+        array (a lone run's without a copy)."""
+        blocks = [run.block() for run in self.runs()]
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -382,7 +334,7 @@ class _ModelQueue:
         self._cut_dirty = True
 
     def cut_deadline(self) -> Optional[float]:
-        """Earliest time any queued ticket forces a cut (slack = 0).
+        """Earliest time any queued query forces a cut (slack = 0).
 
         Cached between queue mutations: workers re-poll this on every
         wake, so recomputing by heap scan each time would make a burst
@@ -430,9 +382,7 @@ class SchedulerCore:
 
     def __init__(self, workers: int, tracer=None,
                  metrics: Optional[MetricsRegistry] = None):
-        require_int("workers", workers)
-        if workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
+        require_at_least("workers", workers, 1)
         self._queues: Dict[str, _ModelQueue] = {}
         #: One flag per worker id ever issued.  Ids are never reused: a
         #: retired worker's id stays dead, so decision logs and traces
@@ -475,7 +425,7 @@ class SchedulerCore:
             "sched_latency_ms", window=LATENCY_WINDOW
         )
         #: Labelled children, each resolved through the registry once
-        #: (and still created on first use) — not per ticket.
+        #: (and still created on first use) — not per query.
         self._tenant_submitted = bind_children(
             m.counter, "sched_tenant_submitted", "tenant")
         self._tenant_completed = bind_children(
@@ -510,39 +460,36 @@ class SchedulerCore:
         self._queues[name] = queue
 
     def remove_queue(self, name: str, now: float) -> int:
-        """Drop a queue, failing its still-pending tickets.  Returns the
-        number of tickets failed."""
+        """Drop a queue, failing its still-pending queries.  Returns the
+        number of queries failed."""
         queue = self._queues.pop(name, None)
         if queue is None:
             return 0
-        tickets = [t for _, run in sorted(queue.heap)  # the cut's order
-                   for t in run.member_tickets()]
-        for ticket in tickets:
-            self._fail_ticket(
-                ticket,
-                ServeError(
-                    f"model {name!r} was unregistered with the query "
-                    f"still queued"
-                ),
-                now,
-            )
-        return len(tickets)
+        return self._fail_queued(queue, lambda single: ServeError(
+            f"model {name!r} was unregistered with the query still queued"
+        ), now)
 
-    def fail_pending(self, exc_for: Callable[[QueryTicket], Exception],
+    def fail_pending(self, exc_for: Callable[[QueryRun], Exception],
                      now: float) -> int:
-        """Fail every queued ticket of every queue (the queues stay).
-        Returns the number of tickets failed."""
-        failed = 0
-        for queue in self._queues.values():
-            for ticket in [t for _, run in sorted(queue.heap)
-                           for t in run.member_tickets()]:
-                self._fail_ticket(ticket, exc_for(ticket), now)
-                failed += 1
-            queue.heap.clear()
-            queue.count = 0
-            queue.flush_pending = False
-            queue.invalidate_cut_cache()
-        return failed
+        """Fail every queued query of every queue (the queues stay).
+        Returns the number of queries failed."""
+        return sum(self._fail_queued(queue, exc_for, now)
+                   for queue in self._queues.values())
+
+    def _fail_queued(self, queue: _ModelQueue,
+                     exc_for: Callable[[QueryRun], Exception],
+                     now: float) -> int:
+        """Empty ``queue``, failing each query in the cut's order with
+        ``exc_for`` of it as a run of one; returns how many."""
+        singles = [one for _, run in sorted(queue.heap)
+                   for one in run.singles()]
+        for single in singles:
+            self._fail(single, exc_for(single), now)
+        queue.heap.clear()
+        queue.count = 0
+        queue.flush_pending = False
+        queue.invalidate_cut_cache()
+        return len(singles)
 
     def queue_names(self) -> List[str]:
         return sorted(self._queues)
@@ -556,11 +503,7 @@ class SchedulerCore:
         queue nobody spoke for keeps 1.
         """
         queue = self._queue_or_raise(name)
-        require_int(f"queue {name!r}: lanes", lanes)
-        if lanes < 1:
-            raise ValidationError(
-                f"queue {name!r}: lanes must be >= 1, got {lanes}"
-            )
+        require_at_least(f"queue {name!r}: lanes", lanes, 1)
         queue.lanes = lanes
 
     def lanes(self, name: str) -> int:
@@ -592,14 +535,14 @@ class SchedulerCore:
 
     @property
     def running(self) -> int:
-        """Tickets currently being evaluated (a hedged one once)."""
+        """Queries currently being evaluated (a hedged one once)."""
         return sum(
             a.size for w, a in self._running.items() if a.worker == w
         )
 
     @property
     def outstanding(self) -> int:
-        """Admitted tickets not yet terminal (queued or running)."""
+        """Admitted queries not yet terminal (queued or running)."""
         return self.pending() + self.running
 
     @property
@@ -622,12 +565,13 @@ class SchedulerCore:
         tenant: str = "default",
         deadline: Optional[float] = None,
         priority: int = 0,
-    ) -> QueryTicket:
-        """Admit one query (or raise): the block of one."""
+    ) -> QueryRun:
+        """Admit one query (or raise): the block of one, returned as
+        its run."""
         return self.submit_many(
             name, (payload,), now, tenant=tenant, deadline=deadline,
             priority=priority,
-        )[0]
+        )
 
     def submit_many(
         self,
@@ -637,22 +581,20 @@ class SchedulerCore:
         tenant: str = "default",
         deadline: Optional[float] = None,
         priority: int = 0,
-    ) -> List[QueryTicket]:
-        """Admit a block of payloads (each with a ``future``) as one run
-        of tickets, one per payload, returned: :meth:`submit_block` for
-        a caller that queues its own payloads."""
+    ) -> QueryRun:
+        """Admit a block of payloads (each with a ``future``, and
+        ``features`` if it is evaluated) as one run, returned:
+        :meth:`submit_block` for a caller that queues its own
+        payloads."""
         queue, seq, admitted = self._admit(name, len(payloads), tenant,
                                            deadline, priority)
-        tickets = [
-            QueryTicket(name, tenant, payload, now, deadline, priority,
-                        seq + k)
-            for k, payload in zip(range(admitted), payloads)
-        ]
-        self._enqueue(queue, QueryRun(
+        refused = admitted < len(payloads)
+        payloads = list(payloads[:admitted])
+        return self._enqueue(queue, QueryRun(
             name, tenant, now, deadline, priority, seq,
-            [ticket.future for ticket in tickets], None, tickets, None,
-        ), admitted < len(payloads), now)
-        return tickets
+            [payload.future for payload in payloads], None, payloads,
+            None, 0,
+        ), refused, now)
 
     def submit_block(
         self,
@@ -666,7 +608,7 @@ class SchedulerCore:
     ) -> QueryRun:
         """Admit a block of queries sharing tenant, deadline, priority,
         as one :class:`QueryRun`: their futures, which share one
-        condition, and their ``(n, features)`` rows.  No ticket is made.
+        condition, and their ``(n, features)`` rows.
 
         What N ``submit`` calls at the same ``now`` would do, paid once
         per block: one closed check, one queue lookup, one admission
@@ -678,7 +620,7 @@ class SchedulerCore:
         two explicit overload/lifecycle signals.  A bound reached
         part-way admits the queries ahead of it, counts the first
         refused one, leaves the rest uncounted (the loop would never
-        have reached them) and carries the admitted tickets on the
+        have reached them) and carries the admitted futures on the
         exception.  An ill-typed ``tenant`` / ``priority`` / ``deadline``
         is a :class:`ValidationError` and admits nothing.
         """
@@ -689,7 +631,7 @@ class SchedulerCore:
             futures, rows = futures[:admitted], rows[:admitted]
         return self._enqueue(queue, QueryRun(
             name, tenant, now, deadline, priority, seq, futures, rows, None,
-            futures[0]._condition if admitted else None,
+            futures[0]._condition if admitted else None, 0,
         ), refused, now)
 
     def _admit(self, name: str, asked: int, tenant: str,
@@ -705,7 +647,7 @@ class SchedulerCore:
         queue = self._queue_or_raise(name)
         # Before anything is queued or counted: an ill-typed field that
         # surfaced later (a label lookup, a heap comparison) would leave
-        # a queued ticket nobody holds.
+        # a queued query nobody holds.
         if not isinstance(tenant, str):
             raise ValidationError(
                 f"tenant must be a string, got {tenant!r}"
@@ -724,7 +666,7 @@ class SchedulerCore:
     def _enqueue(self, queue: _ModelQueue, run: QueryRun, refused: bool,
                  now: float) -> QueryRun:
         """Queue an admitted run and count it, and the refused query
-        after it, if any (raised, with the admitted tickets)."""
+        after it, if any (raised, with the admitted futures)."""
         admitted, name, tenant = len(run), run.queue, run.tenant
         if admitted:
             queue.push(run)
@@ -745,7 +687,7 @@ class SchedulerCore:
                 tenant=tenant,
                 queue_depth=queue.count,
                 limit=queue.max_pending,
-                admitted=run.member_tickets() if admitted else [],
+                admitted=run.futures,
             )
         return run
 
@@ -904,18 +846,17 @@ class SchedulerCore:
               now: float) -> Assignment:
         """The cut runs as one running :class:`Assignment`: one
         consecutive batch id (and one ``sched_batches``) per batch."""
-        assignment = Assignment(self._next_batch_id, queue, worker, (), now,
-                                (), parts=parts)
+        assignment = Assignment(self._next_batch_id, queue, worker, parts,
+                                now)
         self._next_batch_id += len(parts)
         if self.tracer is not None:
             # A member's wait is ``t0 - submitted[i]``.
-            runs = [run for part in parts for run in part]
+            runs = assignment.runs()
             assignment.span = self.tracer.begin(
                 "batch", now, track=f"worker:{worker}",
                 queue=queue, batch_id=assignment.batch_id,
                 size=assignment.size, fills=assignment.fills,
-                members=[k for r in runs
-                         for k in range(r.seq, r.seq + len(r))],
+                members=[k for r in runs for k in r.seqs()],
                 submitted=[round(r.submit_time, 9) for r in runs
                            for _ in r.futures],
             )
@@ -935,11 +876,11 @@ class SchedulerCore:
 
         ``"ok"``: count completions, latencies, deadline misses —
         except for the batches whose positions key ``failed``: their
-        evaluation raised, and their tickets fail with
+        evaluation raised, and their queries fail with
         :func:`evaluation_failure` quoting the cause it maps them to.
         ``"error"``: every batch's evaluation raised — deterministic,
-        so every ticket fails.  A worker that died mid-batch never
-        completes: the router decides its tickets' fate.
+        so every query fails.  A worker that died mid-batch never
+        completes: the router decides its queries' fate.
         """
         if self._running.get(assignment.worker) is not assignment:
             raise ValidationError(
@@ -965,10 +906,10 @@ class SchedulerCore:
                         failed: Dict[int, Optional[str]]) -> int:
         """Count one evaluated assignment: one update per instrument.
 
-        Latencies are observed in ticket order and labelled children
+        Latencies are observed in query order and labelled children
         resolved once per distinct tenant / queue of the assignment, so
-        the registry ends bit-for-bit where per-ticket booking left it.
-        The tickets of a batch whose position is in ``failed`` fail.
+        the registry ends bit-for-bit where per-query booking left it.
+        The queries of a batch whose position is in ``failed`` fail.
         Returns the deadline misses.
         """
         latencies: List[float] = []
@@ -977,11 +918,10 @@ class SchedulerCore:
         misses = 0
         for position, part in enumerate(assignment.parts):
             if position in failed:
-                for run in part:
-                    for ticket in run.member_tickets():
-                        self._fail_ticket(ticket, evaluation_failure(
-                            assignment.batch_id + position, failed[position]
-                        ), now)
+                for single in [one for run in part for one in run.singles()]:
+                    self._fail(single, evaluation_failure(
+                        assignment.batch_id + position, failed[position]
+                    ), now)
                 continue
             for run in part:  # one latency, deadline and tenant per run
                 size = len(run)
@@ -1005,37 +945,37 @@ class SchedulerCore:
         return misses
 
     # ------------------------------------------------------------------
-    # Fault-domain seams (what the router's crash policy does to tickets)
+    # Fault-domain seams (what the router's crash policy does to queries)
     # ------------------------------------------------------------------
 
-    def requeue(self, ticket: QueryTicket, now: float) -> bool:
-        """Return a parked ticket to its queue (False if the queue is
-        gone, in which case the ticket fails at ``now``)."""
-        queue = self._queues.get(ticket.queue)
+    def requeue(self, single: QueryRun, now: float) -> bool:
+        """Return a parked run of one to its queue (False if the queue
+        is gone, in which case its query fails at ``now``)."""
+        queue = self._queues.get(single.queue)
         if queue is None:
-            self._fail_ticket(ticket, ServeError(
-                f"model {ticket.queue!r} was unregistered while a retry "
+            self._fail(single, ServeError(
+                f"model {single.queue!r} was unregistered while a retry "
                 f"was parked"
             ), now)
             return False
-        queue.push(QueryRun.of(ticket))
+        queue.push(single)
         return True
 
-    def assign_direct(self, queue_name: str, tickets: List[QueryTicket],
+    def assign_direct(self, queue_name: str, singles: List[QueryRun],
                       worker: int, now: float) -> Optional[Assignment]:
-        """Bind an explicit ticket cohort to a free worker as one
-        assignment, cut into batches of the queue's capacity.
+        """Bind an explicit cohort of runs of one to a free worker as
+        one assignment, cut into batches of the queue's capacity.
 
         The quarantine path: bisected halves must re-execute with
         exactly their membership (a heap cut could mix in fresh
         queries and re-poison them), so the router hands the cohort
         straight in — more than one ciphertext of it, when what crashed
-        was an assignment of several.  Cancelled tickets are dropped
-        like in :meth:`assign`; returns None when every ticket was
+        was an assignment of several.  Cancelled queries are dropped
+        like in :meth:`assign`; returns None when every one was
         cancelled.
         """
-        runs = [live for ticket in tickets
-                for live in self._start(QueryRun.of(ticket), now)]
+        runs = [live for single in singles
+                for live in self._start(single, now)]
         if not runs:
             return None
         queue = self._queues.get(queue_name)
@@ -1047,14 +987,14 @@ class SchedulerCore:
             runs[at : at + capacity] for at in range(0, len(runs), capacity)
         ], now)
 
-    def _fail_ticket(self, ticket: QueryTicket, exc: Exception,
-                     now: float) -> None:
+    def _fail(self, single: QueryRun, exc: Exception, now: float) -> None:
+        """Fail a run of one's query with ``exc``."""
         # Deferred: resolving runs the caller's done-callbacks, which may
         # re-enter the service whose lock is held around the core; the
         # future resolves when the caller drains, outside any lock.
         self._failed.inc()
-        self._instant("fail", ticket.tenant, ticket.seq, now)
-        self._pending_failures.append((ticket.future, exc))
+        self._instant("fail", single.tenant, single.seq, now)
+        self._pending_failures.append((single.futures[0], exc))
 
     def drain_failures(self) -> List[Tuple[Any, Exception]]:
         """Take the accumulated (future, exception) deliveries.
@@ -1206,7 +1146,7 @@ class QueryFuture(Future):
 
 def settle(futures: Sequence[QueryFuture], outcomes: Sequence[Any]) -> None:
     """Resolve each future with its outcome, an exception failing it
-    (call with no locks held).  A block's queries sit together in ticket
+    (call with no locks held).  A block's queries sit together in seq
     order, so its condition is taken once: every state is set, then one
     ``notify_all``; the done-callbacks run after, outside it, in the
     order given.  A future already done is skipped: a hedge replica

@@ -594,7 +594,7 @@ class CopseService:
         or when more submissions fill them.  Raises
         :class:`~repro.errors.RejectedQuery` when the model's queue
         reaches its bound — the queries ahead of the refused one stay
-        admitted, their tickets on the exception's ``admitted`` — and
+        admitted, their futures on the exception's ``admitted`` — and
         :class:`~repro.errors.ServeError` after :meth:`close`.  An
         ill-typed ``tenant`` / ``deadline_ms`` / ``priority`` is a
         :class:`~repro.errors.ValidationError` that admits nothing.
@@ -689,7 +689,7 @@ class CopseService:
         The whole request is validated before any of it is admitted, so
         an arity/domain refusal admits nothing; an admission-control
         refusal part-way still serves what was admitted before it
-        propagates — no ticket is left queued behind a future nobody
+        propagates — no query is left queued behind a future nobody
         holds.  An empty request returns ``[]`` without touching the
         router.
         """
@@ -960,7 +960,7 @@ class CopseService:
         for record in answered:
             if record.degraded is not None:
                 router.record_degrade(assignment.queue, *record.degraded, now)
-        # A stale epoch is refused here: its tickets were already parked.
+        # A stale epoch is refused here: its queries were already parked.
         if router.complete(
             assignment, event.epoch, now,
             OUTCOME_OK if answered else OUTCOME_ERROR,

@@ -446,7 +446,7 @@ class Transport:
         staged = self._staged.get(assignment.queue)
         if staged is None:
             # The model was unregistered under the assignment: every
-            # ticket fails loudly, nothing is retried.
+            # query fails loudly, nothing is retried.
             return Completion(assignment, worker, epoch,
                               [None] * len(assignment.fills), lambda: None)
         parts = result.parts()
@@ -464,7 +464,7 @@ class Transport:
             # A truncated/corrupted completion envelope.  Fail closed:
             # the sender is lying about the assignment's shape, so treat
             # it as a worker fault — the facade kills it and takes the
-            # crash/respawn path (the tickets park or quarantine;
+            # crash/respawn path (the queries park or quarantine;
             # nothing is resolved from a malformed result).
             self._inflight[assignment.batch_id] = assignment
             return WorkerDied(worker, epoch)
@@ -478,7 +478,7 @@ class Transport:
             at, first = at + fill, at
             if part.error is not None:
                 # Deterministic evaluation failure: no retry — a second
-                # run would fail identically; the batch's tickets fail
+                # run would fail identically; the batch's queries fail
                 # quoting it, the others are answered.
                 records.append(None)
                 failed[position] = part.error
@@ -547,7 +547,7 @@ class InThreadTransport(Transport):
 
     def wait(self, timeout: float) -> List[BatchResult]:
         """Evaluate the held assignment through the worker's routine
-        (the tickets' feature lists as they are; traced, one span per
+        (the assignment's feature rows as they are; traced, one span per
         stage however many ciphertexts), or sleep until woken."""
         from repro.serve.worker import _eval_result
 

@@ -468,7 +468,9 @@ class TestCopseIr:
 
     def test_unoptimized_also_correct(self, setup):
         forest, compiled = setup
-        out = ir_secure_inference(compiled, [7, 9], optimize_graph=False)
+        out = ir_secure_inference(
+            compiled, [7, 9], graph=build_inference_graph(compiled)
+        )
         assert out.result.bitvector == forest.label_bitvector([7, 9])
 
     def test_optimizer_shares_level_extensions(self, setup):

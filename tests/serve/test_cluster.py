@@ -21,7 +21,9 @@ import dataclasses
 import json
 import os
 import pickle
+from itertools import count
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -52,6 +54,19 @@ SOAK_QUERIES = 20_000 if bench_quick() else 100_000
 # ---------------------------------------------------------------------------
 # RouterCore: pure placement/failover, no engine
 # ---------------------------------------------------------------------------
+
+
+def seqs_of(assignment):
+    """The assignment's queries, by seq, in order."""
+    return [seq for run in assignment.runs() for seq in run.seqs()]
+
+
+def futures_of(assignment):
+    return [future for run in assignment.runs() for future in run.futures]
+
+
+def payloads_of(runs):
+    return [payload for run in runs for payload in run.payloads]
 
 
 class FakeQuery:
@@ -144,7 +159,7 @@ class TestRouterCore:
         first = router.dispatch(0.0)[-1]
         victim = first.assignment.worker
         router.crash_worker(victim, 0.5)
-        # Backoff: the crashed tickets park instead of requeueing at
+        # Backoff: the crashed queries park instead of requeueing at
         # the crash instant...
         assert [
             a for a in router.dispatch(0.5)
@@ -164,9 +179,7 @@ class TestRouterCore:
         assert len(retry) == 1
         assert retry[0].assignment.worker != victim  # victim not alive
         # Original submission order survives the park/requeue.
-        assert [t.seq for t in retry[0].assignment.tickets] == (
-            [t.seq for t in first.assignment.tickets]
-        )
+        assert seqs_of(retry[0].assignment) == seqs_of(first.assignment)
         assert router.complete(
             retry[0].assignment, retry[0].epoch, 1.0, OUTCOME_OK
         ) is True
@@ -184,7 +197,7 @@ class TestRouterCore:
         victim = actions[-1].assignment.worker
         router.crash_worker(victim, 0.5)
         router.restart_worker(victim, 0.5)
-        # Retry-exhausted tickets are NOT failed outright: they bisect
+        # Retry-exhausted queries are NOT failed outright: they bisect
         # into singleton quarantine cohorts that re-execute solo.
         assert router.drain_failures() == []
         bisects = [d for d in router.decisions if d[0] == "bisect"]
@@ -352,7 +365,7 @@ class TestRouterCore:
         assert [a.assignment.worker for a in assigned] == [1]
 
     def test_abandoning_the_last_worker_fails_everything_typed(self):
-        """Pool exhausted: queued *and* parked tickets fail with the
+        """Pool exhausted: queued *and* parked queries fail with the
         typed error, admission closes, conservation holds."""
         router = self.make(workers=1, max_retries=3)
         running = [FakeQuery(), FakeQuery()]
@@ -634,24 +647,22 @@ class TestAssignmentOnTheWire:
         return transport
 
     def assignment(self, registered, fills, seed=0, batch_id=7):
-        import numpy as np
-
         from repro.serve.batcher import prepare_queries
-        from repro.serve.scheduler import Assignment, QueryTicket
+        from repro.serve.scheduler import Assignment, QueryRun
 
         rng = np.random.default_rng(seed)
         features = rng.integers(
             0, 256, (sum(fills), registered.layout.n_features)
         ).tolist()
-        tickets = [
-            QueryTicket("m", "acme", payload, 0.0, None, 0, seq)
-            for seq, payload in enumerate(
-                prepare_queries(registered, features)
-            )
-        ]
+        payloads = prepare_queries(registered, features)
+        run = QueryRun("m", "acme", 0.0, None, 0, 0,
+                       [payload.future for payload in payloads], None,
+                       payloads, None, 0)
+        starts = np.cumsum((0,) + tuple(fills)).tolist()
         return Assignment(
-            batch_id=batch_id, queue="m", worker=0, tickets=tickets,
-            cut_time=0.0, fills=tuple(fills),
+            batch_id=batch_id, queue="m", worker=0,
+            parts=[[run.piece(lo, hi)] for lo, hi in zip(starts, starts[1:])],
+            cut_time=0.0,
         )
 
     def round_trip(self, transport, registered, assignment):
@@ -682,11 +693,12 @@ class TestAssignmentOnTheWire:
         transport = self.wire(registered, verify_oracle=verify)
         assignment = self.assignment(registered, fills, seed)
         request, result = self.round_trip(transport, registered, assignment)
-        features = [t.payload.features for t in assignment.tickets]
+        features = [p.features for p in payloads_of(assignment.runs())]
         assert request.fills == assignment.fills
-        assert [list(f) for f in request.features] == features
+        assert request.features.dtype == np.int64
+        assert request.features.tolist() == features
         assert [len(batch) for batch in request.batches()] == fills
-        assert sum(request.batches(), []) == features
+        assert np.concatenate(request.batches()).tolist() == features
         assert (request.batch_id, request.epoch, request.verify_oracle) == (
             7, 3, verify
         )
@@ -719,18 +731,21 @@ class TestAssignmentOnTheWire:
             for p in parts
         ]
         assert all(p.phase_op_counts for p in parts)
-        assert not any(t.future.done() for t in assignment.tickets)
+        assert not any(f.done() for f in futures_of(assignment))
         completion.resolve()
         at = 0
-        for (batch_id, tickets), part in zip(assignment.batches(), parts):
-            for ticket in tickets:
-                answer = ticket.future.result(timeout=0)
-                assert answer.features == ticket.payload.features
+        for batch_id, runs, part in zip(
+            count(assignment.batch_id), assignment.parts, parts
+        ):
+            members = payloads_of(runs)
+            for payload in members:
+                answer = payload.future.result(timeout=0)
+                assert answer.features == payload.features
                 assert answer.bitvector == list(result.bitvectors[at])
                 assert (answer.batch_id, answer.batch_fill) == (
-                    batch_id, len(tickets)
+                    batch_id, len(members)
                 )
-                assert answer.amortized_ms == part.inference_ms / len(tickets)
+                assert answer.amortized_ms == part.inference_ms / len(members)
                 assert answer.oracle_ok is (True if verify else None)
                 at += 1
 
@@ -751,10 +766,10 @@ class TestAssignmentOnTheWire:
         }[lie])
         assert transport._result_event(forged) == WorkerDied(0, 3)
         assert transport._inflight == {7: assignment}
-        assert not any(t.future.done() for t in assignment.tickets)
+        assert not any(f.done() for f in futures_of(assignment))
         # ... and the honest result still resolves it (a hedge replica)
         transport._result_event(result).resolve()
-        assert all(t.future.done() for t in assignment.tickets)
+        assert all(f.done() for f in futures_of(assignment))
 
     def test_a_batch_the_worker_could_not_evaluate_has_no_record(
         self, registered, monkeypatch
@@ -763,11 +778,11 @@ class TestAssignmentOnTheWire:
         from repro.serve import batched_runtime
 
         assignment = self.assignment(registered, (4, 4, 3))
-        poison = assignment.tickets[5].payload.features
+        poison = payloads_of(assignment.runs())[5].features
         encrypt = batched_runtime.encrypt_batch
 
         def encrypt_unless_poisoned(ctx, layout, features, keys):
-            if poison in features:
+            if poison in np.asarray(features).tolist():
                 raise RuntimeProtocolError("this ciphertext is poison")
             return encrypt(ctx, layout, features, keys)
 
@@ -784,10 +799,10 @@ class TestAssignmentOnTheWire:
         completion = transport._result_event(result)
         assert [r and r.batch_id for r in completion.records] == [7, None, 9]
         completion.resolve()
-        assert [t.future.done() for t in assignment.tickets] == (
+        assert [f.done() for f in futures_of(assignment)] == (
             [True] * 4 + [False] * 4 + [True] * 3
         )
-        assert assignment.tickets[-1].future.result(timeout=0).batch_fill == 3
+        assert futures_of(assignment)[-1].result(timeout=0).batch_fill == 3
 
     def test_a_model_the_worker_does_not_hold_fails_every_batch(
         self, registered
@@ -814,7 +829,7 @@ class TestAssignmentOnTheWire:
         from repro.serve.worker import _eval_result, evaluate_batch
 
         assignment = self.assignment(registered, (self.CAPACITY,), batch_id=1)
-        features = [t.payload.features for t in assignment.tickets]
+        features = [p.features for p in payloads_of(assignment.runs())]
         bitvectors, phase_ms, inference_ms, encrypt_ms, oracle_ok = (
             evaluate_batch(registered, features, verify_oracle=True)
         )
@@ -852,7 +867,7 @@ class TestAssignmentOnTheWire:
         )]
         completion.resolve()
         assert [
-            t.future.result(timeout=0) for t in assignment.tickets
+            f.result(timeout=0) for f in futures_of(assignment)
         ] == classification_results(
             registered, 1, features, bitvectors, inference_ms, oracle_ok
         )

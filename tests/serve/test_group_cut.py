@@ -53,6 +53,11 @@ def core_with(lanes, capacity=3, workers=4, **queue):
     return core
 
 
+def seqs(runs):
+    """The queries of ``runs``, by seq, in order."""
+    return [seq for run in runs for seq in run.seqs()]
+
+
 def conserved(stats):
     return stats.submitted == (
         stats.completed + stats.rejected + stats.failed + stats.cancelled
@@ -63,15 +68,15 @@ def conserved(stats):
 class TestCutRule:
     def test_a_block_of_full_ciphertexts_is_one_assignment(self):
         core = core_with(lanes=8)
-        tickets = core.submit_many("m", [Payload() for _ in range(15)], 0.0)
+        run = core.submit_many("m", [Payload() for _ in range(15)], 0.0)
         assignment = core.assign(0.0)
         assert assignment.batch_id == 1 and assignment.fills == (3,) * 5
-        assert assignment.tickets == tickets
-        assert [batch_id for batch_id, _ in assignment.batches()] == [
-            1, 2, 3, 4, 5,
+        assert [f for r in assignment.runs() for f in r.futures] == (
+            run.futures
+        )
+        assert [seqs(part) for part in assignment.parts] == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14],
         ]
-        assert [t.seq for _, members in assignment.batches()
-                for t in members] == list(range(15))
         assert core.stats().batches == 5
         assert core.pending("m") == 0 and core.running == 15
         assert core.idle_workers() == [1, 2, 3]  # one placement
@@ -117,12 +122,12 @@ class TestCutRule:
 
     def test_a_cancelled_ticket_takes_no_slot_in_any_ciphertext(self):
         core = core_with(lanes=8)
-        tickets = core.submit_many("m", [Payload() for _ in range(9)], 0.0)
-        assert tickets[4].future.cancel()
+        run = core.submit_many("m", [Payload() for _ in range(9)], 0.0)
+        assert run.futures[4].cancel()
         core.flush("m")
         assignment = core.assign(0.0)
         assert assignment.fills == (3, 3, 2)
-        assert tickets[4] not in assignment.tickets
+        assert seqs(assignment.runs()) == [0, 1, 2, 3, 5, 6, 7, 8]
         core.complete(assignment, 1.0)
         stats = core.stats()
         assert (stats.completed, stats.cancelled) == (8, 1)
@@ -130,13 +135,13 @@ class TestCutRule:
 
     def test_a_batch_that_failed_fails_alone(self):
         core = core_with(lanes=8)
-        tickets = core.submit_many("m", [Payload() for _ in range(9)], 0.0)
+        run = core.submit_many("m", [Payload() for _ in range(9)], 0.0)
         assignment = core.assign(0.0)
         core.complete(assignment, 1.0, failed={1: "RuntimeError: boom"})
         stats = core.stats()
         assert (stats.completed, stats.failed) == (6, 3) and conserved(stats)
         failures = core.drain_failures()
-        assert [f for f, _ in failures] == [t.future for t in tickets[3:6]]
+        assert [f for f, _ in failures] == run.futures[3:6]
         assert all(
             isinstance(exc, ServeError)
             and str(exc) == "batch 2 evaluation failed: RuntimeError: boom"
@@ -185,7 +190,7 @@ class TestCutRule:
     def test_a_group_is_the_cuts_lanes_of_one_would_make(
         self, capacity, lanes, blocks, free
     ):
-        """Ticket for ticket and id for id: one cut of a queue with
+        """Query for query and id for id: one cut of a queue with
         ``lanes`` is the next ``lanes`` cuts of the same queue at
         ``lanes = 1`` — however many free workers those are made among
         (a queue of one lane has nothing to share out)."""
@@ -196,17 +201,17 @@ class TestCutRule:
             now += 0.01
             sides = []
             for core in (grouped, single):
-                tickets = core.submit_many(
+                run = core.submit_many(
                     "m", [Payload() for _ in range(count)], now,
                     priority=priority,
                     deadline=None if deadline is None else now + deadline,
                 )
                 for index in cancelled:
                     if index < count:
-                        tickets[index].future.cancel()
+                        run.futures[index].cancel()
                 if flush:
                     core.flush("m")
-                sides.append(tickets)
+                sides.append(run)
             group = grouped.assign(now)
             cuts = []
             for _ in range(lanes):
@@ -217,11 +222,10 @@ class TestCutRule:
             if group is None:
                 assert cuts == []
                 continue
-            seqs = lambda members: [t.seq for t in members]
             assert [
-                (batch_id, seqs(members))
-                for batch_id, members in group.batches()
-            ] == [(cut.batch_id, seqs(cut.tickets)) for cut in cuts]
+                (batch_id, seqs(part))
+                for batch_id, part in enumerate(group.parts, group.batch_id)
+            ] == [(cut.batch_id, seqs(cut.runs())) for cut in cuts]
             assert grouped.pending("m") == single.pending("m")
             grouped.complete(group, now)
             for cut in cuts:
@@ -259,16 +263,16 @@ class TestTheReadyBatchesAreSharedOut:
     def test_each_free_worker_takes_its_share(self, batches, workers,
                                               expected):
         router = router_with(MAX_GROUP, workers=workers)
-        tickets = router.submit_many(
+        run = router.submit_many(
             "m", [Payload() for _ in range(3 * batches)], 0.0
         )
         actions = router.dispatch(0.0)
         assert fills_of(actions) == [(3,) * n for n in expected]
         assigned = [
-            t.seq for a in actions if isinstance(a, AssignAction)
-            for t in a.assignment.tickets
+            seq for a in actions if isinstance(a, AssignAction)
+            for seq in seqs(a.assignment.runs())
         ]  # in submission order, across the assignments
-        assert assigned == [t.seq for t in tickets[:len(assigned)]]
+        assert assigned == list(run.seqs())[:len(assigned)]
         assert router.pending("m") == 3 * (batches - sum(expected))
 
     def test_a_flushed_remainder_counts_as_a_batch(self):

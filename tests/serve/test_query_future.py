@@ -176,7 +176,8 @@ class TestCancellation:
             a for a in router.dispatch(release)
             if isinstance(a, AssignAction)
         ]
-        assert [t.payload for t in retry.assignment.tickets] == entries
+        assert [p for run in retry.assignment.runs()
+                for p in run.payloads] == entries
         assert router.complete(retry.assignment, retry.epoch, release)
         settle([e.future for e in entries], ["a", "b"])
         assert calls == [entries[0].future]

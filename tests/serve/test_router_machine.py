@@ -9,8 +9,8 @@ epoch, a duplicate), crash, heartbeat and health-check, add / retire /
 abandon / restart a worker, redeploy, flush, set lanes, add and remove a
 model, and close.  After every step it checks what must always hold:
 
-* conservation — every admitted ticket is terminal or outstanding, and
-  outstanding is exactly the tickets queued, in flight, parked or in a
+* conservation — every admitted query is terminal or outstanding, and
+  outstanding is exactly the queries queued, in flight, parked or in a
   quarantine cohort, each in one place only;
 * no future is resolved twice;
 * epochs only grow, retired ids only accumulate and never run again;
@@ -19,7 +19,7 @@ model, and close.  After every step it checks what must always hold:
 * every span ends at or after it began;
 * the ``router``-track instants are the decision records, in order.
 
-Teardown drains the core to quiescence: every parked ticket is
+Teardown drains the core to quiescence: every parked query is
 eventually released or failed, and every admitted future is done.
 The case set is the derandomized ``repro-plan-ci`` profile, at least
 500 examples.
@@ -67,11 +67,14 @@ class Payload:
         self.future = QueryFuture()
 
 
-def queued_tickets(router):
-    return [
-        t for q in router._queues.values() for _, run in q.heap
-        for t in run.member_tickets()
-    ]
+def futures_of(runs):
+    return [future for run in runs for future in run.futures]
+
+
+def queued_futures(router):
+    return futures_of(
+        run for q in router._queues.values() for _, run in q.heap
+    )
 
 
 def running_assignments(router):
@@ -165,12 +168,10 @@ class RouterMachine(RuleBasedStateMachine):
             self.answered.append(flight)
             if outcome == OUTCOME_OK:
                 served = [
-                    t.future
-                    for position, (_, tickets) in enumerate(
-                        assignment.batches()
-                    )
+                    future
+                    for position, part in enumerate(assignment.parts)
                     if position not in (failed or {})
-                    for t in tickets
+                    for future in futures_of(part)
                 ]
                 for future in served:
                     assert not future.done()
@@ -197,15 +198,16 @@ class RouterMachine(RuleBasedStateMachine):
             tenant=tenant, priority=priority, deadline=deadline,
         )
         if isinstance(outcome, RejectedQuery):
-            tickets = list(outcome.admitted)
+            futures = list(outcome.admitted)
         elif isinstance(outcome, CopseError):
-            tickets = []
+            futures = []
         else:
-            tickets = outcome
-        assert [t.payload for t in tickets] == payloads[:len(tickets)]
-        self.admitted += [t.future for t in tickets]
-        if cancel and tickets:
-            assert tickets[0].future.cancel()
+            assert outcome.payloads == payloads
+            futures = outcome.futures
+        assert futures == [p.future for p in payloads[:len(futures)]]
+        self.admitted += futures
+        if cancel and futures:
+            assert futures[0].cancel()
 
     @rule(dt=st.sampled_from([0.0, 0.005, 0.03, 0.3]),
           limit=st.sampled_from([None, 1, 2]))
@@ -315,15 +317,15 @@ class RouterMachine(RuleBasedStateMachine):
         assert len(self.admitted) == terminal + router.outstanding
 
     @invariant()
-    def one_place_per_ticket(self):
+    def one_place_per_query(self):
         router = self.router
-        places = queued_tickets(router)
+        places = queued_futures(router)
         for assignment in running_assignments(router):
-            places += assignment.tickets
-        places += [t for _, _, t in router._parked]
+            places += futures_of(assignment.runs())
+        places += futures_of(run for _, _, run in router._parked)
         for _, _, cohort in router._cohorts:
-            places += cohort["tickets"]
-        assert len({id(t) for t in places}) == len(places)
+            places += futures_of(cohort["runs"])
+        assert len({id(f) for f in places}) == len(places)
         assert len(places) == router.outstanding
 
     @invariant()
@@ -403,7 +405,7 @@ TestRouterMachine = RouterMachine.TestCase
 
 INVARIANTS = (
     RouterMachine.conservation,
-    RouterMachine.one_place_per_ticket,
+    RouterMachine.one_place_per_query,
     RouterMachine.in_flight_map_holds_primaries_and_replicas,
     RouterMachine.resolved_at_most_once,
     RouterMachine.epochs_grow_and_retired_stay_retired,

@@ -33,7 +33,6 @@ from repro.serve.scheduler import (
     OUTCOME_ERROR,
     OUTCOME_OK,
     QueryFuture,
-    QueryTicket,
     SchedulerCore,
     deliver_failures,
 )
@@ -50,6 +49,11 @@ class Payload:
 def cut_batches(router, now):
     """Dispatch the router at ``now``; the batches it cut, in order."""
     return [a for a in router.dispatch(now) if isinstance(a, AssignAction)]
+
+
+def seqs_of(assignment):
+    """The assignment's queries, by seq, in order."""
+    return [seq for run in assignment.runs() for seq in run.seqs()]
 
 
 def crash_and_restart(router, worker, now):
@@ -203,19 +207,17 @@ class TestBatchCutting:
         high = submit_n(core, "m", 2, priority=5)
         core.flush("m")
         assignment = core.assign(0.0)
-        assert [t.seq for t in assignment.tickets] == [
+        assert seqs_of(assignment) == [
             high[0].seq, high[1].seq, low[0].seq, low[1].seq,
         ]
 
     def test_cancelled_tickets_never_occupy_slots(self):
         core = SchedulerCore(workers=1)
         core.add_queue("m", capacity=2)
-        tickets = submit_n(core, "m", 3)
-        assert tickets[0].future.cancel()
+        runs = submit_n(core, "m", 3)
+        assert runs[0].futures[0].cancel()
         assignment = core.assign(0.0)
-        assert [t.seq for t in assignment.tickets] == [
-            tickets[1].seq, tickets[2].seq,
-        ]
+        assert seqs_of(assignment) == [runs[1].seq, runs[2].seq]
         assert core.stats().cancelled == 1
 
 
@@ -282,7 +284,7 @@ class TestCompletionAccounting:
     def test_error_outcome_fails_tickets(self):
         core = SchedulerCore(workers=1)
         core.add_queue("m", capacity=2)
-        tickets = submit_n(core, "m", 2)
+        runs = submit_n(core, "m", 2)
         core.flush("m")
         assignment = core.assign(0.0)
         core.complete(assignment, 0.1, OUTCOME_ERROR)
@@ -290,11 +292,11 @@ class TestCompletionAccounting:
         assert stats.failed == 2 and stats.completed == 0
         # Delivery is deferred: the core never resolves futures itself
         # (an engine could be holding a lock); drain_failures delivers.
-        assert not any(t.future.done() for t in tickets)
+        assert not any(run.futures[0].done() for run in runs)
         deliver_failures(core.drain_failures())
-        for ticket in tickets:
+        for run in runs:
             with pytest.raises(ServeError):
-                ticket.future.result(timeout=0)
+                run.futures[0].result(timeout=0)
         assert core.drain_failures() == []  # drained exactly once
 
     # A worker that dies mid-batch is the router's to judge — the core
@@ -304,27 +306,25 @@ class TestCompletionAccounting:
     def test_crash_requeues_then_completes(self):
         router = RouterCore(workers=1, max_retries=1)
         router.add_model("m", capacity=2)
-        tickets = submit_n(router, "m", 2)
-        futures = [t.future for t in tickets]
+        runs = submit_n(router, "m", 2)
+        futures = [run.futures[0] for run in runs]
         (first,) = cut_batches(router, 0.0)
         assert crash_and_restart(router, 0, 0.1) is first.assignment
         # Parked behind the backoff, not requeued at the crash instant.
         assert router.pending("m") == 0 and router.outstanding == 2
         assert cut_batches(router, 0.1) == []
-        # (Backoff jitter is per ticket: wait out the later release.)
+        # (Backoff jitter is per query: wait out the later release.)
         release = max(d[4] for d in router.decisions if d[0] == "park")
         assert release >= router.next_wake_time(0.1) > 0.1
         (retry,) = cut_batches(router, release)
         # Requeued at the original seq once the park releases.
-        assert [t.seq for t in retry.assignment.tickets] == (
-            [t.seq for t in tickets]
-        )
+        assert seqs_of(retry.assignment) == [run.seq for run in runs]
         assert router.complete(retry.assignment, retry.epoch,
                                release + 0.1, OUTCOME_OK)
-        for ticket in retry.assignment.tickets:
-            ticket.future.set_result("served")
+        for run in retry.assignment.runs():
+            run.futures[0].set_result("served")
         # The retry kept the caller's own futures.
-        assert [t.future for t in retry.assignment.tickets] == futures
+        assert [run.futures[0] for run in retry.assignment.runs()] == futures
         assert all(f.result(timeout=1) == "served" for f in futures)
         stats = router.stats()
         assert stats.retries == 2 and stats.completed == 2
@@ -333,11 +333,11 @@ class TestCompletionAccounting:
     def test_retry_exhaustion_fails_loudly(self):
         router = RouterCore(workers=1, max_retries=1)
         router.add_model("m", capacity=1)
-        (ticket,) = submit_n(router, "m", 1, tenant="alice")
-        original = ticket.future
+        (run,) = submit_n(router, "m", 1, tenant="alice")
+        original = run.futures[0]
         now = 0.0
         # Crash 1 parks the retry; crash 2 finds the retries exhausted
-        # and quarantines the ticket for a solo re-run; crash 3 convicts
+        # and quarantines the query for a solo re-run; crash 3 convicts
         # it.  Exhaustion ends in the dead-letter queue, never ``failed``.
         for _ in range(3):
             (batch,) = cut_batches(router, now)
@@ -366,12 +366,12 @@ class TestCompletionAccounting:
     def test_remove_queue_fails_pending(self):
         core = SchedulerCore(workers=1)
         core.add_queue("m", capacity=4)
-        tickets = submit_n(core, "m", 2)
+        runs = submit_n(core, "m", 2)
         assert core.remove_queue("m", 0.0) == 2
         deliver_failures(core.drain_failures())
-        for ticket in tickets:
+        for run in runs:
             with pytest.raises(ServeError, match="unregistered"):
-                ticket.future.result(timeout=0)
+                run.futures[0].result(timeout=0)
         stats = core.stats()
         assert stats.failed == 2
         assert stats.submitted == stats.failed + stats.completed + (
@@ -388,7 +388,7 @@ class TestCompletionAccounting:
                 accepted.append(router.submit("m", Payload(), 0.0))
             except RejectedQuery:
                 pass
-        accepted[0].future.cancel()
+        accepted[0].futures[0].cancel()
         router.flush("m")
         ok, errored = cut_batches(router, 0.0)
         router.complete(ok.assignment, ok.epoch, 0.1, OUTCOME_OK)
@@ -470,39 +470,39 @@ class TestTraceShape:
     def test_a_failed_position_ends_in_fail_instants(self):
         core, tracer = traced_core(capacity=1)
         core.set_lanes("m", 2)
-        tickets = submit_n(core, "m", 2, tenant="acme")
+        runs = submit_n(core, "m", 2, tenant="acme")
         assignment = core.assign(0.0)
         assert assignment.fills == (1, 1)
         core.complete(assignment, 0.3, OUTCOME_OK, failed={1: "boom"})
         (batch,) = named(tracer, "batch")
-        assert batch.attrs["members"] == [t.seq for t in tickets]
+        assert batch.attrs["members"] == [run.seq for run in runs]
         assert batch.attrs["failed"] == [1]
         (fail,) = named(tracer, "fail")
         assert (fail.track, fail.start, fail.attrs) == (
-            "tenant:acme", 0.3, {"seq": tickets[1].seq},
+            "tenant:acme", 0.3, {"seq": runs[1].seq},
         )
         stats = core.stats()
         assert (stats.completed, stats.failed) == (1, 1)
 
     def test_a_cancelled_ticket_emits_cancel_at_the_cut(self):
         core, tracer = traced_core(capacity=2)
-        tickets = submit_n(core, "m", 3, tenant="acme")
-        assert tickets[0].future.cancel()
+        runs = submit_n(core, "m", 3, tenant="acme")
+        assert runs[0].futures[0].cancel()
         core.assign(0.4)
         (cancel,) = named(tracer, "cancel")
         assert (cancel.track, cancel.start, cancel.attrs) == (
-            "tenant:acme", 0.4, {"seq": tickets[0].seq},
+            "tenant:acme", 0.4, {"seq": runs[0].seq},
         )
         (batch,) = named(tracer, "batch")
-        assert batch.attrs["members"] == [t.seq for t in tickets[1:]]
+        assert batch.attrs["members"] == [run.seq for run in runs[1:]]
 
     def test_a_removed_queue_fails_pending_at_the_given_time(self):
         core, tracer = traced_core(capacity=4)
-        tickets = submit_n(core, "m", 2, tenant="acme")
+        runs = submit_n(core, "m", 2, tenant="acme")
         assert core.remove_queue("m", 5.0) == 2
         fails = named(tracer, "fail")
         assert sorted((s.start, s.attrs["seq"]) for s in fails) == [
-            (5.0, t.seq) for t in tickets
+            (5.0, run.seq) for run in runs
         ]
         assert {s.track for s in fails} == {"tenant:acme"}
 
@@ -536,7 +536,7 @@ RUNS = st.fixed_dictionaries({
 class _Driven:
     """One core or router driven through a generated run, block-wise
     (``"rows"``: as the service admits, one run of futures sharing a
-    condition, with the block's rows and no ticket) or one query at a
+    condition, with the block's rows and no payloads) or one query at a
     time; ``transcript`` is everything observable."""
 
     def __init__(self, run, routed, blockwise):
@@ -573,7 +573,7 @@ class _Driven:
             tenant=block["tenant"], priority=block["priority"],
             deadline=None if deadline is None else now + deadline,
         )
-        tickets, refusal = [], None
+        runs, refusal = [], None
         try:
             if self.blockwise == "rows":
                 futures = [payload.future for payload in payloads]
@@ -581,37 +581,40 @@ class _Driven:
                     block["queue"], futures, now, **shared,
                     rows=np.arange(2 * len(futures)).reshape(-1, 2),
                 )
-                assert run.tickets is None and run.futures == futures
-                tickets = [  # what each ticket would have said
-                    QueryTicket(run.queue, run.tenant, payload,
-                                run.submit_time, run.deadline,
-                                run.priority, run.seq + k)
-                    for k, payload in enumerate(payloads)
-                ]
+                assert run.payloads is None and run.futures == futures
+                runs = [run]
             elif self.blockwise:
-                tickets = self.engine.submit_many(
+                runs = [self.engine.submit_many(
                     block["queue"], payloads, now, **shared
-                )
+                )]
             else:
                 for payload in payloads:
-                    tickets.append(self.engine.submit(
+                    runs.append(self.engine.submit(
                         block["queue"], payload, now, **shared
                     ))
         except RejectedQuery as exc:
             refusal = (str(exc), exc.model, exc.tenant, exc.queue_depth,
                        exc.limit)
-            if self.blockwise:
-                tickets = list(exc.admitted)
-                if self.blockwise == "rows":  # made for the refusal
-                    for ticket, payload in zip(tickets, payloads):
-                        assert ticket.future is payload.future
-                        ticket.payload = payload
-        assert [t.payload for t in tickets] == payloads[:len(tickets)]
-        self.seq_of.update((id(t.future), t.seq) for t in tickets)
+            if self.blockwise:  # white box: the run queued the admitted
+                runs = [run for _, run in
+                        self.engine._queues[block["queue"]].heap
+                        if exc.admitted and run.futures is exc.admitted]
+                assert sum(map(len, runs)) == len(exc.admitted)
+        members = [(run, k) for run in runs for k in range(len(run))]
+        assert [run.futures[k] for run, k in members] == [
+            payload.future for payload in payloads[:len(members)]
+        ]
+        if self.blockwise != "rows":
+            assert [run.payloads[k] for run, k in members] == (
+                payloads[:len(members)]
+            )
+        self.seq_of.update(
+            (id(run.futures[k]), run.seq + k) for run, k in members
+        )
         self.transcript.append((
             "admit", refusal,
-            [(t.seq, t.queue, t.tenant, t.priority, t.submit_time,
-              t.deadline) for t in tickets],
+            [(run.seq + k, run.queue, run.tenant, run.priority,
+              run.submit_time, run.deadline) for run, k in members],
         ))
 
     def run_workers(self, now, outcome):
@@ -635,7 +638,7 @@ class _Driven:
             for assignment, epoch in cut:
                 self.transcript.append((
                     "batch", assignment.batch_id, assignment.queue,
-                    assignment.worker, [t.seq for t in assignment.tickets],
+                    assignment.worker, seqs_of(assignment),
                 ))
                 now += 0.0007
                 if self.routed:
@@ -681,10 +684,10 @@ class TestBlockAdmissionIsNSubmits:
                              ids=["tickets", "run-queue"])
     @pytest.mark.parametrize("routed", [False, True], ids=["core", "router"])
     def test_differential(self, routed, blockwise, run):
-        """A block admitted whole — as tickets, or as the service admits
-        it, one run with no ticket — is cut, booked, cancelled and
-        failed query for query as N one-query submits are: the run
-        queue against a heap of single tickets."""
+        """A block admitted whole — as payloads, or as the service
+        admits it, one run of futures with rows — is cut, booked,
+        cancelled and failed query for query as N one-query submits
+        are: the run queue against a heap of runs of one."""
         block_side = _Driven(run, routed, blockwise=blockwise)
         single_side = _Driven(run, routed, blockwise=False)
         now = 0.0
@@ -712,14 +715,15 @@ class TestBlockAdmissionIsNSubmits:
         with pytest.raises(RejectedQuery) as refusal:
             core.submit_many("m", payloads, 0.0, tenant="acme")
         assert refusal.value.queue_depth == refusal.value.limit == 3
-        assert [t.payload for t in refusal.value.admitted] == payloads[:2]
-        assert [t.seq for t in refusal.value.admitted] == [1, 2]
+        assert refusal.value.admitted == [p.future for p in payloads[:2]]
+        (_, first), (_, run) = sorted(core._queues["m"].heap)  # white box
+        assert run.payloads == payloads[:2] and list(run.seqs()) == [1, 2]
         assert core.pending("m") == 3
         stats = core.stats()
         assert (stats.submitted, stats.rejected) == (4, 1)
         assert stats.per_tenant_submitted == {"acme": 4}
         # seqs stay contiguous across the refusal
-        assert core.submit_many("m", [], 0.0) == []
+        assert len(core.submit_many("m", [], 0.0)) == 0
         assert core.set_admission_limit("m", None, 0.0) == 3
         assert core.submit("m", Payload(), 0.0).seq == 3
 
@@ -727,7 +731,7 @@ class TestBlockAdmissionIsNSubmits:
         core = SchedulerCore(workers=1)
         core.add_queue("m", capacity=2, max_pending=1)
         core.submit("m", Payload(), 0.0)
-        assert core.submit_many("m", [], 0.0, tenant="nobody") == []
+        assert len(core.submit_many("m", [], 0.0, tenant="nobody")) == 0
         stats = core.stats()
         assert (stats.submitted, stats.rejected) == (1, 0)
         assert "nobody" not in stats.per_tenant_submitted
@@ -748,9 +752,9 @@ class TestBlockAdmissionIsNSubmits:
                 "m", queries, tenant="acme", deadline_ms=5000.0
             )
             # white box: the block is still queued (4 < 8, no flush), as
-            # one run with no ticket made
+            # one run of futures with rows, no payloads
             (run,) = [run for _, run in service.router._queues["m"].heap]
-            assert run.futures == futures and run.tickets is None
+            assert run.futures == futures and run.payloads is None
             assert run.rows.tolist() == queries
             assert run.deadline == pytest.approx(run.submit_time + 5.0)
             # virtual time never reaches the deadline: flush cuts it
@@ -1025,9 +1029,9 @@ class TestBlockCondition:
 
 
 class TestAssignmentFeatures:
-    """What the transport sends: one ``(n, features)`` array, also when
-    a ticket handled alone (a re-queued retry) rides beside a block;
-    the tickets' own lists when only tickets were admitted."""
+    """What the transport sends: one ``(n, features)`` int64 array,
+    also when a query handled alone (a re-queued retry, a run of one)
+    rides beside a block, and when only payloads were admitted."""
 
     def block_run(self, core, rows):
         condition = BlockCondition()
@@ -1045,8 +1049,8 @@ class TestAssignmentFeatures:
         features = cut.features()
         assert isinstance(features, np.ndarray)
         assert features.tolist() == [[1, 2], [3, 4], [5, 6], [7, 8]]
-        retry = cut.tickets[1]  # as a crash would re-queue it
-        assert retry.payload.features == [3, 4]
+        retry = cut.runs()[0].singles()[1]  # as a crash would re-queue it
+        assert retry.block().tolist() == [[3, 4]]
         core.complete(cut, 0.1)
         assert core.requeue(retry, 0.1)
         core.flush("m")
@@ -1055,12 +1059,54 @@ class TestAssignmentFeatures:
         assert mixed.dtype == np.int64
         assert mixed.tolist() == [[3, 4], [9, 10]]
 
-    def test_tickets_alone_send_their_lists(self):
+    def test_payloads_alone_send_one_array(self):
         core = SchedulerCore(workers=1)
         core.add_queue("m", capacity=4)
         payloads = [PendingQuery([1, 2]), PendingQuery([3, 4])]
         core.submit_many("m", payloads, 0.0)
         core.flush("m")
         features = core.assign(0.0).features()
-        assert features == [[1, 2], [3, 4]]
-        assert features[0] is payloads[0].features
+        assert isinstance(features, np.ndarray)
+        assert (features.dtype, features.shape) == (np.int64, (2, 2))
+        assert features.tolist() == [[1, 2], [3, 4]]
+
+    def test_a_crash_retry_keeps_its_blocks_rows(self, example_forest):
+        """A query a crash parks from a block is a run of one over the
+        block's own rows — no list round trip — and is answered with
+        its own features."""
+        from repro.serve import ModelRegistry
+        from repro.serve.transport import InThreadTransport
+
+        registered = ModelRegistry().register(
+            "m", example_forest, max_batch_size=4
+        )
+        router = RouterCore(workers=1, max_retries=1)
+        router.add_model("m", capacity=4)
+        rows = np.array([[1, 2], [130, 40], [5, 230]], dtype=np.int64)
+        condition = BlockCondition()
+        futures = [QueryFuture(condition) for _ in rows]
+        router.submit_block("m", futures, 0.0, rows)
+        router.flush("m")
+        cut_batches(router, 0.0)
+        crash_and_restart(router, 0, 0.1)
+        release = max(d[4] for d in router.decisions if d[0] == "park")
+        (retry,) = cut_batches(router, release)
+        runs = retry.assignment.runs()
+        assert [(len(run), run.retries) for run in runs] == [(1, 1)] * 3
+        assert all(run.payloads is None and np.shares_memory(run.rows, rows)
+                   for run in runs)
+        features = retry.assignment.features()
+        assert features.dtype == np.int64
+        assert features.tolist() == rows.tolist()
+        transport = InThreadTransport(True, None, None)
+        transport.stage(registered)
+        transport.send(AssignAction(retry.assignment, retry.epoch))
+        (completion,) = transport.receive(transport.wait(0.0))
+        assert router.complete(retry.assignment, retry.epoch, release)
+        completion.resolve()
+        answers = [future.result(timeout=0) for future in futures]
+        assert [answer.features for answer in answers] == rows.tolist()
+        assert [answer.bitvector for answer in answers] == [
+            example_forest.label_bitvector(row) for row in rows.tolist()
+        ]
+        assert all(answer.oracle_ok for answer in answers)

@@ -131,8 +131,8 @@ class TestConformance:
             assert len(refusal.value.admitted) == 3
             assert service.pending("m") == service.pending() == 3
             service.flush("m")
-            for ticket, query in zip(refusal.value.admitted, queries):
-                assert ticket.future.result(timeout=120).features == query
+            for future, query in zip(refusal.value.admitted, queries):
+                assert future.result(timeout=120).features == query
             stats = scheduler_stats(service)
             assert (stats.submitted, stats.rejected) == (6, 1)
             assert stats.per_tenant_submitted == {"acme": 6}
@@ -459,7 +459,7 @@ class TestConformance:
 
         from repro.serve import ModelRegistry
         from repro.serve.batcher import PendingQuery
-        from repro.serve.scheduler import Assignment, QueryTicket
+        from repro.serve.scheduler import Assignment, QueryRun
         from repro.serve.simclock import RealClock
         from repro.serve.transport import (
             AssignAction,
@@ -475,13 +475,13 @@ class TestConformance:
         )
         features = queries_for(example_forest, 10, seed=31)
         features[5] = [1 << 12] * example_forest.n_features  # batch 2 fails
+        payloads = [PendingQuery(f) for f in features]
+        run = QueryRun("m", "acme", 0.0, None, 0, 0,
+                       [p.future for p in payloads], None, payloads, None, 0)
         assignment = Assignment(
             batch_id=3, queue="m", worker=1,
-            tickets=[
-                QueryTicket("m", "acme", PendingQuery(f), 0.0, None, 0, seq)
-                for seq, f in enumerate(features)
-            ],
-            cut_time=0.0, fills=(4, 4, 2),
+            parts=[[run.piece(0, 4)], [run.piece(4, 8)], [run.piece(8, 10)]],
+            cut_time=0.0,
         )
         direct = _eval_result(
             0,
