@@ -35,8 +35,7 @@ setup(
         # pytest-timeout backs pytest.ini's ``timeout = 300``; without
         # it conftest.py falls back to a SIGALRM enforcer (and asserts
         # at configure time that one of the two is actually active).
-        "test": ["pytest", "pytest-benchmark", "pytest-timeout",
-                 "hypothesis"],
+        "test": ["pytest", "pytest-timeout", "hypothesis"],
     },
     entry_points={
         "console_scripts": ["repro=repro.cli:main"],

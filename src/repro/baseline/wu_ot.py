@@ -27,7 +27,7 @@ The protocol's costs sit on different axes than COPSE's: per-query
 communication rounds (COPSE needs one), per-node AHE work exponential in
 the padded depth (``2^d - 1`` comparisons per tree — the "limited
 scalability" the paper notes), and a plaintext model requirement.
-``benchmarks/test_ablation_wu.py`` measures all three.
+``tests/bench/test_ablations.py`` checks the first two.
 """
 
 from __future__ import annotations

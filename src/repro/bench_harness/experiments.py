@@ -16,7 +16,9 @@ table6    the microbenchmark suite's structural statistics
 ========  ==========================================================
 
 Results are memoized per (workload, configuration) within the process, so
-regenerating several figures shares runs.  ``queries`` defaults to 3 to
+regenerating several figures shares runs.  A run that disagrees with the
+plaintext oracle raises :class:`~repro.errors.OracleMismatchError`, so
+every figure cell is also a correctness check.  ``queries`` defaults to 3 to
 keep test/benchmark runs quick; pass ``queries=27`` for the paper's full
 median protocol (the circuits are input-independent, so the timings are
 identical — see runner.py).
@@ -40,7 +42,7 @@ from repro.core.complexity import (
     paper_total,
     paper_total_depth,
 )
-from repro.core.compiler import CopseCompiler
+from repro.errors import OracleMismatchError
 from repro.fhe.backend import canonical_backend_name
 from repro.fhe.params import EncryptionParams, parameter_grid
 from repro.bench_harness.report import Table, geometric_mean
@@ -81,7 +83,14 @@ def _run(
             encrypted_model=encrypted_model,
             backend=backend,
         )
-        _RECORD_CACHE[key] = InferenceRunner(workload, config).run()
+        record = InferenceRunner(workload, config).run()
+        if not record.correct:
+            raise OracleMismatchError(
+                f"{workload.name}: a {system} run ({queries} queries, "
+                f"{threads} threads, encrypted_model={encrypted_model}, "
+                f"{backend}) disagrees with the plaintext oracle"
+            )
+        _RECORD_CACHE[key] = record
     return _RECORD_CACHE[key]
 
 
@@ -420,24 +429,6 @@ def table5(
     return table
 
 
-def selected_parameters(
-    workload_names: Optional[Sequence[str]] = None,
-) -> EncryptionParams:
-    """The sweep winner as an :class:`EncryptionParams` (used by tests)."""
-    workloads = _workloads(workload_names)
-    compiler = CopseCompiler()
-    best = None
-    for workload in workloads:
-        choice = compiler.select_parameters(workload.compiled)
-        if best is None or choice.size_factor > best.size_factor:
-            best = choice
-    # The per-model winners can differ; the dominant setting must satisfy
-    # every model, so take the most expensive per-model winner and verify.
-    for workload in workloads:
-        workload.compiled.check_parameters(best)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Serving throughput: batched vs unbatched inference
 # ---------------------------------------------------------------------------
@@ -492,7 +483,7 @@ def throughput(
         1,
         unbatched.median_ms,
         unbatched_qps,
-        "ok" if unbatched.correct else "MISMATCH",
+        "ok",  # _run raises on a mismatch
     )
     table.add_row(
         f"batched x{threads} workers",

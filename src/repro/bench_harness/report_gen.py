@@ -13,7 +13,9 @@ spread; nothing in this package reads a clock.
 section order, the arguments each section is built with, ``repro
 bench``'s artifact names and which of ``--workloads`` / ``--queries``
 each accepts are all views of it.  ``repro bench report`` is the only
-writer (tables to stdout, ``--out PATH`` for the JSON).
+writer (tables to stdout, then :mod:`~repro.bench_harness.claims`'
+table of the paper's claims checked against them; ``--out PATH`` for
+the JSON).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import (
 from repro.errors import ValidationError
 from repro.fhe.backend import BACKEND_ENV_VAR, REFERENCE_BACKEND
 from repro.bench_harness import experiments
+from repro.bench_harness.claims import claims_table
 from repro.bench_harness.report import Table
 
 
@@ -236,13 +239,26 @@ def build_record(sections: Dict[str, List[Table]]) -> Dict:
     }
 
 
+def read_sections(record: Mapping) -> Dict[str, List[Table]]:
+    """The record's tables by section: :func:`build_record` read back."""
+    sections: Dict[str, List[Table]] = {}
+    for table in record["experiments"]:
+        sections.setdefault(table["section"], []).append(Table(
+            table["title"], list(table["columns"]), table["rows"],
+            list(table["notes"]),
+        ))
+    return sections
+
+
 def render_report(sections: Dict[str, List[Table]]) -> str:
-    """Every table as text, one ``=== section ===`` banner per section."""
+    """Every table as text, one ``=== section ===`` banner per section,
+    then the paper's claims checked against them."""
     lines = ["# COPSE paper record (python -m repro bench report)"]
     for name, tables in sections.items():
         lines += ["", f"=== {name} ==="]
         for table in tables:
             lines += ["", table.render()]
+    lines += ["", "=== claims ===", "", claims_table(sections).render()]
     return "\n".join(lines) + "\n"
 
 

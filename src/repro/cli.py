@@ -11,7 +11,7 @@ evaluation harness::
         --deadline-ms 250 --max-queue 128
     python -m repro bench fig6 --workloads depth4,width78
     python -m repro bench plan-speedup         # eager vs plan engine
-    python -m repro bench report               # every table of the paper record
+    python -m repro bench report               # the paper record, then its claims
     python -m repro bench soak                 # simulated load vs deadlines
     python -m repro sweep                      # Table 5 parameter sweep
 
@@ -614,7 +614,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench_harness import report_gen
+    from repro.bench_harness import claims, report_gen
     from repro.fhe.backend import canonical_backend_name
 
     if args.artifact in report_gen.ARTIFACTS:
@@ -625,13 +625,14 @@ def _cmd_bench(args) -> int:
             )
         print("\n\n".join(table.render() for table in tables))
         return 0
-    # "report": every section, with the record's own arguments and backend.
+    # "report": every section, with the record's own arguments and backend,
+    # then the paper's claims checked against them (exit 1 if one fails).
     sections = report_gen.build_sections()
     print(report_gen.render_report(sections), end="")
     if args.out is not None:
         report_gen.write_record(report_gen.build_record(sections), args.out)
         print(f"wrote {args.out}")
-    return 0
+    return 1 if claims.failures(sections) else 0
 
 
 def _cmd_sweep(_args) -> int:

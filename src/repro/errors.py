@@ -95,6 +95,11 @@ class LeakageError(CopseError):
     """A security-analysis query was malformed (unknown scenario, etc.)."""
 
 
+class OracleMismatchError(CopseError):
+    """A secure evaluation decrypted to a result the plaintext oracle
+    does not give for the same features."""
+
+
 # ---------------------------------------------------------------------------
 # Serving errors
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ execute with ``engine="plan"`` (the serve default is ``"tape"``, below):
   vector backend executes as single numpy passes (``engine="tape"``,
   the serve default).
 
-The headline win (measured in ``benchmarks/test_ablation_ir.py``): the
+The headline win (checked in ``tests/bench/test_ablations.py``): the
 cyclic extensions of the rotated branch vector are identical across all
 ``d`` level matrices, and the builder's sharing emits them once, saving
 ``(d-1) * b`` rotations beyond even the hand-scheduled runtime.

@@ -8,7 +8,8 @@ import pytest
 from repro.bench_harness import experiments
 from repro.bench_harness.report import Table, geometric_mean
 from repro.bench_harness.report_gen import ARTIFACTS, build_section
-from repro.errors import ValidationError
+from repro.bench_harness.workloads import workload_by_name
+from repro.errors import OracleMismatchError, ValidationError
 
 
 class TestGeometricMean:
@@ -65,6 +66,24 @@ class TestExperimentCache:
         experiments.figure6(queries=1, workload_names=["width55"])
         experiments.clear_cache()
         assert experiments._RECORD_CACHE == {}
+
+
+class TestOracleCheck:
+    @pytest.mark.parametrize("oracle", ["label_bitvector", "classify_per_tree"])
+    def test_a_run_the_oracle_disagrees_with_raises(self, oracle, monkeypatch):
+        """COPSE runs are checked against ``label_bitvector``, baseline
+        runs against ``classify_per_tree``: every figure cell is also a
+        correctness check."""
+        forest = workload_by_name("width55").forest
+        right = getattr(forest, oracle)
+        monkeypatch.setattr(
+            forest, oracle, lambda features: [1 - x for x in right(features)]
+        )
+        experiments.clear_cache()
+        with pytest.raises(OracleMismatchError, match="width55"):
+            experiments.figure6(queries=1, workload_names=["width55"])
+        monkeypatch.undo()
+        assert experiments.figure6(queries=1, workload_names=["width55"]).rows
 
 
 class TestReportRegeneration:

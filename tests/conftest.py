@@ -7,8 +7,7 @@ file centralizes three pieces of suite infrastructure:
 * the ``repro-plan-ci`` hypothesis profile (derandomized, scaled by
   ``$REPRO_DIFF_EXAMPLES``) — registered once here so every
   property-based suite shares the same fixed CI case set;
-* :func:`bench_quick`, the one reading of CI's ``$REPRO_BENCH_QUICK``
-  for the test suites (``benchmarks/conftest.py`` keeps its own);
+* :func:`bench_quick`, the one reading of CI's ``$REPRO_BENCH_QUICK``;
 * a suite-wide per-test timeout.  With the ``pytest-timeout`` plugin
   installed (CI does) the ``timeout`` ini option applies; without it, a
   SIGALRM fallback below enforces the same cap, so a hung scheduler
@@ -93,6 +92,15 @@ if not _HAVE_TIMEOUT_PLUGIN and hasattr(signal, "SIGALRM"):
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+def pytest_addoption(parser):
+    """Without pytest-timeout, declare its ``timeout`` ini key, which the
+    fallback above reads, so pytest does not warn it is unknown."""
+    if not _HAVE_TIMEOUT_PLUGIN:
+        parser.addini(
+            "timeout", "per-test timeout in seconds (SIGALRM fallback)"
+        )
 
 
 def pytest_configure(config):

@@ -133,14 +133,18 @@ class TestFormulaRelations:
             8, 5, VARIANT_ALOUFI
         )
 
-    def test_multiply_counts_close_to_paper(self):
-        """Our total multiplies track the paper's Table 2 within the
-        documented deviations (accumulation d-1 vs 2d-2, elided zero
-        rotations)."""
-        p, q, d, b = 8, 20, 5, 15
-        ours = impl_total(p, q, d, b)["multiply"]
-        papers = paper_total(p, q, d, b)["multiply"]
-        assert abs(ours - papers) <= d + 2
+    @pytest.mark.parametrize("spec", MICROBENCHMARKS, ids=lambda s: s.name)
+    def test_counts_close_to_paper(self, spec):
+        """Our total multiplies and rotations track the paper's Table 2
+        within the documented deviations on every microbenchmark:
+        accumulation d-1 vs 2d-2 multiplies; b-1 shared pre-rotations of
+        the branch vector paid and the zero rotations elided."""
+        m = CopseCompiler(precision=spec.precision).compile(spec.build())
+        p, q, d, b = (m.precision, m.quantized_branching, m.max_depth,
+                      m.branching)
+        ours, papers = impl_total(p, q, d, b), paper_total(p, q, d, b)
+        assert abs(ours["multiply"] - papers["multiply"]) <= d + 2
+        assert abs(ours["rotate"] - papers["rotate"]) <= b
 
     def test_baseline_comparison_scales_with_branches(self):
         one = baseline_comparison(8, 1)
