@@ -15,6 +15,9 @@ table5    encryption-parameter sweep and the dominant setting
 table6    the microbenchmark suite's structural statistics
 ========  ==========================================================
 
+:func:`autoscale_run` is no paper artifact: it builds the control
+plane's seeded three-phase ramp, which ``tests/control`` replays.
+
 Results are memoized per (workload, configuration) within the process, so
 regenerating several figures shares runs.  A run that disagrees with the
 plaintext oracle raises :class:`~repro.errors.OracleMismatchError`, so
@@ -205,16 +208,12 @@ def figure8(
 
 
 def figure9(
-    queries: int = 3,
-    workload_names: Optional[Sequence[str]] = None,
-    threads: int = 1,
+    queries: int = 3, workload_names: Optional[Sequence[str]] = None
 ) -> Table:
     """Plaintext-model (Maurice = Sally) vs encrypted-model inference.
 
-    Sequential by default, which reproduces the paper's headline "roughly
-    1.4x" claim; pass ``threads=32`` for the multithreaded variant the
-    paper's bar annotations (~10 ms) correspond to (there, synchronization
-    overhead compresses the microbenchmark ratios toward 1).
+    Sequential, which reproduces the paper's headline "roughly 1.4x"
+    claim.
     """
     table = Table(
         title="Figure 9: plaintext vs encrypted model inference",
@@ -227,11 +226,9 @@ def figure9(
         ],
     )
     for workload in _workloads(workload_names):
-        encrypted = _run(
-            workload, SYSTEM_COPSE, queries, threads=threads, encrypted_model=True
-        )
+        encrypted = _run(workload, SYSTEM_COPSE, queries)
         plaintext = _run(
-            workload, SYSTEM_COPSE, queries, threads=threads, encrypted_model=False
+            workload, SYSTEM_COPSE, queries, encrypted_model=False
         )
         table.add_row(
             workload.name,
@@ -430,306 +427,7 @@ def table5(
 
 
 # ---------------------------------------------------------------------------
-# Serving throughput: batched vs unbatched inference
-# ---------------------------------------------------------------------------
-
-
-def throughput(
-    workload_name: str = "width78",
-    queries: int = 16,
-    threads: int = 2,
-    batch_size: Optional[int] = None,
-) -> Table:
-    """Batched-service throughput versus the unbatched per-query path.
-
-    The unbatched row is the paper's protocol (one ``secure_inference``
-    per query, model re-encrypted every time); the batched row routes the
-    same queries through :class:`repro.serve.CopseService`, which
-    encrypts the model once and packs queries into shared SIMD slots.
-    Both report simulated inference time over the four pipeline stages,
-    so the comparison isolates the packing amortization.
-    """
-    from repro.serve import CopseService
-
-    workload = _workloads([workload_name])[0]
-    unbatched = _run(workload, SYSTEM_COPSE, queries=min(queries, 3))
-
-    with CopseService(threads=threads) as service:
-        registered = service.register_model(
-            workload.name, workload.compiled, max_batch_size=batch_size
-        )
-        feature_lists = workload.query_features(queries)
-        results = service.classify_many(workload.name, feature_lists)
-        stats = service.stats()
-
-    correct = all(r.oracle_ok for r in results)
-    unbatched_qps = (
-        1000.0 / unbatched.median_ms if unbatched.median_ms > 0 else 0.0
-    )
-    table = Table(
-        title=f"Serving throughput — {workload.name} ({queries} queries)",
-        columns=[
-            "mode",
-            "batches",
-            "batch_capacity",
-            "ms_per_query",
-            "queries_per_sec",
-            "oracle",
-        ],
-    )
-    table.add_row(
-        "unbatched",
-        queries,
-        1,
-        unbatched.median_ms,
-        unbatched_qps,
-        "ok",  # _run raises on a mismatch
-    )
-    table.add_row(
-        f"batched x{threads} workers",
-        stats.batches,
-        registered.batch_capacity,
-        stats.amortized_ms_per_query,
-        stats.throughput_qps,
-        "ok" if correct else "MISMATCH",
-    )
-    if stats.amortized_ms_per_query > 0:
-        table.add_note(
-            f"amortization: {unbatched.median_ms / stats.amortized_ms_per_query:.1f}x "
-            f"cheaper per query (avg batch fill "
-            f"{stats.avg_batch_fill:.2f}, one-time setup "
-            f"{stats.setup_ms:.0f} ms)"
-        )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Soak: deadline-aware scheduling under simulated load
-# ---------------------------------------------------------------------------
-
-
-def soak(
-    workload_name: str = "width78",
-    queries: int = 2000,
-    threads: int = 4,
-    load_factors: Sequence[float] = (0.3, 0.6, 0.9, 1.2, 1.8),
-    deadline_factor: float = 2.0,
-    seed: int = 4242,
-) -> Table:
-    """Latency and deadline-miss rate versus offered load, simulated.
-
-    One row per load factor (mean worker utilization the arrival rates
-    imply).  The model is registered once — its batch capacity and
-    analyzed plan cost become the simulator's
-    :class:`~repro.serve.loadgen.ModelProfile` — then each row replays
-    ``queries`` seeded arrivals (three tenants: two Poisson, one
-    bursty, all with deadline ``deadline_factor`` x the batch service
-    time) through the production router and scheduler cores under a
-    virtual clock, with a mid-run worker crash (its batch parks behind
-    the default retry backoff) and periodic slow batches injected.
-
-    Everything is virtual-clock deterministic: same seed, same table,
-    byte for byte.  The miss-rate curve has three regimes worth reading:
-    at low load partial batches deliberately wait out their deadline
-    slack (so slow batches push the tail over), at moderate load batches
-    fill before slack expires (the sweet spot), and at overload queueing
-    delay grows until admission control starts shedding — the
-    ``rejected`` column — which caps latency for the queries it admits.
-    """
-    from repro.errors import ValidationError
-    from repro.serve import (
-        FaultPlan,
-        ModelProfile,
-        SimRunner,
-        TenantSpec,
-        generate_arrivals,
-        offered_load,
-    )
-    from repro.serve.registry import ModelRegistry
-    from repro.serve.simclock import MS
-
-    if queries < 1:
-        raise ValidationError(f"soak needs at least one query, got {queries}")
-    if threads < 1:
-        raise ValidationError(f"soak needs at least one worker, got {threads}")
-
-    workload = _workloads([workload_name])[0]
-    registered = ModelRegistry().register(
-        f"soak-{workload.name}", workload.compiled,
-        params=EncryptionParams.paper_defaults(),
-    )
-    profile = ModelProfile.from_registered(
-        registered, max_pending=max(64, 4 * registered.batch_capacity)
-    )
-    service_s = profile.service_ms * MS
-    deadline_ms = deadline_factor * profile.service_ms
-
-    table = Table(
-        title=(
-            f"Soak: deadline scheduling vs offered load — {workload.name} "
-            f"(capacity {profile.capacity}, batch {profile.service_ms:.1f} "
-            f"ms, {threads} workers, {queries} queries/row)"
-        ),
-        columns=[
-            "offered_load",
-            "rate_qps",
-            "p50_ms",
-            "p99_ms",
-            "miss_rate",
-            "rejected",
-            "retries",
-            "batches",
-        ],
-    )
-    for factor in load_factors:
-        # rho = rate * service / (capacity * threads)  =>  solve for rate.
-        rate = factor * threads * profile.capacity / service_s
-        burst_every_s = 40.0 * service_s
-        burst_size = max(1, int(rate * burst_every_s * 0.15))
-        tenants = [
-            TenantSpec(name="steady-a", model=profile.name,
-                       rate_qps=rate * 0.5, deadline_ms=deadline_ms),
-            TenantSpec(name="steady-b", model=profile.name,
-                       rate_qps=rate * 0.35, deadline_ms=deadline_ms),
-            TenantSpec(name="bursty", model=profile.name,
-                       burst_every_s=burst_every_s,
-                       burst_size=burst_size,
-                       deadline_ms=deadline_ms),
-        ]
-        arrivals = generate_arrivals(tenants, seed=seed,
-                                     total_queries=queries)
-        crash_at = arrivals[len(arrivals) // 2].time
-        report = SimRunner([profile], workers=threads).run(
-            arrivals,
-            FaultPlan(worker_crashes=(crash_at,), slow_every=13,
-                      slow_factor=2.0),
-        )
-        stats = report.stats
-        table.add_row(
-            round(offered_load(tenants, [profile], threads), 3),
-            round(rate, 1),
-            round(stats.latency_p50_ms, 2),
-            round(stats.latency_p99_ms, 2),
-            round(stats.deadline_miss_rate, 4),
-            stats.rejected,
-            stats.retries,
-            stats.batches,
-        )
-    table.add_note(
-        f"virtual-clock simulation (seed {seed}): deadlines "
-        f"{deadline_ms:.0f} ms, one injected worker crash mid-run, every "
-        f"13th batch 2x slow; deterministic — the table is "
-        f"byte-identical across runs"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Plan-compiled execution: optimizer payoff on the live pipeline
-# ---------------------------------------------------------------------------
-
-
-def plan_speedup(workload_name: str = "width78", queries: int = 2) -> Table:
-    """Eager interpreter vs the plan-compiled path on one workload.
-
-    Three rows: the eager runtime (measured per-query simulated ms over
-    the four inference phases), the *unoptimized* lowering (analyzed
-    cost: what naive staging would pay), and the optimized
-    :class:`~repro.ir.plan.InferencePlan` (measured per-query ms over its
-    ``plan_inference`` phase, which covers the identical work).  The
-    IR builder's shared emission makes the per-level cyclic extensions
-    the eager runtime recomputes once, so the plan engine does strictly
-    less rotation work per query.
-    """
-    from repro.errors import ValidationError
-    from repro.core.engines import engine_row
-    from repro.core.runtime import INFERENCE_PHASES, secure_inference
-    from repro.fhe.costmodel import CostModel
-    from repro.fhe.tracker import OpKind
-    from repro.ir.plan import lower_inference
-
-    if queries < 1:
-        raise ValidationError(
-            f"plan_speedup needs at least one query, got {queries}"
-        )
-    workload = _workloads([workload_name])[0]
-    compiled = workload.compiled
-    params = EncryptionParams.paper_defaults()
-    cost_model = CostModel(params)
-    plan = lower_inference(compiled)
-
-    def phase_count(tracker, phases, kind) -> int:
-        return sum(
-            tracker.phase_stats(p).counts.get(kind, 0) for p in phases
-        )
-
-    # engine -> (its tracker phases, the prebuilt artifact it runs)
-    runs = {
-        "eager": (INFERENCE_PHASES, {}),
-        "plan": (engine_row("plan").phases, {"plan": plan}),
-    }
-    ms: Dict[str, List[float]] = {engine: [] for engine in runs}
-    rotations = dict.fromkeys(runs, 0)
-    multiplies = dict.fromkeys(runs, 0)
-    oracle_ok = True
-    for features in workload.query_features(queries):
-        expected = workload.forest.label_bitvector(features)
-        for engine, (phases, artifact) in runs.items():
-            outcome = secure_inference(
-                compiled, features, engine=engine, **artifact
-            )
-            oracle_ok &= outcome.result.bitvector == expected
-            ms[engine].append(
-                cost_model.sequential_ms(outcome.tracker, phases=phases)
-            )
-            rotations[engine] = phase_count(
-                outcome.tracker, phases, OpKind.ROTATE
-            )
-            multiplies[engine] = phase_count(
-                outcome.tracker, phases, OpKind.MULTIPLY
-            )
-    eager_ms, plan_ms = ms["eager"], ms["plan"]
-
-    def median(values: List[float]) -> float:
-        ranked = sorted(values)
-        return ranked[len(ranked) // 2]
-
-    table = Table(
-        title=f"Plan-compiled speedup — {workload.name} ({queries} queries)",
-        columns=["engine", "rotations", "multiplies", "ms_per_query", "oracle"],
-    )
-    table.add_row(
-        "eager",
-        rotations["eager"],
-        multiplies["eager"],
-        median(eager_ms),
-        "ok" if oracle_ok else "MISMATCH",
-    )
-    table.add_row(
-        "plan (unoptimized)",
-        plan.raw.rotations,
-        plan.raw.multiplies,
-        plan.raw.cost_ms(cost_model),
-        "analyzed",
-    )
-    table.add_row(
-        "plan",
-        rotations["plan"],
-        multiplies["plan"],
-        median(plan_ms),
-        "ok" if oracle_ok else "MISMATCH",
-    )
-    if plan_ms and eager_ms:
-        table.add_note(
-            f"plan vs eager: {median(eager_ms) / median(plan_ms):.2f}x "
-            f"cheaper per query; optimizer saved {plan.rotations_saved} "
-            f"rotations over the naive lowering ({plan.describe()})"
-        )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Autoscale: the control plane vs a static pool on a three-phase ramp
+# The control plane's seeded scenario (tests/control, the CI replay step)
 # ---------------------------------------------------------------------------
 
 
@@ -871,314 +569,6 @@ def autoscale_run(
         "seed": seed,
     }
     return report, controller, scenario
-
-
-def _worker_trajectory(controller, workers_start: int) -> Tuple[int, int]:
-    """(peak, final) pool size implied by the applied scale records."""
-    peak = final = workers_start
-    for record in controller.applied():
-        # ("applied", tick, "scale_workers", delta, t)
-        if record[2] == "scale_workers":
-            final += record[3]
-            peak = max(peak, final)
-    return peak, final
-
-
-def autoscale(
-    workload_name: str = "width78",
-    workers_start: int = 2,
-    workers_max: int = 6,
-    seed: int = 777,
-) -> Table:
-    """SLO-driven autoscaling vs a static pool on a three-phase ramp.
-
-    Two rows over the identical seeded arrival timeline (underload
-    steady state at rho 0.4, a burst at rho 2.0 of the starting pool's
-    capacity, then a rho 0.25 decay tail, with one worker crash
-    mid-burst): a static ``workers_start``-worker pool, and the same
-    pool driven by the control plane (:class:`~repro.control.Controller`
-    with an SLO/backlog :class:`~repro.control.AutoscalePolicy` behind
-    the :class:`~repro.control.GuardRail`).
-
-    The story the table tells: the burst buries the static pool — its
-    p99 blows through the deadline and the miss rate climbs — while the
-    controller scales up to absorb it (bounded by ``workers_max`` and
-    the per-kind cooldown), then the decay phase triggers the
-    cooldown-gated scale-down.  ``applied`` counts guard-approved
-    actuations; ``guard_rej`` counts vetoes, every one carrying a
-    recorded reason in the decision log.  Deterministic end to end:
-    same seed, same table *and* same decision log, byte for byte.
-    """
-    rows = []
-    for mode, auto in (("static", False), ("autoscale", True)):
-        report, controller, scenario = autoscale_run(
-            workload_name=workload_name,
-            workers_start=workers_start,
-            workers_max=workers_max,
-            seed=seed,
-            autoscale=auto,
-        )
-        stats = report.stats
-        if controller is None:
-            peak = final = workers_start
-            applied = guard_rej = 0
-        else:
-            peak, final = _worker_trajectory(controller, workers_start)
-            applied = len(controller.applied())
-            guard_rej = len(controller.rejections())
-        rows.append((
-            mode,
-            round(stats.latency_p50_ms, 2),
-            round(stats.latency_p99_ms, 2),
-            round(stats.deadline_miss_rate, 4),
-            stats.rejected,
-            peak,
-            final,
-            applied,
-            guard_rej,
-        ))
-
-    table = Table(
-        title=(
-            f"Autoscale: control plane vs static pool — "
-            f"{scenario['workload']} three-phase ramp "
-            f"(rho {scenario['rhos'][0]} / {scenario['rhos'][1]} / "
-            f"{scenario['rhos'][2]} of {workers_start} workers, "
-            f"{scenario['queries']} queries, deadline "
-            f"{scenario['deadline_ms']:.0f} ms)"
-        ),
-        columns=[
-            "mode",
-            "p50_ms",
-            "p99_ms",
-            "miss_rate",
-            "rejected",
-            "peak_workers",
-            "final_workers",
-            "applied",
-            "guard_rej",
-        ],
-    )
-    for row in rows:
-        table.add_row(*row)
-    table.add_note(
-        f"virtual-clock cluster simulation (seed {seed}): one worker "
-        f"crash mid-burst, control tick every "
-        f"{scenario['control_interval_s']:.2f}s of virtual time, "
-        f"workers in [1, {workers_max}]; every applied actuation "
-        f"passed a guard and every rejection carries a reason — the "
-        f"decision log replays byte-identical across runs"
-    )
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Chaos: the deterministic fault matrix, replayed and cross-checked
-# ---------------------------------------------------------------------------
-
-
-def chaos_run(
-    workload_name: str = "width78",
-    queries: int = 6000,
-    seed: int = 99,
-    workers: int = 4,
-    faulted: bool = True,
-):
-    """One seeded chaos soak through the simulator.
-
-    Derives the load shape from the workload's registered profile (two
-    Poisson tenants plus a bursty one at moderate total load) and, when
-    ``faulted``, replays the full fault matrix over it: worker crashes,
-    hung workers (heartbeat-detected), a slow-factor ramp, corrupted
-    model ships, corrupted / dropped / duplicated completion envelopes,
-    and two poison queries that crash every worker they touch.  The
-    fault-free twin (``faulted=False``) runs the identical arrival
-    schedule and is the bit-identity oracle.
-
-    Returns ``(report, scenario)``; everything is virtual-clock
-    deterministic — same arguments, same decision log byte for byte.
-    """
-    from repro.serve import (
-        FaultPlan,
-        ModelProfile,
-        RetryPolicy,
-        SimRunner,
-        TenantSpec,
-        generate_arrivals,
-    )
-    from repro.serve.registry import ModelRegistry
-    from repro.serve.simclock import MS
-
-    workload = _workloads([workload_name])[0]
-    registered = ModelRegistry().register(
-        f"chaos-{workload.name}", workload.compiled,
-        params=EncryptionParams.paper_defaults(),
-    )
-    # Unbounded-in-practice admission: the acceptance bar is "every
-    # non-poison query served", so shedding under a crash backlog is
-    # sized out of the scenario.
-    profile = ModelProfile.from_registered(registered, max_pending=queries)
-    service_s = profile.service_ms * MS
-    # Moderate load for the pool: headroom to drain the backlog that
-    # piles up while crashed/hung workers respawn.
-    rate = 0.45 * workers * profile.capacity / service_s
-    tenants = [
-        TenantSpec(name="steady-a", model=profile.name,
-                   rate_qps=rate * 0.6),
-        TenantSpec(name="steady-b", model=profile.name,
-                   rate_qps=rate * 0.3),
-        TenantSpec(name="spiky", model=profile.name,
-                   burst_every_s=25.0 * service_s,
-                   burst_size=max(1, profile.capacity), priority=1),
-    ]
-    arrivals = generate_arrivals(tenants, seed=seed,
-                                 total_queries=queries)
-    duration = arrivals[-1].time
-    poison = (queries // 4, (3 * queries) // 4)
-    if faulted:
-        faults = FaultPlan(
-            worker_crashes=(0.2 * duration, 0.45 * duration,
-                            0.7 * duration),
-            worker_hangs=(0.3 * duration, 0.6 * duration),
-            slow_every=11,
-            slow_factor=2.0,
-            slow_ramp=0.2,
-            corrupt_ship_every=5,
-            corrupt_completion_every=97,
-            drop_completion_every=131,
-            duplicate_completion_every=61,
-            poison_queries=poison,
-        )
-    else:
-        faults = FaultPlan()
-    runner = SimRunner(
-        [profile],
-        workers=workers,
-        max_retries=2,
-        retry_policy=RetryPolicy(hedge_factor=3.0),
-        heartbeat_interval_s=0.25,
-        heartbeat_timeout_s=0.6,
-    )
-    report = runner.run(arrivals, faults)
-    scenario = {
-        "workload": workload.name,
-        "queries": queries,
-        "workers": workers,
-        "seed": seed,
-        "duration_s": duration,
-        "poison": poison,
-    }
-    return report, scenario
-
-
-def _conserved(stats) -> bool:
-    return stats.submitted == (
-        stats.completed + stats.rejected + stats.failed
-        + stats.cancelled + stats.dead_lettered
-    )
-
-
-def chaos(
-    workload_name: str = "width78",
-    queries: int = 6000,
-    seed: int = 99,
-) -> Table:
-    """The chaos matrix acceptance report: three runs, four properties.
-
-    Row ``chaos`` and row ``replay`` are the same seeded fault matrix
-    run twice — the decision logs, stats, and decrypted results must
-    match byte for byte.  Row ``fault-free`` is the identical arrival
-    schedule with no faults — every non-poison query the chaos run
-    served must carry bit-identical results, and exactly the poison
-    queries must land in the dead-letter queue with their bisection
-    trail in the decision log.  The checks note renders ``ok`` /
-    ``FAIL`` per property; the paper record holds every cell and note
-    of this table, all-``ok`` included.
-    """
-    import json as _json
-
-    first, scenario = chaos_run(
-        workload_name=workload_name, queries=queries, seed=seed
-    )
-    second, _ = chaos_run(
-        workload_name=workload_name, queries=queries, seed=seed
-    )
-    clean, _ = chaos_run(
-        workload_name=workload_name, queries=queries, seed=seed,
-        faulted=False,
-    )
-    poison = set(scenario["poison"])
-
-    replay_ok = (
-        _json.dumps(first.decisions) == _json.dumps(second.decisions)
-        and first.stats == second.stats
-        and first.results == second.results
-        and first.dead_letters == second.dead_letters
-    )
-    conserved = _conserved(first.stats) and _conserved(clean.stats)
-    clean_indices = set(clean.results) - poison
-    divergent = sum(
-        1 for index in clean_indices
-        if first.results.get(index) != clean.results[index]
-    )
-    bits_ok = divergent == 0 and not (set(first.results) & poison)
-    dlq_values = sorted(e["value"] for e in first.dead_letters)
-    kinds = {d[0] for d in first.decisions}
-    poison_ok = (
-        dlq_values == sorted(poison)
-        and first.stats.dead_lettered == len(poison)
-        and {"bisect", "dead_letter"} <= kinds
-    )
-
-    table = Table(
-        title=(
-            f"Chaos: deterministic fault matrix — {scenario['workload']}"
-            f" profile, {queries} queries on {scenario['workers']} "
-            f"workers (seed {seed}, 2 poison)"
-        ),
-        columns=[
-            "run",
-            "completed",
-            "dead_letter",
-            "rejected",
-            "failed",
-            "crashes",
-            "retries",
-            "hedges",
-            "stale",
-        ],
-    )
-    for name, report in (("chaos", first), ("replay", second),
-                         ("fault-free", clean)):
-        decision_kinds = [d[0] for d in report.decisions]
-        table.add_row(
-            name,
-            report.stats.completed,
-            report.stats.dead_lettered,
-            report.stats.rejected,
-            report.stats.failed,
-            report.stats.worker_crashes,
-            report.stats.retries,
-            decision_kinds.count("hedge"),
-            decision_kinds.count("stale"),
-        )
-
-    def verdict(ok: bool) -> str:
-        return "ok" if ok else "FAIL"
-
-    table.add_note(
-        "fault matrix: 3 crashes + 2 hangs (heartbeat-detected), slow "
-        "ramp x2.0, corrupted ships, corrupted/dropped/duplicated "
-        "completions, 2 poison queries; virtual-clock deterministic"
-    )
-    table.add_note(
-        f"checks: replay byte-identical={verdict(replay_ok)} "
-        f"conservation={verdict(conserved)} "
-        f"non-poison bit-identity={verdict(bits_ok)} "
-        f"(divergent={divergent}) "
-        f"poison isolated in DLQ={verdict(poison_ok)}"
-    )
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ evaluation harness::
     python -m repro serve model.txt --queries 64 --threads 4 \
         --deadline-ms 250 --max-queue 128
     python -m repro bench fig6 --workloads depth4,width78
-    python -m repro bench plan-speedup         # eager vs plan engine
+    python -m repro bench table5               # encryption-parameter sweep
     python -m repro bench report               # the paper record, then its claims
-    python -m repro bench soak                 # simulated load vs deadlines
-    python -m repro sweep                      # Table 5 parameter sweep
+    python -m repro trace sim model.txt -o trace.json  # simulated soak, traced
 
 Every inference command accepts ``--backend`` (reference / vector /
 plaintext — see ``repro.fhe.backend``); ``--precision``, ``--engine``,
@@ -280,15 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--queries", type=int, default=None,
         help="queries per run (default: what the paper record uses, "
-        "e.g. 1 for figures, 16 for throughput)",
+        "1 for the figures and Table 1)",
     )
     bench.add_argument(
         "--out", default=None,
         help="for 'report': also write the record JSON here (the "
         "checked-in reference is tests/bench/paper_record.json)",
     )
-
-    sub.add_parser("sweep", help="run the Table 5 parameter sweep")
 
     return parser
 
@@ -635,13 +632,6 @@ def _cmd_bench(args) -> int:
     return 1 if claims.failures(sections) else 0
 
 
-def _cmd_sweep(_args) -> int:
-    from repro.bench_harness import report_gen
-
-    print(report_gen.build_section("table5")[0].render())
-    return 0
-
-
 def _cmd_trace(args) -> int:
     if args.trace_kind == "tape":
         return _cmd_trace_tape(args)
@@ -729,8 +719,9 @@ def _cmd_trace_sim(args) -> int:
     profile = ModelProfile.from_registered(
         registered, max_pending=max(64, 4 * registered.batch_capacity)
     )
-    # The soak experiment's traffic shape: two Poisson tenants and one
-    # bursty one at moderate load, with deadlines at 2x the batch cost.
+    # Two Poisson tenants and one bursty one at moderate load, with
+    # deadlines at 2x the batch cost, one worker crash halfway through
+    # and every 13th batch slow.
     service_s = profile.service_ms * MS
     rate = 0.6 * args.threads * profile.capacity / service_s
     deadline_ms = 2.0 * profile.service_ms
@@ -888,7 +879,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "batch-classify": _cmd_batch_classify,
         "serve": _cmd_serve,
         "bench": _cmd_bench,
-        "sweep": _cmd_sweep,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
         "dlq": _cmd_dlq,

@@ -42,8 +42,9 @@ Quickstart (simulated)::
     print(controller.decision_log)
 
 ``repro serve --autoscale`` wires the same controller over the real
-service; ``repro bench autoscale`` replays the three-phase ramp
-experiment.  See DESIGN.md ("Control plane") for the dataflow and the
+service; ``bench_harness.experiments.autoscale_run`` builds the seeded
+three-phase ramp that ``tests/control/test_autoscale_experiment.py``
+replays.  See DESIGN.md ("Control plane") for the dataflow and the
 determinism contract.
 """
 

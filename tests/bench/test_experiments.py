@@ -1,6 +1,6 @@
 """Tests for the experiment entry points: arguments the paper record
-does not use (other workloads, worker counts, batch caps) and the
-properties of the serve sections, which make no paper claim.
+does not use (other workloads, parameter subsets) and the structure of
+the tables they build.
 
 The record's own figures are compared exactly by ``test_paper_record.py``
 and checked against the paper by ``test_paper_claims.py``.
@@ -64,71 +64,6 @@ class TestTable6:
         for row in table.rows:
             assert row[4] == row[5]  # branches == generated b
             assert row[1] == row[6]  # max depth == generated d
-
-
-class TestThroughput:
-    def test_batching_pays_on_width78(self):
-        """PR acceptance: amortized per-query cost strictly below the
-        unbatched ``secure_inference`` cost for the width78 workload."""
-        table = experiments.throughput(
-            workload_name="width78", queries=16, threads=2
-        )
-        unbatched_ms = table.rows[0][3]
-        batched_ms = table.rows[1][3]
-        assert batched_ms < unbatched_ms
-        assert table.rows[0][5] == "ok" and table.rows[1][5] == "ok"
-        # One capacity-48 batch absorbs all 16 queries.
-        assert table.rows[1][1] == 1
-        assert table.rows[1][2] > 1
-
-    def test_throughput_scales_with_workers(self):
-        # batch_size=2 splits 8 queries into 4 batches, so a larger pool
-        # genuinely overlaps more work.
-        two = experiments.throughput(
-            "width55", queries=8, threads=2, batch_size=2
-        )
-        four = experiments.throughput(
-            "width55", queries=8, threads=4, batch_size=2
-        )
-        assert four.rows[1][4] > two.rows[1][4]
-
-    def test_single_batch_gains_nothing_from_idle_workers(self):
-        """qps must not claim parallelism beyond the batch count."""
-        one = experiments.throughput("width55", queries=4, threads=1)
-        four = experiments.throughput("width55", queries=4, threads=4)
-        assert one.rows[1][1] == four.rows[1][1] == 1  # one batch each
-        assert four.rows[1][4] == pytest.approx(one.rows[1][4])
-
-    def test_batch_size_cap_respected(self):
-        table = experiments.throughput(
-            "width55", queries=6, threads=2, batch_size=2
-        )
-        assert table.rows[1][2] == 2  # capacity capped
-        assert table.rows[1][1] == 3  # 6 queries -> 3 batches
-
-
-class TestPlanSpeedup:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return experiments.plan_speedup(workload_name="width78", queries=2)
-
-    def test_plan_at_most_eager_cost(self, table):
-        """ISSUE 2 acceptance: plan-engine per-query simulated cost must
-        be <= the eager engine's, with both paths oracle-exact."""
-        eager = table.row("eager")
-        plan = table.row("plan")
-        assert plan[3] <= eager[3]
-        assert eager[4] == "ok" and plan[4] == "ok"
-
-    def test_optimizer_beats_naive_lowering(self, table):
-        unoptimized = table.row("plan (unoptimized)")
-        plan = table.row("plan")
-        assert plan[1] < unoptimized[1]  # strictly fewer rotations
-        assert plan[3] < unoptimized[3]  # strictly lower cost ms
-
-    def test_plan_reduces_rotations_below_eager(self, table):
-        assert table.row("plan")[1] < table.row("eager")[1]
-        assert any("cheaper per query" in n for n in table.notes)
 
 
 class TestReportHelpers:

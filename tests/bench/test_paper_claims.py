@@ -155,7 +155,7 @@ def test_a_cell_within_its_tolerance_keeps_the_row(record, edit):
 
 def test_report_prints_the_claims_after_the_record(record):
     text = render_report(read_sections(record))
-    last_section = text.index("=== chaos ===")
+    last_section = text.index("=== fig10 ===")
     claims_at = text.index("=== claims ===")
     assert last_section < claims_at
     claims = text[claims_at:]

@@ -7,7 +7,8 @@ file centralizes three pieces of suite infrastructure:
 * the ``repro-plan-ci`` hypothesis profile (derandomized, scaled by
   ``$REPRO_DIFF_EXAMPLES``) — registered once here so every
   property-based suite shares the same fixed CI case set;
-* :func:`bench_quick`, the one reading of CI's ``$REPRO_BENCH_QUICK``;
+* :func:`bench_quick`, the one reading of CI's ``$REPRO_BENCH_QUICK``,
+  and :func:`digest`, the pinned hash of a seeded simulator output;
 * a suite-wide per-test timeout.  With the ``pytest-timeout`` plugin
   installed (CI does) the ``timeout`` ini option applies; without it, a
   SIGALRM fallback below enforces the same cap, so a hung scheduler
@@ -17,6 +18,7 @@ file centralizes three pieces of suite infrastructure:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib.util
 import os
 import signal
@@ -146,6 +148,12 @@ def bare_emission():
         patch.setattr(copse_ir, "IrBuilder", BareBuilder)
         patch.setattr(ir_plan, "IrBuilder", BareBuilder)
         yield
+
+
+def digest(text: str) -> str:
+    """The first 16 hex digits of ``text``'s sha256: one pinned line
+    locks a whole seeded simulator output (decision log, stats repr)."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def bench_quick() -> bool:

@@ -194,6 +194,42 @@ class TestPhasesAndLeakageSurface:
         assert not hasattr(spec, "reshuffle")
 
 
+class TestPlanAgainstEager:
+    """The plan engine emits each level's cyclic extension once where
+    the eager runtime recomputes it, so per query it rotates less and
+    costs less, with both answers oracle-exact."""
+
+    @pytest.mark.parametrize("workload_name", ["depth4", "width78", "prec8"])
+    def test_plan_does_less_rotation_work_than_eager(self, workload_name):
+        from repro.bench_harness.workloads import workload_by_name
+        from repro.core.engines import engine_row
+        from repro.fhe.costmodel import CostModel
+        from repro.fhe.params import EncryptionParams
+        from repro.fhe.tracker import OpKind
+
+        workload = workload_by_name(workload_name)
+        (features,) = workload.query_features(1)
+        cost_model = CostModel(EncryptionParams.paper_defaults())
+        rotations, ms = {}, {}
+        for engine in ("eager", "plan"):
+            outcome = secure_inference(
+                workload.compiled, features, engine=engine
+            )
+            assert outcome.result.bitvector == (
+                workload.forest.label_bitvector(features)
+            )
+            phases = engine_row(engine).phases
+            rotations[engine] = sum(
+                outcome.tracker.phase_stats(p).counts.get(OpKind.ROTATE, 0)
+                for p in phases
+            )
+            ms[engine] = cost_model.sequential_ms(
+                outcome.tracker, phases=phases
+            )
+        assert 0 < rotations["plan"] < rotations["eager"]
+        assert ms["plan"] < ms["eager"]
+
+
 class TestNoiseBudget:
     def test_deep_circuit_fails_on_small_params(self, example_forest):
         from repro.errors import CompileError

@@ -5,7 +5,7 @@ The acceptance soak for the fault-domain hardening PR: a seeded
 hung workers, slow-factor ramps, corrupted ships, corrupted / dropped /
 duplicated completions, poison queries) must
 
-* replay **byte-identical** decision logs run-to-run,
+* replay **byte-identical** decision logs run-to-run (and pinned),
 * conserve accounting (``submitted == completed + rejected + failed +
   cancelled + dead_lettered``),
 * serve every non-poison query with **bits identical** to the
@@ -40,6 +40,7 @@ from repro.serve import (
     chaos_worker_main,
     generate_arrivals,
 )
+from tests.conftest import digest
 
 # Open-loop load light enough that a cluster losing workers to the
 # full chaos matrix still drains its backlog: the acceptance bar is
@@ -118,6 +119,11 @@ class TestChaosSoakAcceptance:
         assert first.stats == second.stats
         assert first.results == second.results
         assert first.dead_letters == second.dead_letters
+        # ... and the same as pinned: sha256 prefixes of the decision
+        # log and the stats repr, under every FHE backend.
+        assert (
+            digest(json.dumps(first.decisions)), digest(repr(first.stats))
+        ) == ("50a5d8316da165d5", "94a3e67010f33116")
 
     def test_conservation_under_chaos(self, soak):
         first, _, clean = soak

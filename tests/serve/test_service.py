@@ -15,7 +15,10 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.core.engines import ENGINES, engine_row
+from repro.core.runtime import secure_inference
 from repro.errors import RejectedQuery, ServeError, ValidationError
+from repro.fhe.costmodel import CostModel
 from repro.serve import ClusterService, CopseService
 
 TRANSPORTS = ["in-thread", "real-process"]
@@ -28,6 +31,18 @@ def queries_for(forest, count, seed=21, precision=8):
         [int(v) for v in rng.integers(0, limit, forest.n_features)]
         for _ in range(count)
     ]
+
+
+def alone_ms(registered, features, engine):
+    """Simulated inference ms of one query run alone through the
+    per-query path (``secure_inference``) on ``engine``."""
+    alone = secure_inference(
+        registered.compiled, features, params=registered.params,
+        engine=engine,
+    )
+    return CostModel(registered.params).sequential_ms(
+        alone.tracker, phases=engine_row(engine).phases
+    )
 
 
 def open_service(transport, workers=1, **kwargs):
@@ -1185,6 +1200,43 @@ class TestStats:
         assert stats.op_counts["multiply"] > 0
         assert "CopseService stats" in stats.render()
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_batching_pays_against_a_query_alone(self, example_forest, engine):
+        """A query's share of a full batch costs less than the same
+        query alone through the per-query path, on every engine."""
+        queries = queries_for(example_forest, 6)
+        with CopseService(threads=2, engine=engine) as service:
+            registered = service.register_model(
+                "m", example_forest, max_batch_size=3
+            )
+            results = service.classify_many("m", queries)
+            stats = service.stats()
+        assert all(r.oracle_ok is True for r in results)
+        assert stats.batches == 2
+        assert stats.amortized_ms_per_query < alone_ms(
+            registered, queries[0], engine
+        )
+
+    def test_batching_pays_on_width78(self):
+        """The paper's width78 workload: one batch absorbs 16 queries,
+        each of which costs less than it would alone."""
+        from repro.bench_harness.workloads import workload_by_name
+
+        workload = workload_by_name("width78")
+        queries = workload.query_features(16)
+        with CopseService(threads=2) as service:
+            registered = service.register_model(
+                workload.name, workload.compiled
+            )
+            results = service.classify_many(workload.name, queries)
+            stats = service.stats()
+        assert all(r.oracle_ok is True for r in results)
+        assert registered.batch_capacity > 16
+        assert stats.batches == 1
+        assert stats.amortized_ms_per_query < alone_ms(
+            registered, queries[0], service.engine
+        )
+
     def test_tape_engine_is_default_and_cheapest(self, example_forest):
         """The registry default is the compiled-tape engine; on the same
         queries it does strictly less simulated inference work than the
@@ -1288,6 +1340,40 @@ class TestStats:
             setup_ms=0.0, oracle_failures=0, threads=4,
         )
         assert single.throughput_qps == pytest.approx(40.0)  # no 4x claim
+
+    @staticmethod
+    def served(forest, threads, count, max_batch_size=None):
+        with CopseService(threads=threads) as service:
+            service.register_model(
+                "m", forest, max_batch_size=max_batch_size
+            )
+            results = service.classify_many("m", queries_for(forest, count))
+            stats = service.stats()
+        assert all(r.oracle_ok is True for r in results)
+        return stats
+
+    def test_qps_scales_with_workers(self, example_forest):
+        """Four batches overlap more on four workers than on two."""
+        two = self.served(example_forest, 2, 8, max_batch_size=2)
+        four = self.served(example_forest, 4, 8, max_batch_size=2)
+        assert two.batches == four.batches == 4
+        assert four.throughput_qps > two.throughput_qps
+
+    def test_single_batch_gains_nothing_from_idle_workers(
+        self, example_forest
+    ):
+        """qps must not claim parallelism beyond the batch count."""
+        one = self.served(example_forest, 1, 4)
+        four = self.served(example_forest, 4, 4)
+        assert one.batches == four.batches == 1
+        assert four.throughput_qps == pytest.approx(one.throughput_qps)
+
+    def test_batch_size_cap_leaves_a_partial_last_batch(self, example_forest):
+        """5 queries under a cap of 2: three batches, the last half full."""
+        stats = self.served(example_forest, 2, 5, max_batch_size=2)
+        assert stats.batches == 3
+        assert stats.capacity_total == 6
+        assert stats.avg_batch_fill == pytest.approx(5 / 6)
 
     def test_plaintext_model_cheaper_than_encrypted(self, example_forest):
         def run(encrypted):

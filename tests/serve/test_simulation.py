@@ -8,7 +8,7 @@ crashes, and overload, with zero wall-clock sleeps and zero flakiness.
 The locked invariants:
 
 * **Determinism** — same seed, same fault plan => identical routing
-  decisions and byte-identical stats.
+  decisions and byte-identical stats; the acceptance soak's are pinned.
 * **Conservation** — submitted == completed + rejected + failed +
   cancelled + dead_lettered, always, including under crashes and
   admission rejections.
@@ -22,6 +22,7 @@ The locked invariants:
 ``REPRO_BENCH_QUICK=1`` (the CI quick mode) trims the big soak.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -38,10 +39,16 @@ from repro.serve import (
     generate_arrivals,
     offered_load,
 )
-from tests.conftest import bench_quick
+from tests.conftest import bench_quick, digest
 
 #: The acceptance soak's size (quick mode trims it for CI replays).
 SOAK_QUERIES = 1500 if bench_quick() else 5000
+#: Its pinned output per size: sha256 prefixes of the decision log and
+#: the stats repr, the same under every FHE backend.
+SOAK_DIGESTS = {
+    1500: ("00bbf9c7ee56c580", "c9c7b7b63d99910f"),
+    5000: ("c2d51f3d6c2a72db", "264ab9cde8a439c2"),
+}
 
 
 def first_pack_order(report):
@@ -355,9 +362,13 @@ class TestAcceptanceSoak:
         check_invariants(first)
         check_invariants(second)
 
-        # Byte-identical stats + identical decisions across runs.
+        # Byte-identical stats + identical decisions across runs, and
+        # the same as they were pinned.
         assert first.stats == second.stats
         assert first.decisions == second.decisions
+        assert (
+            digest(json.dumps(first.decisions)), digest(repr(stats))
+        ) == SOAK_DIGESTS[SOAK_QUERIES]
         render = first.service_stats().render()
         assert render == second.service_stats().render()
         assert "deadline misses" in render

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench_harness import experiments
 from repro.cli import main
 from repro.forest.serialize import dumps_forest
 from repro.forest.synthetic import random_forest
@@ -235,6 +236,15 @@ class TestBench:
         out = capsys.readouterr().out
         assert "Figure 6" in out and "width55" in out
 
+    def test_fig6_forwards_queries(self, capsys):
+        """Regression: --queries used to be silently ignored."""
+        experiments.clear_cache()
+        assert main(
+            ["bench", "fig6", "--workloads", "width55", "--queries", "2"]
+        ) == 0
+        runs = {(key[0], key[2]) for key in experiments._RECORD_CACHE}
+        assert runs == {("width55", 2)}
+
     def test_table6(self, capsys):
         assert main(["bench", "table6"]) == 0
         assert "depth4" in capsys.readouterr().out
@@ -253,39 +263,6 @@ class TestBench:
         assert main(["bench", "table1", "--workloads", "width55"]) == 0
         out = capsys.readouterr().out
         assert "Table 1(a)" in out and "Table 1(c)" in out
-
-    def test_throughput(self, capsys):
-        assert main(["bench", "throughput", "--workloads", "width55"]) == 0
-        out = capsys.readouterr().out
-        assert "Serving throughput" in out and "batched" in out
-        assert "(16 queries)" in out  # default preserved
-
-    def test_throughput_forwards_queries(self, capsys):
-        """Regression: --queries used to be silently ignored."""
-        assert main(
-            ["bench", "throughput", "--workloads", "width55",
-             "--queries", "5"]
-        ) == 0
-        assert "(5 queries)" in capsys.readouterr().out
-
-    def test_plan_speedup(self, capsys):
-        assert main(
-            ["bench", "plan-speedup", "--workloads", "width55",
-             "--queries", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Plan-compiled speedup" in out
-        assert "plan (unoptimized)" in out
-        assert "MISMATCH" not in out
-
-    def test_soak(self, capsys):
-        assert main(
-            ["bench", "soak", "--workloads", "width55", "--queries", "300"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Soak: deadline scheduling vs offered load" in out
-        assert "p99_ms" in out and "miss_rate" in out
-        assert "offered_load" in out
 
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
@@ -709,15 +686,6 @@ class TestDlqCommand:
 
     def test_dlq_missing_file(self, capsys):
         assert main(["dlq", "/nonexistent/dlq.json"]) == 2
-
-
-class TestBenchChaos:
-    def test_chaos_section_all_checks_pass(self, capsys):
-        assert main(["bench", "chaos"]) == 0
-        out = capsys.readouterr().out
-        assert "Chaos: deterministic fault matrix" in out
-        assert "replay byte-identical=ok" in out
-        assert "FAIL" not in out
 
 
 def test_no_command_rejected():
