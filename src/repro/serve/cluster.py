@@ -20,7 +20,8 @@
   witness.
 * :class:`ClusterService` — the name that opens the facade over
   :class:`~repro.serve.transport.ProcessTransport`: actual
-  ``multiprocessing`` (spawn) workers behind pipes.  Queries submitted
+  ``multiprocessing`` workers behind pipes, forked from one preloaded
+  server (spawned where there is none).  Queries submitted
   in-thread, to a 1-worker and to an N-worker pool decrypt to identical
   bits — the workers are pure functions of (shipped model, features).
 
@@ -980,7 +981,7 @@ class ClusterService(CopseService):
     constructor adds is what only a process pool has: the liveness
     horizon, the crash policy (``max_retries`` backoff-parked retries,
     then quarantine; ``retry_policy`` / ``breaker`` / ``dlq_limit``) and
-    ``worker_entry``, the spawn target tests swap for a chaos shim.
+    ``worker_entry``, the worker target tests swap for a chaos shim.
     """
 
     def __init__(

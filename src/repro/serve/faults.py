@@ -504,7 +504,7 @@ def chaos_worker_main(plan: TransportFaultPlan, conn, worker_id: int,
                       epoch: int) -> None:
     """A :func:`~repro.serve.worker.worker_main` with chaos injected.
 
-    Spawn-picklable entry point for tests:
+    Picklable entry point for tests:
     ``functools.partial(chaos_worker_main, plan)`` plugs into
     :class:`~repro.serve.cluster.ClusterService`'s ``worker_entry``
     seam.  The worker logic is the production one — only the transport

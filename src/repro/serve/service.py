@@ -43,7 +43,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import RejectedQuery, ValidationError, require_real
+from repro.errors import (
+    RejectedQuery, ServeError, ValidationError, require_real,
+)
 from repro.obs.metrics import MetricsRegistry, bind_children
 from repro.core.compiler import CompiledModel
 from repro.core.engines import ENGINE_TAPE, engine_row
@@ -444,8 +446,12 @@ class CopseService:
         self._closing = False
         self._stopping = False
         now = clock.now()
-        for worker in range(workers):
-            self._start_worker_locked(worker, now)
+        try:
+            for worker in range(workers):
+                self._start_worker_locked(worker, now)
+        except ServeError:
+            transport.close()  # the workers that did start
+            raise
         self._pump = threading.Thread(
             target=self._pump_loop, name="copse-serve-pump", daemon=True
         )
@@ -737,12 +743,23 @@ class CopseService:
             )
 
     def add_worker(self) -> int:
-        """Grow the pool by one worker; returns its fresh id."""
+        """Grow the pool by one worker; returns its fresh id.
+
+        A worker that cannot be started raises
+        :class:`~repro.errors.ServeError`, and its id is given up on.
+        """
         with self._routing() as now:
             if self._closing:
                 raise ValidationError("the service is closed")
             worker = self.router.add_worker(now)
-            self._start_worker_locked(worker, now)
+            try:
+                self._start_worker_locked(worker, now)
+            except ServeError:
+                self.router.crash_worker(worker, now)
+                self.router.abandon_worker(
+                    worker, self.transport.startup_deaths(worker), now
+                )
+                raise
         return worker
 
     def remove_worker(self) -> int:
@@ -980,7 +997,8 @@ class CopseService:
         ``crash_worker`` means the batch survives on its hedge replica,
         so the transport keeps waiting for it.  A slot whose last
         :data:`MAX_STARTUP_DEATHS` incarnations all died before
-        reporting ready is abandoned, not respawned.
+        reporting ready, or could not be started, is abandoned, not
+        restarted.
         """
         router, transport = self.router, self.transport
         if not router.alive[worker]:
@@ -994,7 +1012,10 @@ class CopseService:
             router.abandon_worker(worker, deaths, now)
             return
         router.restart_worker(worker, now)
-        self._start_worker_locked(worker, now)
+        try:
+            self._start_worker_locked(worker, now)
+        except ServeError:  # gone before it came up: another death
+            self._crash_locked(worker, now)
 
 
 def _ship_key(registered: RegisteredModel) -> str:

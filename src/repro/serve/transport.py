@@ -11,13 +11,16 @@ carry out one of the router's instructions (:class:`ShipAction`,
 * :class:`InThreadTransport` is a worker without a pipe: the pump
   thread runs the worker's routine, one assignment at a time; nothing
   is pickled, a ship is a no-op and a worker cannot die.
-* :class:`ProcessTransport` runs ``multiprocessing`` (spawn) workers
-  behind pipes, each in :func:`repro.serve.worker.worker_main`.
+* :class:`ProcessTransport` runs ``multiprocessing`` workers behind
+  pipes, each in :func:`repro.serve.worker.worker_main`, forked from
+  one preloaded server (``forkserver``; ``spawn`` where the platform
+  has no fork server).
 
 Both hand back one :class:`BatchResult` per assignment to one handler.
 
 Everything that crosses the process boundary is defined here too, and
-must survive ``pickle`` under the ``spawn`` start method (no lambdas,
+must survive ``pickle`` (a worker's target and arguments are pickled
+under ``forkserver`` as under ``spawn``; no lambdas,
 locks, futures, open trackers, or lazily cached derived state —
 :class:`~repro.ir.tape.FusedSpec` drops its gather caches in
 ``__getstate__`` for exactly this reason, and
@@ -48,6 +51,9 @@ a multi-megabyte envelope without a send/send deadlock.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -338,9 +344,10 @@ class Heartbeat:
 
 
 #: Respawn budget: a worker slot is given up on once this many
-#: incarnations in a row died before their first ``MSG_READY`` (a broken
-#: environment, an unimportable ``__main__`` under spawn) — respawning
-#: such a worker again would crash-loop.
+#: incarnations in a row died before their first ``MSG_READY`` or could
+#: not be started at all (a broken environment, an unimportable
+#: ``__main__``, no file descriptors left) — starting such a worker
+#: again would crash-loop.
 MAX_STARTUP_DEATHS = 3
 
 
@@ -590,9 +597,58 @@ class InThreadTransport(Transport):
         return [result]
 
 
-class ProcessTransport(Transport):
-    """``multiprocessing`` (*spawn*) workers behind pipes.
+#: One launch of the fork server at a time: a launch borrows the
+#: process environment.
+_SERVER_LOCK = threading.Lock()
 
+
+def _pool_context():
+    """The start method of pool workers: ``forkserver``, or ``spawn``
+    where the platform has no fork server."""
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("forkserver")
+    return multiprocessing.get_context("spawn")
+
+
+def _ensure_server() -> None:
+    """Have this interpreter's fork server running, preloaded.
+
+    Before its first fork the server imports the worker's whole import
+    closure, numpy included, so a worker starts as a fork of ~5 ms.
+    Not the parent's ``__main__``: each worker imports that itself, as
+    a spawned one does, so a script that cannot be imported kills its
+    workers, never the server.
+
+    The server is a fresh ``python -c`` that must import ``repro``
+    however this interpreter found it, and before Python 3.12 it never
+    applies the ``sys.path`` it is handed (and swallows the preload's
+    ``ImportError``): a caller that put ``src/`` on ``sys.path`` itself
+    would get a server that preloaded nothing.  So the launch runs with
+    this ``sys.path`` as ``PYTHONPATH``, restored right after.  A
+    running server is left as it is — one started by other code
+    without the preload too: its workers import for themselves.
+    """
+    from multiprocessing import forkserver
+
+    with _SERVER_LOCK:
+        forkserver.set_forkserver_preload(["repro.serve.worker"])
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(sys.path)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                os.environ.pop("PYTHONPATH", None)
+            else:
+                os.environ["PYTHONPATH"] = saved
+
+
+class ProcessTransport(Transport):
+    """``multiprocessing`` workers behind pipes.
+
+    Workers are forked from one server per interpreter that has already
+    imported them (:func:`_ensure_server`, started at the first
+    :meth:`start_worker`), or spawned where there is no fork server.
     Only moves bytes: every shipped object must pickle, workers see raw
     integer features and return plain numbers; the registry, session
     keys and every query future stay on the facade's side.  A worker
@@ -612,8 +668,6 @@ class ProcessTransport(Transport):
 
     def __init__(self, verify_oracle: bool, clock,
                  heartbeat_interval_s: float, worker_entry=None):
-        from multiprocessing import get_context
-
         require_real("heartbeat_interval_s", heartbeat_interval_s)
         if heartbeat_interval_s <= 0:
             raise ValidationError(
@@ -622,18 +676,19 @@ class ProcessTransport(Transport):
             )
         super().__init__(verify_oracle, clock)
         self.heartbeat_interval_s = heartbeat_interval_s
-        #: Spawn target for pool processes; tests swap in a chaos shim
-        #: (see repro.serve.faults.chaos_worker_main).  Must be
-        #: spawn-picklable.
+        #: Target of pool processes; tests swap in a chaos shim (see
+        #: repro.serve.faults.chaos_worker_main).  Must pickle.
         self._worker_entry = worker_entry
-        self._mp = get_context("spawn")
+        self._mp = _pool_context()
+        #: Per worker slot, its last process (None: none was started)
+        #: and the live pipe to it (None: none is live).
         self._procs: List[object] = []
         self._conns: List[object] = []
-        #: Per worker slot, the epoch its live incarnation was spawned
-        #: under, and the incarnations spawned since one last reported
+        #: Per worker slot, the epoch its live incarnation was started
+        #: under, and the incarnations started since one last reported
         #: ``MSG_READY`` (see :data:`MAX_STARTUP_DEATHS`).
         self._epochs: List[int] = []
-        self._unready_spawns: List[int] = []
+        self._unready_starts: List[int] = []
         #: The live pipes, as :meth:`wait` (lock-free) reads them.
         self._listening: Tuple[object, ...] = ()
         self._last_ping = clock.now()
@@ -648,32 +703,49 @@ class ProcessTransport(Transport):
             self._procs.append(None)
             self._conns.append(None)
             self._epochs.append(0)
-            self._unready_spawns.append(0)
+            self._unready_starts.append(0)
         entry = (
             self._worker_entry if self._worker_entry is not None
             else worker_main
         )
-        parent, child = self._mp.Pipe()
-        proc = self._mp.Process(
-            target=entry,
-            args=(child, worker, epoch),
-            daemon=True,
-            name=f"copse-worker-{worker}",
-        )
-        proc.start()
-        child.close()
+        # A start that raises counts as a death at start-up, like one
+        # that dies before ``MSG_READY``.
+        self._epochs[worker] = epoch
+        self._unready_starts[worker] += 1
+        parent = None
+        try:
+            if self._mp.get_start_method() == "forkserver":
+                _ensure_server()
+            parent, child = self._mp.Pipe()
+            try:
+                proc = self._mp.Process(
+                    target=entry,
+                    args=(child, worker, epoch),
+                    daemon=True,
+                    name=f"copse-worker-{worker}",
+                )
+                proc.start()
+            finally:
+                child.close()
+        except Exception as exc:
+            if parent is not None:
+                parent.close()
+            raise ServeError(
+                f"worker {worker} (epoch {epoch}) could not be started: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         self._procs[worker] = proc
         self._conns[worker] = parent
-        self._epochs[worker] = epoch
-        self._unready_spawns[worker] += 1
         self._listen()
 
     def stop_worker(self, worker: int, graceful: bool = False) -> None:
         conn, proc = self._conns[worker], self._procs[worker]
-        # The process stays listed until a respawn replaces it: a
+        # The process stays listed until a restart replaces it: a
         # retired one exits on its own time, and close() reaps it.
         self._conns[worker] = None
         self._listen()
+        if conn is None:  # its start failed: nothing came up
+            return
         if graceful:
             self._send_to(conn, (MSG_STOP,))
         elif proc.is_alive():
@@ -686,7 +758,7 @@ class ProcessTransport(Transport):
             proc.join(timeout=0.5)
 
     def startup_deaths(self, worker: int) -> int:
-        return self._unready_spawns[worker]
+        return self._unready_starts[worker]
 
     @staticmethod
     def _send_to(conn, message) -> None:
@@ -744,7 +816,7 @@ class ProcessTransport(Transport):
                 arrivals.append(message[1])
             elif tag in (MSG_READY, MSG_PONG):
                 if tag == MSG_READY:
-                    self._unready_spawns[worker] = 0
+                    self._unready_starts[worker] = 0
                 arrivals.append(Heartbeat(worker, message[2]))
             # MSG_LOADED is informational; the router's ledger was
             # updated at ship time.
@@ -760,6 +832,8 @@ class ProcessTransport(Transport):
         for conn in conns:
             self._send_to(conn, (MSG_STOP,))
         for proc in self._procs:
+            if proc is None:
+                continue  # a slot whose only start failed
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()

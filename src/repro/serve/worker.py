@@ -1,6 +1,7 @@
 """The serve-cluster worker process: receive models once, evaluate batches.
 
-:func:`worker_main` is the ``spawn`` target of every pool process.  A
+:func:`worker_main` is the target of every pool process (forked from
+the fork server that preloaded this module, or spawned).  A
 worker is deliberately dumb — the detect/schedule/verify intelligence
 lives in the router — and holds no scheduling state at all:
 
@@ -140,7 +141,7 @@ def worker_main(conn, worker_id: int, epoch: int) -> None:
     """Run one pool worker over ``conn`` until ``("stop",)`` or EOF.
 
     ``epoch`` is the router's incarnation counter for this worker slot
-    at spawn time; every message the worker sends echoes it, so results
+    at start time; every message the worker sends echoes it, so results
     from a superseded incarnation are recognizable router-side.
     """
     models = {}

@@ -11,17 +11,26 @@ Three layers, mirroring the module's pure-core/thin-engine split:
   1-worker vs N-worker accounting equivalence.  ``REPRO_BENCH_QUICK=1``
   trims the big soak for CI replays.
 * **Real multiprocessing tests** (``real`` in the name, so CI's smoke
-  step can select them with ``-k real``) — spawn-grade pickling of the
+  step can select them with ``-k real``) — pickling of the
   :class:`~repro.serve.transport.ShippedModel` envelope, a 2-worker
-  round trip, 1-vs-2-worker bit identity, and a mid-soak ``kill()``
-  with full recovery.
+  round trip, 1-vs-2-worker bit identity, a mid-soak ``kill()`` with
+  full recovery, and how a worker starts (forked from one preloaded
+  server, spawned where there is none, a start that raises).
 """
 
 import dataclasses
+import errno
+import functools
 import json
+import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import time
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +55,7 @@ from repro.serve import (
 from repro.serve.cluster import AssignAction, ShipAction
 from repro.serve.scheduler import OUTCOME_OK, QueryFuture
 from tests.conftest import bench_quick
+from tests.serve.worker_probe import probe_worker_main, probes
 
 #: The acceptance soak: 10^5 queries full, trimmed for CI replays.
 SOAK_QUERIES = 20_000 if bench_quick() else 100_000
@@ -1226,6 +1236,231 @@ class TestRealCluster:
         assert_conserved(stats)
         assert stats.worker_crashes >= 1
         assert "crash" in {d[0] for d in decisions}
+
+
+# ---------------------------------------------------------------------------
+# How a worker is started: the preloaded fork server, the spawn
+# fallback, and a start that raises
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[2]
+
+has_forkserver = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="the platform has no fork server",
+)
+
+
+class StartFails:
+    """A start context whose ``Process.start`` raises
+    ``OSError(EMFILE)`` from the ``fail_from``-th process on."""
+
+    def __init__(self, context, fail_from):
+        self._context, self.fail_from = context, fail_from
+        self.procs = []
+
+    def __getattr__(self, name):
+        return getattr(self._context, name)
+
+    def Process(self, *args, **kwargs):
+        proc = self._context.Process(*args, **kwargs)
+        self.procs.append(proc)
+        if len(self.procs) >= self.fail_from:
+            def start():
+                raise OSError(errno.EMFILE, "Too many open files")
+
+            proc.start = start
+        return proc
+
+
+def probed(out_dir):
+    return functools.partial(probe_worker_main, str(out_dir))
+
+
+def assert_oracle_exact(forest, queries, results):
+    assert len(results) == len(queries)
+    for features, res in zip(queries, results):
+        assert res.oracle_ok is True
+        assert res.bitvector == forest.label_bitvector(features)
+
+
+class TestRealWorkerStart:
+    @has_forkserver
+    def test_real_server_preloads_with_src_only_on_sys_path(self, tmp_path):
+        """The benchmark's configuration: no ``PYTHONPATH``, ``src/``
+        put on ``sys.path`` by the script.  The fork server must still
+        import the worker before it forks one (before Python 3.12 it
+        drops the ``sys.path`` it is handed and swallows the preload's
+        ``ImportError``), so a worker finds ``repro.serve.worker``
+        already imported, and its parent is the server."""
+        script = textwrap.dedent(f"""
+            import functools, json, os, sys
+            sys.path[:0] = [{str(REPO / "src")!r}, {str(REPO)!r}]
+            from repro.serve.cluster import ClusterService
+            from tests.serve.worker_probe import probe_worker_main, probes
+            out = {str(tmp_path)!r}
+            with ClusterService(
+                workers=2, backend="vector",
+                worker_entry=functools.partial(probe_worker_main, out),
+            ):
+                records = probes(out, 2)
+            print(json.dumps({{"pid": os.getpid(), "records": records}}))
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        records = report["records"]
+        assert len(records) == 2
+        assert [r["preloaded"] for r in records] == [True, True]
+        assert records[0]["ppid"] == records[1]["ppid"] != report["pid"]
+
+    @has_forkserver
+    def test_real_services_fork_from_one_server(self, tmp_path):
+        """Two services in one interpreter: all four workers are
+        children of the same preloaded server, not of this process."""
+        records = []
+        for i in range(2):
+            out = tmp_path / str(i)
+            out.mkdir()
+            with ClusterService(workers=2, backend="vector",
+                                worker_entry=probed(out)) as service:
+                assert service.transport._mp.get_start_method() == (
+                    "forkserver"
+                )
+                records += probes(str(out), 2)
+        assert len(records) == 4
+        assert all(r["preloaded"] for r in records)
+        assert len({r["ppid"] for r in records}) == 1
+        assert records[0]["ppid"] != os.getpid()
+
+    def test_real_spawn_fallback_answers_oracle_exact(
+        self, monkeypatch, tmp_path, example_forest
+    ):
+        """Where the platform has no fork server, workers are spawned
+        by this process, import for themselves, and answer the same."""
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods",
+            lambda: ["fork", "spawn"],
+        )
+        queries = real_queries(example_forest, 12, seed=31)
+        with ClusterService(workers=2, backend="vector",
+                            worker_entry=probed(tmp_path)) as service:
+            assert service.transport._mp.get_start_method() == "spawn"
+            service.register_model(
+                "m", example_forest, precision=8, max_batch_size=4
+            )
+            results = service.classify_many("m", queries)
+            records = probes(str(tmp_path), 2)
+            stats = service.stats()
+        assert_oracle_exact(example_forest, queries, results)
+        assert_conserved(stats)
+        assert [(r["preloaded"], r["ppid"]) for r in records] == [
+            (False, os.getpid())
+        ] * 2
+
+    def test_real_failed_start_in_constructor_raises_typed(
+        self, monkeypatch
+    ):
+        """Defect lock: the second worker's ``Process.start`` raising
+        escaped the constructor as a raw ``OSError`` and left worker 0
+        running.  Now it is a :class:`ServeError`, and worker 0 is
+        stopped."""
+        from repro.serve import transport
+
+        contexts = []
+        pool_context = transport._pool_context
+
+        def failing_second():
+            contexts.append(StartFails(pool_context(), fail_from=2))
+            return contexts[-1]
+
+        monkeypatch.setattr(transport, "_pool_context", failing_second)
+        with pytest.raises(
+            ServeError, match=r"worker 1 \(epoch 0\) could not be "
+                              r"started: OSError"
+        ):
+            ClusterService(workers=2, backend="vector")
+        first = contexts[0].procs[0]
+        first.join(timeout=10)
+        assert first.exitcode == 0  # stopped, not left running
+
+    def test_real_failed_add_worker_raises_typed(self, example_forest):
+        """``add_worker`` whose start raises: a :class:`ServeError`, the
+        new id given up on, and the pool serving on as it was."""
+        queries = real_queries(example_forest, 6, seed=23)
+        with ClusterService(workers=1, backend="vector") as service:
+            service.register_model(
+                "m", example_forest, precision=8, max_batch_size=4
+            )
+            service.transport._mp = StartFails(service.transport._mp, 1)
+            with pytest.raises(ServeError, match="worker 1 .*could not"):
+                service.add_worker()
+            assert service.workers == 1
+            results = service.classify_many("m", queries)
+            stats = service.stats()
+            decisions = service.decisions
+        # close() above skipped the empty slot.
+        assert_oracle_exact(example_forest, queries, results)
+        assert_conserved(stats)
+        assert lifecycle(decisions, 1) == ["add_worker", "crash", "abandon"]
+        assert [d[3] for d in decisions if d[0] == "abandon"] == [1]
+
+    def test_real_failed_restart_is_a_startup_death(self, example_forest):
+        """Defect lock: a killed worker whose restart raised killed the
+        pump thread, and every pending future waited forever.  Now each
+        failed start is a death at start-up: after
+        ``MAX_STARTUP_DEATHS`` the slot is abandoned, and the pool
+        serves on."""
+        from repro.serve.cluster import MAX_STARTUP_DEATHS
+
+        queries = real_queries(example_forest, 12, seed=29)
+        with ClusterService(workers=2, backend="vector") as service:
+            service.register_model(
+                "m", example_forest, precision=8, max_batch_size=4
+            )
+            transport = service.transport
+            wait_until(lambda: not any(
+                transport.startup_deaths(w) for w in (0, 1)
+            ))
+            transport._mp = StartFails(transport._mp, 1)
+            transport._procs[0].kill()
+            wait_until(lambda: any(
+                d[0] == "abandon" for d in service.decisions
+            ))
+            results = service.classify_many("m", queries)
+            assert service._pump.is_alive()
+            assert service.workers == 1
+            stats = service.stats()
+            decisions = service.decisions
+        assert_oracle_exact(example_forest, queries, results)
+        assert_conserved(stats)
+        assert lifecycle(decisions, 0) == (
+            ["crash"] + ["restart", "crash"] * MAX_STARTUP_DEATHS
+            + ["abandon"]
+        )
+        assert [d[3] for d in decisions if d[0] == "abandon"] == [
+            MAX_STARTUP_DEATHS
+        ]
+
+
+def lifecycle(decisions, worker):
+    """The kinds of ``worker``'s pool-membership decisions, in order."""
+    return [
+        d[0] for d in decisions
+        if d[0] in ("add_worker", "crash", "restart", "abandon")
+        and d[1] == worker
+    ]
+
+
+def wait_until(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 # ---------------------------------------------------------------------------
