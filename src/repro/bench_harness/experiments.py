@@ -554,7 +554,7 @@ def autoscale_run(
         retry_policy=RetryPolicy.immediate(),
     )
     if controller is not None:
-        controller.plant = Plant(runner)
+        controller.plant = Plant(runner.service)
     report = runner.run(arrivals, faults)
     scenario = {
         "workload": workload.name,

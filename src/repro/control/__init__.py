@@ -16,9 +16,10 @@ on it.  Split in the established pure-core style:
   safety, per-kind cooldowns) before actuation; rejections are
   recorded with reasons, never dropped — the rail fails closed;
 * :mod:`repro.control.actuator` — :class:`Plant`: the one actuation
-  seam over the live serve facade
-  (:class:`~repro.serve.service.CopseService`, on either transport)
-  and the simulator: it grows and shrinks the worker pool;
+  seam over the serve facade
+  (:class:`~repro.serve.service.CopseService`, on either transport,
+  or the one the simulator steps): it grows and shrinks the worker
+  pool;
 * :mod:`repro.control.loop` — :class:`Controller`: the caller-clocked
   observe -> propose -> guard -> actuate cycle, emitting the ordered
   auditable decision log that is the determinism witness (byte-identical
@@ -33,7 +34,7 @@ Quickstart (simulated)::
 
     runner = SimRunner(profiles, workers=2)
     controller = Controller(
-        Plant(runner),
+        Plant(runner.service),
         [AutoscalePolicy(slo_p99_ms=250.0)],
         GuardRail(GuardConfig(workers_min=1, workers_max=6)),
     )

@@ -10,15 +10,17 @@ protocol is two methods:
   refuses (the controller records that as a failed apply — the guards
   *and* the mechanism both fail closed).
 
-One :class:`Plant` covers the serve stack, because its targets — the
-live facade (:class:`~repro.serve.service.CopseService`, in-thread or,
-as :class:`~repro.serve.cluster.ClusterService`, over worker processes)
-and the discrete-event :class:`~repro.serve.loadgen.SimRunner` — share
-one actuation surface: ``stats()``, ``metrics``, ``add_worker()`` and
-``remove_worker()`` (retire the *highest-id* idle worker — a
-deterministic choice that also keeps low worker ids, the crc32 placement
-anchors, stable).  :class:`~repro.control.policy.ScaleWorkers` is the
-one proposal kind it applies: ``|delta|`` calls of one of the two.
+One :class:`Plant` covers the serve stack, because it has one kind of
+target: the facade (:class:`~repro.serve.service.CopseService`,
+in-thread, as :class:`~repro.serve.cluster.ClusterService` over worker
+processes, or as the ``service`` the discrete-event
+:class:`~repro.serve.loadgen.SimRunner` steps over its virtual
+transport), whose one actuation surface is ``stats()``, ``metrics``,
+``add_worker()`` and ``remove_worker()`` (retire the *highest-id* idle
+worker — a deterministic choice that also keeps low worker ids, the
+crc32 placement anchors, stable).
+:class:`~repro.control.policy.ScaleWorkers` is the one proposal kind it
+applies: ``|delta|`` calls of one of the two.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@
   each fact once: which worker runs which assignment is ``_running``
   (a hedge replica is a second key on the same assignment), which
   workers exist is ``alive`` / ``epochs`` / ``retired``.  The one
-  facade (:class:`~repro.serve.service.CopseService`, over either
-  :class:`~repro.serve.transport.Transport`) drives it in real time,
-  :class:`~repro.serve.loadgen.SimRunner` from a discrete-event loop
+  facade (:class:`~repro.serve.service.CopseService`, over any
+  :class:`~repro.serve.transport.Transport`) drives it, one pump step
+  at a time: stepped by its thread in real time, or by
+  :class:`~repro.serve.loadgen.SimRunner` over a virtual transport
   under a virtual clock.  Every method takes an explicit ``now`` and
   every choice lands in an ordered decision record — the determinism
   witness.
@@ -1023,6 +1024,7 @@ class ClusterService(CopseService):
             breaker=breaker,
             dlq_limit=dlq_limit,
         )
+        self._start_pump()
 
     def stats(self) -> SchedulerStats:
         # The one behavioural difference kept: the flat scheduler view,

@@ -28,22 +28,26 @@ chaos soak replay byte-identical decision logs.
   :func:`evaluate_batches_down_ladder` is the one walk, run by the
   worker's reduce function in a worker process and on the in-process
   pump thread alike.
-* :class:`TransportFaultPlan` / :func:`chaos_worker_main` — the
-  **test-only** transport shim that injects the same chaos matrix the
-  simulator models (corrupted envelopes, truncated / dropped /
-  duplicated completions, poison queries) into *real*
-  ``multiprocessing`` workers, so the recovery paths are exercised
-  end-to-end, not just in simulation.
+* :class:`FaultPlan` — the one chaos matrix (crashes, hangs, slowed
+  batches, corrupted ships and completions, lost and duplicated
+  completions, poison queries).  The simulator's virtual transport
+  injects all of it; :func:`chaos_worker_main`, the **test-only** shim
+  around a real ``multiprocessing`` worker, injects what a pipe can
+  carry, so the recovery paths are exercised end-to-end, not just in
+  simulation.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ValidationError, require_int, require_real
+from repro.errors import (
+    ValidationError, require_at_least, require_int, require_real,
+)
 from repro.core.engines import ENGINES
 from repro.serve.batched_runtime import evaluate_registered_batches
 from repro.serve.simclock import MS
@@ -59,7 +63,7 @@ __all__ = [
     "ENGINE_LADDER",
     "degrade_engine",
     "evaluate_batches_down_ladder",
-    "TransportFaultPlan",
+    "FaultPlan",
     "chaos_worker_main",
 ]
 
@@ -411,42 +415,94 @@ def evaluate_batches_down_ladder(registered, batches,
 
 
 # ---------------------------------------------------------------------------
-# Test-only transport chaos shim (real-process fault injection)
+# The chaos matrix, and its shim for real worker processes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TransportFaultPlan:
-    """Deterministic chaos applied inside a real worker process.
+class FaultPlan:
+    """The one chaos matrix: deterministic, never random.
 
-    The real-cluster mirror of the simulator's expanded
-    :class:`~repro.serve.loadgen.FaultPlan`: counters are per-process
-    and 1-based, so "``drop_result_every=3``" drops the 3rd, 6th, ...
-    result the worker would have sent.  ``poison_feature`` marks a
-    feature vector as poison: a batch containing it kills the process
-    mid-evaluation (``os._exit``), exactly the failure shape quarantine
-    bisection exists for.
+    The simulator's :class:`~repro.serve.loadgen.VirtualTransport`
+    injects every field; :func:`chaos_worker_main`, the shim around a
+    real worker process, the ones a pipe can carry (ships, completions,
+    poison).  A count ``every`` fires on the ``every``-th, ``2 *
+    every``-th, ... event of its kind (0: never), counted over the run
+    by the simulator and per process by the shim.
     """
 
-    #: Corrupt the fingerprint of every Nth received ShippedModel (the
-    #: worker's fail-closed verify kills it; 0 disables).
+    #: Virtual times at which a worker dies mid-whatever-it-is-doing:
+    #: the k-th hits worker ``k % workers`` (the pool the run started
+    #: with), unless retired by then.  It restarts at once under a new
+    #: epoch; its in-flight batch parks behind the retry backoff.
+    worker_crashes: Tuple[float, ...] = ()
+    #: Every Nth dispatched batch takes ``slow_factor`` times its
+    #: service time (stragglers, GC pauses), each one ``slow_ramp``
+    #: slower than the last (a degrading worker).
+    slow_every: int = 0
+    slow_factor: float = 1.0
+    slow_ramp: float = 0.0
+    #: Virtual times at which a worker freezes *silently* (no EOF, no
+    #: completions, no heartbeats: only liveness can catch it), aimed
+    #: like ``worker_crashes``.
+    worker_hangs: Tuple[float, ...] = ()
+    #: Every Nth shipped model envelope arrives corrupted: the worker's
+    #: fail-closed verify kills it at load time.
     corrupt_ship_every: int = 0
-    #: Truncate the bitvectors of every Nth result (0 disables).
-    corrupt_result_every: int = 0
-    #: Silently drop every Nth result (0 disables).
-    drop_result_every: int = 0
-    #: Send every Nth result twice (0 disables).
-    duplicate_result_every: int = 0
-    #: A feature vector that hard-kills the worker mid-batch.
-    poison_feature: Optional[Tuple[int, ...]] = None
+    #: Every Nth completion arrives truncated: the facade fails closed
+    #: and kills its sender.
+    corrupt_completion_every: int = 0
+    #: Every Nth completion is lost in transit: only a hedge (see
+    #: :class:`RetryPolicy`) resolves its batch.
+    drop_completion_every: int = 0
+    #: Every Nth completion arrives twice; the second drops as stale.
+    duplicate_completion_every: int = 0
+    #: Queries that kill the worker evaluating them, for quarantine
+    #: bisection to isolate into the dead-letter queue: arrival indices
+    #: in the simulator, feature vectors (tuples) on a real worker,
+    #: which sees nothing else of a query.
+    poison_queries: Tuple = ()
+
+    def __post_init__(self) -> None:
+        for name in ("slow_factor", "slow_ramp"):
+            require_real(name, getattr(self, name))
+        if self.slow_every and self.slow_factor < 1.0:
+            raise ValidationError(
+                f"slow_factor must be >= 1, got {self.slow_factor}"
+            )
+        if self.slow_ramp < 0:
+            raise ValidationError(
+                f"slow_ramp must be >= 0, got {self.slow_ramp}"
+            )
+        for name in (
+            "slow_every", "corrupt_ship_every", "corrupt_completion_every",
+            "drop_completion_every", "duplicate_completion_every",
+        ):
+            # n % -2 == 0 on every 2nd event: a negative count is a typo.
+            require_at_least(name, getattr(self, name), 0)
+        for query in self.poison_queries:
+            for index in query if isinstance(query, tuple) else (query,):
+                require_at_least("poison_queries", index, 0)
+        for name in ("worker_crashes", "worker_hangs"):
+            if not all(0 <= at < math.inf for at in getattr(self, name)):
+                raise ValidationError(  # NaN is not 0 <= at either
+                    f"{name} must be finite virtual times >= 0, got "
+                    f"{getattr(self, name)}"
+                )
+
+
+def _every(count: int, every: int) -> bool:
+    """Does the ``count``-th event fire a fault set to ``every``?"""
+    return every > 0 and count % every == 0
 
 
 class _ChaosConnection:
-    """Duplex-pipe wrapper applying a :class:`TransportFaultPlan`."""
+    """Duplex-pipe wrapper applying a :class:`FaultPlan` in a worker."""
 
-    def __init__(self, conn, plan: TransportFaultPlan):
+    def __init__(self, conn, plan: FaultPlan):
         self._conn = conn
         self._plan = plan
+        self._poison = set(plan.poison_queries)
         self._ships = 0
         self._results = 0
 
@@ -455,52 +511,41 @@ class _ChaosConnection:
 
         message = self._conn.recv()
         tag = message[0]
-        plan = self._plan
-        if tag == "load" and plan.corrupt_ship_every:
+        if tag == "load":
             self._ships += 1
-            if self._ships % plan.corrupt_ship_every == 0:
+            if _every(self._ships, self._plan.corrupt_ship_every):
                 shipped = message[1]
                 return (tag, replace(
                     shipped, fingerprint=shipped.fingerprint + ":corrupt"
                 ))
-        if tag == "eval" and plan.poison_feature is not None:
-            request = message[1]
-            poison = tuple(plan.poison_feature)
-            if any(tuple(f) == poison for f in request.features):
-                os._exit(17)  # poison: die mid-batch, no goodbye
+        if tag == "eval" and self._poison and any(
+            tuple(f) in self._poison for f in message[1].features
+        ):
+            os._exit(17)  # poison: die mid-batch, no goodbye
         return message
 
     def send(self, message) -> None:
-        tag = message[0]
-        plan = self._plan
-        if tag == "result":
-            self._results += 1
-            n = self._results
-            if plan.drop_result_every and n % plan.drop_result_every == 0:
-                return
-            if (
-                plan.corrupt_result_every
-                and n % plan.corrupt_result_every == 0
-            ):
-                result = message[1]
-                if result.bitvectors:
-                    message = (tag, replace(
-                        result, bitvectors=result.bitvectors[:-1]
-                    ))
+        if message[0] != "result":
             self._conn.send(message)
-            if (
-                plan.duplicate_result_every
-                and n % plan.duplicate_result_every == 0
-            ):
-                self._conn.send(message)
             return
+        plan = self._plan
+        self._results = n = self._results + 1
+        if _every(n, plan.drop_completion_every):
+            return
+        result = message[1]
+        if _every(n, plan.corrupt_completion_every) and result.bitvectors:
+            message = ("result", replace(
+                result, bitvectors=result.bitvectors[:-1]
+            ))
         self._conn.send(message)
+        if _every(n, plan.duplicate_completion_every):
+            self._conn.send(message)
 
     def close(self) -> None:
         self._conn.close()
 
 
-def chaos_worker_main(plan: TransportFaultPlan, conn, worker_id: int,
+def chaos_worker_main(plan: FaultPlan, conn, worker_id: int,
                       epoch: int) -> None:
     """A :func:`~repro.serve.worker.worker_main` with chaos injected.
 

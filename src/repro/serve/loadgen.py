@@ -9,17 +9,21 @@ exactly that load under a :class:`~repro.serve.simclock.VirtualClock`:
 * :func:`generate_arrivals` — a seeded open-loop arrival schedule:
   per-tenant Poisson processes (``rate_qps``) plus periodic bursts,
   merged into one deterministic timeline;
-* :class:`FaultPlan` — the chaos matrix: worker crashes and hangs at
-  fixed virtual times, slowed batches, corrupted ships and completions,
-  lost and duplicated completions, poison queries;
-* :class:`SimRunner` — the one simulator: a discrete-event loop driving
-  the *same* decision core (:class:`~repro.serve.cluster.RouterCore`, a
-  :class:`~repro.serve.scheduler.SchedulerCore`) the real
-  :class:`~repro.serve.cluster.ClusterService` runs, with per-model
-  service times taken from the cost model (the circuits are
+* :class:`VirtualTransport` — simulated workers behind the facade's
+  :class:`~repro.serve.transport.Transport` seam: a batch takes its
+  model's service time, taken from the cost model (the circuits are
   input-independent, so a batch's simulated cost is a constant of the
-  model — no FHE evaluation is needed to know how long it takes).  Each
-  event kind is one handler method behind :data:`EVENT_TABLE`.
+  model — no FHE evaluation is needed to know how long it takes), and
+  the :class:`~repro.serve.faults.FaultPlan` chaos matrix (re-exported
+  here) is injected on the way: crashes and hangs at fixed virtual
+  times, slowed batches, corrupted ships and completions, lost and
+  duplicated completions, poison queries.  It owns the one event heap;
+  each event kind is one handler behind :data:`EVENT_TABLE`;
+* :class:`SimRunner` — the one simulator: an arrival source over the
+  *same* facade spine the live service runs
+  (:class:`~repro.serve.service.CopseService` and its
+  :class:`~repro.serve.cluster.RouterCore`), whose pump step it calls
+  after every event instead of leaving it to a thread.
 
 Everything is seeded and the virtual clock never sleeps, so a
 10^5-query soak with mixed tenants, bursts, and mid-run worker crashes
@@ -29,6 +33,7 @@ replays in seconds of real time and makes *identical* routing decisions
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -39,20 +44,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import RejectedQuery, ValidationError, require_at_least
-from repro.serve.cluster import (
-    DEFAULT_HEARTBEAT_TIMEOUT_S,
-    HedgeAction,
-    RouterCore,
-    ShipAction,
-)
-from repro.serve.faults import CircuitBreaker, RetryPolicy
-from repro.serve.scheduler import (
-    OUTCOME_OK,
-    QueryFuture,
-    SchedulerStats,
-    deliver_failures,
-)
+from repro.serve.batcher import BatchRecord
+from repro.serve.cluster import DEFAULT_HEARTBEAT_TIMEOUT_S
+from repro.serve.faults import CircuitBreaker, FaultPlan, RetryPolicy, _every
+from repro.serve.scheduler import QueryFuture, SchedulerStats
+from repro.serve.service import CopseService, ServiceStats
 from repro.serve.simclock import MS, VirtualClock
+from repro.serve.transport import (
+    Completion,
+    HedgeAction,
+    Heartbeat,
+    ShipAction,
+    Transport,
+    WorkerDied,
+)
 
 __all__ = [
     "ModelProfile",
@@ -62,6 +67,7 @@ __all__ = [
     "generate_arrivals",
     "offered_load",
     "SimReport",
+    "VirtualTransport",
     "SimRunner",
 ]
 
@@ -84,9 +90,10 @@ class ModelProfile:
             raise ValidationError(
                 f"profile {self.name!r}: capacity must be >= 1"
             )
-        if self.service_ms <= 0:
+        if not 0 < self.service_ms < math.inf:  # NaN is not > 0 either
             raise ValidationError(
-                f"profile {self.name!r}: service_ms must be > 0"
+                f"profile {self.name!r}: service_ms must be finite and "
+                f"> 0, got {self.service_ms}"
             )
 
     @classmethod
@@ -129,9 +136,19 @@ class TenantSpec:
     priority: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate_qps < 0:
+        # Either would keep generate_arrivals from returning or time
+        # its arrivals at NaN (which is not >= 0 either).
+        if not 0 <= self.rate_qps < math.inf:
             raise ValidationError(
-                f"tenant {self.name!r}: rate_qps must be >= 0"
+                f"tenant {self.name!r}: rate_qps must be finite and >= 0, "
+                f"got {self.rate_qps}"
+            )
+        if self.deadline_ms is not None and not (
+            0 < self.deadline_ms < math.inf
+        ):
+            raise ValidationError(
+                f"tenant {self.name!r}: deadline_ms must be finite and "
+                f"> 0, got {self.deadline_ms}"
             )
         if self.rate_qps == 0 and not self.burst_size:
             raise ValidationError(
@@ -148,84 +165,6 @@ class TenantSpec:
                 f"burst_every_s > 0, got {self.burst_size} every "
                 f"{self.burst_every_s}"
             )
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Deterministic fault injection for one simulation run.
-
-    The chaos matrix :class:`SimRunner` injects.  Everything is
-    counter- or timeline-based, never random: two runs of the same plan
-    inject byte-identical faults.
-    """
-
-    #: Virtual times at which a worker dies mid-whatever-it-is-doing.
-    #: The k-th crash hits worker ``k % workers`` (the pool size the
-    #: run started with); the worker restarts immediately under a new
-    #: epoch (the pool keeps its size) but its in-flight batch parks
-    #: behind the retry backoff.  A worker the controller has retired
-    #: by then is skipped.
-    worker_crashes: Tuple[float, ...] = ()
-    #: Every Nth dispatched batch takes ``slow_factor`` times its normal
-    #: service time (0 disables).  Models stragglers/GC pauses.
-    slow_every: int = 0
-    slow_factor: float = 1.0
-    #: Each slowed batch is ``slow_ramp`` slower than the previous one
-    #: (a degrading-worker ramp; 0 keeps the factor flat).
-    slow_ramp: float = 0.0
-    #: Virtual times at which a worker freezes *silently*: no EOF, no
-    #: completions, no heartbeats.  Only the heartbeat-liveness path
-    #: can detect it.  The k-th hang hits worker ``k % workers``;
-    #: a worker retired by then is skipped.
-    worker_hangs: Tuple[float, ...] = ()
-    #: Every Nth shipped model envelope arrives corrupted; the worker's
-    #: fail-closed verify kills it at load time (0 disables).
-    corrupt_ship_every: int = 0
-    #: Every Nth completion envelope arrives truncated; the router
-    #: fail-closed treats the sender as faulty (0 disables).
-    corrupt_completion_every: int = 0
-    #: Every Nth completion is silently lost in transit (0 disables).
-    #: Recovery needs hedging: enable it in the retry policy or the
-    #: stuck batch never resolves.
-    drop_completion_every: int = 0
-    #: Every Nth completion arrives twice; the duplicate must drop as
-    #: stale (0 disables).
-    duplicate_completion_every: int = 0
-    #: Arrival indices whose query is poison: any worker evaluating a
-    #: batch containing it dies mid-batch.  Quarantine bisection must
-    #: isolate it into the dead-letter queue.
-    poison_queries: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.slow_every < 0:
-            raise ValidationError("slow_every must be >= 0")
-        if self.slow_every and self.slow_factor < 1.0:
-            raise ValidationError(
-                f"slow_factor must be >= 1, got {self.slow_factor}"
-            )
-        if self.slow_ramp < 0:
-            raise ValidationError(
-                f"slow_ramp must be >= 0, got {self.slow_ramp}"
-            )
-        for field_name in (
-            "corrupt_ship_every", "corrupt_completion_every",
-            "drop_completion_every", "duplicate_completion_every",
-        ):
-            value = getattr(self, field_name)
-            if value < 0:
-                raise ValidationError(
-                    f"{field_name} must be >= 0, got {value}"
-                )
-        if any(index < 0 for index in self.poison_queries):
-            raise ValidationError(
-                "poison_queries are arrival indices and must be >= 0"
-            )
-        for name in ("worker_crashes", "worker_hangs"):
-            if not all(0 <= at < math.inf for at in getattr(self, name)):
-                raise ValidationError(  # NaN is not 0 <= at either
-                    f"{name} must be finite virtual times >= 0, got "
-                    f"{getattr(self, name)}"
-                )
 
 
 @dataclass(frozen=True)
@@ -384,8 +323,6 @@ class SimReport:
         same-seed runs — the soak determinism lock compares exactly
         this object's ``render()``.
         """
-        from repro.serve.service import ServiceStats
-
         return ServiceStats(
             queries=self.stats.completed,
             batches=self.stats.batches,
@@ -401,16 +338,6 @@ class SimReport:
         )
 
 
-#: Completion-event fault flags (decided deterministically at schedule
-#: time from the FaultPlan's counters), by the plan field that sets each.
-_F_CORRUPT, _F_DROP, _F_DUP = 1, 2, 4
-_COMPLETION_FAULTS = (
-    ("corrupt_completion_every", _F_CORRUPT),
-    ("drop_completion_every", _F_DROP),
-    ("duplicate_completion_every", _F_DUP),
-)
-
-
 def _sim_result(queue: str, index: int) -> int:
     # The simulated "bits": a pure function of (model, query), so a
     # faulted run must reproduce the fault-free values exactly or the
@@ -418,23 +345,244 @@ def _sim_result(queue: str, index: int) -> int:
     return zlib.crc32(f"{queue}:{index}".encode())
 
 
+class VirtualTransport(Transport):
+    """Simulated workers under a virtual clock, the fault plan injected.
+
+    It owns the simulation's one event heap — batch outcomes, the plan's
+    crashes, hangs and heartbeat rounds, the driver's arrivals, timers
+    and control ticks — popped in time order, :data:`EVENT_TABLE` row
+    order at equal times.  ``send`` schedules an assignment's outcome
+    ``service_ms`` ahead (plus ``ship_ms`` after a fresh ship; slowed,
+    or a crash instead, as the plan says); ``wait`` advances the clock
+    to the next event and returns what it made happen, as the real
+    transports do: :class:`Completion` (booking the simulated cost as
+    ``inference_ms``), :class:`WorkerDied` or :class:`Heartbeat`.
+    """
+
+    def __init__(self, clock: VirtualClock, profiles: Dict[str, ModelProfile],
+                 heartbeat_interval_s: float, ship_ms: float):
+        if not heartbeat_interval_s > 0:  # NaN is not either
+            raise ValidationError(
+                f"heartbeat_interval_s must be > 0, got "
+                f"{heartbeat_interval_s}"
+            )
+        if not ship_ms >= 0:
+            raise ValidationError(f"ship_ms must be >= 0, got {ship_ms}")
+        super().__init__(False, clock)
+        self.heartbeat_interval_s = heartbeat_interval_s
+        self.profiles = profiles
+        self.ship_ms = ship_ms
+        self.faults = FaultPlan()
+        #: ``(time, EVENT_TABLE rank, push order, data)``, a heap.
+        self.events: List[Tuple[float, int, int, object]] = []
+        self._order = itertools.count()
+        #: worker -> the epoch of its live incarnation.
+        self._epochs: Dict[int, int] = {}
+        #: Wake-up times with a timer event already queued.
+        self._timers: set = set()
+        self._hung: set = set()
+        #: Batches whose completion was lost once already.
+        self._dropped: set = set()
+        #: Seqs of the poison queries admitted so far.
+        self._poison: set = set()
+        #: The event just popped is a heartbeat round.
+        self._beat = False
+        #: Fault counters: batches sent, slowed, shipped; completions.
+        self._sent = self._slowed = self._ships = self._completions = 0
+        #: query seq -> arrival index (the bit-identity key).
+        self.index: Dict[int, int] = {}
+        # -- what the run produced (see SimReport) ----------------------
+        self.service_ms_total = 0.0
+        self.capacity_total = 0
+        self.packed_order: Dict[str, List[int]] = {}
+        self.results: Dict[int, int] = {}
+        self.last_completion_t = 0.0
+
+    def push(self, time: float, kind: str, data: object = None) -> None:
+        heapq.heappush(
+            self.events, (time, _RANK[kind], next(self._order), data)
+        )
+
+    def inject(self, faults: FaultPlan, workers: int) -> None:
+        """Schedule ``faults``: the k-th crash or hang hits worker
+        ``k % workers``; heartbeat rounds run only to catch a hang."""
+        self.faults = faults
+        for k, at in enumerate(faults.worker_crashes):
+            self.push(at, "crash", (k % workers, None))
+        for k, at in enumerate(faults.worker_hangs):
+            self.push(at, "hang", k % workers)
+        if faults.worker_hangs:
+            self.push(self.heartbeat_interval_s, "health")
+
+    def admit(self, seq: int, index: int) -> None:
+        self.index[seq] = index
+        if index in self.faults.poison_queries:
+            self._poison.add(seq)
+
+    def stepped(self, wake_at: Optional[float], busy: bool) -> None:
+        """The facade has stepped: arm the timer of its next wake-up
+        and, after a heartbeat round, the next round while ``busy``."""
+        now = self.clock.now()
+        if self._beat and busy:
+            self.push(now + self.heartbeat_interval_s, "health")
+        self._beat = False
+        if wake_at is not None and wake_at > now:
+            key = round(wake_at, 9)
+            if key not in self._timers:
+                self._timers.add(key)
+                self.push(wake_at, "timer")
+
+    def start_worker(self, worker: int, epoch: int) -> None:
+        self._epochs[worker] = epoch
+
+    def stop_worker(self, worker: int, graceful: bool = False) -> None:
+        self._epochs.pop(worker, None)
+        self._hung.discard(worker)
+
+    def heartbeat_round(self, now: float) -> bool:
+        return self._beat
+
+    def send(self, action) -> None:
+        if isinstance(action, ShipAction):
+            return  # charged to the batch it precedes (newly_shipped)
+        faults, now = self.faults, self.clock.now()
+        assignment, epoch = action.assignment, action.epoch
+        hedge = isinstance(action, HedgeAction)
+        worker = action.worker if hedge else assignment.worker
+        profile = self.profiles[assignment.queue]
+        service_ms = profile.service_ms
+        self._sent += 1
+        if _every(self._sent, faults.slow_every):
+            # Optionally ramp: each hit is slower than the last.
+            service_ms *= faults.slow_factor + faults.slow_ramp * self._slowed
+            self._slowed += 1
+        corrupted = False
+        if action.newly_shipped:
+            service_ms += self.ship_ms
+            self._ships += 1
+            corrupted = _every(self._ships, faults.corrupt_ship_every)
+        self.service_ms_total += service_ms
+        if not hedge:
+            self.capacity_total += profile.capacity
+            for run in assignment.runs():
+                self.packed_order.setdefault(run.tenant, []).extend(
+                    run.seqs()
+                )
+        if corrupted:  # the worker's fail-closed verify kills it at load
+            self.push(now + service_ms * MS, "crash", (worker, epoch))
+        elif self._poison and any(
+            seq in self._poison
+            for run in assignment.runs() for seq in run.seqs()
+        ):  # poison: the worker dies mid-batch, no completion
+            self.push(now + 0.5 * service_ms * MS, "crash", (worker, epoch))
+        else:
+            self._completions = n = self._completions + 1
+            self.push(now + service_ms * MS, "completion", (
+                assignment, epoch, worker, service_ms,
+                _every(n, faults.corrupt_completion_every),
+                _every(n, faults.drop_completion_every),
+                _every(n, faults.duplicate_completion_every),
+            ))
+
+    def wait(self, timeout: Optional[float] = None) -> List[object]:
+        """Advance to the next event; what it made happen."""
+        time, rank, _, data = heapq.heappop(self.events)
+        return EVENT_TABLE[rank][1](self, data, self.clock.advance_to(time))
+
+    # -- event handlers (one per row of EVENT_TABLE) ---------------------
+
+    def _deliver(self, data, now: float) -> List[object]:
+        assignment, epoch, worker, service_ms, corrupt, drop, dup = data
+        if worker in self._hung and self._epochs.get(worker) == epoch:
+            return []  # frozen mid-batch: the result never arrives
+        if drop and assignment.batch_id not in self._dropped:
+            # Lost, at most once per batch: a hedge replica's can land.
+            self._dropped.add(assignment.batch_id)
+            return []
+        if corrupt:  # a truncated envelope: the facade kills the sender
+            return [WorkerDied(worker, epoch)]
+        capacity = self.profiles[assignment.queue].capacity
+        share = service_ms / len(assignment.fills)
+        completion = Completion(assignment, worker, epoch, [
+            BatchRecord(assignment.queue, assignment.batch_id + k, fill,
+                        capacity, {}, {}, share, 0.0, None)
+            for k, fill in enumerate(assignment.fills)
+        ], functools.partial(self._answer, assignment, now))
+        # A duplicate arrives on the heels of the first: it drops stale.
+        return [completion, completion] if dup else [completion]
+
+    def _answer(self, assignment, now: float) -> None:
+        self.last_completion_t = now
+        for run in assignment.runs():
+            for seq in run.seqs():
+                index = self.index.get(seq)
+                if index is not None:
+                    self.results[index] = _sim_result(assignment.queue,
+                                                      index)
+
+    def _kill(self, data, now: float) -> List[object]:
+        # The plan's crashes hit the live incarnation (a retired worker
+        # has none); a fault's is epoch-guarded by the facade, so a
+        # respawned worker does not die for its predecessor's poison.
+        worker, epoch = data
+        epoch = self._epochs.get(worker) if epoch is None else epoch
+        return [] if epoch is None else [WorkerDied(worker, epoch)]
+
+    def _call(self, call, now: float) -> List[object]:
+        # The driver's events.  A timer carries nothing: popping it
+        # (advancing the clock) is what makes due cuts, parks and hedges
+        # visible to the step that follows every event.
+        if call is not None:
+            call(now)
+        return []
+
+    def _ping(self, data, now: float) -> List[object]:
+        self._beat = True
+        return [Heartbeat(worker, epoch)
+                for worker, epoch in self._epochs.items()
+                if worker not in self._hung]
+
+    def _freeze(self, worker, now: float) -> List[object]:
+        # Nobody is told: a hung worker looks alive until its
+        # heartbeats go silent past the timeout.
+        if worker in self._epochs:
+            self._hung.add(worker)
+        return []
+
+
+#: Event kind -> handler.  Row order is processing order at equal
+#: timestamps: completions free workers before crashes, arrivals,
+#: timers, control ticks (which observe a fully-settled instant), health
+#: checks, and hangs look at the pool.
+EVENT_TABLE: Tuple[Tuple[str, Callable], ...] = (
+    ("completion", VirtualTransport._deliver),
+    ("crash", VirtualTransport._kill),
+    ("arrival", VirtualTransport._call),
+    ("timer", VirtualTransport._call),
+    ("control", VirtualTransport._call),
+    ("health", VirtualTransport._ping),
+    ("hang", VirtualTransport._freeze),
+)
+_RANK: Dict[str, int] = {
+    kind: rank for rank, (kind, _) in enumerate(EVENT_TABLE)
+}
+
+
 class SimRunner:
-    """Discrete-event execution of a :class:`RouterCore`.
+    """Discrete-event execution of the serve facade: an arrival source.
 
     One instance runs one simulation (the router's counters are
-    cumulative).  ``run`` replays an arrival list against the given
-    model profiles, injecting the fault plan, and returns a
-    :class:`SimReport`.  Crashes go through the router's epoch protocol
-    (crash -> immediate respawn under a new epoch -> re-ship on next
-    placement), and every routing decision — ship, assign, crash,
-    restart, park, stale-drop — lands in the report's decision log.
-    ``ship_ms`` charges a simulated one-time shipping latency to the
-    first batch a (worker, epoch) runs per model.
-
-    The runner is also a control-plane target
-    (:class:`~repro.control.actuator.Plant`): ``stats`` / ``metrics``
-    to observe, ``add_worker`` / ``remove_worker`` to actuate, at the
-    virtual clock's current instant.
+    cumulative).  :attr:`service` is the live spine — a
+    :class:`~repro.serve.service.CopseService` over a
+    :class:`VirtualTransport`, with no pump thread: ``run`` submits each
+    arrival at its virtual time, ticks the ``controller`` every
+    ``control_interval_s`` while there is work, and steps the facade's
+    pump after every event, so crashes take the facade's crash ->
+    restart path and every routing decision lands in the report's
+    decision log.  ``ship_ms`` charges a simulated one-time shipping
+    latency to the first batch a (worker, epoch) runs per model.  The
+    control plane's target (:class:`~repro.control.actuator.Plant`) is
+    :attr:`service`, acting at the virtual clock's current instant.
     """
 
     def __init__(
@@ -455,108 +603,36 @@ class SimRunner:
     ):
         if not profiles:
             raise ValidationError("SimRunner needs at least one profile")
-        if ship_ms < 0:
-            raise ValidationError(f"ship_ms must be >= 0, got {ship_ms}")
-        if controller is not None and control_interval_s <= 0:
+        if controller is not None and not control_interval_s > 0:
             raise ValidationError(
                 f"control_interval_s must be > 0, got {control_interval_s}"
             )
-        if heartbeat_interval_s <= 0:
-            raise ValidationError(
-                f"heartbeat_interval_s must be > 0, got "
-                f"{heartbeat_interval_s}"
-            )
-        self.profiles: Dict[str, ModelProfile] = {
-            p.name: p for p in profiles
-        }
-        #: The pool size the run starts with (scheduled crashes and
-        #: hangs rotate over it).
+        #: The pool size the run starts with.
         self.workers = workers
-        self.ship_ms = ship_ms
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.clock = VirtualClock()
-        #: Optional span tracer threaded into the core.  Every event the
-        #: simulation processes is timestamped by the virtual clock, so a
-        #: traced run exports byte-identical JSONL/Chrome traces per
-        #: seed (the trace-determinism soak locks exactly this).
+        #: Timestamped by the virtual clock: a traced run exports
+        #: byte-identical traces per seed.
         self.tracer = tracer
-        self.router = RouterCore(
-            workers=workers,
-            max_retries=max_retries,
-            tracer=tracer,
-            metrics=metrics,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            retry_policy=retry_policy,
-            breaker=breaker,
-            dlq_limit=dlq_limit,
-        )
-        for profile in profiles:
-            self.router.add_model(
-                profile.name,
-                capacity=profile.capacity,
-                weight=profile.weight,
-                max_pending=profile.max_pending,
-                service_ms=profile.service_ms,
-            )
-        #: Optional control plane (``repro.control.Controller``): ticked
-        #: every ``control_interval_s`` of virtual time while the run
-        #: has work, between event processing and dispatch — so an
-        #: actuation (a scale-up or -down) affects the very next
-        #: placement decision, deterministically.
         self.controller = controller
         self.control_interval_s = control_interval_s
-        self._used = False
-        # -- run state (one run per instance) --------------------------
-        self._faults = FaultPlan()
-        self._events: List[Tuple[float, int, int, object]] = []
-        self._order = itertools.count()
-        self._timers_scheduled: set = set()
-        self._remaining_arrivals = 0
-        self._last_completion_t = 0.0
-        self._service_ms_total = 0.0
-        self._capacity_total = 0
-        self._packed_order: Dict[str, List[int]] = {}
-        #: Fault counters: dispatched batches, slowed batches so far,
-        #: shipped envelopes, scheduled completions.
-        self._batch_counter = 0
-        self._slow_hits = 0
-        self._ship_counter = 0
-        self._completion_counter = 0
-        #: query seq -> arrival index (the bit-identity key).
-        self._seq_value: Dict[int, int] = {}
-        self._results: Dict[int, int] = {}
-        self._poison_seqs: set = set()
-        self._hung: set = set()
-        self._dropped_batches: set = set()
-
-    # -- the actuation surface (see repro.control.actuator.Plant) -------
-
-    @property
-    def metrics(self):
-        return self.router.metrics
-
-    def stats(self) -> SchedulerStats:
-        return self.router.stats()
-
-    def add_worker(self) -> int:
-        """Grow the simulated pool mid-run; returns the new worker id."""
-        now = self.clock.now()
-        worker = self.router.add_worker(now)
-        self.router.worker_started(worker, now)
-        return worker
-
-    def remove_worker(self) -> int:
-        """Retire the highest-id idle simulated worker; returns its id."""
-        worker = self.router.retirable_worker()
-        self.router.retire_worker(worker, self.clock.now())
-        return worker
-
-    # -- the event loop --------------------------------------------------
-
-    def _push(self, time: float, kind: str, data: object) -> None:
-        heapq.heappush(
-            self._events, (time, _RANK[kind], next(self._order), data)
+        self.transport = VirtualTransport(
+            self.clock, {p.name: p for p in profiles},
+            heartbeat_interval_s, ship_ms,
         )
+        self.service = CopseService.__new__(CopseService)
+        self.service._open(
+            self.transport, workers, clock=self.clock, tracer=tracer,
+            metrics=metrics, max_retries=max_retries,
+            heartbeat_timeout_s=heartbeat_timeout_s,
+            retry_policy=retry_policy, breaker=breaker, dlq_limit=dlq_limit,
+        )
+        self.router = self.service.router
+        for p in profiles:
+            self.router.add_model(p.name, capacity=p.capacity,
+                                  weight=p.weight, max_pending=p.max_pending,
+                                  service_ms=p.service_ms)
+        self._used = False
+        self._arrivals_left = 0
 
     def run(self, arrivals: Sequence[Arrival],
             faults: FaultPlan = FaultPlan()) -> SimReport:
@@ -565,58 +641,43 @@ class SimRunner:
                 "a SimRunner runs once; build a fresh one per run"
             )
         self._used = True
-        self._faults = faults
-        clock, router = self.clock, self.router
-        for worker in range(self.workers):
-            router.worker_started(worker, 0.0)
-
+        transport, router = self.transport, self.router
+        transport.inject(faults, self.workers)
         for index, arrival in enumerate(arrivals):
-            self._push(arrival.time, "arrival", (index, arrival))
-        for k, crash_time in enumerate(faults.worker_crashes):
-            self._push(crash_time, "crash", (k % self.workers, None))
-        for k, hang_time in enumerate(faults.worker_hangs):
-            self._push(hang_time, "hang", k % self.workers)
-        if faults.worker_hangs:
-            self._push(self.heartbeat_interval_s, "health", None)
+            transport.push(arrival.time, "arrival",
+                           functools.partial(self._arrive, index, arrival))
         if self.controller is not None:
-            self._push(self.control_interval_s, "control", None)
-        self._remaining_arrivals = len(arrivals)
+            transport.push(self.control_interval_s, "control", self._control)
+        self._arrivals_left = len(arrivals)
         flushed = False
-
-        while self._events or router.outstanding:
-            if not self._events:
+        while transport.events or router.outstanding:
+            stalled = not transport.events
+            if stalled:
                 # Only partial batches remain and nothing will ever cut
                 # them: the end-of-run flush (mirrors service.flush()).
                 router.flush()
-                self._dispatch(clock.now())
-                if not self._events:
-                    break  # every remaining future is terminal
-                continue
-            time, rank, _, data = heapq.heappop(self._events)
-            now = clock.advance_to(time)
-            EVENT_TABLE[rank][1](self, data, now)
-            if self._remaining_arrivals == 0 and not flushed:
-                router.flush()
-                flushed = True
-            self._dispatch(now)
-            # The sim is single-threaded, so "outside the lock" is
-            # trivially satisfied here.
-            deliver_failures(router.drain_failures())
-
-        deliver_failures(router.drain_failures())
+                waited = []
+            else:
+                waited = transport.wait()
+                if self._arrivals_left == 0 and not flushed:
+                    router.flush()
+                    flushed = True
+            transport.stepped(self.service._pump_once(waited),
+                              self._has_work())
+            if stalled and not transport.events:
+                break  # every remaining future is terminal
         first_t = arrivals[0].time if arrivals else 0.0
         return SimReport(
             stats=router.stats(),
             decisions=list(router.decisions),
-            duration_s=max(0.0, self._last_completion_t - first_t),
-            service_ms_total=self._service_ms_total,
-            capacity_total=self._capacity_total,
+            duration_s=max(0.0, transport.last_completion_t - first_t),
+            service_ms_total=transport.service_ms_total,
+            capacity_total=transport.capacity_total,
             threads=self.workers,
-            packed_order=self._packed_order,
-            results=self._results,
+            packed_order=transport.packed_order,
+            results=transport.results,
             dead_letters=[
-                dict(entry.as_dict(),
-                     value=self._seq_value.get(entry.seq))
+                dict(entry.as_dict(), value=transport.index.get(entry.seq))
                 for entry in router.dlq.entries()
             ],
         )
@@ -624,206 +685,25 @@ class SimRunner:
     def _has_work(self) -> bool:
         # Periodic events re-arm only while the run still has work: an
         # idle control or health loop must not keep the simulation alive.
-        return self._remaining_arrivals > 0 or self.router.outstanding > 0
+        return self._arrivals_left > 0 or self.router.outstanding > 0
 
-    def _crash_and_respawn(self, worker: int, now: float) -> None:
-        self.router.crash_worker(worker, now)
-        # The pool keeps its size: the replacement spawns immediately
-        # under the bumped epoch with an empty ship ledger (its first
-        # batch per model pays ship_ms again).
-        self.router.restart_worker(worker, now)
-        self._hung.discard(worker)
-
-    def _dispatch(self, now: float) -> None:
-        faults, router = self._faults, self.router
-        ship_delay: Dict[int, float] = {}
-        corrupted_ship: set = set()
-        for action in router.dispatch(now):
-            if isinstance(action, ShipAction):
-                ship_delay[action.worker] = (
-                    ship_delay.get(action.worker, 0.0) + self.ship_ms
-                )
-                if faults.corrupt_ship_every:
-                    self._ship_counter += 1
-                    if self._ship_counter % faults.corrupt_ship_every == 0:
-                        corrupted_ship.add(action.worker)
-                continue
-            assignment = action.assignment
-            hedge = isinstance(action, HedgeAction)
-            worker = action.worker if hedge else assignment.worker
-            self._batch_counter += 1
-            profile = self.profiles[assignment.queue]
-            service_ms = profile.service_ms
-            if (
-                faults.slow_every
-                and self._batch_counter % faults.slow_every == 0
-            ):
-                # Optionally ramp: each hit is slower than the last.
-                service_ms *= (
-                    faults.slow_factor + faults.slow_ramp * self._slow_hits
-                )
-                self._slow_hits += 1
-            service_ms += ship_delay.pop(worker, 0.0)
-            self._service_ms_total += service_ms
-            if not hedge:
-                self._capacity_total += profile.capacity
-                for run in assignment.runs():
-                    self._packed_order.setdefault(
-                        run.tenant, []
-                    ).extend(run.seqs())
-            if worker in corrupted_ship:
-                # The envelope arrived corrupted: the worker's
-                # fail-closed verify kills it at load time.
-                corrupted_ship.discard(worker)
-                self._push(now + service_ms * MS, "crash",
-                           (worker, router.epochs[worker]))
-            elif any(seq in self._poison_seqs
-                     for run in assignment.runs() for seq in run.seqs()):
-                # Poison: the worker dies mid-batch, no completion.
-                self._push(now + 0.5 * service_ms * MS, "crash",
-                           (worker, router.epochs[worker]))
-            else:
-                self._push(
-                    now + service_ms * MS, "completion",
-                    (assignment, action.epoch, worker,
-                     self._completion_flags()),
-                )
-        wake_at = router.next_wake_time(now)
-        if wake_at is not None and wake_at > now:
-            key = round(wake_at, 9)
-            if key not in self._timers_scheduled:
-                self._timers_scheduled.add(key)
-                self._push(wake_at, "timer", None)
-
-    def _completion_flags(self) -> int:
-        """The transit faults the next scheduled completion suffers."""
-        self._completion_counter += 1
-        flags = 0
-        for field_name, flag in _COMPLETION_FAULTS:
-            every = getattr(self._faults, field_name)
-            if every and self._completion_counter % every == 0:
-                flags |= flag
-        return flags
-
-    # -- event handlers (one per row of EVENT_TABLE) ---------------------
-
-    def _on_completion(self, data, now: float) -> None:
-        assignment, epoch, worker, flags = data
-        router = self.router
-        if worker in self._hung and router.epochs[worker] == epoch:
-            return  # frozen mid-batch: the result never arrives
-        if (
-            flags & _F_DROP
-            and assignment.batch_id not in self._dropped_batches
-        ):
-            # Lost completion: at most once per batch, so the hedge
-            # replica's result can still land.
-            self._dropped_batches.add(assignment.batch_id)
-            return
-        if flags & _F_CORRUPT:
-            # Corrupted completion envelope: fail-closed — the engine
-            # treats the sender as faulty and crashes it (the batch
-            # takes the normal park/quarantine path).
-            if router.epochs[worker] == epoch and router.alive[worker]:
-                self._crash_and_respawn(worker, now)
-            return
-        # A superseded incarnation's batch is dropped and recorded by
-        # the router; the crash path already parked its queries.
-        if router.complete(assignment, epoch, now, OUTCOME_OK,
-                           worker=worker):
-            self._last_completion_t = now
-            for seq in [k for run in assignment.runs() for k in run.seqs()]:
-                index = self._seq_value.get(seq)
-                if index is not None:
-                    self._results[index] = _sim_result(
-                        assignment.queue, index
-                    )
-        if flags & _F_DUP:
-            # The duplicate arrives on the heels of the first copy and
-            # must drop as stale.
-            router.complete(assignment, epoch, now, OUTCOME_OK,
-                            worker=worker)
-
-    def _on_crash(self, data, now: float) -> None:
-        worker, guard_epoch = data
-        router = self.router
-        if guard_epoch is None:
-            # Scheduled by the fault plan: a worker the controller has
-            # retired meanwhile is gone, not restartable.
-            if worker in router.retired:
-                return
-        elif (
-            not router.alive[worker]
-            or router.epochs[worker] != guard_epoch
-        ):
-            # Fault-induced, epoch-guarded: a respawned incarnation must
-            # not die for its predecessor's poison.
-            return
-        self._crash_and_respawn(worker, now)
-
-    def _on_arrival(self, data, now: float) -> None:
-        index, arrival = data
-        self._remaining_arrivals -= 1
+    def _arrive(self, index: int, arrival: Arrival, now: float) -> None:
+        self._arrivals_left -= 1
         deadline = (
             None if arrival.deadline_ms is None
             else now + arrival.deadline_ms * MS
         )
         try:
             run = self.router.submit(
-                arrival.model,
-                _SimQuery(),
-                now,
-                tenant=arrival.tenant,
-                deadline=deadline,
-                priority=arrival.priority,
+                arrival.model, _SimQuery(), now, tenant=arrival.tenant,
+                deadline=deadline, priority=arrival.priority,
             )
         except RejectedQuery:
             return  # counted by the core; open-loop load sheds
-        self._seq_value[run.seq] = index
-        if index in self._faults.poison_queries:
-            self._poison_seqs.add(run.seq)
+        self.transport.admit(run.seq, index)
 
-    def _on_timer(self, data, now: float) -> None:
-        # Carries no state: popping it (advancing the clock) is what
-        # makes due cuts/parks/hedges visible to the dispatch that
-        # follows every event.
-        pass
-
-    def _on_control(self, data, now: float) -> None:
+    def _control(self, now: float) -> None:
         self.controller.tick(now)
         if self._has_work():
-            self._push(now + self.control_interval_s, "control", None)
-
-    def _on_health(self, data, now: float) -> None:
-        router = self.router
-        for worker in range(router.workers):
-            if router.alive[worker] and worker not in self._hung:
-                router.heartbeat(worker, router.epochs[worker], now)
-        for worker in router.check_health(now):
-            self._crash_and_respawn(worker, now)
-        if self._has_work():
-            self._push(now + self.heartbeat_interval_s, "health", None)
-
-    def _on_hang(self, worker, now: float) -> None:
-        # The router is NOT told: a hung worker looks alive until its
-        # heartbeats go silent past the timeout.
-        if worker not in self.router.retired:
-            self._hung.add(worker)
-
-
-#: Event kind -> handler.  Row order is processing order at equal
-#: timestamps: completions free workers before crashes, arrivals,
-#: timers, control ticks (which observe a fully-settled instant), health
-#: checks, and hangs look at the pool.
-EVENT_TABLE: Tuple[Tuple[str, Callable], ...] = (
-    ("completion", SimRunner._on_completion),
-    ("crash", SimRunner._on_crash),
-    ("arrival", SimRunner._on_arrival),
-    ("timer", SimRunner._on_timer),
-    ("control", SimRunner._on_control),
-    ("health", SimRunner._on_health),
-    ("hang", SimRunner._on_hang),
-)
-_RANK: Dict[str, int] = {
-    kind: rank for rank, (kind, _) in enumerate(EVENT_TABLE)
-}
+            self.transport.push(now + self.control_interval_s, "control",
+                                self._control)

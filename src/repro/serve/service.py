@@ -2,10 +2,12 @@
 
 One facade over the serve spine: the registry (compile + encrypt once),
 the routing core (:class:`~repro.serve.cluster.RouterCore`: bounded
-queues, fair sharing, placement, the crash policy), one pump thread,
-and a :class:`~repro.serve.transport.Transport` that says where a cut
-batch is evaluated — on the pump thread (this class's constructor) or
-in worker processes (:class:`~repro.serve.cluster.ClusterService`'s).
+queues, fair sharing, placement, the crash policy), one pump step
+(run by a pump thread; the simulator steps it itself), and a
+:class:`~repro.serve.transport.Transport` that says where a cut batch
+is evaluated — on the pump thread (this class's constructor), in
+worker processes (:class:`~repro.serve.cluster.ClusterService`'s) or
+by simulated workers (:class:`~repro.serve.loadgen.VirtualTransport`).
 Three calls — ``register_model`` / ``submit_many`` / ``stats``
 (``submit`` is the block of one) — plus synchronous conveniences and
 the control plane's seams.  Typical use::
@@ -364,28 +366,32 @@ class CopseService:
             tracer=tracer,
             metrics=metrics,
         )
+        self._start_pump()
 
     def _open(
         self,
         transport: Transport,
         workers: int,
         *,
-        engine: str,
-        backend: Optional[str],
         clock: Clock,
-        default_deadline_ms: Optional[float],
-        max_queue: Optional[int],
-        verify_oracle: bool,
-        tracer,
-        metrics: Optional[MetricsRegistry],
+        engine: str = ENGINE_TAPE,
+        backend: Optional[str] = None,
+        default_deadline_ms: Optional[float] = None,
+        max_queue: Optional[int] = None,
+        verify_oracle: bool = False,
+        tracer=None,
+        metrics: Optional[MetricsRegistry] = None,
         params: Optional[EncryptionParams] = None,
         seccomp_variant: str = VARIANT_ALOUFI,
         **router_options,
     ) -> None:
-        """Validate, build the spine over ``transport``, start it.
+        """Validate, build the spine over ``transport``, start its workers.
 
-        Every refusal happens before a worker or the pump is started:
-        a typo fails at construction with nothing to clean up.
+        Every refusal happens before a worker is started: a typo fails
+        at construction with nothing to clean up.  Nothing runs the
+        spine yet: a live constructor then starts the pump thread
+        (:meth:`_start_pump`), the simulator steps :meth:`_pump_once`
+        itself.
         """
         from repro.serve.cluster import RouterCore
 
@@ -416,7 +422,6 @@ class CopseService:
                 f"less often than the liveness horizon would always "
                 f"look dead"
             )
-        self.router.decisions = deque(maxlen=DECISION_WINDOW)
         #: One shared registry: the scheduler core's counters, the
         #: router's, the model registry's setup metrics and the batch
         #: aggregates all write here, so one snapshot tells the whole
@@ -452,6 +457,12 @@ class CopseService:
         except ServeError:
             transport.close()  # the workers that did start
             raise
+
+    def _start_pump(self) -> None:
+        """Run the spine live: the pump thread, and a decision log
+        windowed to :data:`DECISION_WINDOW` (a stepped spine keeps its
+        whole log: the simulator's replays are hashed)."""
+        self.router.decisions = deque(maxlen=DECISION_WINDOW)
         self._pump = threading.Thread(
             target=self._pump_loop, name="copse-serve-pump", daemon=True
         )
@@ -745,12 +756,15 @@ class CopseService:
     def add_worker(self) -> int:
         """Grow the pool by one worker; returns its fresh id.
 
-        A worker that cannot be started raises
-        :class:`~repro.errors.ServeError`, and its id is given up on.
+        The pump's next step places work on it, so the workers of one
+        scale step are placed over together.  A worker that cannot be
+        started raises :class:`~repro.errors.ServeError`, and its id is
+        given up on.
         """
-        with self._routing() as now:
+        with self._lock:
             if self._closing:
                 raise ValidationError("the service is closed")
+            now = self.clock.now()
             worker = self.router.add_worker(now)
             try:
                 self._start_worker_locked(worker, now)
@@ -760,6 +774,7 @@ class CopseService:
                     worker, self.transport.startup_deaths(worker), now
                 )
                 raise
+        self.transport.wake()
         return worker
 
     def remove_worker(self) -> int:
@@ -926,37 +941,52 @@ class CopseService:
                 self.transport.send(action)
 
     def _pump_loop(self) -> None:
-        router, transport = self.router, self.transport
+        transport = self.transport
         timeout = 0.0
         while True:
-            waited = transport.wait(timeout)
-            resolutions: List[Callable[[], None]] = []
-            with self._lock:
-                if self._stopping:
-                    return
-                now = self.clock.now()
-                for event in transport.receive(waited):
-                    self._handle_locked(event, now, resolutions)
-                for worker in router.check_health(now):
-                    self._crash_locked(worker, now)
-                self._dispatch_locked(now)
-                failures = router.drain_failures()
-                wake_at = router.next_wake_time(now)
-                idle = not router.running
-                self._delivering = bool(failures or resolutions)
-            # Futures resolve outside the lock: a caller's done-callback
-            # may legitimately call back into the service (stats,
-            # another query's result()).
-            deliver_failures(failures)
-            for resolve in resolutions:
-                resolve()
-            if idle or self._delivering:
-                with self._idle:  # only now: flush() returns to answers
-                    self._delivering = False
-                    self._idle.notify_all()
+            wake_at = self._pump_once(transport.wait(timeout))
+            if self._stopping:
+                return
             timeout = transport.poll_interval_s
             if wake_at is not None:
                 timeout = min(timeout, max(0.0, wake_at - self.clock.now()))
+
+    def _pump_once(self, waited) -> Optional[float]:
+        """One step of the spine: handle what ``transport.wait``
+        returned, check liveness at a heartbeat round, dispatch, and
+        answer — futures outside the lock.  Returns the next moment a
+        dispatch could make progress (None: none is due).
+
+        The pump thread calls it in its loop; the simulator calls it
+        after every event of its virtual transport.
+        """
+        router, transport = self.router, self.transport
+        resolutions: List[Callable[[], None]] = []
+        with self._lock:
+            if self._stopping:
+                return None
+            now = self.clock.now()
+            for event in transport.receive(waited):
+                self._handle_locked(event, now, resolutions)
+            if transport.heartbeat_round(now):
+                for worker in router.check_health(now):
+                    self._crash_locked(worker, now)
+            self._dispatch_locked(now)
+            failures = router.drain_failures()
+            wake_at = router.next_wake_time(now)
+            idle = not router.running
+            self._delivering = bool(failures or resolutions)
+        # Futures resolve outside the lock: a caller's done-callback
+        # may legitimately call back into the service (stats,
+        # another query's result()).
+        deliver_failures(failures)
+        for resolve in resolutions:
+            resolve()
+        if idle or self._delivering:
+            with self._idle:  # only now: flush() returns to answers
+                self._delivering = False
+                self._idle.notify_all()
+        return wake_at
 
     def _handle_locked(self, event, now: float,
                        resolutions: List[Callable[[], None]]) -> None:

@@ -15,8 +15,11 @@ carry out one of the router's instructions (:class:`ShipAction`,
   pipes, each in :func:`repro.serve.worker.worker_main`, forked from
   one preloaded server (``forkserver``; ``spawn`` where the platform
   has no fork server).
+* :class:`~repro.serve.loadgen.VirtualTransport` (the simulator's)
+  schedules each outcome on a virtual clock instead of evaluating.
 
-Both hand back one :class:`BatchResult` per assignment to one handler.
+The two that evaluate hand back one :class:`BatchResult` per assignment
+to one handler.
 
 Everything that crosses the process boundary is defined here too, and
 must survive ``pickle`` (a worker's target and arguments are pickled
@@ -425,6 +428,12 @@ class Transport:
     def wake(self) -> None:
         """Cut the current ``wait`` short (a timer may have moved)."""
 
+    def heartbeat_round(self, now: float) -> bool:
+        """Does this step close a heartbeat round?  The facade checks
+        liveness then, and only then: between rounds no worker has had
+        the chance to answer, so none can be declared silent."""
+        return False
+
     def close(self) -> None:
         """Release everything; the pump has already stopped."""
 
@@ -820,12 +829,16 @@ class ProcessTransport(Transport):
                 arrivals.append(Heartbeat(worker, message[2]))
             # MSG_LOADED is informational; the router's ledger was
             # updated at ship time.
-        now = self.clock.now()
-        if now - self._last_ping >= self.heartbeat_interval_s:
-            self._last_ping = now
-            for conn in self._listening:
-                self._send_to(conn, (MSG_PING,))
         return arrivals
+
+    def heartbeat_round(self, now: float) -> bool:
+        """Every ``heartbeat_interval_s``: ping each live worker."""
+        if now - self._last_ping < self.heartbeat_interval_s:
+            return False
+        self._last_ping = now
+        for conn in self._listening:
+            self._send_to(conn, (MSG_PING,))
+        return True
 
     def close(self) -> None:
         conns = list(self._listening)

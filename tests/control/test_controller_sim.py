@@ -63,7 +63,7 @@ def autoscaled_sim_run(seed=11):
         [profile()], workers=2, controller=controller,
         control_interval_s=0.1,
     )
-    controller.plant = Plant(runner)
+    controller.plant = Plant(runner.service)
     faults = FaultPlan(worker_crashes=(1.5,))
     report = runner.run(burst_arrivals(seed=seed), faults)
     return report, controller
@@ -160,7 +160,7 @@ class TestApplyFailurePath:
                 return [ScaleWorkers(delta=-1, reason="idle")]
 
         controller = Controller(
-            Plant(runner), [ShrinkBehindABurst()],
+            Plant(runner.service), [ShrinkBehindABurst()],
             GuardRail(GuardConfig(cooldown_s=1e9)),
         )
         controller.tick(0.0)
@@ -185,7 +185,7 @@ class TestApplyFailurePath:
             [profile()], workers=2, controller=controller,
             control_interval_s=0.1,
         )
-        controller.plant = Plant(runner)
+        controller.plant = Plant(runner.service)
         arrivals = generate_arrivals(
             [TenantSpec(name="t", model="m", rate_qps=50.0)],
             seed=3, total_queries=50,
@@ -217,7 +217,7 @@ class TestMetricsAndTracing:
             [profile()], workers=2, controller=controller,
             control_interval_s=0.1,
         )
-        controller.plant = Plant(runner)
+        controller.plant = Plant(runner.service)
         runner.run(burst_arrivals())
         assert metrics.counter_value("control_ticks") == controller.ticks
         applied = sum(

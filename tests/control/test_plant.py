@@ -31,10 +31,10 @@ from repro.errors import ValidationError
 from repro.serve import (
     ClusterService,
     CopseService,
+    FaultPlan,
     ModelProfile,
     RouterCore,
     SimRunner,
-    TransportFaultPlan,
     chaos_worker_main,
 )
 from repro.serve.scheduler import QueryFuture
@@ -124,7 +124,7 @@ def open_target(kind, forest, workers, **cluster_kwargs):
     def opened():
         if kind == "sim":
             profile = ModelProfile(name="m", capacity=4, service_ms=50.0)
-            yield _Target(kind, SimRunner([profile], workers=workers))
+            yield _Target(kind, SimRunner([profile], workers=workers).service)
             return
         service = (
             CopseService(threads=workers, engine="eager")
@@ -195,7 +195,7 @@ class TestConformance:
             backend="vector",
             worker_entry=functools.partial(
                 chaos_worker_main,
-                TransportFaultPlan(drop_result_every=1),
+                FaultPlan(drop_completion_every=1),
             ),
         ) if kind == "cluster" else {}
         gate = threading.Event()

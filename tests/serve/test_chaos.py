@@ -13,8 +13,8 @@ duplicated completions, poison queries) must
 * isolate exactly the poison queries in the dead-letter queue, with
   the quarantine/bisection trail in the decision log.
 
-The real-process half drives the same fault kinds through
-:class:`~repro.serve.faults.TransportFaultPlan` /
+The real-process half drives the same fault kinds, from the same
+:class:`~repro.serve.faults.FaultPlan`, through
 :func:`~repro.serve.faults.chaos_worker_main` — the production
 :func:`worker_main` behind a deliberately misbehaving pipe — so the
 recovery paths are exercised end-to-end, not just in simulation
@@ -36,7 +36,6 @@ from repro.serve import (
     RetryPolicy,
     SimRunner,
     TenantSpec,
-    TransportFaultPlan,
     chaos_worker_main,
     generate_arrivals,
 )
@@ -301,6 +300,51 @@ class TestEveryFaultFieldInjects:
         assert report.stats.failed == 0
 
 
+class TestChaosShim:
+    def test_the_plans_the_process_tests_pass_drive_the_shim(self):
+        """The shim reads the one :class:`FaultPlan`, so the plans the
+        worker-process tests below pass to ``chaos_worker_main`` are
+        checked where they are built — a negative count used to be
+        obeyed as every |N|-th — and act on a worker's pipe as the
+        simulator's counts do: per process, 1-based."""
+        from repro.errors import ValidationError
+        from repro.serve.faults import _ChaosConnection
+        from repro.serve.transport import BatchResult
+
+        for bad in (dict(drop_completion_every=-2),
+                    dict(corrupt_ship_every=-1)):
+            with pytest.raises(ValidationError, match=next(iter(bad))):
+                FaultPlan(**bad)
+
+        class Pipe:
+            def __init__(self):
+                self.sent = []
+
+            def send(self, message):
+                self.sent.append(message)
+
+        def results(plan, count=6):
+            pipe = Pipe()
+            shim = _ChaosConnection(pipe, plan)
+            for k in range(1, count + 1):
+                shim.send(("result", BatchResult(
+                    k, "m", 0, 0, ((1,), (0,)), {}, 0.0, 0.0,
+                )))
+            return [(m[1].batch_id, len(m[1].bitvectors)) for m in pipe.sent]
+
+        assert results(FaultPlan(drop_completion_every=2)) == [
+            (1, 2), (3, 2), (5, 2),
+        ]
+        assert results(FaultPlan(corrupt_completion_every=3,
+                                 duplicate_completion_every=2)) == [
+            (1, 2), (2, 2), (2, 2), (3, 1), (4, 2), (4, 2), (5, 2),
+            (6, 1), (6, 1),
+        ]
+        poison = FaultPlan(poison_queries=((255, 255),))
+        assert _ChaosConnection(Pipe(), poison)._poison == {(255, 255)}
+
+
+
 # ---------------------------------------------------------------------------
 # Real multiprocessing chaos (CI selects with -k real)
 # ---------------------------------------------------------------------------
@@ -335,7 +379,7 @@ class TestRealChaos:
         limit = 1 << 8
         poison = [limit - 1] * example_forest.n_features
         queries[5] = poison
-        plan = TransportFaultPlan(poison_feature=tuple(poison))
+        plan = FaultPlan(poison_queries=(tuple(poison),))
         with chaos_service(plan) as service:
             service.register_model(
                 "toxic", example_forest, precision=8, max_batch_size=4
@@ -377,7 +421,7 @@ class TestRealChaos:
         queries = real_queries(example_forest, 32, seed=11)
         poison = [(1 << 8) - 1] * example_forest.n_features
         queries[21] = poison
-        plan = TransportFaultPlan(poison_feature=tuple(poison))
+        plan = FaultPlan(poison_queries=(tuple(poison),))
         with chaos_service(
             plan, engine="megakernel", max_retries=0
         ) as service:
@@ -419,8 +463,8 @@ class TestRealChaos:
     def test_real_corrupt_and_duplicate_results_recover(
         self, example_forest
     ):
-        plan = TransportFaultPlan(corrupt_result_every=3,
-                                  duplicate_result_every=2)
+        plan = FaultPlan(corrupt_completion_every=3,
+                         duplicate_completion_every=2)
         queries = real_queries(example_forest, 24, seed=5)
         with chaos_service(plan, max_retries=3) as service:
             service.register_model(
@@ -453,7 +497,7 @@ class TestRealChaos:
         # (the registry's cost-model estimate undershoots real wall
         # time) would advance both workers' counters in lockstep and
         # put the wave-2 hedge at a drop point too.
-        plan = TransportFaultPlan(drop_result_every=2)
+        plan = FaultPlan(drop_completion_every=2)
         queries = real_queries(example_forest, 12, seed=7)
         with chaos_service(
             plan,

@@ -40,6 +40,27 @@ class TestTenantSpec:
         with pytest.raises(ValidationError, match="burst_every_s"):
             TenantSpec("a", "m", rate_qps=1.0, burst_size=2)
 
+    @pytest.mark.parametrize("field, value", [
+        # NaN would time arrivals at NaN, inf would never return
+        ("rate_qps", math.nan), ("rate_qps", math.inf),
+        ("rate_qps", -1.0),
+        # a deadline already past, or one that would fail mid-run
+        ("deadline_ms", -5.0), ("deadline_ms", 0.0),
+        ("deadline_ms", math.nan), ("deadline_ms", math.inf),
+    ])
+    def test_a_rate_and_a_deadline_must_be_finite(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TenantSpec("a", "m", **{"rate_qps": 1.0, field: value})
+
+
+class TestModelProfile:
+    # NaN would fail mid-run rewinding the clock, inf would report an
+    # infinite duration
+    @pytest.mark.parametrize("service_ms", [math.nan, math.inf, 0.0, -2.0])
+    def test_a_service_time_must_be_finite_and_positive(self, service_ms):
+        with pytest.raises(ValidationError, match="service_ms"):
+            ModelProfile(name="m", capacity=4, service_ms=service_ms)
+
 
 class TestFaultPlan:
     @pytest.mark.parametrize("field", ["worker_crashes", "worker_hangs"])
@@ -47,6 +68,21 @@ class TestFaultPlan:
     def test_a_fault_time_must_be_finite_and_not_negative(self, field, at):
         with pytest.raises(ValidationError, match=field):
             FaultPlan(**{field: (0.25, at)})
+
+    @pytest.mark.parametrize("field", [
+        "slow_every", "corrupt_ship_every", "corrupt_completion_every",
+        "drop_completion_every", "duplicate_completion_every",
+    ])
+    @pytest.mark.parametrize("every", [-1, -2, 2.5])
+    def test_a_count_is_a_whole_number_not_below_zero(self, field, every):
+        # n % -2 == 0 would fire the fault on every 2nd event
+        with pytest.raises(ValidationError, match=field):
+            FaultPlan(**{field: every})
+
+    @pytest.mark.parametrize("poison", [(-1,), ((3, -1),)])
+    def test_a_poison_query_names_no_negative(self, poison):
+        with pytest.raises(ValidationError, match="poison_queries"):
+            FaultPlan(poison_queries=poison)
 
 
 class TestArrivalsAndLoad:

@@ -254,6 +254,27 @@ class TestInvariants:
         assert report.stats.batches >= 3  # genuinely partial batches
 
 
+class TestLiveness:
+    def test_no_false_deaths_without_heartbeats(self):
+        """A plan without hangs has no heartbeat rounds, so liveness is
+        never checked: the liveness clocks that start and restart set
+        run out (after 1 s here) without anyone declaring a worker
+        dead.  Checked on every pump step instead, each worker would
+        "die" a second after it came up."""
+        profiles = [ModelProfile(name="m", capacity=4, service_ms=50.0)]
+        tenants = [TenantSpec(name="t", model="m", rate_qps=40.0)]
+        arrivals = generate_arrivals(tenants, seed=31, duration_s=15.0)
+        report = SimRunner(
+            profiles, workers=2, heartbeat_interval_s=0.25,
+            heartbeat_timeout_s=1.0,
+        ).run(arrivals, FaultPlan(worker_crashes=(2.0,)))
+        assert report.duration_s > 10.0
+        kinds = [d[0] for d in report.decisions]
+        assert kinds.count("crash") == kinds.count("restart") == 1
+        check_invariants(report)
+        assert report.stats.completed == report.stats.submitted
+
+
 class TestRetiredWorkers:
     def test_scheduled_faults_skip_a_retired_worker(self):
         """A fault-plan entry aimed at a worker the controller has
@@ -291,7 +312,7 @@ class TestRetiredWorkers:
             heartbeat_timeout_s=0.6,
         )
         assert runner.router.placement_order("m")[0] == 2
-        controller.plant = Plant(runner)
+        controller.plant = Plant(runner.service)
         # Entry k targets worker k % 3: the third of each hits worker 2.
         report = runner.run(arrivals, FaultPlan(
             worker_crashes=(1.0, 1.0, 1.0),
@@ -389,10 +410,13 @@ class TestOneOfEach:
         "plant": r"^class \w*Plant\b",
         "future-only payload": r"__slots__ = \(\"future\",\)",
         "event table": r"^EVENT_TABLE\b.*=",
+        "virtual transport": r"^class VirtualTransport\b",
+        "restart call": r"\.restart_worker\(",
     }
     GONE = re.compile(
         r"OUTCOME_CRASH|ClusterSimRunner|SimPlant|ServicePlant"
         r"|ClusterPlant|_COMPLETION\b|class Scheduler\b|_ClusterQuery"
+        r"|TransportFaultPlan|_crash_and_respawn|_on_completion|_on_health"
     )
 
     def sources(self):
@@ -416,6 +440,9 @@ class TestOneOfEach:
             "plant": ["control/actuator.py"],
             "future-only payload": ["serve/loadgen.py"],
             "event table": ["serve/loadgen.py"],
+            "virtual transport": ["serve/loadgen.py"],
+            # one crash -> restart path, whichever driver steps it
+            "restart call": ["serve/service.py"],
         }
 
     def test_replaced_names_are_gone(self):
@@ -443,6 +470,12 @@ class TestOneOfEach:
         assert defined("classify_many") == {"serve/service.py": 1}
         assert defined("submit_many") == {**core, "serve/service.py": 1}
         assert defined("flush") == {**core, "serve/service.py": 1}
+        # The pool's actuators, which the simulator's plant uses too
+        # (the router's add_worker is the core's).
+        assert defined("add_worker") == {
+            "serve/cluster.py": 1, "serve/service.py": 1,
+        }
+        assert defined("remove_worker") == {"serve/service.py": 1}
         # ... and what is left of the second facade defines none of it.
         cluster = sources["serve/cluster.py"]
         below_the_router = cluster[cluster.index("class ClusterService"):]
