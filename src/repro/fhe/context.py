@@ -169,11 +169,18 @@ class FheContext:
         block.flags.writeable = False
         noise = self.noise_model.fresh()
         key_id = public_key.key_id
-        record = self.tracker.record
         return [
-            self._wrap(row, key_id, noise, record(OpKind.ENCRYPT))
-            for row in block
+            self._wrap(row, key_id, noise, node_id)
+            for row, node_id in zip(
+                block, self._record_leaves(OpKind.ENCRYPT, len(block))
+            )
         ]
+
+    def _record_leaves(self, kind: OpKind, count: int) -> List[int]:
+        """Record ``count`` parentless ``kind`` operations in order;
+        their node ids."""
+        record = self.tracker.record
+        return [record(kind) for _ in range(count)]
 
     def encrypt_plain(self, plain: PlainVector, public_key: PublicKey) -> Ciphertext:
         """Encrypt an already-encoded plaintext vector."""

@@ -145,7 +145,8 @@ class OpTracker:
         return list(self._phase_counts)
 
     def phase_stats(self, phase: str) -> PhaseStats:
-        return self._phase_counts.get(phase, PhaseStats(phase))
+        stats = self._phase_counts.get(phase)
+        return stats if stats is not None else PhaseStats(phase)
 
     def total_counts(self) -> Dict[OpKind, int]:
         """Operation counts across all phases."""

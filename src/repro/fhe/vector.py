@@ -219,6 +219,14 @@ class VectorFheContext(FheContext):
             record_fused({OpKind.LOAD: loads})
         return out
 
+    def _record_leaves(self, kind: OpKind, count: int):
+        """One bulk record under the native tracker, whose node ids
+        are depths: a leaf's is 0 (see :meth:`adopt_many`)."""
+        if type(self.tracker) is not CountingTracker:
+            return super()._record_leaves(kind, count)
+        self.tracker.record_fused({kind: count})
+        return [0] * count
+
     def _check_pair(self, a: Ciphertext, b: Ciphertext) -> None:
         if a._key_id != b._key_id or a._length != b._length:
             self._check_compatible(a, b)  # raises with the full message

@@ -33,6 +33,7 @@ per-stage widths), keeping the dependency arrow serve -> ir.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,24 +84,43 @@ def bind_query_inputs(
     """The inputs a query supplies: its feature planes and, for the
     Aloufi variant, the all-ones helper encrypted under its public key
     (the query's share of :func:`bind_model_query`)."""
-    bindings: Dict[str, Vector] = {}
-    for i, plane in enumerate(query.planes):
-        name = FEATURE_PLANE.format(i=i)
-        if name in input_widths:
-            bindings[name] = plane
+    bindings: Dict[str, Vector] = {
+        name: plane
+        for name, plane in zip(_plane_names(len(query.planes)), query.planes)
+        if name in input_widths
+    }
     if NOT_ONE in input_widths:
         if query.public_key is None:
             raise RuntimeProtocolError(
                 "the Aloufi SecComp variant needs the query's public "
                 "key to encrypt the all-ones helper"
             )
-        width = input_widths[NOT_ONE]
-        # An array, not a list: ``encrypt`` converts a list element by
-        # element, and this runs once per ciphertext on every engine.
-        bindings[NOT_ONE] = ctx.encrypt(
-            np.ones(width, dtype=np.uint8), query.public_key
+        # This runs once per ciphertext on every engine: the bulk
+        # encrypt adopts the one cached row instead of copying a fresh
+        # ``np.ones``.
+        ones = _ones_row(input_widths[NOT_ONE])
+        encrypt_many = getattr(ctx, "encrypt_many", None)
+        bindings[NOT_ONE] = (
+            encrypt_many(ones, query.public_key)[0]
+            if encrypt_many is not None
+            else ctx.encrypt(ones[0], query.public_key)
         )
     return bindings
+
+
+@lru_cache(maxsize=64)
+def _plane_names(count: int) -> Tuple[str, ...]:
+    """The input names of ``count`` feature planes, in order."""
+    return tuple(FEATURE_PLANE.format(i=i) for i in range(count))
+
+
+@lru_cache(maxsize=64)
+def _ones_row(width: int) -> np.ndarray:
+    """A read-only ``(1, width)`` block of ones, shared by every helper
+    encryption of that width."""
+    row = np.ones((1, width), dtype=np.uint8)
+    row.flags.writeable = False
+    return row
 
 
 def bind_model_query(

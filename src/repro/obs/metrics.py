@@ -280,6 +280,13 @@ class MetricsRegistry:
             lambda: Histogram(self._lock, window=window),
         )
 
+    def add(self, increments: Iterable[Tuple[Counter, float]]) -> None:
+        """``counter.inc(amount)`` for each pair, in order, under one
+        hold of the lock: the counters must be this registry's."""
+        with self._lock:
+            for counter, amount in increments:
+                counter._value += amount
+
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._kinds)

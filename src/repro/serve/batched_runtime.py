@@ -61,6 +61,8 @@ from repro.ir.plan import gather_segments
 from repro.serve.packing import (
     BatchLayout,
     demux_bitvectors,
+    demux_group,
+    pack_group_planes,
     pack_query_planes,
     segment_mask,
     tile_model_vector,
@@ -263,12 +265,19 @@ def encrypt_batch(
     the per-query ``data_encrypt`` cost collapses by a factor of the
     batch fill.
     """
-    planes = pack_query_planes(layout, queries)
+    return encrypt_planes(ctx, pack_query_planes(layout, queries), keys)
+
+
+def encrypt_planes(
+    ctx: FheContext, planes: np.ndarray, keys: KeyPair
+) -> EncryptedQuery:
+    """Encrypt one batch's packed ``(precision, width)`` planes under
+    ``data_encrypt``: whole, by ``encrypt_many`` (the block was built
+    and range-checked by the packer, so it is not re-validated plane by
+    plane), or plane by plane on a backend without it."""
     encrypt_many = getattr(ctx, "encrypt_many", None)
     with ctx.tracker.phase(PHASE_DATA_ENCRYPT):
         if encrypt_many is not None:
-            # The block was built and range-checked a line ago: hand it
-            # over whole instead of re-validating it plane by plane.
             encrypted = encrypt_many(planes, keys.public)
         else:
             encrypted = [ctx.encrypt(plane, keys.public) for plane in planes]
@@ -546,7 +555,13 @@ def classify_batches(
 
 @dataclass
 class BatchEvaluation:
-    """What one evaluated batch produced, before anyone is told."""
+    """What one evaluated batch produced, before anyone is told.
+
+    ``phase_ms``, ``inference_ms`` and ``phase_op_counts`` are a pure
+    function of the tracker's counts: the batches of one call whose
+    counts are equal share these very objects.  Read them, never change
+    them.
+    """
 
     engine: str
     bitvectors: List[List[int]]
@@ -557,6 +572,8 @@ class BatchEvaluation:
     #: model has no source forest).
     oracle_ok: Optional[List[bool]]
     tracker: OpTracker
+    #: Operation counts per tracker phase, ``{phase: {op: n}}``.
+    phase_op_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def data_encrypt_ms(self) -> float:
@@ -580,8 +597,8 @@ def evaluate_registered_batch(
 class _InFlight:
     """One ciphertext of a group on its way through the routine."""
 
-    __slots__ = ("features", "server", "query", "encrypted", "bitvectors",
-                 "oracle_ok", "outcome")
+    __slots__ = ("features", "server", "query", "encrypted", "bits",
+                 "bitvectors", "oracle_ok", "outcome")
 
     def __init__(self, features):
         self.features = features
@@ -590,12 +607,22 @@ class _InFlight:
         #: ciphertext raised (the later stages then skip it).
         self.outcome = None
 
-    def attempt(self, step: Callable[["_InFlight"], None]) -> None:
+    def attempt(self, step: Callable[..., None], *args) -> None:
         if self.outcome is None:
             try:
-                step(self)
+                step(self, *args)
             except Exception as exc:
                 self.outcome = exc
+
+
+def _book(tracker) -> List[Tuple[str, List[Tuple[OpKind, int]]]]:
+    """Every phase's counts, in recording order: equal books price and
+    count alike, float sum for float sum."""
+    stats = tracker.phase_stats
+    return [
+        (phase, list(stats(phase).counts.items()))
+        for phase in tracker.phases
+    ]
 
 
 def evaluate_registered_batches(
@@ -611,10 +638,18 @@ def evaluate_registered_batches(
     encrypt, execute, decrypt, demux, cost-model phase attribution,
     oracle — on a fresh :class:`FheContext` built on the registered
     model's backend, so evaluations never share tracker state.  The
-    batches of one call go through each stage together, so an engine
-    that can (the megakernel) executes them in one pass and the oracle
-    walks all their queries at once; a batch that raises (its oracle
-    walk included) drops out and the others go on.  Returns, per batch,
+    batches of one call go through each stage together, and what is
+    the same for all of them is done once: their planes are packed as
+    one block (each ciphertext encrypts its own rows of it), an engine
+    that can (the megakernel) executes them in one pass, their results
+    are demultiplexed in one go, the oracle walks all their queries at
+    once, and a batch whose counts equal the last priced batch's, item
+    for item and in order, shares its cost-model figures and counts.
+    What depends on a ciphertext's data stays per ciphertext: its
+    encryption, the refusals, decryption with its key and noise checks,
+    the oracle verdicts.  A batch that raises drops out and the others
+    go on; should a shared step raise, it is retried batch by batch, so
+    the error fails only the batch it comes from.  Returns, per batch,
     its :class:`BatchEvaluation` or the exception it raised.
 
     Every caller that evaluates a batch (the worker's reduce function,
@@ -635,12 +670,13 @@ def evaluate_registered_batches(
     layout = registered.layout
     cost = registered.cost_model
     inference_phases = engine_row(engine).phases
+    priced_phases = (PHASE_DATA_ENCRYPT,) + inference_phases
     artifacts = artifacts_of(registered)
     forest = registered.forest if verify_oracle else None
     stage = on_stage if on_stage is not None else (lambda name: None)
     flights = [_InFlight(features) for features in batches]
 
-    def pack(flight):
+    def pack(flight, planes):
         ctx = FheContext(registered.params, backend=registered.backend)
         flight.server = BatchedCopseServer(
             ctx,
@@ -648,12 +684,16 @@ def evaluate_registered_batches(
             engine=engine,
             **artifacts,
         )
-        flight.query = encrypt_batch(ctx, layout, flight.features, keys)
+        if planes is None:  # the group was refused: this batch alone
+            planes = pack_query_planes(layout, flight.features)
+        flight.query = encrypt_planes(ctx, planes, keys)
+
+    def decrypt(flight):
+        flight.bits = flight.server.ctx.decrypt(flight.encrypted, keys.secret)
 
     def demux(flight):
-        bits = flight.server.ctx.decrypt(flight.encrypted, keys.secret)
         flight.bitvectors = demux_bitvectors(
-            layout, bits, len(flight.features)
+            layout, flight.bits, len(flight.features)
         )
 
     def verify(flight, expected=None):
@@ -663,24 +703,43 @@ def evaluate_registered_batches(
             bits == want for bits, want in zip(flight.bitvectors, expected)
         ]
 
+    priced = None  # (book, phase_ms, inference_ms, phase_op_counts)
+
     def resolve(flight):
+        nonlocal priced
         tracker = flight.server.ctx.tracker
-        phase_ms = {
-            phase: cost.phase_sequential_ms(tracker, phase)
-            for phase in (PHASE_DATA_ENCRYPT,) + inference_phases
-        }
+        book = _book(tracker)
+        if priced is None or priced[0] != book:
+            phase_ms = {
+                phase: cost.phase_sequential_ms(tracker, phase)
+                for phase in priced_phases
+            }
+            priced = (
+                book, phase_ms,
+                sum(phase_ms[p] for p in inference_phases),
+                {
+                    phase: {kind.value: n for kind, n in counts}
+                    for phase, counts in book
+                },
+            )
+        _, phase_ms, inference_ms, phase_op_counts = priced
         flight.outcome = BatchEvaluation(
             engine=engine,
             bitvectors=flight.bitvectors,
             phase_ms=phase_ms,
-            inference_ms=sum(phase_ms[p] for p in inference_phases),
+            inference_ms=inference_ms,
             oracle_ok=flight.oracle_ok,
             tracker=tracker,
+            phase_op_counts=phase_op_counts,
         )
 
     stage("pack")
-    for flight in flights:
-        flight.attempt(pack)
+    try:
+        block = pack_group_planes(layout, batches)
+    except Exception:
+        block = [None] * len(flights)
+    for flight, planes in zip(flights, block):
+        flight.attempt(pack, planes)
     stage("execute")
     packed = [flight for flight in flights if flight.outcome is None]
     if packed:
@@ -695,7 +754,20 @@ def evaluate_registered_batches(
                 flight.encrypted = result
     stage("demux")
     for flight in flights:
-        flight.attempt(demux)
+        flight.attempt(decrypt)
+    decrypted = [flight for flight in flights if flight.outcome is None]
+    if decrypted:
+        try:
+            demuxed = demux_group(
+                layout, [flight.bits for flight in decrypted],
+                [len(flight.features) for flight in decrypted],
+            )
+        except Exception:
+            for flight in decrypted:
+                flight.attempt(demux)
+        else:
+            for flight, bitvectors in zip(decrypted, demuxed):
+                flight.bitvectors = bitvectors
     stage("resolve")
     answered = [flight for flight in flights if flight.outcome is None]
     if forest is not None and answered:

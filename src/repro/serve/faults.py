@@ -453,7 +453,10 @@ class FaultPlan:
     #: and kills its sender.
     corrupt_completion_every: int = 0
     #: Every Nth completion is lost in transit: only a hedge (see
-    #: :class:`RetryPolicy`) resolves its batch.
+    #: :class:`RetryPolicy`) resolves its batch, so the simulator
+    #: refuses the field unless its policy hedges.  The shim of a real
+    #: worker takes it as it is: without a hedge the batch keeps its
+    #: worker busy, as far as the router can tell, for good.
     drop_completion_every: int = 0
     #: Every Nth completion arrives twice; the second drops as stale.
     duplicate_completion_every: int = 0

@@ -640,6 +640,17 @@ class SimRunner:
             raise ValidationError(
                 "a SimRunner runs once; build a fresh one per run"
             )
+        policy = self.router.retry_policy
+        if faults.drop_completion_every and not policy.hedging_enabled:
+            # Nothing else resolves a lost completion: its worker would
+            # stay busy for good and the run would not end, or would
+            # end with its queries outstanding.
+            raise ValidationError(
+                f"FaultPlan.drop_completion_every="
+                f"{faults.drop_completion_every} needs hedging, and the "
+                f"RetryPolicy's hedge_factor is {policy.hedge_factor}: "
+                f"only a hedge resolves a batch whose completion is lost"
+            )
         self._used = True
         transport, router = self.transport, self.router
         transport.inject(faults, self.workers)

@@ -197,7 +197,8 @@ def validate_feature_block(
 def pack_query_planes(
     layout: BatchLayout, queries: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Pack up to ``capacity`` queries into batched MSB-first bit planes.
+    """Pack up to ``capacity`` queries into batched MSB-first bit planes:
+    the group of one of :func:`pack_group_planes`.
 
     Each query is replicated to multiplicity ``K`` (Diane's Step 0),
     bit-sliced, padded to the stride, and placed in its block.  Unused
@@ -206,28 +207,54 @@ def pack_query_planes(
 
     Returns a ``(precision, stride * capacity)`` uint8 array.
     """
-    if not len(queries):
-        raise ValidationError("cannot pack an empty batch")
-    if len(queries) > layout.capacity:
-        raise ValidationError(
-            f"{len(queries)} queries exceed the batch capacity "
-            f"{layout.capacity}"
-        )
-    p = layout.precision
-    q = layout.quantized_branching
-    # One vectorized pass over the whole batch: check the block with one
-    # comparison, replicate every query's features to multiplicity K
-    # (np.repeat) and slice all bit planes with shifts — no per-query
-    # or per-slot Python loops.
-    values = validate_feature_block(layout, queries)
-    replicated = np.repeat(values, layout.max_multiplicity, axis=1)  # (B, q)
-    shifts = np.arange(p - 1, -1, -1, dtype=np.int64)  # MSB-first
-    bits = ((replicated[:, None, :] >> shifts[None, :, None]) & 1).astype(
-        np.uint8
-    )  # (B, p, q)
-    blocks = np.zeros((p, layout.capacity, layout.stride), dtype=np.uint8)
-    blocks[:, : len(queries), :q] = bits.transpose(1, 0, 2)
-    return blocks.reshape(p, layout.batched_width)
+    return pack_group_planes(layout, [queries])[0]
+
+
+def pack_group_planes(
+    layout: BatchLayout, batches: Sequence[Sequence[Sequence[int]]]
+) -> np.ndarray:
+    """Pack several batches at once: ``(len(batches), precision,
+    stride * capacity)`` uint8, row ``j`` the planes of batch ``j``.
+
+    Each batch is checked for size alone; the rows of all of them are
+    validated by one :func:`validate_feature_block` over their
+    concatenation (a batch alone: over itself, so its refusal reads as
+    it always has).  A refused group names its first offending query
+    wherever it is, so a caller that must know *which* batch holds it
+    packs the batches one by one.  Placement, bit-slicing and
+    replication to multiplicity ``K`` are one vectorized pass over every
+    query of the group — no per-slot Python loops.
+    """
+    fills = [len(batch) for batch in batches]
+    for fill in fills:
+        if not fill:
+            raise ValidationError("cannot pack an empty batch")
+        if fill > layout.capacity:
+            raise ValidationError(
+                f"{fill} queries exceed the batch capacity "
+                f"{layout.capacity}"
+            )
+    values = validate_feature_block(
+        layout, batches[0] if len(batches) == 1 else np.concatenate(batches)
+    )
+    k, p, f = len(fills), layout.precision, layout.n_features
+    # Every query of the group in its batch's block (the rest of the
+    # blocks are the all-zero dummy query), bit-sliced MSB-first, then
+    # replicated to multiplicity K by one broadcast copy into the
+    # stride-padded planes: the bits of a replica are the replica of
+    # the bits.
+    queries = np.zeros((k, layout.capacity, f), dtype=np.int64)
+    queries[
+        [j for j, fill in enumerate(fills) for _ in range(fill)],
+        [r for fill in fills for r in range(fill)],
+    ] = values
+    shifts = np.arange(p - 1, -1, -1, dtype=np.int64)[:, None, None]
+    bits = ((queries[:, None] >> shifts) & 1).astype(np.uint8)
+    planes = np.zeros((k, p, layout.capacity, layout.stride), dtype=np.uint8)
+    planes[..., : layout.quantized_branching].reshape(
+        k, p, layout.capacity, f, layout.max_multiplicity
+    )[...] = bits[..., None]
+    return planes.reshape(k, p, layout.batched_width)
 
 
 def tile_model_vector(layout: BatchLayout, vector: Sequence[int]) -> np.ndarray:
@@ -269,20 +296,34 @@ def segment_mask(layout: BatchLayout, lo: int, hi: int) -> np.ndarray:
 def demux_bitvectors(
     layout: BatchLayout, bits: Sequence[int], count: int
 ) -> List[List[int]]:
-    """Slice a decrypted batched result into per-query label bitvectors.
+    """Slice a decrypted batched result into per-query label bitvectors:
+    the group of one of :func:`demux_group`.
 
     ``count`` is the number of real (non-dummy) queries; dummy blocks are
     discarded.  Query ``k``'s bitvector is the first ``num_labels`` slots
     of its block.
     """
-    if count < 0 or count > layout.capacity:
-        raise ValidationError(
-            f"cannot demux {count} queries from a batch of capacity "
-            f"{layout.capacity}"
-        )
-    if len(bits) != layout.batched_width:
-        raise ValidationError(
-            f"result has {len(bits)} slots, expected {layout.batched_width}"
-        )
-    blocks = np.asarray(bits)[: count * layout.stride]
-    return blocks.reshape(count, layout.stride)[:, : layout.num_labels].tolist()
+    return demux_group(layout, [bits], [count])[0]
+
+
+def demux_group(
+    layout: BatchLayout, results: Sequence[Sequence[int]],
+    counts: Sequence[int],
+) -> List[List[List[int]]]:
+    """:func:`demux_bitvectors` of ``results[j]`` and ``counts[j]`` for
+    every ``j``, in one reshape and one ``tolist``."""
+    for count, bits in zip(counts, results):
+        if count < 0 or count > layout.capacity:
+            raise ValidationError(
+                f"cannot demux {count} queries from a batch of capacity "
+                f"{layout.capacity}"
+            )
+        if len(bits) != layout.batched_width:
+            raise ValidationError(
+                f"result has {len(bits)} slots, expected "
+                f"{layout.batched_width}"
+            )
+    blocks = np.asarray(results).reshape(
+        len(results), layout.capacity, layout.stride
+    )[:, :, : layout.num_labels].tolist()
+    return [rows[:count] for rows, count in zip(blocks, counts)]

@@ -210,7 +210,8 @@ class _StatsAggregator:
     Prometheus export) sees evaluation totals and scheduling counters
     together, and :class:`ServiceStats` is a pure view over it.  The
     aggregator's own lock only orders the *multi-instrument* update of
-    one batch record, so a concurrent snapshot never sees half a batch.
+    one completion's records, so a concurrent snapshot never sees half
+    of one.
     """
 
     def __init__(self, threads: int, metrics: MetricsRegistry):
@@ -234,29 +235,66 @@ class _StatsAggregator:
             m.counter, "svc_phase_ops", "phase", "op")
         #: model -> backend name: identity metadata, not a metric.
         self._model_backends: Dict[str, str] = {}
+        #: The last book resolved (see :meth:`_book`).
+        self._last_book = None
 
     def record_setup(self, registered: RegisteredModel) -> None:
         with self._lock:
             self._setup_ms.inc(registered.setup_ms)
             self._model_backends[registered.name] = registered.backend
 
-    def record_batch(self, record: BatchRecord) -> None:
+    def record_batches(self, records: Sequence[BatchRecord]) -> None:
+        """Book evaluated batches, in order: one hold of this lock, one
+        of the registry's for every counter and one for the fill
+        histogram.  A book — a record's ``phase_ms`` and
+        ``phase_op_counts`` — is resolved to its labelled children
+        once per distinct pair of objects (the batches of one kernel
+        pass share theirs) and only ever read."""
         with self._lock:
-            self._queries.inc(record.size)
-            self._batches.inc()
-            self._capacity_total.inc(record.capacity)
-            if record.capacity:
-                self._batch_fill.observe(record.size / record.capacity)
-            for phase, ms in record.phase_ms.items():
-                self._phase_ms(phase).inc(ms)
+            increments = []
+            fills = []
+            for record in records:
+                increments += (
+                    (self._queries, record.size), (self._batches, 1.0),
+                    (self._capacity_total, record.capacity),
+                )
+                if record.capacity:
+                    fills.append(record.size / record.capacity)
+                increments += self._book(record)
+                increments += (
+                    (self._inference_ms, record.inference_ms),
+                    (self._data_encrypt_ms, record.data_encrypt_ms),
+                )
+                if record.oracle_failures:
+                    increments.append(
+                        (self._oracle_failures, record.oracle_failures)
+                    )
+            self._metrics.add(increments)
+            self._batch_fill.observe_many(fills)
+
+    def _book(self, record: BatchRecord) -> List[Tuple[object, float]]:
+        """``(counter, amount)`` for each phase-ms and op count of the
+        record, in booking order."""
+        last = self._last_book
+        if (
+            last is None
+            or last[0] is not record.phase_ms
+            or last[1] is not record.phase_op_counts
+        ):
+            increments = [
+                (self._phase_ms(phase), ms)
+                for phase, ms in record.phase_ms.items()
+            ]
             for phase, counts in record.phase_op_counts.items():
                 for op, n in counts.items():
-                    self._ops(op).inc(n)
-                    self._phase_ops(phase, op).inc(n)
-            self._inference_ms.inc(record.inference_ms)
-            self._data_encrypt_ms.inc(record.data_encrypt_ms)
-            if record.oracle_failures:
-                self._oracle_failures.inc(record.oracle_failures)
+                    increments += (
+                        (self._ops(op), n), (self._phase_ops(phase, op), n)
+                    )
+            # The objects are held, so their identities stay theirs.
+            last = self._last_book = (
+                record.phase_ms, record.phase_op_counts, increments
+            )
+        return last[2]
 
     def snapshot(
         self, scheduler: Optional[SchedulerStats] = None
@@ -1013,8 +1051,7 @@ class CopseService:
             OUTCOME_OK if answered else OUTCOME_ERROR,
             worker=event.worker, failed=event.failed,
         ):
-            for record in answered:
-                self._stats.record_batch(record)
+            self._stats.record_batches(answered)
             resolutions.append(event.resolve)
 
     def _crash_locked(self, worker: int, now: float) -> None:

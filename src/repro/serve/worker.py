@@ -107,7 +107,6 @@ def _eval_result(
             ))
             continue
         evaluation, degraded = outcome
-        stats = evaluation.tracker.phase_stats
         bitvectors.extend(evaluation.bitvectors)
         oracle_failures = None
         if evaluation.oracle_ok is not None:
@@ -119,10 +118,7 @@ def _eval_result(
             evaluation.data_encrypt_ms,
             oracle_failures,
             degraded_engine=None if degraded is None else degraded[1],
-            phase_op_counts={
-                phase: {k.value: n for k, n in stats(phase).counts.items()}
-                for phase in evaluation.tracker.phases
-            },
+            phase_op_counts=evaluation.phase_op_counts,
         ))
     return BatchResult(
         batch_id=request.batch_id,

@@ -212,6 +212,145 @@ class TestDifferential:
                    for e, c in zip(together, chunks))
 
 
+class TestAGroupIsPaidOnce:
+    """What a group pays once — one packed plane block, one price and
+    count per book, one demux — must hand each batch exactly the
+    :class:`~repro.serve.transport.BatchPart` it gets evaluated alone:
+    bits, verdicts, cost-model figures and counts, float for float."""
+
+    CASES = [("megakernel", "vector"), ("megakernel", "reference"),
+             ("tape", "vector")]
+
+    @staticmethod
+    def fills_for(k, capacity):
+        """``k`` batches, full and partial by turns."""
+        return [capacity if j % 2 == 0 else 1 + (j + k) % capacity
+                for j in range(k)]
+
+    @staticmethod
+    def reduce(registered, chunks):
+        from repro.serve.transport import BatchRequest
+        from repro.serve.worker import _eval_result
+
+        request = BatchRequest(
+            1, registered.name, 0,
+            np.concatenate([np.asarray(c, dtype=np.int64) for c in chunks]),
+            True, tuple(len(c) for c in chunks),
+        )
+        return _eval_result(0, request, {registered.name: registered})
+
+    @classmethod
+    def seen(cls, result, fills):
+        """Each batch's part, with its share of the flat bits and
+        verdicts."""
+        seen, at = [], 0
+        for fill, part in zip(fills, result.parts()):
+            answered = part.error is None
+            span = slice(at, at + fill if answered else at)
+            at = span.stop
+            seen.append((
+                part,
+                list(result.bitvectors[span]) if answered else None,
+                list(result.oracle_ok[span]) if answered else None,
+            ))
+        return seen
+
+    @pytest.mark.parametrize("engine,backend", CASES)
+    def test_each_part_of_a_group_is_the_part_alone(self, engine, backend):
+        registered = small(engine=engine, backend=backend)
+        capacity = registered.layout.capacity
+        for k in range(1, MAX_GROUP + 1):
+            fills = self.fills_for(k, capacity)
+            chunks = feature_chunks(registered, fills, seed=k)
+            group = self.seen(self.reduce(registered, chunks), fills)
+            alone = [
+                self.seen(self.reduce(registered, [chunk]), [len(chunk)])[0]
+                for chunk in chunks
+            ]
+            assert group == alone
+            assert all(ok == [True] * fill
+                       for (_, _, ok), fill in zip(group, fills))
+            # The pass was priced once: the parts share one book.
+            assert all(part.phase_op_counts is group[0][0].phase_op_counts
+                       and part.phase_ms is group[0][0].phase_ms
+                       for part, _, _ in group)
+
+    @pytest.mark.parametrize("engine,backend", CASES)
+    def test_an_out_of_range_row_fails_its_batch_alone(self, engine,
+                                                       backend):
+        registered = small(engine=engine, backend=backend)
+        chunks = feature_chunks(registered, [4, 3, 4, 2], seed=3)
+        chunks[2][1] = [1 << registered.layout.precision, 0]
+        group = self.seen(self.reduce(registered, chunks), [4, 3, 4, 2])
+        alone = [self.seen(self.reduce(registered, [chunk]),
+                           [len(chunk)])[0] for chunk in chunks]
+        assert group == alone
+        assert [part.error for part, _, _ in group] == [
+            None, None,
+            "ValidationError: feature value 16 does not fit in 4 "
+            "unsigned bits",
+            None,
+        ]
+
+    def test_a_batch_with_another_book_is_priced_on_its_own(
+        self, monkeypatch
+    ):
+        """Books are reused only when equal: a ciphertext that booked
+        one more encryption gets its own figures, and the batch after
+        it is priced again."""
+        from repro.core.engines import PHASE_DATA_ENCRYPT
+        from repro.serve import batched_runtime
+
+        registered = small()
+        encrypt = batched_runtime.encrypt_planes
+        seen = []
+
+        def one_more_for_the_second(ctx, planes, keys):
+            seen.append(ctx)
+            if len(seen) == 2:
+                with ctx.tracker.phase(PHASE_DATA_ENCRYPT):
+                    ctx.encrypt(planes[0], keys.public)
+            return encrypt(ctx, planes, keys)
+
+        monkeypatch.setattr(
+            batched_runtime, "encrypt_planes", one_more_for_the_second
+        )
+        first, second, third = evaluate_registered_batches(
+            registered, feature_chunks(registered, [4, 4, 4], seed=1),
+        )
+        counts = [e.phase_op_counts[PHASE_DATA_ENCRYPT]["encrypt"]
+                  for e in (first, second, third)]
+        assert counts == [registered.layout.precision,
+                          registered.layout.precision + 1,
+                          registered.layout.precision]
+        assert second.data_encrypt_ms > first.data_encrypt_ms
+        assert second.phase_ms is not first.phase_ms
+        assert (third.phase_ms, third.phase_op_counts) == (
+            first.phase_ms, first.phase_op_counts
+        )
+
+    @pytest.mark.parametrize("name", ["small", "income5"])
+    def test_the_group_block_is_each_batchs_planes(self, name):
+        from repro.serve.packing import pack_group_planes, pack_query_planes
+
+        registered = small() if name == "small" else frozen(name)
+        layout = registered.layout
+        for k in range(1, MAX_GROUP + 1):
+            fills = self.fills_for(k, layout.capacity)
+            chunks = feature_chunks(registered, fills, seed=20 + k)
+            for batches in (
+                chunks,  # lists, as a caller hands them
+                [np.asarray(c, dtype=np.int64) for c in chunks],
+            ):
+                block = pack_group_planes(layout, batches)
+                assert block.shape == (
+                    k, layout.precision, layout.batched_width
+                )
+                assert [planes.tobytes() for planes in block] == [
+                    pack_query_planes(layout, c).tobytes() for c in chunks
+                ]
+
+
 class TestARunFailsAlone:
     def test_refusals_word_for_word(self):
         registered = small()

@@ -179,6 +179,23 @@ class TestChaosFaultKinds:
         assert report.stats.completed == 3000
         assert_conserved(report.stats)
 
+    def test_dropped_completions_without_hedging_are_refused(self):
+        """Nothing but a hedge resolves a lost completion: without one
+        the run used to strand the batch's worker and return 100
+        submitted, 32 completed and none failed (and, with hangs
+        planned, never return).  It is refused, naming both fields."""
+        from repro.errors import ValidationError
+
+        runner = SimRunner(PROFILES, workers=4, retry_policy=RetryPolicy())
+        arrivals = generate_arrivals(TENANTS, seed=42, total_queries=100)
+        with pytest.raises(ValidationError,
+                           match="drop_completion_every=5.*hedge_factor"):
+            runner.run(arrivals, FaultPlan(drop_completion_every=5))
+        # The refusal comes first: the runner has not run.
+        report = runner.run(arrivals, FaultPlan())
+        assert report.stats.completed == 100
+        assert_conserved(report.stats)
+
     def test_duplicate_completions_dropped_as_stale(self):
         report = chaos_soak(
             FaultPlan(duplicate_completion_every=23), queries=3000,

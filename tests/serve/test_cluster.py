@@ -787,17 +787,21 @@ class TestAssignmentOnTheWire:
         from repro.errors import RuntimeProtocolError
         from repro.serve import batched_runtime
 
-        assignment = self.assignment(registered, (4, 4, 3))
-        poison = payloads_of(assignment.runs())[5].features
-        encrypt = batched_runtime.encrypt_batch
+        from repro.serve.packing import pack_query_planes
 
-        def encrypt_unless_poisoned(ctx, layout, features, keys):
-            if poison in np.asarray(features).tolist():
+        assignment = self.assignment(registered, (4, 4, 3))
+        poisoned = pack_query_planes(registered.layout, [
+            payload.features for payload in payloads_of(assignment.runs())[4:8]
+        ])
+        encrypt = batched_runtime.encrypt_planes
+
+        def encrypt_unless_poisoned(ctx, planes, keys):
+            if np.array_equal(planes, poisoned):
                 raise RuntimeProtocolError("this ciphertext is poison")
-            return encrypt(ctx, layout, features, keys)
+            return encrypt(ctx, planes, keys)
 
         monkeypatch.setattr(
-            batched_runtime, "encrypt_batch", encrypt_unless_poisoned
+            batched_runtime, "encrypt_planes", encrypt_unless_poisoned
         )
         transport = self.wire(registered)
         _, result = self.round_trip(transport, registered, assignment)

@@ -441,20 +441,24 @@ class TestGroupsThroughTheFacade:
         ciphertexts are answered, and every query ends in exactly one
         column."""
         from repro.serve import batched_runtime
+        from repro.serve.packing import pack_query_planes
 
         queries = queries_for(example_forest, 16, seed=5)
-        poison = queries[5]
-        encrypt = batched_runtime.encrypt_batch
+        poisoned = []  # the planes of the ciphertext queries[5] is in
+        encrypt = batched_runtime.encrypt_planes
 
-        def encrypt_unless_poisoned(ctx, layout, features, keys):
-            if poison in features:
+        def encrypt_unless_poisoned(ctx, planes, keys):
+            if np.array_equal(planes, poisoned[0]):
                 raise RuntimeProtocolError("this ciphertext is poison")
-            return encrypt(ctx, layout, features, keys)
+            return encrypt(ctx, planes, keys)
 
         monkeypatch.setattr(
-            batched_runtime, "encrypt_batch", encrypt_unless_poisoned
+            batched_runtime, "encrypt_planes", encrypt_unless_poisoned
         )
         with open_grouping_service(example_forest) as service:
+            poisoned.append(pack_query_planes(
+                service.registry.get("m").layout, queries[5:9]
+            ))
             # Three wait for a fourth; one of them gives up; the other
             # thirteen then arrive at once: twelve live queries are cut
             # as one group of three ciphertexts, the poison in the

@@ -1388,6 +1388,124 @@ class TestStats:
         assert run(False) < run(True)
 
 
+class TestSharedBooks:
+    """The batches of one kernel pass share their ``phase_ms`` and
+    ``phase_op_counts`` objects (the routine prices a pass once, and
+    ``BatchPart``'s ``{}`` default is one dict anyway): booking must not
+    care whether ``k`` records share one book or carry equal copies,
+    must add in the order per-record ``inc`` calls did, and must never
+    change a record."""
+
+    PHASE_MS = {"data_encrypt": 0.1, "megakernel_inference": 0.7}
+    COUNTS = {
+        "data_encrypt": {"encrypt": 8},
+        "model_cache": {"load": 40},
+        "megakernel_inference": {"multiply": 17, "add": 93, "rotate": 5},
+        "unscoped": {"encrypt": 1, "decrypt": 1},
+    }
+
+    @classmethod
+    def records(cls, shared, k=6):
+        import copy
+
+        from repro.serve.batcher import BatchRecord
+
+        other_ms = {"data_encrypt": 0.3, "megakernel_inference": 0.2}
+        records = []
+        for i in range(k):
+            phase_ms = cls.PHASE_MS if i % 3 else other_ms
+            records.append(BatchRecord(
+                model="m", batch_id=i, size=1 + i % 4, capacity=4,
+                phase_op_counts=(
+                    cls.COUNTS if shared else copy.deepcopy(cls.COUNTS)
+                ),
+                phase_ms=phase_ms if shared else dict(phase_ms),
+                inference_ms=phase_ms["megakernel_inference"],
+                data_encrypt_ms=phase_ms["data_encrypt"],
+                oracle_failures=i % 2,
+            ))
+        return records
+
+    @staticmethod
+    def booked(groups):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve.service import _StatsAggregator
+
+        metrics = MetricsRegistry()
+        aggregator = _StatsAggregator(threads=2, metrics=metrics)
+        for group in groups:
+            aggregator.record_batches(group)
+        names = ("svc_ops", "svc_phase_ops", "svc_phase_ms")
+        export = [
+            line for line in metrics.render_prometheus().splitlines()
+            if line.startswith(names)
+        ]
+        return aggregator.snapshot(), metrics.snapshot(), export
+
+    @staticmethod
+    def booked_one_inc_at_a_time(records):
+        """What booking was: every record's instruments incremented
+        one call at a time."""
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        metrics.counter("svc_setup_ms")
+        for record in records:
+            metrics.counter("svc_queries").inc(record.size)
+            metrics.counter("svc_batches").inc()
+            metrics.counter("svc_capacity_total").inc(record.capacity)
+            metrics.histogram("svc_batch_fill").observe(
+                record.size / record.capacity
+            )
+            for phase, ms in record.phase_ms.items():
+                metrics.counter("svc_phase_ms", {"phase": phase}).inc(ms)
+            for phase, counts in record.phase_op_counts.items():
+                for op, n in counts.items():
+                    metrics.counter("svc_ops", {"op": op}).inc(n)
+                    metrics.counter(
+                        "svc_phase_ops", {"phase": phase, "op": op}
+                    ).inc(n)
+            metrics.counter("svc_inference_ms").inc(record.inference_ms)
+            metrics.counter("svc_data_encrypt_ms").inc(
+                record.data_encrypt_ms
+            )
+            if record.oracle_failures:
+                metrics.counter("svc_oracle_failures").inc(
+                    record.oracle_failures
+                )
+        return metrics.snapshot()
+
+    def test_shared_and_copied_books_book_alike(self):
+        shared, copies = self.records(True), self.records(False)
+        assert shared == copies
+        for split in (1, 2, 6):  # completions of this many records
+            groups = [
+                shared[i : i + split] for i in range(0, len(shared), split)
+            ]
+            assert self.booked(groups) == self.booked(
+                [copies[i : i + split] for i in range(0, 6, split)]
+            )
+        stats, snapshot, export = self.booked([shared])
+        assert export and stats.phase_op_counts["model_cache"] == {
+            "load": 240
+        }
+        # Float for float what one inc per instrument per record added.
+        assert snapshot == self.booked_one_inc_at_a_time(shared)
+
+    def test_booking_never_changes_a_record(self):
+        import copy
+
+        for shared in (True, False):
+            records = self.records(shared)
+            before = copy.deepcopy(records)
+            self.booked([records[:2], records[2:]])
+            assert records == before
+        assert self.COUNTS["model_cache"] == {"load": 40}
+        assert self.PHASE_MS == {
+            "data_encrypt": 0.1, "megakernel_inference": 0.7
+        }
+
+
 class TestScheduler:
     # The scheduling behaviors (deadline cuts, fair sharing, admission,
     # retries, the pump's lifecycle) live in test_scheduler.py and
