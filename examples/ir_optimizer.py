@@ -21,7 +21,7 @@ from repro.ir import (
     analyze_counts,
     analyze_depth,
     build_inference_graph,
-    ir_secure_inference,
+    lower_inference,
     optimize,
 )
 from repro.ir.nodes import IrOp
@@ -55,12 +55,13 @@ def main() -> None:
         f"(depth unchanged: {analyze_depth(opt)})"
     )
 
-    # Correctness: IR path == direct runtime == plaintext oracle.
+    # Correctness: IR path == direct runtime == plaintext oracle.  The
+    # plan is staged once and executed per query.
     rng = np.random.default_rng(0)
-    graph = opt
+    plan = lower_inference(compiled)
     for _ in range(3):
         feats = [int(v) for v in rng.integers(0, 256, 2)]
-        ir_out = ir_secure_inference(compiled, feats, graph=graph)
+        ir_out = secure_inference(compiled, feats, engine="plan", plan=plan)
         direct = secure_inference(compiled, feats)
         oracle = forest.label_bitvector(feats)
         assert ir_out.result.bitvector == direct.result.bitvector == oracle

@@ -78,7 +78,6 @@ from repro.ir import (
     dead_code_elimination,
     execute,
     fuse_rotations,
-    ir_secure_inference,
     lower_batched_inference,
     lower_inference,
     optimize,
@@ -142,7 +141,6 @@ __all__ = [
     "dead_code_elimination",
     "execute",
     "fuse_rotations",
-    "ir_secure_inference",
     "lower_batched_inference",
     "lower_inference",
     "optimize",

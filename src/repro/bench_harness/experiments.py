@@ -101,110 +101,89 @@ def _workloads(names: Optional[Sequence[str]]) -> List[Workload]:
     return cached_workloads(names)
 
 
-def _append_geomeans(table: Table, speedup_col: str) -> None:
-    """Add the paper's micro / real-world geomean summary rows."""
-    idx = table.columns.index(speedup_col)
-    micro = [r[idx] for r in table.rows if r[-1] == "micro"]
-    real = [r[idx] for r in table.rows if r[-1] == "real"]
-    if micro:
-        table.add_note(f"geomean (micro-bench): {geometric_mean(micro):.2f}x")
-    if real:
-        table.add_note(f"geomean (real-world): {geometric_mean(real):.2f}x")
-
-
 # ---------------------------------------------------------------------------
 # Figures 6-9
 # ---------------------------------------------------------------------------
+
+
+def _ratio_table(
+    title: str,
+    columns: Sequence[Tuple[str, Dict]],
+    faster: int,
+    queries: int,
+    workload_names: Optional[Sequence[str]],
+) -> Table:
+    """Figures 6-9: per workload, the median of two configurations and
+    the speedup of one over the other, then the paper's micro /
+    real-world geomeans.
+
+    ``columns`` are the two ``(column name, _run keywords)`` pairs in
+    column order; ``speedup`` is the other column's median over column
+    ``faster``'s.
+    """
+    table = Table(
+        title=title,
+        columns=["model", *(name for name, _ in columns), "speedup", "category"],
+    )
+    for workload in _workloads(workload_names):
+        medians = [
+            _run(workload, queries=queries, **run).median_ms
+            for _, run in columns
+        ]
+        table.add_row(
+            workload.name,
+            *medians,
+            medians[1 - faster] / medians[faster],
+            workload.category,
+        )
+    for category, label in (("micro", "micro-bench"), ("real", "real-world")):
+        speedups = [row[-2] for row in table.rows if row[-1] == category]
+        if speedups:
+            table.add_note(
+                f"geomean ({label}): {geometric_mean(speedups):.2f}x"
+            )
+    return table
+
+
+_COPSE = {"system": SYSTEM_COPSE}
+_BASELINE = {"system": SYSTEM_BASELINE}
+_MULTI = {"threads": PAPER_THREAD_COUNT}
 
 
 def figure6(
     queries: int = 3, workload_names: Optional[Sequence[str]] = None
 ) -> Table:
     """Single-threaded COPSE speedup over the Aloufi baseline."""
-    table = Table(
-        title="Figure 6: COPSE vs Aloufi et al., single-threaded",
-        columns=[
-            "model",
-            "copse_ms",
-            "baseline_ms",
-            "speedup",
-            "category",
-        ],
+    return _ratio_table(
+        "Figure 6: COPSE vs Aloufi et al., single-threaded",
+        [("copse_ms", _COPSE), ("baseline_ms", _BASELINE)],
+        0, queries, workload_names,
     )
-    for workload in _workloads(workload_names):
-        copse = _run(workload, SYSTEM_COPSE, queries)
-        base = _run(workload, SYSTEM_BASELINE, queries)
-        table.add_row(
-            workload.name,
-            copse.median_ms,
-            base.median_ms,
-            base.median_ms / copse.median_ms,
-            workload.category,
-        )
-    _append_geomeans(table, "speedup")
-    return table
 
 
 def figure7(
     queries: int = 3, workload_names: Optional[Sequence[str]] = None
 ) -> Table:
     """Multithreaded COPSE speedup over single-threaded COPSE."""
-    table = Table(
-        title="Figure 7: COPSE multithreaded vs single-threaded",
-        columns=[
-            "model",
-            "single_ms",
-            "multi_ms",
-            "speedup",
-            "category",
-        ],
+    return _ratio_table(
+        "Figure 7: COPSE multithreaded vs single-threaded",
+        [("single_ms", _COPSE), ("multi_ms", {**_COPSE, **_MULTI})],
+        1, queries, workload_names,
     )
-    for workload in _workloads(workload_names):
-        single = _run(workload, SYSTEM_COPSE, queries, threads=1)
-        multi = _run(
-            workload, SYSTEM_COPSE, queries, threads=PAPER_THREAD_COUNT
-        )
-        table.add_row(
-            workload.name,
-            single.median_ms,
-            multi.median_ms,
-            single.median_ms / multi.median_ms,
-            workload.category,
-        )
-    _append_geomeans(table, "speedup")
-    return table
 
 
 def figure8(
     queries: int = 3, workload_names: Optional[Sequence[str]] = None
 ) -> Table:
     """COPSE speedup over the baseline when both are multithreaded."""
-    table = Table(
-        title="Figure 8: COPSE vs Aloufi et al., both multithreaded",
-        columns=[
-            "model",
-            "copse_ms",
-            "baseline_ms",
-            "speedup",
-            "category",
+    return _ratio_table(
+        "Figure 8: COPSE vs Aloufi et al., both multithreaded",
+        [
+            ("copse_ms", {**_COPSE, **_MULTI}),
+            ("baseline_ms", {**_BASELINE, **_MULTI}),
         ],
+        0, queries, workload_names,
     )
-    for workload in _workloads(workload_names):
-        copse = _run(
-            workload, SYSTEM_COPSE, queries, threads=PAPER_THREAD_COUNT
-        )
-        base = _run(
-            workload, SYSTEM_BASELINE, queries, threads=PAPER_THREAD_COUNT
-        )
-        table.add_row(
-            workload.name,
-            copse.median_ms,
-            base.median_ms,
-            base.median_ms / copse.median_ms,
-            workload.category,
-        )
-    _append_geomeans(table, "speedup")
-    return table
 
 
 def figure9(
@@ -215,30 +194,14 @@ def figure9(
     Sequential, which reproduces the paper's headline "roughly 1.4x"
     claim.
     """
-    table = Table(
-        title="Figure 9: plaintext vs encrypted model inference",
-        columns=[
-            "model",
-            "encrypted_ms",
-            "plaintext_ms",
-            "speedup",
-            "category",
+    return _ratio_table(
+        "Figure 9: plaintext vs encrypted model inference",
+        [
+            ("encrypted_ms", _COPSE),
+            ("plaintext_ms", {**_COPSE, "encrypted_model": False}),
         ],
+        1, queries, workload_names,
     )
-    for workload in _workloads(workload_names):
-        encrypted = _run(workload, SYSTEM_COPSE, queries)
-        plaintext = _run(
-            workload, SYSTEM_COPSE, queries, encrypted_model=False
-        )
-        table.add_row(
-            workload.name,
-            encrypted.median_ms,
-            plaintext.median_ms,
-            encrypted.median_ms / plaintext.median_ms,
-            workload.category,
-        )
-    _append_geomeans(table, "speedup")
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Experiment runner: the paper's 27-query median protocol.
 
 One :class:`InferenceRunner` runs one (workload, system, configuration)
-combination: it compiles/encrypts the model once, executes the query
-batch, verifies every result against the plaintext oracle, and derives
-simulated timings from the recorded operation DAG via the cost model.
+combination.  Each query goes through its system's one end-to-end
+pipeline — :func:`~repro.core.runtime.secure_inference` for COPSE,
+:func:`~repro.baseline.runtime.baseline_inference` for the Aloufi et al.
+baseline — on a fresh context; the runner keeps only each system's
+phases and its plaintext-oracle comparison, and derives simulated
+timings from the context's tracker via the cost model.
 
 Because the circuits are input-independent (noninterference — verified by
 the security tests), every query of a batch produces the identical
@@ -16,27 +19,17 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
-from repro.baseline.polynomial import compile_polynomial
-from repro.baseline.runtime import (
-    BaselineDataOwner,
-    BaselineModelOwner,
-    BaselineServer,
-)
-from repro.core.runtime import (
-    CopseServer,
-    DataOwner,
-    INFERENCE_PHASES,
-    ModelOwner,
-)
+from repro.baseline.runtime import baseline_inference
+from repro.core.runtime import INFERENCE_PHASES, secure_inference
 from repro.core.seccomp import VARIANT_ALOUFI
-from repro.fhe.backend import canonical_backend_name
+from repro.fhe.backend import REFERENCE_BACKEND, canonical_backend_name
 from repro.fhe.context import FheContext
 from repro.fhe.costmodel import CostModel
 from repro.fhe.params import EncryptionParams
-from repro.fhe.tracker import OpTracker
+from repro.fhe.tracker import CountingTracker, OpTracker
 from repro.bench_harness.workloads import PAPER_QUERY_COUNT, Workload
 
 SYSTEM_COPSE = "copse"
@@ -54,7 +47,10 @@ class RunnerConfig:
     the cost model over operation *counts*, so they are backend-
     independent; the backend choice matters for wall-clock measurements
     and for exercising a backend against the oracle.  Multithreaded
-    estimates (``threads > 1``) need the reference backend's DAG.
+    estimates (``threads > 1``) walk the operation DAG, so a run on a
+    backend whose tracker keeps none (the vector backend's
+    :class:`~repro.fhe.tracker.CountingTracker`) is refused with a
+    :class:`~repro.errors.ValidationError`.
     """
 
     system: str = SYSTEM_COPSE
@@ -109,81 +105,64 @@ class InferenceRunner:
         self.cost_model = CostModel(config.params)
 
     def run(self) -> ExperimentRecord:
-        if self.config.system == SYSTEM_COPSE:
-            return self._run_copse()
-        return self._run_baseline()
-
-    # ------------------------------------------------------------------
-
-    def _run_copse(self) -> ExperimentRecord:
         cfg = self.config
-        workload = self.workload
-        compiled = workload.compiled
-        compiled.check_parameters(cfg.params)
-
-        queries = workload.query_features(cfg.queries, cfg.query_seed)
+        phases = (
+            INFERENCE_PHASES if cfg.system == SYSTEM_COPSE else BASELINE_PHASES
+        )
         per_query_ms: List[float] = []
         correct = True
-        last_tracker: Optional[OpTracker] = None
+        for features in self.workload.query_features(
+            cfg.queries, cfg.query_seed
+        ):
+            ctx, ok = self._infer(features)
+            correct = correct and ok
+            per_query_ms.append(self._time(ctx, phases))
+        return self._record(per_query_ms, ctx.tracker, phases, correct)
 
-        for features in queries:
-            ctx = FheContext(cfg.params, backend=cfg.backend)
-            keys = ctx.keygen()
-            maurice = ModelOwner(compiled)
-            diane = DataOwner(maurice.query_spec(), keys)
-            sally = CopseServer(ctx, seccomp_variant=cfg.seccomp_variant)
-            if cfg.encrypted_model:
-                enc_model = maurice.encrypt_model(ctx, keys.public)
-            else:
-                enc_model = maurice.plaintext_model(ctx)
-            query = diane.prepare_query(ctx, features)
-            encrypted = sally.classify(enc_model, query)
-            result = diane.decrypt_result(ctx, encrypted)
-            expected = workload.forest.label_bitvector(features)
-            correct = correct and (result.bitvector == expected)
-            per_query_ms.append(self._time(ctx.tracker, INFERENCE_PHASES))
-            last_tracker = ctx.tracker
-
-        return self._record(per_query_ms, last_tracker, INFERENCE_PHASES, correct)
-
-    def _run_baseline(self) -> ExperimentRecord:
+    def _infer(self, features: List[int]) -> Tuple[FheContext, bool]:
+        """One query through its system's end-to-end pipeline: the
+        context it ran on, and whether it agrees with the oracle."""
         cfg = self.config
-        workload = self.workload
-        poly = compile_polynomial(workload.forest, workload.precision)
-
-        queries = workload.query_features(cfg.queries, cfg.query_seed)
-        per_query_ms: List[float] = []
-        correct = True
-        last_tracker: Optional[OpTracker] = None
-
-        for features in queries:
-            ctx = FheContext(cfg.params, backend=cfg.backend)
-            keys = ctx.keygen()
-            maurice = BaselineModelOwner(poly)
-            diane = BaselineDataOwner(poly, keys)
-            sally = BaselineServer(ctx, seccomp_variant=cfg.seccomp_variant)
-            if cfg.encrypted_model:
-                enc_model = maurice.encrypt_model(ctx, keys.public)
-            else:
-                enc_model = maurice.plaintext_model(ctx)
-            query = diane.prepare_query(ctx, features)
-            per_tree = sally.classify(enc_model, query)
-            result = diane.decrypt_result(ctx, per_tree)
-            expected = workload.forest.classify_per_tree(features)
-            correct = correct and (result.labels == expected)
-            per_query_ms.append(self._time(ctx.tracker, BASELINE_PHASES))
-            last_tracker = ctx.tracker
-
-        return self._record(per_query_ms, last_tracker, BASELINE_PHASES, correct)
-
-    # ------------------------------------------------------------------
-
-    def _time(self, tracker: OpTracker, phases: Sequence[str]) -> float:
-        if self.config.threads > 1:
-            return self.cost_model.multithreaded_ms(
-                tracker, threads=self.config.threads, phases=phases
+        forest = self.workload.forest
+        if cfg.system == SYSTEM_COPSE:
+            outcome = secure_inference(
+                self.workload.compiled,
+                features,
+                params=cfg.params,
+                encrypted_model=cfg.encrypted_model,
+                seccomp_variant=cfg.seccomp_variant,
+                backend=cfg.backend,
             )
-        return self.cost_model.sequential_ms(tracker, phases=phases)
+            ok = outcome.result.bitvector == forest.label_bitvector(features)
+            return outcome.context, ok
+        outcome = baseline_inference(
+            forest,
+            features,
+            precision=self.workload.precision,
+            encrypted_model=cfg.encrypted_model,
+            seccomp_variant=cfg.seccomp_variant,
+            ctx=FheContext(cfg.params, backend=cfg.backend),
+        )
+        ok = outcome.result.labels == forest.classify_per_tree(features)
+        return outcome.context, ok
+
+    # ------------------------------------------------------------------
+
+    def _time(self, ctx: FheContext, phases: Sequence[str]) -> float:
+        threads = self.config.threads
+        if threads == 1:
+            return self.cost_model.sequential_ms(ctx.tracker, phases=phases)
+        if isinstance(ctx.tracker, CountingTracker):
+            raise ValidationError(
+                f"threads={threads} needs the operation DAG for its "
+                f"work-span estimate, and the "
+                f"{ctx.backend_name!r} backend's "
+                f"tracker keeps none; use threads=1 or the "
+                f"{REFERENCE_BACKEND!r} backend"
+            )
+        return self.cost_model.multithreaded_ms(
+            ctx.tracker, threads=threads, phases=phases
+        )
 
     def _record(
         self,

@@ -25,7 +25,7 @@ execute with ``engine="plan"`` (the serve default is ``"tape"``, below):
 * :mod:`repro.ir.executor` — runs a graph against a context and input
   bindings (all costs land in the context's tracker as usual);
 * :mod:`repro.ir.copse_ir` — stages a compiled COPSE model into one
-  inference graph and runs optimized secure inference;
+  inference graph;
 * :mod:`repro.ir.plan` — :func:`lower_inference` /
   :func:`lower_batched_inference` wrap the lowered-and-optimized graph,
   its input-binding spec, and raw-vs-optimized analyses into a cached,
@@ -57,7 +57,7 @@ from repro.ir.passes import (
     schedule_rotations,
 )
 from repro.ir.executor import execute
-from repro.ir.copse_ir import build_inference_graph, ir_secure_inference
+from repro.ir.copse_ir import build_inference_graph
 from repro.ir.plan import (
     GraphProfile,
     InferencePlan,
@@ -83,7 +83,6 @@ __all__ = [
     "execute",
     "build_inference_graph",
     "build_batched_inference_graph",
-    "ir_secure_inference",
     "GraphProfile",
     "InferencePlan",
     "CompiledTape",

@@ -13,37 +13,25 @@ and so recovers and surpasses the hand-written runtime's sharing:
   which the hand-written runtime recomputes per level — saving
   ``(d - 1) * b`` rotations.
 
-``ir_secure_inference`` runs the whole pipeline: build, drop dead code,
-encrypt inputs, execute, decrypt; its results are bit-identical to
-:func:`repro.core.runtime.secure_inference`.
-
 :mod:`repro.ir.plan` builds on this emission: ``lower_inference`` wraps
 the graph, the emission tally and its binding spec into a cached
 :class:`~repro.ir.plan.InferencePlan`, the unit the live servers execute
 with ``engine="plan"`` — the input-name templates below are the shared
-contract between the two modules.
+contract between the two modules.  End-to-end IR inference is
+:func:`repro.core.runtime.secure_inference` with ``engine="plan"``
+(pass ``plan=lower_inference(...)`` to stage once per model, or
+``optimize_graph=False`` to run the graph as emitted).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.errors import CompileError, RuntimeProtocolError
+from repro.errors import CompileError
 from repro.core.compiler import CompiledModel
-from repro.core.runtime import InferenceResult
-from repro.core.seccomp import (
-    SECCOMP_VARIANTS,
-    VARIANT_ALOUFI,
-    VARIANT_OPTIMIZED,
-)
-from repro.fhe.context import FheContext, Vector
-from repro.fhe.params import EncryptionParams
-from repro.fhe.simd import replicate, to_bitplanes
+from repro.core.seccomp import SECCOMP_VARIANTS, VARIANT_ALOUFI
 from repro.ir.builder import IrBuilder
-from repro.ir.executor import execute
 from repro.ir.nodes import IrGraph
-from repro.ir.passes import dead_code_elimination
 
 #: Input-name templates shared by the graph builder and the binder.
 FEATURE_PLANE = "feat_plane_{i}"
@@ -209,110 +197,3 @@ def _emit_matvec(
             rotated = b.truncate(rotated, rows)
         products.append(b.and_(diagonal, rotated))
     return b.xor_all(products)
-
-
-# ---------------------------------------------------------------------------
-# End-to-end IR inference
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class IrInferenceOutcome:
-    """Result of one IR-path secure inference."""
-
-    result: InferenceResult
-    graph: IrGraph
-    context: FheContext
-
-    @property
-    def tracker(self):
-        return self.context.tracker
-
-
-def ir_secure_inference(
-    compiled: CompiledModel,
-    features: Sequence[int],
-    encrypted_model: bool = True,
-    variant: str = VARIANT_ALOUFI,
-    params: Optional[EncryptionParams] = None,
-    graph: Optional[IrGraph] = None,
-) -> IrInferenceOutcome:
-    """Secure inference through the IR pipeline.
-
-    Pass a prebuilt ``graph`` to amortize building across queries (the
-    staging pattern: stage once per model), or to run one as built.
-    """
-    if params is None:
-        params = EncryptionParams.paper_defaults()
-    compiled.check_parameters(params)
-    if graph is None:
-        graph = dead_code_elimination(
-            build_inference_graph(compiled, encrypted_model, variant)
-        )
-
-    ctx = FheContext(params)
-    keys = ctx.keygen()
-
-    limit = 1 << compiled.precision
-    if len(features) != compiled.n_features:
-        raise RuntimeProtocolError(
-            f"model expects {compiled.n_features} features, "
-            f"got {len(features)}"
-        )
-    for value in features:
-        if not 0 <= int(value) < limit:
-            raise RuntimeProtocolError(
-                f"feature value {value} does not fit in "
-                f"{compiled.precision} unsigned bits"
-            )
-
-    replicated = replicate(
-        [int(v) for v in features], compiled.max_multiplicity
-    )
-    planes = to_bitplanes(replicated, compiled.precision)
-
-    bindings: Dict[str, Vector] = {}
-    with ctx.tracker.phase("data_encrypt"):
-        for i in range(compiled.precision):
-            bindings[FEATURE_PLANE.format(i=i)] = ctx.encrypt(
-                planes[i], keys.public
-            )
-    if NOT_ONE in graph.inputs:
-        bindings[NOT_ONE] = ctx.encrypt(
-            [1] * compiled.quantized_branching, keys.public
-        )
-    if encrypted_model:
-        with ctx.tracker.phase("model_encrypt"):
-            for i in range(compiled.precision):
-                bindings[THRESHOLD_PLANE.format(i=i)] = ctx.encrypt(
-                    compiled.threshold_planes[i], keys.public
-                )
-            for i in range(compiled.quantized_branching):
-                bindings[RESHUFFLE_DIAG.format(i=i)] = ctx.encrypt(
-                    compiled.reshuffle.diagonal(i), keys.public
-                )
-            for level in range(compiled.max_depth):
-                matrix = compiled.level_matrices[level]
-                for i in range(compiled.branching):
-                    bindings[LEVEL_DIAG.format(level=level, i=i)] = (
-                        ctx.encrypt(matrix.diagonal(i), keys.public)
-                    )
-                bindings[LEVEL_MASK.format(level=level)] = ctx.encrypt(
-                    compiled.level_masks[level], keys.public
-                )
-
-    # Inputs that the optimizer may have eliminated need no binding.
-    bindings = {
-        name: value
-        for name, value in bindings.items()
-        if name in graph.inputs
-    }
-    outputs = execute(graph, ctx, bindings, phase="ir_inference")
-    result_ct = outputs[OUTPUT_LABELS]
-    bits = ctx.decrypt_bits(result_ct, keys.secret)
-    result = InferenceResult(
-        bitvector=bits,
-        codebook=list(compiled.codebook),
-        label_names=list(compiled.label_names),
-    )
-    return IrInferenceOutcome(result=result, graph=graph, context=ctx)

@@ -46,7 +46,6 @@ from repro.fhe.tracker import OpKind
 from repro.forest.datasets import make_income_dataset
 from repro.forest.synthetic import random_forest
 from repro.forest.train import RandomForestTrainer, accuracy, train_test_split
-from repro.ir import build_inference_graph, ir_secure_inference, optimize
 from repro.ir.nodes import IrOp
 from repro.ir.plan import lower_inference
 
@@ -138,19 +137,20 @@ def test_ir_vs_runtime(name):
     w = workload_by_name(name)
     compiled = w.compiled
     feats = w.query_features(1)[0]
-    graph = optimize(build_inference_graph(compiled))
-    outcome = ir_secure_inference(compiled, feats, graph=graph)
+    outcome = secure_inference(
+        compiled, feats, engine="plan", plan=lower_inference(compiled)
+    )
     assert outcome.result.bitvector == w.forest.label_bitvector(feats)
 
     runtime_record = InferenceRunner(
         w, RunnerConfig(system=SYSTEM_COPSE, queries=1)
     ).run()
-    ir_rotations = outcome.tracker.phase_stats("ir_inference").counts.get(
+    ir_rotations = outcome.tracker.phase_stats("plan_inference").counts.get(
         OpKind.ROTATE, 0
     )
     runtime_rotations = runtime_record.op_counts.get("rotate", 0)
     ir_ms = _cost_model().phase_sequential_ms(
-        outcome.context.tracker, "ir_inference"
+        outcome.context.tracker, "plan_inference"
     )
     # The optimizer strictly reduces rotation work, at unchanged depth.
     assert ir_rotations < runtime_rotations

@@ -6,6 +6,8 @@ load-bearing layer, not an internal detail, and these tests pin the
 export surface along with the behavior.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +24,9 @@ from repro import (
     dead_code_elimination,
     execute,
     fuse_rotations,
-    ir_secure_inference,
     lower_inference,
     optimize,
+    secure_inference,
 )
 from repro.errors import CompileError, RuntimeProtocolError
 from repro.core.seccomp import VARIANT_ALOUFI, VARIANT_OPTIMIZED
@@ -455,22 +457,26 @@ class TestCopseIr:
     @pytest.mark.parametrize("encrypted_model", [True, False])
     def test_matches_direct_runtime(self, setup, variant, encrypted_model):
         forest, compiled = setup
+        plan = lower_inference(
+            compiled, encrypted_model=encrypted_model, variant=variant
+        )
         rng = np.random.default_rng(1)
         for _ in range(3):
             feats = [int(v) for v in rng.integers(0, 256, 2)]
-            ir_out = ir_secure_inference(
+            ir_out = secure_inference(
                 compiled,
                 feats,
                 encrypted_model=encrypted_model,
-                variant=variant,
+                seccomp_variant=variant,
+                engine="plan",
+                plan=plan,
             )
             assert ir_out.result.bitvector == forest.label_bitvector(feats)
 
     def test_unoptimized_also_correct(self, setup):
         forest, compiled = setup
-        out = ir_secure_inference(
-            compiled, [7, 9], graph=build_inference_graph(compiled)
-        )
+        plan = lower_inference(compiled, optimize_graph=False)
+        out = secure_inference(compiled, [7, 9], engine="plan", plan=plan)
         assert out.result.bitvector == forest.label_bitvector([7, 9])
 
     def test_optimizer_shares_level_extensions(self, setup):
@@ -491,14 +497,24 @@ class TestCopseIr:
 
     def test_graph_reuse_across_queries(self, setup):
         forest, compiled = setup
-        graph = optimize(build_inference_graph(compiled))
+        # The plan executes the full optimizer's graph, not its own.
+        plan = dataclasses.replace(
+            lower_inference(compiled),
+            graph=optimize(build_inference_graph(compiled)),
+        )
         for feats in ([1, 2], [200, 100]):
-            out = ir_secure_inference(compiled, feats, graph=graph)
+            out = secure_inference(compiled, feats, engine="plan", plan=plan)
             assert out.result.bitvector == forest.label_bitvector(feats)
 
     def test_domain_checks(self, setup):
         _, compiled = setup
-        with pytest.raises(RuntimeProtocolError):
-            ir_secure_inference(compiled, [1, 2, 3])
-        with pytest.raises(RuntimeProtocolError):
-            ir_secure_inference(compiled, [999, 0])
+        plan = lower_inference(compiled)
+        with pytest.raises(
+            RuntimeProtocolError, match="model expects 2 features, got 3"
+        ):
+            secure_inference(compiled, [1, 2, 3], engine="plan", plan=plan)
+        with pytest.raises(
+            RuntimeProtocolError,
+            match="feature value 999 does not fit in 8 unsigned bits",
+        ):
+            secure_inference(compiled, [999, 0], engine="plan", plan=plan)

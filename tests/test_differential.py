@@ -2,7 +2,8 @@
 
 Five independent implementations compute decision-forest classifications
 in this repository: plaintext inference (the oracle), COPSE via the
-direct runtime, COPSE via the optimized IR, the Aloufi et al. polynomial
+direct runtime, COPSE via the optimized IR (``secure_inference`` with
+``engine="plan"``: the staged graph, executed), the Aloufi et al. polynomial
 baseline, and the Wu et al. OT protocol — plus the three-party threshold
 variant of COPSE.  On random models and random inputs they must all
 agree, which cross-checks every layer at once (analysis, structures,
@@ -20,7 +21,7 @@ from repro.core.compiler import CopseCompiler
 from repro.core.runtime import secure_inference
 from repro.core.threeparty import three_party_inference
 from repro.forest.synthetic import random_forest
-from repro.ir import ir_secure_inference
+from repro.ir.plan import lower_inference
 
 
 @given(
@@ -47,7 +48,9 @@ def test_all_secure_paths_agree(model_seed, query_seed):
     assert direct.result.bitvector == oracle_bits
     assert direct.result.chosen_labels == oracle_labels
 
-    via_ir = ir_secure_inference(compiled, features)
+    via_ir = secure_inference(
+        compiled, features, engine="plan", plan=lower_inference(compiled)
+    )
     assert via_ir.result.bitvector == oracle_bits
 
     aloufi = baseline_inference(forest, features)
@@ -101,10 +104,10 @@ def test_single_branch_degenerate_model():
         trees=[tree], label_names=["low", "high"], n_features=1
     )
     compiled = CopseCompiler(precision=8).compile(forest)
+    plan = lower_inference(compiled)
     for x, expected in ((0, 1), (127, 1), (128, 0), (255, 0)):
         assert secure_inference(compiled, [x]).result.chosen_labels == [expected]
         assert baseline_inference(forest, [x]).result.labels == [expected]
         assert wu_inference(forest, [x]).labels == [expected]
-        assert ir_secure_inference(compiled, [x]).result.chosen_labels == [
-            expected
-        ]
+        via_ir = secure_inference(compiled, [x], engine="plan", plan=plan)
+        assert via_ir.result.chosen_labels == [expected]
