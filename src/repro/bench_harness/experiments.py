@@ -9,7 +9,7 @@ figure7   multithreaded vs single-threaded COPSE speedup
 figure8   COPSE vs baseline speedup, both multithreaded
 figure9   plaintext-model vs encrypted-model speedup (~1.4x)
 figure10  per-phase runtime breakdowns vs depth / branches / precision
-table1    per-step op counts: measured vs our formulas vs the paper's
+table1    per-step op counts: our formulas vs the paper's
 table2    total op counts and multiplicative depth
 table5    encryption-parameter sweep and the dominant setting
 table6    the microbenchmark suite's structural statistics
@@ -239,39 +239,21 @@ def figure10(queries: int = 1) -> List[Table]:
 # ---------------------------------------------------------------------------
 
 
-def table1(workload_name: str = "width78", queries: int = 1) -> List[Table]:
-    """Per-step op counts: measured vs implementation vs paper formulas."""
-    workload = _workloads([workload_name])[0]
-    compiled = workload.compiled
+def table1(workload_name: str = "width78") -> List[Table]:
+    """Per-step op counts: our implementation's formulas vs the paper's."""
+    compiled = _workloads([workload_name])[0].compiled
     p = compiled.precision
     b = compiled.branching
     q = compiled.quantized_branching
     d = compiled.max_depth
 
-    rec = _run(workload, SYSTEM_COPSE, queries)
-
     steps = [
-        (
-            "(a) comparison",
-            "comparison",
-            impl_comparison(p),
-            paper_comparison(p),
-        ),
-        (
-            "(b) one level (x d)",
-            None,
-            impl_single_level(b),
-            paper_single_level(b),
-        ),
-        (
-            "(c) accumulation",
-            "accumulate",
-            impl_accumulation(d),
-            paper_accumulation(d),
-        ),
+        ("(a) comparison", impl_comparison(p), paper_comparison(p)),
+        ("(b) one level (x d)", impl_single_level(b), paper_single_level(b)),
+        ("(c) accumulation", impl_accumulation(d), paper_accumulation(d)),
     ]
     tables: List[Table] = []
-    for title, _, impl, paper in steps:
+    for title, impl, paper in steps:
         table = Table(
             title=f"Table 1{title} — p={p} b={b} q={q} d={d}",
             columns=["op", "impl_formula", "paper_formula"],
@@ -279,14 +261,6 @@ def table1(workload_name: str = "width78", queries: int = 1) -> List[Table]:
         for op in sorted(set(impl) | set(paper)):
             table.add_row(op, impl.get(op, 0), paper.get(op, 0))
         tables.append(table)
-    # Measured per-phase counts for the record.
-    measured = Table(
-        title=f"Table 1 (measured phase counts) — {workload.name}",
-        columns=["phase", "counts"],
-    )
-    for phase, ms in rec.phase_ms.items():
-        measured.add_row(phase, f"{ms:.2f} ms")
-    tables.append(measured)
     return tables
 
 

@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--queries", type=int, default=None,
         help="queries per run (default: what the paper record uses, "
-        "1 for the figures and Table 1)",
+        "1 for the figures)",
     )
     bench.add_argument(
         "--out", default=None,
