@@ -3,7 +3,8 @@
 * :mod:`repro.bench_harness.workloads` — the 8 Table 6 microbenchmarks
   and the 4 real-world models (income5/15, soccer5/15);
 * :mod:`repro.bench_harness.runner` — the 27-query median protocol with
-  per-phase timing, for both COPSE and the baseline;
+  per-phase timing, for both COPSE and the baseline, each query through
+  its system's end-to-end driver;
 * :mod:`repro.bench_harness.experiments` — one entry point per paper
   artifact (``figure6()`` ... ``figure10()``, ``table1()`` ...
   ``table6()``);

@@ -35,10 +35,7 @@ from repro.core.complexity import (
     CopseComplexity,
     impl_accumulation,
     impl_comparison,
-    impl_levels_shared,
-    impl_reshuffle,
     impl_single_level,
-    merge_counts,
     paper_accumulation,
     paper_comparison,
     paper_single_level,
@@ -123,7 +120,9 @@ def _ratio_table(
     """
     table = Table(
         title=title,
-        columns=["model", *(name for name, _ in columns), "speedup", "category"],
+        columns=[
+            "model", *(name for name, _ in columns), "speedup", "category",
+        ],
     )
     for workload in _workloads(workload_names):
         medians = [
@@ -145,18 +144,16 @@ def _ratio_table(
     return table
 
 
-_COPSE = {"system": SYSTEM_COPSE}
-_BASELINE = {"system": SYSTEM_BASELINE}
-_MULTI = {"threads": PAPER_THREAD_COUNT}
-
-
 def figure6(
     queries: int = 3, workload_names: Optional[Sequence[str]] = None
 ) -> Table:
     """Single-threaded COPSE speedup over the Aloufi baseline."""
     return _ratio_table(
         "Figure 6: COPSE vs Aloufi et al., single-threaded",
-        [("copse_ms", _COPSE), ("baseline_ms", _BASELINE)],
+        [
+            ("copse_ms", dict(system=SYSTEM_COPSE)),
+            ("baseline_ms", dict(system=SYSTEM_BASELINE)),
+        ],
         0, queries, workload_names,
     )
 
@@ -167,7 +164,13 @@ def figure7(
     """Multithreaded COPSE speedup over single-threaded COPSE."""
     return _ratio_table(
         "Figure 7: COPSE multithreaded vs single-threaded",
-        [("single_ms", _COPSE), ("multi_ms", {**_COPSE, **_MULTI})],
+        [
+            ("single_ms", dict(system=SYSTEM_COPSE)),
+            (
+                "multi_ms",
+                dict(system=SYSTEM_COPSE, threads=PAPER_THREAD_COUNT),
+            ),
+        ],
         1, queries, workload_names,
     )
 
@@ -179,8 +182,14 @@ def figure8(
     return _ratio_table(
         "Figure 8: COPSE vs Aloufi et al., both multithreaded",
         [
-            ("copse_ms", {**_COPSE, **_MULTI}),
-            ("baseline_ms", {**_BASELINE, **_MULTI}),
+            (
+                "copse_ms",
+                dict(system=SYSTEM_COPSE, threads=PAPER_THREAD_COUNT),
+            ),
+            (
+                "baseline_ms",
+                dict(system=SYSTEM_BASELINE, threads=PAPER_THREAD_COUNT),
+            ),
         ],
         0, queries, workload_names,
     )
@@ -197,8 +206,11 @@ def figure9(
     return _ratio_table(
         "Figure 9: plaintext vs encrypted model inference",
         [
-            ("encrypted_ms", _COPSE),
-            ("plaintext_ms", {**_COPSE, "encrypted_model": False}),
+            ("encrypted_ms", dict(system=SYSTEM_COPSE)),
+            (
+                "plaintext_ms",
+                dict(system=SYSTEM_COPSE, encrypted_model=False),
+            ),
         ],
         1, queries, workload_names,
     )

@@ -125,6 +125,16 @@ class TestRunner:
         ).run()
         assert plain.median_ms < enc.median_ms
 
+    @pytest.mark.parametrize("system", [SYSTEM_COPSE, SYSTEM_BASELINE])
+    def test_threads_refused_without_an_op_dag(self, system):
+        """The vector backend's tracker keeps counts but no DAG, so its
+        work-span estimate would quietly equal the sequential time."""
+        config = RunnerConfig(
+            system=system, queries=1, threads=8, backend="vector"
+        )
+        with pytest.raises(ValidationError, match="threads=8.*'vector'"):
+            InferenceRunner(workload_by_name("width55"), config).run()
+
     def test_work_span_sanity(self):
         record = run_workload(workload_by_name("depth4"), SYSTEM_COPSE, queries=1)
         assert 0 < record.span_ms < record.work_ms

@@ -268,6 +268,19 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "fig99"])
 
+    @pytest.mark.parametrize("artifact", ["fig7", "fig8"])
+    def test_multithreaded_figures_refused_without_an_op_dag(
+        self, artifact, capsys
+    ):
+        """A DAG-less tracker has no parallel-time estimate: a vector
+        run of Figure 7 / 8 fails instead of printing sequential times
+        as multithreaded ones."""
+        argv = ["bench", artifact, "--workloads", "width55"]
+        assert main(argv + ["--backend", "vector"]) == 1
+        captured = capsys.readouterr()
+        assert "speedup" not in captured.out
+        assert "threads=32" in captured.err and "'vector'" in captured.err
+
 
 class TestServeScheduling:
     def test_serve_with_deadline_and_max_queue(self, model_file, capsys):

@@ -3,9 +3,9 @@
 Five independent implementations compute decision-forest classifications
 in this repository: plaintext inference (the oracle), COPSE via the
 direct runtime, COPSE via the optimized IR (``secure_inference`` with
-``engine="plan"``: the staged graph, executed), the Aloufi et al. polynomial
-baseline, and the Wu et al. OT protocol — plus the three-party threshold
-variant of COPSE.  On random models and random inputs they must all
+``engine="plan"``: the staged graph, executed), the Aloufi et al.
+polynomial baseline, and the Wu et al. OT protocol — plus the
+three-party threshold variant of COPSE.  On random models and random inputs they must all
 agree, which cross-checks every layer at once (analysis, structures,
 SecComp, MatMul, noise accounting, codegen of the IR, AHE, threshold
 decryption).
