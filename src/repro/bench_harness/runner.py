@@ -48,9 +48,9 @@ class RunnerConfig:
     independent; the backend choice matters for wall-clock measurements
     and for exercising a backend against the oracle.  Multithreaded
     estimates (``threads > 1``) walk the operation DAG, so a run on a
-    backend whose tracker keeps none (the vector backend's
-    :class:`~repro.fhe.tracker.CountingTracker`) is refused with a
-    :class:`~repro.errors.ValidationError`.
+    backend whose tracker keeps none (the vector and plaintext
+    backends' :class:`~repro.fhe.tracker.CountingTracker`) is refused
+    with a :class:`~repro.errors.ValidationError`.
     """
 
     system: str = SYSTEM_COPSE
