@@ -115,6 +115,14 @@ class EncryptedQuery:
 
     planes: List[Ciphertext]
     public_key: Optional[PublicKey] = None
+    #: A group: ``(k, precision, width)`` bits, row ``j`` the planes of
+    #: query ``j`` of ``k`` encrypted as one — they share ``planes``'
+    #: keys, noise states, node ids and widths, and row 0 is
+    #: ``planes``' own data.  Like a ciphertext's slots it is read only
+    #: by the engine that seats it
+    #: (:meth:`~repro.ir.megakernel.MegaKernel.run_many`); None for a
+    #: query of one.
+    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def precision(self) -> int:

@@ -6,6 +6,9 @@ is private (``_slots``); user code is expected to go through
 :class:`~repro.fhe.context.FheContext` for every operation, exactly as it
 would with a real FHE library.  ``repr`` never shows the payload.
 
+A :class:`CiphertextGroup` is several ciphertexts of one evaluation
+that share one key, noise state and node id, held as one payload.
+
 A :class:`PlainVector` is an *encoded but unencrypted* packed vector — the
 analogue of an HElib ``Ptxt`` — used for constant-operand operations
 (constant add / constant multiply) and for plaintext-model inference in the
@@ -194,6 +197,27 @@ class Ciphertext:
         ct._node_id = node_id
         ct._ct_id = next(_CT_COUNTER)
         return ct
+
+
+class CiphertextGroup:
+    """Ciphertexts of one evaluation that share one key, noise state,
+    node id and length: those of ``head``, the first of them.
+
+    Row ``j`` of the payload (``(k, length)``) is ciphertext
+    ``j``'s slots; row 0 is ``head``'s.  Like a ciphertext's, it is read
+    only by :meth:`~repro.fhe.context.FheContext.decrypt_group`.  The
+    megakernel answers a group of queries with one
+    (:meth:`~repro.ir.megakernel.MegaKernel.run_many`).
+    """
+
+    __slots__ = ("head", "_rows")
+
+    def __init__(self, head: Ciphertext, rows: np.ndarray):
+        self.head = head
+        self._rows = rows
+
+    def __repr__(self) -> str:
+        return f"CiphertextGroup({len(self._rows)} x {self.head!r})"
 
 
 def iter_bits(values: Iterable[int]):

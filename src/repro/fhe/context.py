@@ -34,7 +34,13 @@ from repro.errors import (
     SlotCapacityError,
 )
 from repro.fhe.backend import register_backend_if_missing, resolve_backend
-from repro.fhe.ciphertext import BitsLike, Ciphertext, PlainVector, coerce_bits
+from repro.fhe.ciphertext import (
+    BitsLike,
+    Ciphertext,
+    CiphertextGroup,
+    PlainVector,
+    coerce_bits,
+)
 from repro.fhe.keys import KeyPair, PublicKey, SecretKey
 from repro.fhe.noise import NoiseModel
 from repro.fhe.params import EncryptionParams
@@ -196,6 +202,19 @@ class FheContext:
         self.noise_model.check_decryptable(ct.noise)
         self.tracker.record(OpKind.DECRYPT, parents=(ct.node_id,))
         return ct._payload()[: ct.length].copy()
+
+    def decrypt_group(
+        self, group: CiphertextGroup, secret_key: SecretKey
+    ) -> np.ndarray:
+        """Decrypt every ciphertext of ``group``: ``(k, length)`` bits.
+
+        They share the head's key and noise state, so the head's
+        decryption — its key and noise checks, its one ``DECRYPT`` —
+        speaks for all of them: a group is evaluated, and booked, as
+        the one ciphertext each of them would be alone.
+        """
+        self.decrypt(group.head, secret_key)
+        return group._rows.copy()
 
     def decrypt_bits(self, ct: Ciphertext, secret_key: SecretKey) -> List[int]:
         """Decrypt to a list of Python ints (convenience)."""

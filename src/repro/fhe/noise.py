@@ -58,6 +58,12 @@ class NoiseState:
         return f"level={self.level} slack={self.slack:.3f}"
 
 
+#: The noise of every freshly encrypted ciphertext: one shared state (it
+#: is frozen), so a signature can tell a fresh input by identity instead
+#: of hashing the dataclass (:meth:`repro.ir.megakernel.MegaKernel._signature`).
+FRESH = NoiseState()
+
+
 class NoiseModel:
     """Combines :class:`NoiseState` values according to BGV-style rules."""
 
@@ -75,8 +81,8 @@ class NoiseModel:
     # ------------------------------------------------------------------
 
     def fresh(self) -> NoiseState:
-        """Noise of a freshly encrypted ciphertext."""
-        return NoiseState(level=0, slack=0.0)
+        """Noise of a freshly encrypted ciphertext: :data:`FRESH`."""
+        return FRESH
 
     def after_add(self, a: NoiseState, b: NoiseState) -> NoiseState:
         state = NoiseState(

@@ -56,6 +56,11 @@ class OpKind(enum.Enum):
     AHE_ADD = "ahe_add"
     AHE_MUL_PLAIN = "ahe_mul_plain"
 
+    #: Members are singletons compared by identity, so identity hashing
+    #: is consistent with equality.  It replaces ``Enum``'s Python-level
+    #: ``__hash__`` on every count-dict update.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class OpNode:
@@ -350,11 +355,12 @@ class CountingTracker(OpTracker):
                 self._phase_stack[-1] if self._phase_stack else UNSCOPED_PHASE
             )
             counts = self._active_counts = self._counts_for(phase)
-        total = 0
-        for kind, n in kinds.items():
-            counts[kind] = counts.get(kind, 0) + n
-            total += n
-        self._total += total
+        if counts:
+            for kind, n in kinds.items():
+                counts[kind] = counts.get(kind, 0) + n
+        else:  # the phase's first record: a copy, in the kernel's order
+            counts.update(kinds)
+        self._total += sum(kinds.values())
         if depth > self._max_depth:
             self._max_depth = depth
         return depth

@@ -41,10 +41,16 @@ Python dispatch**:
   resident model rows, the constant pool, the ones row — is seated as
   a mask (``0x00`` / ``0xFF``), and run *j*'s outputs are bit *j* of
   the output rows.  A single run is the group of one, in bit 0; there
-  is no second plane and no second program.  Only slot data is shared:
-  binding, signature, book, bulk bookkeeping and every refusal stay
-  per run, on that run's own context.  Eight is what a ``uint8`` lane
-  holds — a wider dtype multiplies the bytes every step moves;
+  is no second plane and no second program.  Only slot data is shared
+  between runs: binding, signature, book, bulk bookkeeping and every
+  refusal stay per run, on that run's own context.  A run may itself
+  be a group — a query whose ``rows`` hold the data of ``k``
+  encryptions that share its planes' keys, noise, node ids and widths
+  (:class:`~repro.core.runtime.EncryptedQuery`): it is bound, signed,
+  booked and refused once, its rows take ``k`` consecutive bits, and
+  it answers with a :class:`~repro.fhe.ciphertext.CiphertextGroup`.
+  Eight is what a ``uint8`` lane holds — a wider dtype multiplies the
+  bytes every step moves;
 * **segment grammar** — SSA scheduling collapses the stream into one
   *segment* per dependency level, far fewer than the tape's hazard
   breaks allow (register reuse in the tape forces a new segment at every
@@ -108,7 +114,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import RuntimeProtocolError
-from repro.fhe.ciphertext import Ciphertext, PlainVector
+from repro.fhe.ciphertext import Ciphertext, CiphertextGroup, PlainVector
+from repro.fhe.noise import FRESH
+from repro.ir.copse_ir import FEATURE_PLANE
 from repro.ir.tape import (
     OP_ADD,
     OP_CADD,
@@ -126,6 +134,9 @@ __all__ = ["MAX_GROUP", "MegaKernel", "compile_megakernel"]
 #: Runs one pass of the step program can serve: the bits of a ``uint8``
 #: lane (module docstring, "bit-sliced plane").
 MAX_GROUP = 8
+
+#: Bit ``j`` of a lane for ciphertext ``j`` of a pass.
+_SHIFTS = np.arange(MAX_GROUP, dtype=np.uint8)
 
 
 class _Book:
@@ -403,17 +414,22 @@ class MegaKernel:
         return outcome
 
     def run_many(self, runs, phase: Optional[str] = None) -> List:
-        """Execute up to :data:`MAX_GROUP` ``(ctx, model, query)`` runs
-        of one model bundle in a single pass of the step program.
+        """Execute ``(ctx, model, query)`` runs of one model bundle —
+        up to :data:`MAX_GROUP` ciphertexts — in a single pass of the
+        step program.
 
-        Returns, per run and in order, its result ciphertext or the
-        exception that run raised.  Everything but the step program is
-        per run, exactly as ``len(runs)`` calls of :meth:`run` would do
-        it and in that order: the tape's fail-closed fingerprint check,
-        the query binding, the signature and its book (looked up or
-        captured), the bulk bookkeeping under ``phase`` on that run's
-        own tracker, the seat refusals — so a refusal, or a noise
-        failure the book caches, takes out that run alone.  The phase
+        Returns, per run and in order, its result ciphertext (for a
+        query with ``rows``, the :class:`CiphertextGroup` of its
+        results) or the exception that run raised.  Everything but the
+        step program is per run, exactly as ``len(runs)`` calls of
+        :meth:`run` would do it and in that order: the tape's
+        fail-closed fingerprint check, the query binding, the signature
+        and its book (looked up or captured), the bulk bookkeeping
+        under ``phase`` on that run's own tracker, the seat refusals —
+        so a refusal, or a noise failure the book caches, takes out
+        that run alone.  A query with ``rows`` is one run whose data
+        rows take one bit each: its planes describe every row, so they
+        are bound, signed, booked and checked once.  The phase
         defaults to the megakernel phase so serve stats attribute the
         work to this engine on every backend (including tape-loop
         fallbacks).
@@ -429,8 +445,9 @@ class MegaKernel:
 
         Runs that cannot share a pass — a backend without
         ``megakernel_ops``, a tape outside the gather grammar, bundles
-        that differ or whose planes are not resident-able, more runs
-        than a lane has bits — are executed one by one.
+        that differ or whose planes are not resident-able, more
+        ciphertexts than a lane has bits — are executed one by one,
+        and the tape loop refuses a query of more than one row.
         """
         from repro.core.engines import PHASE_MEGAKERNEL
 
@@ -446,17 +463,20 @@ class MegaKernel:
         seated = []
         for index, (ctx, model, query) in enumerate(runs):
             try:
-                seated.append(
-                    (index, *self._enter(state, ctx, model, query, phase))
-                )
+                seated.append((
+                    index, query.rows is not None,
+                    *self._enter(state, ctx, model, query, phase),
+                ))
             except Exception as exc:
                 outcomes[index] = exc
         if seated:
-            self._pass(state, [slots for _, _, _, slots in seated])
-        for bit, (index, book, keys, _) in enumerate(seated):
-            outcomes[index] = _labels_of(
-                self._outputs(state, book, keys, bit)
-            )
+            self._pass(state, [unit for *_, unit in seated])
+        bit = 0
+        for index, grouped, book, keys, (count, _) in seated:
+            outcomes[index] = _labels_of(self._outputs(
+                state, book, keys, bit, count if grouped else None,
+            ))
+            bit += count
         return outcomes
 
     def group_limit(self, ctx) -> int:
@@ -471,7 +491,10 @@ class MegaKernel:
 
     def _shares_pass(self, runs) -> bool:
         """Whether ``runs`` can go through the plane together."""
-        if not 1 <= len(runs) <= MAX_GROUP:
+        if not runs or sum(
+            1 if query.rows is None else len(query.rows)
+            for _, _, query in runs
+        ) > MAX_GROUP:
             return False
         model = runs[0][1]
         for ctx, other, _ in runs:
@@ -503,8 +526,16 @@ class MegaKernel:
         )
 
     def _run_tape(self, ctx, model, query, phase):
-        """One run through the tape loop: its outcome."""
+        """One run through the tape loop: its outcome.  The loop runs
+        the query's planes, so a group of one answers with its
+        ciphertext and a larger group is refused."""
         try:
+            if query.rows is not None and len(query.rows) > 1:
+                raise RuntimeProtocolError(
+                    f"a group of {len(query.rows)} queries runs only in "
+                    f"one megakernel pass, at most {MAX_GROUP} on a "
+                    f"backend with megakernel_ops"
+                )
             return _labels_of(self.tape.execute(
                 ctx, self._bind_all(ctx, model, query), phase=phase,
             ))
@@ -514,24 +545,53 @@ class MegaKernel:
     def _enter(self, state, ctx, model, query, phase):
         """One run up to the pass: bind, book, seat what is its alone.
 
-        Returns ``(book, keys, slots)`` (see :meth:`_seat_run`).
+        Returns ``(book, keys, (count, slots))`` (see :meth:`_seat_run`
+        and :meth:`_rows_of`).
         """
         from repro.ir.plan import bind_query_inputs
 
         resident = self._resident_for(model, query)
         if resident is not None:
             self._check_bundle(model)
-            return self._seat_run(
+            book, keys, slots = self._seat_run(
                 state, ctx,
                 bind_query_inputs(ctx, self.input_widths, query),
                 phase, resident,
             )
-        bindings = self._bind_all(ctx, model, query)
-        self._require_bound(bindings)
-        return self._seat_run(
-            state, ctx, bindings, phase,
-            holder=self._holder_of(model, query),
-        )
+        else:
+            bindings = self._bind_all(ctx, model, query)
+            self._require_bound(bindings)
+            book, keys, slots = self._seat_run(
+                state, ctx, bindings, phase,
+                holder=self._holder_of(model, query),
+            )
+        return book, keys, self._rows_of(query, slots)
+
+    def _rows_of(self, query, slots):
+        """``(count, slots)``: the run's ciphertexts and what the pass
+        seats for them.  A query with ``rows`` takes its planes' data
+        from them — ``(count, width)`` for a group of many, row 0 for a
+        group of one — once its shape is checked against the planes it
+        holds; what its ciphertexts share (the helper) stays one row.
+        """
+        rows = query.rows
+        if rows is None:
+            return 1, slots
+        count = len(rows)
+        if count < 1 or rows.shape[1:] != (len(query.planes), query.width):
+            raise RuntimeProtocolError(
+                f"query rows of shape {rows.shape} do not hold "
+                f"{len(query.planes)} planes of width {query.width}"
+            )
+        slots = list(slots)
+        for position, plane, width in self._plan.query_planes:
+            if width != query.width:
+                raise RuntimeProtocolError(
+                    f"input {FEATURE_PLANE.format(i=plane)!r} is declared "
+                    f"{width} wide, its group's rows {query.width}"
+                )
+            slots[position] = rows[:, plane] if count > 1 else rows[0, plane]
+        return count, slots
 
     def execute(self, ctx, bindings, phase: Optional[str] = None):
         """Run with named input bindings (the tape executor API).
@@ -547,7 +607,7 @@ class MegaKernel:
         self._require_bound(bindings)
         state = self._buffer(self._plan)
         book, keys, slots = self._seat_run(state, ctx, bindings, phase)
-        self._pass(state, [slots])
+        self._pass(state, [(1, slots)])
         return self._outputs(state, book, keys, 0)
 
     # -- residency: what a thread's plane already holds -------------------
@@ -677,18 +737,23 @@ class MegaKernel:
         return book, keys, _checked_slots(plan.query_seats[0], bindings)
 
     def _pass(self, state, group) -> None:
-        """Seat the query slots of every run of ``group`` — run ``j`` in
-        bit ``j`` of each lane — and run the step program once."""
+        """Seat the query slots of every run of ``group`` — ``(count,
+        slots)`` per run (:meth:`_rows_of`), its ciphertexts in the next
+        ``count`` bits of each lane from bit 0 — and run the step
+        program once."""
         seats = self._plan.query_seats
-        if len(group) == 1:
-            _store(state.plane, seats, group[0])
+        if len(group) == 1 and group[0][0] == 1:
+            _store(state.plane, seats, group[0][1])
         else:
             _store_sliced(state.plane, seats, group)
         for step in state.program:
             step()
 
-    def _outputs(self, state, book, keys, bit):
-        """Wrap what the pass left in bit ``bit`` of the output rows."""
+    def _outputs(self, state, book, keys, bit, count=None):
+        """Wrap what the pass left in bit ``bit`` of the output rows —
+        in bits ``bit .. bit + count - 1``, as one
+        :class:`CiphertextGroup` per output, for a run of ``count``
+        rows."""
         plan = self._plan
         R = state.plane
         outputs = {}
@@ -700,14 +765,21 @@ class MegaKernel:
             meta = book.outputs[name]
             length = meta[4] if meta[0] == "c" else meta[1]
             slots = R[row, :length]
-            if bit:
-                slots = slots >> bit
-            slots = slots & 1  # a fresh array: the plane is reused
+            if count is not None:
+                rows = slots >> _SHIFTS[bit : bit + count, None]
+                rows &= 1
+                slots = rows[0]
+            else:
+                if bit:
+                    slots = slots >> bit
+                slots = slots & 1  # a fresh array: the plane is reused
             if meta[0] == "c":
                 _, canon_key, noise, node_id, length = meta
                 outputs[name] = Ciphertext._make(
                     slots, length, keys[canon_key], noise, node_id,
                 )
+                if count is not None:
+                    outputs[name] = CiphertextGroup(outputs[name], rows)
             else:
                 outputs[name] = PlainVector(slots)
         return outputs
@@ -721,7 +793,10 @@ class MegaKernel:
         ``keys`` is the canonical key list so far and grows by first
         appearance.  Input order is fixed by ``names`` and a "c"/"p"
         marker leads each entry, so positions stay unambiguous without
-        hashing name strings and nested tuples.
+        hashing name strings and nested tuples.  A fresh input's noise
+        is the shared :data:`~repro.fhe.noise.FRESH` state and stands as
+        ``None`` (no noise state is ever ``None``), so the common
+        signature hashes no noise dataclass.
         """
         canon = {key_id: index for index, key_id in enumerate(keys)}
         items: List = []
@@ -735,9 +810,10 @@ class MegaKernel:
                 if index is None:
                     index = canon[key_id] = len(keys)
                     keys.append(key_id)
+                noise = value._noise
                 extend(
-                    ("c", index, value._noise, value._node_id,
-                     value._length)
+                    ("c", index, None if noise is FRESH else noise,
+                     value._node_id, value._length)
                 )
             else:
                 extend(("p", value.length))
@@ -873,12 +949,12 @@ class _ThreadState:
         self.resident: Optional[_Resident] = None
 
 
-def _labels_of(outputs) -> Ciphertext:
-    """The result ciphertext among a run's named outputs."""
+def _labels_of(outputs):
+    """The result ciphertext (or group) among a run's named outputs."""
     from repro.ir.plan import OUTPUT_LABELS
 
     result = outputs[OUTPUT_LABELS]
-    if not isinstance(result, Ciphertext):  # pragma: no cover
+    if not isinstance(result, (Ciphertext, CiphertextGroup)):  # pragma: no cover
         raise RuntimeProtocolError("megakernel result must be encrypted")
     return result
 
@@ -939,35 +1015,39 @@ def _store(R, seats, arrs) -> None:
 
 
 def _store_sliced(R, seats, group) -> None:
-    """Seat the checked slots of several runs, run ``j`` in bit ``j``.
+    """Seat the checked slots of several ciphertexts, ciphertext ``j``
+    of the pass in bit ``j``.
 
-    The same two arms as :func:`_store`: the runs' slots are stacked
-    (one flat row per run, or input by input), run ``j``'s row is
-    shifted left by ``j`` and the rows are ORed together.
-    (``np.packbits`` along the run axis does the same ten times
+    ``group`` holds ``(count, slots)`` per run, an input's slots being
+    one row its ``count`` ciphertexts share or ``(count, width)`` rows.
+    The same two arms as :func:`_store`: every ciphertext's slots are
+    stacked (all inputs at once, or input by input), ciphertext ``j``'s
+    are shifted left by ``j`` and the stack is ORed together.
+    (``np.packbits`` along the ciphertext axis does the same ten times
     slower: it walks the short axis per output byte.)
     """
     specs, start = seats
-    shifts = np.arange(len(group), dtype=np.uint8)[:, None]
+    total = sum(count for count, _ in group)
+    shifts = _SHIFTS[:total, None]
     if start is not None:
-        stack = np.empty((len(group), len(specs) * R.shape[1]), np.uint8)
-        try:
-            for flat, arrs in zip(stack, group):
-                np.concatenate(arrs, out=flat)
-        except (TypeError, ValueError):
-            pass
-        else:
-            np.left_shift(stack, shifts, out=stack)
-            np.bitwise_or.reduce(
-                stack, axis=0,
-                out=R[start : start + len(specs)].reshape(-1),
-            )
-            return
+        stack = np.empty((total, len(specs), R.shape[1]), np.uint8)
+        at = 0
+        for count, arrs in group:
+            block = stack[at : at + count]
+            for i, slots in enumerate(arrs):
+                block[:, i] = slots
+            at += count
+        np.left_shift(stack, shifts[..., None], out=stack)
+        np.bitwise_or.reduce(stack, axis=0, out=R[start : start + len(specs)])
+        return
     for i, spec in enumerate(specs):
-        stack = np.stack([arrs[i] for arrs in group]).astype(np.uint8)
-        np.bitwise_or.reduce(
-            stack << shifts, axis=0, out=R[spec[1], : spec[2]]
-        )
+        stack = np.empty((total, spec[2]), np.uint8)
+        at = 0
+        for count, arrs in group:
+            stack[at : at + count] = arrs[i]
+            at += count
+        np.left_shift(stack, shifts, out=stack)
+        np.bitwise_or.reduce(stack, axis=0, out=R[spec[1], : spec[2]])
 
 
 def _seat_masks(R, seats, bindings) -> None:
@@ -1009,7 +1089,7 @@ class _Plan:
     __slots__ = (
         "rows", "lanes", "steps", "const_seats", "ones_row",
         "output_rows", "num_segments", "data_rows",
-        "query_seats", "model_seats",
+        "query_seats", "model_seats", "query_planes",
     )
 
     def __init__(self, rows, lanes, steps, const_seats, ones_row,
@@ -1027,6 +1107,14 @@ class _Plan:
         #: inputs (once per resident bundle); see :func:`_seat_group`.
         self.query_seats = query_seats
         self.model_seats = model_seats
+        #: ``(position in the query seats, plane index, width)`` of each
+        #: feature plane a query seats: where a group's rows go.
+        prefix = FEATURE_PLANE.format(i="")
+        self.query_planes = tuple(
+            (position, int(name[len(prefix):]), width)
+            for position, (name, _, width, _) in enumerate(query_seats[0])
+            if name.startswith(prefix)
+        )
 
 
 class _Value:

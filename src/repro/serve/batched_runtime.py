@@ -51,7 +51,7 @@ from repro.core.engines import (
 )
 from repro.core.runtime import EncryptedQuery, compare_stage
 from repro.core.seccomp import VARIANT_ALOUFI
-from repro.fhe.ciphertext import Ciphertext
+from repro.fhe.ciphertext import Ciphertext, CiphertextGroup
 from repro.fhe.context import FheContext, Vector
 from repro.fhe.keys import KeyPair, PublicKey
 from repro.fhe.tracker import CountingTracker, OpKind, OpTracker
@@ -60,10 +60,8 @@ from repro.fhe.tracker import CountingTracker, OpKind, OpTracker
 from repro.ir.plan import gather_segments
 from repro.serve.packing import (
     BatchLayout,
-    demux_bitvectors,
     demux_group,
     pack_group_planes,
-    pack_query_planes,
     segment_mask,
     tile_model_vector,
 )
@@ -263,25 +261,36 @@ def encrypt_batch(
 
     One encryption per bit plane serves the whole batch — this is where
     the per-query ``data_encrypt`` cost collapses by a factor of the
-    batch fill.
+    batch fill.  The query of one of :func:`encrypt_planes`.
     """
-    return encrypt_planes(ctx, pack_query_planes(layout, queries), keys)
+    query = encrypt_planes(ctx, pack_group_planes(layout, [queries]), keys)
+    return EncryptedQuery(planes=query.planes, public_key=query.public_key)
 
 
 def encrypt_planes(
-    ctx: FheContext, planes: np.ndarray, keys: KeyPair
+    ctx: FheContext, block: np.ndarray, keys: KeyPair
 ) -> EncryptedQuery:
-    """Encrypt one batch's packed ``(precision, width)`` planes under
-    ``data_encrypt``: whole, by ``encrypt_many`` (the block was built
-    and range-checked by the packer, so it is not re-validated plane by
-    plane), or plane by plane on a backend without it."""
+    """Encrypt a group's packed ``(k, precision, width)`` plane block
+    (:func:`~repro.serve.packing.pack_group_planes`) under
+    ``data_encrypt``, as one query whose ``rows`` are the block.
+
+    The ``k`` batches are one array under one public key, so they share
+    one width, one fresh noise state and, by row, one node id: the
+    first batch is encrypted and booked — whole, by ``encrypt_many``
+    (the block was built and range-checked by the packer, so it is not
+    re-validated plane by plane), or plane by plane on a backend
+    without it — and its ciphertexts describe every row.
+    """
     encrypt_many = getattr(ctx, "encrypt_many", None)
+    planes = block[0]
     with ctx.tracker.phase(PHASE_DATA_ENCRYPT):
         if encrypt_many is not None:
             encrypted = encrypt_many(planes, keys.public)
         else:
             encrypted = [ctx.encrypt(plane, keys.public) for plane in planes]
-    return EncryptedQuery(planes=encrypted, public_key=keys.public)
+    return EncryptedQuery(
+        planes=encrypted, public_key=keys.public, rows=block
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +426,38 @@ class BatchedCopseServer:
 
     def classify_batch(
         self, model: BatchedEncryptedModel, query: EncryptedQuery
-    ) -> Ciphertext:
-        """One ciphertext of queries through Algorithm 1: the group of
-        one of :func:`classify_batches`."""
-        return result_of(classify_batches([self], model, [query])[0])
+    ):
+        """One ciphertext of queries through Algorithm 1: its result
+        ciphertext.
+
+        A query with ``rows`` is a group of ciphertexts.  An artifact
+        with ``run_many`` (the megakernel) runs it in one pass and
+        answers with the :class:`~repro.fhe.ciphertext.CiphertextGroup`
+        of its results — on the tape loop, a group of one with its
+        ciphertext; every other engine takes a group of one as its
+        planes and refuses a larger group.
+        """
+        row = engine_row(self.engine)
+        artifact = None if row.artifact is None else getattr(
+            self, row.artifact
+        )
+        if (
+            query.rows is not None and len(query.rows) > 1
+            and getattr(artifact, "run_many", None) is None
+        ):
+            raise RuntimeProtocolError(
+                f"engine {self.engine!r} evaluates one ciphertext at a "
+                f"time, not a group of {len(query.rows)}"
+            )
+        local = self._admit(model, query)
+        if row.artifact is None:
+            return self._interpret(local, query)
+        layout = model.layout
+        return result_of(run_artifact(
+            row, artifact, [(self.ctx, local, query)],
+            self.seccomp_variant,
+            batch_shape=(layout.stride, layout.capacity),
+        )[0])
 
     def _admit(
         self, model: BatchedEncryptedModel, query: EncryptedQuery
@@ -503,51 +540,6 @@ class BatchedCopseServer:
         return results
 
 
-def classify_batches(
-    servers: Sequence[BatchedCopseServer],
-    model: BatchedEncryptedModel,
-    queries: Sequence[EncryptedQuery],
-) -> List:
-    """``servers[i].classify_batch(model, queries[i])`` for every ``i``:
-    each one's result ciphertext, or the exception it raised.
-
-    The servers are one configuration over one context per ciphertext
-    (the first one's engine, artifacts and variant speak for all).
-    Everything is per ciphertext — the layout refusals, the adoption,
-    the interpreter — except the cached artifact's execution, which
-    :func:`~repro.core.engines.run_artifact` is handed whole so the
-    megakernel can share one pass; its own refusals, which depend on
-    the artifact alone, then refuse every ciphertext alike.
-    """
-    first = servers[0]
-    row = engine_row(first.engine)
-    outcomes: List = [None] * len(servers)
-    runs, positions = [], []
-    for position, (server, query) in enumerate(zip(servers, queries)):
-        try:
-            local = server._admit(model, query)
-            if row.artifact is None:
-                outcomes[position] = server._interpret(local, query)
-            else:
-                runs.append((server.ctx, local, query))
-                positions.append(position)
-        except Exception as exc:
-            outcomes[position] = exc
-    if runs:
-        layout = model.layout
-        try:
-            results = run_artifact(
-                row, getattr(first, row.artifact), runs,
-                first.seccomp_variant,
-                batch_shape=(layout.stride, layout.capacity),
-            )
-        except Exception as exc:
-            results = [exc] * len(runs)
-        for position, result in zip(positions, results):
-            outcomes[position] = result
-    return outcomes
-
-
 # ---------------------------------------------------------------------------
 # The one batch-evaluation routine
 # ---------------------------------------------------------------------------
@@ -559,8 +551,8 @@ class BatchEvaluation:
 
     ``phase_ms``, ``inference_ms`` and ``phase_op_counts`` are a pure
     function of the tracker's counts: the batches of one call whose
-    counts are equal share these very objects.  Read them, never change
-    them.
+    counts are equal share these very objects, and the batches of one
+    group share its tracker too.  Read them, never change them.
     """
 
     engine: str
@@ -571,6 +563,7 @@ class BatchEvaluation:
     #: Per-query oracle agreement (None when verification was off or the
     #: model has no source forest).
     oracle_ok: Optional[List[bool]]
+    #: The batch's book: what it recorded, evaluated alone or in a group.
     tracker: OpTracker
     #: Operation counts per tracker phase, ``{phase: {op: n}}``.
     phase_op_counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -595,10 +588,9 @@ def evaluate_registered_batch(
 
 
 class _InFlight:
-    """One ciphertext of a group on its way through the routine."""
+    """One ciphertext of a call on its way through the routine."""
 
-    __slots__ = ("features", "server", "query", "encrypted", "bits",
-                 "bitvectors", "oracle_ok", "outcome")
+    __slots__ = ("features", "bitvectors", "oracle_ok", "outcome")
 
     def __init__(self, features):
         self.features = features
@@ -613,6 +605,47 @@ class _InFlight:
                 step(self, *args)
             except Exception as exc:
                 self.outcome = exc
+
+
+class _Group:
+    """Batches of one call that go through the pipeline as one: one
+    context, one encryption, one pass, one decryption and one book,
+    which each of them would book alone.  On an engine that evaluates
+    one ciphertext at a time, every group is one batch."""
+
+    __slots__ = ("flights", "ctx", "server", "query", "result")
+
+    def __init__(self, flights: List[_InFlight]):
+        self.flights = flights
+
+
+def _advance(groups: List[_Group], steps, step) -> List[_Group]:
+    """``step`` on every group; the groups still going, in order.
+
+    A batch alone that raises is done: the exception is its outcome.  A
+    group of many that raises goes again batch by batch, each from the
+    first step, so the error fails only the batch it comes from.
+    """
+    going = []
+    for group in groups:
+        try:
+            step(group)
+        except Exception as exc:
+            if len(group.flights) == 1:
+                group.flights[0].outcome = exc
+                continue
+            for flight in group.flights:
+                alone = _Group([flight])
+                try:
+                    for done in steps[: steps.index(step) + 1]:
+                        done(alone)
+                except Exception as exc:
+                    flight.outcome = exc
+                else:
+                    going.append(alone)
+        else:
+            going.append(group)
+    return going
 
 
 def _book(tracker) -> List[Tuple[str, List[Tuple[OpKind, int]]]]:
@@ -637,20 +670,26 @@ def evaluate_registered_batches(
     Per batch (one ciphertext of up to ``capacity`` queries): pack +
     encrypt, execute, decrypt, demux, cost-model phase attribution,
     oracle — on a fresh :class:`FheContext` built on the registered
-    model's backend, so evaluations never share tracker state.  The
-    batches of one call go through each stage together, and what is
-    the same for all of them is done once: their planes are packed as
-    one block (each ciphertext encrypts its own rows of it), an engine
-    that can (the megakernel) executes them in one pass, their results
-    are demultiplexed in one go, the oracle walks all their queries at
-    once, and a batch whose counts equal the last priced batch's, item
-    for item and in order, shares its cost-model figures and counts.
-    What depends on a ciphertext's data stays per ciphertext: its
-    encryption, the refusals, decryption with its key and noise checks,
-    the oracle verdicts.  A batch that raises drops out and the others
-    go on; should a shared step raise, it is retried batch by batch, so
-    the error fails only the batch it comes from.  Returns, per batch,
-    its :class:`BatchEvaluation` or the exception it raised.
+    model's backend, so evaluations never share tracker state with
+    anything but their own group.  A group is as many batches as the
+    engine's artifact runs in one pass (``group_limit``: the
+    megakernel's eight on a backend with ``megakernel_ops``, else one),
+    and what is the same for all of them is done once: they are packed
+    as one ``(k, precision, width)`` block, encrypted and booked as one
+    query whose ``rows`` are that block, bound, signed, booked and run
+    in one pass, and decrypted by one checked decryption of their
+    shared key and noise (:class:`_Group`) — the book each of them
+    would have alone, which they then share with its cost-model
+    figures and counts.  Across groups, a batch whose counts equal the
+    last priced batch's, item for item and in order, shares those
+    figures too.  The results are demultiplexed per group, and the
+    oracle walks all the call's queries at once.  What depends on a
+    ciphertext's data stays per ciphertext: its rows, its bit of the
+    pass, its decrypted slice, its oracle verdicts.  A batch that raises
+    drops out and the others go on; should a shared step raise, it is
+    retried batch by batch, so the error fails only the batch it comes
+    from.  Returns, per batch, its :class:`BatchEvaluation` or the
+    exception it raised.
 
     Every caller that evaluates a batch (the worker's reduce function,
     on either transport, and the bench experiments) goes through here;
@@ -669,32 +708,43 @@ def evaluate_registered_batches(
     batched_model = registered.batched_model
     layout = registered.layout
     cost = registered.cost_model
+    params, backend = registered.params, registered.backend
     inference_phases = engine_row(engine).phases
     priced_phases = (PHASE_DATA_ENCRYPT,) + inference_phases
     artifacts = artifacts_of(registered)
     forest = registered.forest if verify_oracle else None
     stage = on_stage if on_stage is not None else (lambda name: None)
     flights = [_InFlight(features) for features in batches]
+    contexts = [FheContext(params, backend=backend)]
+    lanes = _pass_lanes(artifacts, engine, contexts[0])
 
-    def pack(flight, planes):
-        ctx = FheContext(registered.params, backend=registered.backend)
-        flight.server = BatchedCopseServer(
-            ctx,
+    def pack(group):
+        group.ctx = (
+            contexts.pop() if contexts else FheContext(params, backend=backend)
+        )
+        group.server = BatchedCopseServer(
+            group.ctx,
             seccomp_variant=registered.seccomp_variant,
             engine=engine,
             **artifacts,
         )
-        if planes is None:  # the group was refused: this batch alone
-            planes = pack_query_planes(layout, flight.features)
-        flight.query = encrypt_planes(ctx, planes, keys)
+        group.query = encrypt_planes(group.ctx, pack_group_planes(
+            layout, [flight.features for flight in group.flights]
+        ), keys)
 
-    def decrypt(flight):
-        flight.bits = flight.server.ctx.decrypt(flight.encrypted, keys.secret)
+    def execute(group):
+        group.result = group.server.classify_batch(batched_model, group.query)
 
-    def demux(flight):
-        flight.bitvectors = demux_bitvectors(
-            layout, flight.bits, len(flight.features)
-        )
+    def decrypt(group):
+        result = group.result
+        if isinstance(result, CiphertextGroup):
+            bits = group.ctx.decrypt_group(result, keys.secret)
+        else:
+            bits = [group.ctx.decrypt(result, keys.secret)]
+        for flight, bitvectors in zip(group.flights, demux_group(
+            layout, bits, [len(flight.features) for flight in group.flights]
+        )):
+            flight.bitvectors = bitvectors
 
     def verify(flight, expected=None):
         if expected is None:
@@ -703,73 +753,16 @@ def evaluate_registered_batches(
             bits == want for bits, want in zip(flight.bitvectors, expected)
         ]
 
-    priced = None  # (book, phase_ms, inference_ms, phase_op_counts)
-
-    def resolve(flight):
-        nonlocal priced
-        tracker = flight.server.ctx.tracker
-        book = _book(tracker)
-        if priced is None or priced[0] != book:
-            phase_ms = {
-                phase: cost.phase_sequential_ms(tracker, phase)
-                for phase in priced_phases
-            }
-            priced = (
-                book, phase_ms,
-                sum(phase_ms[p] for p in inference_phases),
-                {
-                    phase: {kind.value: n for kind, n in counts}
-                    for phase, counts in book
-                },
-            )
-        _, phase_ms, inference_ms, phase_op_counts = priced
-        flight.outcome = BatchEvaluation(
-            engine=engine,
-            bitvectors=flight.bitvectors,
-            phase_ms=phase_ms,
-            inference_ms=inference_ms,
-            oracle_ok=flight.oracle_ok,
-            tracker=tracker,
-            phase_op_counts=phase_op_counts,
-        )
-
-    stage("pack")
-    try:
-        block = pack_group_planes(layout, batches)
-    except Exception:
-        block = [None] * len(flights)
-    for flight, planes in zip(flights, block):
-        flight.attempt(pack, planes)
-    stage("execute")
-    packed = [flight for flight in flights if flight.outcome is None]
-    if packed:
-        results = classify_batches(
-            [flight.server for flight in packed], batched_model,
-            [flight.query for flight in packed],
-        )
-        for flight, result in zip(packed, results):
-            if isinstance(result, Exception):
-                flight.outcome = result
-            else:
-                flight.encrypted = result
-    stage("demux")
-    for flight in flights:
-        flight.attempt(decrypt)
-    decrypted = [flight for flight in flights if flight.outcome is None]
-    if decrypted:
-        try:
-            demuxed = demux_group(
-                layout, [flight.bits for flight in decrypted],
-                [len(flight.features) for flight in decrypted],
-            )
-        except Exception:
-            for flight in decrypted:
-                flight.attempt(demux)
-        else:
-            for flight, bitvectors in zip(decrypted, demuxed):
-                flight.bitvectors = bitvectors
+    steps = (pack, execute, decrypt)
+    groups = [
+        _Group(flights[at : at + lanes])
+        for at in range(0, len(flights), lanes)
+    ]
+    for name, step in zip(("pack", "execute", "demux"), steps):
+        stage(name)
+        groups = _advance(groups, steps, step)
     stage("resolve")
-    answered = [flight for flight in flights if flight.outcome is None]
+    answered = [flight for group in groups for flight in group.flights]
     if forest is not None and answered:
         # One walk of the plaintext forest for every answered query of
         # the call (they passed the packer's checks), not one per batch.
@@ -786,9 +779,49 @@ def evaluate_registered_batches(
         else:
             for flight in answered:
                 verify(flight, expected)
-    for flight in flights:
-        flight.attempt(resolve)
+    priced = None  # (book, phase_ms, inference_ms, phase_op_counts)
+    for group in groups:
+        tracker = group.ctx.tracker
+        try:
+            book = _book(tracker)
+            if priced is None or priced[0] != book:
+                phase_ms = {
+                    phase: cost.phase_sequential_ms(tracker, phase)
+                    for phase in priced_phases
+                }
+                priced = (
+                    book, phase_ms,
+                    sum(phase_ms[p] for p in inference_phases),
+                    {
+                        phase: {kind.value: n for kind, n in counts}
+                        for phase, counts in book
+                    },
+                )
+        except Exception as exc:
+            for flight in group.flights:
+                flight.outcome = flight.outcome or exc
+            continue
+        _, phase_ms, inference_ms, phase_op_counts = priced
+        for flight in group.flights:
+            if flight.outcome is None:
+                flight.outcome = BatchEvaluation(
+                    engine=engine,
+                    bitvectors=flight.bitvectors,
+                    phase_ms=phase_ms,
+                    inference_ms=inference_ms,
+                    oracle_ok=flight.oracle_ok,
+                    tracker=tracker,
+                    phase_op_counts=phase_op_counts,
+                )
     return [flight.outcome for flight in flights]
+
+
+def _pass_lanes(artifacts, engine: str, ctx: FheContext) -> int:
+    """Batches one pass of ``engine``'s artifact among ``artifacts``
+    runs on ``ctx``'s backend: its ``group_limit``, else one."""
+    kind = engine_row(engine).artifact
+    group_limit = getattr(artifacts.get(kind), "group_limit", None)
+    return 1 if group_limit is None else group_limit(ctx)
 
 
 def shared_pass_lanes(registered) -> int:
@@ -796,11 +829,7 @@ def shared_pass_lanes(registered) -> int:
     go: as many as its engine's cached artifact can share a pass
     between on the model's backend (``group_limit`` — the megakernel's
     eight on a backend with ``megakernel_ops``), else one."""
-    kind = engine_row(registered.engine).artifact
-    artifact = getattr(registered, kind) if kind is not None else None
-    group_limit = getattr(artifact, "group_limit", None)
-    if group_limit is None:
-        return 1
-    return group_limit(
-        FheContext(registered.params, backend=registered.backend)
+    return _pass_lanes(
+        artifacts_of(registered), registered.engine,
+        FheContext(registered.params, backend=registered.backend),
     )

@@ -282,8 +282,10 @@ class TestSourceScan:
                 and not line.lstrip().startswith(("def ", "class "))
             )
 
-        assert call_sites(r"\bdemux_bitvectors\(") == [
-            "serve/batched_runtime.py"
+        # The routine demultiplexes; packing's batch of one is its own
+        # group of one.
+        assert call_sites(r"\bdemux_(bitvectors|group)\(") == [
+            "serve/batched_runtime.py", "serve/packing.py",
         ]
         assert call_sites(r"\bClassificationResult\(") == [
             "serve/batcher.py"

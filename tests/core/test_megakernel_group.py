@@ -276,6 +276,43 @@ class TestAGroupIsPaidOnce:
                        for part, _, _ in group)
 
     @pytest.mark.parametrize("engine,backend", CASES)
+    def test_each_batch_books_what_it_books_alone(self, engine, backend,
+                                                  monkeypatch):
+        """A group books once, for each of its batches: every batch's
+        tracker — counts by phase in recording order, depth — and its
+        result's noise and length read as the batch's alone."""
+        noise_of = {}  # tracker -> its decrypted result's noise, length
+        decrypt = FheContext.decrypt
+
+        def spy(self, ct, secret_key):
+            noise_of[id(self.tracker)] = (ct.noise, ct.length)
+            return decrypt(self, ct, secret_key)
+
+        monkeypatch.setattr(FheContext, "decrypt", spy)
+        registered = small(engine=engine, backend=backend)
+
+        def books(evaluation):
+            tracker = evaluation.tracker
+            return (
+                [(phase, list(tracker.phase_stats(phase).counts.items()))
+                 for phase in tracker.phases],
+                tracker.multiplicative_depth(),
+                noise_of[id(tracker)],
+            )
+
+        for k in range(1, MAX_GROUP + 1):
+            chunks = feature_chunks(
+                registered, self.fills_for(k, registered.layout.capacity),
+                seed=40 + k,
+            )
+            group = [books(e) for e in evaluate_registered_batches(
+                registered, chunks
+            )]
+            alone = [books(evaluate_registered_batch(registered, chunk))
+                     for chunk in chunks]
+            assert group == alone
+
+    @pytest.mark.parametrize("engine,backend", CASES)
     def test_an_out_of_range_row_fails_its_batch_alone(self, engine,
                                                        backend):
         registered = small(engine=engine, backend=backend)
@@ -297,20 +334,21 @@ class TestAGroupIsPaidOnce:
     ):
         """Books are reused only when equal: a ciphertext that booked
         one more encryption gets its own figures, and the batch after
-        it is priced again."""
+        it is priced again.  (On the tape engine every batch is a group
+        of its own, with its own book; a group's batches share one.)"""
         from repro.core.engines import PHASE_DATA_ENCRYPT
         from repro.serve import batched_runtime
 
-        registered = small()
+        registered = small(engine="tape")
         encrypt = batched_runtime.encrypt_planes
         seen = []
 
-        def one_more_for_the_second(ctx, planes, keys):
+        def one_more_for_the_second(ctx, block, keys):
             seen.append(ctx)
             if len(seen) == 2:
                 with ctx.tracker.phase(PHASE_DATA_ENCRYPT):
-                    ctx.encrypt(planes[0], keys.public)
-            return encrypt(ctx, planes, keys)
+                    ctx.encrypt(block[0, 0], keys.public)
+            return encrypt(ctx, block, keys)
 
         monkeypatch.setattr(
             batched_runtime, "encrypt_planes", one_more_for_the_second
@@ -349,6 +387,45 @@ class TestAGroupIsPaidOnce:
                 assert [planes.tobytes() for planes in block] == [
                     pack_query_planes(layout, c).tobytes() for c in chunks
                 ]
+
+
+class TestTheGroupIsBookedOnce:
+    """What is the same for every ciphertext of a megakernel group is
+    done once per ``_eval_result``, however many ciphertexts it holds:
+    one context, one data encryption and one helper encryption, one
+    signature."""
+
+    def test_bookkeeping_calls_do_not_grow_with_k(self, monkeypatch):
+        from repro.ir.megakernel import MegaKernel
+
+        registered = frozen("income5")
+        calls = {"contexts": 0, "encrypt_many": 0, "signatures": 0}
+
+        def counting(name, method):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(FheContext, "__init__", counting(
+            "contexts", FheContext.__init__))
+        monkeypatch.setattr(FheContext, "encrypt_many", counting(
+            "encrypt_many", FheContext.encrypt_many))
+        monkeypatch.setattr(MegaKernel, "_signature", counting(
+            "signatures", MegaKernel._signature))
+        capacity = registered.layout.capacity
+        seen = []
+        for k in range(1, MAX_GROUP + 1):
+            chunks = feature_chunks(registered, [capacity] * k, seed=k)
+            TestAGroupIsPaidOnce.reduce(registered, chunks)  # warm
+            for name in calls:
+                calls[name] = 0
+            result = TestAGroupIsPaidOnce.reduce(registered, chunks)
+            assert all(result.oracle_ok) and len(result.parts()) == k
+            seen.append(dict(calls))
+        assert seen == [
+            {"contexts": 1, "encrypt_many": 2, "signatures": 1}
+        ] * MAX_GROUP
 
 
 class TestARunFailsAlone:

@@ -795,10 +795,10 @@ class TestAssignmentOnTheWire:
         ])
         encrypt = batched_runtime.encrypt_planes
 
-        def encrypt_unless_poisoned(ctx, planes, keys):
-            if np.array_equal(planes, poisoned):
+        def encrypt_unless_poisoned(ctx, block, keys):
+            if any(np.array_equal(planes, poisoned) for planes in block):
                 raise RuntimeProtocolError("this ciphertext is poison")
-            return encrypt(ctx, planes, keys)
+            return encrypt(ctx, block, keys)
 
         monkeypatch.setattr(
             batched_runtime, "encrypt_planes", encrypt_unless_poisoned

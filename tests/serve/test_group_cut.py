@@ -399,7 +399,8 @@ class TestGroupsThroughTheFacade:
         monkeypatch.setattr(
             MegaKernel, "_pass",
             lambda self, state, group: (
-                passes.append(len(group)), run_pass(self, state, group)
+                passes.append(sum(count for count, _ in group)),
+                run_pass(self, state, group),
             )[1],
         )
         queries = queries_for(example_forest, 30)
@@ -447,10 +448,10 @@ class TestGroupsThroughTheFacade:
         poisoned = []  # the planes of the ciphertext queries[5] is in
         encrypt = batched_runtime.encrypt_planes
 
-        def encrypt_unless_poisoned(ctx, planes, keys):
-            if np.array_equal(planes, poisoned[0]):
+        def encrypt_unless_poisoned(ctx, block, keys):
+            if any(np.array_equal(planes, poisoned[0]) for planes in block):
                 raise RuntimeProtocolError("this ciphertext is poison")
-            return encrypt(ctx, planes, keys)
+            return encrypt(ctx, block, keys)
 
         monkeypatch.setattr(
             batched_runtime, "encrypt_planes", encrypt_unless_poisoned
@@ -512,7 +513,8 @@ class TestGroupsThroughTheFacade:
         monkeypatch.setattr(
             MegaKernel, "_pass",
             lambda self, state, group: (
-                passes.append(len(group)), run_pass(self, state, group)
+                passes.append(sum(count for count, _ in group)),
+                run_pass(self, state, group),
             )[1],
         )
         tracer = Tracer()
@@ -555,7 +557,7 @@ def pass_logging_worker_main(log_dir, conn, worker_id, epoch):
 
     def logged_pass(self, state, group):
         with open(os.path.join(log_dir, f"worker-{worker_id}"), "a") as log:
-            log.write(f"{len(group)}\n")
+            log.write(f"{sum(count for count, _ in group)}\n")
         return run_pass(self, state, group)
 
     MegaKernel._pass = logged_pass
