@@ -76,11 +76,26 @@ def build_section(
     queries: Optional[int] = None,
 ) -> List[Table]:
     """One section's tables: the record's arguments, overridden by
-    ``workloads`` / ``queries`` where the section accepts them."""
+    ``workloads`` / ``queries``.  A section that does not accept one of
+    them refuses it: a flag that would change nothing is a mistake."""
     row = ARTIFACTS.get(name)
     if row is None:
         raise ValidationError(
             f"unknown section {name!r}; expected one of {tuple(ARTIFACTS)}"
+        )
+    for flag, given, keys in (
+        ("--workloads", bool(workloads), ("workload_names", "workload_name")),
+        ("--queries", queries is not None, ("queries",)),
+    ):
+        if given and not set(keys) & set(row.accepts):
+            raise ValidationError(
+                f"section {name!r} does not take {flag}: its tables do "
+                f"not depend on it"
+            )
+    if workloads and len(workloads) > 1 and "workload_name" in row.accepts:
+        raise ValidationError(
+            f"section {name!r} takes one workload in --workloads, got "
+            f"{len(workloads)}"
         )
     offered = {
         "workload_names": workloads or None,

@@ -264,6 +264,29 @@ class TestBench:
         out = capsys.readouterr().out
         assert "Table 1(a)" in out and "Table 1(c)" in out
 
+    @pytest.mark.parametrize("argv,refusal", [
+        (["table6", "--workloads", "width55"],
+         "section 'table6' does not take --workloads"),
+        (["table6", "--queries", "9"],
+         "section 'table6' does not take --queries"),
+        (["table1", "--workloads", "width55", "--queries", "5"],
+         "section 'table1' does not take --queries"),
+        (["table5", "--queries", "3"],
+         "section 'table5' does not take --queries"),
+        (["table2", "--workloads", "width55,depth4"],
+         "section 'table2' takes one workload in --workloads, got 2"),
+    ])
+    def test_a_flag_the_section_does_not_take_is_refused(
+        self, argv, refusal, capsys
+    ):
+        """Regression: a section used to drop silently what it does not
+        take (a flag, or every workload past the first) and print its
+        full table."""
+        assert main(["bench", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert refusal in captured.err
+
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
             main(["bench", "fig99"])
