@@ -88,7 +88,10 @@ class ExperimentRecord:
     op_counts: Dict[str, int]
     multiplicative_depth: int
     work_ms: float
-    span_ms: float
+    #: The critical path of the last query's phases under the cost
+    #: model; None on a tracker that keeps no operation DAG (the vector
+    #: and plaintext backends' ``CountingTracker``), which cannot know it.
+    span_ms: Optional[float]
     correct: bool
 
     @property
@@ -176,6 +179,8 @@ class InferenceRunner:
             for phase in phases
         }
         work, span = tracker.work_and_span(self.cost_model.cost_of, phases)
+        if isinstance(tracker, CountingTracker):
+            span = None
         counts: Dict[str, int] = {}
         for phase in phases:
             for kind, n in tracker.phase_stats(phase).counts.items():

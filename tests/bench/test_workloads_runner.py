@@ -139,3 +139,15 @@ class TestRunner:
         record = run_workload(workload_by_name("depth4"), SYSTEM_COPSE, queries=1)
         assert 0 < record.span_ms < record.work_ms
         assert record.median_ms == pytest.approx(record.work_ms)
+
+    @pytest.mark.parametrize("backend", ["vector", "plaintext"])
+    def test_no_span_without_an_op_dag(self, backend):
+        """Regression: a DAG-less tracker's span read as its work (44.613
+        ms both on depth4), a critical path it cannot know."""
+        record = run_workload(
+            workload_by_name("depth4"), SYSTEM_COPSE, queries=1,
+            backend=backend,
+        )
+        assert record.span_ms is None
+        assert record.work_ms > 0
+        assert record.median_ms == pytest.approx(record.work_ms)
