@@ -639,8 +639,8 @@ def _advance(groups: List[_Group], steps, step) -> List[_Group]:
                 try:
                     for done in steps[: steps.index(step) + 1]:
                         done(alone)
-                except Exception as exc:
-                    flight.outcome = exc
+                except Exception as error:
+                    flight.outcome = error
                 else:
                     going.append(alone)
         else:
@@ -799,7 +799,8 @@ def evaluate_registered_batches(
                 )
         except Exception as exc:
             for flight in group.flights:
-                flight.outcome = flight.outcome or exc
+                if flight.outcome is None:
+                    flight.outcome = exc
             continue
         _, phase_ms, inference_ms, phase_op_counts = priced
         for flight in group.flights:
