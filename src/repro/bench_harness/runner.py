@@ -178,9 +178,12 @@ class InferenceRunner:
             phase: self.cost_model.phase_sequential_ms(tracker, phase)
             for phase in phases
         }
-        work, span = tracker.work_and_span(self.cost_model.cost_of, phases)
         if isinstance(tracker, CountingTracker):
+            # Counts only: their cost is the work; no DAG, no span.
+            work = tracker.work_and_span(self.cost_model.cost_of, phases)[0]
             span = None
+        else:
+            work, span = tracker.work_and_span(self.cost_model.cost_of, phases)
         counts: Dict[str, int] = {}
         for phase in phases:
             for kind, n in tracker.phase_stats(phase).counts.items():

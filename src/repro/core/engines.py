@@ -148,22 +148,20 @@ def ensure_artifacts(engine: str, lower: Callable, cached) -> Dict[str, object]:
 def run_artifact(
     row: Engine,
     artifact,
-    runs,
+    ctx,
+    model,
+    query,
     variant: str,
     batch_shape: Optional[Tuple[int, int]] = None,
-) -> list:
-    """Execute ``row``'s cached artifact on each of ``runs``, or refuse.
+):
+    """Execute ``row``'s cached artifact on ``query``, or refuse.
 
     The one checked path behind both servers: ``batch_shape`` is None
     for the single-query server and ``(stride, capacity)`` for the
     batched one.  Refuses a missing artifact, one lowered for the other
     server, one lowered for another layout, and one lowered under a
-    different SecComp variant than the server runs.
-
-    ``runs`` are ``(ctx, model, query)`` triples against one model
-    bundle.  Returns, per run, its result or the exception it raised:
-    an artifact with ``run_many`` takes them together (the megakernel
-    shares one pass between them), any other runs them in turn.
+    different SecComp variant than the server runs.  Returns the
+    artifact's result for ``(ctx, model, query)``.
     """
     kind, noun = row.artifact, row.noun
     wanted = "single-query" if batch_shape is None else "batched"
@@ -190,17 +188,7 @@ def run_artifact(
             f"{kind} was compiled with SecComp variant "
             f"{artifact.variant!r} but the server runs {variant!r}"
         )
-    phase = row.phases[0]
-    run_many = getattr(artifact, "run_many", None)
-    if run_many is not None:
-        return run_many(runs, phase=phase)
-    outcomes = []
-    for ctx, model, query in runs:
-        try:
-            outcomes.append(artifact.run(ctx, model, query, phase=phase))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
+    return artifact.run(ctx, model, query, phase=row.phases[0])
 
 
 def result_of(outcome):

@@ -39,12 +39,11 @@ from repro.core.engines import (
     PHASE_RESHUFFLE,
     engine_row,
     ensure_artifacts,
-    result_of,
     run_artifact,
 )
 from repro.core.matmul import halevi_shoup_matvec
 from repro.core.seccomp import VARIANT_ALOUFI, secure_compare
-from repro.fhe.ciphertext import Ciphertext, PlainVector
+from repro.fhe.ciphertext import Ciphertext, CiphertextGroup, PlainVector
 from repro.fhe.context import FheContext, Vector
 from repro.fhe.keys import KeyPair, PublicKey, SecretKey
 from repro.fhe.params import EncryptionParams
@@ -115,14 +114,6 @@ class EncryptedQuery:
 
     planes: List[Ciphertext]
     public_key: Optional[PublicKey] = None
-    #: A group: ``(k, precision, width)`` bits, row ``j`` the planes of
-    #: query ``j`` of ``k`` encrypted as one — they share ``planes``'
-    #: keys, noise states, node ids and widths, and row 0 is
-    #: ``planes``' own data.  Like a ciphertext's slots it is read only
-    #: by the engine that seats it
-    #: (:meth:`~repro.ir.megakernel.MegaKernel.run_many`); None for a
-    #: query of one.
-    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def precision(self) -> int:
@@ -131,6 +122,17 @@ class EncryptedQuery:
     @property
     def width(self) -> int:
         return self.planes[0].length
+
+    @property
+    def group_size(self) -> int:
+        """Ciphertexts per plane: ``k`` for a group of queries encrypted
+        as one (its planes are
+        :class:`~repro.fhe.ciphertext.CiphertextGroup` objects), else
+        one."""
+        for plane in self.planes[:1]:  # a query of no planes is refused
+            if isinstance(plane, CiphertextGroup):  # by its precision
+                return len(plane)
+        return 1
 
 
 @dataclass
@@ -372,10 +374,10 @@ class CopseServer:
             )
         row = engine_row(self.engine)
         if row.artifact is not None:
-            return result_of(run_artifact(
-                row, getattr(self, row.artifact), [(ctx, model, query)],
+            return run_artifact(
+                row, getattr(self, row.artifact), ctx, model, query,
                 self.seccomp_variant,
-            )[0])
+            )
 
         decisions = compare_stage(
             ctx, query, model.threshold_planes, self.seccomp_variant

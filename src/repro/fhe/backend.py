@@ -174,8 +174,11 @@ class FheBackend(Protocol):
     # and a public key and behave exactly like encrypting each row in
     # order — identical ``ENCRYPT`` records, node ids, noise, error
     # types — while free to check the block once and to adopt its rows
-    # without copying.  ``FheContext`` implements it for every built-in
-    # backend; backends without it are handed one plane at a time.
+    # without copying.  Given a 3-D ``(k, n, width)`` block it returns
+    # ``n`` ``CiphertextGroup`` objects instead, one per row across the
+    # ``k`` blocks, booked as the encryption of the first block alone.
+    # ``FheContext`` implements it for every built-in backend; backends
+    # without it are handed one plane at a time, and only a group of one.
 
 
 def fold_balanced(items, combine):

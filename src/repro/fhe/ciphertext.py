@@ -6,8 +6,8 @@ is private (``_slots``); user code is expected to go through
 :class:`~repro.fhe.context.FheContext` for every operation, exactly as it
 would with a real FHE library.  ``repr`` never shows the payload.
 
-A :class:`CiphertextGroup` is several ciphertexts of one evaluation
-that share one key, noise state and node id, held as one payload.
+A :class:`CiphertextGroup` is several ciphertexts that share one key,
+noise state, node id and length, held as one payload.
 
 A :class:`PlainVector` is an *encoded but unencrypted* packed vector — the
 analogue of an HElib ``Ptxt`` — used for constant-operand operations
@@ -200,14 +200,18 @@ class Ciphertext:
 
 
 class CiphertextGroup:
-    """Ciphertexts of one evaluation that share one key, noise state,
-    node id and length: those of ``head``, the first of them.
+    """Ciphertexts that share one key, noise state, node id and length
+    — those of ``head``, the first of them — held as one ``(k,
+    length)`` payload, row ``j`` ciphertext ``j``'s slots (row 0 is
+    ``head``'s).
 
-    Row ``j`` of the payload (``(k, length)``) is ciphertext
-    ``j``'s slots; row 0 is ``head``'s.  Like a ciphertext's, it is read
-    only by :meth:`~repro.fhe.context.FheContext.decrypt_group`.  The
-    megakernel answers a group of queries with one
-    (:meth:`~repro.ir.megakernel.MegaKernel.run_many`).
+    A grouped query's planes are groups
+    (:meth:`~repro.fhe.context.FheContext.encrypt_many` of a ``(k, n,
+    width)`` block), and the megakernel pass that runs them answers
+    with one per output.  The payload is private like a ciphertext's:
+    only the context and the engine that seats it read ``_rows``.  The
+    public metadata is the head's: what an evaluator sees of one of
+    them it sees of all.
     """
 
     __slots__ = ("head", "_rows")
@@ -215,6 +219,15 @@ class CiphertextGroup:
     def __init__(self, head: Ciphertext, rows: np.ndarray):
         self.head = head
         self._rows = rows
+
+    @property
+    def length(self) -> int:
+        """The head's logical length: every member's."""
+        return self.head._length
+
+    def __len__(self) -> int:
+        """The number of ciphertexts in the group."""
+        return len(self._rows)
 
     def __repr__(self) -> str:
         return f"CiphertextGroup({len(self._rows)} x {self.head!r})"

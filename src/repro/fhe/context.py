@@ -149,9 +149,7 @@ class FheContext:
             node_id=node_id,
         )
 
-    def encrypt_many(
-        self, planes: np.ndarray, public_key: PublicKey
-    ) -> List[Ciphertext]:
+    def encrypt_many(self, planes: np.ndarray, public_key: PublicKey) -> List:
         """Encrypt every row of a bit block the caller just built.
 
         The bulk-encrypt capability (see :mod:`repro.fhe.backend`):
@@ -162,8 +160,20 @@ class FheContext:
         order (node ids, tracker phase), the same fresh noise.  Anything
         but a non-empty 2-D ``uint8`` block of bits goes through
         :meth:`encrypt` row by row, which words the refusal.
+
+        A ``(k, n, width)`` block is ``k`` such blocks encrypted as one
+        group: one :class:`~repro.fhe.ciphertext.CiphertextGroup` per
+        row ``i``, holding ``planes[:, i]``, whose head is the
+        ciphertext of ``planes[0, i]``.  Its ``k`` ciphertexts share
+        that head's key, fresh noise, node id and width, so the group
+        books what encrypting ``planes[0]`` books: ``n`` ENCRYPT
+        records.  A group of one is its ciphertexts.
         """
         block = np.asarray(planes)
+        if block.ndim == 3:
+            if len(block) != 1:
+                return self._encrypt_groups(block, public_key)
+            block = block[0]
         if (
             block.ndim != 2
             or block.dtype != np.uint8
@@ -171,6 +181,13 @@ class FheContext:
             or block.max() > 1
         ):
             return [self.encrypt(row, public_key) for row in block]
+        return self._encrypt_block(block, public_key)
+
+    def _encrypt_block(
+        self, block: np.ndarray, public_key: PublicKey
+    ) -> List[Ciphertext]:
+        """Encrypt the rows of a non-empty 2-D ``uint8`` block of bits,
+        adopting them."""
         self._check_width(block.shape[1])
         block.flags.writeable = False
         noise = self.noise_model.fresh()
@@ -180,6 +197,24 @@ class FheContext:
             for row, node_id in zip(
                 block, self._record_leaves(OpKind.ENCRYPT, len(block))
             )
+        ]
+
+    def _encrypt_groups(
+        self, block: np.ndarray, public_key: PublicKey
+    ) -> List[CiphertextGroup]:
+        """:meth:`encrypt_many` of a ``(k, n, width)`` block, ``k != 1``."""
+        if block.dtype != np.uint8 or block.size == 0 or block.max() > 1:
+            # Every row as :func:`coerce_bits` takes it: the refusal is
+            # the one :meth:`encrypt` words, and nothing is recorded.
+            block = np.array([
+                [coerce_bits(row) for row in rows] for rows in block
+            ]).reshape(block.shape)
+            if block.size == 0:
+                return []
+        block.flags.writeable = False
+        return [
+            CiphertextGroup(head, block[:, i])
+            for i, head in enumerate(self._encrypt_block(block[0], public_key))
         ]
 
     def _record_leaves(self, kind: OpKind, count: int) -> List[int]:
@@ -214,7 +249,7 @@ class FheContext:
         the one ciphertext each of them would be alone.
         """
         self.decrypt(group.head, secret_key)
-        return group._rows.copy()
+        return group._rows[:, : group.length].copy()
 
     def decrypt_bits(self, ct: Ciphertext, secret_key: SecretKey) -> List[int]:
         """Decrypt to a list of Python ints (convenience)."""

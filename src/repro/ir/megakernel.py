@@ -23,7 +23,7 @@ Python dispatch**:
   (:func:`~repro.ir.copse_ir.is_query_input`) take the plane's first
   rows and are seated every run; every other input is a per-model
   constant and gets a *permanent* row, like the constant pool, seated
-  once per (thread, bundle).  :meth:`MegaKernel.run_many` recognises
+  once per (thread, bundle).  :meth:`MegaKernel.run` recognises
   a bundle it has already seated by the identity of its plane containers
   — only immutable ones qualify, i.e. the tuples of the adopted view
   that ``BatchedEncryptedModel.adopt_into`` memoises — and then binds,
@@ -33,24 +33,22 @@ Python dispatch**:
   refusals below run on every bind;
 * **bit-sliced plane** — every step is a bitwise AND / XOR or a byte
   move (window reads, ``take``, ``copyto``), and none of those mixes
-  the bits of a byte.  So the one plane holds up to eight independent
-  runs of one model bundle at a time, run *j* in bit *j* of every
-  lane, and one pass of the unchanged step program serves them all
-  (:meth:`MegaKernel.run_many`): the queries' rows are shifted to
-  their bit and ORed together, everything every run shares — the
-  resident model rows, the constant pool, the ones row — is seated as
-  a mask (``0x00`` / ``0xFF``), and run *j*'s outputs are bit *j* of
-  the output rows.  A single run is the group of one, in bit 0; there
-  is no second plane and no second program.  Only slot data is shared
-  between runs: binding, signature, book, bulk bookkeeping and every
-  refusal stay per run, on that run's own context.  A run may itself
-  be a group — a query whose ``rows`` hold the data of ``k``
-  encryptions that share its planes' keys, noise, node ids and widths
-  (:class:`~repro.core.runtime.EncryptedQuery`): it is bound, signed,
-  booked and refused once, its rows take ``k`` consecutive bits, and
-  it answers with a :class:`~repro.fhe.ciphertext.CiphertextGroup`.
-  Eight is what a ``uint8`` lane holds — a wider dtype multiplies the
-  bytes every step moves;
+  the bits of a byte.  So the one plane holds up to eight ciphertexts
+  of one model bundle at a time, ciphertext *j* in bit *j* of every
+  lane, and one pass of the unchanged step program serves them all:
+  a grouped query — its planes
+  :class:`~repro.fhe.ciphertext.CiphertextGroup` objects of *k*
+  ciphertexts that share one key, noise state, node id and width —
+  has its rows shifted to their bit and ORed together, everything its
+  ciphertexts share — the resident model rows, the constant pool, the
+  ones row, the Aloufi helper — is seated as a mask (``0x00`` /
+  ``0xFF``) or a shared row, and ciphertext *j*'s outputs are bit *j*
+  of the output rows, answered as one group.  A query of one
+  ciphertext is the group of one, in bit 0; there is no second plane
+  and no second program.  A group is one run: bound, signed, booked
+  and refused once, as each of its ciphertexts would be alone.  Eight
+  is what a ``uint8`` lane holds — a wider dtype multiplies the bytes
+  every step moves;
 * **segment grammar** — SSA scheduling collapses the stream into one
   *segment* per dependency level, far fewer than the tape's hazard
   breaks allow (register reuse in the tape forces a new segment at every
@@ -116,7 +114,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.errors import RuntimeProtocolError
 from repro.fhe.ciphertext import Ciphertext, CiphertextGroup, PlainVector
 from repro.fhe.noise import FRESH
-from repro.ir.copse_ir import FEATURE_PLANE
 from repro.ir.tape import (
     OP_ADD,
     OP_CADD,
@@ -135,7 +132,7 @@ __all__ = ["MAX_GROUP", "MegaKernel", "compile_megakernel"]
 #: lane (module docstring, "bit-sliced plane").
 MAX_GROUP = 8
 
-#: Bit ``j`` of a lane for ciphertext ``j`` of a pass.
+#: Bit ``j`` of a lane for ciphertext ``j`` of a group.
 _SHIFTS = np.arange(MAX_GROUP, dtype=np.uint8)
 
 
@@ -402,114 +399,82 @@ class MegaKernel:
         model,
         query,
         phase: Optional[str] = None,
-    ) -> Ciphertext:
+    ):
         """Execute against a runtime model bundle + encrypted query.
 
-        The group of one of :meth:`run_many`, raising what that run
-        raised.
-        """
-        outcome = self.run_many(((ctx, model, query),), phase)[0]
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def run_many(self, runs, phase: Optional[str] = None) -> List:
-        """Execute ``(ctx, model, query)`` runs of one model bundle —
-        up to :data:`MAX_GROUP` ciphertexts — in a single pass of the
-        step program.
-
-        Returns, per run and in order, its result ciphertext (for a
-        query with ``rows``, the :class:`CiphertextGroup` of its
-        results) or the exception that run raised.  Everything but the
-        step program is per run, exactly as ``len(runs)`` calls of
-        :meth:`run` would do it and in that order: the tape's
-        fail-closed fingerprint check, the query binding, the signature
-        and its book (looked up or captured), the bulk bookkeeping
-        under ``phase`` on that run's own tracker, the seat refusals —
-        so a refusal, or a noise failure the book caches, takes out
-        that run alone.  A query with ``rows`` is one run whose data
-        rows take one bit each: its planes describe every row, so they
-        are bound, signed, booked and checked once.  The phase
-        defaults to the megakernel phase so serve stats attribute the
-        work to this engine on every backend (including tape-loop
-        fallbacks).
+        ``query`` may be a group (its planes
+        :class:`~repro.fhe.ciphertext.CiphertextGroup` objects of ``k``
+        ciphertexts, :attr:`EncryptedQuery.group_size
+        <repro.core.runtime.EncryptedQuery.group_size>`): its
+        ciphertexts take bits ``0 .. k-1`` of one pass and the result is
+        the :class:`CiphertextGroup` of theirs.  A group is one run: the
+        tape's fail-closed fingerprint check, the query binding (one
+        helper encryption), the signature and its book (looked up or
+        captured), the bulk bookkeeping under ``phase`` and the seat
+        refusals happen once, as for the one ciphertext each of its
+        members would be alone — they share its keys, noise, node ids
+        and widths, so they share its book.  The phase defaults to the
+        megakernel phase so serve stats attribute the work to this
+        engine on every backend (including tape-loop fallbacks).
 
         When this thread's plane already holds the bundle's planes (see
-        :meth:`_resident_for`) only the queries are bound, signed and
-        seated; otherwise the first run to get that far takes the full
-        seat and the rest find it resident.  The encryption-shape and
-        fingerprint refusals are **not** cached and run on every run
-        with the messages of :func:`~repro.ir.plan.bind_model_query`,
-        so an impostor bundle is rejected identically on the first
-        batch and the millionth.
+        :meth:`_resident_for`) only the query is bound, signed and
+        seated; otherwise the run takes the full seat.  The
+        encryption-shape and fingerprint refusals are **not** cached
+        and run on every run with the messages of
+        :func:`~repro.ir.plan.bind_model_query`, so an impostor bundle
+        is rejected identically on the first batch and the millionth.
 
-        Runs that cannot share a pass — a backend without
-        ``megakernel_ops``, a tape outside the gather grammar, bundles
-        that differ or whose planes are not resident-able, more
-        ciphertexts than a lane has bits — are executed one by one,
-        and the tape loop refuses a query of more than one row.
+        Without a pass — a backend without ``megakernel_ops``, a tape
+        outside the gather grammar — the tape loop runs the query, and
+        refuses a group; a pass holds at most :data:`MAX_GROUP`.
         """
         from repro.core.engines import PHASE_MEGAKERNEL
+        from repro.ir.plan import bind_query_inputs
 
-        runs = list(runs)
         if phase is None:
             phase = PHASE_MEGAKERNEL
-        if not self._shares_pass(runs):
-            if len(runs) == 1:  # no direct path at all: the tape loop
-                return [self._run_tape(*runs[0], phase)]
-            return [self.run_many((run,), phase)[0] for run in runs]
-        state = self._buffer(self._plan)
-        outcomes: List = [None] * len(runs)
-        seated = []
-        for index, (ctx, model, query) in enumerate(runs):
-            try:
-                seated.append((
-                    index, query.rows is not None,
-                    *self._enter(state, ctx, model, query, phase),
-                ))
-            except Exception as exc:
-                outcomes[index] = exc
-        if seated:
-            self._pass(state, [unit for *_, unit in seated])
-        bit = 0
-        for index, grouped, book, keys, (count, _) in seated:
-            outcomes[index] = _labels_of(self._outputs(
-                state, book, keys, bit, count if grouped else None,
+        count = query.group_size
+        if count > self.group_limit(ctx):
+            raise RuntimeProtocolError(
+                f"a group of {count} ciphertexts runs only in one "
+                f"megakernel pass, at most {MAX_GROUP} on a backend "
+                f"with megakernel_ops"
+            )
+        if not self._has_pass(ctx):
+            return _labels_of(self.tape.execute(
+                ctx, self._bind_all(ctx, model, query), phase=phase,
             ))
-            bit += count
-        return outcomes
+        state = self._buffer(self._plan)
+        resident = self._resident_for(model, query)
+        if resident is not None:
+            self._check_bundle(model)
+            book, keys, slots = self._seat_run(
+                state, ctx,
+                bind_query_inputs(ctx, self.input_widths, query),
+                phase, count, resident,
+            )
+        else:
+            bindings = self._bind_all(ctx, model, query)
+            self._require_bound(bindings)
+            book, keys, slots = self._seat_run(
+                state, ctx, bindings, phase, count,
+                holder=self._holder_of(model, query),
+            )
+        self._pass(state, count, slots)
+        return _labels_of(self._outputs(state, book, keys, count))
 
     def group_limit(self, ctx) -> int:
-        """Runs on ``ctx``'s backend that one pass can serve: a lane's
-        bits where the direct path exists, else one."""
-        if (
+        """Ciphertexts on ``ctx``'s backend that one run can hold: a
+        lane's bits where the pass exists, else one."""
+        return MAX_GROUP if self._has_pass(ctx) else 1
+
+    def _has_pass(self, ctx) -> bool:
+        """Whether ``ctx``'s backend runs the pass (``megakernel_ops``)
+        and the tape fits the gather grammar; else the tape loop runs."""
+        return (
             getattr(ctx, "megakernel_ops", None) is not None
             and self.ensure_compiled()
-        ):
-            return MAX_GROUP
-        return 1
-
-    def _shares_pass(self, runs) -> bool:
-        """Whether ``runs`` can go through the plane together."""
-        if not runs or sum(
-            1 if query.rows is None else len(query.rows)
-            for _, _, query in runs
-        ) > MAX_GROUP:
-            return False
-        model = runs[0][1]
-        for ctx, other, _ in runs:
-            if (
-                other is not model
-                or getattr(ctx, "megakernel_ops", None) is None
-            ):
-                return False
-        if not self.ensure_compiled():
-            return False
-        # Alone, a run may seat planes nothing can hold on to; in
-        # company the second run must find what the first one seated.
-        return (
-            len(runs) == 1
-            or self._holder_of(model, runs[0][2]) is not None
         )
 
     def _bind_all(self, ctx, model, query):
@@ -525,74 +490,6 @@ class MegaKernel:
             query,
         )
 
-    def _run_tape(self, ctx, model, query, phase):
-        """One run through the tape loop: its outcome.  The loop runs
-        the query's planes, so a group of one answers with its
-        ciphertext and a larger group is refused."""
-        try:
-            if query.rows is not None and len(query.rows) > 1:
-                raise RuntimeProtocolError(
-                    f"a group of {len(query.rows)} queries runs only in "
-                    f"one megakernel pass, at most {MAX_GROUP} on a "
-                    f"backend with megakernel_ops"
-                )
-            return _labels_of(self.tape.execute(
-                ctx, self._bind_all(ctx, model, query), phase=phase,
-            ))
-        except Exception as exc:
-            return exc
-
-    def _enter(self, state, ctx, model, query, phase):
-        """One run up to the pass: bind, book, seat what is its alone.
-
-        Returns ``(book, keys, (count, slots))`` (see :meth:`_seat_run`
-        and :meth:`_rows_of`).
-        """
-        from repro.ir.plan import bind_query_inputs
-
-        resident = self._resident_for(model, query)
-        if resident is not None:
-            self._check_bundle(model)
-            book, keys, slots = self._seat_run(
-                state, ctx,
-                bind_query_inputs(ctx, self.input_widths, query),
-                phase, resident,
-            )
-        else:
-            bindings = self._bind_all(ctx, model, query)
-            self._require_bound(bindings)
-            book, keys, slots = self._seat_run(
-                state, ctx, bindings, phase,
-                holder=self._holder_of(model, query),
-            )
-        return book, keys, self._rows_of(query, slots)
-
-    def _rows_of(self, query, slots):
-        """``(count, slots)``: the run's ciphertexts and what the pass
-        seats for them.  A query with ``rows`` takes its planes' data
-        from them — ``(count, width)`` for a group of many, row 0 for a
-        group of one — once its shape is checked against the planes it
-        holds; what its ciphertexts share (the helper) stays one row.
-        """
-        rows = query.rows
-        if rows is None:
-            return 1, slots
-        count = len(rows)
-        if count < 1 or rows.shape[1:] != (len(query.planes), query.width):
-            raise RuntimeProtocolError(
-                f"query rows of shape {rows.shape} do not hold "
-                f"{len(query.planes)} planes of width {query.width}"
-            )
-        slots = list(slots)
-        for position, plane, width in self._plan.query_planes:
-            if width != query.width:
-                raise RuntimeProtocolError(
-                    f"input {FEATURE_PLANE.format(i=plane)!r} is declared "
-                    f"{width} wide, its group's rows {query.width}"
-                )
-            slots[position] = rows[:, plane] if count > 1 else rows[0, plane]
-        return count, slots
-
     def execute(self, ctx, bindings, phase: Optional[str] = None):
         """Run with named input bindings (the tape executor API).
 
@@ -606,9 +503,9 @@ class MegaKernel:
             return self.tape.execute(ctx, bindings, phase=phase)
         self._require_bound(bindings)
         state = self._buffer(self._plan)
-        book, keys, slots = self._seat_run(state, ctx, bindings, phase)
-        self._pass(state, [(1, slots)])
-        return self._outputs(state, book, keys, 0)
+        book, keys, slots = self._seat_run(state, ctx, bindings, phase, 1)
+        self._pass(state, 1, slots)
+        return self._outputs(state, book, keys, 1)
 
     # -- residency: what a thread's plane already holds -------------------
 
@@ -685,9 +582,10 @@ class MegaKernel:
 
     # -- the kernel proper -------------------------------------------------
 
-    def _seat_run(self, state, ctx, bindings, phase, resident=None,
+    def _seat_run(self, state, ctx, bindings, phase, count, resident=None,
                   holder=None):
-        """Book one run and seat everything but its query rows.
+        """Book one run of ``count`` ciphertexts and seat everything but
+        its query rows.
 
         With ``resident`` the model rows are already seated and
         ``bindings`` carries the query inputs only.  Otherwise
@@ -696,7 +594,7 @@ class MegaKernel:
         (:meth:`_holder_of`), the thread records them as resident.
         Returns ``(book, keys, slots)``: the run's bookkeeping, its
         canonical key list, and its checked query slots — which
-        :meth:`_pass` seats, beside the other runs of the pass.
+        :meth:`_pass` seats (see :func:`_checked_slots`).
         """
         plan = self._plan
         fragment = (
@@ -708,7 +606,9 @@ class MegaKernel:
         if book is None:
             if resident is not None:
                 bindings = {**resident.bindings, **bindings}
-            book = self._capture(ctx.megakernel_ops, bindings, phase, keys)
+            book = self._capture(
+                ctx.megakernel_ops, _heads(bindings), phase, keys
+            )
             self._book[signature] = book
 
         # Bookkeeping first, exactly as the tape would have produced it:
@@ -734,26 +634,26 @@ class MegaKernel:
                     holder[0], holder[1], fragment,
                     {name: bindings[name] for name in self._model_names},
                 )
-        return book, keys, _checked_slots(plan.query_seats[0], bindings)
+        return book, keys, _checked_slots(
+            plan.query_seats[0], bindings, count
+        )
 
-    def _pass(self, state, group) -> None:
-        """Seat the query slots of every run of ``group`` — ``(count,
-        slots)`` per run (:meth:`_rows_of`), its ciphertexts in the next
-        ``count`` bits of each lane from bit 0 — and run the step
+    def _pass(self, state, count, slots) -> None:
+        """Seat the query slots of a run of ``count`` ciphertexts —
+        ciphertext ``j`` in bit ``j`` of each lane — and run the step
         program once."""
         seats = self._plan.query_seats
-        if len(group) == 1 and group[0][0] == 1:
-            _store(state.plane, seats, group[0][1])
+        if count == 1:
+            _store(state.plane, seats, slots)
         else:
-            _store_sliced(state.plane, seats, group)
+            _store_sliced(state.plane, seats, count, slots)
         for step in state.program:
             step()
 
-    def _outputs(self, state, book, keys, bit, count=None):
-        """Wrap what the pass left in bit ``bit`` of the output rows —
-        in bits ``bit .. bit + count - 1``, as one
-        :class:`CiphertextGroup` per output, for a run of ``count``
-        rows."""
+    def _outputs(self, state, book, keys, count):
+        """Wrap what the pass left in the output rows: bit 0 for a run
+        of one ciphertext; bits ``0 .. count-1``, one
+        :class:`CiphertextGroup` per encrypted output, for a group."""
         plan = self._plan
         R = state.plane
         outputs = {}
@@ -765,20 +665,18 @@ class MegaKernel:
             meta = book.outputs[name]
             length = meta[4] if meta[0] == "c" else meta[1]
             slots = R[row, :length]
-            if count is not None:
-                rows = slots >> _SHIFTS[bit : bit + count, None]
+            if count == 1:
+                slots = slots & 1  # a fresh array: the plane is reused
+            else:
+                rows = slots >> _SHIFTS[:count, None]
                 rows &= 1
                 slots = rows[0]
-            else:
-                if bit:
-                    slots = slots >> bit
-                slots = slots & 1  # a fresh array: the plane is reused
             if meta[0] == "c":
                 _, canon_key, noise, node_id, length = meta
                 outputs[name] = Ciphertext._make(
                     slots, length, keys[canon_key], noise, node_id,
                 )
-                if count is not None:
+                if count > 1:
                     outputs[name] = CiphertextGroup(outputs[name], rows)
             else:
                 outputs[name] = PlainVector(slots)
@@ -796,7 +694,8 @@ class MegaKernel:
         hashing name strings and nested tuples.  A fresh input's noise
         is the shared :data:`~repro.fhe.noise.FRESH` state and stands as
         ``None`` (no noise state is ever ``None``), so the common
-        signature hashes no noise dataclass.
+        signature hashes no noise dataclass.  A group is described by
+        its head: its ciphertexts are booked as that one would be.
         """
         canon = {key_id: index for index, key_id in enumerate(keys)}
         items: List = []
@@ -804,6 +703,8 @@ class MegaKernel:
         canon_get = canon.get
         for name in names:
             value = bindings[name]
+            if type(value) is CiphertextGroup:
+                value = value.head
             if isinstance(value, Ciphertext):
                 key_id = value._key_id
                 index = canon_get(key_id)
@@ -894,8 +795,8 @@ class MegaKernel:
         """Per-thread register plane + compiled step closures.
 
         Constant and ones rows are seated once, as masks (the same bit
-        for every run of a pass) — no step ever writes a constant-pool
-        row, so they survive every run.  The closures bind
+        for every ciphertext of a pass) — no step ever writes a
+        constant-pool row, so they survive every run.  The closures bind
         this thread's plane and exact-size scratch buffers, so the
         steady-state loop is ufunc and copy calls on fixed views.
         """
@@ -949,6 +850,15 @@ class _ThreadState:
         self.resident: Optional[_Resident] = None
 
 
+def _heads(bindings):
+    """``bindings`` with each group in its head's place: what the tape
+    loop runs when it captures a group's book."""
+    return {
+        name: value.head if type(value) is CiphertextGroup else value
+        for name, value in bindings.items()
+    }
+
+
 def _labels_of(outputs):
     """The result ciphertext (or group) among a run's named outputs."""
     from repro.ir.plan import OUTPUT_LABELS
@@ -959,19 +869,30 @@ def _labels_of(outputs):
     return result
 
 
-def _checked_slots(specs, bindings) -> List[np.ndarray]:
+def _checked_slots(specs, bindings, count=1) -> List[np.ndarray]:
     """Validate one input group with the tape's exact errors.
 
     ``specs`` are the ``(name, row, width, is_cipher)`` of
     :func:`_seat_group`; returns each input's slots, cut to its width,
-    in that order.
+    in that order.  In a run of ``count`` ciphertexts an encrypted
+    input may be a :class:`CiphertextGroup` of as many: its slots are
+    its ``(count, width)`` rows, checked by its head.  A ciphertext is
+    one row that every ciphertext of the run shares (the helper).
     """
     arrs = []
     append = arrs.append
     for name, row, width, is_cipher in specs:
         value = bindings[name]
+        rows = None
         if is_cipher:
-            if not isinstance(value, Ciphertext):
+            if type(value) is CiphertextGroup:
+                if len(value) != count:
+                    raise RuntimeProtocolError(
+                        f"input {name!r} is a group of {len(value)} "
+                        f"ciphertexts in a run of {count}"
+                    )
+                rows, value = value._rows, value.head
+            elif not isinstance(value, Ciphertext):
                 raise RuntimeProtocolError(
                     f"input {name!r} must be a ciphertext"
                 )
@@ -987,8 +908,8 @@ def _checked_slots(specs, bindings) -> List[np.ndarray]:
                 f"input {name!r} has width {length}, "
                 f"declared {width}"
             )
-        slots = value._slots
-        append(slots if slots.shape[0] == width else slots[:width])
+        slots = value._slots if rows is None else rows
+        append(slots if slots.shape[-1] == width else slots[..., :width])
     return arrs
 
 
@@ -1014,45 +935,37 @@ def _store(R, seats, arrs) -> None:
         R[spec[1], : spec[2]] = slots
 
 
-def _store_sliced(R, seats, group) -> None:
-    """Seat the checked slots of several ciphertexts, ciphertext ``j``
-    of the pass in bit ``j``.
+def _store_sliced(R, seats, count, arrs) -> None:
+    """Seat the checked slots of a run of ``count`` ciphertexts,
+    ciphertext ``j`` in bit ``j``.
 
-    ``group`` holds ``(count, slots)`` per run, an input's slots being
-    one row its ``count`` ciphertexts share or ``(count, width)`` rows.
-    The same two arms as :func:`_store`: every ciphertext's slots are
-    stacked (all inputs at once, or input by input), ciphertext ``j``'s
-    are shifted left by ``j`` and the stack is ORed together.
-    (``np.packbits`` along the ciphertext axis does the same ten times
-    slower: it walks the short axis per output byte.)
+    An input's slots are ``(count, width)`` rows, or one row that all
+    of them share.  The same two arms as :func:`_store`: the slots are
+    stacked by ciphertext (all inputs at once, or input by input),
+    ciphertext ``j``'s are shifted left by ``j`` and the stack is ORed
+    together.  (``np.packbits`` along the ciphertext axis does the same
+    ten times slower: it walks the short axis per output byte.)
     """
     specs, start = seats
-    total = sum(count for count, _ in group)
-    shifts = _SHIFTS[:total, None]
+    shifts = _SHIFTS[:count, None]
     if start is not None:
-        stack = np.empty((total, len(specs), R.shape[1]), np.uint8)
-        at = 0
-        for count, arrs in group:
-            block = stack[at : at + count]
-            for i, slots in enumerate(arrs):
-                block[:, i] = slots
-            at += count
+        stack = np.empty((count, len(specs), R.shape[1]), np.uint8)
+        for i, slots in enumerate(arrs):
+            stack[:, i] = slots
         np.left_shift(stack, shifts[..., None], out=stack)
         np.bitwise_or.reduce(stack, axis=0, out=R[start : start + len(specs)])
         return
-    for i, spec in enumerate(specs):
-        stack = np.empty((total, spec[2]), np.uint8)
-        at = 0
-        for count, arrs in group:
-            stack[at : at + count] = arrs[i]
-            at += count
+    for spec, slots in zip(specs, arrs):
+        stack = np.empty((count, spec[2]), np.uint8)
+        stack[:] = slots
         np.left_shift(stack, shifts, out=stack)
         np.bitwise_or.reduce(stack, axis=0, out=R[spec[1], : spec[2]])
 
 
 def _seat_masks(R, seats, bindings) -> None:
     """Check and seat one input group as masks — ``0x00`` / ``0xFF``,
-    the same bit for every run a pass holds (the resident model rows)."""
+    the same bit for every ciphertext a pass holds (the resident model
+    rows)."""
     specs, start = seats
     _store(R, seats, _checked_slots(specs, bindings))
     if start is not None:
@@ -1089,7 +1002,7 @@ class _Plan:
     __slots__ = (
         "rows", "lanes", "steps", "const_seats", "ones_row",
         "output_rows", "num_segments", "data_rows",
-        "query_seats", "model_seats", "query_planes",
+        "query_seats", "model_seats",
     )
 
     def __init__(self, rows, lanes, steps, const_seats, ones_row,
@@ -1107,14 +1020,6 @@ class _Plan:
         #: inputs (once per resident bundle); see :func:`_seat_group`.
         self.query_seats = query_seats
         self.model_seats = model_seats
-        #: ``(position in the query seats, plane index, width)`` of each
-        #: feature plane a query seats: where a group's rows go.
-        prefix = FEATURE_PLANE.format(i="")
-        self.query_planes = tuple(
-            (position, int(name[len(prefix):]), width)
-            for position, (name, _, width, _) in enumerate(query_seats[0])
-            if name.startswith(prefix)
-        )
 
 
 class _Value:

@@ -261,10 +261,9 @@ def encrypt_batch(
 
     One encryption per bit plane serves the whole batch — this is where
     the per-query ``data_encrypt`` cost collapses by a factor of the
-    batch fill.  The query of one of :func:`encrypt_planes`.
+    batch fill.  The group of one of :func:`encrypt_planes`.
     """
-    query = encrypt_planes(ctx, pack_group_planes(layout, [queries]), keys)
-    return EncryptedQuery(planes=query.planes, public_key=query.public_key)
+    return encrypt_planes(ctx, pack_group_planes(layout, [queries]), keys)
 
 
 def encrypt_planes(
@@ -272,25 +271,27 @@ def encrypt_planes(
 ) -> EncryptedQuery:
     """Encrypt a group's packed ``(k, precision, width)`` plane block
     (:func:`~repro.serve.packing.pack_group_planes`) under
-    ``data_encrypt``, as one query whose ``rows`` are the block.
+    ``data_encrypt``, as one query of ``k`` ciphertexts per plane.
 
-    The ``k`` batches are one array under one public key, so they share
-    one width, one fresh noise state and, by row, one node id: the
-    first batch is encrypted and booked — whole, by ``encrypt_many``
-    (the block was built and range-checked by the packer, so it is not
-    re-validated plane by plane), or plane by plane on a backend
-    without it — and its ciphertexts describe every row.
+    By ``encrypt_many`` (the block was built and range-checked by the
+    packer, so it is not re-validated plane by plane): for ``k > 1``
+    each plane is a :class:`~repro.fhe.ciphertext.CiphertextGroup`,
+    booked as the first batch's plane alone; for ``k = 1`` each is a
+    ciphertext.  A backend without ``encrypt_many`` encrypts a group of
+    one plane by plane and refuses a larger one.
     """
     encrypt_many = getattr(ctx, "encrypt_many", None)
-    planes = block[0]
+    if encrypt_many is None and len(block) > 1:
+        raise RuntimeProtocolError(
+            f"a group of {len(block)} batches needs a backend that "
+            f"encrypts a block (encrypt_many)"
+        )
     with ctx.tracker.phase(PHASE_DATA_ENCRYPT):
         if encrypt_many is not None:
-            encrypted = encrypt_many(planes, keys.public)
+            planes = encrypt_many(block, keys.public)
         else:
-            encrypted = [ctx.encrypt(plane, keys.public) for plane in planes]
-    return EncryptedQuery(
-        planes=encrypted, public_key=keys.public, rows=block
-    )
+            planes = [ctx.encrypt(plane, keys.public) for plane in block[0]]
+    return EncryptedQuery(planes=planes, public_key=keys.public)
 
 
 # ---------------------------------------------------------------------------
@@ -430,34 +431,32 @@ class BatchedCopseServer:
         """One ciphertext of queries through Algorithm 1: its result
         ciphertext.
 
-        A query with ``rows`` is a group of ciphertexts.  An artifact
-        with ``run_many`` (the megakernel) runs it in one pass and
-        answers with the :class:`~repro.fhe.ciphertext.CiphertextGroup`
-        of its results — on the tape loop, a group of one with its
-        ciphertext; every other engine takes a group of one as its
-        planes and refuses a larger group.
+        A grouped query (:attr:`EncryptedQuery.group_size
+        <repro.core.runtime.EncryptedQuery.group_size>` ``> 1``) runs
+        only on an artifact with ``group_limit`` (the megakernel), as
+        one pass answered by the
+        :class:`~repro.fhe.ciphertext.CiphertextGroup` of its results;
+        every other engine evaluates one ciphertext at a time and
+        refuses it.
         """
         row = engine_row(self.engine)
         artifact = None if row.artifact is None else getattr(
             self, row.artifact
         )
-        if (
-            query.rows is not None and len(query.rows) > 1
-            and getattr(artifact, "run_many", None) is None
-        ):
+        count = query.group_size
+        if count > 1 and getattr(artifact, "group_limit", None) is None:
             raise RuntimeProtocolError(
                 f"engine {self.engine!r} evaluates one ciphertext at a "
-                f"time, not a group of {len(query.rows)}"
+                f"time, not a group of {count}"
             )
         local = self._admit(model, query)
         if row.artifact is None:
             return self._interpret(local, query)
         layout = model.layout
-        return result_of(run_artifact(
-            row, artifact, [(self.ctx, local, query)],
-            self.seccomp_variant,
+        return run_artifact(
+            row, artifact, self.ctx, local, query, self.seccomp_variant,
             batch_shape=(layout.stride, layout.capacity),
-        )[0])
+        )
 
     def _admit(
         self, model: BatchedEncryptedModel, query: EncryptedQuery
@@ -676,11 +675,12 @@ def evaluate_registered_batches(
     megakernel's eight on a backend with ``megakernel_ops``, else one),
     and what is the same for all of them is done once: they are packed
     as one ``(k, precision, width)`` block, encrypted and booked as one
-    query whose ``rows`` are that block, bound, signed, booked and run
-    in one pass, and decrypted by one checked decryption of their
-    shared key and noise (:class:`_Group`) — the book each of them
-    would have alone, which they then share with its cost-model
-    figures and counts.  Across groups, a batch whose counts equal the
+    query of ``k`` ciphertexts per plane (a
+    :class:`~repro.fhe.ciphertext.CiphertextGroup` each), bound,
+    signed, booked and run in one pass, and decrypted by one checked
+    decryption of their shared key and noise (:class:`_Group`) — the
+    book each of them would have alone, which they then share with its
+    cost-model figures and counts.  Across groups, a batch whose counts equal the
     last priced batch's, item for item and in order, shares those
     figures too.  The results are demultiplexed per group, and the
     oracle walks all the call's queries at once.  What depends on a

@@ -194,27 +194,17 @@ def validate_feature_block(
     return values
 
 
-def pack_query_planes(
-    layout: BatchLayout, queries: Sequence[Sequence[int]]
+def pack_group_planes(
+    layout: BatchLayout, batches: Sequence[Sequence[Sequence[int]]]
 ) -> np.ndarray:
-    """Pack up to ``capacity`` queries into batched MSB-first bit planes:
-    the group of one of :func:`pack_group_planes`.
+    """Pack batches of up to ``capacity`` queries into batched MSB-first
+    bit planes: ``(len(batches), precision, stride * capacity)`` uint8,
+    row ``j`` the planes of batch ``j``.
 
     Each query is replicated to multiplicity ``K`` (Diane's Step 0),
     bit-sliced, padded to the stride, and placed in its block.  Unused
     blocks stay zero (the all-zero dummy query), so every batch presents
     the same shape to the input-independent circuit.
-
-    Returns a ``(precision, stride * capacity)`` uint8 array.
-    """
-    return pack_group_planes(layout, [queries])[0]
-
-
-def pack_group_planes(
-    layout: BatchLayout, batches: Sequence[Sequence[Sequence[int]]]
-) -> np.ndarray:
-    """Pack several batches at once: ``(len(batches), precision,
-    stride * capacity)`` uint8, row ``j`` the planes of batch ``j``.
 
     Each batch is checked for size alone; the rows of all of them are
     validated by one :func:`validate_feature_block` over their

@@ -1,12 +1,12 @@
 """Group == singles: the bit-sliced megakernel pass (ISSUE 23).
 
-``MegaKernel.run_many`` puts ciphertext *j* of up to eight runs in bit
-*j* of every lane of the one plane and runs the step program once.  It
-may differ from that many ``MegaKernel.run`` calls in nothing a caller
-can observe: decrypted bits, the books each run's own tracker ends
-with, multiplicative depth, the output's noise / node id / length, and
-the text of a refusal — and a run that fails (a refusal, a noise
-failure its book caches) must fail alone.
+A grouped query — ``encrypt_planes`` of a ``(k, precision, width)``
+block from ``pack_group_planes``, its planes ``CiphertextGroup``s of
+``k`` ciphertexts — is one ``MegaKernel.run``: ciphertext *j* in bit *j*
+of every lane of the one plane, the step program once.  It may differ
+from ``k`` runs of one ciphertext each in nothing a caller can observe:
+decrypted bits, the book each of them ends with, multiplicative depth,
+the output's noise / node id / length, and the text of a refusal.
 """
 
 import dataclasses
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.engines import ENGINES
 from repro.core.runtime import EncryptedQuery
 from repro.errors import NoiseBudgetExceededError, RuntimeProtocolError
+from repro.fhe.ciphertext import CiphertextGroup
 from repro.fhe.context import FheContext
 from repro.fhe.tracker import OpTracker
 from repro.forest.serialize import loads_forest
@@ -30,11 +31,11 @@ from repro.forest.synthetic import random_forest
 from repro.ir.megakernel import MAX_GROUP
 from repro.serve.batched_runtime import (
     build_batched_model,
-    encrypt_batch,
+    encrypt_planes,
     evaluate_registered_batch,
     evaluate_registered_batches,
 )
-from repro.serve.packing import demux_bitvectors
+from repro.serve.packing import demux_group, pack_group_planes
 from repro.serve.registry import ModelRegistry
 
 MODELS_DIR = Path(__file__).resolve().parents[2] / "perf" / "models"
@@ -77,69 +78,81 @@ def feature_chunks(registered, fills, seed):
     ]
 
 
-def make_runs(registered, chunks, bundle=None, tracker=None):
-    """Fresh ``(ctx, adopted model, encrypted query)`` per chunk."""
-    runs = []
-    for features in chunks:
-        ctx = FheContext(
-            registered.params, backend=registered.backend,
-            **({} if tracker is None else {"tracker": tracker()}),
+def make_group(registered, chunks, bundle=None, tracker=None):
+    """One ``(ctx, adopted model, query)`` run whose query holds every
+    chunk: a ciphertext per plane for one chunk, a group for more."""
+    ctx = FheContext(
+        registered.params, backend=registered.backend,
+        **({} if tracker is None else {"tracker": tracker()}),
+    )
+    query = encrypt_planes(
+        ctx, pack_group_planes(registered.layout, chunks), registered.keys
+    )
+    model = (bundle or registered.batched_model).adopt_into(ctx)
+    return ctx, model, query
+
+
+def make_runs(registered, chunks, **how):
+    """One run per chunk, each on its own context."""
+    return [make_group(registered, [chunk], **how) for chunk in chunks]
+
+
+def outcome(kernel, run):
+    try:
+        return kernel.run(*run)
+    except Exception as exc:
+        return exc
+
+
+def books(tracker):
+    """Counts by phase in recording order, totals, depth."""
+    return (
+        [(phase, list(tracker.phase_stats(phase).counts.items()))
+         for phase in tracker.phases],
+        sorted((k.value, n) for k, n in tracker.total_counts().items()),
+        tracker.multiplicative_depth(),
+    )
+
+
+def observed(registered, run, result, chunks):
+    """Everything a caller can see of each chunk of one run, books
+    before bits (a decryption is an operation too)."""
+    ctx = run[0]
+    booked = books(ctx.tracker)
+    if isinstance(result, Exception):
+        return [(booked, type(result).__name__, str(result))] * len(chunks)
+    secret = registered.keys.secret
+    if isinstance(result, CiphertextGroup):
+        bits, head = ctx.decrypt_group(result, secret), result.head
+    else:
+        bits, head = [ctx.decrypt(result, secret)], result
+    return [
+        (booked, bitvectors, head.noise.level, head.noise.slack,
+         head.node_id, head.length)
+        for bitvectors in demux_group(
+            registered.layout, bits, [len(c) for c in chunks]
         )
-        query = encrypt_batch(ctx, registered.layout, features, registered.keys)
-        model = (bundle or registered.batched_model).adopt_into(ctx)
-        runs.append((ctx, model, query))
-    return runs
+    ]
 
 
-def singles(kernel, runs):
-    outcomes = []
-    for run in runs:
-        try:
-            outcomes.append(kernel.run(*run))
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
+def singles(registered, kernel, runs, chunks):
+    """What each chunk's run of one shows, in order."""
+    return [
+        observed(registered, run, outcome(kernel, run), [chunk])[0]
+        for run, chunk in zip(runs, chunks)
+    ]
 
 
-def observed(registered, runs, outcomes, chunks):
-    """Everything a caller can see of each run, books before bits (a
-    decryption is an operation too)."""
-    seen = []
-    for (ctx, _, _), outcome, features in zip(runs, outcomes, chunks):
-        tracker = ctx.tracker
-        books = (
-            sorted((k.value, n) for k, n in tracker.total_counts().items()),
-            tracker.multiplicative_depth(),
-            sorted(
-                (phase, sorted(
-                    (k.value, n)
-                    for k, n in tracker.phase_stats(phase).counts.items()
-                ))
-                for phase in tracker.phases
-            ),
-        )
-        if isinstance(outcome, Exception):
-            seen.append((books, type(outcome).__name__, str(outcome)))
-            continue
-        bits = demux_bitvectors(
-            registered.layout,
-            ctx.decrypt_bits(outcome, registered.keys.secret),
-            len(features),
-        )
-        seen.append((
-            books, bits, outcome.noise.level, outcome.noise.slack,
-            outcome.node_id, outcome.length,
-        ))
-    return seen
-
-
-def assert_group_equals_singles(registered, chunks, kernel=None, **how):
+def assert_group_equals_singles(registered, chunks, kernel=None,
+                                spoil=lambda run: run, **how):
+    """The group of ``chunks`` reads, chunk by chunk, as each chunk run
+    alone (``spoil`` applied to every run first)."""
     kernel = kernel or registered.megakernel
-    grouped = make_runs(registered, chunks, **how)
-    alone = make_runs(registered, chunks, **how)
-    group = observed(registered, grouped, kernel.run_many(grouped), chunks)
-    assert group == observed(registered, alone, singles(kernel, alone), chunks)
-    return group
+    group = spoil(make_group(registered, chunks, **how))
+    seen = observed(registered, group, outcome(kernel, group), chunks)
+    alone = [spoil(run) for run in make_runs(registered, chunks, **how)]
+    assert seen == singles(registered, kernel, alone, chunks)
+    return seen
 
 
 class TestDifferential:
@@ -174,14 +187,21 @@ class TestDifferential:
 
     @pytest.mark.parametrize("backend", ["reference", "plaintext"])
     def test_other_backends_by_fallback(self, backend):
-        """No ``megakernel_ops``: the group is that many tape-loop runs."""
+        """No ``megakernel_ops``: the tape loop runs a query of one
+        ciphertext, and refuses a group."""
         registered = small(backend=backend)
         assert registered.megakernel.group_limit(
             FheContext(registered.params, backend=backend)
         ) == 1
-        assert_group_equals_singles(
-            registered, feature_chunks(registered, [4, 2, 4], seed=5)
-        )
+        chunks = feature_chunks(registered, [4, 2, 4], seed=5)
+        for chunk in chunks:
+            assert_group_equals_singles(registered, [chunk])
+        run = make_group(registered, chunks)
+        with pytest.raises(RuntimeProtocolError, match=(
+            "a group of 3 ciphertexts runs only in one megakernel pass, "
+            "at most 8 on a backend with megakernel_ops"
+        )):
+            registered.megakernel.run(*run)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_the_routine_on_every_engine(self, engine):
@@ -369,8 +389,6 @@ class TestAGroupIsPaidOnce:
 
     @pytest.mark.parametrize("name", ["small", "income5"])
     def test_the_group_block_is_each_batchs_planes(self, name):
-        from repro.serve.packing import pack_group_planes, pack_query_planes
-
         registered = small() if name == "small" else frozen(name)
         layout = registered.layout
         for k in range(1, MAX_GROUP + 1):
@@ -385,7 +403,8 @@ class TestAGroupIsPaidOnce:
                     k, layout.precision, layout.batched_width
                 )
                 assert [planes.tobytes() for planes in block] == [
-                    pack_query_planes(layout, c).tobytes() for c in chunks
+                    pack_group_planes(layout, [c])[0].tobytes()
+                    for c in chunks
                 ]
 
 
@@ -429,105 +448,113 @@ class TestTheGroupIsBookedOnce:
 
 
 class TestARunFailsAlone:
+    """A group is one run: a refusal, or a noise failure its book
+    caches, fails the whole group exactly as it fails each of its
+    ciphertexts alone — the same text, the same books — and leaves the
+    plane fit for the next run.  (The serve routine then retries the
+    group batch by batch: ``TestAGroupIsPaidOnce``.)"""
+
     def test_refusals_word_for_word(self):
         registered = small()
-        kernel = registered.megakernel
         chunks = feature_chunks(registered, [4, 3, 4, 2], seed=3)
 
-        def spoil(runs):
-            ctx, model, query = runs[1]
-            narrow = ctx.encrypt(
-                query.planes[0]._slots[:-1], registered.keys.public
+        def narrow(run):
+            ctx, model, query = run
+            block = pack_group_planes(
+                registered.layout, chunks[: query.group_size]
             )
-            runs[1] = (ctx, model, EncryptedQuery(
-                planes=[narrow] + list(query.planes[1:]),
+            (plane,) = ctx.encrypt_many(
+                block[:, :1, :-1], registered.keys.public
+            )
+            return ctx, model, EncryptedQuery(
+                planes=[plane] + list(query.planes[1:]),
                 public_key=query.public_key,
-            ))
-            ctx, model, query = runs[3]
-            runs[3] = (ctx, model, EncryptedQuery(
-                planes=list(query.planes), public_key=None,
-            ))
-            return runs
+            )
 
-        grouped = spoil(make_runs(registered, chunks))
-        alone = spoil(make_runs(registered, chunks))
-        group = observed(registered, grouped, kernel.run_many(grouped), chunks)
-        assert group == observed(
-            registered, alone, singles(kernel, alone), chunks
-        )
-        assert group[1][1:] == (
+        def keyless(run):
+            ctx, model, query = run
+            return ctx, model, EncryptedQuery(
+                planes=list(query.planes), public_key=None,
+            )
+
+        seen = assert_group_equals_singles(registered, chunks, spoil=narrow)
+        assert seen[0][1:] == (
             "RuntimeProtocolError",
             f"input 'feat_plane_0' has width "
             f"{registered.layout.batched_width - 1}, declared "
             f"{registered.layout.batched_width}",
         )
-        assert group[3][1] == "RuntimeProtocolError"
-        assert "public" in group[3][2]
-        for position in (0, 2):
-            assert group[position][1] == [
-                registered.forest.label_bitvector(f)
-                for f in chunks[position]
-            ]
+        seen = assert_group_equals_singles(registered, chunks, spoil=keyless)
+        assert seen[0][1] == "RuntimeProtocolError"
+        assert "public" in seen[0][2]
+        assert [run[1] for run in assert_group_equals_singles(
+            registered, chunks
+        )] == [
+            [registered.forest.label_bitvector(f) for f in chunk]
+            for chunk in chunks
+        ]
 
     def test_a_cached_noise_failure_raises_for_its_ciphertext_alone(self):
-        """A run whose inputs arrive with their noise budget spent hits
-        a book that caches the tape's overflow: its tracker gets the
-        partial counts and the exception, the other runs of the pass
-        are answered, and all trackers end as the singles'."""
+        """A group whose inputs arrive with their noise budget spent
+        hits a book that caches the tape's overflow: its tracker gets
+        the partial counts and the exception, as each of its
+        ciphertexts' would alone, and the next group is answered."""
         registered = small()
         kernel = registered.megakernel
         chunks = feature_chunks(registered, [4, 4, 4], seed=8)
 
-        def exhaust(runs, squarings):
-            ctx, model, query = runs[1]
-            planes = list(query.planes)
-            for _ in range(squarings):
-                planes = [ctx.multiply(p, p) for p in planes]
-            runs[1] = (ctx, model, EncryptedQuery(
-                planes=planes, public_key=query.public_key,
-            ))
-            return runs
+        def square(ctx, plane):
+            if isinstance(plane, CiphertextGroup):
+                # x * x = x over GF(2): the rows stay, the noise grows
+                return CiphertextGroup(
+                    ctx.multiply(plane.head, plane.head), plane._rows
+                )
+            return ctx.multiply(plane, plane)
+
+        def exhaust(squarings):
+            def spoil(run):
+                ctx, model, query = run
+                planes = list(query.planes)
+                for _ in range(squarings):
+                    planes = [square(ctx, p) for p in planes]
+                return ctx, model, EncryptedQuery(
+                    planes=planes, public_key=query.public_key,
+                )
+            return spoil
 
         for squarings in range(1, 64):
-            probe = exhaust(make_runs(registered, chunks), squarings)
-            try:
-                kernel.run(*probe[1])
-            except NoiseBudgetExceededError:
+            probe = exhaust(squarings)(make_group(registered, chunks[:1]))
+            if isinstance(outcome(kernel, probe), NoiseBudgetExceededError):
                 break
         else:
             pytest.fail("no amount of squaring exhausted the budget")
 
-        grouped = exhaust(make_runs(registered, chunks), squarings)
-        alone = exhaust(make_runs(registered, chunks), squarings)
-        outcomes = kernel.run_many(grouped)
-        assert isinstance(outcomes[1], NoiseBudgetExceededError)
-        group = observed(registered, grouped, outcomes, chunks)
-        assert group == observed(
-            registered, alone, singles(kernel, alone), chunks
+        seen = assert_group_equals_singles(
+            registered, chunks, spoil=exhaust(squarings)
         )
-        for position in (0, 2):
-            assert group[position][1] == [
-                registered.forest.label_bitvector(f)
-                for f in chunks[position]
-            ]
+        assert seen[0][1] == "NoiseBudgetExceededError"
+        assert [run[1] for run in assert_group_equals_singles(
+            registered, chunks
+        )] == [
+            [registered.forest.label_bitvector(f) for f in chunk]
+            for chunk in chunks
+        ]
 
     def test_an_impostor_bundle_is_refused_for_every_run(self):
         registered = small()
         other = small(name="other", seed=8)
         assert other.layout == registered.layout
         chunks = feature_chunks(registered, [4, 4], seed=2)
-        runs = make_runs(registered, chunks, bundle=other.batched_model)
-        outcomes = registered.megakernel.run_many(runs)
-        assert [str(o) for o in outcomes] == [
-            str(o) for o in singles(registered.megakernel, runs)
-        ]
-        assert all(isinstance(o, RuntimeProtocolError) for o in outcomes)
-        assert "but received model" in str(outcomes[0])
+        seen = assert_group_equals_singles(
+            registered, chunks, bundle=other.batched_model
+        )
+        assert seen[0][1] == "RuntimeProtocolError"
+        assert "but received model" in seen[0][2]
 
 
 class TestTheFullSeat:
     """Whoever finds the plane without this bundle seats all of it,
-    inside the group, and the answers do not change."""
+    group or not, and the answers do not change."""
 
     def test_a_pickled_kernel(self):
         registered = small()
@@ -580,8 +607,8 @@ class TestTheFullSeat:
 
 class TestFallBackToSingles:
     def test_mixed_bundles(self):
-        """Two bundle objects in one call cannot share the model rows:
-        each run goes alone, each against its own bundle."""
+        """Groups over two bundle objects by turns: each takes the full
+        seat against its own bundle, and answers as its singles do."""
         registered = small()
         kernel = registered.megakernel
         chunks = feature_chunks(registered, [4, 4, 4], seed=12)
@@ -590,58 +617,63 @@ class TestFallBackToSingles:
             registered.compiled, registered.layout,
             public_key=registered.keys.public,
         )
-
-        def mixed():
-            runs = make_runs(registered, chunks)
-            runs[1] = make_runs(registered, chunks[1:2], bundle=other)[0]
-            return runs
-
-        runs = mixed()
-        assert not kernel._shares_pass(runs)
-        alone = mixed()
-        assert observed(
-            registered, runs, kernel.run_many(runs), chunks
-        ) == observed(registered, alone, singles(kernel, alone), chunks)
+        seen = []
+        for bundle in (None, other, None, other):
+            group = make_group(registered, chunks, bundle=bundle)
+            seen.append(observed(
+                registered, group, outcome(kernel, group), chunks
+            ))
+            held = kernel._local.state.resident.containers[0]
+            assert held is group[1].threshold_planes
+        assert seen[0] == seen[2] and seen[1] == seen[3]
+        assert [run[1] for run in seen[0]] == [run[1] for run in seen[1]]
+        assert seen[0] == singles(
+            registered, kernel, make_runs(registered, chunks), chunks
+        )
 
     def test_a_foreign_tracker(self):
         """A caller-supplied DAG tracker has no ``megakernel_ops``: the
-        tape loop answers, run by run, with the full books."""
+        tape loop answers a query of one ciphertext with the full books,
+        and refuses a group."""
         registered = small()
         kernel = registered.megakernel
         chunks = feature_chunks(registered, [4, 2], seed=14)
-        runs = make_runs(registered, chunks, tracker=OpTracker)
-        assert not kernel._shares_pass(runs)
-        assert_group_equals_singles(registered, chunks, tracker=OpTracker)
+        run = make_group(registered, chunks, tracker=OpTracker)
+        assert kernel.group_limit(run[0]) == 1
+        with pytest.raises(RuntimeProtocolError, match="a group of 2 "):
+            kernel.run(*run)
+        for chunk in chunks:
+            assert_group_equals_singles(
+                registered, [chunk], tracker=OpTracker
+            )
 
     def test_unadopted_planes_and_oversize_groups(self):
         registered = small()
         kernel = registered.megakernel
         chunks = feature_chunks(registered, [4] * (MAX_GROUP + 1), seed=15)
-        too_many = make_runs(registered, chunks)
-        assert not kernel._shares_pass(too_many)
-        assert len(kernel.run_many(too_many)) == MAX_GROUP + 1
+        too_many = make_group(registered, chunks)
+        with pytest.raises(RuntimeProtocolError, match=(
+            f"a group of {MAX_GROUP + 1} ciphertexts runs only in one "
+            f"megakernel pass, at most {MAX_GROUP}"
+        )):
+            kernel.run(*too_many)
+        assert assert_group_equals_singles(registered, chunks[:MAX_GROUP])
         # Lists can change under the same identity: nothing is held
-        # resident from them, so two such runs cannot share a seat.
+        # resident from them, and every group takes the full seat.
         loose = dataclasses.replace(
             registered.batched_model.adopt_into(
                 FheContext(registered.params, backend="vector")
             ),
             level_masks=list(registered.batched_model.level_masks),
         )
-        runs = [
-            (ctx, loose, query)
-            for ctx, _, query in make_runs(registered, chunks[:2])
-        ]
-        assert not kernel._shares_pass(runs)
-        assert kernel._shares_pass(runs[:1])
-        outcomes = kernel.run_many(runs)
-        assert [
-            demux_bitvectors(
-                registered.layout,
-                ctx.decrypt_bits(result, registered.keys.secret), 4,
+        for _ in range(2):
+            ctx, _, query = make_group(registered, chunks[:2])
+            seen = observed(
+                registered, (ctx, loose, query),
+                kernel.run(ctx, loose, query), chunks[:2],
             )
-            for (ctx, _, _), result in zip(runs, outcomes)
-        ] == [
-            [registered.forest.label_bitvector(f) for f in features]
-            for features in chunks[:2]
-        ]
+            assert kernel._local.state.resident is None
+            assert [run[1] for run in seen] == [
+                [registered.forest.label_bitvector(f) for f in features]
+                for features in chunks[:2]
+            ]

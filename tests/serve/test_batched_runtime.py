@@ -374,3 +374,49 @@ class TestBulkEncryption:
                 for ct in ctx.encrypt_many(block, keys.public)
             ]
             assert bits == np.asarray(block).tolist()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_group_is_booked_as_its_first_block(self, layout, params,
+                                                  backend):
+        """A ``(k, n, width)`` block is ``n`` groups of ``k``: each head
+        is what ``encrypt_many`` of the first block gives alone, the
+        group books exactly that, and ``decrypt_group`` reads every row
+        back with one ``DECRYPT``.  A group block is refused as
+        ``encrypt`` words it, with nothing booked."""
+        from repro.errors import DomainError, SlotCapacityError
+        from repro.fhe.ciphertext import CiphertextGroup
+        from repro.serve.packing import pack_group_planes
+
+        group_ctx, _ = self._contexts(params, backend)
+        alone_ctx, _ = self._contexts(params, backend)
+        keys = group_ctx.keygen()
+        chunks = [[[40, 200], [0, 255]], [[130, 7]], [[1, 2], [3, 4], [5, 6]]]
+        block = pack_group_planes(layout, chunks)
+        groups = group_ctx.encrypt_many(block, keys.public)
+        heads = alone_ctx.encrypt_many(block[0].copy(), keys.public)
+        assert [type(g) for g in groups] == [CiphertextGroup] * len(heads)
+        assert (group_ctx.tracker.total_counts()
+                == alone_ctx.tracker.total_counts())
+        for group, head in zip(groups, heads):
+            assert len(group) == len(chunks)
+            assert group.length == head.length == layout.batched_width
+            assert (group.head.node_id, group.head.key_id,
+                    group.head.noise) == (head.node_id, head.key_id,
+                                          head.noise)
+        decrypted = [group_ctx.decrypt_group(g, keys.secret) for g in groups]
+        assert np.array_equal(np.stack(decrypted, axis=1), block)
+        assert group_ctx.tracker.total_counts()[OpKind.DECRYPT] == len(heads)
+
+        before = group_ctx.tracker.total_counts()
+        wide = np.zeros((2, 2, params.slot_count + 1), dtype=np.uint8)
+        for bad, error in (
+            (np.full((2, 2, 8), 2, dtype=np.uint8), DomainError),
+            (np.zeros((2, 2, 8), dtype=np.float64), DomainError),
+            (wide, SlotCapacityError),
+        ):
+            with pytest.raises(error) as single:
+                group_ctx.encrypt(bad[0, 0], keys.public)
+            with pytest.raises(error) as many:
+                group_ctx.encrypt_many(bad, keys.public)
+            assert str(many.value) == str(single.value)
+        assert group_ctx.tracker.total_counts() == before

@@ -787,12 +787,12 @@ class TestAssignmentOnTheWire:
         from repro.errors import RuntimeProtocolError
         from repro.serve import batched_runtime
 
-        from repro.serve.packing import pack_query_planes
+        from repro.serve.packing import pack_group_planes
 
         assignment = self.assignment(registered, (4, 4, 3))
-        poisoned = pack_query_planes(registered.layout, [
+        poisoned = pack_group_planes(registered.layout, [[
             payload.features for payload in payloads_of(assignment.runs())[4:8]
-        ])
+        ]])[0]
         encrypt = batched_runtime.encrypt_planes
 
         def encrypt_unless_poisoned(ctx, block, keys):

@@ -398,9 +398,9 @@ class TestGroupsThroughTheFacade:
         run_pass = MegaKernel._pass
         monkeypatch.setattr(
             MegaKernel, "_pass",
-            lambda self, state, group: (
-                passes.append(sum(count for count, _ in group)),
-                run_pass(self, state, group),
+            lambda self, state, count, slots: (
+                passes.append(count),
+                run_pass(self, state, count, slots),
             )[1],
         )
         queries = queries_for(example_forest, 30)
@@ -442,7 +442,7 @@ class TestGroupsThroughTheFacade:
         ciphertexts are answered, and every query ends in exactly one
         column."""
         from repro.serve import batched_runtime
-        from repro.serve.packing import pack_query_planes
+        from repro.serve.packing import pack_group_planes
 
         queries = queries_for(example_forest, 16, seed=5)
         poisoned = []  # the planes of the ciphertext queries[5] is in
@@ -457,9 +457,9 @@ class TestGroupsThroughTheFacade:
             batched_runtime, "encrypt_planes", encrypt_unless_poisoned
         )
         with open_grouping_service(example_forest) as service:
-            poisoned.append(pack_query_planes(
-                service.registry.get("m").layout, queries[5:9]
-            ))
+            poisoned.append(pack_group_planes(
+                service.registry.get("m").layout, [queries[5:9]]
+            )[0])
             # Three wait for a fourth; one of them gives up; the other
             # thirteen then arrive at once: twelve live queries are cut
             # as one group of three ciphertexts, the poison in the
@@ -512,9 +512,9 @@ class TestGroupsThroughTheFacade:
         run_pass = MegaKernel._pass
         monkeypatch.setattr(
             MegaKernel, "_pass",
-            lambda self, state, group: (
-                passes.append(sum(count for count, _ in group)),
-                run_pass(self, state, group),
+            lambda self, state, count, slots: (
+                passes.append(count),
+                run_pass(self, state, count, slots),
             )[1],
         )
         tracer = Tracer()
@@ -555,10 +555,10 @@ def pass_logging_worker_main(log_dir, conn, worker_id, epoch):
 
     run_pass = MegaKernel._pass
 
-    def logged_pass(self, state, group):
+    def logged_pass(self, state, count, slots):
         with open(os.path.join(log_dir, f"worker-{worker_id}"), "a") as log:
-            log.write(f"{sum(count for count, _ in group)}\n")
-        return run_pass(self, state, group)
+            log.write(f"{count}\n")
+        return run_pass(self, state, count, slots)
 
     MegaKernel._pass = logged_pass
     worker_main(conn, worker_id, epoch)

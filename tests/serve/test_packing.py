@@ -9,12 +9,17 @@ from repro.fhe.params import EncryptionParams
 from repro.fhe.simd import from_bitplanes, replicate
 from repro.serve.packing import (
     demux_bitvectors,
-    pack_query_planes,
+    pack_group_planes,
     plan_layout,
     segment_mask,
     tile_model_vector,
     validate_features,
 )
+
+
+def pack_query_planes(layout, queries):
+    """One batch's ``(precision, width)`` planes: the group of one."""
+    return pack_group_planes(layout, [queries])[0]
 
 
 @pytest.fixture
