@@ -31,7 +31,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.errors import CopseError
+from repro.errors import CopseError, ValidationError
 from repro.core.codegen import generate_module_source
 from repro.core.compiler import CopseCompiler
 from repro.core.engines import ENGINES
@@ -624,6 +624,13 @@ def _cmd_bench(args) -> int:
         return 0
     # "report": every section, with the record's own arguments and backend,
     # then the paper's claims checked against them (exit 1 if one fails).
+    for flag, given in (("--workloads", args.workloads),
+                        ("--queries", args.queries)):
+        if given is not None:
+            raise ValidationError(
+                f"'report' does not take {flag}: it builds every section "
+                f"with the record's own arguments"
+            )
     sections = report_gen.build_sections()
     print(report_gen.render_report(sections), end="")
     if args.out is not None:

@@ -420,17 +420,18 @@ class MegaKernel:
         When this thread's plane already holds the bundle's planes (see
         :meth:`_resident_for`) only the query is bound, signed and
         seated; otherwise the run takes the full seat.  The
-        encryption-shape and fingerprint refusals are **not** cached
-        and run on every run with the messages of
-        :func:`~repro.ir.plan.bind_model_query`, so an impostor bundle
-        is rejected identically on the first batch and the millionth.
+        encryption-shape and fingerprint refusals are **not** cached:
+        :func:`~repro.ir.plan.check_model_bundle` (which
+        :func:`~repro.ir.plan.bind_model_query` runs too) runs on every
+        run, so an impostor bundle is rejected identically on the first
+        batch and the millionth.
 
         Without a pass — a backend without ``megakernel_ops``, a tape
         outside the gather grammar — the tape loop runs the query, and
         refuses a group; a pass holds at most :data:`MAX_GROUP`.
         """
         from repro.core.engines import PHASE_MEGAKERNEL
-        from repro.ir.plan import bind_query_inputs
+        from repro.ir.plan import bind_query_inputs, check_model_bundle
 
         if phase is None:
             phase = PHASE_MEGAKERNEL
@@ -448,7 +449,9 @@ class MegaKernel:
         state = self._buffer(self._plan)
         resident = self._resident_for(model, query)
         if resident is not None:
-            self._check_bundle(model)
+            check_model_bundle(
+                self.encrypted_model, self.model_fingerprint, model
+            )
             book, keys, slots = self._seat_run(
                 state, ctx,
                 bind_query_inputs(ctx, self.input_widths, query),
@@ -551,27 +554,6 @@ class MegaKernel:
                 if held is not planes:
                     return None
         return resident
-
-    def _check_bundle(self, model) -> None:
-        """The uncached refusals of :func:`~repro.ir.plan.bind_model_query`."""
-        if model is None:
-            return
-        encrypted_model = self.encrypted_model
-        if model.is_encrypted != encrypted_model:
-            raise RuntimeProtocolError(
-                f"plan was lowered for an "
-                f"{'encrypted' if encrypted_model else 'plaintext'} "
-                f"model but received the opposite"
-            )
-        fingerprint = self.model_fingerprint
-        if fingerprint is not None:
-            model_fp = getattr(model, "fingerprint", None)
-            if model_fp != fingerprint:
-                raise RuntimeProtocolError(
-                    f"plan was lowered for model {fingerprint} "
-                    f"but received model {model_fp}; lower a plan "
-                    f"for this model (or register it, which does)"
-                )
 
     def _require_bound(self, bindings) -> None:
         if not bindings.keys() >= self._input_set:

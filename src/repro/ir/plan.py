@@ -123,6 +123,32 @@ def _ones_row(width: int) -> np.ndarray:
     return row
 
 
+def check_model_bundle(encrypted_model: bool,
+                       model_fingerprint: Optional[str], model) -> None:
+    """Refuse a runtime model bundle the program was not lowered for:
+    the opposite encryption, or another model's fingerprint (None
+    ``model``: nothing to check)."""
+    if model is None:
+        return
+    if model.is_encrypted != encrypted_model:
+        raise RuntimeProtocolError(
+            f"plan was lowered for an "
+            f"{'encrypted' if encrypted_model else 'plaintext'} "
+            f"model but received the opposite"
+        )
+    if model_fingerprint is not None:
+        # Fail closed: a bundle without a fingerprint (hand-built, not
+        # via ModelOwner/build_batched_model) cannot prove it is the
+        # model this program was lowered for.
+        model_fp = getattr(model, "fingerprint", None)
+        if model_fp != model_fingerprint:
+            raise RuntimeProtocolError(
+                f"plan was lowered for model {model_fingerprint} "
+                f"but received model {model_fp}; lower a plan for this "
+                f"model (or register it, which does)"
+            )
+
+
 def bind_model_query(
     ctx: FheContext,
     input_widths: Dict[str, int],
@@ -142,23 +168,7 @@ def bind_model_query(
     cannot prove — via :meth:`CompiledModel.fingerprint` — that it is
     the model the program was lowered for is refused (fail closed).
     """
-    if model is not None and model.is_encrypted != encrypted_model:
-        raise RuntimeProtocolError(
-            f"plan was lowered for an "
-            f"{'encrypted' if encrypted_model else 'plaintext'} "
-            f"model but received the opposite"
-        )
-    if model_fingerprint is not None and model is not None:
-        # Fail closed: a bundle without a fingerprint (hand-built, not
-        # via ModelOwner/build_batched_model) cannot prove it is the
-        # model this program was lowered for.
-        model_fp = getattr(model, "fingerprint", None)
-        if model_fp != model_fingerprint:
-            raise RuntimeProtocolError(
-                f"plan was lowered for model {model_fingerprint} "
-                f"but received model {model_fp}; lower a plan for this "
-                f"model (or register it, which does)"
-            )
+    check_model_bundle(encrypted_model, model_fingerprint, model)
     bindings = bind_query_inputs(ctx, input_widths, query)
     if encrypted_model:
         for i, vec in enumerate(model.threshold_planes):

@@ -698,10 +698,6 @@ def evaluate_registered_batches(
     ``"demux"`` / ``"resolve"`` as each stage begins (the in-thread
     transport's trace spans).
     """
-    # One consistent snapshot of the mutable registration fields: the
-    # control plane may flip engine/backend between batches
-    # (registry.set_engine / switch_backend), and a batch must run
-    # entirely under one configuration.
     if engine is None:
         engine = registered.engine
     keys = registered.keys

@@ -178,8 +178,16 @@ class CutBatch:
 
 def query_block(feature_lists):
     """A request that can be indexed: an iterator is read once, here."""
-    indexed = hasattr(feature_lists, "__getitem__")
-    return feature_lists if indexed else list(feature_lists)
+    if hasattr(feature_lists, "__getitem__"):
+        return feature_lists
+    try:
+        queries = iter(feature_lists)
+    except TypeError:
+        raise ValidationError(
+            f"a request is an iterable of feature vectors, got "
+            f"{type(feature_lists).__name__}"
+        ) from None
+    return list(queries)
 
 
 def admit_block(registered: RegisteredModel,

@@ -40,8 +40,9 @@ Decision records are ``(kind, ...)`` tuples ordered by emission:
 ``("ship", worker, epoch, model, t)``,
 ``("assign", batch_id, queue, worker, epoch, size, first_seq, t)``,
 ``("crash", worker, new_epoch, t)``, ``("restart", worker, epoch, t)``,
-``("redeploy", model, fingerprint, t)``,
-``("stale", batch_id, worker, epoch, t)``, plus the fault-domain kinds:
+``("stale", batch_id, worker, epoch, t)``, the pool's
+``("add_worker", worker, t)``, ``("retire", worker, epoch, t)`` and
+``("abandon", worker, epoch, deaths, t)``, plus the fault-domain kinds:
 ``("park", queue, seq, attempt, release_t, t)``,
 ``("bisect", origin_batch, queue, size, left, right, release_t, t)``,
 ``("dead_letter", queue, tenant, seq, origin_batch, t)``,
@@ -160,7 +161,8 @@ class RouterCore(SchedulerCore):
         #: Per-worker map of model name -> shipped fingerprint, reset on
         #: every epoch change: the ship-exactly-once ledger.
         self.shipped: List[Dict[str, str]] = [{} for _ in range(workers)]
-        #: model name -> current fingerprint (the placement/ship key).
+        #: model name -> its fingerprint (the ship key), fixed until
+        #: the model is removed.
         self._models: Dict[str, str] = {}
         #: model name -> its placement rotation, until the pool changes.
         self._placements: Dict[str, List[int]] = {}
@@ -192,7 +194,6 @@ class RouterCore(SchedulerCore):
         self._restarts = m.counter("cluster_restarts")
         self._heartbeats = m.counter("cluster_heartbeats")
         self._stale = m.counter("cluster_epoch_invalidated")
-        self._redeploys = m.counter("cluster_redeploys")
         self._scale_ups = m.counter("cluster_scale_ups")
         self._retires = m.counter("cluster_retires")
         self._parks = m.counter("cluster_parks")
@@ -258,42 +259,6 @@ class RouterCore(SchedulerCore):
         return len(self._parked) + sum(
             len(c["runs"]) for _, _, c in self._cohorts
         )
-
-    def set_weight(self, name: str, weight: float, now: float) -> float:
-        """Retune a model's fair-share weight; returns the old one.
-
-        Takes effect on the next cut: virtual time already accrued is
-        kept (a weight change re-prices *future* service, it does not
-        replay the past).
-        """
-        queue = self._queue_or_raise(name)
-        require_real(f"queue {name!r}: fair-share weight", weight)
-        if weight <= 0:
-            raise ValidationError(
-                f"queue {name!r}: fair-share weight must be > 0, got "
-                f"{weight}"
-            )
-        old, queue.weight = queue.weight, weight
-        self._record("set_weight", name, round(weight, 9), round(now, 9))
-        return old
-
-    def set_admission_limit(self, name: str, limit: Optional[int],
-                            now: float) -> Optional[int]:
-        """Rebound a model's admission limit; returns the old one.
-
-        ``None`` removes the bound.  Queries already admitted above a
-        tightened bound stay queued — the bound gates *admission*, it
-        never drops accepted work.
-        """
-        queue = self._queue_or_raise(name)
-        if limit is not None:
-            require_at_least(f"queue {name!r}: max_pending", limit, 1)
-        old, queue.max_pending = queue.max_pending, limit
-        self._record(
-            "set_admission_limit", name,
-            -1 if limit is None else limit, round(now, 9),
-        )
-        return old
 
     def _record(self, *fields) -> None:
         """Log one decision; traced, it is also an instant on the
@@ -390,7 +355,7 @@ class RouterCore(SchedulerCore):
 
     def ship_everywhere(self, name: str, now: float) -> List[ShipAction]:
         """Warm the pool: ship ``name`` to every live worker that does
-        not hold its current fingerprint yet."""
+        not hold it yet."""
         if name not in self._models:
             raise ValidationError(f"no cluster model named {name!r}")
         actions: List[ShipAction] = []
@@ -410,9 +375,8 @@ class RouterCore(SchedulerCore):
         first eligible worker of the model's placement rotation
         (circuit breakers veto failing (model, worker) pairs), and
         emits the engine's work list: a :class:`ShipAction` the first
-        time a (worker, epoch) sees a model (or a redeployed
-        fingerprint), then the :class:`AssignAction` for the batch
-        itself.  A queue no eligible worker can take is skipped without
+        time a (worker, epoch) sees a model, then the
+        :class:`AssignAction` for the batch itself.  A queue no eligible worker can take is skipped without
         starving the others.  Finally, batches in flight past their
         hedge threshold get a :class:`HedgeAction` (when hedging is on).
         ``limit`` caps the fresh cuts of this call, for an engine that
@@ -882,20 +846,6 @@ class RouterCore(SchedulerCore):
             ),
             now,
         )
-
-    def redeploy_model(self, name: str, fingerprint: str,
-                       now: float) -> None:
-        """Publish a new fingerprint for ``name``.
-
-        Every worker's ledger entry is now stale, so the next batch
-        placed on each worker re-ships the new envelope first — a
-        rolling redeploy with no restart needed.
-        """
-        if name not in self._models:
-            raise ValidationError(f"no cluster model named {name!r}")
-        self._models[name] = fingerprint
-        self._redeploys.inc()
-        self._record("redeploy", name, fingerprint, round(now, 9))
 
     # ------------------------------------------------------------------
     # Elastic pool: scale-up / scale-down under controller actuation

@@ -33,10 +33,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from repro.errors import ValidationError
+from repro.errors import ValidationError, require_int
 from repro.core.compiler import CompiledModel, CopseCompiler
 from repro.core.engines import (
-    ARTIFACTS,
     ENGINE_TAPE,
     artifacts_of,
     engine_row,
@@ -127,22 +126,6 @@ class RegisteredModel:
                 base += f"; {artifact.describe()}"
         return base
 
-    def ensure_engine_artifacts(self, engine: str) -> None:
-        """Lower/compile (under the recorded SecComp variant) whatever
-        ``engine`` executes that is not cached yet."""
-        built = ensure_artifacts(
-            engine,
-            lambda: lower_batched_inference(
-                self.compiled,
-                self.layout,
-                encrypted_model=self.encrypted_model,
-                variant=self.seccomp_variant,
-            ),
-            artifacts_of(self),
-        )
-        for kind in ARTIFACTS:
-            setattr(self, kind, built[kind])
-
 
 class ModelRegistry:
     """Thread-safe name -> :class:`RegisteredModel` store.
@@ -230,6 +213,7 @@ class ModelRegistry:
             forest = model.source_forest
         elif isinstance(model, DecisionForest):
             forest = model
+            require_int("precision", precision)
             compiled = CopseCompiler(precision=precision).compile(model)
         else:
             raise ValidationError(
@@ -257,6 +241,15 @@ class ModelRegistry:
         )
         setup_ms = cost_model.sequential_ms(ctx.tracker)
 
+        # What the engine executes, lowered under the recorded variant.
+        artifacts = ensure_artifacts(
+            engine,
+            lambda: lower_batched_inference(
+                compiled, layout, encrypted_model=encrypted_model,
+                variant=seccomp_variant,
+            ),
+            {},
+        )
         registered = RegisteredModel(
             name=name,
             compiled=compiled,
@@ -272,8 +265,8 @@ class ModelRegistry:
             engine=engine,
             backend=backend,
             seccomp_variant=seccomp_variant,
+            **artifacts,
         )
-        registered.ensure_engine_artifacts(engine)
         with self._lock:
             if name in self._models:
                 raise ValidationError(
@@ -291,96 +284,6 @@ class ModelRegistry:
                     f"no registered model named {name!r} (registered: {known})"
                 )
             return self._models[name]
-
-    # ------------------------------------------------------------------
-    # Live reconfiguration (control-plane actuation seams)
-    # ------------------------------------------------------------------
-
-    def _checked_for_update(self, name: str,
-                            expected_fingerprint: Optional[str]
-                            ) -> RegisteredModel:
-        """Look up ``name`` and fail closed on a fingerprint mismatch.
-
-        Callers that pass ``expected_fingerprint`` (the control plane's
-        guards do) only proceed when the registered compiled model is
-        byte-for-byte the one their decision was made about.
-        """
-        registered = self.get(name)
-        if expected_fingerprint is not None:
-            actual = registered.compiled.fingerprint()
-            if actual != expected_fingerprint:
-                raise ValidationError(
-                    f"model {name!r} fingerprint {actual} does not match "
-                    f"expected {expected_fingerprint}; refusing to "
-                    f"reconfigure a model the decision was not made about"
-                )
-        return registered
-
-    def set_engine(self, name: str, engine: str,
-                   expected_fingerprint: Optional[str] = None
-                   ) -> RegisteredModel:
-        """Flip a registered model's execution engine in place.
-
-        The evaluation routine builds its server per batch from the
-        registered entry, so the flip takes effect on the next cut — no
-        re-encryption and no restart.  Missing derived artifacts are
-        compiled lazily: flipping an eager model to ``plan``/``tape``
-        lowers the batched pipeline now (under the model's recorded
-        SecComp variant), and flipping to ``tape`` compiles the cached
-        plan's tape.  ``expected_fingerprint`` makes the flip fail closed
-        against a concurrently replaced model.
-        """
-        engine_row(engine, error=ValidationError)
-        registered = self._checked_for_update(name, expected_fingerprint)
-        with self._lock:
-            if registered.engine == engine:
-                return registered
-            registered.ensure_engine_artifacts(engine)
-            registered.engine = engine
-        if self.metrics is not None:
-            self.metrics.counter(
-                "registry_engine_flips", {"model": name}
-            ).inc()
-        return registered
-
-    def switch_backend(self, name: str, backend: str,
-                       expected_fingerprint: Optional[str] = None
-                       ) -> RegisteredModel:
-        """Re-home a registered model onto a different FHE backend.
-
-        Backends wrap ciphertexts in their own representations, so this
-        is a rebuild, not a flag flip: a fresh context and session key
-        pair on the target backend, and the batched model re-encrypted
-        under them.  In-flight batches must be drained by the caller
-        first (the service seams do); queued queries are unaffected —
-        they carry plaintext features and are encrypted per batch.
-        """
-        backend = canonical_backend_name(backend)
-        registered = self._checked_for_update(name, expected_fingerprint)
-        with self._lock:
-            if registered.backend == backend:
-                return registered
-            ctx = FheContext(registered.params, backend=backend)
-            keys = ctx.keygen()
-            batched = build_batched_model(
-                ctx,
-                registered.compiled,
-                registered.layout,
-                public_key=(
-                    keys.public if registered.encrypted_model else None
-                ),
-            )
-            registered.keys = keys
-            registered.batched_model = batched
-            registered.backend = backend
-            registered.setup_ms += registered.cost_model.sequential_ms(
-                ctx.tracker
-            )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "registry_backend_switches", {"model": name}
-            ).inc()
-        return registered
 
     def names(self) -> List[str]:
         with self._lock:

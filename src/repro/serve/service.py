@@ -46,12 +46,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
-    RejectedQuery, ServeError, ValidationError, require_real,
+    RejectedQuery, ServeError, ValidationError, require_at_least,
+    require_real,
 )
 from repro.obs.metrics import MetricsRegistry, bind_children
 from repro.core.compiler import CompiledModel
 from repro.core.engines import ENGINE_TAPE, engine_row
-from repro.core.seccomp import VARIANT_ALOUFI
+from repro.core.seccomp import SECCOMP_VARIANTS, VARIANT_ALOUFI
 from repro.fhe.backend import canonical_backend_name
 from repro.fhe.params import EncryptionParams
 from repro.forest.forest import DecisionForest
@@ -434,6 +435,13 @@ class CopseService:
         from repro.serve.cluster import RouterCore
 
         engine_row(engine, error=ValidationError)
+        if seccomp_variant not in SECCOMP_VARIANTS:
+            raise ValidationError(
+                f"unknown SecComp variant {seccomp_variant!r}; choose "
+                f"from {SECCOMP_VARIANTS}"
+            )
+        if max_queue is not None:
+            require_at_least("max_queue", max_queue, 1)
         #: Default FHE backend for registered models.
         self.backend = canonical_backend_name(backend)
         if default_deadline_ms is not None:
@@ -532,9 +540,11 @@ class CopseService:
         recorded in :attr:`ServiceStats.model_backends`).  ``weight`` is
         the model's fair-share weight against other registered models;
         ``max_queue`` overrides the service-wide pending-queue bound.
-        A worker process receives the model lazily, exactly once per
-        (worker, epoch), when placement first assigns it there (or
-        eagerly: :meth:`preload`).
+        All of these are fixed until :meth:`unregister_model`: to change
+        one, unregister the model and register it again.  A worker
+        process receives the model lazily, exactly once per (worker,
+        epoch), when placement first assigns it there (or eagerly:
+        :meth:`preload`).
         """
         registered = self.registry.register(
             name,
@@ -561,7 +571,7 @@ class CopseService:
                         self.max_queue if max_queue is None else max_queue
                     ),
                     service_ms=registered.estimated_batch_ms,
-                    fingerprint=_ship_key(registered),
+                    fingerprint=registered.compiled.fingerprint(),
                 )
                 self.router.set_lanes(name, self.transport.stage(registered))
         except ValidationError:
@@ -768,28 +778,8 @@ class CopseService:
             return self.router.pending(model_name)
 
     # ------------------------------------------------------------------
-    # Control-plane seams (live reconfiguration, no restart)
+    # Control-plane seams (the worker pool, resized live)
     # ------------------------------------------------------------------
-
-    def set_tenant_weight(self, name: str, weight: float) -> float:
-        """Retune a model queue's fair-share weight; returns the old."""
-        self.registry.get(name)  # name resolution (or raise)
-        with self._lock:
-            return self.router.set_weight(name, weight, self.clock.now())
-
-    def set_admission_limit(self, name: str,
-                            limit: Optional[int]) -> Optional[int]:
-        """Rebound a model queue's admission limit; returns the old.
-
-        ``None`` removes the bound.  Tightening below the current depth
-        never drops already-admitted queries — only new submissions see
-        the new limit.
-        """
-        self.registry.get(name)  # name resolution (or raise)
-        with self._lock:
-            return self.router.set_admission_limit(
-                name, limit, self.clock.now()
-            )
 
     def add_worker(self) -> int:
         """Grow the pool by one worker; returns its fresh id.
@@ -835,53 +825,6 @@ class CopseService:
         """Current worker-pool size (live workers)."""
         with self._lock:
             return self.router.live_workers
-
-    def set_model_engine(self, name: str, engine: str,
-                         expected_fingerprint: Optional[str] = None
-                         ) -> RegisteredModel:
-        """Flip a model's execution engine live (next batch uses it).
-
-        Drains in-flight work first so no batch straddles the flip;
-        queued queries are unaffected (they are packed per batch).  A
-        mismatched ``expected_fingerprint`` fails closed before anything
-        changes.
-        """
-        return self._redeploy(
-            name, self.registry.set_engine, engine, expected_fingerprint
-        )
-
-    def set_model_backend(self, name: str, backend: str,
-                          expected_fingerprint: Optional[str] = None
-                          ) -> RegisteredModel:
-        """Re-home a model onto another FHE backend, live.
-
-        Backends wrap ciphertexts differently, so this re-keys and
-        re-encrypts the batched model (a real cost, recorded in
-        ``setup_ms``); the drain ensures no batch straddles it.
-        """
-        return self._redeploy(
-            name, self.registry.switch_backend, backend,
-            expected_fingerprint,
-        )
-
-    def _redeploy(self, name: str, change: Callable, value: str,
-                  expected_fingerprint: Optional[str]) -> RegisteredModel:
-        """Drain, change the registry entry, publish a fresh ship key.
-
-        The compiled fingerprint does not depend on engine or backend,
-        so the key carries both: every worker's ledger entry goes stale
-        and the next batch placed there re-ships first.
-        """
-        self.flush(name)
-        with self._lock:
-            registered = change(
-                name, value, expected_fingerprint=expected_fingerprint
-            )
-            self.router.set_lanes(name, self.transport.stage(registered))
-            self.router.redeploy_model(
-                name, _ship_key(registered), self.clock.now()
-            )
-        return registered
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -1084,10 +1027,3 @@ class CopseService:
         except ServeError:  # gone before it came up: another death
             self._crash_locked(worker, now)
 
-
-def _ship_key(registered: RegisteredModel) -> str:
-    """What a worker must hold to evaluate ``registered`` as it is now."""
-    return (
-        f"{registered.compiled.fingerprint()}:{registered.engine}:"
-        f"{registered.backend}"
-    )

@@ -229,25 +229,6 @@ class TestGuardedOnTheLiveService:
         assert snapshot.completed == 4
         assert snapshot.total_depth == 0
 
-    def test_fingerprint_mismatch_never_reaches_the_registry(
-        self, example_forest
-    ):
-        """An engine flip decided about another model version is refused
-        by the facade itself; the live entry and its answers are left
-        as they were."""
-        with CopseService(threads=2, engine="eager") as service:
-            service.register_model("m", example_forest, max_batch_size=4)
-            with pytest.raises(ValidationError, match="does not match"):
-                service.set_model_engine(
-                    "m", "tape", expected_fingerprint="spoofed"
-                )
-            assert service.registry.get("m").engine == "eager"
-            results = service.classify_many(
-                "m", queries_for(example_forest, 2)
-            )
-            assert all(r.oracle_ok for r in results)
-            assert "redeploy" not in {d[0] for d in service.decisions}
-
 
 class TestBacklogSignal:
     def test_a_removed_model_leaves_no_backlog(self):

@@ -220,34 +220,39 @@ class TestReseat:
         bits, _ = classify(registered, feats)
         assert bits == oracle(registered, feats)
 
-    def test_engine_and_backend_flips_mid_stream(self):
-        """``set_engine`` keeps the memoised bundle (and the books);
-        ``switch_backend`` replaces the bundle, so its memo starts
-        empty and the kernel re-seats when the model comes back."""
-        registry = ModelRegistry()
-        registered = registry.register(
-            "flip", small_forest(), precision=PRECISION, max_batch_size=4,
-            backend="vector", engine="megakernel",
+    def test_engine_and_bundle_changes_mid_stream(self):
+        """Another engine between two kernel batches keeps the memoised
+        bundle (and the books); a second registration's bundle (other
+        keys) under the same kernel re-seats it, and so does the first
+        bundle when it comes back.  A reference-backend registration
+        never adopts: its tracker is foreign."""
+        first, second = register(name="first"), register(name="second")
+        reference = ModelRegistry().register(
+            "reference", small_forest(), precision=PRECISION,
+            max_batch_size=4, backend="reference", engine="megakernel",
         )
-        feats = queries(registered)
-        expected = oracle(registered, feats)
-        bits, books = classify(registered, feats)
-        record = resident_record(registered)
-        registry.set_engine("flip", "tape")
-        assert classify(registered, feats, "tape") == (bits, books)
-        registry.set_engine("flip", "megakernel")
-        assert classify(registered, feats) == (expected, books)
-        assert resident_record(registered) is record
+        feats = queries(first)
+        expected = oracle(first, feats)
+        bits, books = classify(first, feats)
+        record = resident_record(first)
+        assert classify(first, feats, "tape") == (bits, books)
+        assert classify(first, feats) == (expected, books)
+        assert resident_record(first) is record
 
-        registry.switch_backend("flip", "reference")
-        assert registered.batched_model._adopted == {}
-        reference_bits, reference_books = classify(registered, feats)
+        # The first registration's kernel over the second's keys and
+        # bundle: one kernel, two registered bundles.
+        crossed = dataclasses.replace(second, megakernel=first.megakernel)
+        assert classify(crossed, feats) == (expected, books)
+        crossed_record = resident_record(first)
+        assert crossed_record is not record
+        assert classify(first, feats) == (expected, books)
+        back = resident_record(first)
+        assert back is not record and back is not crossed_record
+
+        assert reference.batched_model._adopted == {}
+        reference_bits, reference_books = classify(reference, feats)
         assert reference_bits == expected
-        assert registered.batched_model._adopted == {}  # foreign tracker
-        registry.switch_backend("flip", "vector")
-        assert registered.batched_model._adopted == {}
-        assert classify(registered, feats) == (expected, books)
-        assert resident_record(registered) is not record
+        assert reference.batched_model._adopted == {}  # foreign tracker
         assert reference_books["depth"] == books["depth"]
 
     def test_two_threads_get_two_planes(self, registered):

@@ -349,10 +349,14 @@ class TestLanesAreDerived:
             )
             assert [lanes_of(service, n) for n in ("tape", "mega", "slow")] \
                 == [1, MAX_GROUP, 1]
-            # ... and read again on every restage
-            service.set_model_engine("tape", "megakernel")
-            service.set_model_engine("mega", "plan")
-            service.set_model_backend("slow", "vector")
+            # ... and derived again when registered again
+            for name, staging in (
+                ("tape", {"engine": "megakernel"}),
+                ("mega", {"engine": "plan"}),
+                ("slow", {"engine": "megakernel", "backend": "vector"}),
+            ):
+                service.unregister_model(name)
+                service.register_model(name, example_forest, **staging)
             assert [lanes_of(service, n) for n in ("tape", "mega", "slow")] \
                 == [MAX_GROUP, 1, MAX_GROUP]
             for name in ("tape", "mega", "slow"):
@@ -361,7 +365,8 @@ class TestLanesAreDerived:
     def test_worker_processes_take_what_shares_a_pass(self, example_forest):
         """A worker runs the pump thread's routine on the shipped
         artifact, so the process transport derives what the in-thread
-        one does — and derives it again when the engine is flipped."""
+        one does — and derives it again for a model registered
+        again under another engine."""
         from repro.serve.registry import ModelRegistry
 
         registry = ModelRegistry()
@@ -380,8 +385,11 @@ class TestLanesAreDerived:
             ("tape", "vector"): 1,
             ("tape", "reference"): 1,
         }
-        registry.set_engine("tape-vector", "megakernel")
-        assert transport.stage(registry.get("tape-vector")) == MAX_GROUP
+        registry.unregister("tape-vector")
+        assert transport.stage(registry.register(
+            "tape-vector", example_forest, engine="megakernel",
+            backend="vector",
+        )) == MAX_GROUP
 
     def test_the_simulator_keeps_one(self):
         runner = SimRunner(
@@ -595,8 +603,11 @@ class TestRealGroupsCrossThePipe:
             answers = service.classify_many("m", queries)
             stats = service.stats()
             assigns = [d for d in service.decisions if d[0] == "assign"]
-            service.set_model_engine("m", "tape")
-            assert lanes_of(service) == 1  # derived again on a flip
+            service.unregister_model("m")
+            service.register_model(
+                "m", example_forest, max_batch_size=4, engine="tape"
+            )
+            assert lanes_of(service) == 1  # derived again on registration
         view = lambda rs: [
             (r.bitvector, r.oracle_ok, r.batch_id, r.batch_fill,
              r.batch_capacity, r.amortized_ms) for r in rs

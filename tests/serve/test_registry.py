@@ -32,6 +32,17 @@ class TestRegister:
         with pytest.raises(ValidationError):
             registry.register("", example_forest)
 
+    @pytest.mark.parametrize("precision", [2.5, float("nan"), "8", None])
+    def test_ill_typed_precision_is_a_typed_refusal(self, example_forest,
+                                                   precision):
+        """Regression: a non-integer precision raised a raw
+        ``TypeError`` from inside the compiler (an integer out of the
+        compiler's range stays its ``CompileError``: test_shapes.py)."""
+        registry = ModelRegistry()
+        with pytest.raises(ValidationError, match="precision"):
+            registry.register("m", example_forest, precision=precision)
+        assert "m" not in registry
+
     def test_duplicate_name_rejected(self, example_forest):
         registry = ModelRegistry()
         registry.register("m", example_forest)

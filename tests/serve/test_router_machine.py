@@ -6,8 +6,8 @@ or off) through arbitrary interleavings of what an engine can do to it:
 admit a block (refusals and ill-typed fields included), dispatch under
 a cut limit, complete (ok, some batches failed, all failed, a stale
 epoch, a duplicate), crash, heartbeat and health-check, add / retire /
-abandon / restart a worker, redeploy, flush, set lanes, add and remove a
-model, and close.  After every step it checks what must always hold:
+abandon / restart a worker, flush, set lanes, add and remove a model,
+and close.  After every step it checks what must always hold:
 
 * conservation — every admitted query is terminal or outstanding, and
   outstanding is exactly the queries queued, in flight, parked or in a
@@ -117,7 +117,6 @@ class RouterMachine(RuleBasedStateMachine):
         self.resolved = Counter()
         self.epochs = list(self.router.epochs)
         self.retired = set()
-        self.redeploys = 0
 
     # -- helpers ---------------------------------------------------------
 
@@ -273,12 +272,6 @@ class RouterMachine(RuleBasedStateMachine):
     @rule(pick=PICK)
     def restart(self, pick):
         self._call(self.router.restart_worker, self._worker(pick), self.now)
-
-    @rule(name=st.sampled_from(NAMES))
-    def redeploy(self, name):
-        self.redeploys += 1
-        self._call(self.router.redeploy_model, name,
-                   f"{name}:v{self.redeploys}", self.now)
 
     @rule(name=st.sampled_from((None,) + NAMES))
     def flush(self, name):

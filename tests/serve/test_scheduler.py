@@ -724,7 +724,9 @@ class TestBlockAdmissionIsNSubmits:
         assert stats.per_tenant_submitted == {"acme": 4}
         # seqs stay contiguous across the refusal
         assert len(core.submit_many("m", [], 0.0)) == 0
-        assert core.set_admission_limit("m", None, 0.0) == 3
+        core.flush("m")  # the queue's three are cut: room again
+        (cut,) = cut_batches(core, 0.0)
+        assert cut.assignment.size == 3
         assert core.submit("m", Payload(), 0.0).seq == 3
 
     def test_empty_block_counts_nothing(self):

@@ -177,6 +177,19 @@ class TestConformance:
         assert all(r.oracle_ok for r in streamed)
         assert conserved(stats) and stats.completed == 12
 
+    @pytest.mark.parametrize("request_", [None, 5])
+    def test_a_request_that_is_not_iterable_is_a_typed_refusal(
+        self, transport, example_forest, request_
+    ):
+        """Regression: a non-iterable request raised a raw ``TypeError``
+        ("object is not iterable") from the batcher."""
+        with open_service(transport) as service:
+            service.register_model("m", example_forest, max_batch_size=4)
+            for call in (service.submit_many, service.classify_many):
+                with pytest.raises(ValidationError, match="iterable"):
+                    call("m", request_)
+            assert scheduler_stats(service).submitted == 0
+
     def test_unknown_names_are_typed_refusals(self, transport,
                                               example_forest):
         """Never a ``KeyError`` / ``TypeError`` / ``0``: the registry's
@@ -189,10 +202,6 @@ class TestConformance:
                 "flush": (),
                 "submit": ([1, 2],),
                 "classify": ([1, 2],),
-                "set_tenant_weight": (2.0,),
-                "set_admission_limit": (8,),
-                "set_model_engine": ("eager",),
-                "set_model_backend": ("reference",),
             }
             for method, args in calls.items():
                 with pytest.raises(
@@ -224,10 +233,6 @@ class TestConformance:
                     with pytest.raises(ValidationError, match=word):
                         call("m", query, **kwargs)
                 assert service.pending() == 0
-            with pytest.raises(ValidationError, match="max_pending"):
-                service.set_admission_limit("m", "a")
-            with pytest.raises(ValidationError, match="weight"):
-                service.set_tenant_weight("m", "a")
             for kwargs, word in (
                 ({"weight": "a"}, "weight"),
                 ({"max_queue": "a"}, "max_pending"),
@@ -247,35 +252,27 @@ class TestConformance:
                 open_service(transport, workers=workers)
         with pytest.raises(ValidationError, match="default_deadline_ms"):
             open_service(transport, default_deadline_ms="soon")
+        for max_queue in (-1, 0, 2.5, "8"):
+            with pytest.raises(ValidationError, match="max_queue"):
+                open_service(transport, max_queue=max_queue)
+        if transport == "in-thread":  # the process pool takes no variant
+            with pytest.raises(ValidationError, match="SecComp variant"):
+                open_service(transport, seccomp_variant="bogus")
 
     def test_control_seams(self, transport, example_forest):
-        """Per-model ``weight`` / ``max_queue`` at registration, both
-        live switches returning the entry and re-shipping it, the pool
-        growing and shrinking — with oracle-exact answers throughout."""
+        """Per-model ``weight`` / ``max_queue`` at registration, the
+        pool growing and shrinking — with oracle-exact answers
+        throughout."""
         queries = queries_for(example_forest, 6, seed=3)
         with open_service(transport, engine="eager", max_queue=1) as service:
-            registered = service.register_model(
+            service.register_model(
                 "m", example_forest, max_batch_size=4, weight=2.0,
                 max_queue=8,
             )
-            assert service.set_tenant_weight("m", 3.0) == 2.0
-            assert service.set_admission_limit("m", None) == 8
+            queue = service.router._queues["m"]  # white box
+            assert (queue.weight, queue.max_pending) == (2.0, 8)
             assert all(
                 r.oracle_ok for r in service.classify_many("m", queries)
-            )
-            fingerprint = registered.compiled.fingerprint()
-            with pytest.raises(ValidationError, match="does not match"):
-                service.set_model_backend(
-                    "m", "reference", expected_fingerprint="spoofed"
-                )
-            assert service.registry.get("m").backend == "vector"
-            assert service.set_model_engine("m", "tape") is registered
-            assert service.classify("m", queries[0]).oracle_ok is True
-            assert service.set_model_backend(
-                "m", "reference", expected_fingerprint=fingerprint
-            ) is registered
-            assert (registered.engine, registered.backend) == (
-                "tape", "reference"
             )
             assert service.add_worker() == 1
             assert service.workers == 2
@@ -291,11 +288,9 @@ class TestConformance:
             )
             decisions = service.decisions
             stats = scheduler_stats(service)
-        assert [d[0] for d in decisions].count("redeploy") == 2
-        # the worker that served throughout was shipped each fresh key
-        # once: at registration, after the flip, after the re-home
-        assert len([d for d in decisions if d[:2] == ("ship", 0)]) == 3
-        assert conserved(stats) and stats.completed == 19
+        # the worker that served throughout was shipped the model once
+        assert len([d for d in decisions if d[:2] == ("ship", 0)]) == 1
+        assert conserved(stats) and stats.completed == 18
 
     def test_conservation_over_a_mixed_run(self, transport, example_forest):
         """ok + evaluation error + cancellation + admission refusal +
@@ -658,9 +653,7 @@ class TestOneFacade:
         assert sorted(thread) == sorted(process)
         assert {"register_model", "unregister_model", "preload", "submit",
                 "submit_many", "classify", "classify_many", "flush",
-                "drain", "pending", "set_tenant_weight",
-                "set_admission_limit", "add_worker", "remove_worker",
-                "set_model_engine", "set_model_backend", "stats",
+                "drain", "pending", "add_worker", "remove_worker", "stats",
                 "metrics_snapshot", "render_prometheus", "dlq",
                 "close"} <= set(thread)
         for name in thread:
@@ -1272,27 +1265,26 @@ class TestStats:
         assert tape_stats.inference_ms < plan_stats.inference_ms
         assert plan_stats.inference_ms < eager_stats.inference_ms
 
-    def test_engine_flips_keep_the_recorded_seccomp_variant(
+    def test_each_engine_keeps_the_recorded_seccomp_variant(
         self, example_forest
     ):
-        """Bugfix lock: ``ModelRegistry.set_engine`` lowered under the
+        """Bugfix lock: an engine's artifacts were once lowered under the
         default SecComp variant, so on an ``"optimized"`` service the
-        first batch after ``eager -> tape`` raised a variant refusal."""
+        first ``tape`` batch raised a variant refusal."""
         with CopseService(threads=1, seccomp_variant="optimized",
                           engine="eager") as service:
-            registered = service.register_model(
-                "m", example_forest, max_batch_size=4
-            )
             for engine in ("eager", "tape", "megakernel"):
-                service.set_model_engine("m", engine)
+                registered = service.register_model(
+                    engine, example_forest, max_batch_size=4, engine=engine
+                )
                 results = service.classify_many(
-                    "m", queries_for(example_forest, 5)
+                    engine, queries_for(example_forest, 5)
                 )
                 assert all(r.oracle_ok is True for r in results)
+                assert registered.seccomp_variant == "optimized"
                 if engine != "eager":  # the artifact is named after it
                     assert getattr(registered, engine).variant == "optimized"
             stats = service.stats()
-        assert registered.seccomp_variant == "optimized"
         assert stats.oracle_failures == 0
         for engine in ("eager", "tape", "megakernel"):
             assert stats.engine_ms(engine) > 0

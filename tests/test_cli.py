@@ -275,6 +275,10 @@ class TestBench:
          "section 'table5' does not take --queries"),
         (["table2", "--workloads", "width55,depth4"],
          "section 'table2' takes one workload in --workloads, got 2"),
+        (["report", "--workloads", "width55"],
+         "'report' does not take --workloads"),
+        (["report", "--queries", "3"],
+         "'report' does not take --queries"),
     ])
     def test_a_flag_the_section_does_not_take_is_refused(
         self, argv, refusal, capsys
