@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out", default=None,
-        help="for 'report': also write the record JSON here (the "
+        help="'report' only: also write the record JSON here (the "
         "checked-in reference is tests/bench/paper_record.json)",
     )
 
@@ -615,6 +615,11 @@ def _cmd_bench(args) -> int:
     from repro.fhe.backend import canonical_backend_name
 
     if args.artifact in report_gen.ARTIFACTS:
+        if args.out is not None:
+            raise ValidationError(
+                f"section {args.artifact!r} does not take --out: only "
+                f"'report' writes a record"
+            )
         names = args.workloads.split(",") if args.workloads else None
         with report_gen.pinned_backend(canonical_backend_name(args.backend)):
             tables = report_gen.build_section(
@@ -625,11 +630,12 @@ def _cmd_bench(args) -> int:
     # "report": every section, with the record's own arguments and backend,
     # then the paper's claims checked against them (exit 1 if one fails).
     for flag, given in (("--workloads", args.workloads),
-                        ("--queries", args.queries)):
+                        ("--queries", args.queries),
+                        ("--backend", args.backend)):
         if given is not None:
             raise ValidationError(
                 f"'report' does not take {flag}: it builds every section "
-                f"with the record's own arguments"
+                f"with the record's own arguments, on the reference backend"
             )
     sections = report_gen.build_sections()
     print(report_gen.render_report(sections), end="")

@@ -6,7 +6,7 @@
   model->worker **placement** (each model prefers a stable rotation of
   the pool), **ship-once** tracking (a worker receives a model's
   :class:`~repro.serve.transport.ShippedModel` envelope exactly once
-  per (worker, epoch), keyed by the compiled model's fingerprint),
+  per (worker, epoch), keyed by the served name),
   **worker epochs** (a crash bumps the epoch; completions that echo a
   stale epoch are dropped) and **heartbeat liveness**.  One object holds
   each fact once: which worker runs which assignment is ``_running``
@@ -83,7 +83,7 @@ from repro.serve.scheduler import (
     SchedulerCore,
     SchedulerStats,
 )
-from repro.serve.simclock import RealClock
+from repro.serve.simclock import Clock, RealClock
 from repro.serve.transport import (
     MAX_STARTUP_DEATHS,
     AssignAction,
@@ -135,7 +135,6 @@ class RouterCore(SchedulerCore):
         workers: int,
         max_retries: int = 1,
         tracer=None,
-        metrics=None,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -148,7 +147,7 @@ class RouterCore(SchedulerCore):
                 f"heartbeat_timeout_s must be > 0, got "
                 f"{heartbeat_timeout_s}"
             )
-        super().__init__(workers, tracer=tracer, metrics=metrics)
+        super().__init__(workers, tracer=tracer)
         #: Backoff-parked retries a query gets before its next crash
         #: sends it to quarantine.
         self.max_retries = max_retries
@@ -158,12 +157,9 @@ class RouterCore(SchedulerCore):
         self.retired: set = set()
         #: Last heartbeat per worker (None until the engine reports one).
         self.last_heartbeat: List[Optional[float]] = [None] * workers
-        #: Per-worker map of model name -> shipped fingerprint, reset on
+        #: Per-worker set of the model names shipped to it, reset on
         #: every epoch change: the ship-exactly-once ledger.
-        self.shipped: List[Dict[str, str]] = [{} for _ in range(workers)]
-        #: model name -> its fingerprint (the ship key), fixed until
-        #: the model is removed.
-        self._models: Dict[str, str] = {}
+        self.shipped: List[set] = [set() for _ in range(workers)]
         #: model name -> its placement rotation, until the pool changes.
         self._placements: Dict[str, List[int]] = {}
         #: Every choice, in order: the determinism witness.  (The live
@@ -215,13 +211,9 @@ class RouterCore(SchedulerCore):
         weight: float = 1.0,
         max_pending: Optional[int] = None,
         service_ms: Optional[float] = None,
-        fingerprint: Optional[str] = None,
     ) -> None:
-        """Register one served model: its queue plus its identity.
-
-        ``fingerprint`` keys the ship-once ledger; profile-only callers
-        (the simulator) may omit it and get a synthetic stand-in.
-        """
+        """Register one served model: its queue, keyed by its name (the
+        ship-once ledger's key too)."""
         self.add_queue(
             name,
             capacity=capacity,
@@ -229,17 +221,15 @@ class RouterCore(SchedulerCore):
             max_pending=max_pending,
             service_ms=service_ms,
         )
-        self._models[name] = (
-            fingerprint if fingerprint is not None else f"profile:{name}"
-        )
 
     def remove_model(self, name: str, now: float) -> int:
-        """Stop serving ``name``: its queue (failing what it held) and
-        its identity.  Returns the number of queries failed."""
-        self._models.pop(name, None)
+        """Stop serving ``name``: its queue (failing what it held), its
+        placement and its ship-ledger entries, so a model registered
+        again under the name is shipped afresh.  Returns the number of
+        queries failed."""
         self._placements.pop(name, None)
         for ledger in self.shipped:
-            ledger.pop(name, None)
+            ledger.discard(name)
         return self.remove_queue(name, now)
 
     def stats(self) -> SchedulerStats:
@@ -323,10 +313,9 @@ class RouterCore(SchedulerCore):
                         now: float,
                         actions: List[object]) -> bool:
         """Update the ship-once ledger; returns True on a fresh ship."""
-        fingerprint = self._models[name]
-        if self.shipped[worker].get(name) == fingerprint:
+        if name in self.shipped[worker]:
             return False
-        self.shipped[worker][name] = fingerprint
+        self.shipped[worker].add(name)
         self._ships.inc()
         self._record("ship", worker, epoch, name, round(now, 9))
         actions.append(ShipAction(worker=worker, epoch=epoch, model=name))
@@ -356,7 +345,7 @@ class RouterCore(SchedulerCore):
     def ship_everywhere(self, name: str, now: float) -> List[ShipAction]:
         """Warm the pool: ship ``name`` to every live worker that does
         not hold it yet."""
-        if name not in self._models:
+        if name not in self._queues:
             raise ValidationError(f"no cluster model named {name!r}")
         actions: List[ShipAction] = []
         for worker in range(self.workers):
@@ -445,7 +434,7 @@ class RouterCore(SchedulerCore):
         while self._cohorts and self._cohorts[0][0] <= now:
             release_t, order, cohort = heapq.heappop(self._cohorts)
             name = cohort["queue"]
-            if name not in self._models:
+            if name not in self._queues:
                 # Unregistered while the cohort waited: nowhere to ship
                 # it, so its queries fail as a parked retry's would.
                 for single in cohort["runs"]:
@@ -472,7 +461,7 @@ class RouterCore(SchedulerCore):
         return [
             flight for _, flight in sorted(self._flights.items())
             if flight.hedge_worker is None
-            and flight.assignment.queue in self._models
+            and flight.assignment.queue in self._queues
         ]
 
     def _check_hedges(self, now: float, actions: List[object]) -> None:
@@ -637,7 +626,7 @@ class RouterCore(SchedulerCore):
         """
         self.epochs[worker] += 1
         self.alive[worker] = False
-        self.shipped[worker] = {}
+        self.shipped[worker] = set()
         assignment = self._running.pop(worker, None)
         self._crashes.inc()
         self._record("crash", worker, self.epochs[worker], round(now, 9))
@@ -797,7 +786,7 @@ class RouterCore(SchedulerCore):
             )
         self.epochs[worker] += 1
         self.alive[worker] = True
-        self.shipped[worker] = {}
+        self.shipped[worker] = set()
         self.last_heartbeat[worker] = now
         self._restarts.inc()
         self._record("restart", worker, self.epochs[worker],
@@ -864,7 +853,7 @@ class RouterCore(SchedulerCore):
         self.alive.append(True)
         self.epochs.append(0)
         self.last_heartbeat.append(None)
-        self.shipped.append({})
+        self.shipped.append(set())
         self._placements.clear()
         self._scale_ups.inc()
         self.metrics.gauge("cluster_workers").set(self.workers)
@@ -898,7 +887,7 @@ class RouterCore(SchedulerCore):
         self._placements.clear()
         self.epochs[worker] += 1
         self.alive[worker] = False
-        self.shipped[worker] = {}
+        self.shipped[worker] = set()
         self.last_heartbeat[worker] = None
         self._retires.inc()
         self._record("retire", worker, self.epochs[worker], round(now, 9))
@@ -940,13 +929,12 @@ class ClusterService(CopseService):
         workers: int = 2,
         engine: str = "tape",
         backend: Optional[str] = None,
-        max_retries: int = 1,
         default_deadline_ms: Optional[float] = None,
         max_queue: Optional[int] = None,
         verify_oracle: bool = True,
         tracer=None,
-        metrics=None,
-        clock=None,
+        clock: Optional[Clock] = None,
+        max_retries: int = 1,
         heartbeat_interval_s: float = 5.0,
         heartbeat_timeout_s: float = DEFAULT_HEARTBEAT_TIMEOUT_S,
         retry_policy: Optional[RetryPolicy] = None,
@@ -967,7 +955,6 @@ class ClusterService(CopseService):
             max_queue=max_queue,
             verify_oracle=verify_oracle,
             tracer=tracer,
-            metrics=metrics,
             max_retries=max_retries,
             heartbeat_timeout_s=heartbeat_timeout_s,
             retry_policy=retry_policy,
@@ -975,11 +962,3 @@ class ClusterService(CopseService):
             dlq_limit=dlq_limit,
         )
         self._start_pump()
-
-    def stats(self) -> SchedulerStats:
-        # The one behavioural difference kept: the flat scheduler view,
-        # because perf/layers.py reads ``.stats().retries`` on this name
-        # and ``.stats().scheduler`` on the other.  A [benchmark] PR
-        # that reads one shape retires it.
-        with self._lock:
-            return self.router.stats()

@@ -591,7 +591,6 @@ class SimRunner:
         workers: int = 2,
         max_retries: int = 1,
         tracer=None,
-        metrics=None,
         ship_ms: float = 0.0,
         controller=None,
         control_interval_s: float = 1.0,
@@ -622,7 +621,7 @@ class SimRunner:
         self.service = CopseService.__new__(CopseService)
         self.service._open(
             self.transport, workers, clock=self.clock, tracer=tracer,
-            metrics=metrics, max_retries=max_retries,
+            max_retries=max_retries,
             heartbeat_timeout_s=heartbeat_timeout_s,
             retry_policy=retry_policy, breaker=breaker, dlq_limit=dlq_limit,
         )

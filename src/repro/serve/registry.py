@@ -42,7 +42,7 @@ from repro.core.engines import (
     ensure_artifacts,
 )
 from repro.core.runtime import ModelOwner, QuerySpec
-from repro.core.seccomp import VARIANT_ALOUFI
+from repro.core.seccomp import SECCOMP_VARIANTS, VARIANT_ALOUFI
 from repro.fhe.backend import canonical_backend_name
 from repro.fhe.context import FheContext
 from repro.fhe.costmodel import CostModel
@@ -136,9 +136,7 @@ class ModelRegistry:
     up in the same snapshot as the serve-time counters.
     """
 
-    def __init__(self, default_params: Optional[EncryptionParams] = None,
-                 metrics=None):
-        self._default_params = default_params
+    def __init__(self, metrics=None):
         self._models: Dict[str, RegisteredModel] = {}
         self._lock = threading.Lock()
         self.metrics = metrics
@@ -174,8 +172,8 @@ class ModelRegistry:
         ``model`` may be a :class:`DecisionForest` (compiled here at
         ``precision``) or an already-compiled model.  Parameters resolve
         in priority order: explicit ``params``, then the Table 5 autotuner
-        when ``autoselect_params`` is set, then the registry default, then
-        the paper's defaults.  ``max_batch_size`` caps the packing
+        when ``autoselect_params`` is set, then the paper's defaults.
+        ``max_batch_size`` caps the packing
         capacity below what the slots allow (a latency knob);
         ``encrypted_model=False`` keeps the model in plaintext on the
         server (Maurice = Sally).
@@ -189,7 +187,8 @@ class ModelRegistry:
         ``engine="megakernel"`` compiles the tape once more;
         ``engine="eager"`` keeps the hand-scheduled interpreter.
         ``seccomp_variant`` is recorded on the entry: the artifacts are
-        lowered under it and every batch evaluates with it.
+        lowered under it and every batch evaluates with it.  An unknown
+        variant fails here, before anything is compiled.
 
         ``backend`` picks the FHE backend this model is encrypted under
         and every batch is evaluated on (a registered name; default
@@ -199,6 +198,11 @@ class ModelRegistry:
         if not name:
             raise ValidationError("a registered model needs a non-empty name")
         engine_row(engine, error=ValidationError)
+        if seccomp_variant not in SECCOMP_VARIANTS:
+            raise ValidationError(
+                f"unknown SecComp variant {seccomp_variant!r}; choose "
+                f"from {SECCOMP_VARIANTS}"
+            )
         backend = canonical_backend_name(backend)
         with self._lock:
             # Fail before the expensive compile/encrypt pipeline; the
@@ -226,7 +230,7 @@ class ModelRegistry:
             if autoselect_params:
                 params = compiler.select_parameters(compiled)
             else:
-                params = self._default_params or EncryptionParams.paper_defaults()
+                params = EncryptionParams.paper_defaults()
         compiled.check_parameters(params)
         layout = plan_layout(compiled, params, max_batch_size=max_batch_size)
 

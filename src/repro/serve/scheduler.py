@@ -380,8 +380,7 @@ class SchedulerCore:
     identical.
     """
 
-    def __init__(self, workers: int, tracer=None,
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, workers: int, tracer=None):
         require_at_least("workers", workers, 1)
         self._queues: Dict[str, _ModelQueue] = {}
         #: One flag per worker id ever issued.  Ids are never reused: a
@@ -400,13 +399,12 @@ class SchedulerCore:
         #: ``now`` — the core still never reads a clock.
         self.tracer = tracer
         # ---- counters (registry-backed: one source of truth) ----------
-        #: All scheduling counters live in a MetricsRegistry; the plain
+        #: All scheduling counters live in the core's own
+        #: MetricsRegistry (the facade books into it too); the plain
         #: attributes below are the cached instruments, so hot-path
         #: increments stay attribute lookups.  stats() reads the same
         #: registry back into the immutable SchedulerStats view.
-        self.metrics: MetricsRegistry = (
-            metrics if metrics is not None else MetricsRegistry()
-        )
+        self.metrics = MetricsRegistry()
         m = self.metrics
         self._submitted = m.counter("sched_submitted")
         self._completed = m.counter("sched_completed")

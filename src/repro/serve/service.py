@@ -52,7 +52,7 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry, bind_children
 from repro.core.compiler import CompiledModel
 from repro.core.engines import ENGINE_TAPE, engine_row
-from repro.core.seccomp import SECCOMP_VARIANTS, VARIANT_ALOUFI
+from repro.core.seccomp import VARIANT_ALOUFI
 from repro.fhe.backend import canonical_backend_name
 from repro.fhe.params import EncryptionParams
 from repro.forest.forest import DecisionForest
@@ -128,6 +128,11 @@ class ServiceStats:
     def rejected(self) -> int:
         """Queries refused by admission control."""
         return self.scheduler.rejected if self.scheduler else 0
+
+    @property
+    def retries(self) -> int:
+        """Re-executions granted to queries a worker crash freed."""
+        return self.scheduler.retries if self.scheduler else 0
 
     def engine_ms(self, engine: str) -> float:
         """Simulated inference ms spent in ``engine``'s tracker phases."""
@@ -378,24 +383,19 @@ class CopseService:
 
     def __init__(
         self,
-        params: Optional[EncryptionParams] = None,
         threads: int = 2,
-        seccomp_variant: str = VARIANT_ALOUFI,
-        verify_oracle: bool = True,
         engine: str = ENGINE_TAPE,
         backend: Optional[str] = None,
-        clock: Optional[Clock] = None,
         default_deadline_ms: Optional[float] = None,
         max_queue: Optional[int] = None,
+        verify_oracle: bool = True,
         tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
+        clock: Optional[Clock] = None,
     ):
         clock = clock if clock is not None else RealClock()
         self._open(
             InThreadTransport(verify_oracle, tracer, clock),
             threads,
-            params=params,
-            seccomp_variant=seccomp_variant,
             verify_oracle=verify_oracle,
             engine=engine,
             backend=backend,
@@ -403,7 +403,6 @@ class CopseService:
             default_deadline_ms=default_deadline_ms,
             max_queue=max_queue,
             tracer=tracer,
-            metrics=metrics,
         )
         self._start_pump()
 
@@ -419,9 +418,6 @@ class CopseService:
         max_queue: Optional[int] = None,
         verify_oracle: bool = False,
         tracer=None,
-        metrics: Optional[MetricsRegistry] = None,
-        params: Optional[EncryptionParams] = None,
-        seccomp_variant: str = VARIANT_ALOUFI,
         **router_options,
     ) -> None:
         """Validate, build the spine over ``transport``, start its workers.
@@ -435,11 +431,6 @@ class CopseService:
         from repro.serve.cluster import RouterCore
 
         engine_row(engine, error=ValidationError)
-        if seccomp_variant not in SECCOMP_VARIANTS:
-            raise ValidationError(
-                f"unknown SecComp variant {seccomp_variant!r}; choose "
-                f"from {SECCOMP_VARIANTS}"
-            )
         if max_queue is not None:
             require_at_least("max_queue", max_queue, 1)
         #: Default FHE backend for registered models.
@@ -453,8 +444,7 @@ class CopseService:
                 )
         #: The routing core.  Guarded by ``_lock``, like the transport.
         self.router = RouterCore(
-            workers=workers, tracer=tracer, metrics=metrics,
-            **router_options,
+            workers=workers, tracer=tracer, **router_options
         )
         interval = transport.heartbeat_interval_s
         if (
@@ -480,10 +470,7 @@ class CopseService:
         self.tracer = tracer
         self.clock = clock
         self.transport = transport
-        self.registry = ModelRegistry(
-            default_params=params, metrics=self.metrics
-        )
-        self.seccomp_variant = seccomp_variant
+        self.registry = ModelRegistry(metrics=self.metrics)
         self.verify_oracle = verify_oracle
         self.engine = engine
         self.default_deadline_ms = default_deadline_ms
@@ -531,13 +518,14 @@ class CopseService:
         backend: Optional[str] = None,
         weight: float = 1.0,
         max_queue: Optional[int] = None,
-        seccomp_variant: Optional[str] = None,
+        seccomp_variant: str = VARIANT_ALOUFI,
     ) -> RegisteredModel:
         """Compile, parameter-select, encrypt, and plan ``model`` once.
 
-        ``engine``, ``backend`` and ``seccomp_variant`` override the
-        service defaults for this model (per-model backend choice is
-        recorded in :attr:`ServiceStats.model_backends`).  ``weight`` is
+        ``engine`` and ``backend`` override the service defaults for
+        this model (per-model backend choice is recorded in
+        :attr:`ServiceStats.model_backends`); ``params`` and
+        ``seccomp_variant`` are set per model only.  ``weight`` is
         the model's fair-share weight against other registered models;
         ``max_queue`` overrides the service-wide pending-queue bound.
         All of these are fixed until :meth:`unregister_model`: to change
@@ -555,10 +543,7 @@ class CopseService:
             max_batch_size=max_batch_size,
             encrypted_model=encrypted_model,
             engine=self.engine if engine is None else engine,
-            seccomp_variant=(
-                self.seccomp_variant if seccomp_variant is None
-                else seccomp_variant
-            ),
+            seccomp_variant=seccomp_variant,
             backend=self.backend if backend is None else backend,
         )
         try:
@@ -571,7 +556,6 @@ class CopseService:
                         self.max_queue if max_queue is None else max_queue
                     ),
                     service_ms=registered.estimated_batch_ms,
-                    fingerprint=registered.compiled.fingerprint(),
                 )
                 self.router.set_lanes(name, self.transport.stage(registered))
         except ValidationError:

@@ -88,20 +88,18 @@ __all__ = [
     "MSG_PING",
     "MSG_STOP",
     "MSG_READY",
-    "MSG_LOADED",
     "MSG_PONG",
     "MSG_RESULT",
 ]
 
 # Router -> worker message tags.
-MSG_LOAD = "load"    #: ("load", ShippedModel)
+MSG_LOAD = "load"    #: ("load", ShippedModel); no reply
 MSG_EVAL = "eval"    #: ("eval", BatchRequest)
 MSG_PING = "ping"    #: ("ping",)
 MSG_STOP = "stop"    #: ("stop",)
 
 # Worker -> router message tags.
 MSG_READY = "ready"      #: ("ready", worker_id, epoch)
-MSG_LOADED = "loaded"    #: ("loaded", worker_id, epoch, model, fingerprint)
 MSG_PONG = "pong"        #: ("pong", worker_id, epoch)
 MSG_RESULT = "result"    #: ("result", BatchResult)
 
@@ -827,8 +825,6 @@ class ProcessTransport(Transport):
                 if tag == MSG_READY:
                     self._unready_starts[worker] = 0
                 arrivals.append(Heartbeat(worker, message[2]))
-            # MSG_LOADED is informational; the router's ledger was
-            # updated at ship time.
         return arrivals
 
     def heartbeat_round(self, now: float) -> bool:

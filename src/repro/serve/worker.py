@@ -35,7 +35,6 @@ from repro.serve.faults import evaluate_batches_down_ladder
 from repro.serve.transport import (
     MSG_EVAL,
     MSG_LOAD,
-    MSG_LOADED,
     MSG_PING,
     MSG_PONG,
     MSG_READY,
@@ -150,12 +149,7 @@ def worker_main(conn, worker_id: int, epoch: int) -> None:
         tag = message[0]
         if tag == MSG_LOAD:
             shipped = message[1]
-            registered = shipped.to_registered()  # verifies fail-closed
-            models[shipped.name] = registered
-            conn.send((
-                MSG_LOADED, worker_id, epoch, shipped.name,
-                shipped.fingerprint,
-            ))
+            models[shipped.name] = shipped.to_registered()  # fail-closed
         elif tag == MSG_EVAL:
             conn.send((MSG_RESULT, _eval_result(worker_id, message[1],
                                                 models)))

@@ -409,9 +409,12 @@ class TestRealChaos:
                     outcomes.append(future.result(timeout=180))
                 except PoisonQueryError as exc:
                     outcomes.append(exc)
-            stats = service.stats()
+            snapshot = service.stats()
+            stats = snapshot.scheduler
             decisions = service.decisions
             dlq = service.dlq()
+        # what perf/ reads off the pool's stats is the scheduler's count
+        assert snapshot.retries == stats.retries > 0
         for k, outcome in enumerate(outcomes):
             if k == 5:
                 assert isinstance(outcome, PoisonQueryError)
@@ -447,7 +450,7 @@ class TestRealChaos:
             )
             futures = service.submit_many("toxic", queries)
             assert service.drain(timeout=180)
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
             dlq = service.dlq()
         for k, future in enumerate(futures):
@@ -489,7 +492,7 @@ class TestRealChaos:
                 max_batch_size=4
             )
             results = service.classify_many("scramble", queries)
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         for features, res in zip(queries, results):
             assert res.bitvector == example_forest.label_bitvector(
@@ -532,7 +535,7 @@ class TestRealChaos:
                 ]
                 service.flush("ghost")
                 results.extend(f.result(timeout=120) for f in futures)
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         for features, res in zip(queries, results):
             assert res.bitvector == example_forest.label_bitvector(

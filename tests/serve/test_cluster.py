@@ -273,7 +273,7 @@ class TestRouterCore:
         router.complete(first[-1].assignment, 0, 0.1)
         router.crash_worker(0, 0.2)
         assert router.restart_worker(0, 0.3) == 2  # crash + restart
-        assert router.shipped[0] == {}  # ledger cleared: re-ship
+        assert router.shipped[0] == set()  # ledger cleared: re-ship
         full_batch(router, now=0.4)
         second = router.dispatch(0.4)
         assert [type(a) for a in second] == [ShipAction, AssignAction]
@@ -285,7 +285,7 @@ class TestRouterCore:
         router = self.make(workers=1)
         fresh = router.add_worker(0.5)
         assert fresh == 1
-        assert (router.epochs[fresh], router.shipped[fresh]) == (0, {})
+        assert (router.epochs[fresh], router.shipped[fresh]) == (0, set())
         assert router.idle_workers() == [0, 1]
         assert router.metrics.family("cluster_workers")[()].value == 2
         assert router.decisions[-1] == ("add_worker", 1, 0.5)
@@ -930,7 +930,7 @@ class TestRealCluster:
             assert service.workers == 0
             with pytest.raises(ServeError):
                 service.submit("doomed", queries[0])
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         assert_conserved(stats)
         assert stats.failed == len(futures)
@@ -977,7 +977,7 @@ class TestRealCluster:
                 "rt", example_forest, precision=8, max_batch_size=4
             )
             results = service.classify_many("rt", queries)
-            stats = service.stats()
+            stats = service.stats().scheduler
         assert len(results) == 33
         for features, res in zip(queries, results):
             assert res.oracle_ok is True
@@ -998,7 +998,7 @@ class TestRealCluster:
                 engine="megakernel",
             )
             results = service.classify_many("mk", queries)
-            stats = service.stats()
+            stats = service.stats().scheduler
         for features, res in zip(queries, results):
             assert res.oracle_ok is True
             assert res.bitvector == example_forest.label_bitvector(
@@ -1025,16 +1025,17 @@ class TestRealCluster:
             )
             results = service.classify_many("m", queries)
             assert service.drain(timeout=60)
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         assert [d for d in decisions if d[0] == "degrade"] == []
         assert all(res.oracle_ok is True for res in results)
         assert_conserved(stats)
         assert registered.seccomp_variant == "optimized"
-        with CopseService(threads=1, engine="tape", backend="vector",
-                          seccomp_variant="optimized") as local:
+        with CopseService(threads=1, engine="tape",
+                          backend="vector") as local:
             local.register_model(
-                "m", example_forest, precision=8, max_batch_size=4
+                "m", example_forest, precision=8, max_batch_size=4,
+                seccomp_variant="optimized",
             )
             expected = local.classify_many("m", queries)
         assert [r.amortized_ms for r in results] == [
@@ -1072,7 +1073,7 @@ class TestRealCluster:
                     "bits", example_forest, precision=8, max_batch_size=4
                 )
                 results = service.classify_many("bits", queries)
-                stats = service.stats()
+                stats = service.stats().scheduler
             bits[workers] = [r.bitvector for r in results]
             assert_conserved(stats)
         assert bits[1] == bits[2]
@@ -1091,7 +1092,7 @@ class TestRealCluster:
             service.flush("kill")
             results = [f.result(timeout=120) for f in futures]
             assert service.drain(timeout=60)
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         assert len(results) == 24
         for features, res in zip(queries, results):
@@ -1152,7 +1153,7 @@ class TestRealCluster:
                     features
                 )
             assert service.drain(timeout=60)
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         assert_conserved(stats)
         assert stats.submitted == 5
@@ -1180,7 +1181,7 @@ class TestRealCluster:
             try:
                 results = [f.result(timeout=120) for f in futures]
                 assert service.drain(timeout=60)
-                stats = service.stats()
+                stats = service.stats().scheduler
                 decisions = service.decisions
             finally:
                 try:
@@ -1315,7 +1316,7 @@ class TestRealWorkerStart:
             )
             results = service.classify_many("m", queries)
             records = probes(str(tmp_path), 2)
-            stats = service.stats()
+            stats = service.stats().scheduler
         assert_oracle_exact(example_forest, queries, results)
         assert_conserved(stats)
         assert [(r["preloaded"], r["ppid"]) for r in records] == [
@@ -1361,7 +1362,7 @@ class TestRealWorkerStart:
                 service.add_worker()
             assert service.workers == 1
             results = service.classify_many("m", queries)
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         # close() above skipped the empty slot.
         assert_oracle_exact(example_forest, queries, results)
@@ -1394,7 +1395,7 @@ class TestRealWorkerStart:
             results = service.classify_many("m", queries)
             assert service._pump.is_alive()
             assert service.workers == 1
-            stats = service.stats()
+            stats = service.stats().scheduler
             decisions = service.decisions
         assert_oracle_exact(example_forest, queries, results)
         assert_conserved(stats)

@@ -601,7 +601,7 @@ class TestRealGroupsCrossThePipe:
                 results.append(result), result_event(result)
             )[1]
             answers = service.classify_many("m", queries)
-            stats = service.stats()
+            stats = service.stats().scheduler
             assigns = [d for d in service.decisions if d[0] == "assign"]
             service.unregister_model("m")
             service.register_model(

@@ -259,7 +259,7 @@ def test_real_a_block_answered_across_the_pipe(example_forest):
         futures = pool.submit_many("m", QUERIES)
         pool.flush("m")
         done, not_done = cf.wait(futures, timeout=120)
-        stats = pool.stats()
+        stats = pool.stats().scheduler
     assert done == set(futures) and not not_done
     assert {id(f._condition) for f in futures} == {id(futures[0]._condition)}
     results = [f.result() for f in futures]

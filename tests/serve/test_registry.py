@@ -103,10 +103,25 @@ class TestRegister:
         )
         reg.compiled.check_parameters(reg.params)  # must not raise
 
-    def test_default_params_from_registry(self, example_forest):
-        params = EncryptionParams(security=128, bits=600, columns=3)
-        registry = ModelRegistry(default_params=params)
-        assert registry.register("m", example_forest).params == params
+    @pytest.mark.parametrize("engine", ["eager", "tape", "megakernel"])
+    def test_unknown_seccomp_variant_is_refused_before_compiling(
+        self, example_forest, engine, monkeypatch
+    ):
+        """Regression: an ``eager`` registration accepted any variant
+        and every batch then failed at evaluation; ``tape`` refused it
+        as a ``CompileError`` from lowering.  Every engine refuses it
+        here, typed, before the compiler runs."""
+        from repro.serve import registry as registry_module
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled a forest it should refuse")
+
+        monkeypatch.setattr(registry_module, "CopseCompiler", no_compile)
+        registry = ModelRegistry()
+        with pytest.raises(ValidationError, match="unknown SecComp variant"):
+            registry.register("m", example_forest, engine=engine,
+                              seccomp_variant="bogus")
+        assert "m" not in registry
 
 
 class TestFingerprintParity:

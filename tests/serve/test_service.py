@@ -53,12 +53,6 @@ def open_service(transport, workers=1, **kwargs):
     return ClusterService(workers=workers, **kwargs)
 
 
-def scheduler_stats(service):
-    """``ClusterService.stats()`` is the flat view (perf/ reads it)."""
-    stats = service.stats()
-    return getattr(stats, "scheduler", stats)
-
-
 def conserved(stats):
     return stats.submitted == (
         stats.completed + stats.rejected + stats.failed + stats.cancelled
@@ -99,7 +93,7 @@ class TestConformance:
             service.preload("rt")
             results = service.classify_many("rt", queries, "acme")
             assert service.drain(timeout=60)
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
             counters = service.metrics_snapshot()["counters"]
             kinds = {d[0] for d in service.decisions}
         assert registered.batch_capacity == 4
@@ -148,14 +142,14 @@ class TestConformance:
             service.flush("m")
             for future, query in zip(refusal.value.admitted, queries):
                 assert future.result(timeout=120).features == query
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
             assert (stats.submitted, stats.rejected) == (6, 1)
             assert stats.per_tenant_submitted == {"acme": 6}
         assert service.closed
         for call in (service.submit_many, service.classify_many):
             with pytest.raises(ServeError, match="closed"):
                 call("m", queries[:2])
-        closed = scheduler_stats(service)
+        closed = service.stats().scheduler
         assert closed.submitted == 6  # nothing admitted after close
         assert conserved(closed)
         service.close()  # idempotent
@@ -171,7 +165,7 @@ class TestConformance:
             service.flush("m")
             streamed = service.classify_many("m", (q for q in queries))
             assert service.classify_many("m", iter([])) == []
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
         assert [f.result(timeout=60).features for f in futures] == queries
         assert [r.features for r in streamed] == queries
         assert all(r.oracle_ok for r in streamed)
@@ -188,7 +182,7 @@ class TestConformance:
             for call in (service.submit_many, service.classify_many):
                 with pytest.raises(ValidationError, match="iterable"):
                     call("m", request_)
-            assert scheduler_stats(service).submitted == 0
+            assert service.stats().scheduler.submitted == 0
 
     def test_unknown_names_are_typed_refusals(self, transport,
                                               example_forest):
@@ -237,15 +231,16 @@ class TestConformance:
                 ({"weight": "a"}, "weight"),
                 ({"max_queue": "a"}, "max_pending"),
                 ({"max_batch_size": 1.5}, "max_batch_size"),
+                ({"seccomp_variant": "bogus"}, "SecComp variant"),
             ):
                 with pytest.raises(ValidationError, match=word):
                     service.register_model("n", example_forest, **kwargs)
                 assert "n" not in service.registry
-            assert scheduler_stats(service).submitted == 0
+            assert service.stats().scheduler.submitted == 0
             assert service._pump.is_alive()
             # ... and the next request is answered
             assert service.classify("m", [40, 200]).oracle_ok is True
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
             assert conserved(stats) and stats.completed == 1
         for workers in ("2", 1.5, None):
             with pytest.raises(ValidationError, match="workers"):
@@ -255,9 +250,6 @@ class TestConformance:
         for max_queue in (-1, 0, 2.5, "8"):
             with pytest.raises(ValidationError, match="max_queue"):
                 open_service(transport, max_queue=max_queue)
-        if transport == "in-thread":  # the process pool takes no variant
-            with pytest.raises(ValidationError, match="SecComp variant"):
-                open_service(transport, seccomp_variant="bogus")
 
     def test_control_seams(self, transport, example_forest):
         """Per-model ``weight`` / ``max_queue`` at registration, the
@@ -287,7 +279,7 @@ class TestConformance:
                 r.oracle_ok for r in service.classify_many("m", queries)
             )
             decisions = service.decisions
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
         # the worker that served throughout was shipped the model once
         assert len([d for d in decisions if d[:2] == ("ship", 0)]) == 1
         assert conserved(stats) and stats.completed == 18
@@ -329,7 +321,7 @@ class TestConformance:
             assert ok[2].result(timeout=60).batch_fill == 2
             # and the worker survived the bad batch
             assert service.classify("ok", queries[0]).oracle_ok is True
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
             kinds = [d[0] for d in service.decisions]
         assert conserved(stats)
         assert (stats.submitted, stats.completed, stats.rejected,
@@ -364,7 +356,7 @@ class TestConformance:
             )
             futures = service.submit_many("m", queries)
             assert service.drain(timeout=120)
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
             counters = service.metrics_snapshot()["counters"]
             decisions = service.decisions
             monkeypatch.undo()
@@ -558,7 +550,7 @@ class TestNonIntegerFeaturesAreRefused:
             with pytest.raises(ValidationError, match="is not an integer"):
                 request()
             assert service.pending("m") == 0
-            assert scheduler_stats(service).submitted == 0
+            assert service.stats().scheduler.submitted == 0
             # whole numbers of an integer type still pass
             answer = service.classify_many(
                 "m", [[np.int64(2), 1], np.array([1, 2])])
@@ -610,7 +602,7 @@ class TestClassifyManyLeavesNothingQueued:
             with pytest.raises(ValidationError) as single:
                 service.submit("m", bad)
             assert str(many.value) == str(single.value)
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
             assert stats.submitted == stats.rejected == 0
             # and the service still serves
             assert len(service.classify_many("m", [[1, 2], [3, 4]])) == 2
@@ -626,7 +618,7 @@ class TestClassifyManyLeavesNothingQueued:
             assert excinfo.value.queue_depth == 2
             assert service.pending("m") == 0
             assert service.drain(timeout=120)
-            stats = scheduler_stats(service)
+            stats = service.stats().scheduler
         # The twin makes the same three submit calls by hand.
         with open_service(transport, max_queue=2) as twin:
             twin.register_model("m", example_forest, max_batch_size=8)
@@ -635,7 +627,7 @@ class TestClassifyManyLeavesNothingQueued:
                 twin.submit("m", queries[2])
             twin.flush("m")
             assert all(f.result(timeout=120).oracle_ok for f in futures)
-            twin_stats = scheduler_stats(twin)
+            twin_stats = twin.stats().scheduler
         assert conserved(stats)
         assert (stats.submitted, stats.rejected, stats.completed) == (3, 1, 2)
         assert (stats.submitted, stats.rejected, stats.completed) == (
@@ -660,11 +652,22 @@ class TestOneFacade:
             assert inspect.signature(thread[name]).parameters == (
                 inspect.signature(process[name]).parameters
             ), name
-        # ... because all but one *are* the same function: the process
-        # pool's name keeps only its flat stats() view.
-        assert [n for n in thread if thread[n] is not process[n]] == [
-            "stats"
-        ]
+        # ... because they *are* the same functions: the process pool's
+        # name is only a constructor.
+        assert [n for n in thread if thread[n] is not process[n]] == []
+        # Its constructor takes what the in-thread one takes, in the
+        # same order, plus what only a process pool has.
+        pool_only = {"max_retries", "heartbeat_interval_s",
+                     "heartbeat_timeout_s", "retry_policy", "breaker",
+                     "dlq_limit", "worker_entry"}
+        thread_init, process_init = (
+            list(inspect.signature(cls.__init__).parameters.values())
+            for cls in (CopseService, ClusterService)
+        )
+        assert [
+            p.replace(name="threads") if p.name == "workers" else p
+            for p in process_init if p.name not in pool_only
+        ] == thread_init
 
     def test_one_answer_path(self):
         """Both transports reduce an assignment with the one worker
@@ -746,7 +749,7 @@ class TestOneFacade:
             live.register_model("m", example_forest, max_batch_size=2)
             live.classify_many("m", queries_for(example_forest, 40))
             window = live.decisions
-            assert scheduler_stats(live).batches == 20
+            assert live.stats().scheduler.batches == 20
         assert len(window) == 6
         assert [d[0] for d in window] == ["assign"] * 6
         assert [d[1] for d in window] == list(range(15, 21))  # the latest
@@ -1271,11 +1274,11 @@ class TestStats:
         """Bugfix lock: an engine's artifacts were once lowered under the
         default SecComp variant, so on an ``"optimized"`` service the
         first ``tape`` batch raised a variant refusal."""
-        with CopseService(threads=1, seccomp_variant="optimized",
-                          engine="eager") as service:
+        with CopseService(threads=1, engine="eager") as service:
             for engine in ("eager", "tape", "megakernel"):
                 registered = service.register_model(
-                    engine, example_forest, max_batch_size=4, engine=engine
+                    engine, example_forest, max_batch_size=4, engine=engine,
+                    seccomp_variant="optimized",
                 )
                 results = service.classify_many(
                     engine, queries_for(example_forest, 5)

@@ -480,7 +480,7 @@ class TestOneOfEach:
         cluster = sources["serve/cluster.py"]
         below_the_router = cluster[cluster.index("class ClusterService"):]
         assert re.findall(r"^    def (\w+)\(", below_the_router, re.M) == [
-            "__init__", "stats",
+            "__init__",
         ]
         # One pump, and one place that resolves futures, whichever
         # transport evaluated the batch: ``settle``, called by the

@@ -279,6 +279,10 @@ class TestBench:
          "'report' does not take --workloads"),
         (["report", "--queries", "3"],
          "'report' does not take --queries"),
+        (["report", "--backend", "vector"],
+         "'report' does not take --backend"),
+        (["table6", "--out", "t6.json"],
+         "section 'table6' does not take --out"),
     ])
     def test_a_flag_the_section_does_not_take_is_refused(
         self, argv, refusal, capsys
